@@ -179,7 +179,7 @@
 // actually be stale; and routing tables rebuild through an incremental SPF
 // cross-checked against full rebuilds. The node-count scaling of the whole
 // stack is a first-class experiment (Runner.ScaleSweep, -ablation scale);
-// BENCH_core.json records the headline numbers.
+// cmd/qolsr-bench/baseline.json records the headline numbers.
 //
 // # Shared topology & parallel rebuilds
 //
@@ -191,19 +191,38 @@
 // every receiver's topology entry, so the steady-state ingest path is one
 // pointer comparison plus a deadline refresh, and a content change pays
 // one linear merge that marks exactly the (origin, neighbor) pairs that
-// differ for the incremental SPF. Per-node soft state lives in dense slot
-// tables when the population declares contiguous IDs (Config.DenseIDs):
-// flat arrays indexed by node ID replace hash maps in every hot lookup,
-// and ascending-ID iteration becomes an array walk with the same order the
-// determinism contract already required. Graph node-index resolution is
-// O(1) (an identity fast path when IDs equal indices, a maintained reverse
-// index otherwise), which keeps routing-graph construction linear.
+// differ for the incremental SPF.
+//
+// Per-node state is proportional to what the node has heard, laid out the
+// way a flood walks it. The TC-learned rows of a whole field (olsr.NewNodes;
+// olsr.NewNode is a field of one) live in one origin-major store: one block
+// per origin, allocated when that origin is first heard, holding a 32-byte
+// by-value row per member — so a flood to N receivers walks one contiguous
+// block instead of N scattered tables, and the field holds N blocks instead
+// of N² heap objects. Origin-to-slot is the identity inside the store's
+// dense window (Config.DenseIDs is only a hint for its size) and one
+// overflow map per store otherwise; slots nobody holds a row in are
+// reclaimed. The neighbour-keyed tables (links, HELLO tables, MPR
+// selectors) are sorted small tables of about the node's degree, whose
+// ascending walk — the order the determinism contract already required —
+// allocates nothing. The dirty-pair list feeding the incremental SPF exists
+// only once a node has been asked for routes and is capped: past the cap
+// the node drops its routing graph and the next query rebuilds from the
+// state tables. Topology rows and neighbour state expire under separate
+// watermarks, so the per-origin column scan runs only when a topology
+// deadline is due. Node.StateSize reports what a node holds; the registry
+// sums it (qolsr_olsr_topology_rows, _dirty_pairs, _route_graph_nodes).
+// Graph node-index resolution is O(1) (an identity fast path when IDs equal
+// indices, a maintained reverse index otherwise), which keeps routing-graph
+// construction linear.
 //
 // Because each node's routing table is a pure function of that node's own
-// soft state — interned blocks are read-only by contract — any set of
-// tables can be rebuilt concurrently. Network.RebuildRoutes is that
-// barrier: it fans the dirty nodes' SPF work across a worker budget and
-// produces tables bit-identical to the serial path at every worker count
+// soft state — interned blocks are read-only by contract, and outside the
+// serialised message handlers a member touches only its own rows of the
+// shared store — any set of tables can be rebuilt concurrently.
+// Network.RebuildRoutes is that barrier: it fans the dirty nodes' SPF work
+// across a worker budget and produces tables bit-identical to the serial
+// path at every worker count
 // (scenario.Scenario.Workers and eval.ScaleSweepOptions.Workers thread the
 // budget; a churn-heavy lossy scenario encoding to identical JSON at
 // workers 1 and 8 locks the property, and CI runs the barrier under the
@@ -211,8 +230,9 @@
 // olsr.RebuildStats counts interning hits, topology builds and the
 // full/incremental SPF split per node, scenario samples carry the windowed
 // series, and run totals report the epoch hit rate.
-// BenchmarkTopologyRebuild and BenchmarkSPF track the two hot paths;
-// BENCH_core.json records them alongside the scale sweep.
+// BenchmarkTopologyRebuild and BenchmarkSPF track the two hot paths; the
+// scale-1500 workload of cmd/qolsr-bench measures the whole (its
+// baseline.json is the record).
 //
 // # Control-plane scaling
 //

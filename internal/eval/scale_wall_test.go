@@ -6,11 +6,13 @@ import (
 	"time"
 )
 
-// The 1000-node scale point is the perf canary: after the shared-topology
-// interning, dense slot tables and flat SPF work it runs in ~2s of wall
-// time on one modest core. The ceiling is deliberately loose (slow CI
-// hardware, race-detector runs) — it exists to catch an order-of-magnitude
-// regression in the hot path, not jitter.
+// The 1000-node scale point must complete and deliver: with interned
+// advertisements, the origin-major topology store and the incremental SPF it
+// runs in ~2s of wall time on one modest core. The ceiling is deliberately
+// loose (slow hardware, race-detector runs) — it catches an
+// order-of-magnitude regression in the hot path, not jitter; CI's
+// performance canary proper is the peak-RSS ceiling on cmd/qolsr-bench's
+// scale-1500 workload.
 func TestScaleWallCeiling1000(t *testing.T) {
 	if testing.Short() {
 		t.Skip("scale point too heavy for -short")

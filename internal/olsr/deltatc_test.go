@@ -70,11 +70,11 @@ func TestGenerateTCUpdateDeltaChain(t *testing.T) {
 		t.Fatalf("reweight delta = %+v", d3)
 	}
 	r.HandleTCDelta(d3, 1, now)
-	if got, _ := advWeight(r.topology.get(1).adv, 2); got != 6 {
+	if got, _ := advWeight(rowOf(r, 1).links(), 2); got != 6 {
 		t.Fatalf("receiver link weight = %v after delta, want 6", got)
 	}
-	if !r.topology.get(1).synced || r.topology.get(1).chain != 2 {
-		t.Fatalf("receiver chain state = %+v", r.topology.get(1))
+	if !rowOf(r, 1).synced || rowOf(r, 1).chain != 2 {
+		t.Fatalf("receiver chain state = %+v", rowOf(r, 1))
 	}
 
 	// The 4th emission (TCFullEvery = 4) refreshes with a full.
@@ -88,6 +88,11 @@ func TestGenerateTCUpdateDeltaChain(t *testing.T) {
 	if f5 == nil || d5 != nil {
 		t.Fatalf("emission 4 = (%v, %v), want the periodic full refresh", f5, d5)
 	}
+}
+
+// rowOf returns the topology row n holds about origin (nil when none).
+func rowOf(n *Node, origin int64) *topoRow {
+	return n.store.row(n.member, origin)
 }
 
 func TestHandleTCDeltaResyncOnGap(t *testing.T) {
@@ -112,19 +117,19 @@ func TestHandleTCDeltaResyncOnGap(t *testing.T) {
 		t.Fatalf("second delta = %+v", d2)
 	}
 	r.HandleTCDelta(d2, 1, now)
-	cur := r.topology.get(1)
+	cur := rowOf(r, 1)
 	if cur.synced {
 		t.Fatal("receiver still synced across a chain gap")
 	}
-	if w, _ := advWeight(cur.adv, 2); w != 5 {
-		t.Fatalf("gapped receiver links = %v, want the pre-gap state kept", cur.adv)
+	if w, _ := advWeight(cur.links(), 2); w != 5 {
+		t.Fatalf("gapped receiver links = %v, want the pre-gap state kept", cur.links())
 	}
 
 	// Further deltas stay unappliable until a full rebases the chain.
 	now += 100 * time.Millisecond
 	_, d3, _ := a.GenerateTCUpdate(now)
 	r.HandleTCDelta(d3, 1, now)
-	if r.topology.get(1).synced {
+	if rowOf(r, 1).synced {
 		t.Fatal("delta applied while desynchronised")
 	}
 	now += 100 * time.Millisecond
@@ -133,8 +138,8 @@ func TestHandleTCDeltaResyncOnGap(t *testing.T) {
 		t.Fatal("expected the periodic full refresh")
 	}
 	r.HandleTC(f, 1, now)
-	cur = r.topology.get(1)
-	if w, _ := advWeight(cur.adv, 2); !cur.synced || w != 7 {
+	cur = rowOf(r, 1)
+	if w, _ := advWeight(cur.links(), 2); !cur.synced || w != 7 {
 		t.Fatalf("full did not resync: %+v", cur)
 	}
 }
@@ -150,7 +155,7 @@ func TestHandleTCDeltaSharesDupWindow(t *testing.T) {
 	if r.HandleTCDelta(d, 2, now) {
 		t.Error("duplicate delta forwarded")
 	}
-	if r.topology.get(1).chain != 1 {
+	if rowOf(r, 1).chain != 1 {
 		t.Error("duplicate delta re-applied")
 	}
 }

@@ -28,24 +28,97 @@ import (
 // protocol state just lose their edges and become unreachable, which keeps
 // every index (and the cached SPF labels) stable. Canonical tie-breaking is
 // by NodeID, never index, so the append order cannot leak into routes.
+//
+// The dirty list exists only while there is a routing graph to repair. A
+// node nobody has asked for routes records nothing — its first build reads
+// the pairs off the state tables themselves, the same sorted set the
+// handlers would have accumulated minus the pairs that no longer resolve —
+// and a node under more churn than dirtyCap distinct pairs between two
+// queries gives the graph up and falls back to that same from-scratch build,
+// so the list never exceeds dirtyCap entries.
 
 // pairKey is an unordered node pair in normalised (lo <= hi) form.
 type pairKey struct {
 	lo, hi int64
 }
 
-// markPair records that the effective link between a and b may have changed.
-// Self-pairs are ignored, mirroring the edge accumulator's self-loop skip.
-// The record is an append to the dirty list — the handlers' hot path —
-// deferring deduplication to the sort the consumer performs anyway.
-func (n *Node) markPair(a, b int64) {
+// dirtyCap bounds Node.dirty, in pairs (16 bytes each).
+const dirtyCap = 2048
+
+// appendPair appends the pair (a, b) in normalised form. Self-pairs are
+// ignored, mirroring the edge accumulator's self-loop skip.
+func appendPair(ps []pairKey, a, b int64) []pairKey {
 	if a == b {
-		return
+		return ps
 	}
 	if a > b {
 		a, b = b, a
 	}
-	n.dirty = append(n.dirty, pairKey{lo: a, hi: b})
+	return append(ps, pairKey{lo: a, hi: b})
+}
+
+func sortPairs(ps []pairKey) {
+	slices.SortFunc(ps, func(a, b pairKey) int {
+		if a.lo != b.lo {
+			return cmp.Compare(a.lo, b.lo)
+		}
+		return cmp.Compare(a.hi, b.hi)
+	})
+}
+
+// markPair records that the effective link between a and b may have changed.
+// Without a routing graph there is nothing to repair and nothing is recorded
+// — the wrapper the handlers' hot path inlines.
+func (n *Node) markPair(a, b int64) {
+	if n.rg != nil {
+		n.recordPair(a, b)
+	}
+}
+
+// recordPair appends to the dirty list, deferring deduplication to the sort
+// the consumer performs anyway unless the list is full.
+func (n *Node) recordPair(a, b int64) {
+	if len(n.dirty) >= dirtyCap {
+		n.compactDirty()
+		if n.rg == nil {
+			return
+		}
+	}
+	n.dirty = appendPair(n.dirty, a, b)
+}
+
+// compactDirty deduplicates a full dirty list in place. If that frees less
+// than half of it the node is changing faster than it is queried: drop the
+// routing graph, so the next query rebuilds from the state tables (an equal
+// table — the RouteCrossCheck invariant) and recording stops until then.
+func (n *Node) compactDirty() {
+	sortPairs(n.dirty)
+	n.dirty = slices.Compact(n.dirty)
+	if len(n.dirty) > dirtyCap/2 {
+		n.rg, n.rindex, n.rspf, n.perm, n.dirty = nil, nil, nil, nil, nil
+	}
+}
+
+// statePairs lists every pair some state table entry supports, unsorted and
+// with duplicates: what the handlers would have marked since the node was
+// created, minus pairs whose support has since gone.
+func (n *Node) statePairs() []pairKey {
+	var ps []pairKey
+	add := func(origin int64, adv []LinkInfo) {
+		for _, l := range adv {
+			ps = appendPair(ps, origin, l.Neighbor)
+		}
+	}
+	n.links.each(func(id int64, _ *linkEntry) {
+		ps = appendPair(ps, n.ID, id)
+	})
+	n.neighbors.each(func(nb int64, tbl *neighborTable) {
+		add(nb, tbl.adv)
+	})
+	n.store.each(n.member, func(origin int64, t *topoRow) {
+		add(origin, t.links())
+	})
+	return ps
 }
 
 // markNeighborPairs marks every pair the given neighbor's HELLO table
@@ -67,11 +140,11 @@ func (n *Node) markNeighborPairs(nb int64) {
 // wins). The second return is false when no valid state supports the link.
 func (n *Node) resolvePair(a, b int64) (float64, bool) {
 	if a == n.ID {
-		if l, ok := n.links.get(b); ok {
+		if l := n.links.get(b); l != nil {
 			return l.weight, true
 		}
 	} else if b == n.ID {
-		if l, ok := n.links.get(a); ok {
+		if l := n.links.get(a); l != nil {
 			return l.weight, true
 		}
 	}
@@ -85,13 +158,13 @@ func (n *Node) resolvePair(a, b int64) (float64, bool) {
 	if w, ok := n.helloAdvertised(hi, lo); ok {
 		return w, true
 	}
-	if t := n.topology.get(lo); t != nil {
-		if w, ok := advWeight(t.adv, hi); ok {
+	if t := n.store.row(n.member, lo); t != nil {
+		if w, ok := advWeight(t.links(), hi); ok {
 			return w, true
 		}
 	}
-	if t := n.topology.get(hi); t != nil {
-		if w, ok := advWeight(t.adv, lo); ok {
+	if t := n.store.row(n.member, hi); t != nil {
+		if w, ok := advWeight(t.links(), lo); ok {
 			return w, true
 		}
 	}
@@ -186,29 +259,32 @@ func (n *Node) applyPair(p pairKey, channel string) error {
 // Callers must have run expire(now) first.
 func (n *Node) incrementalRoutes() (*Routes, error) {
 	channel := n.cfg.Metric.Name()
-	if n.rg == nil {
+	scratch := n.rg == nil
+	if scratch {
 		g, err := graph.NewWithIDs([]graph.NodeID{graph.NodeID(n.ID)})
 		if err != nil {
 			return nil, err
 		}
 		n.rg = g
 		n.rindex = map[int64]int32{n.ID: 0}
+		n.dirty = n.statePairs()
 	}
 	if len(n.dirty) > 0 {
 		// Process in sorted order so node append order (hence index
 		// assignment) is a pure function of the protocol state, not of
 		// arrival order; deduplicate so each pair resolves once.
-		slices.SortFunc(n.dirty, func(a, b pairKey) int {
-			if a.lo != b.lo {
-				return cmp.Compare(a.lo, b.lo)
-			}
-			return cmp.Compare(a.hi, b.hi)
-		})
+		sortPairs(n.dirty)
 		for _, p := range slices.Compact(n.dirty) {
 			if err := n.applyPair(p, channel); err != nil {
 				return nil, err
 			}
 		}
+	}
+	if scratch {
+		// The whole state went through the list: release it rather than
+		// keep a table-sized buffer for the handful of pairs a repair sees.
+		n.dirty = nil
+	} else {
 		n.dirty = n.dirty[:0]
 	}
 	r := &Routes{}

@@ -168,8 +168,8 @@ func (n *Node) LinkQuality(neighbor int64, now time.Duration) (float64, bool) {
 // given neighbor (oracle-fed, or the measured estimate under MeasuredQoS).
 func (n *Node) LinkWeight(neighbor int64, now time.Duration) (float64, bool) {
 	n.expire(now)
-	l, ok := n.links.get(neighbor)
-	if !ok {
+	l := n.links.get(neighbor)
+	if l == nil {
 		return 0, false
 	}
 	return l.weight, true

@@ -83,15 +83,12 @@ type Config struct {
 	// TopologyHoldTime or distant state thrashes between refresh and
 	// expiry.
 	FisheyeTTLs []int
-	// DenseIDs, when positive, declares that every node identifier in the
-	// field lies in [0, DenseIDs). The per-identifier soft-state tables
-	// (links, neighbor tables, topology, selectors) then use flat slot
-	// arrays indexed by the identifier itself instead of hash maps: the
-	// per-delivery probe becomes one bounds-checked load and ascending-ID
-	// iteration becomes the plain array walk, with identical observable
-	// behaviour (identifiers outside the declared range read as absent and
-	// are never retained). Zero keeps the map representation for arbitrary
-	// identifier spaces (the deployable daemon).
+	// DenseIDs is a sizing hint for the topology store's dense window:
+	// origins in [0, DenseIDs) map to their store slot by identity instead
+	// of through the store's overflow map (see topostore.go). It selects no
+	// behaviour — identifiers outside the window are stored all the same —
+	// and a field's window is never smaller than its member count, so the
+	// simulator's index-valued identifiers are dense without setting it.
 	DenseIDs int
 	// FloodRelay selects a second relay set computed alongside the
 	// MPRHeuristic one, announced to neighbors as this node's relay choice
@@ -141,20 +138,6 @@ type neighborTable struct {
 	// pointer compare.
 	adv     []LinkInfo
 	expires time.Duration
-}
-
-type topoEntry struct {
-	ansn    uint16
-	adv     []LinkInfo // normalised advertised set; see neighborTable.adv
-	expires time.Duration
-	// Delta-chain position (DeltaTC receivers): the entry holds the
-	// origin's state as of full TC fullSeq plus the first chain deltas.
-	// synced is false when a chain gap was detected — the links stay the
-	// best known state, but no further delta may apply until the next full
-	// TC rebases the chain.
-	fullSeq uint16
-	chain   uint16
-	synced  bool
 }
 
 // dupSeq is one duplicate-suppression entry: a TC sequence number seen from
@@ -242,21 +225,22 @@ type Node struct {
 
 	// links are this node's own measured links (fed by the link oracle;
 	// metric computation is out of the paper's scope).
-	links slotTable[linkEntry]
-	// neighbors holds per-neighbor HELLO state. Entries are pointers so the
-	// steady-state refresh (every HELLO period, per neighbor) mutates the
-	// deadline through one table probe instead of a lookup-plus-store pair.
-	neighbors ptrTable[neighborTable]
-	// topology holds TC-learned advertised links per origin; pointers for
-	// the same reason — every TC delivery refreshes its origin's entry.
-	topology ptrTable[topoEntry]
+	links smallTable[linkEntry]
+	// neighbors holds per-neighbor HELLO state.
+	neighbors smallTable[neighborTable]
+	// store holds the TC-learned advertised links of the whole field, one
+	// block per origin; this node's rows are the member-th of each block
+	// (see topostore.go). topoRows counts the rows it currently holds.
+	store    *topoStore
+	member   int32
+	topoRows int
 	// dups suppresses re-flooding (origin, seq) pairs, held per origin: a
 	// probe is one small-int-keyed map access plus a scan of the origin's
 	// few live entries (about hold-time/TC-interval of them), and expired
 	// slots are recycled in place during that same scan. Dup entries are
 	// the one soft-state category whose deadlines are all distinct (every
-	// flooded message makes one), so keeping them out of the global
-	// watermark is what keeps expire O(1) on the per-packet path.
+	// flooded message makes one), so the topology watermark covers only
+	// each origin's *latest* entry — the row is dropped once that expired.
 	dups map[int64][]dupSeq
 	// lq holds the per-neighbor HELLO delivery estimators (MeasuredQoS
 	// link sensing; nil in oracle mode).
@@ -278,8 +262,8 @@ type Node struct {
 
 	mprSet    []int64
 	ansSet    []int64
-	relaySet  []int64                  // flooding relay set announced in HELLOs (== mprSet unless Config.FloodRelay)
-	selectors slotTable[time.Duration] // nodes that chose us as MPR, by selection deadline
+	relaySet  []int64                   // flooding relay set announced in HELLOs (== mprSet unless Config.FloodRelay)
+	selectors smallTable[time.Duration] // nodes that chose us as MPR, by selection deadline
 
 	// Delta-TC emission state (GenerateTCUpdate): the emission counter
 	// driving the fish-eye/full-refresh schedules, and the chain anchor —
@@ -298,10 +282,14 @@ type Node struct {
 	// the current one instead of recomputing per call.
 	nhVersion   uint64
 	topoVersion uint64
-	// nextExpiry is the earliest deadline across all soft state: expire
-	// is a no-op while now is before it, so handlers and queries don't
-	// scan the five state maps when nothing can be stale.
+	// nextExpiry is the earliest deadline across the neighbour-keyed soft
+	// state (links, neighbor tables, selectors, link estimators) and
+	// topoExpiry the earliest across the origin-keyed state (topology rows,
+	// dup rows): expire is a no-op while now is before both, and past one
+	// only that one's tables are scanned — the O(origins) column walk does
+	// not run on every neighbour-hold tick.
 	nextExpiry time.Duration
+	topoExpiry time.Duration
 
 	// selAt is the nhVersion mprSet/ansSet were computed at.
 	selAt uint64
@@ -326,10 +314,10 @@ type Node struct {
 	first, hops []int32
 
 	// Incremental routing state (see incremental.go): the dirty pair list
-	// accumulated by the handlers (append-only between rebuilds, sorted
-	// and deduplicated when consumed), the long-lived routing graph with
-	// its id-to-index map and incremental SPF solution, and the
-	// ascending-ID index permutation for table extraction.
+	// the handlers accumulate once a routing graph exists (bounded by
+	// dirtyCap; sorted and deduplicated when consumed), the long-lived
+	// routing graph with its id-to-index map and incremental SPF solution,
+	// and the ascending-ID index permutation for table extraction.
 	dirty  []pairKey
 	rg     *graph.Graph
 	rindex map[int64]int32
@@ -344,6 +332,39 @@ type Node struct {
 // RebuildStats returns a snapshot of the node's rebuild counters.
 func (n *Node) RebuildStats() RebuildStats { return n.stats }
 
+// StateSize counts what a node currently holds, table by table. In steady
+// state every field is flat: soft state is bounded by what is being heard,
+// the dirty list by dirtyCap.
+type StateSize struct {
+	// Links, Neighbors and Selectors count the neighbour-keyed tables: own
+	// links, neighbours' HELLO tables, MPR-selector deadlines.
+	Links, Neighbors, Selectors int
+	// TopologyRows counts the origins the node holds a TC-learned row about;
+	// DupRows the origins with a duplicate-suppression row.
+	TopologyRows, DupRows int
+	// DirtyPairs is the length of the pending dirty-pair list and
+	// RouteGraphNodes the node count of the incremental routing graph (0
+	// until the first Routes call).
+	DirtyPairs, RouteGraphNodes int
+}
+
+// StateSize returns the node's current state counts. Nothing is expired
+// first: it reports what is held, stale or not.
+func (n *Node) StateSize() StateSize {
+	s := StateSize{
+		Links:        n.links.len(),
+		Neighbors:    n.neighbors.len(),
+		Selectors:    n.selectors.len(),
+		TopologyRows: n.topoRows,
+		DupRows:      len(n.dups),
+		DirtyPairs:   len(n.dirty),
+	}
+	if n.rg != nil {
+		s.RouteGraphNodes = n.rg.N()
+	}
+	return s
+}
+
 // RoutesDirty reports whether the next Routes call must rebuild the table —
 // the protocol state (after expiring what is stale as of now) moved past
 // the cached snapshot. Hosts batching table rebuilds use it to tell a
@@ -353,8 +374,25 @@ func (n *Node) RoutesDirty(now time.Duration) bool {
 	return n.routes == nil || n.routesAt != n.topoVersion
 }
 
-// NewNode returns a node with the given identity and configuration.
+// NewNode returns a stand-alone node with the given identity and
+// configuration: a field of one.
 func NewNode(id int64, cfg Config) (*Node, error) {
+	nodes, err := NewNodes([]int64{id}, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return nodes[0], nil
+}
+
+// NewNodes returns one node per identifier, all under the same
+// configuration, as one field: the nodes share the origin-major store their
+// TC-learned topology lives in (see topostore.go), so a host that runs a
+// whole population in one process — the simulator — pays for each origin's
+// block once instead of once per receiver. Each node is otherwise exactly
+// what NewNode returns, and the host must serialise the handler calls
+// (HandleHello, HandleTC, HandleTCDelta, Generate*) of one field; queries
+// (Routes, RoutesDirty) of different members may run concurrently.
+func NewNodes(ids []int64, cfg Config) ([]*Node, error) {
 	if cfg.HelloInterval <= 0 || cfg.TCInterval <= 0 {
 		return nil, fmt.Errorf("olsr: non-positive intervals in config")
 	}
@@ -389,20 +427,22 @@ func NewNode(id int64, cfg Config) (*Node, error) {
 	if cfg.DenseIDs < 0 {
 		return nil, fmt.Errorf("olsr: negative DenseIDs %d", cfg.DenseIDs)
 	}
-	if cfg.DenseIDs > 0 && !slotIn(id, cfg.DenseIDs) {
-		return nil, fmt.Errorf("olsr: node id %d outside declared dense range [0, %d)", id, cfg.DenseIDs)
+	store := newTopoStore(len(ids), max(cfg.DenseIDs, len(ids)), cfg.TopologyHoldTime)
+	field := make([]Node, len(ids))
+	nodes := make([]*Node, len(ids))
+	for i, id := range ids {
+		field[i] = Node{
+			ID:         id,
+			cfg:        cfg,
+			store:      store,
+			member:     int32(i),
+			dups:       make(map[int64][]dupSeq),
+			nextExpiry: noExpiry,
+			topoExpiry: noExpiry,
+		}
+		nodes[i] = &field[i]
 	}
-	n := &Node{
-		ID:         id,
-		cfg:        cfg,
-		dups:       make(map[int64][]dupSeq),
-		nextExpiry: noExpiry,
-	}
-	n.links.init(cfg.DenseIDs)
-	n.neighbors.init(cfg.DenseIDs)
-	n.topology.init(cfg.DenseIDs)
-	n.selectors.init(cfg.DenseIDs)
-	return n, nil
+	return nodes, nil
 }
 
 // touchNeighborhood records a content change to links or neighbor tables,
@@ -420,13 +460,20 @@ func (n *Node) touchTopology() {
 	n.topoVersion++
 }
 
-// track lowers the expiry watermark to cover a new deadline. The watermark
-// may be conservative (an overwritten entry's earlier deadline can linger
-// until the next scan); that only costs an occasional empty scan, never a
-// missed expiry.
+// track lowers the neighbour-state expiry watermark to cover a new deadline.
+// The watermark may be conservative (an overwritten entry's earlier deadline
+// can linger until the next scan); that only costs an occasional empty scan,
+// never a missed expiry.
 func (n *Node) track(deadline time.Duration) {
 	if deadline < n.nextExpiry {
 		n.nextExpiry = deadline
+	}
+}
+
+// trackTopo is track for the origin-keyed state's watermark.
+func (n *Node) trackTopo(deadline time.Duration) {
+	if deadline < n.topoExpiry {
+		n.topoExpiry = deadline
 	}
 }
 
@@ -438,38 +485,52 @@ func (n *Node) UpdateLink(neighbor int64, weight float64, now time.Duration) {
 	if neighbor == n.ID {
 		return // no self-links
 	}
-	e := linkEntry{weight: weight, expires: now + n.cfg.NeighborHoldTime}
-	old, ok := n.links.get(neighbor)
-	n.links.put(neighbor, e)
-	n.track(e.expires)
-	if !ok || old.weight != weight {
-		n.touchNeighborhood()
-		n.markPair(n.ID, neighbor)
+	expires := now + n.cfg.NeighborHoldTime
+	n.track(expires)
+	if l := n.links.get(neighbor); l != nil {
+		l.expires = expires
+		if l.weight != weight {
+			l.weight = weight
+			n.touchNeighborhood()
+			n.markPair(n.ID, neighbor)
+		}
+		return
 	}
-	if !ok {
-		// The neighbor became direct: its HELLO-advertised links are now
-		// eligible as routing edges.
-		n.markNeighborPairs(neighbor)
-	}
+	n.links.put(neighbor, linkEntry{weight: weight, expires: expires})
+	n.touchNeighborhood()
+	n.markPair(n.ID, neighbor)
+	// The neighbor became direct: its HELLO-advertised links are now
+	// eligible as routing edges.
+	n.markNeighborPairs(neighbor)
 }
 
 // expire drops stale state. It is O(1) while the current time is before the
-// earliest tracked deadline; past it, one scan drops everything stale and
-// re-derives the watermark from the survivors. Duplicate-set entries are
-// expired lazily at probe time and never scanned here. This wrapper is one
-// compare on the converged path — it runs on every handler and every
-// routing lookup, so it must inline.
+// earliest tracked deadline of either watermark; past one, a scan of that
+// watermark's tables drops everything stale and re-derives it from the
+// survivors. This wrapper is two compares on the converged path — it runs on
+// every handler and every routing lookup, so it must inline.
 func (n *Node) expire(now time.Duration) {
-	if now >= n.nextExpiry {
+	if now >= n.nextExpiry || now >= n.topoExpiry {
 		n.expireScan(now)
 	}
 }
 
-// expireScan is expire's slow path: one scan over the deadline-carrying
-// state tables, dropping everything stale and re-deriving the watermark.
-// Visit order is free here — every drop records commutative dirty pairs and
-// the watermark is a min — so the unordered walk suffices.
+// expireScan is expire's slow path: scan the deadline-carrying tables of
+// whichever watermark is due, dropping everything stale and re-deriving the
+// watermark. Each watermark stays at or below every deadline of its own
+// tables, and every drop records commutative dirty pairs, so scanning the two
+// groups at different times drops exactly what one combined scan would by
+// the time anything reads the state.
 func (n *Node) expireScan(now time.Duration) {
+	if now >= n.nextExpiry {
+		n.expireNeighborhood(now)
+	}
+	if now >= n.topoExpiry {
+		n.expireTopology(now)
+	}
+}
+
+func (n *Node) expireNeighborhood(now time.Duration) {
 	next := noExpiry
 	n.links.each(func(id int64, l *linkEntry) {
 		if l.expires <= now {
@@ -485,20 +546,10 @@ func (n *Node) expireScan(now time.Duration) {
 	})
 	n.neighbors.each(func(id int64, t *neighborTable) {
 		if t.expires <= now {
+			adv := t.adv // del moves the next entry under t
 			n.neighbors.del(id)
 			n.touchNeighborhood()
-			for _, l := range t.adv {
-				n.markPair(id, l.Neighbor)
-			}
-		} else if t.expires < next {
-			next = t.expires
-		}
-	})
-	n.topology.each(func(id int64, t *topoEntry) {
-		if t.expires <= now {
-			n.topology.del(id)
-			n.touchTopology()
-			for _, l := range t.adv {
+			for _, l := range adv {
 				n.markPair(id, l.Neighbor)
 			}
 		} else if t.expires < next {
@@ -525,6 +576,41 @@ func (n *Node) expireScan(now time.Duration) {
 	n.nextExpiry = next
 }
 
+// expireTopology drops this node's stale topology rows — its own column of
+// the shared store, which is all a member may write outside handler context
+// (see topostore.go) — and the duplicate-suppression rows whose every entry
+// has expired. Individual dup entries still expire lazily at probe time.
+func (n *Node) expireTopology(now time.Duration) {
+	next := noExpiry
+	if n.topoRows > 0 {
+		n.store.each(n.member, func(origin int64, t *topoRow) {
+			if t.expires <= now {
+				adv := t.links() // before the row is cleared
+				*t = topoRow{}
+				n.topoRows--
+				n.touchTopology()
+				for _, l := range adv {
+					n.markPair(origin, l.Neighbor)
+				}
+			} else if t.expires < next {
+				next = t.expires
+			}
+		})
+	}
+	for origin, row := range n.dups {
+		var last time.Duration
+		for _, d := range row {
+			last = max(last, d.expires)
+		}
+		if last <= now {
+			delete(n.dups, origin)
+		} else if last < next {
+			next = last
+		}
+	}
+	n.topoExpiry = next
+}
+
 // GenerateHello produces this node's periodic HELLO.
 func (n *Node) GenerateHello(now time.Duration) *Hello {
 	n.expire(now)
@@ -532,7 +618,7 @@ func (n *Node) GenerateHello(now time.Duration) *Hello {
 	if n.helloAdv == nil || n.helloAt != n.nhVersion {
 		n.helloAt = n.nhVersion
 		adv := make([]LinkInfo, 0, n.links.len())
-		n.links.eachAsc(func(id int64, l *linkEntry) {
+		n.links.each(func(id int64, l *linkEntry) {
 			adv = append(adv, LinkInfo{Neighbor: id, Weight: l.weight})
 		})
 		n.helloAdv = adv
@@ -610,8 +696,7 @@ func (n *Node) HandleHello(h *Hello, now time.Duration) {
 	adv := normalizeAdv(h.Links)
 	var old []LinkInfo
 	if tbl == nil {
-		tbl = &neighborTable{}
-		n.neighbors.insert(h.Origin, tbl)
+		tbl = n.neighbors.put(h.Origin, neighborTable{})
 	} else {
 		old = tbl.adv
 	}
@@ -650,7 +735,7 @@ func (n *Node) currentTCAdv() []LinkInfo {
 		n.tcAt = n.nhVersion
 		adv := make([]LinkInfo, 0, len(n.ansSet))
 		for _, id := range n.ansSet {
-			if l, ok := n.links.get(id); ok {
+			if l := n.links.get(id); l != nil {
 				adv = append(adv, LinkInfo{Neighbor: id, Weight: l.weight})
 			}
 		}
@@ -761,6 +846,7 @@ func diffAdv(old, cur []LinkInfo) (add []LinkInfo, del []int64) {
 // state until rebased or expired.
 func (n *Node) HandleTCDelta(d *TCDelta, sender int64, now time.Duration) (forward bool) {
 	n.expire(now)
+	n.store.tick(now)
 	if !n.cfg.ExternalDupSuppression && n.dupSeen(d.Origin, d.Seq, now) {
 		return false
 	}
@@ -770,10 +856,10 @@ func (n *Node) HandleTCDelta(d *TCDelta, sender int64, now time.Duration) (forwa
 	return n.selectors.has(sender)
 }
 
-// applyTCDelta merges an in-chain delta into the origin's topology entry,
-// or flags the entry desynchronised on a chain gap.
+// applyTCDelta merges an in-chain delta into the origin's topology row, or
+// flags the row desynchronised on a chain gap.
 func (n *Node) applyTCDelta(d *TCDelta, now time.Duration) {
-	cur := n.topology.get(d.Origin)
+	cur := n.store.row(n.member, d.Origin)
 	if cur == nil || !cur.synced || cur.fullSeq != d.FullSeq || d.Index != cur.chain+1 {
 		if cur != nil && cur.synced {
 			if cur.fullSeq == d.FullSeq && d.Index <= cur.chain {
@@ -788,16 +874,15 @@ func (n *Node) applyTCDelta(d *TCDelta, now time.Duration) {
 	}
 	cur.chain = d.Index
 	cur.ansn = d.ANSN
-	cur.expires = now + n.cfg.TopologyHoldTime
-	n.track(cur.expires)
+	n.refreshRow(cur, now)
 	if len(d.Add) == 0 && len(d.Del) == 0 {
 		// The steady-state keepalive: refresh in place, no rebuild and no
 		// cache invalidation.
 		return
 	}
-	adv := applyDeltaToAdv(cur.adv, normalizeAdv(d.Add), normalizeDel(d.Del))
-	old := cur.adv
-	cur.adv = adv
+	old := cur.links()
+	adv := applyDeltaToAdv(old, normalizeAdv(d.Add), normalizeDel(d.Del))
+	cur.setLinks(adv)
 	if !slices.Equal(old, adv) {
 		n.stats.AdvChange++
 		n.touchTopology()
@@ -807,49 +892,55 @@ func (n *Node) applyTCDelta(d *TCDelta, now time.Duration) {
 	}
 }
 
+// refreshRow extends a topology row's validity by the hold time, keeping the
+// node's watermark covering it.
+func (n *Node) refreshRow(r *topoRow, now time.Duration) {
+	r.expires = now + n.cfg.TopologyHoldTime
+	n.trackTopo(r.expires)
+}
+
 // HandleTC ingests a flooded TC received from the direct neighbor sender
 // and reports whether this node must re-broadcast it (RFC 3626 forwarding
 // rule: forward once, and only if the sender selected us as MPR). A TC that
 // re-advertises an origin's known link set only refreshes its deadline.
 func (n *Node) HandleTC(t *TC, sender int64, now time.Duration) (forward bool) {
 	n.expire(now)
+	n.store.tick(now)
 	if !n.cfg.ExternalDupSuppression && n.dupSeen(t.Origin, t.Seq, now) {
 		return false
 	}
 	if t.Origin != n.ID {
-		cur := n.topology.get(t.Origin)
+		cur := n.store.row(n.member, t.Origin)
 		// Accept unless stale (ANSN regression within the validity
 		// window).
 		switch {
 		case cur != nil && ansnNewer(cur.ansn, t.ANSN):
 			// Stale: ignore.
-		case cur != nil && sameAdv(cur.adv, t.Links):
+		case cur != nil && sameAdv(cur.links(), t.Links):
 			// The steady-state TC re-advertises an unchanged link block —
 			// usually the very shared slice the previous flood carried:
-			// refresh the entry in place, no rebuild and no cache
+			// refresh the row in place, no rebuild and no cache
 			// invalidation. A full TC is always a valid chain anchor.
-			if sharedAdv(cur.adv, t.Links) {
+			if sharedAdv(cur.links(), t.Links) {
 				n.stats.AdvShared++
 			}
 			n.stats.AdvRefresh++
 			cur.ansn = t.ANSN
-			cur.expires = now + n.cfg.TopologyHoldTime
 			cur.fullSeq, cur.chain, cur.synced = t.Seq, 0, true
-			n.track(cur.expires)
+			n.refreshRow(cur, now)
 		default:
 			adv := normalizeAdv(t.Links)
 			var old []LinkInfo
 			if cur == nil {
-				cur = &topoEntry{}
-				n.topology.insert(t.Origin, cur)
+				cur = n.store.claim(n.member, t.Origin)
+				n.topoRows++
 			} else {
-				old = cur.adv
+				old = cur.links()
 			}
 			cur.ansn = t.ANSN
-			cur.adv = adv
-			cur.expires = now + n.cfg.TopologyHoldTime
+			cur.setLinks(adv)
 			cur.fullSeq, cur.chain, cur.synced = t.Seq, 0, true
-			n.track(cur.expires)
+			n.refreshRow(cur, now)
 			if !slices.Equal(old, adv) {
 				n.stats.AdvChange++
 				n.touchTopology()
@@ -881,10 +972,12 @@ func (n *Node) dupSeen(origin int64, seq uint16, now time.Duration) bool {
 			return true
 		}
 	}
+	e := dupSeq{seq: seq, expires: now + n.cfg.TopologyHoldTime}
+	n.trackTopo(e.expires)
 	if slot >= 0 {
-		row[slot] = dupSeq{seq: seq, expires: now + n.cfg.TopologyHoldTime}
+		row[slot] = e
 	} else {
-		n.dups[origin] = append(row, dupSeq{seq: seq, expires: now + n.cfg.TopologyHoldTime})
+		n.dups[origin] = append(row, e)
 	}
 	return false
 }
@@ -952,11 +1045,10 @@ func equalIDs(a, b []int64) bool {
 	return true
 }
 
-// sortedKeys returns a map's keys in ascending order. The node's tables are
-// Go maps, whose iteration order is randomized per range: everything
-// derived from them (graph edge insertion order, hence Dijkstra tie-breaks,
-// hence chosen routes) must iterate in sorted order instead, or routing
-// becomes nondeterministic across processes.
+// sortedKeys returns a map's keys in ascending order. Go map iteration order
+// is randomized per range: everything derived from a map-held table (wire
+// form, graph edge insertion order, hence chosen routes) must iterate in
+// sorted order instead, or it becomes nondeterministic across processes.
 func sortedKeys[V any](m map[int64]V) []int64 {
 	keys := make([]int64, 0, len(m))
 	for k := range m {
@@ -1034,10 +1126,10 @@ func (n *Node) collectNeighborhoodIDs() {
 // learned from HELLOs, in sorted-key order with own links taking precedence.
 func (n *Node) accumulateNeighborhood() {
 	acc := &n.build.acc
-	n.links.eachAsc(func(id int64, l *linkEntry) {
+	n.links.each(func(id int64, l *linkEntry) {
 		acc.Add(graph.NodeID(n.ID), graph.NodeID(id), l.weight)
 	})
-	n.neighbors.eachAsc(func(nb int64, tbl *neighborTable) {
+	n.neighbors.each(func(nb int64, tbl *neighborTable) {
 		if !n.links.has(nb) {
 			return
 		}
@@ -1117,11 +1209,7 @@ func (n *Node) ANS(now time.Duration) []int64 {
 // Selectors returns the nodes that currently select this node as MPR.
 func (n *Node) Selectors(now time.Duration) []int64 {
 	n.expire(now)
-	out := make([]int64, 0, n.selectors.len())
-	n.selectors.eachAsc(func(id int64, _ *time.Duration) {
-		out = append(out, id)
-	})
-	return out
+	return append(make([]int64, 0, n.selectors.len()), n.selectors.keys...)
 }
 
 // KnownTopology assembles the node's routing graph: its own links plus
@@ -1156,9 +1244,9 @@ func (n *Node) buildKnownTopology() (*graph.Graph, error) {
 	b := &n.build
 	b.reset()
 	n.collectNeighborhoodIDs()
-	n.topology.each(func(origin int64, t *topoEntry) {
+	n.store.each(n.member, func(origin int64, t *topoRow) {
 		b.addID(origin)
-		for _, l := range t.adv {
+		for _, l := range t.links() {
 			b.addID(l.Neighbor)
 		}
 	})
@@ -1172,8 +1260,8 @@ func (n *Node) buildKnownTopology() (*graph.Graph, error) {
 	// insertion order decides Dijkstra tie-breaks downstream, so it must
 	// be a pure function of the protocol state, not of map iteration.
 	n.accumulateNeighborhood()
-	n.topology.eachAsc(func(origin int64, t *topoEntry) {
-		for _, l := range t.adv {
+	n.store.eachAsc(n.member, func(origin int64, t *topoRow) {
+		for _, l := range t.links() {
 			b.acc.Add(graph.NodeID(origin), graph.NodeID(l.Neighbor), l.Weight)
 		}
 	})

@@ -1,237 +1,93 @@
 package olsr
 
-// Flat keyed state.
+// Neighbour-keyed soft state.
 //
-// Every per-packet handler path probes soft state keyed by node identifier:
-// the origin's topology entry, the sender's selector deadline, a neighbor's
-// HELLO table. Under arbitrary identifiers those are Go maps, and at field
-// scale the per-delivery hash-and-probe dominates the control plane (the
-// same message floods to N receivers, each hashing the same origin). When
-// the host declares a dense identifier space (Config.DenseIDs — the
-// simulator's graph indices are exactly [0, N)), every table degenerates to
-// a slot array indexed by the identifier itself: a delivery probes state
-// with one bounds-checked load, and ascending-identifier iteration — the
-// order determinism already demands everywhere — is just the array walk, no
-// key extraction and sort.
+// Three of a node's tables are keyed by a direct neighbour: its own links,
+// the neighbours' HELLO tables and the MPR-selector deadlines. However large
+// the field, a node holds about its degree of each — ten, not N — so they all
+// use smallTable: keys and values in two contiguous slices kept in ascending
+// key order. A probe is a linear scan of a cache line or two, the
+// ascending-identifier walk determinism demands everywhere is the plain
+// slice walk (no key extraction, no sort, no allocation), and memory is
+// O(degree). The simulator and the daemon share this one representation.
 //
-// Both representations sit behind slotTable (small value entries, zero
-// means absent) and ptrTable (pointer entries, nil means absent); the
-// handlers are written once against them.
-//
-// Message-borne identifiers index the slot arrays directly, so every
-// accessor bounds-checks: an identifier outside the declared dense range
-// reads as absent and is dropped on store — a malformed origin cannot be
-// retained, matching a sparse table that simply never saw it.
+// TC-learned topology is keyed by origin, not neighbour, and a node hears
+// every origin in the field: that table lives in the origin-major store of
+// topostore.go.
 
-// slotIn reports whether id indexes the dense slot array.
-func slotIn(id int64, n int) bool {
-	return uint64(id) < uint64(n)
+// smallTable is soft state keyed by neighbour identifier, sorted by key.
+type smallTable[T any] struct {
+	keys []int64
+	vals []T
 }
 
-// slotTable is keyed soft state held by value. The zero value of T marks an
-// absent entry, so T's zero must be unreachable for live state (deadlines
-// and validity windows are always positive).
-type slotTable[T comparable] struct {
-	m     map[int64]T
-	slots []T
-	count int
-}
-
-func (t *slotTable[T]) init(dense int) {
-	if dense > 0 {
-		t.slots = make([]T, dense)
-	} else {
-		t.m = make(map[int64]T)
-	}
-}
-
-// get returns the entry for id, reporting presence.
-func (t *slotTable[T]) get(id int64) (T, bool) {
-	if t.slots != nil {
-		var zero T
-		if !slotIn(id, len(t.slots)) {
-			return zero, false
+// find returns id's position, or where it would be inserted.
+func (t *smallTable[T]) find(id int64) (int, bool) {
+	for i, k := range t.keys {
+		if k >= id {
+			return i, k == id
 		}
-		v := t.slots[id]
-		return v, v != zero
 	}
-	v, ok := t.m[id]
-	return v, ok
+	return len(t.keys), false
 }
 
-// has reports presence without copying the entry out.
-func (t *slotTable[T]) has(id int64) bool {
-	if t.slots != nil {
-		var zero T
-		return slotIn(id, len(t.slots)) && t.slots[id] != zero
+// get returns the entry for id, nil when absent. The pointer is valid until
+// the table's next put or del.
+func (t *smallTable[T]) get(id int64) *T {
+	if i, ok := t.find(id); ok {
+		return &t.vals[i]
 	}
-	_, ok := t.m[id]
+	return nil
+}
+
+// has reports presence.
+func (t *smallTable[T]) has(id int64) bool {
+	_, ok := t.find(id)
 	return ok
 }
 
-// put stores the entry for id (insert or overwrite).
-func (t *slotTable[T]) put(id int64, v T) {
-	if t.slots != nil {
-		if !slotIn(id, len(t.slots)) {
-			return
-		}
+// put stores the entry for id (insert or overwrite) and returns it in place.
+func (t *smallTable[T]) put(id int64, v T) *T {
+	i, ok := t.find(id)
+	if !ok {
 		var zero T
-		if t.slots[id] == zero {
-			t.count++
-		}
-		t.slots[id] = v
-		return
+		t.keys = append(t.keys, 0)
+		t.vals = append(t.vals, zero)
+		copy(t.keys[i+1:], t.keys[i:])
+		copy(t.vals[i+1:], t.vals[i:])
+		t.keys[i] = id
 	}
-	t.m[id] = v
+	t.vals[i] = v
+	return &t.vals[i]
 }
 
 // del drops the entry for id.
-func (t *slotTable[T]) del(id int64) {
-	if t.slots != nil {
-		if !slotIn(id, len(t.slots)) {
-			return
-		}
-		var zero T
-		if t.slots[id] != zero {
-			t.count--
-		}
-		t.slots[id] = zero
+func (t *smallTable[T]) del(id int64) {
+	i, ok := t.find(id)
+	if !ok {
 		return
 	}
-	delete(t.m, id)
+	last := len(t.keys) - 1
+	copy(t.keys[i:], t.keys[i+1:])
+	copy(t.vals[i:], t.vals[i+1:])
+	var zero T
+	t.vals[last] = zero // release what the vacated tail slot referenced
+	t.keys = t.keys[:last]
+	t.vals = t.vals[:last]
 }
 
-// len returns the live entry count.
-func (t *slotTable[T]) len() int {
-	if t.slots != nil {
-		return t.count
-	}
-	return len(t.m)
-}
+// len returns the entry count.
+func (t *smallTable[T]) len() int { return len(t.keys) }
 
-// each visits every live entry in unspecified order (ascending when dense,
-// map order when sparse) — callers must be order-independent. v is
-// read-only (the sparse path passes a copy); the callback may call del on
-// the visited id, nothing else mutating.
-func (t *slotTable[T]) each(f func(id int64, v *T)) {
-	if t.slots != nil {
-		var zero T
-		for i := range t.slots {
-			if t.slots[i] != zero {
-				f(int64(i), &t.slots[i])
-			}
+// each visits every entry in ascending id order. The callback may mutate the
+// entry or del the visited id — after which v refers to the next entry, so
+// read what you need from it first — and nothing else.
+func (t *smallTable[T]) each(f func(id int64, v *T)) {
+	for i := 0; i < len(t.keys); {
+		k := t.keys[i]
+		f(k, &t.vals[i])
+		if i < len(t.keys) && t.keys[i] == k {
+			i++
 		}
-		return
-	}
-	for id := range t.m {
-		v := t.m[id]
-		f(id, &v)
-	}
-}
-
-// eachAsc visits every live entry in ascending id order. The callback must
-// not mutate the table.
-func (t *slotTable[T]) eachAsc(f func(id int64, v *T)) {
-	if t.slots != nil {
-		t.each(f)
-		return
-	}
-	for _, id := range sortedKeys(t.m) {
-		v := t.m[id]
-		f(id, &v)
-	}
-}
-
-// ptrTable is keyed soft state held by pointer: entries mutate in place, so
-// the per-delivery refresh is one probe, not a probe-and-store pair.
-type ptrTable[T any] struct {
-	m     map[int64]*T
-	slots []*T
-	count int
-}
-
-func (t *ptrTable[T]) init(dense int) {
-	if dense > 0 {
-		t.slots = make([]*T, dense)
-	} else {
-		t.m = make(map[int64]*T)
-	}
-}
-
-// get returns the entry for id, nil when absent.
-func (t *ptrTable[T]) get(id int64) *T {
-	if t.slots != nil {
-		if !slotIn(id, len(t.slots)) {
-			return nil
-		}
-		return t.slots[id]
-	}
-	return t.m[id]
-}
-
-// insert stores a new entry for id; the id must be absent. Callers must
-// treat an insert they cannot observe through get as dropped (out-of-range
-// id in dense mode) — mutations to the entry are then simply not retained.
-func (t *ptrTable[T]) insert(id int64, v *T) {
-	if t.slots != nil {
-		if !slotIn(id, len(t.slots)) {
-			return
-		}
-		t.slots[id] = v
-		t.count++
-		return
-	}
-	t.m[id] = v
-}
-
-// del drops the entry for id.
-func (t *ptrTable[T]) del(id int64) {
-	if t.slots != nil {
-		if !slotIn(id, len(t.slots)) {
-			return
-		}
-		if t.slots[id] != nil {
-			t.count--
-		}
-		t.slots[id] = nil
-		return
-	}
-	delete(t.m, id)
-}
-
-// len returns the live entry count.
-func (t *ptrTable[T]) len() int {
-	if t.slots != nil {
-		return t.count
-	}
-	return len(t.m)
-}
-
-// each visits every live entry in unspecified order (ascending when dense,
-// map order when sparse) — callers must be order-independent. The callback
-// may mutate the entry or call del on the visited id, nothing else.
-func (t *ptrTable[T]) each(f func(id int64, v *T)) {
-	if t.slots != nil {
-		for i, v := range t.slots {
-			if v != nil {
-				f(int64(i), v)
-			}
-		}
-		return
-	}
-	for id, v := range t.m {
-		f(id, v)
-	}
-}
-
-// eachAsc visits every live entry in ascending id order. The callback must
-// not mutate the table.
-func (t *ptrTable[T]) eachAsc(f func(id int64, v *T)) {
-	if t.slots != nil {
-		t.each(f)
-		return
-	}
-	for _, id := range sortedKeys(t.m) {
-		f(id, t.m[id])
 	}
 }

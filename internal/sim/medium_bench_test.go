@@ -54,8 +54,9 @@ func BenchmarkIdealMedium(b *testing.B) {
 // BenchmarkLossyMedium is the headline medium-layer number: the full stack
 // over the lossy radio (20% loss, queueing, jitter) with measured link
 // quality enabled — every frame draws loss and jitter, every HELLO feeds
-// the estimators. Track it against BenchmarkIdealMedium in
-// BENCH_medium.json.
+// the estimators. Track it against BenchmarkIdealMedium; the recorded
+// end-to-end counterpart is the traffic-lossy / traffic-ideal pair in
+// cmd/qolsr-bench/baseline.json.
 func BenchmarkLossyMedium(b *testing.B) {
 	benchMedium(b, func() Medium {
 		return NewLossyMedium(LossyConfig{Loss: 0.2, Seed: 3})

@@ -130,17 +130,6 @@ func NewNetwork(phys *graph.Graph, cfg olsr.Config, opts NetworkOptions) (*Netwo
 	// the nodes skip their own per-origin windows. Observably identical,
 	// and one bit probe replaces a map access per TC delivery.
 	cfg.ExternalDupSuppression = true
-	// Declare the dense identifier space when the graph's IDs are exactly
-	// [0, N) — netgen-built fields always are — so every node's soft-state
-	// tables use flat slot arrays instead of hash maps (olsr.Config.DenseIDs).
-	// Graphs with arbitrary IDs (NewWithIDs) keep the map representation.
-	cfg.DenseIDs = phys.N()
-	for x := int32(0); int(x) < phys.N(); x++ {
-		if int64(phys.ID(x)) != int64(x) {
-			cfg.DenseIDs = 0
-			break
-		}
-	}
 	nw := &Network{
 		Engine:   &Engine{},
 		Phys:     phys,
@@ -154,14 +143,19 @@ func NewNetwork(phys *graph.Graph, cfg olsr.Config, opts NetworkOptions) (*Netwo
 	for i := range nw.jitter {
 		nw.jitter[i] = rng.NewStream(uint64(opts.Seed), uint64(i))
 	}
-	for x := int32(0); int(x) < phys.N(); x++ {
-		node, err := olsr.NewNode(int64(phys.ID(x)), cfg)
-		if err != nil {
-			return nil, err
-		}
-		nw.Nodes = append(nw.Nodes, node)
-		nw.indexOf[int64(phys.ID(x))] = x
+	// One field: the nodes share the origin-major store their TC-learned
+	// topology lives in (olsr.NewNodes), so each origin's rows are one block
+	// however many receivers the flood reaches.
+	ids := make([]int64, phys.N())
+	for x := range ids {
+		ids[x] = int64(phys.ID(int32(x)))
+		nw.indexOf[ids[x]] = int32(x)
 	}
+	nodes, err := olsr.NewNodes(ids, cfg)
+	if err != nil {
+		return nil, err
+	}
+	nw.Nodes = nodes
 	medium.Attach(nw)
 	if im, ok := medium.(*IdealMedium); ok {
 		nw.idealHop = im.prop

@@ -38,6 +38,19 @@ func smallWorld(t *testing.T, seed int64, degree float64) *graph.Graph {
 	return g
 }
 
+// mediumWorld is a field of about 150 nodes at mean degree 10: enough work
+// per barrier that every rebuild worker takes a share.
+func mediumWorld(t *testing.T, seed int64) *graph.Graph {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	dep := geom.Deployment{Field: geom.Field{Width: 690, Height: 690}, Radius: 100, Degree: 10}
+	g, err := netgen.Build(dep, "bandwidth", metric.DefaultInterval(), rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
 // The central integration test: after enough protocol rounds, every node's
 // distributed ANS equals the offline FNBP selection on the true topology.
 func TestProtocolConvergesToOfflineSelection(t *testing.T) {

@@ -1,6 +1,9 @@
 package sim
 
-import "qolsr/internal/obs"
+import (
+	"qolsr/internal/obs"
+	"qolsr/internal/olsr"
+)
 
 // mediumStats is the optional accounting surface the built-in media expose;
 // Instrument reads it when present so custom test media need not care.
@@ -63,4 +66,17 @@ func (nw *Network) Instrument(reg *obs.Registry) {
 	reg.CounterFunc("qolsr_olsr_dup_hits_total", "duplicate-window hits inside the protocol nodes", func() uint64 { return nw.RebuildTotals().DupHits })
 	reg.CounterFunc("qolsr_olsr_delta_resyncs_total", "delta-TC chain breaks forcing a full-TC resync", func() uint64 { return nw.RebuildTotals().DeltaResyncs })
 	reg.GaugeFunc("qolsr_olsr_intern_hit_rate", "shared-topology intern hit rate", func() float64 { return nw.RebuildTotals().EpochHitRate() })
+
+	stateSum := func(field func(olsr.StateSize) int) func() float64 {
+		return func() float64 {
+			sum := 0
+			for _, nd := range nw.Nodes {
+				sum += field(nd.StateSize())
+			}
+			return float64(sum)
+		}
+	}
+	reg.GaugeFunc("qolsr_olsr_topology_rows", "TC-learned topology rows held, summed over nodes", stateSum(func(s olsr.StateSize) int { return s.TopologyRows }))
+	reg.GaugeFunc("qolsr_olsr_dirty_pairs", "pending dirty pairs, summed over nodes", stateSum(func(s olsr.StateSize) int { return s.DirtyPairs }))
+	reg.GaugeFunc("qolsr_olsr_route_graph_nodes", "incremental routing-graph nodes, summed over nodes", stateSum(func(s olsr.StateSize) int { return s.RouteGraphNodes }))
 }

@@ -12,15 +12,20 @@ import (
 // Parallel route rebuilds.
 //
 // A protocol node's routing table is a cached artifact of its own soft
-// state: Node.Routes touches nothing outside the node (the interned
-// advertisement blocks other nodes share are read-only by contract), so the
-// tables of any set of nodes can be rebuilt concurrently — the simulator is
-// otherwise single-threaded, but the rebuild barrier between event-loop
-// phases is embarrassingly parallel. The result is byte-identical at every
-// worker count: each node's table is a pure function of that node's state,
-// workers only decide which goroutine performs the computation, and errors
-// are merged in ascending node order so even the failure surface is
-// deterministic.
+// state, so the tables of any set of nodes can be rebuilt concurrently — the
+// simulator is otherwise single-threaded, but the rebuild barrier between
+// event-loop phases is embarrassingly parallel. "Its own" needs spelling out
+// since the field's TC-learned topology lives in one shared origin-major
+// store (olsr.NewNodes): Node.RoutesDirty and Node.Routes read the store's
+// slot table and read or clear only the calling member's own rows — expiry
+// zeroes a stale row in place — and nothing else shared; whatever the store
+// keeps per slot (block allocation, slot reclaim) is written in handler
+// context only, which never overlaps the barrier. The interned advertisement
+// blocks other nodes share are read-only by contract. The result is
+// byte-identical at every worker count: each node's table is a pure function
+// of that node's state, workers only decide which goroutine performs the
+// computation, and errors are merged in ascending node order so even the
+// failure surface is deterministic.
 
 // RebuildRoutes brings the routing tables of the given nodes (graph
 // indices; nil means every node) up to date as of the current virtual time,
