@@ -143,9 +143,10 @@
 // Protocol nodes follow link-state practice: routes are recomputed on state
 // change, not on lookup. Every content-changing mutation of a node's soft
 // state — a link update, HELLO/TC ingestion that alters advertised content,
-// or a virtual-time expiry — bumps a topology version; the local view, the
-// known topology and the routing table are cached artifacts rebuilt only
-// when the version moved. Re-announcements of unchanged content (the
+// or a virtual-time expiry — bumps a topology version; the MPR/ANS
+// selection, the known topology and the routing table are cached artifacts
+// rebuilt only when the version moved (the local view selection runs on is
+// rebuilt each time in a scratch the field shares, and not kept). Re-announcements of unchanged content (the
 // steady-state regime) merely extend validity deadlines, and a min-expiry
 // watermark keeps the expiry check O(1) while nothing can be stale, so a
 // converged network serves lookups from cache indefinitely. Node.Routes

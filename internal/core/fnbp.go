@@ -104,34 +104,52 @@ type Selection struct {
 
 // Select implements Selector.
 func (f FNBP) Select(view *graph.LocalView, m metric.Metric, w []float64) ([]int32, error) {
-	sel, err := f.SelectFull(view, m, w)
-	if err != nil {
-		return nil, err
-	}
-	return sel.ANS, nil
+	ans, _, err := f.run(view, m, w, nil)
+	return ans, err
 }
 
 // SelectFull runs the selection and returns the advertised set together with
 // per-target forwarding assignments and statistics.
 func (f FNBP) SelectFull(view *graph.LocalView, m metric.Metric, w []float64) (*Selection, error) {
-	g := view.G
-	fh, err := f.firstHops(view, m, w)
+	sel := &Selection{Cover: make(map[int32]int32, len(view.N1)+len(view.N2))}
+	var err error
+	sel.ANS, sel.Stats, err = f.run(view, m, w, sel.Cover)
 	if err != nil {
 		return nil, err
 	}
+	return sel, nil
+}
 
-	sel := &Selection{Cover: make(map[int32]int32, len(view.N1)+len(view.N2))}
+// SelectWithStats runs the selection and returns the advertised set and the
+// rule-level statistics.
+func (f FNBP) SelectWithStats(view *graph.LocalView, m metric.Metric, w []float64) ([]int32, Stats, error) {
+	return f.run(view, m, w, nil)
+}
 
-	// The ANS as a bitset over N1 positions plus an ordered list.
-	blocks := (len(view.N1) + 63) / 64
-	ansBits := make([]uint64, blocks)
-	add := func(pos int32) {
-		if ansBits[pos/64]&(1<<(uint(pos)%64)) != 0 {
-			return
-		}
-		ansBits[pos/64] |= 1 << (uint(pos) % 64)
-		sel.ANS = append(sel.ANS, view.N1[pos])
+// run is the selection itself. The forwarding assignments go into cover when
+// it is non-nil; apart from that map's entries the only allocation is the
+// returned set.
+func (f FNBP) run(view *graph.LocalView, m metric.Metric, w []float64, cover map[int32]int32) ([]int32, Stats, error) {
+	var stats Stats
+	g := view.G
+	fh, err := f.firstHops(view, m, w)
+	if err != nil {
+		return nil, stats, err
 	}
+	assign := func(v, via int32) {
+		if cover != nil {
+			cover[v] = via
+		}
+	}
+
+	// The ANS as a bitset over N1 positions (on the stack up to 256
+	// neighbors).
+	var small [4]uint64
+	ansBits := small[:]
+	if blocks := (len(view.N1) + 63) / 64; blocks > len(small) {
+		ansBits = make([]uint64, blocks)
+	}
+	add := func(pos int32) { ansBits[pos/64] |= 1 << (uint(pos) % 64) }
 	inANS := func(pos int32) bool {
 		return ansBits[pos/64]&(1<<(uint(pos)%64)) != 0
 	}
@@ -145,19 +163,19 @@ func (f FNBP) SelectFull(view *graph.LocalView, m metric.Metric, w []float64) (*
 	for i, v := range view.N1 {
 		if fh.Contains(v, int32(i)) {
 			// Direct link already optimal: no ANS needed for v.
-			sel.Cover[v] = v
-			sel.Stats.Step1DirectOptimal++
+			assign(v, v)
+			stats.Step1DirectOptimal++
 			continue
 		}
 		if by := coveredBy(v); by >= 0 {
-			sel.Cover[v] = view.N1[by]
-			sel.Stats.Covered++
+			assign(v, view.N1[by])
+			stats.Covered++
 			continue
 		}
 		if best := bestMember(fh, m, v, nil); best >= 0 {
 			add(best)
-			sel.Cover[v] = view.N1[best]
-			sel.Stats.Step1Selected++
+			assign(v, view.N1[best])
+			stats.Step1Selected++
 		}
 	}
 
@@ -168,13 +186,13 @@ func (f FNBP) SelectFull(view *graph.LocalView, m metric.Metric, w []float64) (*
 		if by < 0 {
 			if best := bestMember(fh, m, v, nil); best >= 0 {
 				add(best)
-				sel.Cover[v] = view.N1[best]
-				sel.Stats.Step2Selected++
+				assign(v, view.N1[best])
+				stats.Step2Selected++
 			}
 			continue
 		}
-		sel.Cover[v] = view.N1[by]
-		sel.Stats.Covered++
+		assign(v, view.N1[by])
+		stats.Covered++
 		if f.LoopFix == LoopFixOff {
 			continue
 		}
@@ -203,24 +221,13 @@ func (f FNBP) SelectFull(view *graph.LocalView, m metric.Metric, w []float64) (*
 		if best := bestMember(fh, m, v, filter); best >= 0 {
 			if !inANS(best) {
 				add(best)
-				sel.Stats.LoopFixSelected++
+				stats.LoopFixSelected++
 			}
-			sel.Cover[v] = view.N1[best]
+			assign(v, view.N1[best])
 		}
 	}
 
-	sortByID(g, sel.ANS)
-	return sel, nil
-}
-
-// SelectWithStats runs the selection and returns the advertised set and the
-// rule-level statistics.
-func (f FNBP) SelectWithStats(view *graph.LocalView, m metric.Metric, w []float64) ([]int32, Stats, error) {
-	sel, err := f.SelectFull(view, m, w)
-	if err != nil {
-		return nil, Stats{}, err
-	}
-	return sel.ANS, sel.Stats, nil
+	return selectedByID(view, inANS), stats, nil
 }
 
 func (f FNBP) firstHops(view *graph.LocalView, m metric.Metric, w []float64) (*graph.FirstHops, error) {

@@ -96,14 +96,8 @@ func SelectFNBPSemiring[C metric.Cost](view *graph.LocalView, s metric.Semiring[
 		return chosen
 	}
 
-	selected := make(map[int32]bool) // N1 positions
-	var ans []int32
-	add := func(pos int32) {
-		if !selected[pos] {
-			selected[pos] = true
-			ans = append(ans, view.N1[pos])
-		}
-	}
+	selected := make([]bool, len(view.N1)) // by N1 position
+	add := func(pos int32) { selected[pos] = true }
 	covered := func(v int32) bool {
 		for _, p := range fp[v] {
 			if selected[p] {
@@ -162,6 +156,5 @@ func SelectFNBPSemiring[C metric.Cost](view *graph.LocalView, s metric.Semiring[
 		}
 	}
 
-	sortByID(g, ans)
-	return ans, nil
+	return selectedByID(view, func(pos int32) bool { return selected[pos] }), nil
 }

@@ -11,7 +11,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"qolsr/internal/graph"
 	"qolsr/internal/metric"
@@ -59,9 +58,26 @@ func bestMember(fh *graph.FirstHops, m metric.Metric, v int32, filter func(pos i
 	return best
 }
 
-// sortByID sorts node indices by ascending external ID.
-func sortByID(g *graph.Graph, s []int32) {
-	sort.Slice(s, func(i, j int) bool { return g.ID(s[i]) < g.ID(s[j]) })
+// selectedByID returns the 1-hop neighbors whose N1 position is selected, in
+// ascending NodeID order — N1's own order, so no sort is needed — or nil when
+// there is none. The result is the only allocation.
+func selectedByID(view *graph.LocalView, selected func(pos int32) bool) []int32 {
+	size := 0
+	for i := range view.N1 {
+		if selected(int32(i)) {
+			size++
+		}
+	}
+	if size == 0 {
+		return nil
+	}
+	out := make([]int32, 0, size)
+	for i, n := range view.N1 {
+		if selected(int32(i)) {
+			out = append(out, n)
+		}
+	}
+	return out
 }
 
 // QOLSRAdapter reproduces the original QOLSR behaviour where the advertised

@@ -68,23 +68,16 @@ func (tf TopologyFilter) SelectWithStats(view *graph.LocalView, m metric.Metric,
 	g := view.G
 	rv := graph.ReduceRNG(view, m, w)
 
-	selected := make(map[int32]bool) // N1 position set
+	selected := make([]bool, len(view.N1)) // by N1 position
 	// Direct links surviving the reduction are part of the advertised
 	// reduced topology.
-	directEdge := make([]int32, len(view.N1)) // edge index u-x, -1 when absent
 	directKeep := make([]bool, len(view.N1))
-	for i, x := range view.N1 {
-		e, ok := g.EdgeBetween(view.U, x)
-		if !ok {
-			directEdge[i] = -1
-			continue
-		}
-		directEdge[i] = int32(e)
-		directKeep[i] = rv.Keep[int32(e)]
+	for i := range view.N1 {
+		directKeep[i] = rv.Keep[view.DirectEdge(i)]
 		if directKeep[i] {
 			stats.SurvivingDirect++
 			if !tf.OmitSurvivingDirect {
-				selected[int32(i)] = true
+				selected[i] = true
 			}
 		}
 	}
@@ -99,17 +92,14 @@ func (tf TopologyFilter) SelectWithStats(view *graph.LocalView, m metric.Metric,
 	for _, v := range view.Targets() {
 		var cands []candidate
 		if i := view.N1Index(v); i >= 0 && directKeep[i] {
-			cands = append(cands, candidate{val: w[directEdge[i]], direct: true})
+			cands = append(cands, candidate{val: w[view.DirectEdge(int(i))], direct: true})
 		}
 		collect := func(reduced bool) {
 			for i, x := range view.N1 {
 				if x == v {
 					continue
 				}
-				eUX := directEdge[i]
-				if eUX < 0 {
-					continue
-				}
+				eUX := view.DirectEdge(i)
 				eXV, ok := g.EdgeBetween(x, v)
 				if !ok {
 					continue
@@ -137,8 +127,8 @@ func (tf TopologyFilter) SelectWithStats(view *graph.LocalView, m metric.Metric,
 			if !tf.UnreducedFallback {
 				continue
 			}
-			if i := view.N1Index(v); i >= 0 && directEdge[i] >= 0 {
-				cands = append(cands, candidate{val: w[directEdge[i]], direct: true})
+			if i := view.N1Index(v); i >= 0 {
+				cands = append(cands, candidate{val: w[view.DirectEdge(int(i))], direct: true})
 			}
 			collect(false)
 			if len(cands) == 0 {
@@ -170,10 +160,5 @@ func (tf TopologyFilter) SelectWithStats(view *graph.LocalView, m metric.Metric,
 		}
 	}
 
-	out := make([]int32, 0, len(selected))
-	for pos := range selected {
-		out = append(out, view.N1[pos])
-	}
-	sortByID(g, out)
-	return out, stats, nil
+	return selectedByID(view, func(pos int32) bool { return selected[pos] }), stats, nil
 }

@@ -3,7 +3,7 @@ package graph
 import (
 	"fmt"
 	"math/bits"
-	"sort"
+	"slices"
 
 	"qolsr/internal/metric"
 )
@@ -16,6 +16,9 @@ import (
 // Sets are bitsets over N1 positions (LocalView.N1Index). By the paper's
 // observation, v ∈ fP(u,v) exactly when the direct link (u,v) is itself
 // optimal.
+//
+// Computed on a view built in a ViewScratch, a FirstHops lives in that
+// scratch and is valid until the scratch's next ComputeFirstHops or Begin.
 type FirstHops struct {
 	View *LocalView
 	// Dist maps each global node to its optimal path value from the
@@ -26,24 +29,25 @@ type FirstHops struct {
 	DirectWeight []float64
 
 	blocks int
-	sets   [][]uint64 // indexed by global node; nil when empty/unreached
+	sets   []uint64 // blocks words per global node, all zero when unreached
+}
+
+// set returns fP(u,v) as its bitset words.
+func (fh *FirstHops) set(v int32) []uint64 {
+	return fh.sets[int(v)*fh.blocks : (int(v)+1)*fh.blocks]
 }
 
 // Contains reports whether the 1-hop neighbor at N1 position i belongs to
 // fP(u, v).
 func (fh *FirstHops) Contains(v int32, i int32) bool {
-	s := fh.sets[v]
-	if s == nil {
-		return false
-	}
-	return s[i/64]&(1<<(uint(i)%64)) != 0
+	return fh.set(v)[i/64]&(1<<(uint(i)%64)) != 0
 }
 
 // Count returns |fP(u,v)|.
 func (fh *FirstHops) Count(v int32) int {
 	total := 0
-	for _, b := range fh.sets[v] {
-		total += popcount(b)
+	for _, b := range fh.set(v) {
+		total += bits.OnesCount64(b)
 	}
 	return total
 }
@@ -51,10 +55,9 @@ func (fh *FirstHops) Count(v int32) int {
 // ForEach invokes fn with every N1 position in fP(u,v), in ascending
 // position order (which is ascending NodeID order since N1 is ID-sorted).
 func (fh *FirstHops) ForEach(v int32, fn func(i int32)) {
-	for blk, b := range fh.sets[v] {
+	for blk, b := range fh.set(v) {
 		for b != 0 {
-			bit := trailingZeros(b)
-			fn(int32(blk*64 + bit))
+			fn(int32(blk*64 + bits.TrailingZeros64(b)))
 			b &= b - 1
 		}
 	}
@@ -69,55 +72,37 @@ func (fh *FirstHops) Members(v int32) []int32 {
 	return out
 }
 
-func popcount(b uint64) int { return bits.OnesCount64(b) }
-
-func trailingZeros(b uint64) int { return bits.TrailingZeros64(b) }
-
 func (fh *FirstHops) setBit(v int32, i int32) {
-	if fh.sets[v] == nil {
-		fh.sets[v] = make([]uint64, fh.blocks)
-	}
-	fh.sets[v][i/64] |= 1 << (uint(i) % 64)
+	fh.set(v)[i/64] |= 1 << (uint(i) % 64)
 }
 
-func (fh *FirstHops) orInto(v int32, src []uint64) {
-	if src == nil {
-		return
-	}
-	if fh.sets[v] == nil {
-		fh.sets[v] = make([]uint64, fh.blocks)
-	}
-	dst := fh.sets[v]
-	for i := range src {
-		dst[i] |= src[i]
-	}
-}
-
-func newFirstHops(view *LocalView, m metric.Metric, w []float64) *FirstHops {
-	fh := &FirstHops{
-		View:         view,
-		DirectWeight: make([]float64, len(view.N1)),
-		blocks:       (len(view.N1) + 63) / 64,
-		sets:         make([][]uint64, view.G.N()),
-	}
-	for i, n := range view.N1 {
-		e, ok := view.G.EdgeBetween(view.U, n)
-		if !ok {
-			panic(fmt.Sprintf("graph: N1 node %d without edge to center %d", n, view.U))
-		}
-		fh.DirectWeight[i] = w[e]
+// newFirstHops readies s.fh for view: direct weights filled, sets empty.
+func (s *ViewScratch) newFirstHops(view *LocalView, w []float64) *FirstHops {
+	fh := &s.fh
+	fh.View = view
+	fh.blocks = (len(view.N1) + 63) / 64
+	fh.sets = append(fh.sets[:0], make([]uint64, view.G.N()*fh.blocks)...)
+	fh.DirectWeight = fh.DirectWeight[:0]
+	for _, e := range view.direct {
+		fh.DirectWeight = append(fh.DirectWeight, w[e])
 	}
 	return fh
 }
 
 // ComputeFirstHops computes optimal values and first-hop sets for the view
-// under m, dispatching to the additive or concave fast path.
+// under m, dispatching to the additive or concave fast path. Working storage
+// and the result come from the view's ViewScratch, or from a fresh one for a
+// NewLocalView view (whose result is then the caller's to keep).
 func ComputeFirstHops(view *LocalView, m metric.Metric, w []float64) (*FirstHops, error) {
+	s := view.scratch
+	if s == nil {
+		s = new(ViewScratch)
+	}
 	switch m.Kind() {
 	case metric.Additive:
-		return firstHopsAdditive(view, m, w), nil
+		return s.firstHopsAdditive(view, m, w), nil
 	case metric.Concave:
-		return firstHopsConcave(view, m, w), nil
+		return s.firstHopsConcave(view, m, w), nil
 	default:
 		return nil, fmt.Errorf("graph: unsupported metric kind %v", m.Kind())
 	}
@@ -128,10 +113,10 @@ func ComputeFirstHops(view *LocalView, m metric.Metric, w []float64) (*FirstHops
 // positive additive weights the pop order is strictly increasing along every
 // optimal path, so processing nodes in pop order sees all predecessors
 // finalised.
-func firstHopsAdditive(view *LocalView, m metric.Metric, w []float64) *FirstHops {
+func (s *ViewScratch) firstHopsAdditive(view *LocalView, m metric.Metric, w []float64) *FirstHops {
 	g := view.G
-	fh := newFirstHops(view, m, w)
-	sp := Dijkstra(g, m, w, view.U, view, -1)
+	fh := s.newFirstHops(view, w)
+	sp := s.sp.Dijkstra(g, m, w, view.U, view, -1)
 	fh.Dist = sp.Dist
 	for _, x := range sp.Reached {
 		if x == view.U {
@@ -150,7 +135,10 @@ func firstHopsAdditive(view *LocalView, m metric.Metric, w []float64) *FirstHops
 				// first hop (x is necessarily a 1-hop neighbor).
 				fh.setBit(x, view.N1Index(x))
 			} else {
-				fh.orInto(x, fh.sets[y])
+				dst := fh.set(x)
+				for i, b := range fh.set(y) {
+					dst[i] |= b
+				}
 			}
 		}
 	}
@@ -164,6 +152,17 @@ type concaveEdge struct {
 	a, b int32
 }
 
+// betterFirst orders values best first under m.
+func betterFirst(m metric.Metric, a, b float64) int {
+	switch {
+	case m.Better(a, b):
+		return -1
+	case m.Better(b, a):
+		return 1
+	}
+	return 0
+}
+
 // firstHopsConcave runs one bottleneck Dijkstra from the center, then sweeps
 // thresholds downward with a union-find over G_u − u:
 //
@@ -173,31 +172,34 @@ type concaveEdge struct {
 // (with w == v connected trivially, recovering "direct link optimal"). This
 // is exact for any concave metric because optimal walks shortcut to optimal
 // simple paths, and simple paths starting u→w never revisit u.
-func firstHopsConcave(view *LocalView, m metric.Metric, w []float64) *FirstHops {
+func (s *ViewScratch) firstHopsConcave(view *LocalView, m metric.Metric, w []float64) *FirstHops {
 	g := view.G
-	fh := newFirstHops(view, m, w)
-	sp := Dijkstra(g, m, w, view.U, view, -1)
+	fh := s.newFirstHops(view, w)
+	sp := s.sp.Dijkstra(g, m, w, view.U, view, -1)
 	fh.Dist = sp.Dist
 
-	// Collect E_u edges avoiding the center.
-	var edges []concaveEdge
-	scratch := view.ViewEdges(nil)
-	for _, e := range scratch {
+	// Collect E_u edges avoiding the center. Equal-weight edges are all
+	// united before any target at that threshold is looked at, and targets
+	// are independent of one another, so neither sort needs to be stable.
+	edges := s.edges[:0]
+	s.work = view.ViewEdges(s.work[:0])
+	for _, e := range s.work {
 		a, b := g.EdgeEndpoints(int(e))
 		if a == view.U || b == view.U {
 			continue
 		}
 		edges = append(edges, concaveEdge{w: w[e], a: a, b: b})
 	}
-	sort.Slice(edges, func(i, j int) bool { return m.Better(edges[i].w, edges[j].w) })
+	slices.SortFunc(edges, func(x, y concaveEdge) int { return betterFirst(m, x.w, y.w) })
+	s.edges = edges
 
 	// Order targets by descending (better-first) optimal value.
-	targets := view.Targets()
-	sort.SliceStable(targets, func(i, j int) bool {
-		return m.Better(sp.Dist[targets[i]], sp.Dist[targets[j]])
-	})
+	targets := append(append(s.targets[:0], view.N1...), view.N2...)
+	slices.SortFunc(targets, func(x, y int32) int { return betterFirst(m, sp.Dist[x], sp.Dist[y]) })
+	s.targets = targets
 
-	uf := NewUnionFind(g.N())
+	uf := &s.uf
+	uf.Reset(g.N())
 	next := 0
 	for _, v := range targets {
 		if !sp.Reachable(v) {
@@ -227,7 +229,7 @@ func firstHopsConcave(view *LocalView, m metric.Metric, w []float64) *FirstHops 
 // fast paths are asymptotically cheaper (one search instead of |N(u)|).
 func FirstHopsReference(view *LocalView, m metric.Metric, w []float64) *FirstHops {
 	g := view.G
-	fh := newFirstHops(view, m, w)
+	fh := new(ViewScratch).newFirstHops(view, w)
 	sp := Dijkstra(g, m, w, view.U, view, -1)
 	fh.Dist = sp.Dist
 	for i, hop := range view.N1 {

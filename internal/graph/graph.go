@@ -8,8 +8,9 @@ package graph
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"qolsr/internal/metric"
 )
@@ -41,10 +42,31 @@ type Graph struct {
 	// Otherwise index carries the id→index map, maintained across AddNode,
 	// so reverse lookup and the AddNode uniqueness check are O(1) — the
 	// incremental routing engine grows its graph one node at a time and a
-	// scanning check would make that growth quadratic.
+	// scanning check would make that growth quadratic. A graph with neither
+	// (a ViewScratch's) has strictly ascending ids and IndexOf binary-searches
+	// them.
 	identity bool
 	index    map[NodeID]int32
-	weights  map[string][]float64
+	// weights holds the weight channels in creation order — one or two in
+	// practice, so a name lookup is a short scan and AddEdge's per-channel
+	// append touches no map.
+	weights []weightChannel
+}
+
+// weightChannel is one named per-edge weight slice.
+type weightChannel struct {
+	name string
+	w    []float64
+}
+
+// channel returns the named channel, nil when absent.
+func (g *Graph) channel(name string) *weightChannel {
+	for i := range g.weights {
+		if g.weights[i].name == name {
+			return &g.weights[i]
+		}
+	}
+	return nil
 }
 
 // New returns a graph of n isolated nodes whose IDs are their indices.
@@ -83,7 +105,6 @@ func NewWithIDs(ids []NodeID) (*Graph, error) {
 		adj:      make([][]Arc, len(ids)),
 		identity: identity,
 		index:    index,
-		weights:  make(map[string][]float64),
 	}, nil
 }
 
@@ -98,16 +119,22 @@ func (g *Graph) ID(x int32) NodeID { return g.ids[x] }
 
 // IndexOf returns the node index carrying id, or -1. It is O(1): identity
 // graphs answer with a bounds check, others through the maintained reverse
-// map.
+// map — except a ViewScratch's graph, which keeps no map and binary-searches
+// its ascending ids.
 func (g *Graph) IndexOf(id NodeID) int32 {
-	if g.identity {
+	switch {
+	case g.identity:
 		if uint64(id) < uint64(len(g.ids)) {
 			return int32(id)
 		}
-		return -1
-	}
-	if i, ok := g.index[id]; ok {
-		return i
+	case g.index != nil:
+		if i, ok := g.index[id]; ok {
+			return i
+		}
+	default:
+		if i, ok := slices.BinarySearch(g.ids, id); ok {
+			return int32(i)
+		}
 	}
 	return -1
 }
@@ -145,8 +172,8 @@ func (g *Graph) AddEdge(a, b int32) (int, error) {
 	g.ends = append(g.ends, [2]int32{a, b})
 	g.adj[a] = append(g.adj[a], Arc{To: b, Edge: e})
 	g.adj[b] = append(g.adj[b], Arc{To: a, Edge: e})
-	for ch := range g.weights {
-		g.weights[ch] = append(g.weights[ch], 0)
+	for i := range g.weights {
+		g.weights[i].w = append(g.weights[i].w, 0)
 	}
 	return int(e), nil
 }
@@ -161,16 +188,16 @@ func (g *Graph) AddNode(id NodeID) (int32, error) {
 		return 0, fmt.Errorf("graph: duplicate node id %d", id)
 	}
 	x := int32(len(g.ids))
-	if g.identity && id != NodeID(x) {
-		// The append breaks the identity mapping: materialise the reverse
-		// map the identity fast path made unnecessary so far.
+	if g.index == nil && (!g.identity || id != NodeID(x)) {
+		// The append breaks the identity (or ascending) mapping:
+		// materialise the reverse map it made unnecessary so far.
 		g.identity = false
 		g.index = make(map[NodeID]int32, len(g.ids)+1)
 		for i, v := range g.ids {
 			g.index[v] = int32(i)
 		}
 	}
-	if !g.identity {
+	if g.index != nil {
 		g.index[id] = x
 	}
 	g.ids = append(g.ids, id)
@@ -189,14 +216,10 @@ func (g *Graph) RemoveEdge(e int) error {
 	if e < 0 || e >= g.M() {
 		return fmt.Errorf("graph: edge %d out of range [0,%d)", e, g.M())
 	}
-	for ch, ws := range g.weights {
+	for i := range g.weights {
 		// Normalise channels created before edges existed, so the swap
 		// below moves every channel coherently.
-		if len(ws) != g.M() {
-			grown := make([]float64, g.M())
-			copy(grown, ws)
-			g.weights[ch] = grown
-		}
+		g.weights[i].normalise(g.M())
 	}
 	a, b := g.ends[e][0], g.ends[e][1]
 	g.dropArc(a, int32(e))
@@ -209,13 +232,23 @@ func (g *Graph) RemoveEdge(e int) error {
 		g.renumberArc(lb, int32(last), int32(e))
 	}
 	g.ends = g.ends[:last]
-	for ch, ws := range g.weights {
+	for i := range g.weights {
+		ws := g.weights[i].w
 		if e != last {
 			ws[e] = ws[last]
 		}
-		g.weights[ch] = ws[:last]
+		g.weights[i].w = ws[:last]
 	}
 	return nil
+}
+
+// normalise gives a channel created before edges were added its full length.
+func (c *weightChannel) normalise(m int) {
+	if len(c.w) != m {
+		grown := make([]float64, m)
+		copy(grown, c.w)
+		c.w = grown
+	}
 }
 
 // dropArc removes the arc with edge index e from x's adjacency list.
@@ -283,39 +316,33 @@ func (g *Graph) SetWeight(channel string, e int, w float64) error {
 	if e < 0 || e >= g.M() {
 		return fmt.Errorf("graph: edge %d out of range [0,%d)", e, g.M())
 	}
-	ws, ok := g.weights[channel]
-	if !ok {
-		ws = make([]float64, g.M())
-		g.weights[channel] = ws
+	c := g.channel(channel)
+	if c == nil {
+		g.weights = append(g.weights, weightChannel{channel, make([]float64, g.M())})
+		c = &g.weights[len(g.weights)-1]
 	}
-	ws[e] = w
+	c.w[e] = w
 	return nil
 }
 
 // Weights returns the per-edge weight slice of the named channel, indexed by
 // edge index. The slice is owned by the graph.
 func (g *Graph) Weights(channel string) ([]float64, error) {
-	ws, ok := g.weights[channel]
-	if !ok {
+	c := g.channel(channel)
+	if c == nil {
 		return nil, fmt.Errorf("graph: unknown weight channel %q", channel)
 	}
-	if len(ws) != g.M() {
-		// Channel created before edges were added; normalise length.
-		grown := make([]float64, g.M())
-		copy(grown, ws)
-		g.weights[channel] = grown
-		ws = grown
-	}
-	return ws, nil
+	c.normalise(g.M())
+	return c.w, nil
 }
 
 // Channels returns the names of all weight channels in sorted order.
 func (g *Graph) Channels() []string {
 	out := make([]string, 0, len(g.weights))
-	for ch := range g.weights {
-		out = append(out, ch)
+	for _, c := range g.weights {
+		out = append(out, c.name)
 	}
-	sort.Strings(out)
+	slices.Sort(out)
 	return out
 }
 
@@ -329,7 +356,11 @@ func (g *Graph) AssignUniformWeights(channel string, iv metric.Interval, rng *ra
 	for e := range ws {
 		ws[e] = iv.Draw(rng)
 	}
-	g.weights[channel] = ws
+	if c := g.channel(channel); c != nil {
+		c.w = ws
+	} else {
+		g.weights = append(g.weights, weightChannel{channel, ws})
+	}
 	return nil
 }
 
@@ -360,9 +391,9 @@ func (g *Graph) Validate() error {
 			}
 		}
 	}
-	for ch, ws := range g.weights {
-		if len(ws) != g.M() {
-			return fmt.Errorf("graph: channel %q has %d weights for %d edges", ch, len(ws), g.M())
+	for _, c := range g.weights {
+		if len(c.w) != g.M() {
+			return fmt.Errorf("graph: channel %q has %d weights for %d edges", c.name, len(c.w), g.M())
 		}
 	}
 	return nil
@@ -371,10 +402,12 @@ func (g *Graph) Validate() error {
 // Clone returns a deep copy of the graph.
 func (g *Graph) Clone() *Graph {
 	c := &Graph{
-		ids:     append([]NodeID(nil), g.ids...),
-		adj:     make([][]Arc, len(g.adj)),
-		ends:    append([][2]int32(nil), g.ends...),
-		weights: make(map[string][]float64, len(g.weights)),
+		ids:      append([]NodeID(nil), g.ids...),
+		adj:      make([][]Arc, len(g.adj)),
+		ends:     append([][2]int32(nil), g.ends...),
+		identity: g.identity,
+		index:    maps.Clone(g.index),
+		weights:  make([]weightChannel, len(g.weights)),
 	}
 	if g.labels != nil {
 		c.labels = append([]string(nil), g.labels...)
@@ -382,8 +415,8 @@ func (g *Graph) Clone() *Graph {
 	for i := range g.adj {
 		c.adj[i] = append([]Arc(nil), g.adj[i]...)
 	}
-	for ch, ws := range g.weights {
-		c.weights[ch] = append([]float64(nil), ws...)
+	for i, ch := range g.weights {
+		c.weights[i] = weightChannel{ch.name, append([]float64(nil), ch.w...)}
 	}
 	return c
 }

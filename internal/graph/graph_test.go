@@ -182,6 +182,20 @@ func TestCloneIsDeep(t *testing.T) {
 	if c.Label(0) != "origin" {
 		t.Error("labels not cloned")
 	}
+	// The id lookup is cloned in every mode: identity, mapped, and a clone's
+	// map is its own.
+	mapped, err := NewWithIDs([]NodeID{9, 4, 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mc := mapped.Clone()
+	if _, err := mc.AddNode(1); err != nil {
+		t.Fatal(err)
+	}
+	if c.IndexOf(3) != 3 || mc.IndexOf(4) != 1 || mc.IndexOf(1) != 3 || mapped.IndexOf(1) != -1 {
+		t.Errorf("IndexOf after Clone: identity %d, mapped %d and %d, original %d",
+			c.IndexOf(3), mc.IndexOf(4), mc.IndexOf(1), mapped.IndexOf(1))
+	}
 }
 
 func TestValidateDetectsCorruption(t *testing.T) {
@@ -235,7 +249,8 @@ func TestWriteDOT(t *testing.T) {
 }
 
 func TestUnionFind(t *testing.T) {
-	uf := NewUnionFind(5)
+	var uf UnionFind
+	uf.Reset(5)
 	if uf.Connected(0, 1) {
 		t.Error("fresh sets connected")
 	}

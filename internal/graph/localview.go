@@ -1,6 +1,9 @@
 package graph
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+)
 
 // Role classifies a node inside a local view.
 type Role uint8
@@ -32,21 +35,28 @@ type LocalView struct {
 	// N2 lists the 2-hop neighbors sorted by ascending NodeID.
 	N2 []int32
 
-	role    []Role  // per global node
-	n1Index []int32 // global node -> position in N1, -1 otherwise
+	role   []Role  // per global node
+	pos    []int32 // global node -> position in N1 or N2, meaningful for those roles only
+	direct []int32 // N1 position -> edge index of the link from the center
+
+	// scratch is the ViewScratch the view was built in, nil for NewLocalView
+	// views: the selection kernels take their working storage from it.
+	scratch *ViewScratch
 }
 
 // NewLocalView computes the local view of u in g.
 func NewLocalView(g *Graph, u int32) *LocalView {
-	lv := &LocalView{
-		G:       g,
-		U:       u,
-		role:    make([]Role, g.N()),
-		n1Index: make([]int32, g.N()),
-	}
-	for i := range lv.n1Index {
-		lv.n1Index[i] = -1
-	}
+	lv := new(LocalView)
+	lv.init(g, u)
+	return lv
+}
+
+// init computes the view of u in g into lv, reusing lv's storage.
+func (lv *LocalView) init(g *Graph, u int32) {
+	lv.G, lv.U = g, u
+	lv.role = append(lv.role[:0], make([]Role, g.N())...)
+	lv.pos = resizeInt32(lv.pos, g.N())
+	lv.N1, lv.N2 = lv.N1[:0], lv.N2[:0]
 	lv.role[u] = RoleCenter
 	for _, arc := range g.Arcs(u) {
 		lv.role[arc.To] = RoleOneHop
@@ -60,15 +70,16 @@ func NewLocalView(g *Graph, u int32) *LocalView {
 			}
 		}
 	}
-	byID := func(s []int32) {
-		sort.Slice(s, func(i, j int) bool { return g.ID(s[i]) < g.ID(s[j]) })
+	for _, s := range [2][]int32{lv.N1, lv.N2} {
+		slices.SortFunc(s, func(a, b int32) int { return cmp.Compare(g.ids[a], g.ids[b]) })
+		for i, x := range s {
+			lv.pos[x] = int32(i)
+		}
 	}
-	byID(lv.N1)
-	byID(lv.N2)
-	for i, n := range lv.N1 {
-		lv.n1Index[n] = int32(i)
+	lv.direct = resizeInt32(lv.direct, len(lv.N1))
+	for _, arc := range g.Arcs(u) {
+		lv.direct[lv.pos[arc.To]] = arc.Edge
 	}
-	return lv
 }
 
 // Role returns the role of global node x in the view.
@@ -82,7 +93,37 @@ func (lv *LocalView) IsNeighbor(x int32) bool { return lv.role[x] == RoleOneHop 
 
 // N1Index returns the position of x in N1, or -1 if x is not a 1-hop
 // neighbor.
-func (lv *LocalView) N1Index(x int32) int32 { return lv.n1Index[x] }
+func (lv *LocalView) N1Index(x int32) int32 {
+	if lv.role[x] != RoleOneHop {
+		return -1
+	}
+	return lv.pos[x]
+}
+
+// N2Index returns the position of x in N2, or -1 if x is not a 2-hop
+// neighbor.
+func (lv *LocalView) N2Index(x int32) int32 {
+	if lv.role[x] != RoleTwoHop {
+		return -1
+	}
+	return lv.pos[x]
+}
+
+// DirectEdge returns the edge index of the link joining the center and
+// N1[i].
+func (lv *LocalView) DirectEdge(i int) int32 { return lv.direct[i] }
+
+// Int32Scratch returns n zeroed int32s of working storage for an algorithm
+// running on the view: the ViewScratch's when the view was built in one
+// (valid until the next call on that scratch), freshly allocated otherwise.
+func (lv *LocalView) Int32Scratch(n int) []int32 {
+	if lv.scratch == nil {
+		return make([]int32, n)
+	}
+	lv.scratch.work = resizeInt32(lv.scratch.work, n)
+	clear(lv.scratch.work)
+	return lv.scratch.work
+}
 
 // HasViewEdge reports whether the arc tail->head is part of E_u: the edge
 // must touch a 1-hop neighbor, and when the center is an endpoint the other

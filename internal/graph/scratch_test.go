@@ -151,7 +151,6 @@ func TestFirstHopsMatchesPathTo(t *testing.T) {
 // order across Reset cycles.
 func TestEdgeAccumReuse(t *testing.T) {
 	var acc EdgeAccum
-	index := map[NodeID]int32{1: 0, 2: 1, 3: 2}
 	for round := 0; round < 3; round++ {
 		acc.Reset()
 		acc.Add(1, 2, 5)
@@ -162,7 +161,7 @@ func TestEdgeAccumReuse(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		acc.Build(g, index, "bw")
+		acc.Build(g, "bw")
 		if g.M() != 2 {
 			t.Fatalf("round %d: %d edges, want 2", round, g.M())
 		}

@@ -2,19 +2,10 @@ package graph
 
 // UnionFind is a disjoint-set forest with union by size and path halving,
 // used by the concave first-hop sweep (descending-threshold connectivity).
+// The zero value is an empty forest; Reset sizes it.
 type UnionFind struct {
 	parent []int32
 	size   []int32
-}
-
-// NewUnionFind returns a forest of n singletons.
-func NewUnionFind(n int) *UnionFind {
-	uf := &UnionFind{
-		parent: make([]int32, n),
-		size:   make([]int32, n),
-	}
-	uf.Reset(n)
-	return uf
 }
 
 // Reset reinitialises the forest to n singletons, reusing storage when

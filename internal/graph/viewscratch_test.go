@@ -1,0 +1,283 @@
+package graph
+
+import (
+	"math/rand"
+	"slices"
+	"testing"
+
+	"qolsr/internal/metric"
+)
+
+// linkRow is one source's link table: who it is and what it says about whom,
+// in ascending to order.
+type linkRow struct {
+	from NodeID
+	to   []NodeID
+	w    []float64
+}
+
+// randomRows draws a centre's worth of link tables over sparse ids: the
+// centre's own row first, then some neighbours' rows in ascending id order.
+// Rows disagree freely — a may list b at one weight while b lists a at
+// another, or not at all — and a row may name ids no other row mentions.
+func randomRows(rng *rand.Rand, nodes int) (center NodeID, ids []NodeID, rows []linkRow) {
+	pool := rng.Perm(4 * nodes)[:nodes]
+	slices.Sort(pool)
+	for _, id := range pool {
+		ids = append(ids, NodeID(3*id-7))
+	}
+	center = ids[rng.Intn(len(ids))]
+	row := func(from NodeID, p float64) linkRow {
+		r := linkRow{from: from}
+		for _, id := range ids {
+			if id != from && rng.Float64() < p {
+				r.to = append(r.to, id)
+				r.w = append(r.w, float64(1+rng.Intn(12)))
+			}
+		}
+		return r
+	}
+	own := row(center, 0.4)
+	rows = append(rows, own)
+	for _, nb := range own.to {
+		if rng.Float64() < 0.85 {
+			rows = append(rows, row(nb, 0.35))
+		}
+	}
+	return center, ids, rows
+}
+
+// referenceView assembles the rows the way the protocol node's from-scratch
+// build does: EdgeAccum for first-writer-wins, NewWithIDs, AddEdge,
+// NewLocalView.
+func referenceView(t *testing.T, center NodeID, ids []NodeID, rows []linkRow, ch string) (*LocalView, []float64) {
+	t.Helper()
+	g, err := NewWithIDs(ids)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var acc EdgeAccum
+	for _, r := range rows {
+		for i, to := range r.to {
+			acc.Add(r.from, to, r.w[i])
+		}
+	}
+	acc.Build(g, ch)
+	w, err := g.Weights(ch)
+	if err != nil {
+		w = nil // no edges at all
+	}
+	return NewLocalView(g, g.IndexOf(center)), w
+}
+
+func scratchView(s *ViewScratch, center NodeID, ids []NodeID, rows []linkRow, ch string) (*LocalView, []float64) {
+	s.Begin()
+	// Hand the ids over unsorted and with repeats, as a caller walking its
+	// tables would.
+	for i := len(ids) - 1; i >= 0; i-- {
+		s.AddID(ids[i])
+	}
+	for _, r := range rows {
+		s.AddID(r.from)
+		for _, to := range r.to {
+			s.AddID(to)
+		}
+	}
+	s.Seal()
+	for _, r := range rows {
+		s.Row(r.from)
+		for i, to := range r.to {
+			s.Edge(to, r.w[i])
+		}
+	}
+	return s.View(center, ch)
+}
+
+// viewSnapshot is everything a view determines, by NodeID, detached from the
+// storage it was read from.
+type viewSnapshot struct {
+	ids    []NodeID
+	center NodeID
+	n1, n2 []NodeID
+	roles  []Role
+	edges  map[[2]NodeID]float64
+	direct []float64
+	fp     map[string][][]NodeID // metric name -> per node (in id order) fP members
+	dist   map[string][]float64
+}
+
+func snapshot(t *testing.T, lv *LocalView, w []float64) viewSnapshot {
+	t.Helper()
+	g := lv.G
+	if err := g.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	s := viewSnapshot{center: g.ID(lv.U), edges: map[[2]NodeID]float64{}, fp: map[string][][]NodeID{}, dist: map[string][]float64{}}
+	idsOf := func(xs []int32) []NodeID {
+		out := make([]NodeID, len(xs))
+		for i, x := range xs {
+			out[i] = g.ID(x)
+		}
+		return out
+	}
+	s.n1, s.n2 = idsOf(lv.N1), idsOf(lv.N2)
+	for x := int32(0); int(x) < g.N(); x++ {
+		s.ids = append(s.ids, g.ID(x))
+		s.roles = append(s.roles, lv.Role(x))
+		if g.IndexOf(g.ID(x)) != x {
+			t.Fatalf("IndexOf(%d) = %d, want %d", g.ID(x), g.IndexOf(g.ID(x)), x)
+		}
+	}
+	for e := 0; e < g.M(); e++ {
+		a, b := g.EdgeEndpoints(e)
+		s.edges[[2]NodeID{g.ID(a), g.ID(b)}] = w[e]
+	}
+	for i, n := range lv.N1 {
+		if lv.N1Index(n) != int32(i) || lv.N2Index(n) != -1 {
+			t.Fatalf("N1 node %d: N1Index %d, N2Index %d", n, lv.N1Index(n), lv.N2Index(n))
+		}
+		s.direct = append(s.direct, w[lv.DirectEdge(i)])
+	}
+	for i, n := range lv.N2 {
+		if lv.N2Index(n) != int32(i) || lv.N1Index(n) != -1 {
+			t.Fatalf("N2 node %d: N2Index %d, N1Index %d", n, lv.N2Index(n), lv.N1Index(n))
+		}
+	}
+	for _, m := range []metric.Metric{metric.Delay(), metric.Bandwidth()} {
+		fast, err := ComputeFirstHops(lv, m, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sets := make([][]NodeID, g.N())
+		for x := int32(0); int(x) < g.N(); x++ {
+			sets[x] = idsOf(fast.Members(x))
+		}
+		s.fp[m.Name()] = sets
+		s.dist[m.Name()] = slices.Clone(fast.Dist)
+		ref := FirstHopsReference(lv, m, w)
+		for x := int32(0); int(x) < g.N(); x++ {
+			if !slices.Equal(fast.Members(x), ref.Members(x)) {
+				t.Fatalf("%s: fP(%d) fast %v, reference %v", m.Name(), g.ID(x), fast.Members(x), ref.Members(x))
+			}
+		}
+	}
+	return s
+}
+
+func (a viewSnapshot) diff(t *testing.T, b viewSnapshot) {
+	t.Helper()
+	eq := func(what string, ok bool) {
+		if !ok {
+			t.Fatalf("%s differ:\n scratch   %+v\n reference %+v", what, a, b)
+		}
+	}
+	eq("ids", slices.Equal(a.ids, b.ids))
+	eq("center", a.center == b.center)
+	eq("N1", slices.Equal(a.n1, b.n1))
+	eq("N2", slices.Equal(a.n2, b.n2))
+	eq("roles", slices.Equal(a.roles, b.roles))
+	eq("direct weights", slices.Equal(a.direct, b.direct))
+	eq("edge count", len(a.edges) == len(b.edges))
+	for k, w := range a.edges {
+		bw, ok := b.edges[k]
+		eq("edges", ok && w == bw)
+	}
+	for name, sets := range a.fp {
+		eq(name+" dist", slices.Equal(a.dist[name], b.dist[name]))
+		for x := range sets {
+			eq(name+" first hops", slices.Equal(sets[x], b.fp[name][x]))
+		}
+	}
+}
+
+// The scratch-built view equals the reference construction on seeded random
+// link tables, one scratch serving every build.
+func TestViewScratchMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	var s ViewScratch
+	for trial := 0; trial < 300; trial++ {
+		center, ids, rows := randomRows(rng, 2+rng.Intn(40))
+		ch := "delay"
+		ref, rw := referenceView(t, center, ids, rows, ch)
+		lv, w := scratchView(&s, center, ids, rows, ch)
+		if lv == nil {
+			t.Fatalf("trial %d: no view for a known center", trial)
+		}
+		if got, err := lv.G.Weights(ch); err != nil || (len(w) > 0 && &got[0] != &w[0]) {
+			t.Fatalf("trial %d: channel %q is not the returned weights (%v)", trial, ch, err)
+		}
+		snapshot(t, lv, w).diff(t, snapshot(t, ref, rw))
+	}
+}
+
+// A large view then a small one through one scratch equal two fresh builds:
+// nothing of the first leaks into the second.
+func TestViewScratchReuseHygiene(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	bc, bids, brows := randomRows(rng, 90)
+	sc, sids, srows := randomRows(rng, 4)
+	var shared ViewScratch
+	for _, c := range []struct {
+		center NodeID
+		ids    []NodeID
+		rows   []linkRow
+	}{{bc, bids, brows}, {sc, sids, srows}, {bc, bids, brows}} {
+		lv, w := scratchView(&shared, c.center, c.ids, c.rows, "delay")
+		fresh, fw := scratchView(new(ViewScratch), c.center, c.ids, c.rows, "delay")
+		snapshot(t, lv, w).diff(t, snapshot(t, fresh, fw))
+	}
+}
+
+// Degenerate inputs: an unknown center, edges naming unknown ids, self-loops,
+// and a built graph that is then grown like any other.
+func TestViewScratchEdgeCases(t *testing.T) {
+	var s ViewScratch
+	s.Begin()
+	for _, id := range []NodeID{5, 1, 9, 5} {
+		s.AddID(id)
+	}
+	s.Seal()
+	s.Row(5)
+	s.Edge(5, 1) // self-loop
+	s.Edge(7, 1) // unknown id
+	s.Edge(9, 4)
+	s.Edge(1, 2)
+	s.Row(9)
+	s.Edge(5, 8) // second writer: dropped
+	s.Row(7)     // unknown row: its edges are dropped
+	s.Edge(1, 3)
+	if lv, _ := s.View(4, "delay"); lv != nil {
+		t.Fatal("view of an unknown center")
+	}
+	lv, w := s.View(5, "delay")
+	if lv == nil || lv.G.N() != 3 || lv.G.M() != 2 {
+		t.Fatalf("view = %+v", lv)
+	}
+	if e, ok := lv.G.EdgeBetween(lv.G.IndexOf(5), lv.G.IndexOf(9)); !ok || w[e] != 4 {
+		t.Errorf("edge 5-9: %v weight %v, want the first writer's 4", ok, w)
+	}
+	// Growing the built graph must not corrupt its neighbours' lists.
+	g := lv.G
+	x, err := g.AddNode(3)
+	if err != nil || g.IndexOf(3) != x || g.IndexOf(9) != 2 {
+		t.Fatalf("AddNode: %v, IndexOf(3) = %d, IndexOf(9) = %d", err, g.IndexOf(3), g.IndexOf(9))
+	}
+	if _, err := g.AddEdge(g.IndexOf(1), g.IndexOf(9)); err != nil {
+		t.Fatal(err)
+	}
+	if err := g.Validate(); err != nil {
+		t.Error(err)
+	}
+
+	// An empty build: a center with no links at all.
+	s.Begin()
+	s.AddID(2)
+	s.Seal()
+	lv, _ = s.View(2, "delay")
+	if lv == nil || len(lv.N1) != 0 || len(lv.N2) != 0 || lv.G.IndexOf(2) != 0 || lv.G.IndexOf(3) != -1 {
+		t.Fatalf("lonely view = %+v", lv)
+	}
+	if fh, err := ComputeFirstHops(lv, metric.Bandwidth(), nil); err != nil || fh.Count(0) != 0 {
+		t.Errorf("first hops of a lonely view: %v", err)
+	}
+}

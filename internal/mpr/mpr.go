@@ -15,8 +15,9 @@
 package mpr
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"qolsr/internal/graph"
 	"qolsr/internal/metric"
@@ -68,32 +69,47 @@ func Select(view *graph.LocalView, h Heuristic, m metric.Metric, w []float64) ([
 		return nil, fmt.Errorf("mpr: heuristic %v requires a metric and weights", h)
 	}
 	g := view.G
+	n1, n2 := len(view.N1), len(view.N2)
 
-	// Coverage structures: for each N1 position, the set of N2 nodes it
-	// covers; for each N2 node, how many N1 nodes cover it.
-	covers := make([][]int32, len(view.N1))
-	coverCount := make(map[int32]int, len(view.N2))
+	// Working storage, carved from one buffer the view supplies (so a
+	// scratch-built view selects without allocating): for each N1 position
+	// i the N2 positions it covers are covers[off[i]:off[i+1]]; for each N2
+	// position how many N1 nodes cover it (coverCount) and whether a
+	// selected one does (covered); per N1 position the selected flag; and
+	// prune's two arrays.
+	arcs := 0
+	for _, n := range view.N1 {
+		arcs += g.Degree(n)
+	}
+	buf := view.Int32Scratch(3*n1 + 1 + 3*n2 + arcs)
+	carve := func(n int) []int32 {
+		part := buf[:n:n]
+		buf = buf[n:]
+		return part
+	}
+	off, selected, order := carve(n1+1), carve(n1), carve(n1)
+	coverCount, covered, selCover := carve(n2), carve(n2), carve(n2)
+	covers := buf[:0]
 	for i, n := range view.N1 {
 		for _, arc := range g.Arcs(n) {
-			if view.Role(arc.To) == graph.RoleTwoHop {
-				covers[i] = append(covers[i], arc.To)
-				coverCount[arc.To]++
+			if j := view.N2Index(arc.To); j >= 0 {
+				covers = append(covers, j)
+				coverCount[j]++
 			}
 		}
+		off[i+1] = int32(len(covers))
 	}
+	coversOf := func(i int) []int32 { return covers[off[i]:off[i+1]] }
 
-	selected := make([]bool, len(view.N1))
-	covered := make(map[int32]bool, len(view.N2))
-	remaining := len(view.N2)
-
+	remaining := n2
 	selectIdx := func(i int) {
-		if selected[i] {
+		if selected[i] != 0 {
 			return
 		}
-		selected[i] = true
-		for _, v := range covers[i] {
-			if !covered[v] {
-				covered[v] = true
+		selected[i] = 1
+		for _, j := range coversOf(i) {
+			if covered[j] == 0 {
+				covered[j] = 1
 				remaining--
 			}
 		}
@@ -102,31 +118,21 @@ func Select(view *graph.LocalView, h Heuristic, m metric.Metric, w []float64) ([
 	// Phase 1 (all heuristics): neighbors that are the only cover of some
 	// 2-hop neighbor are mandatory.
 	for i := range view.N1 {
-		for _, v := range covers[i] {
-			if coverCount[v] == 1 {
+		for _, j := range coversOf(i) {
+			if coverCount[j] == 1 {
 				selectIdx(i)
 				break
 			}
 		}
 	}
 
-	// directWeight is used by the QoS heuristics.
-	var direct []float64
-	if h != Greedy && h != MinCover {
-		direct = make([]float64, len(view.N1))
-		for i, n := range view.N1 {
-			e, ok := g.EdgeBetween(view.U, n)
-			if !ok {
-				return nil, fmt.Errorf("mpr: missing edge %d-%d", view.U, n)
-			}
-			direct[i] = w[e]
-		}
-	}
+	// direct is the QoS heuristics' link weight from the center.
+	direct := func(i int) float64 { return w[view.DirectEdge(i)] }
 
 	newlyCovered := func(i int) int {
 		c := 0
-		for _, v := range covers[i] {
-			if !covered[v] {
+		for _, j := range coversOf(i) {
+			if covered[j] == 0 {
 				c++
 			}
 		}
@@ -145,7 +151,7 @@ func Select(view *graph.LocalView, h Heuristic, m metric.Metric, w []float64) ([
 		best := -1
 		bestGain := 0
 		for i := range view.N1 {
-			if selected[i] {
+			if selected[i] != 0 {
 				continue
 			}
 			gain := newlyCovered(i)
@@ -167,12 +173,12 @@ func Select(view *graph.LocalView, h Heuristic, m metric.Metric, w []float64) ([
 			case QOLSR1:
 				// Max gain; ties by better QoS link, then smaller ID.
 				if gain > bestGain ||
-					(gain == bestGain && m.Better(direct[i], direct[best])) {
+					(gain == bestGain && m.Better(direct(i), direct(best))) {
 					best, bestGain = i, gain
 				}
 			case QOLSR2:
 				// Best QoS link, ties by smaller ID (position order).
-				if m.Better(direct[i], direct[best]) {
+				if m.Better(direct(i), direct(best)) {
 					best, bestGain = i, gain
 				}
 			default:
@@ -188,53 +194,52 @@ func Select(view *graph.LocalView, h Heuristic, m metric.Metric, w []float64) ([
 	}
 
 	if h == MinCover {
-		prune(view, covers, selected)
+		prune(coversOf, selected, selCover, order)
 	}
 
-	out := make([]int32, 0, len(view.N1))
+	// N1 is ID-sorted: collecting in position order is ascending NodeID.
+	count := 0
+	for _, sel := range selected {
+		count += int(sel)
+	}
+	out := make([]int32, 0, count)
 	for i, sel := range selected {
-		if sel {
+		if sel != 0 {
 			out = append(out, view.N1[i])
 		}
 	}
-	sort.Slice(out, func(a, b int) bool { return g.ID(out[a]) < g.ID(out[b]) })
 	return out, nil
 }
 
 // prune drops redundant relays from a covering selection: a selected relay
 // is removed when every 2-hop neighbor it covers is covered by at least one
 // other selected relay (RFC 3626 §8.3.1's optional optimisation). Candidates
-// are tried smallest coverage first (ties by ascending NodeID) — the relays
-// a greedy pass selects early and later picks make redundant — so the order,
-// and with it the result, is a pure function of the view.
-func prune(view *graph.LocalView, covers [][]int32, selected []bool) {
-	selCover := make(map[int32]int, len(view.N2))
+// are tried smallest coverage first (ties by ascending N1 position, which is
+// ascending NodeID) — the relays a greedy pass selects early and later picks
+// make redundant — so the order, and with it the result, is a pure function
+// of the view. selCover (per N2 position, zeroed) and order (per N1 position)
+// are working storage.
+func prune(coversOf func(int) []int32, selected, selCover, order []int32) {
+	order = order[:0]
 	for i, sel := range selected {
-		if !sel {
+		if sel == 0 {
 			continue
 		}
-		for _, v := range covers[i] {
-			selCover[v]++
+		order = append(order, int32(i))
+		for _, j := range coversOf(i) {
+			selCover[j]++
 		}
 	}
-	order := make([]int, 0, len(view.N1))
-	for i, sel := range selected {
-		if sel {
-			order = append(order, i)
+	slices.SortFunc(order, func(a, b int32) int {
+		if c := cmp.Compare(len(coversOf(int(a))), len(coversOf(int(b)))); c != 0 {
+			return c
 		}
-	}
-	g := view.G
-	sort.Slice(order, func(a, b int) bool {
-		ia, ib := order[a], order[b]
-		if len(covers[ia]) != len(covers[ib]) {
-			return len(covers[ia]) < len(covers[ib])
-		}
-		return g.ID(view.N1[ia]) < g.ID(view.N1[ib])
+		return cmp.Compare(a, b)
 	})
 	for _, i := range order {
 		redundant := true
-		for _, v := range covers[i] {
-			if selCover[v] < 2 {
+		for _, j := range coversOf(int(i)) {
+			if selCover[j] < 2 {
 				redundant = false
 				break
 			}
@@ -242,9 +247,9 @@ func prune(view *graph.LocalView, covers [][]int32, selected []bool) {
 		if !redundant {
 			continue
 		}
-		selected[i] = false
-		for _, v := range covers[i] {
-			selCover[v]--
+		selected[i] = 0
+		for _, j := range coversOf(int(i)) {
+			selCover[j]--
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package olsr
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -220,7 +221,7 @@ func TestFloodRelayAnnouncedInHello(t *testing.T) {
 	if len(rel) == 0 {
 		t.Fatal("no relay set with a 2-hop neighborhood")
 	}
-	if !equalIDs(h.MPRs, rel) {
+	if !slices.Equal(h.MPRs, rel) {
 		t.Errorf("HELLO announces %v, relay set is %v", h.MPRs, rel)
 	}
 }

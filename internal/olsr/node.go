@@ -169,6 +169,9 @@ type RebuildStats struct {
 	// TopoBuilds counts from-scratch known-topology graph materialisations
 	// (the full-rebuild path; the incremental engine avoids them).
 	TopoBuilds uint64
+	// Selections counts MPR/ANS selection runs: the local view was rebuilt
+	// and selected on because the neighborhood had changed since the last.
+	Selections uint64
 	// SPFFull counts full shortest-path recomputations; SPFIncremental
 	// counts incremental repairs that reused the cached solution.
 	SPFFull        uint64
@@ -210,13 +213,13 @@ const noExpiry = time.Duration(math.MaxInt64)
 // state machines driven by the simulator: handlers must be called from one
 // goroutine.
 //
-// Everything derived from the soft state — the local view, the MPR/ANS
-// selection, the known topology and the routing table — is a cached artifact
-// under a version counter: link-state style, routes are recomputed when the
-// state changes (message ingestion that alters content, or soft-state
-// expiry), not on every lookup. Handlers that re-announce unchanged content
-// only refresh validity deadlines, so a converged network serves routing
-// lookups from cache indefinitely.
+// Everything derived from the soft state — the MPR/ANS selection, the known
+// topology and the routing table — is a cached artifact under a version
+// counter: link-state style, routes are recomputed when the state changes
+// (message ingestion that alters content, or soft-state expiry), not on every
+// lookup. Handlers that re-announce unchanged content only refresh validity
+// deadlines, so a converged network serves routing lookups from cache
+// indefinitely.
 type Node struct {
 	// ID is the node's unique protocol identifier (also its tie-break
 	// identity in the selection algorithms).
@@ -293,14 +296,6 @@ type Node struct {
 
 	// selAt is the nhVersion mprSet/ansSet were computed at.
 	selAt uint64
-
-	// Cached local view (viewBuilt distinguishes "not built yet" from a
-	// legitimately nil view when the node has no links).
-	viewAt    uint64
-	viewBuilt bool
-	view      *graph.LocalView
-	viewG     *graph.Graph
-	viewW     []float64
 
 	// Cached known-topology graph and routing table, with the reusable
 	// build and search scratch.
@@ -989,66 +984,61 @@ func ansnNewer(current, candidate uint16) bool {
 }
 
 // recompute refreshes the MPR set, the ANS and the ANSN when the underlying
-// neighborhood changed since the last computation.
+// neighborhood changed since the last computation. The local view is built
+// and selected on in the field's shared scratch (see topostore.go), so apart
+// from the selectors' result slices a run allocates only for a set that
+// actually changed.
 func (n *Node) recompute() {
 	if n.selAt == n.nhVersion {
 		return
 	}
 	n.selAt = n.nhVersion
+	n.stats.Selections++
 
-	view, g, w, err := n.localView()
-	if err != nil || view == nil {
+	view, w := n.buildLocalView()
+	if view == nil {
 		n.mprSet, n.ansSet, n.relaySet = nil, nil, nil
 		return
 	}
-	mprs, err := mpr.Select(view, n.cfg.MPRHeuristic, n.cfg.Metric, w)
-	if err != nil {
-		mprs = nil
-	}
-	ans, err := n.cfg.Selector.Select(view, n.cfg.Metric, w)
-	if err != nil {
-		ans = nil
-	}
-	toIDs := func(idx []int32) []int64 {
-		out := make([]int64, len(idx))
-		for i, x := range idx {
-			out[i] = int64(g.ID(x))
-		}
-		return out
-	}
-	n.mprSet = toIDs(mprs)
+	// A selector error leaves the set empty.
+	mprs, _ := mpr.Select(view, n.cfg.MPRHeuristic, n.cfg.Metric, w)
+	n.mprSet, _ = idsOf(n.mprSet, view.G, mprs)
 	if fr := n.cfg.FloodRelay; fr != 0 && fr != n.cfg.MPRHeuristic {
-		rel, err := mpr.Select(view, fr, n.cfg.Metric, w)
-		if err != nil {
-			rel = nil
-		}
-		n.relaySet = toIDs(rel)
+		rel, _ := mpr.Select(view, fr, n.cfg.Metric, w)
+		n.relaySet, _ = idsOf(n.relaySet, view.G, rel)
 	} else {
 		n.relaySet = n.mprSet
 	}
-	newANS := toIDs(ans)
-	if !equalIDs(newANS, n.ansSet) {
-		n.ansSet = newANS
+	ans, _ := n.cfg.Selector.Select(view, n.cfg.Metric, w)
+	var changed bool
+	if n.ansSet, changed = idsOf(n.ansSet, view.G, ans); changed {
 		n.ansn++
 	}
 }
 
-func equalIDs(a, b []int64) bool {
-	if len(a) != len(b) {
-		return false
+// idsOf returns the identifiers of the nodes idx and whether they differ from
+// prev. An unchanged set is returned as prev itself: the sets are shared
+// read-only with emitted messages, so they are replaced, never rewritten.
+func idsOf(prev []int64, g *graph.Graph, idx []int32) ([]int64, bool) {
+	same := len(prev) == len(idx)
+	for i := 0; same && i < len(idx); i++ {
+		same = prev[i] == int64(g.ID(idx[i]))
 	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
+	if same {
+		return prev, false
 	}
-	return true
+	out := make([]int64, len(idx))
+	for i, x := range idx {
+		out[i] = int64(g.ID(x))
+	}
+	return out, true
 }
 
 // sortedKeys returns a map's keys in ascending order. Go map iteration order
 // is randomized per range: everything derived from a map-held table (wire
-// form, graph edge insertion order, hence chosen routes) must iterate in
-// sorted order instead, or it becomes nondeterministic across processes.
+// form, which origin's weight wins a doubly advertised pair, hence chosen
+// routes) must iterate in sorted order instead, or it becomes
+// nondeterministic across processes.
 func sortedKeys[V any](m map[int64]V) []int64 {
 	keys := make([]int64, 0, len(m))
 	for k := range m {
@@ -1058,15 +1048,14 @@ func sortedKeys[V any](m map[int64]V) []int64 {
 	return keys
 }
 
-// buildScratch holds the reusable intermediates of a topology rebuild: the
-// identifier set, the sorted id slice, the id-to-index map and the edge
+// buildScratch holds the reusable intermediates of a from-scratch
+// known-topology build: the identifier set, the sorted id slice and the edge
 // accumulator. Rebuilds are rare under the version cache, but dense churny
 // networks still perform them in bursts; reusing the staging storage keeps
 // those bursts allocation-light.
 type buildScratch struct {
 	idset map[int64]struct{}
 	ids   []graph.NodeID
-	index map[graph.NodeID]int32
 	acc   graph.EdgeAccum
 }
 
@@ -1084,26 +1073,14 @@ func (b *buildScratch) addID(id int64) {
 	b.idset[id] = struct{}{}
 }
 
-// materialise sorts the collected identifiers, builds the node-only graph
-// and fills the id-to-index map.
+// materialise sorts the collected identifiers and builds the node-only
+// graph.
 func (b *buildScratch) materialise() (*graph.Graph, error) {
 	for id := range b.idset {
 		b.ids = append(b.ids, graph.NodeID(id))
 	}
 	slices.Sort(b.ids)
-	g, err := graph.NewWithIDs(b.ids)
-	if err != nil {
-		return nil, err
-	}
-	if b.index == nil {
-		b.index = make(map[graph.NodeID]int32, len(b.ids))
-	} else {
-		clear(b.index)
-	}
-	for i, id := range b.ids {
-		b.index[id] = int32(i)
-	}
-	return g, nil
+	return graph.NewWithIDs(b.ids)
 }
 
 // collectNeighborhoodIDs stages the identifiers the neighborhood
@@ -1123,7 +1100,9 @@ func (n *Node) collectNeighborhoodIDs() {
 }
 
 // accumulateNeighborhood stages this node's own links and the two-hop links
-// learned from HELLOs, in sorted-key order with own links taking precedence.
+// learned from HELLOs. The first writer of a pair decides its weight: own
+// links come first, then the neighbors' adverts in ascending neighbor order,
+// so the smaller-ID endpoint's value wins a pair both endpoints advertise.
 func (n *Node) accumulateNeighborhood() {
 	acc := &n.build.acc
 	n.links.each(func(id int64, l *linkEntry) {
@@ -1133,8 +1112,6 @@ func (n *Node) accumulateNeighborhood() {
 		if !n.links.has(nb) {
 			return
 		}
-		// adv is normalised (ascending by Neighbor): iterating it directly
-		// preserves the sorted-key insertion order determinism demands.
 		for _, l := range tbl.adv {
 			if l.Neighbor != n.ID {
 				acc.Add(graph.NodeID(nb), graph.NodeID(l.Neighbor), l.Weight)
@@ -1143,45 +1120,47 @@ func (n *Node) accumulateNeighborhood() {
 	})
 }
 
-// localView materialises the node's current knowledge of G_u as a graph and
-// returns the local view centered at this node. The result is cached per
-// neighborhood version: repeated calls between state changes are free.
-func (n *Node) localView() (*graph.LocalView, *graph.Graph, []float64, error) {
-	if n.viewBuilt && n.viewAt == n.nhVersion {
-		return n.view, n.viewG, n.viewW, nil
-	}
-	view, g, w, err := n.buildLocalView()
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	n.view, n.viewG, n.viewW = view, g, w
-	n.viewBuilt, n.viewAt = true, n.nhVersion
-	return view, g, w, nil
-}
-
-func (n *Node) buildLocalView() (*graph.LocalView, *graph.Graph, []float64, error) {
+// buildLocalView lays the node's current knowledge of G_u out in the field's
+// shared scratch and returns the local view centered at this node with its
+// edge weights, or nil when the node has no links. It is
+// collectNeighborhoodIDs and accumulateNeighborhood without the maps: the
+// tables are ID-sorted and the adverts normalised, so every id lookup of a
+// row continues one forward walk over the sorted id list, and the scratch
+// applies the same first-writer-wins rule (own links, then adverts in
+// ascending neighbor order). Handler context only, and the view is valid
+// until the next member builds its own.
+func (n *Node) buildLocalView() (*graph.LocalView, []float64) {
 	if n.links.len() == 0 {
-		return nil, nil, nil, nil
+		return nil, nil
 	}
-	b := &n.build
-	b.reset()
-	n.collectNeighborhoodIDs()
-	g, err := b.materialise()
-	if err != nil {
-		return nil, nil, nil, err
+	b := &n.store.view
+	b.Begin()
+	b.AddID(graph.NodeID(n.ID))
+	for _, id := range n.links.keys {
+		b.AddID(graph.NodeID(id))
 	}
-	channel := n.cfg.Metric.Name()
-	// Accumulate edges in sorted-key order (own links take precedence
-	// over neighbor-advertised ones) so the view is identical for
-	// identical protocol state, whatever the map iteration order.
-	n.accumulateNeighborhood()
-	b.acc.Build(g, b.index, channel)
-	w, err := g.Weights(channel)
-	if err != nil {
-		return nil, nil, nil, err
+	for i := range n.neighbors.vals {
+		for _, l := range n.neighbors.vals[i].adv {
+			b.AddID(graph.NodeID(l.Neighbor))
+		}
 	}
-	view := graph.NewLocalView(g, b.index[graph.NodeID(n.ID)])
-	return view, g, w, nil
+	b.Seal()
+	b.Row(graph.NodeID(n.ID))
+	for i, id := range n.links.keys {
+		b.Edge(graph.NodeID(id), n.links.vals[i].weight)
+	}
+	for i, nb := range n.neighbors.keys {
+		if !n.links.has(nb) {
+			continue
+		}
+		b.Row(graph.NodeID(nb))
+		for _, l := range n.neighbors.vals[i].adv {
+			if l.Neighbor != n.ID {
+				b.Edge(graph.NodeID(l.Neighbor), l.Weight)
+			}
+		}
+	}
+	return b.View(graph.NodeID(n.ID), n.cfg.Metric.Name())
 }
 
 // MPRSet returns the current multipoint relay set (flooding).
@@ -1256,16 +1235,18 @@ func (n *Node) buildKnownTopology() (*graph.Graph, error) {
 	}
 	channel := n.cfg.Metric.Name()
 	// Accumulate edges in sorted-key order with fixed source precedence
-	// (own links, then HELLO-learned two-hop links, then TC links): edge
-	// insertion order decides Dijkstra tie-breaks downstream, so it must
-	// be a pure function of the protocol state, not of map iteration.
+	// (own links, then HELLO-learned two-hop links, then TC links): sources
+	// may disagree on a pair's weight and the first writer wins, so the
+	// order must be a pure function of the protocol state, not of map
+	// iteration. (The search's tie-breaks are by NodeID and do not depend on
+	// insertion order.)
 	n.accumulateNeighborhood()
 	n.store.eachAsc(n.member, func(origin int64, t *topoRow) {
 		for _, l := range t.links() {
 			b.acc.Add(graph.NodeID(origin), graph.NodeID(l.Neighbor), l.Weight)
 		}
 	})
-	b.acc.Build(g, b.index, channel)
+	b.acc.Build(g, channel)
 	return g, nil
 }
 

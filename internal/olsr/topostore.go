@@ -4,6 +4,8 @@ import (
 	"slices"
 	"time"
 	"unsafe"
+
+	"qolsr/internal/graph"
 )
 
 // Origin-major topology store.
@@ -28,6 +30,14 @@ import (
 // nothing more, from any context. Everything that writes shared structure —
 // slot and block allocation, the reclaim sweep — happens in handler context
 // (HandleTC, HandleTCDelta), which the host serialises across the whole field.
+//
+// The store also carries the field's one selection scratch (view): whichever
+// member's neighborhood changed builds its two-hop view there and runs
+// MPR/ANS selection on it (Node.recompute), and nothing of the view outlives
+// that call. It is handler context only as well — recompute runs from
+// Generate* and the MPRSet/RelaySet/ANS queries, which the host serialises
+// with the handlers; Routes and RoutesDirty, the calls that may run on many
+// members at once, never select.
 
 // topoRow is what one member holds about one origin: the origin's advertised
 // set (the interned block itself, see advert.go — stored as data pointer and
@@ -74,6 +84,8 @@ type topoStore struct {
 	// The reclaim sweep runs once per hold (the topology hold time).
 	hold      time.Duration
 	nextSweep time.Duration
+	// view is the selection scratch the members share (see above).
+	view graph.ViewScratch
 }
 
 func newTopoStore(members, window int, hold time.Duration) *topoStore {

@@ -61,6 +61,7 @@ func (nw *Network) Instrument(reg *obs.Registry) {
 	reg.CounterFunc("qolsr_olsr_adv_builds_total", "advertised-set builds by kind", func() uint64 { return nw.RebuildTotals().AdvChange }, obs.Label{Key: "kind", Value: "change"})
 	reg.CounterFunc("qolsr_olsr_adv_shared_total", "advertised-set builds served from the shared-topology intern table", func() uint64 { return nw.RebuildTotals().AdvShared })
 	reg.CounterFunc("qolsr_olsr_topo_builds_total", "topology-graph rebuilds", func() uint64 { return nw.RebuildTotals().TopoBuilds })
+	reg.CounterFunc("qolsr_olsr_selections_total", "MPR/ANS selection runs on a rebuilt local view", func() uint64 { return nw.RebuildTotals().Selections })
 	reg.CounterFunc("qolsr_olsr_spf_total", "shortest-path recomputations by kind", func() uint64 { return nw.RebuildTotals().SPFFull }, obs.Label{Key: "kind", Value: "full"})
 	reg.CounterFunc("qolsr_olsr_spf_total", "shortest-path recomputations by kind", func() uint64 { return nw.RebuildTotals().SPFIncremental }, obs.Label{Key: "kind", Value: "incremental"})
 	reg.CounterFunc("qolsr_olsr_dup_hits_total", "duplicate-window hits inside the protocol nodes", func() uint64 { return nw.RebuildTotals().DupHits })

@@ -126,6 +126,7 @@ func (nw *Network) RebuildTotals() olsr.RebuildStats {
 		t.AdvShared += s.AdvShared
 		t.AdvChange += s.AdvChange
 		t.TopoBuilds += s.TopoBuilds
+		t.Selections += s.Selections
 		t.SPFFull += s.SPFFull
 		t.SPFIncremental += s.SPFIncremental
 		t.DupHits += s.DupHits
