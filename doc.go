@@ -165,13 +165,23 @@
 // (time, priority, sequence) total order never consults memory addresses,
 // map iteration, or the wall clock: a run is a pure function of its inputs
 // and stays bit-identical regardless of host or how many workers drive
-// other runs in parallel. The scheduler is a pointer-free 4-ary heap
-// (entries carry only the ordering key and a slot index, so sifts are plain
-// memmoves with no GC write barriers) paired with a fixed-delay FIFO lane:
-// steady streams whose delays are constant — every hop of a
-// constant-latency medium — enqueue in O(1) and merge with the heap at pop
-// time under the same total order, falling back to the heap whenever a push
-// would break the lane's time order. Around it, the hot path is
+// other runs in parallel. The timed store is a calendar queue: a ring of
+// 16.4 µs buckets covering a 33.5 ms horizon (geometry chosen from the
+// lossy medium's measured delay distribution), an occupancy bitmap to skip
+// empty buckets, chains in one arena parallel to the event slots, and a
+// small 4-ary heap for the few events booked beyond the horizon. Entries
+// are pointer-free (the ordering key and a slot index), so every move is a
+// plain memmove with no GC write barrier. Booking inside the horizon is
+// O(1); a bucket is sorted once, when the clock reaches it, and popped by
+// index. The pop order stays exactly the total order because everything at
+// or before the draining bucket lives in that sorted run (late bookings are
+// binary-inserted), a ring slot holds one bucket number at a time, and
+// Run(until) never commits to a bucket that starts after until — callers
+// book between Run calls. Beside it runs a fixed-delay FIFO lane: steady
+// streams whose delays are constant — every hop of a constant-latency
+// medium — need no bucket, enqueue in O(1) and merge with the timed store
+// at pop time under the same total order, falling back to the calendar
+// whenever a push would break the lane's time order. Around it, the hot path is
 // allocation-free by construction: data packets, radio frames, and
 // protocol emitters are pooled; forwarding decisions are cached per
 // (node, destination) and invalidated by table or link generation;

@@ -56,6 +56,22 @@ func TestPastClamp(t *testing.T) {
 	}
 }
 
+// TestPastClampFixedLane is TestPastClamp through AfterFixed: a negative
+// delay on an empty lane must run "now", not pull virtual time backwards.
+func TestPastClampFixedLane(t *testing.T) {
+	var q Queue
+	q.Run(5 * time.Second)
+	var at time.Duration = -1
+	q.AfterFixed(-time.Second, Func(func() { at = q.Now() }))
+	q.Run(10 * time.Second)
+	if at != 5*time.Second {
+		t.Fatalf("negative-delay lane event ran at %v, want clamped to 5s", at)
+	}
+	if q.Now() != 10*time.Second {
+		t.Fatalf("Now = %v after Run(10s)", q.Now())
+	}
+}
+
 // TestHeapAgainstSort drives the queue with a large random schedule and
 // checks the pop order against a stable reference sort of (time, prio, seq).
 func TestHeapAgainstSort(t *testing.T) {
@@ -132,6 +148,61 @@ func TestSteadyStateAllocFree(t *testing.T) {
 	}
 }
 
+// burstEmitter is the lossy medium's shape: each firing books a burst of
+// per-receiver receptions — one equal base delay (propagation +
+// serialization) plus a jitter draw each — and re-books itself. The
+// receptions are persistent events, as the simulator's pooled ones are.
+type burstEmitter struct {
+	q      *Queue
+	every  time.Duration
+	rx     []Func
+	jitter uint64 // LCG state
+}
+
+// burstDegree is the mean physical degree of the traffic workloads' field.
+const burstDegree = 11
+
+// startBurstEmitters books n emitters with slightly different periods, so
+// their bursts drift across each other instead of staying in lockstep.
+func startBurstEmitters(q *Queue, n int) {
+	for i := 0; i < n; i++ {
+		em := &burstEmitter{q: q, every: time.Duration(900+i) * time.Microsecond, jitter: uint64(i)}
+		for r := 0; r < burstDegree; r++ {
+			em.rx = append(em.rx, func() {})
+		}
+		q.After(time.Duration(i)*time.Microsecond, em)
+	}
+}
+
+func (em *burstEmitter) Fire(time.Duration) {
+	const base = 1300 * time.Microsecond
+	for _, rx := range em.rx {
+		em.jitter = em.jitter*6364136223846793005 + 1442695040888963407
+		em.q.After(base+time.Duration(em.jitter>>33)%(200*time.Microsecond), rx)
+	}
+	em.q.After(em.every, em)
+}
+
+// TestSteadyStateAllocFree's lossy-shaped twin: bursts of jittered
+// receptions land in many different calendar buckets, and a warm queue must
+// still book and drain them without allocating.
+func TestSteadyStateAllocFreeBursts(t *testing.T) {
+	var q Queue
+	startBurstEmitters(&q, 32)
+	q.Run(50 * time.Millisecond) // warm the slot, ring and run storage
+	end := q.Now()
+	per := testing.AllocsPerRun(100, func() {
+		end += 10 * time.Millisecond
+		q.Run(end)
+	})
+	if per > 0 {
+		t.Fatalf("steady-state burst Run allocates %.1f objects per call, want 0", per)
+	}
+	if q.FarScheduled != 0 {
+		t.Fatalf("%d burst events overflowed the horizon", q.FarScheduled)
+	}
+}
+
 // BenchmarkScheduler measures raw scheduler throughput: one persistent
 // self-rescheduling event processed per iteration, the floor cost every
 // simulated packet or frame pays.
@@ -179,6 +250,54 @@ func BenchmarkSchedulerFixedLane(b *testing.B) {
 		q.Run(end)
 	}
 	b.ReportMetric(float64(q.Executed)/b.Elapsed().Seconds(), "events/s")
+}
+
+// BenchmarkSchedulerPending keeps 2,048 events pending at scattered
+// delays, each firing booking its successor — the shape of the harness's
+// des.schedule_ns probe, and unlike BenchmarkScheduler's one-entry queue one
+// where the store's structure shows. "horizon" scatters over 4 ms, inside
+// the calendar ring; "far" over a second, which the overflow heap carries.
+func BenchmarkSchedulerPending(b *testing.B) {
+	for _, bc := range []struct {
+		name string
+		span time.Duration
+	}{{"horizon", 4 * time.Millisecond}, {"far", time.Second}} {
+		b.Run(bc.name, func(b *testing.B) {
+			var q Queue
+			rng := rand.New(rand.NewSource(3))
+			left := b.N
+			var chain Func
+			chain = func() {
+				if left > 0 {
+					left--
+					q.After(1+time.Duration(rng.Int63n(int64(bc.span))), chain)
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < 2048; i++ {
+				chain()
+			}
+			q.Run(1<<62 - 1)
+			b.ReportMetric(float64(q.Executed)/b.Elapsed().Seconds(), "events/s")
+		})
+	}
+}
+
+// BenchmarkSchedulerBurst is flood-shaped: 64 emitters each booking bursts
+// of 11 equal-base, jittered receptions, one iteration per event.
+func BenchmarkSchedulerBurst(b *testing.B) {
+	var q Queue
+	startBurstEmitters(&q, 64)
+	q.Run(50 * time.Millisecond)
+	start := q.Executed
+	b.ReportAllocs()
+	b.ResetTimer()
+	for end := q.Now(); q.Executed-start < uint64(b.N); {
+		end += time.Millisecond
+		q.Run(end)
+	}
+	b.ReportMetric(float64(q.Executed-start)/b.Elapsed().Seconds(), "events/s")
 }
 
 // TestFixedLaneAgainstSort mixes heap scheduling with the fixed-delay lane

@@ -179,9 +179,12 @@ const (
 // keyed per (src, dst, frame-sequence) from the configured seed, so a
 // simulation is reproducible bit for bit at any harness worker count.
 type LossyMedium struct {
-	cfg  LossyConfig
-	base uint64 // derived draw key base
-	nw   *Network
+	cfg LossyConfig
+	// lossKey and jitterKey are rng.Mix(base, drawLoss) and rng.Mix(base,
+	// drawJitter), base being the seed-derived key every draw starts from:
+	// the constant head of the draw keys, hashed once.
+	lossKey, jitterKey uint64
+	nw                 *Network
 
 	busy []time.Duration // per-sender transmitter busy-until
 	seq  []uint64        // per-sender frame counters
@@ -216,11 +219,17 @@ type LossyMedium struct {
 
 // NewLossyMedium returns a lossy medium with the given configuration.
 func NewLossyMedium(cfg LossyConfig) *LossyMedium {
+	base := lossyDrawBase(cfg.Seed)
 	return &LossyMedium{
-		cfg:  cfg.withDefaults(),
-		base: rng.Mix(uint64(cfg.Seed), 0x10551), // domain-separate from other streams
+		cfg:       cfg.withDefaults(),
+		lossKey:   rng.Mix(base, drawLoss),
+		jitterKey: rng.Mix(base, drawJitter),
 	}
 }
+
+// lossyDrawBase derives the draw key base from the configured seed,
+// domain-separated from the other streams that seed feeds.
+func lossyDrawBase(seed int64) uint64 { return rng.Mix(uint64(seed), 0x10551) }
 
 // Name implements Medium.
 func (m *LossyMedium) Name() string { return "lossy" }
@@ -321,10 +330,32 @@ func (m *LossyMedium) PlanFrame(src int32, dsts []int32, size int, now time.Dura
 		m.stats.StallTime += queue
 	}
 
+	// Every draw is rng.Mix(base, kind, src, dst, seq). Mix folds its parts
+	// left to right, so the (base, kind, src) rounds are the same for every
+	// receiver of this frame and run once; drawFor finishes the key.
+	lossKey := rng.Splitmix64(m.lossKey ^ uint64(uint32(src)))
+	jitterKey := rng.Splitmix64(m.jitterKey ^ uint64(uint32(src)))
+
+	// A broadcast's candidates are the sender's up neighbours in arc order —
+	// a subsequence of its arc list — so one forward cursor finds every
+	// receiver's edge; a list in any other order (a unicast, a foreign
+	// caller) falls back to the scan.
+	arcs := m.nw.Phys.Arcs(src)
+	cursor := 0
 	var maxSer time.Duration
 	for _, dst := range dsts {
+		e, ok := 0, false
+		for i := cursor; i < len(arcs); i++ {
+			if arcs[i].To == dst {
+				e, ok, cursor = int(arcs[i].Edge), true, i+1
+				break
+			}
+		}
+		if !ok {
+			e, ok = m.nw.Phys.EdgeBetween(src, dst)
+		}
 		var per, rate float64
-		if e, ok := m.nw.Phys.EdgeBetween(src, dst); ok {
+		if ok {
 			per = m.perEdge[e]
 			rate = m.serEdge[e]
 		} else {
@@ -338,22 +369,26 @@ func (m *LossyMedium) PlanFrame(src int32, dsts []int32, size int, now time.Dura
 			maxSer = ser
 		}
 		if per > 0 {
-			u := rng.Unit(rng.Mix(m.base, drawLoss, uint64(uint32(src)), uint64(uint32(dst)), seq))
-			if u < per {
+			if rng.Unit(drawFor(lossKey, dst, seq)) < per {
 				m.stats.ReceptionsLost++
 				continue // frame lost on this link
 			}
 		}
 		delay := queue + ser + m.cfg.PropDelay
 		if m.cfg.Jitter > 0 {
-			j := rng.Mix(m.base, drawJitter, uint64(uint32(src)), uint64(uint32(dst)), seq)
-			delay += time.Duration(j % uint64(m.cfg.Jitter))
+			delay += time.Duration(drawFor(jitterKey, dst, seq) % uint64(m.cfg.Jitter))
 		}
 		m.hops = append(m.hops, Hop{Dst: dst, Delay: delay, Wait: queue})
 	}
 	m.busy[src] = start + maxSer
 	m.stats.Receptions += uint64(len(m.hops))
 	return m.hops
+}
+
+// drawFor finishes a keyed draw from its per-frame prefix: the last two
+// rounds of rng.Mix(base, kind, src, dst, seq).
+func drawFor(prefix uint64, dst int32, seq uint64) uint64 {
+	return rng.Splitmix64(rng.Splitmix64(prefix^uint64(uint32(dst))) ^ seq)
 }
 
 // Stats returns the cumulative frame accounting.

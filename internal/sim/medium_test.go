@@ -8,6 +8,7 @@ import (
 	"qolsr/internal/graph"
 	"qolsr/internal/metric"
 	"qolsr/internal/olsr"
+	"qolsr/internal/rng"
 )
 
 // statsOf runs a fresh network over g for simTime and returns its traffic
@@ -141,6 +142,73 @@ func TestLossyMediumQueueing(t *testing.T) {
 	}
 	if lm.HopDelayBound() <= time.Millisecond {
 		t.Errorf("HopDelayBound %v not above propagation delay", lm.HopDelayBound())
+	}
+}
+
+// TestLossyDrawsPinned pins the keyed draws to their documented key:
+// PlanFrame hashes the (base, kind, src) head of each key once per frame,
+// and the outcome must stay rng.Mix(base, kind, src, dst, seq) computed the
+// long way — for a whole-neighbourhood broadcast (the cursor path), a
+// unicast and a candidate list out of arc order (the scan fallback).
+func TestLossyDrawsPinned(t *testing.T) {
+	const seed, size = 77, 300
+	cfg := LossyConfig{Loss: 0.3, Seed: seed}
+	lm := NewLossyMedium(cfg)
+	nw, err := NewNetwork(smallWorld(t, 21, 8), olsr.DefaultConfig(metric.Bandwidth()), NetworkOptions{Seed: 5, Medium: lm})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg = cfg.withDefaults()
+	bw, err := nw.Phys.Weights(bandwidthChannel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := lossyDrawBase(seed)
+	frames := map[int32]uint64{} // per-sender frame sequence
+	var now time.Duration
+	lost, kept := 0, 0
+	plan := func(src int32, dsts []int32) {
+		t.Helper()
+		seq := frames[src]
+		frames[src]++
+		now += time.Hour // every earlier frame has left the air: no queue wait
+		got := lm.PlanFrame(src, dsts, size, now)
+		var want []Hop
+		for _, dst := range dsts {
+			e, ok := nw.Phys.EdgeBetween(src, dst)
+			if !ok {
+				t.Fatalf("no edge %d-%d", src, dst)
+			}
+			if rng.Unit(rng.Mix(base, drawLoss, uint64(uint32(src)), uint64(uint32(dst)), seq)) < cfg.Loss {
+				lost++
+				continue
+			}
+			kept++
+			ser := time.Duration(float64(size) / (cfg.BytesPerSec * bw[e]) * float64(time.Second))
+			jitter := rng.Mix(base, drawJitter, uint64(uint32(src)), uint64(uint32(dst)), seq) % uint64(cfg.Jitter)
+			want = append(want, Hop{Dst: dst, Delay: ser + cfg.PropDelay + time.Duration(jitter)})
+		}
+		if len(got) != len(want) {
+			t.Fatalf("src %d seq %d: plan %v, want %v", src, seq, got, want)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("src %d seq %d hop %d: %+v, want %+v", src, seq, i, got[i], want[i])
+			}
+		}
+	}
+	for _, src := range []int32{0, 3, 11} {
+		var all []int32
+		for _, arc := range nw.Phys.Arcs(src) {
+			all = append(all, arc.To)
+		}
+		plan(src, all)
+		plan(src, all[len(all)-1:])
+		plan(src, []int32{all[len(all)-1], all[0]})
+		plan(src, all)
+	}
+	if lost == 0 || kept == 0 {
+		t.Fatalf("draws not exercised on both sides: %d lost, %d kept", lost, kept)
 	}
 }
 

@@ -28,7 +28,8 @@ func (nw *Network) Instrument(reg *obs.Registry) {
 	reg.CounterFunc("qolsr_des_events_scheduled_total", "events booked on the scheduler", q.Scheduled)
 	reg.CounterFunc("qolsr_des_events_executed_total", "events processed by the scheduler", func() uint64 { return q.Executed })
 	reg.CounterFunc("qolsr_des_fifo_scheduled_total", "events that took the fixed-delay fast lane", func() uint64 { return q.FifoScheduled })
-	reg.GaugeFunc("qolsr_des_heap_high_water", "deepest heap occupancy", func() float64 { return float64(q.HeapHighWater) })
+	reg.CounterFunc("qolsr_des_far_scheduled_total", "events booked beyond the calendar horizon, into the overflow heap", func() uint64 { return q.FarScheduled })
+	reg.GaugeFunc("qolsr_des_heap_high_water", "deepest timed-store occupancy (every pending event outside the lane)", func() float64 { return float64(q.HeapHighWater) })
 	reg.GaugeFunc("qolsr_des_fifo_high_water", "deepest fixed-delay lane occupancy", func() float64 { return float64(q.FifoHighWater) })
 
 	s := &nw.Stats
