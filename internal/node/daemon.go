@@ -6,10 +6,13 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"qolsr/internal/core"
 	"qolsr/internal/metric"
+	"qolsr/internal/obs"
 	"qolsr/internal/olsr"
 )
 
@@ -44,7 +47,9 @@ type Config struct {
 	// (default 32).
 	TTL uint8
 	// OnData receives data packets addressed to this node. It is called
-	// from the daemon's event loop; handlers must not block.
+	// from the daemon's event loop; handlers must not block. body aliases
+	// the receive buffer, which is recycled when the call returns: copy
+	// what must outlive it.
 	OnData func(src int64, seq uint64, body []byte)
 	// Logf, when set, receives debug-level event lines.
 	Logf func(format string, args ...any)
@@ -76,8 +81,10 @@ type Stats struct {
 	DataForwarded  uint64 `json:"data_forwarded"`
 	DataDelivered  uint64 `json:"data_delivered"`
 	// DataDropped counts data packets discarded for a dead TTL, a missing
-	// route, or a next hop outside the peer table.
+	// route, or a next hop outside the peer table; DataLooped is the TTL
+	// share of it — packets that circled until their hop budget ran out.
 	DataDropped uint64 `json:"data_dropped"`
+	DataLooped  uint64 `json:"data_looped"`
 }
 
 // peerState is the daemon's per-peer bookkeeping around the static Peer
@@ -101,16 +108,26 @@ type peerState struct {
 	heard time.Duration
 }
 
-type dataSend struct {
-	dst  int64
-	body []byte
-	res  chan error
+// request is one queued Send, or a Status when status says where the report
+// goes; the loop answers on res.
+type request struct {
+	dst    int64
+	body   []byte
+	status *StatusReport
+	res    chan error
 }
 
+// Reasons the run loop is poked awake (bits of Daemon.pending).
+const (
+	wakeTick uint32 = 1 << iota // a HELLO or TC deadline passed
+	wakeStop                    // the Run context was cancelled
+	wakeReq                     // a request was queued
+)
+
 // Daemon runs one olsr.Node over a Transport in wall-clock time. All
-// protocol state is owned by the Run loop's goroutine; Status and Send
-// communicate with it through channels, so a Daemon is safe for concurrent
-// use around a single Run.
+// protocol state is owned by the Run loop's goroutine; Status and Send queue
+// requests for it (doc.go has the wake protocol), so a Daemon is safe for
+// concurrent use around a single Run.
 type Daemon struct {
 	cfg   Config
 	node  *olsr.Node
@@ -122,14 +139,25 @@ type Daemon struct {
 
 	start   time.Time
 	dataSeq uint64
+	// last is the newest protocol time the loop has used: arrival stamps of
+	// different senders may interleave, the olsr clock must not run back.
+	last time.Duration
+	// timer fires at the earlier of the two emission deadlines.
+	nextHello, nextTC time.Duration
+	timer             *time.Timer
+	// scratch is the one buffer originated and control frames encode into.
+	scratch []byte
 	// metrics is the authoritative traffic accounting: registry cells the
 	// run loop increments and the /metrics scrape reads concurrently. The
 	// status report's Stats is derived from it.
 	metrics *daemonMetrics
 
-	statusCh chan chan StatusReport
-	sendCh   chan dataSend
-	done     chan struct{}
+	wake    chan struct{} // capacity 1: a token means "look again"
+	pending atomic.Uint32 // wake* bits
+	mu      sync.Mutex    // guards reqs and stopped
+	reqs    []request
+	stopped bool      // Run has returned: call refuses
+	batch   []request // the loop's half of the request double buffer
 }
 
 // New builds a Daemon. The underlying olsr.Node runs with external link
@@ -165,14 +193,13 @@ func New(cfg Config) (*Daemon, error) {
 		return nil, err
 	}
 	d := &Daemon{
-		cfg:      cfg,
-		node:     n,
-		tr:       cfg.Transport,
-		peers:    make(map[int64]*peerState, len(cfg.Peers)),
-		start:    time.Now(),
-		statusCh: make(chan chan StatusReport),
-		sendCh:   make(chan dataSend),
-		done:     make(chan struct{}),
+		cfg:     cfg,
+		node:    n,
+		tr:      cfg.Transport,
+		peers:   make(map[int64]*peerState, len(cfg.Peers)),
+		start:   time.Now(),
+		scratch: make([]byte, frameHeaderLen, 512),
+		wake:    make(chan struct{}, 1),
 	}
 	for _, p := range cfg.Peers {
 		if p.ID == cfg.ID {
@@ -193,9 +220,15 @@ func New(cfg Config) (*Daemon, error) {
 	return d, nil
 }
 
-// now is the daemon's protocol clock: monotonic elapsed time since New, the
-// wall-clock counterpart of the simulator's virtual timestamps.
-func (d *Daemon) now() time.Duration { return time.Since(d.start) }
+// now reads the daemon's protocol clock: monotonic elapsed time since New,
+// the wall-clock counterpart of the simulator's virtual timestamps.
+func (d *Daemon) now() time.Duration { return d.advance(time.Since(d.start)) }
+
+// advance folds one instant into the loop's monotone protocol time.
+func (d *Daemon) advance(t time.Duration) time.Duration {
+	d.last = max(d.last, t)
+	return d.last
+}
 
 func (d *Daemon) logf(format string, args ...any) {
 	if d.cfg.Logf != nil {
@@ -203,95 +236,155 @@ func (d *Daemon) logf(format string, args ...any) {
 	}
 }
 
+// poke records why the loop must look again, then leaves it a wake token —
+// in that order, which is why no wake-up is lost (doc.go).
+func (d *Daemon) poke(why uint32) {
+	d.pending.Or(why)
+	select {
+	case d.wake <- struct{}{}:
+	default: // a token is already waiting; its consumer will see the bit
+	}
+}
+
+var errTransportClosed = errors.New("node: transport closed")
+
 // Run drives the daemon until ctx is cancelled or the transport closes. It
 // owns all protocol state; call it exactly once. The transport is closed on
 // the way out.
 func (d *Daemon) Run(ctx context.Context) error {
-	defer close(d.done)
+	defer d.serveRequests(true)
 	defer d.tr.Close()
-	helloT := time.NewTicker(d.cfg.HelloInterval)
-	defer helloT.Stop()
-	tcT := time.NewTicker(d.cfg.TCInterval)
-	defer tcT.Stop()
+	stop := context.AfterFunc(ctx, func() { d.poke(wakeStop) })
+	defer stop()
 	// An immediate HELLO bootstraps the echo exchange a full interval
 	// early; cold-start convergence is bounded by round trips, not timers.
-	d.emitHello()
-	for {
-		select {
-		case <-ctx.Done():
+	d.nextHello = d.now()
+	d.nextTC = d.nextHello + d.cfg.TCInterval
+	d.timer = time.AfterFunc(time.Hour, func() { d.poke(wakeTick) })
+	defer d.timer.Stop()
+	d.tick() // re-arms the timer for real
+	inbound := d.tr.Inbound()
+	for n := 1; ; n++ {
+		// Frames already queued are read before soft state is judged
+		// below; a flood yields to the flags once per queue's worth.
+		if n%inboundBuffer != 0 {
+			select {
+			case in, ok := <-inbound:
+				if !ok {
+					return errTransportClosed
+				}
+				d.handleFrame(in)
+				freeFrame(in.Data)
+				continue
+			default:
+			}
+		}
+		switch why := d.pending.Swap(0); {
+		case why&wakeStop != 0:
 			return nil
-		case <-helloT.C:
-			d.emitHello()
-		case <-tcT.C:
-			d.emitTC()
-		case in, ok := <-d.tr.Inbound():
+		case why != 0:
+			if why&wakeTick != 0 {
+				d.tick()
+			}
+			if why&wakeReq != 0 {
+				d.serveRequests(false)
+			}
+			continue // that took time: read the queue again
+		}
+		select {
+		case in, ok := <-inbound:
 			if !ok {
-				return errors.New("node: transport closed")
+				return errTransportClosed
 			}
 			d.handleFrame(in)
-		case req := <-d.statusCh:
-			req <- d.buildStatus()
-		case s := <-d.sendCh:
-			s.res <- d.originate(s.dst, s.body)
+			freeFrame(in.Data)
+		case <-d.wake:
 		}
 	}
 }
 
-// emitHello broadcasts the node's periodic HELLO to every configured peer.
-// The HELLO tick doubles as the gauge refresh cadence.
-func (d *Daemon) emitHello() {
-	h := d.node.GenerateHello(d.now())
-	d.broadcast(KindControl, olsr.MarshalHello(h))
-	d.refreshGauges()
+// tick emits whatever is due and re-arms the timer for the earlier deadline.
+// Deadlines advance by their interval, so a late loop does not push the
+// cadence back; intervals slept through entirely are skipped, not replayed.
+func (d *Daemon) tick() {
+	now := d.now()
+	if now >= d.nextHello {
+		// The HELLO tick doubles as the gauge refresh cadence.
+		d.broadcast(olsr.MarshalHello(d.node.GenerateHello(now)))
+		d.refreshGauges(now)
+		d.nextHello += ((now-d.nextHello)/d.cfg.HelloInterval + 1) * d.cfg.HelloInterval
+	}
+	if now >= d.nextTC {
+		if t := d.node.GenerateTC(now); t != nil { // silent without an advertised set
+			d.broadcast(olsr.MarshalTC(t))
+		}
+		d.nextTC += ((now-d.nextTC)/d.cfg.TCInterval + 1) * d.cfg.TCInterval
+	}
+	d.timer.Reset(min(d.nextHello, d.nextTC) - now)
 }
 
-// emitTC floods the node's periodic TC, if it has an advertised set.
-func (d *Daemon) emitTC() {
-	t := d.node.GenerateTC(d.now())
-	if t == nil {
-		return
+// serveRequests answers every queued Send and Status under one clock read.
+// With stop set it refuses them instead, and every later one.
+func (d *Daemon) serveRequests(stop bool) {
+	d.mu.Lock()
+	d.stopped = stop
+	d.reqs, d.batch = d.batch[:0], d.reqs
+	d.mu.Unlock()
+	now := d.now()
+	for i, r := range d.batch {
+		switch {
+		case stop:
+			r.res <- errStopped
+		case r.status != nil:
+			*r.status = d.buildStatus(now)
+			r.res <- nil
+		default:
+			r.res <- d.originate(r.dst, r.body, now)
+		}
+		d.batch[i] = request{}
 	}
-	d.broadcast(KindControl, olsr.MarshalTC(t))
 }
 
-// broadcast sends one payload to every configured peer, each in its own
-// frame (the echo stamps are per-destination).
-func (d *Daemon) broadcast(kind FrameKind, payload []byte) {
-	for _, id := range d.order {
-		d.sendTo(d.peers[id], kind, payload)
-	}
-}
-
-// sendTo frames and transmits one payload to one peer, stamping the RTT
-// echo triplet: our clock now, the peer's newest stamp, and how long we
-// have held it.
-func (d *Daemon) sendTo(p *peerState, kind FrameKind, payload []byte) {
-	nowN := uint64(d.now())
-	f := Frame{Kind: kind, Sender: d.cfg.ID, TxTime: nowN, Payload: payload}
-	if p.lastRxTx != 0 {
-		f.EchoTime = p.lastRxTx
-		f.EchoDelay = nowN - p.lastRxAt
-	}
-	buf, err := MarshalFrame(&f)
-	if err != nil {
+// broadcast lays one control payload out in the scratch buffer and sends it
+// to every configured peer, re-stamping the header for each. Every frame
+// reads the clock itself: one reading per round would age the TxTime of the
+// peers served last by the sends before them, a bias no RTT filter removes.
+func (d *Daemon) broadcast(payload []byte) {
+	if len(payload) > MaxPayload {
 		d.metrics.sendErrors.Inc()
 		return
 	}
-	if err := d.tr.Send(p.addr, buf); err != nil {
+	d.scratch = append(d.scratch[:frameHeaderLen], payload...)
+	for _, id := range d.order {
+		d.sendTo(d.peers[id], KindControl, d.scratch, d.now())
+	}
+}
+
+// sendTo stamps an encoded frame's header in place and transmits it to one
+// peer. The RTT echo triplet is our clock now, the peer's newest stamp, and
+// how long we have held it.
+func (d *Daemon) sendTo(p *peerState, kind FrameKind, frame []byte, now time.Duration) {
+	var echo, delay uint64
+	if p.lastRxTx != 0 {
+		echo, delay = p.lastRxTx, uint64(now)-p.lastRxAt
+	}
+	putFrameHeader(frame, kind, d.cfg.ID, uint64(now), echo, delay)
+	if err := d.tr.Send(p.addr, frame); err != nil {
 		d.metrics.sendErrors.Inc()
 		d.logf("node %d: send to %d (%s): %v", d.cfg.ID, p.id, p.addr, err)
 		return
 	}
 	d.metrics.framesOut.Inc()
-	d.metrics.bytesOut.Add(uint64(len(buf)))
+	d.metrics.bytesOut.Add(uint64(len(frame)))
 }
 
 // handleFrame ingests one datagram: authenticate the sender against the
-// peer table, harvest the RTT echo, then dispatch by kind.
+// peer table, harvest the RTT echo, then dispatch by kind. The transport's
+// arrival stamp is the frame's one clock reading.
 func (d *Daemon) handleFrame(in Inbound) {
 	d.metrics.framesIn.Inc()
 	d.metrics.bytesIn.Add(uint64(len(in.Data)))
-	f, err := UnmarshalFrame(in.Data)
+	f, err := decodeFrame(in.Data)
 	if err != nil {
 		d.metrics.decodeErrors.Inc()
 		return
@@ -307,12 +400,11 @@ func (d *Daemon) handleFrame(in Inbound) {
 	// the processing instant: time the frame waited in the receive queue
 	// is the host's, and must be charged neither to the round trip we
 	// close here nor to the echo we will emit.
-	at := d.now()
-	if !in.At.IsZero() {
-		if e := in.At.Sub(d.start); e >= 0 && e < at {
-			at = e
-		}
+	at := in.At.Sub(d.start)
+	if in.At.IsZero() || at < 0 {
+		at = time.Since(d.start) // a transport that does not stamp
 	}
+	now := d.advance(at)
 	if f.TxTime != 0 {
 		p.lastRxTx = f.TxTime
 		p.lastRxAt = uint64(at)
@@ -329,21 +421,20 @@ func (d *Daemon) handleFrame(in Inbound) {
 	}
 	switch f.Kind {
 	case KindControl:
-		d.handleControl(p, f.Payload)
+		d.handleControl(p, f.Payload, now)
 	case KindData:
-		d.handleData(f.Payload)
+		d.handleData(in.Data, now)
 	}
 }
 
 // handleControl dispatches one olsr wire message from an authenticated
 // peer.
-func (d *Daemon) handleControl(p *peerState, payload []byte) {
+func (d *Daemon) handleControl(p *peerState, payload []byte, now time.Duration) {
 	t, err := olsr.PeekType(payload)
 	if err != nil {
 		d.metrics.decodeErrors.Inc()
 		return
 	}
-	now := d.now()
 	switch t {
 	case olsr.MsgHello:
 		h, err := olsr.UnmarshalHello(payload)
@@ -372,7 +463,7 @@ func (d *Daemon) handleControl(p *peerState, payload []byte) {
 			// re-flood the TC to our whole neighborhood. Duplicate
 			// suppression in HandleTC bounds the storm.
 			d.metrics.tcsForwarded.Inc()
-			d.broadcast(KindControl, payload)
+			d.broadcast(payload)
 		}
 	}
 }
@@ -402,10 +493,11 @@ func (d *Daemon) senseLink(p *peerState, now time.Duration) {
 	d.node.UpdateLink(p.id, w, now)
 }
 
-// handleData delivers or forwards one data packet through the node's own
-// routing table.
-func (d *Daemon) handleData(payload []byte) {
-	pkt, err := UnmarshalData(payload)
+// handleData delivers one received data frame or forwards it in place: the
+// TTL byte is decremented and the header re-stamped in the received buffer,
+// and those same bytes go to the next hop.
+func (d *Daemon) handleData(frame []byte, now time.Duration) {
+	pkt, err := decodeData(frame[frameHeaderLen:])
 	if err != nil {
 		d.metrics.decodeErrors.Inc()
 		return
@@ -418,70 +510,82 @@ func (d *Daemon) handleData(payload []byte) {
 		return
 	}
 	if pkt.TTL == 0 {
-		d.metrics.dataDropped.Inc()
+		d.metrics.dropTTL.Inc()
+		d.logf("node %d: drop data %d->%d: ttl exhausted", d.cfg.ID, pkt.Src, pkt.Dst)
 		return
 	}
-	pkt.TTL--
-	if err := d.routeData(pkt); err != nil {
-		d.metrics.dataDropped.Inc()
+	next, hole, err := d.nextHop(pkt.Dst, now)
+	if err != nil {
+		hole.Inc()
 		d.logf("node %d: drop data %d->%d: %v", d.cfg.ID, pkt.Src, pkt.Dst, err)
 		return
 	}
+	frame[frameHeaderLen+dataTTLOffset]--
+	d.sendTo(next, KindData, frame, now)
 	d.metrics.dataForwarded.Inc()
 }
 
-// routeData looks the packet's destination up in the routing table and
-// transmits it to the next hop.
-func (d *Daemon) routeData(pkt *DataPacket) error {
-	routes, err := d.node.Routes(d.now())
+// nextHop resolves dst through the routing table; on failure hole is the
+// drop-reason cell a forwarder counts.
+func (d *Daemon) nextHop(dst int64, now time.Duration) (next *peerState, hole obs.Counter, err error) {
+	routes, err := d.node.Routes(now)
 	if err != nil {
-		return err
+		return nil, d.metrics.dropNoRoute, err
 	}
-	r, ok := routes.Lookup(pkt.Dst)
+	r, ok := routes.Lookup(dst)
 	if !ok {
-		return fmt.Errorf("no route to %d", pkt.Dst)
+		return nil, d.metrics.dropNoRoute, fmt.Errorf("no route to %d", dst)
 	}
-	next := d.peers[r.NextHop]
-	if next == nil {
-		return fmt.Errorf("next hop %d not a peer", r.NextHop)
+	if next = d.peers[r.NextHop]; next == nil {
+		return nil, d.metrics.dropNotPeer, fmt.Errorf("next hop %d not a peer", r.NextHop)
 	}
-	buf, err := MarshalData(pkt)
-	if err != nil {
-		return err
-	}
-	d.sendTo(next, KindData, buf)
-	return nil
+	return next, hole, nil
 }
 
-// originate injects a locally-sourced data packet.
-func (d *Daemon) originate(dst int64, body []byte) error {
-	pkt := &DataPacket{
-		Dst: dst, Src: d.cfg.ID,
-		Seq: d.dataSeq, TTL: d.cfg.TTL,
-		Body: body,
-	}
+// originate injects a locally-sourced data packet, encoded behind a frame
+// header in the scratch buffer.
+func (d *Daemon) originate(dst int64, body []byte, now time.Duration) error {
+	pkt := DataPacket{Dst: dst, Src: d.cfg.ID, Seq: d.dataSeq, TTL: d.cfg.TTL, Body: body}
 	d.dataSeq++
-	if err := d.routeData(pkt); err != nil {
+	next, _, err := d.nextHop(dst, now)
+	if err != nil {
 		return err
 	}
+	frame, err := appendData(d.scratch[:frameHeaderLen], &pkt)
+	if err != nil {
+		return err
+	}
+	d.scratch = frame
+	d.sendTo(next, KindData, frame, now)
 	d.metrics.dataOriginated.Inc()
 	return nil
 }
 
-// Send originates one data packet toward dst, routed hop by hop through the
-// daemons' tables. It blocks until the run loop accepts it and returns an
-// error when no usable route exists. Valid only while Run is active.
-func (d *Daemon) Send(dst int64, body []byte) error {
-	req := dataSend{dst: dst, body: body, res: make(chan error, 1)}
-	select {
-	case d.sendCh <- req:
-		select {
-		case err := <-req.res:
-			return err
-		case <-d.done:
-			return errors.New("node: daemon stopped")
-		}
-	case <-d.done:
-		return errors.New("node: daemon stopped")
+var errStopped = errors.New("node: daemon stopped")
+
+// replies recycles reply channels: every queued request is answered exactly
+// once (Run's exit answers the stragglers), so a pooled channel is empty.
+var replies = sync.Pool{New: func() any { return make(chan error, 1) }}
+
+// call queues one request, pokes the run loop and waits for its answer.
+func (d *Daemon) call(r request) error {
+	r.res = replies.Get().(chan error)
+	defer replies.Put(r.res)
+	d.mu.Lock()
+	if d.stopped {
+		d.mu.Unlock()
+		return errStopped
 	}
+	d.reqs = append(d.reqs, r)
+	d.mu.Unlock()
+	d.poke(wakeReq)
+	return <-r.res
+}
+
+// Send originates one data packet toward dst, routed hop by hop through the
+// daemons' tables. It blocks until the run loop has served it (body is not
+// kept) and returns an error when no usable route exists. Valid only while
+// Run is active.
+func (d *Daemon) Send(dst int64, body []byte) error {
+	return d.call(request{dst: dst, body: body})
 }

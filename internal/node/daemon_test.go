@@ -34,8 +34,9 @@ type delivery struct {
 
 // startMesh launches daemons over mn with the given adjacency (ids must be
 // symmetric: if a lists b, b must list a for links to form). Delivered data
-// packets go to sink when non-nil.
-func startMesh(t *testing.T, mn *MemNetwork, adj map[int64][]int64, measured bool, sink chan delivery) *mesh {
+// packets go to sink when non-nil; tweak functions edit each daemon's
+// Config before New.
+func startMesh(t testing.TB, mn *MemNetwork, adj map[int64][]int64, measured bool, sink chan delivery, tweak ...func(id int64, cfg *Config)) *mesh {
 	t.Helper()
 	ctx, cancel := context.WithCancel(context.Background())
 	m := &mesh{daemons: make(map[int64]*Daemon), cancel: cancel}
@@ -50,7 +51,7 @@ func startMesh(t *testing.T, mn *MemNetwork, adj map[int64][]int64, measured boo
 			ps = append(ps, Peer{ID: p, Addr: addr(p)})
 		}
 		id := id
-		d, err := New(Config{
+		cfg := Config{
 			ID:            id,
 			Transport:     tr,
 			Peers:         ps,
@@ -62,7 +63,11 @@ func startMesh(t *testing.T, mn *MemNetwork, adj map[int64][]int64, measured boo
 					sink <- delivery{at: id, src: src, seq: seq, body: string(body)}
 				}
 			},
-		})
+		}
+		for _, f := range tweak {
+			f(id, &cfg)
+		}
+		d, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -84,7 +89,7 @@ func (m *mesh) stop() {
 
 // waitConverged polls until every daemon has a route to every other, or the
 // deadline passes.
-func (m *mesh) waitConverged(t *testing.T, deadline time.Duration) {
+func (m *mesh) waitConverged(t testing.TB, deadline time.Duration) {
 	t.Helper()
 	end := time.Now().Add(deadline)
 	for {

@@ -21,16 +21,57 @@
 //     are errors, never panics.
 //   - transport.go, memnet.go — the Transport interface with the UDP
 //     implementation and the in-memory MemNetwork used by tests (per-sender
-//     FIFO delivery, optional loss injection).
+//     FIFO delivery, optional loss injection), and the one free list of
+//     receive buffers both copy into.
 //   - daemon.go, peers.go, rtt.go — the Daemon event loop: a static peer
 //     table (node ID → address) standing in for radio range, per-peer
 //     smoothed RTT estimation from the frame echoes, and link sensing that
 //     feeds olsr.Node.UpdateLink with either measured RTT delay weights
 //     (Config.Measured) or operator-declared oracle weights. Data packets
 //     are forwarded hop by hop through the daemon's own routing table.
-//   - status.go — an introspection snapshot (neighbors, measured RTTs, MPR
-//     set, selectors, routing table, traffic counters) served as JSON over a
-//     loopback HTTP endpoint.
+//   - status.go, obs.go — an introspection snapshot (neighbors, measured
+//     RTTs, MPR set, selectors, routing table, traffic counters) served as
+//     JSON over a loopback HTTP endpoint, and the registry behind it.
+//
+// # The run loop's wake protocol
+//
+// Run blocks in one select on two channels: the transport's Inbound() and a
+// capacity-1 wake channel. Three parties poke the loop: the emission timer
+// (one time.AfterFunc armed for the earlier of the HELLO and TC deadlines),
+// the context's AfterFunc, and Send/Status once a request is queued under
+// Daemon.mu. A poke sets its bit in Daemon.pending, then offers the wake
+// channel a token without blocking. After every wake-up, whichever channel
+// caused it, the loop first reads the frames already queued (non-blocking
+// receives, at most one queue's worth in a row), then swaps pending to zero
+// and serves stop, tick and requests, and blocks again only with nothing
+// left. No wake-up is lost: a bit is set before its token is offered and the
+// loop takes the token before it reads the bits, so a poke that finds the
+// channel full leaves its bit to the token already there. Reading queued
+// frames first also keeps soft state honest after a stall: the HELLOs that
+// arrived meanwhile refresh their neighbours before a tick or a Send judges
+// them expired.
+//
+// # Buffer ownership
+//
+// A transport copies each datagram into a buffer from the package's free
+// list; Inbound.Data is owned by whoever takes the Inbound off the channel.
+// The run loop returns it to the list right after handleFrame, so the body
+// Config.OnData sees, which aliases it, is valid only for the call, and a
+// transit data frame is forwarded in that very buffer (TTL byte decremented,
+// header re-stamped) — which is why Transport.Send must not keep its frame.
+//
+// # What the drop reasons show (open: ROADMAP item 1)
+//
+// Stats.DataDropped splits by reason (ttl, no-route, not-peer). On
+// TestLoopbackMesh every lost packet is a TTL death in a two-node loop,
+// mostly between two direct neighbours of the destination: each daemon
+// prices its own links by its own RTT and everyone else's by what TCs
+// advertise, and at weights of one or two 1/32 ms quanta, where one quantum
+// of skew is a factor of two, about four instants in ten have some pair of
+// daemons pointing at each other; the test samples the instant after first
+// convergence. Letting the lower-ID end's HELLO-advertised weight stand for
+// both ends cut failures to about 1 run in 40, not to none (skew right after
+// convergence remains). That is routing, not this path.
 //
 // cmd/qolsr-node wraps a Daemon in a CLI; the integration test in this
 // package converges a 20-daemon mesh on 127.0.0.1 UDP ports and routes live

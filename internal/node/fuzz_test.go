@@ -11,7 +11,9 @@ import (
 // see is untrusted. The fuzzers assert no input panics and that accepted
 // input re-encodes bit-identically — the frame layer's wire form is
 // canonical, so anything that decodes is something a daemon could have
-// sent.
+// sent. The exported Unmarshal*/Marshal* wrappers and the by-value,
+// append-style codec the daemon runs on must agree on every input: same
+// verdict, same fields, same bytes.
 
 func FuzzUnmarshalFrame(f *testing.F) {
 	mustFrame := func(fr *Frame) []byte {
@@ -35,8 +37,16 @@ func FuzzUnmarshalFrame(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, buf []byte) {
 		fr, err := UnmarshalFrame(buf)
+		val, verr := decodeFrame(buf)
+		if (err == nil) != (verr == nil) {
+			t.Fatalf("wrapper says %v, by-value decoder says %v", err, verr)
+		}
 		if err != nil {
 			return
+		}
+		if fr.Kind != val.Kind || fr.Sender != val.Sender || fr.TxTime != val.TxTime ||
+			fr.EchoTime != val.EchoTime || fr.EchoDelay != val.EchoDelay || !bytes.Equal(fr.Payload, val.Payload) {
+			t.Fatalf("decoders disagree: %+v vs %+v", *fr, val)
 		}
 		out, err := MarshalFrame(fr)
 		if err != nil {
@@ -44,6 +54,11 @@ func FuzzUnmarshalFrame(f *testing.F) {
 		}
 		if !bytes.Equal(out, buf) {
 			t.Fatalf("non-canonical frame: decode/encode changed %x to %x", buf, out)
+		}
+		// Re-stamping an accepted frame with its own fields is the identity.
+		putFrameHeader(out, val.Kind, val.Sender, val.TxTime, val.EchoTime, val.EchoDelay)
+		if !bytes.Equal(out, buf) {
+			t.Fatalf("re-stamping changed %x to %x", buf, out)
 		}
 	})
 }
@@ -61,8 +76,18 @@ func FuzzUnmarshalData(f *testing.F) {
 	f.Add(empty)
 	f.Fuzz(func(t *testing.T, buf []byte) {
 		p, err := UnmarshalData(buf)
+		val, verr := decodeData(buf)
+		if (err == nil) != (verr == nil) {
+			t.Fatalf("wrapper says %v, by-value decoder says %v", err, verr)
+		}
 		if err != nil {
 			return
+		}
+		if p.Dst != val.Dst || p.Src != val.Src || p.Seq != val.Seq || p.TTL != val.TTL || !bytes.Equal(p.Body, val.Body) {
+			t.Fatalf("decoders disagree: %+v vs %+v", *p, val)
+		}
+		if val.TTL != buf[dataTTLOffset] {
+			t.Fatalf("TTL %d is not the byte a forwarder decrements (%d)", val.TTL, buf[dataTTLOffset])
 		}
 		out, err := MarshalData(p)
 		if err != nil {
@@ -70,6 +95,9 @@ func FuzzUnmarshalData(f *testing.F) {
 		}
 		if !bytes.Equal(out, buf) {
 			t.Fatalf("non-canonical data packet: decode/encode changed %x to %x", buf, out)
+		}
+		if app, err := appendData([]byte("xyz"), &val); err != nil || !bytes.Equal(app[3:], buf) {
+			t.Fatalf("appendData at an offset: %x, %v", app, err)
 		}
 	})
 }

@@ -136,6 +136,12 @@ func TestLoopbackMesh(t *testing.T) {
 		time.Sleep(50 * time.Millisecond)
 	}
 	if ratio := float64(delivered.Load()) / float64(sent); ratio < 0.99 {
+		// Say why: which daemons dropped, and for which reason.
+		for _, d := range daemons {
+			if st, err := d.Status(); err == nil && st.Stats.DataDropped > 0 {
+				t.Logf("node %d dropped %d (%d of them TTL deaths)", st.ID, st.Stats.DataDropped, st.Stats.DataLooped)
+			}
+		}
 		t.Fatalf("delivered %d of %d data packets (%.1f%%, %d unrouted); want >= 99%%",
 			delivered.Load(), sent, 100*ratio, unrouted)
 	}

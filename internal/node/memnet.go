@@ -3,6 +3,7 @@ package node
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -12,7 +13,7 @@ import (
 // addresses nobody listens on — without sockets, so daemon logic is testable
 // hermetically and deterministically.
 type MemNetwork struct {
-	mu   sync.Mutex
+	mu   sync.RWMutex
 	eps  map[string]*MemTransport
 	drop func(from, to string) bool
 }
@@ -46,13 +47,15 @@ func (mn *MemNetwork) Listen(addr string) (*MemTransport, error) {
 	return t, nil
 }
 
-// deliver routes one frame to the destination endpoint. It runs under the
-// fabric lock, so deliveries serialise: frames from one sender to one
-// receiver arrive in send order. A full receive buffer drops the frame, as
-// does a closed or unknown destination — exactly UDP's contract.
+// deliver routes one frame to the destination endpoint. It runs on the
+// sender's goroutine under the fabric's read lock: a sender is one goroutine,
+// so its frames to one receiver arrive in send order, and the held read lock
+// keeps Close from closing the channel under the send. A full receive buffer
+// drops the frame, as does a closed or unknown destination — exactly UDP's
+// contract.
 func (mn *MemNetwork) deliver(from, to string, frame []byte) {
-	mn.mu.Lock()
-	defer mn.mu.Unlock()
+	mn.mu.RLock()
+	defer mn.mu.RUnlock()
 	dst := mn.eps[to]
 	if dst == nil {
 		return
@@ -60,12 +63,12 @@ func (mn *MemNetwork) deliver(from, to string, frame []byte) {
 	if mn.drop != nil && mn.drop(from, to) {
 		return
 	}
-	data := make([]byte, len(frame))
-	copy(data, frame)
+	data := copyFrame(frame)
 	select {
 	case dst.in <- Inbound{From: from, Data: data, At: time.Now()}:
 	default:
-		dst.drops++
+		dst.drops.Add(1)
+		freeFrame(data)
 	}
 }
 
@@ -74,7 +77,7 @@ type MemTransport struct {
 	net   *MemNetwork
 	addr  string
 	in    chan Inbound
-	drops uint64 // guarded by net.mu
+	drops atomic.Uint64
 }
 
 // Send implements Transport.
@@ -90,11 +93,7 @@ func (t *MemTransport) Inbound() <-chan Inbound { return t.in }
 func (t *MemTransport) LocalAddr() string { return t.addr }
 
 // Drops reports frames discarded at this endpoint's full receive buffer.
-func (t *MemTransport) Drops() uint64 {
-	t.net.mu.Lock()
-	defer t.net.mu.Unlock()
-	return t.drops
-}
+func (t *MemTransport) Drops() uint64 { return t.drops.Load() }
 
 // Close implements Transport: the endpoint leaves the fabric and the inbound
 // channel closes. Frames in flight toward it are dropped.

@@ -19,10 +19,12 @@ type transportDrops interface{ Drops() uint64 }
 type daemonMetrics struct {
 	reg *obs.Registry
 
-	framesIn, framesOut, bytesIn, bytesOut                    obs.Counter
-	decodeErrors, unknownSender, spoofRejects, sendErrors     obs.Counter
-	hellosIn, tcsIn, tcsForwarded                             obs.Counter
-	dataOriginated, dataForwarded, dataDelivered, dataDropped obs.Counter
+	framesIn, framesOut, bytesIn, bytesOut                obs.Counter
+	decodeErrors, unknownSender, spoofRejects, sendErrors obs.Counter
+	hellosIn, tcsIn, tcsForwarded                         obs.Counter
+	dataOriginated, dataForwarded, dataDelivered          obs.Counter
+	// Dropped transit packets, by reason; Stats.DataDropped is their sum.
+	dropTTL, dropNoRoute, dropNotPeer obs.Counter
 
 	// rtt observes every closed HELLO round trip, in seconds.
 	rtt obs.Histogram
@@ -56,7 +58,9 @@ func newDaemonMetrics(start time.Time, tr Transport) *daemonMetrics {
 	m.dataOriginated = reg.Counter("qolsr_node_data_total", "data packets, by event", event("originated"))
 	m.dataForwarded = reg.Counter("qolsr_node_data_total", "data packets, by event", event("forwarded"))
 	m.dataDelivered = reg.Counter("qolsr_node_data_total", "data packets, by event", event("delivered"))
-	m.dataDropped = reg.Counter("qolsr_node_data_total", "data packets, by event", event("dropped"))
+	m.dropTTL = reg.Counter("qolsr_node_data_dropped_total", "transit data packets dropped, by reason", reason("ttl"))
+	m.dropNoRoute = reg.Counter("qolsr_node_data_dropped_total", "transit data packets dropped, by reason", reason("no-route"))
+	m.dropNotPeer = reg.Counter("qolsr_node_data_dropped_total", "transit data packets dropped, by reason", reason("not-peer"))
 	m.rtt = reg.Histogram("qolsr_node_rtt_seconds", "measured HELLO round-trip time", obs.ExpBuckets(0.0005, 2, 12))
 	m.linkedNeighbors = reg.Gauge("qolsr_node_neighbors_linked", "peers with a live, proven link")
 	m.routes = reg.Gauge("qolsr_node_routes", "routing-table entries")
@@ -87,8 +91,9 @@ func (m *daemonMetrics) stats(tr Transport) Stats {
 		DataOriginated: m.dataOriginated.Value(),
 		DataForwarded:  m.dataForwarded.Value(),
 		DataDelivered:  m.dataDelivered.Value(),
-		DataDropped:    m.dataDropped.Value(),
+		DataLooped:     m.dropTTL.Value(),
 	}
+	s.DataDropped = s.DataLooped + m.dropNoRoute.Value() + m.dropNotPeer.Value()
 	if td, ok := tr.(transportDrops); ok {
 		s.TransportDrops = td.Drops()
 	}
@@ -112,8 +117,7 @@ func (d *Daemon) MetricsHandler() http.Handler {
 
 // refreshGauges mirrors event-loop-owned state sizes into the registry's
 // atomic gauges. Runs on the event loop (every HELLO tick).
-func (d *Daemon) refreshGauges() {
-	now := d.now()
+func (d *Daemon) refreshGauges(now time.Duration) {
 	linked := 0
 	for _, id := range d.order {
 		if _, ok := d.node.LinkWeight(id, now); ok {

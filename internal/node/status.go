@@ -2,7 +2,6 @@ package node
 
 import (
 	"encoding/json"
-	"errors"
 	"net/http"
 	"time"
 )
@@ -47,8 +46,7 @@ type StatusReport struct {
 }
 
 // buildStatus assembles the snapshot. Runs on the event-loop goroutine.
-func (d *Daemon) buildStatus() StatusReport {
-	now := d.now()
+func (d *Daemon) buildStatus(now time.Duration) StatusReport {
 	r := StatusReport{
 		ID:      d.cfg.ID,
 		Addr:    d.tr.LocalAddr(),
@@ -91,18 +89,9 @@ func (d *Daemon) buildStatus() StatusReport {
 // Status returns a consistent snapshot of the daemon's state. It blocks
 // until the run loop serves the request and fails once the daemon stopped.
 func (d *Daemon) Status() (StatusReport, error) {
-	req := make(chan StatusReport, 1)
-	select {
-	case d.statusCh <- req:
-		select {
-		case r := <-req:
-			return r, nil
-		case <-d.done:
-			return StatusReport{}, errors.New("node: daemon stopped")
-		}
-	case <-d.done:
-		return StatusReport{}, errors.New("node: daemon stopped")
-	}
+	var r StatusReport
+	err := d.call(request{status: &r})
+	return r, err
 }
 
 // StatusHandler returns an HTTP handler serving the daemon's StatusReport

@@ -33,7 +33,7 @@ import (
 // must never panic or allocate more than the datagram holds.
 
 // FrameVersion is the wire format version this implementation speaks.
-// Frames carrying any other version are rejected by UnmarshalFrame.
+// Frames carrying any other version are rejected by the decoder.
 const FrameVersion = 1
 
 // frameMagic guards against cross-protocol datagrams hitting our port.
@@ -88,6 +88,20 @@ type Frame struct {
 	Payload []byte
 }
 
+// putFrameHeader writes the 40-byte header of a frame whose payload already
+// sits at frame[frameHeaderLen:]. It is the whole frame encoder: MarshalFrame
+// and the daemon lay a payload out behind it, and a forwarder re-stamps a
+// received frame by calling it on the received bytes.
+func putFrameHeader(frame []byte, kind FrameKind, sender int64, tx, echo, delay uint64) {
+	copy(frame[:4], frameMagic[:])
+	frame[4], frame[5] = FrameVersion, byte(kind)
+	binary.BigEndian.PutUint64(frame[6:], uint64(sender))
+	binary.BigEndian.PutUint64(frame[14:], tx)
+	binary.BigEndian.PutUint64(frame[22:], echo)
+	binary.BigEndian.PutUint64(frame[30:], delay)
+	binary.BigEndian.PutUint16(frame[38:], uint16(len(frame)-frameHeaderLen))
+}
+
 // MarshalFrame encodes f into a fresh byte slice.
 func MarshalFrame(f *Frame) ([]byte, error) {
 	if len(f.Payload) > MaxPayload {
@@ -96,44 +110,37 @@ func MarshalFrame(f *Frame) ([]byte, error) {
 	if f.Kind != KindControl && f.Kind != KindData {
 		return nil, fmt.Errorf("node: cannot marshal frame of kind %d", f.Kind)
 	}
-	buf := make([]byte, 0, frameHeaderLen+len(f.Payload))
-	buf = append(buf, frameMagic[:]...)
-	buf = append(buf, FrameVersion, byte(f.Kind))
-	buf = binary.BigEndian.AppendUint64(buf, uint64(f.Sender))
-	buf = binary.BigEndian.AppendUint64(buf, f.TxTime)
-	buf = binary.BigEndian.AppendUint64(buf, f.EchoTime)
-	buf = binary.BigEndian.AppendUint64(buf, f.EchoDelay)
-	buf = binary.BigEndian.AppendUint16(buf, uint16(len(f.Payload)))
-	buf = append(buf, f.Payload...)
+	buf := append(make([]byte, frameHeaderLen, frameHeaderLen+len(f.Payload)), f.Payload...)
+	putFrameHeader(buf, f.Kind, f.Sender, f.TxTime, f.EchoTime, f.EchoDelay)
 	return buf, nil
 }
 
-// UnmarshalFrame decodes one datagram. The returned Frame's Payload aliases
+// decodeFrame decodes one datagram by value. The Frame's Payload aliases
 // buf. Truncated, oversize, foreign-magic and foreign-version input returns
 // an error; no input panics.
-func UnmarshalFrame(buf []byte) (*Frame, error) {
+func decodeFrame(buf []byte) (Frame, error) {
 	if len(buf) < frameHeaderLen {
-		return nil, fmt.Errorf("node: frame too short (%d bytes)", len(buf))
+		return Frame{}, fmt.Errorf("node: frame too short (%d bytes)", len(buf))
 	}
 	if [4]byte(buf[:4]) != frameMagic {
-		return nil, fmt.Errorf("node: bad frame magic %x", buf[:4])
+		return Frame{}, fmt.Errorf("node: bad frame magic %x", buf[:4])
 	}
 	if buf[4] != FrameVersion {
-		return nil, fmt.Errorf("node: unsupported frame version %d (speak %d)", buf[4], FrameVersion)
+		return Frame{}, fmt.Errorf("node: unsupported frame version %d (speak %d)", buf[4], FrameVersion)
 	}
 	kind := FrameKind(buf[5])
 	if kind != KindControl && kind != KindData {
-		return nil, fmt.Errorf("node: unknown frame kind %d", buf[5])
+		return Frame{}, fmt.Errorf("node: unknown frame kind %d", buf[5])
 	}
 	n := int(binary.BigEndian.Uint16(buf[38:40]))
 	if n > MaxPayload {
-		return nil, fmt.Errorf("node: frame payload too large (%d bytes claimed)", n)
+		return Frame{}, fmt.Errorf("node: frame payload too large (%d bytes claimed)", n)
 	}
 	if len(buf) != frameHeaderLen+n {
-		return nil, fmt.Errorf("node: frame length mismatch (%d bytes claimed, %d present)",
+		return Frame{}, fmt.Errorf("node: frame length mismatch (%d bytes claimed, %d present)",
 			n, len(buf)-frameHeaderLen)
 	}
-	return &Frame{
+	return Frame{
 		Kind:      kind,
 		Sender:    int64(binary.BigEndian.Uint64(buf[6:14])),
 		TxTime:    binary.BigEndian.Uint64(buf[14:22]),
@@ -141,6 +148,17 @@ func UnmarshalFrame(buf []byte) (*Frame, error) {
 		EchoDelay: binary.BigEndian.Uint64(buf[30:38]),
 		Payload:   buf[frameHeaderLen:],
 	}, nil
+}
+
+// UnmarshalFrame is decodeFrame behind a pointer.
+func UnmarshalFrame(buf []byte) (*Frame, error) { return ptr(decodeFrame(buf)) }
+
+// ptr turns a by-value decode result into the exported pointer form.
+func ptr[T any](v T, err error) (*T, error) {
+	if err != nil {
+		return nil, err
+	}
+	return &v, nil
 }
 
 // DataPacket is the payload of a KindData frame: a unicast application
@@ -162,41 +180,50 @@ type DataPacket struct {
 
 const (
 	dataHeaderLen = 8 + 8 + 8 + 1 + 2
+	// dataTTLOffset is where the TTL byte sits: a forwarder decrements it
+	// in the received buffer instead of re-encoding the packet.
+	dataTTLOffset = 24
 	// MaxDataBody bounds a data packet's body so the encoded packet fits a
 	// frame payload.
 	MaxDataBody = MaxPayload - dataHeaderLen
 )
 
-// MarshalData encodes p into a fresh byte slice.
-func MarshalData(p *DataPacket) ([]byte, error) {
+// appendData appends p's encoding to dst (nil on error).
+func appendData(dst []byte, p *DataPacket) ([]byte, error) {
 	if len(p.Body) > MaxDataBody {
 		return nil, fmt.Errorf("node: data body too large (%d bytes)", len(p.Body))
 	}
-	buf := make([]byte, 0, dataHeaderLen+len(p.Body))
-	buf = binary.BigEndian.AppendUint64(buf, uint64(p.Dst))
-	buf = binary.BigEndian.AppendUint64(buf, uint64(p.Src))
-	buf = binary.BigEndian.AppendUint64(buf, p.Seq)
-	buf = append(buf, p.TTL)
-	buf = binary.BigEndian.AppendUint16(buf, uint16(len(p.Body)))
-	buf = append(buf, p.Body...)
-	return buf, nil
+	dst = binary.BigEndian.AppendUint64(dst, uint64(p.Dst))
+	dst = binary.BigEndian.AppendUint64(dst, uint64(p.Src))
+	dst = binary.BigEndian.AppendUint64(dst, p.Seq)
+	dst = append(dst, p.TTL)
+	dst = binary.BigEndian.AppendUint16(dst, uint16(len(p.Body)))
+	return append(dst, p.Body...), nil
 }
 
-// UnmarshalData decodes a data packet. The returned Body aliases buf.
-func UnmarshalData(buf []byte) (*DataPacket, error) {
+// MarshalData encodes p into a fresh byte slice.
+func MarshalData(p *DataPacket) ([]byte, error) {
+	return appendData(make([]byte, 0, dataHeaderLen+len(p.Body)), p)
+}
+
+// decodeData decodes a data packet by value. The Body aliases buf.
+func decodeData(buf []byte) (DataPacket, error) {
 	if len(buf) < dataHeaderLen {
-		return nil, fmt.Errorf("node: data packet too short (%d bytes)", len(buf))
+		return DataPacket{}, fmt.Errorf("node: data packet too short (%d bytes)", len(buf))
 	}
 	n := int(binary.BigEndian.Uint16(buf[25:27]))
 	if len(buf) != dataHeaderLen+n {
-		return nil, fmt.Errorf("node: data length mismatch (%d bytes claimed, %d present)",
+		return DataPacket{}, fmt.Errorf("node: data length mismatch (%d bytes claimed, %d present)",
 			n, len(buf)-dataHeaderLen)
 	}
-	return &DataPacket{
+	return DataPacket{
 		Dst:  int64(binary.BigEndian.Uint64(buf[0:8])),
 		Src:  int64(binary.BigEndian.Uint64(buf[8:16])),
 		Seq:  binary.BigEndian.Uint64(buf[16:24]),
-		TTL:  buf[24],
+		TTL:  buf[dataTTLOffset],
 		Body: buf[dataHeaderLen:],
 	}, nil
 }
+
+// UnmarshalData is decodeData behind a pointer.
+func UnmarshalData(buf []byte) (*DataPacket, error) { return ptr(decodeData(buf)) }
