@@ -85,12 +85,18 @@ type ViewScratch struct {
 	cur  int       // forward lookup cursor into g.ids (see find)
 
 	// Working storage of the selection kernels (firsthops.go, Int32Scratch).
-	sp      Scratch
-	uf      UnionFind
-	fh      FirstHops
-	edges   []concaveEdge
-	targets []int32
-	work    []int32
+	sp   Scratch // additive kernel's Dijkstra
+	fh   FirstHops
+	work []int32
+
+	// The concave sweep's state (firstHopsConcave): E_u sorted, the value per
+	// node, and per union-find component the active-hop bitset and the
+	// pending-target list.
+	edges      []concaveEdge
+	dist       []float64
+	uf         UnionFind
+	active     []uint64
+	pend, next []int32
 }
 
 // Begin starts a new build, invalidating the previous view (and forgetting

@@ -1,0 +1,75 @@
+package graph
+
+import "math/rand"
+
+// Exported to tests only: the external graph_test package can import core,
+// which this package cannot.
+
+// GenerateConcaveView draws one graph and center for the concave first-hop
+// properties. "bandwidth" weights sit on 1, 2, 3, 4 or 10 integer levels —
+// sim.PairWeight's law is ten levels, so equal-weight groups are the common
+// case, not the corner. The graph is G(n,p) with n in 5–45 and p in
+// 0.05–0.45, so views with G_u − u disconnected, and nodes outside the view,
+// come by themselves at the sparse end; one draw in four makes a node a leaf
+// neighbor of the center (no link but the direct one), one in four puts every
+// direct link on one weight, and one in twenty-five is a wide star whose
+// |N1| > 64 spans several bitset blocks.
+func GenerateConcaveView(rng *rand.Rand) (g *Graph, center int32) {
+	levels := []int{1, 2, 3, 4, 10}[rng.Intn(5)]
+	if rng.Intn(25) == 0 {
+		return wideStar(65+rng.Intn(40), levels, rng), 0
+	}
+	n := 5 + rng.Intn(41)
+	p := 0.05 + 0.4*rng.Float64()
+	center = int32(rng.Intn(n))
+	leaf, flat := int32(-1), float64(0)
+	switch rng.Intn(4) {
+	case 0:
+		leaf = (center + 1 + int32(rng.Intn(n-1))) % int32(n)
+	case 1:
+		flat = float64(1 + rng.Intn(levels))
+	}
+	g = New(n)
+	for a := int32(0); int(a) < n; a++ {
+		for b := a + 1; int(b) < n; b++ {
+			direct := a == center || b == center
+			if a == leaf || b == leaf {
+				if !direct {
+					continue
+				}
+			} else if rng.Float64() >= p {
+				continue
+			}
+			w := float64(1 + rng.Intn(levels))
+			if direct && flat > 0 {
+				w = flat
+			}
+			if err := g.SetWeight("bandwidth", g.MustAddEdge(a, b), w); err != nil {
+				panic(err)
+			}
+		}
+	}
+	return g, center
+}
+
+// ReplayInScratch lays g out again in s the way a protocol node builds its
+// view — every node added, every row walked, each link offered from both
+// ends — and returns the view of center with its weights. Indices equal g's.
+func ReplayInScratch(s *ViewScratch, g *Graph, center int32, channel string) (*LocalView, []float64) {
+	w, err := g.Weights(channel)
+	if err != nil && g.M() > 0 {
+		panic(err)
+	}
+	s.Begin()
+	for x := int32(0); int(x) < g.N(); x++ {
+		s.AddID(g.ID(x))
+	}
+	s.Seal()
+	for x := int32(0); int(x) < g.N(); x++ {
+		s.Row(g.ID(x))
+		for _, arc := range g.Arcs(x) {
+			s.Edge(g.ID(arc.To), w[arc.Edge])
+		}
+	}
+	return s.View(g.ID(center), channel)
+}

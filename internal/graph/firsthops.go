@@ -22,7 +22,9 @@ import (
 type FirstHops struct {
 	View *LocalView
 	// Dist maps each global node to its optimal path value from the
-	// center within G_u (metric.Worst() outside the view or unreached).
+	// center within G_u (metric.Worst() outside the view or unreached). For a
+	// concave metric it is exact: a bottleneck value is a copy of one link's
+	// weight, never a rounded sum.
 	Dist []float64
 	// DirectWeight maps each N1 position to the weight of the direct link
 	// from the center, used by the ≺ ordering.
@@ -145,26 +147,16 @@ func (s *ViewScratch) firstHopsAdditive(view *LocalView, m metric.Metric, w []fl
 	return fh
 }
 
-// concaveEdge is one E_u edge not incident to the center, a candidate for
-// the descending-threshold sweep.
+// concaveEdge is one E_u edge of the concave sweep. A direct link of the
+// center has a == view.U and the 1-hop neighbor as b.
 type concaveEdge struct {
 	w    float64
 	a, b int32
 }
 
-// betterFirst orders values best first under m.
-func betterFirst(m metric.Metric, a, b float64) int {
-	switch {
-	case m.Better(a, b):
-		return -1
-	case m.Better(b, a):
-		return 1
-	}
-	return 0
-}
-
-// firstHopsConcave runs one bottleneck Dijkstra from the center, then sweeps
-// thresholds downward with a union-find over G_u − u:
+// firstHopsConcave finds every optimal value and first-hop set in one
+// Kruskal-style pass over E_u in descending (best-first) weight order. For a
+// bottleneck metric
 //
 //	w ∈ fP(u,v)  ⇔  weight(u,w) ⪰ t*  ∧  w ~ v in (G_u − u) restricted to
 //	                edges ⪰ t*, where t* = B̃W(u,v)
@@ -172,51 +164,118 @@ func betterFirst(m metric.Metric, a, b float64) int {
 // (with w == v connected trivially, recovering "direct link optimal"). This
 // is exact for any concave metric because optimal walks shortcut to optimal
 // simple paths, and simple paths starting u→w never revisit u.
+//
+// The sweep keeps that right-hand side for every threshold t at once: a
+// union-find over G_u − u restricted to edges ⪰ t, and per component the
+// bitset of its active hops (members whose direct link is ⪰ t) and a list of
+// its pending targets (members with no value yet). An edge of G_u − u merges
+// two components, OR-ing the bitsets and splicing the lists; a direct link
+// (u,w) sets w's bit in w's component. A component that holds both an active
+// hop and pending targets finalises them: Dist[v] = t and fP(u,v) = the
+// component's bitset.
+//
+// That t is t*: a value is a minimum over a path's links, hence always some
+// edge's weight, the state only changes at an edge's weight, and the right-
+// hand side is unsatisfiable at every better threshold — the component had no
+// active hop then. Edges of equal weight are one threshold, so a whole group
+// is applied before any component is looked at: finalising between two of
+// its edges would miss hops the rest of the group still connects. Each
+// target is written once; the cost is the one sort plus
+// O(|E_u| α(|V_u|) + |V_u| · blocks).
 func (s *ViewScratch) firstHopsConcave(view *LocalView, m metric.Metric, w []float64) *FirstHops {
 	g := view.G
+	n := g.N()
 	fh := s.newFirstHops(view, w)
-	sp := s.sp.Dijkstra(g, m, w, view.U, view, -1)
-	fh.Dist = sp.Dist
+	blocks := fh.blocks
 
-	// Collect E_u edges avoiding the center. Equal-weight edges are all
-	// united before any target at that threshold is looked at, and targets
-	// are independent of one another, so neither sort needs to be stable.
+	// All of E_u, best first: larger is better for every concave metric
+	// (metric.Kind), so the order is resolved here and not through m.Better
+	// per comparison. Equal weights are applied as one group, so the sort
+	// need not be stable.
 	edges := s.edges[:0]
 	s.work = view.ViewEdges(s.work[:0])
 	for _, e := range s.work {
 		a, b := g.EdgeEndpoints(int(e))
-		if a == view.U || b == view.U {
-			continue
+		if b == view.U {
+			a, b = b, a
 		}
 		edges = append(edges, concaveEdge{w: w[e], a: a, b: b})
 	}
-	slices.SortFunc(edges, func(x, y concaveEdge) int { return betterFirst(m, x.w, y.w) })
+	slices.SortFunc(edges, func(x, y concaveEdge) int {
+		switch {
+		case x.w > y.w:
+			return -1
+		case x.w < y.w:
+			return 1
+		}
+		return 0
+	})
 	s.edges = edges
 
-	// Order targets by descending (better-first) optimal value.
-	targets := append(append(s.targets[:0], view.N1...), view.N2...)
-	slices.SortFunc(targets, func(x, y int32) int { return betterFirst(m, sp.Dist[x], sp.Dist[y]) })
-	s.targets = targets
+	if cap(s.dist) < n {
+		s.dist = make([]float64, n)
+	}
+	dist := s.dist[:n]
+	worst := m.Worst()
+	for i := range dist {
+		dist[i] = worst
+	}
+	dist[view.U] = m.Identity()
+	fh.Dist = dist
 
+	// Per component, at its union-find root: active[root*blocks:] is the hop
+	// bitset, pend[root] one member of the circular next-linked list of
+	// pending targets, -1 once they are finalised. Every node starts as a
+	// pending singleton; the center and nodes outside the view stay that way.
 	uf := &s.uf
-	uf.Reset(g.N())
-	next := 0
-	for _, v := range targets {
-		if !sp.Reachable(v) {
-			continue
+	uf.Reset(n)
+	s.active = append(s.active[:0], make([]uint64, n*blocks)...)
+	s.pend, s.next = resizeInt32(s.pend, n), resizeInt32(s.next, n)
+	active, pend, next := s.active, s.pend, s.next
+	for i := range pend {
+		pend[i], next[i] = int32(i), int32(i)
+	}
+
+	for lo, hi := 0, 0; lo < len(edges); lo = hi {
+		t := edges[lo].w
+		for hi = lo + 1; hi < len(edges) && edges[hi].w == t; hi++ {
 		}
-		t := sp.Dist[v]
-		for next < len(edges) && metric.BetterEq(m, edges[next].w, t) {
-			uf.Union(edges[next].a, edges[next].b)
-			next++
-		}
-		for i, hop := range view.N1 {
-			if !metric.BetterEq(m, fh.DirectWeight[i], t) {
+		group := edges[lo:hi]
+		for _, e := range group {
+			if e.a == view.U {
+				i := int(view.N1Index(e.b))
+				active[int(uf.Find(e.b))*blocks+i/64] |= 1 << (uint(i) % 64)
 				continue
 			}
-			if hop == v || uf.Connected(hop, v) {
-				fh.setBit(v, int32(i))
+			r, old := uf.Union(e.a, e.b)
+			if old < 0 {
+				continue
 			}
+			for k := 0; k < blocks; k++ {
+				active[int(r)*blocks+k] |= active[int(old)*blocks+k]
+			}
+			if p, q := pend[r], pend[old]; p < 0 {
+				pend[r] = q
+			} else if q >= 0 {
+				next[p], next[q] = next[q], next[p]
+			}
+		}
+		// Only a component the group touched can have become finalisable.
+		for _, e := range group {
+			r := uf.Find(e.b)
+			p := pend[r]
+			hops := active[int(r)*blocks : (int(r)+1)*blocks]
+			if p < 0 || !slices.ContainsFunc(hops, func(b uint64) bool { return b != 0 }) {
+				continue
+			}
+			for v := p; ; {
+				dist[v] = t
+				copy(fh.set(v), hops)
+				if v = next[v]; v == p {
+					break
+				}
+			}
+			pend[r] = -1
 		}
 	}
 	return fh

@@ -1,0 +1,169 @@
+package graph_test
+
+import (
+	"math/rand"
+	"slices"
+	"testing"
+
+	"qolsr/internal/core"
+	"qolsr/internal/graph"
+	"qolsr/internal/metric"
+)
+
+// checkConcaveFirstHops asserts the concave kernel's contract on one view:
+// every (target, hop) bit and every node's Dist equal the definition-level
+// reference (Dist with ==, nodes outside the view at Worst, the center at
+// Identity), and small views also equal path enumeration.
+func checkConcaveFirstHops(t *testing.T, what string, lv *graph.LocalView, w []float64) {
+	t.Helper()
+	m := metric.Bandwidth()
+	g := lv.G
+	ref := graph.FirstHopsReference(lv, m, w)
+	fast, err := graph.ComputeFirstHops(lv, m, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(fast.Dist) != g.N() {
+		t.Fatalf("%s: len(Dist) = %d, want %d", what, len(fast.Dist), g.N())
+	}
+	for x := int32(0); int(x) < g.N(); x++ {
+		if fast.Dist[x] != ref.Dist[x] {
+			t.Fatalf("%s: Dist[%d] fast %v, reference %v", what, x, fast.Dist[x], ref.Dist[x])
+		}
+		if !lv.InView(x) && fast.Dist[x] != m.Worst() || x == lv.U && fast.Dist[x] != m.Identity() {
+			t.Fatalf("%s: Dist[%d] = %v (role %v)", what, x, fast.Dist[x], lv.Role(x))
+		}
+		for i := range lv.N1 {
+			if fast.Contains(x, int32(i)) != ref.Contains(x, int32(i)) {
+				t.Fatalf("%s: fP(u,%d) hop %d: fast %v, reference %v",
+					what, x, lv.N1[i], fast.Contains(x, int32(i)), ref.Contains(x, int32(i)))
+			}
+		}
+	}
+	if g.N() <= 9 {
+		for _, v := range lv.Targets() {
+			brute := graph.BruteFirstHops(lv, m, w, v)
+			got := fast.Members(v)
+			if len(got) != len(brute) || slices.ContainsFunc(got, func(x int32) bool { return !brute[x] }) {
+				t.Fatalf("%s: fP(u,%d) = %v, path enumeration %v", what, v, got, brute)
+			}
+		}
+	}
+}
+
+// checkConcaveFNBP asserts FNBP selects one set from the fast first hops, the
+// reference ones and the semiring search.
+func checkConcaveFNBP(t *testing.T, what string, lv *graph.LocalView, w []float64) {
+	t.Helper()
+	m := metric.Bandwidth()
+	ans, err := core.FNBP{}.Select(lv, m, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	viaRef, err := core.FNBP{UseReference: true}.Select(lv, m, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	semi, err := core.SelectFNBPSemiring[float64](lv, metric.Scalar{Metric: m}, core.LoopFixLiteral)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(ans, viaRef) || !slices.Equal(ans, semi) {
+		t.Fatalf("%s: FNBP fast %v, reference %v, semiring %v", what, ans, viaRef, semi)
+	}
+}
+
+// The concave kernel against the reference on generated tie-heavy views, each
+// built both ways; the draw must keep reaching the shapes that break sweeps.
+func TestFirstHopsConcaveGenerated(t *testing.T) {
+	rng := rand.New(rand.NewSource(22))
+	var s graph.ViewScratch
+	var leaf, split, flat, wide, outside int
+	for trial := 0; trial < 2500; trial++ {
+		g, u := graph.GenerateConcaveView(rng)
+		lv := graph.NewLocalView(g, u)
+		w, _ := g.Weights("bandwidth")
+		checkConcaveFirstHops(t, "NewLocalView", lv, w)
+		checkConcaveFNBP(t, "NewLocalView", lv, w)
+		slv, sw := graph.ReplayInScratch(&s, g, u, "bandwidth")
+		checkConcaveFirstHops(t, "ViewScratch", slv, sw)
+		checkConcaveFNBP(t, "ViewScratch", slv, sw)
+
+		// Which corners this draw hit.
+		around := graph.New(g.N()) // G_u − u
+		direct := map[float64]bool{}
+		for _, n := range lv.N1 {
+			if g.Degree(n) == 1 {
+				leaf++
+			}
+			for _, arc := range g.Arcs(n) {
+				if arc.To == u {
+					direct[w[arc.Edge]] = true
+				} else if _, dup := around.EdgeBetween(n, arc.To); !dup {
+					around.MustAddEdge(n, arc.To)
+				}
+			}
+		}
+		// Components of G_u − u beyond the singletons u and the outsiders.
+		if _, comps := graph.Components(around); comps-(g.N()-len(lv.N1)-len(lv.N2)) > 1 {
+			split++
+		}
+		if len(direct) == 1 && len(lv.N1) > 2 {
+			flat++
+		}
+		if len(lv.N1) > 64 {
+			wide++
+		}
+		if 1+len(lv.N1)+len(lv.N2) < g.N() {
+			outside++
+		}
+	}
+	t.Logf("leaf %d, split %d, flat %d, wide %d, outside %d", leaf, split, flat, wide, outside)
+	for name, hits := range map[string]int{
+		"leaf neighbor": leaf, "G_u − u disconnected": split, "every direct link equal": flat,
+		"|N1| > 64": wide, "nodes outside the view": outside,
+	} {
+		if hits < 50 {
+			t.Errorf("%s: only %d of the draws; the generator lost a corner", name, hits)
+		}
+	}
+}
+
+// concaveFuzzView decodes a byte stream into a view: the node count (2–96, so
+// a multi-block N1 stays reachable), the center, the number of weight levels
+// (1–10), then one (a, b, weight) triple per link; self-loops and repeated
+// pairs are skipped.
+func concaveFuzzView(data []byte) (g *graph.Graph, center int32) {
+	if len(data) < 3 {
+		return nil, 0
+	}
+	n, levels := 2+int(data[0])%95, 1+int(data[2])%10
+	g = graph.New(n)
+	for ops := data[3:]; len(ops) >= 3; ops = ops[3:] {
+		a, b := int32(int(ops[0])%n), int32(int(ops[1])%n)
+		if _, dup := g.EdgeBetween(a, b); a == b || dup {
+			continue
+		}
+		if err := g.SetWeight("bandwidth", g.MustAddEdge(a, b), float64(1+int(ops[2])%levels)); err != nil {
+			panic(err)
+		}
+	}
+	return g, int32(int(data[1]) % n)
+}
+
+// FuzzFirstHopsConcave hands the view to the fuzzer: whatever graph the bytes
+// spell, the sweep equals the reference on sets and Dist, on both builders,
+// without panicking. testdata/fuzz holds the four corner views as seeds.
+func FuzzFirstHopsConcave(f *testing.F) {
+	var s graph.ViewScratch
+	f.Fuzz(func(t *testing.T, data []byte) {
+		g, u := concaveFuzzView(data)
+		if g == nil {
+			return
+		}
+		w, _ := g.Weights("bandwidth")
+		checkConcaveFirstHops(t, "NewLocalView", graph.NewLocalView(g, u), w)
+		lv, sw := graph.ReplayInScratch(&s, g, u, "bandwidth")
+		checkConcaveFirstHops(t, "ViewScratch", lv, sw)
+	})
+}

@@ -8,28 +8,23 @@ import (
 )
 
 // wideStar builds a hub with n direct neighbors (n > 64 exercises the
-// multi-block bitsets) plus one 2-hop target behind every neighbor.
-func wideStar(t *testing.T, n int, rng *rand.Rand) *Graph {
-	t.Helper()
+// multi-block bitsets) plus one 2-hop target behind every neighbor, bandwidth
+// weights on `levels` integer levels.
+func wideStar(n, levels int, rng *rand.Rand) *Graph {
 	g := New(1 + 2*n)
+	link := func(a, b int) {
+		e := g.MustAddEdge(int32(a), int32(b))
+		if err := g.SetWeight("bandwidth", e, float64(1+rng.Intn(levels))); err != nil {
+			panic(err)
+		}
+	}
 	for i := 1; i <= n; i++ {
-		e := g.MustAddEdge(0, int32(i))
-		if err := g.SetWeight("bandwidth", e, float64(1+rng.Intn(12))); err != nil {
-			t.Fatal(err)
-		}
-		e = g.MustAddEdge(int32(i), int32(n+i))
-		if err := g.SetWeight("bandwidth", e, float64(1+rng.Intn(12))); err != nil {
-			t.Fatal(err)
-		}
+		link(0, i)
+		link(i, n+i)
 	}
 	// A few cross links among neighbors so indirect optimal paths exist.
 	for i := 1; i < n; i += 3 {
-		if _, ok := g.EdgeBetween(int32(i), int32(i+1)); !ok {
-			e := g.MustAddEdge(int32(i), int32(i+1))
-			if err := g.SetWeight("bandwidth", e, float64(1+rng.Intn(12))); err != nil {
-				t.Fatal(err)
-			}
-		}
+		link(i, i+1)
 	}
 	return g
 }
@@ -39,7 +34,7 @@ func wideStar(t *testing.T, n int, rng *rand.Rand) *Graph {
 func TestFirstHopsMultiBlockBitsets(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	const n = 90
-	g := wideStar(t, n, rng)
+	g := wideStar(n, 12, rng)
 	lv := NewLocalView(g, 0)
 	if len(lv.N1) != n {
 		t.Fatalf("N1 = %d, want %d", len(lv.N1), n)
@@ -84,7 +79,7 @@ func TestFirstHopsMultiBlockBitsets(t *testing.T) {
 // FNBP-style consumers use Members; verify it matches ForEach on wide views.
 func TestFirstHopsMembersWide(t *testing.T) {
 	rng := rand.New(rand.NewSource(73))
-	g := wideStar(t, 70, rng)
+	g := wideStar(70, 12, rng)
 	lv := NewLocalView(g, 0)
 	m := metric.Bandwidth()
 	w := metricWeights(g, m)

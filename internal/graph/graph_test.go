@@ -251,20 +251,23 @@ func TestWriteDOT(t *testing.T) {
 func TestUnionFind(t *testing.T) {
 	var uf UnionFind
 	uf.Reset(5)
-	if uf.Connected(0, 1) {
+	if uf.Find(0) == uf.Find(1) {
 		t.Error("fresh sets connected")
 	}
-	if !uf.Union(0, 1) || !uf.Union(1, 2) {
-		t.Error("unions reported as no-ops")
+	for _, p := range [][2]int32{{0, 1}, {1, 2}} {
+		root, absorbed := uf.Union(p[0], p[1])
+		if absorbed < 0 || root == absorbed || uf.Find(p[0]) != root || uf.Find(p[1]) != root {
+			t.Errorf("Union%v = (%d, %d)", p, root, absorbed)
+		}
 	}
-	if uf.Union(0, 2) {
-		t.Error("redundant union reported as merge")
+	if root, absorbed := uf.Union(0, 2); absorbed != -1 || root != uf.Find(0) {
+		t.Errorf("redundant Union = (%d, %d), want the shared root and -1", root, absorbed)
 	}
-	if !uf.Connected(0, 2) || uf.Connected(0, 3) {
+	if uf.Find(0) != uf.Find(2) || uf.Find(0) == uf.Find(3) {
 		t.Error("connectivity wrong")
 	}
 	uf.Reset(3)
-	if uf.Connected(0, 1) {
+	if uf.Find(0) == uf.Find(1) {
 		t.Error("Reset did not clear sets")
 	}
 }

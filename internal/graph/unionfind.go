@@ -1,7 +1,7 @@
 package graph
 
 // UnionFind is a disjoint-set forest with union by size and path halving,
-// used by the concave first-hop sweep (descending-threshold connectivity).
+// the component structure of the concave first-hop sweep (firstHopsConcave).
 // The zero value is an empty forest; Reset sizes it.
 type UnionFind struct {
 	parent []int32
@@ -32,21 +32,17 @@ func (uf *UnionFind) Find(x int32) int32 {
 	return x
 }
 
-// Union merges the sets of a and b and reports whether they were distinct.
-func (uf *UnionFind) Union(a, b int32) bool {
+// Union merges the sets of a and b. It returns the merged set's root and the
+// root it absorbed, or -1 when a and b already shared a set.
+func (uf *UnionFind) Union(a, b int32) (root, absorbed int32) {
 	ra, rb := uf.Find(a), uf.Find(b)
 	if ra == rb {
-		return false
+		return ra, -1
 	}
 	if uf.size[ra] < uf.size[rb] {
 		ra, rb = rb, ra
 	}
 	uf.parent[rb] = ra
 	uf.size[ra] += uf.size[rb]
-	return true
-}
-
-// Connected reports whether a and b are in the same set.
-func (uf *UnionFind) Connected(a, b int32) bool {
-	return uf.Find(a) == uf.Find(b)
+	return ra, rb
 }

@@ -155,6 +155,9 @@ func snapshot(t *testing.T, lv *LocalView, w []float64) viewSnapshot {
 		s.fp[m.Name()] = sets
 		s.dist[m.Name()] = slices.Clone(fast.Dist)
 		ref := FirstHopsReference(lv, m, w)
+		if !slices.Equal(fast.Dist, ref.Dist) {
+			t.Fatalf("%s: Dist fast %v, reference %v", m.Name(), fast.Dist, ref.Dist)
+		}
 		for x := int32(0); int(x) < g.N(); x++ {
 			if !slices.Equal(fast.Members(x), ref.Members(x)) {
 				t.Fatalf("%s: fP(%d) fast %v, reference %v", m.Name(), g.ID(x), fast.Members(x), ref.Members(x))
@@ -210,20 +213,40 @@ func TestViewScratchMatchesReference(t *testing.T) {
 	}
 }
 
-// A large view then a small one through one scratch equal two fresh builds:
-// nothing of the first leaks into the second.
+// A large view, a small one, a wide one (|N1| > 64: the per-component hop
+// bitsets and the first-hop sets change stride) and the small one again
+// through one scratch equal fresh builds: nothing of a view leaks into the
+// next. Every snapshot runs the additive kernel and then the concave sweep,
+// which share the scratch's FirstHops, so the two interleave across builds.
 func TestViewScratchReuseHygiene(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
-	bc, bids, brows := randomRows(rng, 90)
-	sc, sids, srows := randomRows(rng, 4)
-	var shared ViewScratch
-	for _, c := range []struct {
+	type build struct {
 		center NodeID
 		ids    []NodeID
 		rows   []linkRow
-	}{{bc, bids, brows}, {sc, sids, srows}, {bc, bids, brows}} {
+	}
+	var big, small, wide build
+	big.center, big.ids, big.rows = randomRows(rng, 90)
+	small.center, small.ids, small.rows = randomRows(rng, 4)
+	star := linkRow{from: 1000}
+	for i := 0; i < 80; i++ {
+		nb := NodeID(i)
+		star.to, star.w = append(star.to, nb), append(star.w, float64(1+rng.Intn(3)))
+		wide.rows = append(wide.rows, linkRow{
+			from: nb,
+			to:   []NodeID{(nb + 1) % 80, 2000 + nb/2},
+			w:    []float64{float64(1 + rng.Intn(3)), float64(1 + rng.Intn(3))},
+		})
+	}
+	wide.center, wide.rows = star.from, append([]linkRow{star}, wide.rows...)
+
+	var shared ViewScratch
+	for _, c := range []build{big, small, wide, small, big} {
 		lv, w := scratchView(&shared, c.center, c.ids, c.rows, "delay")
 		fresh, fw := scratchView(new(ViewScratch), c.center, c.ids, c.rows, "delay")
+		if c.center == wide.center && len(lv.N1) <= 64 {
+			t.Fatalf("wide view has %d neighbours, want more than 64", len(lv.N1))
+		}
 		snapshot(t, lv, w).diff(t, snapshot(t, fresh, fw))
 	}
 }

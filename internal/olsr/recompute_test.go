@@ -87,8 +87,12 @@ func TestRecomputeAllocs(t *testing.T) {
 			t.Fatalf("%s: view has %d neighbours and %d two-hop neighbours, want a degree-14 two-hop view", m.Name(), len(lv.N1), len(lv.N2))
 		}
 		t.Logf("%s: %.1f allocations per recompute", m.Name(), allocs)
-		if allocs > 8 {
-			t.Errorf("%s: %.1f allocations per recompute, ceiling 8", m.Name(), allocs)
+		ceiling := 4.0 // 3 today: one more allocation per recompute fails
+		if raceEnabled {
+			ceiling = 8 // 6–7 measured under the detector
+		}
+		if allocs > ceiling {
+			t.Errorf("%s: %.1f allocations per recompute, ceiling %.0f", m.Name(), allocs, ceiling)
 		}
 	}
 }
