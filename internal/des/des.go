@@ -46,9 +46,9 @@
 // per-event box) in storage that is reused whichever bucket an event lands
 // in, and the Event interface admits pooled or persistent implementations:
 // a periodic emitter is one long-lived Event that reschedules itself, a
-// frame delivery is a pooled object recycled after Fire. The Func adapter
-// keeps the closure API available where rates are low (func values are
-// pointer-shaped, so the interface conversion itself does not allocate).
+// frame delivery is a pooled object recycled after Fire. Low-rate callers
+// (phases, admissions, mobility refreshes) wrap a plain closure in Func (func
+// values are pointer-shaped, so the interface conversion does not allocate).
 package des
 
 import (

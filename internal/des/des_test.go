@@ -72,6 +72,47 @@ func TestPastClampFixedLane(t *testing.T) {
 	}
 }
 
+// TestRunBoundary: Run(until) leaves an event due after until pending, and
+// runs it once until reaches its time.
+func TestRunBoundary(t *testing.T) {
+	var q Queue
+	ran := false
+	q.At(5*time.Second, Func(func() { ran = true }))
+	q.Run(4 * time.Second)
+	if ran {
+		t.Error("future event executed")
+	}
+	if q.Pending() != 1 {
+		t.Errorf("Pending = %d", q.Pending())
+	}
+	q.Run(5 * time.Second)
+	if !ran {
+		t.Error("due event not executed")
+	}
+}
+
+// TestNestedScheduling: an event that books its successor from inside Fire
+// runs the whole chain within one Run, which still ends at until.
+func TestNestedScheduling(t *testing.T) {
+	var q Queue
+	count := 0
+	var tick Func
+	tick = func() {
+		count++
+		if count < 5 {
+			q.After(time.Second, tick)
+		}
+	}
+	q.After(time.Second, tick)
+	q.Run(time.Minute)
+	if count != 5 {
+		t.Errorf("count = %d, want 5", count)
+	}
+	if q.Now() != time.Minute {
+		t.Errorf("Now = %v", q.Now())
+	}
+}
+
 // TestHeapAgainstSort drives the queue with a large random schedule and
 // checks the pop order against a stable reference sort of (time, prio, seq).
 func TestHeapAgainstSort(t *testing.T) {

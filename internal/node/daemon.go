@@ -465,6 +465,11 @@ func (d *Daemon) handleControl(p *peerState, payload []byte, now time.Duration) 
 			d.metrics.tcsForwarded.Inc()
 			d.broadcast(payload)
 		}
+	default:
+		// A type PeekType knows and this daemon does not carry (TC-DELTA:
+		// frames have no TTL and GenerateTC never emits one). Dropped, but
+		// counted: a peer speaking it is a misconfiguration worth seeing.
+		d.metrics.unsupported.Inc()
 	}
 }
 

@@ -279,6 +279,14 @@ func TestDaemonIgnoresHostileInput(t *testing.T) {
 		t.Fatal(err)
 	}
 	attacker.Send("n1", spoof)
+	// A well-formed TC-DELTA from a real peer: a type the daemon does not
+	// carry, counted rather than silently dropped.
+	delta, err := MarshalFrame(&Frame{Kind: KindControl, Sender: 2, TxTime: 1,
+		Payload: olsr.MarshalTCDelta(&olsr.TCDelta{Origin: 2, FullSeq: 1, Index: 1})})
+	if err != nil {
+		t.Fatal(err)
+	}
+	attacker.Send("n1", delta)
 
 	deadline := time.Now().Add(5 * time.Second)
 	for {
@@ -286,7 +294,9 @@ func TestDaemonIgnoresHostileInput(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if st.Stats.DecodeErrors >= 1 && st.Stats.UnknownSender >= 1 && st.Stats.SpoofRejects >= 1 {
+		// The status JSON folds unsupported types into DecodeErrors: the raw
+		// garbage and the TC-DELTA make two.
+		if st.Stats.DecodeErrors >= 2 && m.daemons[1].metrics.unsupported.Value() >= 1 && st.Stats.UnknownSender >= 1 && st.Stats.SpoofRejects >= 1 {
 			for _, nb := range st.Neighbors {
 				if nb.ID == 666 {
 					t.Fatal("attacker appeared in the neighbor table")

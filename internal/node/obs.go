@@ -21,8 +21,11 @@ type daemonMetrics struct {
 
 	framesIn, framesOut, bytesIn, bytesOut                obs.Counter
 	decodeErrors, unknownSender, spoofRejects, sendErrors obs.Counter
-	hellosIn, tcsIn, tcsForwarded                         obs.Counter
-	dataOriginated, dataForwarded, dataDelivered          obs.Counter
+	// unsupported counts well-formed control messages of a type the daemon
+	// does not carry (TC-DELTA); Stats.DecodeErrors includes them.
+	unsupported                                  obs.Counter
+	hellosIn, tcsIn, tcsForwarded                obs.Counter
+	dataOriginated, dataForwarded, dataDelivered obs.Counter
 	// Dropped transit packets, by reason; Stats.DataDropped is their sum.
 	dropTTL, dropNoRoute, dropNotPeer obs.Counter
 
@@ -51,6 +54,7 @@ func newDaemonMetrics(start time.Time, tr Transport) *daemonMetrics {
 	m.decodeErrors = reg.Counter("qolsr_node_rejects_total", "inbound frames rejected, by reason", reason("decode"))
 	m.unknownSender = reg.Counter("qolsr_node_rejects_total", "inbound frames rejected, by reason", reason("unknown-sender"))
 	m.spoofRejects = reg.Counter("qolsr_node_rejects_total", "inbound frames rejected, by reason", reason("spoof"))
+	m.unsupported = reg.Counter("qolsr_node_rejects_total", "inbound frames rejected, by reason", reason("unsupported"))
 	m.sendErrors = reg.Counter("qolsr_node_send_errors_total", "frames that failed to marshal or transmit")
 	m.hellosIn = reg.Counter("qolsr_node_ctrl_in_total", "control messages ingested, by type", obs.Label{Key: "type", Value: "hello"})
 	m.tcsIn = reg.Counter("qolsr_node_ctrl_in_total", "control messages ingested, by type", obs.Label{Key: "type", Value: "tc"})
@@ -81,7 +85,7 @@ func (m *daemonMetrics) stats(tr Transport) Stats {
 		FramesOut:      m.framesOut.Value(),
 		BytesIn:        m.bytesIn.Value(),
 		BytesOut:       m.bytesOut.Value(),
-		DecodeErrors:   m.decodeErrors.Value(),
+		DecodeErrors:   m.decodeErrors.Value() + m.unsupported.Value(),
 		UnknownSender:  m.unknownSender.Value(),
 		SpoofRejects:   m.spoofRejects.Value(),
 		SendErrors:     m.sendErrors.Value(),

@@ -237,19 +237,6 @@ func (g Gauge) Add(d int64) {
 	}
 }
 
-// SetMax raises the gauge to v if v is greater — the high-water-mark form.
-func (g Gauge) SetMax(v int64) {
-	if g.g == nil {
-		return
-	}
-	for {
-		cur := g.g.Load()
-		if v <= cur || g.g.CompareAndSwap(cur, v) {
-			return
-		}
-	}
-}
-
 // Value reads the gauge (0 on the zero handle).
 func (g Gauge) Value() int64 {
 	if g.g == nil {

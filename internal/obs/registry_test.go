@@ -20,7 +20,6 @@ func TestNilRegistryZeroHandles(t *testing.T) {
 	c.Store(3)
 	g.Set(5)
 	g.Add(-2)
-	g.SetMax(9)
 	h.Observe(1.5)
 
 	if c.Value() != 0 || g.Value() != 0 {
@@ -41,7 +40,7 @@ func TestDisabledHandlesZeroAllocs(t *testing.T) {
 		c.Inc()
 		c.Add(3)
 		g.Set(1)
-		g.SetMax(2)
+		g.Add(2)
 		h.Observe(0.5)
 	})
 	if allocs != 0 {
@@ -57,7 +56,7 @@ func TestEnabledHandlesZeroAllocs(t *testing.T) {
 	h := r.Histogram("h_ms", "", ExpBuckets(1, 2, 8))
 	allocs := testing.AllocsPerRun(1000, func() {
 		c.Inc()
-		g.SetMax(4)
+		g.Set(4)
 		h.Observe(3)
 	})
 	if allocs != 0 {

@@ -1,10 +1,6 @@
 package obs
 
-import (
-	"encoding/json"
-	"io"
-	"math"
-)
+import "math"
 
 // floatBits / bitsFloat convert between float64 values and the uint64 bit
 // pattern the histogram sum cell stores.
@@ -83,13 +79,6 @@ func leString(h *histogram, i int) string {
 		return "+Inf"
 	}
 	return formatFloat(h.bounds[i])
-}
-
-// WriteJSON encodes the snapshot as indented JSON with a trailing newline.
-func (s Snapshot) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(s)
 }
 
 // Merge folds other into s by metric identity: counters and histogram

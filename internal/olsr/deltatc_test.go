@@ -1,6 +1,7 @@
 package olsr
 
 import (
+	"bytes"
 	"slices"
 	"testing"
 	"time"
@@ -78,7 +79,7 @@ func TestGenerateTCUpdateDeltaChain(t *testing.T) {
 		t.Fatalf("receiver chain state = %+v", rowOf(r, 1))
 	}
 
-	// The 4th emission (TCFullEvery = 4) refreshes with a full.
+	// The 4th emission (tcFullPeriod = 4) refreshes with a full.
 	now += 100 * time.Millisecond
 	f4, d4, _ := a.GenerateTCUpdate(now)
 	if f4 != nil || d4 == nil || d4.Index != 3 {
@@ -88,6 +89,88 @@ func TestGenerateTCUpdateDeltaChain(t *testing.T) {
 	f5, d5, _ := a.GenerateTCUpdate(now)
 	if f5 == nil || d5 != nil {
 		t.Fatalf("emission 4 = (%v, %v), want the periodic full refresh", f5, d5)
+	}
+}
+
+// TestGenerateTCReanchorsDeltaChain: a full TC forced through GenerateTC on a
+// DeltaTC node is the chain's new anchor — the next delta names its Seq at
+// index 1, so a receiver that ingested the forced full applies that delta
+// instead of desynchronising on a stale FullSeq.
+func TestGenerateTCReanchorsDeltaChain(t *testing.T) {
+	cfg := testConfig()
+	cfg.DeltaTC = true
+	a, r, now := deltaPair(t, cfg)
+	if full, _, _ := a.GenerateTCUpdate(now); full == nil {
+		t.Fatal("first emission was not a full")
+	}
+	now += 100 * time.Millisecond
+	forced := a.GenerateTC(now)
+	if forced == nil {
+		t.Fatal("GenerateTC stayed silent with a non-empty ANS")
+	}
+	r.HandleTC(forced, 1, now)
+
+	now += 100 * time.Millisecond
+	full, d, _ := a.GenerateTCUpdate(now)
+	if full != nil || d == nil {
+		t.Fatalf("emission after the forced full = (%v, %v), want a delta", full, d)
+	}
+	if d.FullSeq != forced.Seq || d.Index != 1 {
+		t.Fatalf("delta chained at (%d, %d), want (%d, 1): the forced full did not re-anchor", d.FullSeq, d.Index, forced.Seq)
+	}
+	r.HandleTCDelta(d, 1, now)
+	if got := r.RebuildStats().DeltaResyncs; got != 0 {
+		t.Fatalf("receiver desynchronised %d times on the delta after a forced full", got)
+	}
+	if row := rowOf(r, 1); !row.synced || row.chain != 1 {
+		t.Fatalf("receiver chain state = %+v, want synced at index 1", row)
+	}
+}
+
+// TestClassicEmissionIsUpdateEmission: with DeltaTC off and no fish-eye
+// schedule, GenerateTC and GenerateTCUpdate are the same emitter. Twin nodes
+// fed the same HELLOs — through a silence that empties the ANS, a relearn
+// that bumps the ANSN and a reweight — emit byte-identical TCs at unlimited
+// scope, and fall silent on exactly the same emissions.
+func TestClassicEmissionIsUpdateEmission(t *testing.T) {
+	viaTC, _ := NewNode(1, testConfig())
+	viaUpdate, _ := NewNode(1, testConfig())
+	var emitted, silent int
+	ansns := map[uint16]bool{}
+	now := time.Duration(0)
+	for round := 0; round < 30; round++ {
+		now += time.Second
+		// Rounds 8-15 are silent: longer than NeighborHoldTime, so the link
+		// expires and the ANS empties until the neighbor is heard again.
+		if round < 8 || round >= 16 {
+			toUs := 5.0
+			if round >= 22 {
+				toUs = 6
+			}
+			h := &Hello{Origin: 2, Seq: uint16(round), Links: []LinkInfo{{Neighbor: 1, Weight: toUs}, {Neighbor: 3, Weight: 7}}}
+			viaTC.HandleHello(h, now)
+			viaUpdate.HandleHello(h, now)
+		}
+		tc := viaTC.GenerateTC(now)
+		full, delta, ttl := viaUpdate.GenerateTCUpdate(now)
+		if delta != nil || ttl != 0 {
+			t.Fatalf("round %d: classic GenerateTCUpdate = (delta %v, ttl %d), want a full or nothing at unlimited scope", round, delta, ttl)
+		}
+		if (tc == nil) != (full == nil) {
+			t.Fatalf("round %d: GenerateTC silent=%v, GenerateTCUpdate silent=%v", round, tc == nil, full == nil)
+		}
+		if tc == nil {
+			silent++
+			continue
+		}
+		if a, b := MarshalTC(tc), MarshalTC(full); !bytes.Equal(a, b) {
+			t.Fatalf("round %d: GenerateTC encodes to %x, GenerateTCUpdate to %x", round, a, b)
+		}
+		emitted++
+		ansns[tc.ANSN] = true
+	}
+	if emitted < 20 || silent == 0 || len(ansns) < 2 {
+		t.Fatalf("run covered %d emissions, %d silent rounds, %d distinct ANSNs: want >= 20, > 0, >= 2", emitted, silent, len(ansns))
 	}
 }
 
@@ -217,7 +300,7 @@ func TestFloodRelayAnnouncedInHello(t *testing.T) {
 	cfg.FloodRelay = mpr.MinCover
 	a, _, now := deltaPair(t, cfg)
 	h := a.GenerateHello(now)
-	rel := a.RelaySet(now)
+	rel := a.relaySet
 	if len(rel) == 0 {
 		t.Fatal("no relay set with a 2-hop neighborhood")
 	}

@@ -3,7 +3,10 @@ package olsr
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"math"
+	"os"
+	"path/filepath"
 	"testing"
 )
 
@@ -178,6 +181,109 @@ func TestUnmarshalAbsurdCounts(t *testing.T) {
 		binary.BigEndian.PutUint16(b[off:], 65535)
 		if _, err := UnmarshalTCDelta(b); err == nil {
 			t.Errorf("tc delta claiming 65535 entries at offset %d accepted", off)
+		}
+	}
+}
+
+// countPastEnd returns, per shared-decoder block, a message whose block count
+// claims one more element than the buffer holds — the off-by-one boundary of
+// the truncation checks in readLinks/readIDs. The same inputs are committed
+// as seed corpus files under testdata/fuzz.
+func countPastEnd() map[string][]byte {
+	bump := func(buf []byte, countOff int) []byte {
+		out := bytes.Clone(buf)
+		binary.BigEndian.PutUint16(out[countOff:], binary.BigEndian.Uint16(out[countOff:])+1)
+		return out
+	}
+	link := []LinkInfo{{Neighbor: 2, Weight: 1.5}}
+	// Offsets: a HELLO's link count sits at 11 and each block follows the
+	// previous one; a delta's add count sits at 17.
+	return map[string][]byte{
+		"FuzzUnmarshalHello/count-past-end-links":  bump(MarshalHello(&Hello{Origin: 1, Seq: 7, Links: link}), 11),
+		"FuzzUnmarshalHello/count-past-end-mprs":   bump(MarshalHello(&Hello{Origin: 1, Seq: 7, Links: link, MPRs: []int64{2}}), 13+linkInfoLen),
+		"FuzzUnmarshalHello/count-past-end-lqs":    bump(MarshalHello(&Hello{Origin: 1, Seq: 7, Links: link, MPRs: []int64{2}, LQs: link}), 13+linkInfoLen+2+8),
+		"FuzzUnmarshalTCDelta/count-past-end-adds": bump(MarshalTCDelta(&TCDelta{Origin: 1, Seq: 2, ANSN: 3, FullSeq: 1, Index: 1, Add: link}), 17),
+		"FuzzUnmarshalTCDelta/count-past-end-dels": bump(MarshalTCDelta(&TCDelta{Origin: 1, Seq: 2, ANSN: 3, FullSeq: 1, Index: 1, Add: link, Del: []int64{4}}), 19+linkInfoLen),
+	}
+}
+
+// TestUnmarshalRejectsCountOnePastEnd: every block decoder rejects a count
+// one past what the buffer holds, and the committed seed file is that input.
+func TestUnmarshalRejectsCountOnePastEnd(t *testing.T) {
+	for name, buf := range countPastEnd() {
+		seed, err := os.ReadFile(filepath.Join("testdata", "fuzz", name))
+		if want := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", buf); err != nil || string(seed) != want {
+			t.Errorf("%s: seed file is %q (%v), want %q", name, seed, err, want)
+		}
+		if buf[0] == byte(MsgHello) {
+			_, err = UnmarshalHello(buf)
+		} else {
+			_, err = UnmarshalTCDelta(buf)
+		}
+		if err == nil {
+			t.Errorf("%s: accepted %x", name, buf)
+		}
+	}
+}
+
+// TestUnmarshalPrefixes is the truncation property over the shared block
+// decoders: every strict prefix of a valid encoding is either rejected or is
+// itself a canonical message (it re-encodes to exactly that prefix). The one
+// legal case is a HELLO cut right before its LQ block, which is the LQ-less
+// HELLO; no other prefix may decode.
+func TestUnmarshalPrefixes(t *testing.T) {
+	links := []LinkInfo{{Neighbor: 2, Weight: 1.5}, {Neighbor: 3, Weight: 0.25}}
+	plain := &Hello{Origin: -3, Seq: 65535, Links: links, MPRs: []int64{2, 3}}
+	withLQ := *plain
+	withLQ.LQs = []LinkInfo{{Neighbor: 2, Weight: 0.75}}
+	reencode := map[MsgType]func([]byte) ([]byte, error){
+		MsgHello: func(b []byte) ([]byte, error) {
+			h, err := UnmarshalHello(b)
+			if err != nil {
+				return nil, err
+			}
+			return MarshalHello(h), nil
+		},
+		MsgTC: func(b []byte) ([]byte, error) {
+			tc, err := UnmarshalTC(b)
+			if err != nil {
+				return nil, err
+			}
+			return MarshalTC(tc), nil
+		},
+		MsgTCDelta: func(b []byte) ([]byte, error) {
+			d, err := UnmarshalTCDelta(b)
+			if err != nil {
+				return nil, err
+			}
+			return MarshalTCDelta(d), nil
+		},
+	}
+	for _, c := range []struct {
+		name  string
+		buf   []byte
+		legal int // the one prefix length allowed to decode, or -1
+	}{
+		{"hello", MarshalHello(plain), -1},
+		{"hello+lq", MarshalHello(&withLQ), len(MarshalHello(plain))},
+		{"tc", MarshalTC(&TC{Origin: 1, Seq: 2, ANSN: 3, Links: links}), -1},
+		{"tc-delta", MarshalTCDelta(&TCDelta{Origin: 1, Seq: 2, ANSN: 3, FullSeq: 1, Index: 1, Add: links, Del: []int64{4, 5}}), -1},
+	} {
+		if out, err := reencode[MsgType(c.buf[0])](c.buf); err != nil || !bytes.Equal(out, c.buf) {
+			t.Fatalf("%s: whole message does not round-trip: %v", c.name, err)
+		}
+		for k := 0; k < len(c.buf); k++ {
+			out, err := reencode[MsgType(c.buf[0])](c.buf[:k])
+			switch {
+			case err != nil:
+				if k == c.legal {
+					t.Errorf("%s: the %d-byte prefix is a whole LQ-less hello and was rejected: %v", c.name, k, err)
+				}
+			case k != c.legal:
+				t.Errorf("%s: truncated %d-byte prefix decoded", c.name, k)
+			case !bytes.Equal(out, c.buf[:k]):
+				t.Errorf("%s: prefix %x re-encodes to %x", c.name, c.buf[:k], out)
+			}
 		}
 	}
 }

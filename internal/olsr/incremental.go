@@ -22,7 +22,7 @@ import (
 // HELLO-learned two-hop links (smaller direct-neighbor contributor first),
 // then TC-learned links (smaller origin first) — so the repaired table is
 // bit-identical to the one buildKnownTopology plus canonical Dijkstra
-// produces (Config.RouteCrossCheck pins this down in tests).
+// produces (Config.crossCheck pins this down in tests).
 //
 // The routing graph only ever grows its node set: nodes that drop out of the
 // protocol state just lose their edges and become unreachable, which keeps
@@ -90,7 +90,7 @@ func (n *Node) recordPair(a, b int64) {
 // compactDirty deduplicates a full dirty list in place. If that frees less
 // than half of it the node is changing faster than it is queried: drop the
 // routing graph, so the next query rebuilds from the state tables (an equal
-// table — the RouteCrossCheck invariant) and recording stops until then.
+// table — the crossCheck invariant) and recording stops until then.
 func (n *Node) compactDirty() {
 	sortPairs(n.dirty)
 	n.dirty = slices.Compact(n.dirty)
@@ -343,7 +343,7 @@ func routesIdentical(a, b *Routes) bool {
 }
 
 // crossCheckRoutes validates an incremental table against a from-scratch
-// rebuild (Config.RouteCrossCheck, the test mode).
+// rebuild (Config.crossCheck, the test mode).
 func (n *Node) crossCheckRoutes(inc *Routes) error {
 	full, err := n.fullRoutes()
 	if err != nil {

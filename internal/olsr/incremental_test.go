@@ -28,7 +28,7 @@ func randomLinks(rng *rand.Rand, universe int) []LinkInfo {
 
 // TestIncrementalRoutesCrossCheck drives a node through long randomized
 // protocol histories — link updates, HELLOs, TCs, idle time jumps that
-// trigger soft-state expiry — with Config.RouteCrossCheck on, so every
+// trigger soft-state expiry — with Config.crossCheck on, so every
 // rebuilt table is compared against a from-scratch rebuild inside Routes.
 // Any divergence between the incremental repair and the full rebuild
 // surfaces as an error here.
@@ -40,7 +40,7 @@ func TestIncrementalRoutesCrossCheck(t *testing.T) {
 			for seed := int64(0); seed < 4; seed++ {
 				rng := rand.New(rand.NewSource(seed))
 				cfg := DefaultConfig(m)
-				cfg.RouteCrossCheck = true
+				cfg.crossCheck = true
 				const self = 5
 				n, err := NewNode(self, cfg)
 				if err != nil {
@@ -88,7 +88,7 @@ func TestIncrementalRoutesCrossCheck(t *testing.T) {
 // still valid), and come back when the link is relearned.
 func TestIncrementalRoutesAcrossExpiryAndRelearn(t *testing.T) {
 	cfg := testConfig()
-	cfg.RouteCrossCheck = true
+	cfg.crossCheck = true
 	cfg.NeighborHoldTime = 4 * time.Second
 	cfg.TopologyHoldTime = 30 * time.Second
 	// Host-driven link sensing: otherwise the HELLO below would itself

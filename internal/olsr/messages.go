@@ -106,6 +106,72 @@ func validWeight(w float64) bool {
 	return !math.IsNaN(w) && !math.IsInf(w, 0) && w >= 0
 }
 
+// appendLinks encodes a counted link block: count(2), then neighbor(8) and
+// weight(8) per link.
+func appendLinks(buf []byte, links []LinkInfo) []byte {
+	buf = binary.BigEndian.AppendUint16(buf, uint16(len(links)))
+	for _, l := range links {
+		buf = binary.BigEndian.AppendUint64(buf, uint64(l.Neighbor))
+		buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(l.Weight))
+	}
+	return buf
+}
+
+// readLinks decodes the counted link block at the head of buf (named what in
+// errors) and returns it with the bytes that follow; an empty block decodes
+// to nil. The claimed count is checked against the bytes present before
+// anything is allocated for it, and every weight must pass validWeight.
+func readLinks(buf []byte, what string) (links []LinkInfo, rest []byte, err error) {
+	if len(buf) < 2 {
+		return nil, nil, fmt.Errorf("olsr: truncated before the %s count", what)
+	}
+	n := int(binary.BigEndian.Uint16(buf))
+	buf = buf[2:]
+	if len(buf) < n*linkInfoLen {
+		return nil, nil, fmt.Errorf("olsr: truncated (%d %ss claimed)", n, what)
+	}
+	if n > 0 {
+		links = make([]LinkInfo, n)
+	}
+	for i := range links {
+		links[i].Neighbor = int64(binary.BigEndian.Uint64(buf))
+		links[i].Weight = math.Float64frombits(binary.BigEndian.Uint64(buf[8:]))
+		if !validWeight(links[i].Weight) {
+			return nil, nil, fmt.Errorf("olsr: %s %d has invalid weight", what, i)
+		}
+		buf = buf[linkInfoLen:]
+	}
+	return links, buf, nil
+}
+
+// appendIDs encodes a counted identifier list: count(2), then 8 bytes each.
+func appendIDs(buf []byte, ids []int64) []byte {
+	buf = binary.BigEndian.AppendUint16(buf, uint16(len(ids)))
+	for _, id := range ids {
+		buf = binary.BigEndian.AppendUint64(buf, uint64(id))
+	}
+	return buf
+}
+
+// readIDs is readLinks for a counted identifier list.
+func readIDs(buf []byte, what string) (ids []int64, rest []byte, err error) {
+	if len(buf) < 2 {
+		return nil, nil, fmt.Errorf("olsr: truncated before the %s count", what)
+	}
+	n := int(binary.BigEndian.Uint16(buf))
+	buf = buf[2:]
+	if len(buf) < n*8 {
+		return nil, nil, fmt.Errorf("olsr: truncated (%d %ss claimed)", n, what)
+	}
+	if n > 0 {
+		ids = make([]int64, n)
+	}
+	for i := range ids {
+		ids[i] = int64(binary.BigEndian.Uint64(buf[i*8:]))
+	}
+	return ids, buf[n*8:], nil
+}
+
 // MarshalHello encodes h into a fresh byte slice.
 func MarshalHello(h *Hello) []byte {
 	size := headerLen + 2 + len(h.Links)*linkInfoLen + len(h.MPRs)*8
@@ -116,23 +182,12 @@ func MarshalHello(h *Hello) []byte {
 	buf = append(buf, byte(MsgHello))
 	buf = binary.BigEndian.AppendUint64(buf, uint64(h.Origin))
 	buf = binary.BigEndian.AppendUint16(buf, h.Seq)
-	buf = binary.BigEndian.AppendUint16(buf, uint16(len(h.Links)))
-	for _, l := range h.Links {
-		buf = binary.BigEndian.AppendUint64(buf, uint64(l.Neighbor))
-		buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(l.Weight))
-	}
-	buf = binary.BigEndian.AppendUint16(buf, uint16(len(h.MPRs)))
-	for _, m := range h.MPRs {
-		buf = binary.BigEndian.AppendUint64(buf, uint64(m))
-	}
+	buf = appendLinks(buf, h.Links)
+	buf = appendIDs(buf, h.MPRs)
 	// Optional trailing LQ block (measured link quality only): frames are
 	// self-delimiting buffers, so absence is simply the frame ending here.
 	if len(h.LQs) > 0 {
-		buf = binary.BigEndian.AppendUint16(buf, uint16(len(h.LQs)))
-		for _, l := range h.LQs {
-			buf = binary.BigEndian.AppendUint64(buf, uint64(l.Neighbor))
-			buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(l.Weight))
-		}
+		buf = appendLinks(buf, h.LQs)
 	}
 	return buf
 }
@@ -149,58 +204,27 @@ func UnmarshalHello(buf []byte) (*Hello, error) {
 		Origin: int64(binary.BigEndian.Uint64(buf[1:9])),
 		Seq:    binary.BigEndian.Uint16(buf[9:11]),
 	}
-	n := int(binary.BigEndian.Uint16(buf[11:13]))
-	off := 13
-	if len(buf) < off+n*linkInfoLen+2 {
-		return nil, fmt.Errorf("olsr: hello truncated (%d links claimed)", n)
+	var err error
+	if h.Links, buf, err = readLinks(buf[11:], "hello link"); err != nil {
+		return nil, err
 	}
-	h.Links = make([]LinkInfo, n)
-	for i := 0; i < n; i++ {
-		h.Links[i].Neighbor = int64(binary.BigEndian.Uint64(buf[off : off+8]))
-		h.Links[i].Weight = math.Float64frombits(binary.BigEndian.Uint64(buf[off+8 : off+16]))
-		if !validWeight(h.Links[i].Weight) {
-			return nil, fmt.Errorf("olsr: hello link %d has invalid weight", i)
-		}
-		off += linkInfoLen
+	if h.MPRs, buf, err = readIDs(buf, "hello mpr"); err != nil {
+		return nil, err
 	}
-	m := int(binary.BigEndian.Uint16(buf[off : off+2]))
-	off += 2
-	if len(buf) < off+m*8 {
-		return nil, fmt.Errorf("olsr: hello truncated (%d mprs claimed)", m)
-	}
-	h.MPRs = make([]int64, m)
-	for i := 0; i < m; i++ {
-		h.MPRs[i] = int64(binary.BigEndian.Uint64(buf[off : off+8]))
-		off += 8
-	}
-	if off == len(buf) {
+	if len(buf) == 0 {
 		return h, nil // no LQ block — oracle-mode frame
 	}
-	if len(buf) < off+2 {
-		return nil, fmt.Errorf("olsr: hello has trailing garbage (%d bytes)", len(buf)-off)
+	if h.LQs, buf, err = readLinks(buf, "hello lq"); err != nil {
+		return nil, err
 	}
-	q := int(binary.BigEndian.Uint16(buf[off : off+2]))
-	off += 2
-	if q == 0 {
+	if len(h.LQs) == 0 {
 		// The marshaller omits an empty LQ block entirely; an explicit
 		// zero-count block is not a frame we produce, so reject it to keep
 		// the encoding canonical (decode(buf) re-encodes to buf).
 		return nil, fmt.Errorf("olsr: hello has explicit empty lq block")
 	}
-	if len(buf) < off+q*linkInfoLen {
-		return nil, fmt.Errorf("olsr: hello truncated (%d lqs claimed)", q)
-	}
-	h.LQs = make([]LinkInfo, q)
-	for i := 0; i < q; i++ {
-		h.LQs[i].Neighbor = int64(binary.BigEndian.Uint64(buf[off : off+8]))
-		h.LQs[i].Weight = math.Float64frombits(binary.BigEndian.Uint64(buf[off+8 : off+16]))
-		if !validWeight(h.LQs[i].Weight) {
-			return nil, fmt.Errorf("olsr: hello lq %d has invalid weight", i)
-		}
-		off += linkInfoLen
-	}
-	if off != len(buf) {
-		return nil, fmt.Errorf("olsr: hello has trailing garbage after lq block (%d bytes)", len(buf)-off)
+	if len(buf) != 0 {
+		return nil, fmt.Errorf("olsr: hello has trailing garbage after lq block (%d bytes)", len(buf))
 	}
 	return h, nil
 }
@@ -212,12 +236,7 @@ func MarshalTC(t *TC) []byte {
 	buf = binary.BigEndian.AppendUint64(buf, uint64(t.Origin))
 	buf = binary.BigEndian.AppendUint16(buf, t.Seq)
 	buf = binary.BigEndian.AppendUint16(buf, t.ANSN)
-	buf = binary.BigEndian.AppendUint16(buf, uint16(len(t.Links)))
-	for _, l := range t.Links {
-		buf = binary.BigEndian.AppendUint64(buf, uint64(l.Neighbor))
-		buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(l.Weight))
-	}
-	return buf
+	return appendLinks(buf, t.Links)
 }
 
 // UnmarshalTC decodes a TC produced by MarshalTC.
@@ -233,22 +252,12 @@ func UnmarshalTC(buf []byte) (*TC, error) {
 		Seq:    binary.BigEndian.Uint16(buf[9:11]),
 		ANSN:   binary.BigEndian.Uint16(buf[11:13]),
 	}
-	n := int(binary.BigEndian.Uint16(buf[13:15]))
-	if len(buf) < 15+n*linkInfoLen {
-		return nil, fmt.Errorf("olsr: tc truncated (%d links claimed)", n)
+	var err error
+	if t.Links, buf, err = readLinks(buf[13:], "tc link"); err != nil {
+		return nil, err
 	}
-	t.Links = make([]LinkInfo, n)
-	off := 15
-	for i := 0; i < n; i++ {
-		t.Links[i].Neighbor = int64(binary.BigEndian.Uint64(buf[off : off+8]))
-		t.Links[i].Weight = math.Float64frombits(binary.BigEndian.Uint64(buf[off+8 : off+16]))
-		if !validWeight(t.Links[i].Weight) {
-			return nil, fmt.Errorf("olsr: tc link %d has invalid weight", i)
-		}
-		off += linkInfoLen
-	}
-	if off != len(buf) {
-		return nil, fmt.Errorf("olsr: tc has trailing garbage (%d bytes)", len(buf)-off)
+	if len(buf) != 0 {
+		return nil, fmt.Errorf("olsr: tc has trailing garbage (%d bytes)", len(buf))
 	}
 	return t, nil
 }
@@ -293,22 +302,14 @@ func MarshalTCDelta(d *TCDelta) []byte {
 	buf = binary.BigEndian.AppendUint16(buf, d.ANSN)
 	buf = binary.BigEndian.AppendUint16(buf, d.FullSeq)
 	buf = binary.BigEndian.AppendUint16(buf, d.Index)
-	buf = binary.BigEndian.AppendUint16(buf, uint16(len(d.Add)))
-	for _, l := range d.Add {
-		buf = binary.BigEndian.AppendUint64(buf, uint64(l.Neighbor))
-		buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(l.Weight))
-	}
-	buf = binary.BigEndian.AppendUint16(buf, uint16(len(d.Del)))
-	for _, id := range d.Del {
-		buf = binary.BigEndian.AppendUint64(buf, uint64(id))
-	}
-	return buf
+	buf = appendLinks(buf, d.Add)
+	return appendIDs(buf, d.Del)
 }
 
 // UnmarshalTCDelta decodes a TC delta produced by MarshalTCDelta.
 func UnmarshalTCDelta(buf []byte) (*TCDelta, error) {
-	const fixed = 1 + 8 + 2 + 2 + 2 + 2 + 2 // type origin seq ansn fullseq index addcount
-	if len(buf) < fixed+2 {
+	const fixed = 1 + 8 + 2 + 2 + 2 + 2 // type origin seq ansn fullseq index
+	if len(buf) < fixed+2+2 {
 		return nil, fmt.Errorf("olsr: tc delta too short (%d bytes)", len(buf))
 	}
 	if MsgType(buf[0]) != MsgTCDelta {
@@ -327,36 +328,15 @@ func UnmarshalTCDelta(buf []byte) (*TCDelta, error) {
 		// chain base instead).
 		return nil, fmt.Errorf("olsr: tc delta with zero chain index")
 	}
-	n := int(binary.BigEndian.Uint16(buf[17:19]))
-	off := 19
-	if len(buf) < off+n*linkInfoLen+2 {
-		return nil, fmt.Errorf("olsr: tc delta truncated (%d adds claimed)", n)
+	var err error
+	if d.Add, buf, err = readLinks(buf[fixed:], "tc delta add"); err != nil {
+		return nil, err
 	}
-	if n > 0 {
-		d.Add = make([]LinkInfo, n)
+	if d.Del, buf, err = readIDs(buf, "tc delta del"); err != nil {
+		return nil, err
 	}
-	for i := 0; i < n; i++ {
-		d.Add[i].Neighbor = int64(binary.BigEndian.Uint64(buf[off : off+8]))
-		d.Add[i].Weight = math.Float64frombits(binary.BigEndian.Uint64(buf[off+8 : off+16]))
-		if !validWeight(d.Add[i].Weight) {
-			return nil, fmt.Errorf("olsr: tc delta add %d has invalid weight", i)
-		}
-		off += linkInfoLen
-	}
-	m := int(binary.BigEndian.Uint16(buf[off : off+2]))
-	off += 2
-	if len(buf) < off+m*8 {
-		return nil, fmt.Errorf("olsr: tc delta truncated (%d dels claimed)", m)
-	}
-	if m > 0 {
-		d.Del = make([]int64, m)
-	}
-	for i := 0; i < m; i++ {
-		d.Del[i] = int64(binary.BigEndian.Uint64(buf[off : off+8]))
-		off += 8
-	}
-	if off != len(buf) {
-		return nil, fmt.Errorf("olsr: tc delta has trailing garbage (%d bytes)", len(buf)-off)
+	if len(buf) != 0 {
+		return nil, fmt.Errorf("olsr: tc delta has trailing garbage (%d bytes)", len(buf))
 	}
 	return d, nil
 }

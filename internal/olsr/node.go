@@ -54,26 +54,14 @@ type Config struct {
 	// daemon uses this to drive weights from real round-trip timing — the
 	// protocol machinery must not overwrite a measurement it cannot make.
 	ExternalLinkSensing bool
-	// RouteCrossCheck is the incremental engine's validation mode, meant
-	// for tests: every routing table produced by the incremental repair is
-	// compared against a from-scratch rebuild and Routes errors on any
-	// divergence. It turns every table rebuild into a full one — do not
-	// enable it outside tests.
-	RouteCrossCheck bool
 	// DeltaTC enables delta-encoded topology control (GenerateTCUpdate):
 	// between periodic full TCs the node floods only the changes against
 	// what it last flooded — in the converged steady state an empty
 	// header-sized keepalive. Receivers apply deltas only when synchronised
 	// on the origin's chain and resynchronise from the next full TC after
-	// any gap, so the full-TC cadence bounds the staleness a lost delta can
-	// cause.
+	// any gap, so the full-TC cadence (tcFullPeriod) bounds the staleness a
+	// lost delta can cause.
 	DeltaTC bool
-	// TCFullEvery is the full-TC refresh period in TC emissions under
-	// DeltaTC (default DefaultTCFullEvery). When FisheyeTTLs is also set
-	// the unlimited-scope emissions carry the full TC instead — they are
-	// the only ones distant receivers get, and a delta would be
-	// unappliable there.
-	TCFullEvery int
 	// FisheyeTTLs is the fish-eye scoping schedule (GenerateTCUpdate):
 	// emission k floods with TTL FisheyeTTLs[k mod len], where 0 means
 	// unlimited. Near neighbors then see every topology update while
@@ -98,11 +86,20 @@ type Config struct {
 	// mpr.MinCover here keeps routing advertising the QoS set while floods
 	// traverse a coverage-minimal set.
 	FloodRelay mpr.Heuristic
+
+	// crossCheck is the incremental engine's validation mode, set by this
+	// package's tests only: every routing table produced by the incremental
+	// repair is compared against a from-scratch rebuild and Routes errors on
+	// any divergence. It turns every table rebuild into a full one.
+	crossCheck bool
 }
 
-// DefaultTCFullEvery is the DeltaTC full-refresh period when Config leaves
-// TCFullEvery unset: every 4th emission re-floods the whole advertised set.
-const DefaultTCFullEvery = 4
+// tcFullPeriod is the full-TC refresh period in TC emissions under DeltaTC:
+// every 4th emission re-floods the whole advertised set. When FisheyeTTLs is
+// also set the unlimited-scope emissions carry the full TC instead — they are
+// the only ones distant receivers get, and a delta would be unappliable
+// there.
+const tcFullPeriod = 4
 
 // DefaultFisheyeTTLs returns the default fish-eye schedule: alternate
 // 2-hop-scoped and unlimited emissions. With RFC timers that gives near
@@ -406,9 +403,6 @@ func NewNodes(ids []int64, cfg Config) ([]*Node, error) {
 	if cfg.TopologyHoldTime <= 0 {
 		cfg.TopologyHoldTime = 3 * cfg.TCInterval
 	}
-	if cfg.DeltaTC && cfg.TCFullEvery <= 0 {
-		cfg.TCFullEvery = DefaultTCFullEvery
-	}
 	for _, ttl := range cfg.FisheyeTTLs {
 		if ttl < 0 {
 			return nil, fmt.Errorf("olsr: negative TTL %d in fish-eye schedule", ttl)
@@ -709,16 +703,13 @@ func (n *Node) HandleHello(h *Hello, now time.Duration) {
 
 // GenerateTC produces this node's periodic TC advertising its ANS, or nil
 // when it has nothing to advertise (RFC behaviour: nodes with an empty
-// advertised set may stay silent).
+// advertised set may stay silent). It is GenerateTCUpdate with the full form
+// forced, for hosts that carry neither deltas nor a TTL: dropping the chain
+// anchor first makes the emission a full TC that re-anchors the delta chain.
 func (n *Node) GenerateTC(now time.Duration) *TC {
-	n.expire(now)
-	n.recompute()
-	if len(n.ansSet) == 0 {
-		return nil
-	}
-	t := &TC{Origin: n.ID, Seq: n.tcSeq, ANSN: n.ansn, Links: n.currentTCAdv()}
-	n.tcSeq++
-	return t
+	n.haveFull = false
+	full, _, _ := n.GenerateTCUpdate(now)
+	return full
 }
 
 // currentTCAdv returns the cached advertised link block for the current ANS
@@ -746,7 +737,7 @@ func (n *Node) currentTCAdv() []LinkInfo {
 //
 // A full TC goes out when DeltaTC is off, when no full has been flooded
 // since the advertised set was last empty, and on the periodic refresh —
-// every TCFullEvery-th emission, or, under a fish-eye schedule, on every
+// every tcFullPeriod-th emission, or, under a fish-eye schedule, on every
 // unlimited-scope emission (those are the only ones distant receivers get,
 // so they must be self-contained). Every other emission carries the delta
 // against the previously flooded content; in the converged steady state
@@ -774,7 +765,7 @@ func (n *Node) GenerateTCUpdate(now time.Duration) (full *TC, delta *TCDelta, tt
 		if len(n.cfg.FisheyeTTLs) > 0 {
 			wantFull = ttl == 0
 		} else {
-			wantFull = emit%uint64(n.cfg.TCFullEvery) == 0
+			wantFull = emit%tcFullPeriod == 0
 		}
 	}
 	seq := n.tcSeq
@@ -1170,14 +1161,6 @@ func (n *Node) MPRSet(now time.Duration) []int64 {
 	return append([]int64(nil), n.mprSet...)
 }
 
-// RelaySet returns the flooding relay set this node announces in HELLOs:
-// the MPR set, unless Config.FloodRelay computes a separate one.
-func (n *Node) RelaySet(now time.Duration) []int64 {
-	n.expire(now)
-	n.recompute()
-	return append([]int64(nil), n.relaySet...)
-}
-
 // ANS returns the current advertised neighbor set (routing).
 func (n *Node) ANS(now time.Duration) []int64 {
 	n.expire(now)
@@ -1263,7 +1246,7 @@ func (n *Node) buildKnownTopology() (*graph.Graph, error) {
 // those against the state maps and repairs the affected region of the cached
 // shortest-path solution (see incremental.go), instead of rebuilding graph
 // and search from scratch. Both paths produce bit-identical tables
-// (Config.RouteCrossCheck asserts it).
+// (the tests' crossCheck mode asserts it).
 func (n *Node) Routes(now time.Duration) (*Routes, error) {
 	n.expire(now)
 	if n.routes != nil && n.routesAt == n.topoVersion {
@@ -1273,7 +1256,7 @@ func (n *Node) Routes(now time.Duration) (*Routes, error) {
 	if err != nil {
 		return nil, err
 	}
-	if n.cfg.RouteCrossCheck {
+	if n.cfg.crossCheck {
 		if err := n.crossCheckRoutes(r); err != nil {
 			return nil, err
 		}

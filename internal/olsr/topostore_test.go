@@ -14,7 +14,7 @@ import (
 // the dense window — drives a NewNodes field and a set of stand-alone
 // NewNode twins. Sharing the origin-major store must be unobservable:
 // every generated message, forwarding decision, routing table, selection
-// and counter is equal node for node, with RouteCrossCheck holding each
+// and counter is equal node for node, with crossCheck holding each
 // table against its from-scratch rebuild on both sides.
 func TestFieldMatchesStandaloneNodes(t *testing.T) {
 	// The field's window is its member count: 0..6 are inside, the rest
@@ -22,7 +22,7 @@ func TestFieldMatchesStandaloneNodes(t *testing.T) {
 	ids := []int64{0, 1, 2, 3, 4, 5, 6, 40, 41, 1000, 5000, -3}
 	cfg := testConfig()
 	cfg.DeltaTC = true
-	cfg.RouteCrossCheck = true
+	cfg.crossCheck = true
 	field, err := NewNodes(ids, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -172,11 +172,11 @@ func TestFieldMatchesStandaloneNodes(t *testing.T) {
 // TestDirtyListBounded: once a node has a routing graph, the dirty list
 // never exceeds dirtyCap. Repeats compact away; more distinct pairs than the
 // cap can hold make the node give its graph up, and the next query returns
-// the from-scratch table (RouteCrossCheck compares it against the reference
+// the from-scratch table (crossCheck compares it against the reference
 // rebuild).
 func TestDirtyListBounded(t *testing.T) {
 	cfg := testConfig()
-	cfg.RouteCrossCheck = true
+	cfg.crossCheck = true
 	cfg.ExternalDupSuppression = true
 	n, err := NewNode(0, cfg)
 	if err != nil {

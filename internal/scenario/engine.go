@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"qolsr/internal/core"
+	"qolsr/internal/des"
 	"qolsr/internal/geom"
 	"qolsr/internal/graph"
 	"qolsr/internal/metric"
@@ -197,8 +198,7 @@ func Execute(ctx context.Context, sc Scenario, seed int64, run int, emit func(Sa
 		phaseErr    error
 	)
 	for _, ph := range phases {
-		ph := ph
-		nw.Engine.At(ph.At, func() {
+		nw.Engine.At(ph.At, des.Func(func() {
 			if phaseErr != nil {
 				return
 			}
@@ -209,7 +209,7 @@ func Execute(ctx context.Context, sc Scenario, seed int64, run int, emit func(Sa
 			if ph.Action.Disruptive() {
 				disruptions = append(disruptions, disruption{desc: ph.Action.Describe(), at: nw.Engine.Now()})
 			}
-		})
+		}))
 	}
 
 	res := &RunResult{Run: run, Nodes: nw.Phys.N()}

@@ -36,7 +36,7 @@ const DataPacketBytes = 512
 
 // DataSink receives packet completions on the allocation-free data path:
 // one interface dispatch per packet instead of one closure per packet. The
-// cookie is whatever the sender passed to SendDataTo — traffic generators
+// cookie is whatever the sender passed to SendDataTraced — traffic generators
 // encode the flow identity and packet size in it.
 type DataSink interface {
 	PacketDone(cookie uint64, delivered bool, hops int, latency time.Duration)
@@ -62,39 +62,28 @@ type dataPacket struct {
 // Fire implements des.Event: the packet arrived at its next hop.
 func (p *dataPacket) Fire(time.Duration) { p.nw.stepData(p) }
 
-// SendData injects one data packet of the nominal probe size. See
-// SendDataSized.
+// SendData injects one data packet of the nominal probe size
+// (DataPacketBytes) at src addressed to dst (graph indices) at the current
+// virtual time. Each hop consults its *own* current routing table when the
+// packet arrives — exactly how an OLSR data plane behaves, including
+// transient loops while tables disagree (cut off by TTL). done, when non-nil,
+// is invoked at delivery or drop time. (The closure is the convenient probe
+// API; sustained traffic uses SendDataTraced, which completes through a
+// shared sink with no per-packet allocation.)
 func (nw *Network) SendData(src, dst int32, done func(delivered bool, hops int, latency time.Duration)) {
-	nw.SendDataSized(src, dst, DataPacketBytes, done)
-}
-
-// SendDataSized injects one data packet of size bytes at src addressed to
-// dst (graph indices) at the current virtual time. Each hop consults its
-// *own* current routing table when the packet arrives — exactly how an OLSR
-// data plane behaves, including transient loops while tables disagree (cut
-// off by TTL). The size feeds the medium's per-hop planning, so on a queued
-// radio larger packets occupy the sender's transmitter for longer and
-// sustained flows contend for it. done, when non-nil, is invoked at delivery
-// or drop time. (The closure is the convenient probe API; sustained traffic
-// uses SendDataTo, which completes through a shared sink with no per-packet
-// allocation.)
-func (nw *Network) SendDataSized(src, dst int32, size int, done func(delivered bool, hops int, latency time.Duration)) {
-	p := nw.newPacket(src, dst, size)
+	p := nw.newPacket(src, dst, DataPacketBytes)
 	p.done = done
 	nw.stepData(p)
 }
 
-// SendDataTo injects one data packet like SendDataSized, but completes it
-// through sink.PacketDone(cookie, ...) — the allocation-free path for
-// sustained flows.
-func (nw *Network) SendDataTo(src, dst int32, size int, sink DataSink, cookie uint64) {
-	nw.SendDataTraced(src, dst, size, sink, cookie, nil)
-}
-
-// SendDataTraced is SendDataTo with an optional path trace attached: the
-// traffic engine starts a trace for sampled packets and the data plane
+// SendDataTraced injects one data packet of size bytes like SendData, but
+// completes it through sink.PacketDone(cookie, ...) — the allocation-free
+// path for sustained flows. The size feeds the medium's per-hop planning, so
+// on a queued radio larger packets occupy the sender's transmitter for
+// longer and sustained flows contend for it. pt is an optional path trace:
+// the traffic engine starts one for sampled packets and the data plane
 // records every hop and the final outcome on it. A nil trace is the common
-// case and adds one pointer store.
+// case and adds one pointer compare.
 func (nw *Network) SendDataTraced(src, dst int32, size int, sink DataSink, cookie uint64, pt *obs.PacketTrace) {
 	p := nw.newPacket(src, dst, size)
 	p.sink = sink
@@ -140,6 +129,16 @@ func (nw *Network) finishData(p *dataPacket, delivered bool, hops int, latency t
 	}
 }
 
+// dropData completes a packet that died at this hop: count it under its
+// outcome, close its path trace, recycle it.
+func (nw *Network) dropData(p *dataPacket, count *uint64, outcome string) {
+	*count++
+	if p.pt != nil {
+		p.pt.Finish(outcome, nw.Engine.Now())
+	}
+	nw.finishData(p, false, 0, 0)
+}
+
 // stepData advances a packet one hop: deliver, drop, or forward to the next
 // hop's routing decision. Zero-delay hops (an ideal medium with zero
 // propagation delay) forward synchronously in the loop instead of
@@ -162,20 +161,12 @@ again:
 		return
 	}
 	if p.ttl <= 0 {
-		nw.Data.Expired++
-		if p.pt != nil {
-			p.pt.Finish("ttl-expired", nw.Engine.Now())
-		}
-		nw.finishData(p, false, 0, 0)
+		nw.dropData(p, &nw.Data.Expired, "ttl-expired")
 		return
 	}
 	routes, err := nw.Nodes[p.at].Routes(nw.Engine.Now())
 	if err != nil {
-		nw.Data.NoRoute++
-		if p.pt != nil {
-			p.pt.Finish("no-route", nw.Engine.Now())
-		}
-		nw.finishData(p, false, 0, 0)
+		nw.dropData(p, &nw.Data.NoRoute, "no-route")
 		return
 	}
 	// Forwarding decisions are pure functions of (table snapshot, physical
@@ -197,11 +188,7 @@ again:
 		fe.next, fe.ok = nw.resolveNext(p.at, p.dst, routes)
 	}
 	if !fe.ok {
-		nw.Data.NoRoute++
-		if p.pt != nil {
-			p.pt.Finish("no-route", nw.Engine.Now())
-		}
-		nw.finishData(p, false, 0, 0)
+		nw.dropData(p, &nw.Data.NoRoute, "no-route")
 		return
 	}
 	next := fe.next
@@ -215,17 +202,13 @@ again:
 		}
 		p.at = next
 		p.ttl--
-		nw.Engine.Queue.AfterFixed(d, p)
+		nw.Engine.AfterFixed(d, p)
 		return
 	}
 	nw.unicast[0] = next
 	plan := nw.medium.PlanFrame(p.at, nw.unicast[:], int(p.size), nw.Engine.Now())
 	if len(plan) == 0 {
-		nw.Data.Lost++
-		if p.pt != nil {
-			p.pt.Finish("medium-loss", nw.Engine.Now())
-		}
-		nw.finishData(p, false, 0, 0)
+		nw.dropData(p, &nw.Data.Lost, "medium-loss")
 		return
 	}
 	if p.pt != nil {
@@ -236,7 +219,7 @@ again:
 	if plan[0].Delay == 0 {
 		goto again
 	}
-	nw.Engine.Queue.After(plan[0].Delay, p)
+	nw.Engine.After(plan[0].Delay, p)
 }
 
 // resolveNext resolves the next hop for traffic at node `at` addressed to

@@ -194,12 +194,6 @@ type LossyMedium struct {
 	pts    []geom.Point // optional geometry for DistanceLoss
 	radius float64
 
-	// bw caches the bandwidth-channel weights of bwGraph: resolving the
-	// channel is a per-graph operation, not a per-frame one (the pointer
-	// comparison also tracks mobility topology swaps).
-	bw      []float64
-	bwGraph *graph.Graph
-
 	// Per-edge caches of the effective PER and the serialization rate
 	// (bytes/s) — the two per-receiver figures PlanFrame needs that are
 	// pure functions of (config, geometry, graph). lossGen is bumped by
@@ -284,9 +278,6 @@ func (m *LossyMedium) SetGeometry(pts []geom.Point, radius float64) {
 	m.radius = radius
 	m.lossGen++
 }
-
-// BaseLoss returns the current base packet-error rate.
-func (m *LossyMedium) BaseLoss() float64 { return m.cfg.Loss }
 
 // LinkPER returns the effective packet-error rate of the link {a, b}: the
 // per-link override when set, else the base rate, plus the distance
@@ -410,7 +401,7 @@ func (m *LossyMedium) refreshEdgeCaches() {
 	}
 	m.perEdge = m.perEdge[:n]
 	m.serEdge = m.serEdge[:n]
-	w := m.bandwidthWeights()
+	w, _ := g.Weights(bandwidthChannel) // nil when the graph has no such channel
 	for e := 0; e < n; e++ {
 		a, b := g.EdgeEndpoints(e)
 		m.perEdge[e] = m.LinkPER(a, b)
@@ -420,21 +411,6 @@ func (m *LossyMedium) refreshEdgeCaches() {
 		}
 		m.serEdge[e] = m.cfg.BytesPerSec * weight
 	}
-}
-
-// bandwidthWeights returns the current graph's bandwidth-channel weights
-// (nil when the channel is absent), re-resolved only when the physical
-// graph was swapped under the network.
-func (m *LossyMedium) bandwidthWeights() []float64 {
-	if m.nw.Phys != m.bwGraph {
-		m.bwGraph = m.nw.Phys
-		if w, err := m.nw.Phys.Weights(bandwidthChannel); err == nil {
-			m.bw = w
-		} else {
-			m.bw = nil
-		}
-	}
-	return m.bw
 }
 
 func clampPER(p float64) float64 {

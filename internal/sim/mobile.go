@@ -2,10 +2,13 @@ package sim
 
 import (
 	"fmt"
+	"math/rand"
 	"time"
 
+	"qolsr/internal/des"
 	"qolsr/internal/geom"
 	"qolsr/internal/graph"
+	"qolsr/internal/metric"
 	"qolsr/internal/olsr"
 )
 
@@ -67,7 +70,7 @@ func NewMobileSim(model geom.Waypoint, initial []geom.Point, radius float64, cfg
 	if interval <= 0 {
 		return nil, fmt.Errorf("sim: non-positive mobility interval")
 	}
-	mob, err := geom.NewMobility(model, initial, randFromSeed(mobilityRNGSeed))
+	mob, err := geom.NewMobility(model, initial, rand.New(rand.NewSource(mobilityRNGSeed)))
 	if err != nil {
 		return nil, err
 	}
@@ -93,7 +96,7 @@ func NewMobileSim(model geom.Waypoint, initial []geom.Point, radius float64, cfg
 // Start schedules the protocol and the periodic topology refresh.
 func (ms *MobileSim) Start() {
 	ms.NW.Start()
-	ms.NW.Engine.After(ms.interval, ms.refresh)
+	ms.NW.Engine.After(ms.interval, des.Func(ms.refresh))
 }
 
 // Run advances virtual time.
@@ -107,7 +110,7 @@ func (ms *MobileSim) refresh() {
 			ms.Rebuilds++
 		}
 	}
-	ms.NW.Engine.After(ms.interval, ms.refresh)
+	ms.NW.Engine.After(ms.interval, des.Func(ms.refresh))
 }
 
 func (ms *MobileSim) buildTopology(pts []geom.Point, channel string) (*graph.Graph, error) {
@@ -135,7 +138,7 @@ func UnitDiskTopology(field geom.Field, radius float64, pts []geom.Point, channe
 	}
 	// Ensure the channel exists even on a momentarily edgeless topology.
 	if g.M() == 0 {
-		if err := g.AssignUniformWeights(channel, weightLawForEmpty(), randFromSeed(seed)); err != nil {
+		if err := g.AssignUniformWeights(channel, metric.DefaultInterval(), rand.New(rand.NewSource(seed))); err != nil {
 			return nil, err
 		}
 	}

@@ -1,9 +1,16 @@
+// Package sim is the discrete-event network simulator the protocol stack
+// runs on: a deterministic event core (internal/des) in virtual time and a
+// pluggable radio medium — by default the ideal MAC (no interference, no
+// collisions, fixed propagation delay) over a unit-disk physical graph, the
+// paper's simulation model ("our own C simulator that assumes an ideal MAC
+// layer", Sec. IV-A).
 package sim
 
 import (
 	"fmt"
 	"time"
 
+	"qolsr/internal/des"
 	"qolsr/internal/graph"
 	"qolsr/internal/metric"
 	"qolsr/internal/obs"
@@ -42,7 +49,11 @@ type TrafficStats struct {
 // scale with the advertised-set sizes of Figs. 6-7) and decoded at every
 // receiver.
 type Network struct {
-	Engine *Engine
+	// Engine is the single-threaded event scheduler everything runs on, in
+	// one (time, priority, seq) total order: hot subsystems book pooled or
+	// persistent des.Events, low-rate bookkeeping (phases, harness
+	// callbacks) a des.Func closure.
+	Engine *des.Queue
 	Phys   *graph.Graph
 	Nodes  []*olsr.Node
 	Stats  TrafficStats
@@ -56,10 +67,6 @@ type Network struct {
 	cfg     olsr.Config
 	channel string
 	medium  Medium
-	// ctrlFast routes TC emission through GenerateTCUpdate (delta TCs
-	// and/or fish-eye scoping configured); off, emission is the classic
-	// full-TC path, bit-identically.
-	ctrlFast bool
 	// jitter holds one emission-jitter stream per node, keyed by
 	// (seed, node index): a node's jitter draws are a pure function of
 	// its own key and draw count — platform-stable (no math/rand) and
@@ -131,14 +138,13 @@ func NewNetwork(phys *graph.Graph, cfg olsr.Config, opts NetworkOptions) (*Netwo
 	// and one bit probe replaces a map access per TC delivery.
 	cfg.ExternalDupSuppression = true
 	nw := &Network{
-		Engine:   &Engine{},
-		Phys:     phys,
-		cfg:      cfg,
-		channel:  channel,
-		medium:   medium,
-		ctrlFast: cfg.DeltaTC || len(cfg.FisheyeTTLs) > 0,
-		jitter:   make([]rng.Stream, phys.N()),
-		indexOf:  make(map[int64]int32, phys.N()),
+		Engine:  &des.Queue{},
+		Phys:    phys,
+		cfg:     cfg,
+		channel: channel,
+		medium:  medium,
+		jitter:  make([]rng.Stream, phys.N()),
+		indexOf: make(map[int64]int32, phys.N()),
 	}
 	for i := range nw.jitter {
 		nw.jitter[i] = rng.NewStream(uint64(opts.Seed), uint64(i))
@@ -193,8 +199,8 @@ func (nw *Network) Start() {
 		*hello = emitter{nw: nw, node: i, kind: emitHello}
 		tc := &nw.emitters[2*i+1]
 		*tc = emitter{nw: nw, node: i, kind: emitTC}
-		nw.Engine.Queue.At(helloJitter, hello)
-		nw.Engine.Queue.At(tcJitter, tc)
+		nw.Engine.At(helloJitter, hello)
+		nw.Engine.At(tcJitter, tc)
 	}
 }
 
@@ -221,7 +227,7 @@ func (em *emitter) Fire(time.Duration) {
 		nw.emitTCNow(i)
 		interval = nw.cfg.TCInterval
 	}
-	nw.Engine.Queue.After(nw.jittered(i, interval), em)
+	nw.Engine.After(nw.jittered(i, interval), em)
 }
 
 // Run advances virtual time.
@@ -259,33 +265,25 @@ func (nw *Network) emitHelloNow(i int) {
 	nw.broadcastFrame(int32(i), buf, h, nil, nil, 0, nil)
 }
 
+// emitTCNow floods the node's periodic topology-control emission: a full TC
+// at unlimited scope on the classic plane, a delta and/or a fish-eye TTL
+// when the configuration asks for them.
 func (nw *Network) emitTCNow(i int) {
-	if nw.ctrlFast {
-		full, delta, ttl := nw.Nodes[i].GenerateTCUpdate(nw.Engine.Now())
-		var buf []byte
-		switch {
-		case full != nil:
-			buf = olsr.MarshalTC(full)
-		case delta != nil:
-			buf = olsr.MarshalTCDelta(delta)
-		default:
-			return
-		}
-		nw.Stats.TCOriginated++
-		nw.Stats.TCMessages++
-		nw.Stats.TCBytes += uint64(len(buf))
-		nw.Stats.TCOriginatedBytes += uint64(len(buf))
-		nw.broadcastFrame(int32(i), buf, nil, full, delta, int32(ttl), nil)
+	full, delta, ttl := nw.Nodes[i].GenerateTCUpdate(nw.Engine.Now())
+	var buf []byte
+	switch {
+	case full != nil:
+		buf = olsr.MarshalTC(full)
+	case delta != nil:
+		buf = olsr.MarshalTCDelta(delta)
+	default:
 		return
 	}
-	if tc := nw.Nodes[i].GenerateTC(nw.Engine.Now()); tc != nil {
-		buf := olsr.MarshalTC(tc)
-		nw.Stats.TCOriginated++
-		nw.Stats.TCMessages++
-		nw.Stats.TCBytes += uint64(len(buf))
-		nw.Stats.TCOriginatedBytes += uint64(len(buf))
-		nw.broadcastFrame(int32(i), buf, nil, tc, nil, 0, nil)
-	}
+	nw.Stats.TCOriginated++
+	nw.Stats.TCMessages++
+	nw.Stats.TCBytes += uint64(len(buf))
+	nw.Stats.TCOriginatedBytes += uint64(len(buf))
+	nw.broadcastFrame(int32(i), buf, nil, full, delta, int32(ttl), nil)
 }
 
 // jittered applies ±5% emission jitter (RFC 3626 recommends jitter to avoid
@@ -475,7 +473,7 @@ func (nw *Network) broadcastFrame(from int32, buf []byte, hello *olsr.Hello, tc 
 		// Uniform plans come from constant-latency media, so their
 		// scheduled times are monotone — the scheduler's fixed-delay lane
 		// (which degrades to a heap push if they ever are not).
-		nw.Engine.Queue.AfterFixed(plan[0].Delay, f)
+		nw.Engine.AfterFixed(plan[0].Delay, f)
 		return
 	}
 	f.refs = int32(len(plan))
@@ -489,7 +487,7 @@ func (nw *Network) broadcastFrame(from int32, buf []byte, hello *olsr.Hello, tc 
 		}
 		fh.f = f
 		fh.to = hop.Dst
-		nw.Engine.Queue.After(hop.Delay, fh)
+		nw.Engine.After(hop.Delay, fh)
 	}
 }
 
@@ -498,30 +496,27 @@ func (nw *Network) broadcastFrame(from int32, buf []byte, hello *olsr.Hello, tc 
 func (nw *Network) deliverFrame(f *controlFrame, to int32) {
 	now := nw.Engine.Now()
 	node := nw.Nodes[to]
-	switch {
-	case f.hello != nil:
+	if f.hello != nil {
 		node.HandleHello(f.hello, now)
-	case f.tc != nil:
-		if f.flood.testAndSet(to) {
-			nw.Stats.DupSuppressed++
-			return // already handed to this receiver via another relay
-		}
-		if node.HandleTC(f.tc, int64(nw.Phys.ID(f.from)), now) && f.ttl != 1 {
-			// MPR forwarding: re-broadcast from this node, reusing the
-			// encoded and decoded forms. A frame received at TTL 1 has
-			// exhausted its scope: the handler above still ingested it
-			// (dup-marked and topology-applied), it just travels no
-			// further.
-			nw.relayTC(f, to)
-		}
-	case f.tcd != nil:
-		if f.flood.testAndSet(to) {
-			nw.Stats.DupSuppressed++
-			return
-		}
-		if node.HandleTCDelta(f.tcd, int64(nw.Phys.ID(f.from)), now) && f.ttl != 1 {
-			nw.relayTC(f, to)
-		}
+		return
+	}
+	if f.flood.testAndSet(to) {
+		nw.Stats.DupSuppressed++
+		return // already handed to this receiver via another relay
+	}
+	sender := int64(nw.Phys.ID(f.from))
+	var forward bool
+	if f.tc != nil {
+		forward = node.HandleTC(f.tc, sender, now)
+	} else {
+		forward = node.HandleTCDelta(f.tcd, sender, now)
+	}
+	if forward && f.ttl != 1 {
+		// MPR forwarding: re-broadcast from this node, reusing the encoded
+		// and decoded forms. A frame received at TTL 1 has exhausted its
+		// scope: the handler above still ingested it (dup-marked and
+		// topology-applied), it just travels no further.
+		nw.relayTC(f, to)
 	}
 }
 

@@ -24,7 +24,7 @@ func (nw *Network) Instrument(reg *obs.Registry) {
 	if reg == nil {
 		return
 	}
-	q := &nw.Engine.Queue
+	q := nw.Engine
 	reg.CounterFunc("qolsr_des_events_scheduled_total", "events booked on the scheduler", q.Scheduled)
 	reg.CounterFunc("qolsr_des_events_executed_total", "events processed by the scheduler", func() uint64 { return q.Executed })
 	reg.CounterFunc("qolsr_des_fifo_scheduled_total", "events that took the fixed-delay fast lane", func() uint64 { return q.FifoScheduled })

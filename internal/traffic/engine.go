@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"qolsr/internal/des"
 	"qolsr/internal/obs"
 	"qolsr/internal/rng"
 	"qolsr/internal/sim"
@@ -75,13 +76,13 @@ type flowState struct {
 }
 
 // Fire implements des.Event: emit the flow's next packet and book the one
-// after, exactly the emit-then-reschedule cycle the closure API used to
-// allocate per packet.
+// after. The flowState is its own persistent event, so the cycle allocates
+// nothing per packet.
 func (fs *flowState) Fire(now time.Duration) {
 	e := fs.eng
 	e.emit(fs)
 	if next := fs.src.next(now, fs.seq); next <= e.stop {
-		e.nw.Engine.Queue.At(next, fs)
+		e.nw.Engine.At(next, fs)
 	}
 }
 
@@ -196,12 +197,11 @@ func (e *Engine) Start(stop time.Duration) error {
 	e.started = true
 	e.stop = stop
 	for _, fs := range e.flows {
-		fs := fs
 		at := fs.Start
 		if now := e.nw.Engine.Now(); at < now {
 			at = now
 		}
-		e.nw.Engine.At(at, func() { e.admit(fs) })
+		e.nw.Engine.At(at, des.Func(func() { e.admit(fs) }))
 	}
 	return nil
 }
@@ -219,7 +219,7 @@ func (e *Engine) admit(fs *flowState) {
 	fs.cls.admitted++
 	e.totalAcc.admitted++
 	if first := fs.src.first(e.nw.Engine.Now()); first <= e.stop {
-		e.nw.Engine.Queue.At(first, fs)
+		e.nw.Engine.At(first, fs)
 	}
 }
 
