@@ -91,10 +91,10 @@
 // (seed, src, dst, frame-seq) through splitmix64, so lossy simulations are
 // reproducible at any worker count. On a lossy radio the protocol can
 // measure its links instead of trusting the oracle:
-// ProtocolConfig.MeasuredQoS derives link weights from windowed HELLO
-// delivery ratios (ETX for additive metrics, the delivery product for
-// concave ones), carried between link ends by a backward-compatible HELLO
-// block. Scenarios select the medium declaratively (ScenarioMedium, the
+// ProtocolConfig.LinkSensing = SenseDelivery derives link weights from
+// windowed HELLO delivery ratios (ETX for additive metrics, the delivery
+// product for concave ones), carried between link ends by a
+// backward-compatible HELLO block. Scenarios select the medium declaratively (ScenarioMedium, the
 // ActionSetLoss/ActionDegradeLink phases, the lossy-baseline and
 // lossy-degrade built-ins), and Runner.LossSweep sweeps delivery against
 // the loss rate comparing oracle against measured selection.

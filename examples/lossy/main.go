@@ -38,7 +38,7 @@ func watchETXConverge() {
 	cfg := qolsr.DefaultProtocolConfig(qolsr.Delay())
 	cfg.HelloInterval = time.Second
 	cfg.NeighborHoldTime = 8 * time.Second
-	cfg.MeasuredQoS = true
+	cfg.LinkSensing = qolsr.SenseDelivery
 	cfg.LQWindow = 32
 	nw, err := qolsr.NewNetwork(g, cfg, qolsr.NetworkOptions{
 		Seed:   1,

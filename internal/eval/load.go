@@ -204,7 +204,9 @@ func runLoadCell(p *LoadPoint, g *graph.Graph, pairs [][2]int32, load float64, s
 		m = metric.Hop()
 	}
 	cfg := olsr.DefaultConfig(m)
-	cfg.MeasuredQoS = mode == "measured"
+	if mode == "measured" {
+		cfg.LinkSensing = olsr.SenseDelivery
+	}
 	medium := sim.NewLossyMedium(sim.LossyConfig{
 		Loss: opts.Loss,
 		Seed: int64(rng.Mix(uint64(fieldSeed), uint64(li), 0x4D)),

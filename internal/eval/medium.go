@@ -20,9 +20,10 @@ import (
 // The delivery-vs-loss sweep (experiment A7): run the live protocol stack
 // over the lossy radio at increasing packet-error rates and measure what
 // the data plane delivers, comparing oracle link weights against measured
-// link quality (Config.MeasuredQoS). It is the experiment the medium layer
-// exists for: the quality-routing literature (ETX and friends) claims
-// measured metrics earn their keep exactly when the radio is lossy.
+// link quality (Config.LinkSensing = SenseDelivery). It is the experiment
+// the medium layer exists for: the quality-routing literature (ETX and
+// friends) claims measured metrics earn their keep exactly when the radio
+// is lossy.
 
 // LossSweepOptions configures the A7 experiment.
 type LossSweepOptions struct {
@@ -121,7 +122,9 @@ func RunLossSweep(ctx context.Context, opts LossSweepOptions) (*LossSweepResult,
 					return nil, err
 				}
 				cfg := olsr.DefaultConfig(opts.Metric)
-				cfg.MeasuredQoS = mode == "measured"
+				if mode == "measured" {
+					cfg.LinkSensing = olsr.SenseDelivery
+				}
 				medium := sim.NewLossyMedium(sim.LossyConfig{
 					Loss: loss,
 					Seed: int64(rng.Mix(uint64(fieldSeed), uint64(li))),

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -38,10 +37,10 @@ type Config struct {
 	// core.FNBP).
 	Selector core.Selector
 	// Measured switches link weights from the peer table's declared
-	// values to real round-trip measurement: each link's weight is the
-	// smoothed RTT in milliseconds derived from the frame layer's echo
-	// timestamps — the deployed analogue of the simulator's MeasuredQoS
-	// link sensing.
+	// values to real round-trip measurement (olsr.SenseRTT): the frame
+	// layer's echo timestamps feed each link's windowed-minimum RTT, both
+	// ends advertise it as a ladder rung in the HELLO LQ block, and both
+	// price the link, in milliseconds, at the larger rung.
 	Measured bool
 	// TTL is the initial hop budget of originated data packets
 	// (default 32).
@@ -88,17 +87,12 @@ type Stats struct {
 }
 
 // peerState is the daemon's per-peer bookkeeping around the static Peer
-// declaration: the echo stamps the RTT instrument needs, the RTT estimator
-// itself, and liveness.
+// declaration: the echo stamps the RTT instrument needs, and liveness.
 type peerState struct {
 	id     int64
 	addr   string
 	weight float64 // declared oracle weight
 
-	rtt rttEstimator
-	// linkW is the weight most recently fed to UpdateLink in measured
-	// mode, the anchor for the hysteresis band; 0 before the first.
-	linkW float64
 	// lastRxTx is the TxTime of the newest frame received from the peer
 	// (their clock, echoed back verbatim); lastRxAt is our clock at its
 	// arrival, so the echo can report how long we held the stamp.
@@ -160,9 +154,9 @@ type Daemon struct {
 	batch   []request // the loop's half of the request double buffer
 }
 
-// New builds a Daemon. The underlying olsr.Node runs with external link
-// sensing: the daemon owns the link table and feeds it measured RTT weights
-// or the peer table's declared ones.
+// New builds a Daemon. The underlying olsr.Node prices links from the round
+// trips the daemon measures (Config.Measured), or leaves the link table to
+// the daemon, which feeds it the peer table's declared weights.
 func New(cfg Config) (*Daemon, error) {
 	if cfg.Transport == nil {
 		return nil, errors.New("node: config needs a transport")
@@ -187,7 +181,10 @@ func New(cfg Config) (*Daemon, error) {
 	if cfg.TTL == 0 {
 		cfg.TTL = 32
 	}
-	ocfg.ExternalLinkSensing = true
+	ocfg.LinkSensing = olsr.SenseHost
+	if cfg.Measured {
+		ocfg.LinkSensing = olsr.SenseRTT
+	}
 	n, err := olsr.NewNode(cfg.ID, ocfg)
 	if err != nil {
 		return nil, err
@@ -414,7 +411,7 @@ func (d *Daemon) handleFrame(in Inbound) {
 		// The peer echoed one of our stamps: close the round trip in our
 		// own clock, net of the time the peer held it.
 		rtt := time.Duration(int64(at) - int64(f.EchoTime) - int64(f.EchoDelay))
-		p.rtt.sample(rtt)
+		d.node.ObserveRTT(p.id, rtt, now)
 		if rtt >= 0 {
 			d.metrics.rtt.Observe(rtt.Seconds())
 		}
@@ -449,7 +446,10 @@ func (d *Daemon) handleControl(p *peerState, payload []byte, now time.Duration) 
 			return
 		}
 		d.metrics.hellosIn.Inc()
-		d.senseLink(p, now)
+		if !d.cfg.Measured {
+			// Declared weights: the HELLO proves the link alive.
+			d.node.UpdateLink(p.id, p.weight, now)
+		}
 		d.node.HandleHello(h, now)
 	case olsr.MsgTC:
 		tc, err := olsr.UnmarshalTC(payload)
@@ -471,31 +471,6 @@ func (d *Daemon) handleControl(p *peerState, payload []byte, now time.Duration) 
 		// counted: a peer speaking it is a misconfiguration worth seeing.
 		d.metrics.unsupported.Inc()
 	}
-}
-
-// senseLink refreshes this node's link to the peer on HELLO receipt: the
-// daemon is the link-sensing layer the simulator's oracle used to be. In
-// measured mode the weight is the smoothed round-trip time in milliseconds;
-// until a first round trip completes the link stays unproven and forms no
-// routing edge (measurement-enforced bidirectionality). Oracle mode trusts
-// the peer table's declared weight, with the HELLO as the liveness proof.
-func (d *Daemon) senseLink(p *peerState, now time.Duration) {
-	w := p.weight
-	if d.cfg.Measured {
-		var ok bool
-		if w, ok = p.rtt.weight(); !ok {
-			return
-		}
-		// Hysteresis: hold the link at its standing weight until the
-		// measurement moves by more than a quarter — the refresh then
-		// only extends the validity deadline, leaving the routing caches
-		// (and the mesh's route choices) undisturbed by residual noise.
-		if p.linkW > 0 && math.Abs(w-p.linkW) < p.linkW/4 {
-			w = p.linkW
-		}
-		p.linkW = w
-	}
-	d.node.UpdateLink(p.id, w, now)
 }
 
 // handleData delivers one received data frame or forwards it in place: the

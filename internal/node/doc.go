@@ -23,12 +23,15 @@
 //     implementation and the in-memory MemNetwork used by tests (per-sender
 //     FIFO delivery, optional loss injection), and the one free list of
 //     receive buffers both copy into.
-//   - daemon.go, peers.go, rtt.go — the Daemon event loop: a static peer
-//     table (node ID → address) standing in for radio range, per-peer
-//     smoothed RTT estimation from the frame echoes, and link sensing that
-//     feeds olsr.Node.UpdateLink with either measured RTT delay weights
-//     (Config.Measured) or operator-declared oracle weights. Data packets
-//     are forwarded hop by hop through the daemon's own routing table.
+//   - daemon.go, peers.go — the Daemon event loop: a static peer table
+//     (node ID → address) standing in for radio range, and link sensing.
+//     In measured mode (Config.Measured) every round trip the frame echoes
+//     close goes to olsr.Node.ObserveRTT, and olsr prices the link under
+//     SenseRTT: both ends advertise their windowed-minimum RTT as a ladder
+//     rung in the HELLO LQ block and weigh the link at the larger one.
+//     Otherwise each HELLO feeds olsr.Node.UpdateLink the peer's declared
+//     weight. Data packets are forwarded hop by hop through the daemon's
+//     own routing table.
 //   - status.go, obs.go — an introspection snapshot (neighbors, measured
 //     RTTs, MPR set, selectors, routing table, traffic counters) served as
 //     JSON over a loopback HTTP endpoint, and the registry behind it.
@@ -63,15 +66,14 @@
 // # What the drop reasons show (open: ROADMAP item 1)
 //
 // Stats.DataDropped splits by reason (ttl, no-route, not-peer). On
-// TestLoopbackMesh every lost packet is a TTL death in a two-node loop,
-// mostly between two direct neighbours of the destination: each daemon
-// prices its own links by its own RTT and everyone else's by what TCs
-// advertise, and at weights of one or two 1/32 ms quanta, where one quantum
-// of skew is a factor of two, about four instants in ten have some pair of
-// daemons pointing at each other; the test samples the instant after first
-// convergence. Letting the lower-ID end's HELLO-advertised weight stand for
-// both ends cut failures to about 1 run in 40, not to none (skew right after
-// convergence remains). That is routing, not this path.
+// TestLoopbackMesh the lost packets were TTL deaths in two-node loops, mostly
+// between two direct neighbours of the destination: each daemon priced its
+// own links by its own RTT, at weights of one or two 1/32 ms quanta where
+// one quantum of skew is a factor of two, so the two ends of a link could
+// disagree about it indefinitely. Under SenseRTT both ends hold the same two
+// rungs after one HELLO each way and price the link alike. What remains is
+// link-state routing's transient: a rung change reaches the rest of the mesh
+// a HELLO or a TC later, and packets sent in that window can still loop.
 //
 // cmd/qolsr-node wraps a Daemon in a CLI; the integration test in this
 // package converges a 20-daemon mesh on 127.0.0.1 UDP ports and routes live

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -19,15 +20,30 @@ import (
 type chain struct {
 	daemons []*Daemon
 	trs     []*MemTransport
+	// delay, when set, stamps each frame from one daemon to another that
+	// long past the receiver's present instant. Only arrivals move a
+	// daemon's clock ahead of the wall clock here, so each end closes its
+	// round trips at twice its inbound delay.
+	delay func(from, to int64) time.Duration
 }
 
-// newChain builds and converges the line by hand: HELLO and TC rounds are
-// emitted directly and every queued frame is pumped into its daemon. The
-// intervals are a minute, so nothing expires under the test.
+// newChain builds and converges the line by hand under declared weights.
 func newChain(tb testing.TB, n int, onData func(src int64, seq uint64, body []byte)) *chain {
+	return convergeChain(tb, &chain{}, n, Config{OnData: onData})
+}
+
+// newMeasuredChain is newChain under RTT-measured weights, with the pump
+// delaying each direction of a link as delay says.
+func newMeasuredChain(tb testing.TB, n int, delay func(from, to int64) time.Duration) *chain {
+	return convergeChain(tb, &chain{delay: delay}, n, Config{Measured: true})
+}
+
+// convergeChain builds and converges the line by hand: HELLO and TC rounds
+// are emitted directly and every queued frame is pumped into its daemon.
+// The intervals are a minute, so nothing expires under the test.
+func convergeChain(tb testing.TB, c *chain, n int, cfg Config) *chain {
 	tb.Helper()
 	mn := NewMemNetwork()
-	c := &chain{}
 	for id := int64(1); id <= int64(n); id++ {
 		tr, err := mn.Listen(fmt.Sprintf("n%d", id))
 		if err != nil {
@@ -37,14 +53,17 @@ func newChain(tb testing.TB, n int, onData func(src int64, seq uint64, body []by
 		for _, p := range line(int64(n))[id] {
 			ps = append(ps, Peer{ID: p, Addr: fmt.Sprintf("n%d", p)})
 		}
-		d, err := New(Config{ID: id, Transport: tr, Peers: ps, OnData: onData,
-			HelloInterval: time.Minute, TCInterval: time.Minute})
+		cfg.ID, cfg.Transport, cfg.Peers = id, tr, ps
+		cfg.HelloInterval, cfg.TCInterval = time.Minute, time.Minute
+		d, err := New(cfg)
 		if err != nil {
 			tb.Fatal(err)
 		}
 		c.daemons, c.trs = append(c.daemons, d), append(c.trs, tr)
 	}
-	for round := 0; round < n+2; round++ {
+	// Measured links form on the third round: a HELLO, an echo, then the
+	// LQ block naming the peer.
+	for round := 0; round < n+4; round++ {
 		for _, d := range c.daemons {
 			// Both deadlines due: tick emits a HELLO and, once the node
 			// has a set to advertise, a TC. Its timer is the test's.
@@ -69,8 +88,12 @@ func (c *chain) pump() {
 		moved = false
 		for i, tr := range c.trs {
 			for len(tr.in) > 0 {
-				in := <-tr.in
-				c.daemons[i].handleFrame(in)
+				in, d := <-tr.in, c.daemons[i]
+				if c.delay != nil {
+					from, _ := strconv.ParseInt(in.From[1:], 10, 64)
+					in.At = d.start.Add(d.now() + c.delay(from, d.cfg.ID))
+				}
+				d.handleFrame(in)
 				freeFrame(in.Data)
 				moved = true
 			}
@@ -79,14 +102,15 @@ func (c *chain) pump() {
 }
 
 // transitFrame encodes a data frame from node 1 for dst, as node 2 (the
-// middle of a three-chain) would receive it.
+// middle of a three-chain) would receive it. It echoes a stamp, so the hop
+// also closes a round trip.
 func transitFrame(tb testing.TB, dst int64, ttl uint8, body []byte) []byte {
 	tb.Helper()
 	pkt, err := MarshalData(&DataPacket{Dst: dst, Src: 1, Seq: 9, TTL: ttl, Body: body})
 	if err != nil {
 		tb.Fatal(err)
 	}
-	frame, err := MarshalFrame(&Frame{Kind: KindData, Sender: 1, TxTime: 1, Payload: pkt})
+	frame, err := MarshalFrame(&Frame{Kind: KindData, Sender: 1, TxTime: 1, EchoTime: 1, Payload: pkt})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -94,8 +118,8 @@ func transitFrame(tb testing.TB, dst int64, ttl uint8, body []byte) []byte {
 }
 
 // TestForwardAllocs pins the forwarding hop: handleFrame on a transit data
-// frame — decode, route lookup, in-place re-stamp, transport copy into a
-// recycled buffer — allocates nothing.
+// frame — decode, the round trip its echo closes, route lookup, in-place
+// re-stamp, transport copy into a recycled buffer — allocates nothing.
 func TestForwardAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops buffers at random under the race detector")
@@ -107,6 +131,7 @@ func TestForwardAllocs(t *testing.T) {
 	frame := make([]byte, len(pristine))
 	in := Inbound{From: "n1", Data: frame, At: time.Now()}
 	before := mid.metrics.dataForwarded.Value()
+	rtt0, _ := mid.node.LinkRTT(1, mid.now())
 	allocs := testing.AllocsPerRun(200, func() {
 		copy(frame, pristine)
 		mid.handleFrame(in)
@@ -115,8 +140,51 @@ func TestForwardAllocs(t *testing.T) {
 	if got := mid.metrics.dataForwarded.Value() - before; got != 201 {
 		t.Fatalf("forwarded %d frames, want 201", got)
 	}
+	if rtt, _ := mid.node.LinkRTT(1, mid.now()); rtt == rtt0 {
+		t.Fatal("the hop closed no round trip")
+	}
 	if allocs != 0 {
 		t.Fatalf("forwarding hop allocates %v per frame, want 0", allocs)
+	}
+}
+
+// TestMeasuredEndsAgree converges a measured two-chain whose directions are
+// delayed differently, 1 ms toward node 2 and 3 ms toward node 1, so the ends
+// measure round trips of about 2 and 6 ms: windowed minima several ladder
+// buckets apart. Both ends must still report the link at one weight.
+func TestMeasuredEndsAgree(t *testing.T) {
+	c := newMeasuredChain(t, 2, func(from, to int64) time.Duration {
+		if to == 2 {
+			return time.Millisecond
+		}
+		return 3 * time.Millisecond
+	})
+	var nb [2]NeighborStatus
+	for i, d := range c.daemons {
+		st := d.buildStatus(d.now())
+		if len(st.Neighbors) != 1 || !st.Neighbors[0].Linked {
+			t.Fatalf("node %d: neighbors %+v, want one linked", st.ID, st.Neighbors)
+		}
+		nb[i] = st.Neighbors[0]
+	}
+	if nb[0].RTTms < 2*nb[1].RTTms {
+		t.Fatalf("rtt_ms %v at node 1 and %v at node 2: the delays did not part the ends", nb[0].RTTms, nb[1].RTTms)
+	}
+	if nb[0].Weight != nb[1].Weight {
+		t.Fatalf("node 1 weighs the link %v, node 2 %v; want one weight", nb[0].Weight, nb[1].Weight)
+	}
+}
+
+// TestDeclaredHellosCarryNoLQ: under declared weights the echoes still feed
+// the RTT estimators, but a HELLO keeps the pre-measurement wire form, with
+// no LQ block.
+func TestDeclaredHellosCarryNoLQ(t *testing.T) {
+	d := newChain(t, 2, nil).daemons[0]
+	if _, ok := d.node.LinkRTT(2, d.now()); !ok {
+		t.Fatal("no round trip measured")
+	}
+	if h := d.node.GenerateHello(d.now()); h.LQs != nil {
+		t.Fatalf("declared-weight HELLO carries an LQ block: %v", h.LQs)
 	}
 }
 

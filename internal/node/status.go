@@ -11,12 +11,12 @@ type NeighborStatus struct {
 	ID   int64  `json:"id"`
 	Addr string `json:"addr"`
 	// Weight is the current link weight the routing graph uses, absent
-	// while the link is unproven (no HELLO yet, or no completed round
-	// trip in measured mode).
+	// while the link is unproven (no HELLO yet, or in measured mode no
+	// HELLO whose LQ block names this node).
 	Weight float64 `json:"weight,omitempty"`
 	Linked bool    `json:"linked"`
-	// RTTms is the smoothed round-trip time in milliseconds, absent
-	// before the first completed round trip.
+	// RTTms is the smoothed round-trip time in milliseconds, absent while
+	// no round trip completed within the neighbor hold time.
 	RTTms float64 `json:"rtt_ms,omitempty"`
 	// LastHeardS is seconds since the peer's newest frame, -1 if never.
 	LastHeardS float64 `json:"last_heard_s"`
@@ -64,7 +64,7 @@ func (d *Daemon) buildStatus(now time.Duration) StatusReport {
 		if w, ok := d.node.LinkWeight(id, now); ok {
 			ns.Weight, ns.Linked = w, true
 		}
-		if rtt, ok := p.rtt.smoothed(); ok {
+		if rtt, ok := d.node.LinkRTT(id, now); ok {
 			ns.RTTms = float64(rtt) / float64(time.Millisecond)
 		}
 		if p.heard > 0 {

@@ -25,11 +25,13 @@ func TestRoutesCachedWhileStateUnchanged(t *testing.T) {
 	if r1 != r2 {
 		t.Error("unchanged state rebuilt the routing table")
 	}
-	g1, err := n.KnownTopology(now + time.Second)
+	n.expire(now + time.Second)
+	g1, err := n.knownTopology()
 	if err != nil {
 		t.Fatal(err)
 	}
-	g2, err := n.KnownTopology(now + 2*time.Second)
+	n.expire(now + 2*time.Second)
+	g2, err := n.knownTopology()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -95,7 +95,7 @@ func (n *Node) compactDirty() {
 	sortPairs(n.dirty)
 	n.dirty = slices.Compact(n.dirty)
 	if len(n.dirty) > dirtyCap/2 {
-		n.rg, n.rindex, n.rspf, n.perm, n.dirty = nil, nil, nil, nil, nil
+		n.rg, n.rspf, n.perm, n.dirty = nil, nil, nil, nil
 	}
 }
 
@@ -194,64 +194,42 @@ func (n *Node) helloAdvertised(nb, peer int64) (float64, bool) {
 // incremental SPF.
 func (n *Node) applyPair(p pairKey, channel string) error {
 	w, ok := n.resolvePair(p.lo, p.hi)
-	ia, haveA := n.rindex[p.lo]
-	ib, haveB := n.rindex[p.hi]
-	if !ok {
-		// No supporting state: drop the edge if it exists.
-		if haveA && haveB {
-			if e, exists := n.rg.EdgeBetween(ia, ib); exists {
-				if err := n.rg.RemoveEdge(e); err != nil {
-					return err
-				}
-				if n.rspf != nil {
-					n.rspf.Touch(ia, ib)
-				}
-			}
-		}
-		return nil
+	ia, ib := n.rg.IndexOf(graph.NodeID(p.lo)), n.rg.IndexOf(graph.NodeID(p.hi))
+	e, exists := 0, false
+	if ia >= 0 && ib >= 0 {
+		e, exists = n.rg.EdgeBetween(ia, ib)
 	}
-	if !haveA {
-		idx, err := n.rg.AddNode(graph.NodeID(p.lo))
-		if err != nil {
-			return err
+	var err error
+	switch {
+	case !ok && !exists:
+		return nil // no supporting state, no edge
+	case !ok:
+		err = n.rg.RemoveEdge(e)
+	case exists:
+		ws, werr := n.rg.Weights(channel)
+		if werr != nil || ws[e] == w {
+			return werr
 		}
-		ia = idx
-		n.rindex[p.lo] = ia
-	}
-	if !haveB {
-		idx, err := n.rg.AddNode(graph.NodeID(p.hi))
-		if err != nil {
-			return err
-		}
-		ib = idx
-		n.rindex[p.hi] = ib
-	}
-	if e, exists := n.rg.EdgeBetween(ia, ib); exists {
-		ws, err := n.rg.Weights(channel)
-		if err != nil {
-			return err
-		}
-		if ws[e] != w {
-			if err := n.rg.SetWeight(channel, e, w); err != nil {
+		err = n.rg.SetWeight(channel, e, w)
+	default:
+		if ia < 0 {
+			if ia, err = n.rg.AddNode(graph.NodeID(p.lo)); err != nil {
 				return err
 			}
-			if n.rspf != nil {
-				n.rspf.Touch(ia, ib)
+		}
+		if ib < 0 {
+			if ib, err = n.rg.AddNode(graph.NodeID(p.hi)); err != nil {
+				return err
 			}
 		}
-		return nil
+		if e, err = n.rg.AddEdge(ia, ib); err == nil {
+			err = n.rg.SetWeight(channel, e, w)
+		}
 	}
-	e, err := n.rg.AddEdge(ia, ib)
-	if err != nil {
-		return err
-	}
-	if err := n.rg.SetWeight(channel, e, w); err != nil {
-		return err
-	}
-	if n.rspf != nil {
+	if err == nil && n.rspf != nil {
 		n.rspf.Touch(ia, ib)
 	}
-	return nil
+	return err
 }
 
 // incrementalRoutes reconciles the dirty pairs into the routing graph,
@@ -266,7 +244,6 @@ func (n *Node) incrementalRoutes() (*Routes, error) {
 			return nil, err
 		}
 		n.rg = g
-		n.rindex = map[int64]int32{n.ID: 0}
 		n.dirty = n.statePairs()
 	}
 	if len(n.dirty) > 0 {
@@ -292,7 +269,7 @@ func (n *Node) incrementalRoutes() (*Routes, error) {
 		if n.rg.M() == 0 {
 			return r, nil
 		}
-		spf, err := graph.NewSPF(n.rg, n.cfg.Metric, channel, n.rindex[n.ID])
+		spf, err := graph.NewSPF(n.rg, n.cfg.Metric, channel, n.rg.IndexOf(graph.NodeID(n.ID)))
 		if err != nil {
 			return nil, err
 		}
@@ -314,7 +291,7 @@ func (n *Node) incrementalRoutes() (*Routes, error) {
 		slices.SortFunc(n.perm, func(a, b int32) int { return cmp.Compare(n.rg.ID(a), n.rg.ID(b)) })
 	}
 	n.rfirst = n.rspf.FirstHops(n.rfirst)
-	self := n.rindex[n.ID]
+	self := n.rg.IndexOf(graph.NodeID(n.ID))
 	for _, x := range n.perm {
 		if x == self || !n.rspf.Reachable(x) {
 			continue

@@ -94,7 +94,7 @@ func TestIncrementalRoutesAcrossExpiryAndRelearn(t *testing.T) {
 	// Host-driven link sensing: otherwise the HELLO below would itself
 	// refresh the link (oracle mode adopts the advertised weight toward us)
 	// and the expiry under test could never happen.
-	cfg.ExternalLinkSensing = true
+	cfg.LinkSensing = SenseHost
 	n, _ := NewNode(1, cfg)
 	now := time.Duration(0)
 	n.UpdateLink(2, 5, now)

@@ -2,6 +2,7 @@ package olsr
 
 import (
 	"math"
+	"math/rand"
 	"reflect"
 	"testing"
 	"time"
@@ -156,7 +157,7 @@ func TestHelloLQWireRoundTrip(t *testing.T) {
 // only once both directions have been heard, with the ETX-mapped weight.
 func TestMeasuredQoSFormsSymmetricLinks(t *testing.T) {
 	cfg := DefaultConfig(metric.Delay())
-	cfg.MeasuredQoS = true
+	cfg.LinkSensing = SenseDelivery
 	a, err := NewNode(1, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -183,5 +184,101 @@ func TestMeasuredQoSFormsSymmetricLinks(t *testing.T) {
 	}
 	if q, ok := a.LinkQuality(2, now+time.Second); !ok || q != 1 {
 		t.Errorf("a's LinkQuality of b = %g, %v; want 1", q, ok)
+	}
+}
+
+// isRung reports whether w is exactly one of the RTT ladder's rungs.
+func isRung(w float64) bool {
+	k := math.Round(rungsPerOctave * math.Log2(w/rttFloor))
+	return k >= 0 && w == rttFloor*math.Exp2(k/rungsPerOctave)
+}
+
+// TestRTTPricingSymmetric drives 1,000 seeded pairs of SenseRTT nodes. Each
+// end measures its own round-trip stream — its own floor, one end at up to
+// twice the other's, and its own jitter — and the two emit and handle HELLOs
+// in random interleavings, a newer HELLO replacing one still in flight.
+// Whenever each end has handled the other's latest HELLO, both must price
+// the link at the same rung, bit for bit. Then each stream wobbles across
+// its end's rung within one bucket's width, and no version may move.
+func TestRTTPricingSymmetric(t *testing.T) {
+	cfg := DefaultConfig(metric.Delay())
+	cfg.LinkSensing = SenseRTT
+	cfg.NeighborHoldTime = time.Hour // nothing expires under the test
+	ms := func(v float64) time.Duration { return time.Duration(v * float64(time.Millisecond)) }
+	for seed := int64(0); seed < 1000; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		a, _ := NewNode(1, cfg)
+		b, _ := NewNode(2, cfg)
+		ends := [2]*Node{a, b}
+		base := 0.02 + 2*rng.Float64()
+		floor := [2]float64{base, base * (1 + rng.Float64())}
+		if rng.Intn(2) == 0 {
+			floor[0], floor[1] = floor[1], floor[0]
+		}
+		jitter := [2]float64{rng.Float64(), 2 * rng.Float64()}
+		rtt := func(i int) time.Duration { return ms(floor[i] * (1 + jitter[i]*rng.ExpFloat64())) }
+		var now time.Duration
+		var inflight [2]*Hello // each end's latest HELLO the other has not handled
+		step := func(i int, rtt func(int) time.Duration) {
+			now += time.Millisecond
+			switch rng.Intn(3) {
+			case 0:
+				ends[i].ObserveRTT(int64(2-i), rtt(i), now)
+			case 1:
+				inflight[i] = ends[i].GenerateHello(now)
+			default:
+				if inflight[i] != nil {
+					ends[1-i].HandleHello(inflight[i], now)
+					inflight[i] = nil
+				}
+			}
+		}
+		check := func() {
+			wa, okA := a.LinkWeight(2, now)
+			wb, okB := b.LinkWeight(1, now)
+			if okA && okB && (wa != wb || !isRung(wa)) {
+				t.Fatalf("seed %d: ends price the link at %v and %v; want one rung", seed, wa, wb)
+			}
+		}
+		for range 200 {
+			step(rng.Intn(2), rtt)
+			if inflight[0] == nil && inflight[1] == nil {
+				check()
+			}
+		}
+		// A closing exchange with both ends measured links them; what was
+		// still in flight is lost.
+		inflight = [2]*Hello{}
+		for i := range ends {
+			ends[i].ObserveRTT(int64(2-i), rtt(i), now)
+		}
+		b.HandleHello(a.GenerateHello(now), now)
+		a.HandleHello(b.GenerateHello(now), now)
+		b.HandleHello(a.GenerateHello(now), now)
+		if _, ok := a.LinkWeight(2, now); !ok {
+			t.Fatalf("seed %d: no link after a full exchange", seed)
+		}
+		check()
+
+		// Each stream now wobbles within one bucket's width, straddling its
+		// end's advertised rung.
+		var rung [2]float64
+		for i, n := range ends {
+			rung[i] = n.lq.get(int64(2 - i)).adv
+		}
+		inBucket := func(i int) time.Duration {
+			return ms(rung[i] * math.Exp2((rng.Float64()-0.5)/rungsPerOctave))
+		}
+		for _, n := range ends {
+			if _, err := n.Routes(now); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for range 200 {
+			step(rng.Intn(2), inBucket)
+			if a.RoutesDirty(now) || b.RoutesDirty(now) {
+				t.Fatalf("seed %d: a stream inside one bucket moved a version", seed)
+			}
+		}
 	}
 }

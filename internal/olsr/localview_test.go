@@ -47,7 +47,7 @@ type neighborhood struct {
 func nodeFor(t *testing.T, nb neighborhood, m metric.Metric) *Node {
 	t.Helper()
 	cfg := DefaultConfig(m)
-	cfg.ExternalLinkSensing = true
+	cfg.LinkSensing = SenseHost
 	n, err := NewNode(nb.self, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -260,7 +260,7 @@ func TestLocalViewMatchesReference(t *testing.T) {
 	}
 
 	cfg := DefaultConfig(metric.Bandwidth())
-	cfg.ExternalLinkSensing = true
+	cfg.LinkSensing = SenseHost
 	ids := make([]int64, 120)
 	for i := range ids {
 		ids[i] = int64(i)

@@ -64,11 +64,12 @@ type Hello struct {
 	// relays; receivers use it to maintain their MPR-selector sets,
 	// which gate TC forwarding.
 	MPRs []int64
-	// LQs, present only under measured link quality (Config.MeasuredQoS),
-	// carries the sender's raw windowed HELLO delivery ratio per heard
-	// neighbor — the reverse-direction measurement the receiver needs to
-	// form an ETX-style bidirectional link estimate. The block is encoded
-	// only when non-empty, so oracle-mode HELLOs are byte-identical to the
+	// LQs, present only under the measured link-sensing modes, carries the
+	// sender's half of each measured link: its raw windowed HELLO delivery
+	// ratio under SenseDelivery (what the receiver needs to form an
+	// ETX-style bidirectional estimate), its advertised RTT ladder rung in
+	// milliseconds under SenseRTT. The block is encoded only when
+	// non-empty, so oracle-mode HELLOs are byte-identical to the
 	// pre-measurement wire format.
 	LQs []LinkInfo
 }

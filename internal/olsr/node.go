@@ -29,15 +29,13 @@ type Config struct {
 	Selector core.Selector
 	// MPRHeuristic computes the flooding relay set (default RFC greedy).
 	MPRHeuristic mpr.Heuristic
-	// MeasuredQoS switches link sensing from the oracle to measurement:
-	// instead of weights fed by UpdateLink from the topology, the node
-	// derives them from windowed HELLO delivery ratios (ETX for additive
-	// metrics, the delivery product for concave ones — see linkquality.go)
-	// and HELLOs carry the LQ block so both link ends converge on the
-	// same bidirectional estimate.
-	MeasuredQoS bool
-	// LQWindow is the HELLO-history window measured ratios average over
-	// (default DefaultLQWindow). Only read under MeasuredQoS.
+	// LinkSensing selects what writes the node's link table: the oracle
+	// (the zero value), the host alone, or one of the two measured modes
+	// whose HELLOs carry the LQ block so both link ends converge on the
+	// same weight (see linkquality.go).
+	LinkSensing LinkSensing
+	// LQWindow is the observation window of the measured modes' per-link
+	// estimators, in HELLO intervals (default DefaultLQWindow).
 	LQWindow int
 	// ExternalDupSuppression disables the node's own duplicate-suppression
 	// window for flooded TC-family messages: the embedding host guarantees
@@ -47,13 +45,6 @@ type Config struct {
 	// duplicate tables with one bit probe per delivery — the handlers then
 	// skip their own window entirely.
 	ExternalDupSuppression bool
-	// ExternalLinkSensing disables the protocol's own link sensing on
-	// HELLO receipt (both the oracle adoption of the sender's advertised
-	// weight and the MeasuredQoS delivery estimator): the embedding host
-	// owns the link table and feeds it through UpdateLink. The deployable
-	// daemon uses this to drive weights from real round-trip timing — the
-	// protocol machinery must not overwrite a measurement it cannot make.
-	ExternalLinkSensing bool
 	// DeltaTC enables delta-encoded topology control (GenerateTCUpdate):
 	// between periodic full TCs the node floods only the changes against
 	// what it last flooded — in the converged steady state an empty
@@ -163,8 +154,9 @@ type RebuildStats struct {
 	// AdvChange counts announcements that replaced the retained content
 	// and invalidated the routing caches.
 	AdvChange uint64
-	// TopoBuilds counts from-scratch known-topology graph materialisations
-	// (the full-rebuild path; the incremental engine avoids them).
+	// TopoBuilds counts from-scratch known-topology graph materialisations.
+	// Only the reference build the package's crossCheck tests run makes
+	// one, so it is 0 in every simulator and daemon run.
 	TopoBuilds uint64
 	// Selections counts MPR/ANS selection runs: the local view was rebuilt
 	// and selected on because the neighborhood had changed since the last.
@@ -242,9 +234,9 @@ type Node struct {
 	// flooded message makes one), so the topology watermark covers only
 	// each origin's *latest* entry — the row is dropped once that expired.
 	dups map[int64][]dupSeq
-	// lq holds the per-neighbor HELLO delivery estimators (MeasuredQoS
-	// link sensing; nil in oracle mode).
-	lq map[int64]*lqEstimator
+	// lq holds the per-neighbor link estimators: HELLO delivery under
+	// SenseDelivery, round trips wherever the host feeds ObserveRTT.
+	lq smallTable[lqEstimator]
 
 	helloSeq uint16
 	tcSeq    uint16
@@ -308,11 +300,11 @@ type Node struct {
 	// Incremental routing state (see incremental.go): the dirty pair list
 	// the handlers accumulate once a routing graph exists (bounded by
 	// dirtyCap; sorted and deduplicated when consumed), the long-lived
-	// routing graph with its id-to-index map and incremental SPF solution,
-	// and the ascending-ID index permutation for table extraction.
+	// routing graph (which keeps its own id-to-index map) with its
+	// incremental SPF solution, and the ascending-ID index permutation for
+	// table extraction.
 	dirty  []pairKey
 	rg     *graph.Graph
-	rindex map[int64]int32
 	rspf   *graph.SPF
 	perm   []int32
 	rfirst []int32
@@ -403,6 +395,9 @@ func NewNodes(ids []int64, cfg Config) ([]*Node, error) {
 	if cfg.TopologyHoldTime <= 0 {
 		cfg.TopologyHoldTime = 3 * cfg.TCInterval
 	}
+	if cfg.LQWindow <= 0 {
+		cfg.LQWindow = DefaultLQWindow
+	}
 	for _, ttl := range cfg.FisheyeTTLs {
 		if ttl < 0 {
 			return nil, fmt.Errorf("olsr: negative TTL %d in fish-eye schedule", ttl)
@@ -478,11 +473,7 @@ func (n *Node) UpdateLink(neighbor int64, weight float64, now time.Duration) {
 	n.track(expires)
 	if l := n.links.get(neighbor); l != nil {
 		l.expires = expires
-		if l.weight != weight {
-			l.weight = weight
-			n.touchNeighborhood()
-			n.markPair(n.ID, neighbor)
-		}
+		n.reweigh(neighbor, l, weight)
 		return
 	}
 	n.links.put(neighbor, linkEntry{weight: weight, expires: expires})
@@ -491,6 +482,16 @@ func (n *Node) UpdateLink(neighbor int64, weight float64, now time.Duration) {
 	// The neighbor became direct: its HELLO-advertised links are now
 	// eligible as routing edges.
 	n.markNeighborPairs(neighbor)
+}
+
+// reweigh sets a held link's weight, leaving its deadline alone; only an
+// actual change invalidates what derives from it.
+func (n *Node) reweigh(neighbor int64, l *linkEntry, weight float64) {
+	if l.weight != weight {
+		l.weight = weight
+		n.touchNeighborhood()
+		n.markPair(n.ID, neighbor)
+	}
 }
 
 // expire drops stale state. It is O(1) while the current time is before the
@@ -552,16 +553,16 @@ func (n *Node) expireNeighborhood(now time.Duration) {
 			next = *e
 		}
 	})
-	for id, e := range n.lq {
+	n.lq.each(func(id int64, e *lqEstimator) {
 		if e.expires <= now {
 			// Dropping an estimator is not a content change: the links
-			// map (which expires on its own deadline) is what derived
+			// table (which expires on its own deadline) is what derived
 			// state reads.
-			delete(n.lq, id)
+			n.lq.del(id)
 		} else if e.expires < next {
 			next = e.expires
 		}
-	}
+	})
 	n.nextExpiry = next
 }
 
@@ -603,6 +604,9 @@ func (n *Node) expireTopology(now time.Duration) {
 // GenerateHello produces this node's periodic HELLO.
 func (n *Node) GenerateHello(now time.Duration) *Hello {
 	n.expire(now)
+	if n.cfg.LinkSensing == SenseRTT {
+		n.priceRTT()
+	}
 	n.recompute()
 	if n.helloAdv == nil || n.helloAt != n.nhVersion {
 		n.helloAt = n.nhVersion
@@ -619,14 +623,7 @@ func (n *Node) GenerateHello(now time.Duration) *Hello {
 	// forwarding at the listed neighbors.
 	h := &Hello{Origin: n.ID, Seq: n.helloSeq, Links: n.helloAdv, MPRs: n.relaySet}
 	n.helloSeq++
-	if n.cfg.MeasuredQoS {
-		// Report the raw forward delivery ratio per heard neighbor so
-		// receivers can form the bidirectional estimate (sorted: the
-		// wire form must be a pure function of protocol state).
-		for _, id := range sortedKeys(n.lq) {
-			h.LQs = append(h.LQs, LinkInfo{Neighbor: id, Weight: n.lq[id].ratio()})
-		}
-	}
+	h.LQs = n.lqBlock()
 	return h
 }
 
@@ -638,17 +635,8 @@ func (n *Node) HandleHello(h *Hello, now time.Duration) {
 		return // discard own messages (RFC 3626 looped-back traffic)
 	}
 	n.expire(now)
-	switch {
-	case n.cfg.ExternalLinkSensing:
-		// The host senses links (e.g. from measured round-trip timing)
-		// and calls UpdateLink itself; the HELLO only feeds the
-		// neighborhood tables below.
-	case n.cfg.MeasuredQoS:
-		// Measured link sensing: the HELLO is a probe observation; the
-		// link weight comes from the bidirectional delivery estimate,
-		// not from any advertised value.
-		n.observeHello(h, now)
-	default:
+	switch n.cfg.LinkSensing {
+	case SenseOracle:
 		// Receiving a HELLO proves the link (ideal symmetric MAC); adopt
 		// the neighbor's advertised weight toward us when present so both
 		// ends agree on the link weight.
@@ -657,7 +645,13 @@ func (n *Node) HandleHello(h *Hello, now time.Duration) {
 				n.UpdateLink(h.Origin, l.Weight, now)
 			}
 		}
+	case SenseDelivery, SenseRTT:
+		// The weight combines both ends' measured halves, never an
+		// advertised link value.
+		n.senseHello(h, now)
 	}
+	// Under SenseHost the host calls UpdateLink itself; the HELLO only
+	// feeds the neighborhood tables below.
 	for _, m := range h.MPRs {
 		if m == n.ID {
 			deadline := now + n.cfg.NeighborHoldTime
@@ -1174,20 +1168,11 @@ func (n *Node) Selectors(now time.Duration) []int64 {
 	return append(make([]int64, 0, n.selectors.len()), n.selectors.keys...)
 }
 
-// KnownTopology assembles the node's routing graph: its own links plus
-// every valid advertised link learned from TCs and the two-hop links
-// learned from HELLOs. The returned graph is the node's cached snapshot,
-// shared across calls until the state changes — callers must treat it as
-// read-only. A retained snapshot stays internally consistent after the node
-// moves on (rebuilds allocate a fresh graph rather than mutating the old
-// one).
-func (n *Node) KnownTopology(now time.Duration) (*graph.Graph, error) {
-	n.expire(now)
-	return n.knownTopology()
-}
-
-// knownTopology returns the cached routing graph, rebuilding it when the
-// topology version moved. Callers must have run expire(now) first.
+// knownTopology assembles the node's reference routing graph: its own links
+// plus every valid advertised link learned from TCs and the two-hop links
+// learned from HELLOs. The graph is cached until the topology version moves;
+// a rebuild allocates a fresh graph, so a retained one stays internally
+// consistent. Callers must have run expire(now) first.
 func (n *Node) knownTopology() (*graph.Graph, error) {
 	if n.topoG != nil && n.topoAt == n.topoVersion {
 		return n.topoG, nil

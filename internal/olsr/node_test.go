@@ -178,7 +178,8 @@ func TestANSNStaleTCDiscarded(t *testing.T) {
 	n.HandleTC(&TC{Origin: 2, ANSN: 10, Seq: 1, Links: []LinkInfo{{Neighbor: 3, Weight: 7}}}, 1, now)
 	// Older ANSN with a new flooding seq: content must not regress.
 	n.HandleTC(&TC{Origin: 2, ANSN: 9, Seq: 2, Links: []LinkInfo{{Neighbor: 8, Weight: 1}}}, 1, now)
-	g, err := n.KnownTopology(now)
+	n.expire(now)
+	g, err := n.knownTopology()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +191,8 @@ func TestANSNStaleTCDiscarded(t *testing.T) {
 	}
 	// Newer ANSN replaces.
 	n.HandleTC(&TC{Origin: 2, ANSN: 11, Seq: 3, Links: []LinkInfo{{Neighbor: 8, Weight: 1}}}, 1, now)
-	g, _ = n.KnownTopology(now)
+	n.expire(now)
+	g, _ = n.knownTopology()
 	if g.IndexOf(8) < 0 {
 		t.Error("newer TC rejected")
 	}

@@ -572,7 +572,9 @@ func protocolConfig(p Protocol) (olsr.Config, error) {
 	}
 	cfg := olsr.DefaultConfig(p.Metric)
 	cfg.Selector = sel
-	cfg.MeasuredQoS = p.MeasuredQoS
+	if p.MeasuredQoS {
+		cfg.LinkSensing = olsr.SenseDelivery
+	}
 	cfg.DeltaTC = p.DeltaTC
 	cfg.FisheyeTTLs = append([]int(nil), p.FisheyeTTLs...)
 	if p.MinRelay {

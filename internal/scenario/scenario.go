@@ -94,8 +94,9 @@ type Protocol struct {
 	HelloInterval time.Duration
 	TCInterval    time.Duration
 	// MeasuredQoS switches link sensing from the topology oracle to
-	// measurement: link weights come from windowed HELLO delivery ratios
-	// (ETX-style), the regime the lossy medium exists for.
+	// measurement (olsr.SenseDelivery): link weights come from windowed
+	// HELLO delivery ratios (ETX-style), the regime the lossy medium exists
+	// for.
 	MeasuredQoS bool
 	// DeltaTC switches TC dissemination to delta encoding: full TCs anchor
 	// a chain of incremental updates, cutting steady-state TC bytes.

@@ -32,7 +32,9 @@ func benchField(b *testing.B) *graph.Graph {
 func benchMedium(b *testing.B, mk func() Medium, measured bool) {
 	g := benchField(b)
 	cfg := olsr.DefaultConfig(metric.Bandwidth())
-	cfg.MeasuredQoS = measured
+	if measured {
+		cfg.LinkSensing = olsr.SenseDelivery
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -245,7 +245,7 @@ func TestETXEstimatorConvergence(t *testing.T) {
 	cfg := olsr.DefaultConfig(metric.Delay())
 	cfg.HelloInterval = time.Second
 	cfg.NeighborHoldTime = 8 * time.Second
-	cfg.MeasuredQoS = true
+	cfg.LinkSensing = olsr.SenseDelivery
 	cfg.LQWindow = 64
 	nw, err := NewNetwork(g, cfg, NetworkOptions{
 		Seed:   5,

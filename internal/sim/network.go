@@ -176,10 +176,11 @@ func (nw *Network) Medium() Medium { return nw.medium }
 // their routing-table Values are composed under.
 func (nw *Network) Metric() metric.Metric { return nw.cfg.Metric }
 
-// MeasuredQoS reports whether the nodes sense link quality by measurement
-// instead of the topology oracle — routing-table Values are then in
-// measured-quality units (ETX, delivery product), not oracle weights.
-func (nw *Network) MeasuredQoS() bool { return nw.cfg.MeasuredQoS }
+// MeasuredQoS reports whether the nodes sense link quality by measured HELLO
+// delivery (olsr.SenseDelivery; the simulator feeds no round trips) instead
+// of the topology oracle — routing-table Values are then in measured-quality
+// units (ETX, delivery product), not oracle weights.
+func (nw *Network) MeasuredQoS() bool { return nw.cfg.LinkSensing == olsr.SenseDelivery }
 
 // HopDelayBound returns the medium's per-hop latency bound — what harnesses
 // size packet drain windows with.
@@ -238,7 +239,7 @@ func (nw *Network) Run(until time.Duration) { nw.Engine.Run(until) }
 // QoS the oracle is silent: nodes learn their links only from what the
 // medium actually delivers (olsr link sensing).
 func (nw *Network) feedLinks(i int) {
-	if nw.cfg.MeasuredQoS {
+	if nw.MeasuredQoS() {
 		return
 	}
 	w, _ := nw.Phys.Weights(nw.channel)

@@ -42,7 +42,7 @@ var (
 // Radio medium: the pluggable layer every transmission crosses. The ideal
 // MAC is the paper's model; the lossy medium adds per-link packet-error
 // rates, per-node transmit queues and jitter, the regime measured link
-// quality (ProtocolConfig.MeasuredQoS) exists for.
+// quality (ProtocolConfig.LinkSensing = SenseDelivery) exists for.
 type (
 	// Medium is the radio model a Network transmits through.
 	Medium = sim.Medium
@@ -71,6 +71,8 @@ var (
 type (
 	// ProtocolConfig parameterises an OLSR/QOLSR node.
 	ProtocolConfig = olsr.Config
+	// LinkSensing selects what writes a node's link table.
+	LinkSensing = olsr.LinkSensing
 	// ProtocolNode is one protocol state machine.
 	ProtocolNode = olsr.Node
 	// Route is one protocol routing-table entry.
@@ -91,6 +93,14 @@ type (
 	Mobility = geom.Mobility
 	// MobileSim couples the protocol network to a mobility model.
 	MobileSim = sim.MobileSim
+)
+
+// Link sensing modes (ProtocolConfig.LinkSensing).
+const (
+	SenseOracle   = olsr.SenseOracle
+	SenseHost     = olsr.SenseHost
+	SenseDelivery = olsr.SenseDelivery
+	SenseRTT      = olsr.SenseRTT
 )
 
 var (
