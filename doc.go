@@ -144,9 +144,10 @@
 // change, not on lookup. Every content-changing mutation of a node's soft
 // state — a link update, HELLO/TC ingestion that alters advertised content,
 // or a virtual-time expiry — bumps a topology version; the MPR/ANS
-// selection, the known topology and the routing table are cached artifacts
-// rebuilt only when the version moved (the local view selection runs on is
-// rebuilt each time in a scratch the field shares, and not kept). Re-announcements of unchanged content (the
+// selection and the routing table are cached artifacts rebuilt only when the
+// version moved; the routing graph under the table is laid out once and then
+// repaired pair by pair (the local view selection runs on is rebuilt each
+// time in a scratch the field shares, and not kept). Re-announcements of unchanged content (the
 // steady-state regime) merely extend validity deadlines, and a min-expiry
 // watermark keeps the expiry check O(1) while nothing can be stale, so a
 // converged network serves lookups from cache indefinitely. Node.Routes

@@ -2,65 +2,48 @@ package graph
 
 import "slices"
 
-// EdgeAccum collects undirected weighted edges with first-writer-wins
-// deduplication. It is the staging buffer for assembling a Graph from several
-// per-source link tables that may disagree on a pair's weight: which weight
-// wins is decided by the order of the Add calls, so callers must add in an
-// order that is a pure function of their state, never of map iteration.
-// Nothing downstream depends on the order the surviving edges are inserted in
-// (searches break ties on NodeIDs, see ShortestPaths).
-//
-// Reset lets one accumulator be reused across rebuilds without reallocating;
-// the zero value needs a Reset (or a first Add) before use.
-type EdgeAccum struct {
-	order [][2]NodeID
-	w     map[[2]NodeID]float64
+// FromEdges returns the graph on ids, which must be strictly ascending, whose
+// edge e joins the node indices ends[e] with weight w[e] on the named channel.
+// The graph takes all three slices over and lays its adjacency out in one
+// arena (see layout). It keeps no id map: IndexOf binary-searches the ids
+// until an AddNode appends.
+func FromEdges(ids []NodeID, ends [][2]int32, channel string, w []float64) *Graph {
+	g := &Graph{ids: ids, ends: ends, weights: []weightChannel{{channel, w}}}
+	g.layout(nil, make([]int32, len(ids)+1))
+	return g
 }
 
-// Reset clears the accumulator, keeping its storage for reuse.
-func (ea *EdgeAccum) Reset() {
-	ea.order = ea.order[:0]
-	if ea.w == nil {
-		ea.w = make(map[[2]NodeID]float64)
-	} else {
-		clear(ea.w)
+// layout lays g.ends out as adjacency lists, in edge order as AddEdge would
+// have, in one arena of 2·M arcs — arena itself when it has room — and
+// returns the arena; off is scratch of N+1 entries. Every list is a
+// full-capacity slice of the arena, so an AddEdge on the laid-out graph
+// reallocates the list it grows instead of overwriting its neighbour's.
+func (g *Graph) layout(arena []Arc, off []int32) []Arc {
+	n := len(g.ids)
+	if cap(g.adj) < n {
+		g.adj = make([][]Arc, n)
 	}
-}
-
-// Add stages the undirected edge {a,b} with weight w. Self-loops are ignored;
-// the first writer of a pair wins.
-func (ea *EdgeAccum) Add(a, b NodeID, w float64) {
-	if a == b {
-		return
+	g.adj = g.adj[:n]
+	clear(off)
+	for _, e := range g.ends {
+		off[e[0]+1]++
+		off[e[1]+1]++
 	}
-	if a > b {
-		a, b = b, a
+	for i := 0; i < n; i++ {
+		off[i+1] += off[i]
 	}
-	if ea.w == nil {
-		ea.w = make(map[[2]NodeID]float64)
+	if cap(arena) < 2*len(g.ends) {
+		arena = make([]Arc, 2*len(g.ends))
 	}
-	key := [2]NodeID{a, b}
-	if _, dup := ea.w[key]; dup {
-		return
+	for i := range g.adj {
+		g.adj[i] = arena[off[i]:off[i]:off[i+1]]
 	}
-	ea.w[key] = w
-	ea.order = append(ea.order, key)
-}
-
-// Build inserts the accumulated edges into g, in accumulation order. Edges
-// with an endpoint g does not have are skipped.
-func (ea *EdgeAccum) Build(g *Graph, channel string) {
-	for _, key := range ea.order {
-		ia, ib := g.IndexOf(key[0]), g.IndexOf(key[1])
-		if ia < 0 || ib < 0 {
-			continue
-		}
-		e, err := g.AddEdge(ia, ib)
-		if err != nil {
-			continue
-		}
-		_ = g.SetWeight(channel, e, ea.w[key])
+	for e, ends := range g.ends {
+		a, b := ends[0], ends[1]
+		g.adj[a] = append(g.adj[a], Arc{To: b, Edge: int32(e)})
+		g.adj[b] = append(g.adj[b], Arc{To: a, Edge: int32(e)})
 	}
+	return arena
 }
 
 // ViewScratch is the reusable storage a two-hop view is built and selected on:
@@ -72,9 +55,10 @@ func (ea *EdgeAccum) Build(g *Graph, channel string) {
 // ready; a ViewScratch is not safe for concurrent use.
 //
 // A build is Begin, AddID for every node (any order, repeats allowed), Seal,
-// then Row/Edge for the links, then View. Like EdgeAccum the first writer of
-// a pair wins and self-loops are dropped; an edge naming an id that was not
-// added is skipped.
+// then Row/Edge for the links, then View. The first writer of a pair wins and
+// self-loops are dropped; an edge naming an id that was not added is skipped.
+// The pair dedup is an n×n bit-matrix, sized for a two-hop view, not for a
+// node's whole routing graph.
 type ViewScratch struct {
 	g    Graph
 	lv   LocalView
@@ -166,34 +150,8 @@ func (s *ViewScratch) View(center NodeID, channel string) (*LocalView, []float64
 	if u < 0 {
 		return nil, nil
 	}
-	n := len(g.ids)
-	if cap(g.adj) < n {
-		g.adj = make([][]Arc, n)
-	}
-	g.adj = g.adj[:n]
-	s.work = resizeInt32(s.work, n+1)
-	off := s.work
-	clear(off)
-	for _, e := range g.ends {
-		off[e[0]+1]++
-		off[e[1]+1]++
-	}
-	for i := 0; i < n; i++ {
-		off[i+1] += off[i]
-	}
-	if cap(s.arcs) < 2*len(g.ends) {
-		s.arcs = make([]Arc, 2*len(g.ends))
-	}
-	for i := range g.adj {
-		// Full-capacity slices: an AddEdge on the built graph reallocates the
-		// list instead of overwriting its neighbour's.
-		g.adj[i] = s.arcs[off[i]:off[i]:off[i+1]]
-	}
-	for e, ends := range g.ends {
-		a, b := ends[0], ends[1]
-		g.adj[a] = append(g.adj[a], Arc{To: b, Edge: int32(e)})
-		g.adj[b] = append(g.adj[b], Arc{To: a, Edge: int32(e)})
-	}
+	s.work = resizeInt32(s.work, len(g.ids)+1)
+	s.arcs = g.layout(s.arcs, s.work)
 	if len(g.weights) != 1 {
 		g.weights = make([]weightChannel, 1)
 	}

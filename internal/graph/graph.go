@@ -31,7 +31,8 @@ type Arc struct {
 
 // Graph is an undirected graph with multi-channel edge weights. Nodes are
 // dense indices 0..N()-1 carrying external NodeIDs; edges are dense indices
-// 0..M()-1. The zero value is not usable; construct with New or NewWithIDs.
+// 0..M()-1. The zero value is not usable; construct with New, NewWithIDs or
+// FromEdges.
 type Graph struct {
 	ids    []NodeID
 	labels []string
@@ -43,8 +44,8 @@ type Graph struct {
 	// so reverse lookup and the AddNode uniqueness check are O(1) — the
 	// incremental routing engine grows its graph one node at a time and a
 	// scanning check would make that growth quadratic. A graph with neither
-	// (a ViewScratch's) has strictly ascending ids and IndexOf binary-searches
-	// them.
+	// (a laid-out one: FromEdges, ViewScratch) has strictly ascending ids and
+	// IndexOf binary-searches them.
 	identity bool
 	index    map[NodeID]int32
 	// weights holds the weight channels in creation order — one or two in
@@ -119,8 +120,8 @@ func (g *Graph) ID(x int32) NodeID { return g.ids[x] }
 
 // IndexOf returns the node index carrying id, or -1. It is O(1): identity
 // graphs answer with a bounds check, others through the maintained reverse
-// map — except a ViewScratch's graph, which keeps no map and binary-searches
-// its ascending ids.
+// map — except a laid-out graph (FromEdges, ViewScratch), which keeps no map
+// and binary-searches its ascending ids.
 func (g *Graph) IndexOf(id NodeID) int32 {
 	switch {
 	case g.identity:

@@ -146,32 +146,3 @@ func TestFirstHopsMatchesPathTo(t *testing.T) {
 		}
 	}
 }
-
-// The edge accumulator must keep first-writer-wins precedence and insertion
-// order across Reset cycles.
-func TestEdgeAccumReuse(t *testing.T) {
-	var acc EdgeAccum
-	for round := 0; round < 3; round++ {
-		acc.Reset()
-		acc.Add(1, 2, 5)
-		acc.Add(2, 1, 9) // duplicate pair: first writer wins
-		acc.Add(3, 3, 1) // self-loop: ignored
-		acc.Add(2, 3, 7)
-		g, err := NewWithIDs([]NodeID{1, 2, 3})
-		if err != nil {
-			t.Fatal(err)
-		}
-		acc.Build(g, "bw")
-		if g.M() != 2 {
-			t.Fatalf("round %d: %d edges, want 2", round, g.M())
-		}
-		w, err := g.Weights("bw")
-		if err != nil {
-			t.Fatal(err)
-		}
-		e12, ok := g.EdgeBetween(0, 1)
-		if !ok || w[e12] != 5 {
-			t.Errorf("round %d: edge 1-2 weight %v, want first-writer 5", round, w[e12])
-		}
-	}
-}

@@ -47,22 +47,27 @@ func randomRows(rng *rand.Rand, nodes int) (center NodeID, ids []NodeID, rows []
 	return center, ids, rows
 }
 
-// referenceView assembles the rows the way the protocol node's from-scratch
-// build does: EdgeAccum for first-writer-wins, NewWithIDs, AddEdge,
-// NewLocalView.
+// referenceView assembles the rows the plain way: a pair map for
+// first-writer-wins, NewWithIDs, AddEdge, NewLocalView.
 func referenceView(t *testing.T, center NodeID, ids []NodeID, rows []linkRow, ch string) (*LocalView, []float64) {
 	t.Helper()
 	g, err := NewWithIDs(ids)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var acc EdgeAccum
+	seen := map[[2]NodeID]bool{}
 	for _, r := range rows {
 		for i, to := range r.to {
-			acc.Add(r.from, to, r.w[i])
+			pair := [2]NodeID{min(r.from, to), max(r.from, to)}
+			if pair[0] == pair[1] || seen[pair] {
+				continue
+			}
+			seen[pair] = true
+			if err := g.SetWeight(ch, g.MustAddEdge(g.IndexOf(pair[0]), g.IndexOf(pair[1])), r.w[i]); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
-	acc.Build(g, ch)
 	w, err := g.Weights(ch)
 	if err != nil {
 		w = nil // no edges at all

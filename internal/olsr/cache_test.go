@@ -25,19 +25,6 @@ func TestRoutesCachedWhileStateUnchanged(t *testing.T) {
 	if r1 != r2 {
 		t.Error("unchanged state rebuilt the routing table")
 	}
-	n.expire(now + time.Second)
-	g1, err := n.knownTopology()
-	if err != nil {
-		t.Fatal(err)
-	}
-	n.expire(now + 2*time.Second)
-	g2, err := n.knownTopology()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g1 != g2 {
-		t.Error("unchanged state rebuilt the known topology")
-	}
 }
 
 // A refresh that re-announces identical content (the steady-state regime:

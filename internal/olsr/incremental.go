@@ -8,21 +8,20 @@ import (
 	"qolsr/internal/graph"
 )
 
-// Incremental routing: instead of rebuilding the known-topology graph and
-// re-running Dijkstra from scratch on every state change, the node maintains
-// a long-lived routing graph and an incremental SPF solution (graph.SPF)
-// over it, and repairs only what a change touched.
+// Routing graph: a node lays its routing graph out from the state tables in
+// one sorted pass (layoutRoutes), keeps it with an incremental SPF solution
+// (graph.SPF) over it, and afterwards repairs only what a change touched.
 //
 // The unit of change is the unordered node pair. Every handler that alters
 // protocol state records the pairs whose effective link may have changed
 // (the dirty set); at the next table rebuild each dirty pair is re-resolved
-// against the authoritative state maps and the graph edge is added, removed
-// or reweighted to match, feeding graph.SPF.Touch. Resolution reproduces the
-// full rebuild's first-writer-wins precedence exactly — own links, then
+// against the state tables (resolvePair) and the graph edge is added, removed
+// or reweighted to match, feeding graph.SPF.Touch. The layout and the
+// resolution apply one first-writer-wins precedence — own links, then
 // HELLO-learned two-hop links (smaller direct-neighbor contributor first),
 // then TC-learned links (smaller origin first) — so the repaired table is
-// bit-identical to the one buildKnownTopology plus canonical Dijkstra
-// produces (Config.crossCheck pins this down in tests).
+// bit-identical to a fresh layout plus canonical Dijkstra (fullRoutes;
+// Config.crossCheck pins this down in tests).
 //
 // The routing graph only ever grows its node set: nodes that drop out of the
 // protocol state just lose their edges and become unreachable, which keeps
@@ -30,12 +29,10 @@ import (
 // by NodeID, never index, so the append order cannot leak into routes.
 //
 // The dirty list exists only while there is a routing graph to repair. A
-// node nobody has asked for routes records nothing — its first build reads
-// the pairs off the state tables themselves, the same sorted set the
-// handlers would have accumulated minus the pairs that no longer resolve —
-// and a node under more churn than dirtyCap distinct pairs between two
-// queries gives the graph up and falls back to that same from-scratch build,
-// so the list never exceeds dirtyCap entries.
+// node nobody has asked for routes records nothing — its first query lays the
+// graph out from the tables — and a node under more churn than dirtyCap
+// distinct pairs between two queries gives the graph up and lays it out
+// afresh at its next query, so the list never exceeds dirtyCap entries.
 
 // pairKey is an unordered node pair in normalised (lo <= hi) form.
 type pairKey struct {
@@ -46,7 +43,7 @@ type pairKey struct {
 const dirtyCap = 2048
 
 // appendPair appends the pair (a, b) in normalised form. Self-pairs are
-// ignored, mirroring the edge accumulator's self-loop skip.
+// ignored: no link joins a node to itself.
 func appendPair(ps []pairKey, a, b int64) []pairKey {
 	if a == b {
 		return ps
@@ -57,14 +54,14 @@ func appendPair(ps []pairKey, a, b int64) []pairKey {
 	return append(ps, pairKey{lo: a, hi: b})
 }
 
-func sortPairs(ps []pairKey) {
-	slices.SortFunc(ps, func(a, b pairKey) int {
-		if a.lo != b.lo {
-			return cmp.Compare(a.lo, b.lo)
-		}
-		return cmp.Compare(a.hi, b.hi)
-	})
+func comparePairs(a, b pairKey) int {
+	if a.lo != b.lo {
+		return cmp.Compare(a.lo, b.lo)
+	}
+	return cmp.Compare(a.hi, b.hi)
 }
+
+func sortPairs(ps []pairKey) { slices.SortFunc(ps, comparePairs) }
 
 // markPair records that the effective link between a and b may have changed.
 // Without a routing graph there is nothing to repair and nothing is recorded
@@ -99,26 +96,65 @@ func (n *Node) compactDirty() {
 	}
 }
 
-// statePairs lists every pair some state table entry supports, unsorted and
-// with duplicates: what the handlers would have marked since the node was
-// created, minus pairs whose support has since gone.
-func (n *Node) statePairs() []pairKey {
-	var ps []pairKey
-	add := func(origin int64, adv []LinkInfo) {
-		for _, l := range adv {
-			ps = appendPair(ps, origin, l.Neighbor)
+// layoutRoutes lays the node's routing graph out from the state tables in
+// one pass. It stages every tier's links in precedence order — own links,
+// then the HELLO adverts of direct neighbors in ascending neighbor order
+// (never a pair naming this node), then TC rows in ascending origin order —
+// stably sorts them by pair and keeps the first of each pair's run: the
+// weight resolvePair gives it. The nodes are this node plus the endpoints of
+// the kept edges, in ascending order. Every buffer is the call's own, since
+// Routes of different members run concurrently. Callers must have run
+// expire(now) first.
+func (n *Node) layoutRoutes() *graph.Graph {
+	type staged struct {
+		pairKey
+		w float64
+	}
+	var es []staged
+	stage := func(a, b int64, w float64) {
+		if a != b {
+			es = append(es, staged{pairKey{min(a, b), max(a, b)}, w})
 		}
 	}
-	n.links.each(func(id int64, _ *linkEntry) {
-		ps = appendPair(ps, n.ID, id)
+	for i, id := range n.links.keys {
+		stage(n.ID, id, n.links.vals[i].weight)
+	}
+	for i, nb := range n.neighbors.keys {
+		if !n.links.has(nb) {
+			continue
+		}
+		for _, l := range n.neighbors.vals[i].adv {
+			if l.Neighbor != n.ID {
+				stage(nb, l.Neighbor, l.Weight)
+			}
+		}
+	}
+	n.store.eachAsc(n.member, func(origin int64, t *topoRow) {
+		for _, l := range t.links() {
+			stage(origin, l.Neighbor, l.Weight)
+		}
 	})
-	n.neighbors.each(func(nb int64, tbl *neighborTable) {
-		add(nb, tbl.adv)
-	})
-	n.store.each(n.member, func(origin int64, t *topoRow) {
-		add(origin, t.links())
-	})
-	return ps
+	slices.SortStableFunc(es, func(a, b staged) int { return comparePairs(a.pairKey, b.pairKey) })
+	kept := es[:0]
+	ids := []graph.NodeID{graph.NodeID(n.ID)}
+	for _, e := range es {
+		if k := len(kept); k == 0 || kept[k-1].pairKey != e.pairKey {
+			kept = append(kept, e)
+			ids = append(ids, graph.NodeID(e.lo), graph.NodeID(e.hi))
+		}
+	}
+	slices.Sort(ids)
+	ids = slices.Clone(slices.Compact(ids)) // the graph keeps them: no slack
+	at := func(id int64) int32 {
+		x, _ := slices.BinarySearch(ids, graph.NodeID(id))
+		return int32(x)
+	}
+	ends := make([][2]int32, len(kept))
+	w := make([]float64, len(kept))
+	for i, e := range kept {
+		ends[i], w[i] = [2]int32{at(e.lo), at(e.hi)}, e.w
+	}
+	return graph.FromEdges(ids, ends, n.cfg.Metric.Name(), w)
 }
 
 // markNeighborPairs marks every pair the given neighbor's HELLO table
@@ -237,16 +273,9 @@ func (n *Node) applyPair(p pairKey, channel string) error {
 // Callers must have run expire(now) first.
 func (n *Node) incrementalRoutes() (*Routes, error) {
 	channel := n.cfg.Metric.Name()
-	scratch := n.rg == nil
-	if scratch {
-		g, err := graph.NewWithIDs([]graph.NodeID{graph.NodeID(n.ID)})
-		if err != nil {
-			return nil, err
-		}
-		n.rg = g
-		n.dirty = n.statePairs()
-	}
-	if len(n.dirty) > 0 {
+	if n.rg == nil {
+		n.rg = n.layoutRoutes()
+	} else if len(n.dirty) > 0 {
 		// Process in sorted order so node append order (hence index
 		// assignment) is a pure function of the protocol state, not of
 		// arrival order; deduplicate so each pair resolves once.
@@ -256,12 +285,6 @@ func (n *Node) incrementalRoutes() (*Routes, error) {
 				return nil, err
 			}
 		}
-	}
-	if scratch {
-		// The whole state went through the list: release it rather than
-		// keep a table-sized buffer for the handful of pairs a repair sees.
-		n.dirty = nil
-	} else {
 		n.dirty = n.dirty[:0]
 	}
 	r := &Routes{}

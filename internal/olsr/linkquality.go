@@ -60,7 +60,8 @@ type lqEstimator struct {
 	expires time.Duration
 
 	// HELLO delivery: the newest sequence number seen and the hits in the
-	// ring. A sequence gap of g contributes g-1 misses before the hit.
+	// ring. A sequence gap of g contributes g-1 misses before the hit. Under
+	// SenseRTT lastSeq is the HELLO the peer's rung was last taken from.
 	lastSeq uint16
 	primed  bool
 	hits    float64
@@ -221,7 +222,11 @@ func (n *Node) senseHello(h *Hello, now time.Duration) {
 		if delivery {
 			w, _ = measuredWeight(n.cfg.Metric, e.ratio(), l.Weight)
 		} else {
-			e.peer = l.Weight
+			// The peer's rung comes only from a HELLO newer than the last
+			// one it was taken from: a late older HELLO would set it back.
+			if !e.primed || int16(h.Seq-e.lastSeq) > 0 {
+				e.peer, e.lastSeq, e.primed = l.Weight, h.Seq, true
+			}
 			w = max(e.adv, e.peer)
 		}
 		if w > 0 {

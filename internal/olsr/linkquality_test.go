@@ -282,3 +282,40 @@ func TestRTTPricingSymmetric(t *testing.T) {
 		}
 	}
 }
+
+// TestRTTPeerRungIgnoresReorderedHello: under SenseRTT the peer's rung comes
+// only from a HELLO newer than the one it was last taken from, so a delayed
+// older HELLO carrying a lower rung cannot set the link's price back.
+func TestRTTPeerRungIgnoresReorderedHello(t *testing.T) {
+	cfg := DefaultConfig(metric.Delay())
+	cfg.LinkSensing = SenseRTT
+	n, err := NewNode(1, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	now := time.Second
+	n.ObserveRTT(2, 40*time.Microsecond, now)
+	n.GenerateHello(now) // this end's rung
+	adv := n.lq.get(2).adv
+	r1, r2 := 2*rttFloor, 4*rttFloor
+	if !isRung(adv) || !isRung(r1) || !isRung(r2) || adv >= r1 {
+		t.Fatalf("fixture: rungs adv %v, r1 %v, r2 %v", adv, r1, r2)
+	}
+	hello := func(seq uint16, rung float64) *Hello {
+		return &Hello{Origin: 2, Seq: seq, LQs: []LinkInfo{{Neighbor: 1, Weight: rung}}}
+	}
+	want := func(step string, rung float64) {
+		t.Helper()
+		if w, ok := n.LinkWeight(2, now); !ok || w != max(adv, rung) {
+			t.Errorf("%s: link weight %v (%v), want %v", step, w, ok, max(adv, rung))
+		}
+	}
+	n.HandleHello(hello(7, r2), now)
+	want("seq 7 at r2", r2)
+	n.HandleHello(hello(6, r1), now)
+	want("late seq 6 at r1", r2)
+	n.HandleHello(hello(0xffff, r1), now) // behind 7 in wrap arithmetic
+	want("late seq 0xffff at r1", r2)
+	n.HandleHello(hello(8, r1), now)
+	want("seq 8 at r1", r1)
+}

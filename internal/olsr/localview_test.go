@@ -11,26 +11,43 @@ import (
 	"qolsr/internal/mpr"
 )
 
-// referenceLocalView is the construction buildLocalView replaced, kept as
-// the oracle: id set in a map, EdgeAccum for first-writer-wins, NewWithIDs,
-// AddEdge, NewLocalView — the same helpers buildKnownTopology still uses.
+// referenceLocalView is the plain construction buildLocalView replaced, kept
+// as the oracle: the view's id set collected inline, each pair's weight from
+// resolvePair (the tables under test hold no TC rows), NewWithIDs, AddEdge,
+// NewLocalView.
 func referenceLocalView(t *testing.T, n *Node) (*graph.LocalView, []float64) {
 	t.Helper()
 	if n.links.len() == 0 {
 		return nil, nil
 	}
-	b := &n.build
-	b.reset()
-	n.collectNeighborhoodIDs()
-	g, err := b.materialise()
+	ids := []graph.NodeID{graph.NodeID(n.ID)}
+	for _, id := range n.links.keys {
+		ids = append(ids, graph.NodeID(id))
+	}
+	for _, tbl := range n.neighbors.vals {
+		for _, l := range tbl.adv {
+			ids = append(ids, graph.NodeID(l.Neighbor))
+		}
+	}
+	slices.Sort(ids)
+	ids = slices.Compact(ids)
+	g, err := graph.NewWithIDs(ids)
 	if err != nil {
 		t.Fatal(err)
 	}
-	n.accumulateNeighborhood()
-	b.acc.Build(g, n.cfg.Metric.Name())
-	w, err := g.Weights(n.cfg.Metric.Name())
+	ch := n.cfg.Metric.Name()
+	for a := range ids {
+		for b := a + 1; b < len(ids); b++ {
+			if w, ok := n.resolvePair(int64(ids[a]), int64(ids[b])); ok {
+				if err := g.SetWeight(ch, g.MustAddEdge(int32(a), int32(b)), w); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	w, err := g.Weights(ch)
 	if err != nil {
-		t.Fatal(err)
+		w = nil // no edges at all
 	}
 	return graph.NewLocalView(g, g.IndexOf(graph.NodeID(n.ID))), w
 }

@@ -154,9 +154,9 @@ type RebuildStats struct {
 	// AdvChange counts announcements that replaced the retained content
 	// and invalidated the routing caches.
 	AdvChange uint64
-	// TopoBuilds counts from-scratch known-topology graph materialisations.
-	// Only the reference build the package's crossCheck tests run makes
-	// one, so it is 0 in every simulator and daemon run.
+	// TopoBuilds counts reference routing tables (fullRoutes: a fresh
+	// layout plus canonical Dijkstra). Only the package's crossCheck tests
+	// build one, so it is 0 in every simulator and daemon run.
 	TopoBuilds uint64
 	// Selections counts MPR/ANS selection runs: the local view was rebuilt
 	// and selected on because the neighborhood had changed since the last.
@@ -202,8 +202,8 @@ const noExpiry = time.Duration(math.MaxInt64)
 // state machines driven by the simulator: handlers must be called from one
 // goroutine.
 //
-// Everything derived from the soft state — the MPR/ANS selection, the known
-// topology and the routing table — is a cached artifact under a version
+// Everything derived from the soft state — the MPR/ANS selection and the
+// routing table over the routing graph — is a cached artifact under a version
 // counter: link-state style, routes are recomputed when the state changes
 // (message ingestion that alters content, or soft-state expiry), not on every
 // lookup. Handlers that re-announce unchanged content only refresh validity
@@ -286,23 +286,16 @@ type Node struct {
 	// selAt is the nhVersion mprSet/ansSet were computed at.
 	selAt uint64
 
-	// Cached known-topology graph and routing table, with the reusable
-	// build and search scratch.
-	topoAt   uint64
-	topoG    *graph.Graph
+	// Cached routing table and the topology version it was computed at.
 	routesAt uint64
 	routes   *Routes
-
-	build       buildScratch
-	sp          graph.Scratch
-	first, hops []int32
 
 	// Incremental routing state (see incremental.go): the dirty pair list
 	// the handlers accumulate once a routing graph exists (bounded by
 	// dirtyCap; sorted and deduplicated when consumed), the long-lived
-	// routing graph (which keeps its own id-to-index map) with its
-	// incremental SPF solution, and the ascending-ID index permutation for
-	// table extraction.
+	// routing graph layoutRoutes lays out with its incremental SPF
+	// solution, and the ascending-ID index permutation for table
+	// extraction.
 	dirty  []pairKey
 	rg     *graph.Graph
 	rspf   *graph.SPF
@@ -1033,87 +1026,15 @@ func sortedKeys[V any](m map[int64]V) []int64 {
 	return keys
 }
 
-// buildScratch holds the reusable intermediates of a from-scratch
-// known-topology build: the identifier set, the sorted id slice and the edge
-// accumulator. Rebuilds are rare under the version cache, but dense churny
-// networks still perform them in bursts; reusing the staging storage keeps
-// those bursts allocation-light.
-type buildScratch struct {
-	idset map[int64]struct{}
-	ids   []graph.NodeID
-	acc   graph.EdgeAccum
-}
-
-func (b *buildScratch) reset() {
-	if b.idset == nil {
-		b.idset = make(map[int64]struct{})
-	} else {
-		clear(b.idset)
-	}
-	b.ids = b.ids[:0]
-	b.acc.Reset()
-}
-
-func (b *buildScratch) addID(id int64) {
-	b.idset[id] = struct{}{}
-}
-
-// materialise sorts the collected identifiers and builds the node-only
-// graph.
-func (b *buildScratch) materialise() (*graph.Graph, error) {
-	for id := range b.idset {
-		b.ids = append(b.ids, graph.NodeID(id))
-	}
-	slices.Sort(b.ids)
-	return graph.NewWithIDs(b.ids)
-}
-
-// collectNeighborhoodIDs stages the identifiers the neighborhood
-// contributes: self, direct neighbors, and everything the neighbors
-// advertise.
-func (n *Node) collectNeighborhoodIDs() {
-	b := &n.build
-	b.addID(n.ID)
-	n.links.each(func(id int64, _ *linkEntry) {
-		b.addID(id)
-	})
-	n.neighbors.each(func(_ int64, tbl *neighborTable) {
-		for _, l := range tbl.adv {
-			b.addID(l.Neighbor)
-		}
-	})
-}
-
-// accumulateNeighborhood stages this node's own links and the two-hop links
-// learned from HELLOs. The first writer of a pair decides its weight: own
-// links come first, then the neighbors' adverts in ascending neighbor order,
-// so the smaller-ID endpoint's value wins a pair both endpoints advertise.
-func (n *Node) accumulateNeighborhood() {
-	acc := &n.build.acc
-	n.links.each(func(id int64, l *linkEntry) {
-		acc.Add(graph.NodeID(n.ID), graph.NodeID(id), l.weight)
-	})
-	n.neighbors.each(func(nb int64, tbl *neighborTable) {
-		if !n.links.has(nb) {
-			return
-		}
-		for _, l := range tbl.adv {
-			if l.Neighbor != n.ID {
-				acc.Add(graph.NodeID(nb), graph.NodeID(l.Neighbor), l.Weight)
-			}
-		}
-	})
-}
-
 // buildLocalView lays the node's current knowledge of G_u out in the field's
 // shared scratch and returns the local view centered at this node with its
-// edge weights, or nil when the node has no links. It is
-// collectNeighborhoodIDs and accumulateNeighborhood without the maps: the
+// edge weights, or nil when the node has no links. The view's nodes are this
+// node, its direct neighbors and everything the neighbors advertise; the
 // tables are ID-sorted and the adverts normalised, so every id lookup of a
 // row continues one forward walk over the sorted id list, and the scratch
-// applies the same first-writer-wins rule (own links, then adverts in
-// ascending neighbor order). Handler context only, and the view is valid
-// until the next member builds its own.
+// applies the routing graph's first-writer-wins rule to the first two tiers
+// (own links, then adverts in ascending neighbor order). Handler context
+// only, and the view is valid until the next member builds its own.
 func (n *Node) buildLocalView() (*graph.LocalView, []float64) {
 	if n.links.len() == 0 {
 		return nil, nil
@@ -1168,58 +1089,8 @@ func (n *Node) Selectors(now time.Duration) []int64 {
 	return append(make([]int64, 0, n.selectors.len()), n.selectors.keys...)
 }
 
-// knownTopology assembles the node's reference routing graph: its own links
-// plus every valid advertised link learned from TCs and the two-hop links
-// learned from HELLOs. The graph is cached until the topology version moves;
-// a rebuild allocates a fresh graph, so a retained one stays internally
-// consistent. Callers must have run expire(now) first.
-func (n *Node) knownTopology() (*graph.Graph, error) {
-	if n.topoG != nil && n.topoAt == n.topoVersion {
-		return n.topoG, nil
-	}
-	g, err := n.buildKnownTopology()
-	if err != nil {
-		return nil, err
-	}
-	n.topoG = g
-	n.topoAt = n.topoVersion
-	return g, nil
-}
-
-func (n *Node) buildKnownTopology() (*graph.Graph, error) {
-	n.stats.TopoBuilds++
-	b := &n.build
-	b.reset()
-	n.collectNeighborhoodIDs()
-	n.store.each(n.member, func(origin int64, t *topoRow) {
-		b.addID(origin)
-		for _, l := range t.links() {
-			b.addID(l.Neighbor)
-		}
-	})
-	g, err := b.materialise()
-	if err != nil {
-		return nil, err
-	}
-	channel := n.cfg.Metric.Name()
-	// Accumulate edges in sorted-key order with fixed source precedence
-	// (own links, then HELLO-learned two-hop links, then TC links): sources
-	// may disagree on a pair's weight and the first writer wins, so the
-	// order must be a pure function of the protocol state, not of map
-	// iteration. (The search's tie-breaks are by NodeID and do not depend on
-	// insertion order.)
-	n.accumulateNeighborhood()
-	n.store.eachAsc(n.member, func(origin int64, t *topoRow) {
-		for _, l := range t.links() {
-			b.acc.Add(graph.NodeID(origin), graph.NodeID(l.Neighbor), l.Weight)
-		}
-	})
-	b.acc.Build(g, channel)
-	return g, nil
-}
-
 // Routes returns the node's current routing table: QoS routes to every known
-// destination over the known topology under the node's metric, with the next
+// destination over the routing graph under the node's metric, with the next
 // hop being the first node of the canonical best path.
 //
 // The table is a cached artifact rebuilt only when the protocol state
@@ -1228,10 +1099,11 @@ func (n *Node) buildKnownTopology() (*graph.Graph, error) {
 // same read-only snapshot without recomputing or allocating anything. When
 // the state did change, the table is repaired incrementally: the handlers
 // record which node pairs a change touched, and the rebuild re-resolves only
-// those against the state maps and repairs the affected region of the cached
-// shortest-path solution (see incremental.go), instead of rebuilding graph
-// and search from scratch. Both paths produce bit-identical tables
-// (the tests' crossCheck mode asserts it).
+// those against the state tables and repairs the affected region of the
+// cached shortest-path solution (see incremental.go). The first query, and
+// the first after the dirty list overflowed, lays the routing graph out from
+// the tables instead. Both produce tables bit-identical to fullRoutes (the
+// tests' crossCheck mode asserts it).
 func (n *Node) Routes(now time.Duration) (*Routes, error) {
 	n.expire(now)
 	if n.routes != nil && n.routesAt == n.topoVersion {
@@ -1251,41 +1123,35 @@ func (n *Node) Routes(now time.Duration) (*Routes, error) {
 	return r, nil
 }
 
-// fullRoutes computes the routing table from scratch: materialise the known
-// topology and run one canonical Dijkstra over it. It is the reference the
-// incremental engine is checked against (and the original implementation of
-// Routes). Callers must have run expire(now) first.
+// fullRoutes computes the routing table from scratch: a fresh layout of the
+// routing graph and one canonical Dijkstra over it. It is the reference the
+// incremental engine is checked against. Callers must have run expire(now)
+// first.
 func (n *Node) fullRoutes() (*Routes, error) {
-	g, err := n.knownTopology()
+	n.stats.TopoBuilds++
+	g := n.layoutRoutes()
+	w, err := g.Weights(n.cfg.Metric.Name())
 	if err != nil {
 		return nil, err
 	}
+	var s graph.Scratch
+	self := g.IndexOf(graph.NodeID(n.ID))
+	sp := s.Dijkstra(g, n.cfg.Metric, w, self, nil, -1)
+	first, hops := sp.FirstHops(nil, nil)
 	r := &Routes{}
-	// A missing weight channel means the topology has no edges at all:
-	// the table is empty.
-	if w, err := g.Weights(n.cfg.Metric.Name()); err == nil {
-		if self := g.IndexOf(graph.NodeID(n.ID)); self >= 0 {
-			sp := n.sp.Dijkstra(g, n.cfg.Metric, w, self, nil, -1)
-			n.first, n.hops = sp.FirstHops(n.first, n.hops)
-			if reached := len(sp.Reached); reached > 1 {
-				r.dsts = make([]int64, 0, reached-1)
-				r.routes = make([]Route, 0, reached-1)
-			}
-			for x := int32(0); int(x) < g.N(); x++ {
-				if x == self || !sp.Reachable(x) {
-					continue
-				}
-				// The graph's identifiers are sorted, so index
-				// order yields ascending destinations — the
-				// order Routes.Lookup binary-searches.
-				r.dsts = append(r.dsts, int64(g.ID(x)))
-				r.routes = append(r.routes, Route{
-					NextHop: int64(g.ID(n.first[x])),
-					Value:   sp.Dist[x],
-					Hops:    int(n.hops[x]),
-				})
-			}
+	for x := int32(0); int(x) < g.N(); x++ {
+		if x == self || !sp.Reachable(x) {
+			continue
 		}
+		// The laid-out graph's identifiers are ascending, so index order
+		// yields ascending destinations — the order Routes.Lookup
+		// binary-searches.
+		r.dsts = append(r.dsts, int64(g.ID(x)))
+		r.routes = append(r.routes, Route{
+			NextHop: int64(g.ID(first[x])),
+			Value:   sp.Dist[x],
+			Hops:    int(hops[x]),
+		})
 	}
 	return r, nil
 }
