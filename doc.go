@@ -224,9 +224,9 @@
 // watermarks, so the per-origin column scan runs only when a topology
 // deadline is due. Node.StateSize reports what a node holds; the registry
 // sums it (qolsr_olsr_topology_rows, _dirty_pairs, _route_graph_nodes).
-// Graph node-index resolution is O(1) (an identity fast path when IDs equal
-// indices, a maintained reverse index otherwise), which keeps routing-graph
-// construction linear.
+// A routing graph is laid out in one sorted pass with ascending ids, so its
+// node-index resolution is a binary search; the held graph keeps that node
+// set, and a change naming a node it has never seen lays it out again.
 //
 // Because each node's routing table is a pure function of that node's own
 // soft state — interned blocks are read-only by contract, and outside the

@@ -5,8 +5,8 @@ import "slices"
 // FromEdges returns the graph on ids, which must be strictly ascending, whose
 // edge e joins the node indices ends[e] with weight w[e] on the named channel.
 // The graph takes all three slices over and lays its adjacency out in one
-// arena (see layout). It keeps no id map: IndexOf binary-searches the ids
-// until an AddNode appends.
+// arena (see layout). Its node set is fixed: it keeps no id map and IndexOf
+// binary-searches the ids.
 func FromEdges(ids []NodeID, ends [][2]int32, channel string, w []float64) *Graph {
 	g := &Graph{ids: ids, ends: ends, weights: []weightChannel{{channel, w}}}
 	g.layout(nil, make([]int32, len(ids)+1))
@@ -83,10 +83,9 @@ type ViewScratch struct {
 	pend, next []int32
 }
 
-// Begin starts a new build, invalidating the previous view (and forgetting
-// whatever a caller grew on its graph).
+// Begin starts a new build, invalidating the previous view.
 func (s *ViewScratch) Begin() {
-	s.g.ids, s.g.index, s.g.labels = s.g.ids[:0], nil, nil
+	s.g.ids, s.g.labels = s.g.ids[:0], nil
 }
 
 // AddID adds a node.

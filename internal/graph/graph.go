@@ -8,7 +8,6 @@ package graph
 
 import (
 	"fmt"
-	"maps"
 	"math/rand"
 	"slices"
 
@@ -40,12 +39,10 @@ type Graph struct {
 	ends   [][2]int32
 	// identity is set while every node's ID equals its index (graph.New
 	// and netgen fields): IndexOf is then a bounds check, no storage.
-	// Otherwise index carries the id→index map, maintained across AddNode,
-	// so reverse lookup and the AddNode uniqueness check are O(1) — the
-	// incremental routing engine grows its graph one node at a time and a
-	// scanning check would make that growth quadratic. A graph with neither
-	// (a laid-out one: FromEdges, ViewScratch) has strictly ascending ids and
-	// IndexOf binary-searches them.
+	// Otherwise a NewWithIDs graph carries its id→index map in index; a
+	// laid-out graph (FromEdges, ViewScratch) has neither, keeps its ids
+	// strictly ascending and IndexOf binary-searches them. The node set is
+	// fixed at construction, so the map is never written afterwards.
 	identity bool
 	index    map[NodeID]int32
 	// weights holds the weight channels in creation order — one or two in
@@ -118,10 +115,10 @@ func (g *Graph) M() int { return len(g.ends) }
 // ID returns the external identifier of node x.
 func (g *Graph) ID(x int32) NodeID { return g.ids[x] }
 
-// IndexOf returns the node index carrying id, or -1. It is O(1): identity
-// graphs answer with a bounds check, others through the maintained reverse
-// map — except a laid-out graph (FromEdges, ViewScratch), which keeps no map
-// and binary-searches its ascending ids.
+// IndexOf returns the node index carrying id, or -1. Identity graphs answer
+// with a bounds check and other NewWithIDs graphs through their id map, both
+// O(1); a laid-out graph (FromEdges, ViewScratch) keeps no map and
+// binary-searches its ascending ids in O(log N).
 func (g *Graph) IndexOf(id NodeID) int32 {
 	switch {
 	case g.identity:
@@ -177,36 +174,6 @@ func (g *Graph) AddEdge(a, b int32) (int, error) {
 		g.weights[i].w = append(g.weights[i].w, 0)
 	}
 	return int(e), nil
-}
-
-// AddNode appends a new isolated node carrying id and returns its index.
-// Appending never disturbs existing indices or edges, so incrementally
-// maintained artifacts (cached SPF solutions, adjacency references) survive
-// growth — canonical tie-breaking is by NodeID, not index, so index
-// assignment order cannot leak into results.
-func (g *Graph) AddNode(id NodeID) (int32, error) {
-	if g.IndexOf(id) >= 0 {
-		return 0, fmt.Errorf("graph: duplicate node id %d", id)
-	}
-	x := int32(len(g.ids))
-	if g.index == nil && (!g.identity || id != NodeID(x)) {
-		// The append breaks the identity (or ascending) mapping:
-		// materialise the reverse map it made unnecessary so far.
-		g.identity = false
-		g.index = make(map[NodeID]int32, len(g.ids)+1)
-		for i, v := range g.ids {
-			g.index[v] = int32(i)
-		}
-	}
-	if g.index != nil {
-		g.index[id] = x
-	}
-	g.ids = append(g.ids, id)
-	g.adj = append(g.adj, nil)
-	if g.labels != nil {
-		g.labels = append(g.labels, "")
-	}
-	return x, nil
 }
 
 // RemoveEdge deletes undirected edge e in O(degree): the last edge index is
@@ -407,7 +374,7 @@ func (g *Graph) Clone() *Graph {
 		adj:      make([][]Arc, len(g.adj)),
 		ends:     append([][2]int32(nil), g.ends...),
 		identity: g.identity,
-		index:    maps.Clone(g.index),
+		index:    g.index, // never written after construction: shared
 		weights:  make([]weightChannel, len(g.weights)),
 	}
 	if g.labels != nil {

@@ -182,19 +182,20 @@ func TestCloneIsDeep(t *testing.T) {
 	if c.Label(0) != "origin" {
 		t.Error("labels not cloned")
 	}
-	// The id lookup is cloned in every mode: identity, mapped, and a clone's
-	// map is its own.
+	// The id lookup is cloned in every mode: identity, mapped and laid out.
 	mapped, err := NewWithIDs([]NodeID{9, 4, 7})
 	if err != nil {
 		t.Fatal(err)
 	}
-	mc := mapped.Clone()
-	if _, err := mc.AddNode(1); err != nil {
-		t.Fatal(err)
+	laid := FromEdges([]NodeID{2, 5, 8}, [][2]int32{{0, 2}}, "delay", []float64{1})
+	mc, lc := mapped.Clone(), laid.Clone()
+	if c.IndexOf(3) != 3 || mc.IndexOf(4) != 1 || mc.IndexOf(1) != -1 || lc.IndexOf(8) != 2 || lc.IndexOf(4) != -1 {
+		t.Errorf("IndexOf after Clone: identity %d, mapped %d and %d, laid out %d and %d",
+			c.IndexOf(3), mc.IndexOf(4), mc.IndexOf(1), lc.IndexOf(8), lc.IndexOf(4))
 	}
-	if c.IndexOf(3) != 3 || mc.IndexOf(4) != 1 || mc.IndexOf(1) != 3 || mapped.IndexOf(1) != -1 {
-		t.Errorf("IndexOf after Clone: identity %d, mapped %d and %d, original %d",
-			c.IndexOf(3), mc.IndexOf(4), mc.IndexOf(1), mapped.IndexOf(1))
+	// A clone's edges are its own.
+	if _, err := mc.AddEdge(0, 2); err != nil || mapped.M() != 0 {
+		t.Errorf("AddEdge on a clone: %v, original has %d edges", err, mapped.M())
 	}
 }
 

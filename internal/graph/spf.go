@@ -34,10 +34,12 @@ import (
 // node whose value changed or that a touched edge could re-support —
 // strictly monotone (+1 per arc), hence incrementally sound.
 //
-// Usage: mutate the underlying graph (AddEdge / RemoveEdge / SetWeight /
-// AddNode), report every touched endpoint pair with Touch, then call
+// Usage: mutate the underlying graph's edges (AddEdge / RemoveEdge /
+// SetWeight), report every touched endpoint pair with Touch, then call
 // Repair before reading the solution. Touches accumulate, so a batch of
-// topology changes costs one repair.
+// topology changes costs one repair. The labels are sized to the graph's
+// node set once, in NewSPF: a caller whose node set changes builds a new
+// solver.
 type SPF struct {
 	g       *Graph
 	m       metric.Metric
@@ -49,7 +51,6 @@ type SPF struct {
 	prev []int32 // -1 source, -2 unreached
 
 	touched [][2]int32 // endpoint pairs mutated since the last Repair
-	full    bool       // a full rebuild is pending (initial state)
 
 	// Repair scratch.
 	vheap   []heapItem
@@ -75,24 +76,25 @@ type hopItem struct {
 	node int32
 }
 
-// NewSPF builds the solver and computes the initial solution from src over
-// the named weight channel.
+// NewSPF builds the solver over g's node set and computes the initial
+// solution from src over the named weight channel.
 func NewSPF(g *Graph, m metric.Metric, channel string, src int32) (*SPF, error) {
-	if _, err := g.Weights(channel); err != nil {
+	w, err := g.Weights(channel)
+	if err != nil {
 		return nil, err
 	}
-	if src < 0 || int(src) >= g.N() {
-		return nil, fmt.Errorf("graph: spf source %d out of range [0,%d)", src, g.N())
+	n := g.N()
+	if src < 0 || int(src) >= n {
+		return nil, fmt.Errorf("graph: spf source %d out of range [0,%d)", src, n)
 	}
-	s := &SPF{g: g, m: m, channel: channel, src: src, full: true}
-	if err := s.Repair(); err != nil {
-		return nil, err
+	s := &SPF{
+		g: g, m: m, channel: channel, src: src,
+		dist: make([]float64, n), hops: make([]int32, n), prev: make([]int32, n),
+		mark: make([]uint8, n), changed: make([]bool, n), seeded: make([]bool, n),
 	}
+	s.rebuild(w)
 	return s, nil
 }
-
-// Graph returns the underlying (mutable) graph.
-func (s *SPF) Graph() *Graph { return s.g }
 
 // Source returns the search origin.
 func (s *SPF) Source() int32 { return s.src }
@@ -103,10 +105,6 @@ func (s *SPF) Source() int32 { return s.src }
 func (s *SPF) Touch(a, b int32) {
 	s.touched = append(s.touched, [2]int32{a, b})
 }
-
-// Invalidate discards the cached solution; the next Repair rebuilds from
-// scratch. It is the escape hatch for callers that lost track of deltas.
-func (s *SPF) Invalidate() { s.full = true }
 
 // Value returns the optimal path value to x, or the metric's Worst when x
 // is unreachable.
@@ -124,19 +122,11 @@ func (s *SPF) Reachable(x int32) bool { return s.prev[x] != -2 }
 func (s *SPF) Prev(x int32) int32 { return s.prev[x] }
 
 // Repair processes all recorded touches and restores the canonical
-// solution. With no touches pending it is a no-op (unless a full rebuild
-// is scheduled).
+// solution. With no touches pending it is a no-op.
 func (s *SPF) Repair() error {
 	w, err := s.g.Weights(s.channel)
 	if err != nil {
 		return err
-	}
-	s.grow()
-	if s.full {
-		s.full = false
-		s.touched = s.touched[:0]
-		s.rebuild(w)
-		return nil
 	}
 	if len(s.touched) == 0 {
 		return nil
@@ -263,28 +253,6 @@ func (s *SPF) Repair() error {
 		}
 	}
 	return nil
-}
-
-// grow extends the label arrays when nodes were appended to the graph.
-func (s *SPF) grow() {
-	n := s.g.N()
-	for len(s.dist) < n {
-		s.dist = append(s.dist, s.m.Worst())
-		s.hops = append(s.hops, 0)
-		s.prev = append(s.prev, -2)
-	}
-	if cap(s.mark) < n {
-		s.mark = make([]uint8, n)
-	}
-	s.mark = s.mark[:n]
-	if cap(s.changed) < n {
-		s.changed = make([]bool, n)
-	}
-	s.changed = s.changed[:n]
-	if cap(s.seeded) < n {
-		s.seeded = make([]bool, n)
-	}
-	s.seeded = s.seeded[:n]
 }
 
 // classify resolves x's affected/safe state by walking its prev chain to

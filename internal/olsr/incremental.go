@@ -23,16 +23,17 @@ import (
 // bit-identical to a fresh layout plus canonical Dijkstra (fullRoutes;
 // Config.crossCheck pins this down in tests).
 //
-// The routing graph only ever grows its node set: nodes that drop out of the
-// protocol state just lose their edges and become unreachable, which keeps
-// every index (and the cached SPF labels) stable. Canonical tie-breaking is
-// by NodeID, never index, so the append order cannot leak into routes.
+// A held routing graph keeps the node set it was laid out with, so its
+// indices are in ascending NodeID order and the cached SPF labels stay sized
+// to it: nodes that drop out of the protocol state just lose their edges and
+// become unreachable, and a repair that names a node the graph has never seen
+// gives the graph up (dropRoutes) and lays it out afresh from the tables.
 //
 // The dirty list exists only while there is a routing graph to repair. A
 // node nobody has asked for routes records nothing — its first query lays the
 // graph out from the tables — and a node under more churn than dirtyCap
-// distinct pairs between two queries gives the graph up and lays it out
-// afresh at its next query, so the list never exceeds dirtyCap entries.
+// distinct pairs between two queries gives the graph up too, so the list
+// never exceeds dirtyCap entries.
 
 // pairKey is an unordered node pair in normalised (lo <= hi) form.
 type pairKey struct {
@@ -86,15 +87,19 @@ func (n *Node) recordPair(a, b int64) {
 
 // compactDirty deduplicates a full dirty list in place. If that frees less
 // than half of it the node is changing faster than it is queried: drop the
-// routing graph, so the next query rebuilds from the state tables (an equal
-// table — the crossCheck invariant) and recording stops until then.
+// routing graph.
 func (n *Node) compactDirty() {
 	sortPairs(n.dirty)
 	n.dirty = slices.Compact(n.dirty)
 	if len(n.dirty) > dirtyCap/2 {
-		n.rg, n.rspf, n.perm, n.dirty = nil, nil, nil, nil
+		n.dropRoutes()
 	}
 }
+
+// dropRoutes gives the routing graph and its SPF solution up: the next query
+// lays the graph out from the state tables (an equal table — the crossCheck
+// invariant), and recording stops until then.
+func (n *Node) dropRoutes() { n.rg, n.rspf, n.dirty = nil, nil, nil }
 
 // layoutRoutes lays the node's routing graph out from the state tables in
 // one pass. It stages every tier's links in precedence order — own links,
@@ -227,7 +232,8 @@ func (n *Node) helloAdvertised(nb, peer int64) (float64, bool) {
 
 // applyPair reconciles one dirty pair: re-resolve its effective weight and
 // make the routing graph agree, reporting any resulting edge change to the
-// incremental SPF.
+// incremental SPF. A link to a node outside the graph's node set drops the
+// graph instead.
 func (n *Node) applyPair(p pairKey, channel string) error {
 	w, ok := n.resolvePair(p.lo, p.hi)
 	ia, ib := n.rg.IndexOf(graph.NodeID(p.lo)), n.rg.IndexOf(graph.NodeID(p.hi))
@@ -247,17 +253,10 @@ func (n *Node) applyPair(p pairKey, channel string) error {
 			return werr
 		}
 		err = n.rg.SetWeight(channel, e, w)
+	case ia < 0 || ib < 0:
+		n.dropRoutes()
+		return nil
 	default:
-		if ia < 0 {
-			if ia, err = n.rg.AddNode(graph.NodeID(p.lo)); err != nil {
-				return err
-			}
-		}
-		if ib < 0 {
-			if ib, err = n.rg.AddNode(graph.NodeID(p.hi)); err != nil {
-				return err
-			}
-		}
 		if e, err = n.rg.AddEdge(ia, ib); err == nil {
 			err = n.rg.SetWeight(channel, e, w)
 		}
@@ -269,28 +268,30 @@ func (n *Node) applyPair(p pairKey, channel string) error {
 }
 
 // incrementalRoutes reconciles the dirty pairs into the routing graph,
-// repairs the incremental SPF and extracts a fresh routing-table snapshot.
-// Callers must have run expire(now) first.
+// repairs the incremental SPF and extracts a fresh routing-table snapshot;
+// without a graph (none yet, or one a repair gave up) it lays the graph out
+// and solves it from scratch. Callers must have run expire(now) first.
 func (n *Node) incrementalRoutes() (*Routes, error) {
 	channel := n.cfg.Metric.Name()
-	if n.rg == nil {
-		n.rg = n.layoutRoutes()
-	} else if len(n.dirty) > 0 {
-		// Process in sorted order so node append order (hence index
-		// assignment) is a pure function of the protocol state, not of
-		// arrival order; deduplicate so each pair resolves once.
+	if n.rg != nil && len(n.dirty) > 0 {
+		// Deduplicate so each pair resolves once.
 		sortPairs(n.dirty)
 		for _, p := range slices.Compact(n.dirty) {
 			if err := n.applyPair(p, channel); err != nil {
 				return nil, err
 			}
+			if n.rg == nil {
+				break
+			}
 		}
 		n.dirty = n.dirty[:0]
 	}
-	r := &Routes{}
+	if n.rg == nil {
+		n.rg = n.layoutRoutes()
+	}
 	if n.rspf == nil {
 		if n.rg.M() == 0 {
-			return r, nil
+			return &Routes{}, nil
 		}
 		spf, err := graph.NewSPF(n.rg, n.cfg.Metric, channel, n.rg.IndexOf(graph.NodeID(n.ID)))
 		if err != nil {
@@ -304,29 +305,28 @@ func (n *Node) incrementalRoutes() (*Routes, error) {
 		}
 		n.stats.SPFIncremental++
 	}
-	// The permutation of indices in ascending NodeID order only changes when
-	// nodes are appended.
-	if len(n.perm) != n.rg.N() {
-		n.perm = n.perm[:0]
-		for i := 0; i < n.rg.N(); i++ {
-			n.perm = append(n.perm, int32(i))
-		}
-		slices.SortFunc(n.perm, func(a, b int32) int { return cmp.Compare(n.rg.ID(a), n.rg.ID(b)) })
-	}
 	n.rfirst = n.rspf.FirstHops(n.rfirst)
-	self := n.rg.IndexOf(graph.NodeID(n.ID))
-	for _, x := range n.perm {
-		if x == self || !n.rspf.Reachable(x) {
+	return routeTable(n.rg, n.rfirst, func(x int32) (float64, int32) {
+		return n.rspf.Value(x), n.rspf.Hops(x)
+	}), nil
+}
+
+// routeTable extracts the routing table of a solved routing graph: first[x]
+// is the first hop towards node x (-1 for the source and unreachable nodes)
+// and label(x) the path value and hop count. A laid-out graph's index order
+// is ascending ID order, so the destinations come out in the order
+// Routes.Lookup binary-searches.
+func routeTable(g *graph.Graph, first []int32, label func(x int32) (float64, int32)) *Routes {
+	r := &Routes{}
+	for x, f := range first {
+		if f < 0 {
 			continue
 		}
-		r.dsts = append(r.dsts, int64(n.rg.ID(x)))
-		r.routes = append(r.routes, Route{
-			NextHop: int64(n.rg.ID(n.rfirst[x])),
-			Value:   n.rspf.Value(x),
-			Hops:    int(n.rspf.Hops(x)),
-		})
+		v, h := label(int32(x))
+		r.dsts = append(r.dsts, int64(g.ID(int32(x))))
+		r.routes = append(r.routes, Route{NextHop: int64(g.ID(f)), Value: v, Hops: int(h)})
 	}
-	return r, nil
+	return r
 }
 
 // routesIdentical reports whether two routing tables carry identical content.

@@ -135,3 +135,52 @@ func TestIncrementalRoutesAcrossExpiryAndRelearn(t *testing.T) {
 		t.Fatalf("two-hop route next hop = %d, want 2", route.NextHop)
 	}
 }
+
+// A held routing graph keeps the node set it was laid out with: a TC that
+// names a node the graph has never seen lays the graph out again and solves
+// it from scratch, and a later TC that only reweights known pairs repairs it
+// incrementally.
+func TestRouteGraphRelaysOutForUnknownNode(t *testing.T) {
+	cfg := testConfig()
+	cfg.crossCheck = true
+	n, err := NewNode(1, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	now := time.Second
+	n.UpdateLink(2, 3, now)
+	n.HandleTC(&TC{Origin: 2, Seq: 1, ANSN: 1, Links: []LinkInfo{{Neighbor: 3, Weight: 4}}}, 2, now)
+	if _, err := n.Routes(now); err != nil {
+		t.Fatal(err)
+	}
+	stats, size := n.RebuildStats(), n.StateSize()
+
+	n.HandleTC(&TC{Origin: 2, Seq: 2, ANSN: 2, Links: []LinkInfo{
+		{Neighbor: 3, Weight: 4}, {Neighbor: 9, Weight: 2},
+	}}, 2, now)
+	r, err := n.Routes(now)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := r.Lookup(9); !ok {
+		t.Fatal("no route to the newly named node")
+	}
+	got, s := n.RebuildStats(), n.StateSize()
+	if got.SPFFull != stats.SPFFull+1 || got.SPFIncremental != stats.SPFIncremental {
+		t.Fatalf("an unknown node should re-lay the graph out: %+v, before %+v", got, stats)
+	}
+	if s.RouteGraphNodes != size.RouteGraphNodes+1 || s.DirtyPairs != 0 {
+		t.Fatalf("after the re-layout: %+v, before %+v", s, size)
+	}
+
+	stats = got
+	n.HandleTC(&TC{Origin: 2, Seq: 3, ANSN: 3, Links: []LinkInfo{
+		{Neighbor: 3, Weight: 6}, {Neighbor: 9, Weight: 2},
+	}}, 2, now)
+	if _, err := n.Routes(now); err != nil {
+		t.Fatal(err)
+	}
+	if got := n.RebuildStats(); got.SPFFull != stats.SPFFull || got.SPFIncremental != stats.SPFIncremental+1 {
+		t.Fatalf("reweighting known pairs should repair incrementally: %+v, before %+v", got, stats)
+	}
+}

@@ -156,7 +156,7 @@ func TestRouteLayoutAllocs(t *testing.T) {
 	for _, origins := range []int{150, 1500} {
 		n := layoutFixture(t, origins)
 		allocs := testing.AllocsPerRun(5, func() {
-			n.rg, n.rspf, n.perm, n.rfirst, n.routes = nil, nil, nil, nil, nil
+			n.rg, n.rspf, n.rfirst, n.routes = nil, nil, nil, nil
 			if _, err := n.Routes(time.Second); err != nil {
 				t.Fatal(err)
 			}

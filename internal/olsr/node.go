@@ -292,14 +292,12 @@ type Node struct {
 
 	// Incremental routing state (see incremental.go): the dirty pair list
 	// the handlers accumulate once a routing graph exists (bounded by
-	// dirtyCap; sorted and deduplicated when consumed), the long-lived
-	// routing graph layoutRoutes lays out with its incremental SPF
-	// solution, and the ascending-ID index permutation for table
-	// extraction.
+	// dirtyCap; sorted and deduplicated when consumed), the routing graph
+	// layoutRoutes lays out, held with its node set fixed, its incremental
+	// SPF solution, and the first-hop buffer of table extraction.
 	dirty  []pairKey
 	rg     *graph.Graph
 	rspf   *graph.SPF
-	perm   []int32
 	rfirst []int32
 
 	// stats counts rebuild and interning activity (see RebuildStats).
@@ -320,8 +318,8 @@ type StateSize struct {
 	// DupRows the origins with a duplicate-suppression row.
 	TopologyRows, DupRows int
 	// DirtyPairs is the length of the pending dirty-pair list and
-	// RouteGraphNodes the node count of the incremental routing graph (0
-	// until the first Routes call).
+	// RouteGraphNodes the node count of the held routing graph (0 until the
+	// first Routes call, and while a dropped graph awaits its re-layout).
 	DirtyPairs, RouteGraphNodes int
 }
 
@@ -1100,10 +1098,11 @@ func (n *Node) Selectors(now time.Duration) []int64 {
 // the state did change, the table is repaired incrementally: the handlers
 // record which node pairs a change touched, and the rebuild re-resolves only
 // those against the state tables and repairs the affected region of the
-// cached shortest-path solution (see incremental.go). The first query, and
-// the first after the dirty list overflowed, lays the routing graph out from
-// the tables instead. Both produce tables bit-identical to fullRoutes (the
-// tests' crossCheck mode asserts it).
+// cached shortest-path solution (see incremental.go). The first query, the
+// first after the dirty list overflowed and one whose changes name a node the
+// held graph has never seen lay the routing graph out from the tables
+// instead. Both produce tables bit-identical to fullRoutes (the tests'
+// crossCheck mode asserts it).
 func (n *Node) Routes(now time.Duration) (*Routes, error) {
 	n.expire(now)
 	if n.routes != nil && n.routesAt == n.topoVersion {
@@ -1134,24 +1133,7 @@ func (n *Node) fullRoutes() (*Routes, error) {
 	if err != nil {
 		return nil, err
 	}
-	var s graph.Scratch
-	self := g.IndexOf(graph.NodeID(n.ID))
-	sp := s.Dijkstra(g, n.cfg.Metric, w, self, nil, -1)
+	sp := graph.Dijkstra(g, n.cfg.Metric, w, g.IndexOf(graph.NodeID(n.ID)), nil, -1)
 	first, hops := sp.FirstHops(nil, nil)
-	r := &Routes{}
-	for x := int32(0); int(x) < g.N(); x++ {
-		if x == self || !sp.Reachable(x) {
-			continue
-		}
-		// The laid-out graph's identifiers are ascending, so index order
-		// yields ascending destinations — the order Routes.Lookup
-		// binary-searches.
-		r.dsts = append(r.dsts, int64(g.ID(x)))
-		r.routes = append(r.routes, Route{
-			NextHop: int64(g.ID(first[x])),
-			Value:   sp.Dist[x],
-			Hops:    int(hops[x]),
-		})
-	}
-	return r, nil
+	return routeTable(g, first, func(x int32) (float64, int32) { return sp.Dist[x], hops[x] }), nil
 }

@@ -183,23 +183,26 @@ func TestDirtyListBounded(t *testing.T) {
 		t.Fatal(err)
 	}
 	now := time.Second
+	// Nodes 2 and 3 are in the graph from its first layout, so the pairs
+	// flipped below are repairs of known nodes.
+	flip := [2][]LinkInfo{
+		{{Neighbor: 2, Weight: 4}, {Neighbor: 3, Weight: 4}},
+		{{Neighbor: 2, Weight: 5}, {Neighbor: 3, Weight: 5}},
+	}
 	n.UpdateLink(1, 3, now)
+	n.HandleTC(&TC{Origin: 1, Links: flip[1]}, 1, now)
 	if s := n.StateSize(); s.DirtyPairs != 0 || s.RouteGraphNodes != 0 {
 		t.Fatalf("recorded before the first query: %+v", s)
 	}
 	if _, err := n.Routes(now); err != nil {
 		t.Fatal(err)
 	}
-	if s := n.StateSize(); s.DirtyPairs != 0 || s.RouteGraphNodes == 0 {
+	if s := n.StateSize(); s.DirtyPairs != 0 || s.RouteGraphNodes != 4 {
 		t.Fatalf("after the first query: %+v", s)
 	}
 
 	// The same two pairs, changed far more often than the cap: compaction
 	// keeps the list short and the graph alive.
-	flip := [2][]LinkInfo{
-		{{Neighbor: 2, Weight: 4}, {Neighbor: 3, Weight: 4}},
-		{{Neighbor: 2, Weight: 5}, {Neighbor: 3, Weight: 5}},
-	}
 	for i := 0; i < 3*dirtyCap; i++ {
 		n.HandleTC(&TC{Origin: 1, Seq: uint16(i), Links: flip[i%2]}, 1, now)
 		if s := n.StateSize(); s.DirtyPairs > dirtyCap {

@@ -61,7 +61,7 @@ func (nw *Network) Instrument(reg *obs.Registry) {
 	reg.CounterFunc("qolsr_olsr_adv_builds_total", "advertised-set builds by kind", func() uint64 { return nw.RebuildTotals().AdvRefresh }, obs.Label{Key: "kind", Value: "refresh"})
 	reg.CounterFunc("qolsr_olsr_adv_builds_total", "advertised-set builds by kind", func() uint64 { return nw.RebuildTotals().AdvChange }, obs.Label{Key: "kind", Value: "change"})
 	reg.CounterFunc("qolsr_olsr_adv_shared_total", "advertised-set builds served from the shared-topology intern table", func() uint64 { return nw.RebuildTotals().AdvShared })
-	reg.CounterFunc("qolsr_olsr_topo_builds_total", "topology-graph rebuilds", func() uint64 { return nw.RebuildTotals().TopoBuilds })
+	reg.CounterFunc("qolsr_olsr_topo_builds_total", "reference routing-table builds of the cross-check test mode (0 outside it)", func() uint64 { return nw.RebuildTotals().TopoBuilds })
 	reg.CounterFunc("qolsr_olsr_selections_total", "MPR/ANS selection runs on a rebuilt local view", func() uint64 { return nw.RebuildTotals().Selections })
 	reg.CounterFunc("qolsr_olsr_spf_total", "shortest-path recomputations by kind", func() uint64 { return nw.RebuildTotals().SPFFull }, obs.Label{Key: "kind", Value: "full"})
 	reg.CounterFunc("qolsr_olsr_spf_total", "shortest-path recomputations by kind", func() uint64 { return nw.RebuildTotals().SPFIncremental }, obs.Label{Key: "kind", Value: "incremental"})
@@ -80,5 +80,5 @@ func (nw *Network) Instrument(reg *obs.Registry) {
 	}
 	reg.GaugeFunc("qolsr_olsr_topology_rows", "TC-learned topology rows held, summed over nodes", stateSum(func(s olsr.StateSize) int { return s.TopologyRows }))
 	reg.GaugeFunc("qolsr_olsr_dirty_pairs", "pending dirty pairs, summed over nodes", stateSum(func(s olsr.StateSize) int { return s.DirtyPairs }))
-	reg.GaugeFunc("qolsr_olsr_route_graph_nodes", "incremental routing-graph nodes, summed over nodes", stateSum(func(s olsr.StateSize) int { return s.RouteGraphNodes }))
+	reg.GaugeFunc("qolsr_olsr_route_graph_nodes", "nodes of the held routing graphs, summed over nodes", stateSum(func(s olsr.StateSize) int { return s.RouteGraphNodes }))
 }
