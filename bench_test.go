@@ -365,7 +365,7 @@ func BenchmarkDataplaneForwarding(b *testing.B) {
 	b.ReportMetric(float64(g.N()), "nodes")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if ratio := nw.DeliverySweep(0); ratio == 0 {
+		if ratio, _ := nw.DeliverySweep(0); ratio == 0 {
 			b.Fatal("nothing delivered")
 		}
 	}

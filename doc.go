@@ -45,7 +45,7 @@
 // Results are deterministic: every run's RNG stream is derived by a
 // splitmix64 mix of (seed, degree, run), so a fixed seed yields
 // bit-identical output for any WithWorkers value. Cancelling the context
-// stops the pool promptly with ctx.Err().
+// stops dispatching work promptly and returns ctx.Err().
 //
 // For incremental consumption (live plotting, partial saves), Stream
 // delivers each completed density point as it lands:

@@ -150,7 +150,8 @@ func RunControlSweep(ctx context.Context, opts ControlSweepOptions) (*ControlSwe
 				// Data-plane check after the counters are snapshotted
 				// (the sweep advances virtual time, so more control
 				// traffic flows during it).
-				row[si].Delivery.Add(nw.DeliverySweep(0))
+				dlv, _ := nw.DeliverySweep(0)
+				row[si].Delivery.Add(dlv)
 			}
 		}
 		res.Points = append(res.Points, row)

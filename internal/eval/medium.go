@@ -139,7 +139,8 @@ func RunLossSweep(ctx context.Context, opts LossSweepOptions) (*LossSweepResult,
 				nw.Start()
 				nw.Run(opts.SimTime)
 				row[mi].ControlBPS.Add(nw.ControlBytesPerSecond())
-				row[mi].Delivery.Add(nw.DeliverySweep(0))
+				dlv, _ := nw.DeliverySweep(0)
+				row[mi].Delivery.Add(dlv)
 				if nw.Data.Sent > 0 {
 					row[mi].LostFrac.Add(float64(nw.Data.Lost) / float64(nw.Data.Sent))
 				}

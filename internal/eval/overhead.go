@@ -12,7 +12,6 @@ import (
 
 	"qolsr/internal/core"
 	"qolsr/internal/geom"
-	"qolsr/internal/graph"
 	"qolsr/internal/metric"
 	"qolsr/internal/mpr"
 	"qolsr/internal/netgen"
@@ -170,7 +169,7 @@ func RunOverheadSweep(ctx context.Context, opts OverheadSweepOptions) (*Overhead
 				p.TCOrigBytesPerSec.Add(float64(nw.Stats.TCOriginatedBytes) / secs)
 				p.TCFwdBytesPerSec.Add(float64(nw.Stats.TCForwardedBytes) / secs)
 				p.TCForwards.Add(float64(nw.Stats.TCForwarded))
-				dlv, stretch := deliveryAndStretch(nw, 0)
+				dlv, stretch := nw.DeliverySweep(0)
 				p.Delivery.Add(dlv)
 				if stretch > 0 {
 					p.HopStretch.Add(stretch)
@@ -180,45 +179,6 @@ func RunOverheadSweep(ctx context.Context, opts OverheadSweepOptions) (*Overhead
 		res.Points = append(res.Points, row)
 	}
 	return res, nil
-}
-
-// deliveryAndStretch sends one packet from every physically-connected node
-// to dst, returning the delivered fraction and the mean hop stretch of the
-// delivered paths against the hop-optimal path on the physical topology.
-func deliveryAndStretch(nw *sim.Network, dst int32) (delivery, stretch float64) {
-	w, err := nw.Phys.Weights(nw.Metric().Name())
-	if err != nil {
-		return 0, 0
-	}
-	hopSP := graph.Dijkstra(nw.Phys, metric.Hop(), w, dst, nil, -1)
-	var delivered, total, stretchN int
-	var stretchSum float64
-	for s := int32(0); int(s) < nw.Phys.N(); s++ {
-		if s == dst || !hopSP.Reachable(s) {
-			continue
-		}
-		total++
-		opt := hopSP.Dist[s]
-		nw.SendData(s, dst, func(ok bool, hops int, _ time.Duration) {
-			if !ok {
-				return
-			}
-			delivered++
-			if opt > 0 {
-				stretchSum += float64(hops) / opt
-				stretchN++
-			}
-		})
-	}
-	nw.Run(nw.Engine.Now() + time.Duration(sim.DefaultDataTTL+1)*nw.HopDelayBound())
-	if total == 0 {
-		return 1, 0
-	}
-	delivery = float64(delivered) / float64(total)
-	if stretchN > 0 {
-		stretch = stretchSum / float64(stretchN)
-	}
-	return delivery, stretch
 }
 
 // WriteTable renders the sweep as an aligned table.

@@ -4,13 +4,12 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"runtime"
-	"sync"
 
 	"qolsr/internal/geom"
 	"qolsr/internal/graph"
 	"qolsr/internal/metric"
 	"qolsr/internal/netgen"
+	"qolsr/internal/par"
 	"qolsr/internal/route"
 	"qolsr/internal/stats"
 )
@@ -32,7 +31,9 @@ type Scenario struct {
 	// PairTries bounds source resampling when hunting for a connected
 	// pair (default 64).
 	PairTries int
-	// Workers bounds run-level parallelism (default GOMAXPROCS).
+	// Workers bounds run-level parallelism: the runs go through par.For
+	// on min(Workers, Runs) goroutines, or inline on the caller's when
+	// that is one (default GOMAXPROCS).
 	Workers int
 	// MeasureDirectedDelivery additionally evaluates the all-pairs
 	// delivery ratio under directed-advertisement semantics (the Fig. 4
@@ -86,7 +87,8 @@ type runSample struct {
 // "each approach is run on the same topology with the same source and
 // destination".
 //
-// Cancelling ctx stops the worker pool promptly and returns ctx.Err().
+// Cancelling ctx stops dispatching runs and returns ctx.Err(). A failing
+// run stops dispatch too; the error reported is the lowest failing run's.
 // Results are bit-identical for a given scenario regardless of Workers:
 // every run draws its RNG stream from RunSeed and samples are merged in run
 // order.
@@ -107,40 +109,14 @@ func RunPoint(ctx context.Context, sc Scenario, protocols []ProtocolSpec) (*Poin
 	if pairTries <= 0 {
 		pairTries = 64
 	}
-	workers := sc.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > sc.Runs {
-		workers = sc.Runs
-	}
-
 	samples := make([]runSample, sc.Runs)
-	var wg sync.WaitGroup
-	runCh := make(chan int)
-	for wkr := 0; wkr < workers; wkr++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for run := range runCh {
-				if ctx.Err() != nil {
-					continue // drain without doing work
-				}
-				samples[run] = evalRun(sc, protocols, run, pairTries)
-			}
-		}()
-	}
-dispatch:
-	for run := 0; run < sc.Runs; run++ {
-		select {
-		case runCh <- run:
-		case <-ctx.Done():
-			break dispatch
+	if err := par.For(ctx, sc.Runs, sc.Workers, func(_ context.Context, run int) error {
+		samples[run] = evalRun(sc, protocols, run, pairTries)
+		if err := samples[run].err; err != nil {
+			return fmt.Errorf("eval: run %d: %w", run, err)
 		}
-	}
-	close(runCh)
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
+		return nil
+	}); err != nil {
 		return nil, err
 	}
 
@@ -153,9 +129,6 @@ dispatch:
 	}
 	for run := range samples {
 		s := &samples[run]
-		if s.err != nil {
-			return nil, fmt.Errorf("eval: run %d: %w", run, s.err)
-		}
 		res.Nodes.Add(s.nodes)
 		if s.skipped {
 			res.SkippedRuns++

@@ -39,7 +39,8 @@ import (
 // Repair before reading the solution. Touches accumulate, so a batch of
 // topology changes costs one repair. The labels are sized to the graph's
 // node set once, in NewSPF: a caller whose node set changes builds a new
-// solver.
+// solver. The initial solution is canonical Dijkstra's (Scratch.Dijkstra);
+// the waves below only ever repair it.
 type SPF struct {
 	g       *Graph
 	m       metric.Metric
@@ -76,8 +77,11 @@ type hopItem struct {
 	node int32
 }
 
-// NewSPF builds the solver over g's node set and computes the initial
-// solution from src over the named weight channel.
+// NewSPF builds the solver over g's node set and takes its initial labels
+// from one canonical Dijkstra search from src over the named weight channel.
+// The search runs in buffers the solver keeps: its labels become the SPF's,
+// its visited set and pop-order list become repair scratch, so the full
+// solve allocates nothing the solver would not hold anyway.
 func NewSPF(g *Graph, m metric.Metric, channel string, src int32) (*SPF, error) {
 	w, err := g.Weights(channel)
 	if err != nil {
@@ -87,17 +91,15 @@ func NewSPF(g *Graph, m metric.Metric, channel string, src int32) (*SPF, error) 
 	if src < 0 || int(src) >= n {
 		return nil, fmt.Errorf("graph: spf source %d out of range [0,%d)", src, n)
 	}
-	s := &SPF{
+	scr := Scratch{done: make([]bool, n), sp: ShortestPaths{Reached: make([]int32, 0, n)}}
+	sp := scr.Dijkstra(g, m, w, src, nil, -1)
+	return &SPF{
 		g: g, m: m, channel: channel, src: src,
-		dist: make([]float64, n), hops: make([]int32, n), prev: make([]int32, n),
-		mark: make([]uint8, n), changed: make([]bool, n), seeded: make([]bool, n),
-	}
-	s.rebuild(w)
-	return s, nil
+		dist: sp.Dist, hops: sp.hops, prev: sp.prev,
+		vheap: scr.heap, mark: make([]uint8, n), changed: make([]bool, n),
+		chain: sp.Reached[:0], seeded: scr.done,
+	}, nil
 }
-
-// Source returns the search origin.
-func (s *SPF) Source() int32 { return s.src }
 
 // Touch records that the edge between a and b was added, removed, or
 // reweighted. Call it after the graph mutation; order within a batch does
@@ -116,10 +118,6 @@ func (s *SPF) Hops(x int32) int32 { return s.hops[x] }
 
 // Reachable reports whether x is currently reachable from the source.
 func (s *SPF) Reachable(x int32) bool { return s.prev[x] != -2 }
-
-// Prev returns the canonical predecessor of x (-1 for the source, -2 when
-// unreachable).
-func (s *SPF) Prev(x int32) int32 { return s.prev[x] }
 
 // Repair processes all recorded touches and restores the canonical
 // solution. With no touches pending it is a no-op.
@@ -284,38 +282,12 @@ func (s *SPF) classify(x int32, mark []uint8) {
 	s.chain = chain[:0]
 }
 
-// rebuild recomputes the full solution in place: a value wave seeded with
-// the source over cleared labels (which degenerates to Dijkstra), then a
-// hop wave from the source over the tight arcs.
-func (s *SPF) rebuild(w []float64) {
-	worst := s.m.Worst()
-	for i := range s.dist {
-		s.dist[i] = worst
-		s.hops[i] = hopInf
-		s.prev[i] = -2
-	}
-	s.dist[s.src] = s.m.Identity()
-	vheap := s.vheap[:0]
-	vheap = pushHeap(vheap, s.m, heapItem{value: s.dist[s.src], node: s.src})
-	s.valueWave(vheap, w, nil)
-	s.hops[s.src] = 0
-	s.prev[s.src] = -1
-	hheap := s.hheap[:0]
-	hheap = pushHopHeap(hheap, hopItem{hops: 0, node: s.src})
-	s.hopWave(hheap, w)
-	for i := range s.hops {
-		if s.prev[i] == -2 {
-			s.hops[i] = 0
-		}
-	}
-}
-
 // valueWave settles path values: a lazy-deletion best-first loop that
 // re-pushes on strict improvement. Values only ever improve during the
 // wave, the metric's Combine never improves a path, and a popped entry
 // equal to the node's current value is final — so the wave converges to
-// the unique value fixpoint from any correct seed set. changed, when
-// non-nil, records every node whose value was written.
+// the unique value fixpoint from any correct seed set. changed records
+// every node whose value was written.
 func (s *SPF) valueWave(heap []heapItem, w []float64, changed []bool) {
 	g, m := s.g, s.m
 	worst := m.Worst()
@@ -334,9 +306,7 @@ func (s *SPF) valueWave(heap []heapItem, w []float64, changed []bool) {
 					continue
 				}
 				s.dist[y] = cand
-				if changed != nil {
-					changed[y] = true
-				}
+				changed[y] = true
 				heap = pushHeap(heap, m, heapItem{value: cand, node: y})
 			}
 		}

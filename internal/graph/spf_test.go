@@ -17,7 +17,7 @@ func checkCanonical(t *testing.T, g *Graph, s *SPF, m metric.Metric, scr *Scratc
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref := scr.Dijkstra(g, m, w, s.Source(), nil, -1)
+	ref := scr.Dijkstra(g, m, w, s.src, nil, -1)
 	refFirst, refHops := ref.FirstHops(nil, nil)
 	first := s.FirstHops(nil)
 	for x := int32(0); int(x) < g.N(); x++ {
@@ -36,9 +36,9 @@ func checkCanonical(t *testing.T, g *Graph, s *SPF, m metric.Metric, scr *Scratc
 			t.Fatalf("step %d: node %d hops %d, full rebuild %d",
 				step, x, s.Hops(x), refHops[x])
 		}
-		if s.Prev(x) != ref.prev[x] {
+		if s.prev[x] != ref.prev[x] {
 			t.Fatalf("step %d: node %d prev %d (id %v), full rebuild %d (id %v)",
-				step, x, s.Prev(x), g.ID(s.Prev(x)), ref.prev[x], g.ID(ref.prev[x]))
+				step, x, s.prev[x], g.ID(s.prev[x]), ref.prev[x], g.ID(ref.prev[x]))
 		}
 		if first[x] != refFirst[x] {
 			t.Fatalf("step %d: node %d first hop %d, full rebuild %d",

@@ -1,9 +1,9 @@
 // Package runner executes figure sweeps as parallel, cancellable,
 // streaming pipelines. It is the engine behind the root package's
 // Experiment/Runner API: every (figure, density) pair becomes one job, jobs
-// run concurrently on a bounded pool, each job additionally parallelizes
-// its runs through eval.RunPoint, and completed points are streamed as
-// events while the sweep is still in flight.
+// run concurrently through par.For, each job additionally parallelizes its
+// runs through eval.RunPoint, and completed points are streamed as events
+// while the sweep is still in flight.
 //
 // Results are deterministic for a given seed regardless of the worker
 // budget: every run's RNG stream is derived from (seed, degree, run) alone
@@ -19,12 +19,15 @@ import (
 
 	"qolsr/internal/eval"
 	"qolsr/internal/metric"
+	"qolsr/internal/par"
 )
 
 // Options tunes a sweep without changing the figures' definitions.
 type Options struct {
 	// Workers is the total parallelism budget, shared between concurrent
 	// density points and the runs inside each point (default GOMAXPROCS).
+	// Scenario execution spends it on replicate runs. At 1 every job runs
+	// in order on one goroutine besides the caller's.
 	Workers int
 	// Runs is the per-point run count (default 100, the paper's).
 	Runs int
@@ -98,7 +101,9 @@ type Result struct {
 // function that blocks until completion and yields the final result. The
 // channel is buffered for the whole sweep and closed when done, so a caller
 // may drain it lazily or abandon it. Cancelling ctx stops outstanding work
-// promptly; wait then returns ctx.Err().
+// promptly; wait then returns ctx.Err(). A failing point stops the points
+// not yet started, and wait returns the error of the first failing point in
+// figure and density order.
 func Stream(ctx context.Context, figs []eval.Figure, opts Options) (<-chan Event, func() (*Result, error)) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -144,7 +149,7 @@ func Stream(ctx context.Context, figs []eval.Figure, opts Options) (<-chan Event
 		mu         sync.Mutex
 		progressMu sync.Mutex
 	)
-	poolWait := jobPool(ctx, len(jobs), pointWorkers, func(runCtx context.Context, i int) error {
+	runJob := func(runCtx context.Context, i int) error {
 		j := jobs[i]
 		fig := figs[j.fi]
 		sc := fig.Scenario(j.deg, opts.Runs, opts.Seed, opts.WeightInterval)
@@ -181,15 +186,32 @@ func Stream(ctx context.Context, figs []eval.Figure, opts Options) (<-chan Event
 			}
 		}
 		return nil
-	}, func() { close(events) })
-
-	wait := func() (*Result, error) {
-		if err := poolWait(); err != nil {
+	}
+	wait := goFor(ctx, len(jobs), pointWorkers, runJob, func() { close(events) })
+	return events, func() (*Result, error) {
+		if err := wait(); err != nil {
 			return nil, err
 		}
 		return &Result{Figures: results, Quantities: opts.Quantities}, nil
 	}
-	return events, wait
+}
+
+// goFor runs par.For on a goroutine of its own, so the streaming entry
+// points return at once, and calls finish when every job has returned —
+// close event channels there. The returned wait blocks until then and
+// yields par.For's error.
+func goFor(ctx context.Context, n, workers int, job func(context.Context, int) error, finish func()) (wait func() error) {
+	done := make(chan struct{})
+	var err error
+	go func() {
+		defer close(done)
+		err = par.For(ctx, n, workers, job)
+		finish()
+	}()
+	return func() error {
+		<-done
+		return err
+	}
 }
 
 // Run executes the sweep to completion, discarding the event stream.

@@ -78,7 +78,7 @@ func StreamScenario(ctx context.Context, sc scenario.Scenario, opts Options) (<-
 	results := make([]*scenario.RunResult, opts.Runs)
 
 	var progressMu sync.Mutex
-	poolWait := jobPool(ctx, opts.Runs, opts.Workers, func(runCtx context.Context, run int) error {
+	wait := goFor(ctx, opts.Runs, opts.Workers, func(runCtx context.Context, run int) error {
 		emit := func(s scenario.Sample) {
 			events <- ScenarioEvent{Kind: ScenarioEventSample, Run: run, Sample: s}
 		}
@@ -96,14 +96,12 @@ func StreamScenario(ctx context.Context, sc scenario.Scenario, opts Options) (<-
 		}
 		return nil
 	}, func() { close(events) })
-
-	wait := func() (*scenario.Result, error) {
-		if err := poolWait(); err != nil {
+	return events, func() (*scenario.Result, error) {
+		if err := wait(); err != nil {
 			return nil, err
 		}
 		return &scenario.Result{Scenario: sc, Seed: opts.Seed, Runs: results}, nil
 	}
-	return events, wait
 }
 
 // RunScenario executes the scenario to completion, discarding the event

@@ -11,15 +11,14 @@ import (
 // Action is one timeline effect on the running network. Implementations are
 // value types; the engine applies them at their phase time with access to
 // the network, the current node positions and the run's event RNG, so an
-// action's outcome is a pure function of (scenario, seed, run).
+// action's outcome is a pure function of (scenario, seed, run). Every action
+// perturbs routing, so every phase opens a reconvergence window: the engine
+// records its fire time and later reports how long the protocol took to
+// re-deliver every connected probe flow.
 type Action interface {
 	// Describe returns the action's stable string form, used by the JSON
 	// encoder and the tables.
 	Describe() string
-	// Disruptive marks actions that start a reconvergence measurement:
-	// the engine records the fire time and later reports how long the
-	// protocol took to re-deliver every connected probe flow.
-	Disruptive() bool
 
 	validate() error
 	apply(env *actionEnv) error
@@ -52,14 +51,28 @@ func (env *actionEnv) upLinks() [][2]int32 {
 	return links
 }
 
+// failShuffled fails count(n) of the n currently-up links (at most n): the
+// first ones after one shuffle drawn from the run's event RNG.
+func (env *actionEnv) failShuffled(count func(up int) int) error {
+	links := env.upLinks()
+	if len(links) == 0 {
+		return nil
+	}
+	k := min(count(len(links)), len(links))
+	env.rng.Shuffle(len(links), func(i, j int) { links[i], links[j] = links[j], links[i] })
+	for _, l := range links[:k] {
+		if err := env.nw.FailLink(l[0], l[1]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // FailLink takes one named physical link down.
 type FailLink struct{ A, B int32 }
 
 // Describe implements Action.
 func (f FailLink) Describe() string { return fmt.Sprintf("fail-link %d-%d", f.A, f.B) }
-
-// Disruptive implements Action.
-func (FailLink) Disruptive() bool { return true }
 
 func (f FailLink) validate() error {
 	if f.A == f.B || f.A < 0 || f.B < 0 {
@@ -75,10 +88,6 @@ type RestoreLink struct{ A, B int32 }
 
 // Describe implements Action.
 func (r RestoreLink) Describe() string { return fmt.Sprintf("restore-link %d-%d", r.A, r.B) }
-
-// Disruptive implements Action. Restores also perturb routing (better
-// routes appear), so they open a reconvergence window too.
-func (RestoreLink) Disruptive() bool { return true }
 
 func (r RestoreLink) validate() error {
 	if r.A == r.B || r.A < 0 || r.B < 0 {
@@ -99,9 +108,6 @@ type FailFraction struct {
 // Describe implements Action.
 func (f FailFraction) Describe() string { return fmt.Sprintf("fail-fraction %.2f", f.Fraction) }
 
-// Disruptive implements Action.
-func (FailFraction) Disruptive() bool { return true }
-
 func (f FailFraction) validate() error {
 	if !(f.Fraction > 0) || f.Fraction > 1 {
 		return fmt.Errorf("fail-fraction %g outside (0,1]", f.Fraction)
@@ -110,24 +116,7 @@ func (f FailFraction) validate() error {
 }
 
 func (f FailFraction) apply(env *actionEnv) error {
-	links := env.upLinks()
-	if len(links) == 0 {
-		return nil
-	}
-	count := int(float64(len(links))*f.Fraction + 0.5)
-	if count < 1 {
-		count = 1
-	}
-	if count > len(links) {
-		count = len(links)
-	}
-	env.rng.Shuffle(len(links), func(i, j int) { links[i], links[j] = links[j], links[i] })
-	for _, l := range links[:count] {
-		if err := env.nw.FailLink(l[0], l[1]); err != nil {
-			return err
-		}
-	}
-	return nil
+	return env.failShuffled(func(up int) int { return max(int(float64(up)*f.Fraction+0.5), 1) })
 }
 
 // FailRandom fails a fixed number of uniformly random up links, drawn from
@@ -140,9 +129,6 @@ type FailRandom struct {
 // Describe implements Action.
 func (f FailRandom) Describe() string { return fmt.Sprintf("fail-random %d", f.Count) }
 
-// Disruptive implements Action.
-func (FailRandom) Disruptive() bool { return true }
-
 func (f FailRandom) validate() error {
 	if f.Count < 1 {
 		return fmt.Errorf("fail-random needs a positive count, got %d", f.Count)
@@ -151,21 +137,7 @@ func (f FailRandom) validate() error {
 }
 
 func (f FailRandom) apply(env *actionEnv) error {
-	links := env.upLinks()
-	if len(links) == 0 {
-		return nil
-	}
-	count := f.Count
-	if count > len(links) {
-		count = len(links)
-	}
-	env.rng.Shuffle(len(links), func(i, j int) { links[i], links[j] = links[j], links[i] })
-	for _, l := range links[:count] {
-		if err := env.nw.FailLink(l[0], l[1]); err != nil {
-			return err
-		}
-	}
-	return nil
+	return env.failShuffled(func(int) int { return f.Count })
 }
 
 // RestoreAll brings every failed link back — the heal primitive.
@@ -173,9 +145,6 @@ type RestoreAll struct{}
 
 // Describe implements Action.
 func (RestoreAll) Describe() string { return "restore-all" }
-
-// Disruptive implements Action.
-func (RestoreAll) Disruptive() bool { return true }
 
 func (RestoreAll) validate() error { return nil }
 
@@ -194,9 +163,6 @@ type Partition struct{}
 
 // Describe implements Action.
 func (Partition) Describe() string { return "partition" }
-
-// Disruptive implements Action.
-func (Partition) Disruptive() bool { return true }
 
 func (Partition) validate() error { return nil }
 
@@ -230,11 +196,6 @@ type SetLoss struct {
 // Describe implements Action.
 func (s SetLoss) Describe() string { return fmt.Sprintf("set-loss %.2f", s.Loss) }
 
-// Disruptive implements Action: raising loss degrades delivery, lowering it
-// perturbs routing as links recover — either way a reconvergence window
-// opens.
-func (SetLoss) Disruptive() bool { return true }
-
 func (s SetLoss) validate() error {
 	if s.Loss < 0 || s.Loss >= 1 {
 		return fmt.Errorf("set-loss %g outside [0,1)", s.Loss)
@@ -264,9 +225,6 @@ type DegradeLink struct {
 func (d DegradeLink) Describe() string {
 	return fmt.Sprintf("degrade-link %d-%d %.2f", d.A, d.B, d.Loss)
 }
-
-// Disruptive implements Action.
-func (DegradeLink) Disruptive() bool { return true }
 
 func (d DegradeLink) validate() error {
 	if d.A == d.B || d.A < 0 || d.B < 0 {

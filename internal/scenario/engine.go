@@ -35,7 +35,7 @@ type ctrlSnapshot struct {
 	total, fwd uint64
 }
 
-// disruption records one fired disruptive phase for reconvergence tracking.
+// disruption records one fired phase for reconvergence tracking.
 type disruption struct {
 	desc string
 	at   time.Duration
@@ -206,17 +206,12 @@ func Execute(ctx context.Context, sc Scenario, seed int64, run int, emit func(Sa
 				phaseErr = fmt.Errorf("scenario %s: phase %q at %v: %w", sc.Name, ph.Action.Describe(), ph.At, err)
 				return
 			}
-			if ph.Action.Disruptive() {
-				disruptions = append(disruptions, disruption{desc: ph.Action.Describe(), at: nw.Engine.Now()})
-			}
+			disruptions = append(disruptions, disruption{desc: ph.Action.Describe(), at: nw.Engine.Now()})
 		}))
 	}
 
 	res := &RunResult{Run: run, Nodes: nw.Phys.N()}
-	// Probe packets traverse at most TTL hops, each bounded by the
-	// medium's per-hop latency bound (propDelay exactly on the ideal
-	// medium; queueing and jitter widen it on the lossy one).
-	drain := time.Duration(sim.DefaultDataTTL+2) * nw.HopDelayBound()
+	drain := probeDrain(medium)
 	var (
 		prevT    time.Duration
 		prevCtrl ctrlSnapshot
@@ -518,6 +513,14 @@ func effectiveTopology(nw *sim.Network, channel string) (*graph.Graph, []float64
 		return eff, nil
 	}
 	return eff, ew
+}
+
+// probeDrain is how long a probe sample runs the engine so that every probe
+// packet completes: probes traverse at most TTL hops, each within the
+// medium's per-hop latency bound (propDelay exactly on the ideal medium;
+// queueing and jitter widen it on the lossy one).
+func probeDrain(m sim.Medium) time.Duration {
+	return time.Duration(sim.DefaultDataTTL+2) * m.HopDelayBound()
 }
 
 // buildMedium materialises the radio model for one run. The lossy medium's

@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"context"
+	"strings"
 	"testing"
 	"time"
 
@@ -125,5 +126,52 @@ func TestDegradeLinkExecutes(t *testing.T) {
 	sc.Phases = []Phase{{At: 14 * time.Second, Action: DegradeLink{A: 0, B: 5, Loss: 0.9}}}
 	if _, err := Execute(context.Background(), sc, 5, 0, nil); err == nil {
 		t.Error("degrade-link on a missing link did not fail the run")
+	}
+}
+
+// A probe sample runs the engine through the medium's drain window, TTL+2
+// hop bounds; on the default lossy medium that is 66 × 5.296 ms. A sampling
+// interval that does not exceed it would take the next sample after its
+// time stamp, so Validate must reject it and name the minimum. Above it,
+// every sample measures the network at its own time: the sample just before
+// a total link failure still sees every probe flow connected.
+func TestLossyProbeSamplingOutlastsDrain(t *testing.T) {
+	sc := Scenario{
+		Name: "lossy-line",
+		Topology: Topology{
+			Points: []geom.Point{{X: 10, Y: 50}, {X: 90, Y: 50}, {X: 170, Y: 50}, {X: 250, Y: 50}},
+			Field:  geom.Field{Width: 300, Height: 100},
+			Radius: 100,
+		},
+		Medium:      Medium{Kind: "lossy"},
+		Traffic:     Traffic{Flows: 6},
+		Duration:    11 * time.Second,
+		Warmup:      10 * time.Second,
+		SampleEvery: 150 * time.Millisecond,
+		Phases:      []Phase{{At: 10160 * time.Millisecond, Action: FailFraction{Fraction: 1}}},
+	}
+	err := sc.WithDefaults().Validate()
+	if err == nil || !strings.Contains(err.Error(), "349.536ms") {
+		t.Fatalf("150ms probe sampling on the lossy medium: got %v, want an error naming the 349.536ms drain window", err)
+	}
+	sc.SampleEvery = 349536 * time.Microsecond
+	if err := sc.WithDefaults().Validate(); err == nil {
+		t.Fatal("sampling exactly at the drain window accepted")
+	}
+
+	sc.SampleEvery = 400 * time.Millisecond
+	sc.Phases = []Phase{{At: 10410 * time.Millisecond, Action: FailFraction{Fraction: 1}}}
+	rr, err := Execute(context.Background(), sc, 1, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range rr.Samples {
+		want := 6
+		if s.Time > 10410*time.Millisecond {
+			want = 0
+		}
+		if s.Connected != want {
+			t.Errorf("sample at %v: %d flows connected, want %d", s.Time, s.Connected, want)
+		}
 	}
 }

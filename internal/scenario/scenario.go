@@ -232,8 +232,10 @@ type Scenario struct {
 	// Warmup is the first sample time — earlier behaviour is protocol
 	// cold-start, not scenario signal (default min(Duration/3, 20s)).
 	Warmup time.Duration
-	// SampleEvery is the measurement cadence (default 2s, minimum 100ms
-	// so probe packets drain between samples).
+	// SampleEvery is the measurement cadence (default 2s, minimum 100ms).
+	// With probe flows it must also exceed the medium's probe drain window
+	// (66ms on the ideal medium, about 350ms on the default lossy one), so
+	// each sample's probes complete before the next sample is due.
 	SampleEvery time.Duration
 	// Workers bounds the goroutines the engine fans route-table rebuilds
 	// across at each sample barrier (0 = GOMAXPROCS, 1 = serial). It
@@ -290,8 +292,8 @@ func (sc Scenario) WithDefaults() Scenario {
 	return sc
 }
 
-// minSampleEvery keeps the probe drain window (TTL hops of propagation
-// delay) strictly inside one sampling interval.
+// minSampleEvery is the floor on any sampling cadence. Probe mode also
+// needs the medium's drain window (probeDrain) inside one interval.
 const minSampleEvery = 100 * time.Millisecond
 
 // Validate checks the scenario after defaulting. ByName output and
@@ -330,6 +332,16 @@ func (sc Scenario) Validate() error {
 	}
 	if sc.SampleEvery < minSampleEvery {
 		return fmt.Errorf("scenario: sample interval %v below minimum %v", sc.SampleEvery, minSampleEvery)
+	}
+	if len(sc.Traffic.Mix) == 0 {
+		medium, _, err := buildMedium(sc.Medium, 0, 0)
+		if err != nil {
+			return err
+		}
+		if drain := probeDrain(medium); sc.SampleEvery <= drain {
+			return fmt.Errorf("scenario: probe sample interval %v must exceed the %s medium's drain window %v",
+				sc.SampleEvery, medium.Name(), drain)
+		}
 	}
 	if sc.Warmup > sc.Duration {
 		return fmt.Errorf("scenario: warmup %v exceeds duration %v", sc.Warmup, sc.Duration)

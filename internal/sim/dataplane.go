@@ -42,6 +42,14 @@ type DataSink interface {
 	PacketDone(cookie uint64, delivered bool, hops int, latency time.Duration)
 }
 
+// doneFunc carries SendData's completion closure down the DataSink path.
+type doneFunc func(delivered bool, hops int, latency time.Duration)
+
+// PacketDone implements DataSink.
+func (f doneFunc) PacketDone(_ uint64, delivered bool, hops int, latency time.Duration) {
+	f(delivered, hops, latency)
+}
+
 // dataPacket is one in-flight data packet: a pooled event that re-fires at
 // each hop arrival.
 type dataPacket struct {
@@ -53,7 +61,6 @@ type dataPacket struct {
 	start  time.Duration
 	sink   DataSink
 	cookie uint64
-	done   func(delivered bool, hops int, latency time.Duration)
 	// pt is the packet's path trace when it was sampled (nil for the
 	// overwhelming majority). Pooled packets must clear it on reuse.
 	pt *obs.PacketTrace
@@ -67,12 +74,15 @@ func (p *dataPacket) Fire(time.Duration) { p.nw.stepData(p) }
 // virtual time. Each hop consults its *own* current routing table when the
 // packet arrives — exactly how an OLSR data plane behaves, including
 // transient loops while tables disagree (cut off by TTL). done, when non-nil,
-// is invoked at delivery or drop time. (The closure is the convenient probe
-// API; sustained traffic uses SendDataTraced, which completes through a
-// shared sink with no per-packet allocation.)
+// is invoked at delivery or drop time, through the same DataSink path
+// SendDataTraced uses. (The closure is the convenient probe API; sustained
+// traffic uses SendDataTraced, which completes through a shared sink with no
+// per-packet allocation.)
 func (nw *Network) SendData(src, dst int32, done func(delivered bool, hops int, latency time.Duration)) {
 	p := nw.newPacket(src, dst, DataPacketBytes)
-	p.done = done
+	if done != nil {
+		p.sink = doneFunc(done)
+	}
 	nw.stepData(p)
 }
 
@@ -111,21 +121,17 @@ func (nw *Network) newPacket(src, dst int32, size int) *dataPacket {
 	p.start = nw.Engine.Now()
 	p.sink = nil
 	p.cookie = 0
-	p.done = nil
 	p.pt = nil
 	return p
 }
 
 // finishData completes a packet (delivery or drop) and recycles it.
 func (nw *Network) finishData(p *dataPacket, delivered bool, hops int, latency time.Duration) {
-	sink, cookie, done := p.sink, p.cookie, p.done
-	p.sink, p.done, p.pt = nil, nil, nil
+	sink, cookie := p.sink, p.cookie
+	p.sink, p.pt = nil, nil
 	nw.pktPool = append(nw.pktPool, p)
-	switch {
-	case sink != nil:
+	if sink != nil {
 		sink.PacketDone(cookie, delivered, hops, latency)
-	case done != nil:
-		done(delivered, hops, latency)
 	}
 }
 
@@ -248,30 +254,35 @@ func (nw *Network) resolveNext(at, dst int32, routes *olsr.Routes) (int32, bool)
 }
 
 // DeliverySweep sends one packet from every node to dst at the current
-// virtual time and runs the engine until all complete, returning the
-// delivered fraction over physically-connected sources.
-func (nw *Network) DeliverySweep(dst int32) float64 {
-	reach := graph.Reachable(nw.Phys, dst)
+// virtual time and runs the engine until all complete. It returns the
+// delivered fraction over physically-connected sources (1 when there are
+// none) and the mean hop stretch of the delivered packets: hops taken over
+// the hop-optimal distance on the physical topology (0 when none arrived).
+func (nw *Network) DeliverySweep(dst int32) (delivery, stretch float64) {
+	opt := graph.HopDistances(nw.Phys, dst)
 	var delivered, total int
-	pending := 0
+	var stretchSum float64
 	for s := int32(0); int(s) < nw.Phys.N(); s++ {
-		if s == dst || !reach[s] {
+		if s == dst || opt[s] < 0 {
 			continue
 		}
 		total++
-		pending++
-		nw.SendData(s, dst, func(ok bool, _ int, _ time.Duration) {
+		hopsOpt := float64(opt[s])
+		nw.SendData(s, dst, func(ok bool, hops int, _ time.Duration) {
 			if ok {
 				delivered++
+				stretchSum += float64(hops) / hopsOpt
 			}
-			pending--
 		})
 	}
 	// Packets traverse at most TTL hops, each bounded by the medium's
 	// per-hop latency bound.
 	nw.Run(nw.Engine.Now() + time.Duration(DefaultDataTTL+1)*nw.HopDelayBound())
 	if total == 0 {
-		return 1
+		return 1, 0
 	}
-	return float64(delivered) / float64(total)
+	if delivered > 0 {
+		stretch = stretchSum / float64(delivered)
+	}
+	return float64(delivered) / float64(total), stretch
 }

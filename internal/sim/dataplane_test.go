@@ -70,8 +70,12 @@ func TestDeliverySweep(t *testing.T) {
 	nw := lineNetwork(t)
 	nw.Start()
 	nw.Run(25 * time.Second)
-	if ratio := nw.DeliverySweep(0); ratio != 1 {
+	ratio, stretch := nw.DeliverySweep(0)
+	if ratio != 1 {
 		t.Errorf("delivery sweep = %v, want 1 after convergence", ratio)
+	}
+	if stretch != 1 {
+		t.Errorf("hop stretch = %v, want 1 on a line", stretch)
 	}
 }
 
@@ -122,7 +126,7 @@ func TestDeliverySweepUnderMobility(t *testing.T) {
 	}
 	ms.Start()
 	ms.Run(60 * time.Second)
-	if ratio := ms.NW.DeliverySweep(0); ratio < 0.5 {
+	if ratio, _ := ms.NW.DeliverySweep(0); ratio < 0.5 {
 		t.Errorf("mobile delivery sweep = %v, want >= 0.5", ratio)
 	}
 }

@@ -148,7 +148,7 @@ func TestDeliverySweepCountsNoRouteDuringPartition(t *testing.T) {
 	// DeliverySweep normalises over physical connectivity, which still
 	// includes node 0 (links exist, they are just down): stale routes
 	// toward 0 die at the failed hops and land in NoRoute.
-	ratio := nw.DeliverySweep(0)
+	ratio, _ := nw.DeliverySweep(0)
 	if ratio == 1 {
 		t.Error("sweep to an isolated node reported full delivery")
 	}

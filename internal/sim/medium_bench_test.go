@@ -44,7 +44,7 @@ func benchMedium(b *testing.B, mk func() Medium, measured bool) {
 		}
 		nw.Start()
 		nw.Run(60 * time.Second)
-		_ = nw.DeliverySweep(0)
+		_, _ = nw.DeliverySweep(0)
 	}
 }
 

@@ -23,7 +23,7 @@ func statsOf(t *testing.T, opts NetworkOptions, simTime time.Duration) (TrafficS
 	}
 	nw.Start()
 	nw.Run(simTime)
-	delivery := nw.DeliverySweep(0)
+	delivery, _ := nw.DeliverySweep(0)
 	return nw.Stats, nw.Data, delivery
 }
 

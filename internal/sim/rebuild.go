@@ -1,12 +1,11 @@
 package sim
 
 import (
-	"runtime"
-	"sync"
+	"context"
 	"sync/atomic"
-	"time"
 
 	"qolsr/internal/olsr"
+	"qolsr/internal/par"
 )
 
 // Parallel route rebuilds.
@@ -24,15 +23,17 @@ import (
 // blocks other nodes share are read-only by contract. The result is
 // byte-identical at every worker count: each node's table is a pure function
 // of that node's state, workers only decide which goroutine performs the
-// computation, and errors are merged in ascending node order so even the
+// computation, and par.For reports the lowest failing index so even the
 // failure surface is deterministic.
 
 // RebuildRoutes brings the routing tables of the given nodes (graph
 // indices; nil means every node) up to date as of the current virtual time,
-// fanning the per-node SPF work across min(workers, nodes) goroutines
-// (workers <= 0 means GOMAXPROCS). It returns the number of nodes whose
-// table was actually rebuilt (the rest were served from cache) and the
-// first error in node order, if any.
+// fanning the per-node SPF work through par.For on min(workers, nodes)
+// goroutines (workers <= 0 means GOMAXPROCS; with one worker the nodes are
+// rebuilt inline, in order, on the caller's goroutine). It returns the
+// number of nodes whose table was actually rebuilt (the rest were served
+// from cache) and the error of the first failing node in node order, if
+// any; a failure stops the nodes not yet started.
 //
 // Call it only between engine runs — never from inside a firing event.
 func (nw *Network) RebuildRoutes(idxs []int32, workers int) (rebuilt int, err error) {
@@ -41,79 +42,22 @@ func (nw *Network) RebuildRoutes(idxs []int32, workers int) (rebuilt int, err er
 	if idxs == nil {
 		n = len(nw.Nodes)
 	}
-	if n == 0 {
-		return 0, nil
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	node := func(i int) *olsr.Node {
-		if idxs == nil {
-			return nw.Nodes[i]
+	var count atomic.Int64
+	err = par.For(context.Background(), n, workers, func(_ context.Context, i int) error {
+		nd := nw.Nodes[i]
+		if idxs != nil {
+			nd = nw.Nodes[idxs[i]]
 		}
-		return nw.Nodes[idxs[i]]
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			r, e := rebuildOne(node(i), now)
-			if e != nil {
-				return rebuilt, e
-			}
-			if r {
-				rebuilt++
-			}
+		dirty := nd.RoutesDirty(now)
+		if _, err := nd.Routes(now); err != nil {
+			return err
 		}
-		return rebuilt, nil
-	}
-	var (
-		wg     sync.WaitGroup
-		next   atomic.Int64
-		count  atomic.Int64
-		errs   = make([]error, n)
-		hadErr atomic.Bool
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				r, e := rebuildOne(node(i), now)
-				if e != nil {
-					errs[i] = e
-					hadErr.Store(true)
-					continue
-				}
-				if r {
-					count.Add(1)
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if hadErr.Load() {
-		// First error in node order, whatever the interleaving was.
-		for _, e := range errs {
-			if e != nil {
-				return int(count.Load()), e
-			}
+		if dirty {
+			count.Add(1)
 		}
-	}
-	return int(count.Load()), nil
-}
-
-// rebuildOne refreshes one node's table, reporting whether a rebuild (as
-// opposed to a cache hit) happened.
-func rebuildOne(nd *olsr.Node, now time.Duration) (bool, error) {
-	dirty := nd.RoutesDirty(now)
-	_, err := nd.Routes(now)
-	return dirty && err == nil, err
+		return nil
+	})
+	return int(count.Load()), err
 }
 
 // RebuildTotals sums the per-node rebuild and interning counters across the
