@@ -126,80 +126,13 @@ func run() error {
 	}
 	r := qolsr.NewRunner(opts...)
 
-	if *ablation == "control" {
-		// A4 runs on the live protocol stack, not the figure harness,
-		// and its result has only a table form.
-		if *jsonPath != "" || *csvPath != "" {
-			return fmt.Errorf("-ablation control has table output only; -json/-csv are not supported")
-		}
-		res, err := r.ControlSweep(ctx, qolsr.ControlSweepOptions{})
-		if err != nil {
-			return err
-		}
-		return res.WriteTable(os.Stdout)
-	}
-
-	if *ablation == "loss" {
-		// A7 runs the live stack over the lossy medium; table form only.
-		if *jsonPath != "" || *csvPath != "" {
-			return fmt.Errorf("-ablation loss has table output only; -json/-csv are not supported")
-		}
-		res, err := r.LossSweep(ctx, qolsr.LossSweepOptions{})
-		if err != nil {
-			return err
-		}
-		return res.WriteTable(os.Stdout)
-	}
-
-	if *ablation == "load" {
-		// A8 drives sustained QoS flows on the live stack; table form only.
-		if *jsonPath != "" || *csvPath != "" {
-			return fmt.Errorf("-ablation load has table output only; -json/-csv are not supported")
-		}
-		res, err := r.LoadSweep(ctx, qolsr.LoadSweepOptions{})
-		if err != nil {
-			return err
-		}
-		return res.WriteTable(os.Stdout)
-	}
-
-	if *ablation == "scale" {
-		// S1 measures simulator throughput against node count on the
-		// live stack; table form only.
-		if *jsonPath != "" || *csvPath != "" {
-			return fmt.Errorf("-ablation scale has table output only; -json/-csv are not supported")
-		}
-		res, err := r.ScaleSweep(ctx, qolsr.ScaleSweepOptions{
-			MaxNodes: *scaleMax,
-			MinNodes: *scaleMin,
-			Optimize: *scaleOpt,
-			Workers:  *workers,
-		})
-		if err != nil {
-			return err
-		}
-		return res.WriteTable(os.Stdout)
-	}
-
-	if *ablation == "overhead" {
-		// O1 compares control-plane optimisations on the live stack; its
-		// JSON form is the BENCH_overhead.json artifact.
-		if *csvPath != "" {
-			return fmt.Errorf("-ablation overhead has table and JSON output only; -csv is not supported")
-		}
-		res, err := r.OverheadSweep(ctx, qolsr.OverheadSweepOptions{})
-		if err != nil {
-			return err
-		}
-		if *jsonPath != "" {
-			if *jsonPath != "-" {
-				if err := res.WriteTable(os.Stdout); err != nil {
-					return err
-				}
-			}
-			return writeOut(*jsonPath, res.EncodeJSON)
-		}
-		return res.WriteTable(os.Stdout)
+	// The live-stack ablations bypass the figure harness.
+	if run, encodeJSON := liveSweep(ctx, r, *ablation, qolsr.ScaleSweepOptions{
+		MaxNodes: *scaleMax,
+		MinNodes: *scaleMin,
+		Optimize: *scaleOpt,
+	}); run != nil {
+		return runLiveSweep(*ablation, run, encodeJSON, *jsonPath, *csvPath)
 	}
 
 	if *jsonPath == "-" && *csvPath == "-" {
@@ -245,6 +178,63 @@ func run() error {
 		}
 	}
 	return nil
+}
+
+// liveResult is what a live-stack sweep yields: a table.
+type liveResult interface {
+	WriteTable(w io.Writer) error
+}
+
+// liveSweep returns the run of a live-stack ablation (A4, A7, A8, S1, O1),
+// which bypasses the figure harness, and the JSON encoder of its result,
+// valid once run has returned. encodeJSON is nil for a sweep with table
+// output only, and run is nil when name is not a live-stack ablation.
+func liveSweep(ctx context.Context, r *qolsr.Runner, name string, scale qolsr.ScaleSweepOptions) (run func() (liveResult, error), encodeJSON func(io.Writer) error) {
+	switch name {
+	case "control":
+		return func() (liveResult, error) { return r.ControlSweep(ctx, qolsr.ControlSweepOptions{}) }, nil
+	case "loss":
+		return func() (liveResult, error) { return r.LossSweep(ctx, qolsr.LossSweepOptions{}) }, nil
+	case "load":
+		return func() (liveResult, error) { return r.LoadSweep(ctx, qolsr.LoadSweepOptions{}) }, nil
+	case "scale":
+		return func() (liveResult, error) { return r.ScaleSweep(ctx, scale) }, nil
+	case "overhead":
+		// O1's JSON form is the BENCH_overhead.json artifact.
+		var res *qolsr.OverheadSweepResult
+		return func() (liveResult, error) {
+				var err error
+				res, err = r.OverheadSweep(ctx, qolsr.OverheadSweepOptions{})
+				return res, err
+			}, func(w io.Writer) error {
+				return res.EncodeJSON(w)
+			}
+	}
+	return nil, nil
+}
+
+// runLiveSweep runs a live-stack ablation and prints its table, plus its
+// JSON form where it has one. An encoder targeting "-" owns stdout.
+func runLiveSweep(name string, run func() (liveResult, error), encodeJSON func(io.Writer) error, jsonPath, csvPath string) error {
+	switch {
+	case encodeJSON != nil && csvPath != "":
+		return fmt.Errorf("-ablation %s has table and JSON output only; -csv is not supported", name)
+	case encodeJSON == nil && (jsonPath != "" || csvPath != ""):
+		return fmt.Errorf("-ablation %s has table output only; -json/-csv are not supported", name)
+	}
+	res, err := run()
+	if err != nil {
+		return err
+	}
+	if jsonPath != "-" {
+		if err := res.WriteTable(os.Stdout); err != nil {
+			return err
+		}
+	}
+	if jsonPath == "" {
+		return nil
+	}
+	return writeOut(jsonPath, encodeJSON)
 }
 
 // registryListing renders every composable registry: sweeps (figures and

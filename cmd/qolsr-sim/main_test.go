@@ -1,7 +1,9 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -25,6 +27,39 @@ func TestParseDegrees(t *testing.T) {
 	}
 	if _, err := parseDegrees("a,b"); err == nil {
 		t.Error("garbage accepted")
+	}
+}
+
+// TestLiveSweepOutputForms: the five live-stack ablations dispatch through
+// one path, only O1 has a JSON form, and an output form a sweep lacks is
+// rejected before the sweep runs.
+func TestLiveSweepOutputForms(t *testing.T) {
+	r := qolsr.NewRunner()
+	for _, name := range []string{"control", "loss", "load", "scale", "overhead"} {
+		run, encodeJSON := liveSweep(context.Background(), r, name, qolsr.ScaleSweepOptions{})
+		if run == nil {
+			t.Fatalf("%s is not dispatched as a live-stack sweep", name)
+		}
+		if hasJSON := encodeJSON != nil; hasJSON != (name == "overhead") {
+			t.Errorf("%s: has a JSON form = %v", name, hasJSON)
+		}
+		ran := false
+		spy := func() (liveResult, error) {
+			ran = true
+			return nil, errors.New("ran")
+		}
+		forms := [][2]string{{"", "out.csv"}}
+		if encodeJSON == nil {
+			forms = append(forms, [2]string{"-", ""})
+		}
+		for _, f := range forms {
+			if err := runLiveSweep(name, spy, encodeJSON, f[0], f[1]); err == nil || ran {
+				t.Errorf("%s -json %q -csv %q: err = %v, ran = %v", name, f[0], f[1], err, ran)
+			}
+		}
+	}
+	if run, _ := liveSweep(context.Background(), r, "mprs", qolsr.ScaleSweepOptions{}); run != nil {
+		t.Error("a figure-harness ablation dispatched as a live-stack sweep")
 	}
 }
 

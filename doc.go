@@ -33,7 +33,11 @@
 // Experiments are composed from figures — by value or by registry name —
 // and executed by a Runner as a cancellable parallel pipeline: density
 // points and the runs inside each point share one worker budget, and
-// completed points stream out while the sweep is in flight.
+// completed points stream out while the sweep is in flight. The grid
+// ablations on the live protocol stack (Runner.ControlSweep, LossSweep,
+// LoadSweep and OverheadSweep) share one cell loop on the same budget: each
+// (axis point, run) field is one job, and measurements fold in axis order,
+// so their tables too are identical at every worker count.
 //
 //	exp, err := qolsr.ExperimentByID("fig6", "fig8")
 //	res, err := exp.Run(ctx, qolsr.WithRuns(100), qolsr.WithSeed(1),

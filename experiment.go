@@ -248,48 +248,50 @@ func (r *Runner) Stream(ctx context.Context, e *Experiment) (<-chan Event, func(
 	return runner.Stream(ctx, e.figures, r.opts)
 }
 
+// liveDefaults is the defaults step of the live-stack sweeps: it fills a
+// sweep's base seed from the runner's options where the sweep's own is
+// unset, and, when runs is non-nil, its run count. The live stack is ~20x
+// costlier per run than the offline harness, so the runner's run count is
+// scaled down accordingly.
+func (r *Runner) liveDefaults(seed *int64, runs *int) {
+	if *seed == 0 {
+		*seed = r.opts.Seed
+	}
+	if runs != nil && *runs <= 0 && r.opts.Runs > 0 {
+		*runs = max(1, r.opts.Runs/20)
+	}
+}
+
 // ControlSweep measures control-plane cost per selector and density on the
-// live protocol stack (experiment A4), honouring ctx and the runner's
-// seed/runs/degrees options where the sweep's own are unset.
+// live protocol stack (experiment A4), honouring ctx and the runner's worker
+// budget, and its seed/runs/degrees options where the sweep's own are unset.
 func (r *Runner) ControlSweep(ctx context.Context, opts ControlSweepOptions) (*ControlSweepResult, error) {
-	if opts.Seed == 0 {
-		opts.Seed = r.opts.Seed
-	}
-	if opts.Runs <= 0 && r.opts.Runs > 0 {
-		// The live stack is ~20x costlier per run than the offline
-		// harness; scale the figure-run default down accordingly.
-		opts.Runs = max(1, r.opts.Runs/20)
-	}
+	r.liveDefaults(&opts.Seed, &opts.Runs)
 	if len(opts.Degrees) == 0 {
 		opts.Degrees = r.opts.Degrees
 	}
-	return eval.RunControlSweep(ctx, opts)
+	return eval.RunControlSweep(ctx, opts, r.opts.Workers)
 }
 
 // LossSweep measures data-plane delivery against medium packet loss on the
 // live protocol stack (experiment A7), comparing oracle link weights with
-// measured link quality. It honours ctx and the runner's seed/runs options
-// where the sweep's own are unset.
+// measured link quality. It honours ctx and the runner's worker budget, and
+// its seed/runs options where the sweep's own are unset.
 func (r *Runner) LossSweep(ctx context.Context, opts LossSweepOptions) (*LossSweepResult, error) {
-	if opts.Seed == 0 {
-		opts.Seed = r.opts.Seed
-	}
-	if opts.Runs <= 0 && r.opts.Runs > 0 {
-		// Same live-stack cost scaling as ControlSweep.
-		opts.Runs = max(1, r.opts.Runs/20)
-	}
-	return eval.RunLossSweep(ctx, opts)
+	r.liveDefaults(&opts.Seed, &opts.Runs)
+	return eval.RunLossSweep(ctx, opts, r.opts.Workers)
 }
 
 // ScaleSweep measures simulator throughput against node count on the live
 // protocol stack (experiment S1): fields of growing population at constant
 // density, reporting wall time, events executed and event throughput per
-// point. It honours ctx and the runner's seed where the sweep's own is
-// unset; Runs defaults to 1 — the axis is engine cost, not protocol
-// statistics.
+// point. It honours ctx and the runner's seed and workers (the rebuild
+// barrier's budget) where the sweep's own are unset; Runs defaults to 1 —
+// the axis is engine cost, not protocol statistics.
 func (r *Runner) ScaleSweep(ctx context.Context, opts ScaleSweepOptions) (*ScaleSweepResult, error) {
-	if opts.Seed == 0 {
-		opts.Seed = r.opts.Seed
+	r.liveDefaults(&opts.Seed, nil)
+	if opts.Workers == 0 {
+		opts.Workers = r.opts.Workers
 	}
 	return eval.RunScaleSweep(ctx, opts)
 }
@@ -298,17 +300,12 @@ func (r *Runner) ScaleSweep(ctx context.Context, opts ScaleSweepOptions) (*Scale
 // optimisation on the live protocol stack (experiment O1): the original
 // QOLSR plane against delta TCs, fish-eye scoping, min-cover flood relays,
 // and all three together — same fields, same seeds. It honours ctx and the
-// runner's seed/runs/degrees options where the sweep's own are unset.
+// runner's worker budget, and its seed/runs/degrees options where the
+// sweep's own are unset.
 func (r *Runner) OverheadSweep(ctx context.Context, opts OverheadSweepOptions) (*OverheadSweepResult, error) {
-	if opts.Seed == 0 {
-		opts.Seed = r.opts.Seed
-	}
-	if opts.Runs <= 0 && r.opts.Runs > 0 {
-		// Same live-stack cost scaling as ControlSweep, times five variants.
-		opts.Runs = max(1, r.opts.Runs/20)
-	}
+	r.liveDefaults(&opts.Seed, &opts.Runs)
 	if len(opts.Degrees) == 0 {
 		opts.Degrees = r.opts.Degrees
 	}
-	return eval.RunOverheadSweep(ctx, opts)
+	return eval.RunOverheadSweep(ctx, opts, r.opts.Workers)
 }

@@ -4,15 +4,12 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"math/rand"
-	"strings"
 	"time"
 
 	"qolsr/internal/core"
 	"qolsr/internal/geom"
 	"qolsr/internal/metric"
 	"qolsr/internal/mpr"
-	"qolsr/internal/netgen"
 	"qolsr/internal/olsr"
 	"qolsr/internal/sim"
 	"qolsr/internal/stats"
@@ -75,29 +72,16 @@ func controlSelectors() []core.Selector {
 }
 
 // RunControlSweep measures control-plane cost per selector and density on
-// the live protocol stack. Cancelling ctx stops between simulations and
-// returns ctx.Err().
-func RunControlSweep(ctx context.Context, opts ControlSweepOptions) (*ControlSweepResult, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
+// the live protocol stack, simulating up to workers fields at once (0 =
+// GOMAXPROCS; the result is bit-identical at every setting). Cancelling ctx
+// stops between simulations and returns ctx.Err().
+func RunControlSweep(ctx context.Context, opts ControlSweepOptions, workers int) (*ControlSweepResult, error) {
 	if len(opts.Degrees) == 0 {
 		opts.Degrees = []float64{5, 10, 15, 20}
 	}
-	if opts.Runs <= 0 {
-		opts.Runs = 3
-	}
-	if opts.SimTime <= 0 {
-		opts.SimTime = 60 * time.Second
-	}
-	if opts.Field == (geom.Field{}) {
-		opts.Field = geom.Field{Width: 600, Height: 600}
-	}
+	liveDefaults(&opts.Runs, &opts.SimTime, &opts.Seed, &opts.Field, 3, 60*time.Second)
 	if opts.Metric == nil {
 		opts.Metric = metric.Bandwidth()
-	}
-	if opts.Seed == 0 {
-		opts.Seed = 1
 	}
 
 	selectors := controlSelectors()
@@ -105,84 +89,64 @@ func RunControlSweep(ctx context.Context, opts ControlSweepOptions) (*ControlSwe
 	for _, sel := range selectors {
 		res.Selectors = append(res.Selectors, sel.Name())
 	}
-	for _, deg := range opts.Degrees {
-		row := make([]*ControlPoint, len(selectors))
-		for si, sel := range selectors {
-			row[si] = &ControlPoint{Degree: deg, Selector: sel.Name()}
-		}
-		for run := 0; run < opts.Runs; run++ {
-			fieldSeed := RunSeed(opts.Seed, deg, run)
-			rng := rand.New(rand.NewSource(fieldSeed))
-			dep := geom.Deployment{Field: opts.Field, Radius: 100, Degree: deg}
-			g, err := netgen.Build(dep, opts.Metric.Name(), metric.DefaultInterval(), rng)
+	points, err := liveSweep[*ControlPoint]{
+		points: len(opts.Degrees), runs: opts.Runs, cols: len(selectors),
+		workers: workers, minNodes: 2,
+		point: func(pt, col int) *ControlPoint {
+			return &ControlPoint{Degree: opts.Degrees[pt], Selector: res.Selectors[col]}
+		},
+		field: func(pt, run int) (liveField, error) {
+			return deployField(opts.Seed, opts.Field, opts.Degrees[pt], run, opts.Metric.Name())
+		},
+		cell: func(f liveField, pt, run, col int) (func(*ControlPoint), error) {
+			deg := opts.Degrees[pt]
+			cfg := olsr.DefaultConfig(opts.Metric)
+			cfg.Selector = selectors[col]
+			// Chain the mix once more for the protocol jitter so the
+			// simulation stream is independent of the field stream.
+			nw, err := sim.NewNetwork(f.g, cfg, sim.NetworkOptions{Seed: RunSeed(f.seed, deg, run)})
 			if err != nil {
 				return nil, err
 			}
-			if g.N() < 2 {
-				continue
+			nw.Start()
+			nw.Run(opts.SimTime)
+			secs := opts.SimTime.Seconds()
+			tc, hello := float64(nw.Stats.TCBytes)/secs, float64(nw.Stats.HelloBytes)/secs
+			sets, err := nw.ANSSets()
+			if err != nil {
+				return nil, err
 			}
-			for si, sel := range selectors {
-				if err := ctx.Err(); err != nil {
-					return nil, err
-				}
-				cfg := olsr.DefaultConfig(opts.Metric)
-				cfg.Selector = sel
-				// Chain the mix once more for the protocol jitter so the
-				// simulation stream is independent of the field stream.
-				nw, err := sim.NewNetwork(g, cfg, sim.NetworkOptions{Seed: RunSeed(fieldSeed, deg, run)})
-				if err != nil {
-					return nil, err
-				}
-				nw.Start()
-				nw.Run(opts.SimTime)
-				secs := opts.SimTime.Seconds()
-				row[si].TCBytesPerSec.Add(float64(nw.Stats.TCBytes) / secs)
-				row[si].HelloBytesPerSec.Add(float64(nw.Stats.HelloBytes) / secs)
-				sets, err := nw.ANSSets()
-				if err != nil {
-					return nil, err
-				}
-				var total int
-				for _, s := range sets {
-					total += len(s)
-				}
-				row[si].SetSize.Add(float64(total) / float64(len(sets)))
-				// Data-plane check after the counters are snapshotted
-				// (the sweep advances virtual time, so more control
-				// traffic flows during it).
-				dlv, _ := nw.DeliverySweep(0)
-				row[si].Delivery.Add(dlv)
+			var total int
+			for _, s := range sets {
+				total += len(s)
 			}
-		}
-		res.Points = append(res.Points, row)
+			setSize := float64(total) / float64(len(sets))
+			// Data-plane check after the counters are snapshotted (the
+			// sweep advances virtual time, so more control traffic flows
+			// during it).
+			dlv, _ := nw.DeliverySweep(0)
+			return func(p *ControlPoint) {
+				p.TCBytesPerSec.Add(tc)
+				p.HelloBytesPerSec.Add(hello)
+				p.SetSize.Add(setSize)
+				p.Delivery.Add(dlv)
+			}, nil
+		},
+	}.run(ctx)
+	if err != nil {
+		return nil, err
 	}
+	res.Points = points
 	return res, nil
 }
 
 // WriteTable renders the sweep as an aligned table.
 func (r *ControlSweepResult) WriteTable(w io.Writer) error {
-	if _, err := fmt.Fprintf(w, "# A4 — control traffic on the live stack (%d runs/point, %v sim time)\n",
-		r.Options.Runs, r.Options.SimTime); err != nil {
-		return err
-	}
-	header := []string{"density"}
-	for _, s := range r.Selectors {
-		header = append(header, s+"_tcB/s", s+"_set", s+"_dlv")
-	}
-	if _, err := fmt.Fprintln(w, strings.Join(pad(header), "  ")); err != nil {
-		return err
-	}
-	for di, row := range r.Points {
-		cells := []string{fmt.Sprintf("%g", r.Options.Degrees[di])}
-		for _, p := range row {
-			cells = append(cells,
-				fmt.Sprintf("%.0f", p.TCBytesPerSec.Mean()),
-				fmt.Sprintf("%.2f", p.SetSize.Mean()),
-				fmt.Sprintf("%.2f", p.Delivery.Mean()))
-		}
-		if _, err := fmt.Fprintln(w, strings.Join(pad(cells), "  ")); err != nil {
-			return err
-		}
-	}
-	return nil
+	title := fmt.Sprintf("A4 — control traffic on the live stack (%d runs/point, %v sim time)",
+		r.Options.Runs, r.Options.SimTime)
+	return writeGrid(w, title, "density", axisLabels(r.Options.Degrees), r.Selectors, r.Points, []column[*ControlPoint]{
+		{"_tcB/s", "%.0f", func(p *ControlPoint) float64 { return p.TCBytesPerSec.Mean() }},
+		{"_set", "%.2f", func(p *ControlPoint) float64 { return p.SetSize.Mean() }},
+		{"_dlv", "%.2f", func(p *ControlPoint) float64 { return p.Delivery.Mean() }},
+	})
 }

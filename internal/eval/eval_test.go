@@ -272,7 +272,7 @@ func TestControlSweep(t *testing.T) {
 		Seed:    3,
 		Field:   geom.Field{Width: 300, Height: 300},
 		Metric:  metric.Bandwidth(),
-	})
+	}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

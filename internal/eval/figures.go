@@ -262,27 +262,19 @@ func (fr *FigureResult) Value(i int, protocol string) float64 {
 // the same rows the paper plots.
 func (fr *FigureResult) WriteTable(w io.Writer) error {
 	names := fr.ProtocolNames()
-	if _, err := fmt.Fprintf(w, "# %s — %s (%d runs/point)\n", fr.Figure.ID, fr.Figure.Title, fr.Runs); err != nil {
-		return err
-	}
 	header := []string{"density"}
 	for _, n := range names {
 		header = append(header, n, "±95%")
 	}
-	if _, err := fmt.Fprintln(w, strings.Join(pad(header), "  ")); err != nil {
-		return err
-	}
+	rows := make([][]string, len(fr.Points))
 	for i, p := range fr.Points {
-		row := []string{fmt.Sprintf("%g", fr.Figure.Degrees[i])}
+		rows[i] = []string{fmt.Sprintf("%g", fr.Figure.Degrees[i])}
 		for _, n := range names {
 			mean, ci := fr.series(p, n)
-			row = append(row, fmt.Sprintf("%.4f", mean), fmt.Sprintf("%.4f", ci))
-		}
-		if _, err := fmt.Fprintln(w, strings.Join(pad(row), "  ")); err != nil {
-			return err
+			rows[i] = append(rows[i], fmt.Sprintf("%.4f", mean), fmt.Sprintf("%.4f", ci))
 		}
 	}
-	return nil
+	return writeTable(w, fmt.Sprintf("%s — %s (%d runs/point)", fr.Figure.ID, fr.Figure.Title, fr.Runs), header, rows)
 }
 
 // WriteCSV renders the figure as CSV (density plus one mean and one CI

@@ -4,14 +4,10 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"math/rand"
-	"strings"
 	"time"
 
 	"qolsr/internal/geom"
-	"qolsr/internal/graph"
 	"qolsr/internal/metric"
-	"qolsr/internal/netgen"
 	"qolsr/internal/olsr"
 	"qolsr/internal/rng"
 	"qolsr/internal/sim"
@@ -109,96 +105,63 @@ func loadColumns() [][2]string {
 }
 
 // RunLoadSweep measures QoS satisfaction against offered load on the live
-// stack. Cancelling ctx stops between simulations and returns ctx.Err().
-func RunLoadSweep(ctx context.Context, opts LoadSweepOptions) (*LoadSweepResult, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
+// stack, simulating up to workers fields at once (0 = GOMAXPROCS; the result
+// is bit-identical at every setting). Cancelling ctx stops between
+// simulations and returns ctx.Err().
+func RunLoadSweep(ctx context.Context, opts LoadSweepOptions, workers int) (*LoadSweepResult, error) {
 	if len(opts.Loads) == 0 {
 		opts.Loads = []float64{0.5, 1, 2, 4, 8}
 	}
-	if opts.BaseRateBps <= 0 {
-		opts.BaseRateBps = 16384
-	}
-	if opts.Flows <= 0 {
-		opts.Flows = 16
-	}
-	if opts.MaxDelay <= 0 {
-		opts.MaxDelay = 60 * time.Millisecond
-	}
-	if opts.Loss <= 0 {
-		opts.Loss = 0.02
-	}
-	if opts.Runs <= 0 {
-		opts.Runs = 3
-	}
-	if opts.SimTime <= 0 {
-		opts.SimTime = 30 * time.Second
-	}
-	if opts.Field == (geom.Field{}) {
-		opts.Field = geom.Field{Width: 600, Height: 600}
-	}
-	if opts.Degree <= 0 {
-		opts.Degree = 10
-	}
-	if opts.Seed == 0 {
-		opts.Seed = 1
-	}
+	liveDefaults(&opts.Runs, &opts.SimTime, &opts.Seed, &opts.Field, 3, 30*time.Second)
+	defaultTo(&opts.BaseRateBps, 16384)
+	defaultTo(&opts.Flows, 16)
+	defaultTo(&opts.MaxDelay, 60*time.Millisecond)
+	defaultTo(&opts.Loss, 0.02)
+	defaultTo(&opts.Degree, 10)
 
 	cols := loadColumns()
 	res := &LoadSweepResult{Options: opts}
 	for _, c := range cols {
 		res.Columns = append(res.Columns, c[0]+"/"+c[1])
 	}
-	for li, load := range opts.Loads {
-		row := make([]*LoadPoint, len(cols))
-		for ci, c := range cols {
-			row[ci] = &LoadPoint{Load: load, Selection: c[0], Mode: c[1]}
-		}
-		for run := 0; run < opts.Runs; run++ {
-			// One field and one flow set per (load-axis, run), shared by
-			// every column so the comparison is paired.
-			fieldSeed := RunSeed(opts.Seed, opts.Degree, run)
-			fieldRNG := rand.New(rand.NewSource(fieldSeed))
-			dep := geom.Deployment{Field: opts.Field, Radius: 100, Degree: opts.Degree}
-			g, err := netgen.Build(dep, "bandwidth", metric.DefaultInterval(), fieldRNG)
+	points, err := liveSweep[*LoadPoint]{
+		points: len(opts.Loads), runs: opts.Runs, cols: len(cols),
+		workers: workers, minNodes: 4,
+		point: func(pt, col int) *LoadPoint {
+			return &LoadPoint{Load: opts.Loads[pt], Selection: cols[col][0], Mode: cols[col][1]}
+		},
+		// One field and one flow set per (load-axis, run), shared by every
+		// column so the comparison is paired.
+		field: func(_, run int) (liveField, error) {
+			f, err := deployField(opts.Seed, opts.Field, opts.Degree, run, "bandwidth")
 			if err != nil {
-				return nil, err
-			}
-			if g.N() < 4 {
-				continue
+				return f, err
 			}
 			// The hop metric routes on its own channel; every link costs
 			// one regardless, so the weight value is immaterial — but the
 			// channel must exist.
-			for a := int32(0); int(a) < g.N(); a++ {
-				for _, arc := range g.Arcs(a) {
-					if a < arc.To {
-						if err := g.SetWeight("hop", int(arc.Edge), 1); err != nil {
-							return nil, err
-						}
-					}
+			for e := 0; e < f.g.M(); e++ {
+				if err := f.g.SetWeight("hop", e, 1); err != nil {
+					return f, err
 				}
 			}
-			pairs := sim.DrawPairs(g.N(), opts.Flows, int64(rng.Mix(uint64(fieldSeed), 0xF10)))
-
-			for ci, c := range cols {
-				if err := ctx.Err(); err != nil {
-					return nil, err
-				}
-				if err := runLoadCell(row[ci], g, pairs, load, c[0], c[1], fieldSeed, li, opts); err != nil {
-					return nil, err
-				}
-			}
-		}
-		res.Points = append(res.Points, row)
+			f.pairs = sim.DrawPairs(f.g.N(), opts.Flows, int64(rng.Mix(uint64(f.seed), 0xF10)))
+			return f, nil
+		},
+		cell: func(f liveField, pt, _, col int) (func(*LoadPoint), error) {
+			return runLoadCell(f, opts.Loads[pt], cols[col][0], cols[col][1], pt, opts)
+		},
+	}.run(ctx)
+	if err != nil {
+		return nil, err
 	}
+	res.Points = points
 	return res, nil
 }
 
 // runLoadCell executes one (field, load, selection, mode) simulation and
-// folds its results into the point.
-func runLoadCell(p *LoadPoint, g *graph.Graph, pairs [][2]int32, load float64, selection, mode string, fieldSeed int64, li int, opts LoadSweepOptions) error {
+// returns the step that folds its results into the point.
+func runLoadCell(f liveField, load float64, selection, mode string, li int, opts LoadSweepOptions) (func(*LoadPoint), error) {
 	m := metric.Bandwidth()
 	if selection == "hop" {
 		m = metric.Hop()
@@ -209,20 +172,20 @@ func runLoadCell(p *LoadPoint, g *graph.Graph, pairs [][2]int32, load float64, s
 	}
 	medium := sim.NewLossyMedium(sim.LossyConfig{
 		Loss: opts.Loss,
-		Seed: int64(rng.Mix(uint64(fieldSeed), uint64(li), 0x4D)),
+		Seed: int64(rng.Mix(uint64(f.seed), uint64(li), 0x4D)),
 	})
-	nw, err := sim.NewNetwork(g, cfg, sim.NetworkOptions{
-		Seed:   RunSeed(fieldSeed, opts.Degree, li),
+	nw, err := sim.NewNetwork(f.g, cfg, sim.NetworkOptions{
+		Seed:   RunSeed(f.seed, opts.Degree, li),
 		Medium: medium,
 	})
 	if err != nil {
-		return err
+		return nil, err
 	}
 	nw.Start()
 	nw.Run(loadWarmup)
 
-	eng := traffic.NewEngine(nw, int64(rng.Mix(uint64(fieldSeed), 0xF70, uint64(li))))
-	for i, pr := range pairs {
+	eng := traffic.NewEngine(nw, int64(rng.Mix(uint64(f.seed), 0xF70, uint64(li))))
+	for i, pr := range f.pairs {
 		if err := eng.Add(traffic.Flow{
 			ID:          i,
 			Class:       traffic.ClassCBR,
@@ -233,12 +196,12 @@ func runLoadCell(p *LoadPoint, g *graph.Graph, pairs [][2]int32, load float64, s
 			Start:       loadWarmup,
 			Req:         traffic.Requirements{MaxDelay: opts.MaxDelay},
 		}); err != nil {
-			return err
+			return nil, err
 		}
 	}
 	stop := loadWarmup + opts.SimTime
 	if err := eng.Start(stop); err != nil {
-		return err
+		return nil, err
 	}
 	// Drain in-flight packets before the verdicts are read. This flushes
 	// bounded queues; a saturated backlog cannot drain by construction,
@@ -247,41 +210,25 @@ func runLoadCell(p *LoadPoint, g *graph.Graph, pairs [][2]int32, load float64, s
 	// hide.
 	nw.Run(stop + time.Second)
 
-	rep := eng.Report()
-	p.Admitted.Add(float64(rep.Total.Admitted))
-	p.Violation.Add(rep.Total.ViolationRatio())
-	p.CorrectReject.Add(float64(rep.Total.CorrectReject))
-	p.Delivery.Add(rep.Total.Delivery)
-	p.DelayP95.Add(rep.Total.DelayP95.Seconds())
-	p.ThroughputBps.Add(rep.Total.Throughput)
-	return nil
+	tot := eng.Report().Total
+	return func(p *LoadPoint) {
+		p.Admitted.Add(float64(tot.Admitted))
+		p.Violation.Add(tot.ViolationRatio())
+		p.CorrectReject.Add(float64(tot.CorrectReject))
+		p.Delivery.Add(tot.Delivery)
+		p.DelayP95.Add(tot.DelayP95.Seconds())
+		p.ThroughputBps.Add(tot.Throughput)
+	}, nil
 }
 
 // WriteTable renders the sweep as an aligned table: one row per load, one
 // column group per selection/mode.
 func (r *LoadSweepResult) WriteTable(w io.Writer) error {
-	if _, err := fmt.Fprintf(w, "# A8 — QoS satisfaction vs offered load (%d flows, %v ceiling, loss %g, %d runs/point, %v traffic)\n",
-		r.Options.Flows, r.Options.MaxDelay, r.Options.Loss, r.Options.Runs, r.Options.SimTime); err != nil {
-		return err
-	}
-	header := []string{"load"}
-	for _, c := range r.Columns {
-		header = append(header, c+"_viol", c+"_dlv", c+"_p95ms")
-	}
-	if _, err := fmt.Fprintln(w, strings.Join(pad(header), "  ")); err != nil {
-		return err
-	}
-	for li, row := range r.Points {
-		cells := []string{fmt.Sprintf("%g", r.Options.Loads[li])}
-		for _, p := range row {
-			cells = append(cells,
-				fmt.Sprintf("%.3f", p.Violation.Mean()),
-				fmt.Sprintf("%.3f", p.Delivery.Mean()),
-				fmt.Sprintf("%.1f", p.DelayP95.Mean()*1e3))
-		}
-		if _, err := fmt.Fprintln(w, strings.Join(pad(cells), "  ")); err != nil {
-			return err
-		}
-	}
-	return nil
+	title := fmt.Sprintf("A8 — QoS satisfaction vs offered load (%d flows, %v ceiling, loss %g, %d runs/point, %v traffic)",
+		r.Options.Flows, r.Options.MaxDelay, r.Options.Loss, r.Options.Runs, r.Options.SimTime)
+	return writeGrid(w, title, "load", axisLabels(r.Options.Loads), r.Columns, r.Points, []column[*LoadPoint]{
+		{"_viol", "%.3f", func(p *LoadPoint) float64 { return p.Violation.Mean() }},
+		{"_dlv", "%.3f", func(p *LoadPoint) float64 { return p.Delivery.Mean() }},
+		{"_p95ms", "%.1f", func(p *LoadPoint) float64 { return p.DelayP95.Mean() * 1e3 }},
+	})
 }

@@ -25,7 +25,7 @@ func smallLoadOptions() LoadSweepOptions {
 }
 
 func TestLoadSweepViolationWorsensAndQoSWins(t *testing.T) {
-	res, err := RunLoadSweep(context.Background(), smallLoadOptions())
+	res, err := RunLoadSweep(context.Background(), smallLoadOptions(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func TestLoadSweepDeterministic(t *testing.T) {
 	opts.Flows = 6
 	opts.SimTime = 10 * time.Second
 	run := func() string {
-		res, err := RunLoadSweep(context.Background(), opts)
+		res, err := RunLoadSweep(context.Background(), opts, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -113,7 +113,7 @@ func TestLoadSweepDeterministic(t *testing.T) {
 func TestLoadSweepCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := RunLoadSweep(ctx, smallLoadOptions()); err != context.Canceled {
+	if _, err := RunLoadSweep(ctx, smallLoadOptions(), 1); err != context.Canceled {
 		t.Errorf("err = %v, want context.Canceled", err)
 	}
 }

@@ -4,13 +4,10 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"math/rand"
-	"strings"
 	"time"
 
 	"qolsr/internal/geom"
 	"qolsr/internal/metric"
-	"qolsr/internal/netgen"
 	"qolsr/internal/olsr"
 	"qolsr/internal/rng"
 	"qolsr/internal/sim"
@@ -70,111 +67,74 @@ type LossSweepResult struct {
 }
 
 // RunLossSweep measures delivery against medium loss on the live stack,
-// oracle-weighted vs. measured link quality. Cancelling ctx stops between
-// simulations and returns ctx.Err().
-func RunLossSweep(ctx context.Context, opts LossSweepOptions) (*LossSweepResult, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
+// oracle-weighted vs. measured link quality, simulating up to workers fields
+// at once (0 = GOMAXPROCS; the result is bit-identical at every setting).
+// Cancelling ctx stops between simulations and returns ctx.Err().
+func RunLossSweep(ctx context.Context, opts LossSweepOptions, workers int) (*LossSweepResult, error) {
 	if len(opts.Losses) == 0 {
 		opts.Losses = []float64{0, 0.1, 0.2, 0.3, 0.4}
 	}
-	if opts.Runs <= 0 {
-		opts.Runs = 3
-	}
-	if opts.SimTime <= 0 {
-		opts.SimTime = 60 * time.Second
-	}
-	if opts.Field == (geom.Field{}) {
-		opts.Field = geom.Field{Width: 600, Height: 600}
-	}
-	if opts.Degree <= 0 {
-		opts.Degree = 10
-	}
+	liveDefaults(&opts.Runs, &opts.SimTime, &opts.Seed, &opts.Field, 3, 60*time.Second)
+	defaultTo(&opts.Degree, 10)
 	if opts.Metric == nil {
 		opts.Metric = metric.Bandwidth()
 	}
-	if opts.Seed == 0 {
-		opts.Seed = 1
-	}
 
-	res := &LossSweepResult{Options: opts, Modes: LossModes()}
-	for li, loss := range opts.Losses {
-		row := make([]*LossPoint, len(res.Modes))
-		for mi, mode := range res.Modes {
-			row[mi] = &LossPoint{Loss: loss, Mode: mode}
-		}
-		for run := 0; run < opts.Runs; run++ {
-			// One field per (loss, run), shared by both modes so the
-			// comparison is paired.
-			fieldSeed := RunSeed(opts.Seed, opts.Degree, run)
-			fieldRNG := rand.New(rand.NewSource(fieldSeed))
-			dep := geom.Deployment{Field: opts.Field, Radius: 100, Degree: opts.Degree}
-			g, err := netgen.Build(dep, opts.Metric.Name(), metric.DefaultInterval(), fieldRNG)
+	modes := LossModes()
+	points, err := liveSweep[*LossPoint]{
+		points: len(opts.Losses), runs: opts.Runs, cols: len(modes),
+		workers: workers, minNodes: 2,
+		point: func(pt, col int) *LossPoint {
+			return &LossPoint{Loss: opts.Losses[pt], Mode: modes[col]}
+		},
+		// One field per (loss, run), shared by both modes so the
+		// comparison is paired.
+		field: func(_, run int) (liveField, error) {
+			return deployField(opts.Seed, opts.Field, opts.Degree, run, opts.Metric.Name())
+		},
+		cell: func(f liveField, pt, run, col int) (func(*LossPoint), error) {
+			cfg := olsr.DefaultConfig(opts.Metric)
+			if modes[col] == "measured" {
+				cfg.LinkSensing = olsr.SenseDelivery
+			}
+			medium := sim.NewLossyMedium(sim.LossyConfig{
+				Loss: opts.Losses[pt],
+				Seed: int64(rng.Mix(uint64(f.seed), uint64(pt))),
+			})
+			nw, err := sim.NewNetwork(f.g, cfg, sim.NetworkOptions{
+				Seed:   RunSeed(f.seed, opts.Degree, run),
+				Medium: medium,
+			})
 			if err != nil {
 				return nil, err
 			}
-			if g.N() < 2 {
-				continue
-			}
-			for mi, mode := range res.Modes {
-				if err := ctx.Err(); err != nil {
-					return nil, err
+			nw.Start()
+			nw.Run(opts.SimTime)
+			ctl := nw.ControlBytesPerSecond()
+			dlv, _ := nw.DeliverySweep(0)
+			data := nw.Data
+			return func(p *LossPoint) {
+				p.ControlBPS.Add(ctl)
+				p.Delivery.Add(dlv)
+				if data.Sent > 0 {
+					p.LostFrac.Add(float64(data.Lost) / float64(data.Sent))
 				}
-				cfg := olsr.DefaultConfig(opts.Metric)
-				if mode == "measured" {
-					cfg.LinkSensing = olsr.SenseDelivery
-				}
-				medium := sim.NewLossyMedium(sim.LossyConfig{
-					Loss: loss,
-					Seed: int64(rng.Mix(uint64(fieldSeed), uint64(li))),
-				})
-				nw, err := sim.NewNetwork(g, cfg, sim.NetworkOptions{
-					Seed:   RunSeed(fieldSeed, opts.Degree, run),
-					Medium: medium,
-				})
-				if err != nil {
-					return nil, err
-				}
-				nw.Start()
-				nw.Run(opts.SimTime)
-				row[mi].ControlBPS.Add(nw.ControlBytesPerSecond())
-				dlv, _ := nw.DeliverySweep(0)
-				row[mi].Delivery.Add(dlv)
-				if nw.Data.Sent > 0 {
-					row[mi].LostFrac.Add(float64(nw.Data.Lost) / float64(nw.Data.Sent))
-				}
-			}
-		}
-		res.Points = append(res.Points, row)
+			}, nil
+		},
+	}.run(ctx)
+	if err != nil {
+		return nil, err
 	}
-	return res, nil
+	return &LossSweepResult{Options: opts, Points: points, Modes: modes}, nil
 }
 
 // WriteTable renders the sweep as an aligned table.
 func (r *LossSweepResult) WriteTable(w io.Writer) error {
-	if _, err := fmt.Fprintf(w, "# A7 — delivery vs. medium loss on the live stack (%d runs/point, %v sim time, degree %g)\n",
-		r.Options.Runs, r.Options.SimTime, r.Options.Degree); err != nil {
-		return err
-	}
-	header := []string{"loss"}
-	for _, m := range r.Modes {
-		header = append(header, m+"_dlv", m+"_ctlB/s", m+"_lost")
-	}
-	if _, err := fmt.Fprintln(w, strings.Join(pad(header), "  ")); err != nil {
-		return err
-	}
-	for li, row := range r.Points {
-		cells := []string{fmt.Sprintf("%g", r.Options.Losses[li])}
-		for _, p := range row {
-			cells = append(cells,
-				fmt.Sprintf("%.3f", p.Delivery.Mean()),
-				fmt.Sprintf("%.0f", p.ControlBPS.Mean()),
-				fmt.Sprintf("%.3f", p.LostFrac.Mean()))
-		}
-		if _, err := fmt.Fprintln(w, strings.Join(pad(cells), "  ")); err != nil {
-			return err
-		}
-	}
-	return nil
+	title := fmt.Sprintf("A7 — delivery vs. medium loss on the live stack (%d runs/point, %v sim time, degree %g)",
+		r.Options.Runs, r.Options.SimTime, r.Options.Degree)
+	return writeGrid(w, title, "loss", axisLabels(r.Options.Losses), r.Modes, r.Points, []column[*LossPoint]{
+		{"_dlv", "%.3f", func(p *LossPoint) float64 { return p.Delivery.Mean() }},
+		{"_ctlB/s", "%.0f", func(p *LossPoint) float64 { return p.ControlBPS.Mean() }},
+		{"_lost", "%.3f", func(p *LossPoint) float64 { return p.LostFrac.Mean() }},
+	})
 }

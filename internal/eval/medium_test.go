@@ -23,7 +23,7 @@ func smallLossOpts() LossSweepOptions {
 }
 
 func TestRunLossSweep(t *testing.T) {
-	res, err := RunLossSweep(context.Background(), smallLossOpts())
+	res, err := RunLossSweep(context.Background(), smallLossOpts(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestRunLossSweep(t *testing.T) {
 func TestRunLossSweepCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := RunLossSweep(ctx, smallLossOpts()); err != context.Canceled {
+	if _, err := RunLossSweep(ctx, smallLossOpts(), 1); err != context.Canceled {
 		t.Errorf("err = %v, want context.Canceled", err)
 	}
 }

@@ -6,15 +6,12 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"math/rand"
-	"strings"
 	"time"
 
 	"qolsr/internal/core"
 	"qolsr/internal/geom"
 	"qolsr/internal/metric"
 	"qolsr/internal/mpr"
-	"qolsr/internal/netgen"
 	"qolsr/internal/olsr"
 	"qolsr/internal/sim"
 	"qolsr/internal/stats"
@@ -108,105 +105,69 @@ type OverheadSweepResult struct {
 }
 
 // RunOverheadSweep measures control overhead against density per
-// control-plane variant, on identical fields and seeds across variants.
-// Cancelling ctx stops between simulations and returns ctx.Err().
-func RunOverheadSweep(ctx context.Context, opts OverheadSweepOptions) (*OverheadSweepResult, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
+// control-plane variant, on identical fields and seeds across variants,
+// simulating up to workers fields at once (0 = GOMAXPROCS; the result is
+// bit-identical at every setting). Cancelling ctx stops between simulations
+// and returns ctx.Err().
+func RunOverheadSweep(ctx context.Context, opts OverheadSweepOptions, workers int) (*OverheadSweepResult, error) {
 	if len(opts.Degrees) == 0 {
 		opts.Degrees = []float64{5, 10, 15, 20, 30}
 	}
-	if opts.Runs <= 0 {
-		opts.Runs = 3
-	}
-	if opts.SimTime <= 0 {
-		opts.SimTime = 60 * time.Second
-	}
-	if opts.Field == (geom.Field{}) {
-		opts.Field = geom.Field{Width: 600, Height: 600}
-	}
+	liveDefaults(&opts.Runs, &opts.SimTime, &opts.Seed, &opts.Field, 3, 60*time.Second)
 	if opts.Metric == nil {
 		opts.Metric = metric.Bandwidth()
 	}
-	if opts.Seed == 0 {
-		opts.Seed = 1
-	}
 
 	variants := overheadVariants()
-	res := &OverheadSweepResult{Options: opts, Variants: variants}
-	for _, deg := range opts.Degrees {
-		row := make([]*OverheadPoint, len(variants))
-		for vi, v := range variants {
-			row[vi] = &OverheadPoint{Degree: deg, Variant: v}
-		}
-		for run := 0; run < opts.Runs; run++ {
-			fieldSeed := RunSeed(opts.Seed, deg, run)
-			rng := rand.New(rand.NewSource(fieldSeed))
-			dep := geom.Deployment{Field: opts.Field, Radius: 100, Degree: deg}
-			g, err := netgen.Build(dep, opts.Metric.Name(), metric.DefaultInterval(), rng)
+	points, err := liveSweep[*OverheadPoint]{
+		points: len(opts.Degrees), runs: opts.Runs, cols: len(variants),
+		workers: workers, minNodes: 2,
+		point: func(pt, col int) *OverheadPoint {
+			return &OverheadPoint{Degree: opts.Degrees[pt], Variant: variants[col]}
+		},
+		field: func(pt, run int) (liveField, error) {
+			return deployField(opts.Seed, opts.Field, opts.Degrees[pt], run, opts.Metric.Name())
+		},
+		cell: func(f liveField, pt, run, col int) (func(*OverheadPoint), error) {
+			// Every variant sees the same field and the same jitter seed:
+			// the only degree of freedom is the control plane.
+			nw, err := sim.NewNetwork(f.g, overheadConfig(variants[col], opts.Metric),
+				sim.NetworkOptions{Seed: RunSeed(f.seed, opts.Degrees[pt], run)})
 			if err != nil {
 				return nil, err
 			}
-			if g.N() < 2 {
-				continue
-			}
-			for vi, v := range variants {
-				if err := ctx.Err(); err != nil {
-					return nil, err
-				}
-				// Every variant sees the same field and the same jitter
-				// seed: the only degree of freedom is the control plane.
-				nw, err := sim.NewNetwork(g, overheadConfig(v, opts.Metric), sim.NetworkOptions{Seed: RunSeed(fieldSeed, deg, run)})
-				if err != nil {
-					return nil, err
-				}
-				nw.Start()
-				nw.Run(opts.SimTime)
-				secs := opts.SimTime.Seconds()
-				p := row[vi]
-				p.ControlBytesPerSec.Add(float64(nw.Stats.HelloBytes+nw.Stats.TCBytes) / secs)
-				p.TCOrigBytesPerSec.Add(float64(nw.Stats.TCOriginatedBytes) / secs)
-				p.TCFwdBytesPerSec.Add(float64(nw.Stats.TCForwardedBytes) / secs)
-				p.TCForwards.Add(float64(nw.Stats.TCForwarded))
-				dlv, stretch := nw.DeliverySweep(0)
+			nw.Start()
+			nw.Run(opts.SimTime)
+			secs := opts.SimTime.Seconds()
+			st := nw.Stats
+			dlv, stretch := nw.DeliverySweep(0)
+			return func(p *OverheadPoint) {
+				p.ControlBytesPerSec.Add(float64(st.HelloBytes+st.TCBytes) / secs)
+				p.TCOrigBytesPerSec.Add(float64(st.TCOriginatedBytes) / secs)
+				p.TCFwdBytesPerSec.Add(float64(st.TCForwardedBytes) / secs)
+				p.TCForwards.Add(float64(st.TCForwarded))
 				p.Delivery.Add(dlv)
 				if stretch > 0 {
 					p.HopStretch.Add(stretch)
 				}
-			}
-		}
-		res.Points = append(res.Points, row)
+			}, nil
+		},
+	}.run(ctx)
+	if err != nil {
+		return nil, err
 	}
-	return res, nil
+	return &OverheadSweepResult{Options: opts, Points: points, Variants: variants}, nil
 }
 
 // WriteTable renders the sweep as an aligned table.
 func (r *OverheadSweepResult) WriteTable(w io.Writer) error {
-	if _, err := fmt.Fprintf(w, "# O1 — control overhead vs density per control plane (%d runs/point, %v sim time)\n",
-		r.Options.Runs, r.Options.SimTime); err != nil {
-		return err
-	}
-	header := []string{"density"}
-	for _, v := range r.Variants {
-		header = append(header, v+"_ctlB/s", v+"_fwd", v+"_dlv")
-	}
-	if _, err := fmt.Fprintln(w, strings.Join(pad(header), "  ")); err != nil {
-		return err
-	}
-	for di, row := range r.Points {
-		cells := []string{fmt.Sprintf("%g", r.Options.Degrees[di])}
-		for _, p := range row {
-			cells = append(cells,
-				fmt.Sprintf("%.0f", p.ControlBytesPerSec.Mean()),
-				fmt.Sprintf("%.0f", p.TCForwards.Mean()),
-				fmt.Sprintf("%.3f", p.Delivery.Mean()))
-		}
-		if _, err := fmt.Fprintln(w, strings.Join(pad(cells), "  ")); err != nil {
-			return err
-		}
-	}
-	return nil
+	title := fmt.Sprintf("O1 — control overhead vs density per control plane (%d runs/point, %v sim time)",
+		r.Options.Runs, r.Options.SimTime)
+	return writeGrid(w, title, "density", axisLabels(r.Options.Degrees), r.Variants, r.Points, []column[*OverheadPoint]{
+		{"_ctlB/s", "%.0f", func(p *OverheadPoint) float64 { return p.ControlBytesPerSec.Mean() }},
+		{"_fwd", "%.0f", func(p *OverheadPoint) float64 { return p.TCForwards.Mean() }},
+		{"_dlv", "%.3f", func(p *OverheadPoint) float64 { return p.Delivery.Mean() }},
+	})
 }
 
 // jsonOverheadPoint is the BENCH_overhead.json row form.

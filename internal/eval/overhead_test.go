@@ -30,7 +30,7 @@ func smokeOverheadOptions() OverheadSweepOptions {
 // drop below the baseline QOLSR plane while delivery stays within a
 // percentage point — on the same field and jitter seed.
 func TestOverheadSweepOptimizedBeatsBaseline(t *testing.T) {
-	res, err := RunOverheadSweep(context.Background(), smokeOverheadOptions())
+	res, err := RunOverheadSweep(context.Background(), smokeOverheadOptions(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func TestOverheadSweepOptimizedBeatsBaseline(t *testing.T) {
 // for a fixed seed, which the BENCH_overhead.json artifact depends on.
 func TestOverheadSweepDeterministic(t *testing.T) {
 	encode := func() string {
-		res, err := RunOverheadSweep(context.Background(), smokeOverheadOptions())
+		res, err := RunOverheadSweep(context.Background(), smokeOverheadOptions(), 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -93,7 +93,7 @@ func TestOverheadSweepDeterministic(t *testing.T) {
 func TestOverheadSweepEncoders(t *testing.T) {
 	opts := smokeOverheadOptions()
 	opts.SimTime = 15 * time.Second
-	res, err := RunOverheadSweep(context.Background(), opts)
+	res, err := RunOverheadSweep(context.Background(), opts, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +138,7 @@ func TestOverheadSweepEncoders(t *testing.T) {
 func TestOverheadSweepCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := RunOverheadSweep(ctx, smokeOverheadOptions()); err == nil {
+	if _, err := RunOverheadSweep(ctx, smokeOverheadOptions(), 1); err == nil {
 		t.Error("cancelled sweep returned no error")
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"math"
 	"math/rand"
 	"sort"
-	"strings"
 	"time"
 
 	"qolsr/internal/geom"
@@ -68,8 +67,9 @@ type ScaleSweepOptions struct {
 	Runs int
 	// Workers bounds the goroutines the post-warmup route-rebuild barrier
 	// fans the flow sources' SPF work across (0 = GOMAXPROCS, 1 =
-	// serial). Wall-clock only: results are bit-identical at every
-	// setting.
+	// serial). Unlike the other live-stack sweeps, S1 simulates one field
+	// at a time, so each wall time is its own. Wall-clock only: results
+	// are bit-identical at every setting.
 	Workers int
 	// Seed derives field, protocol and flow randomness.
 	Seed int64
@@ -121,24 +121,12 @@ func RunScaleSweep(ctx context.Context, opts ScaleSweepOptions) (*ScaleSweepResu
 			}
 		}
 	}
-	if opts.Degree <= 0 {
-		opts.Degree = 10
-	}
-	if opts.Flows <= 0 {
-		opts.Flows = 32
-	}
-	if opts.RateBps <= 0 {
-		opts.RateBps = 16384
-	}
-	if opts.Warmup <= 0 {
-		opts.Warmup = 10 * time.Second
-	}
-	if opts.SimTime <= 0 {
-		opts.SimTime = 10 * time.Second
-	}
-	if opts.Runs <= 0 {
-		opts.Runs = 1
-	}
+	defaultTo(&opts.Degree, 10)
+	defaultTo(&opts.Flows, 32)
+	defaultTo(&opts.RateBps, 16384)
+	defaultTo(&opts.Warmup, 10*time.Second)
+	defaultTo(&opts.SimTime, 10*time.Second)
+	defaultTo(&opts.Runs, 1)
 	if opts.Seed == 0 {
 		opts.Seed = 1
 	}
@@ -159,9 +147,6 @@ func RunScaleSweep(ctx context.Context, opts ScaleSweepOptions) (*ScaleSweepResu
 	return res, nil
 }
 
-// scaleRadius is the communication radius shared with the other sweeps.
-const scaleRadius = 100
-
 // runScalePoint executes one (node count, run) simulation and folds its
 // measurements into the point.
 func runScalePoint(p *ScalePoint, n, run int, opts ScaleSweepOptions) error {
@@ -171,13 +156,13 @@ func runScalePoint(p *ScalePoint, n, run int, opts ScaleSweepOptions) error {
 	// target density: degree ≈ λπR² with λ = n/area, so side =
 	// R·sqrt(πn/degree). Sampling exactly n (instead of a Poisson draw)
 	// keeps the axis label honest — a 1000-node point has 1000 nodes.
-	side := scaleRadius * math.Sqrt(math.Pi*float64(n)/opts.Degree)
+	side := liveRadius * math.Sqrt(math.Pi*float64(n)/opts.Degree)
 	field := geom.Field{Width: side, Height: side}
 	pts := make([]geom.Point, n)
 	for i := range pts {
 		pts[i] = geom.Point{X: fieldRNG.Float64() * side, Y: fieldRNG.Float64() * side}
 	}
-	g, err := netgen.FromPoints(field, scaleRadius, pts, "bandwidth", metric.DefaultInterval(), fieldRNG)
+	g, err := netgen.FromPoints(field, liveRadius, pts, "bandwidth", metric.DefaultInterval(), fieldRNG)
 	if err != nil {
 		return err
 	}
@@ -254,16 +239,11 @@ func flowSources(pairs [][2]int32) []int32 {
 
 // WriteTable renders the sweep as an aligned table.
 func (r *ScaleSweepResult) WriteTable(w io.Writer) error {
-	if _, err := fmt.Fprintf(w, "# S1 — simulator scaling vs node count (degree %g, %d flows, %v warmup + %v traffic, %d runs/point)\n",
-		r.Options.Degree, r.Options.Flows, r.Options.Warmup, r.Options.SimTime, r.Options.Runs); err != nil {
-		return err
-	}
-	header := []string{"nodes", "edges", "wall_s", "events", "Mev/s", "heap_hw", "dlv"}
-	if _, err := fmt.Fprintln(w, strings.Join(pad(header), "  ")); err != nil {
-		return err
-	}
-	for _, p := range r.Points {
-		cells := []string{
+	title := fmt.Sprintf("S1 — simulator scaling vs node count (degree %g, %d flows, %v warmup + %v traffic, %d runs/point)",
+		r.Options.Degree, r.Options.Flows, r.Options.Warmup, r.Options.SimTime, r.Options.Runs)
+	rows := make([][]string, len(r.Points))
+	for i, p := range r.Points {
+		rows[i] = []string{
 			fmt.Sprintf("%d", p.Nodes),
 			fmt.Sprintf("%.0f", p.Edges.Mean()),
 			fmt.Sprintf("%.2f", p.WallSeconds.Mean()),
@@ -272,9 +252,6 @@ func (r *ScaleSweepResult) WriteTable(w io.Writer) error {
 			fmt.Sprintf("%.0f", p.HeapHighWater.Mean()),
 			fmt.Sprintf("%.3f", p.Delivery.Mean()),
 		}
-		if _, err := fmt.Fprintln(w, strings.Join(pad(cells), "  ")); err != nil {
-			return err
-		}
 	}
-	return nil
+	return writeTable(w, title, []string{"nodes", "edges", "wall_s", "events", "Mev/s", "heap_hw", "dlv"}, rows)
 }

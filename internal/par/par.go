@@ -1,7 +1,7 @@
 // Package par runs indexed jobs on a bounded set of goroutines. It is the
 // one parallel loop below the public API: the figure and scenario runners,
-// eval.RunPoint's runs and the simulator's route-rebuild barrier all fan out
-// through For.
+// eval.RunPoint's runs, the live-stack sweeps' fields and the simulator's
+// route-rebuild barrier all fan out through For.
 package par
 
 import (

@@ -114,15 +114,9 @@ var LoadSelections = eval.LoadSelections
 // LoadSweep measures QoS satisfaction against offered load on the live
 // protocol stack (experiment A8): sustained CBR flows over the lossy queued
 // radio, the paper's QoS-based selection vs hop-count selection, oracle vs
-// measured link sensing. It honours ctx and the runner's seed/runs options
-// where the sweep's own are unset.
+// measured link sensing. It honours ctx and the runner's worker budget, and
+// its seed/runs options where the sweep's own are unset.
 func (r *Runner) LoadSweep(ctx context.Context, opts LoadSweepOptions) (*LoadSweepResult, error) {
-	if opts.Seed == 0 {
-		opts.Seed = r.opts.Seed
-	}
-	if opts.Runs <= 0 && r.opts.Runs > 0 {
-		// Same live-stack cost scaling as ControlSweep and LossSweep.
-		opts.Runs = max(1, r.opts.Runs/20)
-	}
-	return eval.RunLoadSweep(ctx, opts)
+	r.liveDefaults(&opts.Seed, &opts.Runs)
+	return eval.RunLoadSweep(ctx, opts, r.opts.Workers)
 }
