@@ -228,9 +228,11 @@
 // watermarks, so the per-origin column scan runs only when a topology
 // deadline is due. Node.StateSize reports what a node holds; the registry
 // sums it (qolsr_olsr_topology_rows, _dirty_pairs, _route_graph_nodes).
-// A routing graph is laid out in one sorted pass with ascending ids, so its
-// node-index resolution is a binary search; the held graph keeps that node
-// set, and a change naming a node it has never seen lays it out again.
+// A routing graph is laid out in linear time with ascending ids: its links are
+// bucketed by their smaller end and each pair keeps the link of highest
+// precedence, so the tables may be walked in any order. Its node-index
+// resolution is a binary search; the held graph keeps that node set, and a
+// change naming a node it has never seen lays it out again.
 //
 // Because each node's routing table is a pure function of that node's own
 // soft state — interned blocks are read-only by contract, and outside the

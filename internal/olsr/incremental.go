@@ -9,7 +9,7 @@ import (
 )
 
 // Routing graph: a node lays its routing graph out from the state tables in
-// one sorted pass (layoutRoutes), keeps it with an incremental SPF solution
+// linear time (layoutRoutes), keeps it with an incremental SPF solution
 // (graph.SPF) over it, and afterwards repairs only what a change touched.
 //
 // The unit of change is the unordered node pair. Every handler that alters
@@ -17,7 +17,7 @@ import (
 // (the dirty set); at the next table rebuild each dirty pair is re-resolved
 // against the state tables (resolvePair) and the graph edge is added, removed
 // or reweighted to match, feeding graph.SPF.Touch. The layout and the
-// resolution apply one first-writer-wins precedence — own links, then
+// resolution apply one precedence in any walk order — own links, then
 // HELLO-learned two-hop links (smaller direct-neighbor contributor first),
 // then TC-learned links (smaller origin first) — so the repaired table is
 // bit-identical to a fresh layout plus canonical Dijkstra (fullRoutes;
@@ -43,26 +43,9 @@ type pairKey struct {
 // dirtyCap bounds Node.dirty, in pairs (16 bytes each).
 const dirtyCap = 2048
 
-// appendPair appends the pair (a, b) in normalised form. Self-pairs are
-// ignored: no link joins a node to itself.
-func appendPair(ps []pairKey, a, b int64) []pairKey {
-	if a == b {
-		return ps
-	}
-	if a > b {
-		a, b = b, a
-	}
-	return append(ps, pairKey{lo: a, hi: b})
+func sortPairs(ps []pairKey) {
+	slices.SortFunc(ps, func(a, b pairKey) int { return cmp.Or(cmp.Compare(a.lo, b.lo), cmp.Compare(a.hi, b.hi)) })
 }
-
-func comparePairs(a, b pairKey) int {
-	if a.lo != b.lo {
-		return cmp.Compare(a.lo, b.lo)
-	}
-	return cmp.Compare(a.hi, b.hi)
-}
-
-func sortPairs(ps []pairKey) { slices.SortFunc(ps, comparePairs) }
 
 // markPair records that the effective link between a and b may have changed.
 // Without a routing graph there is nothing to repair and nothing is recorded
@@ -73,8 +56,9 @@ func (n *Node) markPair(a, b int64) {
 	}
 }
 
-// recordPair appends to the dirty list, deferring deduplication to the sort
-// the consumer performs anyway unless the list is full.
+// recordPair appends the pair (a, b) to the dirty list in normalised form,
+// deferring deduplication to the sort the consumer performs anyway unless the
+// list is full. Self-pairs are ignored: no link joins a node to itself.
 func (n *Node) recordPair(a, b int64) {
 	if len(n.dirty) >= dirtyCap {
 		n.compactDirty()
@@ -82,7 +66,9 @@ func (n *Node) recordPair(a, b int64) {
 			return
 		}
 	}
-	n.dirty = appendPair(n.dirty, a, b)
+	if a != b {
+		n.dirty = append(n.dirty, pairKey{min(a, b), max(a, b)})
+	}
 }
 
 // compactDirty deduplicates a full dirty list in place. If that frees less
@@ -102,27 +88,36 @@ func (n *Node) compactDirty() {
 func (n *Node) dropRoutes() { n.rg, n.rspf, n.dirty = nil, nil, nil }
 
 // layoutRoutes lays the node's routing graph out from the state tables in
-// one pass. It stages every tier's links in precedence order — own links,
-// then the HELLO adverts of direct neighbors in ascending neighbor order
-// (never a pair naming this node), then TC rows in ascending origin order —
-// stably sorts them by pair and keeps the first of each pair's run: the
-// weight resolvePair gives it. The nodes are this node plus the endpoints of
-// the kept edges, in ascending order. Every buffer is the call's own, since
-// Routes of different members run concurrently. Callers must have run
-// expire(now) first.
+// linear time. Every link is staged with its precedence rank — its tier (own
+// links, the HELLO adverts of direct neighbors but never a pair naming this
+// node, TC rows) times two, plus one when its contributor is the pair's
+// larger end — so the tables are walked in any order. The nodes (this node
+// and every staged end) are indexed in ascending order, through a table over
+// the store's identity window and a sorted list outside it; the links are
+// bucketed by their smaller end in one counting pass, each bucket is ordered
+// by (larger end, rank), and each pair keeps its first link: the weight
+// resolvePair gives it. Every buffer is the call's own, since Routes of
+// different members run concurrently. Callers must have run expire(now) first.
 func (n *Node) layoutRoutes() *graph.Graph {
 	type staged struct {
-		pairKey
-		w float64
+		lo, hi int64
+		w      float64
+		rank   uint64
 	}
-	var es []staged
-	stage := func(a, b int64, w float64) {
-		if a != b {
-			es = append(es, staged{pairKey{min(a, b), max(a, b)}, w})
+	size := len(n.links.keys) + n.topoLinks
+	for _, t := range n.neighbors.vals {
+		size += len(t.adv)
+	}
+	es := make([]staged, 0, size)
+	stage := func(tier uint64, from, to int64, w float64) {
+		if from < to {
+			es = append(es, staged{from, to, w, 2 * tier})
+		} else if from > to {
+			es = append(es, staged{to, from, w, 2*tier + 1})
 		}
 	}
 	for i, id := range n.links.keys {
-		stage(n.ID, id, n.links.vals[i].weight)
+		stage(0, n.ID, id, n.links.vals[i].weight)
 	}
 	for i, nb := range n.neighbors.keys {
 		if !n.links.has(nb) {
@@ -130,34 +125,85 @@ func (n *Node) layoutRoutes() *graph.Graph {
 		}
 		for _, l := range n.neighbors.vals[i].adv {
 			if l.Neighbor != n.ID {
-				stage(nb, l.Neighbor, l.Weight)
+				stage(1, nb, l.Neighbor, l.Weight)
 			}
 		}
 	}
-	n.store.eachAsc(n.member, func(origin int64, t *topoRow) {
+	n.store.each(n.member, func(origin int64, t *topoRow) {
 		for _, l := range t.links() {
-			stage(origin, l.Neighbor, l.Weight)
+			stage(2, origin, l.Neighbor, l.Weight)
 		}
 	})
-	slices.SortStableFunc(es, func(a, b staged) int { return comparePairs(a.pairKey, b.pairKey) })
-	kept := es[:0]
-	ids := []graph.NodeID{graph.NodeID(n.ID)}
-	for _, e := range es {
-		if k := len(kept); k == 0 || kept[k-1].pairKey != e.pairKey {
-			kept = append(kept, e)
-			ids = append(ids, graph.NodeID(e.lo), graph.NodeID(e.hi))
+	index := make([]int32, n.store.window) // 1 marks an in-window id, then its node index
+	var outside []graph.NodeID
+	inside := 0
+	note := func(id int64) {
+		switch {
+		case uint64(id) >= uint64(len(index)):
+			if outside == nil {
+				outside = make([]graph.NodeID, 0, 2*len(es)+1)
+			}
+			outside = append(outside, graph.NodeID(id))
+		case index[id] == 0:
+			index[id], inside = 1, inside+1
 		}
 	}
-	slices.Sort(ids)
-	ids = slices.Clone(slices.Compact(ids)) // the graph keeps them: no slack
+	note(n.ID)
+	for _, e := range es {
+		note(e.lo)
+		note(e.hi)
+	}
+	slices.Sort(outside)
+	outside = slices.Compact(outside)
+	below, _ := slices.BinarySearch(outside, 0)
+	ids := append(make([]graph.NodeID, 0, len(outside)+inside), outside[:below]...)
+	for id, m := range index {
+		if m != 0 {
+			index[id] = int32(len(ids))
+			ids = append(ids, graph.NodeID(id))
+		}
+	}
+	ids = append(ids, outside[below:]...)
 	at := func(id int64) int32 {
+		if uint64(id) < uint64(len(index)) {
+			return index[id]
+		}
 		x, _ := slices.BinarySearch(ids, graph.NodeID(id))
 		return int32(x)
 	}
-	ends := make([][2]int32, len(kept))
-	w := make([]float64, len(kept))
-	for i, e := range kept {
-		ends[i], w[i] = [2]int32{at(e.lo), at(e.hi)}, e.w
+	// Counting pass: off[lo+1] starts at bucket lo's first slot and ends, once
+	// the links are placed, past its last, so bucket lo is off[lo]:off[lo+1].
+	// A link's key packs its larger end over its rank.
+	type link struct {
+		key uint64
+		w   float64
+	}
+	off := make([]int32, len(ids)+2)
+	for i := range es {
+		e := &es[i]
+		e.lo, e.hi = int64(at(e.lo)), int64(at(e.hi))
+		off[e.lo+2]++
+	}
+	for i := 2; i < len(off); i++ {
+		off[i] += off[i-1]
+	}
+	bk := make([]link, len(es))
+	for _, e := range es {
+		bk[off[e.lo+1]] = link{uint64(e.hi)<<3 | e.rank, e.w}
+		off[e.lo+1]++
+	}
+	kept, start := 0, int32(0)
+	for lo := range ids {
+		run := bk[start:off[lo+1]]
+		slices.SortFunc(run, func(a, b link) int { return cmp.Compare(a.key, b.key) })
+		kept += copy(bk[kept:], slices.CompactFunc(run, func(a, b link) bool { return a.key>>3 == b.key>>3 }))
+		start, off[lo+1] = off[lo+1], int32(kept)
+	}
+	ends, w := make([][2]int32, kept), make([]float64, kept)
+	for lo := range ids {
+		for i := off[lo]; i < off[lo+1]; i++ {
+			ends[i], w[i] = [2]int32{int32(lo), int32(bk[i].key >> 3)}, bk[i].w
+		}
 	}
 	return graph.FromEdges(ids, ends, n.cfg.Metric.Name(), w)
 }
@@ -311,13 +357,13 @@ func (n *Node) incrementalRoutes() (*Routes, error) {
 	}), nil
 }
 
-// routeTable extracts the routing table of a solved routing graph: first[x]
-// is the first hop towards node x (-1 for the source and unreachable nodes)
-// and label(x) the path value and hop count. A laid-out graph's index order
-// is ascending ID order, so the destinations come out in the order
-// Routes.Lookup binary-searches.
+// routeTable extracts the routing table of a solved routing graph, sized once
+// to its node count: first[x] is the first hop towards node x (-1 for the
+// source and unreachable nodes) and label(x) the path value and hop count. A
+// laid-out graph's index order is ascending ID order, so the destinations
+// come out in the order Routes.Lookup binary-searches.
 func routeTable(g *graph.Graph, first []int32, label func(x int32) (float64, int32)) *Routes {
-	r := &Routes{}
+	r := &Routes{dsts: make([]int64, 0, len(first)), routes: make([]Route, 0, len(first))}
 	for x, f := range first {
 		if f < 0 {
 			continue

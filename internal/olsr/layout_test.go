@@ -1,6 +1,7 @@
 package olsr
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -19,11 +20,13 @@ const (
 )
 
 // routeTables loads one node with seeded state tables over layoutUniverse:
-// own links, HELLO tables from direct and non-direct neighbors, and TC rows.
+// own links, HELLO tables from direct and non-direct neighbors, and TC rows,
+// ingested in the given order of their senders (ascending when order is nil),
+// which is also the order their store slots outside the window are claimed in.
 // Any table may name the node itself or list its own sender (a self-loop).
 // Weights are small integers, so a pair that two tiers, or two members of one
 // tier, advertise mostly carries two different weights.
-func routeTables(t *testing.T, rng *rand.Rand) *Node {
+func routeTables(t *testing.T, rng *rand.Rand, order []int64) *Node {
 	t.Helper()
 	cfg := DefaultConfig(metric.Delay())
 	cfg.LinkSensing = SenseHost
@@ -47,7 +50,12 @@ func routeTables(t *testing.T, rng *rand.Rand) *Node {
 			n.UpdateLink(id, float64(1+rng.Intn(4)), 0)
 		}
 	}
-	for id := int64(layoutLo); id < layoutHi; id++ {
+	if order == nil {
+		for id := int64(layoutLo); id < layoutHi; id++ {
+			order = append(order, id)
+		}
+	}
+	for _, id := range order {
 		if rng.Float64() < 0.5 {
 			n.HandleHello(&Hello{Origin: id, Links: table(0.25)}, 0)
 		}
@@ -76,58 +84,111 @@ func routeOracle(n *Node) ([]graph.NodeID, map[[2]graph.NodeID]float64) {
 	return slices.Compact(ids), edges
 }
 
-// The one-pass layout equals the pair-by-pair oracle on ids, edges and
-// weights, and a from-scratch Routes holds exactly the oracle's nodes.
-func TestRouteLayoutMatchesOracle(t *testing.T) {
-	rng := rand.New(rand.NewSource(27))
-	for trial := 0; trial < 500; trial++ {
-		n := routeTables(t, rng)
-		ids, edges := routeOracle(n)
-		g := n.layoutRoutes()
-		if err := g.Validate(); err != nil {
-			t.Fatal(err)
+// checkLayout holds a node's fresh layout to the given ids and edges, and its
+// from-scratch Routes to the same node count.
+func checkLayout(t *testing.T, trial string, n *Node, ids []graph.NodeID, edges map[[2]graph.NodeID]float64) {
+	t.Helper()
+	g := n.layoutRoutes()
+	if err := g.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	got := make([]graph.NodeID, g.N())
+	for x := range got {
+		got[x] = g.ID(int32(x))
+	}
+	if !slices.Equal(got, ids) {
+		t.Fatalf("trial %s: layout ids %v, oracle %v", trial, got, ids)
+	}
+	w, err := g.Weights(n.cfg.Metric.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.M() != len(edges) {
+		t.Fatalf("trial %s: layout has %d edges, oracle %d", trial, g.M(), len(edges))
+	}
+	for e := 0; e < g.M(); e++ {
+		a, b := g.EdgeEndpoints(e)
+		pair := [2]graph.NodeID{min(g.ID(a), g.ID(b)), max(g.ID(a), g.ID(b))}
+		if want, ok := edges[pair]; !ok || w[e] != want {
+			t.Fatalf("trial %s: edge %v weighs %v, oracle %v (%v)", trial, pair, w[e], want, ok)
 		}
-		got := make([]graph.NodeID, g.N())
-		for x := range got {
-			got[x] = g.ID(int32(x))
-		}
-		if !slices.Equal(got, ids) {
-			t.Fatalf("trial %d: layout ids %v, oracle %v", trial, got, ids)
-		}
-		w, err := g.Weights(n.cfg.Metric.Name())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if g.M() != len(edges) {
-			t.Fatalf("trial %d: layout has %d edges, oracle %d", trial, g.M(), len(edges))
-		}
-		for e := 0; e < g.M(); e++ {
-			a, b := g.EdgeEndpoints(e)
-			pair := [2]graph.NodeID{min(g.ID(a), g.ID(b)), max(g.ID(a), g.ID(b))}
-			if want, ok := edges[pair]; !ok || w[e] != want {
-				t.Fatalf("trial %d: edge %v weighs %v, oracle %v (%v)", trial, pair, w[e], want, ok)
-			}
-		}
-		if _, err := n.Routes(0); err != nil {
-			t.Fatal(err)
-		}
-		if got := n.StateSize().RouteGraphNodes; got != len(ids) {
-			t.Fatalf("trial %d: route graph holds %d nodes, oracle %d", trial, got, len(ids))
-		}
+	}
+	if _, err := n.Routes(0); err != nil {
+		t.Fatal(err)
+	}
+	if got := n.StateSize().RouteGraphNodes; got != len(ids) {
+		t.Fatalf("trial %s: route graph holds %d nodes, oracle %d", trial, got, len(ids))
 	}
 }
 
-// layoutFixture is one node with 10 neighbours — own links, and HELLOs each
-// naming the node and one two-hop neighbour — and one TC row of 4 links from
-// each of origins further nodes.
-func layoutFixture(t *testing.T, origins int) *Node {
-	t.Helper()
-	cfg := testConfig()
+// The linear-time layout equals the pair-by-pair oracle on ids, edges and
+// weights, and a from-scratch Routes holds exactly the oracle's nodes. The
+// first 500 trials ingest the tables in ascending sender order; the rest in
+// descending, then shuffled order, so the store's slot order is not ascending.
+func TestRouteLayoutMatchesOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(27))
+	for trial := 0; trial < 500; trial++ {
+		n := routeTables(t, rng, nil)
+		ids, edges := routeOracle(n)
+		checkLayout(t, fmt.Sprint(trial), n, ids, edges)
+	}
+	var order []int64
+	for id := int64(layoutHi - 1); id >= layoutLo; id-- {
+		order = append(order, id)
+	}
+	for trial := 0; trial < 500; trial++ {
+		if trial >= 250 {
+			rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
+		}
+		n := routeTables(t, rng, order)
+		ids, edges := routeOracle(n)
+		checkLayout(t, fmt.Sprintf("%d, ingested %v", trial, order), n, ids, edges)
+	}
+}
+
+// A pair both ends advertise in one tier at different weights takes the
+// smaller contributor's weight, even when the larger one's table arrived
+// first and, in the TC tier, holds the store slot the walk meets first: -2
+// and 30 are claimed overflow slots after 5 (a window slot) and 31.
+func TestRouteLayoutSmallerContributorWins(t *testing.T) {
+	cfg := DefaultConfig(metric.Delay())
 	cfg.LinkSensing = SenseHost
 	cfg.ExternalDupSuppression = true
+	cfg.DenseIDs = layoutWindow
 	n, err := NewNode(0, cfg)
 	if err != nil {
 		t.Fatal(err)
+	}
+	n.UpdateLink(20, 1, 0)
+	n.UpdateLink(21, 1, 0)
+	n.HandleHello(&Hello{Origin: 21, Links: []LinkInfo{{20, 3}}}, 0)
+	n.HandleHello(&Hello{Origin: 20, Links: []LinkInfo{{21, 2}}}, 0)
+	for _, tc := range []struct {
+		origin, peer int64
+		w            float64
+	}{{31, 30, 4}, {30, 31, 1}, {5, -2, 4}, {-2, 5, 1}} {
+		n.HandleTC(&TC{Origin: tc.origin, ANSN: 1, Links: []LinkInfo{{tc.peer, tc.w}}}, tc.origin, 0)
+	}
+	checkLayout(t, "smaller contributor", n, []graph.NodeID{-2, 0, 5, 20, 21, 30, 31},
+		map[[2]graph.NodeID]float64{{0, 20}: 1, {0, 21}: 1, {20, 21}: 2, {30, 31}: 1, {-2, 5}: 1})
+}
+
+// layoutFixture is one node with 10 neighbours — own links, and HELLOs each
+// naming the node and one two-hop neighbour — and a TC row of 4 links from
+// each of origins further nodes. With dense set every id lies inside the
+// topology store's identity window (the simulator's case); without it every
+// id but the node's own goes through the overflow map (the daemon's case).
+func layoutFixture(tb testing.TB, origins int, dense bool) *Node {
+	tb.Helper()
+	cfg := testConfig()
+	cfg.LinkSensing = SenseHost
+	cfg.ExternalDupSuppression = true
+	if dense {
+		cfg.DenseIDs = 11 + origins
+	}
+	n, err := NewNode(0, cfg)
+	if err != nil {
+		tb.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(int64(origins)))
 	weight := func() float64 { return float64(1 + rng.Intn(9)) }
@@ -147,26 +208,98 @@ func layoutFixture(t *testing.T, origins int) *Node {
 	return n
 }
 
-// A from-scratch Routes — a fresh layout, a full SPF and the table — costs a
-// bounded number of allocations, not a few per node of the graph.
+// freshRoutes drops the node's routing graph and cached table, then asks for
+// its routes: a fresh layout, a full SPF and the table.
+func freshRoutes(tb testing.TB, n *Node) {
+	n.rg, n.rspf, n.rfirst, n.routes = nil, nil, nil, nil
+	if _, err := n.Routes(time.Second); err != nil {
+		tb.Fatal(err)
+	}
+}
+
+// A from-scratch Routes costs a bounded number of allocations, not a few per
+// node of the graph, whether the ids lie inside the store's window or not.
 func TestRouteLayoutAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector adds allocations")
 	}
 	for _, origins := range []int{150, 1500} {
-		n := layoutFixture(t, origins)
-		allocs := testing.AllocsPerRun(5, func() {
-			n.rg, n.rspf, n.rfirst, n.routes = nil, nil, nil, nil
-			if _, err := n.Routes(time.Second); err != nil {
-				t.Fatal(err)
+		for _, dense := range []bool{true, false} {
+			n := layoutFixture(t, origins, dense)
+			allocs := testing.AllocsPerRun(5, func() { freshRoutes(t, n) })
+			if r := n.routes; r.Len() < origins {
+				t.Fatalf("%d origins: %d routes, fixture not connected enough", origins, r.Len())
 			}
-		})
-		if r := n.routes; r.Len() < origins {
-			t.Fatalf("%d origins: %d routes, fixture not connected enough", origins, r.Len())
+			t.Logf("%d origins, dense %v: %.0f allocations per from-scratch Routes", origins, dense, allocs)
+			if allocs > 80 {
+				t.Errorf("%d origins, dense %v: %.0f allocations per from-scratch Routes, ceiling 80", origins, dense, allocs)
+			}
 		}
-		t.Logf("%d origins: %.0f allocations per from-scratch Routes", origins, allocs)
-		if allocs > 200 {
-			t.Errorf("%d origins: %.0f allocations per from-scratch Routes, ceiling 200", origins, allocs)
+	}
+}
+
+// BenchmarkRouteLayout measures a from-scratch Routes at 150 and 1,500 TC
+// origins, with the ids inside the store's identity window (window) and
+// outside it (overflow).
+func BenchmarkRouteLayout(b *testing.B) {
+	for _, origins := range []int{150, 1500} {
+		for _, dense := range []bool{true, false} {
+			name := fmt.Sprintf("origins=%d/overflow", origins)
+			if dense {
+				name = fmt.Sprintf("origins=%d/window", origins)
+			}
+			b.Run(name, func(b *testing.B) {
+				n := layoutFixture(b, origins, dense)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					freshRoutes(b, n)
+				}
+			})
 		}
+	}
+}
+
+// topoLinks, the staging size a fresh layout reserves for the TC tier, counts
+// the links of the rows a node holds through full TCs, in-chain deltas and
+// expiry: origins 4-6 fall silent halfway and their rows expire.
+func TestTopoLinksCounted(t *testing.T) {
+	cfg := testConfig()
+	cfg.ExternalDupSuppression = true
+	n, err := NewNode(0, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(31))
+	now, expired := time.Duration(0), false
+	for step := 1; step <= 400; step++ {
+		now += 250 * time.Millisecond
+		origin := int64(1 + rng.Intn(6))
+		if step > 200 {
+			origin = int64(1 + rng.Intn(3))
+		}
+		seq := uint16(step)
+		if row := rowOf(n, origin); row != nil && rng.Intn(3) != 0 {
+			var del []int64
+			for _, l := range row.links() {
+				if rng.Intn(3) == 0 {
+					del = append(del, l.Neighbor)
+				}
+			}
+			n.HandleTCDelta(&TCDelta{Origin: origin, Seq: seq, ANSN: seq, FullSeq: row.fullSeq, Index: row.chain + 1,
+				Add: randomLinks(rng, 12), Del: del}, origin, now)
+		} else {
+			n.HandleTC(&TC{Origin: origin, Seq: seq, ANSN: seq, Links: randomLinks(rng, 12)}, origin, now)
+		}
+		n.expire(now)
+		held := 0
+		n.store.each(n.member, func(_ int64, r *topoRow) { held += len(r.links()) })
+		if n.topoLinks != held {
+			t.Fatalf("step %d: topoLinks %d, rows hold %d links", step, n.topoLinks, held)
+		}
+		expired = expired || (step > 200 && n.topoRows < 6)
+	}
+	if !expired {
+		t.Error("no silent origin's row expired: the fixture exercised no expiry")
 	}
 }

@@ -222,10 +222,11 @@ type Node struct {
 	neighbors smallTable[neighborTable]
 	// store holds the TC-learned advertised links of the whole field, one
 	// block per origin; this node's rows are the member-th of each block
-	// (see topostore.go). topoRows counts the rows it currently holds.
-	store    *topoStore
-	member   int32
-	topoRows int
+	// (see topostore.go). topoRows counts the rows it currently holds and
+	// topoLinks their advertised links.
+	store               *topoStore
+	member              int32
+	topoRows, topoLinks int
 	// dups suppresses re-flooding (origin, seq) pairs, held per origin: a
 	// probe is one small-int-keyed map access plus a scan of the origin's
 	// few live entries (about hold-time/TC-interval of them), and expired
@@ -568,7 +569,7 @@ func (n *Node) expireTopology(now time.Duration) {
 			if t.expires <= now {
 				adv := t.links() // before the row is cleared
 				*t = topoRow{}
-				n.topoRows--
+				n.topoRows, n.topoLinks = n.topoRows-1, n.topoLinks-len(adv)
 				n.touchTopology()
 				for _, l := range adv {
 					n.markPair(origin, l.Neighbor)
@@ -854,6 +855,7 @@ func (n *Node) applyTCDelta(d *TCDelta, now time.Duration) {
 	old := cur.links()
 	adv := applyDeltaToAdv(old, normalizeAdv(d.Add), normalizeDel(d.Del))
 	cur.setLinks(adv)
+	n.topoLinks += len(adv) - len(old)
 	if !slices.Equal(old, adv) {
 		n.stats.AdvChange++
 		n.touchTopology()
@@ -910,6 +912,7 @@ func (n *Node) HandleTC(t *TC, sender int64, now time.Duration) (forward bool) {
 			}
 			cur.ansn = t.ANSN
 			cur.setLinks(adv)
+			n.topoLinks += len(adv) - len(old)
 			cur.fullSeq, cur.chain, cur.synced = t.Seq, 0, true
 			n.refreshRow(cur, now)
 			if !slices.Equal(old, adv) {
@@ -1008,20 +1011,6 @@ func idsOf(prev []int64, g *graph.Graph, idx []int32) ([]int64, bool) {
 		out[i] = int64(g.ID(x))
 	}
 	return out, true
-}
-
-// sortedKeys returns a map's keys in ascending order. Go map iteration order
-// is randomized per range: everything derived from a map-held table (wire
-// form, which origin's weight wins a doubly advertised pair, hence chosen
-// routes) must iterate in sorted order instead, or it becomes
-// nondeterministic across processes.
-func sortedKeys[V any](m map[int64]V) []int64 {
-	keys := make([]int64, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	slices.Sort(keys)
-	return keys
 }
 
 // buildLocalView lays the node's current knowledge of G_u out in the field's

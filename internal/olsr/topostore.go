@@ -155,35 +155,10 @@ func (s *topoStore) claim(member int32, origin int64) *topoRow {
 // each visits the member's present rows in slot order — callers must be
 // order-independent. The callback may clear the visited row.
 func (s *topoStore) each(member int32, f func(origin int64, r *topoRow)) {
-	for i := range s.blocks {
-		s.visit(i, member, f)
-	}
-}
-
-func (s *topoStore) visit(slot int, member int32, f func(origin int64, r *topoRow)) {
-	if rows := s.blocks[slot]; rows != nil {
-		if r := &rows[member]; r.expires != 0 {
-			f(s.origin(slot), r)
+	for i, rows := range s.blocks {
+		if rows != nil && rows[member].expires != 0 {
+			f(s.origin(i), &rows[member])
 		}
-	}
-}
-
-// eachAsc visits the member's present rows in ascending origin order: the
-// window is already ascending, overflow origins sort to either side of it.
-func (s *topoStore) eachAsc(member int32, f func(origin int64, r *topoRow)) {
-	var outside []int64
-	if len(s.overflow) > 0 {
-		outside = sortedKeys(s.overflow)
-	}
-	k := 0
-	for ; k < len(outside) && outside[k] < 0; k++ {
-		s.visit(int(s.overflow[outside[k]]), member, f)
-	}
-	for i := 0; i < s.window; i++ {
-		s.visit(i, member, f)
-	}
-	for ; k < len(outside); k++ {
-		s.visit(int(s.overflow[outside[k]]), member, f)
 	}
 }
 
