@@ -78,7 +78,7 @@
 //	sc, err := qolsr.ScenarioByName("single-link-flap", "fnbp")
 //	res, err := qolsr.RunScenario(ctx, sc, qolsr.WithRuns(5), qolsr.WithSeed(1))
 //	res.WriteTable(os.Stdout)   // aggregate table + reconvergence summary
-//	res.EncodeJSON(os.Stdout)   // machine-readable ("qolsr-scenario/v1")
+//	res.EncodeJSON(os.Stdout)   // machine-readable ("qolsr-scenario/v2")
 //
 // Replicate runs parallelize under the runner's worker budget with the same
 // determinism guarantee as the sweeps: every run's RNG streams derive from
@@ -192,8 +192,9 @@
 // (node, destination) and invalidated by table or link generation;
 // duplicate suppression is a per-origin window probed in place;
 // soft-state expiry is a single watermark comparison until something can
-// actually be stale; and routing tables rebuild through an incremental SPF
-// cross-checked against full rebuilds. The node-count scaling of the whole
+// actually be stale; and a stale routing table is rebuilt from scratch in
+// linear time — a fresh layout plus one Dijkstra in pooled scratch — and
+// only its snapshot is kept. The node-count scaling of the whole
 // stack is a first-class experiment (Runner.ScaleSweep, -ablation scale);
 // cmd/qolsr-bench/baseline.json records the headline numbers.
 //
@@ -206,8 +207,7 @@
 // read-only between the emitter's cache, every in-flight message, and
 // every receiver's topology entry, so the steady-state ingest path is one
 // pointer comparison plus a deadline refresh, and a content change pays
-// one linear merge that marks exactly the (origin, neighbor) pairs that
-// differ for the incremental SPF.
+// one linear comparison and a version bump.
 //
 // Per-node state is proportional to what the node has heard, laid out the
 // way a flood walks it. The TC-learned rows of a whole field (olsr.NewNodes;
@@ -221,36 +221,32 @@
 // reclaimed. The neighbour-keyed tables (links, HELLO tables, MPR
 // selectors) are sorted small tables of about the node's degree, whose
 // ascending walk — the order the determinism contract already required —
-// allocates nothing. The dirty-pair list feeding the incremental SPF exists
-// only once a node has been asked for routes and is capped: past the cap
-// the node drops its routing graph and the next query rebuilds from the
-// state tables. Topology rows and neighbour state expire under separate
-// watermarks, so the per-origin column scan runs only when a topology
-// deadline is due. Node.StateSize reports what a node holds; the registry
-// sums it (qolsr_olsr_topology_rows, _dirty_pairs, _route_graph_nodes).
-// A routing graph is laid out in linear time with ascending ids: its links are
+// allocates nothing. Topology rows and neighbour state expire under
+// separate watermarks, so the per-origin column scan runs only when a
+// topology deadline is due. Node.StateSize reports what a node holds; the
+// registry sums its topology rows (qolsr_olsr_topology_rows). A routing
+// graph is laid out in linear time with ascending ids: its links are
 // bucketed by their smaller end and each pair keeps the link of highest
-// precedence, so the tables may be walked in any order. Its node-index
-// resolution is a binary search; the held graph keeps that node set, and a
-// change naming a node it has never seen lays it out again.
+// precedence, so the tables may be walked in any order. The graph lives
+// only as long as the Dijkstra over it: its buffers come from a pool the
+// field's members share, and a node keeps nothing of a computation but the
+// routing-table snapshot.
 //
 // Because each node's routing table is a pure function of that node's own
 // soft state — interned blocks are read-only by contract, and outside the
 // serialised message handlers a member touches only its own rows of the
 // shared store — any set of tables can be rebuilt concurrently.
-// Network.RebuildRoutes is that barrier: it fans the dirty nodes' SPF work
-// across a worker budget and produces tables bit-identical to the serial
-// path at every worker count
-// (scenario.Scenario.Workers and eval.ScaleSweepOptions.Workers thread the
+// Network.RebuildRoutes is that barrier: it fans the dirty nodes' table
+// computations across a worker budget and produces tables bit-identical to
+// the serial path at every worker count (scenario.Scenario.Workers and eval.ScaleSweepOptions.Workers thread the
 // budget; a churn-heavy lossy scenario encoding to identical JSON at
 // workers 1 and 8 locks the property, and CI runs the barrier under the
 // race detector). Rebuild activity is observable end to end:
-// olsr.RebuildStats counts interning hits, topology builds and the
-// full/incremental SPF split per node, scenario samples carry the windowed
-// series, and run totals report the epoch hit rate.
-// BenchmarkTopologyRebuild and BenchmarkSPF track the two hot paths; the
-// scale-1500 workload of cmd/qolsr-bench measures the whole (its
-// baseline.json is the record).
+// olsr.RebuildStats counts interning hits and routing tables computed per
+// node, scenario samples carry the windowed series, and run totals report
+// the epoch hit rate. BenchmarkTopologyRebuild (refresh and change) and
+// BenchmarkRouteLayout track the two hot paths; the scale-1500 workload of
+// cmd/qolsr-bench measures the whole (its baseline.json is the record).
 //
 // # Control-plane scaling
 //

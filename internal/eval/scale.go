@@ -21,7 +21,7 @@ import (
 )
 
 // The node-count scaling sweep (experiment S1): run the full live stack —
-// deterministic event core, incremental SPF, MPR flooding, sustained CBR
+// deterministic event core, route rebuilds, MPR flooding, sustained CBR
 // traffic — on fields of growing node count at constant density, and report
 // how the simulator itself scales: wall-clock time, events executed, and
 // event throughput per point, alongside the delivery ratio as a correctness

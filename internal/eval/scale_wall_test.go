@@ -7,8 +7,8 @@ import (
 )
 
 // The 1000-node scale point must complete and deliver: with interned
-// advertisements, the origin-major topology store and the incremental SPF it
-// runs in ~2s of wall time on one modest core. The ceiling is deliberately
+// advertisements, the origin-major topology store and the linear-time
+// routing-table rebuild it runs in ~2s of wall time on one modest core. The ceiling is deliberately
 // loose (slow hardware, race-detector runs) — it catches an
 // order-of-magnitude regression in the hot path, not jitter; CI's
 // performance canary proper is the peak-RSS ceiling on cmd/qolsr-bench's

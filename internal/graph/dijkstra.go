@@ -12,9 +12,8 @@ import (
 // value the search prefers fewer hops, and among those the predecessor with
 // the smallest node ID. The (Dist, prev) pair is therefore a pure function
 // of the edge set, the weights, and the node IDs — independent of edge
-// insertion order, node index assignment, and heap mechanics — which is the
-// property that lets incremental SPF repair (see SPF) reproduce a full
-// rebuild bit for bit.
+// insertion order, node index assignment, and heap mechanics — so two
+// constructions of one graph route identically, bit for bit.
 type ShortestPaths struct {
 	// Source is the search origin.
 	Source int32
@@ -120,8 +119,9 @@ func Dijkstra(g *Graph, m metric.Metric, w []float64, src int32, view *LocalView
 
 // Scratch holds reusable Dijkstra buffers so repeated searches over
 // similarly-sized graphs allocate nothing once warm. It is the routing-table
-// rebuild workhorse: a protocol node keeps one Scratch and re-runs its
-// shortest-path search in place whenever its cached table is invalidated.
+// rebuild workhorse: a protocol node's rebuild borrows one from a pool its
+// field's nodes share, searches in it and copies its table out before
+// handing the Scratch back.
 //
 // The zero value is ready to use. A Scratch is not safe for concurrent use,
 // and the ShortestPaths returned by its Dijkstra aliases the scratch buffers:

@@ -176,69 +176,12 @@ func (g *Graph) AddEdge(a, b int32) (int, error) {
 	return int(e), nil
 }
 
-// RemoveEdge deletes undirected edge e in O(degree): the last edge index is
-// renumbered into the vacated slot (on every weight channel too), so edge
-// indices stay dense but are not stable across removals. Adjacency order is
-// not preserved — nothing in the package's algorithms depends on it.
-func (g *Graph) RemoveEdge(e int) error {
-	if e < 0 || e >= g.M() {
-		return fmt.Errorf("graph: edge %d out of range [0,%d)", e, g.M())
-	}
-	for i := range g.weights {
-		// Normalise channels created before edges existed, so the swap
-		// below moves every channel coherently.
-		g.weights[i].normalise(g.M())
-	}
-	a, b := g.ends[e][0], g.ends[e][1]
-	g.dropArc(a, int32(e))
-	g.dropArc(b, int32(e))
-	last := g.M() - 1
-	if e != last {
-		la, lb := g.ends[last][0], g.ends[last][1]
-		g.ends[e] = g.ends[last]
-		g.renumberArc(la, int32(last), int32(e))
-		g.renumberArc(lb, int32(last), int32(e))
-	}
-	g.ends = g.ends[:last]
-	for i := range g.weights {
-		ws := g.weights[i].w
-		if e != last {
-			ws[e] = ws[last]
-		}
-		g.weights[i].w = ws[:last]
-	}
-	return nil
-}
-
 // normalise gives a channel created before edges were added its full length.
 func (c *weightChannel) normalise(m int) {
 	if len(c.w) != m {
 		grown := make([]float64, m)
 		copy(grown, c.w)
 		c.w = grown
-	}
-}
-
-// dropArc removes the arc with edge index e from x's adjacency list.
-func (g *Graph) dropArc(x, e int32) {
-	adj := g.adj[x]
-	for i, arc := range adj {
-		if arc.Edge == e {
-			adj[i] = adj[len(adj)-1]
-			g.adj[x] = adj[:len(adj)-1]
-			return
-		}
-	}
-}
-
-// renumberArc rewrites x's arc carrying edge index from to carry to.
-func (g *Graph) renumberArc(x, from, to int32) {
-	adj := g.adj[x]
-	for i, arc := range adj {
-		if arc.Edge == from {
-			adj[i].Edge = to
-			return
-		}
 	}
 }
 

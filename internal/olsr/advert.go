@@ -77,46 +77,6 @@ func sharedAdv(a, b []LinkInfo) bool {
 	return len(a) > 0 && len(a) == len(b) && &a[0] == &b[0]
 }
 
-// advWeight returns the advertised weight for peer in a normalised block.
-func advWeight(adv []LinkInfo, peer int64) (float64, bool) {
-	i, ok := slices.BinarySearchFunc(adv, peer, func(l LinkInfo, id int64) int {
-		return cmp.Compare(l.Neighbor, id)
-	})
-	if !ok {
-		return 0, false
-	}
-	return adv[i].Weight, true
-}
-
-// markAdvDiff marks every pair whose advertised weight differs between an
-// entry's old and new normalised blocks (additions, removals and reweights):
-// one linear merge, the slice counterpart of diffing two link maps.
-func (n *Node) markAdvDiff(origin int64, old, cur []LinkInfo) {
-	i, j := 0, 0
-	for i < len(old) && j < len(cur) {
-		switch {
-		case old[i].Neighbor == cur[j].Neighbor:
-			if old[i].Weight != cur[j].Weight {
-				n.markPair(origin, cur[j].Neighbor)
-			}
-			i++
-			j++
-		case old[i].Neighbor < cur[j].Neighbor:
-			n.markPair(origin, old[i].Neighbor)
-			i++
-		default:
-			n.markPair(origin, cur[j].Neighbor)
-			j++
-		}
-	}
-	for ; i < len(old); i++ {
-		n.markPair(origin, old[i].Neighbor)
-	}
-	for ; j < len(cur); j++ {
-		n.markPair(origin, cur[j].Neighbor)
-	}
-}
-
 // applyDeltaToAdv merges a delta into a normalised block, producing a fresh
 // normalised block: Add upserts (authoritative even when the same neighbor is
 // also listed in Del, matching the historical delete-then-add map order), Del

@@ -77,12 +77,6 @@ type Config struct {
 	// mpr.MinCover here keeps routing advertising the QoS set while floods
 	// traverse a coverage-minimal set.
 	FloodRelay mpr.Heuristic
-
-	// crossCheck is the incremental engine's validation mode, set by this
-	// package's tests only: every routing table produced by the incremental
-	// repair is compared against a from-scratch rebuild and Routes errors on
-	// any divergence. It turns every table rebuild into a full one.
-	crossCheck bool
 }
 
 // tcFullPeriod is the full-TC refresh period in TC emissions under DeltaTC:
@@ -140,9 +134,9 @@ type dupSeq struct {
 
 // RebuildStats counts the node's routing-compute activity: how often
 // advertised content was re-announced unchanged (the interning fast paths)
-// versus actually changed, and how the routing table was repaired. The
-// counters are monotone over the node's lifetime; hosts diff snapshots to
-// window them.
+// versus actually changed, how often selection ran, and how many routing
+// tables were computed. The counters are monotone over the node's lifetime;
+// hosts diff snapshots to window them.
 type RebuildStats struct {
 	// AdvRefresh counts ingested HELLO/TC-family announcements whose
 	// content matched the retained entry (deadline refresh only).
@@ -154,17 +148,16 @@ type RebuildStats struct {
 	// AdvChange counts announcements that replaced the retained content
 	// and invalidated the routing caches.
 	AdvChange uint64
-	// TopoBuilds counts reference routing tables (fullRoutes: a fresh
-	// layout plus canonical Dijkstra). Only the package's crossCheck tests
-	// build one, so it is 0 in every simulator and daemon run.
-	TopoBuilds uint64
+	// TopoBuilds and SPFIncremental are always 0. They are kept only
+	// because the benchmark harness (cmd/qolsr-bench, frozen) reads them,
+	// and go when it stops doing so (ROADMAP item 6).
+	TopoBuilds, SPFIncremental uint64
 	// Selections counts MPR/ANS selection runs: the local view was rebuilt
 	// and selected on because the neighborhood had changed since the last.
 	Selections uint64
-	// SPFFull counts full shortest-path recomputations; SPFIncremental
-	// counts incremental repairs that reused the cached solution.
-	SPFFull        uint64
-	SPFIncremental uint64
+	// SPFFull counts the routing tables computed: each is a fresh layout
+	// of the routing graph plus one Dijkstra (see Routes).
+	SPFFull uint64
 	// DupHits counts flooded TC-family messages dropped by the node's own
 	// duplicate-suppression window (0 under ExternalDupSuppression — the
 	// simulator counts its flood-level equivalent itself).
@@ -288,18 +281,9 @@ type Node struct {
 	selAt uint64
 
 	// Cached routing table and the topology version it was computed at.
+	// The table is all a node keeps of a computation (see routes.go).
 	routesAt uint64
 	routes   *Routes
-
-	// Incremental routing state (see incremental.go): the dirty pair list
-	// the handlers accumulate once a routing graph exists (bounded by
-	// dirtyCap; sorted and deduplicated when consumed), the routing graph
-	// layoutRoutes lays out, held with its node set fixed, its incremental
-	// SPF solution, and the first-hop buffer of table extraction.
-	dirty  []pairKey
-	rg     *graph.Graph
-	rspf   *graph.SPF
-	rfirst []int32
 
 	// stats counts rebuild and interning activity (see RebuildStats).
 	stats RebuildStats
@@ -309,8 +293,7 @@ type Node struct {
 func (n *Node) RebuildStats() RebuildStats { return n.stats }
 
 // StateSize counts what a node currently holds, table by table. In steady
-// state every field is flat: soft state is bounded by what is being heard,
-// the dirty list by dirtyCap.
+// state every field is flat: soft state is bounded by what is being heard.
 type StateSize struct {
 	// Links, Neighbors and Selectors count the neighbour-keyed tables: own
 	// links, neighbours' HELLO tables, MPR-selector deadlines.
@@ -318,27 +301,18 @@ type StateSize struct {
 	// TopologyRows counts the origins the node holds a TC-learned row about;
 	// DupRows the origins with a duplicate-suppression row.
 	TopologyRows, DupRows int
-	// DirtyPairs is the length of the pending dirty-pair list and
-	// RouteGraphNodes the node count of the held routing graph (0 until the
-	// first Routes call, and while a dropped graph awaits its re-layout).
-	DirtyPairs, RouteGraphNodes int
 }
 
 // StateSize returns the node's current state counts. Nothing is expired
 // first: it reports what is held, stale or not.
 func (n *Node) StateSize() StateSize {
-	s := StateSize{
+	return StateSize{
 		Links:        n.links.len(),
 		Neighbors:    n.neighbors.len(),
 		Selectors:    n.selectors.len(),
 		TopologyRows: n.topoRows,
 		DupRows:      len(n.dups),
-		DirtyPairs:   len(n.dirty),
 	}
-	if n.rg != nil {
-		s.RouteGraphNodes = n.rg.N()
-	}
-	return s
 }
 
 // RoutesDirty reports whether the next Routes call must rebuild the table —
@@ -470,10 +444,6 @@ func (n *Node) UpdateLink(neighbor int64, weight float64, now time.Duration) {
 	}
 	n.links.put(neighbor, linkEntry{weight: weight, expires: expires})
 	n.touchNeighborhood()
-	n.markPair(n.ID, neighbor)
-	// The neighbor became direct: its HELLO-advertised links are now
-	// eligible as routing edges.
-	n.markNeighborPairs(neighbor)
 }
 
 // reweigh sets a held link's weight, leaving its deadline alone; only an
@@ -482,7 +452,6 @@ func (n *Node) reweigh(neighbor int64, l *linkEntry, weight float64) {
 	if l.weight != weight {
 		l.weight = weight
 		n.touchNeighborhood()
-		n.markPair(n.ID, neighbor)
 	}
 }
 
@@ -500,9 +469,9 @@ func (n *Node) expire(now time.Duration) {
 // expireScan is expire's slow path: scan the deadline-carrying tables of
 // whichever watermark is due, dropping everything stale and re-deriving the
 // watermark. Each watermark stays at or below every deadline of its own
-// tables, and every drop records commutative dirty pairs, so scanning the two
-// groups at different times drops exactly what one combined scan would by
-// the time anything reads the state.
+// tables, and a drop only bumps a version, so scanning the two groups at
+// different times drops exactly what one combined scan would by the time
+// anything reads the state.
 func (n *Node) expireScan(now time.Duration) {
 	if now >= n.nextExpiry {
 		n.expireNeighborhood(now)
@@ -518,22 +487,14 @@ func (n *Node) expireNeighborhood(now time.Duration) {
 		if l.expires <= now {
 			n.links.del(id)
 			n.touchNeighborhood()
-			n.markPair(n.ID, id)
-			// The neighbor stopped being direct: its HELLO-advertised
-			// links lose routing-edge eligibility.
-			n.markNeighborPairs(id)
 		} else if l.expires < next {
 			next = l.expires
 		}
 	})
 	n.neighbors.each(func(id int64, t *neighborTable) {
 		if t.expires <= now {
-			adv := t.adv // del moves the next entry under t
 			n.neighbors.del(id)
 			n.touchNeighborhood()
-			for _, l := range adv {
-				n.markPair(id, l.Neighbor)
-			}
 		} else if t.expires < next {
 			next = t.expires
 		}
@@ -565,15 +526,11 @@ func (n *Node) expireNeighborhood(now time.Duration) {
 func (n *Node) expireTopology(now time.Duration) {
 	next := noExpiry
 	if n.topoRows > 0 {
-		n.store.each(n.member, func(origin int64, t *topoRow) {
+		n.store.each(n.member, func(_ int64, t *topoRow) {
 			if t.expires <= now {
-				adv := t.links() // before the row is cleared
+				n.topoRows, n.topoLinks = n.topoRows-1, n.topoLinks-len(t.links())
 				*t = topoRow{}
-				n.topoRows, n.topoLinks = n.topoRows-1, n.topoLinks-len(adv)
 				n.touchTopology()
-				for _, l := range adv {
-					n.markPair(origin, l.Neighbor)
-				}
 			} else if t.expires < next {
 				next = t.expires
 			}
@@ -681,7 +638,6 @@ func (n *Node) HandleHello(h *Hello, now time.Duration) {
 	if !slices.Equal(old, adv) {
 		n.stats.AdvChange++
 		n.touchNeighborhood()
-		n.markAdvDiff(h.Origin, old, adv)
 	} else {
 		n.stats.AdvRefresh++
 	}
@@ -859,7 +815,6 @@ func (n *Node) applyTCDelta(d *TCDelta, now time.Duration) {
 	if !slices.Equal(old, adv) {
 		n.stats.AdvChange++
 		n.touchTopology()
-		n.markAdvDiff(d.Origin, old, adv)
 	} else {
 		n.stats.AdvRefresh++
 	}
@@ -918,7 +873,6 @@ func (n *Node) HandleTC(t *TC, sender int64, now time.Duration) (forward bool) {
 			if !slices.Equal(old, adv) {
 				n.stats.AdvChange++
 				n.touchTopology()
-				n.markAdvDiff(t.Origin, old, adv)
 			} else {
 				n.stats.AdvRefresh++
 			}
@@ -1083,46 +1037,16 @@ func (n *Node) Selectors(now time.Duration) []int64 {
 // The table is a cached artifact rebuilt only when the protocol state
 // changed (by message content or expiry) since the last call: the common
 // data-plane case — many lookups against an unchanged topology — returns the
-// same read-only snapshot without recomputing or allocating anything. When
-// the state did change, the table is repaired incrementally: the handlers
-// record which node pairs a change touched, and the rebuild re-resolves only
-// those against the state tables and repairs the affected region of the
-// cached shortest-path solution (see incremental.go). The first query, the
-// first after the dirty list overflowed and one whose changes name a node the
-// held graph has never seen lay the routing graph out from the tables
-// instead. Both produce tables bit-identical to fullRoutes (the tests'
-// crossCheck mode asserts it).
+// same read-only snapshot without recomputing or allocating anything. A
+// rebuild lays the routing graph out afresh from the state tables in linear
+// time, runs one canonical Dijkstra over it and keeps only the resulting
+// snapshot (see routes.go). That computation cannot fail, so the error is
+// always nil.
 func (n *Node) Routes(now time.Duration) (*Routes, error) {
 	n.expire(now)
-	if n.routes != nil && n.routesAt == n.topoVersion {
-		return n.routes, nil
+	if n.routes == nil || n.routesAt != n.topoVersion {
+		n.routes = n.computeRoutes()
+		n.routesAt = n.topoVersion
 	}
-	r, err := n.incrementalRoutes()
-	if err != nil {
-		return nil, err
-	}
-	if n.cfg.crossCheck {
-		if err := n.crossCheckRoutes(r); err != nil {
-			return nil, err
-		}
-	}
-	n.routes = r
-	n.routesAt = n.topoVersion
-	return r, nil
-}
-
-// fullRoutes computes the routing table from scratch: a fresh layout of the
-// routing graph and one canonical Dijkstra over it. It is the reference the
-// incremental engine is checked against. Callers must have run expire(now)
-// first.
-func (n *Node) fullRoutes() (*Routes, error) {
-	n.stats.TopoBuilds++
-	g := n.layoutRoutes()
-	w, err := g.Weights(n.cfg.Metric.Name())
-	if err != nil {
-		return nil, err
-	}
-	sp := graph.Dijkstra(g, n.cfg.Metric, w, g.IndexOf(graph.NodeID(n.ID)), nil, -1)
-	first, hops := sp.FirstHops(nil, nil)
-	return routeTable(g, first, func(x int32) (float64, int32) { return sp.Dist[x], hops[x] }), nil
+	return n.routes, nil
 }

@@ -179,7 +179,7 @@ func TestANSNStaleTCDiscarded(t *testing.T) {
 	// Older ANSN with a new flooding seq: content must not regress.
 	n.HandleTC(&TC{Origin: 2, ANSN: 9, Seq: 2, Links: []LinkInfo{{Neighbor: 8, Weight: 1}}}, 1, now)
 	n.expire(now)
-	g := n.layoutRoutes()
+	g := n.layoutRoutes(new(routeScratch))
 	if g.IndexOf(3) < 0 {
 		t.Error("fresh topology entry lost")
 	}
@@ -189,7 +189,7 @@ func TestANSNStaleTCDiscarded(t *testing.T) {
 	// Newer ANSN replaces.
 	n.HandleTC(&TC{Origin: 2, ANSN: 11, Seq: 3, Links: []LinkInfo{{Neighbor: 8, Weight: 1}}}, 1, now)
 	n.expire(now)
-	g = n.layoutRoutes()
+	g = n.layoutRoutes(new(routeScratch))
 	if g.IndexOf(8) < 0 {
 		t.Error("newer TC rejected")
 	}

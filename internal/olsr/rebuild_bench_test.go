@@ -75,7 +75,7 @@ func benchTopoNode(b *testing.B, n int, deg float64, seed int64) (*Node, [][]Lin
 // paths against topology size and density. "refresh" re-sends an origin's
 // unchanged link block (the interning fast path: deadline refresh, cached
 // table stays valid). "change" flips one origin's link weight and rebuilds
-// the routing table (dirty-pair marking plus incremental SPF repair).
+// the routing table from scratch: a fresh layout plus one Dijkstra.
 func BenchmarkTopologyRebuild(b *testing.B) {
 	for _, n := range []int{250, 1000, 2500} {
 		for _, deg := range []float64{6, 12} {

@@ -1,6 +1,7 @@
 package olsr
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"time"
@@ -26,13 +27,12 @@ func randomLinks(rng *rand.Rand, universe int) []LinkInfo {
 	return out
 }
 
-// TestIncrementalRoutesCrossCheck drives a node through long randomized
+// TestRoutesMatchOracleAcrossHistories drives a node through long randomized
 // protocol histories — link updates, HELLOs, TCs, idle time jumps that
-// trigger soft-state expiry — with Config.crossCheck on, so every
-// rebuilt table is compared against a from-scratch rebuild inside Routes.
-// Any divergence between the incremental repair and the full rebuild
-// surfaces as an error here.
-func TestIncrementalRoutesCrossCheck(t *testing.T) {
+// trigger soft-state expiry — and after every step holds its table to the
+// oracle's: the routing graph resolvePair derives pair by pair, built edge by
+// edge and solved by a canonical Dijkstra.
+func TestRoutesMatchOracleAcrossHistories(t *testing.T) {
 	metrics := []metric.Metric{metric.Delay(), metric.Bandwidth(), metric.Hop()}
 	for _, m := range metrics {
 		m := m
@@ -40,7 +40,6 @@ func TestIncrementalRoutesCrossCheck(t *testing.T) {
 			for seed := int64(0); seed < 4; seed++ {
 				rng := rand.New(rand.NewSource(seed))
 				cfg := DefaultConfig(m)
-				cfg.crossCheck = true
 				const self = 5
 				n, err := NewNode(self, cfg)
 				if err != nil {
@@ -73,22 +72,24 @@ func TestIncrementalRoutesCrossCheck(t *testing.T) {
 						// Jump past hold times to force expiries.
 						now += time.Duration(2+rng.Intn(10)) * time.Second
 					}
-					if _, err := n.Routes(now); err != nil {
+					r, err := n.Routes(now)
+					if err != nil {
 						t.Fatalf("metric %s seed %d step %d: %v", m.Name(), seed, step, err)
 					}
+					ids, edges := routeOracle(n)
+					checkRoutes(t, fmt.Sprintf("metric %s seed %d step %d", m.Name(), seed, step), r, oracleTable(t, n, ids, edges))
 				}
 			}
 		})
 	}
 }
 
-// TestIncrementalRoutesAcrossExpiryAndRelearn pins the directness-toggle
-// bookkeeping: a neighbor's advertised two-hop links must drop out of the
-// table when our own link to it expires (even though its HELLO table is
-// still valid), and come back when the link is relearned.
-func TestIncrementalRoutesAcrossExpiryAndRelearn(t *testing.T) {
+// TestRoutesAcrossExpiryAndRelearn pins directness: a neighbor's advertised
+// two-hop links must drop out of the table when our own link to it expires
+// (even though its HELLO table is still valid), and come back when the link
+// is relearned.
+func TestRoutesAcrossExpiryAndRelearn(t *testing.T) {
 	cfg := testConfig()
-	cfg.crossCheck = true
 	cfg.NeighborHoldTime = 4 * time.Second
 	cfg.TopologyHoldTime = 30 * time.Second
 	// Host-driven link sensing: otherwise the HELLO below would itself
@@ -133,54 +134,5 @@ func TestIncrementalRoutesAcrossExpiryAndRelearn(t *testing.T) {
 		t.Fatal("two-hop route did not return with the relearned link")
 	} else if route.NextHop != 2 {
 		t.Fatalf("two-hop route next hop = %d, want 2", route.NextHop)
-	}
-}
-
-// A held routing graph keeps the node set it was laid out with: a TC that
-// names a node the graph has never seen lays the graph out again and solves
-// it from scratch, and a later TC that only reweights known pairs repairs it
-// incrementally.
-func TestRouteGraphRelaysOutForUnknownNode(t *testing.T) {
-	cfg := testConfig()
-	cfg.crossCheck = true
-	n, err := NewNode(1, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	now := time.Second
-	n.UpdateLink(2, 3, now)
-	n.HandleTC(&TC{Origin: 2, Seq: 1, ANSN: 1, Links: []LinkInfo{{Neighbor: 3, Weight: 4}}}, 2, now)
-	if _, err := n.Routes(now); err != nil {
-		t.Fatal(err)
-	}
-	stats, size := n.RebuildStats(), n.StateSize()
-
-	n.HandleTC(&TC{Origin: 2, Seq: 2, ANSN: 2, Links: []LinkInfo{
-		{Neighbor: 3, Weight: 4}, {Neighbor: 9, Weight: 2},
-	}}, 2, now)
-	r, err := n.Routes(now)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := r.Lookup(9); !ok {
-		t.Fatal("no route to the newly named node")
-	}
-	got, s := n.RebuildStats(), n.StateSize()
-	if got.SPFFull != stats.SPFFull+1 || got.SPFIncremental != stats.SPFIncremental {
-		t.Fatalf("an unknown node should re-lay the graph out: %+v, before %+v", got, stats)
-	}
-	if s.RouteGraphNodes != size.RouteGraphNodes+1 || s.DirtyPairs != 0 {
-		t.Fatalf("after the re-layout: %+v, before %+v", s, size)
-	}
-
-	stats = got
-	n.HandleTC(&TC{Origin: 2, Seq: 3, ANSN: 3, Links: []LinkInfo{
-		{Neighbor: 3, Weight: 6}, {Neighbor: 9, Weight: 2},
-	}}, 2, now)
-	if _, err := n.Routes(now); err != nil {
-		t.Fatal(err)
-	}
-	if got := n.RebuildStats(); got.SPFFull != stats.SPFFull || got.SPFIncremental != stats.SPFIncremental+1 {
-		t.Fatalf("reweighting known pairs should repair incrementally: %+v, before %+v", got, stats)
 	}
 }

@@ -26,8 +26,9 @@ import (
 // simulator indices take the same path through slot.
 //
 // Concurrency contract (sim.RebuildRoutes runs Node.expire on many members at
-// once): a member reads the slot table and reads or clears *its own* rows,
-// nothing more, from any context. Everything that writes shared structure —
+// once): a member reads the slot table, reads or clears *its own* rows and
+// borrows a routing scratch from the store's locked pool (routes), nothing
+// more, from any context. Everything else that writes shared structure —
 // slot and block allocation, the reclaim sweep — happens in handler context
 // (HandleTC, HandleTCDelta), which the host serialises across the whole field.
 //
@@ -86,6 +87,9 @@ type topoStore struct {
 	nextSweep time.Duration
 	// view is the selection scratch the members share (see above).
 	view graph.ViewScratch
+	// routes pools the members' routing scratch, the one shared structure
+	// Routes writes; it is safe for concurrent use.
+	routes scratchPool
 }
 
 func newTopoStore(members, window int, hold time.Duration) *topoStore {

@@ -14,15 +14,13 @@ import (
 // the dense window — drives a NewNodes field and a set of stand-alone
 // NewNode twins. Sharing the origin-major store must be unobservable:
 // every generated message, forwarding decision, routing table, selection
-// and counter is equal node for node, with crossCheck holding each
-// table against its from-scratch rebuild on both sides.
+// and counter is equal node for node.
 func TestFieldMatchesStandaloneNodes(t *testing.T) {
 	// The field's window is its member count: 0..6 are inside, the rest
 	// (including a negative one, which sorts below the window) overflow.
 	ids := []int64{0, 1, 2, 3, 4, 5, 6, 40, 41, 1000, 5000, -3}
 	cfg := testConfig()
 	cfg.DeltaTC = true
-	cfg.crossCheck = true
 	field, err := NewNodes(ids, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -166,95 +164,6 @@ func TestFieldMatchesStandaloneNodes(t *testing.T) {
 	}
 	if s := field[0].store; len(s.overflow) == 0 || len(s.overflow) >= len(ids) {
 		t.Errorf("%d of %d origins in the overflow map, want some on each side of the window", len(s.overflow), len(ids))
-	}
-}
-
-// TestDirtyListBounded: once a node has a routing graph, the dirty list
-// never exceeds dirtyCap. Repeats compact away; more distinct pairs than the
-// cap can hold make the node give its graph up, and the next query returns
-// the from-scratch table (crossCheck compares it against the reference
-// rebuild).
-func TestDirtyListBounded(t *testing.T) {
-	cfg := testConfig()
-	cfg.crossCheck = true
-	cfg.ExternalDupSuppression = true
-	n, err := NewNode(0, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	now := time.Second
-	// Nodes 2 and 3 are in the graph from its first layout, so the pairs
-	// flipped below are repairs of known nodes.
-	flip := [2][]LinkInfo{
-		{{Neighbor: 2, Weight: 4}, {Neighbor: 3, Weight: 4}},
-		{{Neighbor: 2, Weight: 5}, {Neighbor: 3, Weight: 5}},
-	}
-	n.UpdateLink(1, 3, now)
-	n.HandleTC(&TC{Origin: 1, Links: flip[1]}, 1, now)
-	if s := n.StateSize(); s.DirtyPairs != 0 || s.RouteGraphNodes != 0 {
-		t.Fatalf("recorded before the first query: %+v", s)
-	}
-	if _, err := n.Routes(now); err != nil {
-		t.Fatal(err)
-	}
-	if s := n.StateSize(); s.DirtyPairs != 0 || s.RouteGraphNodes != 4 {
-		t.Fatalf("after the first query: %+v", s)
-	}
-
-	// The same two pairs, changed far more often than the cap: compaction
-	// keeps the list short and the graph alive.
-	for i := 0; i < 3*dirtyCap; i++ {
-		n.HandleTC(&TC{Origin: 1, Seq: uint16(i), Links: flip[i%2]}, 1, now)
-		if s := n.StateSize(); s.DirtyPairs > dirtyCap {
-			t.Fatalf("dirty list at %d pairs, cap %d", s.DirtyPairs, dirtyCap)
-		}
-	}
-	if n.StateSize().RouteGraphNodes == 0 {
-		t.Fatal("repeated pairs made the node drop its routing graph")
-	}
-	if _, err := n.Routes(now); err != nil {
-		t.Fatal(err)
-	}
-	if s := n.RebuildStats(); s.SPFFull != 1 || s.SPFIncremental != 1 {
-		t.Fatalf("repeats should repair incrementally: %+v", s)
-	}
-
-	// A chain 1-2-3-…, eight links an origin: more distinct pairs than the
-	// cap holds.
-	const origins = dirtyCap / 4
-	for o := int64(1); o <= origins; o++ {
-		var adv []LinkInfo
-		for k := int64(1); k <= 8; k++ {
-			adv = append(adv, LinkInfo{Neighbor: o + k, Weight: float64(1 + (o+k)%5)})
-		}
-		n.HandleTC(&TC{Origin: o, Seq: 1, ANSN: 1, Links: adv}, 1, now)
-		if s := n.StateSize(); s.DirtyPairs > dirtyCap {
-			t.Fatalf("dirty list at %d pairs, cap %d", s.DirtyPairs, dirtyCap)
-		}
-	}
-	if s := n.StateSize(); s.RouteGraphNodes != 0 || s.DirtyPairs != 0 {
-		t.Fatalf("overflow should drop the graph and stop recording: %+v", s)
-	}
-	r, err := n.Routes(now)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Len() != origins+8 {
-		t.Fatalf("table has %d routes, want %d", r.Len(), origins+8)
-	}
-	if s := n.RebuildStats(); s.SPFFull != 2 {
-		t.Fatalf("overflow should force a full rebuild: %+v", s)
-	}
-	if s := n.StateSize(); s.DirtyPairs != 0 {
-		t.Fatalf("staging list kept after the from-scratch build: %+v", s)
-	}
-	// And from there it repairs incrementally again.
-	n.HandleTC(&TC{Origin: 1, Seq: 2, ANSN: 2, Links: flip[0]}, 1, now)
-	if _, err := n.Routes(now); err != nil {
-		t.Fatal(err)
-	}
-	if s := n.RebuildStats(); s.SPFFull != 2 || s.SPFIncremental != 2 {
-		t.Fatalf("after the rebuild: %+v", s)
 	}
 }
 

@@ -14,7 +14,7 @@ import (
 
 // SchemaVersion identifies the scenario JSON encoding; bump it on breaking
 // changes to the document shape.
-const SchemaVersion = "qolsr-scenario/v1"
+const SchemaVersion = "qolsr-scenario/v2"
 
 // r6 rounds to 6 decimals so encoded documents are stable and readable.
 func r6(x float64) float64 {
@@ -92,11 +92,10 @@ type jsonSample struct {
 	TrafficCompleted  int     `json:"traffic_completed,omitempty"`
 	TrafficDelivered  int     `json:"traffic_delivered,omitempty"`
 	TrafficThroughput float64 `json:"traffic_throughput_bps,omitempty"`
-	// Rebuild-observability window fields.
-	TopoBuilds     int     `json:"topo_builds"`
-	SPFFull        int     `json:"spf_full"`
-	SPFIncremental int     `json:"spf_incremental"`
-	SharedAdvRate  float64 `json:"shared_adv_rate"`
+	// Rebuild-observability window fields: spf_full is the routing tables
+	// computed in the window.
+	SPFFull       int     `json:"spf_full"`
+	SharedAdvRate float64 `json:"shared_adv_rate"`
 }
 
 type jsonReconvergence struct {
@@ -124,15 +123,13 @@ type jsonTotals struct {
 }
 
 // jsonRebuild is one run's routing-compute totals: advertisement interning
-// hits, topology builds, and the full/incremental SPF split.
+// hits and the routing tables computed.
 type jsonRebuild struct {
-	AdvRefresh     uint64  `json:"adv_refresh"`
-	AdvShared      uint64  `json:"adv_shared"`
-	AdvChange      uint64  `json:"adv_change"`
-	TopoBuilds     uint64  `json:"topo_builds"`
-	SPFFull        uint64  `json:"spf_full"`
-	SPFIncremental uint64  `json:"spf_incremental"`
-	EpochHitRate   float64 `json:"epoch_hit_rate"`
+	AdvRefresh   uint64  `json:"adv_refresh"`
+	AdvShared    uint64  `json:"adv_shared"`
+	AdvChange    uint64  `json:"adv_change"`
+	SPFFull      uint64  `json:"spf_full"`
+	EpochHitRate float64 `json:"epoch_hit_rate"`
 }
 
 type jsonRun struct {
@@ -298,15 +295,13 @@ func sampleJSON(s Sample) jsonSample {
 		TrafficCompleted:  s.TrafficCompleted,
 		TrafficDelivered:  s.TrafficDelivered,
 		TrafficThroughput: r6(s.TrafficThroughputBps),
-		TopoBuilds:        s.TopoBuilds,
 		SPFFull:           s.SPFFull,
-		SPFIncremental:    s.SPFIncremental,
 		SharedAdvRate:     r6(s.SharedAdvRate),
 	}
 }
 
 // EncodeJSON writes the result as an indented JSON document (schema
-// "qolsr-scenario/v1"): the executed program, per-run samples,
+// "qolsr-scenario/v2"): the executed program, per-run samples,
 // reconvergence records and traffic totals, and the cross-run aggregate.
 func (r *Result) EncodeJSON(w io.Writer) error {
 	sc := r.Scenario.WithDefaults()
@@ -367,13 +362,11 @@ func (r *Result) EncodeJSON(w io.Writer) error {
 				DataExpired:   run.Data.Expired,
 			},
 			Rebuild: jsonRebuild{
-				AdvRefresh:     run.Rebuild.AdvRefresh,
-				AdvShared:      run.Rebuild.AdvShared,
-				AdvChange:      run.Rebuild.AdvChange,
-				TopoBuilds:     run.Rebuild.TopoBuilds,
-				SPFFull:        run.Rebuild.SPFFull,
-				SPFIncremental: run.Rebuild.SPFIncremental,
-				EpochHitRate:   r6(run.Rebuild.EpochHitRate()),
+				AdvRefresh:   run.Rebuild.AdvRefresh,
+				AdvShared:    run.Rebuild.AdvShared,
+				AdvChange:    run.Rebuild.AdvChange,
+				SPFFull:      run.Rebuild.SPFFull,
+				EpochHitRate: r6(run.Rebuild.EpochHitRate()),
 			},
 			Traffic: trafficJSON(run.Traffic),
 		}
@@ -455,9 +448,7 @@ func (r *Result) EncodeCSV(w io.Writer) error {
 				{"control_bps", fmt.Sprintf("%.6f", r6(s.ControlBPS))},
 				{"tc_fwd_bps", fmt.Sprintf("%.6f", r6(s.TCFwdBPS))},
 				{"set_size", fmt.Sprintf("%.6f", r6(s.SetSize))},
-				{"topo_builds", fmt.Sprintf("%d", s.TopoBuilds)},
 				{"spf_full", fmt.Sprintf("%d", s.SPFFull)},
-				{"spf_incremental", fmt.Sprintf("%d", s.SPFIncremental)},
 				{"shared_adv_rate", fmt.Sprintf("%.6f", r6(s.SharedAdvRate))},
 			}
 			if run.Traffic != nil {

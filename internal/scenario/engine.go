@@ -227,9 +227,9 @@ func Execute(ctx context.Context, sc Scenario, seed int64, run int, emit func(Sa
 			return nil, phaseErr
 		}
 		// Rebuild barrier: bring every flow source's routing table up to
-		// date before measuring, fanning the SPF work across the worker
-		// budget. The tables measure and the data plane then read are
-		// cache hits; results are bit-identical at every worker count.
+		// date before measuring, fanning the table computations across the
+		// worker budget. The tables measure and the data plane then read
+		// are cache hits; results are bit-identical at every worker count.
 		if _, err := nw.RebuildRoutes(sources, sc.Workers); err != nil {
 			return nil, fmt.Errorf("scenario %s: route rebuild at %v: %w", sc.Name, t, err)
 		}
@@ -238,9 +238,7 @@ func Execute(ctx context.Context, sc Scenario, seed int64, run int, emit func(Sa
 			return nil, fmt.Errorf("scenario %s: sample at %v: %w", sc.Name, t, err)
 		}
 		reb := nw.RebuildTotals()
-		s.TopoBuilds = int(reb.TopoBuilds - prevReb.TopoBuilds)
 		s.SPFFull = int(reb.SPFFull - prevReb.SPFFull)
-		s.SPFIncremental = int(reb.SPFIncremental - prevReb.SPFIncremental)
 		if refr, chg := reb.AdvRefresh-prevReb.AdvRefresh, reb.AdvChange-prevReb.AdvChange; refr+chg > 0 {
 			s.SharedAdvRate = float64(refr) / float64(refr+chg)
 		}

@@ -73,12 +73,9 @@ type Sample struct {
 	// Rebuild-observability fields: routing-compute activity across all
 	// nodes in the window ending at Time (see olsr.RebuildStats).
 
-	// TopoBuilds counts topology-graph materialisations in the window.
-	TopoBuilds int
-	// SPFFull and SPFIncremental split the window's shortest-path
-	// recomputations into full Dijkstra runs and incremental repairs.
-	SPFFull        int
-	SPFIncremental int
+	// SPFFull counts the routing tables computed in the window, one full
+	// shortest-path solve each.
+	SPFFull int
 	// SharedAdvRate is the fraction of ingested advertisements in the
 	// window that left the stored set untouched (the shared-epoch hit
 	// rate; 0 when the window ingested nothing).
@@ -133,8 +130,7 @@ type RunResult struct {
 	// Rebuilds counts mobility topology refreshes (0 when static).
 	Rebuilds int
 	// Rebuild is the run's final routing-compute totals summed across
-	// nodes: advertisement interning hits, topology builds, and the
-	// full/incremental SPF split.
+	// nodes: advertisement interning hits and the routing tables computed.
 	Rebuild olsr.RebuildStats
 	// Metrics is the run's end-of-run observability-registry snapshot.
 	// Empty unless the scenario sets Obs.Metrics.

@@ -9,7 +9,7 @@ import (
 
 // The rebuild barrier's worker budget must never reach the results: a
 // churn-heavy run on the lossy medium — link-failure waves, loss draws,
-// soft-state expiry, incremental SPF repairs — must encode to the same
+// soft-state expiry, routing-table rebuilds — must encode to the same
 // JSON document byte for byte whether the per-sample route rebuilds run
 // serially or fanned across eight goroutines.
 func TestWorkersDeterminism(t *testing.T) {

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"qolsr/internal/obs"
-	"qolsr/internal/olsr"
 )
 
 // mediumStats is the optional accounting surface the built-in media expose;
@@ -61,24 +60,17 @@ func (nw *Network) Instrument(reg *obs.Registry) {
 	reg.CounterFunc("qolsr_olsr_adv_builds_total", "advertised-set builds by kind", func() uint64 { return nw.RebuildTotals().AdvRefresh }, obs.Label{Key: "kind", Value: "refresh"})
 	reg.CounterFunc("qolsr_olsr_adv_builds_total", "advertised-set builds by kind", func() uint64 { return nw.RebuildTotals().AdvChange }, obs.Label{Key: "kind", Value: "change"})
 	reg.CounterFunc("qolsr_olsr_adv_shared_total", "advertised-set builds served from the shared-topology intern table", func() uint64 { return nw.RebuildTotals().AdvShared })
-	reg.CounterFunc("qolsr_olsr_topo_builds_total", "reference routing-table builds of the cross-check test mode (0 outside it)", func() uint64 { return nw.RebuildTotals().TopoBuilds })
 	reg.CounterFunc("qolsr_olsr_selections_total", "MPR/ANS selection runs on a rebuilt local view", func() uint64 { return nw.RebuildTotals().Selections })
-	reg.CounterFunc("qolsr_olsr_spf_total", "shortest-path recomputations by kind", func() uint64 { return nw.RebuildTotals().SPFFull }, obs.Label{Key: "kind", Value: "full"})
-	reg.CounterFunc("qolsr_olsr_spf_total", "shortest-path recomputations by kind", func() uint64 { return nw.RebuildTotals().SPFIncremental }, obs.Label{Key: "kind", Value: "incremental"})
+	reg.CounterFunc("qolsr_olsr_spf_total", "routing tables computed, one full shortest-path solve each", func() uint64 { return nw.RebuildTotals().SPFFull }, obs.Label{Key: "kind", Value: "full"})
 	reg.CounterFunc("qolsr_olsr_dup_hits_total", "duplicate-window hits inside the protocol nodes", func() uint64 { return nw.RebuildTotals().DupHits })
 	reg.CounterFunc("qolsr_olsr_delta_resyncs_total", "delta-TC chain breaks forcing a full-TC resync", func() uint64 { return nw.RebuildTotals().DeltaResyncs })
 	reg.GaugeFunc("qolsr_olsr_intern_hit_rate", "shared-topology intern hit rate", func() float64 { return nw.RebuildTotals().EpochHitRate() })
 
-	stateSum := func(field func(olsr.StateSize) int) func() float64 {
-		return func() float64 {
-			sum := 0
-			for _, nd := range nw.Nodes {
-				sum += field(nd.StateSize())
-			}
-			return float64(sum)
+	reg.GaugeFunc("qolsr_olsr_topology_rows", "TC-learned topology rows held, summed over nodes", func() float64 {
+		rows := 0
+		for _, nd := range nw.Nodes {
+			rows += nd.StateSize().TopologyRows
 		}
-	}
-	reg.GaugeFunc("qolsr_olsr_topology_rows", "TC-learned topology rows held, summed over nodes", stateSum(func(s olsr.StateSize) int { return s.TopologyRows }))
-	reg.GaugeFunc("qolsr_olsr_dirty_pairs", "pending dirty pairs, summed over nodes", stateSum(func(s olsr.StateSize) int { return s.DirtyPairs }))
-	reg.GaugeFunc("qolsr_olsr_route_graph_nodes", "nodes of the held routing graphs, summed over nodes", stateSum(func(s olsr.StateSize) int { return s.RouteGraphNodes }))
+		return float64(rows)
+	})
 }

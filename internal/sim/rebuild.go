@@ -17,9 +17,10 @@ import (
 // since the field's TC-learned topology lives in one shared origin-major
 // store (olsr.NewNodes): Node.RoutesDirty and Node.Routes read the store's
 // slot table and read or clear only the calling member's own rows — expiry
-// zeroes a stale row in place — and nothing else shared; whatever the store
-// keeps per slot (block allocation, slot reclaim) is written in handler
-// context only, which never overlaps the barrier. The interned advertisement
+// zeroes a stale row in place — and share nothing else but the store's
+// locked pool their working buffers come from; whatever the store keeps per
+// slot (block allocation, slot reclaim) is written in handler context only,
+// which never overlaps the barrier. The interned advertisement
 // blocks other nodes share are read-only by contract. The result is
 // byte-identical at every worker count: each node's table is a pure function
 // of that node's state, workers only decide which goroutine performs the
@@ -28,12 +29,13 @@ import (
 
 // RebuildRoutes brings the routing tables of the given nodes (graph
 // indices; nil means every node) up to date as of the current virtual time,
-// fanning the per-node SPF work through par.For on min(workers, nodes)
-// goroutines (workers <= 0 means GOMAXPROCS; with one worker the nodes are
-// rebuilt inline, in order, on the caller's goroutine). It returns the
-// number of nodes whose table was actually rebuilt (the rest were served
-// from cache) and the error of the first failing node in node order, if
-// any; a failure stops the nodes not yet started.
+// fanning the per-node table computations through par.For on
+// min(workers, nodes) goroutines (workers <= 0 means GOMAXPROCS; with one
+// worker the nodes are rebuilt inline, in order, on the caller's
+// goroutine). It returns the number of nodes whose table was actually
+// rebuilt (the rest were served from cache) and the error of the first
+// failing node in node order, if any; a failure stops the nodes not yet
+// started.
 //
 // Call it only between engine runs — never from inside a firing event.
 func (nw *Network) RebuildRoutes(idxs []int32, workers int) (rebuilt int, err error) {
@@ -69,10 +71,8 @@ func (nw *Network) RebuildTotals() olsr.RebuildStats {
 		t.AdvRefresh += s.AdvRefresh
 		t.AdvShared += s.AdvShared
 		t.AdvChange += s.AdvChange
-		t.TopoBuilds += s.TopoBuilds
 		t.Selections += s.Selections
 		t.SPFFull += s.SPFFull
-		t.SPFIncremental += s.SPFIncremental
 		t.DupHits += s.DupHits
 		t.DeltaResyncs += s.DeltaResyncs
 	}

@@ -165,6 +165,7 @@ func handDriven(t *testing.T) *Network {
 // equal the serial barrier's node for node.
 func TestRebuildRoutesExpiringAtBarrier(t *testing.T) {
 	serial, parallel := handDriven(t), handDriven(t)
+	before := parallel.RebuildTotals()
 	rowsBefore := 0
 	for _, nd := range parallel.Nodes {
 		rowsBefore += nd.StateSize().TopologyRows
@@ -198,7 +199,7 @@ func TestRebuildRoutesExpiringAtBarrier(t *testing.T) {
 	if serial.RebuildTotals() != parallel.RebuildTotals() {
 		t.Fatalf("rebuild totals diverge: %+v vs %+v", serial.RebuildTotals(), parallel.RebuildTotals())
 	}
-	if s := parallel.RebuildTotals(); s.SPFIncremental == 0 {
-		t.Fatalf("no table was repaired incrementally: %+v", s)
+	if s := parallel.RebuildTotals(); s.SPFFull != before.SPFFull+uint64(n8) {
+		t.Fatalf("%d tables rebuilt at the barrier, but SPFFull went from %d to %d", n8, before.SPFFull, s.SPFFull)
 	}
 }

@@ -41,7 +41,7 @@ func TestSteadyStateIsFlat(t *testing.T) {
 		s := sizes{gauges: map[string]float64{}}
 		for _, m := range reg.Snapshot().Metrics {
 			switch m.Name {
-			case "qolsr_olsr_topology_rows", "qolsr_olsr_dirty_pairs", "qolsr_olsr_route_graph_nodes":
+			case "qolsr_olsr_topology_rows":
 				s.gauges[m.Name] = m.Value
 			}
 		}
@@ -57,10 +57,10 @@ func TestSteadyStateIsFlat(t *testing.T) {
 	early, late := measure(2*hold), measure(10*hold)
 	runtime.KeepAlive(nw) // the second heap reading must still see the field
 
-	if len(early.gauges) != 3 {
+	if len(early.gauges) != 1 {
 		t.Fatalf("state collectors missing from the registry: %v", early.gauges)
 	}
-	if early.gauges["qolsr_olsr_topology_rows"] == 0 || early.gauges["qolsr_olsr_route_graph_nodes"] == 0 {
+	if early.gauges["qolsr_olsr_topology_rows"] == 0 {
 		t.Fatalf("nothing held at 2x hold: %v", early.gauges)
 	}
 	for name, v := range early.gauges {

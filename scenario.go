@@ -9,7 +9,7 @@ package qolsr
 //	res, err := qolsr.RunScenario(ctx, sc, qolsr.WithRuns(5), qolsr.WithSeed(1))
 //	...
 //	res.WriteTable(os.Stdout)
-//	res.EncodeJSON(os.Stdout)   // machine-readable ("qolsr-scenario/v1")
+//	res.EncodeJSON(os.Stdout)   // machine-readable ("qolsr-scenario/v2")
 //
 // For incremental consumption, StreamScenario delivers every measurement as
 // it is taken while replicate runs execute in parallel:
@@ -78,7 +78,7 @@ type (
 	// ScenarioReconvergence reports recovery from one disruptive phase.
 	ScenarioReconvergence = scenario.Reconvergence
 	// ScenarioResult is a completed scenario execution with table/CSV/JSON
-	// encoders (schema "qolsr-scenario/v1").
+	// encoders (schema "qolsr-scenario/v2").
 	ScenarioResult = scenario.Result
 	// ScenarioAggregate accumulates one sample time across runs.
 	ScenarioAggregate = scenario.AggregateSample

@@ -50,7 +50,7 @@ func TestRunScenarioRoot(t *testing.T) {
 	if err := res.EncodeJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(buf.String(), `"schema": "qolsr-scenario/v1"`) {
+	if !strings.Contains(buf.String(), `"schema": "qolsr-scenario/v2"`) {
 		t.Error("JSON missing schema marker")
 	}
 	buf.Reset()
