@@ -88,10 +88,10 @@
 //
 // Every transmission crosses a pluggable Medium that decides who receives
 // each frame and after how long. The default ideal MAC is the paper's model
-// (fixed propagation delay, no loss); the lossy medium adds per-link
+// (1 ms propagation delay per hop, no loss); the lossy medium adds per-link
 // packet-error rates (base, distance-dependent and per-link components), a
-// per-node transmit queue whose serialization delay derives from the link's
-// bandwidth weight, and bounded jitter — every draw keyed per
+// per-node transmit queue serializing at 1 Mbit/s per unit of the link's
+// bandwidth weight, and uniform jitter below 200 µs — every draw keyed per
 // (seed, src, dst, frame-seq) through splitmix64, so lossy simulations are
 // reproducible at any worker count. On a lossy radio the protocol can
 // measure its links instead of trusting the oracle:
@@ -252,7 +252,8 @@
 //
 // Three opt-in optimisations make control overhead sublinear in density at
 // equal delivery, all off by default and independently toggled through
-// olsr.Config (scenario.Protocol and the sweeps thread them). Delta-encoded
+// olsr.Config (the O1 and S1 sweeps thread them; scenarios run the classic
+// plane). Delta-encoded
 // TCs (Config.DeltaTC) anchor a chain of incremental TC-DELTA messages —
 // each carrying only the links added, reweighted or removed since the last
 // advertisement — on a periodically refreshed full TC; a receiver applies a

@@ -24,7 +24,8 @@ func main() {
 // watchETXConverge builds a two-node network on a 25%-loss radio with
 // measured QoS and prints the link-quality estimate as the HELLO stream
 // probes the link. The expected steady state: delivery ratio ~0.75 per
-// direction, ETX ~ 1/0.75² ~ 1.78 under the additive delay metric.
+// direction, ETX ~ 1/0.75² ~ 1.78 under the additive delay metric, each
+// estimate averaged over the last 16 HELLO intervals.
 func watchETXConverge() {
 	const loss = 0.25
 	g := qolsr.NewGraph(2)
@@ -39,7 +40,6 @@ func watchETXConverge() {
 	cfg.HelloInterval = time.Second
 	cfg.NeighborHoldTime = 8 * time.Second
 	cfg.LinkSensing = qolsr.SenseDelivery
-	cfg.LQWindow = 32
 	nw, err := qolsr.NewNetwork(g, cfg, qolsr.NetworkOptions{
 		Seed:   1,
 		Medium: qolsr.MediumLossy(qolsr.MediumLossyConfig{Loss: loss, Seed: 7}),

@@ -16,8 +16,9 @@ import (
 )
 
 // ControlSweepOptions configures the A4 experiment: the live protocol stack
-// is run per selector and the control-traffic cost of the advertised sets is
-// measured on the wire, connecting Figs. 6-7 (set sizes) to actual TC bytes.
+// is run per selector under the bandwidth metric and the control-traffic
+// cost of the advertised sets is measured on the wire, connecting Figs. 6-7
+// (set sizes) to actual TC bytes.
 type ControlSweepOptions struct {
 	// Degrees is the density axis (default {5, 10, 15, 20}).
 	Degrees []float64
@@ -30,8 +31,6 @@ type ControlSweepOptions struct {
 	// Field is the deployment area (default 600×600 to keep the stack
 	// simulation affordable).
 	Field geom.Field
-	// Metric drives selection (default bandwidth).
-	Metric metric.Metric
 }
 
 // ControlPoint is one (density, selector) measurement.
@@ -80,9 +79,6 @@ func RunControlSweep(ctx context.Context, opts ControlSweepOptions, workers int)
 		opts.Degrees = []float64{5, 10, 15, 20}
 	}
 	liveDefaults(&opts.Runs, &opts.SimTime, &opts.Seed, &opts.Field, 3, 60*time.Second)
-	if opts.Metric == nil {
-		opts.Metric = metric.Bandwidth()
-	}
 
 	selectors := controlSelectors()
 	res := &ControlSweepResult{Options: opts}
@@ -96,11 +92,11 @@ func RunControlSweep(ctx context.Context, opts ControlSweepOptions, workers int)
 			return &ControlPoint{Degree: opts.Degrees[pt], Selector: res.Selectors[col]}
 		},
 		field: func(pt, run int) (liveField, error) {
-			return deployField(opts.Seed, opts.Field, opts.Degrees[pt], run, opts.Metric.Name())
+			return deployField(opts.Seed, opts.Field, opts.Degrees[pt], run)
 		},
 		cell: func(f liveField, pt, run, col int) (func(*ControlPoint), error) {
 			deg := opts.Degrees[pt]
-			cfg := olsr.DefaultConfig(opts.Metric)
+			cfg := olsr.DefaultConfig(metric.Bandwidth())
 			cfg.Selector = selectors[col]
 			// Chain the mix once more for the protocol jitter so the
 			// simulation stream is independent of the field stream.

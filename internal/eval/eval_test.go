@@ -271,7 +271,6 @@ func TestControlSweep(t *testing.T) {
 		SimTime: 15 * 1e9, // 15s virtual
 		Seed:    3,
 		Field:   geom.Field{Width: 300, Height: 300},
-		Metric:  metric.Bandwidth(),
 	}, 1)
 	if err != nil {
 		t.Fatal(err)

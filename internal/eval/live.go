@@ -57,11 +57,12 @@ type liveField struct {
 const liveRadius = 100
 
 // deployField draws the run's Poisson field at the given degree, weighted
-// on one channel.
-func deployField(seed int64, field geom.Field, degree float64, run int, channel string) (liveField, error) {
+// on the bandwidth channel — the metric every live-stack sweep's QoS
+// selection runs under.
+func deployField(seed int64, field geom.Field, degree float64, run int) (liveField, error) {
 	fieldSeed := RunSeed(seed, degree, run)
 	dep := geom.Deployment{Field: field, Radius: liveRadius, Degree: degree}
-	g, err := netgen.Build(dep, channel, metric.DefaultInterval(), rand.New(rand.NewSource(fieldSeed)))
+	g, err := netgen.Build(dep, "bandwidth", metric.DefaultInterval(), rand.New(rand.NewSource(fieldSeed)))
 	return liveField{seed: fieldSeed, g: g}, err
 }
 

@@ -27,20 +27,14 @@ import (
 // load: high delivery means little if it was bought by violating what
 // admission promised.
 
-// LoadSweepOptions configures the A8 experiment.
+// LoadSweepOptions configures the A8 experiment. Every flow carries a 60 ms
+// delay ceiling over a medium losing 2% of its frames.
 type LoadSweepOptions struct {
-	// Loads is the per-flow offered-load axis, as multipliers of
-	// BaseRateBps (default 0.5, 1, 2, 4).
+	// Loads is the per-flow offered-load axis, as multipliers of 16 kB/s
+	// (default 0.5, 1, 2, 4, 8).
 	Loads []float64
-	// BaseRateBps is the per-flow offered load at multiplier 1 (default
-	// 16384 — 16 kB/s per flow).
-	BaseRateBps float64
 	// Flows is the number of concurrent CBR flows (default 16).
 	Flows int
-	// MaxDelay is the flows' end-to-end delay ceiling (default 60ms).
-	MaxDelay time.Duration
-	// Loss is the lossy medium's base packet-error rate (default 0.02).
-	Loss float64
 	// Runs is the number of independent fields per load point (default 3).
 	Runs int
 	// SimTime is the traffic duration per run, after a convergence
@@ -54,8 +48,15 @@ type LoadSweepOptions struct {
 	Degree float64
 }
 
-// loadWarmup is the protocol convergence time before flows start.
-const loadWarmup = 25 * time.Second
+// The A8 constants: protocol convergence time before flows start, the
+// per-flow offered load at multiplier 1 (16 kB/s), the flows' end-to-end
+// delay ceiling, and the lossy medium's base packet-error rate.
+const (
+	loadWarmup      = 25 * time.Second
+	loadBaseRateBps = 16384
+	loadMaxDelay    = 60 * time.Millisecond
+	loadLoss        = 0.02
+)
 
 // LoadSelections returns the compared selection policies in column order:
 // the paper's QoS-based selection and hop-count selection.
@@ -113,10 +114,7 @@ func RunLoadSweep(ctx context.Context, opts LoadSweepOptions, workers int) (*Loa
 		opts.Loads = []float64{0.5, 1, 2, 4, 8}
 	}
 	liveDefaults(&opts.Runs, &opts.SimTime, &opts.Seed, &opts.Field, 3, 30*time.Second)
-	defaultTo(&opts.BaseRateBps, 16384)
 	defaultTo(&opts.Flows, 16)
-	defaultTo(&opts.MaxDelay, 60*time.Millisecond)
-	defaultTo(&opts.Loss, 0.02)
 	defaultTo(&opts.Degree, 10)
 
 	cols := loadColumns()
@@ -133,7 +131,7 @@ func RunLoadSweep(ctx context.Context, opts LoadSweepOptions, workers int) (*Loa
 		// One field and one flow set per (load-axis, run), shared by every
 		// column so the comparison is paired.
 		field: func(_, run int) (liveField, error) {
-			f, err := deployField(opts.Seed, opts.Field, opts.Degree, run, "bandwidth")
+			f, err := deployField(opts.Seed, opts.Field, opts.Degree, run)
 			if err != nil {
 				return f, err
 			}
@@ -171,7 +169,7 @@ func runLoadCell(f liveField, load float64, selection, mode string, li int, opts
 		cfg.LinkSensing = olsr.SenseDelivery
 	}
 	medium := sim.NewLossyMedium(sim.LossyConfig{
-		Loss: opts.Loss,
+		Loss: loadLoss,
 		Seed: int64(rng.Mix(uint64(f.seed), uint64(li), 0x4D)),
 	})
 	nw, err := sim.NewNetwork(f.g, cfg, sim.NetworkOptions{
@@ -191,10 +189,10 @@ func runLoadCell(f liveField, load float64, selection, mode string, li int, opts
 			Class:       traffic.ClassCBR,
 			Src:         pr[0],
 			Dst:         pr[1],
-			RateBps:     opts.BaseRateBps * load,
+			RateBps:     loadBaseRateBps * load,
 			PacketBytes: traffic.DefaultPacketBytes,
 			Start:       loadWarmup,
-			Req:         traffic.Requirements{MaxDelay: opts.MaxDelay},
+			Req:         traffic.Requirements{MaxDelay: loadMaxDelay},
 		}); err != nil {
 			return nil, err
 		}
@@ -225,7 +223,7 @@ func runLoadCell(f liveField, load float64, selection, mode string, li int, opts
 // column group per selection/mode.
 func (r *LoadSweepResult) WriteTable(w io.Writer) error {
 	title := fmt.Sprintf("A8 — QoS satisfaction vs offered load (%d flows, %v ceiling, loss %g, %d runs/point, %v traffic)",
-		r.Options.Flows, r.Options.MaxDelay, r.Options.Loss, r.Options.Runs, r.Options.SimTime)
+		r.Options.Flows, loadMaxDelay, loadLoss, r.Options.Runs, r.Options.SimTime)
 	return writeGrid(w, title, "load", axisLabels(r.Options.Loads), r.Columns, r.Points, []column[*LoadPoint]{
 		{"_viol", "%.3f", func(p *LoadPoint) float64 { return p.Violation.Mean() }},
 		{"_dlv", "%.3f", func(p *LoadPoint) float64 { return p.Delivery.Mean() }},

@@ -22,7 +22,8 @@ import (
 // friends) claims measured metrics earn their keep exactly when the radio
 // is lossy.
 
-// LossSweepOptions configures the A7 experiment.
+// LossSweepOptions configures the A7 experiment. Selection and routing run
+// under the bandwidth metric.
 type LossSweepOptions struct {
 	// Losses is the base packet-error-rate axis (default 0, 0.1 .. 0.4).
 	Losses []float64
@@ -36,8 +37,6 @@ type LossSweepOptions struct {
 	Field geom.Field
 	// Degree is the deployment target mean degree (default 10).
 	Degree float64
-	// Metric drives selection and routing (default bandwidth).
-	Metric metric.Metric
 }
 
 // LossModes are the compared link-sensing modes.
@@ -76,9 +75,6 @@ func RunLossSweep(ctx context.Context, opts LossSweepOptions, workers int) (*Los
 	}
 	liveDefaults(&opts.Runs, &opts.SimTime, &opts.Seed, &opts.Field, 3, 60*time.Second)
 	defaultTo(&opts.Degree, 10)
-	if opts.Metric == nil {
-		opts.Metric = metric.Bandwidth()
-	}
 
 	modes := LossModes()
 	points, err := liveSweep[*LossPoint]{
@@ -90,10 +86,10 @@ func RunLossSweep(ctx context.Context, opts LossSweepOptions, workers int) (*Los
 		// One field per (loss, run), shared by both modes so the
 		// comparison is paired.
 		field: func(_, run int) (liveField, error) {
-			return deployField(opts.Seed, opts.Field, opts.Degree, run, opts.Metric.Name())
+			return deployField(opts.Seed, opts.Field, opts.Degree, run)
 		},
 		cell: func(f liveField, pt, run, col int) (func(*LossPoint), error) {
-			cfg := olsr.DefaultConfig(opts.Metric)
+			cfg := olsr.DefaultConfig(metric.Bandwidth())
 			if modes[col] == "measured" {
 				cfg.LinkSensing = olsr.SenseDelivery
 			}

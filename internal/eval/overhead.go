@@ -28,7 +28,8 @@ import (
 // under test: the optimised plane's control bytes grow sublinearly where
 // the baseline's grow superlinearly, at equal delivery.
 
-// OverheadSweepOptions configures the O1 experiment.
+// OverheadSweepOptions configures the O1 experiment. Selection runs under
+// the bandwidth metric.
 type OverheadSweepOptions struct {
 	// Degrees is the density axis (default {5, 10, 15, 20, 30} — past the
 	// paper's 5-20 range, where flooding cost takes over).
@@ -42,8 +43,6 @@ type OverheadSweepOptions struct {
 	// Field is the deployment area (default 600×600, shared with the A4
 	// control sweep).
 	Field geom.Field
-	// Metric drives selection (default bandwidth).
-	Metric metric.Metric
 }
 
 // overheadVariants names the compared control planes in column order.
@@ -55,8 +54,8 @@ func overheadVariants() []string {
 // the paper's original QOLSR — MPR-2 drives both the advertised set and the
 // flooding relays — so each optimisation is measured against the control
 // plane whose density scaling motivates it.
-func overheadConfig(variant string, m metric.Metric) olsr.Config {
-	cfg := olsr.DefaultConfig(m)
+func overheadConfig(variant string) olsr.Config {
+	cfg := olsr.DefaultConfig(metric.Bandwidth())
 	cfg.Selector = core.QOLSRAdapter{Heuristic: mpr.QOLSR2}
 	cfg.MPRHeuristic = mpr.QOLSR2
 	switch variant {
@@ -114,9 +113,6 @@ func RunOverheadSweep(ctx context.Context, opts OverheadSweepOptions, workers in
 		opts.Degrees = []float64{5, 10, 15, 20, 30}
 	}
 	liveDefaults(&opts.Runs, &opts.SimTime, &opts.Seed, &opts.Field, 3, 60*time.Second)
-	if opts.Metric == nil {
-		opts.Metric = metric.Bandwidth()
-	}
 
 	variants := overheadVariants()
 	points, err := liveSweep[*OverheadPoint]{
@@ -126,12 +122,12 @@ func RunOverheadSweep(ctx context.Context, opts OverheadSweepOptions, workers in
 			return &OverheadPoint{Degree: opts.Degrees[pt], Variant: variants[col]}
 		},
 		field: func(pt, run int) (liveField, error) {
-			return deployField(opts.Seed, opts.Field, opts.Degrees[pt], run, opts.Metric.Name())
+			return deployField(opts.Seed, opts.Field, opts.Degrees[pt], run)
 		},
 		cell: func(f liveField, pt, run, col int) (func(*OverheadPoint), error) {
 			// Every variant sees the same field and the same jitter seed:
 			// the only degree of freedom is the control plane.
-			nw, err := sim.NewNetwork(f.g, overheadConfig(variants[col], opts.Metric),
+			nw, err := sim.NewNetwork(f.g, overheadConfig(variants[col]),
 				sim.NetworkOptions{Seed: RunSeed(f.seed, opts.Degrees[pt], run)})
 			if err != nil {
 				return nil, err

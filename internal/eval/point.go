@@ -28,9 +28,6 @@ type Scenario struct {
 	// which is what makes all protocols see identical topologies and
 	// pairs while keeping streams independent across runs and densities.
 	Seed int64
-	// PairTries bounds source resampling when hunting for a connected
-	// pair (default 64).
-	PairTries int
 	// Workers bounds run-level parallelism: the runs go through par.For
 	// on min(Workers, Runs) goroutines, or inline on the caller's when
 	// that is one (default GOMAXPROCS).
@@ -105,13 +102,9 @@ func RunPoint(ctx context.Context, sc Scenario, protocols []ProtocolSpec) (*Poin
 	if err := sc.WeightInterval.Validate(); err != nil {
 		return nil, err
 	}
-	pairTries := sc.PairTries
-	if pairTries <= 0 {
-		pairTries = 64
-	}
 	samples := make([]runSample, sc.Runs)
 	if err := par.For(ctx, sc.Runs, sc.Workers, func(_ context.Context, run int) error {
-		samples[run] = evalRun(sc, protocols, run, pairTries)
+		samples[run] = evalRun(sc, protocols, run)
 		if err := samples[run].err; err != nil {
 			return fmt.Errorf("eval: run %d: %w", run, err)
 		}
@@ -145,7 +138,10 @@ func RunPoint(ctx context.Context, sc Scenario, protocols []ProtocolSpec) (*Poin
 	return res, nil
 }
 
-func evalRun(sc Scenario, protocols []ProtocolSpec, run, pairTries int) runSample {
+// pairTries bounds source resampling when hunting for a connected pair.
+const pairTries = 64
+
+func evalRun(sc Scenario, protocols []ProtocolSpec, run int) runSample {
 	s := runSample{
 		setSize:  make([]stats.Accumulator, len(protocols)),
 		overhead: make([]stats.Accumulator, len(protocols)),

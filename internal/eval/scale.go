@@ -34,7 +34,7 @@ type ScaleSweepOptions struct {
 	// Nodes is the node-count axis (default: the standard axis {50, 100,
 	// 250, 500, 1000, 2500, 5000, 10000} cut at MaxNodes). Each point
 	// deploys exactly that many nodes — the field is sized for constant
-	// density, so ~Degree mean degree at every N.
+	// density, so ~10 mean degree at every N.
 	Nodes []int
 	// MaxNodes caps the default axis (default 1000; ignored when Nodes is
 	// set explicitly). The points past 1000 are where the control-plane
@@ -48,14 +48,10 @@ type ScaleSweepOptions struct {
 	// delta-encoded TCs, the default fish-eye schedule, and min-cover
 	// flood relays.
 	Optimize bool
-	// Degree is the constant target mean degree (default 10).
-	Degree float64
-	// Flows is the number of concurrent CBR flows at every point (a fixed
-	// offered load, so the axis measures core scaling, not traffic
-	// scaling; default 32).
+	// Flows is the number of concurrent CBR flows at every point, each
+	// offering 16 kB/s (a fixed offered load, so the axis measures core
+	// scaling, not traffic scaling; default 32).
 	Flows int
-	// RateBps is the per-flow offered load (default 16384).
-	RateBps float64
 	// Warmup is the protocol convergence time before flows start
 	// (default 10s).
 	Warmup time.Duration
@@ -74,6 +70,13 @@ type ScaleSweepOptions struct {
 	// Seed derives field, protocol and flow randomness.
 	Seed int64
 }
+
+// The S1 constants: the target mean degree at every node count and the
+// per-flow offered load.
+const (
+	scaleDegree  = 10
+	scaleRateBps = 16384
+)
 
 // ScalePoint is one node-count measurement.
 type ScalePoint struct {
@@ -121,9 +124,7 @@ func RunScaleSweep(ctx context.Context, opts ScaleSweepOptions) (*ScaleSweepResu
 			}
 		}
 	}
-	defaultTo(&opts.Degree, 10)
 	defaultTo(&opts.Flows, 32)
-	defaultTo(&opts.RateBps, 16384)
 	defaultTo(&opts.Warmup, 10*time.Second)
 	defaultTo(&opts.SimTime, 10*time.Second)
 	defaultTo(&opts.Runs, 1)
@@ -156,7 +157,7 @@ func runScalePoint(p *ScalePoint, n, run int, opts ScaleSweepOptions) error {
 	// target density: degree ≈ λπR² with λ = n/area, so side =
 	// R·sqrt(πn/degree). Sampling exactly n (instead of a Poisson draw)
 	// keeps the axis label honest — a 1000-node point has 1000 nodes.
-	side := liveRadius * math.Sqrt(math.Pi*float64(n)/opts.Degree)
+	side := liveRadius * math.Sqrt(math.Pi*float64(n)/scaleDegree)
 	field := geom.Field{Width: side, Height: side}
 	pts := make([]geom.Point, n)
 	for i := range pts {
@@ -196,7 +197,7 @@ func runScalePoint(p *ScalePoint, n, run int, opts ScaleSweepOptions) error {
 			Class:       traffic.ClassCBR,
 			Src:         pr[0],
 			Dst:         pr[1],
-			RateBps:     opts.RateBps,
+			RateBps:     scaleRateBps,
 			PacketBytes: traffic.DefaultPacketBytes,
 			Start:       opts.Warmup,
 		}); err != nil {
@@ -239,8 +240,8 @@ func flowSources(pairs [][2]int32) []int32 {
 
 // WriteTable renders the sweep as an aligned table.
 func (r *ScaleSweepResult) WriteTable(w io.Writer) error {
-	title := fmt.Sprintf("S1 — simulator scaling vs node count (degree %g, %d flows, %v warmup + %v traffic, %d runs/point)",
-		r.Options.Degree, r.Options.Flows, r.Options.Warmup, r.Options.SimTime, r.Options.Runs)
+	title := fmt.Sprintf("S1 — simulator scaling vs node count (degree %d, %d flows, %v warmup + %v traffic, %d runs/point)",
+		scaleDegree, r.Options.Flows, r.Options.Warmup, r.Options.SimTime, r.Options.Runs)
 	rows := make([][]string, len(r.Points))
 	for i, p := range r.Points {
 		rows[i] = []string{

@@ -35,10 +35,9 @@ const (
 	SenseRTT
 )
 
-// DefaultLQWindow is the estimator window when Config.LQWindow is unset: 16
-// HELLO intervals smooth draw noise yet follow a link whose quality changes
-// mid-run.
-const DefaultLQWindow = 16
+// lqWindow is the estimator window, in HELLO intervals: 16 smooth draw noise
+// yet follow a link whose quality changes mid-run.
+const lqWindow = 16
 
 // minLQProduct floors the bidirectional delivery product so the ETX of a
 // terrible-but-alive link stays finite.
@@ -49,7 +48,7 @@ const minLQProduct = 1.0 / 1024
 const maxSaneRTT = 10 * time.Second
 
 // lqEstimator is one neighbor's link estimator. Its ring holds the last
-// LQWindow observations of the neighbor's probe kind, one per HELLO: under
+// lqWindow observations of the neighbor's probe kind, one per HELLO: under
 // SenseDelivery the HELLOs received (1 a hit, 0 a miss), under SenseRTT the
 // smallest round trip, in nanoseconds, of each interval between this node's
 // HELLO emissions.
@@ -194,7 +193,7 @@ func measuredWeight(m metric.Metric, fwd, rev float64) (float64, bool) {
 func (n *Node) estimator(neighbor int64, now time.Duration) *lqEstimator {
 	e := n.lq.get(neighbor)
 	if e == nil {
-		e = n.lq.put(neighbor, newLQEstimator(n.cfg.LQWindow))
+		e = n.lq.put(neighbor, newLQEstimator(lqWindow))
 	}
 	e.expires = now + n.cfg.NeighborHoldTime
 	n.track(e.expires)

@@ -34,9 +34,6 @@ type Config struct {
 	// whose HELLOs carry the LQ block so both link ends converge on the
 	// same weight (see linkquality.go).
 	LinkSensing LinkSensing
-	// LQWindow is the observation window of the measured modes' per-link
-	// estimators, in HELLO intervals (default DefaultLQWindow).
-	LQWindow int
 	// ExternalDupSuppression disables the node's own duplicate-suppression
 	// window for flooded TC-family messages: the embedding host guarantees
 	// each flooded (origin, seq) message is handed to the node at most
@@ -360,9 +357,6 @@ func NewNodes(ids []int64, cfg Config) ([]*Node, error) {
 	}
 	if cfg.TopologyHoldTime <= 0 {
 		cfg.TopologyHoldTime = 3 * cfg.TCInterval
-	}
-	if cfg.LQWindow <= 0 {
-		cfg.LQWindow = DefaultLQWindow
 	}
 	for _, ttl := range cfg.FisheyeTTLs {
 		if ttl < 0 {

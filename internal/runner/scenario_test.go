@@ -168,48 +168,6 @@ func TestLossyScenarioWorkerDeterminism(t *testing.T) {
 	}
 }
 
-// TestOptimizedScenarioWorkerDeterminism is the control-plane fast-path
-// acceptance check: with delta TCs, the fish-eye schedule and min-cover
-// flood relays all enabled, a fixed seed must still yield bit-identical
-// encoded output for any worker budget — delta chains, TTL scoping and the
-// second relay set introduce no shared mutable state across runs.
-func TestOptimizedScenarioWorkerDeterminism(t *testing.T) {
-	sc := testScenario()
-	sc.Name = "runner-ladder-optimized"
-	sc.Protocol.DeltaTC = true
-	sc.Protocol.FisheyeTTLs = []int{2, 0}
-	sc.Protocol.MinRelay = true
-
-	encode := func(workers int) ([]byte, []byte) {
-		res, err := RunScenario(context.Background(), sc,
-			Options{Workers: workers, Runs: 4, Seed: 11})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var j, c bytes.Buffer
-		if err := res.EncodeJSON(&j); err != nil {
-			t.Fatal(err)
-		}
-		if err := res.EncodeCSV(&c); err != nil {
-			t.Fatal(err)
-		}
-		return j.Bytes(), c.Bytes()
-	}
-	j1, c1 := encode(1)
-	j8, c8 := encode(8)
-	if !bytes.Equal(j1, j8) {
-		t.Error("optimized-plane JSON differs between Workers=1 and Workers=8")
-	}
-	if !bytes.Equal(c1, c8) {
-		t.Error("optimized-plane CSV differs between Workers=1 and Workers=8")
-	}
-	// The optimized plane must still deliver: the run carries TC traffic
-	// and the final samples report full probe delivery on the ladder.
-	if !bytes.Contains(j1, []byte("\"tc_forwarded_bytes\"")) {
-		t.Error("encoded run carries no TC byte split")
-	}
-}
-
 func TestStreamScenarioEvents(t *testing.T) {
 	sc := testScenario()
 	events, wait := StreamScenario(context.Background(), sc, Options{Runs: 2, Seed: 1})

@@ -36,7 +36,6 @@ func waypoint(minSpeed, maxSpeed float64) *Mobility {
 			MaxSpeed: maxSpeed,
 			Pause:    2 * time.Second,
 		},
-		RebuildEvery: time.Second,
 	}
 }
 

@@ -43,23 +43,21 @@ type jsonPhase struct {
 }
 
 type jsonScenario struct {
-	Name        string      `json:"name"`
-	Description string      `json:"description,omitempty"`
-	Selector    string      `json:"selector"`
-	Metric      string      `json:"metric"`
-	Medium      string      `json:"medium"`
-	Loss        float64     `json:"loss,omitempty"`
-	MeasuredQoS bool        `json:"measured_qos,omitempty"`
-	DeltaTC     bool        `json:"delta_tc,omitempty"`
-	FisheyeTTLs []int       `json:"fisheye_ttls,omitempty"`
-	MinRelay    bool        `json:"min_relay,omitempty"`
-	DurationS   float64     `json:"duration_s"`
-	WarmupS     float64     `json:"warmup_s"`
-	SampleS     float64     `json:"sample_every_s"`
-	Flows       int         `json:"flows"`
-	Mix         []jsonSpec  `json:"traffic_mix,omitempty"`
-	Mobility    bool        `json:"mobility"`
-	Phases      []jsonPhase `json:"phases,omitempty"`
+	Name         string      `json:"name"`
+	Description  string      `json:"description,omitempty"`
+	Selector     string      `json:"selector"`
+	Metric       string      `json:"metric"`
+	Medium       string      `json:"medium"`
+	Loss         float64     `json:"loss,omitempty"`
+	DistanceLoss float64     `json:"distance_loss,omitempty"`
+	MeasuredQoS  bool        `json:"measured_qos,omitempty"`
+	DurationS    float64     `json:"duration_s"`
+	WarmupS      float64     `json:"warmup_s"`
+	SampleS      float64     `json:"sample_every_s"`
+	Flows        int         `json:"flows"`
+	Mix          []jsonSpec  `json:"traffic_mix,omitempty"`
+	Mobility     bool        `json:"mobility"`
+	Phases       []jsonPhase `json:"phases,omitempty"`
 }
 
 // jsonSpec is one traffic-mix entry.
@@ -308,18 +306,19 @@ func (r *Result) EncodeJSON(w io.Writer) error {
 	doc := jsonDoc{
 		Schema: SchemaVersion,
 		Scenario: jsonScenario{
-			Name:        sc.Name,
-			Description: sc.Description,
-			Selector:    sc.Protocol.Selector,
-			Metric:      sc.Protocol.Metric.Name(),
-			Medium:      sc.Medium.Kind,
-			Loss:        r6(sc.Medium.Loss),
-			MeasuredQoS: sc.Protocol.MeasuredQoS,
-			DurationS:   secs(sc.Duration),
-			WarmupS:     secs(sc.Warmup),
-			SampleS:     secs(sc.SampleEvery),
-			Flows:       sc.Traffic.Flows,
-			Mobility:    sc.Mobility != nil,
+			Name:         sc.Name,
+			Description:  sc.Description,
+			Selector:     sc.Protocol.Selector,
+			Metric:       "bandwidth", // the metric every scenario runs (protocolConfig)
+			Medium:       sc.Medium.Kind,
+			Loss:         r6(sc.Medium.Loss),
+			DistanceLoss: r6(sc.Medium.DistanceLoss),
+			MeasuredQoS:  sc.Protocol.MeasuredQoS,
+			DurationS:    secs(sc.Duration),
+			WarmupS:      secs(sc.Warmup),
+			SampleS:      secs(sc.SampleEvery),
+			Flows:        sc.Traffic.Flows,
+			Mobility:     sc.Mobility != nil,
 		},
 		Seed: r.Seed,
 		Runs: len(r.Runs),

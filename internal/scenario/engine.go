@@ -12,18 +12,12 @@ import (
 	"qolsr/internal/geom"
 	"qolsr/internal/graph"
 	"qolsr/internal/metric"
-	"qolsr/internal/mpr"
 	"qolsr/internal/obs"
 	"qolsr/internal/olsr"
 	"qolsr/internal/route"
 	"qolsr/internal/sim"
 	"qolsr/internal/traffic"
 )
-
-// propDelay is the per-hop radio delay scenarios run with; the probe drain
-// window is derived from it, so the engine pins it rather than inheriting
-// the simulator default.
-const propDelay = time.Millisecond
 
 // flow is one persistent probe (source, destination) pair.
 type flow struct{ src, dst int32 }
@@ -74,9 +68,8 @@ func Execute(ctx context.Context, sc Scenario, seed int64, run int, emit func(Sa
 		return nil, err
 	}
 	netOpts := sim.NetworkOptions{
-		PropDelay: propDelay,
-		Seed:      deriveSeed(seed, "protocol", run),
-		Medium:    medium,
+		Seed:   deriveSeed(seed, "protocol", run),
+		Medium: medium,
 	}
 
 	// Deploy: a mobile population or a static unit-disk network. Both use
@@ -90,7 +83,7 @@ func Execute(ctx context.Context, sc Scenario, seed int64, run int, emit func(Sa
 		model := sc.Mobility.Model
 		model.Field = field
 		ms, err = sim.NewMobileSim(model, pts, radius, cfg, netOpts,
-			sc.Mobility.RebuildEvery, deriveSeed(seed, "mobility", run))
+			rebuildEvery, deriveSeed(seed, "mobility", run))
 		if err != nil {
 			return nil, err
 		}
@@ -515,33 +508,28 @@ func effectiveTopology(nw *sim.Network, channel string) (*graph.Graph, []float64
 
 // probeDrain is how long a probe sample runs the engine so that every probe
 // packet completes: probes traverse at most TTL hops, each within the
-// medium's per-hop latency bound (propDelay exactly on the ideal medium;
-// queueing and jitter widen it on the lossy one).
+// medium's per-hop latency bound (sim.DefaultPropDelay exactly on the ideal
+// medium; queueing and jitter widen it on the lossy one).
 func probeDrain(m sim.Medium) time.Duration {
 	return time.Duration(sim.DefaultDataTTL+2) * m.HopDelayBound()
 }
 
-// buildMedium materialises the radio model for one run. The lossy medium's
+// buildMedium materialises the radio model for one run, returning the lossy
+// handle too when the medium is lossy (nil otherwise). The lossy medium's
 // draw seed derives from (seed, run) like every other stream, so replicate
 // runs see independent loss realisations and stay bit-reproducible at any
 // worker count.
 func buildMedium(spec Medium, seed int64, run int) (sim.Medium, *sim.LossyMedium, error) {
-	switch spec.Kind {
-	case "", "ideal":
-		return sim.NewIdealMedium(propDelay), nil, nil
-	case "lossy":
-		lm := sim.NewLossyMedium(sim.LossyConfig{
-			Loss:         spec.Loss,
-			DistanceLoss: spec.DistanceLoss,
-			BytesPerSec:  spec.BytesPerSec,
-			Jitter:       spec.Jitter,
-			PropDelay:    propDelay,
-			Seed:         deriveSeed(seed, "medium", run),
-		})
-		return lm, lm, nil
-	default:
-		return nil, nil, fmt.Errorf("scenario: unknown medium %q", spec.Kind)
+	m, err := sim.MediumByName(spec.Kind, sim.LossyConfig{
+		Loss:         spec.Loss,
+		DistanceLoss: spec.DistanceLoss,
+		Seed:         deriveSeed(seed, "medium", run),
+	})
+	if err != nil {
+		return nil, nil, fmt.Errorf("scenario: %w", err)
 	}
+	lossy, _ := m.(*sim.LossyMedium)
+	return m, lossy, nil
 }
 
 // samplePoints realises the topology source for one run.
@@ -571,23 +559,10 @@ func protocolConfig(p Protocol) (olsr.Config, error) {
 	if err != nil {
 		return olsr.Config{}, fmt.Errorf("scenario: %w", err)
 	}
-	cfg := olsr.DefaultConfig(p.Metric)
+	cfg := olsr.DefaultConfig(metric.Bandwidth())
 	cfg.Selector = sel
 	if p.MeasuredQoS {
 		cfg.LinkSensing = olsr.SenseDelivery
-	}
-	cfg.DeltaTC = p.DeltaTC
-	cfg.FisheyeTTLs = append([]int(nil), p.FisheyeTTLs...)
-	if p.MinRelay {
-		cfg.FloodRelay = mpr.MinCover
-	}
-	if p.HelloInterval > 0 {
-		cfg.HelloInterval = p.HelloInterval
-		cfg.NeighborHoldTime = 3 * p.HelloInterval
-	}
-	if p.TCInterval > 0 {
-		cfg.TCInterval = p.TCInterval
-		cfg.TopologyHoldTime = 3 * p.TCInterval
 	}
 	return cfg, nil
 }

@@ -1,7 +1,9 @@
 package scenario
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"strings"
 	"testing"
 	"time"
@@ -33,9 +35,9 @@ func TestMediumValidation(t *testing.T) {
 	if err := sc.WithDefaults().Validate(); err == nil {
 		t.Error("loss on the ideal medium accepted")
 	}
-	sc.Medium = Medium{Kind: "ideal", Jitter: time.Millisecond}
+	sc.Medium = Medium{Kind: "ideal", DistanceLoss: 0.2}
 	if err := sc.WithDefaults().Validate(); err == nil {
-		t.Error("jitter on the ideal medium accepted")
+		t.Error("distance loss on the ideal medium accepted")
 	}
 }
 
@@ -173,5 +175,26 @@ func TestLossyProbeSamplingOutlastsDrain(t *testing.T) {
 		if s.Connected != want {
 			t.Errorf("sample at %v: %d flows connected, want %d", s.Time, s.Connected, want)
 		}
+	}
+}
+
+// TestEncodeJSONRecordsDistanceLoss: the encoded program carries the
+// medium's distance loss beside its base loss, so a scenario with the
+// component does not read like one without it.
+func TestEncodeJSONRecordsDistanceLoss(t *testing.T) {
+	sc := ladderScenario()
+	sc.Medium = Medium{Kind: "lossy", Loss: 0.1, DistanceLoss: 0.2}
+	var buf bytes.Buffer
+	if err := (&Result{Scenario: sc, Seed: 1}).EncodeJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		Scenario map[string]any `json:"scenario"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+		t.Fatal(err)
+	}
+	if got := doc.Scenario["distance_loss"]; got != 0.2 {
+		t.Errorf("distance_loss = %v, want 0.2 in %s", got, buf.Bytes())
 	}
 }

@@ -20,7 +20,6 @@ import (
 
 	"qolsr/internal/core"
 	"qolsr/internal/geom"
-	"qolsr/internal/metric"
 	"qolsr/internal/traffic"
 )
 
@@ -80,34 +79,18 @@ func (t Topology) radius() float64 {
 	return t.Radius
 }
 
-// Protocol configures the stack every node runs. The zero value means FNBP
-// selection under the bandwidth metric with RFC-style timers.
+// Protocol configures the stack every node runs: RFC 3626 timers and the
+// bandwidth metric, the paper's setting. The zero value means FNBP
+// selection with oracle link weights.
 type Protocol struct {
-	// Metric is the QoS metric driving selection and routing (default
-	// bandwidth).
-	Metric metric.Metric
 	// Selector names the advertised-set scheme: "fnbp", "topofilter",
 	// "qolsr" or "full" (default "fnbp").
 	Selector string
-	// HelloInterval and TCInterval override the emission periods when
-	// positive (defaults 2s and 5s, RFC 3626).
-	HelloInterval time.Duration
-	TCInterval    time.Duration
 	// MeasuredQoS switches link sensing from the topology oracle to
 	// measurement (olsr.SenseDelivery): link weights come from windowed
 	// HELLO delivery ratios (ETX-style), the regime the lossy medium exists
 	// for.
 	MeasuredQoS bool
-	// DeltaTC switches TC dissemination to delta encoding: full TCs anchor
-	// a chain of incremental updates, cutting steady-state TC bytes.
-	DeltaTC bool
-	// FisheyeTTLs, when non-empty, scopes successive TC emissions with this
-	// cyclic TTL schedule (0 = unlimited). With DeltaTC, the schedule must
-	// contain a 0 entry — full TCs ride the unlimited emissions.
-	FisheyeTTLs []int
-	// MinRelay floods through a coverage-minimal relay set instead of the
-	// QoS-driven advertised set, decoupling flooding cost from QoS coverage.
-	MinRelay bool
 }
 
 // Medium selects the radio model a scenario runs on. The zero value is the
@@ -123,11 +106,6 @@ type Medium struct {
 	// rate, scaled by (d/R)². Ignored under mobility (the geometry the
 	// medium captures would go stale).
 	DistanceLoss float64
-	// Jitter bounds the lossy per-hop jitter (default 200µs).
-	Jitter time.Duration
-	// BytesPerSec overrides the serialization rate of a unit-bandwidth
-	// link (default 125000).
-	BytesPerSec float64
 }
 
 // Validate checks the medium spec.
@@ -137,8 +115,8 @@ func (m Medium) Validate() error {
 		// Lossy-only knobs on the ideal medium would be silently ignored
 		// — reject them so a forgotten Kind can't simulate a perfect
 		// radio while the user believes they configured loss.
-		if m.Loss != 0 || m.DistanceLoss != 0 || m.Jitter != 0 || m.BytesPerSec != 0 {
-			return fmt.Errorf("scenario: medium knobs (loss/jitter/rate) require Kind \"lossy\", got %q", m.Kind)
+		if m.Loss != 0 || m.DistanceLoss != 0 {
+			return fmt.Errorf("scenario: medium knobs (loss/distance loss) require Kind \"lossy\", got %q", m.Kind)
 		}
 	case "lossy":
 	default:
@@ -150,20 +128,19 @@ func (m Medium) Validate() error {
 	if m.DistanceLoss < 0 || m.DistanceLoss > 1 {
 		return fmt.Errorf("scenario: medium distance loss %g outside [0,1]", m.DistanceLoss)
 	}
-	if m.Jitter < 0 {
-		return fmt.Errorf("scenario: negative medium jitter %v", m.Jitter)
-	}
 	return nil
 }
 
-// Mobility couples the scenario to a waypoint model for its whole duration.
+// Mobility couples the scenario to a waypoint model for its whole duration;
+// the topology refreshes every second.
 type Mobility struct {
 	// Model is the random-waypoint parameterisation (field is overridden
 	// by the scenario's topology field).
 	Model geom.Waypoint
-	// RebuildEvery is the topology-refresh period (default 1s).
-	RebuildEvery time.Duration
 }
+
+// rebuildEvery is the mobile topology-refresh period.
+const rebuildEvery = time.Second
 
 // Traffic is the data-plane workload. Exactly one of the two forms is
 // active: the legacy probe workload (Flows), or a sustained flow-class mix
@@ -252,9 +229,6 @@ func (sc Scenario) WithDefaults() Scenario {
 	if sc.Name == "" {
 		sc.Name = "custom"
 	}
-	if sc.Protocol.Metric == nil {
-		sc.Protocol.Metric = metric.Bandwidth()
-	}
 	if sc.Protocol.Selector == "" {
 		sc.Protocol.Selector = "fnbp"
 	}
@@ -284,11 +258,6 @@ func (sc Scenario) WithDefaults() Scenario {
 	if sc.SampleEvery <= 0 {
 		sc.SampleEvery = 2 * time.Second
 	}
-	if sc.Mobility != nil && sc.Mobility.RebuildEvery <= 0 {
-		m := *sc.Mobility
-		m.RebuildEvery = time.Second
-		sc.Mobility = &m
-	}
 	return sc
 }
 
@@ -301,9 +270,6 @@ const minSampleEvery = 100 * time.Millisecond
 func (sc Scenario) Validate() error {
 	if err := sc.Topology.Validate(); err != nil {
 		return err
-	}
-	if sc.Protocol.Metric == nil {
-		return fmt.Errorf("scenario: protocol needs a metric")
 	}
 	if _, err := core.ByName(sc.Protocol.Selector); err != nil {
 		return fmt.Errorf("scenario: %w", err)

@@ -136,8 +136,7 @@ func TestExecuteMobility(t *testing.T) {
 	sc.Name = "test-mobile"
 	sc.Phases = nil
 	sc.Mobility = &Mobility{
-		Model:        geom.Waypoint{MinSpeed: 1, MaxSpeed: 5, Pause: time.Second},
-		RebuildEvery: time.Second,
+		Model: geom.Waypoint{MinSpeed: 1, MaxSpeed: 5, Pause: time.Second},
 	}
 	res, err := Execute(context.Background(), sc, 1, 0, nil)
 	if err != nil {

@@ -87,7 +87,9 @@ type IdealMedium struct {
 }
 
 // NewIdealMedium returns the ideal MAC with the given propagation delay
-// (DefaultPropDelay when non-positive).
+// (DefaultPropDelay when non-positive). Every caller passes 0: the paper's
+// model has one per-hop delay, and the probe drain windows and goldens are
+// sized by it.
 func NewIdealMedium(prop time.Duration) *IdealMedium {
 	if prop <= 0 {
 		prop = DefaultPropDelay
@@ -128,36 +130,21 @@ type LossyConfig struct {
 	// suffers this much extra error rate, scaled by (d/R)^2. Ignored
 	// without geometry.
 	DistanceLoss float64
-	// BytesPerSec is the serialization rate of a unit-bandwidth link
-	// (default 125000 — 1 Mbit/s per bandwidth-weight unit). A link's rate
-	// is BytesPerSec times its "bandwidth"-channel weight; links of graphs
-	// without that channel serialize at weight 1.
-	BytesPerSec float64
-	// Jitter bounds the uniform extra per-hop delay (default 200µs).
-	Jitter time.Duration
-	// PropDelay is the propagation delay per hop (default DefaultPropDelay).
-	PropDelay time.Duration
 	// Seed keys the loss and jitter draws. Every draw is a pure function
 	// of (Seed, src, dst, per-sender frame sequence) — splitmix64-keyed,
 	// so outcomes are platform-stable and independent of draw order.
 	Seed int64
 }
 
-// withDefaults fills the zero knobs.
-func (c LossyConfig) withDefaults() LossyConfig {
-	if c.BytesPerSec <= 0 {
-		c.BytesPerSec = 125000
-	}
-	if c.Jitter < 0 {
-		c.Jitter = 0
-	} else if c.Jitter == 0 {
-		c.Jitter = 200 * time.Microsecond
-	}
-	if c.PropDelay <= 0 {
-		c.PropDelay = DefaultPropDelay
-	}
-	return c
-}
+// The lossy medium's fixed radio: a unit-bandwidth link serializes at
+// unitBytesPerSec (1 Mbit/s per bandwidth-weight unit; a link's rate is that
+// times its "bandwidth"-channel weight, and links of graphs without that
+// channel serialize at weight 1), every hop adds DefaultPropDelay, and each
+// reception draws a uniform extra delay below lossyJitter.
+const (
+	unitBytesPerSec = 125000
+	lossyJitter     = 200 * time.Microsecond
+)
 
 // maxPER caps per-link error rates so a configured-lossy link still delivers
 // the occasional frame (a rate of exactly 1 would silently equal FailLink).
@@ -174,10 +161,11 @@ const (
 
 // LossyMedium is a lossy, queued radio: per-link packet-error rates (base
 // plus optional distance-dependent and per-link components), a per-node
-// transmit queue whose serialization delay derives from the link's
-// bandwidth-channel weight, and bounded uniform jitter. All randomness is
-// keyed per (src, dst, frame-sequence) from the configured seed, so a
-// simulation is reproducible bit for bit at any harness worker count.
+// transmit queue serializing at 1 Mbit/s per unit of the link's
+// bandwidth-channel weight, 1 ms propagation per hop, and uniform jitter
+// below 200 µs. All randomness is keyed per (src, dst, frame-sequence) from
+// the configured seed, so a simulation is reproducible bit for bit at any
+// harness worker count.
 type LossyMedium struct {
 	cfg LossyConfig
 	// lossKey and jitterKey are rng.Mix(base, drawLoss) and rng.Mix(base,
@@ -215,7 +203,7 @@ type LossyMedium struct {
 func NewLossyMedium(cfg LossyConfig) *LossyMedium {
 	base := lossyDrawBase(cfg.Seed)
 	return &LossyMedium{
-		cfg:       cfg.withDefaults(),
+		cfg:       cfg,
 		lossKey:   rng.Mix(base, drawLoss),
 		jitterKey: rng.Mix(base, drawJitter),
 	}
@@ -238,12 +226,12 @@ func (m *LossyMedium) Attach(nw *Network) {
 
 // HopDelayBound implements Medium: propagation, full jitter and the
 // serialization of a data frame at the unit rate (the frames the drain
-// windows sized by this bound actually carry). Queue wait under bursts can
-// exceed it; drain windows sized by it capture everything but pathological
-// storms.
+// windows sized by this bound actually carry) — 1 ms + 200 µs + 4.096 ms =
+// 5.296 ms. Queue wait under bursts can exceed it; drain windows sized by it
+// capture everything but pathological storms.
 func (m *LossyMedium) HopDelayBound() time.Duration {
-	ser := time.Duration(float64(DataPacketBytes) / m.cfg.BytesPerSec * float64(time.Second))
-	return m.cfg.PropDelay + m.cfg.Jitter + ser
+	ser := time.Duration(float64(DataPacketBytes) / unitBytesPerSec * float64(time.Second))
+	return DefaultPropDelay + lossyJitter + ser
 }
 
 // SetBaseLoss replaces the base packet-error rate (the SetLoss scenario
@@ -351,7 +339,7 @@ func (m *LossyMedium) PlanFrame(src int32, dsts []int32, size int, now time.Dura
 			rate = m.serEdge[e]
 		} else {
 			per = m.LinkPER(src, dst)
-			rate = m.cfg.BytesPerSec
+			rate = unitBytesPerSec
 		}
 		// Same expression as the uncached serialization — the float op
 		// sequence must not change, delays are golden-pinned.
@@ -365,10 +353,7 @@ func (m *LossyMedium) PlanFrame(src int32, dsts []int32, size int, now time.Dura
 				continue // frame lost on this link
 			}
 		}
-		delay := queue + ser + m.cfg.PropDelay
-		if m.cfg.Jitter > 0 {
-			delay += time.Duration(drawFor(jitterKey, dst, seq) % uint64(m.cfg.Jitter))
-		}
+		delay := queue + ser + DefaultPropDelay + time.Duration(drawFor(jitterKey, dst, seq)%uint64(lossyJitter))
 		m.hops = append(m.hops, Hop{Dst: dst, Delay: delay, Wait: queue})
 	}
 	m.busy[src] = start + maxSer
@@ -409,7 +394,7 @@ func (m *LossyMedium) refreshEdgeCaches() {
 		if w != nil && w[e] > 0 {
 			weight = w[e]
 		}
-		m.serEdge[e] = m.cfg.BytesPerSec * weight
+		m.serEdge[e] = unitBytesPerSec * weight
 	}
 }
 
@@ -424,13 +409,12 @@ func clampPER(p float64) float64 {
 	}
 }
 
-// MediumByName builds a medium from its registry name with the given
-// propagation delay and seed; "lossy" takes the configuration's remaining
-// knobs from cfg.
+// MediumByName builds a medium from its registry name; "lossy" takes its
+// loss rates and draw seed from cfg, which the ideal medium ignores.
 func MediumByName(name string, cfg LossyConfig) (Medium, error) {
 	switch name {
 	case "", "ideal":
-		return NewIdealMedium(cfg.PropDelay), nil
+		return NewIdealMedium(0), nil
 	case "lossy":
 		return NewLossyMedium(cfg), nil
 	default:

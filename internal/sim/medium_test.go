@@ -116,7 +116,7 @@ func TestLossyMediumPerLinkOverride(t *testing.T) {
 // TestLossyMediumQueueing: two back-to-back frames from one sender must
 // serialize — the second waits for the first's transmission to finish.
 func TestLossyMediumQueueing(t *testing.T) {
-	lm := NewLossyMedium(LossyConfig{Jitter: -1, PropDelay: time.Millisecond, Seed: 1})
+	lm := NewLossyMedium(LossyConfig{Seed: 1})
 	g := smallWorld(t, 21, 8)
 	cfg := olsr.DefaultConfig(metric.Bandwidth())
 	nw, err := NewNetwork(g, cfg, NetworkOptions{Seed: 5, Medium: lm})
@@ -136,9 +136,10 @@ func TestLossyMediumQueueing(t *testing.T) {
 		t.Fatalf("second frame lost with zero loss: %v", p2)
 	}
 	// The second frame queues behind the first's serialization, which for
-	// a 1000-byte frame is strictly positive.
-	if p2[0].Delay <= first {
-		t.Errorf("no queueing: first delay %v, second %v", first, p2[0].Delay)
+	// a 1000-byte frame is strictly positive (and, at a bandwidth weight
+	// under 40, longer than the 200 µs jitter spread).
+	if p2[0].Delay <= first || p2[0].Wait <= 0 {
+		t.Errorf("no queueing: first delay %v, second %v (wait %v)", first, p2[0].Delay, p2[0].Wait)
 	}
 	if lm.HopDelayBound() <= time.Millisecond {
 		t.Errorf("HopDelayBound %v not above propagation delay", lm.HopDelayBound())
@@ -158,7 +159,6 @@ func TestLossyDrawsPinned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg = cfg.withDefaults()
 	bw, err := nw.Phys.Weights(bandwidthChannel)
 	if err != nil {
 		t.Fatal(err)
@@ -184,9 +184,9 @@ func TestLossyDrawsPinned(t *testing.T) {
 				continue
 			}
 			kept++
-			ser := time.Duration(float64(size) / (cfg.BytesPerSec * bw[e]) * float64(time.Second))
-			jitter := rng.Mix(base, drawJitter, uint64(uint32(src)), uint64(uint32(dst)), seq) % uint64(cfg.Jitter)
-			want = append(want, Hop{Dst: dst, Delay: ser + cfg.PropDelay + time.Duration(jitter)})
+			ser := time.Duration(float64(size) / (unitBytesPerSec * bw[e]) * float64(time.Second))
+			jitter := rng.Mix(base, drawJitter, uint64(uint32(src)), uint64(uint32(dst)), seq) % uint64(lossyJitter)
+			want = append(want, Hop{Dst: dst, Delay: ser + DefaultPropDelay + time.Duration(jitter)})
 		}
 		if len(got) != len(want) {
 			t.Fatalf("src %d seq %d: plan %v, want %v", src, seq, got, want)
@@ -246,7 +246,6 @@ func TestETXEstimatorConvergence(t *testing.T) {
 	cfg.HelloInterval = time.Second
 	cfg.NeighborHoldTime = 8 * time.Second
 	cfg.LinkSensing = olsr.SenseDelivery
-	cfg.LQWindow = 64
 	nw, err := NewNetwork(g, cfg, NetworkOptions{
 		Seed:   5,
 		Medium: NewLossyMedium(LossyConfig{Loss: loss, Seed: 2}),

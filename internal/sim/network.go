@@ -110,14 +110,10 @@ type fwdEntry struct {
 
 // NetworkOptions tunes the simulation harness.
 type NetworkOptions struct {
-	// PropDelay is the radio propagation+processing delay per hop
-	// (default 1ms). It parameterises the default ideal medium; an
-	// explicit Medium carries its own delays and ignores this field.
-	PropDelay time.Duration
 	// Seed drives emission jitter.
 	Seed int64
 	// Medium is the radio model transmissions run through (default: the
-	// ideal MAC, NewIdealMedium(PropDelay)).
+	// ideal MAC, NewIdealMedium(0)).
 	Medium Medium
 }
 
@@ -130,7 +126,7 @@ func NewNetwork(phys *graph.Graph, cfg olsr.Config, opts NetworkOptions) (*Netwo
 	}
 	medium := opts.Medium
 	if medium == nil {
-		medium = NewIdealMedium(opts.PropDelay)
+		medium = NewIdealMedium(0)
 	}
 	// The simulator owns flood duplicate suppression (one pooled visited
 	// bitset per flood, shared along the relay chain — see floodState), so

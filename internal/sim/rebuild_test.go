@@ -6,21 +6,24 @@ import (
 	"time"
 
 	"qolsr/internal/metric"
+	"qolsr/internal/mpr"
 	"qolsr/internal/olsr"
 )
 
-// convergedPair builds two identical converged networks from the same seed
-// so each can take a different rebuild path.
-func convergedPair(t *testing.T) (a, b *Network) {
+// convergedPair builds two identical networks running cfg from the same
+// seed and converges both, so each can take a different rebuild path.
+func convergedPair(t *testing.T, cfg olsr.Config) (a, b *Network) {
 	t.Helper()
-	m := metric.Bandwidth()
-	a = testNetwork(t, smallWorld(t, 23, 9), m)
-	b = testNetwork(t, smallWorld(t, 23, 9), m)
-	for _, nw := range []*Network{a, b} {
+	converged := func() *Network {
+		nw, err := NewNetwork(smallWorld(t, 23, 9), cfg, NetworkOptions{Seed: 5})
+		if err != nil {
+			t.Fatal(err)
+		}
 		nw.Start()
 		nw.Run(20 * time.Second)
+		return nw
 	}
-	return a, b
+	return converged(), converged()
 }
 
 // tableOf snapshots one node's routing table.
@@ -37,9 +40,21 @@ func tableOf(t *testing.T, nw *Network, x int32) map[int64]olsr.Route {
 // the serial path produces, node for node, and agree on how many tables
 // were actually rebuilt. This is the test CI runs under the race detector:
 // the parallel path touches every node's scratch state concurrently and
-// must stay free of shared mutable state.
+// must stay free of shared mutable state. It runs on the classic control
+// plane and on the optimized one (delta TCs, the fish-eye schedule and
+// min-cover flood relays), whose delta chains, TTL scoping and second relay
+// set must add no state the workers share.
 func TestRebuildRoutesWorkersAgree(t *testing.T) {
-	serial, parallel := convergedPair(t)
+	optimized := olsr.DefaultConfig(metric.Bandwidth())
+	optimized.DeltaTC = true
+	optimized.FisheyeTTLs = olsr.DefaultFisheyeTTLs()
+	optimized.FloodRelay = mpr.MinCover
+	t.Run("classic", func(t *testing.T) { checkWorkersAgree(t, olsr.DefaultConfig(metric.Bandwidth())) })
+	t.Run("optimized", func(t *testing.T) { checkWorkersAgree(t, optimized) })
+}
+
+func checkWorkersAgree(t *testing.T, cfg olsr.Config) {
+	serial, parallel := convergedPair(t, cfg)
 
 	n1, err := serial.RebuildRoutes(nil, 1)
 	if err != nil {

@@ -138,7 +138,6 @@ func TestScenarioWorkersBitIdentical(t *testing.T) {
 				MaxSpeed: 5,
 				Pause:    2 * time.Second,
 			},
-			RebuildEvery: time.Second,
 		},
 		Traffic:     qolsr.ScenarioTraffic{Flows: 4},
 		Duration:    30 * time.Second,
