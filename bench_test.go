@@ -177,17 +177,16 @@ func BenchmarkAblationLoopFix(b *testing.B) {
 // the source's local links (ablation A2).
 func BenchmarkAblationLocalLinks(b *testing.B) {
 	sc := qolsr.PointScenario{
-		Deployment:     qolsr.PaperDeployment(15),
-		Metric:         qolsr.Bandwidth(),
-		WeightInterval: qolsr.DefaultInterval(),
-		Runs:           3,
-		Seed:           9,
+		Deployment: qolsr.PaperDeployment(15),
+		Metric:     qolsr.Bandwidth(),
+		Runs:       3,
+		Seed:       9,
 	}
 	var res *qolsr.PointResult
 	var err error
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err = qolsr.RunPoint(context.Background(), sc, qolsr.LocalLinksAblation())
+		res, err = qolsr.RunPoint(context.Background(), sc, qolsr.LocalLinksAblation(), 0)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -118,16 +118,18 @@ var (
 	MPRHeuristicAblation = eval.MPRHeuristicAblation
 )
 
-// RunPoint evaluates protocols on independent topologies at one density.
-// It honours ctx and parallelizes runs up to Scenario.Workers.
+// RunPoint evaluates protocols on independent topologies at one density:
+// a one-point grid on the cell loop every sweep runs on. It honours ctx and
+// runs up to workers topologies at once (0 = GOMAXPROCS); results are
+// identical for any value.
 var RunPoint = eval.RunPoint
 
 // Option tunes how a Runner executes an experiment.
 type Option func(*runner.Options)
 
-// WithWorkers bounds the total parallelism budget, shared between
-// concurrent density points and the runs inside each point. The default is
-// GOMAXPROCS; results are identical for any value.
+// WithWorkers bounds how many (density point, run) topologies evaluate at
+// once, across every figure of the experiment. The default is GOMAXPROCS;
+// results are identical for any value.
 func WithWorkers(n int) Option {
 	return func(o *runner.Options) { o.Workers = n }
 }
@@ -153,11 +155,6 @@ func WithProgress(f func(format string, args ...any)) Option {
 // protocol; the default is each figure's own quantity.
 func WithQuantities(qs ...Quantity) Option {
 	return func(o *runner.Options) { o.Quantities = append([]Quantity(nil), qs...) }
-}
-
-// WithWeightInterval overrides the uniform link-weight law (default [1,10]).
-func WithWeightInterval(iv Interval) Option {
-	return func(o *runner.Options) { o.WeightInterval = iv }
 }
 
 // WithDegrees overrides every figure's density axis.

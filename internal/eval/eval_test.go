@@ -12,17 +12,16 @@ import (
 // smallScenario keeps tests fast: low density, few runs, small field.
 func smallScenario(m metric.Metric, degree float64, runs int) Scenario {
 	return Scenario{
-		Deployment:     geom.Deployment{Field: geom.Field{Width: 400, Height: 400}, Radius: 100, Degree: degree},
-		Metric:         m,
-		WeightInterval: metric.DefaultInterval(),
-		Runs:           runs,
-		Seed:           42,
+		Deployment: geom.Deployment{Field: geom.Field{Width: 400, Height: 400}, Radius: 100, Degree: degree},
+		Metric:     m,
+		Runs:       runs,
+		Seed:       42,
 	}
 }
 
 func TestRunPointBasics(t *testing.T) {
 	sc := smallScenario(metric.Bandwidth(), 10, 4)
-	res, err := RunPoint(context.Background(), sc, PaperProtocols())
+	res, err := RunPoint(context.Background(), sc, PaperProtocols(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,13 +52,11 @@ func TestRunPointBasics(t *testing.T) {
 // regardless of worker count.
 func TestRunPointDeterministic(t *testing.T) {
 	sc := smallScenario(metric.Delay(), 8, 6)
-	sc.Workers = 1
-	a, err := RunPoint(context.Background(), sc, PaperProtocols())
+	a, err := RunPoint(context.Background(), sc, PaperProtocols(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sc.Workers = 4
-	b, err := RunPoint(context.Background(), sc, PaperProtocols())
+	b, err := RunPoint(context.Background(), sc, PaperProtocols(), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,16 +73,11 @@ func TestRunPointDeterministic(t *testing.T) {
 
 func TestRunPointValidation(t *testing.T) {
 	sc := smallScenario(metric.Bandwidth(), 10, 0)
-	if _, err := RunPoint(context.Background(), sc, PaperProtocols()); err == nil {
+	if _, err := RunPoint(context.Background(), sc, PaperProtocols(), 0); err == nil {
 		t.Error("zero runs accepted")
 	}
-	sc = smallScenario(metric.Bandwidth(), 10, 1)
-	sc.WeightInterval = metric.Interval{Lo: 0, Hi: 1}
-	if _, err := RunPoint(context.Background(), sc, PaperProtocols()); err == nil {
-		t.Error("invalid interval accepted")
-	}
 	sc = smallScenario(metric.Bandwidth(), 0, 1)
-	if _, err := RunPoint(context.Background(), sc, PaperProtocols()); err == nil {
+	if _, err := RunPoint(context.Background(), sc, PaperProtocols(), 0); err == nil {
 		t.Error("invalid deployment accepted")
 	}
 }
@@ -98,7 +90,7 @@ func TestSizeOrderingAtMidDensity(t *testing.T) {
 		t.Skip("multi-run evaluation")
 	}
 	sc := smallScenario(metric.Bandwidth(), 18, 8)
-	res, err := RunPoint(context.Background(), sc, PaperProtocols())
+	res, err := RunPoint(context.Background(), sc, PaperProtocols(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +108,7 @@ func TestOverheadOrderingAtMidDensity(t *testing.T) {
 		t.Skip("multi-run evaluation")
 	}
 	sc := smallScenario(metric.Bandwidth(), 18, 8)
-	res, err := RunPoint(context.Background(), sc, PaperProtocols())
+	res, err := RunPoint(context.Background(), sc, PaperProtocols(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,16 +147,16 @@ func TestPaperFiguresDefinitions(t *testing.T) {
 	}
 }
 
-// runFigureSerial assembles a FigureResult point by point, the way the
-// runner package does in parallel.
+// runFigureSerial assembles a FigureResult point by point, as RunFigures
+// does, on a field small enough for a unit test.
 func runFigureSerial(t *testing.T, fig Figure, runs int, seed int64) *FigureResult {
 	t.Helper()
 	res := &FigureResult{Figure: fig, Runs: runs}
 	for _, deg := range fig.Degrees {
-		sc := fig.Scenario(deg, runs, seed, metric.DefaultInterval())
+		sc := fig.Scenario(deg, runs, seed)
 		// Tests sweep sub-paper densities on a small field for speed.
 		sc.Deployment = geom.Deployment{Field: geom.Field{Width: 400, Height: 400}, Radius: 100, Degree: deg}
-		point, err := RunPoint(context.Background(), sc, fig.Protocols)
+		point, err := RunPoint(context.Background(), sc, fig.Protocols, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -195,17 +187,6 @@ func TestFigureWriters(t *testing.T) {
 		if !strings.Contains(tbl.String(), want) {
 			t.Errorf("table missing %q:\n%s", want, tbl.String())
 		}
-	}
-	var csv strings.Builder
-	if err := res.WriteCSV(&csv); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(csv.String()), "\n")
-	if len(lines) != 3 {
-		t.Errorf("csv lines = %d, want 3", len(lines))
-	}
-	if !strings.HasPrefix(lines[0], "density,qolsr_mean,qolsr_ci95") {
-		t.Errorf("csv header = %s", lines[0])
 	}
 	var del strings.Builder
 	if err := res.WriteDeliveryTable(&del); err != nil {
@@ -246,7 +227,7 @@ func TestProtocolSpecFactories(t *testing.T) {
 func TestDirectedDeliveryAblation(t *testing.T) {
 	sc := smallScenario(metric.Bandwidth(), 10, 4)
 	sc.MeasureDirectedDelivery = true
-	res, err := RunPoint(context.Background(), sc, LoopFixAblation())
+	res, err := RunPoint(context.Background(), sc, LoopFixAblation(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,23 +289,11 @@ func TestControlSweep(t *testing.T) {
 	}
 }
 
-func TestPointResultSortedNames(t *testing.T) {
-	sc := smallScenario(metric.Bandwidth(), 8, 1)
-	res, err := RunPoint(context.Background(), sc, PaperProtocols())
-	if err != nil {
-		t.Fatal(err)
-	}
-	names := res.SortedProtocolNames()
-	if len(names) != 3 || names[0] != "fnbp" {
-		t.Errorf("sorted names = %v", names)
-	}
-}
-
 func TestRunPointCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	sc := smallScenario(metric.Bandwidth(), 10, 8)
-	if _, err := RunPoint(ctx, sc, PaperProtocols()); err != context.Canceled {
+	if _, err := RunPoint(ctx, sc, PaperProtocols(), 0); err != context.Canceled {
 		t.Errorf("err = %v, want context.Canceled", err)
 	}
 }
@@ -371,5 +340,92 @@ func TestQuantityByName(t *testing.T) {
 	}
 	if _, err := QuantityByName("bogus"); err == nil {
 		t.Error("unknown quantity accepted")
+	}
+}
+
+// TestRunFiguresSharesPoints: figures that agree on metric, protocols and
+// directed delivery get one *PointResult per density, and any difference
+// keeps points apart. The hook sees every (figure, point) once, after the
+// point is stored.
+func TestRunFiguresSharesPoints(t *testing.T) {
+	var figs []Figure
+	for _, id := range []string{"fig6", "fig7", "fig8", "fig9", "ablation-loopfix", "ablation-loopfix-size", "ablation-upper"} {
+		f, err := SweepByID(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f.Degrees = f.Degrees[:1]
+		figs = append(figs, f)
+	}
+	seen := map[[2]int]int{}
+	res, err := RunFigures(context.Background(), figs, 1, 3, 2, func(fr *FigureResult, fi, pi int) {
+		if fr.Figure.ID != figs[fi].ID || fr.Points[pi] == nil {
+			t.Errorf("%s point %d handed over unset", figs[fi].ID, pi)
+		}
+		seen[[2]int{fi, pi}]++
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(seen) != len(figs) {
+		t.Errorf("hook saw %d (figure, point) pairs, want %d", len(seen), len(figs))
+	}
+	for k, n := range seen {
+		if n != 1 {
+			t.Errorf("hook saw %v %d times", k, n)
+		}
+	}
+	p := func(i int) *PointResult { return res[i].Points[0] }
+	if p(0) != p(2) || p(1) != p(3) {
+		t.Error("fig6/fig8 or fig7/fig9 simulated twice")
+	}
+	if p(0) == p(6) || p(4) == p(5) || p(0) == p(1) {
+		t.Error("figures differing in protocols, directed delivery or metric share a point")
+	}
+}
+
+// A figure without density points is rejected before any topology is
+// drawn, naming it.
+func TestRunFiguresRejectsEmptyFigure(t *testing.T) {
+	fig6, fig7 := PaperFigures()[0], PaperFigures()[1]
+	fig6.Degrees = nil
+	_, err := RunFigures(context.Background(), []Figure{fig7, fig6}, 1, 1, 1, func(*FigureResult, int, int) {
+		t.Error("a point ran")
+	})
+	if err == nil || !strings.Contains(err.Error(), "fig6") {
+		t.Errorf("err = %v, want one naming fig6", err)
+	}
+}
+
+// The paper's orderings at every density of Figs. 6-9, from the two sweeps
+// RunFigures shares between them: set size fnbp < topofilter < qolsr (at
+// delay δ=5 only fnbp below both; topofilter advertises more than QOLSR
+// there, see README), overhead fnbp < qolsr.
+func TestPaperOrderingsAtEveryDensity(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-run evaluation")
+	}
+	res, err := RunFigures(context.Background(), PaperFigures(), 4, 1, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pair := range [][2]int{{0, 2}, {1, 3}} {
+		size, over := res[pair[0]], res[pair[1]]
+		for i, deg := range size.Figure.Degrees {
+			if size.Points[i] != over.Points[i] {
+				t.Errorf("%s and %s simulated density %g twice", size.Figure.ID, over.Figure.ID, deg)
+			}
+			fnbp, tf, qolsr := size.Value(i, "fnbp"), size.Value(i, "topofilter"), size.Value(i, "qolsr")
+			if size.Figure.ID == "fig7" && deg == 5 {
+				if !(fnbp < tf && fnbp < qolsr) {
+					t.Errorf("fig7 δ=5: fnbp=%.2f not below topofilter=%.2f and qolsr=%.2f", fnbp, tf, qolsr)
+				}
+			} else if !(fnbp < tf && tf < qolsr) {
+				t.Errorf("%s δ=%g: size ordering violated: fnbp=%.2f topofilter=%.2f qolsr=%.2f", size.Figure.ID, deg, fnbp, tf, qolsr)
+			}
+			if f, q := over.Value(i, "fnbp"), over.Value(i, "qolsr"); f >= q {
+				t.Errorf("%s δ=%g: overhead ordering violated: fnbp=%.4f qolsr=%.4f", over.Figure.ID, deg, f, q)
+			}
+		}
 	}
 }

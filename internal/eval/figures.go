@@ -1,9 +1,11 @@
 package eval
 
 import (
+	"context"
 	"fmt"
 	"io"
-	"sort"
+	"reflect"
+	"slices"
 	"strings"
 
 	"qolsr/internal/geom"
@@ -203,12 +205,11 @@ func SweepIDs() []string {
 }
 
 // Scenario returns the figure's density point at the given degree, ready
-// for RunPoint. Runs, Seed and the weight law come from the caller.
-func (f Figure) Scenario(deg float64, runs int, seed int64, iv metric.Interval) Scenario {
+// for RunPoint. Runs and Seed come from the caller.
+func (f Figure) Scenario(deg float64, runs int, seed int64) Scenario {
 	return Scenario{
 		Deployment:              geom.PaperDeployment(deg),
 		Metric:                  f.Metric,
-		WeightInterval:          iv,
 		Runs:                    runs,
 		Seed:                    seed,
 		MeasureDirectedDelivery: f.Quantity == QuantityDirectedDelivery,
@@ -223,24 +224,74 @@ type FigureResult struct {
 	Runs int
 }
 
+// RunFigures evaluates the figures at runs topologies per density point
+// and returns one assembled result per figure, in order. The grid's axis is
+// the figures' distinct density points: two figures share a point at equal
+// degree when they agree on the metric, on the protocols (compared in full,
+// not by name) and on whether directed delivery is measured, so Figs. 6 and
+// 8 are one bandwidth sweep and Figs. 7 and 9 one delay sweep. A shared
+// point is simulated once and its *PointResult is read-only in every figure
+// that references it.
+//
+// Up to workers (point, run) topologies run at once (0 = GOMAXPROCS, 1 = in
+// order on the caller's goroutine); the result is bit-identical at every
+// setting. When a point completes, done (if set) is called once for every
+// (figure, point index) that references it, after the point is stored in
+// the figure's result; calls never overlap, and jobs landing meanwhile wait
+// for the call, so done must not block. Cancelling ctx returns ctx.Err();
+// otherwise the error returned is that of the first failing point in figure
+// and density order. A figure without density points is rejected before any
+// topology is drawn.
+func RunFigures(ctx context.Context, figs []Figure, runs int, seed int64, workers int, done func(fr *FigureResult, fi, pi int)) ([]*FigureResult, error) {
+	type ref struct{ fi, pi int }
+	var (
+		specs []pointSpec
+		refs  [][]ref
+	)
+	results := make([]*FigureResult, len(figs))
+	for fi, f := range figs {
+		if len(f.Degrees) == 0 {
+			return nil, fmt.Errorf("eval: figure %s has no density points", f.ID)
+		}
+		results[fi] = &FigureResult{Figure: f, Runs: runs, Points: make([]*PointResult, len(f.Degrees))}
+		for pi, deg := range f.Degrees {
+			spec := pointSpec{f.Scenario(deg, runs, seed), f.Protocols}
+			pt := slices.IndexFunc(specs, func(s pointSpec) bool { return reflect.DeepEqual(s, spec) })
+			if pt < 0 {
+				if err := spec.validate(); err != nil {
+					return nil, fmt.Errorf("eval: %s density %g: %w", f.ID, deg, err)
+				}
+				pt = len(specs)
+				specs, refs = append(specs, spec), append(refs, nil)
+			}
+			refs[pt] = append(refs[pt], ref{fi, pi})
+		}
+	}
+	_, err := pointSweep(specs, runs, workers, func(pt int, row []*PointResult) {
+		for _, r := range refs[pt] {
+			results[r.fi].Points[r.pi] = row[0]
+			if done != nil {
+				done(results[r.fi], r.fi, r.pi)
+			}
+		}
+	}).run(ctx)
+	if err != nil {
+		return nil, err
+	}
+	return results, nil
+}
+
 // series extracts the figure's quantity for one protocol at one point.
 func (fr *FigureResult) series(p *PointResult, name string) (mean, ci float64) {
 	pp := p.Protocols[name]
 	if pp == nil {
 		return 0, 0
 	}
-	switch fr.Figure.Quantity {
-	case QuantitySetSize:
-		return pp.SetSize.Mean(), pp.SetSize.CI95()
-	case QuantityOverhead:
-		return pp.Overhead.Mean(), pp.Overhead.CI95()
-	case QuantityDelivery:
-		return pp.Delivery.Mean(), pp.Delivery.CI95()
-	case QuantityDirectedDelivery:
-		return pp.DirectedDelivery.Mean(), pp.DirectedDelivery.CI95()
-	default:
+	acc := pp.Series(fr.Figure.Quantity)
+	if acc == nil {
 		return 0, 0
 	}
+	return acc.Mean(), acc.CI95()
 }
 
 // ProtocolNames returns the figure's protocol column order.
@@ -277,30 +328,6 @@ func (fr *FigureResult) WriteTable(w io.Writer) error {
 	return writeTable(w, fmt.Sprintf("%s — %s (%d runs/point)", fr.Figure.ID, fr.Figure.Title, fr.Runs), header, rows)
 }
 
-// WriteCSV renders the figure as CSV (density plus one mean and one CI
-// column per protocol).
-func (fr *FigureResult) WriteCSV(w io.Writer) error {
-	names := fr.ProtocolNames()
-	cols := []string{"density"}
-	for _, n := range names {
-		cols = append(cols, n+"_mean", n+"_ci95")
-	}
-	if _, err := fmt.Fprintln(w, strings.Join(cols, ",")); err != nil {
-		return err
-	}
-	for i, p := range fr.Points {
-		row := []string{fmt.Sprintf("%g", fr.Figure.Degrees[i])}
-		for _, n := range names {
-			mean, ci := fr.series(p, n)
-			row = append(row, fmt.Sprintf("%.6f", mean), fmt.Sprintf("%.6f", ci))
-		}
-		if _, err := fmt.Fprintln(w, strings.Join(row, ",")); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // WriteDeliveryTable renders per-protocol delivery ratios, used by the
 // loop-fix ablation.
 func (fr *FigureResult) WriteDeliveryTable(w io.Writer) error {
@@ -331,15 +358,4 @@ func pad(cells []string) []string {
 		out[i] = c
 	}
 	return out
-}
-
-// SortedProtocolNames lists the protocols of a point result in stable
-// order, for callers iterating a bare PointResult.
-func (p *PointResult) SortedProtocolNames() []string {
-	names := make([]string, 0, len(p.Protocols))
-	for n := range p.Protocols {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }

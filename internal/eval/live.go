@@ -7,6 +7,7 @@ import (
 	"io"
 	"math/rand"
 	"strings"
+	"sync"
 	"time"
 
 	"qolsr/internal/geom"
@@ -16,12 +17,12 @@ import (
 	"qolsr/internal/par"
 )
 
-// The live-stack grid sweeps — A4 (control), A7 (loss), A8 (load) and O1
-// (overhead) — share one shape: a grid of axis points × runs × columns,
-// where every column of one (point, run) simulates on the same field. This
-// file holds what they share: the defaults step, the cell loop and the table
-// writer. S1 (scale) times one simulation at a time in a loop of its own and
-// shares only writeTable.
+// Every sweep shares one shape: a grid of axis points × runs × columns,
+// where every column of one (point, run) works on the same field. The paper
+// figures and their ablations (RunFigures), the live-stack sweeps — A4
+// (control), A7 (loss), A8 (load), O1 (overhead) — and S1 (scale) all run on
+// the one cell loop below. This file holds that loop, the live-stack
+// sweeps' defaults step and the table writer.
 
 // liveDefaults is the defaults step every grid sweep starts with. It fills
 // the knobs they all have — run count, virtual time, base seed and
@@ -66,70 +67,101 @@ func deployField(seed int64, field geom.Field, degree float64, run int) (liveFie
 	return liveField{seed: fieldSeed, g: g}, err
 }
 
-// liveSweep is the one cell loop of the live-stack sweeps. P is the
-// sweep's per-cell point, whose accumulators the folds feed.
+// liveSweep is the one cell loop of every sweep. P is the sweep's
+// per-cell point, whose accumulators the folds feed.
 type liveSweep[P any] struct {
 	points, runs, cols int
-	// workers bounds how many (point, run) fields simulate at once
-	// (0 = GOMAXPROCS, 1 = in order on the caller's goroutine).
+	// workers bounds how many (point, run) jobs run at once (0 =
+	// GOMAXPROCS, 1 = in order on the caller's goroutine).
 	workers int
 	// minNodes skips runs whose field came out smaller.
 	minNodes int
 	// point makes the accumulator of one (point, column) cell.
 	point func(pt, col int) P
-	// field draws what every column of one (point, run) shares.
+	// field draws what every column of one (point, run) shares; nil means
+	// the sweep has no shared field.
 	field func(pt, run int) (liveField, error)
 	// cell simulates one column on the field and returns the step that
 	// folds its measurements into the cell's point.
 	cell func(f liveField, pt, run, col int) (fold func(P), err error)
+	// done, when set, receives each point's row as soon as it is folded.
+	// Calls never overlap.
+	done func(pt int, row []P)
 }
 
 // run executes the grid. Every (point, run) is one par.For job that draws
-// its field and simulates its columns in order; the fold steps are applied
-// afterwards in (point, run, column) order, so the result is bit-identical
-// at every worker count. ctx is checked before every cell: cancelling it
-// returns ctx.Err(), and otherwise the error returned is the first in that
-// order. A job checks the caller's ctx, not the one par.For hands it, so a
-// failure never cuts short the jobs below it and the lowest failure wins.
+// its field and simulates its columns in order; when a point's last run
+// lands its fold steps are applied in (run, column) order, so the result is
+// bit-identical at every worker count. ctx is checked before every cell:
+// cancelling it returns ctx.Err(), and otherwise the error returned is the
+// first in (point, run, column) order. A job checks the caller's ctx, not
+// the one par.For hands it, so a failure never cuts short the jobs below it
+// and the lowest failure wins.
 func (s liveSweep[P]) run(ctx context.Context) ([][]P, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	folds := make([][]func(P), s.points*s.runs)
-	err := par.For(ctx, len(folds), s.workers, func(_ context.Context, j int) error {
-		pt, run := j/s.runs, j%s.runs
-		f, err := s.field(pt, run)
-		if err != nil || f.g.N() < s.minNodes {
-			return err
-		}
-		fs := make([]func(P), s.cols)
-		for col := range fs {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			if fs[col], err = s.cell(f, pt, run, col); err != nil {
-				return err
-			}
-		}
-		folds[j] = fs
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
 	rows := make([][]P, s.points)
+	left := make([]int, s.points)
 	for pt := range rows {
 		rows[pt] = make([]P, s.cols)
 		for col := range rows[pt] {
 			rows[pt][col] = s.point(pt, col)
 		}
+		left[pt] = s.runs
 	}
-	for j, fs := range folds {
-		for col, fold := range fs {
-			fold(rows[j/s.runs][col])
+	folds := make([][]func(P), s.points*s.runs)
+	var mu sync.Mutex
+	err := par.For(ctx, len(folds), s.workers, func(_ context.Context, j int) error {
+		pt := j / s.runs
+		fs, err := s.cells(ctx, pt, j%s.runs)
+		if err != nil {
+			return err
 		}
+		mu.Lock()
+		defer mu.Unlock()
+		folds[j] = fs
+		if left[pt]--; left[pt] > 0 {
+			return nil
+		}
+		for _, fs := range folds[pt*s.runs : (pt+1)*s.runs] {
+			for col, fold := range fs {
+				fold(rows[pt][col])
+			}
+		}
+		clear(folds[pt*s.runs : (pt+1)*s.runs])
+		if s.done != nil {
+			s.done(pt, rows[pt])
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return rows, nil
+}
+
+// cells draws one (point, run) field and simulates its columns in order,
+// returning their fold steps; a field below minNodes yields none.
+func (s liveSweep[P]) cells(ctx context.Context, pt, run int) ([]func(P), error) {
+	var f liveField
+	if s.field != nil {
+		var err error
+		if f, err = s.field(pt, run); err != nil || f.g.N() < s.minNodes {
+			return nil, err
+		}
+	}
+	fs := make([]func(P), s.cols)
+	for col := range fs {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		var err error
+		if fs[col], err = s.cell(f, pt, run, col); err != nil {
+			return nil, err
+		}
+	}
+	return fs, nil
 }
 
 // column is one cell of a column group in a live-sweep table: a header

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"reflect"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -65,6 +66,33 @@ func TestLiveSweepFoldOrder(t *testing.T) {
 		}
 		if !reflect.DeepEqual(rows, want) {
 			t.Errorf("workers %d folded differently from workers 1", workers)
+		}
+	}
+}
+
+// TestLiveSweepDoneHook: the hook sees every point exactly once, already
+// folded in run order, and its calls never overlap at any worker count.
+func TestLiveSweepDoneHook(t *testing.T) {
+	for _, workers := range []int{1, 2, 8} {
+		var inFlight atomic.Int32
+		calls := make([]int, 3)
+		s := fakeSweep(3, 4, 2, workers, fourNodes, never)
+		s.done = func(pt int, row []*foldLog) {
+			if inFlight.Add(1) != 1 {
+				t.Errorf("workers %d: overlapping done calls", workers)
+			}
+			calls[pt]++
+			want := []string{fmt.Sprintf("p%d r0 c1", pt), fmt.Sprintf("p%d r1 c1", pt), fmt.Sprintf("p%d r2 c1", pt), fmt.Sprintf("p%d r3 c1", pt)}
+			if !reflect.DeepEqual(row[1].got, want) {
+				t.Errorf("workers %d: point %d handed over with %v", workers, pt, row[1].got)
+			}
+			inFlight.Add(-1)
+		}
+		if _, err := s.run(context.Background()); err != nil {
+			t.Fatalf("workers %d: %v", workers, err)
+		}
+		if !reflect.DeepEqual(calls, []int{1, 1, 1}) {
+			t.Errorf("workers %d: done calls per point = %v", workers, calls)
 		}
 	}
 }

@@ -9,7 +9,6 @@ import (
 	"qolsr/internal/graph"
 	"qolsr/internal/metric"
 	"qolsr/internal/netgen"
-	"qolsr/internal/par"
 	"qolsr/internal/route"
 	"qolsr/internal/stats"
 )
@@ -20,18 +19,12 @@ type Scenario struct {
 	Deployment geom.Deployment
 	// Metric is the QoS metric under study.
 	Metric metric.Metric
-	// WeightInterval is the uniform law of link weights.
-	WeightInterval metric.Interval
 	// Runs is the number of independent topologies (the paper uses 100).
 	Runs int
 	// Seed derives each run's RNG stream via RunSeed(Seed, Degree, run),
 	// which is what makes all protocols see identical topologies and
 	// pairs while keeping streams independent across runs and densities.
 	Seed int64
-	// Workers bounds run-level parallelism: the runs go through par.For
-	// on min(Workers, Runs) goroutines, or inline on the caller's when
-	// that is one (default GOMAXPROCS).
-	Workers int
 	// MeasureDirectedDelivery additionally evaluates the all-pairs
 	// delivery ratio under directed-advertisement semantics (the Fig. 4
 	// reachability model; ablation A1). Quadratic in node count — meant
@@ -56,6 +49,22 @@ type ProtocolPoint struct {
 	DirectedDelivery stats.Accumulator
 }
 
+// Series returns the accumulator of quantity q, or nil for a quantity the
+// point does not measure.
+func (pp *ProtocolPoint) Series(q Quantity) *stats.Accumulator {
+	switch q {
+	case QuantitySetSize:
+		return &pp.SetSize
+	case QuantityOverhead:
+		return &pp.Overhead
+	case QuantityDelivery:
+		return &pp.Delivery
+	case QuantityDirectedDelivery:
+		return &pp.DirectedDelivery
+	}
+	return nil
+}
+
 // PointResult is the outcome of one density point for every protocol.
 type PointResult struct {
 	Degree    float64
@@ -66,101 +75,108 @@ type PointResult struct {
 	SkippedRuns int
 }
 
-// runSample is one run's contribution, merged deterministically.
-type runSample struct {
-	nodes    float64
-	skipped  bool
-	setSize  []stats.Accumulator
-	overhead []stats.Accumulator
-	delivery []stats.Accumulator
-	hops     []stats.Accumulator
-	directed []stats.Accumulator
-	err      error
+// pointSpec is one density point of the figure grid: the scenario and the
+// compared protocols. Two figures whose specs are deeply equal share the
+// point.
+type pointSpec struct {
+	sc        Scenario
+	protocols []ProtocolSpec
+}
+
+func (p pointSpec) validate() error {
+	if p.sc.Runs <= 0 {
+		return fmt.Errorf("eval: Runs must be positive, got %d", p.sc.Runs)
+	}
+	return p.sc.Deployment.Validate()
+}
+
+// pointSweep lays density points out on the cell loop: one column per
+// point, whose cell is one evalRun, folded into the point in run order.
+func pointSweep(specs []pointSpec, runs, workers int, done func(pt int, row []*PointResult)) liveSweep[*PointResult] {
+	return liveSweep[*PointResult]{
+		points: len(specs), runs: runs, cols: 1, workers: workers,
+		point: func(pt, _ int) *PointResult {
+			res := &PointResult{Degree: specs[pt].sc.Deployment.Degree, Protocols: map[string]*ProtocolPoint{}}
+			for _, p := range specs[pt].protocols {
+				res.Protocols[p.Name] = &ProtocolPoint{}
+			}
+			return res
+		},
+		cell: func(_ liveField, pt, run, _ int) (func(*PointResult), error) {
+			s, err := evalRun(specs[pt].sc, specs[pt].protocols, run)
+			if err != nil {
+				return nil, fmt.Errorf("eval: density %g run %d: %w", specs[pt].sc.Deployment.Degree, run, err)
+			}
+			return func(res *PointResult) { s.mergeInto(res, specs[pt].protocols) }, nil
+		},
+		done: done,
+	}
 }
 
 // RunPoint evaluates every protocol on Runs independent topologies at the
-// scenario's density. All protocols within a run share the topology, the
-// link weights and the (source, destination) pair, mirroring the paper's
-// "each approach is run on the same topology with the same source and
+// scenario's density: a one-point grid on the cell loop, running up to
+// workers topologies at once (0 = GOMAXPROCS, 1 = in order on the caller's
+// goroutine). All protocols within a run share the topology, the link
+// weights and the (source, destination) pair, mirroring the paper's "each
+// approach is run on the same topology with the same source and
 // destination".
 //
 // Cancelling ctx stops dispatching runs and returns ctx.Err(). A failing
 // run stops dispatch too; the error reported is the lowest failing run's.
-// Results are bit-identical for a given scenario regardless of Workers:
+// Results are bit-identical for a given scenario regardless of workers:
 // every run draws its RNG stream from RunSeed and samples are merged in run
 // order.
-func RunPoint(ctx context.Context, sc Scenario, protocols []ProtocolSpec) (*PointResult, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if sc.Runs <= 0 {
-		return nil, fmt.Errorf("eval: Runs must be positive, got %d", sc.Runs)
-	}
-	if err := sc.Deployment.Validate(); err != nil {
+func RunPoint(ctx context.Context, sc Scenario, protocols []ProtocolSpec, workers int) (*PointResult, error) {
+	spec := pointSpec{sc, protocols}
+	if err := spec.validate(); err != nil {
 		return nil, err
 	}
-	if err := sc.WeightInterval.Validate(); err != nil {
+	rows, err := pointSweep([]pointSpec{spec}, sc.Runs, workers, nil).run(ctx)
+	if err != nil {
 		return nil, err
 	}
-	samples := make([]runSample, sc.Runs)
-	if err := par.For(ctx, sc.Runs, sc.Workers, func(_ context.Context, run int) error {
-		samples[run] = evalRun(sc, protocols, run)
-		if err := samples[run].err; err != nil {
-			return fmt.Errorf("eval: run %d: %w", run, err)
-		}
-		return nil
-	}); err != nil {
-		return nil, err
-	}
+	return rows[0][0], nil
+}
 
-	res := &PointResult{
-		Degree:    sc.Deployment.Degree,
-		Protocols: make(map[string]*ProtocolPoint, len(protocols)),
+// runSample is one run's contribution, merged deterministically.
+type runSample struct {
+	nodes     float64
+	skipped   bool
+	protocols []ProtocolPoint
+}
+
+// mergeInto folds the run into the point, one accumulator Merge per series.
+func (s *runSample) mergeInto(res *PointResult, protocols []ProtocolSpec) {
+	res.Nodes.Add(s.nodes)
+	if s.skipped {
+		res.SkippedRuns++
 	}
-	for _, p := range protocols {
-		res.Protocols[p.Name] = &ProtocolPoint{}
+	for i, p := range protocols {
+		pp, r := res.Protocols[p.Name], &s.protocols[i]
+		pp.SetSize.Merge(&r.SetSize)
+		pp.Overhead.Merge(&r.Overhead)
+		pp.Delivery.Merge(&r.Delivery)
+		pp.Hops.Merge(&r.Hops)
+		pp.DirectedDelivery.Merge(&r.DirectedDelivery)
 	}
-	for run := range samples {
-		s := &samples[run]
-		res.Nodes.Add(s.nodes)
-		if s.skipped {
-			res.SkippedRuns++
-		}
-		for i, p := range protocols {
-			pp := res.Protocols[p.Name]
-			pp.SetSize.Merge(&s.setSize[i])
-			pp.Overhead.Merge(&s.overhead[i])
-			pp.Delivery.Merge(&s.delivery[i])
-			pp.Hops.Merge(&s.hops[i])
-			pp.DirectedDelivery.Merge(&s.directed[i])
-		}
-	}
-	return res, nil
 }
 
 // pairTries bounds source resampling when hunting for a connected pair.
 const pairTries = 64
 
-func evalRun(sc Scenario, protocols []ProtocolSpec, run int) runSample {
-	s := runSample{
-		setSize:  make([]stats.Accumulator, len(protocols)),
-		overhead: make([]stats.Accumulator, len(protocols)),
-		delivery: make([]stats.Accumulator, len(protocols)),
-		hops:     make([]stats.Accumulator, len(protocols)),
-		directed: make([]stats.Accumulator, len(protocols)),
-	}
+// evalRun evaluates every protocol on one topology of the scenario.
+func evalRun(sc Scenario, protocols []ProtocolSpec, run int) (*runSample, error) {
+	s := &runSample{protocols: make([]ProtocolPoint, len(protocols))}
 	rng := rand.New(rand.NewSource(RunSeed(sc.Seed, sc.Deployment.Degree, run)))
 	channel := sc.Metric.Name()
-	g, err := netgen.Build(sc.Deployment, channel, sc.WeightInterval, rng)
+	g, err := netgen.Build(sc.Deployment, channel, metric.DefaultInterval(), rng)
 	if err != nil {
-		s.err = err
-		return s
+		return nil, err
 	}
 	s.nodes = float64(g.N())
 	w, err := g.Weights(channel)
 	if err != nil {
-		s.err = err
-		return s
+		return nil, err
 	}
 
 	// Per-node selections, shared state across protocols via the view.
@@ -173,11 +189,10 @@ func evalRun(sc Scenario, protocols []ProtocolSpec, run int) runSample {
 		for i, p := range protocols {
 			set, err := p.Selector.Select(view, sc.Metric, w)
 			if err != nil {
-				s.err = fmt.Errorf("%s at node %d: %w", p.Name, u, err)
-				return s
+				return nil, fmt.Errorf("%s at node %d: %w", p.Name, u, err)
 			}
 			sets[i][u] = set
-			s.setSize[i].Add(float64(len(set)))
+			s.protocols[i].SetSize.Add(float64(len(set)))
 		}
 	}
 
@@ -185,10 +200,9 @@ func evalRun(sc Scenario, protocols []ProtocolSpec, run int) runSample {
 		for i := range protocols {
 			d, err := route.BuildDirectedAdvertised(g, sets[i])
 			if err != nil {
-				s.err = fmt.Errorf("%s: %w", protocols[i].Name, err)
-				return s
+				return nil, fmt.Errorf("%s: %w", protocols[i].Name, err)
 			}
-			s.directed[i].Add(d.DeliveryRatio())
+			s.protocols[i].DirectedDelivery.Add(d.DeliveryRatio())
 		}
 	}
 
@@ -197,14 +211,13 @@ func evalRun(sc Scenario, protocols []ProtocolSpec, run int) runSample {
 		// Sparse run without a usable pair: keep the set sizes, skip
 		// the routing measurement.
 		s.skipped = true
-		return s
+		return s, nil
 	}
 
 	for i, p := range protocols {
 		adv, err := route.BuildAdvertised(g, sets[i], channel)
 		if err != nil {
-			s.err = fmt.Errorf("%s: %w", p.Name, err)
-			return s
+			return nil, fmt.Errorf("%s: %w", p.Name, err)
 		}
 		// Local-delivery rule: the destination's own links are always
 		// usable as the last hop — its neighbors know them from HELLO
@@ -215,28 +228,25 @@ func evalRun(sc Scenario, protocols []ProtocolSpec, run int) runSample {
 		// than of the selection algorithms.
 		adv, err = route.WithLocalLinks(adv, g, channel, dst)
 		if err != nil {
-			s.err = fmt.Errorf("%s: %w", p.Name, err)
-			return s
+			return nil, fmt.Errorf("%s: %w", p.Name, err)
 		}
 		if p.LocalLinks {
 			adv, err = route.WithLocalLinks(adv, g, channel, src)
 			if err != nil {
-				s.err = fmt.Errorf("%s: %w", p.Name, err)
-				return s
+				return nil, fmt.Errorf("%s: %w", p.Name, err)
 			}
 		}
 		ev, err := route.EvaluatePair(g, adv, sc.Metric, channel, src, dst, p.Policy)
 		if err != nil {
-			s.err = fmt.Errorf("%s: %w", p.Name, err)
-			return s
+			return nil, fmt.Errorf("%s: %w", p.Name, err)
 		}
 		if ev.Delivered {
-			s.delivery[i].Add(1)
-			s.overhead[i].Add(ev.Overhead)
-			s.hops[i].Add(float64(ev.Hops))
+			s.protocols[i].Delivery.Add(1)
+			s.protocols[i].Overhead.Add(ev.Overhead)
+			s.protocols[i].Hops.Add(float64(ev.Hops))
 		} else {
-			s.delivery[i].Add(0)
+			s.protocols[i].Delivery.Add(0)
 		}
 	}
-	return s
+	return s, nil
 }

@@ -63,9 +63,9 @@ type ScaleSweepOptions struct {
 	Runs int
 	// Workers bounds the goroutines the post-warmup route-rebuild barrier
 	// fans the flow sources' SPF work across (0 = GOMAXPROCS, 1 =
-	// serial). Unlike the other live-stack sweeps, S1 simulates one field
-	// at a time, so each wall time is its own. Wall-clock only: results
-	// are bit-identical at every setting.
+	// serial). S1's grid simulates one field at a time, so each wall time
+	// is its own. Wall-clock only: results are bit-identical at every
+	// setting.
 	Workers int
 	// Seed derives field, protocol and flow randomness.
 	Seed int64
@@ -110,9 +110,6 @@ type ScaleSweepResult struct {
 // live stack. Cancelling ctx stops between simulations and returns
 // ctx.Err().
 func RunScaleSweep(ctx context.Context, opts ScaleSweepOptions) (*ScaleSweepResult, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	if len(opts.Nodes) == 0 {
 		max := opts.MaxNodes
 		if max <= 0 {
@@ -132,25 +129,28 @@ func RunScaleSweep(ctx context.Context, opts ScaleSweepOptions) (*ScaleSweepResu
 		opts.Seed = 1
 	}
 
+	// One field at a time (workers 1), so each wall time is its own;
+	// opts.Workers goes to the rebuild barrier inside the simulation.
+	points, err := liveSweep[*ScalePoint]{
+		points: len(opts.Nodes), runs: opts.Runs, cols: 1, workers: 1,
+		point: func(pt, _ int) *ScalePoint { return &ScalePoint{Nodes: opts.Nodes[pt]} },
+		cell: func(_ liveField, pt, run, _ int) (func(*ScalePoint), error) {
+			return runScaleCell(opts.Nodes[pt], run, opts)
+		},
+	}.run(ctx)
+	if err != nil {
+		return nil, err
+	}
 	res := &ScaleSweepResult{Options: opts}
-	for _, n := range opts.Nodes {
-		p := &ScalePoint{Nodes: n}
-		for run := 0; run < opts.Runs; run++ {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			if err := runScalePoint(p, n, run, opts); err != nil {
-				return nil, err
-			}
-		}
-		res.Points = append(res.Points, p)
+	for _, row := range points {
+		res.Points = append(res.Points, row[0])
 	}
 	return res, nil
 }
 
-// runScalePoint executes one (node count, run) simulation and folds its
-// measurements into the point.
-func runScalePoint(p *ScalePoint, n, run int, opts ScaleSweepOptions) error {
+// runScaleCell executes one (node count, run) simulation and returns the
+// step that folds its measurements into the point.
+func runScaleCell(n, run int, opts ScaleSweepOptions) (func(*ScalePoint), error) {
 	fieldSeed := RunSeed(opts.Seed, float64(n), run)
 	fieldRNG := rand.New(rand.NewSource(fieldSeed))
 	// Size the square field so a uniform drop of exactly n nodes hits the
@@ -165,7 +165,7 @@ func runScalePoint(p *ScalePoint, n, run int, opts ScaleSweepOptions) error {
 	}
 	g, err := netgen.FromPoints(field, liveRadius, pts, "bandwidth", metric.DefaultInterval(), fieldRNG)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	pairs := sim.DrawPairs(g.N(), opts.Flows, int64(rng.Mix(uint64(fieldSeed), 0x5CA1E)))
 
@@ -177,7 +177,7 @@ func runScalePoint(p *ScalePoint, n, run int, opts ScaleSweepOptions) error {
 	}
 	nw, err := sim.NewNetwork(g, cfg, sim.NetworkOptions{Seed: RunSeed(fieldSeed, float64(n), run)})
 	if err != nil {
-		return err
+		return nil, err
 	}
 
 	start := time.Now()
@@ -188,7 +188,7 @@ func runScalePoint(p *ScalePoint, n, run int, opts ScaleSweepOptions) error {
 	// worker budget instead of paying it serially inside the event loop.
 	// Results are bit-identical at every worker count.
 	if _, err := nw.RebuildRoutes(flowSources(pairs), opts.Workers); err != nil {
-		return err
+		return nil, err
 	}
 	eng := traffic.NewEngine(nw, int64(rng.Mix(uint64(fieldSeed), 0x5CA1E, uint64(run))))
 	for i, pr := range pairs {
@@ -201,27 +201,29 @@ func runScalePoint(p *ScalePoint, n, run int, opts ScaleSweepOptions) error {
 			PacketBytes: traffic.DefaultPacketBytes,
 			Start:       opts.Warmup,
 		}); err != nil {
-			return err
+			return nil, err
 		}
 	}
 	stop := opts.Warmup + opts.SimTime
 	if err := eng.Start(stop); err != nil {
-		return err
+		return nil, err
 	}
 	nw.Run(stop)
 	wall := time.Since(start).Seconds()
 
-	rep := eng.Report()
+	dlv := eng.Report().Total.Delivery
 	events := float64(nw.Engine.Executed)
-	p.Edges.Add(float64(g.M()))
-	p.WallSeconds.Add(wall)
-	p.Events.Add(events)
-	if wall > 0 {
-		p.EventsPerSec.Add(events / wall)
-	}
-	p.HeapHighWater.Add(float64(nw.Engine.HeapHighWater))
-	p.Delivery.Add(rep.Total.Delivery)
-	return nil
+	edges, heap := float64(g.M()), float64(nw.Engine.HeapHighWater)
+	return func(p *ScalePoint) {
+		p.Edges.Add(edges)
+		p.WallSeconds.Add(wall)
+		p.Events.Add(events)
+		if wall > 0 {
+			p.EventsPerSec.Add(events / wall)
+		}
+		p.HeapHighWater.Add(heap)
+		p.Delivery.Add(dlv)
+	}, nil
 }
 
 // flowSources returns the unique flow sources in ascending index order.

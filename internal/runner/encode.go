@@ -7,7 +7,6 @@ import (
 	"strings"
 
 	"qolsr/internal/eval"
-	"qolsr/internal/stats"
 )
 
 // SchemaVersion identifies the JSON encoding; bump it on breaking changes
@@ -55,22 +54,6 @@ func (r *Result) quantitiesFor(fr *eval.FigureResult) []eval.Quantity {
 	return []eval.Quantity{fr.Figure.Quantity}
 }
 
-// accumulatorFor maps a quantity to its accumulator in a protocol point.
-func accumulatorFor(pp *eval.ProtocolPoint, q eval.Quantity) *stats.Accumulator {
-	switch q {
-	case eval.QuantitySetSize:
-		return &pp.SetSize
-	case eval.QuantityOverhead:
-		return &pp.Overhead
-	case eval.QuantityDelivery:
-		return &pp.Delivery
-	case eval.QuantityDirectedDelivery:
-		return &pp.DirectedDelivery
-	default:
-		return nil
-	}
-}
-
 // EncodeJSON writes the sweep as an indented JSON document (schema
 // "qolsr-sweep/v1"): per figure, per density point, per protocol, the
 // selected quantity series as {mean, ci95, n}.
@@ -99,7 +82,7 @@ func (r *Result) EncodeJSON(w io.Writer) error {
 				}
 				series := make(map[string]jsonStat)
 				for _, q := range r.quantitiesFor(fr) {
-					acc := accumulatorFor(pp, q)
+					acc := pp.Series(q)
 					if acc == nil {
 						return fmt.Errorf("runner: unknown quantity %q", q)
 					}
@@ -130,7 +113,7 @@ func (r *Result) EncodeCSV(w io.Writer) error {
 					continue
 				}
 				for _, q := range r.quantitiesFor(fr) {
-					acc := accumulatorFor(pp, q)
+					acc := pp.Series(q)
 					if acc == nil {
 						return fmt.Errorf("runner: unknown quantity %q", q)
 					}

@@ -1,31 +1,26 @@
 // Package runner executes figure sweeps as parallel, cancellable,
 // streaming pipelines. It is the engine behind the root package's
-// Experiment/Runner API: every (figure, density) pair becomes one job, jobs
-// run concurrently through par.For, each job additionally parallelizes its
-// runs through eval.RunPoint, and completed points are streamed as events
-// while the sweep is still in flight.
+// Experiment/Runner API: the figures run on eval.RunFigures, the one cell
+// loop over their distinct (density point, run) pairs, and every completed
+// point is streamed as events while the sweep is still in flight.
 //
 // Results are deterministic for a given seed regardless of the worker
 // budget: every run's RNG stream is derived from (seed, degree, run) alone
-// and points are assembled by index, so parallelism only changes wall-clock
+// and runs are folded in run order, so parallelism only changes wall-clock
 // time, never numbers.
 package runner
 
 import (
 	"context"
-	"fmt"
 	"runtime"
-	"sync"
 
 	"qolsr/internal/eval"
-	"qolsr/internal/metric"
-	"qolsr/internal/par"
 )
 
 // Options tunes a sweep without changing the figures' definitions.
 type Options struct {
-	// Workers is the total parallelism budget, shared between concurrent
-	// density points and the runs inside each point (default GOMAXPROCS).
+	// Workers bounds how many (density point, run) topologies evaluate at
+	// once, across every figure of the sweep (default GOMAXPROCS).
 	// Scenario execution spends it on replicate runs. At 1 every job runs
 	// in order on one goroutine besides the caller's.
 	Workers int
@@ -33,8 +28,6 @@ type Options struct {
 	Runs int
 	// Seed is the base RNG seed (default 1).
 	Seed int64
-	// WeightInterval overrides the link weight law (default [1,10]).
-	WeightInterval metric.Interval
 	// Degrees, when non-empty, overrides every figure's density axis.
 	Degrees []float64
 	// Progress, when non-nil, receives a human-readable line per
@@ -55,9 +48,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Seed == 0 {
 		o.Seed = 1
-	}
-	if o.WeightInterval == (metric.Interval{}) {
-		o.WeightInterval = metric.DefaultInterval()
 	}
 	return o
 }
@@ -100,112 +90,57 @@ type Result struct {
 // Stream starts the sweep and returns the event channel plus a wait
 // function that blocks until completion and yields the final result. The
 // channel is buffered for the whole sweep and closed when done, so a caller
-// may drain it lazily or abandon it. Cancelling ctx stops outstanding work
-// promptly; wait then returns ctx.Err(). A failing point stops the points
-// not yet started, and wait returns the error of the first failing point in
-// figure and density order.
+// may drain it lazily or abandon it. Figures that share a density point
+// (eval.RunFigures) get it from one simulation, and each gets its own
+// EventPoint. Cancelling ctx stops outstanding work promptly; wait then
+// returns ctx.Err(). A failing point stops the points not yet started, and
+// wait returns the error of the first failing point in figure and density
+// order. A figure without density points fails the sweep before it starts.
 func Stream(ctx context.Context, figs []eval.Figure, opts Options) (<-chan Event, func() (*Result, error)) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	opts = opts.withDefaults()
 	figs = cloneFigures(figs, opts.Degrees)
-
-	type job struct {
-		fi, pi int
-		deg    float64
-	}
-	var jobs []job
-	results := make([]*eval.FigureResult, len(figs))
+	// One EventPoint per (figure, point) and one EventFigure per figure:
+	// the buffer holds every send, so the hook never blocks.
 	remaining := make([]int, len(figs))
+	sends := len(figs)
 	for fi, f := range figs {
-		results[fi] = &eval.FigureResult{
-			Figure: f,
-			Runs:   opts.Runs,
-			Points: make([]*eval.PointResult, len(f.Degrees)),
-		}
 		remaining[fi] = len(f.Degrees)
-		for pi, deg := range f.Degrees {
-			jobs = append(jobs, job{fi: fi, pi: pi, deg: deg})
-		}
+		sends += len(f.Degrees)
 	}
-
-	// Split the budget: pointWorkers density points in flight, each
-	// running its topologies on runWorkers goroutines.
-	pointWorkers := opts.Workers
-	if pointWorkers > len(jobs) {
-		pointWorkers = len(jobs)
-	}
-	if pointWorkers < 1 {
-		pointWorkers = 1
-	}
-	runWorkers := opts.Workers / pointWorkers
-	if runWorkers < 1 {
-		runWorkers = 1
-	}
-
-	events := make(chan Event, len(jobs)+len(figs))
-	var (
-		mu         sync.Mutex
-		progressMu sync.Mutex
-	)
-	runJob := func(runCtx context.Context, i int) error {
-		j := jobs[i]
-		fig := figs[j.fi]
-		sc := fig.Scenario(j.deg, opts.Runs, opts.Seed, opts.WeightInterval)
-		sc.Workers = runWorkers
-		point, err := eval.RunPoint(runCtx, sc, fig.Protocols)
-		if err != nil {
-			return fmt.Errorf("runner: %s density %g: %w", fig.ID, j.deg, err)
-		}
-		mu.Lock()
-		results[j.fi].Points[j.pi] = point
-		remaining[j.fi]--
-		figDone := remaining[j.fi] == 0
-		mu.Unlock()
-		events <- Event{
-			Kind:        EventPoint,
-			FigureID:    fig.ID,
-			FigureIndex: j.fi,
-			PointIndex:  j.pi,
-			Degree:      j.deg,
-			Point:       point,
-		}
-		if opts.Progress != nil {
-			progressMu.Lock()
-			opts.Progress("%s density %g done (%d runs, %.0f nodes avg)",
-				fig.ID, j.deg, opts.Runs, point.Nodes.Mean())
-			progressMu.Unlock()
-		}
-		if figDone {
-			events <- Event{
-				Kind:        EventFigure,
-				FigureID:    fig.ID,
-				FigureIndex: j.fi,
-				Figure:      results[j.fi],
+	ch := make(chan Event, sends)
+	var figures []*eval.FigureResult
+	wait := goRun(func() (err error) {
+		figures, err = eval.RunFigures(ctx, figs, opts.Runs, opts.Seed, opts.Workers, func(fr *eval.FigureResult, fi, pi int) {
+			deg, point := fr.Figure.Degrees[pi], fr.Points[pi]
+			ch <- Event{Kind: EventPoint, FigureID: fr.Figure.ID, FigureIndex: fi, PointIndex: pi, Degree: deg, Point: point}
+			if opts.Progress != nil {
+				opts.Progress("%s density %g done (%d runs, %.0f nodes avg)",
+					fr.Figure.ID, deg, opts.Runs, point.Nodes.Mean())
 			}
-		}
-		return nil
-	}
-	wait := goFor(ctx, len(jobs), pointWorkers, runJob, func() { close(events) })
-	return events, func() (*Result, error) {
+			if remaining[fi]--; remaining[fi] == 0 {
+				ch <- Event{Kind: EventFigure, FigureID: fr.Figure.ID, FigureIndex: fi, Figure: fr}
+			}
+		})
+		return err
+	}, func() { close(ch) })
+	return ch, func() (*Result, error) {
 		if err := wait(); err != nil {
 			return nil, err
 		}
-		return &Result{Figures: results, Quantities: opts.Quantities}, nil
+		return &Result{Figures: figures, Quantities: opts.Quantities}, nil
 	}
 }
 
-// goFor runs par.For on a goroutine of its own, so the streaming entry
-// points return at once, and calls finish when every job has returned —
-// close event channels there. The returned wait blocks until then and
-// yields par.For's error.
-func goFor(ctx context.Context, n, workers int, job func(context.Context, int) error, finish func()) (wait func() error) {
+// goRun calls run on a goroutine of its own, so the streaming entry points
+// return at once, and calls finish when run has returned — close event
+// channels there. The returned wait blocks until then and yields run's
+// error.
+func goRun(run func() error, finish func()) (wait func() error) {
 	done := make(chan struct{})
 	var err error
 	go func() {
 		defer close(done)
-		err = par.For(ctx, n, workers, job)
+		err = run()
 		finish()
 	}()
 	return func() error {

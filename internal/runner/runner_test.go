@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -79,6 +80,51 @@ func TestStreamEmitsEveryEvent(t *testing.T) {
 	}
 }
 
+// Two figures sharing a sweep (fig6/fig8 style: same metric and protocols,
+// another quantity) are simulated once per shared density, yet the stream
+// still carries one EventPoint per (figure, point) and one EventFigure per
+// figure.
+func TestStreamSharedPoints(t *testing.T) {
+	size, over := tinyFigure("size", 3, 4), tinyFigure("over", 4, 5)
+	over.Quantity = eval.QuantityOverhead
+	events, wait := Stream(context.Background(), []eval.Figure{size, over}, Options{Runs: 1, Seed: 7, Workers: 2})
+	points := map[[2]int]*eval.PointResult{}
+	figures := map[int]int{}
+	for ev := range events {
+		switch ev.Kind {
+		case EventPoint:
+			if _, dup := points[[2]int{ev.FigureIndex, ev.PointIndex}]; dup {
+				t.Errorf("duplicate point event %s/%d", ev.FigureID, ev.PointIndex)
+			}
+			points[[2]int{ev.FigureIndex, ev.PointIndex}] = ev.Point
+		case EventFigure:
+			figures[ev.FigureIndex]++
+		}
+	}
+	if _, err := wait(); err != nil {
+		t.Fatal(err)
+	}
+	if len(points) != 4 || len(figures) != 2 || figures[0] != 1 || figures[1] != 1 {
+		t.Fatalf("events: %d points, figures %v; want 4 points, one event per figure", len(points), figures)
+	}
+	if points[[2]int{0, 1}] != points[[2]int{1, 0}] {
+		t.Error("density 4 simulated once per figure")
+	}
+}
+
+// A figure with no density points is rejected, naming it, before any point
+// runs — it would otherwise never get its EventFigure.
+func TestStreamRejectsFigureWithoutPoints(t *testing.T) {
+	empty := tinyFigure("empty")
+	events, wait := Stream(context.Background(), []eval.Figure{empty, tinyFigure("one", 3)}, Options{Runs: 1})
+	for ev := range events {
+		t.Errorf("event %v %s before the sweep was rejected", ev.Kind, ev.FigureID)
+	}
+	if _, err := wait(); err == nil || !strings.Contains(err.Error(), "empty") {
+		t.Errorf("err = %v, want one naming figure empty", err)
+	}
+}
+
 // The worker budget must only change wall-clock time, never numbers: the
 // encoded JSON is byte-identical across Workers values.
 func TestRunDeterministicAcrossWorkers(t *testing.T) {
@@ -125,11 +171,11 @@ func TestRunCancellation(t *testing.T) {
 
 func TestRunPropagatesPointErrors(t *testing.T) {
 	_, err := Run(context.Background(), []eval.Figure{tinyFigure("bad", 5)}, Options{
-		Runs:           1,
-		WeightInterval: metric.Interval{Lo: -2, Hi: -1},
+		Runs:    1,
+		Degrees: []float64{-1},
 	})
 	if err == nil {
-		t.Fatal("invalid weight interval accepted")
+		t.Fatal("invalid density accepted")
 	}
 }
 

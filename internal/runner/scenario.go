@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"sync"
 
+	"qolsr/internal/par"
 	"qolsr/internal/scenario"
 )
 
@@ -78,23 +79,25 @@ func StreamScenario(ctx context.Context, sc scenario.Scenario, opts Options) (<-
 	results := make([]*scenario.RunResult, opts.Runs)
 
 	var progressMu sync.Mutex
-	wait := goFor(ctx, opts.Runs, opts.Workers, func(runCtx context.Context, run int) error {
-		emit := func(s scenario.Sample) {
-			events <- ScenarioEvent{Kind: ScenarioEventSample, Run: run, Sample: s}
-		}
-		rr, err := scenario.Execute(runCtx, sc, opts.Seed, run, emit)
-		if err != nil {
-			return fmt.Errorf("runner: scenario %s run %d: %w", sc.Name, run, err)
-		}
-		results[run] = rr
-		events <- ScenarioEvent{Kind: ScenarioEventRun, Run: run, Result: rr}
-		if opts.Progress != nil {
-			progressMu.Lock()
-			opts.Progress("scenario %s run %d done (%d nodes, %d samples)",
-				sc.Name, run, rr.Nodes, len(rr.Samples))
-			progressMu.Unlock()
-		}
-		return nil
+	wait := goRun(func() error {
+		return par.For(ctx, opts.Runs, opts.Workers, func(runCtx context.Context, run int) error {
+			emit := func(s scenario.Sample) {
+				events <- ScenarioEvent{Kind: ScenarioEventSample, Run: run, Sample: s}
+			}
+			rr, err := scenario.Execute(runCtx, sc, opts.Seed, run, emit)
+			if err != nil {
+				return fmt.Errorf("runner: scenario %s run %d: %w", sc.Name, run, err)
+			}
+			results[run] = rr
+			events <- ScenarioEvent{Kind: ScenarioEventRun, Run: run, Result: rr}
+			if opts.Progress != nil {
+				progressMu.Lock()
+				opts.Progress("scenario %s run %d done (%d nodes, %d samples)",
+					sc.Name, run, rr.Nodes, len(rr.Samples))
+				progressMu.Unlock()
+			}
+			return nil
+		})
 	}, func() { close(events) })
 	return events, func() (*scenario.Result, error) {
 		if err := wait(); err != nil {

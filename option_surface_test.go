@@ -24,7 +24,7 @@ func TestOptionSurface(t *testing.T) {
 		{reflect.TypeFor[qolsr.ScenarioMobility](), 1},
 		{reflect.TypeFor[qolsr.NetworkOptions](), 2},
 		{reflect.TypeFor[qolsr.MediumLossyConfig](), 3},
-		{reflect.TypeFor[qolsr.PointScenario](), 7},
+		{reflect.TypeFor[qolsr.PointScenario](), 5},
 		{reflect.TypeFor[qolsr.ControlSweepOptions](), 5},
 		{reflect.TypeFor[qolsr.LossSweepOptions](), 6},
 		{reflect.TypeFor[qolsr.LoadSweepOptions](), 7},
