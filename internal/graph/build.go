@@ -1,6 +1,9 @@
 package graph
 
-import "slices"
+import (
+	"math/bits"
+	"slices"
+)
 
 // FromEdges returns the graph on ids, which must be strictly ascending, whose
 // edge e joins the node indices ends[e] with weight w[e] on the named channel.
@@ -11,6 +14,68 @@ func FromEdges(ids []NodeID, ends [][2]int32, channel string, w []float64) *Grap
 	g := &Graph{ids: ids, ends: ends, weights: []weightChannel{{channel, w}}}
 	g.layout(nil, make([]int32, len(ids)+1))
 	return g
+}
+
+// IDIndex numbers a set of node ids in ascending order, the order FromEdges
+// and ViewScratch.Begin take them in. Ids inside [0, window) go through a
+// bitset and a position table, so numbering costs O(ids + window/64) and a
+// lookup is one array read; the others go through a sorted list and a binary
+// search. A round is Reset, Note for every id (repeats allowed), Seal, then At
+// for any noted id. The zero value is ready; an IDIndex is not safe for
+// concurrent use.
+type IDIndex struct {
+	mark         []uint64 // per in-window id: noted
+	index        []int32  // per noted in-window id: its position, once sealed
+	outside, ids []NodeID
+}
+
+// Reset starts a round over the id window [0, window).
+func (x *IDIndex) Reset(window int) {
+	x.mark = append(x.mark[:0], make([]uint64, (window+63)/64)...)
+	if cap(x.index) < window {
+		x.index = make([]int32, window)
+	}
+	x.index, x.outside = x.index[:window], x.outside[:0]
+}
+
+// Note adds id to the set.
+func (x *IDIndex) Note(id NodeID) {
+	if uint64(id) < uint64(len(x.index)) {
+		x.mark[id>>6] |= 1 << (uint64(id) & 63)
+	} else {
+		x.outside = append(x.outside, id)
+	}
+}
+
+// Seal numbers the noted ids and returns them ascending and unique. The
+// slice is the index's own storage, valid until the next Seal.
+func (x *IDIndex) Seal() []NodeID {
+	slices.Sort(x.outside)
+	x.outside = slices.Compact(x.outside)
+	below, _ := slices.BinarySearch(x.outside, 0)
+	n := len(x.outside)
+	for _, word := range x.mark {
+		n += bits.OnesCount64(word)
+	}
+	ids := append(slices.Grow(x.ids[:0], n), x.outside[:below]...)
+	for i, word := range x.mark {
+		for ; word != 0; word &= word - 1 {
+			id := i<<6 + bits.TrailingZeros64(word)
+			x.index[id] = int32(len(ids))
+			ids = append(ids, NodeID(id))
+		}
+	}
+	x.ids = append(ids, x.outside[below:]...)
+	return x.ids
+}
+
+// At returns the position of a noted id in the sealed order.
+func (x *IDIndex) At(id NodeID) int32 {
+	if uint64(id) < uint64(len(x.index)) {
+		return x.index[id]
+	}
+	i, _ := slices.BinarySearch(x.ids, id)
+	return int32(i)
 }
 
 // layout lays g.ends out as adjacency lists, in edge order as AddEdge would
@@ -54,77 +119,47 @@ func (g *Graph) layout(arena []Arc, off []int32) []Arc {
 // everything handed out is valid until the next Begin. The zero value is
 // ready; a ViewScratch is not safe for concurrent use.
 //
-// A build is Begin, AddID for every node (any order, repeats allowed), Seal,
-// then Row/Edge for the links, then View. The first writer of a pair wins and
-// self-loops are dropped; an edge naming an id that was not added is skipped.
-// The pair dedup is an n×n bit-matrix, sized for a two-hop view, not for a
-// node's whole routing graph.
+// A build is Begin with the view's node ids, which must be ascending and
+// unique, then Edge for the links by node index (an id's position in that
+// list), then View. The first writer of a pair wins and self-loops are
+// dropped. The pair dedup is an n×n bit-matrix, sized for a two-hop view, not
+// for a node's whole routing graph.
 type ViewScratch struct {
 	g    Graph
 	lv   LocalView
 	w    []float64 // weight per staged edge, the built graph's only channel
 	arcs []Arc     // CSR arena g.adj slices into
 	seen []uint64  // n×n pair bit-matrix: first-writer-wins dedup
-	from int32     // current Row's node
-	cur  int       // forward lookup cursor into g.ids (see find)
 
 	// Working storage of the selection kernels (firsthops.go, Int32Scratch).
 	sp   Scratch // additive kernel's Dijkstra
 	fh   FirstHops
 	work []int32
 
-	// The concave sweep's state (firstHopsConcave): E_u sorted, the value per
-	// node, and per union-find component the active-hop bitset and the
-	// pending-target list.
+	// The concave sweep's state (firstHopsConcave): E_u and its sort keys,
+	// the value per node, and per union-find component the active-hop bitset
+	// and the pending-target list.
 	edges      []concaveEdge
+	keys       []uint64
 	dist       []float64
 	uf         UnionFind
 	active     []uint64
 	pend, next []int32
 }
 
-// Begin starts a new build, invalidating the previous view.
-func (s *ViewScratch) Begin() {
-	s.g.ids, s.g.labels = s.g.ids[:0], nil
-}
-
-// AddID adds a node.
-func (s *ViewScratch) AddID(id NodeID) { s.g.ids = append(s.g.ids, id) }
-
-// Seal closes the node set: ids are sorted, so index order is ID order.
-func (s *ViewScratch) Seal() {
-	slices.Sort(s.g.ids)
-	s.g.ids = slices.Compact(s.g.ids)
-	n := len(s.g.ids)
+// Begin starts a new build on the nodes with the given ids, ascending and
+// unique, and invalidates the previous view. The view's graph takes the ids
+// over, as FromEdges does: they must not change while it is in use.
+func (s *ViewScratch) Begin(ids []NodeID) {
+	n := len(ids)
+	s.g.ids, s.g.labels = ids, nil
 	s.seen = append(s.seen[:0], make([]uint64, (n*n+63)/64)...)
 	s.g.ends, s.w = s.g.ends[:0], s.w[:0]
-	s.from, s.cur = -1, 0
 }
 
-// find returns id's index or -1. Lookups made in ascending id order — the
-// link tables views are built from are sorted — share one forward walk over
-// the ids; a step backwards restarts it.
-func (s *ViewScratch) find(id NodeID) int32 {
-	ids := s.g.ids
-	if s.cur < len(ids) && ids[s.cur] > id {
-		s.cur = 0
-	}
-	for s.cur < len(ids) && ids[s.cur] < id {
-		s.cur++
-	}
-	if s.cur < len(ids) && ids[s.cur] == id {
-		return int32(s.cur)
-	}
-	return -1
-}
-
-// Row makes from the near end of the Edge calls that follow.
-func (s *ViewScratch) Row(from NodeID) { s.from = s.find(from) }
-
-// Edge stages the undirected edge joining the current Row's node and to.
-func (s *ViewScratch) Edge(to NodeID, w float64) {
-	a, b := s.from, s.find(to)
-	if a < 0 || b < 0 || a == b {
+// Edge stages the undirected edge joining the nodes at indices a and b.
+func (s *ViewScratch) Edge(a, b int32, w float64) {
+	if a == b {
 		return
 	}
 	if a > b {
@@ -141,21 +176,17 @@ func (s *ViewScratch) Edge(to NodeID, w float64) {
 
 // View lays the staged edges out as adjacency lists (in staging order, as
 // AddEdge would have) with their weights on the named channel, and returns
-// the local view of center with that channel's weight slice; nil when center
-// is not a node.
-func (s *ViewScratch) View(center NodeID, channel string) (*LocalView, []float64) {
+// the local view of the node at index center with that channel's weight
+// slice.
+func (s *ViewScratch) View(center int32, channel string) (*LocalView, []float64) {
 	g := &s.g
-	u := s.find(center)
-	if u < 0 {
-		return nil, nil
-	}
 	s.work = resizeInt32(s.work, len(g.ids)+1)
 	s.arcs = g.layout(s.arcs, s.work)
 	if len(g.weights) != 1 {
 		g.weights = make([]weightChannel, 1)
 	}
 	g.weights[0] = weightChannel{channel, s.w}
-	s.lv.init(g, u)
+	s.lv.init(g, center)
 	s.lv.scratch = s
 	return &s.lv, s.w
 }

@@ -76,21 +76,25 @@ func (sp *ShortestPaths) FirstHops(first, hops []int32) (f, h []int32) {
 	return first, hops
 }
 
-// heapItem is one pending entry of the search frontier (lazy deletion).
+// heapItem is one pending entry of the search frontier (lazy deletion). Its
+// key is the path value under an additive metric and the value negated under
+// a concave one, so that a smaller key is always a better value
+// (metric.Kind states the order).
 type heapItem struct {
-	value float64
-	hops  int32
-	node  int32
+	key  float64
+	hops int32
+	node int32
 }
 
-// keyLess is the canonical frontier order: better metric value first, fewer
-// hops on ties. The predecessor-ID tie-break needs no heap participation —
-// equal-key candidates only ever update prev in place.
-func keyLess(m metric.Metric, a, b heapItem) bool {
-	if m.Better(a.value, b.value) {
+// keyLess is the canonical frontier order: smaller key (better metric value)
+// first, fewer hops on ties. It compares two floats and two hop counts and
+// makes no call through the metric. The predecessor-ID tie-break needs no
+// heap participation — equal-key candidates only ever update prev in place.
+func keyLess(a, b heapItem) bool {
+	switch {
+	case a.key < b.key:
 		return true
-	}
-	if m.Better(b.value, a.value) {
+	case b.key < a.key:
 		return false
 	}
 	return a.hops < b.hops
@@ -173,6 +177,10 @@ func (s *Scratch) Dijkstra(g *Graph, m metric.Metric, w []float64, src int32, vi
 	}
 	sp.Dist[src] = m.Identity()
 	sp.prev[src] = -1
+	sign := 1.0 // the heap key of value v is sign·v (see heapItem)
+	if m.Kind() == metric.Concave {
+		sign = -1
+	}
 
 	if cap(s.done) < n {
 		s.done = make([]bool, n)
@@ -182,10 +190,10 @@ func (s *Scratch) Dijkstra(g *Graph, m metric.Metric, w []float64, src int32, vi
 		done[i] = false
 	}
 	heap := s.heap[:0]
-	heap = pushHeap(heap, m, heapItem{value: sp.Dist[src], hops: 0, node: src})
+	heap = pushHeap(heap, heapItem{key: sign * sp.Dist[src], hops: 0, node: src})
 	for len(heap) > 0 {
 		var top heapItem
-		top, heap = popHeap(heap, m)
+		top, heap = popHeap(heap)
 		x := top.node
 		if done[x] {
 			continue
@@ -200,18 +208,15 @@ func (s *Scratch) Dijkstra(g *Graph, m metric.Metric, w []float64, src int32, vi
 			if view != nil && !view.HasViewEdge(x, y) {
 				continue
 			}
-			cand := heapItem{
-				value: m.Combine(sp.Dist[x], w[arc.Edge]),
-				hops:  sp.hops[x] + 1,
-				node:  y,
-			}
+			v := m.Combine(sp.Dist[x], w[arc.Edge])
+			cand := heapItem{key: sign * v, hops: sp.hops[x] + 1, node: y}
 			switch {
-			case sp.prev[y] == -2 || keyLess(m, cand, heapItem{value: sp.Dist[y], hops: sp.hops[y]}):
-				sp.Dist[y] = cand.value
+			case sp.prev[y] == -2 || keyLess(cand, heapItem{key: sign * sp.Dist[y], hops: sp.hops[y]}):
+				sp.Dist[y] = v
 				sp.hops[y] = cand.hops
 				sp.prev[y] = x
-				heap = pushHeap(heap, m, cand)
-			case cand.value == sp.Dist[y] && cand.hops == sp.hops[y] && g.ID(x) < g.ID(sp.prev[y]):
+				heap = pushHeap(heap, cand)
+			case v == sp.Dist[y] && cand.hops == sp.hops[y] && g.ID(x) < g.ID(sp.prev[y]):
 				// Equal canonical key through a smaller-ID predecessor:
 				// reroute the tree edge in place. The label (value, hops)
 				// is unchanged, so no re-push is needed — and every such
@@ -227,12 +232,12 @@ func (s *Scratch) Dijkstra(g *Graph, m metric.Metric, w []float64, src int32, vi
 
 // pushHeap inserts it into the binary heap ordered so that the best
 // canonical key (under keyLess) sits at index 0.
-func pushHeap(h []heapItem, m metric.Metric, it heapItem) []heapItem {
+func pushHeap(h []heapItem, it heapItem) []heapItem {
 	h = append(h, it)
 	i := len(h) - 1
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !keyLess(m, h[i], h[parent]) {
+		if !keyLess(h[i], h[parent]) {
 			break
 		}
 		h[i], h[parent] = h[parent], h[i]
@@ -242,7 +247,7 @@ func pushHeap(h []heapItem, m metric.Metric, it heapItem) []heapItem {
 }
 
 // popHeap removes and returns the best entry.
-func popHeap(h []heapItem, m metric.Metric) (heapItem, []heapItem) {
+func popHeap(h []heapItem) (heapItem, []heapItem) {
 	top := h[0]
 	last := len(h) - 1
 	h[0] = h[last]
@@ -251,10 +256,10 @@ func popHeap(h []heapItem, m metric.Metric) (heapItem, []heapItem) {
 	for {
 		l, r := 2*i+1, 2*i+2
 		best := i
-		if l < len(h) && keyLess(m, h[l], h[best]) {
+		if l < len(h) && keyLess(h[l], h[best]) {
 			best = l
 		}
-		if r < len(h) && keyLess(m, h[r], h[best]) {
+		if r < len(h) && keyLess(h[r], h[best]) {
 			best = r
 		}
 		if best == i {

@@ -53,23 +53,24 @@ func GenerateConcaveView(rng *rand.Rand) (g *Graph, center int32) {
 }
 
 // ReplayInScratch lays g out again in s the way a protocol node builds its
-// view — every node added, every row walked, each link offered from both
-// ends — and returns the view of center with its weights. Indices equal g's.
+// view — every node numbered by an IDIndex over g's index range, every row
+// walked, each link offered from both ends — and returns the view of center
+// with its weights. Indices equal g's, whose ids New makes ascending.
 func ReplayInScratch(s *ViewScratch, g *Graph, center int32, channel string) (*LocalView, []float64) {
 	w, err := g.Weights(channel)
 	if err != nil && g.M() > 0 {
 		panic(err)
 	}
-	s.Begin()
-	for x := int32(0); int(x) < g.N(); x++ {
-		s.AddID(g.ID(x))
+	var ix IDIndex
+	ix.Reset(g.N())
+	for _, id := range g.ids {
+		ix.Note(id)
 	}
-	s.Seal()
+	s.Begin(ix.Seal())
 	for x := int32(0); int(x) < g.N(); x++ {
-		s.Row(g.ID(x))
 		for _, arc := range g.Arcs(x) {
-			s.Edge(g.ID(arc.To), w[arc.Edge])
+			s.Edge(ix.At(g.ID(x)), ix.At(g.ID(arc.To)), w[arc.Edge])
 		}
 	}
-	return s.View(g.ID(center), channel)
+	return s.View(ix.At(g.ID(center)), channel)
 }

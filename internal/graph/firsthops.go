@@ -2,6 +2,7 @@ package graph
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"slices"
 
@@ -180,8 +181,16 @@ type concaveEdge struct {
 // active hop then. Edges of equal weight are one threshold, so a whole group
 // is applied before any component is looked at: finalising between two of
 // its edges would miss hops the rest of the group still connects. Each
-// target is written once; the cost is the one sort plus
-// O(|E_u| α(|V_u|) + |V_u| · blocks).
+// target is written once.
+//
+// E_u is ordered without a comparator: each edge is one uint64, its weight's
+// order-reversing key (descKey) with the low bits.Len(|E_u|) bits replaced by
+// the edge's position, and slices.Sort orders the plain keys. Weights whose
+// keys differ only in those low bits collide and come out in position order,
+// so one insertion pass on the exact weights restores descending order; it is
+// linear unless weights collide. That is exact for any weights and any view
+// size, and keeps each group of equal weights contiguous. The cost is the one
+// sort of |E_u| keys plus O(|E_u| α(|V_u|) + |V_u| · blocks).
 func (s *ViewScratch) firstHopsConcave(view *LocalView, m metric.Metric, w []float64) *FirstHops {
 	g := view.G
 	n := g.N()
@@ -189,9 +198,7 @@ func (s *ViewScratch) firstHopsConcave(view *LocalView, m metric.Metric, w []flo
 	blocks := fh.blocks
 
 	// All of E_u, best first: larger is better for every concave metric
-	// (metric.Kind), so the order is resolved here and not through m.Better
-	// per comparison. Equal weights are applied as one group, so the sort
-	// need not be stable.
+	// (metric.Kind), so the order is resolved here and not through m.Better.
 	edges := s.edges[:0]
 	s.work = view.ViewEdges(s.work[:0])
 	for _, e := range s.work {
@@ -201,16 +208,20 @@ func (s *ViewScratch) firstHopsConcave(view *LocalView, m metric.Metric, w []flo
 		}
 		edges = append(edges, concaveEdge{w: w[e], a: a, b: b})
 	}
-	slices.SortFunc(edges, func(x, y concaveEdge) int {
-		switch {
-		case x.w > y.w:
-			return -1
-		case x.w < y.w:
-			return 1
-		}
-		return 0
-	})
 	s.edges = edges
+	shift := bits.Len(uint(len(edges)))
+	mask := uint64(1)<<shift - 1
+	keys := s.keys[:0]
+	for i, e := range edges {
+		keys = append(keys, descKey(e.w)&^mask|uint64(i))
+	}
+	slices.Sort(keys)
+	for i := 1; i < len(keys); i++ {
+		for j := i; j > 0 && edges[keys[j]&mask].w > edges[keys[j-1]&mask].w; j-- {
+			keys[j], keys[j-1] = keys[j-1], keys[j]
+		}
+	}
+	s.keys = keys
 
 	if cap(s.dist) < n {
 		s.dist = make([]float64, n)
@@ -236,12 +247,13 @@ func (s *ViewScratch) firstHopsConcave(view *LocalView, m metric.Metric, w []flo
 		pend[i], next[i] = int32(i), int32(i)
 	}
 
-	for lo, hi := 0, 0; lo < len(edges); lo = hi {
-		t := edges[lo].w
-		for hi = lo + 1; hi < len(edges) && edges[hi].w == t; hi++ {
+	for lo, hi := 0, 0; lo < len(keys); lo = hi {
+		t := edges[keys[lo]&mask].w
+		for hi = lo + 1; hi < len(keys) && edges[keys[hi]&mask].w == t; hi++ {
 		}
-		group := edges[lo:hi]
-		for _, e := range group {
+		group := keys[lo:hi]
+		for _, key := range group {
+			e := edges[key&mask]
 			if e.a == view.U {
 				i := int(view.N1Index(e.b))
 				active[int(uf.Find(e.b))*blocks+i/64] |= 1 << (uint(i) % 64)
@@ -261,8 +273,8 @@ func (s *ViewScratch) firstHopsConcave(view *LocalView, m metric.Metric, w []flo
 			}
 		}
 		// Only a component the group touched can have become finalisable.
-		for _, e := range group {
-			r := uf.Find(e.b)
+		for _, key := range group {
+			r := uf.Find(edges[key&mask].b)
 			p := pend[r]
 			hops := active[int(r)*blocks : (int(r)+1)*blocks]
 			if p < 0 || !slices.ContainsFunc(hops, func(b uint64) bool { return b != 0 }) {
@@ -279,6 +291,17 @@ func (s *ViewScratch) firstHopsConcave(view *LocalView, m metric.Metric, w []flo
 		}
 	}
 	return fh
+}
+
+// descKey maps a weight to a uint64 whose ascending order is the weight's
+// descending order: the bits of a weight with a clear sign bit with all but
+// that bit flipped, the bits of one with it set (negative, or −0) unchanged.
+func descKey(w float64) uint64 {
+	b := math.Float64bits(w)
+	if b>>63 == 0 {
+		return b ^ (1<<63 - 1)
+	}
+	return b
 }
 
 // FirstHopsReference computes the same result as ComputeFirstHops directly

@@ -1,6 +1,7 @@
 package graph_test
 
 import (
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -119,6 +120,23 @@ func TestFirstHopsConcaveGenerated(t *testing.T) {
 		}
 	}
 	t.Logf("leaf %d, split %d, flat %d, wide %d, outside %d", leaf, split, flat, wide, outside)
+
+	// The same draws under the weight laws integer levels do not reach:
+	// levels a few ulps apart, continuous weights, signed levels with ±0.
+	for trial := 0; trial < 900; trial++ {
+		law := 1 + trial%3
+		g, u := graph.GenerateConcaveView(rng)
+		w, _ := g.Weights("bandwidth")
+		for e := range w {
+			w[e] = lawWeight(law, int(w[e])-1, rng.Intn(1<<20))
+		}
+		lv := graph.NewLocalView(g, u)
+		checkConcaveFirstHops(t, "NewLocalView", lv, w)
+		checkConcaveFNBP(t, "NewLocalView", lv, w)
+		slv, sw := graph.ReplayInScratch(&s, g, u, "bandwidth")
+		checkConcaveFirstHops(t, "ViewScratch", slv, sw)
+		checkConcaveFNBP(t, "ViewScratch", slv, sw)
+	}
 	for name, hits := range map[string]int{
 		"leaf neighbor": leaf, "G_u − u disconnected": split, "every direct link equal": flat,
 		"|N1| > 64": wide, "nodes outside the view": outside,
@@ -129,22 +147,47 @@ func TestFirstHopsConcaveGenerated(t *testing.T) {
 	}
 }
 
+// lawWeight is a link weight at 0-based level under one weight law; extra is
+// the draw's spare randomness, below 2²⁰.
+//
+//	0  integer levels 1, 2, …, sim.PairWeight's law
+//	1  levels a few ulps apart, 1 + level·2⁻⁵⁰: the sweep's sort keys drop
+//	   those bits, so the insertion pass on the exact weights must order them
+//	2  continuous: level + 1 plus a fraction below one
+//	3  signed levels around zero, level − 2, with +0 and −0 both drawn
+func lawWeight(law, level, extra int) float64 {
+	switch law {
+	case 1:
+		return 1 + float64(level)*0x1p-50
+	case 2:
+		return float64(level+1) + float64(extra)*0x1p-20
+	case 3:
+		if level == 2 && extra&1 == 1 {
+			return math.Copysign(0, -1)
+		}
+		return float64(level - 2)
+	}
+	return float64(level + 1)
+}
+
 // concaveFuzzView decodes a byte stream into a view: the node count (2–96, so
 // a multi-block N1 stays reachable), the center, the number of weight levels
-// (1–10), then one (a, b, weight) triple per link; self-loops and repeated
-// pairs are skipped.
+// (1–10) and the weight law (lawWeight; the byte's tens, modulo four), then
+// one (a, b, weight) triple per link; self-loops and repeated pairs are
+// skipped.
 func concaveFuzzView(data []byte) (g *graph.Graph, center int32) {
 	if len(data) < 3 {
 		return nil, 0
 	}
-	n, levels := 2+int(data[0])%95, 1+int(data[2])%10
+	n, levels, law := 2+int(data[0])%95, 1+int(data[2])%10, int(data[2])/10%4
 	g = graph.New(n)
 	for ops := data[3:]; len(ops) >= 3; ops = ops[3:] {
 		a, b := int32(int(ops[0])%n), int32(int(ops[1])%n)
 		if _, dup := g.EdgeBetween(a, b); a == b || dup {
 			continue
 		}
-		if err := g.SetWeight("bandwidth", g.MustAddEdge(a, b), float64(1+int(ops[2])%levels)); err != nil {
+		w := lawWeight(law, int(ops[2])%levels, int(ops[2])/levels)
+		if err := g.SetWeight("bandwidth", g.MustAddEdge(a, b), w); err != nil {
 			panic(err)
 		}
 	}
@@ -153,7 +196,8 @@ func concaveFuzzView(data []byte) (g *graph.Graph, center int32) {
 
 // FuzzFirstHopsConcave hands the view to the fuzzer: whatever graph the bytes
 // spell, the sweep equals the reference on sets and Dist, on both builders,
-// without panicking. testdata/fuzz holds the four corner views as seeds.
+// without panicking. testdata/fuzz holds the four corner views as seeds, and
+// one view under each of the other weight laws.
 func FuzzFirstHopsConcave(f *testing.F) {
 	var s graph.ViewScratch
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -277,3 +278,25 @@ type badKindMetric struct{ metric.Metric }
 
 func (badKindMetric) Kind() metric.Kind { return metric.Kind(99) }
 func (badKindMetric) Name() string      { return "bad" }
+
+// descKey orders weights best first: a > b exactly when descKey(a) <
+// descKey(b), over negatives, both zeros, subnormals and both infinities. The
+// two zeros compare equal as weights but keep distinct keys, +0 first, with
+// nothing between them.
+func TestDescKeyOrder(t *testing.T) {
+	grid := []float64{math.Inf(-1), -math.MaxFloat64, -3, -1, -0x1p-1074, math.Copysign(0, -1), 0,
+		0x1p-1074, 0x1p-1022, 1, 1 + 0x1p-52, 1 + 0x1p-50, 2, math.MaxFloat64, math.Inf(1)}
+	for _, a := range grid {
+		for _, b := range grid {
+			if a == 0 && b == 0 {
+				continue
+			}
+			if got, want := descKey(a) < descKey(b), a > b; got != want {
+				t.Errorf("descKey(%v) < descKey(%v) = %v, want %v", a, b, got, want)
+			}
+		}
+	}
+	if pos, neg := descKey(0), descKey(math.Copysign(0, -1)); neg != pos+1 {
+		t.Errorf("descKey(+0) = %#x, descKey(-0) = %#x: not adjacent", pos, neg)
+	}
+}

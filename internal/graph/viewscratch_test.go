@@ -75,27 +75,29 @@ func referenceView(t *testing.T, center NodeID, ids []NodeID, rows []linkRow, ch
 	return NewLocalView(g, g.IndexOf(center)), w
 }
 
+// scratchView builds the view the way a protocol node does: the ids are
+// numbered by an IDIndex whose window holds some of them (randomRows draws
+// negative ids and ids past 40 too), handed over unsorted and with repeats
+// as a caller walking its tables would, and every edge is staged by index.
 func scratchView(s *ViewScratch, center NodeID, ids []NodeID, rows []linkRow, ch string) (*LocalView, []float64) {
-	s.Begin()
-	// Hand the ids over unsorted and with repeats, as a caller walking its
-	// tables would.
+	var ix IDIndex
+	ix.Reset(40)
 	for i := len(ids) - 1; i >= 0; i-- {
-		s.AddID(ids[i])
+		ix.Note(ids[i])
 	}
 	for _, r := range rows {
-		s.AddID(r.from)
+		ix.Note(r.from)
 		for _, to := range r.to {
-			s.AddID(to)
+			ix.Note(to)
 		}
 	}
-	s.Seal()
+	s.Begin(ix.Seal())
 	for _, r := range rows {
-		s.Row(r.from)
 		for i, to := range r.to {
-			s.Edge(to, r.w[i])
+			s.Edge(ix.At(r.from), ix.At(to), r.w[i])
 		}
 	}
-	return s.View(center, ch)
+	return s.View(ix.At(center), ch)
 }
 
 // viewSnapshot is everything a view determines, by NodeID, detached from the
@@ -256,29 +258,17 @@ func TestViewScratchReuseHygiene(t *testing.T) {
 	}
 }
 
-// Degenerate inputs: an unknown center, edges naming unknown ids, self-loops,
-// and a built graph that then gains an edge like any other.
+// Degenerate inputs: self-loops, a pair offered twice, and a built graph that
+// then gains an edge like any other.
 func TestViewScratchEdgeCases(t *testing.T) {
 	var s ViewScratch
-	s.Begin()
-	for _, id := range []NodeID{5, 1, 9, 5} {
-		s.AddID(id)
-	}
-	s.Seal()
-	s.Row(5)
-	s.Edge(5, 1) // self-loop
-	s.Edge(7, 1) // unknown id
-	s.Edge(9, 4)
-	s.Edge(1, 2)
-	s.Row(9)
-	s.Edge(5, 8) // second writer: dropped
-	s.Row(7)     // unknown row: its edges are dropped
-	s.Edge(1, 3)
-	if lv, _ := s.View(4, "delay"); lv != nil {
-		t.Fatal("view of an unknown center")
-	}
-	lv, w := s.View(5, "delay")
-	if lv == nil || lv.G.N() != 3 || lv.G.M() != 2 {
+	s.Begin([]NodeID{1, 5, 9}) // indices 0, 1, 2
+	s.Edge(1, 1, 1)            // self-loop
+	s.Edge(1, 2, 4)
+	s.Edge(1, 0, 2)
+	s.Edge(2, 1, 8) // second writer: dropped
+	lv, w := s.View(1, "delay")
+	if lv.G.N() != 3 || lv.G.M() != 2 || lv.G.ID(lv.U) != 5 {
 		t.Fatalf("view = %+v", lv)
 	}
 	if e, ok := lv.G.EdgeBetween(lv.G.IndexOf(5), lv.G.IndexOf(9)); !ok || w[e] != 4 {
@@ -295,14 +285,44 @@ func TestViewScratchEdgeCases(t *testing.T) {
 	}
 
 	// An empty build: a center with no links at all.
-	s.Begin()
-	s.AddID(2)
-	s.Seal()
-	lv, _ = s.View(2, "delay")
-	if lv == nil || len(lv.N1) != 0 || len(lv.N2) != 0 || lv.G.IndexOf(2) != 0 || lv.G.IndexOf(3) != -1 {
+	s.Begin([]NodeID{2})
+	lv, _ = s.View(0, "delay")
+	if len(lv.N1) != 0 || len(lv.N2) != 0 || lv.G.IndexOf(2) != 0 || lv.G.IndexOf(3) != -1 {
 		t.Fatalf("lonely view = %+v", lv)
 	}
 	if fh, err := ComputeFirstHops(lv, metric.Bandwidth(), nil); err != nil || fh.Count(0) != 0 {
 		t.Errorf("first hops of a lonely view: %v", err)
+	}
+}
+
+// An IDIndex numbers any mix of ids — negative, inside its window, past it,
+// repeated, in any order — in ascending order, and a reused one forgets the
+// previous round, whatever its window was.
+func TestIDIndex(t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	var ix IDIndex
+	for round := 0; round < 200; round++ {
+		window := rng.Intn(150)
+		var noted []NodeID
+		for i := rng.Intn(60); i >= 0; i-- {
+			noted = append(noted, NodeID(rng.Intn(300)-100))
+			if rng.Intn(4) == 0 {
+				noted = append(noted, noted[rng.Intn(len(noted))]) // a repeat
+			}
+		}
+		ix.Reset(window)
+		for _, id := range noted {
+			ix.Note(id)
+		}
+		got := ix.Seal()
+		want := slices.Compact(slices.Sorted(slices.Values(noted)))
+		if !slices.Equal(got, want) {
+			t.Fatalf("round %d window %d: sealed %v, want %v", round, window, got, want)
+		}
+		for i, id := range want {
+			if x := ix.At(id); x != int32(i) {
+				t.Fatalf("round %d window %d: At(%d) = %d, want %d", round, window, id, x, i)
+			}
+		}
 	}
 }

@@ -19,7 +19,10 @@ import (
 	"math"
 )
 
-// Kind classifies how link values compose along a path.
+// Kind classifies how link values compose along a path, and it is the
+// metric's ordering contract: Better(a, b) is exactly a < b for an Additive
+// metric and exactly a > b for a Concave one. The search kernels rely on it
+// to order plain float keys without calling Better.
 type Kind int
 
 const (
@@ -45,7 +48,8 @@ func (k Kind) String() string {
 
 // Metric describes a QoS link metric: how per-link values compose into path
 // values and how path values compare. Implementations must be stateless and
-// safe for concurrent use.
+// safe for concurrent use, and Better must be the comparison its Kind names
+// (< for Additive, > for Concave).
 type Metric interface {
 	// Name returns a short lower-case identifier ("bandwidth", "delay").
 	Name() string
@@ -54,7 +58,8 @@ type Metric interface {
 	// Combine extends a path of value pathValue by one link of value
 	// linkValue and returns the value of the extended path.
 	Combine(pathValue, linkValue float64) float64
-	// Better reports whether path value a is strictly better than b.
+	// Better reports whether path value a is strictly better than b: a < b
+	// for an Additive metric, a > b for a Concave one.
 	Better(a, b float64) bool
 	// Identity is the value of the empty path: combining Identity with a
 	// link value yields the link value unchanged, and Identity is at least
@@ -63,19 +68,6 @@ type Metric interface {
 	// Worst is the value reported for unreachable destinations; every
 	// reachable value is strictly better.
 	Worst() float64
-}
-
-// BetterEq reports whether a is at least as good as b under m.
-func BetterEq(m Metric, a, b float64) bool {
-	return !m.Better(b, a)
-}
-
-// Best returns the better of the two values under m. On ties it returns a.
-func Best(m Metric, a, b float64) float64 {
-	if m.Better(b, a) {
-		return b
-	}
-	return a
 }
 
 // bandwidth is the canonical concave metric from the paper: the bandwidth of

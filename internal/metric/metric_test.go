@@ -110,27 +110,29 @@ func TestByName(t *testing.T) {
 	}
 }
 
-func TestBetterEqAndBest(t *testing.T) {
-	bw := Bandwidth()
-	if !BetterEq(bw, 5, 5) {
-		t.Error("BetterEq(5,5) = false for bandwidth")
-	}
-	if !BetterEq(bw, 6, 5) {
-		t.Error("BetterEq(6,5) = false for bandwidth")
-	}
-	if BetterEq(bw, 4, 5) {
-		t.Error("BetterEq(4,5) = true for bandwidth")
-	}
-	if got := Best(bw, 4, 9); got != 9 {
-		t.Errorf("Best(4,9) = %v, want 9", got)
-	}
-	d := Delay()
-	if got := Best(d, 4, 9); got != 4 {
-		t.Errorf("Best(4,9) = %v, want 4 for delay", got)
-	}
-	// Ties keep the first argument.
-	if got := Best(d, 4, 4); got != 4 {
-		t.Errorf("Best(4,4) = %v", got)
+// Every built-in metric's Better is the comparison its Kind names, on a grid
+// with both zeros, both infinities and equal values: the search kernels order
+// plain keys on that contract.
+func TestMetricOrderMatchesKind(t *testing.T) {
+	grid := []float64{math.Inf(-1), -3, -1, math.Copysign(0, -1), 0, 1e-300, 1, 1 + 0x1p-52, 3, math.Inf(1)}
+	for _, name := range []string{"bandwidth", "delay", "hop", "energy"} {
+		m, err := ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, a := range grid {
+			for _, b := range grid {
+				want := a < b
+				if m.Kind() == Concave {
+					want = a > b
+				} else if m.Kind() != Additive {
+					t.Fatalf("%s: kind %v", name, m.Kind())
+				}
+				if got := m.Better(a, b); got != want {
+					t.Errorf("%s (%v): Better(%v, %v) = %v, want %v", name, m.Kind(), a, b, got, want)
+				}
+			}
+		}
 	}
 }
 

@@ -298,3 +298,71 @@ func TestLocalViewMatchesReference(t *testing.T) {
 		compareViews(t, n)
 	}
 }
+
+// Views whose ids leave the store's window: a field's members and the ids
+// they hear of run from negative ids through ids past the window, and the
+// HELLO tables are ingested in descending sender order, then in shuffled
+// order. Every member's view, built in the field's one shared scratch, and
+// everything selected on it equal the reference.
+func TestLocalViewOutsideWindow(t *testing.T) {
+	rng := rand.New(rand.NewSource(16))
+	var below, past int
+	for trial := 0; trial < 200; trial++ {
+		m := []metric.Metric{metric.Delay(), metric.Bandwidth()}[trial%2]
+		cfg := DefaultConfig(m)
+		cfg.LinkSensing = SenseHost
+		cfg.DenseIDs = layoutWindow
+		var universe, members []int64
+		for id := int64(layoutLo); id < layoutHi; id++ {
+			universe = append(universe, id)
+		}
+		for _, i := range rng.Perm(len(universe))[:3+rng.Intn(6)] {
+			members = append(members, universe[i])
+		}
+		slices.Sort(members)
+		field, err := NewNodes(members, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		order := slices.Clone(universe)
+		slices.Reverse(order)
+		if trial >= 100 {
+			rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
+		}
+		table := func(p float64) []LinkInfo {
+			var adv []LinkInfo
+			for _, id := range universe {
+				if rng.Float64() < p {
+					adv = append(adv, LinkInfo{Neighbor: id, Weight: float64(1 + rng.Intn(4))})
+				}
+			}
+			return adv
+		}
+		for _, n := range field {
+			for _, l := range table(0.35) {
+				if l.Neighbor != n.ID {
+					n.UpdateLink(l.Neighbor, l.Weight, 0)
+				}
+			}
+			for _, id := range order {
+				if rng.Float64() < 0.5 {
+					n.HandleHello(&Hello{Origin: id, Links: table(0.3)}, 0)
+				}
+			}
+			compareViews(t, n)
+			if lv, _ := n.buildLocalView(); lv != nil {
+				g := lv.G
+				if g.ID(0) < 0 {
+					below++
+				}
+				if g.ID(int32(g.N()-1)) >= graph.NodeID(n.store.window) {
+					past++
+				}
+			}
+		}
+	}
+	if below < 100 || past < 100 {
+		t.Errorf("%d views with negative ids, %d with ids past the window: the draw lost a corner", below, past)
+	}
+	t.Logf("%d views with negative ids, %d with ids past the window", below, past)
+}

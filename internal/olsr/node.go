@@ -964,44 +964,42 @@ func idsOf(prev []int64, g *graph.Graph, idx []int32) ([]int64, bool) {
 // buildLocalView lays the node's current knowledge of G_u out in the field's
 // shared scratch and returns the local view centered at this node with its
 // edge weights, or nil when the node has no links. The view's nodes are this
-// node, its direct neighbors and everything the neighbors advertise; the
-// tables are ID-sorted and the adverts normalised, so every id lookup of a
-// row continues one forward walk over the sorted id list, and the scratch
-// applies the routing graph's first-writer-wins rule to the first two tiers
-// (own links, then adverts in ascending neighbor order). Handler context
-// only, and the view is valid until the next member builds its own.
+// node, its direct neighbors and everything the neighbors advertise, numbered
+// in ascending order by the store's viewIDs, and the scratch applies the
+// routing graph's first-writer-wins rule to the first two tiers (own links,
+// then adverts in ascending neighbor order; an advert naming this node meets
+// the own link first). Handler context only, and the view is valid until the
+// next member builds its own.
 func (n *Node) buildLocalView() (*graph.LocalView, []float64) {
 	if n.links.len() == 0 {
 		return nil, nil
 	}
-	b := &n.store.view
-	b.Begin()
-	b.AddID(graph.NodeID(n.ID))
+	x := &n.store.viewIDs
+	x.Reset(n.store.window)
+	x.Note(graph.NodeID(n.ID))
 	for _, id := range n.links.keys {
-		b.AddID(graph.NodeID(id))
+		x.Note(graph.NodeID(id))
 	}
-	for i := range n.neighbors.vals {
-		for _, l := range n.neighbors.vals[i].adv {
-			b.AddID(graph.NodeID(l.Neighbor))
+	for _, t := range n.neighbors.vals {
+		for _, l := range t.adv {
+			x.Note(graph.NodeID(l.Neighbor))
 		}
 	}
-	b.Seal()
-	b.Row(graph.NodeID(n.ID))
+	b := &n.store.view
+	b.Begin(x.Seal())
+	self := x.At(graph.NodeID(n.ID))
 	for i, id := range n.links.keys {
-		b.Edge(graph.NodeID(id), n.links.vals[i].weight)
+		b.Edge(self, x.At(graph.NodeID(id)), n.links.vals[i].weight)
 	}
 	for i, nb := range n.neighbors.keys {
-		if !n.links.has(nb) {
-			continue
-		}
-		b.Row(graph.NodeID(nb))
-		for _, l := range n.neighbors.vals[i].adv {
-			if l.Neighbor != n.ID {
-				b.Edge(graph.NodeID(l.Neighbor), l.Weight)
+		if n.links.has(nb) {
+			from := x.At(graph.NodeID(nb))
+			for _, l := range n.neighbors.vals[i].adv {
+				b.Edge(from, x.At(graph.NodeID(l.Neighbor)), l.Weight)
 			}
 		}
 	}
-	return b.View(graph.NodeID(n.ID), n.cfg.Metric.Name())
+	return b.View(self, n.cfg.Metric.Name())
 }
 
 // MPRSet returns the current multipoint relay set (flooding).

@@ -73,9 +73,7 @@ type bucketLink struct {
 // kept its scratch would hold a graph's worth of memory between queries.
 type routeScratch struct {
 	staged      []stagedLink
-	index       []int32 // per in-window id: 1 once seen, then its node index
-	outside     []graph.NodeID
-	ids         []graph.NodeID
+	ids         graph.IDIndex
 	off         []int32
 	bk          []bucketLink
 	ends        [][2]int32
@@ -153,12 +151,12 @@ func (n *Node) computeRoutes() *Routes {
 // links, the HELLO adverts of direct neighbors but never a pair naming this
 // node, TC rows) times two, plus one when its contributor is the pair's
 // larger end — so the tables are walked in any order. The nodes (this node
-// and every staged end) are indexed in ascending order, through a table over
-// the store's identity window and a sorted list outside it; the links are
-// bucketed by their smaller end in one counting pass, each bucket is ordered
-// by (larger end, rank), and each pair keeps its first link: own links first,
-// then the smaller direct-neighbor contributor's HELLO advert, then the
-// smaller origin's TC row. Callers must have run expire(now) first.
+// and every staged end) are numbered in ascending order by a graph.IDIndex
+// over the store's window; the links are bucketed by their smaller end in one
+// counting pass, each bucket is ordered by (larger end, rank), and each pair
+// keeps its first link: own links first, then the smaller direct-neighbor
+// contributor's HELLO advert, then the smaller origin's TC row. Callers must
+// have run expire(now) first.
 func (n *Node) layoutRoutes(s *routeScratch) *graph.Graph {
 	size := len(n.links.keys) + n.topoLinks
 	for _, t := range n.neighbors.vals {
@@ -191,50 +189,21 @@ func (n *Node) layoutRoutes(s *routeScratch) *graph.Graph {
 		}
 	})
 	s.staged = es
-	index := resized(s.index, n.store.window)
-	clear(index)
-	outside := s.outside[:0]
-	inside := 0
-	note := func(id int64) {
-		switch {
-		case uint64(id) >= uint64(len(index)):
-			outside = append(outside, graph.NodeID(id))
-		case index[id] == 0:
-			index[id], inside = 1, inside+1
-		}
-	}
-	note(n.ID)
+	x := &s.ids
+	x.Reset(n.store.window)
+	x.Note(graph.NodeID(n.ID))
 	for _, e := range es {
-		note(e.lo)
-		note(e.hi)
+		x.Note(graph.NodeID(e.lo))
+		x.Note(graph.NodeID(e.hi))
 	}
-	slices.Sort(outside)
-	outside = slices.Compact(outside)
-	s.index, s.outside = index, outside
-	below, _ := slices.BinarySearch(outside, 0)
-	ids := append(slices.Grow(s.ids[:0], len(outside)+inside), outside[:below]...)
-	for id, m := range index {
-		if m != 0 {
-			index[id] = int32(len(ids))
-			ids = append(ids, graph.NodeID(id))
-		}
-	}
-	ids = append(ids, outside[below:]...)
-	s.ids = ids
-	at := func(id int64) int32 {
-		if uint64(id) < uint64(len(index)) {
-			return index[id]
-		}
-		x, _ := slices.BinarySearch(ids, graph.NodeID(id))
-		return int32(x)
-	}
+	ids := x.Seal()
 	// Counting pass: off[lo+1] starts at bucket lo's first slot and ends, once
 	// the links are placed, past its last, so bucket lo is off[lo]:off[lo+1].
 	off := resized(s.off, len(ids)+2)
 	clear(off)
 	for i := range es {
 		e := &es[i]
-		e.lo, e.hi = int64(at(e.lo)), int64(at(e.hi))
+		e.lo, e.hi = int64(x.At(graph.NodeID(e.lo))), int64(x.At(graph.NodeID(e.hi)))
 		off[e.lo+2]++
 	}
 	for i := 2; i < len(off); i++ {

@@ -85,8 +85,10 @@ type topoStore struct {
 	// The reclaim sweep runs once per hold (the topology hold time).
 	hold      time.Duration
 	nextSweep time.Duration
-	// view is the selection scratch the members share (see above).
-	view graph.ViewScratch
+	// view is the selection scratch the members share (see above), viewIDs
+	// the numbering of its nodes.
+	view    graph.ViewScratch
+	viewIDs graph.IDIndex
 	// routes pools the members' routing scratch, the one shared structure
 	// Routes writes; it is safe for concurrent use.
 	routes scratchPool

@@ -95,10 +95,20 @@ func (q *Quantile) Add(x float64) {
 			if delta < 0 {
 				sign = -1
 			}
-			h := q.parabolic(i, sign)
-			if q.q[i-1] < h && h < q.q[i+1] {
+			// A collapsed bracket (q[i-1] == q[i+1], common when samples
+			// tie) admits no height strictly inside it, so the parabola is
+			// not computed and the bracket test below fails on h = q[i-1].
+			h := q.q[i-1]
+			if q.q[i-1] != q.q[i+1] {
+				h = q.parabolic(i, sign)
+			}
+			// When the neighbor the marker moves toward has q[i]'s height and
+			// q[i] is finite and non-zero, the linear step would add a
+			// signed zero, which leaves q[i] as it is: it is skipped.
+			switch j := i + int(sign); {
+			case q.q[i-1] < h && h < q.q[i+1]:
 				q.q[i] = h
-			} else {
+			case q.q[j] != q.q[i] || q.q[i] == 0 || math.IsInf(q.q[i], 0):
 				q.q[i] = q.linear(i, sign)
 			}
 			q.m[i] += sign

@@ -125,3 +125,100 @@ func TestQuantileDeterministic(t *testing.T) {
 		t.Errorf("same sequence produced different estimates: %g vs %g", a, b)
 	}
 }
+
+// referenceQuantile is Quantile.Add as it was before the collapsed-bracket
+// and signed-zero shortcuts: the parabola computed on every adjustment and
+// the linear step always taken in full. It shares the stored state and the
+// first five observations' path with Add.
+type referenceQuantile struct{ Quantile }
+
+func (r *referenceQuantile) Add(x float64) {
+	q := &r.Quantile
+	if q.n < 5 {
+		q.Add(x)
+		return
+	}
+	var k int
+	switch {
+	case x < q.q[0]:
+		q.q[0] = x
+		k = 0
+	case x >= q.q[4]:
+		q.q[4] = x
+		k = 3
+	default:
+		for k = 0; k < 3; k++ {
+			if x < q.q[k+1] {
+				break
+			}
+		}
+	}
+	for i := k + 1; i < 5; i++ {
+		q.m[i]++
+	}
+	q.n++
+	q.d[1] += q.p / 2
+	q.d[2] += q.p
+	q.d[3] += (1 + q.p) / 2
+	q.d[4]++
+	for i := 1; i <= 3; i++ {
+		delta := q.d[i] - q.m[i]
+		if (delta >= 1 && q.m[i+1]-q.m[i] > 1) || (delta <= -1 && q.m[i-1]-q.m[i] < -1) {
+			sign := 1.0
+			if delta < 0 {
+				sign = -1
+			}
+			h := q.parabolic(i, sign)
+			if q.q[i-1] < h && h < q.q[i+1] {
+				q.q[i] = h
+			} else {
+				j := i + int(sign)
+				q.q[i] = q.q[i] + sign*(q.q[j]-q.q[i])/(q.m[j]-q.m[i])
+			}
+			q.m[i] += sign
+		}
+	}
+}
+
+// The shortcuts in Add change no bit of the estimator's state: on constant,
+// two-valued, zero, negative, infinite and NaN streams, and on continuous
+// ones, every marker height and position equals the reference's after every
+// observation, at the medians and tails the harness reports.
+func TestQuantileAddMatchesReference(t *testing.T) {
+	inf, nan := math.Inf(1), math.NaN()
+	negZero := math.Copysign(0, -1)
+	r := rng.NewStream(17)
+	pick := func(xs ...float64) float64 { return xs[r.Int63n(int64(len(xs)))] }
+	streams := []struct {
+		name string
+		draw func(i int) float64
+	}{
+		{"constant", func(int) float64 { return 3.25 }},
+		{"two-valued", func(int) float64 { return pick(1, 2) }},
+		{"mostly-tied", func(int) float64 { return pick(5, 5, 5, 5, 9) }},
+		{"zeros", func(int) float64 { return pick(0, negZero) }},
+		{"zero-and-one", func(int) float64 { return pick(0, negZero, 1) }},
+		{"negative", func(int) float64 { return pick(-1, -2, -3, -4) }},
+		{"infinities", func(int) float64 { return pick(-inf, inf, 1, 1) }},
+		{"with-nan", func(int) float64 { return pick(nan, 2, 2, 3) }},
+		{"continuous", func(int) float64 { return 100 * r.Float64() }},
+		{"ramp", func(i int) float64 { return float64(i) }},
+		{"tiny-negative", func(int) float64 { return pick(0, -1e-300, -2e-300) }},
+	}
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	for _, st := range streams {
+		for _, p := range []float64{0.5, 0.95, 0.99} {
+			got, want := NewQuantile(p), &referenceQuantile{*NewQuantile(p)}
+			for i := 0; i < 2000; i++ {
+				x := st.draw(i)
+				got.Add(x)
+				want.Add(x)
+				for k := range got.q {
+					if !same(got.q[k], want.q[k]) || got.m[k] != want.m[k] {
+						t.Fatalf("%s p=%v obs %d: markers %v at %v, reference %v at %v", st.name, p, i, got.q, got.m, want.q, want.m)
+					}
+				}
+			}
+		}
+	}
+}
