@@ -8,10 +8,11 @@ import (
 // FromEdges returns the graph on ids, which must be strictly ascending, whose
 // edge e joins the node indices ends[e] with weight w[e] on the named channel.
 // The graph takes all three slices over and lays its adjacency out in one
-// arena (see layout). Its node set is fixed: it keeps no id map and IndexOf
-// binary-searches the ids.
+// arena (see layout). Its node set is fixed: it keeps no id map, and IndexOf
+// is a bounds check when the ids are 0..n-1 and a binary search otherwise.
 func FromEdges(ids []NodeID, ends [][2]int32, channel string, w []float64) *Graph {
-	g := &Graph{ids: ids, ends: ends, weights: []weightChannel{{channel, w}}}
+	identity := len(ids) == 0 || ids[0] == 0 && ids[len(ids)-1] == NodeID(len(ids)-1)
+	g := &Graph{ids: ids, ends: ends, identity: identity, weights: []weightChannel{{channel, w}}}
 	g.layout(nil, make([]int32, len(ids)+1))
 	return g
 }
@@ -136,15 +137,15 @@ type ViewScratch struct {
 	fh   FirstHops
 	work []int32
 
-	// The concave sweep's state (firstHopsConcave): E_u and its sort keys,
-	// the value per node, and per union-find component the active-hop bitset
-	// and the pending-target list.
-	edges      []concaveEdge
-	keys       []uint64
-	dist       []float64
-	uf         UnionFind
-	active     []uint64
-	pend, next []int32
+	// The concave sweep's state (firstHopsConcave): E_u, its sort keys and
+	// the radix sort's second buffer, the value per node, and per union-find
+	// component the active-hop bitset and the pending-target list.
+	edges        []concaveEdge
+	keys, keyBuf []uint64
+	dist         []float64
+	uf           UnionFind
+	active       []uint64
+	pend, next   []int32
 }
 
 // Begin starts a new build on the nodes with the given ids, ascending and

@@ -1,6 +1,9 @@
 package graph
 
-import "math/rand"
+import (
+	"math/rand"
+	"slices"
+)
 
 // Exported to tests only: the external graph_test package can import core,
 // which this package cannot.
@@ -73,4 +76,19 @@ func ReplayInScratch(s *ViewScratch, g *Graph, center int32, channel string) (*L
 		}
 	}
 	return s.View(ix.At(g.ID(center)), channel)
+}
+
+// ConcaveKeyOrders builds the concave sweep's sort keys for edges of weights
+// w, as firstHopsConcave does, and returns them in radixSortKeys' order and
+// in slices.Sort's.
+func ConcaveKeyOrders(w []float64) (radix, sorted []uint64) {
+	edges := make([]concaveEdge, len(w))
+	for i := range w {
+		edges[i].w = w[i]
+	}
+	keys, shift := concaveKeys(nil, edges)
+	sorted = slices.Clone(keys)
+	slices.Sort(sorted)
+	radix, _ = radixSortKeys(keys, nil, shift)
+	return radix, sorted
 }

@@ -185,12 +185,13 @@ type concaveEdge struct {
 //
 // E_u is ordered without a comparator: each edge is one uint64, its weight's
 // order-reversing key (descKey) with the low bits.Len(|E_u|) bits replaced by
-// the edge's position, and slices.Sort orders the plain keys. Weights whose
+// the edge's position, and radixSortKeys orders the plain keys. Weights whose
 // keys differ only in those low bits collide and come out in position order,
 // so one insertion pass on the exact weights restores descending order; it is
 // linear unless weights collide. That is exact for any weights and any view
-// size, and keeps each group of equal weights contiguous. The cost is the one
-// sort of |E_u| keys plus O(|E_u| α(|V_u|) + |V_u| · blocks).
+// size, and keeps each group of equal weights contiguous. The cost is one
+// radix pass over |E_u| keys per key byte that varies plus
+// O(|E_u| α(|V_u|) + |V_u| · blocks).
 func (s *ViewScratch) firstHopsConcave(view *LocalView, m metric.Metric, w []float64) *FirstHops {
 	g := view.G
 	n := g.N()
@@ -209,13 +210,9 @@ func (s *ViewScratch) firstHopsConcave(view *LocalView, m metric.Metric, w []flo
 		edges = append(edges, concaveEdge{w: w[e], a: a, b: b})
 	}
 	s.edges = edges
-	shift := bits.Len(uint(len(edges)))
+	keys, shift := concaveKeys(s.keys, edges)
 	mask := uint64(1)<<shift - 1
-	keys := s.keys[:0]
-	for i, e := range edges {
-		keys = append(keys, descKey(e.w)&^mask|uint64(i))
-	}
-	slices.Sort(keys)
+	keys, s.keyBuf = radixSortKeys(keys, s.keyBuf, shift)
 	for i := 1; i < len(keys); i++ {
 		for j := i; j > 0 && edges[keys[j]&mask].w > edges[keys[j-1]&mask].w; j-- {
 			keys[j], keys[j-1] = keys[j-1], keys[j]
@@ -291,6 +288,63 @@ func (s *ViewScratch) firstHopsConcave(view *LocalView, m metric.Metric, w []flo
 		}
 	}
 	return fh
+}
+
+// concaveKeys returns in keys the sort key of every edge, in position order:
+// its weight's descKey with the low shift = bits.Len(len(edges)) bits replaced
+// by its position.
+func concaveKeys(keys []uint64, edges []concaveEdge) (_ []uint64, shift int) {
+	shift = bits.Len(uint(len(edges)))
+	mask := uint64(1)<<shift - 1
+	keys = keys[:0]
+	for i, e := range edges {
+		keys = append(keys, descKey(e.w)&^mask|uint64(i))
+	}
+	return keys, shift
+}
+
+// radixSortKeys sorts keys ascending by least-significant-digit radix sort,
+// one stable pass per byte, through buf, and returns the sorted keys and the
+// other buffer. The keys must be unique, in ascending order of their low
+// shift bits, and carry in those bits only their position in keys, as
+// firstHopsConcave builds them. A byte that is equal in every key needs no
+// pass, and neither does a byte of position bits alone: the input is already
+// sorted on those, so the passes over the higher bytes, being stable, leave
+// every tie in position order. Unique keys have one ascending order, so the
+// result is slices.Sort's.
+func radixSortKeys(keys, buf []uint64, shift int) (sorted, spare []uint64) {
+	if len(keys) < 2 {
+		return keys, buf
+	}
+	var varies uint64
+	for _, k := range keys {
+		varies |= k ^ keys[0]
+	}
+	if cap(buf) < len(keys) {
+		buf = make([]uint64, len(keys))
+	}
+	buf = buf[:len(keys)]
+	var start [256]int
+	for sh := uint(shift / 8 * 8); sh < 64; sh += 8 {
+		if byte(varies>>sh) == 0 {
+			continue
+		}
+		clear(start[:])
+		for _, k := range keys {
+			start[byte(k>>sh)]++
+		}
+		sum := 0
+		for d, c := range start {
+			start[d], sum = sum, sum+c
+		}
+		for _, k := range keys {
+			d := byte(k >> sh)
+			buf[start[d]] = k
+			start[d]++
+		}
+		keys, buf = buf, keys
+	}
+	return keys, buf
 }
 
 // descKey maps a weight to a uint64 whose ascending order is the weight's

@@ -147,6 +147,29 @@ func TestFirstHopsConcaveGenerated(t *testing.T) {
 	}
 }
 
+// The concave sweep's radix sort orders E_u's keys exactly as a comparison
+// sort does, at sizes around one and two key bytes of position bits, under
+// every weight law on ten weight levels and under weights with a full random
+// mantissa, whose low key bytes vary too.
+func TestRadixSortKeysMatchesSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(37))
+	for _, size := range []int{0, 1, 2, 255, 256, 257, 1500} {
+		for law := 0; law < 5; law++ {
+			w := make([]float64, size)
+			for i := range w {
+				w[i] = lawWeight(law, rng.Intn(10), rng.Intn(1<<20))
+				if law == 4 {
+					w[i] = float64(rng.Intn(10)) + rng.Float64()
+				}
+			}
+			radix, sorted := graph.ConcaveKeyOrders(w)
+			if !slices.Equal(radix, sorted) {
+				t.Errorf("|E_u| = %d, law %d: radix order differs from slices.Sort", size, law)
+			}
+		}
+	}
+}
+
 // lawWeight is a link weight at 0-based level under one weight law; extra is
 // the draw's spare randomness, below 2²⁰.
 //

@@ -1,9 +1,9 @@
 // Package graph provides the graph substrate of the reproduction: a compact
 // undirected weighted graph, the two-hop local views G_u the paper's
 // algorithms operate on, generalized Dijkstra searches for additive and
-// concave metrics, exact first-hop-set (fP) computation, relative
-// neighborhood graph reduction, and brute-force reference oracles used by the
-// test suite.
+// concave metrics, exact first-hop-set (fP) computation and relative
+// neighborhood graph reduction. The brute-force path oracles the tests hold
+// these to live in the package's test files.
 package graph
 
 import (
@@ -37,12 +37,12 @@ type Graph struct {
 	labels []string
 	adj    [][]Arc
 	ends   [][2]int32
-	// identity is set while every node's ID equals its index (graph.New
-	// and netgen fields): IndexOf is then a bounds check, no storage.
-	// Otherwise a NewWithIDs graph carries its id→index map in index; a
-	// laid-out graph (FromEdges, ViewScratch) has neither, keeps its ids
-	// strictly ascending and IndexOf binary-searches them. The node set is
-	// fixed at construction, so the map is never written afterwards.
+	// identity is set while every node's ID equals its index (graph.New,
+	// and FromEdges on ids 0..n-1): IndexOf is then a bounds check, no
+	// storage. Otherwise a NewWithIDs graph carries its id→index map in
+	// index; a laid-out graph (FromEdges, ViewScratch) has neither, keeps
+	// its ids strictly ascending and IndexOf binary-searches them. The node
+	// set is fixed at construction, so the map is never written afterwards.
 	identity bool
 	index    map[NodeID]int32
 	// weights holds the weight channels in creation order — one or two in
@@ -69,16 +69,21 @@ func (g *Graph) channel(name string) *weightChannel {
 
 // New returns a graph of n isolated nodes whose IDs are their indices.
 func New(n int) *Graph {
-	ids := make([]NodeID, n)
-	for i := range ids {
-		ids[i] = NodeID(i)
-	}
-	g, err := NewWithIDs(ids)
+	g, err := NewWithIDs(IndexIDs(n))
 	if err != nil {
 		// Sequential IDs are always unique; this cannot happen.
 		panic(err)
 	}
 	return g
+}
+
+// IndexIDs returns the ids 0..n-1, under which every node's id is its index.
+func IndexIDs(n int) []NodeID {
+	ids := make([]NodeID, n)
+	for i := range ids {
+		ids[i] = NodeID(i)
+	}
+	return ids
 }
 
 // NewWithIDs returns a graph whose node i carries ids[i]. IDs must be unique
@@ -117,7 +122,7 @@ func (g *Graph) ID(x int32) NodeID { return g.ids[x] }
 
 // IndexOf returns the node index carrying id, or -1. Identity graphs answer
 // with a bounds check and other NewWithIDs graphs through their id map, both
-// O(1); a laid-out graph (FromEdges, ViewScratch) keeps no map and
+// O(1); any other laid-out graph (FromEdges, ViewScratch) keeps no map and
 // binary-searches its ascending ids in O(log N).
 func (g *Graph) IndexOf(id NodeID) int32 {
 	switch {

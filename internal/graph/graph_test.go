@@ -2,9 +2,11 @@ package graph
 
 import (
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
+	"qolsr/internal/geom"
 	"qolsr/internal/metric"
 )
 
@@ -16,6 +18,77 @@ func TestNewAssignsSequentialIDs(t *testing.T) {
 	for i := int32(0); i < 4; i++ {
 		if g.ID(i) != NodeID(i) {
 			t.Errorf("ID(%d) = %d", i, g.ID(i))
+		}
+	}
+}
+
+// A unit-disk field laid out by FromEdges is the graph New, AddEdge and
+// SetWeight build edge by edge: the same ids, sizes, edge endpoints, arc
+// order and weights, and the same IndexOf answers in range, past the end and
+// below zero, from a bounds check. The fields include a single node and an
+// edgeless one.
+func TestFromEdgesMatchesAddEdge(t *testing.T) {
+	rng := rand.New(rand.NewSource(37))
+	field := geom.Field{Width: 400, Height: 400}
+	for trial := 0; trial < 40; trial++ {
+		n, radius := 2+rng.Intn(300), 30+rng.Float64()*120
+		switch trial {
+		case 0:
+			n = 1
+		case 1:
+			n, radius = 20, 1e-9
+		}
+		pts := make([]geom.Point, n)
+		for i := range pts {
+			pts[i] = geom.Point{X: rng.Float64() * field.Width, Y: rng.Float64() * field.Height}
+		}
+		links, err := geom.Links(field, radius, pts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := make([]float64, len(links))
+		for e := range w {
+			w[e] = float64(1 + rng.Intn(10))
+		}
+		want := New(n)
+		for e, l := range links {
+			if err := want.SetWeight("bandwidth", want.MustAddEdge(l[0], l[1]), w[e]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		got := FromEdges(IndexIDs(n), slices.Clone(links), "bandwidth", slices.Clone(w))
+		if !got.identity {
+			t.Fatalf("trial %d: ids 0..n-1 not marked identity: IndexOf binary-searches", trial)
+		}
+		if trial == 1 && got.M() != 0 {
+			t.Fatalf("trial 1: %d edges, want an edgeless field", got.M())
+		}
+		if got.N() != want.N() || got.M() != want.M() {
+			t.Fatalf("trial %d: N, M = %d, %d, want %d, %d", trial, got.N(), got.M(), want.N(), want.M())
+		}
+		for x := int32(0); int(x) < n; x++ {
+			if got.ID(x) != want.ID(x) || !slices.Equal(got.Arcs(x), want.Arcs(x)) {
+				t.Fatalf("trial %d: node %d has id %d, arcs %v, want %d, %v", trial, x, got.ID(x), got.Arcs(x), want.ID(x), want.Arcs(x))
+			}
+		}
+		for e := 0; e < got.M(); e++ {
+			a, b := got.EdgeEndpoints(e)
+			if wa, wb := want.EdgeEndpoints(e); a != wa || b != wb {
+				t.Fatalf("trial %d: edge %d joins %d-%d, want %d-%d", trial, e, a, b, wa, wb)
+			}
+		}
+		gw, err := got.Weights("bandwidth")
+		if err != nil {
+			t.Fatal(err)
+		}
+		ww, _ := want.Weights("bandwidth")
+		if len(gw) != len(ww) || len(ww) > 0 && !slices.Equal(gw, ww) {
+			t.Fatalf("trial %d: weights %v, want %v", trial, gw, ww)
+		}
+		for _, id := range []NodeID{0, NodeID(n / 2), NodeID(n - 1), NodeID(n), NodeID(n + 7), -1, -NodeID(n)} {
+			if got.IndexOf(id) != want.IndexOf(id) {
+				t.Fatalf("trial %d: IndexOf(%d) = %d, want %d", trial, id, got.IndexOf(id), want.IndexOf(id))
+			}
 		}
 	}
 }

@@ -31,16 +31,14 @@ func FromPoints(field geom.Field, radius float64, pts []geom.Point, channel stri
 	if err != nil {
 		return nil, err
 	}
-	g := graph.New(len(pts))
-	for _, l := range links {
-		if _, err := g.AddEdge(l[0], l[1]); err != nil {
-			return nil, err
-		}
-	}
-	if err := g.AssignUniformWeights(channel, iv, rng); err != nil {
+	if err := iv.Validate(); err != nil {
 		return nil, err
 	}
-	return g, nil
+	w := make([]float64, len(links))
+	for e := range w {
+		w[e] = iv.Draw(rng)
+	}
+	return graph.FromEdges(graph.IndexIDs(len(pts)), links, channel, w), nil
 }
 
 // PickConnectedPair draws a uniformly random source and a uniformly random

@@ -149,8 +149,10 @@ type RebuildStats struct {
 	// because the benchmark harness (cmd/qolsr-bench, frozen) reads them,
 	// and go when it stops doing so (ROADMAP item 6).
 	TopoBuilds, SPFIncremental uint64
-	// Selections counts MPR/ANS selection runs: the local view was rebuilt
-	// and selected on because the neighborhood had changed since the last.
+	// Selections counts MPR selection runs: the local view was rebuilt and
+	// the MPR and relay sets selected on it because the neighborhood had
+	// changed since the last run. The ANS is selected on the same view when
+	// a TC or ANS reads it, and not counted apart.
 	Selections uint64
 	// SPFFull counts the routing tables computed: each is a fresh layout
 	// of the routing graph plus one Dijkstra (see Routes).
@@ -274,8 +276,9 @@ type Node struct {
 	nextExpiry time.Duration
 	topoExpiry time.Duration
 
-	// selAt is the nhVersion mprSet/ansSet were computed at.
-	selAt uint64
+	// selAt is the nhVersion mprSet/relaySet were selected at, ansAt the
+	// one ansSet was.
+	selAt, ansAt uint64
 
 	// Cached routing table and the topology version it was computed at.
 	// The table is all a node keeps of a computation (see routes.go).
@@ -550,7 +553,7 @@ func (n *Node) GenerateHello(now time.Duration) *Hello {
 	if n.cfg.LinkSensing == SenseRTT {
 		n.priceRTT()
 	}
-	n.recompute()
+	n.recompute(false)
 	if n.helloAdv == nil || n.helloAt != n.nhVersion {
 		n.helloAt = n.nhVersion
 		adv := make([]LinkInfo, 0, n.links.len())
@@ -651,7 +654,7 @@ func (n *Node) GenerateTC(now time.Duration) *TC {
 // currentTCAdv returns the cached advertised link block for the current ANS
 // (rebuilt when the neighborhood version moved; the slice is shared
 // read-only with every emitted message until the next content change).
-// Callers must have run recompute().
+// Callers must have run recompute(true).
 func (n *Node) currentTCAdv() []LinkInfo {
 	if n.tcAdv == nil || n.tcAt != n.nhVersion {
 		n.tcAt = n.nhVersion
@@ -682,7 +685,7 @@ func (n *Node) currentTCAdv() []LinkInfo {
 // delta chain anchor (FullSeq) both work off the same counter.
 func (n *Node) GenerateTCUpdate(now time.Duration) (full *TC, delta *TCDelta, ttl int) {
 	n.expire(now)
-	n.recompute()
+	n.recompute(true)
 	emit := n.tcEmit
 	n.tcEmit++
 	if s := n.cfg.FisheyeTTLs; len(s) > 0 {
@@ -910,36 +913,47 @@ func ansnNewer(current, candidate uint16) bool {
 	return int16(current-candidate) > 0
 }
 
-// recompute refreshes the MPR set, the ANS and the ANSN when the underlying
-// neighborhood changed since the last computation. The local view is built
-// and selected on in the field's shared scratch (see topostore.go), so apart
-// from the selectors' result slices a run allocates only for a set that
-// actually changed.
-func (n *Node) recompute() {
-	if n.selAt == n.nhVersion {
+// recompute brings the selections up to the neighborhood's version: the MPR
+// and relay sets whenever it moved, the ANS only when withANS is set — only
+// TCs and ANS read it, so a HELLO never runs the ANS selector. Stale sets
+// are selected on one local view, built and selected on in the field's
+// shared scratch (see topostore.go), so apart from the selectors' result
+// slices a run allocates only for a set that actually changed. The ANSN
+// increments exactly when a freshly selected ANS differs from the last one.
+func (n *Node) recompute(withANS bool) {
+	mprs, ans := n.selAt != n.nhVersion, withANS && n.ansAt != n.nhVersion
+	if !mprs && !ans {
 		return
 	}
-	n.selAt = n.nhVersion
-	n.stats.Selections++
-
 	view, w := n.buildLocalView()
-	if view == nil {
-		n.mprSet, n.ansSet, n.relaySet = nil, nil, nil
-		return
+	if mprs {
+		n.selAt = n.nhVersion
+		n.stats.Selections++
+		if view == nil {
+			n.mprSet, n.relaySet = nil, nil
+		} else {
+			// A selector error leaves the set empty.
+			sel, _ := mpr.Select(view, n.cfg.MPRHeuristic, n.cfg.Metric, w)
+			n.mprSet, _ = idsOf(n.mprSet, view.G, sel)
+			if fr := n.cfg.FloodRelay; fr != 0 && fr != n.cfg.MPRHeuristic {
+				rel, _ := mpr.Select(view, fr, n.cfg.Metric, w)
+				n.relaySet, _ = idsOf(n.relaySet, view.G, rel)
+			} else {
+				n.relaySet = n.mprSet
+			}
+		}
 	}
-	// A selector error leaves the set empty.
-	mprs, _ := mpr.Select(view, n.cfg.MPRHeuristic, n.cfg.Metric, w)
-	n.mprSet, _ = idsOf(n.mprSet, view.G, mprs)
-	if fr := n.cfg.FloodRelay; fr != 0 && fr != n.cfg.MPRHeuristic {
-		rel, _ := mpr.Select(view, fr, n.cfg.Metric, w)
-		n.relaySet, _ = idsOf(n.relaySet, view.G, rel)
-	} else {
-		n.relaySet = n.mprSet
-	}
-	ans, _ := n.cfg.Selector.Select(view, n.cfg.Metric, w)
-	var changed bool
-	if n.ansSet, changed = idsOf(n.ansSet, view.G, ans); changed {
-		n.ansn++
+	if ans {
+		n.ansAt = n.nhVersion
+		if view == nil {
+			n.ansSet = nil
+		} else {
+			sel, _ := n.cfg.Selector.Select(view, n.cfg.Metric, w)
+			var changed bool
+			if n.ansSet, changed = idsOf(n.ansSet, view.G, sel); changed {
+				n.ansn++
+			}
+		}
 	}
 }
 
@@ -1005,14 +1019,14 @@ func (n *Node) buildLocalView() (*graph.LocalView, []float64) {
 // MPRSet returns the current multipoint relay set (flooding).
 func (n *Node) MPRSet(now time.Duration) []int64 {
 	n.expire(now)
-	n.recompute()
+	n.recompute(false)
 	return append([]int64(nil), n.mprSet...)
 }
 
 // ANS returns the current advertised neighbor set (routing).
 func (n *Node) ANS(now time.Duration) []int64 {
 	n.expire(now)
-	n.recompute()
+	n.recompute(true)
 	return append([]int64(nil), n.ansSet...)
 }
 

@@ -479,31 +479,23 @@ func measure(nw *sim.Network, m metric.Metric, channel string, flows []flow, t, 
 
 // effectiveTopology returns the physical graph minus failed links, with the
 // metric channel's weights copied over — what an omniscient router could
-// use right now. The weight slice is nil when the graph has no edges.
+// use right now.
 func effectiveTopology(nw *sim.Network, channel string) (*graph.Graph, []float64) {
 	phys := nw.Phys
-	w, err := phys.Weights(channel)
+	pw, err := phys.Weights(channel)
 	if err != nil {
 		return graph.New(phys.N()), nil
 	}
-	eff := graph.New(phys.N())
+	ends, w := make([][2]int32, 0, phys.M()), make([]float64, 0, phys.M())
 	for a := int32(0); int(a) < phys.N(); a++ {
 		for _, arc := range phys.Arcs(a) {
-			if a >= arc.To || !nw.LinkUp(a, arc.To) {
-				continue
+			if a < arc.To && nw.LinkUp(a, arc.To) {
+				ends = append(ends, [2]int32{a, arc.To})
+				w = append(w, pw[arc.Edge])
 			}
-			e, err := eff.AddEdge(a, arc.To)
-			if err != nil {
-				continue
-			}
-			_ = eff.SetWeight(channel, e, w[arc.Edge])
 		}
 	}
-	ew, err := eff.Weights(channel)
-	if err != nil {
-		return eff, nil
-	}
-	return eff, ew
+	return graph.FromEdges(graph.IndexIDs(phys.N()), ends, channel, w), w
 }
 
 // probeDrain is how long a probe sample runs the engine so that every probe

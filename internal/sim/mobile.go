@@ -8,7 +8,6 @@ import (
 	"qolsr/internal/des"
 	"qolsr/internal/geom"
 	"qolsr/internal/graph"
-	"qolsr/internal/metric"
 	"qolsr/internal/olsr"
 )
 
@@ -126,21 +125,9 @@ func UnitDiskTopology(field geom.Field, radius float64, pts []geom.Point, channe
 	if err != nil {
 		return nil, err
 	}
-	g := graph.New(len(pts))
-	for _, l := range links {
-		e, err := g.AddEdge(l[0], l[1])
-		if err != nil {
-			return nil, err
-		}
-		if err := g.SetWeight(channel, e, PairWeight(seed, l[0], l[1])); err != nil {
-			return nil, err
-		}
+	w := make([]float64, len(links))
+	for e, l := range links {
+		w[e] = PairWeight(seed, l[0], l[1])
 	}
-	// Ensure the channel exists even on a momentarily edgeless topology.
-	if g.M() == 0 {
-		if err := g.AssignUniformWeights(channel, metric.DefaultInterval(), rand.New(rand.NewSource(seed))); err != nil {
-			return nil, err
-		}
-	}
-	return g, nil
+	return graph.FromEdges(graph.IndexIDs(len(pts)), links, channel, w), nil
 }
