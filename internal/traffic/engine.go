@@ -8,7 +8,6 @@ import (
 	"qolsr/internal/obs"
 	"qolsr/internal/rng"
 	"qolsr/internal/sim"
-	"qolsr/internal/stats"
 )
 
 // Counters are the engine's cumulative packet totals, cheap to snapshot —
@@ -24,38 +23,19 @@ type Counters struct {
 	BytesDelivered uint64
 }
 
-// accum aggregates one traffic population's measured QoS: packet counts,
-// delivered-delay distribution (streaming quantiles) and inter-packet delay
-// variation.
+// accum is one traffic population's producer-side tallies: packet and byte
+// counts the event loop keeps current on every packet. Its delivered-packet
+// distribution, d, is folded off the event loop (see fold.go).
 type accum struct {
 	sent, completed, delivered uint64
 	bytesSent, bytesDelivered  uint64
 	// admitted / rejected count admission-gate decisions (class and total
 	// accumulators only; flows carry the Decision itself).
 	admitted, rejected uint64
-	hops               stats.Accumulator
-	delay              stats.Accumulator
-	p50, p95, p99      *stats.Quantile
-	jitter             stats.Accumulator
+	d                  *dist
 }
 
-func newAccum() accum {
-	return accum{
-		p50: stats.NewQuantile(0.50),
-		p95: stats.NewQuantile(0.95),
-		p99: stats.NewQuantile(0.99),
-	}
-}
-
-// record folds one delivered packet.
-func (a *accum) record(hops int, latency time.Duration) {
-	a.hops.Add(float64(hops))
-	secs := latency.Seconds()
-	a.delay.Add(secs)
-	a.p50.Add(secs)
-	a.p95.Add(secs)
-	a.p99.Add(secs)
-}
+func newAccum() accum { return accum{d: newDist()} }
 
 // flowState is one flow's live state inside the engine. It is also the
 // flow's departure event: once admitted, the flowState reschedules itself
@@ -71,8 +51,6 @@ type flowState struct {
 	seq      uint64 // emitted-packet sequence
 
 	accum
-	lastDelay time.Duration
-	hasLast   bool
 }
 
 // Fire implements des.Event: emit the flow's next packet and book the one
@@ -92,6 +70,11 @@ func (fs *flowState) Fire(now time.Duration) {
 // per-node transmit queues like any other frame), and deliveries feed the
 // per-flow accounting. The engine schedules everything on the network's
 // own event engine; the caller advances virtual time with Network.Run.
+//
+// The packet counters are current after every event. The delay, hop and
+// jitter distributions are folded in batches of delivered packets, on a
+// worker goroutine when a second P can run one; Report and the lazy
+// violation collectors flush the fold before they read them.
 type Engine struct {
 	nw      *sim.Network
 	gate    Gate
@@ -104,6 +87,14 @@ type Engine struct {
 	classAcc map[string]*accum
 	totalAcc accum
 	counters Counters
+
+	// batch holds the deliveries not yet handed to the fold; spare is the
+	// batch in flight (inFlight) or the next free buffer. w is the running
+	// fold worker: Start starts it, Report stops it, a full batch after a
+	// Report starts another, and at GOMAXPROCS 1 there is none.
+	batch, spare []delivery
+	inFlight     bool
+	w            *folder
 }
 
 // NewEngine builds a traffic engine over the network. seed keys every
@@ -116,6 +107,7 @@ func NewEngine(nw *sim.Network, seed int64) *Engine {
 		base:     rng.Mix(uint64(seed), 0x7F10), // domain-separate the flow draws
 		classAcc: make(map[string]*accum),
 		totalAcc: newAccum(),
+		batch:    make([]delivery, 0, foldBatch),
 	}
 }
 
@@ -196,6 +188,10 @@ func (e *Engine) Start(stop time.Duration) error {
 	}
 	e.started = true
 	e.stop = stop
+	// The worker starts here rather than at the first full batch, so the
+	// goroutine's start (and the G it may allocate) falls before the
+	// traffic phase a harness times.
+	e.startFold()
 	for _, fs := range e.flows {
 		at := fs.Start
 		if now := e.nw.Engine.Now(); at < now {
@@ -246,7 +242,8 @@ func (e *Engine) emit(fs *flowState) {
 }
 
 // PacketDone implements sim.DataSink: one packet of the cookie's flow
-// finished (delivered or dropped), fold it into the accounting.
+// finished (delivered or dropped). The counters take it at once; a
+// delivery joins the batch that the fold applies to the distributions.
 func (e *Engine) PacketDone(cookie uint64, delivered bool, hops int, latency time.Duration) {
 	fs := e.flows[cookie>>32]
 	size := uint64(uint32(cookie))
@@ -263,20 +260,10 @@ func (e *Engine) PacketDone(cookie uint64, delivered bool, hops int, latency tim
 	cls.bytesDelivered += size
 	e.counters.Delivered++
 	e.counters.BytesDelivered += size
-	fs.record(hops, latency)
-	cls.record(hops, latency)
-	e.totalAcc.record(hops, latency)
-	if fs.hasLast {
-		diff := latency - fs.lastDelay
-		if diff < 0 {
-			diff = -diff
-		}
-		fs.jitter.Add(diff.Seconds())
-		cls.jitter.Add(diff.Seconds())
-		e.totalAcc.jitter.Add(diff.Seconds())
+	e.batch = append(e.batch, delivery{flow: fs.d, cls: cls.d, latency: latency, hops: hops})
+	if len(e.batch) == foldBatch {
+		e.handOff()
 	}
-	fs.lastDelay = latency
-	fs.hasLast = true
 }
 
 // Counters snapshots the engine's cumulative packet totals.

@@ -33,8 +33,10 @@ func (e *Engine) Instrument(reg *obs.Registry) {
 
 // classViolations measures the class's admitted flows against their
 // requirements — the same test Report runs, evaluated lazily so violations
-// appear in metrics snapshots without an explicit report pass.
+// appear in metrics snapshots without an explicit report pass. Like Report
+// it flushes the fold first: the test reads the flows' distributions.
 func (e *Engine) classViolations(class string) uint64 {
+	e.flush()
 	var n uint64
 	for _, fs := range e.flows {
 		if fs.Class == class && fs.decided && fs.decision.Admitted && fs.violated() {

@@ -92,6 +92,7 @@ type Report struct {
 }
 
 // violated measures an admitted flow's traffic against its requirements.
+// It reads the flow's distribution: flush the fold first.
 func (fs *flowState) violated() bool {
 	req := fs.Req
 	if req.zero() || fs.sent == 0 {
@@ -104,10 +105,10 @@ func (fs *flowState) violated() bool {
 	if req.MinBandwidth > 0 && ratio < BandwidthDeliveryFloor {
 		return true
 	}
-	if req.MaxDelay > 0 && secsDur(fs.p95.Value()) > req.MaxDelay {
+	if req.MaxDelay > 0 && secsDur(fs.d.p95.Value()) > req.MaxDelay {
 		return true
 	}
-	if req.MaxJitter > 0 && secsDur(fs.jitter.Mean()) > req.MaxJitter {
+	if req.MaxJitter > 0 && secsDur(fs.d.jitter.Mean()) > req.MaxJitter {
 		return true
 	}
 	return false
@@ -122,8 +123,14 @@ func secsDur(s float64) time.Duration {
 }
 
 // Report builds the end-of-run accounting. Call it after the network has
-// drained past the engine's stop time; it is a pure read.
+// drained past the engine's stop time. It waits for the batch in flight,
+// folds the deliveries still buffered and stops the fold worker, so every
+// statistic covers every delivery so far and no goroutine of the engine
+// outlives it. Deliveries after a Report fold as before; a later Report
+// covers them too.
 func (e *Engine) Report() *Report {
+	e.flush()
+	e.stopFold()
 	rep := &Report{}
 	classOf := make(map[string]*ClassReport, len(e.classes))
 	for _, name := range e.classes {
@@ -151,13 +158,13 @@ func (e *Engine) Report() *Report {
 		if span := (e.stop - fs.Start).Seconds(); span > 0 {
 			fr.Throughput = float64(fs.bytesDelivered) / span
 		}
-		fr.DelayMean = secsDur(fs.delay.Mean())
-		fr.DelayP50 = secsDur(fs.p50.Value())
-		fr.DelayP95 = secsDur(fs.p95.Value())
-		fr.DelayP99 = secsDur(fs.p99.Value())
-		fr.Jitter = secsDur(fs.jitter.Mean())
-		if fs.hops.N() > 0 {
-			fr.HopsMean = fs.hops.Mean()
+		fr.DelayMean = secsDur(fs.d.delay.Mean())
+		fr.DelayP50 = secsDur(fs.d.p50.Value())
+		fr.DelayP95 = secsDur(fs.d.p95.Value())
+		fr.DelayP99 = secsDur(fs.d.p99.Value())
+		fr.Jitter = secsDur(fs.d.jitter.Mean())
+		if fs.d.hops.N() > 0 {
+			fr.HopsMean = fs.d.hops.Mean()
 		}
 
 		cls := classOf[fs.Class]
@@ -206,26 +213,23 @@ func (e *Engine) Report() *Report {
 
 	for i := range rep.Classes {
 		cls := &rep.Classes[i]
-		fillClassStats(cls, e.classAcc[cls.Class])
+		fillClassStats(cls, e.classAcc[cls.Class].d)
 	}
-	fillClassStats(total, &e.totalAcc)
+	fillClassStats(total, e.totalAcc.d)
 	return rep
 }
 
-// fillClassStats copies an accumulator's distribution into a class report.
-func fillClassStats(cls *ClassReport, acc *accum) {
-	if acc == nil {
-		return
-	}
+// fillClassStats copies a population's distribution into a class report.
+func fillClassStats(cls *ClassReport, d *dist) {
 	if cls.Sent > 0 {
 		cls.Delivery = float64(cls.Delivered) / float64(cls.Sent)
 	}
-	cls.DelayMean = secsDur(acc.delay.Mean())
-	cls.DelayP50 = secsDur(acc.p50.Value())
-	cls.DelayP95 = secsDur(acc.p95.Value())
-	cls.DelayP99 = secsDur(acc.p99.Value())
-	cls.Jitter = secsDur(acc.jitter.Mean())
-	if acc.hops.N() > 0 {
-		cls.HopsMean = acc.hops.Mean()
+	cls.DelayMean = secsDur(d.delay.Mean())
+	cls.DelayP50 = secsDur(d.p50.Value())
+	cls.DelayP95 = secsDur(d.p95.Value())
+	cls.DelayP99 = secsDur(d.p99.Value())
+	cls.Jitter = secsDur(d.jitter.Mean())
+	if d.hops.N() > 0 {
+		cls.HopsMean = d.hops.Mean()
 	}
 }

@@ -7,11 +7,12 @@ import (
 	"qolsr/internal/sim"
 )
 
-// TestSteadyStateProfile drives the benchmark workload for a long stretch
-// under -run so a CPU profile captures only steady state (benchmark CPU
-// profiles include the untimed setup). Skipped unless -steadyprofile-like
-// long mode is requested via -timeout abuse; gated on testing.Short? Keep
-// it opt-in via the short flag inversion.
+// TestSteadyStateProfile drives the benchmark workload for 600 virtual
+// seconds so that a CPU profile taken with -run captures steady state only
+// (a benchmark's CPU profile includes its untimed setup). It is a profiling
+// helper, not a check: it runs only under -v, e.g.
+//
+//	go test -run '^TestSteadyStateProfile$' -v -cpuprofile cpu.out ./internal/traffic/
 func TestSteadyStateProfile(t *testing.T) {
 	if !testing.Verbose() {
 		t.Skip("profiling helper; run with -v")

@@ -15,7 +15,12 @@
 //
 // Every packet arrival and size draw is keyed through splitmix64 per
 // (seed, flow, packet-sequence), so a simulation is reproducible bit for
-// bit at any harness worker count.
+// bit at any harness worker count. The per-packet QoS statistics are folded
+// off the event loop — in batches of deliveries, on a worker goroutine when
+// GOMAXPROCS is above 1 — but always in delivery order, one batch at a
+// time: every accumulator sees exactly the sequence a serial fold gives it,
+// so every Report field is bit-identical at any GOMAXPROCS. Report and the
+// lazy violation collectors flush the fold before they read.
 package traffic
 
 import (
