@@ -214,10 +214,13 @@
 // Per-node state is proportional to what the node has heard, laid out the
 // way a flood walks it. The TC-learned rows of a whole field (olsr.NewNodes;
 // olsr.NewNode is a field of one) live in one origin-major store: one block
-// per origin, allocated when that origin is first heard, holding a 32-byte
+// per origin, allocated when that origin is first heard, holding a 16-byte
 // by-value row per member — so a flood to N receivers walks one contiguous
 // block instead of N scattered tables, and the field holds N blocks instead
-// of N² heap objects. Origin-to-slot is the identity inside the store's
+// of N² heap objects. A row holds no pointer: it names its advertised set in
+// the block's small table of the distinct slices the members hold
+// (deduplicated by identity and reference-counted), so the N² rows are
+// memory the garbage collector never scans. Origin-to-slot is the identity inside the store's
 // dense window (Config.DenseIDs is only a hint for its size) and one
 // overflow map per store otherwise; slots nobody holds a row in are
 // reclaimed. The neighbour-keyed tables (links, HELLO tables, MPR

@@ -65,6 +65,9 @@ func (h Heuristic) String() string {
 // comparisons; Greedy ignores them (they may be nil). The result lists
 // global node indices of selected 1-hop neighbors in ascending NodeID order.
 func Select(view *graph.LocalView, h Heuristic, m metric.Metric, w []float64) ([]int32, error) {
+	if h < Greedy || h > MinCover {
+		return nil, fmt.Errorf("mpr: unknown heuristic %v", h)
+	}
 	if h != Greedy && h != MinCover && (m == nil || w == nil) {
 		return nil, fmt.Errorf("mpr: heuristic %v requires a metric and weights", h)
 	}
@@ -181,8 +184,6 @@ func Select(view *graph.LocalView, h Heuristic, m metric.Metric, w []float64) ([
 				if m.Better(direct(i), direct(best)) {
 					best, bestGain = i, gain
 				}
-			default:
-				return nil, fmt.Errorf("mpr: unknown heuristic %v", h)
 			}
 		}
 		if best == -1 {

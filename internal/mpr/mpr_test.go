@@ -163,10 +163,12 @@ func TestSelectRequiresMetricForQoS(t *testing.T) {
 	if _, err := Select(lv, QOLSR2, nil, nil); err == nil {
 		t.Error("QOLSR2 without metric accepted")
 	}
-	if _, err := Select(lv, Heuristic(42), metric.Delay(), weights(t, g)); err == nil {
-		// Unknown heuristics only fail once phase 2 runs; with no 2-hop
-		// neighbors they trivially return empty, which is acceptable.
-		t.Skip("unknown heuristic with empty phase 2 returns empty set")
+	// An unknown heuristic is rejected before any work, even on a view with
+	// no two-hop neighbors to cover.
+	for _, h := range []Heuristic{0, -1, MinCover + 1, 42} {
+		if _, err := Select(lv, h, metric.Delay(), weights(t, g)); err == nil {
+			t.Errorf("unknown heuristic %v accepted", h)
+		}
 	}
 }
 

@@ -13,22 +13,13 @@ import (
 // addresses nobody listens on — without sockets, so daemon logic is testable
 // hermetically and deterministically.
 type MemNetwork struct {
-	mu   sync.RWMutex
-	eps  map[string]*MemTransport
-	drop func(from, to string) bool
+	mu  sync.RWMutex
+	eps map[string]*MemTransport
 }
 
 // NewMemNetwork returns an empty fabric.
 func NewMemNetwork() *MemNetwork {
 	return &MemNetwork{eps: make(map[string]*MemTransport)}
-}
-
-// SetDrop installs a loss hook consulted once per delivery; returning true
-// discards the frame. Pass nil to restore lossless delivery.
-func (mn *MemNetwork) SetDrop(f func(from, to string) bool) {
-	mn.mu.Lock()
-	defer mn.mu.Unlock()
-	mn.drop = f
 }
 
 // Listen claims an address on the fabric.
@@ -58,9 +49,6 @@ func (mn *MemNetwork) deliver(from, to string, frame []byte) {
 	defer mn.mu.RUnlock()
 	dst := mn.eps[to]
 	if dst == nil {
-		return
-	}
-	if mn.drop != nil && mn.drop(from, to) {
 		return
 	}
 	data := copyFrame(frame)

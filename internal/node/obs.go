@@ -104,10 +104,6 @@ func (m *daemonMetrics) stats(tr Transport) Stats {
 	return s
 }
 
-// Registry exposes the daemon's metrics registry (for embedding daemons that
-// want programmatic snapshots next to the HTTP surface).
-func (d *Daemon) Registry() *obs.Registry { return d.metrics.reg }
-
 // MetricsHandler serves the daemon's registry in Prometheus text exposition
 // format. The registry cells are atomics and the lazy collectors read only
 // scrape-safe sources, so the handler never touches the event loop — a

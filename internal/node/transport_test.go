@@ -80,15 +80,6 @@ func TestMemNetworkSemantics(t *testing.T) {
 	if string(in.Data) != "fresh" {
 		t.Fatalf("delivered frame aliases sender buffer: %q", in.Data)
 	}
-	// Loss injection drops everything when told to.
-	mn.SetDrop(func(from, to string) bool { return true })
-	a.Send("b", []byte("lost"))
-	mn.SetDrop(nil)
-	a.Send("b", []byte("kept"))
-	in = <-b.Inbound()
-	if string(in.Data) != "kept" {
-		t.Fatalf("got %q through a dropping fabric", in.Data)
-	}
 	// Close ends the stream exactly once.
 	if err := b.Close(); err != nil {
 		t.Fatal(err)

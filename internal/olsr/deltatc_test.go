@@ -72,10 +72,10 @@ func TestGenerateTCUpdateDeltaChain(t *testing.T) {
 		t.Fatalf("reweight delta = %+v", d3)
 	}
 	r.HandleTCDelta(d3, 1, now)
-	if got, _ := advWeight(rowOf(r, 1).links(), 2); got != 6 {
+	if got, _ := advWeight(linksOf(r, 1), 2); got != 6 {
 		t.Fatalf("receiver link weight = %v after delta, want 6", got)
 	}
-	if !rowOf(r, 1).synced || rowOf(r, 1).chain != 2 {
+	if !rowOf(r, 1).synced() || rowOf(r, 1).chain != 2 {
 		t.Fatalf("receiver chain state = %+v", rowOf(r, 1))
 	}
 
@@ -122,7 +122,7 @@ func TestGenerateTCReanchorsDeltaChain(t *testing.T) {
 	if got := r.RebuildStats().DeltaResyncs; got != 0 {
 		t.Fatalf("receiver desynchronised %d times on the delta after a forced full", got)
 	}
-	if row := rowOf(r, 1); !row.synced || row.chain != 1 {
+	if row := rowOf(r, 1); !row.synced() || row.chain != 1 {
 		t.Fatalf("receiver chain state = %+v, want synced at index 1", row)
 	}
 }
@@ -176,7 +176,16 @@ func TestClassicEmissionIsUpdateEmission(t *testing.T) {
 
 // rowOf returns the topology row n holds about origin (nil when none).
 func rowOf(n *Node, origin int64) *topoRow {
-	return n.store.row(n.member, origin)
+	_, r := n.store.row(n.member, origin)
+	return r
+}
+
+// linksOf returns the advertised set n holds about origin (nil when none).
+func linksOf(n *Node, origin int64) []LinkInfo {
+	if b, r := n.store.row(n.member, origin); r != nil {
+		return b.links(r)
+	}
+	return nil
 }
 
 func TestHandleTCDeltaResyncOnGap(t *testing.T) {
@@ -202,18 +211,18 @@ func TestHandleTCDeltaResyncOnGap(t *testing.T) {
 	}
 	r.HandleTCDelta(d2, 1, now)
 	cur := rowOf(r, 1)
-	if cur.synced {
+	if cur.synced() {
 		t.Fatal("receiver still synced across a chain gap")
 	}
-	if w, _ := advWeight(cur.links(), 2); w != 5 {
-		t.Fatalf("gapped receiver links = %v, want the pre-gap state kept", cur.links())
+	if w, _ := advWeight(linksOf(r, 1), 2); w != 5 {
+		t.Fatalf("gapped receiver links = %v, want the pre-gap state kept", linksOf(r, 1))
 	}
 
 	// Further deltas stay unappliable until a full rebases the chain.
 	now += 100 * time.Millisecond
 	_, d3, _ := a.GenerateTCUpdate(now)
 	r.HandleTCDelta(d3, 1, now)
-	if rowOf(r, 1).synced {
+	if rowOf(r, 1).synced() {
 		t.Fatal("delta applied while desynchronised")
 	}
 	now += 100 * time.Millisecond
@@ -223,7 +232,7 @@ func TestHandleTCDeltaResyncOnGap(t *testing.T) {
 	}
 	r.HandleTC(f, 1, now)
 	cur = rowOf(r, 1)
-	if w, _ := advWeight(cur.links(), 2); !cur.synced || w != 7 {
+	if w, _ := advWeight(linksOf(r, 1), 2); !cur.synced() || w != 7 {
 		t.Fatalf("full did not resync: %+v", cur)
 	}
 }

@@ -94,15 +94,11 @@ func (n *Node) resolvePair(a, b int64) (float64, bool) {
 	if w, ok := n.helloAdvertised(hi, lo); ok {
 		return w, true
 	}
-	if t := n.store.row(n.member, lo); t != nil {
-		if w, ok := advWeight(t.links(), hi); ok {
-			return w, true
-		}
+	if w, ok := advWeight(linksOf(n, lo), hi); ok {
+		return w, true
 	}
-	if t := n.store.row(n.member, hi); t != nil {
-		if w, ok := advWeight(t.links(), lo); ok {
-			return w, true
-		}
+	if w, ok := advWeight(linksOf(n, hi), lo); ok {
+		return w, true
 	}
 	return 0, false
 }
@@ -190,13 +186,23 @@ func oracleTable(t *testing.T, n *Node, ids []graph.NodeID, edges map[[2]graph.N
 func checkRoutes(t *testing.T, trial string, r, want *Routes) {
 	t.Helper()
 	if !routesIdentical(r, want) {
-		t.Fatalf("trial %s: table differs from the oracle's:\ngot    %v\noracle %v", trial, r.Table(), want.Table())
+		t.Fatalf("trial %s: table differs from the oracle's:\ngot    %v\noracle %v", trial, routeMap(r), routeMap(want))
 	}
 }
 
 // routesIdentical reports whether two routing tables carry identical content.
 func routesIdentical(a, b *Routes) bool {
 	return slices.Equal(a.dsts, b.dsts) && slices.Equal(a.routes, b.routes)
+}
+
+// routeMap materialises a table as a map, for failure messages.
+func routeMap(r *Routes) map[int64]Route {
+	out := make(map[int64]Route, r.Len())
+	for i := range r.Len() {
+		dst, route := r.At(i)
+		out[dst] = route
+	}
+	return out
 }
 
 // checkLayout holds a node's fresh layout to the given ids and edges, and its
@@ -396,7 +402,7 @@ func TestTopoLinksCounted(t *testing.T) {
 		seq := uint16(step)
 		if row := rowOf(n, origin); row != nil && rng.Intn(3) != 0 {
 			var del []int64
-			for _, l := range row.links() {
+			for _, l := range linksOf(n, origin) {
 				if rng.Intn(3) == 0 {
 					del = append(del, l.Neighbor)
 				}
@@ -408,7 +414,7 @@ func TestTopoLinksCounted(t *testing.T) {
 		}
 		n.expire(now)
 		held := 0
-		n.store.each(n.member, func(_ int64, r *topoRow) { held += len(r.links()) })
+		n.store.each(n.member, func(_ int64, _ *topoRow, adv []LinkInfo) { held += len(adv) })
 		if n.topoLinks != held {
 			t.Fatalf("step %d: topoLinks %d, rows hold %d links", step, n.topoLinks, held)
 		}

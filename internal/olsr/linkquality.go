@@ -196,7 +196,7 @@ func (n *Node) estimator(neighbor int64, now time.Duration) *lqEstimator {
 		e = n.lq.put(neighbor, newLQEstimator(lqWindow))
 	}
 	e.expires = now + n.cfg.NeighborHoldTime
-	n.track(e.expires)
+	n.nextExpiry = min(n.nextExpiry, e.expires)
 	return e
 }
 

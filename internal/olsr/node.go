@@ -272,7 +272,9 @@ type Node struct {
 	// topoExpiry the earliest across the origin-keyed state (topology rows,
 	// dup rows): expire is a no-op while now is before both, and past one
 	// only that one's tables are scanned — the O(origins) column walk does
-	// not run on every neighbour-hold tick.
+	// not run on every neighbour-hold tick. Each new deadline lowers its
+	// watermark; an overwritten entry's earlier deadline may linger until
+	// the next scan, which costs an empty scan, never a missed expiry.
 	nextExpiry time.Duration
 	topoExpiry time.Duration
 
@@ -355,6 +357,11 @@ func NewNodes(ids []int64, cfg Config) ([]*Node, error) {
 	if cfg.MPRHeuristic == 0 {
 		cfg.MPRHeuristic = mpr.Greedy
 	}
+	for _, h := range []mpr.Heuristic{cfg.MPRHeuristic, cfg.FloodRelay} {
+		if h != 0 && (h < mpr.Greedy || h > mpr.MinCover) {
+			return nil, fmt.Errorf("olsr: unknown MPR heuristic %v", h)
+		}
+	}
 	if cfg.NeighborHoldTime <= 0 {
 		cfg.NeighborHoldTime = 3 * cfg.HelloInterval
 	}
@@ -373,6 +380,9 @@ func NewNodes(ids []int64, cfg Config) ([]*Node, error) {
 	}
 	if cfg.DenseIDs < 0 {
 		return nil, fmt.Errorf("olsr: negative DenseIDs %d", cfg.DenseIDs)
+	}
+	if len(ids) > maxMembers {
+		return nil, fmt.Errorf("olsr: %d nodes in one field, at most %d", len(ids), maxMembers)
 	}
 	store := newTopoStore(len(ids), max(cfg.DenseIDs, len(ids)), cfg.TopologyHoldTime)
 	field := make([]Node, len(ids))
@@ -407,23 +417,6 @@ func (n *Node) touchTopology() {
 	n.topoVersion++
 }
 
-// track lowers the neighbour-state expiry watermark to cover a new deadline.
-// The watermark may be conservative (an overwritten entry's earlier deadline
-// can linger until the next scan); that only costs an occasional empty scan,
-// never a missed expiry.
-func (n *Node) track(deadline time.Duration) {
-	if deadline < n.nextExpiry {
-		n.nextExpiry = deadline
-	}
-}
-
-// trackTopo is track for the origin-keyed state's watermark.
-func (n *Node) trackTopo(deadline time.Duration) {
-	if deadline < n.topoExpiry {
-		n.topoExpiry = deadline
-	}
-}
-
 // UpdateLink records (or refreshes) this node's own link to a neighbor with
 // its current QoS weight, as measured by the out-of-scope metric layer. A
 // refresh at an unchanged weight only extends the validity deadline and
@@ -433,7 +426,7 @@ func (n *Node) UpdateLink(neighbor int64, weight float64, now time.Duration) {
 		return // no self-links
 	}
 	expires := now + n.cfg.NeighborHoldTime
-	n.track(expires)
+	n.nextExpiry = min(n.nextExpiry, expires)
 	if l := n.links.get(neighbor); l != nil {
 		l.expires = expires
 		n.reweigh(neighbor, l, weight)
@@ -523,10 +516,10 @@ func (n *Node) expireNeighborhood(now time.Duration) {
 func (n *Node) expireTopology(now time.Duration) {
 	next := noExpiry
 	if n.topoRows > 0 {
-		n.store.each(n.member, func(_ int64, t *topoRow) {
+		n.store.each(n.member, func(_ int64, t *topoRow, adv []LinkInfo) {
 			if t.expires <= now {
-				n.topoRows, n.topoLinks = n.topoRows-1, n.topoLinks-len(t.links())
-				*t = topoRow{}
+				n.topoRows, n.topoLinks = n.topoRows-1, n.topoLinks-len(adv)
+				t.expires = 0
 				n.touchTopology()
 			} else if t.expires < next {
 				next = t.expires
@@ -602,36 +595,31 @@ func (n *Node) HandleHello(h *Hello, now time.Duration) {
 		if m == n.ID {
 			deadline := now + n.cfg.NeighborHoldTime
 			n.selectors.put(h.Origin, deadline)
-			n.track(deadline)
+			n.nextExpiry = min(n.nextExpiry, deadline)
 		}
 	}
 	tbl := n.neighbors.get(h.Origin)
+	if tbl == nil {
+		tbl = n.neighbors.put(h.Origin, neighborTable{})
+	}
+	tbl.expires = now + n.cfg.NeighborHoldTime
+	n.nextExpiry = min(n.nextExpiry, tbl.expires)
 	// The steady-state HELLO re-announces an unchanged link block — in the
 	// common case the very same shared slice the previous announcement
-	// carried, detected by pointer identity: refresh the deadline on the
-	// existing table without touching content. Only the advertised links
+	// carried, detected by pointer identity: the deadline refresh above is
+	// all it takes, the content stays untouched. Only the advertised links
 	// feed the derived state, so equal content means every cached artifact
 	// stays valid. An equal-content message with a differently ordered
 	// block merely takes the slow path and rebuilds to identical state.
-	if tbl != nil && sameAdv(tbl.adv, h.Links) {
+	if sameAdv(tbl.adv, h.Links) {
 		if sharedAdv(tbl.adv, h.Links) {
 			n.stats.AdvShared++
 		}
 		n.stats.AdvRefresh++
-		tbl.expires = now + n.cfg.NeighborHoldTime
-		n.track(tbl.expires)
 		return
 	}
-	adv := normalizeAdv(h.Links)
-	var old []LinkInfo
-	if tbl == nil {
-		tbl = n.neighbors.put(h.Origin, neighborTable{})
-	} else {
-		old = tbl.adv
-	}
+	old, adv := tbl.adv, normalizeAdv(h.Links)
 	tbl.adv = adv
-	tbl.expires = now + n.cfg.NeighborHoldTime
-	n.track(tbl.expires)
 	if !slices.Equal(old, adv) {
 		n.stats.AdvChange++
 		n.touchNeighborhood()
@@ -784,44 +772,35 @@ func (n *Node) HandleTCDelta(d *TCDelta, sender int64, now time.Duration) (forwa
 // applyTCDelta merges an in-chain delta into the origin's topology row, or
 // flags the row desynchronised on a chain gap.
 func (n *Node) applyTCDelta(d *TCDelta, now time.Duration) {
-	cur := n.store.row(n.member, d.Origin)
-	if cur == nil || !cur.synced || cur.fullSeq != d.FullSeq || d.Index != cur.chain+1 {
-		if cur != nil && cur.synced {
-			if cur.fullSeq == d.FullSeq && d.Index <= cur.chain {
-				// At or below the applied chain position: a stale
-				// reordering, not a desync.
-				return
-			}
-			cur.synced = false
+	b, cur := n.store.row(n.member, d.Origin)
+	if cur == nil || !cur.synced() {
+		return
+	}
+	if cur.fullSeq != d.FullSeq || d.Index != cur.chain+1 {
+		// A gap desynchronises the row; a delta at or below the applied
+		// chain position is a stale reordering, not a desync.
+		if cur.fullSeq != d.FullSeq || d.Index > cur.chain {
+			cur.ver &^= syncedBit
 			n.stats.DeltaResyncs++
 		}
 		return
 	}
-	cur.chain = d.Index
-	cur.ansn = d.ANSN
+	cur.chain, cur.ansn = d.Index, d.ANSN
 	n.refreshRow(cur, now)
 	if len(d.Add) == 0 && len(d.Del) == 0 {
 		// The steady-state keepalive: refresh in place, no rebuild and no
 		// cache invalidation.
 		return
 	}
-	old := cur.links()
-	adv := applyDeltaToAdv(old, normalizeAdv(d.Add), normalizeDel(d.Del))
-	cur.setLinks(adv)
-	n.topoLinks += len(adv) - len(old)
-	if !slices.Equal(old, adv) {
-		n.stats.AdvChange++
-		n.touchTopology()
-	} else {
-		n.stats.AdvRefresh++
-	}
+	old := b.links(cur)
+	n.setTopo(b, cur, old, b.applyDelta(old, d))
 }
 
 // refreshRow extends a topology row's validity by the hold time, keeping the
 // node's watermark covering it.
 func (n *Node) refreshRow(r *topoRow, now time.Duration) {
 	r.expires = now + n.cfg.TopologyHoldTime
-	n.trackTopo(r.expires)
+	n.topoExpiry = min(n.topoExpiry, r.expires)
 }
 
 // HandleTC ingests a flooded TC received from the direct neighbor sender
@@ -834,48 +813,45 @@ func (n *Node) HandleTC(t *TC, sender int64, now time.Duration) (forward bool) {
 	if !n.cfg.ExternalDupSuppression && n.dupSeen(t.Origin, t.Seq, now) {
 		return false
 	}
-	if t.Origin != n.ID {
-		cur := n.store.row(n.member, t.Origin)
-		// Accept unless stale (ANSN regression within the validity
-		// window).
-		switch {
-		case cur != nil && ansnNewer(cur.ansn, t.ANSN):
-			// Stale: ignore.
-		case cur != nil && sameAdv(cur.links(), t.Links):
-			// The steady-state TC re-advertises an unchanged link block —
-			// usually the very shared slice the previous flood carried:
-			// refresh the row in place, no rebuild and no cache
-			// invalidation. A full TC is always a valid chain anchor.
-			if sharedAdv(cur.links(), t.Links) {
-				n.stats.AdvShared++
-			}
-			n.stats.AdvRefresh++
-			cur.ansn = t.ANSN
-			cur.fullSeq, cur.chain, cur.synced = t.Seq, 0, true
-			n.refreshRow(cur, now)
-		default:
-			adv := normalizeAdv(t.Links)
-			var old []LinkInfo
-			if cur == nil {
-				cur = n.store.claim(n.member, t.Origin)
-				n.topoRows++
-			} else {
-				old = cur.links()
-			}
-			cur.ansn = t.ANSN
-			cur.setLinks(adv)
-			n.topoLinks += len(adv) - len(old)
-			cur.fullSeq, cur.chain, cur.synced = t.Seq, 0, true
-			n.refreshRow(cur, now)
-			if !slices.Equal(old, adv) {
-				n.stats.AdvChange++
-				n.touchTopology()
-			} else {
-				n.stats.AdvRefresh++
-			}
-		}
+	if t.Origin == n.ID {
+		return n.selectors.has(sender)
 	}
+	b, cur := n.store.row(n.member, t.Origin)
+	switch {
+	case cur == nil:
+		b, cur = n.store.claim(n.member, t.Origin)
+		n.topoRows++
+		n.setTopo(b, cur, nil, normalizeAdv(t.Links))
+	case ansnNewer(cur.ansn, t.ANSN):
+		// Stale (an ANSN regression within the validity window): ignore.
+		return n.selectors.has(sender)
+	case sameAdv(b.links(cur), t.Links):
+		// The steady-state TC re-advertises an unchanged link block —
+		// usually the very shared slice the previous flood carried:
+		// refresh the row in place, no rebuild and no cache invalidation.
+		if sharedAdv(b.links(cur), t.Links) {
+			n.stats.AdvShared++
+		}
+		n.stats.AdvRefresh++
+	default:
+		n.setTopo(b, cur, b.links(cur), normalizeAdv(t.Links))
+	}
+	// A full TC is always a valid chain anchor.
+	cur.ansn, cur.fullSeq, cur.chain, cur.ver = t.ANSN, t.Seq, 0, cur.ver|syncedBit
+	n.refreshRow(cur, now)
 	return n.selectors.has(sender)
+}
+
+// setTopo makes row r of block b name adv, accounting the change from old.
+func (n *Node) setTopo(b *topoBlock, r *topoRow, old, adv []LinkInfo) {
+	b.set(r, adv)
+	n.topoLinks += len(adv) - len(old)
+	if slices.Equal(old, adv) {
+		n.stats.AdvRefresh++
+		return
+	}
+	n.stats.AdvChange++
+	n.touchTopology()
 }
 
 // dupSeen probes (and on a first sighting, records) the (origin, seq)
@@ -898,7 +874,7 @@ func (n *Node) dupSeen(origin int64, seq uint16, now time.Duration) bool {
 		}
 	}
 	e := dupSeq{seq: seq, expires: now + n.cfg.TopologyHoldTime}
-	n.trackTopo(e.expires)
+	n.topoExpiry = min(n.topoExpiry, e.expires)
 	if slot >= 0 {
 		row[slot] = e
 	} else {

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"qolsr/internal/metric"
+	"qolsr/internal/mpr"
 )
 
 func testConfig() Config {
@@ -19,6 +20,25 @@ func TestNewNodeValidation(t *testing.T) {
 	cfg.Metric = nil
 	if _, err := NewNode(1, cfg); err == nil {
 		t.Error("nil metric accepted")
+	}
+	// An unknown heuristic would select no relays, so the node would never
+	// forward a flood; the field is rejected instead.
+	for _, set := range []func(*Config){
+		func(c *Config) { c.MPRHeuristic = mpr.Heuristic(9) },
+		func(c *Config) { c.MPRHeuristic = mpr.Heuristic(-1) },
+		func(c *Config) { c.FloodRelay = mpr.Heuristic(-1) },
+		func(c *Config) { c.FloodRelay = mpr.MinCover + 1 },
+	} {
+		cfg := testConfig()
+		set(&cfg)
+		if _, err := NewNodes([]int64{1, 2}, cfg); err == nil {
+			t.Errorf("heuristics %v / flood relay %v accepted", cfg.MPRHeuristic, cfg.FloodRelay)
+		}
+	}
+	cfg = testConfig()
+	cfg.FloodRelay = mpr.MinCover
+	if _, err := NewNode(1, cfg); err != nil {
+		t.Errorf("min-cover flood relays rejected: %v", err)
 	}
 	n, err := NewNode(1, testConfig())
 	if err != nil {

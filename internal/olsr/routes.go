@@ -40,17 +40,6 @@ func (r *Routes) At(i int) (dst int64, route Route) {
 	return r.dsts[i], r.routes[i]
 }
 
-// Table materialises the view as a freshly-allocated map. It exists for
-// display and offline analysis; hot paths should use Lookup/At, which do not
-// allocate.
-func (r *Routes) Table() map[int64]Route {
-	out := make(map[int64]Route, len(r.dsts))
-	for i, dst := range r.dsts {
-		out[dst] = r.routes[i]
-	}
-	return out
-}
-
 // stagedLink is one link a layout stages, with its precedence rank.
 type stagedLink struct {
 	lo, hi int64
@@ -183,8 +172,8 @@ func (n *Node) layoutRoutes(s *routeScratch) *graph.Graph {
 			}
 		}
 	}
-	n.store.each(n.member, func(origin int64, t *topoRow) {
-		for _, l := range t.links() {
+	n.store.each(n.member, func(origin int64, _ *topoRow, adv []LinkInfo) {
+		for _, l := range adv {
 			stage(2, origin, l.Neighbor, l.Weight)
 		}
 	})

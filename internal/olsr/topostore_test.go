@@ -1,10 +1,13 @@
 package olsr
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 // TestFieldMatchesStandaloneNodes is the layout differential: the same
@@ -128,7 +131,7 @@ func TestFieldMatchesStandaloneNodes(t *testing.T) {
 				t.Fatalf("step %d stand-alone node %d: %v", step, ids[i], err)
 			}
 			if !routesIdentical(rf, ra) {
-				t.Fatalf("step %d node %d: tables differ:\nfield: %v\nalone: %v", step, ids[i], rf.Table(), ra.Table())
+				t.Fatalf("step %d node %d: tables differ:\nfield: %v\nalone: %v", step, ids[i], routeMap(rf), routeMap(ra))
 			}
 			if f, a := field[i].ANS(now), alone[i].ANS(now); !reflect.DeepEqual(f, a) {
 				t.Fatalf("step %d node %d: ANS %v vs %v", step, ids[i], f, a)
@@ -147,7 +150,7 @@ func TestFieldMatchesStandaloneNodes(t *testing.T) {
 		// positions for the same origin.
 		for _, origin := range ids {
 			a, b := rowOf(field[1], origin), rowOf(field[8], origin)
-			if a != nil && b != nil && (a.ansn != b.ansn || a.chain != b.chain || a.synced != b.synced) {
+			if a != nil && b != nil && (a.ansn != b.ansn || a.chain != b.chain || a.synced() != b.synced()) {
 				divergedRows = true
 			}
 		}
@@ -224,14 +227,213 @@ func TestOriginChurnLeavesBoundedState(t *testing.T) {
 		t.Fatalf("after silence: %d overflow keys, want 1", len(s.overflow))
 	}
 	held := 0
-	for _, rows := range s.blocks {
-		if rows != nil {
+	for _, b := range s.blocks {
+		if b.rows != nil {
 			held++
 		}
 	}
 	if held != 1 {
 		t.Fatalf("after silence: %d blocks held, want 1", held)
 	}
+}
+
+// TestTopoRowLayout pins the row that the store holds members × origins of:
+// 16 bytes and nothing the GC would have to trace, so the store's blocks stay
+// pointer-free allocations the collector never scans.
+func TestTopoRowLayout(t *testing.T) {
+	if size := unsafe.Sizeof(topoRow{}); size != 16 {
+		t.Errorf("topoRow is %d bytes, want 16", size)
+	}
+	var walk func(path string, typ reflect.Type)
+	walk = func(path string, typ reflect.Type) {
+		switch typ.Kind() {
+		case reflect.Struct:
+			for i := range typ.NumField() {
+				f := typ.Field(i)
+				walk(path+"."+f.Name, f.Type)
+			}
+		case reflect.Array:
+			walk(path+"[]", typ.Elem())
+		case reflect.Pointer, reflect.UnsafePointer, reflect.Slice, reflect.Map, reflect.Chan,
+			reflect.Func, reflect.Interface, reflect.String:
+			t.Errorf("%s is a %s: the row must hold no pointer", path, typ.Kind())
+		}
+	}
+	walk("topoRow", reflect.TypeOf(topoRow{}))
+}
+
+// advTable checks the invariants of origin's set table in n's store and
+// returns the block: every named entry is counted by exactly the rows naming
+// it (expired rows keep their names), every free entry is empty, and the
+// table has at most one entry per member besides the empty set.
+func advTable(t *testing.T, n *Node, origin int64, when string) *topoBlock {
+	t.Helper()
+	s := n.store
+	i := s.slot(origin)
+	if i < 0 || s.blocks[i].rows == nil {
+		return nil
+	}
+	b := &s.blocks[i]
+	if len(b.advs) > s.members+1 {
+		t.Fatalf("%s: %d table entries for %d members", when, len(b.advs), s.members)
+	}
+	refs := make([]int32, len(b.advs))
+	for _, r := range b.rows {
+		refs[r.ver&^syncedBit]++
+	}
+	for v := 1; v < len(b.advs); v++ {
+		if e := b.advs[v]; e.refs != refs[v] || (e.refs == 0) != (e.adv == nil) {
+			t.Fatalf("%s: entry %d counts %d rows and holds %d links; %d rows name it", when, v, e.refs, len(e.adv), refs[v])
+		}
+	}
+	return b
+}
+
+// TestAdvVersionsBounded drives one origin's block in a 64-member field with
+// 10,000 TCs, each carrying a freshly allocated set, while a rotating third
+// of the members miss each flood and a group of members goes deaf long
+// enough for their rows to expire. The set table must stay bounded — a
+// version no row names is reused, not leaked — with every count exact, every
+// member must hold the very slice a stand-alone node fed the same messages
+// holds, and after three holds of silence the block and its table must be
+// gone. The delta leg checks that the receivers of one delta from one version
+// share one result entry, and that a gapped receiver keeps its pre-gap
+// version.
+func TestAdvVersionsBounded(t *testing.T) {
+	const members, origin = 64, 1000 // origin outside the window: an overflow slot
+	ids := make([]int64, members)
+	for i := range ids {
+		ids[i] = int64(i)
+	}
+	twins := func(cfg Config) (field, alone []*Node) {
+		field, err := NewNodes(ids, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		alone = make([]*Node, members)
+		for i, id := range ids {
+			if alone[i], err = NewNode(id, cfg); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return field, alone
+	}
+	deliver := func(to []*Node, m any, now time.Duration) {
+		for _, nd := range to {
+			switch m := m.(type) {
+			case *TC:
+				nd.HandleTC(m, origin, now)
+			case *TCDelta:
+				nd.HandleTCDelta(m, origin, now)
+			}
+		}
+	}
+	set := func(k int) []LinkInfo { // fresh storage; content repeats every third TC
+		return []LinkInfo{{Neighbor: 1, Weight: float64(1 + k%3)}, {Neighbor: int64(2 + k%2), Weight: 4}}
+	}
+
+	t.Run("full", func(t *testing.T) {
+		cfg := testConfig()
+		field, alone := twins(cfg)
+		hold := cfg.TopologyHoldTime
+		const deafFrom, deafTo = 3000, 3400 // 40 s: the deaf members' rows expire
+		now := time.Duration(0)
+		for k := 0; k < 10_000; k++ {
+			now += 100 * time.Millisecond
+			tc := &TC{Origin: origin, Seq: uint16(k), ANSN: uint16(k / 7), Links: set(k)}
+			for i := range field {
+				if (i+k)%3 == 0 || (i < 8 && k >= deafFrom && k < deafTo) {
+					continue
+				}
+				deliver([]*Node{field[i], alone[i]}, tc, now)
+			}
+			if k%50 == 0 { // routing lookups expire stale rows in member context
+				for i := range field {
+					field[i].Routes(now)
+					alone[i].Routes(now)
+				}
+			}
+			advTable(t, field[0], origin, fmt.Sprintf("TC %d", k))
+			for i := range field {
+				if f, a := linksOf(field[i], origin), linksOf(alone[i], origin); !sharedAdv(f, a) && len(f)+len(a) > 0 {
+					t.Fatalf("TC %d member %d: holds %v, stand-alone twin %v", k, i, f, a)
+				}
+			}
+		}
+		if got := field[0].StateSize().TopologyRows; got != 1 {
+			t.Fatalf("member 0 holds %d rows, want the origin's", got)
+		}
+		// Silence: every member expires its row, and the next sweep frees
+		// the block, its table and the overflow slot.
+		now += 3 * hold
+		for _, nd := range field {
+			nd.Routes(now)
+		}
+		field[0].HandleTC(&TC{Origin: 5, Seq: 1, ANSN: 1, Links: set(0)}, 5, now)
+		s := field[0].store
+		if s.slot(origin) >= 0 {
+			t.Fatal("the silent origin still has a slot")
+		}
+		for i, b := range s.blocks {
+			if s.origin(i) != 5 && (b.rows != nil || b.advs != nil) {
+				t.Fatalf("slot %d still holds a block (%d rows, %d table entries)", i, len(b.rows), len(b.advs))
+			}
+		}
+	})
+
+	t.Run("delta", func(t *testing.T) {
+		cfg := testConfig()
+		cfg.DeltaTC = true
+		field, alone := twins(cfg)
+		name := func(i int) uint16 { return rowOf(field[i], origin).ver &^ syncedBit }
+		now, seq, fullSeq, index, shared := time.Duration(0), uint16(0), uint16(0), uint16(0), 0
+		for k := 0; k < 10_000; k++ {
+			now += 100 * time.Millisecond
+			seq++
+			if k%5 == 0 { // a full TC every fifth emission: everyone resynchronises
+				fullSeq, index = seq, 0
+				full := &TC{Origin: origin, Seq: seq, ANSN: seq, Links: set(k)}
+				deliver(field, full, now)
+				deliver(alone, full, now)
+				continue
+			}
+			index++
+			d := &TCDelta{Origin: origin, Seq: seq, ANSN: seq, FullSeq: fullSeq, Index: index,
+				Add: []LinkInfo{{Neighbor: int64(10 + k%4), Weight: float64(k % 5)}}, Del: []int64{int64(10 + (k+1)%4)}}
+			before := make([]uint16, members)
+			base := map[uint16]uint16{} // base version → the version its receivers name
+			for i := range field {
+				r := rowOf(field[i], origin)
+				before[i] = name(i)
+				applies := r.synced() && r.chain+1 == index
+				if (i+k)%3 == 0 {
+					continue // missed: the next delta gaps this member
+				}
+				deliver([]*Node{field[i], alone[i]}, d, now)
+				switch after := name(i); {
+				case applies:
+					if v, ok := base[before[i]]; ok && v != after {
+						t.Fatalf("delta %d: receivers from version %d name %d and %d", k, before[i], v, after)
+					} else if ok {
+						shared++
+					}
+					base[before[i]] = after
+				case after != before[i] || rowOf(field[i], origin).synced():
+					t.Fatalf("delta %d member %d: gapped receiver went from version %d to %d (synced %v)",
+						k, i, before[i], after, rowOf(field[i], origin).synced())
+				}
+			}
+			advTable(t, field[0], origin, fmt.Sprintf("delta %d", k))
+			for i := range field {
+				if f, a := linksOf(field[i], origin), linksOf(alone[i], origin); !slices.Equal(f, a) {
+					t.Fatalf("delta %d member %d: holds %v, stand-alone twin %v", k, i, f, a)
+				}
+			}
+		}
+		if shared == 0 {
+			t.Fatal("no two receivers ever applied one delta from one version: the leg exercised nothing")
+		}
+	})
 }
 
 // TestSmallTable pins the neighbour table's contract: ascending walk,

@@ -393,7 +393,6 @@ func (r *Result) EncodeJSON(w io.Writer) error {
 		})
 	}
 	for _, agg := range r.AggregateTraffic() {
-		agg := agg
 		doc.TrafficAgg = append(doc.TrafficAgg, jsonTrafficAgg{
 			Class:         agg.Class,
 			Flows:         agg.Flows,
@@ -423,9 +422,12 @@ func (r *Result) EncodeCSV(w io.Writer) error {
 	if _, err := fmt.Fprintln(w, "scenario,selector,run,time_s,quantity,value"); err != nil {
 		return err
 	}
-	row := func(run int, t, quantity, value string) error {
-		_, err := fmt.Fprintf(w, "%s,%s,%d,%s,%s,%s\n", sc.Name, sc.Protocol.Selector, run, t, quantity, value)
-		return err
+	// row writes one line, or nothing once a write failed; err is returned.
+	var err error
+	row := func(run int, t, quantity, value string) {
+		if err == nil {
+			_, err = fmt.Fprintf(w, "%s,%s,%d,%s,%s,%s\n", sc.Name, sc.Protocol.Selector, run, t, quantity, value)
+		}
 	}
 	for _, run := range r.Runs {
 		if run == nil {
@@ -458,16 +460,14 @@ func (r *Result) EncodeCSV(w io.Writer) error {
 				)
 			}
 			for _, c := range cells {
-				if err := row(run.Run, t, c.q, c.v); err != nil {
-					return err
-				}
+				row(run.Run, t, c.q, c.v)
 			}
 		}
 		if run.Traffic != nil {
 			// One verdict summary row group per class at the end of the
 			// run, plus the mix total.
 			end := fmt.Sprintf("%g", secs(sc.Duration))
-			emit := func(c jsonClass) error {
+			emit := func(c jsonClass) {
 				prefix := "traffic_" + c.Class + "_"
 				cells := []struct{ q, v string }{
 					{prefix + "admitted", fmt.Sprintf("%d", c.Admitted)},
@@ -480,32 +480,23 @@ func (r *Result) EncodeCSV(w io.Writer) error {
 					{prefix + "delay_p95_s", fmt.Sprintf("%.6f", c.DelayP95S)},
 				}
 				for _, cell := range cells {
-					if err := row(run.Run, end, cell.q, cell.v); err != nil {
-						return err
-					}
+					row(run.Run, end, cell.q, cell.v)
 				}
-				return nil
 			}
 			for _, c := range run.Traffic.Classes {
-				if err := emit(classJSON(c)); err != nil {
-					return err
-				}
+				emit(classJSON(c))
 			}
-			if err := emit(classJSON(run.Traffic.Total)); err != nil {
-				return err
-			}
+			emit(classJSON(run.Traffic.Total))
 		}
 		for _, rc := range run.Reconvergence {
 			v := "-1"
 			if rc.Recovered {
 				v = fmt.Sprintf("%.6f", secs(rc.Duration()))
 			}
-			if err := row(run.Run, fmt.Sprintf("%g", secs(rc.EventTime)), "reconverge_s", v); err != nil {
-				return err
-			}
+			row(run.Run, fmt.Sprintf("%g", secs(rc.EventTime)), "reconverge_s", v)
 		}
 	}
-	return nil
+	return err
 }
 
 // WriteTable renders the cross-run aggregate as an aligned text table, plus

@@ -226,8 +226,8 @@ func TestRoutesCacheAcrossFailRestoreCycle(t *testing.T) {
 	if after == during {
 		t.Fatal("table not refreshed after link restoration")
 	}
-	if !reflect.DeepEqual(after.Table(), before.Table()) {
-		t.Errorf("post-cycle table %v != pre-cycle table %v", after.Table(), before.Table())
+	if !reflect.DeepEqual(routeMap(after), routeMap(before)) {
+		t.Errorf("post-cycle table %v != pre-cycle table %v", routeMap(after), routeMap(before))
 	}
 }
 

@@ -33,7 +33,17 @@ func tableOf(t *testing.T, nw *Network, x int32) map[int64]olsr.Route {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return r.Table()
+	return routeMap(r)
+}
+
+// routeMap materialises a routing table as a map.
+func routeMap(r *olsr.Routes) map[int64]olsr.Route {
+	out := make(map[int64]olsr.Route, r.Len())
+	for i := range r.Len() {
+		dst, route := r.At(i)
+		out[dst] = route
+	}
+	return out
 }
 
 // RebuildRoutes fanned across eight workers must produce exactly the tables
