@@ -192,7 +192,10 @@
 // allocation-free by construction: data packets, radio frames, and
 // protocol emitters are pooled; forwarding decisions are cached per
 // (node, destination) and invalidated by table or link generation;
-// duplicate suppression is a per-origin window probed in place;
+// flood duplicate suppression is one pooled visited bitset per flood,
+// whose bits the ideal medium sets when a frame is sent — it lands every
+// frame a constant delay later, in send order, so a frame carries only its
+// receivers' first sightings and a duplicate costs one bit test;
 // soft-state expiry is a single watermark comparison until something can
 // actually be stale; and a stale routing table is rebuilt from scratch in
 // linear time — a fresh layout plus one Dijkstra in pooled scratch — and

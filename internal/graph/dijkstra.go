@@ -8,12 +8,22 @@ import (
 // one source under one metric, with a single optimal predecessor per node for
 // path extraction.
 //
-// The recorded predecessor tree is canonical: among paths of equal metric
-// value the search prefers fewer hops, and among those the predecessor with
-// the smallest node ID. The (Dist, prev) pair is therefore a pure function
-// of the edge set, the weights, and the node IDs — independent of edge
-// insertion order, node index assignment, and heap mechanics — so two
-// constructions of one graph route identically, bit for bit.
+// The recorded predecessor tree is canonical: each node keeps one
+// (value, hops) label, replaced by a better value or, at an equal value, by
+// fewer hops, and among equal labels the predecessor with the smallest node
+// ID wins. The (Dist, prev) pair is therefore a pure function of the edge
+// set, the weights, and the node IDs — independent of edge insertion order,
+// node index assignment, and heap mechanics — so two constructions of one
+// graph route identically, bit for bit.
+//
+// The hop count is the fewest along the settled label tree, which is not
+// always the fewest among optimal paths. Under an additive metric the two
+// agree: the (value, hops) order survives extension by a link. Under a
+// concave metric (bandwidth) it does not: a wider, longer path to an
+// intermediate node wins its label, and a destination behind a narrower
+// link inherits that longer hop count though a shorter path of the same
+// width exists. ROADMAP item 2 tracks the exact order; hop-by-hop
+// forwarding on this one can loop on width ties.
 type ShortestPaths struct {
 	// Source is the search origin.
 	Source int32

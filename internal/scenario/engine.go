@@ -19,9 +19,6 @@ import (
 	"qolsr/internal/traffic"
 )
 
-// flow is one persistent probe (source, destination) pair.
-type flow struct{ src, dst int32 }
-
 // ctrlSnapshot carries the control-byte counters between samples so each
 // sample's rates diff against the previous sample, not the drain window.
 type ctrlSnapshot struct {
@@ -130,7 +127,9 @@ func Execute(ctx context.Context, sc Scenario, seed int64, run int, emit func(Sa
 			flowCount += sp.Count
 		}
 	}
-	flows := drawFlows(flowCount, nw.Phys.N(), deriveSeed(seed, "traffic", run))
+	// The persistent flow endpoints: uniform ordered (src, dst) pairs, the
+	// draw sequence locked by the goldens.
+	flows := sim.DrawPairs(nw.Phys.N(), flowCount, deriveSeed(seed, "traffic", run))
 	sources := flowSources(flows)
 
 	if ms != nil {
@@ -144,11 +143,7 @@ func Execute(ctx context.Context, sc Scenario, seed int64, run int, emit func(Sa
 	// medium's transmit queues until the run ends.
 	var eng *traffic.Engine
 	if len(sc.Traffic.Mix) > 0 {
-		pairs := make([][2]int32, len(flows))
-		for i, f := range flows {
-			pairs[i] = [2]int32{f.src, f.dst}
-		}
-		tFlows, err := traffic.FlowsFromSpecs(sc.Traffic.Mix, pairs, sc.Warmup)
+		tFlows, err := traffic.FlowsFromSpecs(sc.Traffic.Mix, flows, sc.Warmup)
 		if err != nil {
 			return nil, fmt.Errorf("scenario %s: %w", sc.Name, err)
 		}
@@ -358,7 +353,7 @@ func reconvergence(samples []Sample, disruptions []disruption, duration time.Dur
 // vanish from every rate. A routing-table failure aborts the sample: it is
 // surfaced to the caller instead of being silently sampled as an empty
 // table.
-func measure(nw *sim.Network, m metric.Metric, channel string, flows []flow, t, prevT time.Duration, prev ctrlSnapshot, drain time.Duration, eng *traffic.Engine, prevCnt traffic.Counters) (Sample, ctrlSnapshot, error) {
+func measure(nw *sim.Network, m metric.Metric, channel string, flows [][2]int32, t, prevT time.Duration, prev ctrlSnapshot, drain time.Duration, eng *traffic.Engine, prevCnt traffic.Counters) (Sample, ctrlSnapshot, error) {
 	s := Sample{Time: t, Nodes: nw.Phys.N()}
 
 	ctrl := ctrlSnapshot{
@@ -397,36 +392,37 @@ func measure(nw *sim.Network, m metric.Metric, channel string, flows []flow, t, 
 		if eff.M() == 0 {
 			break
 		}
-		hopSP := hopSPs[f.src]
+		src, dst := f[0], f[1]
+		hopSP := hopSPs[src]
 		if hopSP == nil {
-			hopSP = graph.Dijkstra(eff, metric.Hop(), w, f.src, nil, -1)
-			hopSPs[f.src] = hopSP
+			hopSP = graph.Dijkstra(eff, metric.Hop(), w, src, nil, -1)
+			hopSPs[src] = hopSP
 		}
-		if !hopSP.Reachable(f.dst) {
+		if !hopSP.Reachable(dst) {
 			continue
 		}
 		s.Connected++
-		optHops := hopSP.Dist[f.dst]
+		optHops := hopSP.Dist[dst]
 
 		// Routing-table overhead: what the source would achieve right
 		// now against the optimum on the live physical topology.
-		table, ok := tables[f.src]
+		table, ok := tables[src]
 		if !ok {
 			var err error
-			table, err = nw.Nodes[f.src].Routes(nw.Engine.Now())
+			table, err = nw.Nodes[src].Routes(nw.Engine.Now())
 			if err != nil {
-				return Sample{}, ctrlSnapshot{}, fmt.Errorf("routing table of node %d: %w", nw.Phys.ID(f.src), err)
+				return Sample{}, ctrlSnapshot{}, fmt.Errorf("routing table of node %d: %w", nw.Phys.ID(src), err)
 			}
-			tables[f.src] = table
+			tables[src] = table
 		}
-		if entry, ok := table.Lookup(int64(nw.Phys.ID(f.dst))); ok {
-			optSP := optSPs[f.src]
+		if entry, ok := table.Lookup(int64(nw.Phys.ID(dst))); ok {
+			optSP := optSPs[src]
 			if optSP == nil {
-				optSP = graph.Dijkstra(eff, m, w, f.src, nil, -1)
-				optSPs[f.src] = optSP
+				optSP = graph.Dijkstra(eff, m, w, src, nil, -1)
+				optSPs[src] = optSP
 			}
-			if optSP.Reachable(f.dst) {
-				overheadSum += route.Overhead(m, entry.Value, optSP.Dist[f.dst])
+			if optSP.Reachable(dst) {
+				overheadSum += route.Overhead(m, entry.Value, optSP.Dist[dst])
 				overheadN++
 			}
 		}
@@ -436,7 +432,7 @@ func measure(nw *sim.Network, m metric.Metric, channel string, flows []flow, t, 
 			// only distort the queues they contend for.
 			continue
 		}
-		nw.SendData(f.src, f.dst, func(ok bool, hops int, _ time.Duration) {
+		nw.SendData(src, dst, func(ok bool, hops int, _ time.Duration) {
 			if !ok {
 				return
 			}
@@ -561,30 +557,15 @@ func protocolConfig(p Protocol) (olsr.Config, error) {
 
 // flowSources returns the unique flow sources in ascending index order —
 // the node set whose routing tables every sample barrier brings up to date.
-func flowSources(flows []flow) []int32 {
+func flowSources(flows [][2]int32) []int32 {
 	seen := make(map[int32]bool, len(flows))
 	out := make([]int32, 0, len(flows))
 	for _, f := range flows {
-		if !seen[f.src] {
-			seen[f.src] = true
-			out = append(out, f.src)
+		if !seen[f[0]] {
+			seen[f[0]] = true
+			out = append(out, f[0])
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// drawFlows picks the persistent flow endpoints: uniform ordered
-// (src, dst) pairs with src != dst, clamped to the number of distinct
-// pairs (sim.DrawPairs — the draw sequence is locked by the goldens).
-func drawFlows(count, n int, seed int64) []flow {
-	pairs := sim.DrawPairs(n, count, seed)
-	if len(pairs) == 0 {
-		return nil
-	}
-	out := make([]flow, len(pairs))
-	for i, p := range pairs {
-		out[i] = flow{src: p[0], dst: p[1]}
-	}
 	return out
 }

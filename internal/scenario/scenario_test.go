@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"qolsr/internal/geom"
+	"qolsr/internal/sim"
 )
 
 // ladderScenario is the deterministic test fixture: a 2×4 ladder (explicit
@@ -218,17 +219,19 @@ func TestSampleTimes(t *testing.T) {
 	}
 }
 
+// TestDrawFlows pins the flow-endpoint draw Execute uses (sim.DrawPairs):
+// clamped to the distinct ordered pairs, no self pair, no repeat.
 func TestDrawFlows(t *testing.T) {
-	flows := drawFlows(10, 2, 1)
+	flows := sim.DrawPairs(2, 10, 1)
 	if len(flows) != 2 {
 		t.Fatalf("flows on 2 nodes = %d, want clamped to 2", len(flows))
 	}
-	seen := map[flow]bool{}
-	for _, f := range drawFlows(12, 6, 5) {
-		if f.src == f.dst {
+	seen := map[[2]int32]bool{}
+	for _, f := range sim.DrawPairs(6, 12, 5) {
+		if f[0] == f[1] {
 			t.Errorf("self flow %v", f)
 		}
-		if f.src < 0 || f.src >= 6 || f.dst < 0 || f.dst >= 6 {
+		if f[0] < 0 || f[0] >= 6 || f[1] < 0 || f[1] >= 6 {
 			t.Errorf("flow out of range %v", f)
 		}
 		if seen[f] {
@@ -236,7 +239,7 @@ func TestDrawFlows(t *testing.T) {
 		}
 		seen[f] = true
 	}
-	if drawFlows(4, 1, 1) != nil {
+	if sim.DrawPairs(1, 4, 1) != nil {
 		t.Error("flows on 1 node should be empty")
 	}
 }

@@ -146,14 +146,8 @@ func (nw *Network) dropData(p *dataPacket, count *uint64, outcome string) {
 }
 
 // stepData advances a packet one hop: deliver, drop, or forward to the next
-// hop's routing decision. Zero-delay hops (an ideal medium with zero
-// propagation delay) forward synchronously in the loop instead of
-// round-tripping through the event queue — virtual time cannot advance
-// across them, so only the intra-timestamp interleaving with other
-// same-instant events changes, and the data plane mutates no protocol
-// state such events could observe.
+// hop's routing decision.
 func (nw *Network) stepData(p *dataPacket) {
-again:
 	if p.at == p.dst {
 		nw.Data.Delivered++
 		hops := int(DefaultDataTTL - p.ttl)
@@ -200,15 +194,15 @@ again:
 	next := fe.next
 	// The medium plans the unicast like any other frame: a lossy radio may
 	// drop it in flight or delay it behind the sender's transmit queue.
-	// The ideal medium's plan is a constant (deliver after idealHop, no
-	// medium state), so it skips the call.
-	if d := nw.idealHop; d != 0 {
+	// The ideal medium's plan is a constant (deliver after its propagation
+	// delay, no medium state), so it skips the call.
+	if m := nw.ideal; m != nil {
 		if p.pt != nil {
-			p.pt.Hop(next, nw.Engine.Now()+d, 0)
+			p.pt.Hop(next, nw.Engine.Now()+m.prop, 0)
 		}
 		p.at = next
 		p.ttl--
-		nw.Engine.AfterFixed(d, p)
+		nw.Engine.AfterFixed(m.prop, p)
 		return
 	}
 	nw.unicast[0] = next
@@ -222,9 +216,6 @@ again:
 	}
 	p.at = next
 	p.ttl--
-	if plan[0].Delay == 0 {
-		goto again
-	}
 	nw.Engine.After(plan[0].Delay, p)
 }
 

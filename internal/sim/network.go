@@ -37,9 +37,11 @@ type TrafficStats struct {
 	// TCForwarded / TCForwardedBytes count MPR re-broadcasts.
 	TCForwarded      uint64
 	TCForwardedBytes uint64
-	// DupSuppressed counts TC-family deliveries dropped by the simulator's
+	// DupSuppressed counts TC-family receptions dropped by the simulator's
 	// flood duplicate suppression (the external form of the nodes' dup
-	// windows — see floodState).
+	// windows — see floodState). On the ideal medium a receiver is filtered
+	// when the frame is sent, on every other when it lands; either way the
+	// count lands with the frame.
 	DupSuppressed uint64
 }
 
@@ -85,11 +87,11 @@ type Network struct {
 	pktPool   []*dataPacket
 	floodPool []*floodState
 	unicast   [1]int32 // data-plane next-hop scratch (kept off the heap)
-	// idealHop short-circuits data-plane frame planning on the ideal
-	// medium: its unicast plan is always {next, idealHop} with no medium
-	// state touched, so stepData skips the PlanFrame call. Zero on every
-	// other medium.
-	idealHop time.Duration
+	// ideal is the medium when it is the ideal MAC (nil on every other):
+	// its plan is a constant — every candidate after ideal.prop, nothing
+	// touched but the counters — so the data plane and broadcastFrame plan
+	// inline, and a flood claims its receivers when a frame is sent.
+	ideal *IdealMedium
 
 	// fwd caches resolved forwarding decisions per (node, destination),
 	// valid while the node's routing-table snapshot pointer and the
@@ -160,7 +162,7 @@ func NewNetwork(phys *graph.Graph, cfg olsr.Config, opts NetworkOptions) (*Netwo
 	nw.Nodes = nodes
 	medium.Attach(nw)
 	if im, ok := medium.(*IdealMedium); ok {
-		nw.idealHop = im.prop
+		nw.ideal = im
 	}
 	return nw, nil
 }
@@ -297,8 +299,8 @@ func (nw *Network) jittered(i int, d time.Duration) time.Duration {
 // accounting, re-broadcast) plus the decoded form shared read-only by every
 // receiver — protocol handlers copy what they keep, so one decoded message
 // serves the whole reception set. Frames are pooled; when every planned
-// delivery has the same latency (the ideal medium) the frame itself is the
-// single delivery event for all receivers.
+// delivery has the same latency the frame itself is the single delivery
+// event for all receivers.
 type controlFrame struct {
 	nw    *Network
 	from  int32
@@ -315,6 +317,10 @@ type controlFrame struct {
 	// flood is the per-flood visited set shared along a TC-family frame's
 	// whole relay chain (nil for HELLOs, which never flood).
 	flood *floodState
+	// claimed marks a frame planned on the ideal medium: dsts holds only
+	// first sightings, and dups the receivers filtered when it was sent.
+	claimed bool
+	dups    uint32
 }
 
 // floodState is one flood's duplicate-suppression state: a bitset over
@@ -324,6 +330,15 @@ type controlFrame struct {
 // replacing N per-node duplicate tables (one map probe plus a window scan per
 // delivery) with a single bit probe. The protocol nodes run with
 // Config.ExternalDupSuppression and skip their own window entirely.
+//
+// On a medium of variable latency a frame sent later can land first, so a
+// receiver's bit is set when a frame lands there. On the ideal medium every
+// frame lands exactly ideal.prop after it is sent, through the scheduler's
+// FIFO lane, so frames land in the order they are sent: the first frame sent
+// to a receiver is the first to land, and broadcastFrame sets the bit at
+// send time. The frame then carries only first sightings; the receivers it
+// filtered count as DupSuppressed when it fires, and it stays one event even
+// when it carries none, so events and counters agree at every event boundary.
 //
 // The replacement is observably identical to the per-node windows: a
 // suppressed delivery used to return before touching any state a later
@@ -337,15 +352,13 @@ type floodState struct {
 	refs    int32
 }
 
-// testAndSet reports whether receiver i already saw this flood, marking it
-// either way.
-func (fs *floodState) testAndSet(i int32) bool {
-	w, b := i>>6, uint64(1)<<(uint32(i)&63)
-	if fs.visited[w]&b != 0 {
-		return true
-	}
-	fs.visited[w] |= b
-	return false
+// claim marks receiver i and returns 1 when this is its first sighting of
+// the flood, 0 otherwise, without branching on which.
+func (fs *floodState) claim(i int32) int {
+	w, b := i>>6, uint32(i)&63
+	old := fs.visited[w]
+	fs.visited[w] = old | 1<<b
+	return int(^old>>b) & 1
 }
 
 // newFlood returns a cleared visited set sized for the current field.
@@ -370,6 +383,7 @@ func (nw *Network) newFlood() *floodState {
 
 // Fire implements des.Event: deliver the frame to every batched receiver.
 func (f *controlFrame) Fire(time.Duration) {
+	f.nw.Stats.DupSuppressed += uint64(f.dups)
 	for _, to := range f.dsts {
 		f.nw.deliverFrame(f, to)
 	}
@@ -390,24 +404,6 @@ func (h *frameHop) Fire(time.Duration) {
 	f.nw.deliverFrame(f, to)
 	f.release()
 	f.nw.hopPool = append(f.nw.hopPool, h)
-}
-
-func (nw *Network) newFrame(from int32, buf []byte, hello *olsr.Hello, tc *olsr.TC, tcd *olsr.TCDelta, ttl int32) *controlFrame {
-	var f *controlFrame
-	if n := len(nw.framePool); n > 0 {
-		f = nw.framePool[n-1]
-		nw.framePool = nw.framePool[:n-1]
-	} else {
-		f = &controlFrame{nw: nw}
-	}
-	f.from = from
-	f.buf = buf
-	f.hello = hello
-	f.tc = tc
-	f.tcd = tcd
-	f.ttl = ttl
-	f.dsts = f.dsts[:0]
-	return f
 }
 
 // release returns the frame to its pool once every reception fired, and the
@@ -438,15 +434,53 @@ func (nw *Network) broadcastFrame(from int32, buf []byte, hello *olsr.Hello, tc 
 			nw.dsts = append(nw.dsts, arc.To)
 		}
 	}
-	plan := nw.medium.PlanFrame(from, nw.dsts, len(buf), nw.Engine.Now())
-	if len(plan) == 0 {
+	var f *controlFrame
+	if n := len(nw.framePool); n > 0 {
+		f = nw.framePool[n-1]
+		nw.framePool = nw.framePool[:n-1]
+	} else {
+		f = &controlFrame{}
+	}
+	*f = controlFrame{nw: nw, from: from, refs: 1, buf: buf, hello: hello, tc: tc, tcd: tcd, ttl: ttl, dsts: f.dsts[:0]}
+	if hello == nil {
+		if flood == nil {
+			// A flood's first transmission: allocate its visited set. The
+			// origin's own bit stays unset — its message looping back is a
+			// first sighting, exactly as under the per-node windows.
+			flood = nw.newFlood()
+		}
+		f.flood = flood
+		flood.refs++
+	}
+	if m := nw.ideal; m != nil {
+		// The ideal medium's plan, inline: every candidate after m.prop,
+		// counted as IdealMedium.PlanFrame counts it and claimed in the
+		// flood's visited set now (see floodState).
+		m.stats.FramesPlanned++
+		m.stats.Receptions += uint64(len(nw.dsts))
+		f.dsts = append(f.dsts, nw.dsts...)
+		if flood != nil {
+			// Every candidate is written; only a first sighting advances.
+			n := 0
+			for _, to := range nw.dsts {
+				f.dsts[n] = to
+				n += flood.claim(to)
+			}
+			f.dups = uint32(len(nw.dsts) - n)
+			f.dsts = f.dsts[:n]
+		}
+		f.claimed = true
+		if len(nw.dsts) == 0 {
+			f.release()
+		} else {
+			nw.Engine.AfterFixed(m.prop, f)
+		}
 		return
 	}
-	if flood == nil && (tc != nil || tcd != nil) {
-		// A flood's first transmission: allocate its visited set. The
-		// origin's own bit stays unset — its message looping back is a
-		// first sighting, exactly as under the per-node windows.
-		flood = nw.newFlood()
+	plan := nw.medium.PlanFrame(from, nw.dsts, len(buf), nw.Engine.Now())
+	if len(plan) == 0 {
+		f.release()
+		return
 	}
 	uniform := true
 	for _, hop := range plan[1:] {
@@ -455,18 +489,12 @@ func (nw *Network) broadcastFrame(from int32, buf []byte, hello *olsr.Hello, tc 
 			break
 		}
 	}
-	f := nw.newFrame(from, buf, hello, tc, tcd, ttl)
-	if flood != nil {
-		f.flood = flood
-		flood.refs++
-	}
 	if uniform {
 		// One pooled event delivers to the whole reception set, in plan
 		// order — the exact order separate equal-time events would run in.
 		for _, hop := range plan {
 			f.dsts = append(f.dsts, hop.Dst)
 		}
-		f.refs = 1
 		// Uniform plans come from constant-latency media, so their
 		// scheduled times are monotone — the scheduler's fixed-delay lane
 		// (which degrades to a heap push if they ever are not).
@@ -497,7 +525,7 @@ func (nw *Network) deliverFrame(f *controlFrame, to int32) {
 		node.HandleHello(f.hello, now)
 		return
 	}
-	if f.flood.testAndSet(to) {
+	if !f.claimed && f.flood.claim(to) == 0 {
 		nw.Stats.DupSuppressed++
 		return // already handed to this receiver via another relay
 	}
