@@ -364,7 +364,16 @@ func BenchmarkDataplaneForwarding(b *testing.B) {
 	b.ReportMetric(float64(g.N()), "nodes")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if ratio, _ := nw.DeliverySweep(0); ratio == 0 {
+		delivered := 0
+		for src := int32(1); int(src) < g.N(); src++ {
+			nw.SendData(src, 0, func(ok bool, _ int, _ time.Duration) {
+				if ok {
+					delivered++
+				}
+			})
+		}
+		nw.Run(nw.Engine.Now() + time.Second)
+		if delivered == 0 {
 			b.Fatal("nothing delivered")
 		}
 	}

@@ -30,6 +30,7 @@ import (
 	"os/signal"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strconv"
 	"strings"
 	"syscall"
@@ -62,7 +63,7 @@ func run() error {
 		quiet      = flag.Bool("quiet", false, "suppress progress output")
 		degrees    = flag.String("degrees", "", "override the density axis, e.g. 10,15,20")
 		list       = flag.Bool("list", false, "list sweeps, quantities, routing policies and scenarios, then exit")
-		scaleMax   = flag.Int("scale-max", 0, "-ablation scale: cap the default node-count axis (0 = the sweep's default)")
+		scaleMax   = flag.Int("scale-max", 0, "-ablation scale: cap the default node-count axis (0 = 1000)")
 		scaleMin   = flag.Int("scale-min", 0, "-ablation scale: cut the default node-count axis from below (0 = no cut)")
 		scaleOpt   = flag.Bool("scale-opt", false, "-ablation scale: enable every control-plane optimisation (delta TCs, fish-eye, min-cover relays)")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this file")
@@ -126,13 +127,13 @@ func run() error {
 	}
 	r := qolsr.NewRunner(opts...)
 
-	// The live-stack ablations bypass the figure harness.
-	if run, encodeJSON := liveSweep(ctx, r, *ablation, qolsr.ScaleSweepOptions{
-		MaxNodes: *scaleMax,
-		MinNodes: *scaleMin,
-		Optimize: *scaleOpt,
-	}); run != nil {
-		return runLiveSweep(*ablation, run, encodeJSON, *jsonPath, *csvPath)
+	// The live-stack ablations are scenario grids, outside the figure
+	// harness.
+	if slices.Contains(qolsr.LiveGridNames(), *ablation) {
+		scale := qolsr.ScaleAxis{Min: *scaleMin, Max: *scaleMax, Optimize: *scaleOpt}
+		return runLiveGrid(*ablation, func() (*qolsr.GridResult, error) {
+			return r.LiveGrid(ctx, *ablation, scale)
+		}, *jsonPath, *csvPath)
 	}
 
 	if *jsonPath == "-" && *csvPath == "-" {
@@ -180,47 +181,12 @@ func run() error {
 	return nil
 }
 
-// liveResult is what a live-stack sweep yields: a table.
-type liveResult interface {
-	WriteTable(w io.Writer) error
-}
-
-// liveSweep returns the run of a live-stack ablation (A4, A7, A8, S1, O1),
-// which bypasses the figure harness, and the JSON encoder of its result,
-// valid once run has returned. encodeJSON is nil for a sweep with table
-// output only, and run is nil when name is not a live-stack ablation.
-func liveSweep(ctx context.Context, r *qolsr.Runner, name string, scale qolsr.ScaleSweepOptions) (run func() (liveResult, error), encodeJSON func(io.Writer) error) {
-	switch name {
-	case "control":
-		return func() (liveResult, error) { return r.ControlSweep(ctx, qolsr.ControlSweepOptions{}) }, nil
-	case "loss":
-		return func() (liveResult, error) { return r.LossSweep(ctx, qolsr.LossSweepOptions{}) }, nil
-	case "load":
-		return func() (liveResult, error) { return r.LoadSweep(ctx, qolsr.LoadSweepOptions{}) }, nil
-	case "scale":
-		return func() (liveResult, error) { return r.ScaleSweep(ctx, scale) }, nil
-	case "overhead":
-		// O1's JSON form is the BENCH_overhead.json artifact.
-		var res *qolsr.OverheadSweepResult
-		return func() (liveResult, error) {
-				var err error
-				res, err = r.OverheadSweep(ctx, qolsr.OverheadSweepOptions{})
-				return res, err
-			}, func(w io.Writer) error {
-				return res.EncodeJSON(w)
-			}
-	}
-	return nil, nil
-}
-
-// runLiveSweep runs a live-stack ablation and prints its table, plus its
-// JSON form where it has one. An encoder targeting "-" owns stdout.
-func runLiveSweep(name string, run func() (liveResult, error), encodeJSON func(io.Writer) error, jsonPath, csvPath string) error {
-	switch {
-	case encodeJSON != nil && csvPath != "":
+// runLiveGrid runs a live-stack grid and prints its table, plus its JSON
+// form when -json names a path; an encoder targeting "-" owns stdout. The
+// grids have no CSV form, so -csv is rejected before anything runs.
+func runLiveGrid(name string, run func() (*qolsr.GridResult, error), jsonPath, csvPath string) error {
+	if csvPath != "" {
 		return fmt.Errorf("-ablation %s has table and JSON output only; -csv is not supported", name)
-	case encodeJSON == nil && (jsonPath != "" || csvPath != ""):
-		return fmt.Errorf("-ablation %s has table output only; -json/-csv are not supported", name)
 	}
 	res, err := run()
 	if err != nil {
@@ -234,7 +200,7 @@ func runLiveSweep(name string, run func() (liveResult, error), encodeJSON func(i
 	if jsonPath == "" {
 		return nil
 	}
-	return writeOut(jsonPath, encodeJSON)
+	return writeOut(jsonPath, res.EncodeJSON)
 }
 
 // registryListing renders every composable registry: sweeps (figures and

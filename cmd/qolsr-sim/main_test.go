@@ -1,11 +1,11 @@
 package main
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -30,36 +30,28 @@ func TestParseDegrees(t *testing.T) {
 	}
 }
 
-// TestLiveSweepOutputForms: the five live-stack ablations dispatch through
-// one path, only O1 has a JSON form, and an output form a sweep lacks is
-// rejected before the sweep runs.
+// TestLiveSweepOutputForms: the five live-stack ablations are the live
+// grids, each with a table and a JSON form, and -csv, which none has, is
+// rejected before the grid runs.
 func TestLiveSweepOutputForms(t *testing.T) {
-	r := qolsr.NewRunner()
-	for _, name := range []string{"control", "loss", "load", "scale", "overhead"} {
-		run, encodeJSON := liveSweep(context.Background(), r, name, qolsr.ScaleSweepOptions{})
-		if run == nil {
-			t.Fatalf("%s is not dispatched as a live-stack sweep", name)
-		}
-		if hasJSON := encodeJSON != nil; hasJSON != (name == "overhead") {
-			t.Errorf("%s: has a JSON form = %v", name, hasJSON)
-		}
+	if got, want := qolsr.LiveGridNames(), []string{"control", "loss", "load", "overhead", "scale"}; !slices.Equal(got, want) {
+		t.Fatalf("live grids = %v, want %v", got, want)
+	}
+	for _, name := range qolsr.LiveGridNames() {
 		ran := false
-		spy := func() (liveResult, error) {
+		spy := func() (*qolsr.GridResult, error) {
 			ran = true
 			return nil, errors.New("ran")
 		}
-		forms := [][2]string{{"", "out.csv"}}
-		if encodeJSON == nil {
-			forms = append(forms, [2]string{"-", ""})
+		if err := runLiveGrid(name, spy, "", "out.csv"); err == nil || ran {
+			t.Errorf("%s -csv out.csv: err = %v, ran = %v", name, err, ran)
 		}
-		for _, f := range forms {
-			if err := runLiveSweep(name, spy, encodeJSON, f[0], f[1]); err == nil || ran {
-				t.Errorf("%s -json %q -csv %q: err = %v, ran = %v", name, f[0], f[1], err, ran)
-			}
+		if err := runLiveGrid(name, spy, "-", ""); err == nil || !ran {
+			t.Errorf("%s -json -: err = %v, ran = %v", name, err, ran)
 		}
 	}
-	if run, _ := liveSweep(context.Background(), r, "mprs", qolsr.ScaleSweepOptions{}); run != nil {
-		t.Error("a figure-harness ablation dispatched as a live-stack sweep")
+	if slices.Contains(qolsr.LiveGridNames(), "mprs") {
+		t.Error("a figure-harness ablation is listed as a live grid")
 	}
 }
 

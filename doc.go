@@ -37,9 +37,17 @@
 // points stream out while the sweep is in flight. Figures that share a
 // sweep — Figs. 6 and 8 read one bandwidth sweep, Figs. 7 and 9 one delay
 // sweep — simulate each of its points once. The ablations on the live
-// protocol stack (Runner.ControlSweep, LossSweep, LoadSweep, OverheadSweep
-// and ScaleSweep) run on the same loop, so their tables too are identical
-// at every worker count.
+// protocol stack — A4 control, A7 loss, A8 load, O1 overhead and S1 scale,
+// run by name through Runner.LiveGrid — are scenario grids on the same
+// loop: a base Scenario, one axis that edits it per point (density, loss,
+// per-flow load or node count), columns that edit it per column (selector,
+// link sensing, metric × sensing or control plane), and quantities read
+// off each cell's scenario run. Every cell executes under the grid's seed
+// and its run index, so the columns of a (point, run) share one drawn
+// field, and the tables and "qolsr-grid/v1" JSON are identical at every
+// worker count. Their delivery column (A4, A7, O1) is the scenario's probe
+// delivery: probes delivered over probes between connected ends, pooled
+// over every sample from the warmup on.
 //
 //	exp, err := qolsr.ExperimentByID("fig6", "fig8")
 //	res, err := exp.Run(ctx, qolsr.WithRuns(100), qolsr.WithSeed(1),
@@ -102,8 +110,9 @@
 // product for concave ones), carried between link ends by a
 // backward-compatible HELLO block. Scenarios select the medium declaratively (ScenarioMedium, the
 // ActionSetLoss/ActionDegradeLink phases, the lossy-baseline and
-// lossy-degrade built-ins), and Runner.LossSweep sweeps delivery against
-// the loss rate comparing oracle against measured selection.
+// lossy-degrade built-ins), and the A7 grid (Runner.LiveGrid "loss")
+// sweeps delivery against the loss rate comparing oracle against measured
+// selection.
 //
 // # Traffic & QoS flows
 //
@@ -121,8 +130,8 @@
 // measured traffic broke a bound — scores a selection policy under load.
 // Scenarios carry a mix in ScenarioTraffic.Mix (the legacy Flows probe
 // count keeps its exact pre-engine behaviour), the load-ramp and
-// video-vs-cbr built-ins exercise it, and Runner.LoadSweep (ablation A8)
-// sweeps QoS satisfaction against offered load, comparing the paper's
+// video-vs-cbr built-ins exercise it, and the A8 grid (Runner.LiveGrid
+// "load") sweeps QoS satisfaction against offered load, comparing the paper's
 // QoS-based selection with hop-count selection under oracle and measured
 // link sensing. All packet arrival and size draws are keyed per
 // (seed, flow, packet-seq), so traffic runs are bit-identical at any
@@ -200,7 +209,7 @@
 // actually be stale; and a stale routing table is rebuilt from scratch in
 // linear time — a fresh layout plus one Dijkstra in pooled scratch — and
 // only its snapshot is kept. The node-count scaling of the whole
-// stack is a first-class experiment (Runner.ScaleSweep, -ablation scale);
+// stack is a first-class experiment (the S1 grid, -ablation scale);
 // cmd/qolsr-bench/baseline.json records the headline numbers.
 //
 // # Shared topology & parallel rebuilds
@@ -246,8 +255,8 @@
 // shared store — any set of tables can be rebuilt concurrently.
 // Network.RebuildRoutes is that barrier: it fans the dirty nodes' table
 // computations across a worker budget and produces tables bit-identical to
-// the serial path at every worker count (scenario.Scenario.Workers and eval.ScaleSweepOptions.Workers thread the
-// budget; a churn-heavy lossy scenario encoding to identical JSON at
+// the serial path at every worker count (scenario.Scenario.Workers threads
+// the budget, and the S1 grid hands it the runner's; a churn-heavy lossy scenario encoding to identical JSON at
 // workers 1 and 8 locks the property, and CI runs the barrier under the
 // race detector). Rebuild activity is observable end to end:
 // olsr.RebuildStats counts interning hits and routing tables computed per
@@ -260,8 +269,8 @@
 //
 // Three opt-in optimisations make control overhead sublinear in density at
 // equal delivery, all off by default and independently toggled through
-// olsr.Config (the O1 and S1 sweeps thread them; scenarios run the classic
-// plane). Delta-encoded
+// olsr.Config, and by name in a scenario's ScenarioProtocol.Plane (the O1
+// and S1 grids set it; the default is the RFC 3626 plane). Delta-encoded
 // TCs (Config.DeltaTC) anchor a chain of incremental TC-DELTA messages —
 // each carrying only the links added, reweighted or removed since the last
 // advertisement — on a periodically refreshed full TC; a receiver applies a
@@ -275,7 +284,7 @@
 // flood relays (Config.FloodRelay) select a second, coverage-minimal relay
 // set for flooding — RFC 3626 greedy plus redundancy pruning — decoupling
 // flooding cost from the QoS-driven advertised set, which stays intact for
-// routing. Runner.OverheadSweep (-ablation overhead) measures each
+// routing. The O1 grid (-ablation overhead) measures each
 // optimisation against the original QOLSR plane on identical fields;
 // BENCH_overhead.json records the result.
 //

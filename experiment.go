@@ -46,22 +46,10 @@ type (
 	FigureResult = eval.FigureResult
 	// ProtocolSpec binds a selector to a routing policy.
 	ProtocolSpec = eval.ProtocolSpec
-	// ControlSweepOptions configures the A4 control-traffic experiment.
-	ControlSweepOptions = eval.ControlSweepOptions
-	// ControlSweepResult is Runner.ControlSweep's outcome.
-	ControlSweepResult = eval.ControlSweepResult
-	// LossSweepOptions configures the A7 delivery-vs-loss experiment.
-	LossSweepOptions = eval.LossSweepOptions
-	// LossSweepResult is Runner.LossSweep's outcome.
-	LossSweepResult = eval.LossSweepResult
-	// ScaleSweepOptions configures the S1 node-count scaling experiment.
-	ScaleSweepOptions = eval.ScaleSweepOptions
-	// ScaleSweepResult is Runner.ScaleSweep's outcome.
-	ScaleSweepResult = eval.ScaleSweepResult
-	// OverheadSweepOptions configures the O1 overhead-vs-density experiment.
-	OverheadSweepOptions = eval.OverheadSweepOptions
-	// OverheadSweepResult is Runner.OverheadSweep's outcome.
-	OverheadSweepResult = eval.OverheadSweepResult
+	// GridResult is a completed live-stack ablation (Runner.LiveGrid).
+	GridResult = eval.GridResult
+	// ScaleAxis cuts S1's node-count axis and picks its control plane.
+	ScaleAxis = eval.ScaleAxis
 	// Results is a completed sweep with table/CSV/JSON encoders.
 	Results = runner.Result
 	// Event is one incremental sweep outcome (see Stream).
@@ -100,6 +88,8 @@ var (
 	SweepByID = eval.SweepByID
 	// SweepIDs lists every composable sweep ID.
 	SweepIDs = eval.SweepIDs
+	// LiveGridNames lists the live-stack ablations Runner.LiveGrid runs.
+	LiveGridNames = eval.LiveGridNames
 	// QuantityByName resolves a quantity's string form.
 	QuantityByName = eval.QuantityByName
 	// QuantityNames lists every reportable quantity's string form.
@@ -245,64 +235,16 @@ func (r *Runner) Stream(ctx context.Context, e *Experiment) (<-chan Event, func(
 	return runner.Stream(ctx, e.figures, r.opts)
 }
 
-// liveDefaults is the defaults step of the live-stack sweeps: it fills a
-// sweep's base seed from the runner's options where the sweep's own is
-// unset, and, when runs is non-nil, its run count. The live stack is ~20x
-// costlier per run than the offline harness, so the runner's run count is
-// scaled down accordingly.
-func (r *Runner) liveDefaults(seed *int64, runs *int) {
-	if *seed == 0 {
-		*seed = r.opts.Seed
+// LiveGrid runs the live-stack ablation named name — "control" (A4),
+// "loss" (A7), "load" (A8), "overhead" (O1) or "scale" (S1) — as a scenario
+// grid, honouring ctx and the runner's seed, worker budget and density axis
+// (A4 and O1). A live run costs about twenty offline ones, so a runner run
+// count of n gives each grid n/20 runs a point (at least 1), and none gives
+// its own default of 3; S1 always runs one. scale applies to S1 only.
+func (r *Runner) LiveGrid(ctx context.Context, name string, scale ScaleAxis) (*GridResult, error) {
+	runs := 0
+	if r.opts.Runs > 0 {
+		runs = max(1, r.opts.Runs/20)
 	}
-	if runs != nil && *runs <= 0 && r.opts.Runs > 0 {
-		*runs = max(1, r.opts.Runs/20)
-	}
-}
-
-// ControlSweep measures control-plane cost per selector and density on the
-// live protocol stack (experiment A4), honouring ctx and the runner's worker
-// budget, and its seed/runs/degrees options where the sweep's own are unset.
-func (r *Runner) ControlSweep(ctx context.Context, opts ControlSweepOptions) (*ControlSweepResult, error) {
-	r.liveDefaults(&opts.Seed, &opts.Runs)
-	if len(opts.Degrees) == 0 {
-		opts.Degrees = r.opts.Degrees
-	}
-	return eval.RunControlSweep(ctx, opts, r.opts.Workers)
-}
-
-// LossSweep measures data-plane delivery against medium packet loss on the
-// live protocol stack (experiment A7), comparing oracle link weights with
-// measured link quality. It honours ctx and the runner's worker budget, and
-// its seed/runs options where the sweep's own are unset.
-func (r *Runner) LossSweep(ctx context.Context, opts LossSweepOptions) (*LossSweepResult, error) {
-	r.liveDefaults(&opts.Seed, &opts.Runs)
-	return eval.RunLossSweep(ctx, opts, r.opts.Workers)
-}
-
-// ScaleSweep measures simulator throughput against node count on the live
-// protocol stack (experiment S1): fields of growing population at constant
-// density, reporting wall time, events executed and event throughput per
-// point. It honours ctx and the runner's seed and workers (the rebuild
-// barrier's budget) where the sweep's own are unset; Runs defaults to 1 —
-// the axis is engine cost, not protocol statistics.
-func (r *Runner) ScaleSweep(ctx context.Context, opts ScaleSweepOptions) (*ScaleSweepResult, error) {
-	r.liveDefaults(&opts.Seed, nil)
-	if opts.Workers == 0 {
-		opts.Workers = r.opts.Workers
-	}
-	return eval.RunScaleSweep(ctx, opts)
-}
-
-// OverheadSweep measures control overhead against density per control-plane
-// optimisation on the live protocol stack (experiment O1): the original
-// QOLSR plane against delta TCs, fish-eye scoping, min-cover flood relays,
-// and all three together — same fields, same seeds. It honours ctx and the
-// runner's worker budget, and its seed/runs/degrees options where the
-// sweep's own are unset.
-func (r *Runner) OverheadSweep(ctx context.Context, opts OverheadSweepOptions) (*OverheadSweepResult, error) {
-	r.liveDefaults(&opts.Seed, &opts.Runs)
-	if len(opts.Degrees) == 0 {
-		opts.Degrees = r.opts.Degrees
-	}
-	return eval.RunOverheadSweep(ctx, opts, r.opts.Workers)
+	return eval.RunLiveGrid(ctx, name, r.opts.Seed, runs, r.opts.Degrees, scale, r.opts.Workers)
 }

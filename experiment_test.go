@@ -150,23 +150,23 @@ func TestExperimentDeterministicAcrossWorkers(t *testing.T) {
 }
 
 func TestRunnerControlSweep(t *testing.T) {
-	r := qolsr.NewRunner(qolsr.WithSeed(3))
-	res, err := r.ControlSweep(context.Background(), qolsr.ControlSweepOptions{
-		Degrees: []float64{6},
-		Runs:    1,
-		SimTime: 10 * time.Second,
-		Field:   qolsr.Field{Width: 300, Height: 300},
-	})
+	r := qolsr.NewRunner(qolsr.WithSeed(3), qolsr.WithRuns(20), qolsr.WithDegrees(6))
+	res, err := r.LiveGrid(context.Background(), "control", qolsr.ScaleAxis{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Points) != 1 || len(res.Points[0]) != 3 {
-		t.Fatalf("control sweep shape wrong")
+	for _, sel := range []string{"fnbp", "topofilter", "qolsr"} {
+		if tc := res.Cell(0, sel, "tcB/s"); tc == nil || tc.N() != 1 || tc.Mean() <= 0 {
+			t.Errorf("%s: no single-run TC rate at density 6", sel)
+		}
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := r.ControlSweep(ctx, qolsr.ControlSweepOptions{Degrees: []float64{6}, Runs: 1}); !errors.Is(err, context.Canceled) {
-		t.Errorf("canceled control sweep err = %v", err)
+	if _, err := r.LiveGrid(ctx, "control", qolsr.ScaleAxis{}); !errors.Is(err, context.Canceled) {
+		t.Errorf("canceled control grid err = %v", err)
+	}
+	if _, err := r.LiveGrid(context.Background(), "mprs", qolsr.ScaleAxis{}); err == nil {
+		t.Error("a figure-harness ablation ran as a live grid")
 	}
 }
 

@@ -245,50 +245,6 @@ func TestDirectedDeliveryAblation(t *testing.T) {
 	}
 }
 
-func TestControlSweep(t *testing.T) {
-	res, err := RunControlSweep(context.Background(), ControlSweepOptions{
-		Degrees: []float64{8},
-		Runs:    1,
-		SimTime: 15 * 1e9, // 15s virtual
-		Seed:    3,
-		Field:   geom.Field{Width: 300, Height: 300},
-	}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Points) != 1 || len(res.Points[0]) != 3 {
-		t.Fatalf("points shape wrong: %d rows", len(res.Points))
-	}
-	for _, p := range res.Points[0] {
-		if p.TCBytesPerSec.Mean() <= 0 {
-			t.Errorf("%s: no TC traffic", p.Selector)
-		}
-		if p.HelloBytesPerSec.Mean() <= 0 {
-			t.Errorf("%s: no HELLO traffic", p.Selector)
-		}
-	}
-	// QOLSR's bigger advertised sets must cost more TC bytes than FNBP's.
-	var fnbpRate, qolsrRate float64
-	for _, p := range res.Points[0] {
-		switch p.Selector {
-		case "fnbp":
-			fnbpRate = p.TCBytesPerSec.Mean()
-		case "qolsr-qolsr-mpr2":
-			qolsrRate = p.TCBytesPerSec.Mean()
-		}
-	}
-	if fnbpRate >= qolsrRate {
-		t.Errorf("TC rate ordering violated: fnbp %.0f >= qolsr %.0f", fnbpRate, qolsrRate)
-	}
-	var sb strings.Builder
-	if err := res.WriteTable(&sb); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(sb.String(), "A4") {
-		t.Error("table header missing")
-	}
-}
-
 func TestRunPointCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()

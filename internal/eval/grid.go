@@ -1,0 +1,495 @@
+package eval
+
+import (
+	"context"
+	"encoding/json"
+	"fmt"
+	"io"
+	"math"
+	"math/rand"
+	"slices"
+	"strings"
+	"time"
+
+	"qolsr/internal/geom"
+	"qolsr/internal/obs"
+	"qolsr/internal/scenario"
+	"qolsr/internal/stats"
+	"qolsr/internal/traffic"
+)
+
+// The live-stack ablations — A4 control, A7 loss, A8 load, O1 overhead and
+// S1 scale — are scenario grids. A grid is a base scenario, one axis that
+// edits it per point, columns that edit it per column, and the quantities
+// read off each cell's scenario.RunResult. Every cell is one
+// scenario.Execute under the grid's seed and the run index, so the columns
+// of one (point, run) deploy the same field, draw the same link weights,
+// probes and flow endpoints, and differ only in what the column edits.
+
+// liveGrid is one live-stack ablation.
+type liveGrid struct {
+	name, title, axisName string
+	axis                  []float64
+	// runs is the run count when the caller names none.
+	runs int
+	base scenario.Scenario
+	// at edits a cell's scenario for axis value x; seed and run are the
+	// cell's, which S1 draws its node positions from.
+	at   func(sc *scenario.Scenario, x float64, seed int64, run int)
+	cols []string
+	col  func(sc *scenario.Scenario, col int)
+	// reads are the measured quantities, per column in this order.
+	reads []quantity
+	// serial runs one cell at a time, spending the worker budget on its
+	// rebuild barrier so each wall time is its own; RunLiveGrid gives it
+	// one run a point (S1: the axis is engine cost, not statistics).
+	serial bool
+}
+
+// quantity is one measured column of a grid. An empty format keeps it out
+// of the table (JSON carries every quantity); a NaN reading adds no sample.
+type quantity struct {
+	name, format string
+	read         func(c cellResult) float64
+}
+
+// cellResult is what one cell's quantities read: the scenario run, its
+// simulated seconds and the wall time Execute took.
+type cellResult struct {
+	*scenario.RunResult
+	secs, wall float64
+}
+
+// ScaleAxis cuts S1's default node-count axis — {50, 100, 250, 500, 1000,
+// 2500, 5000, 10000} — to [Min, Max] (Max 0 = 1000), and Optimize runs it on
+// the optimised control plane: delta TCs, fish-eye scoping and min-cover
+// flood relays. The other grids ignore it.
+type ScaleAxis struct {
+	Min, Max int
+	Optimize bool
+}
+
+// The grids' shared deployment: a 600 × 600 field with R = 100, under the
+// bandwidth metric (the scenario default) on RFC 3626 timers.
+const (
+	gridSide   = 600
+	gridRadius = 100
+	// gridProbes is the probe-flow count of the probe-mode grids (A4, A7
+	// and O1), chosen once for all three: 32 random pairs probed every 2 s
+	// from the 20 s warmup on are 672 packets a 60 s run, the order of the
+	// one packet per node that the all-to-node-0 sweep they replace sent
+	// on a degree-10 field, over 32 sources instead of one sink.
+	gridProbes = 32
+	// scaleDegree is S1's mean degree at every node count.
+	scaleDegree = 10
+)
+
+// LiveGridNames lists the live-stack ablations by their -ablation name.
+func LiveGridNames() []string { return []string{"control", "loss", "load", "overhead", "scale"} }
+
+// liveGridByName returns the named grid's definition.
+func liveGridByName(name string, scale ScaleAxis) (liveGrid, error) {
+	switch name {
+	case "control":
+		return controlGrid(), nil
+	case "loss":
+		return lossGrid(), nil
+	case "load":
+		return loadGrid(), nil
+	case "overhead":
+		return overheadGrid(), nil
+	case "scale":
+		return scaleGrid(scale), nil
+	}
+	return liveGrid{}, fmt.Errorf("eval: unknown live grid %q (have %v)", name, LiveGridNames())
+}
+
+// probeBase is the probe-mode base of A4, A7 and O1: a Poisson field at the
+// given degree, 60 s of protocol, gridProbes probe flows sampled from 20 s
+// on. The warmup is fixed, not a third of the duration, so a shortened run
+// still gives every plane four TC intervals — two of fish-eye's
+// unlimited-scope emissions — before its first probe.
+func probeBase(degree float64) scenario.Scenario {
+	return scenario.Scenario{
+		Topology: scenario.Topology{Deployment: &geom.Deployment{
+			Field: geom.Field{Width: gridSide, Height: gridSide}, Radius: gridRadius, Degree: degree,
+		}},
+		Traffic:  scenario.Traffic{Flows: gridProbes},
+		Warmup:   20 * time.Second,
+		Duration: 60 * time.Second,
+	}
+}
+
+// atDensity is the density axis: the deployment's target mean degree.
+func atDensity(sc *scenario.Scenario, x float64, _ int64, _ int) {
+	dep := *sc.Topology.Deployment
+	dep.Degree = x
+	sc.Topology.Deployment = &dep
+}
+
+// controlGrid is A4: the advertised-set schemes' control traffic on the
+// live stack, connecting Figs. 6-7 (set sizes) to TC bytes on the wire.
+// The qolsr column floods on RFC 3626 greedy relays.
+func controlGrid() liveGrid {
+	selectors := []string{"fnbp", "topofilter", "qolsr"}
+	return liveGrid{
+		name: "control", title: "A4 — control traffic on the live stack, 60s per run",
+		axisName: "density", axis: []float64{5, 10, 15, 20}, runs: 3,
+		base: probeBase(10), at: atDensity,
+		cols: selectors,
+		col:  func(sc *scenario.Scenario, col int) { sc.Protocol.Selector = selectors[col] },
+		reads: []quantity{
+			{"tcB/s", "%.0f", func(c cellResult) float64 { return float64(c.Control.TCBytes) / c.secs }},
+			{"helloB/s", "", func(c cellResult) float64 { return float64(c.Control.HelloBytes) / c.secs }},
+			{"set", "%.2f", func(c cellResult) float64 { return c.Samples[len(c.Samples)-1].SetSize }},
+			{"dlv", "%.2f", probeDelivery},
+		},
+	}
+}
+
+// lossGrid is A7: delivery against the lossy medium's packet-error rate,
+// oracle link weights against measured link quality (SenseDelivery) — the
+// regime the quality-routing literature says measured metrics earn their
+// keep in. Every loss point shares the run's field.
+func lossGrid() liveGrid {
+	base := probeBase(10)
+	base.Medium.Kind = "lossy"
+	return liveGrid{
+		name: "loss", title: "A7 — delivery vs. medium loss on the live stack, degree 10, 60s per run",
+		axisName: "loss", axis: []float64{0, 0.1, 0.2, 0.3, 0.4}, runs: 3, base: base,
+		at:   func(sc *scenario.Scenario, x float64, _ int64, _ int) { sc.Medium.Loss = x },
+		cols: []string{"oracle", "measured"},
+		col:  func(sc *scenario.Scenario, col int) { sc.Protocol.MeasuredQoS = col == 1 },
+		reads: []quantity{
+			{"dlv", "%.3f", probeDelivery},
+			{"ctlB/s", "%.0f", controlRate},
+			{"lost", "%.3f", func(c cellResult) float64 {
+				if c.Data.Sent == 0 {
+					return math.NaN()
+				}
+				return float64(c.Data.Lost) / float64(c.Data.Sent)
+			}},
+		},
+	}
+}
+
+// The A8 constants: the per-flow offered load at multiplier 1 (16 kB/s)
+// and the lossy medium's base packet-error rate.
+const (
+	loadBaseRateBps = 16384
+	loadLoss        = 0.02
+)
+
+// loadGrid is A8: sustained CBR flows over the lossy queued radio at
+// growing per-flow rates, the paper's QoS-based selection (FNBP under the
+// bandwidth metric) against hop-count selection (the same machinery under
+// the hop metric), in both link-sensing modes. The violation ratio —
+// admitted flows whose measured delay then broke the 60 ms ceiling — is the
+// honest score of a selection policy under load.
+func loadGrid() liveGrid {
+	base := scenario.Scenario{
+		Topology: probeBase(10).Topology,
+		Medium:   scenario.Medium{Kind: "lossy", Loss: loadLoss},
+		Traffic: scenario.Traffic{Mix: []traffic.Spec{{
+			Class: "cbr", Count: 16, QoS: traffic.Requirements{MaxDelay: 60 * time.Millisecond},
+		}}},
+		Warmup:   25 * time.Second,
+		Duration: 55 * time.Second,
+	}
+	return liveGrid{
+		name: "load", title: fmt.Sprintf("A8 — QoS satisfaction vs offered load (16 flows, 60ms ceiling, loss %g, 25s warmup + 30s traffic)", loadLoss),
+		axisName: "load", axis: []float64{0.5, 1, 2, 4, 8}, runs: 3, base: base,
+		at: func(sc *scenario.Scenario, x float64, _ int64, _ int) {
+			sc.Traffic.Mix = slices.Clone(sc.Traffic.Mix)
+			sc.Traffic.Mix[0].RateBps = loadBaseRateBps * x
+		},
+		cols: []string{"qos/oracle", "qos/measured", "hop/oracle", "hop/measured"},
+		col: func(sc *scenario.Scenario, col int) {
+			if col >= 2 {
+				sc.Protocol.Metric = "hop"
+			}
+			sc.Protocol.MeasuredQoS = col%2 == 1
+		},
+		reads: []quantity{
+			{"viol", "%.3f", func(c cellResult) float64 { return c.Traffic.Total.ViolationRatio() }},
+			{"dlv", "%.3f", func(c cellResult) float64 { return c.Traffic.Total.Delivery }},
+			{"p95ms", "%.1f", func(c cellResult) float64 { return c.Traffic.Total.DelayP95.Seconds() * 1e3 }},
+			{"admitted", "", func(c cellResult) float64 { return float64(c.Traffic.Total.Admitted) }},
+		},
+	}
+}
+
+// overheadGrid is O1: the original QOLSR control plane (QOLSR MPR-2 for the
+// advertised set and the flooding relays) against each control-plane
+// optimisation and all three together. The claim under test: the optimised
+// plane's control bytes grow sublinearly with density where the baseline's
+// grow superlinearly, at equal delivery.
+func overheadGrid() liveGrid {
+	base := probeBase(10)
+	base.Protocol.Selector = "qolsr"
+	planes := []string{"mpr2", "mpr2+delta", "mpr2+fisheye", "mpr2+minrelay", "mpr2+delta+fisheye+minrelay"}
+	return liveGrid{
+		name: "overhead", title: "O1 — control overhead vs density per control plane, 60s per run",
+		axisName: "density", axis: []float64{5, 10, 15, 20, 30}, runs: 3,
+		base: base, at: atDensity,
+		cols: []string{"baseline", "delta", "fisheye", "minrelay", "all"},
+		col:  func(sc *scenario.Scenario, col int) { sc.Protocol.Plane = planes[col] },
+		reads: []quantity{
+			{"ctlB/s", "%.0f", controlRate},
+			{"origB/s", "", func(c cellResult) float64 { return float64(c.Control.TCOriginatedBytes) / c.secs }},
+			{"fwdB/s", "", func(c cellResult) float64 { return float64(c.Control.TCForwardedBytes) / c.secs }},
+			{"fwd", "%.0f", func(c cellResult) float64 { return float64(c.Control.TCForwarded) }},
+			{"dlv", "%.3f", probeDelivery},
+			{"stretch", "", func(c cellResult) float64 {
+				var a stats.Accumulator
+				for _, s := range c.Samples {
+					if s.HopStretch > 0 {
+						a.Add(s.HopStretch)
+					}
+				}
+				return a.Mean()
+			}},
+		},
+	}
+}
+
+// scaleGrid is S1: the full live stack — route rebuilds, flooding, 32
+// sustained 16 kB/s CBR flows — on fields of growing node count at constant
+// density, reporting how the simulator scales (wall time, events, event
+// rate, heap high-water) with delivery as a correctness pulse. Each point
+// places exactly its node count, uniformly on a square sized for degree
+// scaleDegree.
+func scaleGrid(axis ScaleAxis) liveGrid {
+	top := axis.Max
+	if top <= 0 {
+		top = 1000
+	}
+	var nodes []float64
+	for _, n := range []int{50, 100, 250, 500, 1000, 2500, 5000, 10000} {
+		if n >= axis.Min && n <= top {
+			nodes = append(nodes, float64(n))
+		}
+	}
+	base := scenario.Scenario{
+		Traffic:     scenario.Traffic{Mix: []traffic.Spec{{Class: "cbr", Count: 32, RateBps: 16384}}},
+		Warmup:      10 * time.Second,
+		Duration:    20 * time.Second,
+		SampleEvery: 10 * time.Second,
+		Obs:         scenario.Obs{Metrics: true},
+	}
+	if axis.Optimize {
+		base.Protocol.Plane = "delta+fisheye+minrelay"
+	}
+	events := registryValue("qolsr_des_events_executed_total")
+	return liveGrid{
+		name: "scale", title: fmt.Sprintf("S1 — simulator scaling vs node count (degree %d, 32 flows, 10s warmup + 10s traffic)", scaleDegree),
+		axisName: "nodes", axis: nodes, runs: 1, serial: true, base: base,
+		at: func(sc *scenario.Scenario, x float64, seed int64, run int) {
+			// degree ≈ λπR² with λ = n/side², so side = R·sqrt(πn/degree).
+			r := rand.New(rand.NewSource(RunSeed(seed, x, run)))
+			side := gridRadius * math.Sqrt(math.Pi*x/scaleDegree)
+			pts := make([]geom.Point, int(x))
+			for i := range pts {
+				pts[i] = geom.Point{X: r.Float64() * side, Y: r.Float64() * side}
+			}
+			sc.Topology = scenario.Topology{Points: pts, Field: geom.Field{Width: side, Height: side}, Radius: gridRadius}
+		},
+		cols: []string{""},
+		col:  func(*scenario.Scenario, int) {},
+		reads: []quantity{
+			{"edges", "%.0f", func(c cellResult) float64 { return float64(c.Samples[0].Links) }},
+			{"wall_s", "%.2f", func(c cellResult) float64 { return c.wall }},
+			{"events", "%.0f", events},
+			{"Mev/s", "%.2f", func(c cellResult) float64 { return events(c) / c.wall / 1e6 }},
+			{"heap_hw", "%.0f", registryValue("qolsr_des_heap_high_water")},
+			{"dlv", "%.3f", func(c cellResult) float64 { return c.Traffic.Total.Delivery }},
+		},
+	}
+}
+
+// probeDelivery is the run's probe delivery: probes delivered over probes
+// sent between physically connected ends, pooled over every sample.
+func probeDelivery(c cellResult) float64 {
+	var delivered, connected int
+	for _, s := range c.Samples {
+		delivered += s.Delivered
+		connected += s.Connected
+	}
+	if connected == 0 {
+		return 1
+	}
+	return float64(delivered) / float64(connected)
+}
+
+// controlRate is the run's HELLO + TC bytes per simulated second.
+func controlRate(c cellResult) float64 {
+	return float64(c.Control.HelloBytes+c.Control.TCBytes) / c.secs
+}
+
+// registryValue reads one metric of the run's registry snapshot.
+func registryValue(name string) func(c cellResult) float64 {
+	return func(c cellResult) float64 {
+		i := slices.IndexFunc(c.Metrics.Metrics, func(m obs.SnapshotMetric) bool { return m.Name == name })
+		if i < 0 {
+			return math.NaN()
+		}
+		return c.Metrics.Metrics[i].Value
+	}
+}
+
+// RunLiveGrid runs the live-stack ablation named name (LiveGridNames) with
+// base seed seed (0 = 1) and runs runs per point (0 = the grid's own), up
+// to workers cells at once (0 = GOMAXPROCS); degrees, when non-empty,
+// replaces a density axis. The result is bit-identical at every worker
+// count, wall times aside. Cancelling ctx stops between simulations and
+// returns ctx.Err().
+func RunLiveGrid(ctx context.Context, name string, seed int64, runs int, degrees []float64, scale ScaleAxis, workers int) (*GridResult, error) {
+	g, err := liveGridByName(name, scale)
+	if err != nil {
+		return nil, err
+	}
+	if len(degrees) > 0 && g.axisName == "density" {
+		g.axis = degrees
+	}
+	if runs <= 0 || g.serial {
+		runs = g.runs
+	}
+	if seed == 0 {
+		seed = 1
+	}
+	return g.run(ctx, seed, runs, workers)
+}
+
+// run executes the grid on the cell loop. Each cell applies the axis edit,
+// then the column edit, to the base and executes it under (seed, run).
+func (g liveGrid) run(ctx context.Context, seed int64, runs, workers int) (*GridResult, error) {
+	cellWorkers := 1
+	if g.serial {
+		cellWorkers, workers = workers, 1
+	}
+	cells, err := liveSweep[[]stats.Accumulator]{
+		points: len(g.axis), runs: runs, cols: len(g.cols), workers: workers,
+		point: func(int, int) []stats.Accumulator { return make([]stats.Accumulator, len(g.reads)) },
+		cell: func(pt, run, col int) (func([]stats.Accumulator), error) {
+			sc := g.base
+			sc.Workers = cellWorkers
+			g.at(&sc, g.axis[pt], seed, run)
+			g.col(&sc, col)
+			start := time.Now()
+			rr, err := scenario.Execute(ctx, sc, seed, run, nil)
+			if err != nil {
+				return nil, fmt.Errorf("eval: %s %s %g column %q run %d: %w", g.name, g.axisName, g.axis[pt], g.cols[col], run, err)
+			}
+			c := cellResult{RunResult: rr, secs: sc.Duration.Seconds(), wall: time.Since(start).Seconds()}
+			vals := make([]float64, len(g.reads))
+			for i, q := range g.reads {
+				vals[i] = q.read(c)
+			}
+			return func(acc []stats.Accumulator) {
+				for i, v := range vals {
+					if !math.IsNaN(v) {
+						acc[i].Add(v)
+					}
+				}
+			}, nil
+		},
+	}.run(ctx)
+	if err != nil {
+		return nil, err
+	}
+	return &GridResult{grid: g, seed: seed, runs: runs, cells: cells}, nil
+}
+
+// GridResult is a completed live grid: per (axis point, column), one
+// accumulator per quantity, folded in run order.
+type GridResult struct {
+	grid  liveGrid
+	seed  int64
+	runs  int
+	cells [][][]stats.Accumulator
+}
+
+// Cell returns quantity q's accumulator in column col at axis point pt, or
+// nil when the grid has no such column or quantity.
+func (r *GridResult) Cell(pt int, col, q string) *stats.Accumulator {
+	c := slices.Index(r.grid.cols, col)
+	i := slices.IndexFunc(r.grid.reads, func(x quantity) bool { return x.name == q })
+	if c < 0 || i < 0 {
+		return nil
+	}
+	return &r.cells[pt][c][i]
+}
+
+// WriteTable renders the grid: a "# title" line, a header of the axis name
+// and every column's tabled quantities (column_quantity, or the quantity
+// alone for S1's one unnamed column), and one row of means per axis point.
+func (r *GridResult) WriteTable(w io.Writer) error {
+	g := r.grid
+	header := []string{g.axisName}
+	for _, col := range g.cols {
+		for _, q := range g.reads {
+			if q.format != "" {
+				header = append(header, strings.TrimPrefix(col+"_"+q.name, "_"))
+			}
+		}
+	}
+	rows := make([][]string, len(g.axis))
+	for pt, x := range g.axis {
+		rows[pt] = []string{fmt.Sprint(x)}
+		for c := range g.cols {
+			for i, q := range g.reads {
+				if q.format != "" {
+					rows[pt] = append(rows[pt], fmt.Sprintf(q.format, r.cells[pt][c][i].Mean()))
+				}
+			}
+		}
+	}
+	return writeTable(w, fmt.Sprintf("%s (%d runs/point)", g.title, r.runs), header, rows)
+}
+
+// EncodeJSON writes the grid as one "qolsr-grid/v1" document: its name,
+// title, axis, columns, seed and runs, then one entry per (axis point,
+// column) with every quantity's mean, standard deviation and sample count.
+// JSON has no NaN, so an empty mean or a one-sample deviation encodes as 0.
+func (r *GridResult) EncodeJSON(w io.Writer) error {
+	type stat struct {
+		Mean float64 `json:"mean"`
+		Std  float64 `json:"std"`
+		N    int     `json:"n"`
+	}
+	type point struct {
+		X      float64         `json:"x"`
+		Column string          `json:"column"`
+		Values map[string]stat `json:"values"`
+	}
+	g := r.grid
+	doc := struct {
+		Schema  string   `json:"schema"`
+		Grid    string   `json:"grid"`
+		Title   string   `json:"title"`
+		Axis    string   `json:"axis"`
+		Columns []string `json:"columns"`
+		Seed    int64    `json:"seed"`
+		Runs    int      `json:"runs"`
+		Points  []point  `json:"points"`
+	}{Schema: "qolsr-grid/v1", Grid: g.name, Title: g.title, Axis: g.axisName, Columns: g.cols, Seed: r.seed, Runs: r.runs}
+	fin := func(x float64) float64 {
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			return 0
+		}
+		return x
+	}
+	for pt, x := range g.axis {
+		for c, col := range g.cols {
+			p := point{X: x, Column: col, Values: map[string]stat{}}
+			for i, q := range g.reads {
+				a := &r.cells[pt][c][i]
+				p.Values[q.name] = stat{fin(a.Mean()), fin(a.Std()), a.N()}
+			}
+			doc.Points = append(doc.Points, p)
+		}
+	}
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	return enc.Encode(doc)
+}

@@ -102,7 +102,7 @@ func pointSweep(specs []pointSpec, runs, workers int, done func(pt int, row []*P
 			}
 			return res
 		},
-		cell: func(_ liveField, pt, run, _ int) (func(*PointResult), error) {
+		cell: func(pt, run, _ int) (func(*PointResult), error) {
 			s, err := evalRun(specs[pt].sc, specs[pt].protocols, run)
 			if err != nil {
 				return nil, fmt.Errorf("eval: density %g run %d: %w", specs[pt].sc.Deployment.Degree, run, err)

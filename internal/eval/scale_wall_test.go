@@ -18,15 +18,14 @@ func TestScaleWallCeiling1000(t *testing.T) {
 		t.Skip("scale point too heavy for -short")
 	}
 	const ceiling = 90 * time.Second
-	res, err := RunScaleSweep(context.Background(), ScaleSweepOptions{Nodes: []int{1000}})
+	res, err := RunLiveGrid(context.Background(), "scale", 0, 0, nil, ScaleAxis{Min: 1000, Max: 1000}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := res.Points[0]
-	if wall := p.WallSeconds.Mean(); wall > ceiling.Seconds() {
+	if wall := res.Cell(0, "", "wall_s").Mean(); wall > ceiling.Seconds() {
 		t.Fatalf("1000-node point took %.1fs wall, ceiling %v", wall, ceiling)
 	}
-	if dlv := p.Delivery.Mean(); dlv < 0.95 {
+	if dlv := res.Cell(0, "", "dlv").Mean(); dlv < 0.95 {
 		t.Fatalf("1000-node delivery %.3f, want >= 0.95", dlv)
 	}
 }

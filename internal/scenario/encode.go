@@ -47,6 +47,7 @@ type jsonScenario struct {
 	Description  string      `json:"description,omitempty"`
 	Selector     string      `json:"selector"`
 	Metric       string      `json:"metric"`
+	Plane        string      `json:"plane,omitempty"`
 	Medium       string      `json:"medium"`
 	Loss         float64     `json:"loss,omitempty"`
 	DistanceLoss float64     `json:"distance_loss,omitempty"`
@@ -309,7 +310,8 @@ func (r *Result) EncodeJSON(w io.Writer) error {
 			Name:         sc.Name,
 			Description:  sc.Description,
 			Selector:     sc.Protocol.Selector,
-			Metric:       "bandwidth", // the metric every scenario runs (protocolConfig)
+			Metric:       sc.Protocol.Metric,
+			Plane:        sc.Protocol.Plane,
 			Medium:       sc.Medium.Kind,
 			Loss:         r6(sc.Medium.Loss),
 			DistanceLoss: r6(sc.Medium.DistanceLoss),

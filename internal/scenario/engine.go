@@ -2,9 +2,12 @@ package scenario
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
+	"strings"
 	"time"
 
 	"qolsr/internal/core"
@@ -12,6 +15,7 @@ import (
 	"qolsr/internal/geom"
 	"qolsr/internal/graph"
 	"qolsr/internal/metric"
+	"qolsr/internal/mpr"
 	"qolsr/internal/obs"
 	"qolsr/internal/olsr"
 	"qolsr/internal/route"
@@ -130,7 +134,13 @@ func Execute(ctx context.Context, sc Scenario, seed int64, run int, emit func(Sa
 	// The persistent flow endpoints: uniform ordered (src, dst) pairs, the
 	// draw sequence locked by the goldens.
 	flows := sim.DrawPairs(nw.Phys.N(), flowCount, deriveSeed(seed, "traffic", run))
-	sources := flowSources(flows)
+	// The flow sources, ascending: the nodes every sample barrier rebuilds.
+	sources := make([]int32, len(flows))
+	for i, f := range flows {
+		sources[i] = f[0]
+	}
+	slices.Sort(sources)
+	sources = slices.Compact(sources)
 
 	if ms != nil {
 		ms.Start()
@@ -543,29 +553,30 @@ func samplePoints(sc Scenario, seed int64, run int) ([]geom.Point, error) {
 
 // protocolConfig materialises the per-node stack configuration.
 func protocolConfig(p Protocol) (olsr.Config, error) {
-	sel, err := core.ByName(p.Selector)
-	if err != nil {
+	sel, serr := core.ByName(p.Selector)
+	m, merr := metric.ByName(p.Metric)
+	if err := errors.Join(serr, merr); err != nil {
 		return olsr.Config{}, fmt.Errorf("scenario: %w", err)
 	}
-	cfg := olsr.DefaultConfig(metric.Bandwidth())
+	cfg := olsr.DefaultConfig(m)
 	cfg.Selector = sel
 	if p.MeasuredQoS {
 		cfg.LinkSensing = olsr.SenseDelivery
 	}
-	return cfg, nil
-}
-
-// flowSources returns the unique flow sources in ascending index order —
-// the node set whose routing tables every sample barrier brings up to date.
-func flowSources(flows [][2]int32) []int32 {
-	seen := make(map[int32]bool, len(flows))
-	out := make([]int32, 0, len(flows))
-	for _, f := range flows {
-		if !seen[f[0]] {
-			seen[f[0]] = true
-			out = append(out, f[0])
+	for _, part := range strings.Split(p.Plane, "+") {
+		switch part {
+		case "":
+		case "mpr2":
+			cfg.MPRHeuristic = mpr.QOLSR2
+		case "delta":
+			cfg.DeltaTC = true
+		case "fisheye":
+			cfg.FisheyeTTLs = olsr.DefaultFisheyeTTLs()
+		case "minrelay":
+			cfg.FloodRelay = mpr.MinCover
+		default:
+			return olsr.Config{}, fmt.Errorf("scenario: unknown control-plane part %q (have mpr2, delta, fisheye, minrelay)", part)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return cfg, nil
 }

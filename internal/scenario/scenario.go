@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"time"
 
-	"qolsr/internal/core"
 	"qolsr/internal/geom"
 	"qolsr/internal/traffic"
 )
@@ -79,9 +78,9 @@ func (t Topology) radius() float64 {
 	return t.Radius
 }
 
-// Protocol configures the stack every node runs: RFC 3626 timers and the
-// bandwidth metric, the paper's setting. The zero value means FNBP
-// selection with oracle link weights.
+// Protocol configures the stack every node runs on RFC 3626 timers. The
+// zero value means FNBP selection under the bandwidth metric, the paper's
+// setting, with oracle link weights on the RFC 3626 control plane.
 type Protocol struct {
 	// Selector names the advertised-set scheme: "fnbp", "topofilter",
 	// "qolsr" or "full" (default "fnbp").
@@ -91,6 +90,14 @@ type Protocol struct {
 	// HELLO delivery ratios (ETX-style), the regime the lossy medium exists
 	// for.
 	MeasuredQoS bool
+	// Metric names the QoS metric selection and routing run under:
+	// "bandwidth" (default), "delay", "hop" or "energy".
+	Metric string
+	// Plane names the control plane as "+"-joined parts: "mpr2" floods on
+	// QOLSR MPR-2 relays instead of RFC 3626 greedy ones, "delta"
+	// delta-encodes TCs, "fisheye" scopes them on the default schedule and
+	// "minrelay" floods on min-cover relays. Empty is the RFC 3626 plane.
+	Plane string
 }
 
 // Medium selects the radio model a scenario runs on. The zero value is the
@@ -232,6 +239,9 @@ func (sc Scenario) WithDefaults() Scenario {
 	if sc.Protocol.Selector == "" {
 		sc.Protocol.Selector = "fnbp"
 	}
+	if sc.Protocol.Metric == "" {
+		sc.Protocol.Metric = "bandwidth"
+	}
 	if sc.Medium.Kind == "" {
 		sc.Medium.Kind = "ideal"
 	}
@@ -271,8 +281,8 @@ func (sc Scenario) Validate() error {
 	if err := sc.Topology.Validate(); err != nil {
 		return err
 	}
-	if _, err := core.ByName(sc.Protocol.Selector); err != nil {
-		return fmt.Errorf("scenario: %w", err)
+	if _, err := protocolConfig(sc.Protocol); err != nil {
+		return err
 	}
 	if err := sc.Medium.Validate(); err != nil {
 		return err

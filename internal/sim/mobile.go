@@ -129,5 +129,11 @@ func UnitDiskTopology(field geom.Field, radius float64, pts []geom.Point, channe
 	for e, l := range links {
 		w[e] = PairWeight(seed, l[0], l[1])
 	}
-	return graph.FromEdges(graph.IndexIDs(len(pts)), links, channel, w), nil
+	g := graph.FromEdges(graph.IndexIDs(len(pts)), links, channel, w)
+	// The medium serializes and admission judges on the bandwidth channel
+	// whatever metric routes, so a graph routed on another carries both.
+	for e := 0; channel != bandwidthChannel && e < len(w); e++ {
+		_ = g.SetWeight(bandwidthChannel, e, w[e]) // e < g.M(): cannot fail
+	}
+	return g, nil
 }

@@ -4,10 +4,10 @@ import "math/rand"
 
 // DrawPairs picks count distinct ordered (src, dst) node-index pairs with
 // src != dst, uniform without replacement, clamped to the n·(n-1) distinct
-// pairs. It is the shared flow-endpoint sampler of the scenario engine and
-// the evaluation sweeps — one implementation, so the two harnesses cannot
-// silently diverge. The draw sequence is a pure function of (n, count,
-// seed); the scenario goldens lock it.
+// pairs. It is the scenario engine's flow-endpoint sampler, so probes and
+// flow mixes — and the live grids built on scenarios — draw one way. The
+// draw sequence is a pure function of (n, count, seed); the scenario
+// goldens lock it.
 func DrawPairs(n, count int, seed int64) [][2]int32 {
 	if n < 2 {
 		return nil

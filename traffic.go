@@ -14,16 +14,13 @@ package qolsr
 //	res, _ := qolsr.RunScenario(ctx, sc, qolsr.WithRuns(3))
 //	res.WriteTable(os.Stdout) // includes the per-class traffic section
 //
-// The satisfaction-vs-offered-load experiment (A8) compares the paper's
+// The satisfaction-vs-offered-load grid (A8) compares the paper's
 // QoS-based selection against hop-count selection under growing load:
 //
-//	res, _ := qolsr.NewRunner().LoadSweep(ctx, qolsr.LoadSweepOptions{})
+//	res, _ := qolsr.NewRunner().LiveGrid(ctx, "load", qolsr.ScaleAxis{})
 //	res.WriteTable(os.Stdout)
 
 import (
-	"context"
-
-	"qolsr/internal/eval"
 	"qolsr/internal/scenario"
 	"qolsr/internal/traffic"
 )
@@ -96,27 +93,3 @@ var (
 	// FlowsFromSpecs expands a mix of specs over endpoint pairs.
 	FlowsFromSpecs = traffic.FlowsFromSpecs
 )
-
-// Load sweep (experiment A8).
-type (
-	// LoadSweepOptions configures the A8 satisfaction-vs-offered-load
-	// experiment.
-	LoadSweepOptions = eval.LoadSweepOptions
-	// LoadSweepResult is Runner.LoadSweep's outcome.
-	LoadSweepResult = eval.LoadSweepResult
-	// LoadPoint is one (load, selection, mode) measurement.
-	LoadPoint = eval.LoadPoint
-)
-
-// LoadSelections lists the compared selection policies ("qos", "hop").
-var LoadSelections = eval.LoadSelections
-
-// LoadSweep measures QoS satisfaction against offered load on the live
-// protocol stack (experiment A8): sustained CBR flows over the lossy queued
-// radio, the paper's QoS-based selection vs hop-count selection, oracle vs
-// measured link sensing. It honours ctx and the runner's worker budget, and
-// its seed/runs options where the sweep's own are unset.
-func (r *Runner) LoadSweep(ctx context.Context, opts LoadSweepOptions) (*LoadSweepResult, error) {
-	r.liveDefaults(&opts.Seed, &opts.Runs)
-	return eval.RunLoadSweep(ctx, opts, r.opts.Workers)
-}
