@@ -160,18 +160,24 @@
 // state — a link update, HELLO/TC ingestion that alters advertised content,
 // or a virtual-time expiry — bumps a topology version; the MPR/ANS
 // selection and the routing table are cached artifacts rebuilt only when the
-// version moved; the routing graph under the table is laid out once and then
-// repaired pair by pair (the local view selection runs on is rebuilt each
-// time in a scratch the field shares, and not kept). Re-announcements of unchanged content (the
-// steady-state regime) merely extend validity deadlines, and a min-expiry
-// watermark keeps the expiry check O(1) while nothing can be stale, so a
-// converged network serves lookups from cache indefinitely. Node.Routes
-// returns a read-only Routes snapshot with an allocation-free Lookup;
-// successive calls between state changes return the same snapshot, and a
-// retained snapshot stays consistent after the node rebuilds. Caching never
-// changes which table a data packet sees at a given virtual time — only how
-// it is computed — a guarantee locked by the golden and worker-determinism
-// tests.
+// version moved. A stale table's routing graph is laid out afresh, adjacency
+// and arc arena included, in scratch the field's members share, and solved by
+// one Dijkstra; the local view selection runs on is likewise rebuilt each
+// time in a shared scratch and not kept. Re-announcements of unchanged
+// content (the steady-state regime) merely extend validity deadlines, and a
+// min-expiry watermark keeps the expiry check O(1) while nothing can be
+// stale, so a converged network serves lookups from cache indefinitely.
+// Node.Routes returns a read-only Routes snapshot with an allocation-free
+// Lookup, the only thing a rebuild allocates: one pointer-free 24-byte entry
+// per destination, which names its next hop by index into the snapshot's
+// short list of distinct next hops, and a serial number no other table of the
+// node carries. Successive calls between state changes return the same
+// snapshot, and a retained snapshot stays consistent after the node rebuilds.
+// The simulator's forwarding cache keys on that serial instead of holding the
+// snapshot, so a superseded table is garbage as soon as its node rebuilds.
+// Caching never changes which table a data packet sees at a given virtual
+// time — only how it is computed — a guarantee locked by the golden and
+// worker-determinism tests.
 //
 // # Event-driven core
 //
@@ -200,7 +206,8 @@
 // whenever a push would break the lane's time order. Around it, the hot path is
 // allocation-free by construction: data packets, radio frames, and
 // protocol emitters are pooled; forwarding decisions are cached per
-// (node, destination) and invalidated by table or link generation;
+// (destination, node), in rows only for destinations data is sent to, and
+// invalidated by table serial or link generation;
 // flood duplicate suppression is one pooled visited bitset per flood,
 // whose bits the ideal medium sets when a frame is sent — it lands every
 // frame a constant delay later, in send order, so a frame carries only its

@@ -11,9 +11,31 @@ import (
 // arena (see layout). Its node set is fixed: it keeps no id map, and IndexOf
 // is a bounds check when the ids are 0..n-1 and a binary search otherwise.
 func FromEdges(ids []NodeID, ends [][2]int32, channel string, w []float64) *Graph {
-	identity := len(ids) == 0 || ids[0] == 0 && ids[len(ids)-1] == NodeID(len(ids)-1)
-	g := &Graph{ids: ids, ends: ends, identity: identity, weights: []weightChannel{{channel, w}}}
-	g.layout(nil, make([]int32, len(ids)+1))
+	return new(Layout).Lay(ids, ends, channel, w)
+}
+
+// Layout is reusable storage graphs are laid out in: the Graph, its
+// adjacency table, its arc arena and the offsets of the counting pass. A warm
+// Layout lays a graph out without allocating. It holds one graph at a time:
+// the graph Lay returns is valid until the next Lay. The zero value is ready;
+// a Layout is not safe for concurrent use.
+type Layout struct {
+	g    Graph
+	arcs []Arc
+	off  []int32
+}
+
+// Lay is FromEdges in l's storage.
+func (l *Layout) Lay(ids []NodeID, ends [][2]int32, channel string, w []float64) *Graph {
+	g := &l.g
+	g.ids, g.ends, g.labels, g.index = ids, ends, nil, nil
+	g.identity = len(ids) == 0 || ids[0] == 0 && ids[len(ids)-1] == NodeID(len(ids)-1)
+	if len(g.weights) != 1 {
+		g.weights = make([]weightChannel, 1)
+	}
+	g.weights[0] = weightChannel{channel, w}
+	l.off = resizeInt32(l.off, len(ids)+1)
+	l.arcs = g.layout(l.arcs, l.off)
 	return g
 }
 
@@ -126,10 +148,11 @@ func (g *Graph) layout(arena []Arc, off []int32) []Arc {
 // dropped. The pair dedup is an n×n bit-matrix, sized for a two-hop view, not
 // for a node's whole routing graph.
 type ViewScratch struct {
-	g    Graph
+	lay  Layout
 	lv   LocalView
+	ids  []NodeID
+	ends [][2]int32
 	w    []float64 // weight per staged edge, the built graph's only channel
-	arcs []Arc     // CSR arena g.adj slices into
 	seen []uint64  // n×n pair bit-matrix: first-writer-wins dedup
 
 	// Working storage of the selection kernels (firsthops.go, Int32Scratch).
@@ -153,9 +176,9 @@ type ViewScratch struct {
 // over, as FromEdges does: they must not change while it is in use.
 func (s *ViewScratch) Begin(ids []NodeID) {
 	n := len(ids)
-	s.g.ids, s.g.labels = ids, nil
+	s.ids = ids
 	s.seen = append(s.seen[:0], make([]uint64, (n*n+63)/64)...)
-	s.g.ends, s.w = s.g.ends[:0], s.w[:0]
+	s.ends, s.w = s.ends[:0], s.w[:0]
 }
 
 // Edge stages the undirected edge joining the nodes at indices a and b.
@@ -166,12 +189,12 @@ func (s *ViewScratch) Edge(a, b int32, w float64) {
 	if a > b {
 		a, b = b, a
 	}
-	bit := int(a)*len(s.g.ids) + int(b)
+	bit := int(a)*len(s.ids) + int(b)
 	if s.seen[bit/64]&(1<<(bit%64)) != 0 {
 		return
 	}
 	s.seen[bit/64] |= 1 << (bit % 64)
-	s.g.ends = append(s.g.ends, [2]int32{a, b})
+	s.ends = append(s.ends, [2]int32{a, b})
 	s.w = append(s.w, w)
 }
 
@@ -180,14 +203,7 @@ func (s *ViewScratch) Edge(a, b int32, w float64) {
 // the local view of the node at index center with that channel's weight
 // slice.
 func (s *ViewScratch) View(center int32, channel string) (*LocalView, []float64) {
-	g := &s.g
-	s.work = resizeInt32(s.work, len(g.ids)+1)
-	s.arcs = g.layout(s.arcs, s.work)
-	if len(g.weights) != 1 {
-		g.weights = make([]weightChannel, 1)
-	}
-	g.weights[0] = weightChannel{channel, s.w}
-	s.lv.init(g, center)
+	s.lv.init(s.lay.Lay(s.ids, s.ends, channel, s.w), center)
 	s.lv.scratch = s
 	return &s.lv, s.w
 }

@@ -36,35 +36,6 @@ func Connected(g *Graph) bool {
 	return true
 }
 
-// Components returns the connected component id of every node and the number
-// of components.
-func Components(g *Graph) ([]int32, int) {
-	comp := make([]int32, g.N())
-	for i := range comp {
-		comp[i] = -1
-	}
-	next := int32(0)
-	for s := int32(0); int(s) < g.N(); s++ {
-		if comp[s] != -1 {
-			continue
-		}
-		comp[s] = next
-		queue := []int32{s}
-		for len(queue) > 0 {
-			x := queue[0]
-			queue = queue[1:]
-			for _, arc := range g.Arcs(x) {
-				if comp[arc.To] == -1 {
-					comp[arc.To] = next
-					queue = append(queue, arc.To)
-				}
-			}
-		}
-		next++
-	}
-	return comp, int(next)
-}
-
 // HopDistances returns BFS hop counts from src (-1 when unreachable).
 func HopDistances(g *Graph, src int32) []int32 {
 	dist := make([]int32, g.N())

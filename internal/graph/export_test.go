@@ -92,3 +92,32 @@ func ConcaveKeyOrders(w []float64) (radix, sorted []uint64) {
 	radix, _ = radixSortKeys(keys, nil, shift)
 	return radix, sorted
 }
+
+// Components returns the connected component id of every node and the number
+// of components.
+func Components(g *Graph) ([]int32, int) {
+	comp := make([]int32, g.N())
+	for i := range comp {
+		comp[i] = -1
+	}
+	next := int32(0)
+	for s := int32(0); int(s) < g.N(); s++ {
+		if comp[s] != -1 {
+			continue
+		}
+		comp[s] = next
+		queue := []int32{s}
+		for len(queue) > 0 {
+			x := queue[0]
+			queue = queue[1:]
+			for _, arc := range g.Arcs(x) {
+				if comp[arc.To] == -1 {
+					comp[arc.To] = next
+					queue = append(queue, arc.To)
+				}
+			}
+		}
+		next++
+	}
+	return comp, int(next)
+}

@@ -345,3 +345,17 @@ func TestUnionFind(t *testing.T) {
 		t.Error("Reset did not clear sets")
 	}
 }
+
+// LinkWeightMap returns the weights of the edges incident to x keyed by
+// neighbor index; it is the per-neighbor view a HELLO message advertises.
+func (g *Graph) LinkWeightMap(channel string, x int32) (map[int32]float64, error) {
+	ws, err := g.Weights(channel)
+	if err != nil {
+		return nil, err
+	}
+	out := make(map[int32]float64, g.Degree(x))
+	for _, arc := range g.adj[x] {
+		out[arc.To] = ws[arc.Edge]
+	}
+	return out, nil
+}

@@ -153,3 +153,27 @@ func TestReduceRNGWitnessSoundness(t *testing.T) {
 		}
 	}
 }
+
+// HasEdge reports whether the edge joining a and b is part of the reduced
+// view.
+func (rv *ReducedView) HasEdge(a, b int32) bool {
+	e, ok := rv.View.G.EdgeBetween(a, b)
+	if !ok {
+		return false
+	}
+	return rv.Keep[int32(e)]
+}
+
+// SurvivingDegree returns how many reduced-view edges touch the center; the
+// classic RNG result predicts a small constant (~2.6 for random geometric
+// graphs), which is why topology filtering advertises fewer neighbors than
+// QOLSR.
+func (rv *ReducedView) SurvivingDegree() int {
+	d := 0
+	for _, arc := range rv.View.G.Arcs(rv.View.U) {
+		if rv.Keep[arc.Edge] {
+			d++
+		}
+	}
+	return d
+}

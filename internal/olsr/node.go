@@ -192,15 +192,9 @@ const noExpiry = time.Duration(math.MaxInt64)
 
 // Node is one OLSR/QOLSR protocol participant. Nodes are single-goroutine
 // state machines driven by the simulator: handlers must be called from one
-// goroutine.
-//
-// Everything derived from the soft state — the MPR/ANS selection and the
-// routing table over the routing graph — is a cached artifact under a version
-// counter: link-state style, routes are recomputed when the state changes
-// (message ingestion that alters content, or soft-state expiry), not on every
-// lookup. Handlers that re-announce unchanged content only refresh validity
-// deadlines, so a converged network serves routing lookups from cache
-// indefinitely.
+// goroutine. Everything derived from the soft state — the MPR/ANS selection
+// and the routing table — is a cached artifact under a version counter (see
+// Routes).
 type Node struct {
 	// ID is the node's unique protocol identifier (also its tie-break
 	// identity in the selection algorithms).
@@ -410,13 +404,6 @@ func (n *Node) touchNeighborhood() {
 	n.topoVersion++
 }
 
-// touchTopology records a content change to the TC-learned topology, which
-// invalidates the routing caches but not the MPR/ANS selection (selection
-// reads only the two-hop neighborhood).
-func (n *Node) touchTopology() {
-	n.topoVersion++
-}
-
 // UpdateLink records (or refreshes) this node's own link to a neighbor with
 // its current QoS weight, as measured by the out-of-scope metric layer. A
 // refresh at an unchanged weight only extends the validity deadline and
@@ -520,7 +507,7 @@ func (n *Node) expireTopology(now time.Duration) {
 			if t.expires <= now {
 				n.topoRows, n.topoLinks = n.topoRows-1, n.topoLinks-len(adv)
 				t.expires = 0
-				n.touchTopology()
+				n.topoVersion++
 			} else if t.expires < next {
 				next = t.expires
 			}
@@ -851,7 +838,7 @@ func (n *Node) setTopo(b *topoBlock, r *topoRow, old, adv []LinkInfo) {
 		return
 	}
 	n.stats.AdvChange++
-	n.touchTopology()
+	n.topoVersion++ // the routing table is stale, the selection is not
 }
 
 // dupSeen probes (and on a first sighting, records) the (origin, seq)
@@ -1013,17 +1000,12 @@ func (n *Node) Selectors(now time.Duration) []int64 {
 }
 
 // Routes returns the node's current routing table: QoS routes to every known
-// destination over the routing graph under the node's metric, with the next
-// hop being the first node of the canonical best path.
-//
-// The table is a cached artifact rebuilt only when the protocol state
-// changed (by message content or expiry) since the last call: the common
-// data-plane case — many lookups against an unchanged topology — returns the
-// same read-only snapshot without recomputing or allocating anything. A
-// rebuild lays the routing graph out afresh from the state tables in linear
-// time, runs one canonical Dijkstra over it and keeps only the resulting
-// snapshot (see routes.go). That computation cannot fail, so the error is
-// always nil.
+// destination under the node's metric, the next hop being the first node of
+// the canonical best path. Link-state style, the table is rebuilt only when
+// the protocol state changed (by message content or expiry) since the last
+// call, so many lookups against an unchanged topology share one snapshot and
+// allocate nothing; handlers that re-announce unchanged content only refresh
+// deadlines. A rebuild (see routes.go) cannot fail: the error is always nil.
 func (n *Node) Routes(now time.Duration) (*Routes, error) {
 	n.expire(now)
 	if n.routes == nil || n.routesAt != n.topoVersion {

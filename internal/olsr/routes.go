@@ -3,41 +3,53 @@ package olsr
 import (
 	"cmp"
 	"slices"
-	"sort"
 	"sync"
 
 	"qolsr/internal/graph"
 )
 
-// Routes is a node's routing table as a compact, read-only view: destinations
-// in ascending identifier order with their routes stored index-addressed in
-// parallel slices. A *Routes is a consistent snapshot — it is built once per
-// topology change and shared by every caller until the node's state moves, so
-// lookups on the data-plane hot path cost one binary search and zero
-// allocations instead of a full table recomputation.
-//
-// The view must not be modified. It stays valid (as a snapshot of the state
-// it was computed from) even after the owning node rebuilds its table.
+// Routes is a node's routing table as a compact, read-only snapshot: one
+// pointer-free entry per destination in ascending identifier order, naming its
+// next hop by index into the snapshot's list of distinct next hops. It is
+// built once per topology change and shared by every caller until the node's
+// state moves, so a lookup is one binary search with no allocation. It must
+// not be modified, and stays valid after the owning node rebuilds its table.
 type Routes struct {
-	dsts   []int64
-	routes []Route
+	entries []routeEntry
+	via     []int64 // distinct next hops, in order of first use
+	serial  uint64
+}
+
+// routeEntry is one destination's route: 24 bytes with no pointer in it.
+type routeEntry struct {
+	dst   int64
+	value float64
+	hops  int32
+	via   int32 // index into Routes.via
 }
 
 // Len returns the number of destinations with a route.
-func (r *Routes) Len() int { return len(r.dsts) }
+func (r *Routes) Len() int { return len(r.entries) }
+
+// Serial returns the snapshot's serial number: never 0, and different for
+// every table its node computes, so a cache can key on it without holding
+// the snapshot.
+func (r *Routes) Serial() uint64 { return r.serial }
 
 // Lookup returns the route to dst, if one exists.
 func (r *Routes) Lookup(dst int64) (Route, bool) {
-	i := sort.Search(len(r.dsts), func(i int) bool { return r.dsts[i] >= dst })
-	if i < len(r.dsts) && r.dsts[i] == dst {
-		return r.routes[i], true
+	i, ok := slices.BinarySearchFunc(r.entries, dst, func(e routeEntry, dst int64) int { return cmp.Compare(e.dst, dst) })
+	if !ok {
+		return Route{}, false
 	}
-	return Route{}, false
+	_, route := r.At(i)
+	return route, true
 }
 
 // At returns the i-th entry in ascending destination order, 0 <= i < Len().
 func (r *Routes) At(i int) (dst int64, route Route) {
-	return r.dsts[i], r.routes[i]
+	e := &r.entries[i]
+	return e.dst, Route{NextHop: r.via[e.via], Value: e.value, Hops: int(e.hops)}
 }
 
 // stagedLink is one link a layout stages, with its precedence rank.
@@ -54,11 +66,10 @@ type bucketLink struct {
 	w   float64
 }
 
-// routeScratch is the working storage of one routing-table computation: the
-// layout's staging, index and bucket slices, the edge arrays graph.FromEdges
-// takes over, the Dijkstra buffers and the first-hop and hop buffers. Nothing
-// in it outlives the computation, whose result is copied out into the
-// snapshot, so scratches are pooled rather than kept per node: a node that
+// routeScratch is the working storage of one routing-table computation:
+// the layout's buffers and the graph.Layout it fills, the Dijkstra, first-hop
+// and hop buffers and the next-hop numbering. Nothing in it outlives the
+// computation, so scratches are pooled rather than kept per node: a node that
 // kept its scratch would hold a graph's worth of memory between queries.
 type routeScratch struct {
 	staged      []stagedLink
@@ -67,8 +78,11 @@ type routeScratch struct {
 	bk          []bucketLink
 	ends        [][2]int32
 	w           []float64
+	lay         graph.Layout
 	sp          graph.Scratch
 	first, hops []int32
+	viaAt       []int32 // per node index: its position in via plus one, 0 if none
+	via         []int64
 }
 
 // scratchPool is a field's pool of routing scratch (topoStore.routes). Routes
@@ -112,8 +126,8 @@ func resized[T any](buf []T, n int) []T {
 // computeRoutes computes the routing table from the state tables: a fresh
 // layout of the routing graph, one canonical Dijkstra over it (its
 // predecessor tree, and so every next hop, is a pure function of the edge
-// set, the weights and the ids), and the table copied out into a snapshot.
-// Callers must have run expire(now) first.
+// set, the weights and the ids), and the table copied out into a snapshot,
+// the only thing it allocates. Callers must have run expire(now) first.
 func (n *Node) computeRoutes() *Routes {
 	s := n.store.routes.get()
 	defer n.store.routes.put(s)
@@ -122,30 +136,36 @@ func (n *Node) computeRoutes() *Routes {
 	s.first, s.hops = sp.FirstHops(s.first, s.hops)
 	n.stats.SPFFull++
 	// Every reached node but the source has a first hop; index order is
-	// ascending ID order, the order Lookup binary-searches.
-	reached := len(sp.Reached) - 1
-	r := &Routes{dsts: make([]int64, 0, reached), routes: make([]Route, 0, reached)}
+	// ascending ID order, the order Lookup binary-searches. The count of
+	// tables computed, this one included, is the serial.
+	r := &Routes{entries: make([]routeEntry, 0, len(sp.Reached)-1), serial: n.stats.SPFFull}
+	s.viaAt, s.via = append(s.viaAt[:0], make([]int32, g.N())...), s.via[:0]
 	for x, f := range s.first {
-		if f >= 0 {
-			r.dsts = append(r.dsts, int64(g.ID(int32(x))))
-			r.routes = append(r.routes, Route{NextHop: int64(g.ID(f)), Value: sp.Dist[x], Hops: int(s.hops[x])})
+		if f < 0 {
+			continue
 		}
+		if s.viaAt[f] == 0 {
+			s.via = append(s.via, int64(g.ID(f)))
+			s.viaAt[f] = int32(len(s.via))
+		}
+		r.entries = append(r.entries, routeEntry{int64(g.ID(int32(x))), sp.Dist[x], s.hops[x], s.viaAt[f] - 1})
 	}
+	r.via = slices.Clone(s.via)
 	return r
 }
 
 // layoutRoutes lays the node's routing graph out from the state tables in
-// linear time, in s's buffers: the graph aliases them and is valid until s is
-// used again. Every link is staged with its precedence rank — its tier (own
-// links, the HELLO adverts of direct neighbors but never a pair naming this
-// node, TC rows) times two, plus one when its contributor is the pair's
-// larger end — so the tables are walked in any order. The nodes (this node
-// and every staged end) are numbered in ascending order by a graph.IDIndex
-// over the store's window; the links are bucketed by their smaller end in one
-// counting pass, each bucket is ordered by (larger end, rank), and each pair
-// keeps its first link: own links first, then the smaller direct-neighbor
-// contributor's HELLO advert, then the smaller origin's TC row. Callers must
-// have run expire(now) first.
+// linear time, in s's buffers and s.lay, where it stays valid until s is used
+// again. Every link is staged with its precedence rank — its tier (own links,
+// the HELLO adverts of direct neighbors but never a pair naming this node, TC
+// rows) times two, plus one when its contributor is the pair's larger end —
+// so the tables are walked in any order. The nodes (this node and every
+// staged end) are numbered in ascending order by a graph.IDIndex over the
+// store's window; the links are bucketed by their smaller end in one counting
+// pass, each bucket is ordered by (larger end, rank), and each pair keeps its
+// first link: own links first, then the smaller direct-neighbor contributor's
+// HELLO advert, then the smaller origin's TC row. Callers must have run
+// expire(now) first.
 func (n *Node) layoutRoutes(s *routeScratch) *graph.Graph {
 	size := len(n.links.keys) + n.topoLinks
 	for _, t := range n.neighbors.vals {
@@ -217,5 +237,5 @@ func (n *Node) layoutRoutes(s *routeScratch) *graph.Graph {
 		}
 	}
 	s.off, s.bk, s.ends, s.w = off, bk, ends, w
-	return graph.FromEdges(ids, ends, n.cfg.Metric.Name(), w)
+	return s.lay.Lay(ids, ends, n.cfg.Metric.Name(), w)
 }

@@ -7,7 +7,6 @@ import (
 	"slices"
 	"testing"
 	"time"
-	"unsafe"
 )
 
 // TestFieldMatchesStandaloneNodes is the layout differential: the same
@@ -241,8 +240,14 @@ func TestOriginChurnLeavesBoundedState(t *testing.T) {
 // 16 bytes and nothing the GC would have to trace, so the store's blocks stay
 // pointer-free allocations the collector never scans.
 func TestTopoRowLayout(t *testing.T) {
-	if size := unsafe.Sizeof(topoRow{}); size != 16 {
-		t.Errorf("topoRow is %d bytes, want 16", size)
+	checkFlat(t, "topoRow", topoRow{}, 16)
+}
+
+// checkFlat fails unless v's type is size bytes and holds no pointer.
+func checkFlat(t *testing.T, name string, v any, size uintptr) {
+	t.Helper()
+	if got := reflect.TypeOf(v).Size(); got != size {
+		t.Errorf("%s is %d bytes, want %d", name, got, size)
 	}
 	var walk func(path string, typ reflect.Type)
 	walk = func(path string, typ reflect.Type) {
@@ -256,10 +261,10 @@ func TestTopoRowLayout(t *testing.T) {
 			walk(path+"[]", typ.Elem())
 		case reflect.Pointer, reflect.UnsafePointer, reflect.Slice, reflect.Map, reflect.Chan,
 			reflect.Func, reflect.Interface, reflect.String:
-			t.Errorf("%s is a %s: the row must hold no pointer", path, typ.Kind())
+			t.Errorf("%s is a %s: %s must hold no pointer", path, typ.Kind(), name)
 		}
 	}
-	walk("topoRow", reflect.TypeOf(topoRow{}))
+	walk(name, reflect.TypeOf(v))
 }
 
 // advTable checks the invariants of origin's set table in n's store and

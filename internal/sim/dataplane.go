@@ -169,20 +169,17 @@ func (nw *Network) stepData(p *dataPacket) {
 		return
 	}
 	// Forwarding decisions are pure functions of (table snapshot, physical
-	// link state), so they are cached per (node, destination) and a
+	// link state), so they are cached per (destination, node) and a
 	// sustained flow pays the lookup chain once per table rebuild, not once
 	// per packet.
-	if nw.fwd == nil {
-		nw.fwd = make([][]fwdEntry, len(nw.Nodes))
-	}
-	row := nw.fwd[p.at]
+	row := nw.fwd[p.dst]
 	if row == nil {
-		row = make([]fwdEntry, nw.Phys.N())
-		nw.fwd[p.at] = row
+		row = make([]fwdEntry, len(nw.Nodes))
+		nw.fwd[p.dst] = row
 	}
-	fe := &row[p.dst]
-	if fe.routes != routes || fe.gen != nw.linkGen {
-		fe.routes = routes
+	fe := &row[p.at]
+	if fe.serial != routes.Serial() || fe.gen != nw.linkGen {
+		fe.serial = routes.Serial()
 		fe.gen = nw.linkGen
 		fe.next, fe.ok = nw.resolveNext(p.at, p.dst, routes)
 	}

@@ -1,8 +1,11 @@
 package sim
 
 import (
+	"reflect"
+	"runtime"
 	"testing"
 	"time"
+	"weak"
 
 	"qolsr/internal/geom"
 	"qolsr/internal/metric"
@@ -129,4 +132,60 @@ func TestDeliverySweepUnderMobility(t *testing.T) {
 	if ratio, _ := ms.NW.DeliverySweep(0); ratio < 0.5 {
 		t.Errorf("mobile delivery sweep = %v, want >= 0.5", ratio)
 	}
+}
+
+// TestFwdEntryLayout pins the forwarding cache's entry: 24 bytes with no
+// pointer, so the cache's rows are memory the collector never scans and
+// never keeps a routing table alive through.
+func TestFwdEntryLayout(t *testing.T) {
+	typ := reflect.TypeOf(fwdEntry{})
+	if typ.Size() != 24 {
+		t.Errorf("fwdEntry is %d bytes, want 24", typ.Size())
+	}
+	for i := range typ.NumField() {
+		switch f := typ.Field(i); f.Type.Kind() {
+		case reflect.Bool, reflect.Int32, reflect.Uint64:
+		default:
+			t.Errorf("fwdEntry.%s is a %s: the entry must hold no pointer", f.Name, f.Type.Kind())
+		}
+	}
+}
+
+// A node's superseded routing table is collectable once the node rebuilds,
+// although forwarding decisions were cached against it.
+func TestForwardingCacheUnpinsTables(t *testing.T) {
+	nw := lineNetwork(t)
+	nw.Start()
+	nw.Run(25 * time.Second)
+	// The first hop is resolved at send time, against the table Routes
+	// returns at the same instant.
+	var delivered bool
+	nw.SendData(0, 3, func(ok bool, _ int, _ time.Duration) { delivered = ok })
+	old, err := nw.Nodes[0].Routes(nw.Engine.Now())
+	if err != nil {
+		t.Fatal(err)
+	}
+	serial, superseded := old.Serial(), weak.Make(old)
+	old = nil
+	nw.Run(nw.Engine.Now() + time.Second)
+	if !delivered {
+		t.Fatalf("packet 0->3 not delivered (stats %+v)", nw.Data)
+	}
+	// Node 0's own link expires after the hold time: its table must change.
+	if err := nw.FailLink(0, 1); err != nil {
+		t.Fatal(err)
+	}
+	nw.Run(nw.Engine.Now() + 25*time.Second)
+	cur, err := nw.Nodes[0].Routes(nw.Engine.Now())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cur.Serial() == serial {
+		t.Fatal("node 0 did not rebuild its table after losing its only link")
+	}
+	runtime.GC()
+	if superseded.Value() != nil {
+		t.Error("a superseded routing table is still reachable after its node rebuilt")
+	}
+	runtime.KeepAlive(nw) // the network, its cache included, stays live
 }

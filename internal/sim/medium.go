@@ -344,9 +344,7 @@ func (m *LossyMedium) PlanFrame(src int32, dsts []int32, size int, now time.Dura
 		// Same expression as the uncached serialization — the float op
 		// sequence must not change, delays are golden-pinned.
 		ser := time.Duration(float64(size) / rate * float64(time.Second))
-		if ser > maxSer {
-			maxSer = ser
-		}
+		maxSer = max(maxSer, ser)
 		if per > 0 {
 			if rng.Unit(drawFor(lossKey, dst, seq)) < per {
 				m.stats.ReceptionsLost++

@@ -93,18 +93,20 @@ type Network struct {
 	// inline, and a flood claims its receivers when a frame is sent.
 	ideal *IdealMedium
 
-	// fwd caches resolved forwarding decisions per (node, destination),
-	// valid while the node's routing-table snapshot pointer and the
-	// physical link generation both stand still — sustained flows resolve
-	// each hop once per table rebuild instead of once per packet. Rows are
-	// allocated lazily, only for nodes that actually forward data.
+	// fwd caches resolved forwarding decisions per (destination, node),
+	// valid while the node's routing-table serial and the physical link
+	// generation both stand still — sustained flows resolve each hop once
+	// per table rebuild instead of once per packet. Rows are allocated
+	// lazily, only for destinations that data is sent to.
 	fwd     [][]fwdEntry
 	linkGen uint64 // bumped on every churn/mobility change to Phys or down
 }
 
-// fwdEntry is one cached forwarding decision (see Network.fwd).
+// fwdEntry is one cached forwarding decision (see Network.fwd). It keys on
+// the snapshot's serial rather than holding the snapshot, so a table is
+// garbage as soon as its node rebuilds.
 type fwdEntry struct {
-	routes *olsr.Routes
+	serial uint64
 	gen    uint64
 	next   int32
 	ok     bool
@@ -143,6 +145,7 @@ func NewNetwork(phys *graph.Graph, cfg olsr.Config, opts NetworkOptions) (*Netwo
 		medium:  medium,
 		jitter:  make([]rng.Stream, phys.N()),
 		indexOf: make(map[int64]int32, phys.N()),
+		fwd:     make([][]fwdEntry, phys.N()),
 	}
 	for i := range nw.jitter {
 		nw.jitter[i] = rng.NewStream(uint64(opts.Seed), uint64(i))

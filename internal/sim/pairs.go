@@ -12,9 +12,7 @@ func DrawPairs(n, count int, seed int64) [][2]int32 {
 	if n < 2 {
 		return nil
 	}
-	if max := n * (n - 1); count > max {
-		count = max
-	}
+	count = min(count, n*(n-1))
 	r := rand.New(rand.NewSource(seed))
 	seen := make(map[[2]int32]bool, count)
 	out := make([][2]int32, 0, count)
