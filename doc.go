@@ -205,7 +205,11 @@
 // at pop time under the same total order, falling back to the calendar
 // whenever a push would break the lane's time order. Around it, the hot path is
 // allocation-free by construction: data packets, radio frames, and
-// protocol emitters are pooled; forwarding decisions are cached per
+// protocol emitters are pooled; control messages are never encoded — a
+// HELLO travels by value in its pooled frame, a full TC by value in its
+// flood's pooled state, and the byte counters add the codec's length
+// functions (HelloLen, TCLen, TCDeltaLen, pinned to the encoders by the
+// fuzzers); forwarding decisions are cached per
 // (destination, node), in rows only for destinations data is sent to, and
 // invalidated by table serial or link generation;
 // flood duplicate suppression is one pooled visited bitset per flood,

@@ -14,7 +14,9 @@ import (
 // protocol over real sockets. The fuzzers assert the hardening contract: no
 // input panics or over-allocates, and every accepted input re-encodes
 // bit-identically (the wire form is canonical), so a decoded message is
-// always one the marshaller could have produced.
+// always one the marshaller could have produced. They also pin each length
+// function (HelloLen, TCLen, TCDeltaLen) to its encoding's length: the
+// simulator accounts bytes with those functions and never encodes.
 
 func helloSeeds() [][]byte {
 	return [][]byte{
@@ -55,6 +57,9 @@ func FuzzUnmarshalHello(f *testing.F) {
 		if out := MarshalHello(h); !bytes.Equal(out, buf) {
 			t.Fatalf("non-canonical hello: decode/encode changed %x to %x", buf, out)
 		}
+		if n := HelloLen(h); n != len(buf) {
+			t.Fatalf("HelloLen = %d, encoding is %d bytes", n, len(buf))
+		}
 	})
 }
 
@@ -76,6 +81,9 @@ func FuzzUnmarshalTC(f *testing.F) {
 		}
 		if out := MarshalTC(tc); !bytes.Equal(out, buf) {
 			t.Fatalf("non-canonical tc: decode/encode changed %x to %x", buf, out)
+		}
+		if n := TCLen(tc); n != len(buf) {
+			t.Fatalf("TCLen = %d, encoding is %d bytes", n, len(buf))
 		}
 	})
 }
@@ -103,6 +111,9 @@ func FuzzUnmarshalTCDelta(f *testing.F) {
 		}
 		if out := MarshalTCDelta(d); !bytes.Equal(out, buf) {
 			t.Fatalf("non-canonical tc delta: decode/encode changed %x to %x", buf, out)
+		}
+		if n := TCDeltaLen(d); n != len(buf) {
+			t.Fatalf("TCDeltaLen = %d, encoding is %d bytes", n, len(buf))
 		}
 	})
 }

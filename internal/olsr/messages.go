@@ -173,13 +173,18 @@ func readIDs(buf []byte, what string) (ids []int64, rest []byte, err error) {
 	return ids, buf[n*8:], nil
 }
 
-// MarshalHello encodes h into a fresh byte slice.
-func MarshalHello(h *Hello) []byte {
+// HelloLen is the length of MarshalHello(h), computed without encoding.
+func HelloLen(h *Hello) int {
 	size := headerLen + 2 + len(h.Links)*linkInfoLen + len(h.MPRs)*8
 	if len(h.LQs) > 0 {
 		size += 2 + len(h.LQs)*linkInfoLen
 	}
-	buf := make([]byte, 0, size)
+	return size
+}
+
+// MarshalHello encodes h into a fresh byte slice.
+func MarshalHello(h *Hello) []byte {
+	buf := make([]byte, 0, HelloLen(h))
 	buf = append(buf, byte(MsgHello))
 	buf = binary.BigEndian.AppendUint64(buf, uint64(h.Origin))
 	buf = binary.BigEndian.AppendUint16(buf, h.Seq)
@@ -230,9 +235,12 @@ func UnmarshalHello(buf []byte) (*Hello, error) {
 	return h, nil
 }
 
+// TCLen is the length of MarshalTC(t), computed without encoding.
+func TCLen(t *TC) int { return headerLen + 2 + len(t.Links)*linkInfoLen }
+
 // MarshalTC encodes t into a fresh byte slice.
 func MarshalTC(t *TC) []byte {
-	buf := make([]byte, 0, headerLen+2+len(t.Links)*linkInfoLen)
+	buf := make([]byte, 0, TCLen(t))
 	buf = append(buf, byte(MsgTC))
 	buf = binary.BigEndian.AppendUint64(buf, uint64(t.Origin))
 	buf = binary.BigEndian.AppendUint16(buf, t.Seq)
@@ -294,9 +302,14 @@ type TCDelta struct {
 	Del []int64
 }
 
+// TCDeltaLen is the length of MarshalTCDelta(d), computed without encoding.
+func TCDeltaLen(d *TCDelta) int {
+	return headerLen + 6 + len(d.Add)*linkInfoLen + 2 + len(d.Del)*8
+}
+
 // MarshalTCDelta encodes d into a fresh byte slice.
 func MarshalTCDelta(d *TCDelta) []byte {
-	buf := make([]byte, 0, headerLen+6+2+len(d.Add)*linkInfoLen+2+len(d.Del)*8)
+	buf := make([]byte, 0, TCDeltaLen(d))
 	buf = append(buf, byte(MsgTCDelta))
 	buf = binary.BigEndian.AppendUint64(buf, uint64(d.Origin))
 	buf = binary.BigEndian.AppendUint16(buf, d.Seq)

@@ -42,6 +42,35 @@ func TestTCRoundTrip(t *testing.T) {
 	}
 }
 
+// TestMessageLen holds each length function to its encoding's length,
+// counted here by field: a HELLO's LQ block (count and entries) is present
+// only when it has an entry.
+func TestMessageLen(t *testing.T) {
+	links := []LinkInfo{{Neighbor: 7, Weight: 3.25}, {Neighbor: 9, Weight: 8}}
+	for _, c := range []struct {
+		name      string
+		enc, size int
+		want      int
+	}{
+		{"hello empty", len(MarshalHello(&Hello{Origin: 1})), HelloLen(&Hello{Origin: 1}), 1 + 8 + 2 + 2 + 2},
+		{"hello without lq", len(MarshalHello(&Hello{Links: links, MPRs: []int64{7}})),
+			HelloLen(&Hello{Links: links, MPRs: []int64{7}}), 15 + 2*16 + 8},
+		{"hello with lq", len(MarshalHello(&Hello{Links: links, MPRs: []int64{7}, LQs: links[:1]})),
+			HelloLen(&Hello{Links: links, MPRs: []int64{7}, LQs: links[:1]}), 15 + 2*16 + 8 + 2 + 16},
+		{"hello with empty lq", len(MarshalHello(&Hello{Links: links, LQs: []LinkInfo{}})),
+			HelloLen(&Hello{Links: links, LQs: []LinkInfo{}}), 15 + 2*16},
+		{"tc empty", len(MarshalTC(&TC{})), TCLen(&TC{}), 1 + 8 + 2 + 2 + 2},
+		{"tc", len(MarshalTC(&TC{Links: links})), TCLen(&TC{Links: links}), 15 + 2*16},
+		{"delta empty", len(MarshalTCDelta(&TCDelta{Index: 1})), TCDeltaLen(&TCDelta{Index: 1}), 1 + 8 + 2 + 2 + 2 + 2 + 2 + 2},
+		{"delta", len(MarshalTCDelta(&TCDelta{Index: 1, Add: links, Del: []int64{3}})),
+			TCDeltaLen(&TCDelta{Index: 1, Add: links, Del: []int64{3}}), 21 + 2*16 + 8},
+	} {
+		if c.enc != c.want || c.size != c.want {
+			t.Errorf("%s: encoded %d bytes, length function %d, want %d", c.name, c.enc, c.size, c.want)
+		}
+	}
+}
+
 func TestEmptyMessagesRoundTrip(t *testing.T) {
 	h, err := UnmarshalHello(MarshalHello(&Hello{Origin: 1}))
 	if err != nil {

@@ -37,10 +37,7 @@ type Config struct {
 	// ExternalDupSuppression disables the node's own duplicate-suppression
 	// window for flooded TC-family messages: the embedding host guarantees
 	// each flooded (origin, seq) message is handed to the node at most
-	// once. The simulator owns one visited set per flood (a pooled bitset
-	// shared along the flood's relay chain), which replaces N per-node
-	// duplicate tables with one bit probe per delivery — the handlers then
-	// skip their own window entirely.
+	// once, as the simulator's per-flood visited set does.
 	ExternalDupSuppression bool
 	// DeltaTC enables delta-encoded topology control (GenerateTCUpdate):
 	// between periodic full TCs the node floods only the changes against
@@ -527,8 +524,16 @@ func (n *Node) expireTopology(now time.Duration) {
 	n.topoExpiry = next
 }
 
-// GenerateHello produces this node's periodic HELLO.
+// GenerateHello produces this node's periodic HELLO. It inlines, so a
+// caller that copies the message out keeps it off the heap.
 func (n *Node) GenerateHello(now time.Duration) *Hello {
+	h := new(Hello)
+	n.fillHello(h, now)
+	return h
+}
+
+// fillHello writes this node's periodic HELLO into h.
+func (n *Node) fillHello(h *Hello, now time.Duration) {
 	n.expire(now)
 	if n.cfg.LinkSensing == SenseRTT {
 		n.priceRTT()
@@ -547,10 +552,8 @@ func (n *Node) GenerateHello(now time.Duration) *Hello {
 	// flooding relay set — the mprSet itself unless Config.FloodRelay
 	// splits the roles — because selector state is what gates TC
 	// forwarding at the listed neighbors.
-	h := &Hello{Origin: n.ID, Seq: n.helloSeq, Links: n.helloAdv, MPRs: n.relaySet}
+	*h = Hello{Origin: n.ID, Seq: n.helloSeq, Links: n.helloAdv, MPRs: n.relaySet, LQs: n.lqBlock()}
 	n.helloSeq++
-	h.LQs = n.lqBlock()
-	return h
 }
 
 // HandleHello ingests a neighbor's HELLO. A HELLO that re-announces the
@@ -647,7 +650,8 @@ func (n *Node) currentTCAdv() []LinkInfo {
 // GenerateTCUpdate produces this node's periodic topology-control emission
 // under the control-plane optimisations, returning exactly one of full and
 // delta (both nil when there is nothing to advertise) plus the fish-eye TTL
-// scope for this emission (0 = unlimited flood).
+// scope for this emission (0 = unlimited flood). Like GenerateHello it
+// inlines, so a caller that copies a full TC out keeps it off the heap.
 //
 // A full TC goes out when DeltaTC is off, when no full has been flooded
 // since the advertised set was last empty, and on the periodic refresh —
@@ -659,6 +663,13 @@ func (n *Node) currentTCAdv() []LinkInfo {
 // the origin's flooding sequence space, so duplicate suppression and the
 // delta chain anchor (FullSeq) both work off the same counter.
 func (n *Node) GenerateTCUpdate(now time.Duration) (full *TC, delta *TCDelta, ttl int) {
+	return n.fillTCUpdate(new(TC), now)
+}
+
+// fillTCUpdate is GenerateTCUpdate writing a full TC into the storage it is
+// handed (and returning it) rather than a fresh one.
+func (n *Node) fillTCUpdate(full *TC, now time.Duration) (*TC, *TCDelta, int) {
+	ttl := 0
 	n.expire(now)
 	n.recompute(true)
 	emit := n.tcEmit
@@ -689,7 +700,8 @@ func (n *Node) GenerateTCUpdate(now time.Duration) (full *TC, delta *TCDelta, tt
 		n.lastFullSeq = seq
 		n.chainIdx = 0
 		n.haveFull = true
-		return &TC{Origin: n.ID, Seq: seq, ANSN: n.ansn, Links: adv}, nil, ttl
+		*full = TC{Origin: n.ID, Seq: seq, ANSN: n.ansn, Links: adv}
+		return full, nil, ttl
 	}
 	add, del := diffAdv(n.lastAdv, adv)
 	n.lastAdv = adv

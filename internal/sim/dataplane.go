@@ -106,21 +106,8 @@ func (nw *Network) SendDataTraced(src, dst int32, size int, sink DataSink, cooki
 
 func (nw *Network) newPacket(src, dst int32, size int) *dataPacket {
 	nw.Data.Sent++
-	var p *dataPacket
-	if n := len(nw.pktPool); n > 0 {
-		p = nw.pktPool[n-1]
-		nw.pktPool = nw.pktPool[:n-1]
-	} else {
-		p = &dataPacket{nw: nw}
-	}
-	p.at = src
-	p.dst = dst
-	p.ttl = DefaultDataTTL
-	p.size = int32(size)
-	p.start = nw.Engine.Now()
-	p.sink = nil
-	p.cookie = 0
-	p.pt = nil
+	p := take(&nw.pktPool)
+	*p = dataPacket{nw: nw, at: src, dst: dst, ttl: DefaultDataTTL, size: int32(size), start: nw.Engine.Now()}
 	return p
 }
 

@@ -46,10 +46,10 @@ type TrafficStats struct {
 }
 
 // Network runs one OLSR/QOLSR protocol instance per node of a physical
-// graph over the event engine. Messages are serialised through the wire
-// codec on transmission (so byte accounting reflects real TC sizes, which
-// scale with the advertised-set sizes of Figs. 6-7) and decoded at every
-// receiver.
+// graph over the event engine. Messages are accounted at their wire-codec
+// length (so byte counts reflect real TC sizes, which scale with the
+// advertised-set sizes of Figs. 6-7), and every receiver handles the
+// origin's own message.
 type Network struct {
 	// Engine is the single-threaded event scheduler everything runs on, in
 	// one (time, priority, seq) total order: hot subsystems book pooled or
@@ -254,38 +254,48 @@ func (nw *Network) feedLinks(i int) {
 	}
 }
 
+// emitHelloNow sends the node's periodic HELLO. The frame carries the
+// origin's own message, by value, to every receiver, and the byte counters
+// take its encoded length: the wire codec is canonical (Unmarshal(Marshal(h))
+// reproduces h; the fuzzers and TestGeneratedMessagesRoundTrip pin it), so
+// encoding and decoding would only re-derive what the sender already holds.
 func (nw *Network) emitHelloNow(i int) {
 	nw.feedLinks(i)
 	h := nw.Nodes[i].GenerateHello(nw.Engine.Now())
-	buf := olsr.MarshalHello(h)
 	nw.Stats.HelloMessages++
-	nw.Stats.HelloBytes += uint64(len(buf))
-	// The origin's own struct is the decoded form every receiver handles:
-	// the wire codec is canonical (Unmarshal(Marshal(h)) reproduces h, the
-	// fuzzers pin it), so decoding per receiver would only re-derive what
-	// the sender already holds.
-	nw.broadcastFrame(int32(i), buf, h, nil, nil, 0, nil)
+	nw.Stats.HelloBytes += uint64(olsr.HelloLen(h))
+	nw.broadcastFrame(int32(i), olsr.HelloLen(h), 0, h, nil)
 }
 
 // emitTCNow floods the node's periodic topology-control emission: a full TC
 // at unlimited scope on the classic plane, a delta and/or a fish-eye TTL
-// when the configuration asks for them.
+// when the configuration asks for them. The flood owns the message.
 func (nw *Network) emitTCNow(i int) {
 	full, delta, ttl := nw.Nodes[i].GenerateTCUpdate(nw.Engine.Now())
-	var buf []byte
-	switch {
-	case full != nil:
-		buf = olsr.MarshalTC(full)
-	case delta != nil:
-		buf = olsr.MarshalTCDelta(delta)
-	default:
+	if full == nil && delta == nil {
 		return
+	}
+	fs, size := nw.newFlood(), 0
+	if full != nil {
+		fs.tc, size = *full, olsr.TCLen(full)
+	} else {
+		fs.tcd, size = delta, olsr.TCDeltaLen(delta)
 	}
 	nw.Stats.TCOriginated++
 	nw.Stats.TCMessages++
-	nw.Stats.TCBytes += uint64(len(buf))
-	nw.Stats.TCOriginatedBytes += uint64(len(buf))
-	nw.broadcastFrame(int32(i), buf, nil, full, delta, int32(ttl), nil)
+	nw.Stats.TCBytes += uint64(size)
+	nw.Stats.TCOriginatedBytes += uint64(size)
+	nw.broadcastFrame(int32(i), size, int32(ttl), nil, fs)
+}
+
+// take pops an object from a hot-path pool, or makes one when it is empty.
+func take[T any](pool *[]*T) *T {
+	if n := len(*pool); n > 0 {
+		x := (*pool)[n-1]
+		*pool = (*pool)[:n-1]
+		return x
+	}
+	return new(T)
 }
 
 // jittered applies ±5% emission jitter (RFC 3626 recommends jitter to avoid
@@ -298,41 +308,43 @@ func (nw *Network) jittered(i int, d time.Duration) time.Duration {
 	return d - time.Duration(span/2) + time.Duration(nw.jitter[i].Int63n(span))
 }
 
-// controlFrame is one in-flight control broadcast: the encoded bytes (byte
-// accounting, re-broadcast) plus the decoded form shared read-only by every
-// receiver — protocol handlers copy what they keep, so one decoded message
-// serves the whole reception set. Frames are pooled; when every planned
-// delivery has the same latency the frame itself is the single delivery
-// event for all receivers.
+// controlFrame is one in-flight control broadcast, shared read-only by
+// every receiver — protocol handlers copy what they keep, so one message
+// serves the whole reception set. A HELLO travels in the frame by value; a
+// TC-family frame reads its message from its flood. Frames are pooled;
+// when every planned delivery has the same latency the frame itself is the
+// single delivery event for all receivers.
 type controlFrame struct {
-	nw    *Network
-	from  int32
-	refs  int32
-	buf   []byte
-	hello *olsr.Hello
-	tc    *olsr.TC
-	tcd   *olsr.TCDelta
-	// ttl is the remaining flood scope when the frame was transmitted
-	// (fish-eye scoping; 0 = unlimited). It travels alongside the frame
-	// rather than on the wire, so scoped runs reuse the unchanged codec.
-	ttl  int32
-	dsts []int32
-	// flood is the per-flood visited set shared along a TC-family frame's
-	// whole relay chain (nil for HELLOs, which never flood).
-	flood *floodState
+	frameHead
+	// hello is the HELLO a frame without a flood carries. It lies outside
+	// the head, so a TC transmission does not reset it.
+	hello olsr.Hello
+}
+
+// frameHead is the per-transmission part of a frame, reset by every send.
+type frameHead struct {
+	nw   *Network
+	from int32
+	refs int32
+	size int32 // the message's encoded length
+	ttl  int32 // fish-eye scope left at this transmission (0 = unlimited)
 	// claimed marks a frame planned on the ideal medium: dsts holds only
 	// first sightings, and dups the receivers filtered when it was sent.
 	claimed bool
 	dups    uint32
+	dsts    []int32
+	flood   *floodState // shared along the relay chain; nil for a HELLO
 }
 
-// floodState is one flood's duplicate-suppression state: a bitset over
-// receiver indices recording who has already been handed this (origin, seq)
-// message. The simulator owns exactly one per flood, shared by every relayed
-// frame of that flood and released to the pool when the last frame drains —
-// replacing N per-node duplicate tables (one map probe plus a window scan per
-// delivery) with a single bit probe. The protocol nodes run with
-// Config.ExternalDupSuppression and skip their own window entirely.
+// floodState is one flood: its message, which every frame of the flood
+// reads (a full TC by value; a delta stays the origin's heap struct, as
+// topology blocks memoise a delta's result by its address), and a bitset
+// over receiver indices recording who has already been handed this (origin,
+// seq) message. The simulator owns exactly one per flood, shared by every
+// relayed frame of that flood and released to the pool when the last frame
+// drains — replacing N per-node duplicate tables (one map probe plus a
+// window scan per delivery) with a single bit probe. The protocol nodes run
+// with Config.ExternalDupSuppression and skip their own window entirely.
 //
 // On a medium of variable latency a frame sent later can land first, so a
 // receiver's bit is set when a frame lands there. On the ideal medium every
@@ -353,6 +365,8 @@ type controlFrame struct {
 type floodState struct {
 	visited []uint64
 	refs    int32
+	tc      olsr.TC
+	tcd     *olsr.TCDelta // the delta when the flood carries one, else nil
 }
 
 // claim marks receiver i and returns 1 when this is its first sighting of
@@ -364,15 +378,10 @@ func (fs *floodState) claim(i int32) int {
 	return int(^old>>b) & 1
 }
 
-// newFlood returns a cleared visited set sized for the current field.
+// newFlood returns a pooled flood whose visited set is cleared and sized
+// for the current field.
 func (nw *Network) newFlood() *floodState {
-	var fs *floodState
-	if n := len(nw.floodPool); n > 0 {
-		fs = nw.floodPool[n-1]
-		nw.floodPool = nw.floodPool[:n-1]
-	} else {
-		fs = &floodState{}
-	}
+	fs := take(&nw.floodPool)
 	words := (nw.Phys.N() + 63) / 64
 	if cap(fs.visited) < words {
 		fs.visited = make([]uint64, words)
@@ -410,50 +419,40 @@ func (h *frameHop) Fire(time.Duration) {
 }
 
 // release returns the frame to its pool once every reception fired, and the
-// flood state once no frame of the flood remains in flight.
+// flood state once no frame of the flood remains in flight. Neither keeps
+// its message's slices.
 func (f *controlFrame) release() {
 	f.refs--
 	if f.refs <= 0 {
-		if fs := f.flood; fs != nil {
-			f.flood = nil
-			if fs.refs--; fs.refs <= 0 {
-				f.nw.floodPool = append(f.nw.floodPool, fs)
-			}
+		if fs := f.flood; fs == nil {
+			f.hello = olsr.Hello{}
+		} else if fs.refs--; fs.refs <= 0 {
+			fs.tc, fs.tcd = olsr.TC{}, nil
+			f.nw.floodPool = append(f.nw.floodPool, fs)
 		}
-		f.buf, f.hello, f.tc, f.tcd = nil, nil, nil, nil
+		f.flood = nil
 		f.nw.framePool = append(f.nw.framePool, f)
 	}
 }
 
-// broadcastFrame hands a message (encoded and decoded forms) to the medium
-// for delivery to the sender's currently-up physical neighbors: the medium
-// decides who receives the frame and after how long. Failed links carry
-// nothing regardless of the medium. ttl is the frame's remaining flood
-// scope at this transmission (0 = unlimited).
-func (nw *Network) broadcastFrame(from int32, buf []byte, hello *olsr.Hello, tc *olsr.TC, tcd *olsr.TCDelta, ttl int32, flood *floodState) {
+// broadcastFrame hands a size-byte message — hello, copied into the frame,
+// or flood's — to the medium for delivery to the sender's currently-up
+// physical neighbors: the medium decides who receives the frame and after
+// how long. Failed links carry nothing regardless of the medium. ttl is the
+// frame's remaining flood scope at this transmission (0 = unlimited).
+func (nw *Network) broadcastFrame(from int32, size int, ttl int32, hello *olsr.Hello, flood *floodState) {
 	nw.dsts = nw.dsts[:0]
 	for _, arc := range nw.Phys.Arcs(from) {
 		if nw.LinkUp(from, arc.To) {
 			nw.dsts = append(nw.dsts, arc.To)
 		}
 	}
-	var f *controlFrame
-	if n := len(nw.framePool); n > 0 {
-		f = nw.framePool[n-1]
-		nw.framePool = nw.framePool[:n-1]
-	} else {
-		f = &controlFrame{}
-	}
-	*f = controlFrame{nw: nw, from: from, refs: 1, buf: buf, hello: hello, tc: tc, tcd: tcd, ttl: ttl, dsts: f.dsts[:0]}
-	if hello == nil {
-		if flood == nil {
-			// A flood's first transmission: allocate its visited set. The
-			// origin's own bit stays unset — its message looping back is a
-			// first sighting, exactly as under the per-node windows.
-			flood = nw.newFlood()
-		}
-		f.flood = flood
+	f := take(&nw.framePool)
+	f.frameHead = frameHead{nw: nw, from: from, refs: 1, size: int32(size), ttl: ttl, dsts: f.dsts[:0], flood: flood}
+	if flood != nil {
 		flood.refs++
+	} else {
+		f.hello = *hello
 	}
 	if m := nw.ideal; m != nil {
 		// The ideal medium's plan, inline: every candidate after m.prop,
@@ -480,7 +479,7 @@ func (nw *Network) broadcastFrame(from int32, buf []byte, hello *olsr.Hello, tc 
 		}
 		return
 	}
-	plan := nw.medium.PlanFrame(from, nw.dsts, len(buf), nw.Engine.Now())
+	plan := nw.medium.PlanFrame(from, nw.dsts, size, nw.Engine.Now())
 	if len(plan) == 0 {
 		f.release()
 		return
@@ -506,15 +505,8 @@ func (nw *Network) broadcastFrame(from int32, buf []byte, hello *olsr.Hello, tc 
 	}
 	f.refs = int32(len(plan))
 	for _, hop := range plan {
-		var fh *frameHop
-		if n := len(nw.hopPool); n > 0 {
-			fh = nw.hopPool[n-1]
-			nw.hopPool = nw.hopPool[:n-1]
-		} else {
-			fh = &frameHop{}
-		}
-		fh.f = f
-		fh.to = hop.Dst
+		fh := take(&nw.hopPool)
+		fh.f, fh.to = f, hop.Dst
 		nw.Engine.After(hop.Delay, fh)
 	}
 }
@@ -524,42 +516,33 @@ func (nw *Network) broadcastFrame(from int32, buf []byte, hello *olsr.Hello, tc 
 func (nw *Network) deliverFrame(f *controlFrame, to int32) {
 	now := nw.Engine.Now()
 	node := nw.Nodes[to]
-	if f.hello != nil {
-		node.HandleHello(f.hello, now)
+	fs := f.flood
+	if fs == nil {
+		node.HandleHello(&f.hello, now)
 		return
 	}
-	if !f.claimed && f.flood.claim(to) == 0 {
+	if !f.claimed && fs.claim(to) == 0 {
 		nw.Stats.DupSuppressed++
 		return // already handed to this receiver via another relay
 	}
 	sender := int64(nw.Phys.ID(f.from))
 	var forward bool
-	if f.tc != nil {
-		forward = node.HandleTC(f.tc, sender, now)
+	if fs.tcd == nil {
+		forward = node.HandleTC(&fs.tc, sender, now)
 	} else {
-		forward = node.HandleTCDelta(f.tcd, sender, now)
+		forward = node.HandleTCDelta(fs.tcd, sender, now)
 	}
 	if forward && f.ttl != 1 {
-		// MPR forwarding: re-broadcast from this node, reusing the encoded
-		// and decoded forms. A frame received at TTL 1 has exhausted its
-		// scope: the handler above still ingested it (dup-marked and
-		// topology-applied), it just travels no further.
-		nw.relayTC(f, to)
+		// MPR forwarding: re-broadcast from this node in a new frame of the
+		// same flood, one fish-eye hop narrower (unlimited stays unlimited).
+		// A frame received at TTL 1 has exhausted its scope: the handler
+		// above still ingested it, it just travels no further.
+		nw.Stats.TCMessages++
+		nw.Stats.TCBytes += uint64(f.size)
+		nw.Stats.TCForwarded++
+		nw.Stats.TCForwardedBytes += uint64(f.size)
+		nw.broadcastFrame(to, int(f.size), max(f.ttl-1, 0), nil, fs)
 	}
-}
-
-// relayTC re-broadcasts a TC-family frame from a relay, decrementing the
-// fish-eye scope (an unlimited frame stays unlimited).
-func (nw *Network) relayTC(f *controlFrame, to int32) {
-	ttl := f.ttl
-	if ttl > 0 {
-		ttl--
-	}
-	nw.Stats.TCMessages++
-	nw.Stats.TCBytes += uint64(len(f.buf))
-	nw.Stats.TCForwarded++
-	nw.Stats.TCForwardedBytes += uint64(len(f.buf))
-	nw.broadcastFrame(to, f.buf, nil, f.tc, f.tcd, ttl, f.flood)
 }
 
 // ANSSets returns every node's current advertised set as graph indices,

@@ -248,7 +248,7 @@ func TestTTLScopedRelayAndDupSuppression(t *testing.T) {
 	// relayed frame would.
 	flood := nw.newFlood()
 	flood.refs = 1
-	nw.broadcastFrame(0, olsr.MarshalTC(tc), nil, tc, nil, 3, flood)
+	sendTC(nw, 0, tc, 3, flood)
 	nw.Engine.Run(nw.Engine.Now() + time.Second)
 	if !routeTo0(3) {
 		t.Error("TC received at TTL 1 did not update topology")
@@ -262,7 +262,7 @@ func TestTTLScopedRelayAndDupSuppression(t *testing.T) {
 
 	// The same flood at unlimited scope is a duplicate everywhere it already
 	// travelled: node 1 drops it and the boundary stands.
-	nw.broadcastFrame(0, olsr.MarshalTC(tc), nil, tc, nil, 0, flood)
+	sendTC(nw, 0, tc, 0, flood)
 	nw.Engine.Run(nw.Engine.Now() + time.Second)
 	if routeTo0(4) {
 		t.Error("duplicate seq crossed the fish-eye boundary")
@@ -275,13 +275,20 @@ func TestTTLScopedRelayAndDupSuppression(t *testing.T) {
 	// TC (the 0-1 link) and node 1's (the 1-2 link) flooded unscoped,
 	// even node 4 completes a route to 0.
 	tc0 := nw.Nodes[0].GenerateTC(nw.Engine.Now())
-	nw.broadcastFrame(0, olsr.MarshalTC(tc0), nil, tc0, nil, 0, nil)
+	sendTC(nw, 0, tc0, 0, nw.newFlood())
 	tc1 := nw.Nodes[1].GenerateTC(nw.Engine.Now())
-	nw.broadcastFrame(1, olsr.MarshalTC(tc1), nil, tc1, nil, 0, nil)
+	sendTC(nw, 1, tc1, 0, nw.newFlood())
 	nw.Engine.Run(nw.Engine.Now() + time.Second)
 	if !routeTo0(4) {
 		t.Error("fresh unlimited TC did not cross the boundary")
 	}
+}
+
+// sendTC transmits tc from node from at flood scope ttl in flood fs, the way
+// emitTCNow sends a full TC.
+func sendTC(nw *Network, from int32, tc *olsr.TC, ttl int32, fs *floodState) {
+	fs.tc = *tc
+	nw.broadcastFrame(from, olsr.TCLen(tc), ttl, nil, fs)
 }
 
 // TestDeltaTCNetworkConverges runs the full optimized control plane (delta
