@@ -3,7 +3,7 @@
 // providing good bandwidth."
 //
 // Links carry both a bandwidth and an energy weight (transmission energy
-// grows with distance). FNBP runs under a lexicographic semiring — maximize
+// grows with distance). FNBP runs under a lexicographic cost — maximize
 // bandwidth first, break ties by minimal energy — and the example compares
 // the energy bill of the advertised routes against plain bandwidth-only
 // FNBP over many field realisations.

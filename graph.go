@@ -8,7 +8,6 @@ import (
 
 	"qolsr/internal/geom"
 	"qolsr/internal/graph"
-	"qolsr/internal/metric"
 	"qolsr/internal/netgen"
 )
 
@@ -49,13 +48,39 @@ func ComputeFirstHops(view *LocalView, m Metric, w []float64) (*FirstHops, error
 }
 
 // DijkstraLex computes lexicographic two-criterion optimal paths from src
-// (e.g. widest, then energy-cheapest). See graph.DijkstraGeneric.
+// (e.g. widest, then energy-cheapest) over the weight channels lex names.
+// It is graph.Scratch.DijkstraLex, the one search kernel under a
+// (primary, secondary) key; a graph that lacks either channel is an error.
 func DijkstraLex(g *Graph, lex Lexicographic, src int32, view *LocalView, exclude int32) (*LexSearch, error) {
-	return graph.DijkstraGeneric[metric.LexCost](g, lex, src, view, exclude)
+	wp, ws, err := graph.LexWeights(g, lex)
+	if err != nil {
+		return nil, err
+	}
+	sp := new(graph.Scratch).DijkstraLex(g, lex, wp, ws, src, view, exclude)
+	ls := &LexSearch{Source: src, Cost: make([]LexCost, g.N()), Reached: make([]bool, g.N()), sp: sp}
+	for x := range ls.Cost {
+		ls.Cost[x] = LexCost{Primary: sp.Dist[x], Secondary: sp.Second[x]}
+		ls.Reached[x] = sp.Reachable(int32(x))
+	}
+	return ls, nil
 }
 
 // LexSearch is the result of DijkstraLex.
-type LexSearch = graph.GenericSearch[metric.LexCost]
+type LexSearch struct {
+	// Source is the search origin.
+	Source int32
+	// Cost maps each node to its lexicographic path cost from Source
+	// (each level's Worst when unreached).
+	Cost []LexCost
+	// Reached reports, per node, whether the search reached it.
+	Reached []bool
+
+	sp *graph.ShortestPaths
+}
+
+// PathTo returns one optimal path to t (source first), or nil when t was not
+// reached.
+func (ls *LexSearch) PathTo(t int32) []int32 { return ls.sp.PathTo(t) }
 
 // WriteDOT renders g in Graphviz DOT form.
 var WriteDOT = graph.WriteDOT

@@ -7,78 +7,61 @@ import (
 	"qolsr/internal/metric"
 )
 
-// SelectFNBPSemiring runs FNBP under an arbitrary cost semiring, which is
+// SelectFNBPLex runs FNBP under a lexicographic two-criterion cost, which is
 // what the paper's future-work section calls for ("multi-criterion metrics
 // ... minimizing energy-consumption while providing good bandwidth",
 // Sec. V). It computes first-hop sets from the definition — one restricted
-// search per 1-hop neighbor — so it works for any semiring at the price of
-// the reference algorithm's complexity.
+// search per 1-hop neighbor — so it is the reference algorithm's
+// complexity, and it stays independent of the first-hop kernels that FNBP
+// uses.
 //
-// Costs are compared with s.Better; two costs tie when neither is better.
+// Costs are compared with lex.Better; two costs tie when neither is better.
 // The ≺ ordering uses the direct link's cost, with smaller NodeID breaking
 // ties, exactly like the scalar implementation.
-func SelectFNBPSemiring[C metric.Cost](view *graph.LocalView, s metric.Semiring[C], loopFix LoopFixMode) ([]int32, error) {
+func SelectFNBPLex(view *graph.LocalView, lex metric.Lexicographic, loopFix LoopFixMode) ([]int32, error) {
 	g := view.G
-
-	ties := func(a, b C) bool { return !s.Better(a, b) && !s.Better(b, a) }
+	wp, ws, err := graph.LexWeights(g, lex)
+	if err != nil {
+		return nil, err
+	}
+	ties := func(a, b metric.LexCost) bool { return !lex.Better(a, b) && !lex.Better(b, a) }
+	cost := func(sp *graph.ShortestPaths, v int32) metric.LexCost {
+		return metric.LexCost{Primary: sp.Dist[v], Secondary: sp.Second[v]}
+	}
 
 	// Direct link costs per N1 position.
-	direct := make([]C, len(view.N1))
-	channels := make(map[string][]float64)
-	for _, ch := range g.Channels() {
-		ws, err := g.Weights(ch)
-		if err != nil {
-			return nil, err
-		}
-		channels[ch] = ws
-	}
-	linkCost := func(e int) (C, error) {
-		wmap := make(map[string]float64, len(channels))
-		for ch, ws := range channels {
-			wmap[ch] = ws[e]
-		}
-		return s.LinkCost(wmap)
-	}
+	direct := make([]metric.LexCost, len(view.N1))
 	for i, x := range view.N1 {
 		e, ok := g.EdgeBetween(view.U, x)
 		if !ok {
 			return nil, fmt.Errorf("core: missing edge %d-%d", view.U, x)
 		}
-		c, err := linkCost(e)
-		if err != nil {
-			return nil, err
-		}
-		direct[i] = c
+		direct[i] = metric.LexCost{Primary: wp[e], Secondary: ws[e]}
 	}
 
 	// Optimal costs from the center within the view.
-	from, err := graph.DijkstraGeneric[C](g, s, view.U, view, -1)
-	if err != nil {
-		return nil, err
-	}
+	var fromScratch, subScratch graph.Scratch
+	from := fromScratch.DijkstraLex(g, lex, wp, ws, view.U, view, -1)
 	// First-hop sets from the definition: hop i ∈ fP(u,v) iff
 	// combine(direct[i], cost_{G_u − u}(hop, v)) ties the optimum.
 	fp := make(map[int32][]int32, len(view.N1)+len(view.N2)) // target -> N1 positions
 	for i, hop := range view.N1 {
-		sub, err := graph.DijkstraGeneric[C](g, s, hop, view, view.U)
-		if err != nil {
-			return nil, err
-		}
+		sub := subScratch.DijkstraLex(g, lex, wp, ws, hop, view, view.U)
 		for _, v := range view.Targets() {
-			if !from.Reached[v] || !sub.Reached[v] {
+			if !from.Reachable(v) || !sub.Reachable(v) {
 				continue
 			}
-			if ties(s.Combine(direct[i], sub.Cost[v]), from.Cost[v]) {
+			if ties(lex.Combine(direct[i], cost(sub, v)), cost(from, v)) {
 				fp[v] = append(fp[v], int32(i))
 			}
 		}
 	}
 
 	preferPos := func(i, j int32) bool {
-		if s.Better(direct[i], direct[j]) {
+		if lex.Better(direct[i], direct[j]) {
 			return true
 		}
-		if s.Better(direct[j], direct[i]) {
+		if lex.Better(direct[j], direct[i]) {
 			return false
 		}
 		return i < j

@@ -9,27 +9,30 @@ import (
 	"qolsr/internal/metric"
 )
 
-// The semiring FNBP under a scalar semiring must match the float64
-// implementation exactly.
-func TestSelectFNBPSemiringScalarMatchesScalar(t *testing.T) {
+// The lexicographic FNBP under the neutral pair Lexicographic{m, m} must
+// match the float64 implementation exactly.
+func TestSelectFNBPLexNeutralMatchesFNBP(t *testing.T) {
 	rng := rand.New(rand.NewSource(111))
 	for trial := 0; trial < 15; trial++ {
 		g := randomWeightedGraph(rng, 12, 0.3)
 		for _, m := range []metric.Metric{metric.Bandwidth(), metric.Delay()} {
 			w, _ := g.Weights(m.Name())
-			s := metric.Scalar{Metric: m}
+			lex := metric.Lexicographic{
+				PrimaryMetric: m, SecondaryMetric: m,
+				PrimaryWeight: m.Name(), SecondaryWeight: m.Name(),
+			}
 			for u := int32(0); int(u) < g.N(); u++ {
 				lv := graph.NewLocalView(g, u)
 				plain, err := FNBP{}.Select(lv, m, w)
 				if err != nil {
 					t.Fatal(err)
 				}
-				gen, err := SelectFNBPSemiring[float64](lv, s, LoopFixLiteral)
+				gen, err := SelectFNBPLex(lv, lex, LoopFixLiteral)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if !reflect.DeepEqual(plain, gen) {
-					t.Fatalf("trial %d %s u=%d: scalar %v != semiring %v",
+					t.Fatalf("trial %d %s u=%d: scalar %v != lex %v",
 						trial, m.Name(), u, plain, gen)
 				}
 			}
@@ -40,7 +43,7 @@ func TestSelectFNBPSemiringScalarMatchesScalar(t *testing.T) {
 // Multi-criterion selection (future work Sec. V): bandwidth first, energy
 // as tie-break. Between two equally wide first hops, the energy-cheaper one
 // must be selected.
-func TestSelectFNBPSemiringLexBandwidthEnergy(t *testing.T) {
+func TestSelectFNBPLexBandwidthEnergy(t *testing.T) {
 	g := graph.New(4) // 0=u, 1=a, 2=b, 3=x (2-hop target)
 	type ew struct {
 		a, b   int32
@@ -65,7 +68,7 @@ func TestSelectFNBPSemiringLexBandwidthEnergy(t *testing.T) {
 		PrimaryWeight:   "bandwidth",
 		SecondaryWeight: "energy",
 	}
-	ans, err := SelectFNBPSemiring[metric.LexCost](lv, lex, LoopFixLiteral)
+	ans, err := SelectFNBPLex(lv, lex, LoopFixLiteral)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +89,7 @@ func TestSelectFNBPSemiringLexBandwidthEnergy(t *testing.T) {
 	}
 }
 
-func TestSelectFNBPSemiringMissingChannel(t *testing.T) {
+func TestSelectFNBPLexMissingChannel(t *testing.T) {
 	g := graph.New(2)
 	e := g.MustAddEdge(0, 1)
 	if err := g.SetWeight("bandwidth", e, 1); err != nil {
@@ -99,7 +102,7 @@ func TestSelectFNBPSemiringMissingChannel(t *testing.T) {
 		PrimaryWeight:   "bandwidth",
 		SecondaryWeight: "energy",
 	}
-	if _, err := SelectFNBPSemiring[metric.LexCost](lv, lex, LoopFixLiteral); err == nil {
+	if _, err := SelectFNBPLex(lv, lex, LoopFixLiteral); err == nil {
 		t.Error("missing energy channel accepted")
 	}
 }

@@ -34,7 +34,7 @@ func (l *Layout) Lay(ids []NodeID, ends [][2]int32, channel string, w []float64)
 		g.weights = make([]weightChannel, 1)
 	}
 	g.weights[0] = weightChannel{channel, w}
-	l.off = resizeInt32(l.off, len(ids)+1)
+	l.off = resize(l.off, len(ids)+1)
 	l.arcs = g.layout(l.arcs, l.off)
 	return g
 }

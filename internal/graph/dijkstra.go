@@ -5,37 +5,49 @@ import (
 )
 
 // ShortestPaths is the result of a Dijkstra search: optimal path values from
-// one source under one metric, with a single optimal predecessor per node for
-// path extraction.
+// one source, with a single optimal predecessor per node for path
+// extraction.
+//
+// The search settles a two-part key per node: (primary value, secondary
+// value). The primary is the metric the search optimises; the secondary
+// breaks exact primary ties. Dijkstra is the case whose secondary is
+// metric.Hop(), so a plain search prefers, among equally good paths, the
+// one with fewer hops; DijkstraLex runs the same loop with a second metric
+// over its own weights (metric.Lexicographic).
 //
 // The recorded predecessor tree is canonical: each node keeps one
-// (value, hops) label, replaced by a better value or, at an equal value, by
-// fewer hops, and among equal labels the predecessor with the smallest node
-// ID wins. The (Dist, prev) pair is therefore a pure function of the edge
-// set, the weights, and the node IDs — independent of edge insertion order,
-// node index assignment, and heap mechanics — so two constructions of one
-// graph route identically, bit for bit.
+// (primary, secondary) label, replaced only by a strictly better one, and
+// among equal labels the predecessor with the smallest node ID wins. When
+// every link strictly worsens the key — as the hop count always does — the
+// (Dist, Second, prev) triple is therefore a pure function of the edge set,
+// the weights, and the node IDs, independent of edge insertion order, node
+// index assignment, and heap mechanics, so two constructions of one graph
+// route identically, bit for bit.
 //
-// The hop count is the fewest along the settled label tree, which is not
-// always the fewest among optimal paths. Under an additive metric the two
-// agree: the (value, hops) order survives extension by a link. Under a
-// concave metric (bandwidth) it does not: a wider, longer path to an
+// The secondary value is the one along the settled label tree, which is not
+// always the best among primary-optimal paths. Under an additive primary
+// the two agree: the two-part order survives extension by a link. Under a
+// concave primary (bandwidth) it does not: a wider, longer path to an
 // intermediate node wins its label, and a destination behind a narrower
-// link inherits that longer hop count though a shorter path of the same
-// width exists. ROADMAP item 2 tracks the exact order; hop-by-hop
-// forwarding on this one can loop on width ties.
+// link inherits that longer hop count (or costlier secondary) though a
+// shorter path of the same width exists. ROADMAP item 2 tracks the exact
+// order; hop-by-hop forwarding on this one can loop on width ties.
 type ShortestPaths struct {
 	// Source is the search origin.
 	Source int32
-	// Dist maps each node to its optimal path value from Source, or
-	// metric.Worst() when unreachable (or outside the searched view).
+	// Dist maps each node to its optimal path value from Source under the
+	// primary metric, or its Worst() when unreachable (or outside the
+	// searched view).
 	Dist []float64
+	// Second maps each node to its settled label's secondary value: the
+	// hop count for Dijkstra, the secondary metric's path value for
+	// DijkstraLex, and the secondary's Worst() when unreachable.
+	Second []float64
 	// Reached lists reached nodes in pop order (Source first), which is
-	// nondecreasing in the canonical (value, hops) key.
+	// nondecreasing in the (primary, secondary) key.
 	Reached []int32
 
 	prev []int32
-	hops []int32
 }
 
 // PathTo returns one optimal path from the source to t as node indices
@@ -66,8 +78,8 @@ func (sp *ShortestPaths) Reachable(t int32) bool { return sp.prev[t] != -2 }
 // destination when a whole routing table is being extracted.
 func (sp *ShortestPaths) FirstHops(first, hops []int32) (f, h []int32) {
 	n := len(sp.Dist)
-	first = resizeInt32(first, n)
-	hops = resizeInt32(hops, n)
+	first = resize(first, n)
+	hops = resize(hops, n)
 	for i := range first {
 		first[i] = -1
 		hops[i] = 0
@@ -86,20 +98,19 @@ func (sp *ShortestPaths) FirstHops(first, hops []int32) (f, h []int32) {
 	return first, hops
 }
 
-// heapItem is one pending entry of the search frontier (lazy deletion). Its
-// key is the path value under an additive metric and the value negated under
-// a concave one, so that a smaller key is always a better value
-// (metric.Kind states the order).
+// heapItem is one pending entry of the search frontier (lazy deletion). Each
+// key is its level's path value under an additive metric and the value
+// negated under a concave one, so that a smaller key is always a better
+// value (metric.Kind states the order).
 type heapItem struct {
-	key  float64
-	hops int32
-	node int32
+	key, key2 float64
+	node      int32
 }
 
-// keyLess is the canonical frontier order: smaller key (better metric value)
-// first, fewer hops on ties. It compares two floats and two hop counts and
-// makes no call through the metric. The predecessor-ID tie-break needs no
-// heap participation — equal-key candidates only ever update prev in place.
+// keyLess is the canonical frontier order: smaller primary key first, then
+// smaller secondary key. It compares floats and makes no call through the
+// metrics. The predecessor-ID tie-break needs no heap participation —
+// equal-key candidates only ever update prev in place.
 func keyLess(a, b heapItem) bool {
 	switch {
 	case a.key < b.key:
@@ -107,7 +118,16 @@ func keyLess(a, b heapItem) bool {
 	case b.key < a.key:
 		return false
 	}
-	return a.hops < b.hops
+	return a.key2 < b.key2
+}
+
+// keySign is the factor turning m's path values into heap keys (see
+// heapItem).
+func keySign(m metric.Metric) float64 {
+	if m.Kind() == metric.Concave {
+		return -1
+	}
+	return 1
 }
 
 // Dijkstra computes optimal path values from src in g under metric m with
@@ -154,10 +174,10 @@ type Scratch struct {
 // not be used afterwards.
 func (s *Scratch) Reset() { *s = Scratch{} }
 
-// resizeInt32 returns buf with length n, reusing its storage when possible.
-func resizeInt32(buf []int32, n int) []int32 {
+// resize returns buf with length n, reusing its storage when possible.
+func resize[T any](buf []T, n int) []T {
 	if cap(buf) < n {
-		return make([]int32, n)
+		return make([]T, n)
 	}
 	return buf[:n]
 }
@@ -166,41 +186,45 @@ func resizeInt32(buf []int32, n int) []int32 {
 // buffers. The returned ShortestPaths is owned by the Scratch and is
 // overwritten by the next call.
 func (s *Scratch) Dijkstra(g *Graph, m metric.Metric, w []float64, src int32, view *LocalView, exclude int32) *ShortestPaths {
+	return s.DijkstraLex(g, metric.Lexicographic{PrimaryMetric: m, SecondaryMetric: metric.Hop()}, w, w, src, view, exclude)
+}
+
+// DijkstraLex is Dijkstra under lex's two-part order: lex.PrimaryMetric over
+// the weights wp decides, and exact ties fall to lex.SecondaryMetric over
+// ws. Dist holds the primary values and Second the secondary ones (see
+// ShortestPaths for what the settled secondary is when the primary is
+// concave). The weight channels lex names are not read; LexWeights fetches
+// them. The result is owned by the Scratch, as Dijkstra's is.
+func (s *Scratch) DijkstraLex(g *Graph, lex metric.Lexicographic, wp, ws []float64, src int32, view *LocalView, exclude int32) *ShortestPaths {
+	m, m2 := lex.PrimaryMetric, lex.SecondaryMetric
 	n := g.N()
 	sp := &s.sp
 	sp.Source = src
-	if cap(sp.Dist) < n {
-		sp.Dist = make([]float64, n)
-	}
-	sp.Dist = sp.Dist[:n]
-	sp.prev = resizeInt32(sp.prev, n)
-	sp.hops = resizeInt32(sp.hops, n)
+	sp.Dist = resize(sp.Dist, n)
+	sp.Second = resize(sp.Second, n)
+	sp.prev = resize(sp.prev, n)
 	sp.Reached = sp.Reached[:0]
-	worst := m.Worst()
+	worst, worst2 := m.Worst(), m2.Worst()
 	for i := range sp.Dist {
 		sp.Dist[i] = worst
+		sp.Second[i] = worst2
 		sp.prev[i] = -2
-		sp.hops[i] = 0
 	}
 	if src == exclude || (view != nil && !view.InView(src)) {
 		return sp
 	}
 	sp.Dist[src] = m.Identity()
+	sp.Second[src] = m2.Identity()
 	sp.prev[src] = -1
-	sign := 1.0 // the heap key of value v is sign·v (see heapItem)
-	if m.Kind() == metric.Concave {
-		sign = -1
-	}
+	sign, sign2 := keySign(m), keySign(m2)
 
-	if cap(s.done) < n {
-		s.done = make([]bool, n)
-	}
-	done := s.done[:n]
+	s.done = resize(s.done, n)
+	done := s.done
 	for i := range done {
 		done[i] = false
 	}
 	heap := s.heap[:0]
-	heap = pushHeap(heap, heapItem{key: sign * sp.Dist[src], hops: 0, node: src})
+	heap = pushHeap(heap, heapItem{key: sign * sp.Dist[src], key2: sign2 * sp.Second[src], node: src})
 	for len(heap) > 0 {
 		var top heapItem
 		top, heap = popHeap(heap)
@@ -218,26 +242,43 @@ func (s *Scratch) Dijkstra(g *Graph, m metric.Metric, w []float64, src int32, vi
 			if view != nil && !view.HasViewEdge(x, y) {
 				continue
 			}
-			v := m.Combine(sp.Dist[x], w[arc.Edge])
-			cand := heapItem{key: sign * v, hops: sp.hops[x] + 1, node: y}
+			v := m.Combine(sp.Dist[x], wp[arc.Edge])
+			v2 := m2.Combine(sp.Second[x], ws[arc.Edge])
+			cand := heapItem{key: sign * v, key2: sign2 * v2, node: y}
 			switch {
-			case sp.prev[y] == -2 || keyLess(cand, heapItem{key: sign * sp.Dist[y], hops: sp.hops[y]}):
+			case sp.prev[y] == -2 || keyLess(cand, heapItem{key: sign * sp.Dist[y], key2: sign2 * sp.Second[y]}):
 				sp.Dist[y] = v
-				sp.hops[y] = cand.hops
+				sp.Second[y] = v2
 				sp.prev[y] = x
 				heap = pushHeap(heap, cand)
-			case v == sp.Dist[y] && cand.hops == sp.hops[y] && g.ID(x) < g.ID(sp.prev[y]):
-				// Equal canonical key through a smaller-ID predecessor:
-				// reroute the tree edge in place. The label (value, hops)
-				// is unchanged, so no re-push is needed — and every such
-				// candidate arrives before y pops, because its offerer's
-				// key is strictly smaller than y's.
+			case v == sp.Dist[y] && v2 == sp.Second[y] && g.ID(x) < g.ID(sp.prev[y]):
+				// Equal key through a smaller-ID predecessor: reroute
+				// the tree edge in place. The label is unchanged, so no
+				// re-push is needed — and when links strictly worsen
+				// the key every such candidate arrives before y pops,
+				// because its offerer's key is strictly smaller than
+				// y's.
 				sp.prev[y] = x
 			}
 		}
 	}
 	s.heap = heap[:0]
 	return sp
+}
+
+// LexWeights returns the weight slices of the two channels lex names. A
+// graph without links needs neither channel.
+func LexWeights(g *Graph, lex metric.Lexicographic) (wp, ws []float64, err error) {
+	if g.M() == 0 {
+		return nil, nil, nil
+	}
+	if wp, err = g.Weights(lex.PrimaryWeight); err != nil {
+		return nil, nil, err
+	}
+	if ws, err = g.Weights(lex.SecondaryWeight); err != nil {
+		return nil, nil, err
+	}
+	return wp, ws, nil
 }
 
 // pushHeap inserts it into the binary heap ordered so that the best

@@ -238,7 +238,7 @@ func (s *ViewScratch) firstHopsConcave(view *LocalView, m metric.Metric, w []flo
 	uf := &s.uf
 	uf.Reset(n)
 	s.active = append(s.active[:0], make([]uint64, n*blocks)...)
-	s.pend, s.next = resizeInt32(s.pend, n), resizeInt32(s.next, n)
+	s.pend, s.next = resize(s.pend, n), resize(s.next, n)
 	active, pend, next := s.active, s.pend, s.next
 	for i := range pend {
 		pend[i], next[i] = int32(i), int32(i)

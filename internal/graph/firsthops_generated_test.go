@@ -53,7 +53,8 @@ func checkConcaveFirstHops(t *testing.T, what string, lv *graph.LocalView, w []f
 }
 
 // checkConcaveFNBP asserts FNBP selects one set from the fast first hops, the
-// reference ones and the semiring search.
+// reference ones and the definition-level lexicographic selection under the
+// neutral pair (bandwidth, bandwidth).
 func checkConcaveFNBP(t *testing.T, what string, lv *graph.LocalView, w []float64) {
 	t.Helper()
 	m := metric.Bandwidth()
@@ -65,12 +66,15 @@ func checkConcaveFNBP(t *testing.T, what string, lv *graph.LocalView, w []float6
 	if err != nil {
 		t.Fatal(err)
 	}
-	semi, err := core.SelectFNBPSemiring[float64](lv, metric.Scalar{Metric: m}, core.LoopFixLiteral)
+	lex, err := core.SelectFNBPLex(lv, metric.Lexicographic{
+		PrimaryMetric: m, SecondaryMetric: m,
+		PrimaryWeight: m.Name(), SecondaryWeight: m.Name(),
+	}, core.LoopFixLiteral)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !slices.Equal(ans, viaRef) || !slices.Equal(ans, semi) {
-		t.Fatalf("%s: FNBP fast %v, reference %v, semiring %v", what, ans, viaRef, semi)
+	if !slices.Equal(ans, viaRef) || !slices.Equal(ans, lex) {
+		t.Fatalf("%s: FNBP fast %v, reference %v, lex %v", what, ans, viaRef, lex)
 	}
 }
 

@@ -55,7 +55,7 @@ func NewLocalView(g *Graph, u int32) *LocalView {
 func (lv *LocalView) init(g *Graph, u int32) {
 	lv.G, lv.U = g, u
 	lv.role = append(lv.role[:0], make([]Role, g.N())...)
-	lv.pos = resizeInt32(lv.pos, g.N())
+	lv.pos = resize(lv.pos, g.N())
 	lv.N1, lv.N2 = lv.N1[:0], lv.N2[:0]
 	lv.role[u] = RoleCenter
 	for _, arc := range g.Arcs(u) {
@@ -76,7 +76,7 @@ func (lv *LocalView) init(g *Graph, u int32) {
 			lv.pos[x] = int32(i)
 		}
 	}
-	lv.direct = resizeInt32(lv.direct, len(lv.N1))
+	lv.direct = resize(lv.direct, len(lv.N1))
 	for _, arc := range g.Arcs(u) {
 		lv.direct[lv.pos[arc.To]] = arc.Edge
 	}
@@ -120,7 +120,7 @@ func (lv *LocalView) Int32Scratch(n int) []int32 {
 	if lv.scratch == nil {
 		return make([]int32, n)
 	}
-	lv.scratch.work = resizeInt32(lv.scratch.work, n)
+	lv.scratch.work = resize(lv.scratch.work, n)
 	clear(lv.scratch.work)
 	return lv.scratch.work
 }

@@ -87,9 +87,9 @@ func TestScratchShrinkAndReset(t *testing.T) {
 
 	small, sw := randomWeighted(t, 7, 0.5, m.Name(), 13)
 	got := s.Dijkstra(small, m, sw, 2, nil, -1)
-	if len(got.Dist) != small.N() || len(got.prev) != small.N() || len(got.hops) != small.N() {
+	if len(got.Dist) != small.N() || len(got.prev) != small.N() || len(got.Second) != small.N() {
 		t.Fatalf("buffer lengths (%d,%d,%d) not cut to n=%d after shrink",
-			len(got.Dist), len(got.prev), len(got.hops), small.N())
+			len(got.Dist), len(got.prev), len(got.Second), small.N())
 	}
 	for _, x := range got.Reached {
 		if int(x) >= small.N() {
@@ -104,7 +104,7 @@ func TestScratchShrinkAndReset(t *testing.T) {
 	}
 
 	s.Reset()
-	if s.sp.Dist != nil || s.sp.prev != nil || s.sp.hops != nil || s.sp.Reached != nil || s.done != nil || s.heap != nil {
+	if s.sp.Dist != nil || s.sp.prev != nil || s.sp.Second != nil || s.sp.Reached != nil || s.done != nil || s.heap != nil {
 		t.Fatal("Reset left retained buffers behind")
 	}
 	got = s.Dijkstra(small, m, sw, 2, nil, -1)

@@ -248,15 +248,12 @@ func TestDefaultInterval(t *testing.T) {
 	}
 }
 
-func TestLexicographicSemiring(t *testing.T) {
+func TestLexicographicOrder(t *testing.T) {
 	lex := Lexicographic{
 		PrimaryMetric:   Bandwidth(),
 		SecondaryMetric: Energy(),
 		PrimaryWeight:   "bandwidth",
 		SecondaryWeight: "energy",
-	}
-	if lex.Name() != "bandwidth+energy" {
-		t.Errorf("Name() = %q", lex.Name())
 	}
 	a := LexCost{Primary: 5, Secondary: 2}
 	b := LexCost{Primary: 5, Secondary: 1}
@@ -274,63 +271,5 @@ func TestLexicographicSemiring(t *testing.T) {
 	got := lex.Combine(LexCost{Primary: 5, Secondary: 2}, LexCost{Primary: 3, Secondary: 4})
 	if got.Primary != 3 || got.Secondary != 6 {
 		t.Errorf("Combine = %+v, want {3 6}", got)
-	}
-	id := lex.Identity()
-	if !math.IsInf(id.Primary, 1) || id.Secondary != 0 {
-		t.Errorf("Identity = %+v", id)
-	}
-	w := lex.Worst()
-	if !math.IsInf(w.Primary, -1) || !math.IsInf(w.Secondary, 1) {
-		t.Errorf("Worst = %+v", w)
-	}
-}
-
-func TestLexicographicLinkCost(t *testing.T) {
-	lex := Lexicographic{
-		PrimaryMetric:   Bandwidth(),
-		SecondaryMetric: Energy(),
-		PrimaryWeight:   "bandwidth",
-		SecondaryWeight: "energy",
-	}
-	c, err := lex.LinkCost(map[string]float64{"bandwidth": 4, "energy": 7})
-	if err != nil {
-		t.Fatalf("LinkCost error: %v", err)
-	}
-	if c.Primary != 4 || c.Secondary != 7 {
-		t.Errorf("LinkCost = %+v", c)
-	}
-	if _, err := lex.LinkCost(map[string]float64{"bandwidth": 4}); err == nil {
-		t.Error("missing energy channel accepted")
-	}
-	if _, err := lex.LinkCost(map[string]float64{"energy": 4}); err == nil {
-		t.Error("missing bandwidth channel accepted")
-	}
-}
-
-func TestScalarSemiring(t *testing.T) {
-	s := Scalar{Metric: Delay()}
-	v, err := s.LinkCost(map[string]float64{"delay": 2.5})
-	if err != nil {
-		t.Fatalf("LinkCost error: %v", err)
-	}
-	if v != 2.5 {
-		t.Errorf("LinkCost = %v", v)
-	}
-	if _, err := s.LinkCost(map[string]float64{"bandwidth": 1}); err == nil {
-		t.Error("missing channel accepted")
-	}
-	custom := Scalar{Metric: Delay(), Weight: "rtt"}
-	v, err = custom.LinkCost(map[string]float64{"rtt": 9})
-	if err != nil || v != 9 {
-		t.Errorf("custom channel LinkCost = %v, %v", v, err)
-	}
-	if s.Combine(1, 2) != 3 || !s.Better(1, 2) || s.Identity() != 0 {
-		t.Error("Scalar does not delegate to wrapped metric")
-	}
-	if !math.IsInf(s.Worst(), 1) {
-		t.Errorf("Worst = %v", s.Worst())
-	}
-	if s.Name() != "delay" {
-		t.Errorf("Name = %q", s.Name())
 	}
 }

@@ -1,30 +1,5 @@
 package metric
 
-import (
-	"fmt"
-	"math"
-)
-
-// Cost is a generic path value used by the generic (semiring) algorithms in
-// internal/graph. The float64-based Metric interface covers the paper's two
-// single-criterion metrics; Semiring covers the future-work multi-criterion
-// case (Sec. V: "minimizing energy-consumption while providing good
-// bandwidth").
-type Cost any
-
-// Semiring generalises Metric to arbitrary cost types. LinkCost converts a
-// link's raw weight vector into a cost; Combine and Better compose and
-// compare path costs.
-type Semiring[C Cost] interface {
-	Name() string
-	// LinkCost maps the named weights of one link to a cost.
-	LinkCost(weights map[string]float64) (C, error)
-	Combine(pathCost, linkCost C) C
-	Better(a, b C) bool
-	Identity() C
-	Worst() C
-}
-
 // LexCost is a two-level lexicographic cost: Primary decides, Secondary
 // breaks ties.
 type LexCost struct {
@@ -34,8 +9,9 @@ type LexCost struct {
 
 // Lexicographic combines two float64 metrics lexicographically: primary
 // decides, and exact primary ties fall through to secondary. This realises
-// the paper's future-work multi-criterion selection, e.g. maximise bandwidth
-// and, among equally wide paths, minimise energy.
+// the paper's future-work multi-criterion selection (Sec. V: "minimizing
+// energy-consumption while providing good bandwidth"), e.g. maximise
+// bandwidth and, among equally wide paths, minimise energy.
 type Lexicographic struct {
 	// PrimaryMetric and SecondaryMetric define composition and comparison
 	// per level.
@@ -45,25 +21,8 @@ type Lexicographic struct {
 	PrimaryWeight, SecondaryWeight string
 }
 
-// Name implements Semiring.
-func (l Lexicographic) Name() string {
-	return l.PrimaryMetric.Name() + "+" + l.SecondaryMetric.Name()
-}
-
-// LinkCost implements Semiring.
-func (l Lexicographic) LinkCost(weights map[string]float64) (LexCost, error) {
-	p, ok := weights[l.PrimaryWeight]
-	if !ok {
-		return LexCost{}, fmt.Errorf("metric: link has no %q weight", l.PrimaryWeight)
-	}
-	s, ok := weights[l.SecondaryWeight]
-	if !ok {
-		return LexCost{}, fmt.Errorf("metric: link has no %q weight", l.SecondaryWeight)
-	}
-	return LexCost{Primary: p, Secondary: s}, nil
-}
-
-// Combine implements Semiring.
+// Combine extends a path of cost pathCost by one link of cost linkCost, each
+// level through its own metric.
 func (l Lexicographic) Combine(pathCost, linkCost LexCost) LexCost {
 	return LexCost{
 		Primary:   l.PrimaryMetric.Combine(pathCost.Primary, linkCost.Primary),
@@ -71,7 +30,8 @@ func (l Lexicographic) Combine(pathCost, linkCost LexCost) LexCost {
 	}
 }
 
-// Better implements Semiring.
+// Better reports whether cost a is strictly better than b: a better primary,
+// or an equal primary and a better secondary.
 func (l Lexicographic) Better(a, b LexCost) bool {
 	if l.PrimaryMetric.Better(a.Primary, b.Primary) {
 		return true
@@ -81,58 +41,3 @@ func (l Lexicographic) Better(a, b LexCost) bool {
 	}
 	return l.SecondaryMetric.Better(a.Secondary, b.Secondary)
 }
-
-// Identity implements Semiring.
-func (l Lexicographic) Identity() LexCost {
-	return LexCost{Primary: l.PrimaryMetric.Identity(), Secondary: l.SecondaryMetric.Identity()}
-}
-
-// Worst implements Semiring.
-func (l Lexicographic) Worst() LexCost {
-	return LexCost{Primary: l.PrimaryMetric.Worst(), Secondary: l.SecondaryMetric.Worst()}
-}
-
-// Scalar adapts a float64 Metric into a Semiring over a single named weight
-// channel, so the generic algorithms can also run the paper's metrics.
-type Scalar struct {
-	Metric Metric
-	// Weight names the link-weight channel to read; when empty the
-	// metric's own name is used.
-	Weight string
-}
-
-// Name implements Semiring.
-func (s Scalar) Name() string { return s.Metric.Name() }
-
-// LinkCost implements Semiring.
-func (s Scalar) LinkCost(weights map[string]float64) (float64, error) {
-	channel := s.Weight
-	if channel == "" {
-		channel = s.Metric.Name()
-	}
-	w, ok := weights[channel]
-	if !ok {
-		return math.NaN(), fmt.Errorf("metric: link has no %q weight", channel)
-	}
-	return w, nil
-}
-
-// Combine implements Semiring.
-func (s Scalar) Combine(pathCost, linkCost float64) float64 {
-	return s.Metric.Combine(pathCost, linkCost)
-}
-
-// Better implements Semiring.
-func (s Scalar) Better(a, b float64) bool { return s.Metric.Better(a, b) }
-
-// Identity implements Semiring.
-func (s Scalar) Identity() float64 { return s.Metric.Identity() }
-
-// Worst implements Semiring.
-func (s Scalar) Worst() float64 { return s.Metric.Worst() }
-
-// Compile-time interface compliance checks.
-var (
-	_ Semiring[LexCost] = Lexicographic{}
-	_ Semiring[float64] = Scalar{}
-)

@@ -72,16 +72,6 @@ func (d *DirectedAdvertised) deliveredFrom(reach []bool, dst int32) bool {
 	return false
 }
 
-// Delivers reports whether a packet from src can reach dst: following
-// directed advertised hops from src until some visited node is a physical
-// neighbor of dst (or dst itself).
-func (d *DirectedAdvertised) Delivers(src, dst int32) bool {
-	if src == dst {
-		return true
-	}
-	return d.deliveredFrom(d.reachSet(src), dst)
-}
-
 // DeliveryRatio evaluates delivery over every ordered pair connected in the
 // physical graph and returns the delivered fraction. One directed BFS per
 // source, then O(degree) per destination.

@@ -9,6 +9,16 @@ import (
 	"qolsr/internal/paperex"
 )
 
+// Delivers reports whether a packet from src can reach dst: following
+// directed advertised hops from src until some visited node is a physical
+// neighbor of dst (or dst itself).
+func (d *DirectedAdvertised) Delivers(src, dst int32) bool {
+	if src == dst {
+		return true
+	}
+	return d.deliveredFrom(d.reachSet(src), dst)
+}
+
 func fig4Sets(t *testing.T, fix core.LoopFixMode) (*paperex.Fixture, [][]int32) {
 	t.Helper()
 	f := paperex.Figure4()

@@ -175,19 +175,21 @@ func EvaluatePair(phys, adv *graph.Graph, m metric.Metric, channel string, src, 
 		lex := metric.Lexicographic{
 			PrimaryMetric:   metric.Hop(),
 			SecondaryMetric: m,
-			PrimaryWeight:   channel,
+			PrimaryWeight:   channel, // Hop ignores the value
 			SecondaryWeight: channel,
 		}
-		gs, err := graph.DijkstraGeneric[metric.LexCost](adv, lex, src, nil, -1)
+		wp, ws, err := graph.LexWeights(adv, lex)
 		if err != nil {
 			return PairEval{}, err
 		}
-		if !gs.Reached[dst] {
+		var s graph.Scratch
+		sp := s.DijkstraLex(adv, lex, wp, ws, src, nil, -1)
+		if !sp.Reachable(dst) {
 			return ev, nil
 		}
 		ev.Delivered = true
-		ev.Achieved = gs.Cost[dst].Secondary
-		ev.Hops = int(gs.Cost[dst].Primary)
+		ev.Achieved = sp.Second[dst]
+		ev.Hops = int(sp.Dist[dst])
 	default:
 		return PairEval{}, fmt.Errorf("route: unknown policy %v", policy)
 	}

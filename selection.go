@@ -5,7 +5,6 @@ package qolsr
 
 import (
 	"qolsr/internal/core"
-	"qolsr/internal/metric"
 	"qolsr/internal/mpr"
 )
 
@@ -54,5 +53,5 @@ var (
 // SelectFNBPLex runs FNBP under a lexicographic two-criterion cost, the
 // paper's future-work extension (Sec. V).
 func SelectFNBPLex(view *LocalView, lex Lexicographic, loopFix LoopFixMode) ([]int32, error) {
-	return core.SelectFNBPSemiring[metric.LexCost](view, lex, loopFix)
+	return core.SelectFNBPLex(view, lex, loopFix)
 }
