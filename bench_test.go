@@ -134,21 +134,13 @@ func benchSelector(b *testing.B, sel qolsr.Selector, m qolsr.Metric, degree floa
 }
 
 // BenchmarkFNBPFast measures the paper's algorithm with the fast first-hop
-// computation (ablation A3, fast side).
+// computation (ablation A3, fast side; the slow side, the same selection on
+// the definition-level first hops, is BenchmarkFNBPReference in
+// internal/core).
 func BenchmarkFNBPFast(b *testing.B) {
 	for _, m := range []qolsr.Metric{qolsr.Bandwidth(), qolsr.Delay()} {
 		b.Run(m.Name(), func(b *testing.B) {
 			benchSelector(b, qolsr.FNBP{}, m, 15)
-		})
-	}
-}
-
-// BenchmarkFNBPReference measures the definition-level first-hop oracle
-// (ablation A3, slow side).
-func BenchmarkFNBPReference(b *testing.B) {
-	for _, m := range []qolsr.Metric{qolsr.Bandwidth(), qolsr.Delay()} {
-		b.Run(m.Name(), func(b *testing.B) {
-			benchSelector(b, qolsr.FNBP{UseReference: true}, m, 15)
 		})
 	}
 }

@@ -25,16 +25,14 @@ import (
 //     is a direct neighbor of v, so that v keeps an advertised access link
 //     and mutual-selection loops cannot isolate it.
 //
-// The zero value is the paper's algorithm; the fields toggle ablations.
+// The zero value is the paper's algorithm. The rules live in one body,
+// selectFNBP, whatever computed the first-hop sets: the fast kernels here,
+// the lexicographic search in SelectFNBPLex, the definition-level oracle in
+// tests.
 type FNBP struct {
 	// LoopFix selects the Fig. 4 rule variant; the zero value is the
 	// paper's pseudocode (LoopFixLiteral).
 	LoopFix LoopFixMode
-	// UseReference computes first-hop sets with the O(|N1|·Dijkstra)
-	// definition-level oracle instead of the fast single-search
-	// algorithms. Results are identical (property-tested); this exists
-	// for ablation A3 and debugging.
-	UseReference bool
 }
 
 // LoopFixMode selects how the step-2 else branch (paper Algorithm 1 lines
@@ -120,22 +118,31 @@ func (f FNBP) SelectFull(view *graph.LocalView, m metric.Metric, w []float64) (*
 	return sel, nil
 }
 
-// SelectWithStats runs the selection and returns the advertised set and the
-// rule-level statistics.
-func (f FNBP) SelectWithStats(view *graph.LocalView, m metric.Metric, w []float64) ([]int32, Stats, error) {
-	return f.run(view, m, w, nil)
+// run feeds the fast first hops and m's order on the direct links to the
+// selection body.
+func (f FNBP) run(view *graph.LocalView, m metric.Metric, w []float64, cover map[int32]int32) ([]int32, Stats, error) {
+	fh, err := graph.ComputeFirstHops(view, m, w)
+	if err != nil {
+		return nil, Stats{}, fmt.Errorf("core: fnbp: %w", err)
+	}
+	ans, stats := selectFNBP(view, fh, directBetter(m, fh), f.LoopFix, cover)
+	return ans, stats, nil
 }
 
-// run is the selection itself. The forwarding assignments go into cover when
-// it is non-nil; apart from that map's entries the only allocation is the
-// returned set.
-func (f FNBP) run(view *graph.LocalView, m metric.Metric, w []float64, cover map[int32]int32) ([]int32, Stats, error) {
+// directBetter is ≺'s strict part under a scalar metric: the direct link at
+// N1 position i is better than the one at j.
+func directBetter(m metric.Metric, fh *graph.FirstHops) func(i, j int32) bool {
+	return func(i, j int32) bool { return m.Better(fh.DirectWeight[i], fh.DirectWeight[j]) }
+}
+
+// selectFNBP is the selection itself, steps 1 and 2 and the Fig. 4 rule,
+// over the first-hop sets fh. better is ≺'s strict part over N1 positions
+// (a better direct link; the smaller position, hence identifier, wins ties).
+// The forwarding assignments go into cover when it is non-nil; apart from
+// that map's entries the only allocation is the returned set.
+func selectFNBP(view *graph.LocalView, fh *graph.FirstHops, better func(i, j int32) bool, loopFix LoopFixMode, cover map[int32]int32) ([]int32, Stats) {
 	var stats Stats
 	g := view.G
-	fh, err := f.firstHops(view, m, w)
-	if err != nil {
-		return nil, stats, err
-	}
 	assign := func(v, via int32) {
 		if cover != nil {
 			cover[v] = via
@@ -156,7 +163,7 @@ func (f FNBP) run(view *graph.LocalView, m metric.Metric, w []float64, cover map
 	// coveredBy returns the ≺-best already-selected member of fP(u,v),
 	// or -1.
 	coveredBy := func(v int32) int32 {
-		return bestMember(fh, m, v, inANS)
+		return bestMember(fh, better, v, inANS)
 	}
 
 	// Step 1: 1-hop targets in ascending ID order.
@@ -172,7 +179,7 @@ func (f FNBP) run(view *graph.LocalView, m metric.Metric, w []float64, cover map
 			stats.Covered++
 			continue
 		}
-		if best := bestMember(fh, m, v, nil); best >= 0 {
+		if best := bestMember(fh, better, v, nil); best >= 0 {
 			add(best)
 			assign(v, view.N1[best])
 			stats.Step1Selected++
@@ -184,7 +191,7 @@ func (f FNBP) run(view *graph.LocalView, m metric.Metric, w []float64, cover map
 	for _, v := range view.N2 {
 		by := coveredBy(v)
 		if by < 0 {
-			if best := bestMember(fh, m, v, nil); best >= 0 {
+			if best := bestMember(fh, better, v, nil); best >= 0 {
 				add(best)
 				assign(v, view.N1[best])
 				stats.Step2Selected++
@@ -193,7 +200,7 @@ func (f FNBP) run(view *graph.LocalView, m metric.Metric, w []float64, cover map
 		}
 		assign(v, view.N1[by])
 		stats.Covered++
-		if f.LoopFix == LoopFixOff {
+		if loopFix == LoopFixOff {
 			continue
 		}
 		// Fig. 4 rule: when u's ID is smaller than every first hop's ID,
@@ -212,13 +219,13 @@ func (f FNBP) run(view *graph.LocalView, m metric.Metric, w []float64, cover map
 			continue
 		}
 		var filter func(pos int32) bool
-		if f.LoopFix == LoopFixAdjacent {
+		if loopFix == LoopFixAdjacent {
 			filter = func(pos int32) bool {
 				_, ok := g.EdgeBetween(view.N1[pos], v)
 				return ok
 			}
 		}
-		if best := bestMember(fh, m, v, filter); best >= 0 {
+		if best := bestMember(fh, better, v, filter); best >= 0 {
 			if !inANS(best) {
 				add(best)
 				stats.LoopFixSelected++
@@ -227,16 +234,5 @@ func (f FNBP) run(view *graph.LocalView, m metric.Metric, w []float64, cover map
 		}
 	}
 
-	return selectedByID(view, inANS), stats, nil
-}
-
-func (f FNBP) firstHops(view *graph.LocalView, m metric.Metric, w []float64) (*graph.FirstHops, error) {
-	if f.UseReference {
-		return graph.FirstHopsReference(view, m, w), nil
-	}
-	fh, err := graph.ComputeFirstHops(view, m, w)
-	if err != nil {
-		return nil, fmt.Errorf("core: fnbp: %w", err)
-	}
-	return fh, nil
+	return selectedByID(view, inANS), stats
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"qolsr/internal/graph"
@@ -214,12 +215,12 @@ func TestFigure4OtherSelections(t *testing.T) {
 	// B's selection of A happens in step 1, covering its weak direct
 	// link to D ("will have to be selected anyway to cover D").
 	lv := graph.NewLocalView(f.G, f.Node("B"))
-	_, stats, err := FNBP{}.SelectWithStats(lv, m, w)
+	sel, err := FNBP{}.SelectFull(lv, m, w)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.Step1Selected != 1 {
-		t.Errorf("B: Step1Selected = %d, want 1", stats.Step1Selected)
+	if sel.Stats.Step1Selected != 1 {
+		t.Errorf("B: Step1Selected = %d, want 1", sel.Stats.Step1Selected)
 	}
 }
 
@@ -261,8 +262,9 @@ func TestFNBPEmptyNeighborhood(t *testing.T) {
 	}
 }
 
-// Property: the fast implementation and the reference oracle select the same
-// sets; the reference selector exists precisely to guard this.
+// Property: the fast kernels, the definition-level reference and the
+// lexicographic search under the neutral pair (m, m) compute the same first
+// hops, and the selection body selects the same set from each.
 func TestFNBPFastMatchesReferenceRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(91))
 	for trial := 0; trial < 25; trial++ {
@@ -272,18 +274,31 @@ func TestFNBPFastMatchesReferenceRandom(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			lex := metric.Lexicographic{PrimaryMetric: m, SecondaryMetric: m}
 			for u := int32(0); int(u) < g.N(); u++ {
 				lv := graph.NewLocalView(g, u)
-				fast, err := FNBP{}.Select(lv, m, w)
+				fast, err := graph.ComputeFirstHops(lv, m, w)
 				if err != nil {
 					t.Fatal(err)
 				}
-				ref, err := FNBP{UseReference: true}.Select(lv, m, w)
-				if err != nil {
-					t.Fatal(err)
+				sources := map[string]*graph.FirstHops{
+					"reference": graph.FirstHopsReference(lv, m, w),
+					"lex":       graph.FirstHopsLex(lv, lex, w, w),
 				}
-				if !reflect.DeepEqual(fast, ref) {
-					t.Fatalf("trial %d %s u=%d: fast %v != reference %v", trial, m.Name(), u, fast, ref)
+				want, _ := selectFNBP(lv, fast, directBetter(m, fast), LoopFixLiteral, nil)
+				for name, fh := range sources {
+					for x := int32(0); int(x) < g.N(); x++ {
+						if fh.Dist[x] != fast.Dist[x] || !slices.Equal(fh.Members(x), fast.Members(x)) {
+							t.Fatalf("trial %d %s u=%d: %s first hops of %d %v (%v), fast %v (%v)", trial, m.Name(), u,
+								name, x, fh.Members(x), fh.Dist[x], fast.Members(x), fast.Dist[x])
+						}
+					}
+					if got, _ := selectFNBP(lv, fh, directBetter(m, fh), LoopFixLiteral, nil); !slices.Equal(got, want) {
+						t.Fatalf("trial %d %s u=%d: selected %v from %s first hops, %v from fast", trial, m.Name(), u, got, name, want)
+					}
+				}
+				if got, err := (FNBP{}).Select(lv, m, w); err != nil || !slices.Equal(got, want) {
+					t.Fatalf("trial %d %s u=%d: Select %v (%v), body %v", trial, m.Name(), u, got, err, want)
 				}
 			}
 		}

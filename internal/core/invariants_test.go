@@ -90,9 +90,9 @@ func TestFNBPCoveringInvariantAllVariants(t *testing.T) {
 	}
 }
 
-// Topology filtering with the fallback enabled serves every 2-hop target
-// within two hops of the advertised candidates; without it, unreachable
-// targets are exactly the counted fallbacks.
+// Topology filtering counts as fallbacks exactly the targets that no route of
+// at most two reduced hops reaches: neither a surviving direct link nor a
+// detour whose two legs both survive.
 func TestTopologyFilterServiceAccounting(t *testing.T) {
 	rng := rand.New(rand.NewSource(205))
 	for trial := 0; trial < 10; trial++ {
@@ -101,17 +101,27 @@ func TestTopologyFilterServiceAccounting(t *testing.T) {
 		w, _ := g.Weights(m.Name())
 		for u := int32(0); int(u) < g.N(); u++ {
 			lv := graph.NewLocalView(g, u)
-			_, strictStats, err := TopologyFilter{}.SelectWithStats(lv, m, w)
+			_, stats, err := TopologyFilter{}.SelectWithStats(lv, m, w)
 			if err != nil {
 				t.Fatal(err)
 			}
-			_, fbStats, err := TopologyFilter{UnreducedFallback: true}.SelectWithStats(lv, m, w)
-			if err != nil {
-				t.Fatal(err)
+			keep := graph.ReduceRNG(lv, m, w).Keep
+			unreached := 0
+			for _, v := range lv.Targets() {
+				reached := false
+				for i, x := range lv.N1 {
+					e, ok := g.EdgeBetween(x, v)
+					if keep[lv.DirectEdge(i)] && (x == v || ok && keep[int32(e)]) {
+						reached = true
+					}
+				}
+				if !reached {
+					unreached++
+				}
 			}
-			if strictStats.FallbackTargets != fbStats.FallbackTargets {
-				t.Fatalf("u=%d: fallback accounting differs: %d vs %d",
-					u, strictStats.FallbackTargets, fbStats.FallbackTargets)
+			if stats.FallbackTargets != unreached {
+				t.Fatalf("u=%d: FallbackTargets = %d, %d targets beyond two reduced hops",
+					u, stats.FallbackTargets, unreached)
 			}
 		}
 	}

@@ -28,30 +28,18 @@ type Selector interface {
 	Select(view *graph.LocalView, m metric.Metric, w []float64) ([]int32, error)
 }
 
-// prefer reports whether 1-hop neighbor at N1 position i is preferred over
-// position j under the paper's ≺ ordering: strictly better direct link
-// first, smaller identifier on ties. Since N1 is sorted by ascending ID,
-// position order is ID order.
-func prefer(m metric.Metric, direct []float64, i, j int32) bool {
-	if m.Better(direct[i], direct[j]) {
-		return true
-	}
-	if m.Better(direct[j], direct[i]) {
-		return false
-	}
-	return i < j
-}
-
-// bestMember returns the most-preferred N1 position of fP(u,v) satisfying
-// the filter (nil filter accepts everything), or -1 when empty. This is the
-// paper's max≺BW / min≺D applied to fP(u,v).
-func bestMember(fh *graph.FirstHops, m metric.Metric, v int32, filter func(pos int32) bool) int32 {
+// bestMember returns the ≺-best N1 position of fP(u,v) satisfying the filter
+// (nil filter accepts everything), or -1 when empty. This is the paper's
+// max≺BW / min≺D applied to fP(u,v). ForEach visits positions in ascending
+// order, so only a strictly better direct link displaces the choice and ties
+// stay with the smaller identifier (N1 is sorted by ID).
+func bestMember(fh *graph.FirstHops, better func(i, j int32) bool, v int32, filter func(pos int32) bool) int32 {
 	best := int32(-1)
 	fh.ForEach(v, func(pos int32) {
 		if filter != nil && !filter(pos) {
 			return
 		}
-		if best == -1 || prefer(m, fh.DirectWeight, pos, best) {
+		if best == -1 || better(pos, best) {
 			best = pos
 		}
 	})

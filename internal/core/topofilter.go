@@ -19,28 +19,14 @@ import (
 //     be selected as advertised neighbors"), which is what keeps this set
 //     larger than FNBP's.
 //
-// Direct links that survive the reduction are advertised as well (they are
-// the reduced topology a node exposes); OmitSurvivingDirect drops them for
-// ablation.
+// Direct links that survive the reduction are advertised as well: they are
+// the reduced topology a node exposes.
 //
-// The zero value is the strict reading of [7]: both legs of a two-hop
-// detour must survive the reduction and targets with no reduced route
-// within two hops are left to multi-hop routing over the advertised reduced
-// topology (which the reduction provably keeps connected). The flags widen
-// the reading for ablations.
-type TopologyFilter struct {
-	// OmitSurvivingDirect excludes RNG-surviving direct neighbors from
-	// the advertised set, keeping only first hops of two-hop detours.
-	OmitSurvivingDirect bool
-	// FirstLegUnfiltered also considers detours u-x-v whose first leg
-	// (u,x) was removed by the reduction (u always knows its own links),
-	// requiring survival only of the advertised leg (x,v).
-	FirstLegUnfiltered bool
-	// UnreducedFallback serves 2-hop targets unreachable within two
-	// reduced hops from the unreduced view (guaranteeing 2-hop coverage
-	// at the cost of extra advertisements).
-	UnreducedFallback bool
-}
+// This is the strict reading of [7]: both legs of a two-hop detour must
+// survive the reduction, and targets with no reduced route within two hops
+// are left to multi-hop routing over the advertised reduced topology (which
+// the reduction provably keeps connected).
+type TopologyFilter struct{}
 
 // Name implements Selector.
 func (tf TopologyFilter) Name() string { return "topofilter" }
@@ -51,8 +37,8 @@ type TFStats struct {
 	SurvivingDirect int
 	// DetourSelected counts first hops advertised for two-hop detours.
 	DetourSelected int
-	// FallbackTargets counts 2-hop targets unreachable within two hops of
-	// the reduced view, served from the unreduced view instead.
+	// FallbackTargets counts targets unreachable within two hops of the
+	// reduced view, left to multi-hop routing.
 	FallbackTargets int
 }
 
@@ -76,9 +62,7 @@ func (tf TopologyFilter) SelectWithStats(view *graph.LocalView, m metric.Metric,
 		directKeep[i] = rv.Keep[view.DirectEdge(i)]
 		if directKeep[i] {
 			stats.SurvivingDirect++
-			if !tf.OmitSurvivingDirect {
-				selected[i] = true
-			}
+			selected[i] = true
 		}
 	}
 
@@ -94,46 +78,20 @@ func (tf TopologyFilter) SelectWithStats(view *graph.LocalView, m metric.Metric,
 		if i := view.N1Index(v); i >= 0 && directKeep[i] {
 			cands = append(cands, candidate{val: w[view.DirectEdge(int(i))], direct: true})
 		}
-		collect := func(reduced bool) {
-			for i, x := range view.N1 {
-				if x == v {
-					continue
-				}
-				eUX := view.DirectEdge(i)
-				eXV, ok := g.EdgeBetween(x, v)
-				if !ok {
-					continue
-				}
-				if reduced {
-					if !rv.Keep[int32(eXV)] {
-						continue
-					}
-					if !tf.FirstLegUnfiltered && !rv.Keep[eUX] {
-						continue
-					}
-				}
-				val := m.Combine(m.Combine(m.Identity(), w[eUX]), w[eXV])
-				cands = append(cands, candidate{val: val, pos: int32(i)})
+		for i, x := range view.N1 {
+			if x == v || !directKeep[i] {
+				continue
 			}
+			eXV, ok := g.EdgeBetween(x, v)
+			if !ok || !rv.Keep[int32(eXV)] {
+				continue
+			}
+			val := m.Combine(m.Combine(m.Identity(), w[view.DirectEdge(i)]), w[eXV])
+			cands = append(cands, candidate{val: val, pos: int32(i)})
 		}
-		collect(true)
 		if len(cands) == 0 {
-			// The reduced view cannot reach v within two hops. Strictly
-			// following [7], v is left to multi-hop routing over the
-			// advertised reduced topology; with UnreducedFallback the
-			// unreduced two-hop paths that define v's view membership
-			// are advertised instead.
 			stats.FallbackTargets++
-			if !tf.UnreducedFallback {
-				continue
-			}
-			if i := view.N1Index(v); i >= 0 {
-				cands = append(cands, candidate{val: w[view.DirectEdge(int(i))], direct: true})
-			}
-			collect(false)
-			if len(cands) == 0 {
-				continue
-			}
+			continue
 		}
 		best := cands[0].val
 		for _, c := range cands[1:] {

@@ -359,22 +359,36 @@ func descKey(w float64) uint64 {
 }
 
 // FirstHopsReference computes the same result as ComputeFirstHops directly
-// from the definition: for every 1-hop neighbor w it searches G_u − u from w
-// and tests combine(weight(u,w), dist_{G_u−u}(w,v)) == dist_{G_u}(u,v). It
-// works for any metric and serves as the correctness oracle in tests; the
-// fast paths are asymptotically cheaper (one search instead of |N(u)|).
+// from the definition, for any metric: it is FirstHopsLex under the neutral
+// pair (m, m), whose two levels are equal on every path, so the order is m's.
+// It is the correctness oracle in tests; the fast paths are asymptotically
+// cheaper (one search instead of |N(u)| + 1).
 func FirstHopsReference(view *LocalView, m metric.Metric, w []float64) *FirstHops {
+	return FirstHopsLex(view, metric.Lexicographic{PrimaryMetric: m, SecondaryMetric: m}, w, w)
+}
+
+// FirstHopsLex computes first-hop sets under lex's two-part order from the
+// definition: for every 1-hop neighbor w it searches G_u − u from w, and w ∈
+// fP(u,v) when cost(u,w) extended by w's cost to v ties the center's cost to
+// v in G_u (neither is lex.Better). wp and ws are the two levels' weights
+// (LexWeights); Dist and DirectWeight hold the primary level. Under a concave
+// primary the costs compared carry the settled secondary (ShortestPaths).
+func FirstHopsLex(view *LocalView, lex metric.Lexicographic, wp, ws []float64) *FirstHops {
 	g := view.G
-	fh := new(ViewScratch).newFirstHops(view, w)
-	sp := Dijkstra(g, m, w, view.U, view, -1)
-	fh.Dist = sp.Dist
+	fh := new(ViewScratch).newFirstHops(view, wp)
+	var fromScratch, subScratch Scratch
+	from := fromScratch.DijkstraLex(g, lex, wp, ws, view.U, view, -1)
+	fh.Dist = from.Dist
 	for i, hop := range view.N1 {
-		sub := Dijkstra(g, m, w, hop, view, view.U)
+		direct := metric.LexCost{Primary: wp[view.direct[i]], Secondary: ws[view.direct[i]]}
+		sub := subScratch.DijkstraLex(g, lex, wp, ws, hop, view, view.U)
 		for _, v := range view.Targets() {
-			if !sp.Reachable(v) || !sub.Reachable(v) {
+			if !from.Reachable(v) || !sub.Reachable(v) {
 				continue
 			}
-			if m.Combine(fh.DirectWeight[i], sub.Dist[v]) == sp.Dist[v] {
+			via := lex.Combine(direct, metric.LexCost{Primary: sub.Dist[v], Secondary: sub.Second[v]})
+			best := metric.LexCost{Primary: from.Dist[v], Secondary: from.Second[v]}
+			if !lex.Better(via, best) && !lex.Better(best, via) {
 				fh.setBit(v, int32(i))
 			}
 		}

@@ -11,15 +11,16 @@ import (
 	"qolsr/internal/metric"
 )
 
-// checkConcaveFirstHops asserts the concave kernel's contract on one view:
-// every (target, hop) bit and every node's Dist equal the definition-level
-// reference (Dist with ==, nodes outside the view at Worst, the center at
-// Identity), and small views also equal path enumeration.
-func checkConcaveFirstHops(t *testing.T, what string, lv *graph.LocalView, w []float64) {
+// checkFirstHops asserts a first-hop kernel's contract on one view under m:
+// the fast kernel, FirstHopsReference and FirstHopsLex under the neutral pair
+// (m, m) agree on every (target, hop) bit and on every node's Dist (nodes
+// outside the view at Worst, the center at Identity), and small views also
+// equal path enumeration. Dist is compared with ==: on the integer delay
+// draws that is bit equality, and under bandwidth it holds the signed-zero
+// law's +0 and −0 one value, as either may be copied off tied links.
+func checkFirstHops(t *testing.T, what string, lv *graph.LocalView, m metric.Metric, w []float64) {
 	t.Helper()
-	m := metric.Bandwidth()
 	g := lv.G
-	ref := graph.FirstHopsReference(lv, m, w)
 	fast, err := graph.ComputeFirstHops(lv, m, w)
 	if err != nil {
 		t.Fatal(err)
@@ -27,18 +28,26 @@ func checkConcaveFirstHops(t *testing.T, what string, lv *graph.LocalView, w []f
 	if len(fast.Dist) != g.N() {
 		t.Fatalf("%s: len(Dist) = %d, want %d", what, len(fast.Dist), g.N())
 	}
-	for x := int32(0); int(x) < g.N(); x++ {
-		if fast.Dist[x] != ref.Dist[x] {
-			t.Fatalf("%s: Dist[%d] fast %v, reference %v", what, x, fast.Dist[x], ref.Dist[x])
-		}
-		if !lv.InView(x) && fast.Dist[x] != m.Worst() || x == lv.U && fast.Dist[x] != m.Identity() {
-			t.Fatalf("%s: Dist[%d] = %v (role %v)", what, x, fast.Dist[x], lv.Role(x))
-		}
-		for i := range lv.N1 {
-			if fast.Contains(x, int32(i)) != ref.Contains(x, int32(i)) {
-				t.Fatalf("%s: fP(u,%d) hop %d: fast %v, reference %v",
-					what, x, lv.N1[i], fast.Contains(x, int32(i)), ref.Contains(x, int32(i)))
+	lex := metric.Lexicographic{PrimaryMetric: m, SecondaryMetric: m}
+	for name, ref := range map[string]*graph.FirstHops{
+		"reference": graph.FirstHopsReference(lv, m, w),
+		"lex":       graph.FirstHopsLex(lv, lex, w, w),
+	} {
+		for x := int32(0); int(x) < g.N(); x++ {
+			if fast.Dist[x] != ref.Dist[x] {
+				t.Fatalf("%s %s: Dist[%d] fast %v, %s %v", what, m.Name(), x, fast.Dist[x], name, ref.Dist[x])
 			}
+			for i := range lv.N1 {
+				if fast.Contains(x, int32(i)) != ref.Contains(x, int32(i)) {
+					t.Fatalf("%s %s: fP(u,%d) hop %d: fast %v, %s %v",
+						what, m.Name(), x, lv.N1[i], fast.Contains(x, int32(i)), name, ref.Contains(x, int32(i)))
+				}
+			}
+		}
+	}
+	for x := int32(0); int(x) < g.N(); x++ {
+		if !lv.InView(x) && fast.Dist[x] != m.Worst() || x == lv.U && fast.Dist[x] != m.Identity() {
+			t.Fatalf("%s %s: Dist[%d] = %v (role %v)", what, m.Name(), x, fast.Dist[x], lv.Role(x))
 		}
 	}
 	if g.N() <= 9 {
@@ -46,40 +55,52 @@ func checkConcaveFirstHops(t *testing.T, what string, lv *graph.LocalView, w []f
 			brute := graph.BruteFirstHops(lv, m, w, v)
 			got := fast.Members(v)
 			if len(got) != len(brute) || slices.ContainsFunc(got, func(x int32) bool { return !brute[x] }) {
-				t.Fatalf("%s: fP(u,%d) = %v, path enumeration %v", what, v, got, brute)
+				t.Fatalf("%s %s: fP(u,%d) = %v, path enumeration %v", what, m.Name(), v, got, brute)
 			}
 		}
 	}
 }
 
-// checkConcaveFNBP asserts FNBP selects one set from the fast first hops, the
-// reference ones and the definition-level lexicographic selection under the
-// neutral pair (bandwidth, bandwidth).
-func checkConcaveFNBP(t *testing.T, what string, lv *graph.LocalView, w []float64) {
+// checkFNBP asserts FNBP's selection body selects one set from the fast first
+// hops (FNBP.Select) and from the definition-level ones (SelectFNBPLex under
+// the neutral pair: FirstHopsLex, which FirstHopsReference is, with ≺ on the
+// direct links' equal pairs, which is m's order).
+func checkFNBP(t *testing.T, what string, lv *graph.LocalView, m metric.Metric, channel string) {
 	t.Helper()
-	m := metric.Bandwidth()
+	w, _ := lv.G.Weights(channel)
 	ans, err := core.FNBP{}.Select(lv, m, w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	viaRef, err := core.FNBP{UseReference: true}.Select(lv, m, w)
 	if err != nil {
 		t.Fatal(err)
 	}
 	lex, err := core.SelectFNBPLex(lv, metric.Lexicographic{
 		PrimaryMetric: m, SecondaryMetric: m,
-		PrimaryWeight: m.Name(), SecondaryWeight: m.Name(),
+		PrimaryWeight: channel, SecondaryWeight: channel,
 	}, core.LoopFixLiteral)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !slices.Equal(ans, viaRef) || !slices.Equal(ans, lex) {
-		t.Fatalf("%s: FNBP fast %v, reference %v, lex %v", what, ans, viaRef, lex)
+	if !slices.Equal(ans, lex) {
+		t.Fatalf("%s %s: FNBP fast %v, definition-level %v", what, m.Name(), ans, lex)
 	}
+}
+
+// check runs both checks on the view of u in g, built by NewLocalView and
+// replayed into s, under m on the named channel.
+func check(t *testing.T, s *graph.ViewScratch, g *graph.Graph, u int32, m metric.Metric, channel string) {
+	t.Helper()
+	w, _ := g.Weights(channel)
+	lv := graph.NewLocalView(g, u)
+	checkFirstHops(t, "NewLocalView", lv, m, w)
+	checkFNBP(t, "NewLocalView", lv, m, channel)
+	slv, sw := graph.ReplayInScratch(s, g, u, channel)
+	checkFirstHops(t, "ViewScratch", slv, m, sw)
+	checkFNBP(t, "ViewScratch", slv, m, channel)
 }
 
 // The concave kernel against the reference on generated tie-heavy views, each
 // built both ways; the draw must keep reaching the shapes that break sweeps.
+// The integer-level draws run under delay too, their weights copied to a
+// "delay" channel: equal sums of integer levels are the additive kernel's ties.
 func TestFirstHopsConcaveGenerated(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	var s graph.ViewScratch
@@ -88,11 +109,13 @@ func TestFirstHopsConcaveGenerated(t *testing.T) {
 		g, u := graph.GenerateConcaveView(rng)
 		lv := graph.NewLocalView(g, u)
 		w, _ := g.Weights("bandwidth")
-		checkConcaveFirstHops(t, "NewLocalView", lv, w)
-		checkConcaveFNBP(t, "NewLocalView", lv, w)
-		slv, sw := graph.ReplayInScratch(&s, g, u, "bandwidth")
-		checkConcaveFirstHops(t, "ViewScratch", slv, sw)
-		checkConcaveFNBP(t, "ViewScratch", slv, sw)
+		for e, x := range w {
+			if err := g.SetWeight("delay", e, x); err != nil {
+				t.Fatal(err)
+			}
+		}
+		check(t, &s, g, u, metric.Bandwidth(), "bandwidth")
+		check(t, &s, g, u, metric.Delay(), "delay")
 
 		// Which corners this draw hit.
 		around := graph.New(g.N()) // G_u − u
@@ -134,12 +157,7 @@ func TestFirstHopsConcaveGenerated(t *testing.T) {
 		for e := range w {
 			w[e] = lawWeight(law, int(w[e])-1, rng.Intn(1<<20))
 		}
-		lv := graph.NewLocalView(g, u)
-		checkConcaveFirstHops(t, "NewLocalView", lv, w)
-		checkConcaveFNBP(t, "NewLocalView", lv, w)
-		slv, sw := graph.ReplayInScratch(&s, g, u, "bandwidth")
-		checkConcaveFirstHops(t, "ViewScratch", slv, sw)
-		checkConcaveFNBP(t, "ViewScratch", slv, sw)
+		check(t, &s, g, u, metric.Bandwidth(), "bandwidth")
 	}
 	for name, hits := range map[string]int{
 		"leaf neighbor": leaf, "G_u − u disconnected": split, "every direct link equal": flat,
@@ -233,8 +251,8 @@ func FuzzFirstHopsConcave(f *testing.F) {
 			return
 		}
 		w, _ := g.Weights("bandwidth")
-		checkConcaveFirstHops(t, "NewLocalView", graph.NewLocalView(g, u), w)
+		checkFirstHops(t, "NewLocalView", graph.NewLocalView(g, u), metric.Bandwidth(), w)
 		lv, sw := graph.ReplayInScratch(&s, g, u, "bandwidth")
-		checkConcaveFirstHops(t, "ViewScratch", lv, sw)
+		checkFirstHops(t, "ViewScratch", lv, metric.Bandwidth(), sw)
 	})
 }

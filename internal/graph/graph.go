@@ -252,16 +252,6 @@ func (g *Graph) Weights(channel string) ([]float64, error) {
 	return c.w, nil
 }
 
-// Channels returns the names of all weight channels in sorted order.
-func (g *Graph) Channels() []string {
-	out := make([]string, 0, len(g.weights))
-	for _, c := range g.weights {
-		out = append(out, c.name)
-	}
-	slices.Sort(out)
-	return out
-}
-
 // AssignUniformWeights draws an independent weight from iv for every edge on
 // the named channel, the paper's link-weight model (Sec. IV-A).
 func (g *Graph) AssignUniformWeights(channel string, iv metric.Interval, rng *rand.Rand) error {

@@ -268,6 +268,3 @@ func (e *Engine) PacketDone(cookie uint64, delivered bool, hops int, latency tim
 
 // Counters snapshots the engine's cumulative packet totals.
 func (e *Engine) Counters() Counters { return e.counters }
-
-// Flows returns the number of registered flows.
-func (e *Engine) Flows() int { return len(e.flows) }

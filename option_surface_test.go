@@ -8,8 +8,8 @@ import (
 )
 
 // TestOptionSurface is a ratchet on the configuration surface: every
-// exported field of the protocol, simulator, scenario and live-grid option
-// types is a knob some program sets, and each type's count may not exceed the pin
+// exported field of the protocol, simulator, scenario, live-grid and selector
+// option types is a knob some program sets, and each type's count may not exceed the pin
 // below. A new knob therefore edits its pin in review, alongside the caller
 // that needs it; a knob that loses its last caller becomes a constant and
 // lowers the pin.
@@ -26,6 +26,8 @@ func TestOptionSurface(t *testing.T) {
 		{reflect.TypeFor[qolsr.MediumLossyConfig](), 3},
 		{reflect.TypeFor[qolsr.PointScenario](), 5},
 		{reflect.TypeFor[qolsr.ScaleAxis](), 3},
+		{reflect.TypeFor[qolsr.FNBP](), 1},
+		{reflect.TypeFor[qolsr.TopologyFilter](), 0},
 	}
 	total := 0
 	for _, p := range pins {
