@@ -53,7 +53,7 @@ func TestSelectFNBPLexBandwidthEnergy(t *testing.T) {
 		{0, 1, 5, 9}, {1, 3, 5, 9}, // via a: bw 5, energy 18
 		{0, 2, 5, 1}, {2, 3, 5, 1}, // via b: bw 5, energy 2
 	} {
-		e := g.MustAddEdge(s.a, s.b)
+		e := mustAddEdge(g, s.a, s.b)
 		if err := g.SetWeight("bandwidth", e, s.bw); err != nil {
 			t.Fatal(err)
 		}
@@ -91,7 +91,7 @@ func TestSelectFNBPLexBandwidthEnergy(t *testing.T) {
 
 func TestSelectFNBPLexMissingChannel(t *testing.T) {
 	g := graph.New(2)
-	e := g.MustAddEdge(0, 1)
+	e := mustAddEdge(g, 0, 1)
 	if err := g.SetWeight("bandwidth", e, 1); err != nil {
 		t.Fatal(err)
 	}

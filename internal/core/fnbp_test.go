@@ -234,7 +234,7 @@ func TestFNBPDelayMetricSymmetry(t *testing.T) {
 		w    float64
 	}
 	for _, s := range []ew{{0, 1, 1}, {1, 2, 1}, {0, 2, 5}} {
-		e := g.MustAddEdge(s.a, s.b)
+		e := mustAddEdge(g, s.a, s.b)
 		if err := g.SetWeight("delay", e, s.w); err != nil {
 			t.Fatal(err)
 		}
@@ -322,7 +322,7 @@ func TestFNBPSubsetInvariant(t *testing.T) {
 				t.Fatalf("ANS larger than N1")
 			}
 			for _, x := range ans {
-				if !lv.IsNeighbor(x) {
+				if lv.Role(x) != graph.RoleOneHop {
 					t.Fatalf("ANS member %d not a neighbor", x)
 				}
 			}

@@ -14,7 +14,7 @@ func randomWeightedGraph(rng *rand.Rand, n int, p float64) *graph.Graph {
 	for a := int32(0); int(a) < n; a++ {
 		for b := a + 1; int(b) < n; b++ {
 			if rng.Float64() < p {
-				e := g.MustAddEdge(a, b)
+				e := mustAddEdge(g, a, b)
 				if err := g.SetWeight("bandwidth", e, float64(1+rng.Intn(12))); err != nil {
 					panic(err)
 				}
@@ -25,4 +25,14 @@ func randomWeightedGraph(rng *rand.Rand, n int, p float64) *graph.Graph {
 		}
 	}
 	return g
+}
+
+// mustAddEdge adds the edge a–b to a statically known-good fixture,
+// panicking on an error.
+func mustAddEdge(g *graph.Graph, a, b int32) int {
+	e, err := g.AddEdge(a, b)
+	if err != nil {
+		panic(err)
+	}
+	return e
 }

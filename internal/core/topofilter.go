@@ -48,75 +48,70 @@ func (tf TopologyFilter) Select(view *graph.LocalView, m metric.Metric, w []floa
 	return ans, err
 }
 
-// SelectWithStats is Select plus rule-level accounting.
+// SelectWithStats is Select plus rule-level accounting. Its working storage
+// comes from the view's scratch (see graph.ViewScratch).
 func (tf TopologyFilter) SelectWithStats(view *graph.LocalView, m metric.Metric, w []float64) ([]int32, TFStats, error) {
 	var stats TFStats
-	g := view.G
-	rv := graph.ReduceRNG(view, m, w)
-
-	selected := make([]bool, len(view.N1)) // by N1 position
+	keep := graph.ReduceRNG(view, m, w).Keep
+	// By N1 position: selected is 1 once advertised, via 1 + the edge
+	// joining that neighbor to the current target when it is a candidate.
+	n1 := len(view.N1)
+	buf := view.Int32Scratch(2 * n1)
+	selected, via := buf[:n1], buf[n1:]
 	// Direct links surviving the reduction are part of the advertised
 	// reduced topology.
-	directKeep := make([]bool, len(view.N1))
 	for i := range view.N1 {
-		directKeep[i] = rv.Keep[view.DirectEdge(i)]
-		if directKeep[i] {
+		if keep[view.DirectEdge(i)] {
 			stats.SurvivingDirect++
-			selected[i] = true
+			selected[i] = 1
 		}
+	}
+	detour := func(i int, e int32) float64 {
+		return m.Combine(m.Combine(m.Identity(), w[view.DirectEdge(i)]), w[e-1])
 	}
 
-	// twoHopBest collects, for target v, the best value over candidate
-	// routes of at most two hops and every first hop achieving it.
-	type candidate struct {
-		val    float64
-		direct bool
-		pos    int32
-	}
-	for _, v := range view.Targets() {
-		var cands []candidate
-		if i := view.N1Index(v); i >= 0 && directKeep[i] {
-			cands = append(cands, candidate{val: w[view.DirectEdge(int(i))], direct: true})
-		}
-		for i, x := range view.N1 {
-			if x == v || !directKeep[i] {
+	// For each target v, the candidate routes of at most two hops are the
+	// surviving direct link, then the detours whose legs both survive, by
+	// N1 position; the best value wins and every detour achieving it is
+	// advertised unless the direct link is as good.
+	for _, tier := range [2][]int32{view.N1, view.N2} {
+		for _, v := range tier {
+			var best, directVal float64
+			have, direct := false, false
+			if i := view.N1Index(v); i >= 0 && keep[view.DirectEdge(int(i))] {
+				directVal = w[view.DirectEdge(int(i))]
+				best, have, direct = directVal, true, true
+			}
+			for _, arc := range view.G.Arcs(v) {
+				if i := view.N1Index(arc.To); i >= 0 && keep[view.DirectEdge(int(i))] && keep[arc.Edge] {
+					via[i] = arc.Edge + 1
+				}
+			}
+			for i, e := range via {
+				if e != 0 {
+					if val := detour(i, e); !have || m.Better(val, best) {
+						best, have = val, true
+					}
+				}
+			}
+			if !have {
+				stats.FallbackTargets++
 				continue
 			}
-			eXV, ok := g.EdgeBetween(x, v)
-			if !ok || !rv.Keep[int32(eXV)] {
-				continue
-			}
-			val := m.Combine(m.Combine(m.Identity(), w[view.DirectEdge(i)]), w[eXV])
-			cands = append(cands, candidate{val: val, pos: int32(i)})
-		}
-		if len(cands) == 0 {
-			stats.FallbackTargets++
-			continue
-		}
-		best := cands[0].val
-		for _, c := range cands[1:] {
-			if m.Better(c.val, best) {
-				best = c.val
-			}
-		}
-		directBest := false
-		for _, c := range cands {
-			if c.direct && !m.Better(best, c.val) {
-				directBest = true
-			}
-		}
-		if directBest {
-			continue // the (advertised) direct link already serves v
-		}
-		for _, c := range cands {
-			if !c.direct && c.val == best {
-				if !selected[c.pos] {
-					selected[c.pos] = true
+			for i, e := range via {
+				if e == 0 {
+					continue
+				}
+				via[i] = 0
+				// The (advertised) direct link already serves v when
+				// nothing beats it.
+				if (!direct || m.Better(best, directVal)) && selected[i] == 0 && detour(i, e) == best {
+					selected[i] = 1
 					stats.DetourSelected++
 				}
 			}
 		}
 	}
 
-	return selectedByID(view, func(pos int32) bool { return selected[pos] }), stats, nil
+	return selectedByID(view, func(pos int32) bool { return selected[pos] != 0 }), stats, nil
 }

@@ -20,7 +20,7 @@ func TestTopologyFilterAdvertisesSurvivingDirect(t *testing.T) {
 		w    float64
 	}
 	for _, s := range []ew{{0, 1, 5}, {0, 2, 2}, {1, 2, 5}} {
-		e := g.MustAddEdge(s.a, s.b)
+		e := mustAddEdge(g, s.a, s.b)
 		if err := g.SetWeight("bandwidth", e, s.w); err != nil {
 			t.Fatal(err)
 		}
@@ -49,7 +49,7 @@ func TestTopologyFilterSelectsAllTiedFirstHops(t *testing.T) {
 		w    float64
 	}
 	for _, s := range []ew{{0, 1, 4}, {0, 2, 4}, {1, 3, 4}, {2, 3, 4}} {
-		e := g.MustAddEdge(s.a, s.b)
+		e := mustAddEdge(g, s.a, s.b)
 		if err := g.SetWeight("bandwidth", e, s.w); err != nil {
 			t.Fatal(err)
 		}
@@ -82,7 +82,7 @@ func TestTopologyFilterDetourForOneHopNeighbor(t *testing.T) {
 		w    float64
 	}
 	for _, s := range []ew{{0, 1, 1}, {0, 2, 9}, {2, 1, 9}} {
-		e := g.MustAddEdge(s.a, s.b)
+		e := mustAddEdge(g, s.a, s.b)
 		if err := g.SetWeight("bandwidth", e, s.w); err != nil {
 			t.Fatal(err)
 		}
@@ -114,7 +114,7 @@ func TestTopologyFilterFallbackWhenReductionTooAggressive(t *testing.T) {
 	for _, s := range []ew{
 		{0, 1, 10}, {0, 2, 4}, {1, 2, 10}, {2, 3, 3},
 	} {
-		e := g.MustAddEdge(s.a, s.b)
+		e := mustAddEdge(g, s.a, s.b)
 		if err := g.SetWeight("bandwidth", e, s.w); err != nil {
 			t.Fatal(err)
 		}
@@ -166,7 +166,7 @@ func TestTopologyFilterInvariantsRandom(t *testing.T) {
 					}
 				}
 				for _, x := range a1 {
-					if !lv.IsNeighbor(x) {
+					if lv.Role(x) != graph.RoleOneHop {
 						t.Fatalf("non-neighbor advertised")
 					}
 				}

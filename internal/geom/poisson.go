@@ -96,8 +96,9 @@ func poissonDraw(rng *rand.Rand, mean float64) int {
 }
 
 // Links lists the unit-disk links among pts: every unordered pair at
-// Euclidean distance at most radius, discovered through a spatial grid. The
-// result is sorted lexicographically by (A, B) with A < B.
+// Euclidean distance at most radius, discovered through a spatial grid. Each
+// pair has A < B; pairs come in ascending A, and one A's partners in the
+// order Grid.Within visits them (not ascending B).
 func Links(field Field, radius float64, pts []Point) ([][2]int32, error) {
 	grid, err := NewGrid(field, radius, pts)
 	if err != nil {

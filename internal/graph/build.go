@@ -136,11 +136,12 @@ func (g *Graph) layout(arena []Arc, off []int32) []Arc {
 
 // ViewScratch is the reusable storage a two-hop view is built and selected on:
 // the Graph and LocalView that View returns live in it, and so do the working
-// buffers of the kernels run on that view (ComputeFirstHops, and through
-// LocalView.Int32Scratch the MPR heuristics), so a warm scratch rebuilds a
-// view and re-runs selection without allocating. It holds one view at a time:
-// everything handed out is valid until the next Begin. The zero value is
-// ready; a ViewScratch is not safe for concurrent use.
+// buffers of the kernels run on that view (ComputeFirstHops, ReduceRNG, and
+// through LocalView.Int32Scratch the MPR heuristics and topology filtering),
+// so a warm scratch rebuilds a view and re-runs selection without
+// allocating. It holds one view at a time: everything handed out is valid
+// until the next Begin. The zero value is ready; a ViewScratch is not safe
+// for concurrent use.
 //
 // A build is Begin with the view's node ids, which must be ascending and
 // unique, then Edge for the links by node index (an id's position in that
@@ -169,6 +170,12 @@ type ViewScratch struct {
 	uf           UnionFind
 	active       []uint64
 	pend, next   []int32
+
+	// ReduceRNG's state: E_u, the verdict per edge, and the witness
+	// weights with their stamps.
+	rngEdges, rngStamp []int32
+	keep               []bool
+	rngW               []float64
 }
 
 // Begin starts a new build on the nodes with the given ids, ascending and

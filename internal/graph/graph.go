@@ -190,16 +190,6 @@ func (c *weightChannel) normalise(m int) {
 	}
 }
 
-// MustAddEdge is AddEdge for statically known-good fixtures; it panics on
-// error and is meant for tests and worked examples only.
-func (g *Graph) MustAddEdge(a, b int32) int {
-	e, err := g.AddEdge(a, b)
-	if err != nil {
-		panic(err)
-	}
-	return e
-}
-
 // EdgeBetween returns the edge index joining a and b, if any.
 func (g *Graph) EdgeBetween(a, b int32) (int, bool) {
 	// Scan the smaller adjacency list.

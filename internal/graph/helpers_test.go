@@ -58,3 +58,13 @@ func lineGraph(n int, ch string, ws []float64) *Graph {
 	}
 	return g
 }
+
+// MustAddEdge is AddEdge for statically known-good fixtures; it panics on
+// an error.
+func (g *Graph) MustAddEdge(a, b int32) int {
+	e, err := g.AddEdge(a, b)
+	if err != nil {
+		panic(err)
+	}
+	return e
+}

@@ -88,9 +88,6 @@ func (lv *LocalView) Role(x int32) Role { return lv.role[x] }
 // InView reports whether x belongs to V_u.
 func (lv *LocalView) InView(x int32) bool { return lv.role[x] != RoleOutside }
 
-// IsNeighbor reports whether x is a 1-hop neighbor of the center.
-func (lv *LocalView) IsNeighbor(x int32) bool { return lv.role[x] == RoleOneHop }
-
 // N1Index returns the position of x in N1, or -1 if x is not a 1-hop
 // neighbor.
 func (lv *LocalView) N1Index(x int32) int32 {

@@ -24,9 +24,6 @@ func TestLocalViewSmall(t *testing.T) {
 	if !lv.InView(2) || lv.InView(3) {
 		t.Error("InView wrong")
 	}
-	if !lv.IsNeighbor(1) || lv.IsNeighbor(2) {
-		t.Error("IsNeighbor wrong")
-	}
 	if lv.N1Index(1) != 0 || lv.N1Index(2) != -1 {
 		t.Error("N1Index wrong")
 	}

@@ -7,8 +7,9 @@ import "qolsr/internal/metric"
 // by the topology-filtering QANS baseline (paper Sec. II, [7], [10]).
 type ReducedView struct {
 	View *LocalView
-	// Keep flags which global edge indices of E_u survive the reduction.
-	Keep map[int32]bool
+	// Keep flags, by edge index of the view's graph, which edges of E_u
+	// survive the reduction; every other edge reads false.
+	Keep []bool
 }
 
 // ReduceRNG filters the edges of view under the relative neighborhood rule
@@ -22,18 +23,27 @@ type ReducedView struct {
 // guarantees the reduction keeps a maximum (resp. minimum) spanning tree, so
 // it preserves connectivity and, in particular, widest-path/least-delay
 // reachability inside the view.
-func ReduceRNG(view *LocalView, m metric.Metric, w []float64) *ReducedView {
+//
+// A view built in a ViewScratch lends the working storage and Keep, valid
+// until its next build; any other view allocates them.
+func ReduceRNG(view *LocalView, m metric.Metric, w []float64) ReducedView {
 	g := view.G
-	edges := view.ViewEdges(nil)
-	keep := make(map[int32]bool, len(edges))
+	s := view.scratch
+	if s == nil {
+		s = new(ViewScratch)
+	}
+	s.rngEdges = view.ViewEdges(s.rngEdges[:0])
+	keep := resize(s.keep, g.M())
+	clear(keep)
 
 	// neighborWeight[z] caches w(z,y) for the y currently being scanned,
 	// stamped per edge to avoid clearing.
-	neighborWeight := make([]float64, g.N())
-	stamp := make([]int32, g.N())
+	neighborWeight := resize(s.rngW, g.N())
+	stamp := resize(s.rngStamp, g.N())
+	clear(stamp)
 	cur := int32(0)
 
-	for _, e := range edges {
+	for _, e := range s.rngEdges {
 		x, y := g.EdgeEndpoints(int(e))
 		cur++
 		for _, arc := range g.Arcs(y) {
@@ -55,5 +65,6 @@ func ReduceRNG(view *LocalView, m metric.Metric, w []float64) *ReducedView {
 		}
 		keep[e] = !removed
 	}
-	return &ReducedView{View: view, Keep: keep}
+	s.keep, s.rngW, s.rngStamp = keep, neighborWeight, stamp
+	return ReducedView{View: view, Keep: keep}
 }

@@ -23,7 +23,7 @@ func star(t *testing.T, k int, twoHop map[int32][]int32, bw map[[2]int32]float64
 	}
 	g := graph.New(int(maxNode) + 1)
 	addW := func(a, b int32) {
-		e := g.MustAddEdge(a, b)
+		e := mustAddEdge(g, a, b)
 		w := 1.0
 		if bw != nil {
 			if v, ok := bw[[2]int32{a, b}]; ok {
@@ -191,7 +191,7 @@ func TestCoverageInvariantRandom(t *testing.T) {
 		for a := int32(0); a < 25; a++ {
 			for b := a + 1; b < 25; b++ {
 				if rng.Float64() < 0.12 {
-					e := g.MustAddEdge(a, b)
+					e := mustAddEdge(g, a, b)
 					if err := g.SetWeight("bandwidth", e, float64(1+rng.Intn(10))); err != nil {
 						t.Fatal(err)
 					}
@@ -234,7 +234,7 @@ func TestMandatoryPhaseSubset(t *testing.T) {
 		for a := int32(0); a < 30; a++ {
 			for b := a + 1; b < 30; b++ {
 				if rng.Float64() < 0.1 {
-					e := g.MustAddEdge(a, b)
+					e := mustAddEdge(g, a, b)
 					if err := g.SetWeight("bandwidth", e, float64(1+rng.Intn(10))); err != nil {
 						t.Fatal(err)
 					}
@@ -347,4 +347,14 @@ func TestMinCoverCoverageInvariantRandom(t *testing.T) {
 			t.Fatalf("trial %d: min-cover %v bigger than greedy %v", trial, minc, greedy)
 		}
 	}
+}
+
+// mustAddEdge adds the edge a–b to a statically known-good fixture,
+// panicking on an error.
+func mustAddEdge(g *graph.Graph, a, b int32) int {
+	e, err := g.AddEdge(a, b)
+	if err != nil {
+		panic(err)
+	}
+	return e
 }

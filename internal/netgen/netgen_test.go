@@ -48,10 +48,10 @@ func TestPickConnectedPair(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	g := graph.New(6)
 	// Two components: {0,1,2} and {3,4,5}.
-	g.MustAddEdge(0, 1)
-	g.MustAddEdge(1, 2)
-	g.MustAddEdge(3, 4)
-	g.MustAddEdge(4, 5)
+	mustAddEdge(g, 0, 1)
+	mustAddEdge(g, 1, 2)
+	mustAddEdge(g, 3, 4)
+	mustAddEdge(g, 4, 5)
 	for i := 0; i < 50; i++ {
 		src, dst, err := PickConnectedPair(g, rng, 100)
 		if err != nil {
@@ -76,4 +76,14 @@ func TestPickConnectedPairFailures(t *testing.T) {
 	if _, _, err := PickConnectedPair(graph.New(5), rng, 10); err == nil {
 		t.Error("edgeless graph produced a pair")
 	}
+}
+
+// mustAddEdge adds the edge a–b to a statically known-good fixture,
+// panicking on an error.
+func mustAddEdge(g *graph.Graph, a, b int32) int {
+	e, err := g.AddEdge(a, b)
+	if err != nil {
+		panic(err)
+	}
+	return e
 }

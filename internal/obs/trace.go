@@ -182,52 +182,6 @@ func (pt *PacketTrace) Finish(outcome string, end time.Duration) {
 	t.free = append(t.free, pt)
 }
 
-// ValidateTrace checks that data is a well-formed Chrome trace-event JSON
-// document: a traceEvents array whose entries carry the mandatory
-// name/ph/ts/pid/tid fields with the right JSON types, durations on
-// complete events, and no negative timestamps. The scenario tests and the
-// CI trace smoke both gate on it.
-func ValidateTrace(data []byte) error {
-	var doc struct {
-		TraceEvents []map[string]json.RawMessage `json:"traceEvents"`
-	}
-	if err := json.Unmarshal(data, &doc); err != nil {
-		return fmt.Errorf("trace JSON does not parse: %w", err)
-	}
-	if doc.TraceEvents == nil {
-		return fmt.Errorf("trace JSON missing traceEvents array")
-	}
-	for i, ev := range doc.TraceEvents {
-		var name, ph string
-		var ts float64
-		var pid, tid int64
-		for field, into := range map[string]any{
-			"name": &name, "ph": &ph, "ts": &ts, "pid": &pid, "tid": &tid,
-		} {
-			raw, ok := ev[field]
-			if !ok {
-				return fmt.Errorf("event %d missing %q", i, field)
-			}
-			if err := json.Unmarshal(raw, into); err != nil {
-				return fmt.Errorf("event %d field %q: %w", i, field, err)
-			}
-		}
-		if name == "" {
-			return fmt.Errorf("event %d has empty name", i)
-		}
-		if ph != "X" && ph != "i" {
-			return fmt.Errorf("event %d has phase %q, want X or i", i, ph)
-		}
-		if ts < 0 {
-			return fmt.Errorf("event %d has negative ts %v", i, ts)
-		}
-		if _, ok := ev["dur"]; ph == "X" && !ok {
-			return fmt.Errorf("complete event %d missing dur", i)
-		}
-	}
-	return nil
-}
-
 // micros converts virtual time to the trace format's microsecond unit.
 func micros(d time.Duration) float64 {
 	return float64(d) / float64(time.Microsecond)

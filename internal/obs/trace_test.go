@@ -2,6 +2,8 @@ package obs
 
 import (
 	"bytes"
+	"encoding/json"
+	"fmt"
 	"testing"
 	"time"
 
@@ -127,7 +129,7 @@ func TestWriteTraceSchema(t *testing.T) {
 	if err := WriteTrace(&buf, tr.Events()); err != nil {
 		t.Fatal(err)
 	}
-	if err := ValidateTrace(buf.Bytes()); err != nil {
+	if err := validateTrace(buf.Bytes()); err != nil {
 		t.Fatal(err)
 	}
 
@@ -136,7 +138,7 @@ func TestWriteTraceSchema(t *testing.T) {
 	if err := WriteTrace(&buf, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := ValidateTrace(buf.Bytes()); err != nil {
+	if err := validateTrace(buf.Bytes()); err != nil {
 		t.Fatal(err)
 	}
 
@@ -147,8 +149,53 @@ func TestWriteTraceSchema(t *testing.T) {
 		`{"traceEvents":[{"name":"n0","ph":"Q","ts":0,"pid":0,"tid":0}]}`,
 		`{"traceEvents":[{"name":"n0","ph":"X","ts":-1,"pid":0,"tid":0,"dur":1}]}`,
 	} {
-		if err := ValidateTrace([]byte(bad)); err == nil {
+		if err := validateTrace([]byte(bad)); err == nil {
 			t.Errorf("validator accepted %s", bad)
 		}
 	}
+}
+
+// validateTrace checks that data is a well-formed Chrome trace-event JSON
+// document: a traceEvents array whose entries carry the mandatory
+// name/ph/ts/pid/tid fields with the right JSON types, durations on
+// complete events, and no negative timestamps.
+func validateTrace(data []byte) error {
+	var doc struct {
+		TraceEvents []map[string]json.RawMessage `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(data, &doc); err != nil {
+		return fmt.Errorf("trace JSON does not parse: %w", err)
+	}
+	if doc.TraceEvents == nil {
+		return fmt.Errorf("trace JSON missing traceEvents array")
+	}
+	for i, ev := range doc.TraceEvents {
+		var name, ph string
+		var ts float64
+		var pid, tid int64
+		for field, into := range map[string]any{
+			"name": &name, "ph": &ph, "ts": &ts, "pid": &pid, "tid": &tid,
+		} {
+			raw, ok := ev[field]
+			if !ok {
+				return fmt.Errorf("event %d missing %q", i, field)
+			}
+			if err := json.Unmarshal(raw, into); err != nil {
+				return fmt.Errorf("event %d field %q: %w", i, field, err)
+			}
+		}
+		if name == "" {
+			return fmt.Errorf("event %d has empty name", i)
+		}
+		if ph != "X" && ph != "i" {
+			return fmt.Errorf("event %d has phase %q, want X or i", i, ph)
+		}
+		if ts < 0 {
+			return fmt.Errorf("event %d has negative ts %v", i, ts)
+		}
+		if _, ok := ev["dur"]; ph == "X" && !ok {
+			return fmt.Errorf("complete event %d missing dur", i)
+		}
+	}
+	return nil
 }

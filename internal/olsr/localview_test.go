@@ -39,7 +39,7 @@ func referenceLocalView(t *testing.T, n *Node) (*graph.LocalView, []float64) {
 	for a := range ids {
 		for b := a + 1; b < len(ids); b++ {
 			if w, ok := n.resolvePair(int64(ids[a]), int64(ids[b])); ok {
-				if err := g.SetWeight(ch, g.MustAddEdge(int32(a), int32(b)), w); err != nil {
+				if err := g.SetWeight(ch, mustAddEdge(g, int32(a), int32(b)), w); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -365,4 +365,14 @@ func TestLocalViewOutsideWindow(t *testing.T) {
 		t.Errorf("%d views with negative ids, %d with ids past the window: the draw lost a corner", below, past)
 	}
 	t.Logf("%d views with negative ids, %d with ids past the window", below, past)
+}
+
+// mustAddEdge adds the edge a–b to a statically known-good fixture,
+// panicking on an error.
+func mustAddEdge(g *graph.Graph, a, b int32) int {
+	e, err := g.AddEdge(a, b)
+	if err != nil {
+		panic(err)
+	}
+	return e
 }

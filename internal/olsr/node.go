@@ -998,11 +998,12 @@ func (n *Node) MPRSet(now time.Duration) []int64 {
 	return append([]int64(nil), n.mprSet...)
 }
 
-// ANS returns the current advertised neighbor set (routing).
+// ANS returns the current advertised neighbor set (routing), shared
+// read-only: a changed set replaces it, so callers must not modify it.
 func (n *Node) ANS(now time.Duration) []int64 {
 	n.expire(now)
 	n.recompute(true)
-	return append([]int64(nil), n.ansSet...)
+	return n.ansSet
 }
 
 // Selectors returns the nodes that currently select this node as MPR.

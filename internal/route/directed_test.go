@@ -73,8 +73,8 @@ func TestDirectedDeliveryFigure4(t *testing.T) {
 
 func TestDirectedDeliveryBasics(t *testing.T) {
 	g := graph.New(3)
-	g.MustAddEdge(0, 1)
-	g.MustAddEdge(1, 2)
+	mustAddEdge(g, 0, 1)
+	mustAddEdge(g, 1, 2)
 	// Only node 0 advertises its link to 1.
 	d, err := BuildDirectedAdvertised(g, [][]int32{{1}, {}, {}})
 	if err != nil {

@@ -64,8 +64,8 @@ func TestFigure1QOLSRMissesWidestPath(t *testing.T) {
 
 func TestBuildAdvertisedDeduplicatesAndValidates(t *testing.T) {
 	g := graph.New(3)
-	e01 := g.MustAddEdge(0, 1)
-	e12 := g.MustAddEdge(1, 2)
+	e01 := mustAddEdge(g, 0, 1)
+	e12 := mustAddEdge(g, 1, 2)
 	if err := g.SetWeight("delay", e01, 1); err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func TestBuildAdvertisedDeduplicatesAndValidates(t *testing.T) {
 func TestWithLocalLinks(t *testing.T) {
 	g := graph.New(3)
 	for _, ab := range [][2]int32{{0, 1}, {1, 2}} {
-		e := g.MustAddEdge(ab[0], ab[1])
+		e := mustAddEdge(g, ab[0], ab[1])
 		if err := g.SetWeight("delay", e, 1); err != nil {
 			t.Fatal(err)
 		}
@@ -143,7 +143,7 @@ func TestEvaluatePairDisconnectedPhysical(t *testing.T) {
 		_ = adv
 	}
 	g2 := graph.New(3)
-	e := g2.MustAddEdge(0, 1)
+	e := mustAddEdge(g2, 0, 1)
 	if err := g2.SetWeight("delay", e, 1); err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +184,7 @@ func TestPolicyString(t *testing.T) {
 		t.Error("unknown policy name wrong")
 	}
 	g := graph.New(2)
-	e := g.MustAddEdge(0, 1)
+	e := mustAddEdge(g, 0, 1)
 	if err := g.SetWeight("delay", e, 1); err != nil {
 		t.Fatal(err)
 	}
@@ -228,4 +228,14 @@ func TestForward(t *testing.T) {
 	if path, ok := Forward(next, 3, 3, 8); !ok || len(path) != 1 {
 		t.Errorf("self-delivery path = %v ok=%v", path, ok)
 	}
+}
+
+// mustAddEdge adds the edge a–b to a statically known-good fixture,
+// panicking on an error.
+func mustAddEdge(g *graph.Graph, a, b int32) int {
+	e, err := g.AddEdge(a, b)
+	if err != nil {
+		panic(err)
+	}
+	return e
 }

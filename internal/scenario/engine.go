@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -22,13 +23,6 @@ import (
 	"qolsr/internal/sim"
 	"qolsr/internal/traffic"
 )
-
-// ctrlSnapshot carries the control-byte counters between samples so each
-// sample's rates diff against the previous sample, not the drain window.
-type ctrlSnapshot struct {
-	// total is HELLO + TC bytes on the air; fwd the TC relay share.
-	total, fwd uint64
-}
 
 // disruption records one fired phase for reconvergence tracking.
 type disruption struct {
@@ -134,13 +128,6 @@ func Execute(ctx context.Context, sc Scenario, seed int64, run int, emit func(Sa
 	// The persistent flow endpoints: uniform ordered (src, dst) pairs, the
 	// draw sequence locked by the goldens.
 	flows := sim.DrawPairs(nw.Phys.N(), flowCount, deriveSeed(seed, "traffic", run))
-	// The flow sources, ascending: the nodes every sample barrier rebuilds.
-	sources := make([]int32, len(flows))
-	for i, f := range flows {
-		sources[i] = f[0]
-	}
-	slices.Sort(sources)
-	sources = slices.Compact(sources)
 
 	if ms != nil {
 		ms.Start()
@@ -210,12 +197,7 @@ func Execute(ctx context.Context, sc Scenario, seed int64, run int, emit func(Sa
 
 	res := &RunResult{Run: run, Nodes: nw.Phys.N()}
 	drain := probeDrain(medium)
-	var (
-		prevT    time.Duration
-		prevCtrl ctrlSnapshot
-		prevCnt  traffic.Counters
-		prevReb  olsr.RebuildStats
-	)
+	smp := newSampler(flows)
 	for _, t := range sc.SampleTimes() {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -228,23 +210,12 @@ func Execute(ctx context.Context, sc Scenario, seed int64, run int, emit func(Sa
 		// date before measuring, fanning the table computations across the
 		// worker budget. The tables measure and the data plane then read
 		// are cache hits; results are bit-identical at every worker count.
-		if _, err := nw.RebuildRoutes(sources, sc.Workers); err != nil {
+		if _, err := nw.RebuildRoutes(smp.sources, sc.Workers); err != nil {
 			return nil, fmt.Errorf("scenario %s: route rebuild at %v: %w", sc.Name, t, err)
 		}
-		s, ctrl, err := measure(nw, cfg.Metric, channel, flows, t, prevT, prevCtrl, drain, eng, prevCnt)
+		s, err := smp.measure(nw, cfg.Metric, channel, flows, t, drain, eng)
 		if err != nil {
 			return nil, fmt.Errorf("scenario %s: sample at %v: %w", sc.Name, t, err)
-		}
-		reb := nw.RebuildTotals()
-		s.SPFFull = int(reb.SPFFull - prevReb.SPFFull)
-		if refr, chg := reb.AdvRefresh-prevReb.AdvRefresh, reb.AdvChange-prevReb.AdvChange; refr+chg > 0 {
-			s.SharedAdvRate = float64(refr) / float64(refr+chg)
-		}
-		prevReb = reb
-		prevT = t
-		prevCtrl = ctrl
-		if eng != nil {
-			prevCnt = eng.Counters()
 		}
 		res.Samples = append(res.Samples, s)
 		if emit != nil {
@@ -349,7 +320,43 @@ func reconvergence(samples []Sample, disruptions []disruption, duration time.Dur
 	return out
 }
 
-// measure takes one sample at virtual time t: it snapshots control traffic
+// sampler takes a run's samples. Between samples it keeps the counters each
+// sample diffs against, as of the previous sample time, and the ground
+// truth's working state: a search scratch per kind and a record per flow.
+type sampler struct {
+	order   []int32 // flow indices, stably sorted by source
+	sources []int32 // the distinct flow sources, ascending
+	fl      []flowTruth
+
+	hop, opt          graph.Scratch
+	prevT             time.Duration
+	prevCtrl, prevFwd uint64 // HELLO + TC bytes on the air, and the TC relay share
+	prevCnt           traffic.Counters
+	prevReb           olsr.RebuildStats
+}
+
+// flowTruth is one flow's reachability, optimal hop count and
+// routing-table overhead in the current sample.
+type flowTruth struct {
+	reach, scored     bool
+	optHops, overhead float64
+}
+
+func newSampler(flows [][2]int32) *sampler {
+	smp := &sampler{order: make([]int32, len(flows)), fl: make([]flowTruth, len(flows))}
+	for i := range smp.order {
+		smp.order[i] = int32(i)
+	}
+	slices.SortStableFunc(smp.order, func(a, b int32) int { return cmp.Compare(flows[a][0], flows[b][0]) })
+	for k, i := range smp.order {
+		if k == 0 || flows[smp.order[k-1]][0] != flows[i][0] {
+			smp.sources = append(smp.sources, flows[i][0])
+		}
+	}
+	return smp
+}
+
+// measure takes the sample at virtual time t: it snapshots control traffic
 // and advertised sets, evaluates the sources' routing tables against the
 // centralized optimum on the current effective topology, and measures the
 // data plane. In legacy probe mode it injects one probe packet per flow and
@@ -357,98 +364,84 @@ func reconvergence(samples []Sample, disruptions []disruption, duration time.Dur
 // traffic-engine mode (eng non-nil) the sustained flows are already in
 // flight, so the sample diffs the engine's counters over the window instead
 // (Delivery is then delivered/completed packets of the window) and no time
-// advances. It returns the sample and the control-byte counter as of t —
-// the caller must carry that (not the post-drain counter) into the next
-// sample's rate, or control messages sent during each drain window would
-// vanish from every rate. A routing-table failure aborts the sample: it is
-// surfaced to the caller instead of being silently sampled as an empty
-// table.
-func measure(nw *sim.Network, m metric.Metric, channel string, flows [][2]int32, t, prevT time.Duration, prev ctrlSnapshot, drain time.Duration, eng *traffic.Engine, prevCnt traffic.Counters) (Sample, ctrlSnapshot, error) {
+// advances. Control rates diff against the counters as of the previous
+// sample time, not after its drain, or control messages sent during each
+// drain window would vanish from every rate. A routing-table failure aborts
+// the sample: it is surfaced to the caller instead of being silently
+// sampled as an empty table.
+func (smp *sampler) measure(nw *sim.Network, m metric.Metric, channel string, flows [][2]int32, t, drain time.Duration, eng *traffic.Engine) (Sample, error) {
 	s := Sample{Time: t, Nodes: nw.Phys.N()}
-
-	ctrl := ctrlSnapshot{
-		total: nw.Stats.HelloBytes + nw.Stats.TCBytes,
-		fwd:   nw.Stats.TCForwardedBytes,
+	ctrl, fwd := nw.Stats.HelloBytes+nw.Stats.TCBytes, nw.Stats.TCForwardedBytes
+	if secs := (t - smp.prevT).Seconds(); secs > 0 {
+		s.ControlBPS = float64(ctrl-smp.prevCtrl) / secs
+		s.TCFwdBPS = float64(fwd-smp.prevFwd) / secs
 	}
-	if secs := (t - prevT).Seconds(); secs > 0 {
-		s.ControlBPS = float64(ctrl.total-prev.total) / secs
-		s.TCFwdBPS = float64(ctrl.fwd-prev.fwd) / secs
-	}
-	if sets, err := nw.ANSSets(); err == nil && len(sets) > 0 {
+	if len(nw.Nodes) > 0 {
 		total := 0
-		for _, set := range sets {
-			total += len(set)
+		for _, n := range nw.Nodes {
+			total += len(n.ANS(nw.Engine.Now()))
 		}
-		s.SetSize = float64(total) / float64(len(sets))
+		s.SetSize = float64(total) / float64(len(nw.Nodes))
 	}
 
 	eff, w := effectiveTopology(nw, channel)
 	s.Links = eff.M()
-
-	// Per-source searches are shared across flows with the same source.
-	// The routing tables are the nodes' own cached snapshots, not copies:
-	// caching them per source here only avoids re-running the nodes'
-	// (cheap) validity checks.
-	hopSPs := make(map[int32]*graph.ShortestPaths)
-	optSPs := make(map[int32]*graph.ShortestPaths)
-	tables := make(map[int32]*olsr.Routes)
-	var (
-		stretchSum  float64
-		stretchN    int
-		overheadSum float64
-		overheadN   int
-	)
-	for _, f := range flows {
-		if eff.M() == 0 {
-			break
+	// Ground truth, one source at a time: the hop search fixes each flow's
+	// reachability and optimal hop count; for a reachable flow the source's
+	// routing table (a cache hit after the rebuild barrier) is scored
+	// against the QoS search's optimum on the live topology.
+	var hop, opt *graph.ShortestPaths
+	var table *olsr.Routes
+	for k, i := range smp.order {
+		src, dst := flows[i][0], flows[i][1]
+		if k == 0 || flows[smp.order[k-1]][0] != src {
+			hop, opt, table = smp.hop.Dijkstra(eff, metric.Hop(), w, src, nil, -1), nil, nil
 		}
-		src, dst := f[0], f[1]
-		hopSP := hopSPs[src]
-		if hopSP == nil {
-			hopSP = graph.Dijkstra(eff, metric.Hop(), w, src, nil, -1)
-			hopSPs[src] = hopSP
+		f := &smp.fl[i]
+		if f.reach, f.scored, f.optHops = hop.Reachable(dst), false, hop.Dist[dst]; !f.reach {
+			continue
 		}
-		if !hopSP.Reachable(dst) {
+		if table == nil {
+			var err error
+			if table, err = nw.Nodes[src].Routes(nw.Engine.Now()); err != nil {
+				return Sample{}, fmt.Errorf("routing table of node %d: %w", nw.Phys.ID(src), err)
+			}
+		}
+		entry, ok := table.Lookup(int64(nw.Phys.ID(dst)))
+		if !ok {
+			continue
+		}
+		if opt == nil {
+			opt = smp.opt.Dijkstra(eff, m, w, src, nil, -1)
+		}
+		if f.scored = opt.Reachable(dst); f.scored {
+			f.overhead = route.Overhead(m, entry.Value, opt.Dist[dst])
+		}
+	}
+	// s.HopStretch and s.Overhead hold sums until the means are taken.
+	stretchN := 0
+	for i, f := range smp.fl {
+		if !f.reach {
 			continue
 		}
 		s.Connected++
-		optHops := hopSP.Dist[dst]
-
-		// Routing-table overhead: what the source would achieve right
-		// now against the optimum on the live physical topology.
-		table, ok := tables[src]
-		if !ok {
-			var err error
-			table, err = nw.Nodes[src].Routes(nw.Engine.Now())
-			if err != nil {
-				return Sample{}, ctrlSnapshot{}, fmt.Errorf("routing table of node %d: %w", nw.Phys.ID(src), err)
-			}
-			tables[src] = table
+		if f.scored {
+			s.Overhead += f.overhead
+			s.OverheadFlows++
 		}
-		if entry, ok := table.Lookup(int64(nw.Phys.ID(dst))); ok {
-			optSP := optSPs[src]
-			if optSP == nil {
-				optSP = graph.Dijkstra(eff, m, w, src, nil, -1)
-				optSPs[src] = optSP
-			}
-			if optSP.Reachable(dst) {
-				overheadSum += route.Overhead(m, entry.Value, optSP.Dist[dst])
-				overheadN++
-			}
-		}
-
 		if eng != nil {
 			// Sustained flows are already offering load; probes would
 			// only distort the queues they contend for.
 			continue
 		}
-		nw.SendData(src, dst, func(ok bool, hops int, _ time.Duration) {
+		optHops := f.optHops
+		nw.SendData(flows[i][0], flows[i][1], func(ok bool, hops int, _ time.Duration) {
 			if !ok {
 				return
 			}
 			s.Delivered++
 			if optHops > 0 {
-				stretchSum += float64(hops) / optHops
+				s.HopStretch += float64(hops) / optHops
 				stretchN++
 			}
 		})
@@ -460,27 +453,33 @@ func measure(nw *sim.Network, m metric.Metric, channel string, flows [][2]int32,
 			s.Delivery = float64(s.Delivered) / float64(s.Connected)
 		}
 	} else {
-		cnt := eng.Counters()
-		s.TrafficSent = int(cnt.Sent - prevCnt.Sent)
-		s.TrafficCompleted = int(cnt.Completed - prevCnt.Completed)
-		s.TrafficDelivered = int(cnt.Delivered - prevCnt.Delivered)
-		if secs := (t - prevT).Seconds(); secs > 0 {
-			s.TrafficThroughputBps = float64(cnt.BytesDelivered-prevCnt.BytesDelivered) / secs
+		cnt, prev := eng.Counters(), smp.prevCnt
+		s.TrafficSent = int(cnt.Sent - prev.Sent)
+		s.TrafficCompleted = int(cnt.Completed - prev.Completed)
+		s.TrafficDelivered = int(cnt.Delivered - prev.Delivered)
+		if secs := (t - smp.prevT).Seconds(); secs > 0 {
+			s.TrafficThroughputBps = float64(cnt.BytesDelivered-prev.BytesDelivered) / secs
 		}
 		s.Delivered = s.TrafficDelivered
 		s.Delivery = 1
 		if s.TrafficCompleted > 0 {
 			s.Delivery = float64(s.TrafficDelivered) / float64(s.TrafficCompleted)
 		}
+		smp.prevCnt = cnt
 	}
 	if stretchN > 0 {
-		s.HopStretch = stretchSum / float64(stretchN)
+		s.HopStretch /= float64(stretchN)
 	}
-	s.OverheadFlows = overheadN
-	if overheadN > 0 {
-		s.Overhead = overheadSum / float64(overheadN)
+	if s.OverheadFlows > 0 {
+		s.Overhead /= float64(s.OverheadFlows)
 	}
-	return s, ctrl, nil
+	reb := nw.RebuildTotals()
+	s.SPFFull = int(reb.SPFFull - smp.prevReb.SPFFull)
+	if refr, chg := reb.AdvRefresh-smp.prevReb.AdvRefresh, reb.AdvChange-smp.prevReb.AdvChange; refr+chg > 0 {
+		s.SharedAdvRate = float64(refr) / float64(refr+chg)
+	}
+	smp.prevT, smp.prevCtrl, smp.prevFwd, smp.prevReb = t, ctrl, fwd, reb
+	return s, nil
 }
 
 // effectiveTopology returns the physical graph minus failed links, with the

@@ -4,9 +4,12 @@ import (
 	"bytes"
 	"context"
 	"flag"
+	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 )
 
 // Regenerate the golden files after an intentional encoding change with:
@@ -18,7 +21,27 @@ var updateGolden = flag.Bool("update-golden", false, "rewrite the scenario encod
 // document the encoders must keep producing byte for byte.
 func goldenResult(t *testing.T) *Result {
 	t.Helper()
-	sc := ladderScenario().WithDefaults()
+	return executeReplicates(t, ladderScenario().WithDefaults())
+}
+
+// mobileGoldenScenario is a short random-waypoint-dense run with enough
+// flows that several share a source, so the sampler's per-source searches,
+// its overhead sum in flow order and its stretch sum in delivery order are
+// all pinned by the golden files.
+func mobileGoldenScenario(t *testing.T) Scenario {
+	t.Helper()
+	sc, err := ByName("random-waypoint-dense", "fnbp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc.Duration, sc.Warmup = 30*time.Second, 10*time.Second
+	sc.Traffic.Flows = 40
+	return sc
+}
+
+// executeReplicates runs two replicates of sc at seed 1.
+func executeReplicates(t *testing.T, sc Scenario) *Result {
+	t.Helper()
 	res := &Result{Scenario: sc, Seed: 1}
 	for run := 0; run < 2; run++ {
 		rr, err := Execute(context.Background(), sc, 1, run, nil)
@@ -65,4 +88,35 @@ func TestGoldenCSV(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkGolden(t, "ladder.csv.golden", buf.Bytes())
+}
+
+func TestGoldenMobileJSON(t *testing.T) {
+	var buf bytes.Buffer
+	if err := executeReplicates(t, mobileGoldenScenario(t)).EncodeJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, "mobile.json.golden", buf.Bytes())
+}
+
+func TestGoldenMobileCSV(t *testing.T) {
+	var buf bytes.Buffer
+	if err := executeReplicates(t, mobileGoldenScenario(t)).EncodeCSV(&buf); err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, "mobile.csv.golden", buf.Bytes())
+}
+
+// TestGoldenMobileExact pins the mobile run's sampled means to the last bit:
+// the encoders round to six decimals, which can hide a sum taken in another
+// order.
+func TestGoldenMobileExact(t *testing.T) {
+	var buf bytes.Buffer
+	for _, run := range executeReplicates(t, mobileGoldenScenario(t)).Runs {
+		for _, s := range run.Samples {
+			fmt.Fprintf(&buf, "%d %v stretch=%x overhead=%x delivery=%x set=%x control=%x\n", run.Run, s.Time,
+				math.Float64bits(s.HopStretch), math.Float64bits(s.Overhead), math.Float64bits(s.Delivery),
+				math.Float64bits(s.SetSize), math.Float64bits(s.ControlBPS))
+		}
+	}
+	checkGolden(t, "mobile.exact.golden", buf.Bytes())
 }

@@ -15,7 +15,7 @@ func lineNetwork(t *testing.T) *Network {
 	t.Helper()
 	g := graph.New(4)
 	for i := int32(0); i < 3; i++ {
-		e := g.MustAddEdge(i, i+1)
+		e := mustAddEdge(g, i, i+1)
 		if err := g.SetWeight("bandwidth", e, 5); err != nil {
 			t.Fatal(err)
 		}
@@ -120,7 +120,7 @@ func TestProtocolReactsToLinkFailure(t *testing.T) {
 	// Square 0-1-2-3-0 so an alternative path exists.
 	g := graph.New(4)
 	for _, ab := range [][2]int32{{0, 1}, {1, 2}, {2, 3}, {3, 0}} {
-		e := g.MustAddEdge(ab[0], ab[1])
+		e := mustAddEdge(g, ab[0], ab[1])
 		if err := g.SetWeight("bandwidth", e, 5); err != nil {
 			t.Fatal(err)
 		}

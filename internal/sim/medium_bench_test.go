@@ -73,10 +73,10 @@ func BenchmarkLossyMedium(b *testing.B) {
 		g := graph.New(n)
 		for i := int32(0); i < n; i++ {
 			for d := int32(1); d <= 5; d++ {
-				g.MustAddEdge(i, (i+d)%n)
+				mustAddEdge(g, i, (i+d)%n)
 			}
 			if i < n/2 {
-				g.MustAddEdge(i, i+n/2)
+				mustAddEdge(g, i, i+n/2)
 			}
 		}
 		if err := g.AssignUniformWeights(bandwidthChannel, metric.DefaultInterval(), rand.New(rand.NewSource(17))); err != nil {

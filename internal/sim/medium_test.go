@@ -238,7 +238,7 @@ func TestMediumByName(t *testing.T) {
 func TestETXEstimatorConvergence(t *testing.T) {
 	const loss = 0.25
 	g := graph.New(2)
-	e := g.MustAddEdge(0, 1)
+	e := mustAddEdge(g, 0, 1)
 	if err := g.SetWeight("delay", e, 1); err != nil {
 		t.Fatal(err)
 	}

@@ -29,7 +29,7 @@ func TestPairWeightStableAndSymmetric(t *testing.T) {
 
 func TestSetTopologyValidation(t *testing.T) {
 	g := graph.New(3)
-	e := g.MustAddEdge(0, 1)
+	e := mustAddEdge(g, 0, 1)
 	if err := g.SetWeight("bandwidth", e, 2); err != nil {
 		t.Fatal(err)
 	}
@@ -42,12 +42,12 @@ func TestSetTopologyValidation(t *testing.T) {
 		t.Error("node-count change accepted")
 	}
 	noChannel := graph.New(3)
-	noChannel.MustAddEdge(0, 2)
+	mustAddEdge(noChannel, 0, 2)
 	if err := nw.SetTopology(noChannel); err == nil {
 		t.Error("missing channel accepted")
 	}
 	ok := graph.New(3)
-	e2 := ok.MustAddEdge(0, 2)
+	e2 := mustAddEdge(ok, 0, 2)
 	if err := ok.SetWeight("bandwidth", e2, 7); err != nil {
 		t.Fatal(err)
 	}

@@ -208,7 +208,7 @@ func TestNewNetworkValidation(t *testing.T) {
 func TestTTLScopedRelayAndDupSuppression(t *testing.T) {
 	g := graph.New(5)
 	for i := int32(0); i < 4; i++ {
-		e := g.MustAddEdge(i, i+1)
+		e := mustAddEdge(g, i, i+1)
 		if err := g.SetWeight("bandwidth", e, 5); err != nil {
 			t.Fatal(err)
 		}
@@ -329,4 +329,14 @@ func TestDeltaTCNetworkConverges(t *testing.T) {
 	if s.TCOriginatedBytes == 0 || s.TCForwardedBytes == 0 {
 		t.Error("degenerate byte split")
 	}
+}
+
+// mustAddEdge adds the edge a–b to a statically known-good fixture,
+// panicking on an error.
+func mustAddEdge(g *graph.Graph, a, b int32) int {
+	e, err := g.AddEdge(a, b)
+	if err != nil {
+		panic(err)
+	}
+	return e
 }

@@ -103,7 +103,7 @@ func TestEngineMixedClassesOnLossyMedium(t *testing.T) {
 	// offer load; the run must account every packet exactly once.
 	g := graph.New(6)
 	for _, l := range [][2]int32{{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}, {0, 2}, {1, 3}, {2, 4}, {3, 5}} {
-		e := g.MustAddEdge(l[0], l[1])
+		e := mustAddEdge(g, l[0], l[1])
 		if err := g.SetWeight("bandwidth", e, 4); err != nil {
 			t.Fatal(err)
 		}

@@ -144,7 +144,7 @@ func gateNetwork(t *testing.T) *sim.Network {
 		a, b int32
 		w    float64
 	}{{0, 3, 10}, {0, 1, 5}, {1, 2, 5}, {2, 3, 5}} {
-		e := g.MustAddEdge(l.a, l.b)
+		e := mustAddEdge(g, l.a, l.b)
 		if err := g.SetWeight("bandwidth", e, l.w); err != nil {
 			t.Fatal(err)
 		}
@@ -229,7 +229,7 @@ func TestAdmissionBandwidthFloor(t *testing.T) {
 func TestAdmissionNoRoute(t *testing.T) {
 	// Two isolated components: no route, and the oracle agrees.
 	g := graph.New(3)
-	e := g.MustAddEdge(0, 1)
+	e := mustAddEdge(g, 0, 1)
 	if err := g.SetWeight("bandwidth", e, 5); err != nil {
 		t.Fatal(err)
 	}
@@ -243,4 +243,14 @@ func TestAdmissionNoRoute(t *testing.T) {
 	if dec.Admitted || dec.Reason != ReasonNoRoute || dec.Feasible {
 		t.Errorf("isolated destination decision: %+v", dec)
 	}
+}
+
+// mustAddEdge adds the edge a–b to a statically known-good fixture,
+// panicking on an error.
+func mustAddEdge(g *graph.Graph, a, b int32) int {
+	e, err := g.AddEdge(a, b)
+	if err != nil {
+		panic(err)
+	}
+	return e
 }
