@@ -18,10 +18,11 @@ import (
 
 	"qolsr"
 	"qolsr/internal/olsr"
+	"qolsr/internal/sim"
 )
 
 // benchFigure runs a reduced version of a paper figure once per iteration
-// through the Experiment API and reports the last result's series.
+// on a Runner and reports the last result's series.
 func benchFigure(b *testing.B, id string) {
 	fig, err := qolsr.FigureByID(id)
 	if err != nil {
@@ -33,8 +34,8 @@ func benchFigure(b *testing.B, id string) {
 	var res *qolsr.FigureResult
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		out, err := exp.Run(context.Background(),
-			qolsr.WithRuns(3), qolsr.WithSeed(int64(i)+1), qolsr.WithDegrees(degrees...))
+		out, err := qolsr.NewRunner(qolsr.WithRuns(3), qolsr.WithSeed(int64(i)+1), qolsr.WithDegrees(degrees...)).
+			Run(context.Background(), exp)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -62,11 +63,11 @@ func BenchmarkSweep(b *testing.B) {
 		b.Fatal(err)
 	}
 	exp := qolsr.NewExperiment(fig6, fig8)
+	r := qolsr.NewRunner(qolsr.WithRuns(3), qolsr.WithSeed(1), qolsr.WithDegrees(10, 15, 20))
 	var points int
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := exp.Run(context.Background(),
-			qolsr.WithRuns(3), qolsr.WithSeed(1), qolsr.WithDegrees(10, 15, 20))
+		res, err := r.Run(context.Background(), exp)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -166,25 +167,23 @@ func BenchmarkAblationLoopFix(b *testing.B) {
 }
 
 // BenchmarkAblationLocalLinks measures routing overhead with and without
-// the source's local links (ablation A2).
+// the source's local links (ablation A2): ablation-locallinks at degree 15,
+// 3 runs, seed 9, one density point on a Runner.
 func BenchmarkAblationLocalLinks(b *testing.B) {
-	sc := qolsr.PointScenario{
-		Deployment: qolsr.PaperDeployment(15),
-		Metric:     qolsr.Bandwidth(),
-		Runs:       3,
-		Seed:       9,
+	exp, err := qolsr.ExperimentByID("locallinks")
+	if err != nil {
+		b.Fatal(err)
 	}
-	var res *qolsr.PointResult
-	var err error
+	r := qolsr.NewRunner(qolsr.WithDegrees(15), qolsr.WithRuns(3), qolsr.WithSeed(9))
+	var res *qolsr.Results
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err = qolsr.RunPoint(context.Background(), sc, qolsr.LocalLinksAblation(), 0)
-		if err != nil {
+		if res, err = r.Run(context.Background(), exp); err != nil {
 			b.Fatal(err)
 		}
 	}
 	b.StopTimer()
-	for name, pp := range res.Protocols {
+	for name, pp := range res.Figures[0].Points[0].Protocols {
 		b.ReportMetric(pp.Overhead.Mean(), "overhead_"+name)
 	}
 }
@@ -324,8 +323,8 @@ func BenchmarkScenario(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var err error
-		res, err = qolsr.RunScenario(context.Background(), sc,
-			qolsr.WithRuns(1), qolsr.WithSeed(int64(i)+1), qolsr.WithWorkers(1))
+		res, err = qolsr.NewRunner(qolsr.WithRuns(1), qolsr.WithSeed(int64(i)+1), qolsr.WithWorkers(1)).
+			RunScenario(context.Background(), sc)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -355,14 +354,11 @@ func BenchmarkDataplaneForwarding(b *testing.B) {
 	nw.Run(30 * time.Second)
 	b.ReportMetric(float64(g.N()), "nodes")
 	b.ResetTimer()
+	var delivered countSink
 	for i := 0; i < b.N; i++ {
-		delivered := 0
+		delivered = 0
 		for src := int32(1); int(src) < g.N(); src++ {
-			nw.SendData(src, 0, func(ok bool, _ int, _ time.Duration) {
-				if ok {
-					delivered++
-				}
-			})
+			nw.SendDataTraced(src, 0, sim.DataPacketBytes, &delivered, 0, nil)
 		}
 		nw.Run(nw.Engine.Now() + time.Second)
 		if delivered == 0 {
@@ -371,6 +367,15 @@ func BenchmarkDataplaneForwarding(b *testing.B) {
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(nw.Data.Delivered)/float64(nw.Data.Sent), "delivery")
+}
+
+// countSink counts delivered packets.
+type countSink int
+
+func (c *countSink) PacketDone(_ uint64, delivered bool, _ int, _ time.Duration) {
+	if delivered {
+		*c++
+	}
 }
 
 // BenchmarkProtocolConvergence measures wall time to simulate 30 virtual

@@ -146,7 +146,7 @@ func runScenario(args []string) error {
 			fmt.Fprintf(os.Stderr, format+"\n", args...)
 		}))
 	}
-	res, err := qolsr.RunScenario(ctx, sc, opts...)
+	res, err := qolsr.NewRunner(opts...).RunScenario(ctx, sc)
 	if err != nil {
 		if errors.Is(err, context.Canceled) {
 			return fmt.Errorf("scenario canceled")

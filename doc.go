@@ -50,8 +50,9 @@
 // over every sample from the warmup on.
 //
 //	exp, err := qolsr.ExperimentByID("fig6", "fig8")
-//	res, err := exp.Run(ctx, qolsr.WithRuns(100), qolsr.WithSeed(1),
+//	r := qolsr.NewRunner(qolsr.WithRuns(100), qolsr.WithSeed(1),
 //		qolsr.WithWorkers(8), qolsr.WithProgress(log.Printf))
+//	res, err := r.Run(ctx, exp)
 //	res.WriteTables(os.Stdout)   // the paper's tables
 //	res.EncodeJSON(os.Stdout)    // machine-readable ("qolsr-sweep/v1")
 //	res.EncodeCSV(os.Stdout)     // long-form rows for plotting tools
@@ -64,7 +65,7 @@
 // For incremental consumption (live plotting, partial saves), Stream
 // delivers each completed density point as it lands:
 //
-//	events, wait := exp.Stream(ctx, qolsr.WithRuns(100))
+//	events, wait := r.Stream(ctx, exp)
 //	for ev := range events {
 //		if ev.Kind == qolsr.EventPoint {
 //			plot(ev.FigureID, ev.Degree, ev.Point)
@@ -86,7 +87,8 @@
 // Built-ins resolve by name, parameterised by selector:
 //
 //	sc, err := qolsr.ScenarioByName("single-link-flap", "fnbp")
-//	res, err := qolsr.RunScenario(ctx, sc, qolsr.WithRuns(5), qolsr.WithSeed(1))
+//	r := qolsr.NewRunner(qolsr.WithRuns(5), qolsr.WithSeed(1))
+//	res, err := r.RunScenario(ctx, sc)
 //	res.WriteTable(os.Stdout)   // aggregate table + reconvergence summary
 //	res.EncodeJSON(os.Stdout)   // machine-readable ("qolsr-scenario/v2")
 //
@@ -128,8 +130,8 @@
 // mean/p50/p95/p99 (streaming P² quantiles), inter-packet jitter and a
 // QoS verdict per flow; the mix's violation ratio — admitted flows whose
 // measured traffic broke a bound — scores a selection policy under load.
-// Scenarios carry a mix in ScenarioTraffic.Mix (the legacy Flows probe
-// count keeps its exact pre-engine behaviour), the load-ramp and
+// Scenarios carry a mix in ScenarioTraffic.Mix (the Flows probe count
+// keeps its exact pre-engine behaviour), the load-ramp and
 // video-vs-cbr built-ins exercise it, and the A8 grid (Runner.LiveGrid
 // "load") sweeps QoS satisfaction against offered load, comparing the paper's
 // QoS-based selection with hop-count selection under oracle and measured

@@ -1,6 +1,6 @@
 // Quickstart: build a random sensor field, run the paper's FNBP selection
 // at one node, route a packet over the advertised topology, then sweep a
-// miniature density experiment through the streaming Experiment API.
+// miniature density experiment as a streaming sweep on a Runner.
 package main
 
 import (
@@ -75,14 +75,14 @@ func main() {
 	fmt.Printf("route %d -> %d: bandwidth %.1f over %d hops (optimum %.1f, overhead %.1f%%)\n",
 		src, dst, ev.Achieved, ev.Hops, ev.Optimal, 100*ev.Overhead)
 
-	// 5. The same comparison across densities, through the Experiment
-	//    API: a reduced Fig. 6 whose points stream in as they complete.
+	// 5. The same comparison across densities, through the Runner: a
+	//    reduced Fig. 6 whose points stream in as they complete.
 	fig, err := qolsr.FigureByID("fig6")
 	if err != nil {
 		log.Fatal(err)
 	}
-	events, wait := qolsr.NewExperiment(fig).Stream(context.Background(),
-		qolsr.WithRuns(3), qolsr.WithSeed(7), qolsr.WithDegrees(8, 12))
+	r := qolsr.NewRunner(qolsr.WithRuns(3), qolsr.WithSeed(7), qolsr.WithDegrees(8, 12))
+	events, wait := r.Stream(context.Background(), qolsr.NewExperiment(fig))
 	for ev := range events {
 		if ev.Kind == qolsr.EventPoint {
 			pp := ev.Point.Protocols["fnbp"]

@@ -85,7 +85,7 @@ func comparePartitionHeal(ctx context.Context) {
 		sc.Topology.Deployment.Field = qolsr.Field{Width: 400, Height: 400}
 		sc.Duration = 100 * time.Second
 
-		res, err := qolsr.RunScenario(ctx, sc, qolsr.WithRuns(2), qolsr.WithSeed(3))
+		res, err := qolsr.NewRunner(qolsr.WithRuns(2), qolsr.WithSeed(3)).RunScenario(ctx, sc)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -88,7 +88,7 @@ func runVideoVsCBR(ctx context.Context) {
 	sc.Warmup = 20 * time.Second
 
 	fmt.Println("# built-in video-vs-cbr (scaled down): bursty video with delay+jitter bounds vs CBR")
-	res, err := qolsr.RunScenario(ctx, sc, qolsr.WithRuns(1), qolsr.WithSeed(5))
+	res, err := qolsr.NewRunner(qolsr.WithRuns(1), qolsr.WithSeed(5)).RunScenario(ctx, sc)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -1,12 +1,13 @@
 package qolsr
 
 // The Experiment/Runner API: compose density sweeps from figures (by value
-// or by name), run them as cancellable parallel pipelines, stream results
-// point by point, and encode them as tables, CSV or JSON.
+// or by name), run them on a Runner as cancellable parallel pipelines,
+// stream results point by point, and encode them as tables, CSV or JSON.
 //
 //	exp := qolsr.PaperExperiment()
-//	res, err := exp.Run(ctx, qolsr.WithRuns(100), qolsr.WithWorkers(8),
+//	r := qolsr.NewRunner(qolsr.WithRuns(100), qolsr.WithWorkers(8),
 //		qolsr.WithProgress(log.Printf))
+//	res, err := r.Run(ctx, exp)
 //	...
 //	res.EncodeJSON(os.Stdout)
 //
@@ -14,11 +15,13 @@ package qolsr
 // point (and every assembled figure) on a channel while the sweep is still
 // running:
 //
-//	events, wait := exp.Stream(ctx)
+//	events, wait := r.Stream(ctx, exp)
 //	for ev := range events {
 //		if ev.Kind == qolsr.EventPoint { plot(ev.Degree, ev.Point) }
 //	}
 //	res, err := wait()
+//
+// One density point is a Figure with one degree.
 
 import (
 	"context"
@@ -34,10 +37,6 @@ type (
 	Figure = eval.Figure
 	// Quantity selects which measured series a figure reports.
 	Quantity = eval.Quantity
-	// PointScenario is one density point, ready for RunPoint. (The name
-	// Scenario belongs to the dynamic-network scenario programs of
-	// scenario.go.)
-	PointScenario = eval.Scenario
 	// PointResult is one density point's outcome.
 	PointResult = eval.PointResult
 	// ProtocolPoint aggregates one protocol's behaviour at one density.
@@ -90,8 +89,6 @@ var (
 	SweepIDs = eval.SweepIDs
 	// LiveGridNames lists the live-stack ablations Runner.LiveGrid runs.
 	LiveGridNames = eval.LiveGridNames
-	// QuantityByName resolves a quantity's string form.
-	QuantityByName = eval.QuantityByName
 	// QuantityNames lists every reportable quantity's string form.
 	QuantityNames = eval.QuantityNames
 	// PaperProtocols returns the paper's three curves.
@@ -107,12 +104,6 @@ var (
 	// MPRHeuristicAblation compares MPR heuristics as advertised sets.
 	MPRHeuristicAblation = eval.MPRHeuristicAblation
 )
-
-// RunPoint evaluates protocols on independent topologies at one density:
-// a one-point grid on the cell loop every sweep runs on. It honours ctx and
-// runs up to workers topologies at once (0 = GOMAXPROCS); results are
-// identical for any value.
-var RunPoint = eval.RunPoint
 
 // Option tunes how a Runner executes an experiment.
 type Option func(*runner.Options)
@@ -141,19 +132,14 @@ func WithProgress(f func(format string, args ...any)) Option {
 	return func(o *runner.Options) { o.Progress = f }
 }
 
-// WithQuantities selects the series the JSON/CSV encoders emit per
-// protocol; the default is each figure's own quantity.
-func WithQuantities(qs ...Quantity) Option {
-	return func(o *runner.Options) { o.Quantities = append([]Quantity(nil), qs...) }
-}
-
 // WithDegrees overrides every figure's density axis.
 func WithDegrees(degrees ...float64) Option {
 	return func(o *runner.Options) { o.Degrees = append([]float64(nil), degrees...) }
 }
 
-// Experiment is a composed set of figures to sweep. The zero value is
-// empty; compose with NewExperiment, PaperExperiment or ExperimentByID.
+// Experiment is a composed set of figures to sweep; a Runner runs it. The
+// zero value is empty; compose with NewExperiment, PaperExperiment or
+// ExperimentByID.
 type Experiment struct {
 	figures []Figure
 }
@@ -193,20 +179,10 @@ func (e *Experiment) Figures() []Figure {
 	return append([]Figure(nil), e.figures...)
 }
 
-// Run executes the experiment to completion under ctx.
-func (e *Experiment) Run(ctx context.Context, opts ...Option) (*Results, error) {
-	return NewRunner(opts...).Run(ctx, e)
-}
-
-// Stream starts the experiment and returns the event channel plus a wait
-// function yielding the final result. See Runner.Stream.
-func (e *Experiment) Stream(ctx context.Context, opts ...Option) (<-chan Event, func() (*Results, error)) {
-	return NewRunner(opts...).Stream(ctx, e)
-}
-
-// Runner executes experiments with a fixed option set, so one
-// configuration (workers, seed, runs, progress sink) can drive many
-// experiments.
+// Runner is the one way to run anything: figure sweeps (Run, Stream), the
+// live-stack ablations (LiveGrid) and scenario programs (RunScenario,
+// StreamScenario), under a fixed option set, so one configuration
+// (workers, seed, runs, progress sink) can drive many of them.
 type Runner struct {
 	opts runner.Options
 }

@@ -40,8 +40,8 @@ func TestExperimentByID(t *testing.T) {
 }
 
 func TestExperimentRunAndEncoders(t *testing.T) {
-	res, err := tinyExperiment(t).Run(context.Background(),
-		qolsr.WithRuns(2), qolsr.WithSeed(9), qolsr.WithDegrees(3, 4))
+	res, err := qolsr.NewRunner(qolsr.WithRuns(2), qolsr.WithSeed(9), qolsr.WithDegrees(3, 4)).
+		Run(context.Background(), tinyExperiment(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,8 +70,8 @@ func TestExperimentRunAndEncoders(t *testing.T) {
 }
 
 func TestExperimentStreamDeliversIncrementally(t *testing.T) {
-	events, wait := tinyExperiment(t).Stream(context.Background(),
-		qolsr.WithRuns(1), qolsr.WithSeed(4), qolsr.WithDegrees(3, 4, 5), qolsr.WithWorkers(3))
+	events, wait := qolsr.NewRunner(qolsr.WithRuns(1), qolsr.WithSeed(4), qolsr.WithDegrees(3, 4, 5), qolsr.WithWorkers(3)).
+		Stream(context.Background(), tinyExperiment(t))
 	points, figures := 0, 0
 	for ev := range events {
 		switch ev.Kind {
@@ -107,8 +107,8 @@ func TestExperimentCancellation(t *testing.T) {
 	go func() {
 		// Enough work (8 points × 200 runs) to be mid-flight when the
 		// cancel lands.
-		_, err := exp.Run(ctx, qolsr.WithRuns(200), qolsr.WithWorkers(2),
-			qolsr.WithDegrees(5, 6, 7, 8, 9, 10, 11, 12))
+		_, err := qolsr.NewRunner(qolsr.WithRuns(200), qolsr.WithWorkers(2),
+			qolsr.WithDegrees(5, 6, 7, 8, 9, 10, 11, 12)).Run(ctx, exp)
 		errCh <- err
 	}()
 	time.Sleep(30 * time.Millisecond)
@@ -130,8 +130,8 @@ func TestExperimentCancellation(t *testing.T) {
 // byte-identical — parallelism only changes wall-clock time.
 func TestExperimentDeterministicAcrossWorkers(t *testing.T) {
 	encode := func(workers int) []byte {
-		res, err := tinyExperiment(t).Run(context.Background(),
-			qolsr.WithRuns(3), qolsr.WithSeed(6), qolsr.WithDegrees(3, 4), qolsr.WithWorkers(workers))
+		res, err := qolsr.NewRunner(qolsr.WithRuns(3), qolsr.WithSeed(6), qolsr.WithDegrees(3, 4), qolsr.WithWorkers(workers)).
+			Run(context.Background(), tinyExperiment(t))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -183,8 +183,8 @@ func TestPublicRegistries(t *testing.T) {
 	if _, err := qolsr.PolicyByName("bogus"); err == nil {
 		t.Error("unknown policy accepted")
 	}
-	if _, err := qolsr.QuantityByName("overhead"); err != nil {
-		t.Error(err)
+	if len(qolsr.QuantityNames()) != 4 {
+		t.Errorf("quantities = %v", qolsr.QuantityNames())
 	}
 	if len(qolsr.SweepIDs()) != 10 {
 		t.Errorf("sweep IDs = %v", qolsr.SweepIDs())

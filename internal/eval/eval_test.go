@@ -2,6 +2,7 @@ package eval
 
 import (
 	"context"
+	"slices"
 	"strings"
 	"testing"
 
@@ -9,19 +10,29 @@ import (
 	"qolsr/internal/metric"
 )
 
-// smallScenario keeps tests fast: low density, few runs, small field.
-func smallScenario(m metric.Metric, degree float64, runs int) Scenario {
-	return Scenario{
-		Deployment: geom.Deployment{Field: geom.Field{Width: 400, Height: 400}, Radius: 100, Degree: degree},
-		Metric:     m,
-		Runs:       runs,
-		Seed:       42,
+// smallPoint keeps tests fast: a low-density point on a small field.
+func smallPoint(m metric.Metric, degree float64, protocols []ProtocolSpec) pointSpec {
+	return pointSpec{
+		deployment: geom.Deployment{Field: geom.Field{Width: 400, Height: 400}, Radius: 100, Degree: degree},
+		metric:     m,
+		seed:       42,
+		protocols:  protocols,
 	}
 }
 
+// runPoint evaluates one density point at runs topologies on the cell loop
+// RunFigures runs every figure's points on; tests use it for deployments
+// off the paper's field.
+func runPoint(ctx context.Context, sc pointSpec, runs, workers int) (*PointResult, error) {
+	rows, err := pointSweep([]pointSpec{sc}, runs, workers, nil).run(ctx)
+	if err != nil {
+		return nil, err
+	}
+	return rows[0][0], nil
+}
+
 func TestRunPointBasics(t *testing.T) {
-	sc := smallScenario(metric.Bandwidth(), 10, 4)
-	res, err := RunPoint(context.Background(), sc, PaperProtocols(), 0)
+	res, err := runPoint(context.Background(), smallPoint(metric.Bandwidth(), 10, PaperProtocols()), 4, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,15 +59,15 @@ func TestRunPointBasics(t *testing.T) {
 	}
 }
 
-// Determinism: the same scenario yields bit-identical accumulators
+// Determinism: the same point yields bit-identical accumulators
 // regardless of worker count.
 func TestRunPointDeterministic(t *testing.T) {
-	sc := smallScenario(metric.Delay(), 8, 6)
-	a, err := RunPoint(context.Background(), sc, PaperProtocols(), 1)
+	sc := smallPoint(metric.Delay(), 8, PaperProtocols())
+	a, err := runPoint(context.Background(), sc, 6, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunPoint(context.Background(), sc, PaperProtocols(), 4)
+	b, err := runPoint(context.Background(), sc, 6, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,13 +82,16 @@ func TestRunPointDeterministic(t *testing.T) {
 	}
 }
 
+// A point is validated before any topology is drawn: RunFigures rejects a
+// non-positive run count and a density its deployment cannot realise.
 func TestRunPointValidation(t *testing.T) {
-	sc := smallScenario(metric.Bandwidth(), 10, 0)
-	if _, err := RunPoint(context.Background(), sc, PaperProtocols(), 0); err == nil {
+	fig := PaperFigures()[0]
+	fig.Degrees = []float64{10}
+	if _, err := RunFigures(context.Background(), []Figure{fig}, 0, 42, 0, nil); err == nil {
 		t.Error("zero runs accepted")
 	}
-	sc = smallScenario(metric.Bandwidth(), 0, 1)
-	if _, err := RunPoint(context.Background(), sc, PaperProtocols(), 0); err == nil {
+	fig.Degrees = []float64{0}
+	if _, err := RunFigures(context.Background(), []Figure{fig}, 1, 42, 0, nil); err == nil {
 		t.Error("invalid deployment accepted")
 	}
 }
@@ -89,8 +103,7 @@ func TestSizeOrderingAtMidDensity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-run evaluation")
 	}
-	sc := smallScenario(metric.Bandwidth(), 18, 8)
-	res, err := RunPoint(context.Background(), sc, PaperProtocols(), 0)
+	res, err := runPoint(context.Background(), smallPoint(metric.Bandwidth(), 18, PaperProtocols()), 8, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,8 +120,7 @@ func TestOverheadOrderingAtMidDensity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-run evaluation")
 	}
-	sc := smallScenario(metric.Bandwidth(), 18, 8)
-	res, err := RunPoint(context.Background(), sc, PaperProtocols(), 0)
+	res, err := runPoint(context.Background(), smallPoint(metric.Bandwidth(), 18, PaperProtocols()), 8, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,10 +165,10 @@ func runFigureSerial(t *testing.T, fig Figure, runs int, seed int64) *FigureResu
 	t.Helper()
 	res := &FigureResult{Figure: fig, Runs: runs}
 	for _, deg := range fig.Degrees {
-		sc := fig.Scenario(deg, runs, seed)
+		sc := fig.point(deg, seed)
 		// Tests sweep sub-paper densities on a small field for speed.
-		sc.Deployment = geom.Deployment{Field: geom.Field{Width: 400, Height: 400}, Radius: 100, Degree: deg}
-		point, err := RunPoint(context.Background(), sc, fig.Protocols, 0)
+		sc.deployment = geom.Deployment{Field: geom.Field{Width: 400, Height: 400}, Radius: 100, Degree: deg}
+		point, err := runPoint(context.Background(), sc, runs, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -225,9 +237,9 @@ func TestProtocolSpecFactories(t *testing.T) {
 // Directed-advertisement delivery (ablation A1): with the loop fix the
 // ratio must not be lower than without it.
 func TestDirectedDeliveryAblation(t *testing.T) {
-	sc := smallScenario(metric.Bandwidth(), 10, 4)
-	sc.MeasureDirectedDelivery = true
-	res, err := RunPoint(context.Background(), sc, LoopFixAblation(), 0)
+	sc := smallPoint(metric.Bandwidth(), 10, LoopFixAblation())
+	sc.directed = true
+	res, err := runPoint(context.Background(), sc, 4, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,8 +260,7 @@ func TestDirectedDeliveryAblation(t *testing.T) {
 func TestRunPointCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	sc := smallScenario(metric.Bandwidth(), 10, 8)
-	if _, err := RunPoint(ctx, sc, PaperProtocols(), 0); err != context.Canceled {
+	if _, err := runPoint(ctx, smallPoint(metric.Bandwidth(), 10, PaperProtocols()), 8, 0); err != context.Canceled {
 		t.Errorf("err = %v, want context.Canceled", err)
 	}
 }
@@ -284,18 +295,21 @@ func TestSweepRegistry(t *testing.T) {
 	}
 }
 
-func TestQuantityByName(t *testing.T) {
-	for _, name := range []string{"set-size", "overhead", "delivery", "directed-delivery"} {
-		q, err := QuantityByName(name)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if string(q) != name {
-			t.Errorf("%s resolved to %q", name, q)
+// Every listed quantity is a series a point measures, so -list names only
+// quantities a figure can report.
+func TestQuantityNames(t *testing.T) {
+	want := []string{"set-size", "overhead", "delivery", "directed-delivery"}
+	if got := QuantityNames(); !slices.Equal(got, want) {
+		t.Errorf("QuantityNames() = %v, want %v", got, want)
+	}
+	var pp ProtocolPoint
+	for _, name := range QuantityNames() {
+		if pp.Series(Quantity(name)) == nil {
+			t.Errorf("%s has no series", name)
 		}
 	}
-	if _, err := QuantityByName("bogus"); err == nil {
-		t.Error("unknown quantity accepted")
+	if pp.Series("bogus") != nil {
+		t.Error("unknown quantity has a series")
 	}
 }
 

@@ -94,31 +94,9 @@ func FigureByID(id string) (Figure, error) {
 	return Figure{}, fmt.Errorf("eval: unknown figure %q (have fig6..fig9)", id)
 }
 
-// quantities is the canonical registry, in listing order; QuantityByName
-// and QuantityNames both derive from it so the two can never drift apart.
-func quantities() []Quantity {
-	return []Quantity{QuantitySetSize, QuantityOverhead, QuantityDelivery, QuantityDirectedDelivery}
-}
-
-// QuantityByName resolves a quantity's string form ("set-size", "overhead",
-// "delivery" or "directed-delivery").
-func QuantityByName(name string) (Quantity, error) {
-	for _, q := range quantities() {
-		if string(q) == name {
-			return q, nil
-		}
-	}
-	return "", fmt.Errorf("eval: unknown quantity %q", name)
-}
-
 // QuantityNames lists every reportable quantity's string form.
 func QuantityNames() []string {
-	qs := quantities()
-	names := make([]string, len(qs))
-	for i, q := range qs {
-		names[i] = string(q)
-	}
-	return names
+	return []string{string(QuantitySetSize), string(QuantityOverhead), string(QuantityDelivery), string(QuantityDirectedDelivery)}
 }
 
 // Ablations returns the repository's ablation sweeps, composable by ID like
@@ -204,15 +182,14 @@ func SweepIDs() []string {
 	return ids
 }
 
-// Scenario returns the figure's density point at the given degree, ready
-// for RunPoint. Runs and Seed come from the caller.
-func (f Figure) Scenario(deg float64, runs int, seed int64) Scenario {
-	return Scenario{
-		Deployment:              geom.PaperDeployment(deg),
-		Metric:                  f.Metric,
-		Runs:                    runs,
-		Seed:                    seed,
-		MeasureDirectedDelivery: f.Quantity == QuantityDirectedDelivery,
+// point returns the figure's density point at the given degree.
+func (f Figure) point(deg float64, seed int64) pointSpec {
+	return pointSpec{
+		deployment: geom.PaperDeployment(deg),
+		metric:     f.Metric,
+		seed:       seed,
+		directed:   f.Quantity == QuantityDirectedDelivery,
+		protocols:  f.Protocols,
 	}
 }
 
@@ -240,9 +217,13 @@ type FigureResult struct {
 // the figure's result; calls never overlap, and jobs landing meanwhile wait
 // for the call, so done must not block. Cancelling ctx returns ctx.Err();
 // otherwise the error returned is that of the first failing point in figure
-// and density order. A figure without density points is rejected before any
-// topology is drawn.
+// and density order. A non-positive run count, a figure without density
+// points and an invalid deployment are rejected before any topology is
+// drawn.
 func RunFigures(ctx context.Context, figs []Figure, runs int, seed int64, workers int, done func(fr *FigureResult, fi, pi int)) ([]*FigureResult, error) {
+	if runs <= 0 {
+		return nil, fmt.Errorf("eval: runs must be positive, got %d", runs)
+	}
 	type ref struct{ fi, pi int }
 	var (
 		specs []pointSpec
@@ -255,10 +236,10 @@ func RunFigures(ctx context.Context, figs []Figure, runs int, seed int64, worker
 		}
 		results[fi] = &FigureResult{Figure: f, Runs: runs, Points: make([]*PointResult, len(f.Degrees))}
 		for pi, deg := range f.Degrees {
-			spec := pointSpec{f.Scenario(deg, runs, seed), f.Protocols}
+			spec := f.point(deg, seed)
 			pt := slices.IndexFunc(specs, func(s pointSpec) bool { return reflect.DeepEqual(s, spec) })
 			if pt < 0 {
-				if err := spec.validate(); err != nil {
+				if err := spec.deployment.Validate(); err != nil {
 					return nil, fmt.Errorf("eval: %s density %g: %w", f.ID, deg, err)
 				}
 				pt = len(specs)

@@ -1,7 +1,6 @@
 package eval
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
 
@@ -12,25 +11,6 @@ import (
 	"qolsr/internal/route"
 	"qolsr/internal/stats"
 )
-
-// Scenario describes one density point of the paper's evaluation.
-type Scenario struct {
-	// Deployment is the Poisson deployment (field, radius, degree).
-	Deployment geom.Deployment
-	// Metric is the QoS metric under study.
-	Metric metric.Metric
-	// Runs is the number of independent topologies (the paper uses 100).
-	Runs int
-	// Seed derives each run's RNG stream via RunSeed(Seed, Degree, run),
-	// which is what makes all protocols see identical topologies and
-	// pairs while keeping streams independent across runs and densities.
-	Seed int64
-	// MeasureDirectedDelivery additionally evaluates the all-pairs
-	// delivery ratio under directed-advertisement semantics (the Fig. 4
-	// reachability model; ablation A1). Quadratic in node count — meant
-	// for moderate densities.
-	MeasureDirectedDelivery bool
-}
 
 // ProtocolPoint aggregates one protocol's behaviour at one density.
 type ProtocolPoint struct {
@@ -44,8 +24,8 @@ type ProtocolPoint struct {
 	// Hops is the used path length over delivered pairs.
 	Hops stats.Accumulator
 	// DirectedDelivery is the all-pairs delivery ratio under the
-	// directed-advertisement model (only populated when the scenario
-	// requests it).
+	// directed-advertisement model (only populated for a figure whose
+	// quantity it is).
 	DirectedDelivery stats.Accumulator
 }
 
@@ -75,67 +55,50 @@ type PointResult struct {
 	SkippedRuns int
 }
 
-// pointSpec is one density point of the figure grid: the scenario and the
-// compared protocols. Two figures whose specs are deeply equal share the
-// point.
+// pointSpec is one density point of the figure grid: the deployment, the
+// metric, the base seed and the compared protocols. Two figures whose specs
+// are deeply equal share the point.
 type pointSpec struct {
-	sc        Scenario
+	deployment geom.Deployment
+	metric     metric.Metric
+	// seed derives each run's RNG stream via RunSeed(seed, degree, run),
+	// which is what makes all protocols see identical topologies and
+	// pairs while keeping streams independent across runs and densities.
+	seed int64
+	// directed additionally evaluates the all-pairs delivery ratio under
+	// directed-advertisement semantics (the Fig. 4 reachability model;
+	// ablation A1). Quadratic in node count — meant for moderate
+	// densities.
+	directed  bool
 	protocols []ProtocolSpec
-}
-
-func (p pointSpec) validate() error {
-	if p.sc.Runs <= 0 {
-		return fmt.Errorf("eval: Runs must be positive, got %d", p.sc.Runs)
-	}
-	return p.sc.Deployment.Validate()
 }
 
 // pointSweep lays density points out on the cell loop: one column per
 // point, whose cell is one evalRun, folded into the point in run order.
+// Every run draws its RNG stream from RunSeed and runs fold in run order, so
+// a point is bit-identical at every worker count. All protocols within a
+// run share the topology, the link weights and the (source, destination)
+// pair, mirroring the paper's "each approach is run on the same topology
+// with the same source and destination".
 func pointSweep(specs []pointSpec, runs, workers int, done func(pt int, row []*PointResult)) liveSweep[*PointResult] {
 	return liveSweep[*PointResult]{
 		points: len(specs), runs: runs, cols: 1, workers: workers,
 		point: func(pt, _ int) *PointResult {
-			res := &PointResult{Degree: specs[pt].sc.Deployment.Degree, Protocols: map[string]*ProtocolPoint{}}
+			res := &PointResult{Degree: specs[pt].deployment.Degree, Protocols: map[string]*ProtocolPoint{}}
 			for _, p := range specs[pt].protocols {
 				res.Protocols[p.Name] = &ProtocolPoint{}
 			}
 			return res
 		},
 		cell: func(pt, run, _ int) (func(*PointResult), error) {
-			s, err := evalRun(specs[pt].sc, specs[pt].protocols, run)
+			s, err := evalRun(specs[pt], run)
 			if err != nil {
-				return nil, fmt.Errorf("eval: density %g run %d: %w", specs[pt].sc.Deployment.Degree, run, err)
+				return nil, fmt.Errorf("eval: density %g run %d: %w", specs[pt].deployment.Degree, run, err)
 			}
 			return func(res *PointResult) { s.mergeInto(res, specs[pt].protocols) }, nil
 		},
 		done: done,
 	}
-}
-
-// RunPoint evaluates every protocol on Runs independent topologies at the
-// scenario's density: a one-point grid on the cell loop, running up to
-// workers topologies at once (0 = GOMAXPROCS, 1 = in order on the caller's
-// goroutine). All protocols within a run share the topology, the link
-// weights and the (source, destination) pair, mirroring the paper's "each
-// approach is run on the same topology with the same source and
-// destination".
-//
-// Cancelling ctx stops dispatching runs and returns ctx.Err(). A failing
-// run stops dispatch too; the error reported is the lowest failing run's.
-// Results are bit-identical for a given scenario regardless of workers:
-// every run draws its RNG stream from RunSeed and samples are merged in run
-// order.
-func RunPoint(ctx context.Context, sc Scenario, protocols []ProtocolSpec, workers int) (*PointResult, error) {
-	spec := pointSpec{sc, protocols}
-	if err := spec.validate(); err != nil {
-		return nil, err
-	}
-	rows, err := pointSweep([]pointSpec{spec}, sc.Runs, workers, nil).run(ctx)
-	if err != nil {
-		return nil, err
-	}
-	return rows[0][0], nil
 }
 
 // runSample is one run's contribution, merged deterministically.
@@ -164,12 +127,13 @@ func (s *runSample) mergeInto(res *PointResult, protocols []ProtocolSpec) {
 // pairTries bounds source resampling when hunting for a connected pair.
 const pairTries = 64
 
-// evalRun evaluates every protocol on one topology of the scenario.
-func evalRun(sc Scenario, protocols []ProtocolSpec, run int) (*runSample, error) {
+// evalRun evaluates every protocol on one topology of the point.
+func evalRun(spec pointSpec, run int) (*runSample, error) {
+	protocols := spec.protocols
 	s := &runSample{protocols: make([]ProtocolPoint, len(protocols))}
-	rng := rand.New(rand.NewSource(RunSeed(sc.Seed, sc.Deployment.Degree, run)))
-	channel := sc.Metric.Name()
-	g, err := netgen.Build(sc.Deployment, channel, metric.DefaultInterval(), rng)
+	rng := rand.New(rand.NewSource(RunSeed(spec.seed, spec.deployment.Degree, run)))
+	channel := spec.metric.Name()
+	g, err := netgen.Build(spec.deployment, channel, metric.DefaultInterval(), rng)
 	if err != nil {
 		return nil, err
 	}
@@ -187,7 +151,7 @@ func evalRun(sc Scenario, protocols []ProtocolSpec, run int) (*runSample, error)
 	for u := int32(0); int(u) < g.N(); u++ {
 		view := graph.NewLocalView(g, u)
 		for i, p := range protocols {
-			set, err := p.Selector.Select(view, sc.Metric, w)
+			set, err := p.Selector.Select(view, spec.metric, w)
 			if err != nil {
 				return nil, fmt.Errorf("%s at node %d: %w", p.Name, u, err)
 			}
@@ -196,7 +160,7 @@ func evalRun(sc Scenario, protocols []ProtocolSpec, run int) (*runSample, error)
 		}
 	}
 
-	if sc.MeasureDirectedDelivery {
+	if spec.directed {
 		for i := range protocols {
 			d, err := route.BuildDirectedAdvertised(g, sets[i])
 			if err != nil {
@@ -236,7 +200,7 @@ func evalRun(sc Scenario, protocols []ProtocolSpec, run int) (*runSample, error)
 				return nil, fmt.Errorf("%s: %w", p.Name, err)
 			}
 		}
-		ev, err := route.EvaluatePair(g, adv, sc.Metric, channel, src, dst, p.Policy)
+		ev, err := route.EvaluatePair(g, adv, spec.metric, channel, src, dst, p.Policy)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", p.Name, err)
 		}

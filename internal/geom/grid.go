@@ -109,6 +109,27 @@ func (g *Grid) entry(cell int) *cellSlot {
 	}
 }
 
+// blockBound bounds what Within can find: the most points any one point has
+// in the 3×3 block of cells Within scans around it, besides itself, and
+// half their sum, a bound on the unordered pairs within any radius up to
+// the cell size.
+func (g *Grid) blockBound() (pairs, widest int) {
+	for _, p := range g.points {
+		cx, cy := int(p.X/g.cellSize), int(p.Y/g.cellSize)
+		block := -1
+		for y := max(cy-1, 0); y <= min(cy+1, g.rows-1); y++ {
+			for x := max(cx-1, 0); x <= min(cx+1, g.cols-1); x++ {
+				if e := g.entry(y*g.cols + x); e.key != 0 {
+					block += int(g.start[e.slot+1] - g.start[e.slot])
+				}
+			}
+		}
+		pairs += block
+		widest = max(widest, block)
+	}
+	return pairs / 2, widest
+}
+
 // Len returns the number of indexed points.
 func (g *Grid) Len() int { return len(g.points) }
 

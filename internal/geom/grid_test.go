@@ -159,6 +159,27 @@ func TestNewGridAllocsConstant(t *testing.T) {
 	t.Logf("NewGrid allocations: %v", small)
 }
 
+// Links sizes its result and its scratch from the grid's cell counts, so a
+// call allocates as often at 143 points as at 1,500: the grid's arrays, the
+// links and the scratch, however many links there are.
+func TestLinksAllocsConstant(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	field := Field{Width: 600, Height: 600}
+	allocs := func(n int) float64 {
+		pts := gridField(rng, field, n)
+		return testing.AllocsPerRun(20, func() {
+			if _, err := Links(field, 100, pts); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := allocs(143), allocs(1500)
+	if small != large {
+		t.Errorf("Links allocates %v times at 143 points and %v at 1,500", small, large)
+	}
+	t.Logf("Links allocations: %v", small)
+}
+
 // BenchmarkLinks extracts the unit-disk links of a 1,500-point field at
 // degree about 14 (the scale-1500 and traffic workloads' field build).
 func BenchmarkLinks(b *testing.B) {

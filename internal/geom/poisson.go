@@ -104,8 +104,11 @@ func Links(field Field, radius float64, pts []Point) ([][2]int32, error) {
 	if err != nil {
 		return nil, err
 	}
-	var links [][2]int32
-	var scratch []int32
+	// Size both slices from the grid, so a call allocates as often at any
+	// field size: partners share a 3×3 block of cells.
+	pairs, widest := grid.blockBound()
+	links := make([][2]int32, 0, pairs)
+	scratch := make([]int32, 0, widest)
 	for i := range pts {
 		scratch = grid.Within(i, radius, scratch[:0])
 		for _, j := range scratch {

@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"io"
 	"strings"
-
-	"qolsr/internal/eval"
 )
 
 // SchemaVersion identifies the JSON encoding; bump it on breaking changes
@@ -45,18 +43,9 @@ type jsonSweep struct {
 	Figures []jsonFigure `json:"figures"`
 }
 
-// quantitiesFor returns the series the encoders emit for one figure: the
-// result-wide selection when set, else the figure's own quantity.
-func (r *Result) quantitiesFor(fr *eval.FigureResult) []eval.Quantity {
-	if len(r.Quantities) > 0 {
-		return r.Quantities
-	}
-	return []eval.Quantity{fr.Figure.Quantity}
-}
-
 // EncodeJSON writes the sweep as an indented JSON document (schema
 // "qolsr-sweep/v1"): per figure, per density point, per protocol, the
-// selected quantity series as {mean, ci95, n}.
+// figure's quantity series as {mean, ci95, n}.
 func (r *Result) EncodeJSON(w io.Writer) error {
 	doc := jsonSweep{Schema: SchemaVersion}
 	for _, fr := range r.Figures {
@@ -80,15 +69,11 @@ func (r *Result) EncodeJSON(w io.Writer) error {
 				if pp == nil {
 					continue
 				}
-				series := make(map[string]jsonStat)
-				for _, q := range r.quantitiesFor(fr) {
-					acc := pp.Series(q)
-					if acc == nil {
-						return fmt.Errorf("runner: unknown quantity %q", q)
-					}
-					series[string(q)] = jsonStat{Mean: acc.Mean(), CI95: acc.CI95(), N: acc.N()}
+				acc := pp.Series(fr.Figure.Quantity)
+				if acc == nil {
+					return fmt.Errorf("runner: unknown quantity %q", fr.Figure.Quantity)
 				}
-				jp.Protocols[name] = series
+				jp.Protocols[name] = map[string]jsonStat{jf.Quantity: {Mean: acc.Mean(), CI95: acc.CI95(), N: acc.N()}}
 			}
 			jf.Points = append(jf.Points, jp)
 		}
@@ -100,35 +85,35 @@ func (r *Result) EncodeJSON(w io.Writer) error {
 }
 
 // EncodeCSV writes the sweep in long form, one row per (figure, density,
-// protocol, quantity) — the shape plotting tools group and pivot directly.
+// protocol) with the figure's quantity — the shape plotting tools group and
+// pivot directly.
 func (r *Result) EncodeCSV(w io.Writer) error {
 	if _, err := fmt.Fprintln(w, "figure,density,protocol,quantity,mean,ci95,n"); err != nil {
 		return err
 	}
 	for _, fr := range r.Figures {
+		q := fr.Figure.Quantity
 		for pi, p := range fr.Points {
 			for _, name := range fr.ProtocolNames() {
 				pp := p.Protocols[name]
 				if pp == nil {
 					continue
 				}
-				for _, q := range r.quantitiesFor(fr) {
-					acc := pp.Series(q)
-					if acc == nil {
-						return fmt.Errorf("runner: unknown quantity %q", q)
-					}
-					row := []string{
-						fr.Figure.ID,
-						fmt.Sprintf("%g", fr.Figure.Degrees[pi]),
-						name,
-						string(q),
-						fmt.Sprintf("%.6f", acc.Mean()),
-						fmt.Sprintf("%.6f", acc.CI95()),
-						fmt.Sprintf("%d", acc.N()),
-					}
-					if _, err := fmt.Fprintln(w, strings.Join(row, ",")); err != nil {
-						return err
-					}
+				acc := pp.Series(q)
+				if acc == nil {
+					return fmt.Errorf("runner: unknown quantity %q", q)
+				}
+				row := []string{
+					fr.Figure.ID,
+					fmt.Sprintf("%g", fr.Figure.Degrees[pi]),
+					name,
+					string(q),
+					fmt.Sprintf("%.6f", acc.Mean()),
+					fmt.Sprintf("%.6f", acc.CI95()),
+					fmt.Sprintf("%d", acc.N()),
+				}
+				if _, err := fmt.Fprintln(w, strings.Join(row, ",")); err != nil {
+					return err
 				}
 			}
 		}

@@ -101,21 +101,9 @@ func TestEncodeCSVGolden(t *testing.T) {
 	checkGolden(t, "sweep.golden.csv", buf.Bytes())
 }
 
-// With an explicit quantity selection, every figure reports the same
-// series regardless of its default quantity.
-func TestEncodeQuantitySelectionGolden(t *testing.T) {
-	res := syntheticResult()
-	res.Quantities = []eval.Quantity{eval.QuantitySetSize, eval.QuantityDelivery}
-	var buf bytes.Buffer
-	if err := res.EncodeCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	checkGolden(t, "sweep.quantities.golden.csv", buf.Bytes())
-}
-
 func TestEncodeUnknownQuantity(t *testing.T) {
 	res := syntheticResult()
-	res.Quantities = []eval.Quantity{"bogus"}
+	res.Figures[1].Figure.Quantity = "bogus"
 	var buf bytes.Buffer
 	if err := res.EncodeJSON(&buf); err == nil {
 		t.Error("unknown quantity accepted by JSON encoder")

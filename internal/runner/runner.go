@@ -34,9 +34,6 @@ type Options struct {
 	// completed density point. Calls are serialized; the callback never
 	// runs concurrently with itself.
 	Progress func(format string, args ...any)
-	// Quantities selects the series the encoders emit per protocol;
-	// empty means each figure's own quantity.
-	Quantities []eval.Quantity
 }
 
 func (o Options) withDefaults() Options {
@@ -83,8 +80,6 @@ type Result struct {
 	// Figures holds one assembled result per requested figure, in
 	// request order.
 	Figures []*eval.FigureResult
-	// Quantities is the encoder series selection (see Options).
-	Quantities []eval.Quantity
 }
 
 // Stream starts the sweep and returns the event channel plus a wait
@@ -127,7 +122,7 @@ func Stream(ctx context.Context, figs []eval.Figure, opts Options) (<-chan Event
 		if err := wait(); err != nil {
 			return nil, err
 		}
-		return &Result{Figures: figures, Quantities: opts.Quantities}, nil
+		return &Result{Figures: figures}, nil
 	}
 }
 

@@ -86,7 +86,7 @@ type jsonSample struct {
 	ControlBPS    float64 `json:"control_bps"`
 	TCFwdBPS      float64 `json:"tc_fwd_bps"`
 	SetSize       float64 `json:"set_size"`
-	// Traffic-engine window fields, omitted in legacy probe mode.
+	// Traffic-engine window fields, omitted in probe mode.
 	TrafficSent       int     `json:"traffic_sent,omitempty"`
 	TrafficCompleted  int     `json:"traffic_completed,omitempty"`
 	TrafficDelivered  int     `json:"traffic_delivered,omitempty"`
@@ -541,7 +541,7 @@ func (r *Result) WriteTable(w io.Writer) error {
 
 // writeTraffic summarises the traffic engine's cross-run class aggregates —
 // admission and verdict counts, the QoS-violation ratio, and the measured
-// delivery/delay/jitter. Silent in legacy probe mode.
+// delivery/delay/jitter. Silent in probe mode.
 func (r *Result) writeTraffic(w io.Writer) error {
 	aggs := r.AggregateTraffic()
 	if len(aggs) == 0 {

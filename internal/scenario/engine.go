@@ -333,6 +333,25 @@ type sampler struct {
 	prevCtrl, prevFwd uint64 // HELLO + TC bytes on the air, and the TC relay share
 	prevCnt           traffic.Counters
 	prevReb           olsr.RebuildStats
+
+	// s is the sample being taken, and stretchN counts its delivered
+	// probes with a positive optimal hop count: probes complete into both
+	// through PacketDone.
+	s        Sample
+	stretchN int
+}
+
+// PacketDone implements sim.DataSink for the probes; the cookie is the
+// probe's flow index.
+func (smp *sampler) PacketDone(cookie uint64, delivered bool, hops int, _ time.Duration) {
+	if !delivered {
+		return
+	}
+	smp.s.Delivered++
+	if optHops := smp.fl[cookie].optHops; optHops > 0 {
+		smp.s.HopStretch += float64(hops) / optHops
+		smp.stretchN++
+	}
 }
 
 // flowTruth is one flow's reachability, optimal hop count and
@@ -359,8 +378,9 @@ func newSampler(flows [][2]int32) *sampler {
 // measure takes the sample at virtual time t: it snapshots control traffic
 // and advertised sets, evaluates the sources' routing tables against the
 // centralized optimum on the current effective topology, and measures the
-// data plane. In legacy probe mode it injects one probe packet per flow and
-// runs the engine through the drain window so every packet completes; in
+// data plane. In probe mode it sends one probe per connected flow through
+// the data plane's sink entry, the sampler being the sink, and runs the
+// engine through the drain window so every probe completes; in
 // traffic-engine mode (eng non-nil) the sustained flows are already in
 // flight, so the sample diffs the engine's counters over the window instead
 // (Delivery is then delivered/completed packets of the window) and no time
@@ -370,7 +390,8 @@ func newSampler(flows [][2]int32) *sampler {
 // the sample: it is surfaced to the caller instead of being silently
 // sampled as an empty table.
 func (smp *sampler) measure(nw *sim.Network, m metric.Metric, channel string, flows [][2]int32, t, drain time.Duration, eng *traffic.Engine) (Sample, error) {
-	s := Sample{Time: t, Nodes: nw.Phys.N()}
+	smp.s, smp.stretchN = Sample{Time: t, Nodes: nw.Phys.N()}, 0
+	s := &smp.s
 	ctrl, fwd := nw.Stats.HelloBytes+nw.Stats.TCBytes, nw.Stats.TCForwardedBytes
 	if secs := (t - smp.prevT).Seconds(); secs > 0 {
 		s.ControlBPS = float64(ctrl-smp.prevCtrl) / secs
@@ -419,7 +440,6 @@ func (smp *sampler) measure(nw *sim.Network, m metric.Metric, channel string, fl
 		}
 	}
 	// s.HopStretch and s.Overhead hold sums until the means are taken.
-	stretchN := 0
 	for i, f := range smp.fl {
 		if !f.reach {
 			continue
@@ -434,17 +454,7 @@ func (smp *sampler) measure(nw *sim.Network, m metric.Metric, channel string, fl
 			// only distort the queues they contend for.
 			continue
 		}
-		optHops := f.optHops
-		nw.SendData(flows[i][0], flows[i][1], func(ok bool, hops int, _ time.Duration) {
-			if !ok {
-				return
-			}
-			s.Delivered++
-			if optHops > 0 {
-				s.HopStretch += float64(hops) / optHops
-				stretchN++
-			}
-		})
+		nw.SendDataTraced(flows[i][0], flows[i][1], sim.DataPacketBytes, smp, uint64(i), nil)
 	}
 	if eng == nil {
 		nw.Run(t + drain)
@@ -467,8 +477,8 @@ func (smp *sampler) measure(nw *sim.Network, m metric.Metric, channel string, fl
 		}
 		smp.prevCnt = cnt
 	}
-	if stretchN > 0 {
-		s.HopStretch /= float64(stretchN)
+	if smp.stretchN > 0 {
+		s.HopStretch /= float64(smp.stretchN)
 	}
 	if s.OverheadFlows > 0 {
 		s.Overhead /= float64(s.OverheadFlows)
@@ -479,7 +489,7 @@ func (smp *sampler) measure(nw *sim.Network, m metric.Metric, channel string, fl
 		s.SharedAdvRate = float64(refr) / float64(refr+chg)
 	}
 	smp.prevT, smp.prevCtrl, smp.prevFwd, smp.prevReb = t, ctrl, fwd, reb
-	return s, nil
+	return smp.s, nil
 }
 
 // effectiveTopology returns the physical graph minus failed links, with the

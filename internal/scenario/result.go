@@ -53,7 +53,7 @@ type Sample struct {
 	SetSize float64
 
 	// Traffic-engine fields, set only when the scenario runs a flow-class
-	// Mix (zero in legacy probe mode). In engine mode Delivery is
+	// Mix (zero in probe mode). In engine mode Delivery is
 	// packet-based — TrafficDelivered/TrafficCompleted over the window
 	// ending at Time — while Connected still counts physically-connected
 	// flow pairs.
@@ -125,7 +125,7 @@ type RunResult struct {
 	Data    sim.DataStats
 	// Traffic is the flow engine's end-of-run accounting: per-flow and
 	// per-class delivery, delay quantiles, jitter and QoS verdicts. Nil
-	// in legacy probe mode.
+	// in probe mode.
 	Traffic *traffic.Report
 	// Rebuilds counts mobility topology refreshes (0 when static).
 	Rebuilds int
@@ -160,7 +160,7 @@ type AggregateSample struct {
 	ControlBPS stats.Accumulator
 	SetSize    stats.Accumulator
 	// Throughput accumulates the traffic engine's windowed delivered
-	// rate; its N is zero in legacy probe mode.
+	// rate; its N is zero in probe mode.
 	Throughput stats.Accumulator
 }
 
@@ -222,7 +222,7 @@ type ClassAggregate struct {
 
 // AggregateTraffic folds the runs' traffic reports per flow class, in
 // first-seen class order with the all-classes total last. Nil when no run
-// carried a traffic report (legacy probe mode).
+// carried a traffic report (probe mode).
 func (r *Result) AggregateTraffic() []ClassAggregate {
 	var (
 		order []string

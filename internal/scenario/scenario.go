@@ -150,13 +150,17 @@ type Mobility struct {
 const rebuildEvery = time.Second
 
 // Traffic is the data-plane workload. Exactly one of the two forms is
-// active: the legacy probe workload (Flows), or a sustained flow-class mix
-// (Mix) driven by the traffic engine.
+// active: probes (Flows), or a sustained flow-class mix (Mix) driven by the
+// traffic engine. Both enter the data plane through the same sink path;
+// probes stay a client of their own because the sampler sends them only on
+// flows the physical topology connects at sample time, and measures
+// Delivery over those connected pairs, where the engine's flows send on
+// their own clocks whatever the topology.
 type Traffic struct {
-	// Flows is the legacy probe workload: persistent random (source,
-	// destination) flows, each sending one data-plane packet per
-	// measurement sample — equivalent to a minimal CBR probe class paced
-	// by the sample clock. Default 10 (clamped to the available ordered
+	// Flows is the probe workload: persistent random (source, destination)
+	// flows, each sending one data-plane packet per measurement sample
+	// that finds its pair connected — a minimal CBR probe class paced by
+	// the sample clock. Default 10 (clamped to the available ordered
 	// pairs) when Mix is empty; must be unset when Mix is given.
 	Flows int
 	// Mix, when non-empty, replaces the probes with sustained flows: each
@@ -292,7 +296,7 @@ func (sc Scenario) Validate() error {
 	}
 	if len(sc.Traffic.Mix) > 0 {
 		if sc.Traffic.Flows > 0 {
-			return fmt.Errorf("scenario: traffic sets both the legacy Flows probe count and a Mix — use one")
+			return fmt.Errorf("scenario: traffic sets both the Flows probe count and a Mix — use one")
 		}
 		for i, sp := range sc.Traffic.Mix {
 			if err := sp.WithDefaults().Validate(); err != nil {

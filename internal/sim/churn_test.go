@@ -98,7 +98,7 @@ func TestChurnSymmetricOrdering(t *testing.T) {
 	nw.Start()
 	nw.Run(30 * time.Second)
 	done := false
-	nw.SendData(0, 3, func(ok bool, _ int, _ time.Duration) {
+	nw.sendData(0, 3, func(ok bool, _ int, _ time.Duration) {
 		done = true
 		if ok {
 			t.Error("packet crossed a link failed with reversed ordering")

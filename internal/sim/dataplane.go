@@ -7,7 +7,7 @@ import (
 	"qolsr/internal/olsr"
 )
 
-// DataStats accounts data-plane traffic injected with SendData.
+// DataStats accounts data-plane traffic injected with SendDataTraced.
 type DataStats struct {
 	Sent      uint64
 	Delivered uint64
@@ -33,20 +33,12 @@ const DefaultDataTTL = 64
 // serializes and draws loss for.
 const DataPacketBytes = 512
 
-// DataSink receives packet completions on the allocation-free data path:
-// one interface dispatch per packet instead of one closure per packet. The
-// cookie is whatever the sender passed to SendDataTraced — traffic generators
-// encode the flow identity and packet size in it.
+// DataSink receives packet completions: one interface dispatch per packet,
+// no closure. The cookie is whatever the sender passed to SendDataTraced —
+// the traffic engine encodes the flow identity and packet size in it, the
+// scenario sampler the probe's flow index.
 type DataSink interface {
 	PacketDone(cookie uint64, delivered bool, hops int, latency time.Duration)
-}
-
-// doneFunc carries SendData's completion closure down the DataSink path.
-type doneFunc func(delivered bool, hops int, latency time.Duration)
-
-// PacketDone implements DataSink.
-func (f doneFunc) PacketDone(_ uint64, delivered bool, hops int, latency time.Duration) {
-	f(delivered, hops, latency)
 }
 
 // dataPacket is one in-flight data packet: a pooled event that re-fires at
@@ -68,31 +60,18 @@ type dataPacket struct {
 // Fire implements des.Event: the packet arrived at its next hop.
 func (p *dataPacket) Fire(time.Duration) { p.nw.stepData(p) }
 
-// SendData injects one data packet of the nominal probe size
-// (DataPacketBytes) at src addressed to dst (graph indices) at the current
-// virtual time. Each hop consults its *own* current routing table when the
+// SendDataTraced injects one data packet of size bytes at src addressed to
+// dst (graph indices) at the current virtual time; it is the data plane's
+// one entry. Each hop consults its *own* current routing table when the
 // packet arrives — exactly how an OLSR data plane behaves, including
-// transient loops while tables disagree (cut off by TTL). done, when non-nil,
-// is invoked at delivery or drop time, through the same DataSink path
-// SendDataTraced uses. (The closure is the convenient probe API; sustained
-// traffic uses SendDataTraced, which completes through a shared sink with no
-// per-packet allocation.)
-func (nw *Network) SendData(src, dst int32, done func(delivered bool, hops int, latency time.Duration)) {
-	p := nw.newPacket(src, dst, DataPacketBytes)
-	if done != nil {
-		p.sink = doneFunc(done)
-	}
-	nw.stepData(p)
-}
-
-// SendDataTraced injects one data packet of size bytes like SendData, but
-// completes it through sink.PacketDone(cookie, ...) — the allocation-free
-// path for sustained flows. The size feeds the medium's per-hop planning, so
-// on a queued radio larger packets occupy the sender's transmitter for
-// longer and sustained flows contend for it. pt is an optional path trace:
-// the traffic engine starts one for sampled packets and the data plane
-// records every hop and the final outcome on it. A nil trace is the common
-// case and adds one pointer compare.
+// transient loops while tables disagree (cut off by TTL). The packet
+// completes at delivery or drop time through sink.PacketDone(cookie, ...),
+// when sink is non-nil. The size feeds the medium's per-hop planning, so on
+// a queued radio larger packets occupy the sender's transmitter for longer
+// and sustained flows contend for it. pt is an optional path trace: the
+// traffic engine starts one for sampled packets and the data plane records
+// every hop and the final outcome on it. A nil trace is the common case and
+// adds one pointer compare.
 func (nw *Network) SendDataTraced(src, dst int32, size int, sink DataSink, cookie uint64, pt *obs.PacketTrace) {
 	p := nw.newPacket(src, dst, size)
 	p.sink = sink

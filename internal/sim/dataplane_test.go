@@ -20,7 +20,7 @@ func TestSendDataDeliversAfterConvergence(t *testing.T) {
 	var delivered bool
 	var hops int
 	var latency time.Duration
-	nw.SendData(0, 3, func(ok bool, h int, l time.Duration) {
+	nw.sendData(0, 3, func(ok bool, h int, l time.Duration) {
 		delivered, hops, latency = ok, h, l
 	})
 	nw.Run(nw.Engine.Now() + time.Second)
@@ -42,7 +42,7 @@ func TestSendDataNoRouteBeforeConvergence(t *testing.T) {
 	nw := lineNetwork(t)
 	// No protocol traffic has flowed: no routes exist.
 	var called, delivered bool
-	nw.SendData(0, 3, func(ok bool, _ int, _ time.Duration) {
+	nw.sendData(0, 3, func(ok bool, _ int, _ time.Duration) {
 		called, delivered = true, ok
 	})
 	nw.Run(time.Second)
@@ -60,7 +60,7 @@ func TestSendDataNoRouteBeforeConvergence(t *testing.T) {
 func TestSendDataSelfDelivery(t *testing.T) {
 	nw := lineNetwork(t)
 	var delivered bool
-	nw.SendData(2, 2, func(ok bool, hops int, _ time.Duration) {
+	nw.sendData(2, 2, func(ok bool, hops int, _ time.Duration) {
 		delivered = ok && hops == 0
 	})
 	nw.Run(time.Second)
@@ -94,7 +94,7 @@ func TestSendDataDropsOnFailedLink(t *testing.T) {
 		t.Fatal(err)
 	}
 	var delivered bool
-	nw.SendData(0, 3, func(ok bool, _ int, _ time.Duration) { delivered = ok })
+	nw.sendData(0, 3, func(ok bool, _ int, _ time.Duration) { delivered = ok })
 	nw.Run(nw.Engine.Now() + time.Second)
 	if delivered {
 		t.Error("packet crossed a failed link")
@@ -160,7 +160,7 @@ func TestForwardingCacheUnpinsTables(t *testing.T) {
 	// The first hop is resolved at send time, against the table Routes
 	// returns at the same instant.
 	var delivered bool
-	nw.SendData(0, 3, func(ok bool, _ int, _ time.Duration) { delivered = ok })
+	nw.sendData(0, 3, func(ok bool, _ int, _ time.Duration) { delivered = ok })
 	old, err := nw.Nodes[0].Routes(nw.Engine.Now())
 	if err != nil {
 		t.Fatal(err)

@@ -52,7 +52,7 @@ func TestDataplaneNoRouteAccountingAfterChurn(t *testing.T) {
 
 	// Converged: 0 -> 1 goes over the direct link.
 	var hops int
-	nw.SendData(0, 1, func(ok bool, h int, _ time.Duration) {
+	nw.sendData(0, 1, func(ok bool, h int, _ time.Duration) {
 		if !ok {
 			t.Error("converged network failed to deliver 0->1")
 		}
@@ -73,7 +73,7 @@ func TestDataplaneNoRouteAccountingAfterChurn(t *testing.T) {
 		t.Fatal(err)
 	}
 	var delivered bool
-	nw.SendData(0, 1, func(ok bool, _ int, _ time.Duration) { delivered = ok })
+	nw.sendData(0, 1, func(ok bool, _ int, _ time.Duration) { delivered = ok })
 	ms.Run(nw.Engine.Now() + time.Second)
 	if delivered {
 		t.Error("packet delivered over a failed link")
@@ -109,7 +109,7 @@ func TestDataplaneReconvergesAfterChurnUnderMobility(t *testing.T) {
 
 	var delivered bool
 	var hops int
-	nw.SendData(0, 1, func(ok bool, h int, _ time.Duration) { delivered, hops = ok, h })
+	nw.sendData(0, 1, func(ok bool, h int, _ time.Duration) { delivered, hops = ok, h })
 	ms.Run(nw.Engine.Now() + time.Second)
 	if !delivered {
 		t.Fatalf("network never rerouted 0->1 after churn (stats %+v)", nw.Data)
@@ -124,7 +124,7 @@ func TestDataplaneReconvergesAfterChurnUnderMobility(t *testing.T) {
 		t.Fatal(err)
 	}
 	ms.Run(nw.Engine.Now() + 10*time.Second)
-	nw.SendData(0, 1, func(ok bool, h int, _ time.Duration) { delivered, hops = ok, h })
+	nw.sendData(0, 1, func(ok bool, h int, _ time.Duration) { delivered, hops = ok, h })
 	ms.Run(nw.Engine.Now() + time.Second)
 	if !delivered || hops != 1 {
 		t.Errorf("after restore delivered=%v hops=%d, want direct delivery", delivered, hops)

@@ -10,6 +10,23 @@ import (
 // newTestRand provides seeded randomness for test scaffolding.
 func newTestRand(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
 
+// sendData sends one nominal-size packet from src to dst through the data
+// plane's sink entry; done, when non-nil, receives its completion.
+func (nw *Network) sendData(src, dst int32, done func(delivered bool, hops int, latency time.Duration)) {
+	var sink DataSink
+	if done != nil {
+		sink = sinkFunc(done)
+	}
+	nw.SendDataTraced(src, dst, DataPacketBytes, sink, 0, nil)
+}
+
+// sinkFunc completes a test packet through a closure.
+type sinkFunc func(delivered bool, hops int, latency time.Duration)
+
+func (f sinkFunc) PacketDone(_ uint64, delivered bool, hops int, latency time.Duration) {
+	f(delivered, hops, latency)
+}
+
 // DeliverySweep sends one packet from every node to dst at the current
 // virtual time and runs the engine until all complete — the all-pairs
 // probe the data-plane and quiescence tests measure with. It returns the
@@ -26,7 +43,7 @@ func (nw *Network) DeliverySweep(dst int32) (delivery, stretch float64) {
 		}
 		total++
 		hopsOpt := float64(opt[s])
-		nw.SendData(s, dst, func(ok bool, hops int, _ time.Duration) {
+		nw.sendData(s, dst, func(ok bool, hops int, _ time.Duration) {
 			if ok {
 				delivered++
 				stretchSum += float64(hops) / hopsOpt

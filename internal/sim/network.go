@@ -59,7 +59,7 @@ type Network struct {
 	Phys   *graph.Graph
 	Nodes  []*olsr.Node
 	Stats  TrafficStats
-	// Data accounts data-plane packets injected with SendData.
+	// Data accounts data-plane packets injected with SendDataTraced.
 	Data DataStats
 	// Tracer, when non-nil, records sampled data-packet path traces. The
 	// data plane guards every touch with one pointer compare, so a nil

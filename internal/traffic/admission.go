@@ -79,7 +79,7 @@ func (g *Gate) Decide(src, dst int32, req Requirements) Decision {
 	oracleBW, _ := nw.Phys.Weights(bandwidthChannel)
 
 	// Walk the forwarding path. Mirrors the data plane's per-hop checks
-	// (sim.SendData): a next hop must exist in the table, be a live
+	// (sim.Network.SendDataTraced): a next hop must exist in the table, be a live
 	// physical link, and make progress within the TTL.
 	at := src
 	reached := false

@@ -24,7 +24,6 @@ func TestOptionSurface(t *testing.T) {
 		{reflect.TypeFor[qolsr.ScenarioMobility](), 1},
 		{reflect.TypeFor[qolsr.NetworkOptions](), 2},
 		{reflect.TypeFor[qolsr.MediumLossyConfig](), 3},
-		{reflect.TypeFor[qolsr.PointScenario](), 5},
 		{reflect.TypeFor[qolsr.ScaleAxis](), 3},
 		{reflect.TypeFor[qolsr.FNBP](), 1},
 		{reflect.TypeFor[qolsr.TopologyFilter](), 0},

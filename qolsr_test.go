@@ -139,7 +139,7 @@ func TestPublicFigureDefinitions(t *testing.T) {
 		Degrees: []float64{8}, Quantity: "set-size",
 		Protocols: qolsr.PaperProtocols(),
 	})
-	res, err := exp.Run(context.Background(), qolsr.WithRuns(1), qolsr.WithSeed(3))
+	res, err := qolsr.NewRunner(qolsr.WithRuns(1), qolsr.WithSeed(3)).Run(context.Background(), exp)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,7 +6,8 @@ package qolsr
 // stack with measurements sampled at a fixed virtual-time cadence.
 //
 //	sc, err := qolsr.ScenarioByName("single-link-flap", "fnbp")
-//	res, err := qolsr.RunScenario(ctx, sc, qolsr.WithRuns(5), qolsr.WithSeed(1))
+//	r := qolsr.NewRunner(qolsr.WithRuns(5), qolsr.WithSeed(1))
+//	res, err := r.RunScenario(ctx, sc)
 //	...
 //	res.WriteTable(os.Stdout)
 //	res.EncodeJSON(os.Stdout)   // machine-readable ("qolsr-scenario/v2")
@@ -14,7 +15,7 @@ package qolsr
 // For incremental consumption, StreamScenario delivers every measurement as
 // it is taken while replicate runs execute in parallel:
 //
-//	events, wait := qolsr.NewRunner().StreamScenario(ctx, sc)
+//	events, wait := r.StreamScenario(ctx, sc)
 //	for ev := range events {
 //		if ev.Kind == qolsr.ScenarioEventSample { plot(ev.Run, ev.Sample) }
 //	}
@@ -107,21 +108,12 @@ var (
 	// ScenarioByName materialises a built-in scenario for one selector
 	// ("fnbp", "topofilter", "qolsr" or "full"; empty means "fnbp").
 	ScenarioByName = scenario.ByName
-	// ExecuteScenarioRun runs one replicate directly, without the runner
-	// (useful for custom harnesses; RunScenario is the usual entry).
-	ExecuteScenarioRun = scenario.Execute
 )
 
 // RunScenario executes the scenario's replicate runs to completion under
 // ctx. WithWorkers, WithRuns (default 3 — the live stack is costly per
 // replicate), WithSeed and WithProgress apply; for a fixed seed the result
 // is bit-identical regardless of the worker budget.
-func RunScenario(ctx context.Context, sc Scenario, opts ...Option) (*ScenarioResult, error) {
-	return NewRunner(opts...).RunScenario(ctx, sc)
-}
-
-// RunScenario executes the scenario to completion under the runner's
-// options. See the package-level RunScenario.
 func (r *Runner) RunScenario(ctx context.Context, sc Scenario) (*ScenarioResult, error) {
 	return runner.RunScenario(ctx, sc, r.opts)
 }

@@ -30,8 +30,8 @@ func rootScenario() qolsr.Scenario {
 }
 
 func TestRunScenarioRoot(t *testing.T) {
-	res, err := qolsr.RunScenario(context.Background(), rootScenario(),
-		qolsr.WithRuns(2), qolsr.WithSeed(3), qolsr.WithWorkers(2))
+	res, err := qolsr.NewRunner(qolsr.WithRuns(2), qolsr.WithSeed(3), qolsr.WithWorkers(2)).
+		RunScenario(context.Background(), rootScenario())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,8 +145,8 @@ func TestScenarioWorkersBitIdentical(t *testing.T) {
 		SampleEvery: 5 * time.Second,
 	}
 	encode := func(workers int) string {
-		res, err := qolsr.RunScenario(context.Background(), sc,
-			qolsr.WithRuns(4), qolsr.WithSeed(9), qolsr.WithWorkers(workers))
+		res, err := qolsr.NewRunner(qolsr.WithRuns(4), qolsr.WithSeed(9), qolsr.WithWorkers(workers)).
+			RunScenario(context.Background(), sc)
 		if err != nil {
 			t.Fatal(err)
 		}

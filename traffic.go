@@ -11,7 +11,7 @@ package qolsr
 // Scenarios carry a flow mix in their Traffic spec:
 //
 //	sc, _ := qolsr.ScenarioByName("video-vs-cbr", "fnbp")
-//	res, _ := qolsr.RunScenario(ctx, sc, qolsr.WithRuns(3))
+//	res, _ := qolsr.NewRunner(qolsr.WithRuns(3)).RunScenario(ctx, sc)
 //	res.WriteTable(os.Stdout) // includes the per-class traffic section
 //
 // The satisfaction-vs-offered-load grid (A8) compares the paper's
