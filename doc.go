@@ -253,8 +253,10 @@
 // ascending walk — the order the determinism contract already required —
 // allocates nothing. Topology rows and neighbour state expire under
 // separate watermarks, so the per-origin column scan runs only when a
-// topology deadline is due. Node.StateSize reports what a node holds; the
-// registry sums its topology rows (qolsr_olsr_topology_rows). A routing
+// topology deadline is due. Node.StateSize reports what a node holds,
+// selecting nothing; the registry sums its topology rows
+// (qolsr_olsr_topology_rows) and the scenario sampler its advertised-set
+// sizes. A routing
 // graph is laid out in linear time with ascending ids: its links are
 // bucketed by their smaller end and each pair keeps the link of highest
 // precedence, so the tables may be walked in any order. The graph lives

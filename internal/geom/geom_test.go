@@ -102,6 +102,9 @@ func TestGridRejectsBadInput(t *testing.T) {
 	if _, err := NewGrid(Field{0, 0}, 10, nil); err == nil {
 		t.Error("invalid field accepted")
 	}
+	if _, err := NewGrid(Field{math.Inf(1), 100}, 10, nil); err == nil {
+		t.Error("infinite field accepted")
+	}
 }
 
 func TestGridBoundaryPoints(t *testing.T) {

@@ -26,6 +26,9 @@ type Grid struct {
 	byCell   []int32    // point indices grouped by slot
 }
 
+// maxSide bounds a Grid's columns and rows: a cell index stays below 2^61.
+const maxSide = 1 << 30
+
 // cellSlot is one entry of a Grid's cell table; key 0 marks a free entry.
 type cellSlot struct {
 	key  int // cell index + 1
@@ -33,8 +36,9 @@ type cellSlot struct {
 }
 
 // NewGrid indexes points over field with the given cell size (normally the
-// communication radius). The points slice is retained; callers must not
-// mutate it afterwards.
+// communication radius), widened where the field is more than 2^30 cells
+// across. The points slice is retained; callers must not mutate it
+// afterwards.
 func NewGrid(field Field, cellSize float64, points []Point) (*Grid, error) {
 	if err := field.Validate(); err != nil {
 		return nil, err
@@ -42,6 +46,10 @@ func NewGrid(field Field, cellSize float64, points []Point) (*Grid, error) {
 	if !(cellSize > 0) {
 		return nil, fmt.Errorf("geom: cell size %g must be positive", cellSize)
 	}
+	// Widen the cells on a field more than maxSide of them across, so every
+	// cell index cy*cols + cx fits an int: wider cells still hold every
+	// pair a radius up to the requested size can link.
+	cellSize = max(cellSize, field.Width/maxSide, field.Height/maxSide)
 	n := len(points)
 	logSize := bits.Len(uint(max(2*n-1, 1))) // 2n rounded up to a power of two
 	g := &Grid{

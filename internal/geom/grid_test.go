@@ -141,6 +141,45 @@ func TestGridSparseHugeField(t *testing.T) {
 	}
 }
 
+// TestGridKeysFitEveryField indexes fields up to 10^30 cells across: a
+// 400-wide field at radius 1e-9, a 10^30-wide one at radius 1 and a strip.
+// Every cell index is non-negative, distinct cells have distinct indices,
+// and Within finds every partner within the radius, coincident points
+// included.
+func TestGridKeysFitEveryField(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for _, c := range []struct {
+		field  Field
+		radius float64
+	}{{Field{400, 400}, 1e-9}, {Field{1e30, 1e30}, 1}, {Field{1e30, 1}, 1e-3}} {
+		pts := gridField(rng, c.field, 60)
+		pts = append(pts, pts[:20]...)
+		grid, err := NewGrid(c.field, c.radius, pts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cells := map[int][2]int{}
+		for i, p := range pts {
+			key := grid.cellOf(p)
+			cell := [2]int{min(int(p.X/grid.cellSize), grid.cols-1), min(int(p.Y/grid.cellSize), grid.rows-1)}
+			if prev, ok := cells[key]; key < 0 || ok && prev != cell {
+				t.Fatalf("field %v radius %g: cell %v has index %d (cell %v has it too: %t)", c.field, c.radius, cell, key, prev, ok)
+			}
+			cells[key] = cell
+			var want []int32
+			for j, q := range pts {
+				if j != i && p.Dist2(q) <= c.radius*c.radius {
+					want = append(want, int32(j))
+				}
+			}
+			got := grid.Within(i, c.radius, nil)
+			if slices.Sort(got); !slices.Equal(got, want) {
+				t.Fatalf("field %v radius %g point %d at %v: Within = %v, want %v", c.field, c.radius, i, p, got, want)
+			}
+		}
+	}
+}
+
 func TestNewGridAllocsConstant(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	field := Field{Width: 600, Height: 600}

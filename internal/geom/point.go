@@ -43,10 +43,10 @@ type Field struct {
 // PaperField returns the 1000×1000 field from the paper's evaluation.
 func PaperField() Field { return Field{Width: 1000, Height: 1000} }
 
-// Validate reports whether the field has positive area.
+// Validate reports whether the field has positive, finite area.
 func (f Field) Validate() error {
-	if !(f.Width > 0) || !(f.Height > 0) {
-		return fmt.Errorf("geom: field %gx%g must have positive dimensions", f.Width, f.Height)
+	if !(f.Width > 0 && f.Width <= math.MaxFloat64) || !(f.Height > 0 && f.Height <= math.MaxFloat64) {
+		return fmt.Errorf("geom: field %gx%g must have positive finite dimensions", f.Width, f.Height)
 	}
 	return nil
 }

@@ -294,10 +294,13 @@ type StateSize struct {
 	// TopologyRows counts the origins the node holds a TC-learned row about;
 	// DupRows the origins with a duplicate-suppression row.
 	TopologyRows, DupRows int
+	// Advertised is the size of the ANS the node holds: the set its latest
+	// TC emission (or ANS call) selected, 0 before any or when it was empty.
+	Advertised int
 }
 
-// StateSize returns the node's current state counts. Nothing is expired
-// first: it reports what is held, stale or not.
+// StateSize returns the node's current state counts. Nothing is expired or
+// selected first: it reports what is held, stale or not.
 func (n *Node) StateSize() StateSize {
 	return StateSize{
 		Links:        n.links.len(),
@@ -305,6 +308,7 @@ func (n *Node) StateSize() StateSize {
 		Selectors:    n.selectors.len(),
 		TopologyRows: n.topoRows,
 		DupRows:      len(n.dups),
+		Advertised:   len(n.ansSet),
 	}
 }
 

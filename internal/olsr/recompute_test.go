@@ -250,6 +250,35 @@ func TestANSSelectedOnDemand(t *testing.T) {
 	}
 }
 
+// StateSize().Advertised reads the ANS the node holds and selects nothing:
+// it is 0 before the first TC, the size of each TC's set right after it,
+// and unchanged after the neighbourhood moves, with no selection run and no
+// ANSN step until the next TC.
+func TestAdvertisedReadsHeldSet(t *testing.T) {
+	calls := 0
+	cfg := DefaultConfig(metric.Bandwidth())
+	cfg.Selector = countingSelector{core.FNBP{}, &calls}
+	nd, neighbor, weight, now := convergedField(t, cfg, 14)
+	if got := nd.StateSize().Advertised; got != 0 || calls != 0 {
+		t.Fatalf("before any TC: Advertised %d after %d selections, want 0 after none", got, calls)
+	}
+	for flip := 1; flip <= 20; flip++ {
+		want := 0
+		if tc := nd.GenerateTC(now); tc != nil {
+			want = len(tc.Links)
+		}
+		if got := nd.StateSize().Advertised; got != want || want == 0 {
+			t.Fatalf("flip %d: Advertised %d right after a TC of %d links", flip, got, want)
+		}
+		ansn, before := nd.ansn, calls
+		nd.UpdateLink(neighbor, weight+float64(flip), now)
+		if got := nd.StateSize().Advertised; got != want || calls != before || nd.ansn != ansn {
+			t.Fatalf("flip %d: a read after the change gave %d (held %d), ran %d selections, moved the ANSN %d -> %d",
+				flip, got, want, calls-before, ansn, nd.ansn)
+		}
+	}
+}
+
 func BenchmarkRecompute(b *testing.B) {
 	nd, neighbor, weight, now := convergedField(b, DefaultConfig(metric.Bandwidth()), 14)
 	run := flipAndSelect(nd, neighbor, weight, now)

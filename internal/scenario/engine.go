@@ -376,19 +376,19 @@ func newSampler(flows [][2]int32) *sampler {
 }
 
 // measure takes the sample at virtual time t: it snapshots control traffic
-// and advertised sets, evaluates the sources' routing tables against the
-// centralized optimum on the current effective topology, and measures the
-// data plane. In probe mode it sends one probe per connected flow through
-// the data plane's sink entry, the sampler being the sink, and runs the
-// engine through the drain window so every probe completes; in
-// traffic-engine mode (eng non-nil) the sustained flows are already in
-// flight, so the sample diffs the engine's counters over the window instead
-// (Delivery is then delivered/completed packets of the window) and no time
-// advances. Control rates diff against the counters as of the previous
-// sample time, not after its drain, or control messages sent during each
-// drain window would vanish from every rate. A routing-table failure aborts
-// the sample: it is surfaced to the caller instead of being silently
-// sampled as an empty table.
+// and the advertised sets' sizes (as held, selecting nothing), evaluates the
+// sources' routing tables against the centralized optimum on the current
+// effective topology, and measures the data plane. In probe mode it sends
+// one probe per connected flow through the data plane's sink entry, the
+// sampler being the sink, and runs the engine through the drain window so
+// every probe completes; in traffic-engine mode (eng non-nil) the sustained
+// flows are already in flight, so the sample diffs the engine's counters
+// over the window instead (Delivery is then delivered/completed packets of
+// the window) and no time advances. Control rates diff against the counters
+// as of the previous sample time, not after its drain, or control messages
+// sent during each drain window would vanish from every rate. A
+// routing-table failure aborts the sample: it is surfaced to the caller
+// instead of being silently sampled as an empty table.
 func (smp *sampler) measure(nw *sim.Network, m metric.Metric, channel string, flows [][2]int32, t, drain time.Duration, eng *traffic.Engine) (Sample, error) {
 	smp.s, smp.stretchN = Sample{Time: t, Nodes: nw.Phys.N()}, 0
 	s := &smp.s
@@ -400,7 +400,7 @@ func (smp *sampler) measure(nw *sim.Network, m metric.Metric, channel string, fl
 	if len(nw.Nodes) > 0 {
 		total := 0
 		for _, n := range nw.Nodes {
-			total += len(n.ANS(nw.Engine.Now()))
+			total += n.StateSize().Advertised
 		}
 		s.SetSize = float64(total) / float64(len(nw.Nodes))
 	}
@@ -456,12 +456,9 @@ func (smp *sampler) measure(nw *sim.Network, m metric.Metric, channel string, fl
 		}
 		nw.SendDataTraced(flows[i][0], flows[i][1], sim.DataPacketBytes, smp, uint64(i), nil)
 	}
+	completed := s.Connected
 	if eng == nil {
 		nw.Run(t + drain)
-		s.Delivery = 1
-		if s.Connected > 0 {
-			s.Delivery = float64(s.Delivered) / float64(s.Connected)
-		}
 	} else {
 		cnt, prev := eng.Counters(), smp.prevCnt
 		s.TrafficSent = int(cnt.Sent - prev.Sent)
@@ -470,12 +467,12 @@ func (smp *sampler) measure(nw *sim.Network, m metric.Metric, channel string, fl
 		if secs := (t - smp.prevT).Seconds(); secs > 0 {
 			s.TrafficThroughputBps = float64(cnt.BytesDelivered-prev.BytesDelivered) / secs
 		}
-		s.Delivered = s.TrafficDelivered
-		s.Delivery = 1
-		if s.TrafficCompleted > 0 {
-			s.Delivery = float64(s.TrafficDelivered) / float64(s.TrafficCompleted)
-		}
+		s.Delivered, completed = s.TrafficDelivered, s.TrafficCompleted
 		smp.prevCnt = cnt
+	}
+	s.Delivery = 1
+	if completed > 0 {
+		s.Delivery = float64(s.Delivered) / float64(completed)
 	}
 	if smp.stretchN > 0 {
 		s.HopStretch /= float64(smp.stretchN)

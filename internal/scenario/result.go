@@ -49,7 +49,8 @@ type Sample struct {
 	// sample. The flooding-cost component the relay-set optimisations act
 	// on.
 	TCFwdBPS float64
-	// SetSize is the mean advertised-set size across nodes.
+	// SetSize is the mean size of the advertised set each node holds (the
+	// set its latest TC carried), read without running a selection.
 	SetSize float64
 
 	// Traffic-engine fields, set only when the scenario runs a flow-class
@@ -250,6 +251,7 @@ func (r *Result) AggregateTraffic() []ClassAggregate {
 		a.Jitter.Add(c.Jitter.Seconds())
 		a.Violation.Add(c.ViolationRatio())
 	}
+	all := ClassAggregate{Class: "all"}
 	for _, run := range r.Runs {
 		if run == nil || run.Traffic == nil {
 			continue
@@ -257,19 +259,14 @@ func (r *Result) AggregateTraffic() []ClassAggregate {
 		for _, c := range run.Traffic.Classes {
 			fold(get(c.Class), c)
 		}
+		fold(&all, run.Traffic.Total)
 	}
 	if len(order) == 0 {
 		return nil
 	}
-	for _, run := range r.Runs {
-		if run == nil || run.Traffic == nil {
-			continue
-		}
-		fold(get("all"), run.Traffic.Total)
-	}
-	out := make([]ClassAggregate, len(order))
+	out := make([]ClassAggregate, len(order), len(order)+1)
 	for i, name := range order {
 		out[i] = *byCls[name]
 	}
-	return out
+	return append(out, all)
 }

@@ -545,8 +545,10 @@ func (nw *Network) deliverFrame(f *controlFrame, to int32) {
 	}
 }
 
-// ANSSets returns every node's current advertised set as graph indices,
-// suitable for route.BuildAdvertised.
+// ANSSets returns every node's advertised set as graph indices, suitable
+// for route.BuildAdvertised. It selects each set afresh through Node.ANS
+// (stepping a node's ANSN when the set changed); to read the sets' sizes
+// as held, with no selection, use Node.StateSize.
 func (nw *Network) ANSSets() ([][]int32, error) {
 	sets := make([][]int32, len(nw.Nodes))
 	now := nw.Engine.Now()
