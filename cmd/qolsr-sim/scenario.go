@@ -122,7 +122,7 @@ func runScenario(args []string) error {
 		}
 	}
 	if *measured {
-		sc.Protocol.MeasuredQoS = true
+		sc.Protocol.LinkSensing = qolsr.SenseDelivery
 	}
 	if *metricsOut != "" {
 		sc.Obs.Metrics = true

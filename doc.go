@@ -92,9 +92,11 @@
 //	res.WriteTable(os.Stdout)   // aggregate table + reconvergence summary
 //	res.EncodeJSON(os.Stdout)   // machine-readable ("qolsr-scenario/v2")
 //
-// Replicate runs parallelize under the runner's worker budget with the same
-// determinism guarantee as the sweeps: every run's RNG streams derive from
-// (seed, run), so results are bit-identical for any WithWorkers value.
+// Replicate runs share the Runner's worker budget on the cell loop the
+// sweeps run on, with the same determinism guarantee: every run's RNG
+// streams derive from (seed, run), so results are bit-identical for any
+// WithWorkers value. A lone replicate spends the whole budget on its own
+// route-rebuild barrier; replicates that run side by side get a share each.
 //
 // # Radio medium
 //
@@ -271,7 +273,9 @@
 // Network.RebuildRoutes is that barrier: it fans the dirty nodes' table
 // computations across a worker budget and produces tables bit-identical to
 // the serial path at every worker count (scenario.Scenario.Workers threads
-// the budget, and the S1 grid hands it the runner's; a churn-heavy lossy scenario encoding to identical JSON at
+// the budget; the cell loop gives each cell workers / min(cells running at
+// once, workers), so a lone replicate or S1's serial cell gets the Runner's
+// whole budget; a churn-heavy lossy scenario encoding to identical JSON at
 // workers 1 and 8 locks the property, and CI runs the barrier under the
 // race detector). Rebuild activity is observable end to end:
 // olsr.RebuildStats counts interning hits and routing tables computed per

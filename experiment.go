@@ -27,7 +27,6 @@ import (
 	"context"
 
 	"qolsr/internal/eval"
-	"qolsr/internal/runner"
 )
 
 // Experiment definitions.
@@ -50,11 +49,11 @@ type (
 	// ScaleAxis cuts S1's node-count axis and picks its control plane.
 	ScaleAxis = eval.ScaleAxis
 	// Results is a completed sweep with table/CSV/JSON encoders.
-	Results = runner.Result
+	Results = eval.Result
 	// Event is one incremental sweep outcome (see Stream).
-	Event = runner.Event
+	Event = eval.Event
 	// EventKind discriminates stream events.
-	EventKind = runner.EventKind
+	EventKind = eval.EventKind
 )
 
 // Reported quantities.
@@ -68,9 +67,9 @@ const (
 // Stream event kinds.
 const (
 	// EventPoint reports one completed density point.
-	EventPoint = runner.EventPoint
+	EventPoint = eval.EventPoint
 	// EventFigure reports a fully assembled figure.
-	EventFigure = runner.EventFigure
+	EventFigure = eval.EventFigure
 )
 
 // Figure and protocol registries: everything an experiment is composed
@@ -106,35 +105,37 @@ var (
 )
 
 // Option tunes how a Runner executes an experiment.
-type Option func(*runner.Options)
+type Option func(*eval.Options)
 
-// WithWorkers bounds how many (density point, run) topologies evaluate at
-// once, across every figure of the experiment. The default is GOMAXPROCS;
-// results are identical for any value.
+// WithWorkers sets the worker budget (default GOMAXPROCS): how many cells
+// — a density point's run, a live-grid cell, a scenario replicate —
+// simulate at once, across everything one call runs; a cell running alone
+// spends the rest on its own route-rebuild barrier. Results are identical
+// for any value.
 func WithWorkers(n int) Option {
-	return func(o *runner.Options) { o.Workers = n }
+	return func(o *eval.Options) { o.Workers = n }
 }
 
 // WithRuns sets the per-point run count (default 100, the paper's).
 func WithRuns(n int) Option {
-	return func(o *runner.Options) { o.Runs = n }
+	return func(o *eval.Options) { o.Runs = n }
 }
 
 // WithSeed sets the base RNG seed (default 1). Every run's stream is
 // derived from (seed, degree, run), so a seed pins the whole sweep.
 func WithSeed(seed int64) Option {
-	return func(o *runner.Options) { o.Seed = seed }
+	return func(o *eval.Options) { o.Seed = seed }
 }
 
 // WithProgress installs a printf-style callback receiving one line per
 // completed density point.
 func WithProgress(f func(format string, args ...any)) Option {
-	return func(o *runner.Options) { o.Progress = f }
+	return func(o *eval.Options) { o.Progress = f }
 }
 
 // WithDegrees overrides every figure's density axis.
 func WithDegrees(degrees ...float64) Option {
-	return func(o *runner.Options) { o.Degrees = append([]float64(nil), degrees...) }
+	return func(o *eval.Options) { o.Degrees = append([]float64(nil), degrees...) }
 }
 
 // Experiment is a composed set of figures to sweep; a Runner runs it. The
@@ -184,7 +185,7 @@ func (e *Experiment) Figures() []Figure {
 // StreamScenario), under a fixed option set, so one configuration
 // (workers, seed, runs, progress sink) can drive many of them.
 type Runner struct {
-	opts runner.Options
+	opts eval.Options
 }
 
 // NewRunner binds options into a reusable runner.
@@ -200,7 +201,7 @@ func NewRunner(opts ...Option) *Runner {
 // outstanding work promptly and returns ctx.Err(). For a fixed seed the
 // result is bit-identical regardless of WithWorkers.
 func (r *Runner) Run(ctx context.Context, e *Experiment) (*Results, error) {
-	return runner.Run(ctx, e.figures, r.opts)
+	return eval.Run(ctx, e.figures, r.opts)
 }
 
 // Stream starts the experiment and returns the event channel plus a wait
@@ -208,7 +209,7 @@ func (r *Runner) Run(ctx context.Context, e *Experiment) (*Results, error) {
 // channel is buffered for the whole sweep and closed when done. Point
 // events may arrive out of density order; their indexes locate them.
 func (r *Runner) Stream(ctx context.Context, e *Experiment) (<-chan Event, func() (*Results, error)) {
-	return runner.Stream(ctx, e.figures, r.opts)
+	return eval.Stream(ctx, e.figures, r.opts)
 }
 
 // LiveGrid runs the live-stack ablation named name — "control" (A4),
@@ -218,9 +219,5 @@ func (r *Runner) Stream(ctx context.Context, e *Experiment) (<-chan Event, func(
 // count of n gives each grid n/20 runs a point (at least 1), and none gives
 // its own default of 3; S1 always runs one. scale applies to S1 only.
 func (r *Runner) LiveGrid(ctx context.Context, name string, scale ScaleAxis) (*GridResult, error) {
-	runs := 0
-	if r.opts.Runs > 0 {
-		runs = max(1, r.opts.Runs/20)
-	}
-	return eval.RunLiveGrid(ctx, name, r.opts.Seed, runs, r.opts.Degrees, scale, r.opts.Workers)
+	return eval.RunLiveGrid(ctx, name, scale, r.opts)
 }

@@ -1,4 +1,4 @@
-package runner
+package eval
 
 import (
 	"bytes"
@@ -7,7 +7,6 @@ import (
 	"path/filepath"
 	"testing"
 
-	"qolsr/internal/eval"
 	"qolsr/internal/metric"
 )
 
@@ -16,15 +15,15 @@ var update = flag.Bool("update", false, "rewrite the encoder golden files")
 // syntheticResult builds a two-figure sweep with hand-fed accumulators so
 // the golden files do not depend on simulation output.
 func syntheticResult() *Result {
-	mkPoint := func(deg float64, names []string, base float64) *eval.PointResult {
-		p := &eval.PointResult{
+	mkPoint := func(deg float64, names []string, base float64) *PointResult {
+		p := &PointResult{
 			Degree:    deg,
-			Protocols: make(map[string]*eval.ProtocolPoint, len(names)),
+			Protocols: make(map[string]*ProtocolPoint, len(names)),
 		}
 		p.Nodes.Add(100 + deg)
 		p.Nodes.Add(104 + deg)
 		for i, name := range names {
-			pp := &eval.ProtocolPoint{}
+			pp := &ProtocolPoint{}
 			for r := 0; r < 3; r++ {
 				v := base + float64(i) + float64(r)*0.5
 				pp.SetSize.Add(v)
@@ -36,32 +35,32 @@ func syntheticResult() *Result {
 		return p
 	}
 	names := []string{"alpha", "beta"}
-	protocols := []eval.ProtocolSpec{{Name: "alpha"}, {Name: "beta"}}
-	fig1 := &eval.FigureResult{
-		Figure: eval.Figure{
+	protocols := []ProtocolSpec{{Name: "alpha"}, {Name: "beta"}}
+	fig1 := &FigureResult{
+		Figure: Figure{
 			ID:        "fig-a",
 			Title:     "synthetic set sizes",
 			Metric:    metric.Bandwidth(),
 			Degrees:   []float64{10, 20},
-			Quantity:  eval.QuantitySetSize,
+			Quantity:  QuantitySetSize,
 			Protocols: protocols,
 		},
 		Runs:   3,
-		Points: []*eval.PointResult{mkPoint(10, names, 2), mkPoint(20, names, 3)},
+		Points: []*PointResult{mkPoint(10, names, 2), mkPoint(20, names, 3)},
 	}
-	fig2 := &eval.FigureResult{
-		Figure: eval.Figure{
+	fig2 := &FigureResult{
+		Figure: Figure{
 			ID:        "fig-b",
 			Title:     "synthetic overheads",
 			Metric:    metric.Delay(),
 			Degrees:   []float64{10},
-			Quantity:  eval.QuantityOverhead,
+			Quantity:  QuantityOverhead,
 			Protocols: protocols,
 		},
 		Runs:   3,
-		Points: []*eval.PointResult{mkPoint(10, names, 4)},
+		Points: []*PointResult{mkPoint(10, names, 4)},
 	}
-	return &Result{Figures: []*eval.FigureResult{fig1, fig2}}
+	return &Result{Figures: []*FigureResult{fig1, fig2}}
 }
 
 func checkGolden(t *testing.T, name string, got []byte) {
@@ -78,7 +77,7 @@ func checkGolden(t *testing.T, name string, got []byte) {
 	}
 	want, err := os.ReadFile(path)
 	if err != nil {
-		t.Fatalf("missing golden file (run go test ./internal/runner -update): %v", err)
+		t.Fatalf("missing golden file (run go test ./internal/eval -run Golden -update): %v", err)
 	}
 	if !bytes.Equal(got, want) {
 		t.Errorf("%s mismatch:\n--- got ---\n%s\n--- want ---\n%s", name, got, want)

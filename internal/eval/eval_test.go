@@ -21,7 +21,7 @@ func smallPoint(m metric.Metric, degree float64, protocols []ProtocolSpec) point
 }
 
 // runPoint evaluates one density point at runs topologies on the cell loop
-// RunFigures runs every figure's points on; tests use it for deployments
+// runFigures runs every figure's points on; tests use it for deployments
 // off the paper's field.
 func runPoint(ctx context.Context, sc pointSpec, runs, workers int) (*PointResult, error) {
 	rows, err := pointSweep([]pointSpec{sc}, runs, workers, nil).run(ctx)
@@ -82,16 +82,16 @@ func TestRunPointDeterministic(t *testing.T) {
 	}
 }
 
-// A point is validated before any topology is drawn: RunFigures rejects a
+// A point is validated before any topology is drawn: runFigures rejects a
 // non-positive run count and a density its deployment cannot realise.
 func TestRunPointValidation(t *testing.T) {
 	fig := PaperFigures()[0]
 	fig.Degrees = []float64{10}
-	if _, err := RunFigures(context.Background(), []Figure{fig}, 0, 42, 0, nil); err == nil {
+	if _, err := runFigures(context.Background(), []Figure{fig}, Options{Seed: 42}, nil); err == nil {
 		t.Error("zero runs accepted")
 	}
 	fig.Degrees = []float64{0}
-	if _, err := RunFigures(context.Background(), []Figure{fig}, 1, 42, 0, nil); err == nil {
+	if _, err := runFigures(context.Background(), []Figure{fig}, Options{Runs: 1, Seed: 42}, nil); err == nil {
 		t.Error("invalid deployment accepted")
 	}
 }
@@ -159,7 +159,7 @@ func TestPaperFiguresDefinitions(t *testing.T) {
 	}
 }
 
-// runFigureSerial assembles a FigureResult point by point, as RunFigures
+// runFigureSerial assembles a FigureResult point by point, as runFigures
 // does, on a field small enough for a unit test.
 func runFigureSerial(t *testing.T, fig Figure, runs int, seed int64) *FigureResult {
 	t.Helper()
@@ -328,7 +328,7 @@ func TestRunFiguresSharesPoints(t *testing.T) {
 		figs = append(figs, f)
 	}
 	seen := map[[2]int]int{}
-	res, err := RunFigures(context.Background(), figs, 1, 3, 2, func(fr *FigureResult, fi, pi int) {
+	res, err := runFigures(context.Background(), figs, Options{Runs: 1, Seed: 3, Workers: 2}, func(fr *FigureResult, fi, pi int) {
 		if fr.Figure.ID != figs[fi].ID || fr.Points[pi] == nil {
 			t.Errorf("%s point %d handed over unset", figs[fi].ID, pi)
 		}
@@ -359,7 +359,7 @@ func TestRunFiguresSharesPoints(t *testing.T) {
 func TestRunFiguresRejectsEmptyFigure(t *testing.T) {
 	fig6, fig7 := PaperFigures()[0], PaperFigures()[1]
 	fig6.Degrees = nil
-	_, err := RunFigures(context.Background(), []Figure{fig7, fig6}, 1, 1, 1, func(*FigureResult, int, int) {
+	_, err := runFigures(context.Background(), []Figure{fig7, fig6}, Options{Runs: 1, Seed: 1, Workers: 1}, func(*FigureResult, int, int) {
 		t.Error("a point ran")
 	})
 	if err == nil || !strings.Contains(err.Error(), "fig6") {
@@ -368,14 +368,14 @@ func TestRunFiguresRejectsEmptyFigure(t *testing.T) {
 }
 
 // The paper's orderings at every density of Figs. 6-9, from the two sweeps
-// RunFigures shares between them: set size fnbp < topofilter < qolsr (at
+// runFigures shares between them: set size fnbp < topofilter < qolsr (at
 // delay δ=5 only fnbp below both; topofilter advertises more than QOLSR
 // there, see README), overhead fnbp < qolsr.
 func TestPaperOrderingsAtEveryDensity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-run evaluation")
 	}
-	res, err := RunFigures(context.Background(), PaperFigures(), 4, 1, 0, nil)
+	res, err := runFigures(context.Background(), PaperFigures(), Options{Runs: 4, Seed: 1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

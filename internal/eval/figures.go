@@ -2,6 +2,7 @@ package eval
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"reflect"
@@ -201,26 +202,26 @@ type FigureResult struct {
 	Runs int
 }
 
-// RunFigures evaluates the figures at runs topologies per density point
-// and returns one assembled result per figure, in order. The grid's axis is
-// the figures' distinct density points: two figures share a point at equal
-// degree when they agree on the metric, on the protocols (compared in full,
-// not by name) and on whether directed delivery is measured, so Figs. 6 and
-// 8 are one bandwidth sweep and Figs. 7 and 9 one delay sweep. A shared
-// point is simulated once and its *PointResult is read-only in every figure
-// that references it.
+// runFigures evaluates the figures at o.Runs topologies per density point
+// under o.Seed and returns one assembled result per figure, in order. The
+// grid's axis is the figures' distinct density points: two figures share a
+// point at equal degree when they agree on the metric, on the protocols
+// (compared in full, not by name) and on whether directed delivery is
+// measured, so Figs. 6 and 8 are one bandwidth sweep and Figs. 7 and 9 one
+// delay sweep. A shared point is simulated once and its *PointResult is
+// read-only in every figure that references it.
 //
-// Up to workers (point, run) topologies run at once (0 = GOMAXPROCS, 1 = in
-// order on the caller's goroutine); the result is bit-identical at every
-// setting. When a point completes, done (if set) is called once for every
-// (figure, point index) that references it, after the point is stored in
-// the figure's result; calls never overlap, and jobs landing meanwhile wait
-// for the call, so done must not block. Cancelling ctx returns ctx.Err();
-// otherwise the error returned is that of the first failing point in figure
-// and density order. A non-positive run count, a figure without density
-// points and an invalid deployment are rejected before any topology is
-// drawn.
-func RunFigures(ctx context.Context, figs []Figure, runs int, seed int64, workers int, done func(fr *FigureResult, fi, pi int)) ([]*FigureResult, error) {
+// Up to o.Workers (point, run) topologies run at once; the result is
+// bit-identical at every setting. When a point completes, done (if set) is
+// called once for every (figure, point index) that references it, after
+// the point is stored in the figure's result; calls never overlap, and jobs
+// landing meanwhile wait for the call, so done must not block. Cancelling
+// ctx returns ctx.Err(); otherwise the error returned is that of the first
+// failing point in figure and density order. A non-positive run count, a
+// figure without density points and an invalid deployment are rejected
+// before any topology is drawn.
+func runFigures(ctx context.Context, figs []Figure, o Options, done func(fr *FigureResult, fi, pi int)) ([]*FigureResult, error) {
+	runs := o.Runs
 	if runs <= 0 {
 		return nil, fmt.Errorf("eval: runs must be positive, got %d", runs)
 	}
@@ -236,7 +237,7 @@ func RunFigures(ctx context.Context, figs []Figure, runs int, seed int64, worker
 		}
 		results[fi] = &FigureResult{Figure: f, Runs: runs, Points: make([]*PointResult, len(f.Degrees))}
 		for pi, deg := range f.Degrees {
-			spec := f.point(deg, seed)
+			spec := f.point(deg, o.Seed)
 			pt := slices.IndexFunc(specs, func(s pointSpec) bool { return reflect.DeepEqual(s, spec) })
 			if pt < 0 {
 				if err := spec.deployment.Validate(); err != nil {
@@ -248,7 +249,7 @@ func RunFigures(ctx context.Context, figs []Figure, runs int, seed int64, worker
 			refs[pt] = append(refs[pt], ref{fi, pi})
 		}
 	}
-	_, err := pointSweep(specs, runs, workers, func(pt int, row []*PointResult) {
+	_, err := pointSweep(specs, runs, o.Workers, func(pt int, row []*PointResult) {
 		for _, r := range refs[pt] {
 			results[r.fi].Points[r.pi] = row[0]
 			if done != nil {
@@ -323,6 +324,136 @@ func (fr *FigureResult) WriteDeliveryTable(w io.Writer) error {
 			parts = append(parts, fmt.Sprintf("%s=%.4f", n, pp.Delivery.Mean()))
 		}
 		if _, err := fmt.Fprintln(w, strings.Join(parts, " ")); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// Result is a completed figure sweep (Stream, Run): one assembled result
+// per requested figure, in request order.
+type Result struct {
+	Figures []*FigureResult
+}
+
+// jsonStat is one accumulated series in machine-readable form.
+type jsonStat struct {
+	Mean float64 `json:"mean"`
+	CI95 float64 `json:"ci95"`
+	N    int     `json:"n"`
+}
+
+// jsonPoint is one density point.
+type jsonPoint struct {
+	Degree      float64                        `json:"degree"`
+	Nodes       float64                        `json:"nodes"`
+	SkippedRuns int                            `json:"skipped_runs,omitempty"`
+	Protocols   map[string]map[string]jsonStat `json:"protocols"`
+}
+
+// jsonFigure is one assembled figure.
+type jsonFigure struct {
+	ID        string      `json:"id"`
+	Title     string      `json:"title"`
+	Metric    string      `json:"metric"`
+	Quantity  string      `json:"quantity"`
+	Runs      int         `json:"runs"`
+	Protocols []string    `json:"protocols"`
+	Points    []jsonPoint `json:"points"`
+}
+
+// EncodeJSON writes the sweep as an indented JSON document, schema
+// "qolsr-sweep/v1" (bump it on breaking changes to the shape): per figure,
+// per density point, per protocol, the figure's quantity series as
+// {mean, ci95, n}.
+func (r *Result) EncodeJSON(w io.Writer) error {
+	doc := struct {
+		Schema  string       `json:"schema"`
+		Figures []jsonFigure `json:"figures"`
+	}{Schema: "qolsr-sweep/v1"}
+	for _, fr := range r.Figures {
+		jf := jsonFigure{
+			ID:        fr.Figure.ID,
+			Title:     fr.Figure.Title,
+			Metric:    fr.Figure.Metric.Name(),
+			Quantity:  string(fr.Figure.Quantity),
+			Runs:      fr.Runs,
+			Protocols: fr.ProtocolNames(),
+		}
+		for pi, p := range fr.Points {
+			jp := jsonPoint{
+				Degree:      fr.Figure.Degrees[pi],
+				Nodes:       p.Nodes.Mean(),
+				SkippedRuns: p.SkippedRuns,
+				Protocols:   make(map[string]map[string]jsonStat, len(p.Protocols)),
+			}
+			for _, name := range jf.Protocols {
+				pp := p.Protocols[name]
+				if pp == nil {
+					continue
+				}
+				acc := pp.Series(fr.Figure.Quantity)
+				if acc == nil {
+					return fmt.Errorf("eval: unknown quantity %q", fr.Figure.Quantity)
+				}
+				jp.Protocols[name] = map[string]jsonStat{jf.Quantity: {Mean: acc.Mean(), CI95: acc.CI95(), N: acc.N()}}
+			}
+			jf.Points = append(jf.Points, jp)
+		}
+		doc.Figures = append(doc.Figures, jf)
+	}
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	return enc.Encode(doc)
+}
+
+// EncodeCSV writes the sweep in long form, one row per (figure, density,
+// protocol) with the figure's quantity — the shape plotting tools group and
+// pivot directly.
+func (r *Result) EncodeCSV(w io.Writer) error {
+	if _, err := fmt.Fprintln(w, "figure,density,protocol,quantity,mean,ci95,n"); err != nil {
+		return err
+	}
+	for _, fr := range r.Figures {
+		q := fr.Figure.Quantity
+		for pi, p := range fr.Points {
+			for _, name := range fr.ProtocolNames() {
+				pp := p.Protocols[name]
+				if pp == nil {
+					continue
+				}
+				acc := pp.Series(q)
+				if acc == nil {
+					return fmt.Errorf("eval: unknown quantity %q", q)
+				}
+				row := []string{
+					fr.Figure.ID,
+					fmt.Sprintf("%g", fr.Figure.Degrees[pi]),
+					name,
+					string(q),
+					fmt.Sprintf("%.6f", acc.Mean()),
+					fmt.Sprintf("%.6f", acc.CI95()),
+					fmt.Sprintf("%d", acc.N()),
+				}
+				if _, err := fmt.Fprintln(w, strings.Join(row, ",")); err != nil {
+					return err
+				}
+			}
+		}
+	}
+	return nil
+}
+
+// WriteTables renders every figure as the aligned text table the paper
+// plots, separated by blank lines.
+func (r *Result) WriteTables(w io.Writer) error {
+	for i, fr := range r.Figures {
+		if i > 0 {
+			if _, err := fmt.Fprintln(w); err != nil {
+				return err
+			}
+		}
+		if err := fr.WriteTable(w); err != nil {
 			return err
 		}
 	}

@@ -13,6 +13,7 @@ import (
 
 	"qolsr/internal/geom"
 	"qolsr/internal/obs"
+	"qolsr/internal/olsr"
 	"qolsr/internal/scenario"
 	"qolsr/internal/stats"
 	"qolsr/internal/traffic"
@@ -40,9 +41,8 @@ type liveGrid struct {
 	col  func(sc *scenario.Scenario, col int)
 	// reads are the measured quantities, per column in this order.
 	reads []quantity
-	// serial runs one cell at a time, spending the worker budget on its
-	// rebuild barrier so each wall time is its own; RunLiveGrid gives it
-	// one run a point (S1: the axis is engine cost, not statistics).
+	// serial runs one cell at a time (liveSweep.serial); RunLiveGrid gives
+	// it one run a point (S1: the axis is engine cost, not statistics).
 	serial bool
 }
 
@@ -104,6 +104,10 @@ func liveGridByName(name string, scale ScaleAxis) (liveGrid, error) {
 	return liveGrid{}, fmt.Errorf("eval: unknown live grid %q (have %v)", name, LiveGridNames())
 }
 
+// sensing is the link-sensing column pair of A7 and A8: oracle weights,
+// then measured link quality.
+var sensing = [2]olsr.LinkSensing{olsr.SenseOracle, olsr.SenseDelivery}
+
 // probeBase is the probe-mode base of A4, A7 and O1: a Poisson field at the
 // given degree, 60 s of protocol, gridProbes probe flows sampled from 20 s
 // on. The warmup is fixed, not a third of the duration, so a shortened run
@@ -159,7 +163,7 @@ func lossGrid() liveGrid {
 		axisName: "loss", axis: []float64{0, 0.1, 0.2, 0.3, 0.4}, runs: 3, base: base,
 		at:   func(sc *scenario.Scenario, x float64, _ int64, _ int) { sc.Medium.Loss = x },
 		cols: []string{"oracle", "measured"},
-		col:  func(sc *scenario.Scenario, col int) { sc.Protocol.MeasuredQoS = col == 1 },
+		col:  func(sc *scenario.Scenario, col int) { sc.Protocol.LinkSensing = sensing[col] },
 		reads: []quantity{
 			{"dlv", "%.3f", probeDelivery},
 			{"ctlB/s", "%.0f", controlRate},
@@ -208,7 +212,7 @@ func loadGrid() liveGrid {
 			if col >= 2 {
 				sc.Protocol.Metric = "hop"
 			}
-			sc.Protocol.MeasuredQoS = col%2 == 1
+			sc.Protocol.LinkSensing = sensing[col%2]
 		},
 		reads: []quantity{
 			{"viol", "%.3f", func(c cellResult) float64 { return c.Traffic.Total.ViolationRatio() }},
@@ -337,46 +341,43 @@ func registryValue(name string) func(c cellResult) float64 {
 	}
 }
 
-// RunLiveGrid runs the live-stack ablation named name (LiveGridNames) with
-// base seed seed (0 = 1) and runs runs per point (0 = the grid's own), up
-// to workers cells at once (0 = GOMAXPROCS); degrees, when non-empty,
-// replaces a density axis. The result is bit-identical at every worker
+// RunLiveGrid runs the live-stack ablation named name (LiveGridNames)
+// under o: its seed, its worker budget and, for a density axis (A4, O1), its
+// Degrees. A live run costs about twenty offline ones, so o.Runs = n gives
+// the grid n/20 runs a point (at least 1), and none gives the grid's own;
+// S1 always runs its own one. The result is bit-identical at every worker
 // count, wall times aside. Cancelling ctx stops between simulations and
 // returns ctx.Err().
-func RunLiveGrid(ctx context.Context, name string, seed int64, runs int, degrees []float64, scale ScaleAxis, workers int) (*GridResult, error) {
+func RunLiveGrid(ctx context.Context, name string, scale ScaleAxis, o Options) (*GridResult, error) {
 	g, err := liveGridByName(name, scale)
 	if err != nil {
 		return nil, err
 	}
-	if len(degrees) > 0 && g.axisName == "density" {
-		g.axis = degrees
+	if len(o.Degrees) > 0 && g.axisName == "density" {
+		g.axis = o.Degrees
 	}
-	if runs <= 0 || g.serial {
-		runs = g.runs
+	switch {
+	case g.serial:
+		o.Runs = g.runs
+	case o.Runs > 0:
+		o.Runs = max(1, o.Runs/20)
 	}
-	if seed == 0 {
-		seed = 1
-	}
-	return g.run(ctx, seed, runs, workers)
+	return g.run(ctx, o.withDefaults(g.runs))
 }
 
 // run executes the grid on the cell loop. Each cell applies the axis edit,
 // then the column edit, to the base and executes it under (seed, run).
-func (g liveGrid) run(ctx context.Context, seed int64, runs, workers int) (*GridResult, error) {
-	cellWorkers := 1
-	if g.serial {
-		cellWorkers, workers = workers, 1
-	}
+func (g liveGrid) run(ctx context.Context, o Options) (*GridResult, error) {
 	cells, err := liveSweep[[]stats.Accumulator]{
-		points: len(g.axis), runs: runs, cols: len(g.cols), workers: workers,
+		points: len(g.axis), runs: o.Runs, cols: len(g.cols), workers: o.Workers, serial: g.serial,
 		point: func(int, int) []stats.Accumulator { return make([]stats.Accumulator, len(g.reads)) },
-		cell: func(pt, run, col int) (func([]stats.Accumulator), error) {
+		cell: func(pt, run, col, workers int) (func([]stats.Accumulator), error) {
 			sc := g.base
-			sc.Workers = cellWorkers
-			g.at(&sc, g.axis[pt], seed, run)
+			sc.Workers = workers
+			g.at(&sc, g.axis[pt], o.Seed, run)
 			g.col(&sc, col)
 			start := time.Now()
-			rr, err := scenario.Execute(ctx, sc, seed, run, nil)
+			rr, err := scenario.Execute(ctx, sc, o.Seed, run, nil)
 			if err != nil {
 				return nil, fmt.Errorf("eval: %s %s %g column %q run %d: %w", g.name, g.axisName, g.axis[pt], g.cols[col], run, err)
 			}
@@ -397,7 +398,7 @@ func (g liveGrid) run(ctx context.Context, seed int64, runs, workers int) (*Grid
 	if err != nil {
 		return nil, err
 	}
-	return &GridResult{grid: g, seed: seed, runs: runs, cells: cells}, nil
+	return &GridResult{grid: g, seed: o.Seed, runs: o.Runs, cells: cells}, nil
 }
 
 // GridResult is a completed live grid: per (axis point, column), one

@@ -43,7 +43,7 @@ func withFlows(g liveGrid, flows int) liveGrid {
 // runGrid runs a test grid and fails the test on error.
 func runGrid(t *testing.T, g liveGrid, seed int64, runs, workers int) *GridResult {
 	t.Helper()
-	res, err := g.run(context.Background(), seed, runs, workers)
+	res, err := g.run(context.Background(), Options{Seed: seed, Runs: runs, Workers: workers})
 	if err != nil {
 		t.Fatalf("%s: %v", g.name, err)
 	}
@@ -127,7 +127,7 @@ func TestRunLossSweep(t *testing.T) {
 func TestRunLossSweepCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := RunLiveGrid(ctx, "loss", 1, 1, nil, ScaleAxis{}, 1); err != context.Canceled {
+	if _, err := RunLiveGrid(ctx, "loss", ScaleAxis{}, Options{Seed: 1, Runs: 1, Workers: 1}); err != context.Canceled {
 		t.Errorf("err = %v, want context.Canceled", err)
 	}
 }
@@ -178,7 +178,7 @@ func TestLoadSweepDeterministic(t *testing.T) {
 func TestLoadSweepCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := RunLiveGrid(ctx, "load", 1, 1, nil, ScaleAxis{}, 1); err != context.Canceled {
+	if _, err := RunLiveGrid(ctx, "load", ScaleAxis{}, Options{Seed: 1, Runs: 1, Workers: 1}); err != context.Canceled {
 		t.Errorf("err = %v, want context.Canceled", err)
 	}
 }
@@ -266,7 +266,7 @@ func TestOverheadSweepEncoders(t *testing.T) {
 func TestOverheadSweepCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := RunLiveGrid(ctx, "overhead", 1, 1, nil, ScaleAxis{}, 1); err == nil {
+	if _, err := RunLiveGrid(ctx, "overhead", ScaleAxis{}, Options{Seed: 1, Runs: 1, Workers: 1}); err == nil {
 		t.Error("cancelled grid returned no error")
 	}
 }
@@ -304,7 +304,7 @@ func TestRunScaleSweep(t *testing.T) {
 func TestRunScaleSweepCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := RunLiveGrid(ctx, "scale", 1, 1, nil, ScaleAxis{Max: 50}, 1); err == nil {
+	if _, err := RunLiveGrid(ctx, "scale", ScaleAxis{Max: 50}, Options{Seed: 1, Runs: 1, Workers: 1}); err == nil {
 		t.Fatal("cancelled grid returned nil error")
 	}
 }

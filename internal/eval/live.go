@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"runtime"
 	"strings"
 	"sync"
 
@@ -11,23 +12,26 @@ import (
 )
 
 // Every sweep shares one shape: a grid of axis points × runs × columns.
-// The paper figures and their ablations (RunFigures) and the live-stack
-// grids — A4 (control), A7 (loss), A8 (load), O1 (overhead) and S1 (scale),
-// grid.go — all run on the one cell loop below. This file holds that loop
-// and the table writer.
+// The paper figures and their ablations (Stream), the live-stack grids —
+// A4 (control), A7 (loss), A8 (load), O1 (overhead) and S1 (scale),
+// grid.go — and a scenario's replicate runs (StreamScenario) all run on the
+// one cell loop below. This file holds that loop and the table writer.
 
 // liveSweep is the one cell loop of every sweep. P is the sweep's
 // per-cell point, whose accumulators the folds feed.
 type liveSweep[P any] struct {
 	points, runs, cols int
-	// workers bounds how many (point, run) jobs run at once (0 =
-	// GOMAXPROCS, 1 = in order on the caller's goroutine).
+	// workers is the sweep's worker budget (0 = GOMAXPROCS); see budget.
 	workers int
+	// serial runs one (point, run) at a time, so each cell has the whole
+	// budget and a wall time of its own (S1).
+	serial bool
 	// point makes the accumulator of one (point, column) cell.
 	point func(pt, col int) P
-	// cell simulates one column of one (point, run) and returns the step
-	// that folds its measurements into the cell's point.
-	cell func(pt, run, col int) (fold func(P), err error)
+	// cell simulates one column of one (point, run) on workers goroutines
+	// of its own and returns the step that folds its measurements into the
+	// cell's point.
+	cell func(pt, run, col, workers int) (fold func(P), err error)
 	// done, when set, receives each point's row as soon as it is folded.
 	// Calls never overlap.
 	done func(pt int, row []P)
@@ -55,10 +59,11 @@ func (s liveSweep[P]) run(ctx context.Context) ([][]P, error) {
 		left[pt] = s.runs
 	}
 	folds := make([][]func(P), s.points*s.runs)
+	parallel, cellWorkers := s.budget()
 	var mu sync.Mutex
-	err := par.For(ctx, len(folds), s.workers, func(_ context.Context, j int) error {
+	err := par.For(ctx, len(folds), parallel, func(_ context.Context, j int) error {
 		pt := j / s.runs
-		fs, err := s.cells(ctx, pt, j%s.runs)
+		fs, err := s.cells(ctx, pt, j%s.runs, cellWorkers)
 		if err != nil {
 			return err
 		}
@@ -85,16 +90,33 @@ func (s liveSweep[P]) run(ctx context.Context) ([][]P, error) {
 	return rows, nil
 }
 
+// budget splits the worker budget: parallel (point, run) jobs run at once
+// (1 when serial, 1 = in order on the caller's goroutine), and each cell
+// gets workers / parallel for its own route-rebuild barrier. A lone job or
+// a serial sweep's cell gets the whole budget; cells that run side by side
+// get 1 each once the jobs fill it.
+func (s liveSweep[P]) budget() (parallel, cellWorkers int) {
+	workers := s.workers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	parallel = max(1, min(s.points*s.runs, workers))
+	if s.serial {
+		parallel = 1
+	}
+	return parallel, workers / parallel
+}
+
 // cells simulates the columns of one (point, run) in order, returning
 // their fold steps.
-func (s liveSweep[P]) cells(ctx context.Context, pt, run int) ([]func(P), error) {
+func (s liveSweep[P]) cells(ctx context.Context, pt, run, workers int) ([]func(P), error) {
 	fs := make([]func(P), s.cols)
 	for col := range fs {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
 		var err error
-		if fs[col], err = s.cell(pt, run, col); err != nil {
+		if fs[col], err = s.cell(pt, run, col, workers); err != nil {
 			return nil, err
 		}
 	}

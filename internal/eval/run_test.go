@@ -1,4 +1,4 @@
-package runner
+package eval
 
 import (
 	"bytes"
@@ -8,25 +8,24 @@ import (
 	"testing"
 	"time"
 
-	"qolsr/internal/eval"
 	"qolsr/internal/metric"
 )
 
 // tinyFigure keeps engine tests fast: low density (≈ 95 nodes on the paper
 // field), short axis, the paper's three protocols.
-func tinyFigure(id string, degrees ...float64) eval.Figure {
-	return eval.Figure{
+func tinyFigure(id string, degrees ...float64) Figure {
+	return Figure{
 		ID:        id,
 		Title:     "tiny " + id,
 		Metric:    metric.Bandwidth(),
 		Degrees:   degrees,
-		Quantity:  eval.QuantitySetSize,
-		Protocols: eval.PaperProtocols(),
+		Quantity:  QuantitySetSize,
+		Protocols: PaperProtocols(),
 	}
 }
 
 func TestRunAssemblesAllPoints(t *testing.T) {
-	figs := []eval.Figure{tinyFigure("t1", 3, 4), tinyFigure("t2", 3)}
+	figs := []Figure{tinyFigure("t1", 3, 4), tinyFigure("t2", 3)}
 	res, err := Run(context.Background(), figs, Options{Runs: 2, Seed: 11})
 	if err != nil {
 		t.Fatal(err)
@@ -50,7 +49,7 @@ func TestRunAssemblesAllPoints(t *testing.T) {
 }
 
 func TestStreamEmitsEveryEvent(t *testing.T) {
-	figs := []eval.Figure{tinyFigure("s1", 3, 4, 5)}
+	figs := []Figure{tinyFigure("s1", 3, 4, 5)}
 	events, wait := Stream(context.Background(), figs, Options{Runs: 1, Seed: 7, Workers: 4})
 	points, figures := 0, 0
 	seen := map[int]bool{}
@@ -86,9 +85,9 @@ func TestStreamEmitsEveryEvent(t *testing.T) {
 // figure.
 func TestStreamSharedPoints(t *testing.T) {
 	size, over := tinyFigure("size", 3, 4), tinyFigure("over", 4, 5)
-	over.Quantity = eval.QuantityOverhead
-	events, wait := Stream(context.Background(), []eval.Figure{size, over}, Options{Runs: 1, Seed: 7, Workers: 2})
-	points := map[[2]int]*eval.PointResult{}
+	over.Quantity = QuantityOverhead
+	events, wait := Stream(context.Background(), []Figure{size, over}, Options{Runs: 1, Seed: 7, Workers: 2})
+	points := map[[2]int]*PointResult{}
 	figures := map[int]int{}
 	for ev := range events {
 		switch ev.Kind {
@@ -116,7 +115,7 @@ func TestStreamSharedPoints(t *testing.T) {
 // runs — it would otherwise never get its EventFigure.
 func TestStreamRejectsFigureWithoutPoints(t *testing.T) {
 	empty := tinyFigure("empty")
-	events, wait := Stream(context.Background(), []eval.Figure{empty, tinyFigure("one", 3)}, Options{Runs: 1})
+	events, wait := Stream(context.Background(), []Figure{empty, tinyFigure("one", 3)}, Options{Runs: 1})
 	for ev := range events {
 		t.Errorf("event %v %s before the sweep was rejected", ev.Kind, ev.FigureID)
 	}
@@ -128,7 +127,7 @@ func TestStreamRejectsFigureWithoutPoints(t *testing.T) {
 // The worker budget must only change wall-clock time, never numbers: the
 // encoded JSON is byte-identical across Workers values.
 func TestRunDeterministicAcrossWorkers(t *testing.T) {
-	figs := []eval.Figure{tinyFigure("d1", 3, 4), tinyFigure("d2", 4)}
+	figs := []Figure{tinyFigure("d1", 3, 4), tinyFigure("d2", 4)}
 	encode := func(workers int) []byte {
 		res, err := Run(context.Background(), figs, Options{Runs: 3, Seed: 5, Workers: workers})
 		if err != nil {
@@ -151,7 +150,7 @@ func TestRunDeterministicAcrossWorkers(t *testing.T) {
 func TestRunCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	// A sweep big enough to still be in flight when the cancel lands.
-	figs := []eval.Figure{tinyFigure("c1", 5, 6, 7, 8), tinyFigure("c2", 5, 6, 7, 8)}
+	figs := []Figure{tinyFigure("c1", 5, 6, 7, 8), tinyFigure("c2", 5, 6, 7, 8)}
 	events, wait := Stream(ctx, figs, Options{Runs: 50, Seed: 3, Workers: 2})
 	go func() {
 		time.Sleep(20 * time.Millisecond)
@@ -170,7 +169,7 @@ func TestRunCancellation(t *testing.T) {
 }
 
 func TestRunPropagatesPointErrors(t *testing.T) {
-	_, err := Run(context.Background(), []eval.Figure{tinyFigure("bad", 5)}, Options{
+	_, err := Run(context.Background(), []Figure{tinyFigure("bad", 5)}, Options{
 		Runs:    1,
 		Degrees: []float64{-1},
 	})
@@ -181,7 +180,7 @@ func TestRunPropagatesPointErrors(t *testing.T) {
 
 func TestDegreeOverrideDoesNotMutateInput(t *testing.T) {
 	fig := tinyFigure("o1", 3, 4, 5)
-	res, err := Run(context.Background(), []eval.Figure{fig}, Options{Runs: 1, Degrees: []float64{3}})
+	res, err := Run(context.Background(), []Figure{fig}, Options{Runs: 1, Degrees: []float64{3}})
 	if err != nil {
 		t.Fatal(err)
 	}

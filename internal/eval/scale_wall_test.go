@@ -18,7 +18,7 @@ func TestScaleWallCeiling1000(t *testing.T) {
 		t.Skip("scale point too heavy for -short")
 	}
 	const ceiling = 90 * time.Second
-	res, err := RunLiveGrid(context.Background(), "scale", 0, 0, nil, ScaleAxis{Min: 1000, Max: 1000}, 0)
+	res, err := RunLiveGrid(context.Background(), "scale", ScaleAxis{Min: 1000, Max: 1000}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

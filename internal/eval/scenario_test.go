@@ -1,4 +1,4 @@
-package runner
+package eval
 
 import (
 	"bytes"
@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"qolsr/internal/geom"
+	"qolsr/internal/olsr"
 	"qolsr/internal/scenario"
 	"qolsr/internal/traffic"
 )
@@ -19,7 +20,7 @@ func testScenario() scenario.Scenario {
 		{X: 20, Y: 140}, {X: 100, Y: 140}, {X: 180, Y: 140}, {X: 260, Y: 140},
 	}
 	return scenario.Scenario{
-		Name:        "runner-ladder",
+		Name:        "replicate-ladder",
 		Topology:    scenario.Topology{Points: pts, Field: geom.Field{Width: 300, Height: 300}, Radius: 100},
 		Traffic:     scenario.Traffic{Flows: 5},
 		Duration:    24 * time.Second,
@@ -147,7 +148,7 @@ func TestLossyScenarioWorkerDeterminism(t *testing.T) {
 		{At: 20 * time.Second, Action: scenario.SetLoss{Loss: 0.4}},
 		{At: 30 * time.Second, Action: scenario.SetLoss{Loss: 0.05}},
 	}
-	if !base.Protocol.MeasuredQoS {
+	if base.Protocol.LinkSensing != olsr.SenseDelivery {
 		t.Fatal("lossy-degrade built-in no longer enables measured QoS")
 	}
 

@@ -7,6 +7,7 @@ import (
 
 	"qolsr/internal/core"
 	"qolsr/internal/geom"
+	"qolsr/internal/olsr"
 	"qolsr/internal/traffic"
 )
 
@@ -125,7 +126,7 @@ func BuiltIn() []Definition {
 					Name:        "lossy-baseline",
 					Description: "lossy radio (10% base loss + distance loss), measured link quality",
 					Topology:    Topology{Deployment: builtinDeployment(10)},
-					Protocol:    Protocol{Selector: sel, MeasuredQoS: true},
+					Protocol:    Protocol{Selector: sel, LinkSensing: olsr.SenseDelivery},
 					Medium:      Medium{Kind: "lossy", Loss: 0.1, DistanceLoss: 0.2},
 					Duration:    120 * time.Second,
 				}
@@ -139,7 +140,7 @@ func BuiltIn() []Definition {
 					Name:        "lossy-degrade",
 					Description: "base loss 5%, degraded to 35% at 60s, restored at 100s",
 					Topology:    Topology{Deployment: builtinDeployment(10)},
-					Protocol:    Protocol{Selector: sel, MeasuredQoS: true},
+					Protocol:    Protocol{Selector: sel, LinkSensing: olsr.SenseDelivery},
 					Medium:      Medium{Kind: "lossy", Loss: 0.05},
 					Duration:    150 * time.Second,
 					Phases: []Phase{

@@ -51,7 +51,7 @@ type jsonScenario struct {
 	Medium       string      `json:"medium"`
 	Loss         float64     `json:"loss,omitempty"`
 	DistanceLoss float64     `json:"distance_loss,omitempty"`
-	MeasuredQoS  bool        `json:"measured_qos,omitempty"`
+	LinkSensing  string      `json:"link_sensing,omitempty"`
 	DurationS    float64     `json:"duration_s"`
 	WarmupS      float64     `json:"warmup_s"`
 	SampleS      float64     `json:"sample_every_s"`
@@ -315,7 +315,7 @@ func (r *Result) EncodeJSON(w io.Writer) error {
 			Medium:       sc.Medium.Kind,
 			Loss:         r6(sc.Medium.Loss),
 			DistanceLoss: r6(sc.Medium.DistanceLoss),
-			MeasuredQoS:  sc.Protocol.MeasuredQoS,
+			LinkSensing:  senseNames[sc.Protocol.LinkSensing],
 			DurationS:    secs(sc.Duration),
 			WarmupS:      secs(sc.Warmup),
 			SampleS:      secs(sc.SampleEvery),

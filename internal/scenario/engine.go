@@ -564,11 +564,11 @@ func protocolConfig(p Protocol) (olsr.Config, error) {
 	if err := errors.Join(serr, merr); err != nil {
 		return olsr.Config{}, fmt.Errorf("scenario: %w", err)
 	}
-	cfg := olsr.DefaultConfig(m)
-	cfg.Selector = sel
-	if p.MeasuredQoS {
-		cfg.LinkSensing = olsr.SenseDelivery
+	if _, ok := senseNames[p.LinkSensing]; !ok {
+		return olsr.Config{}, fmt.Errorf("scenario: link sensing %d is neither SenseOracle nor SenseDelivery", p.LinkSensing)
 	}
+	cfg := olsr.DefaultConfig(m)
+	cfg.Selector, cfg.LinkSensing = sel, p.LinkSensing
 	for _, part := range strings.Split(p.Plane, "+") {
 		switch part {
 		case "":

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"qolsr/internal/geom"
+	"qolsr/internal/olsr"
 )
 
 func TestMediumValidation(t *testing.T) {
@@ -72,7 +73,7 @@ func TestLossActionsRequireLossyMedium(t *testing.T) {
 func TestLossyLadderExecutes(t *testing.T) {
 	sc := ladderScenario()
 	sc.Medium = Medium{Kind: "lossy", Loss: 0.3}
-	sc.Protocol.MeasuredQoS = true
+	sc.Protocol.LinkSensing = olsr.SenseDelivery
 	sc.Phases = []Phase{
 		{At: 20 * time.Second, Action: SetLoss{Loss: 0.6}},
 		{At: 26 * time.Second, Action: SetLoss{Loss: 0.1}},

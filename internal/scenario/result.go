@@ -160,9 +160,6 @@ type AggregateSample struct {
 	Overhead   stats.Accumulator
 	ControlBPS stats.Accumulator
 	SetSize    stats.Accumulator
-	// Throughput accumulates the traffic engine's windowed delivered
-	// rate; its N is zero in probe mode.
-	Throughput stats.Accumulator
 }
 
 // Aggregate folds the per-run samples into one accumulator per sample
@@ -198,9 +195,6 @@ func (r *Result) Aggregate() []AggregateSample {
 			}
 			agg[i].ControlBPS.Add(s.ControlBPS)
 			agg[i].SetSize.Add(s.SetSize)
-			if s.TrafficSent > 0 || s.TrafficCompleted > 0 {
-				agg[i].Throughput.Add(s.TrafficThroughputBps)
-			}
 		}
 	}
 	return agg

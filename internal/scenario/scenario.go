@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"qolsr/internal/geom"
+	"qolsr/internal/olsr"
 	"qolsr/internal/traffic"
 )
 
@@ -78,6 +79,9 @@ func (t Topology) radius() float64 {
 	return t.Radius
 }
 
+// senseNames names the modes a scenario senses links in; the default has none.
+var senseNames = map[olsr.LinkSensing]string{olsr.SenseOracle: "", olsr.SenseDelivery: "delivery"}
+
 // Protocol configures the stack every node runs on RFC 3626 timers. The
 // zero value means FNBP selection under the bandwidth metric, the paper's
 // setting, with oracle link weights on the RFC 3626 control plane.
@@ -85,11 +89,10 @@ type Protocol struct {
 	// Selector names the advertised-set scheme: "fnbp", "topofilter",
 	// "qolsr" or "full" (default "fnbp").
 	Selector string
-	// MeasuredQoS switches link sensing from the topology oracle to
-	// measurement (olsr.SenseDelivery): link weights come from windowed
-	// HELLO delivery ratios (ETX-style), the regime the lossy medium exists
-	// for.
-	MeasuredQoS bool
+	// LinkSensing is olsr.SenseOracle (the zero value: oracle weights) or
+	// olsr.SenseDelivery (windowed HELLO delivery ratios, ETX-style, the
+	// regime the lossy medium exists for).
+	LinkSensing olsr.LinkSensing
 	// Metric names the QoS metric selection and routing run under:
 	// "bandwidth" (default), "delay", "hop" or "energy".
 	Metric string

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"qolsr/internal/geom"
+	"qolsr/internal/olsr"
 	"qolsr/internal/sim"
 )
 
@@ -188,6 +189,8 @@ func TestValidateRejects(t *testing.T) {
 		"no topology":       func(sc *Scenario) { sc.Topology = Topology{} },
 		"both sources":      func(sc *Scenario) { sc.Topology.Deployment = builtinDeployment(10) },
 		"bad selector":      func(sc *Scenario) { sc.Protocol.Selector = "nope" },
+		"rtt sensing":       func(sc *Scenario) { sc.Protocol.LinkSensing = olsr.SenseRTT },
+		"host sensing":      func(sc *Scenario) { sc.Protocol.LinkSensing = olsr.SenseHost },
 		"nil action":        func(sc *Scenario) { sc.Phases = []Phase{{At: time.Second}} },
 		"phase past end":    func(sc *Scenario) { sc.Phases = []Phase{{At: time.Hour, Action: RestoreAll{}}} },
 		"warmup past end":   func(sc *Scenario) { sc.Warmup = sc.Duration + time.Second },

@@ -122,8 +122,12 @@ type NetworkOptions struct {
 }
 
 // NewNetwork builds a protocol network over the physical graph. Link QoS
-// weights come from the graph channel named after cfg.Metric.
+// weights come from the graph channel named after cfg.Metric. SenseRTT is
+// rejected: the simulator measures no round trips to price links with.
 func NewNetwork(phys *graph.Graph, cfg olsr.Config, opts NetworkOptions) (*Network, error) {
+	if cfg.LinkSensing == olsr.SenseRTT {
+		return nil, fmt.Errorf("sim: SenseRTT needs round trips, which the simulator never measures")
+	}
 	channel := cfg.Metric.Name()
 	if _, err := phys.Weights(channel); err != nil {
 		return nil, err
@@ -177,11 +181,9 @@ func (nw *Network) Medium() Medium { return nw.medium }
 // their routing-table Values are composed under.
 func (nw *Network) Metric() metric.Metric { return nw.cfg.Metric }
 
-// MeasuredQoS reports whether the nodes sense link quality by measured HELLO
-// delivery (olsr.SenseDelivery; the simulator feeds no round trips) instead
-// of the topology oracle — routing-table Values are then in measured-quality
-// units (ETX, delivery product), not oracle weights.
-func (nw *Network) MeasuredQoS() bool { return nw.cfg.LinkSensing == olsr.SenseDelivery }
+// LinkSensing returns what writes the nodes' link tables; under
+// olsr.SenseDelivery routing-table Values are ETX or delivery products.
+func (nw *Network) LinkSensing() olsr.LinkSensing { return nw.cfg.LinkSensing }
 
 // HopDelayBound returns the medium's per-hop latency bound — what harnesses
 // size packet drain windows with.
@@ -240,7 +242,7 @@ func (nw *Network) Run(until time.Duration) { nw.Engine.Run(until) }
 // QoS the oracle is silent: nodes learn their links only from what the
 // medium actually delivers (olsr link sensing).
 func (nw *Network) feedLinks(i int) {
-	if nw.MeasuredQoS() {
+	if nw.cfg.LinkSensing == olsr.SenseDelivery {
 		return
 	}
 	w, _ := nw.Phys.Weights(nw.channel)

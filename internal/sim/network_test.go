@@ -198,6 +198,21 @@ func TestNewNetworkValidation(t *testing.T) {
 	}
 }
 
+// TestNewNetworkRejectsRTTSensing: the simulator measures no round trips,
+// so a SenseRTT network would never price a link and would silently route
+// on the oracle weights; NewNetwork refuses it and builds every other mode.
+func TestNewNetworkRejectsRTTSensing(t *testing.T) {
+	g := smallWorld(t, 1, 6)
+	for _, sense := range []olsr.LinkSensing{olsr.SenseOracle, olsr.SenseHost, olsr.SenseDelivery, olsr.SenseRTT} {
+		cfg := olsr.DefaultConfig(metric.Bandwidth())
+		cfg.LinkSensing = sense
+		_, err := NewNetwork(g, cfg, NetworkOptions{})
+		if got, want := err != nil, sense == olsr.SenseRTT; got != want {
+			t.Errorf("link sensing %d: err = %v, want rejected %v", sense, err, want)
+		}
+	}
+}
+
 // TestTTLScopedRelayAndDupSuppression pins the fish-eye relay semantics on
 // a 5-node line 0-1-2-3-4: a TC from node 0 scoped to TTL 3 is relayed by
 // 1 and 2, received by 3 at TTL 1 — which must ingest it (3 learns the

@@ -6,6 +6,7 @@ import (
 
 	"qolsr/internal/graph"
 	"qolsr/internal/metric"
+	"qolsr/internal/olsr"
 	"qolsr/internal/sim"
 )
 
@@ -130,7 +131,7 @@ func (g *Gate) Decide(src, dst int32, req Requirements) Decision {
 	// the feasibility judge, which prunes by the same channel) unit-
 	// coherent in every mode. Additive routing metrics likewise fall back
 	// to the oracle-channel min accumulated during the walk.
-	if m.Kind() == metric.Concave && !nw.MeasuredQoS() {
+	if m.Kind() == metric.Concave && nw.LinkSensing() != olsr.SenseDelivery {
 		dec.PathBandwidth = dec.PathValue
 	}
 	if req.MinBandwidth > 0 && dec.PathBandwidth < req.MinBandwidth {

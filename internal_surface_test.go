@@ -19,7 +19,7 @@ func TestInternalSurface(t *testing.T) {
 	pins := map[string]int{
 		"core":     24,
 		"des":      14,
-		"eval":     36,
+		"eval":     52,
 		"geom":     28,
 		"graph":    79,
 		"metric":   21,
@@ -32,7 +32,6 @@ func TestInternalSurface(t *testing.T) {
 		"par":      1,
 		"rng":      8,
 		"route":    15,
-		"runner":   18,
 		"scenario": 52,
 		"sim":      58,
 		"stats":    17,

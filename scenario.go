@@ -24,7 +24,7 @@ package qolsr
 import (
 	"context"
 
-	"qolsr/internal/runner"
+	"qolsr/internal/eval"
 	"qolsr/internal/scenario"
 )
 
@@ -85,17 +85,17 @@ type (
 	ScenarioAggregate = scenario.AggregateSample
 	// ScenarioEvent is one incremental scenario outcome (see
 	// StreamScenario).
-	ScenarioEvent = runner.ScenarioEvent
+	ScenarioEvent = eval.ScenarioEvent
 	// ScenarioEventKind discriminates scenario stream events.
-	ScenarioEventKind = runner.ScenarioEventKind
+	ScenarioEventKind = eval.ScenarioEventKind
 )
 
 // Scenario stream event kinds.
 const (
 	// ScenarioEventSample reports one measurement of one run.
-	ScenarioEventSample = runner.ScenarioEventSample
+	ScenarioEventSample = eval.ScenarioEventSample
 	// ScenarioEventRun reports one completed replicate run.
-	ScenarioEventRun = runner.ScenarioEventRun
+	ScenarioEventRun = eval.ScenarioEventRun
 )
 
 // Scenario registry: built-ins resolve by name, parameterised by
@@ -115,7 +115,7 @@ var (
 // replicate), WithSeed and WithProgress apply; for a fixed seed the result
 // is bit-identical regardless of the worker budget.
 func (r *Runner) RunScenario(ctx context.Context, sc Scenario) (*ScenarioResult, error) {
-	return runner.RunScenario(ctx, sc, r.opts)
+	return eval.RunScenario(ctx, sc, r.opts)
 }
 
 // StreamScenario starts the scenario and returns the event channel plus a
@@ -123,5 +123,5 @@ func (r *Runner) RunScenario(ctx context.Context, sc Scenario) (*ScenarioResult,
 // whole execution and closed when done. Events from different replicate
 // runs interleave arbitrarily; their Run index locates them.
 func (r *Runner) StreamScenario(ctx context.Context, sc Scenario) (<-chan ScenarioEvent, func() (*ScenarioResult, error)) {
-	return runner.StreamScenario(ctx, sc, r.opts)
+	return eval.StreamScenario(ctx, sc, r.opts)
 }

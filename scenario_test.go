@@ -129,7 +129,7 @@ func TestScenarioWorkersBitIdentical(t *testing.T) {
 				Degree: 8,
 			},
 		},
-		Protocol: qolsr.ScenarioProtocol{MeasuredQoS: true},
+		Protocol: qolsr.ScenarioProtocol{LinkSensing: qolsr.SenseDelivery},
 		Medium:   qolsr.ScenarioMedium{Kind: "lossy", Loss: 0.1, DistanceLoss: 0.2},
 		Mobility: &qolsr.ScenarioMobility{
 			Model: qolsr.Waypoint{
