@@ -43,7 +43,7 @@ func main() {
 	if len(os.Args) > 1 && os.Args[1] == "scenario" {
 		err = runScenarioCmd(os.Args[2:])
 	} else {
-		err = run()
+		err = run(os.Args[1:])
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "qolsr-sim:", err)
@@ -51,25 +51,28 @@ func main() {
 	}
 }
 
-func run() error {
+func run(args []string) error {
+	fs := flag.NewFlagSet(os.Args[0], flag.ExitOnError)
 	var (
-		figureID   = flag.String("figure", "", "comma-separated sweeps to run (see -list), or \"all\" for fig6..fig9")
-		ablation   = flag.String("ablation", "", "ablation short form to run instead: loopfix, locallinks, mprs, policy, upper, control, loss, load, scale, overhead")
-		runs       = flag.Int("runs", 100, "independent topologies per density point")
-		seed       = flag.Int64("seed", 1, "base RNG seed")
-		workers    = flag.Int("workers", 0, "parallelism budget across points and runs (0 = GOMAXPROCS)")
-		csvPath    = flag.String("csv", "", "also write the result as CSV to this file (\"-\" for stdout)")
-		jsonPath   = flag.String("json", "", "also write the result as JSON to this file (\"-\" for stdout)")
-		quiet      = flag.Bool("quiet", false, "suppress progress output")
-		degrees    = flag.String("degrees", "", "override the density axis, e.g. 10,15,20")
-		list       = flag.Bool("list", false, "list sweeps, quantities, routing policies and scenarios, then exit")
-		scaleMax   = flag.Int("scale-max", 0, "-ablation scale: cap the default node-count axis (0 = 1000)")
-		scaleMin   = flag.Int("scale-min", 0, "-ablation scale: cut the default node-count axis from below (0 = no cut)")
-		scaleOpt   = flag.Bool("scale-opt", false, "-ablation scale: enable every control-plane optimisation (delta TCs, fish-eye, min-cover relays)")
-		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memProfile = flag.String("memprofile", "", "write a heap profile to this file on exit")
+		figureID   = fs.String("figure", "", "comma-separated sweeps to run (see -list), or \"all\" for fig6..fig9")
+		ablation   = fs.String("ablation", "", "ablation short form to run instead: loopfix, locallinks, mprs, policy, upper, control, loss, load, scale, overhead")
+		runs       = fs.Int("runs", 0, "independent topologies per density point (0 = the mode's default: 100 for figures, 3 a point for live grids, 1 for -ablation scale)")
+		seed       = fs.Int64("seed", 1, "base RNG seed")
+		workers    = fs.Int("workers", 0, "how many runs simulate at once (0 = GOMAXPROCS)")
+		csvPath    = fs.String("csv", "", "also write the result as CSV to this file (\"-\" for stdout)")
+		jsonPath   = fs.String("json", "", "also write the result as JSON to this file (\"-\" for stdout)")
+		quiet      = fs.Bool("quiet", false, "suppress progress output")
+		degrees    = fs.String("degrees", "", "override the density axis, e.g. 10,15,20")
+		list       = fs.Bool("list", false, "list sweeps, quantities, routing policies and scenarios, then exit")
+		scaleMax   = fs.Int("scale-max", 0, "-ablation scale: cap the default node-count axis (0 = 1000)")
+		scaleMin   = fs.Int("scale-min", 0, "-ablation scale: cut the default node-count axis from below (0 = no cut)")
+		scaleOpt   = fs.Bool("scale-opt", false, "-ablation scale: enable every control-plane optimisation (delta TCs, fish-eye, min-cover relays)")
+		cpuProfile = fs.String("cpuprofile", "", "write a CPU profile to this file")
+		memProfile = fs.String("memprofile", "", "write a heap profile to this file on exit")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)

@@ -55,6 +55,30 @@ func TestLiveSweepOutputForms(t *testing.T) {
 	}
 }
 
+// TestLiveGridDefaultRuns: without -runs a live grid runs its own default
+// of 3 runs a point, not a share of the figures' 100.
+func TestLiveGridDefaultRuns(t *testing.T) {
+	out, err := os.Create(filepath.Join(t.TempDir(), "stdout"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer out.Close()
+	stdout := os.Stdout
+	os.Stdout = out
+	err = run([]string{"-ablation", "control", "-degrees", "5", "-quiet"})
+	os.Stdout = stdout
+	if err != nil {
+		t.Fatal(err)
+	}
+	table, err := os.ReadFile(out.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if title, _, _ := strings.Cut(string(table), "\n"); !strings.HasSuffix(title, "(3 runs/point)") {
+		t.Errorf("table title %q, want 3 runs a point", title)
+	}
+}
+
 func TestComposeExperiment(t *testing.T) {
 	exp, err := composeExperiment("all", "")
 	if err != nil {

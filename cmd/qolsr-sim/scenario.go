@@ -55,7 +55,7 @@ func runScenario(args []string) error {
 		selector   = fs.String("selector", "fnbp", "advertised-set selector: fnbp, topofilter, qolsr, full")
 		runs       = fs.Int("runs", 0, "replicate runs (0 = default 3)")
 		seed       = fs.Int64("seed", 1, "base RNG seed")
-		workers    = fs.Int("workers", 0, "parallelism budget across replicate runs (0 = GOMAXPROCS)")
+		workers    = fs.Int("workers", 0, "how many replicate runs simulate at once (0 = GOMAXPROCS)")
 		csvPath    = fs.String("csv", "", "also write the result as long-form CSV to this file (\"-\" for stdout)")
 		jsonPath   = fs.String("json", "", "also write the result as JSON to this file (\"-\" for stdout)")
 		quiet      = fs.Bool("quiet", false, "suppress progress output")

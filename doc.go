@@ -95,8 +95,7 @@
 // Replicate runs share the Runner's worker budget on the cell loop the
 // sweeps run on, with the same determinism guarantee: every run's RNG
 // streams derive from (seed, run), so results are bit-identical for any
-// WithWorkers value. A lone replicate spends the whole budget on its own
-// route-rebuild barrier; replicates that run side by side get a share each.
+// WithWorkers value. Each replicate simulates on one goroutine.
 //
 // # Radio medium
 //
@@ -188,7 +187,7 @@
 // Everything the simulator does — HELLO/TC emissions, soft-state expiries,
 // frame deliveries, traffic packet arrivals, phase actions and samples —
 // flows through one discrete-event scheduler (internal/des) whose
-// (time, priority, sequence) total order never consults memory addresses,
+// (time, sequence) total order never consults memory addresses,
 // map iteration, or the wall clock: a run is a pure function of its inputs
 // and stays bit-identical regardless of host or how many workers drive
 // other runs in parallel. The timed store is a calendar queue: a ring of
@@ -262,22 +261,16 @@
 // graph is laid out in linear time with ascending ids: its links are
 // bucketed by their smaller end and each pair keeps the link of highest
 // precedence, so the tables may be walked in any order. The graph lives
-// only as long as the Dijkstra over it: its buffers come from a pool the
+// only as long as the Dijkstra over it: its buffers are the one scratch the
 // field's members share, and a node keeps nothing of a computation but the
 // routing-table snapshot.
 //
-// Because each node's routing table is a pure function of that node's own
-// soft state — interned blocks are read-only by contract, and outside the
-// serialised message handlers a member touches only its own rows of the
-// shared store — any set of tables can be rebuilt concurrently.
-// Network.RebuildRoutes is that barrier: it fans the dirty nodes' table
-// computations across a worker budget and produces tables bit-identical to
-// the serial path at every worker count (scenario.Scenario.Workers threads
-// the budget; the cell loop gives each cell workers / min(cells running at
-// once, workers), so a lone replicate or S1's serial cell gets the Runner's
-// whole budget; a churn-heavy lossy scenario encoding to identical JSON at
-// workers 1 and 8 locks the property, and CI runs the barrier under the
-// race detector). Rebuild activity is observable end to end:
+// Route tables are rebuilt serially, on the goroutine that owns the
+// network: Network.RebuildRoutes brings the named nodes' tables up to date
+// in node order between engine runs, so every call on a field is
+// serialised and the protocol core carries no concurrency contract. The one
+// parallel layer is the sweeps' cell loop, which runs independent
+// simulations side by side. Rebuild activity is observable end to end:
 // olsr.RebuildStats counts interning hits and routing tables computed per
 // node, scenario samples carry the windowed series, and run totals report
 // the epoch hit rate. BenchmarkTopologyRebuild (refresh and change) and

@@ -109,9 +109,9 @@ type Option func(*eval.Options)
 
 // WithWorkers sets the worker budget (default GOMAXPROCS): how many cells
 // — a density point's run, a live-grid cell, a scenario replicate —
-// simulate at once, across everything one call runs; a cell running alone
-// spends the rest on its own route-rebuild barrier. Results are identical
-// for any value.
+// simulate at once, across everything one call runs. It sets cells only:
+// each cell simulates on one goroutine. Results are identical for any
+// value.
 func WithWorkers(n int) Option {
 	return func(o *eval.Options) { o.Workers = n }
 }
@@ -128,7 +128,7 @@ func WithSeed(seed int64) Option {
 }
 
 // WithProgress installs a printf-style callback receiving one line per
-// completed density point.
+// completed density point, live-grid axis point or scenario replicate.
 func WithProgress(f func(format string, args ...any)) Option {
 	return func(o *eval.Options) { o.Progress = f }
 }

@@ -4,13 +4,12 @@
 // deliveries, traffic packet departures, phase actions and samples.
 //
 // Determinism is the design constraint. Events are totally ordered by
-// (time, priority, sequence): equal-time events run by ascending priority
-// band, and within a band in scheduling (FIFO) order. The ordering never
-// consults memory addresses, map iteration, or wall-clock state, so a run
-// is a pure function of its inputs and stays bit-identical regardless of
-// host, GOMAXPROCS, or how many worker goroutines drive *other* queues in
-// parallel (each Queue itself is single-threaded, the unit of parallelism
-// is one run).
+// (time, sequence): equal-time events run in scheduling (FIFO) order. The
+// ordering never consults memory addresses, map iteration, or wall-clock
+// state, so a run is a pure function of its inputs and stays bit-identical
+// regardless of host, GOMAXPROCS, or how many worker goroutines drive
+// *other* queues in parallel (each Queue itself is single-threaded, the unit
+// of parallelism is one run).
 //
 // The timed store is a calendar queue. Virtual time is cut into buckets of
 // bucketWidth; a ring of ringBuckets of them covers the horizon ahead of
@@ -21,8 +20,8 @@
 // once, when the clock reaches it, and then popped by index. The calendar
 // is invisible to ordering: the sorted run, the ring and the overflow heap
 // partition pending events by bucket number, and inside the run the order
-// is the full (time, priority, sequence) key, so the pop sequence is the
-// one a single priority queue would produce. Three invariants carry that:
+// is the full (time, sequence) key, so the pop sequence is the one a
+// single priority queue would produce. Three invariants carry that:
 //
 //   - Every pending event whose bucket is at or before the draining one
 //     (cur) sits in the sorted run; everything in the ring or the overflow
@@ -72,18 +71,6 @@ type Func func()
 // Fire implements Event.
 func (f Func) Fire(time.Duration) { f() }
 
-// Priority bands for equal-time events. Lower runs first. Most traffic uses
-// Normal — the band only matters when distinct subsystems collide on the
-// same instant and one must observe the other's effects.
-const (
-	// PrioNormal is the default band: protocol emissions, deliveries,
-	// expiries, packet departures.
-	PrioNormal int32 = 0
-	// PrioSample is the measurement band: samples scheduled at time t
-	// observe every normal event of time t.
-	PrioSample int32 = 1 << 10
-)
-
 // The calendar's geometry, chosen from the delay distribution of the one
 // workload whose every reception is its own timed event (the lossy queued
 // medium under 64 flows: propagation + serialization + jitter + queue
@@ -108,17 +95,13 @@ const (
 type item struct {
 	at   time.Duration
 	seq  uint64
-	prio int32
 	slot int32
 }
 
-// before is the total event order: (time, priority, sequence).
+// before is the total event order: (time, sequence).
 func (a item) before(b item) bool {
 	if a.at != b.at {
 		return a.at < b.at
-	}
-	if a.prio != b.prio {
-		return a.prio < b.prio
 	}
 	return a.seq < b.seq
 }
@@ -209,15 +192,14 @@ func (q *Queue) Now() time.Duration { return q.now }
 // Pending returns the number of queued events.
 func (q *Queue) Pending() int { return q.timed + len(q.fifo) - q.fifoHead }
 
-// Schedule books ev at absolute virtual time t (clamped to now for past
-// times) in the given priority band.
-func (q *Queue) Schedule(t time.Duration, prio int32, ev Event) {
+// At books ev at absolute virtual time t (clamped to now for past times).
+func (q *Queue) At(t time.Duration, ev Event) {
 	if t < q.now {
 		t = q.now
 	}
 	q.seq++
 	slot := q.alloc(ev)
-	it := item{at: t, prio: prio, seq: q.seq, slot: slot}
+	it := item{at: t, seq: q.seq, slot: slot}
 	q.timed++
 	if q.timed > q.HeapHighWater {
 		q.HeapHighWater = q.timed
@@ -248,9 +230,9 @@ func (q *Queue) Schedule(t time.Duration, prio int32, ev Event) {
 	}
 }
 
-// AfterFixed schedules ev after a delay (negative delays clamp to zero) in
-// the normal band through the fixed-delay fast lane. It is meant for steady
-// streams whose delays are constant (so scheduled times never decrease); a
+// AfterFixed schedules ev after a delay (negative delays clamp to zero)
+// through the fixed-delay fast lane. It is meant for steady streams whose
+// delays are constant (so scheduled times never decrease); a
 // call that would break the lane's time order falls back to the timed
 // store, which preserves the exact global pop order either way — the lane
 // is a performance hint, never a semantic one.
@@ -260,7 +242,7 @@ func (q *Queue) AfterFixed(d time.Duration, ev Event) {
 		t = q.now
 	}
 	if n := len(q.fifo); n > q.fifoHead && q.fifo[n-1].at > t {
-		q.Schedule(t, PrioNormal, ev)
+		q.At(t, ev)
 		return
 	}
 	q.seq++
@@ -269,7 +251,7 @@ func (q *Queue) AfterFixed(d time.Duration, ev Event) {
 		q.fifo = q.fifo[:copy(q.fifo, q.fifo[q.fifoHead:])]
 		q.fifoHead = 0
 	}
-	q.fifo = append(q.fifo, item{at: t, prio: PrioNormal, seq: q.seq, slot: q.alloc(ev)})
+	q.fifo = append(q.fifo, item{at: t, seq: q.seq, slot: q.alloc(ev)})
 	if depth := len(q.fifo) - q.fifoHead; depth > q.FifoHighWater {
 		q.FifoHighWater = depth
 	}
@@ -289,11 +271,8 @@ func (q *Queue) alloc(ev Event) int32 {
 	return slot
 }
 
-// At schedules ev at absolute time t in the normal band.
-func (q *Queue) At(t time.Duration, ev Event) { q.Schedule(t, PrioNormal, ev) }
-
-// After schedules ev after a delay in the normal band.
-func (q *Queue) After(d time.Duration, ev Event) { q.Schedule(q.now+d, PrioNormal, ev) }
+// After schedules ev after a delay.
+func (q *Queue) After(d time.Duration, ev Event) { q.At(q.now+d, ev) }
 
 // Run processes events in order until the queue empties or the next event
 // lies beyond until, then advances virtual time to until. It returns the

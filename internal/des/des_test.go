@@ -16,21 +16,20 @@ type record struct {
 func (r *record) Fire(time.Duration) { *r.trace = append(*r.trace, r.tag) }
 
 // TestTieBreakOrdering pins the total event order: time first, then
-// priority band, then scheduling order — never insertion position or
-// address.
+// scheduling order — never insertion position or address.
 func TestTieBreakOrdering(t *testing.T) {
 	var q Queue
 	var trace []int
-	add := func(at time.Duration, prio int32, tag int) {
-		q.Schedule(at, prio, &record{tag: tag, trace: &trace})
+	add := func(at time.Duration, tag int) {
+		q.At(at, &record{tag: tag, trace: &trace})
 	}
 	// Scheduled deliberately out of order.
-	add(2*time.Second, PrioNormal, 4)
-	add(time.Second, PrioSample, 3) // same time as 1,2 but sample band
-	add(time.Second, PrioNormal, 1) // FIFO before the next one
-	add(time.Second, PrioNormal, 2)
-	add(0, PrioNormal, 0)
-	add(2*time.Second, PrioNormal, 5) // FIFO after tag 4
+	add(2*time.Second, 4)
+	add(time.Second, 1) // FIFO before the next two
+	add(time.Second, 2)
+	add(0, 0)
+	add(2*time.Second, 5) // FIFO after tag 4
+	add(time.Second, 3)
 
 	q.Run(10 * time.Second)
 	want := []int{0, 1, 2, 3, 4, 5}
@@ -49,7 +48,7 @@ func TestPastClamp(t *testing.T) {
 	var q Queue
 	q.Run(5 * time.Second)
 	var at time.Duration = -1
-	q.Schedule(time.Second, PrioNormal, Func(func() { at = q.Now() }))
+	q.At(time.Second, Func(func() { at = q.Now() }))
 	q.Run(10 * time.Second)
 	if at != 5*time.Second {
 		t.Fatalf("past event ran at %v, want clamped to 5s", at)
@@ -114,33 +113,23 @@ func TestNestedScheduling(t *testing.T) {
 }
 
 // TestHeapAgainstSort drives the queue with a large random schedule and
-// checks the pop order against a stable reference sort of (time, prio, seq).
+// checks the pop order against a stable reference sort of (time, seq).
 func TestHeapAgainstSort(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	type key struct {
-		at   time.Duration
-		prio int32
-		seq  int
+		at  time.Duration
+		seq int
 	}
 	var q Queue
 	var keys []key
 	var got []key
 	for i := 0; i < 5000; i++ {
-		k := key{
-			at:   time.Duration(rng.Intn(50)) * time.Millisecond,
-			prio: int32(rng.Intn(3)),
-			seq:  i,
-		}
+		k := key{at: time.Duration(rng.Intn(50)) * time.Millisecond, seq: i}
 		keys = append(keys, k)
 		kk := k
-		q.Schedule(k.at, k.prio, Func(func() { got = append(got, kk) }))
+		q.At(k.at, Func(func() { got = append(got, kk) }))
 	}
-	sort.SliceStable(keys, func(i, j int) bool {
-		if keys[i].at != keys[j].at {
-			return keys[i].at < keys[j].at
-		}
-		return keys[i].prio < keys[j].prio
-	})
+	sort.SliceStable(keys, func(i, j int) bool { return keys[i].at < keys[j].at })
 	q.Run(time.Second)
 	if len(got) != len(keys) {
 		t.Fatalf("executed %d events, want %d", len(got), len(keys))
@@ -342,26 +331,24 @@ func BenchmarkSchedulerBurst(b *testing.B) {
 }
 
 // TestFixedLaneAgainstSort mixes heap scheduling with the fixed-delay lane
-// and checks the merged pop order is still the one total (time, priority,
-// sequence) order — including AfterFixed calls whose times regress, which
+// and checks the merged pop order is still the one total (time, sequence)
+// order — including AfterFixed calls whose times regress, which
 // must fall back to the heap rather than corrupt the lane's time order.
 func TestFixedLaneAgainstSort(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	type key struct {
-		at   time.Duration
-		prio int32
-		seq  int
+		at  time.Duration
+		seq int
 	}
 	var q Queue
 	var keys []key
 	var got []key
 	for i := 0; i < 5000; i++ {
 		at := time.Duration(rng.Intn(50)) * time.Millisecond
-		k := key{at: at, prio: PrioNormal, seq: i}
+		k := key{at: at, seq: i}
 		if rng.Intn(2) == 0 {
-			k.prio = int32(rng.Intn(3))
 			kk := k
-			q.Schedule(at, k.prio, Func(func() { got = append(got, kk) }))
+			q.At(at, Func(func() { got = append(got, kk) }))
 		} else {
 			kk := k
 			// q.now is 0 outside Run, so the delay is the absolute time;
@@ -374,12 +361,7 @@ func TestFixedLaneAgainstSort(t *testing.T) {
 	if q.Pending() != len(keys) {
 		t.Fatalf("Pending = %d, want %d", q.Pending(), len(keys))
 	}
-	sort.SliceStable(keys, func(i, j int) bool {
-		if keys[i].at != keys[j].at {
-			return keys[i].at < keys[j].at
-		}
-		return keys[i].prio < keys[j].prio
-	})
+	sort.SliceStable(keys, func(i, j int) bool { return keys[i].at < keys[j].at })
 	q.Run(time.Second)
 	if len(got) != len(keys) {
 		t.Fatalf("executed %d events, want %d", len(got), len(keys))

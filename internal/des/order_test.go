@@ -7,9 +7,9 @@ import (
 )
 
 // The differential order driver: an op stream (bytes, so the fuzzer can
-// mutate it) interleaves Schedule/After/AfterFixed with Run(until) calls and
-// with bookings made from inside Fire, and a reference model — the plain
-// list of pending (time, priority, sequence) keys — checks every single pop
+// mutate it) interleaves At/After/AfterFixed with Run(until) calls and with
+// bookings made from inside Fire, and a reference model — the plain list of
+// pending (time, sequence) keys — checks every single pop
 // against the minimum of what is pending at that moment. That is the
 // definition of the order; for a schedule booked up front it is the stable
 // sort TestHeapAgainstSort compares against.
@@ -47,17 +47,13 @@ var orderDelays = []time.Duration{
 }
 
 type orderKey struct {
-	at   time.Duration
-	prio int32
-	seq  uint64
+	at  time.Duration
+	seq uint64
 }
 
 func (a orderKey) before(b orderKey) bool {
 	if a.at != b.at {
 		return a.at < b.at
-	}
-	if a.prio != b.prio {
-		return a.prio < b.prio
 	}
 	return a.seq < b.seq
 }
@@ -105,16 +101,12 @@ func (d *orderDriver) book() {
 	}
 	d.booked++
 	ev := &orderEvent{d: d, key: orderKey{at: at, seq: d.booked}}
-	switch how % 4 {
+	switch how % 3 {
 	case 0:
 		d.q.After(delay, ev)
 	case 1:
-		ev.key.prio = PrioSample
-		d.q.Schedule(now+delay, PrioSample, ev)
+		d.q.At(now+delay, ev)
 	case 2:
-		ev.key.prio = 7
-		d.q.Schedule(now+delay, 7, ev)
-	case 3:
 		// The lane when the time order allows it, the timed store when it
 		// does not; the key is the same either way.
 		d.q.AfterFixed(delay, ev)

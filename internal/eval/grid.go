@@ -345,9 +345,9 @@ func registryValue(name string) func(c cellResult) float64 {
 // under o: its seed, its worker budget and, for a density axis (A4, O1), its
 // Degrees. A live run costs about twenty offline ones, so o.Runs = n gives
 // the grid n/20 runs a point (at least 1), and none gives the grid's own;
-// S1 always runs its own one. The result is bit-identical at every worker
-// count, wall times aside. Cancelling ctx stops between simulations and
-// returns ctx.Err().
+// S1 always runs its own one. o.Progress gets a line per completed axis
+// point. The result is bit-identical at every worker count, wall times
+// aside. Cancelling ctx stops between simulations and returns ctx.Err().
 func RunLiveGrid(ctx context.Context, name string, scale ScaleAxis, o Options) (*GridResult, error) {
 	g, err := liveGridByName(name, scale)
 	if err != nil {
@@ -371,9 +371,8 @@ func (g liveGrid) run(ctx context.Context, o Options) (*GridResult, error) {
 	cells, err := liveSweep[[]stats.Accumulator]{
 		points: len(g.axis), runs: o.Runs, cols: len(g.cols), workers: o.Workers, serial: g.serial,
 		point: func(int, int) []stats.Accumulator { return make([]stats.Accumulator, len(g.reads)) },
-		cell: func(pt, run, col, workers int) (func([]stats.Accumulator), error) {
+		cell: func(pt, run, col int) (func([]stats.Accumulator), error) {
 			sc := g.base
-			sc.Workers = workers
 			g.at(&sc, g.axis[pt], o.Seed, run)
 			g.col(&sc, col)
 			start := time.Now()
@@ -393,6 +392,11 @@ func (g liveGrid) run(ctx context.Context, o Options) (*GridResult, error) {
 					}
 				}
 			}, nil
+		},
+		done: func(pt int, _ [][]stats.Accumulator) {
+			if o.Progress != nil {
+				o.Progress("%s %s %g done (%d runs)", g.name, g.axisName, g.axis[pt], o.Runs)
+			}
 		},
 	}.run(ctx)
 	if err != nil {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"math"
 	"slices"
 	"strings"
@@ -88,6 +89,20 @@ func TestControlSweep(t *testing.T) {
 	}
 	if out := render(t, res); !strings.Contains(out, "# A4") {
 		t.Errorf("table header missing:\n%s", out)
+	}
+}
+
+// TestLiveGridProgress: a grid reports one progress line per folded axis
+// point.
+func TestLiveGridProgress(t *testing.T) {
+	g := smallGrid(t, "control", []float64{8}, time.Second, 300, 0)
+	var lines []string
+	progress := func(format string, args ...any) { lines = append(lines, fmt.Sprintf(format, args...)) }
+	if _, err := g.run(context.Background(), Options{Seed: 1, Runs: 1, Workers: 1, Progress: progress}); err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{"control density 8 done (1 runs)"}; !slices.Equal(lines, want) {
+		t.Errorf("progress lines %q, want %q", lines, want)
 	}
 }
 

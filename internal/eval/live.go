@@ -21,17 +21,17 @@ import (
 // per-cell point, whose accumulators the folds feed.
 type liveSweep[P any] struct {
 	points, runs, cols int
-	// workers is the sweep's worker budget (0 = GOMAXPROCS); see budget.
+	// workers bounds the (point, run) jobs that run at once (0 =
+	// GOMAXPROCS); see budget.
 	workers int
-	// serial runs one (point, run) at a time, so each cell has the whole
-	// budget and a wall time of its own (S1).
+	// serial runs one (point, run) at a time, so each cell has a wall time
+	// of its own (S1).
 	serial bool
 	// point makes the accumulator of one (point, column) cell.
 	point func(pt, col int) P
-	// cell simulates one column of one (point, run) on workers goroutines
-	// of its own and returns the step that folds its measurements into the
-	// cell's point.
-	cell func(pt, run, col, workers int) (fold func(P), err error)
+	// cell simulates one column of one (point, run) and returns the step
+	// that folds its measurements into the cell's point.
+	cell func(pt, run, col int) (fold func(P), err error)
 	// done, when set, receives each point's row as soon as it is folded.
 	// Calls never overlap.
 	done func(pt int, row []P)
@@ -59,11 +59,10 @@ func (s liveSweep[P]) run(ctx context.Context) ([][]P, error) {
 		left[pt] = s.runs
 	}
 	folds := make([][]func(P), s.points*s.runs)
-	parallel, cellWorkers := s.budget()
 	var mu sync.Mutex
-	err := par.For(ctx, len(folds), parallel, func(_ context.Context, j int) error {
+	err := par.For(ctx, len(folds), s.budget(), func(_ context.Context, j int) error {
 		pt := j / s.runs
-		fs, err := s.cells(ctx, pt, j%s.runs, cellWorkers)
+		fs, err := s.cells(ctx, pt, j%s.runs)
 		if err != nil {
 			return err
 		}
@@ -90,33 +89,30 @@ func (s liveSweep[P]) run(ctx context.Context) ([][]P, error) {
 	return rows, nil
 }
 
-// budget splits the worker budget: parallel (point, run) jobs run at once
-// (1 when serial, 1 = in order on the caller's goroutine), and each cell
-// gets workers / parallel for its own route-rebuild barrier. A lone job or
-// a serial sweep's cell gets the whole budget; cells that run side by side
-// get 1 each once the jobs fill it.
-func (s liveSweep[P]) budget() (parallel, cellWorkers int) {
+// budget returns how many (point, run) jobs run at once: 1 when serial (1
+// = in order on the caller's goroutine), else the worker budget capped by
+// the job count.
+func (s liveSweep[P]) budget() int {
+	if s.serial {
+		return 1
+	}
 	workers := s.workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	parallel = max(1, min(s.points*s.runs, workers))
-	if s.serial {
-		parallel = 1
-	}
-	return parallel, workers / parallel
+	return max(1, min(s.points*s.runs, workers))
 }
 
 // cells simulates the columns of one (point, run) in order, returning
 // their fold steps.
-func (s liveSweep[P]) cells(ctx context.Context, pt, run, workers int) ([]func(P), error) {
+func (s liveSweep[P]) cells(ctx context.Context, pt, run int) ([]func(P), error) {
 	fs := make([]func(P), s.cols)
 	for col := range fs {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
 		var err error
-		if fs[col], err = s.cell(pt, run, col, workers); err != nil {
+		if fs[col], err = s.cell(pt, run, col); err != nil {
 			return nil, err
 		}
 	}

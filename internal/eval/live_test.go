@@ -20,7 +20,7 @@ func fakeSweep(points, runs, cols, workers int, fail func(pt, run, col int) erro
 	return liveSweep[*foldLog]{
 		points: points, runs: runs, cols: cols, workers: workers,
 		point: func(int, int) *foldLog { return &foldLog{} },
-		cell: func(pt, run, col, _ int) (func(*foldLog), error) {
+		cell: func(pt, run, col int) (func(*foldLog), error) {
 			if err := fail(pt, run, col); err != nil {
 				return nil, err
 			}
@@ -126,11 +126,11 @@ func TestLiveSweepCancellation(t *testing.T) {
 			return nil
 		})
 		inner := s.cell
-		s.cell = func(pt, run, col, cellWorkers int) (func(*foldLog), error) {
+		s.cell = func(pt, run, col int) (func(*foldLog), error) {
 			if workers == 1 {
 				cells++
 			}
-			return inner(pt, run, col, cellWorkers)
+			return inner(pt, run, col)
 		}
 		if _, err := s.run(ctx); !errors.Is(err, context.Canceled) {
 			t.Errorf("workers %d: err = %v, want context.Canceled", workers, err)
@@ -143,7 +143,7 @@ func TestLiveSweepCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	s := fakeSweep(2, 2, 2, 1, never)
-	s.cell = func(int, int, int, int) (func(*foldLog), error) {
+	s.cell = func(int, int, int) (func(*foldLog), error) {
 		t.Fatal("a cancelled sweep ran a cell")
 		return nil, nil
 	}
@@ -152,33 +152,34 @@ func TestLiveSweepCancellation(t *testing.T) {
 	}
 }
 
-// TestLiveSweepBudget holds the worker-budget rule: every cell gets
-// workers / min(jobs, workers) for its own rebuild barrier — a lone job the
-// whole budget, side-by-side jobs 1 each once they fill it — and a serial
-// sweep runs one cell at a time with the whole budget.
+// TestLiveSweepBudget holds the worker-budget rule: min(jobs, workers)
+// (point, run) jobs run at once, and a serial sweep runs one at a time.
 func TestLiveSweepBudget(t *testing.T) {
 	for _, c := range []struct {
 		name                  string
 		points, runs, workers int
 		serial                bool
-		want, peak            int
+		peak                  int
 	}{
-		{"1 job at 8 workers", 1, 1, 8, false, 8, 1},
-		{"3 jobs at 2 workers", 1, 3, 2, false, 1, 2},
-		{"3 jobs at 8 workers", 3, 1, 8, false, 2, 3},
-		{"serial grid at 4 workers", 3, 2, 4, true, 4, 1},
+		{"1 job at 8 workers", 1, 1, 8, false, 1},
+		{"3 jobs at 2 workers", 1, 3, 2, false, 2},
+		{"3 jobs at 8 workers", 3, 1, 8, false, 3},
+		{"serial grid at 4 workers", 3, 2, 4, true, 1},
 	} {
 		var (
 			mu           sync.Mutex
-			got          = map[int]int{}
+			cells        int
 			active, peak int
 		)
 		s := fakeSweep(c.points, c.runs, 1, c.workers, never)
 		s.serial = c.serial
+		if got := s.budget(); got != c.peak {
+			t.Errorf("%s: budget %d, want %d", c.name, got, c.peak)
+		}
 		inner := s.cell
-		s.cell = func(pt, run, col, workers int) (func(*foldLog), error) {
+		s.cell = func(pt, run, col int) (func(*foldLog), error) {
 			mu.Lock()
-			got[workers]++
+			cells++
 			active++
 			peak = max(peak, active)
 			mu.Unlock()
@@ -186,13 +187,13 @@ func TestLiveSweepBudget(t *testing.T) {
 			mu.Lock()
 			active--
 			mu.Unlock()
-			return inner(pt, run, col, workers)
+			return inner(pt, run, col)
 		}
 		if _, err := s.run(context.Background()); err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
-		if len(got) != 1 || got[c.want] != c.points*c.runs {
-			t.Errorf("%s: cells got workers %v, want %d each", c.name, got, c.want)
+		if cells != c.points*c.runs {
+			t.Errorf("%s: %d cells ran, want %d", c.name, cells, c.points*c.runs)
 		}
 		if peak > c.peak {
 			t.Errorf("%s: %d cells ran at once, want at most %d", c.name, peak, c.peak)

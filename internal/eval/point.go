@@ -90,7 +90,7 @@ func pointSweep(specs []pointSpec, runs, workers int, done func(pt int, row []*P
 			}
 			return res
 		},
-		cell: func(pt, run, _, _ int) (func(*PointResult), error) {
+		cell: func(pt, run, _ int) (func(*PointResult), error) {
 			s, err := evalRun(specs[pt], run)
 			if err != nil {
 				return nil, fmt.Errorf("eval: density %g run %d: %w", specs[pt].deployment.Degree, run, err)

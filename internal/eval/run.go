@@ -18,9 +18,9 @@ import (
 // Options tunes a run without changing what it runs.
 type Options struct {
 	// Workers bounds how many cells simulate at once across the whole run
-	// (default GOMAXPROCS); the cell loop hands each cell its share for
-	// the cell's own route-rebuild barrier (liveSweep.budget). At 1 every
-	// cell runs in order on the caller's goroutine.
+	// (default GOMAXPROCS); it sets the cell loop's parallelism and nothing
+	// inside a cell. At 1 every cell runs in order on the caller's
+	// goroutine.
 	Workers int
 	// Runs is the run count per point when set: figures default to 100
 	// (the paper's), a scenario to 3 replicates (the live stack is far
@@ -32,7 +32,8 @@ type Options struct {
 	// a density grid's.
 	Degrees []float64
 	// Progress, when non-nil, receives a human-readable line per
-	// completed density point or replicate run. Calls never overlap.
+	// completed density point, grid axis point or replicate run. Calls
+	// never overlap.
 	Progress func(format string, args ...any)
 }
 
@@ -206,10 +207,8 @@ func StreamScenario(ctx context.Context, sc scenario.Scenario, o Options) (<-cha
 			point: func(int, int) *scenario.Result {
 				return &scenario.Result{Scenario: sc, Seed: o.Seed, Runs: make([]*scenario.RunResult, o.Runs)}
 			},
-			cell: func(_, run, _, workers int) (func(*scenario.Result), error) {
-				cell := sc
-				cell.Workers = workers
-				rr, err := scenario.Execute(ctx, cell, o.Seed, run, func(s scenario.Sample) {
+			cell: func(_, run, _ int) (func(*scenario.Result), error) {
+				rr, err := scenario.Execute(ctx, sc, o.Seed, run, func(s scenario.Sample) {
 					events <- ScenarioEvent{Kind: ScenarioEventSample, Run: run, Sample: s}
 				})
 				if err != nil {

@@ -169,6 +169,64 @@ func TestLossyScenarioWorkerDeterminism(t *testing.T) {
 	}
 }
 
+// TestScenarioTraceWorkerDeterminism: the packet trace is part of the
+// determinism contract. A churn-heavy lossy scenario under sustained flows —
+// link-failure waves, loss draws and queueing give the tracer every event
+// shape — must serialize to the same Chrome trace-event document byte for
+// byte whether its replicate runs go one at a time or side by side, and
+// every event must satisfy the trace-event schema.
+func TestScenarioTraceWorkerDeterminism(t *testing.T) {
+	sc := scenario.Scenario{
+		Name:     "churn-trace",
+		Topology: scenario.Topology{Deployment: &geom.Deployment{Field: geom.Field{Width: 600, Height: 600}, Radius: 100, Degree: 10}},
+		Protocol: scenario.Protocol{Selector: "fnbp"},
+		Medium:   scenario.Medium{Kind: "lossy", Loss: 0.08, DistanceLoss: 0.15},
+		Traffic: scenario.Traffic{Mix: []traffic.Spec{
+			{Class: "cbr", Count: 4, RateBps: 8192},
+			{Class: "poisson", Count: 2, RateBps: 8192},
+		}},
+		Duration: 30 * time.Second,
+		Warmup:   10 * time.Second,
+		Obs:      scenario.Obs{TraceEvery: 2},
+	}
+	for k := range 2 {
+		at := time.Duration(12+8*k) * time.Second
+		sc.Phases = append(sc.Phases,
+			scenario.Phase{At: at, Action: scenario.FailFraction{Fraction: 0.15}},
+			scenario.Phase{At: at + 4*time.Second, Action: scenario.RestoreAll{}},
+		)
+	}
+	encode := func(workers int) ([]byte, *scenario.Result) {
+		res, err := RunScenario(context.Background(), sc, Options{Workers: workers, Runs: 2, Seed: 7})
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		var buf bytes.Buffer
+		if err := res.EncodeTrace(&buf); err != nil {
+			t.Fatalf("workers=%d: encode: %v", workers, err)
+		}
+		return buf.Bytes(), res
+	}
+	serial, res := encode(1)
+	if parallel, _ := encode(8); !bytes.Equal(serial, parallel) {
+		t.Fatal("workers=1 and workers=8 serialized different traces")
+	}
+	traced := 0
+	for _, run := range res.Runs {
+		traced += len(run.Trace)
+		// The document is obs.WriteTrace's, whose tests hold that encoding
+		// to the schema; what the run contributes is the events.
+		for i, ev := range run.Trace {
+			if ev.Name == "" || (ev.Phase != "X" && ev.Phase != "i") || ev.Ts < 0 {
+				t.Fatalf("run %d event %d breaks the trace-event schema: %+v", run.Run, i, ev)
+			}
+		}
+	}
+	if traced == 0 {
+		t.Fatal("churn fixture produced no trace events")
+	}
+}
+
 func TestStreamScenarioEvents(t *testing.T) {
 	sc := testScenario()
 	events, wait := StreamScenario(context.Background(), sc, Options{Runs: 2, Seed: 1})

@@ -354,10 +354,10 @@ func TestRouteEntryLayout(t *testing.T) {
 	checkFlat(t, "routeEntry", routeEntry{}, 24)
 }
 
-// A from-scratch Routes on a warm scratch pool allocates its snapshot and
+// A from-scratch Routes on a warm field scratch allocates its snapshot and
 // nothing else, whether the ids lie inside the store's window or not: the
 // Routes, its entries and its next hops. The routing graph is laid out in the
-// pooled scratch.
+// field's scratch.
 func TestRouteLayoutAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector adds allocations")

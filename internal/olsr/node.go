@@ -144,7 +144,7 @@ type RebuildStats struct {
 	AdvChange uint64
 	// TopoBuilds and SPFIncremental are always 0. They are kept only
 	// because the benchmark harness (cmd/qolsr-bench, frozen) reads them,
-	// and go when it stops doing so (ROADMAP item 6).
+	// and go when it stops doing so (ROADMAP 14(b)).
 	TopoBuilds, SPFIncremental uint64
 	// Selections counts MPR selection runs: the local view was rebuilt and
 	// the MPR and relay sets selected on it because the neighborhood had
@@ -336,9 +336,8 @@ func NewNode(id int64, cfg Config) (*Node, error) {
 // TC-learned topology lives in (see topostore.go), so a host that runs a
 // whole population in one process — the simulator — pays for each origin's
 // block once instead of once per receiver. Each node is otherwise exactly
-// what NewNode returns, and the host must serialise the handler calls
-// (HandleHello, HandleTC, HandleTCDelta, Generate*) of one field; queries
-// (Routes, RoutesDirty) of different members may run concurrently.
+// what NewNode returns, and the host must serialise every call on the
+// members of one field.
 func NewNodes(ids []int64, cfg Config) ([]*Node, error) {
 	if cfg.HelloInterval <= 0 || cfg.TCInterval <= 0 {
 		return nil, fmt.Errorf("olsr: non-positive intervals in config")
@@ -498,8 +497,7 @@ func (n *Node) expireNeighborhood(now time.Duration) {
 }
 
 // expireTopology drops this node's stale topology rows — its own column of
-// the shared store, which is all a member may write outside handler context
-// (see topostore.go) — and the duplicate-suppression rows whose every entry
+// the shared store — and the duplicate-suppression rows whose every entry
 // has expired. Individual dup entries still expire lazily at probe time.
 func (n *Node) expireTopology(now time.Duration) {
 	next := noExpiry
@@ -961,8 +959,8 @@ func idsOf(prev []int64, g *graph.Graph, idx []int32) ([]int64, bool) {
 // in ascending order by the store's viewIDs, and the scratch applies the
 // routing graph's first-writer-wins rule to the first two tiers (own links,
 // then adverts in ascending neighbor order; an advert naming this node meets
-// the own link first). Handler context only, and the view is valid until the
-// next member builds its own.
+// the own link first). The view is valid until the next member builds its
+// own.
 func (n *Node) buildLocalView() (*graph.LocalView, []float64) {
 	if n.links.len() == 0 {
 		return nil, nil

@@ -3,7 +3,6 @@ package olsr
 import (
 	"cmp"
 	"slices"
-	"sync"
 
 	"qolsr/internal/graph"
 )
@@ -69,8 +68,9 @@ type bucketLink struct {
 // routeScratch is the working storage of one routing-table computation:
 // the layout's buffers and the graph.Layout it fills, the Dijkstra, first-hop
 // and hop buffers and the next-hop numbering. Nothing in it outlives the
-// computation, so scratches are pooled rather than kept per node: a node that
-// kept its scratch would hold a graph's worth of memory between queries.
+// computation, so a field keeps one (topoStore.routes) rather than one per
+// node: a node that kept its scratch would hold a graph's worth of memory
+// between queries.
 type routeScratch struct {
 	staged      []stagedLink
 	ids         graph.IDIndex
@@ -83,35 +83,6 @@ type routeScratch struct {
 	first, hops []int32
 	viaAt       []int32 // per node index: its position in via plus one, 0 if none
 	via         []int64
-}
-
-// scratchPool is a field's pool of routing scratch (topoStore.routes). Routes
-// of different members run at once in a host's rebuild barrier, so each
-// computation takes a scratch for its duration and puts it back; the pool
-// holds as many as ever ran at once. Unlike a sync.Pool it keeps them across
-// garbage collections, so what a rebuild allocates does not depend on when
-// the collector last ran.
-type scratchPool struct {
-	mu   sync.Mutex
-	free []*routeScratch
-}
-
-func (p *scratchPool) get() *routeScratch {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	k := len(p.free)
-	if k == 0 {
-		return new(routeScratch)
-	}
-	s := p.free[k-1]
-	p.free = p.free[:k-1]
-	return s
-}
-
-func (p *scratchPool) put(s *routeScratch) {
-	p.mu.Lock()
-	p.free = append(p.free, s)
-	p.mu.Unlock()
 }
 
 // resized returns buf with length n, reusing its storage when possible.
@@ -129,8 +100,7 @@ func resized[T any](buf []T, n int) []T {
 // set, the weights and the ids), and the table copied out into a snapshot,
 // the only thing it allocates. Callers must have run expire(now) first.
 func (n *Node) computeRoutes() *Routes {
-	s := n.store.routes.get()
-	defer n.store.routes.put(s)
+	s := &n.store.routes
 	g := n.layoutRoutes(s)
 	sp := s.sp.Dijkstra(g, n.cfg.Metric, s.w, g.IndexOf(graph.NodeID(n.ID)), nil, -1)
 	s.first, s.hops = sp.FirstHops(s.first, s.hops)

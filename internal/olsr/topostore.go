@@ -25,21 +25,11 @@ import (
 // store for everything else, so arbitrary identifiers (the daemon's) and
 // simulator indices take the same path through slot.
 //
-// Concurrency contract (sim.RebuildRoutes runs Node.expire on many members at
-// once): a member reads the slot table and the blocks' set tables, reads *its
-// own* rows or clears their deadlines, and borrows a routing scratch from the
-// store's locked pool (routes), nothing more, from any context. Everything
-// else that writes shared structure — slot and block allocation, the set
-// tables and their counts, the reclaim sweep — happens in handler context
-// (HandleTC, HandleTCDelta), which the host serialises across the whole field.
-//
 // The store also carries the field's one selection scratch (view): whichever
 // member's neighborhood changed builds its two-hop view there and runs
 // MPR/ANS selection on it (Node.recompute), and nothing of the view outlives
-// that call. It is handler context only as well — recompute runs from
-// Generate* and the MPRSet/ANS queries, which the host serialises
-// with the handlers; Routes and RoutesDirty, the calls that may run on many
-// members at once, never select.
+// that call. Its one routing scratch (routes) serves Routes the same way.
+// The host serialises every call on a field's members.
 
 // topoRow is what one member holds about one origin: the TC bookkeeping and
 // the name of the origin's advertised set in its block's table — 16 bytes
@@ -90,7 +80,7 @@ type advEntry struct {
 func (b *topoBlock) links(r *topoRow) []LinkInfo { return b.advs[r.ver&^syncedBit].adv }
 
 // set makes r name adv — the entry holding the same slice, else the first
-// free one — and gives back the set it named. Handler context only.
+// free one — and gives back the set it named.
 func (b *topoBlock) set(r *topoRow, adv []LinkInfo) {
 	if v := r.ver &^ syncedBit; v != 0 {
 		if b.advs[v].refs--; b.advs[v].refs == 0 {
@@ -120,7 +110,7 @@ func (b *topoBlock) set(r *topoRow, adv []LinkInfo) {
 
 // applyDelta returns d applied to old. Receivers starting from equal content
 // share the memo's result slice, so a delta costs one table entry, not one
-// per member. Handler context only.
+// per member.
 func (b *topoBlock) applyDelta(old []LinkInfo, d *TCDelta) []LinkInfo {
 	if b.memo != d || !sameAdv(b.memoBase, old) {
 		b.memo, b.memoBase = d, old
@@ -149,9 +139,8 @@ type topoStore struct {
 	// the numbering of its nodes.
 	view    graph.ViewScratch
 	viewIDs graph.IDIndex
-	// routes pools the members' routing scratch, the one shared structure
-	// Routes writes; it is safe for concurrent use.
-	routes scratchPool
+	// routes is the members' routing scratch.
+	routes routeScratch
 }
 
 func newTopoStore(members, window int, hold time.Duration) *topoStore {
@@ -194,7 +183,7 @@ func (s *topoStore) row(member int32, origin int64) (*topoBlock, *topoRow) {
 }
 
 // claim returns the member's row about origin, present or not, allocating
-// the origin's slot and block on first hearing. Handler context only.
+// the origin's slot and block on first hearing.
 func (s *topoStore) claim(member int32, origin int64) (*topoBlock, *topoRow) {
 	i := s.slot(origin)
 	if i < 0 {
@@ -228,7 +217,7 @@ func (s *topoStore) each(member int32, f func(origin int64, r *topoRow, adv []Li
 	}
 }
 
-// tick runs the reclaim sweep when it is due. Handler context only.
+// tick runs the reclaim sweep when it is due.
 func (s *topoStore) tick(now time.Duration) {
 	if now >= s.nextSweep {
 		s.sweep(now)
@@ -240,7 +229,7 @@ func (s *topoStore) tick(now time.Duration) {
 // A row past its deadline that its member has not expired yet (expiry is
 // each member's own business) still holds the slot. A block is scanned only
 // up to its first held row, so the sweep costs one probe per slot in a field
-// where every origin reaches every member. Handler context only.
+// where every origin reaches every member.
 func (s *topoStore) sweep(now time.Duration) {
 	s.nextSweep = now + s.hold
 	for i, b := range s.blocks {

@@ -1,7 +1,7 @@
 // Package par runs indexed jobs on a bounded set of goroutines. It is the
-// one parallel loop below the public API: the sweeps' one cell loop (every
-// paper figure, live-stack ablation and scenario replicate set runs on it)
-// and the simulator's route-rebuild barrier both fan out through For.
+// one parallel loop below the public API, and it has one fan-out: the
+// sweeps' cell loop (every paper figure, live-stack ablation and scenario
+// replicate set runs on it). Each simulation inside a cell is serial.
 package par
 
 import (

@@ -207,10 +207,9 @@ func Execute(ctx context.Context, sc Scenario, seed int64, run int, emit func(Sa
 			return nil, phaseErr
 		}
 		// Rebuild barrier: bring every flow source's routing table up to
-		// date before measuring, fanning the table computations across the
-		// worker budget. The tables measure and the data plane then read
-		// are cache hits; results are bit-identical at every worker count.
-		if _, err := nw.RebuildRoutes(smp.sources, sc.Workers); err != nil {
+		// date before measuring, so the tables measure and the data plane
+		// then read are cache hits.
+		if _, err := nw.RebuildRoutes(smp.sources, 1); err != nil {
 			return nil, fmt.Errorf("scenario %s: route rebuild at %v: %w", sc.Name, t, err)
 		}
 		s, err := smp.measure(nw, cfg.Metric, channel, flows, t, drain, eng)

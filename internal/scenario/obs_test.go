@@ -4,9 +4,6 @@ import (
 	"bytes"
 	"context"
 	"testing"
-	"time"
-
-	"qolsr/internal/traffic"
 )
 
 // executeRuns materialises a Result with the given replicate count.
@@ -57,72 +54,6 @@ func TestObsKeepsMeasurementsBitIdentical(t *testing.T) {
 	on := encode(Obs{Metrics: true, TraceEvery: 2})
 	if !bytes.Equal(off, on) {
 		t.Fatal("enabling metrics+tracing changed the measurement document")
-	}
-}
-
-// churnTraceScenario is a churn-heavy lossy fixture under sustained flows —
-// link-failure waves, loss draws and queueing give the tracer every event
-// shape (multi-hop spans, waits, all drop reasons are possible).
-func churnTraceScenario() Scenario {
-	sc := Scenario{
-		Name:        "churn-trace",
-		Description: "trace determinism fixture",
-		Topology:    Topology{Deployment: builtinDeployment(10)},
-		Protocol:    Protocol{Selector: "fnbp"},
-		Medium:      Medium{Kind: "lossy", Loss: 0.08, DistanceLoss: 0.15},
-		Traffic: Traffic{Mix: []traffic.Spec{
-			{Class: "cbr", Count: 4, RateBps: 8192},
-			{Class: "poisson", Count: 2, RateBps: 8192},
-		}},
-		Duration: 30 * time.Second,
-		Warmup:   10 * time.Second,
-		Obs:      Obs{TraceEvery: 2},
-	}
-	for k := 0; k < 2; k++ {
-		at := time.Duration(12+8*k) * time.Second
-		sc.Phases = append(sc.Phases,
-			Phase{At: at, Action: FailFraction{Fraction: 0.15}},
-			Phase{At: at + 4*time.Second, Action: RestoreAll{}},
-		)
-	}
-	return sc
-}
-
-// The trace is part of the determinism contract: the rebuild barrier's
-// worker budget must never reach it. A churn-heavy lossy run must serialize
-// to the same Chrome trace-event document byte for byte at workers=1 and
-// workers=8, and every event must satisfy the trace-event schema.
-func TestTraceWorkersDeterminism(t *testing.T) {
-	encode := func(workers int) ([]byte, *Result) {
-		sc := churnTraceScenario()
-		sc.Workers = workers
-		res := executeRuns(t, sc, 7, 2)
-		traced := 0
-		for _, run := range res.Runs {
-			traced += len(run.Trace)
-		}
-		if traced == 0 {
-			t.Fatalf("workers=%d: churn fixture produced no trace events", workers)
-		}
-		var buf bytes.Buffer
-		if err := res.EncodeTrace(&buf); err != nil {
-			t.Fatalf("workers=%d: encode: %v", workers, err)
-		}
-		return buf.Bytes(), res
-	}
-	serial, res := encode(1)
-	parallel, _ := encode(8)
-	if !bytes.Equal(serial, parallel) {
-		t.Fatal("workers=1 and workers=8 serialized different traces")
-	}
-	// The document is obs.WriteTrace's, whose tests hold that encoding to
-	// the schema; what the run contributes is the events.
-	for _, run := range res.Runs {
-		for i, ev := range run.Trace {
-			if ev.Name == "" || (ev.Phase != "X" && ev.Phase != "i") || ev.Ts < 0 {
-				t.Fatalf("run %d event %d breaks the trace-event schema: %+v", run.Run, i, ev)
-			}
-		}
 	}
 }
 

@@ -228,10 +228,8 @@ type Scenario struct {
 	// (66ms on the ideal medium, about 350ms on the default lossy one), so
 	// each sample's probes complete before the next sample is due.
 	SampleEvery time.Duration
-	// Workers bounds the goroutines the engine fans route-table rebuilds
-	// across at each sample barrier (0 = GOMAXPROCS, 1 = serial). It
-	// affects wall-clock time only: each node's table is a pure function
-	// of that node's state, so results are bit-identical at every setting.
+	// Deprecated: Workers is ignored; route tables are rebuilt serially.
+	// It stays only because the benchmark harness sets it (ROADMAP 14(b)).
 	Workers int
 	// Obs configures metrics collection and packet path tracing (default
 	// all off).

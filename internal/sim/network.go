@@ -52,7 +52,7 @@ type TrafficStats struct {
 // origin's own message.
 type Network struct {
 	// Engine is the single-threaded event scheduler everything runs on, in
-	// one (time, priority, seq) total order: hot subsystems book pooled or
+	// one (time, seq) total order: hot subsystems book pooled or
 	// persistent des.Events, low-rate bookkeeping (phases, harness
 	// callbacks) a des.Func closure.
 	Engine *des.Queue

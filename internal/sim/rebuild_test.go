@@ -6,25 +6,8 @@ import (
 	"time"
 
 	"qolsr/internal/metric"
-	"qolsr/internal/mpr"
 	"qolsr/internal/olsr"
 )
-
-// convergedPair builds two identical networks running cfg from the same
-// seed and converges both, so each can take a different rebuild path.
-func convergedPair(t *testing.T, cfg olsr.Config) (a, b *Network) {
-	t.Helper()
-	converged := func() *Network {
-		nw, err := NewNetwork(smallWorld(t, 23, 9), cfg, NetworkOptions{Seed: 5})
-		if err != nil {
-			t.Fatal(err)
-		}
-		nw.Start()
-		nw.Run(20 * time.Second)
-		return nw
-	}
-	return converged(), converged()
-}
 
 // tableOf snapshots one node's routing table.
 func tableOf(t *testing.T, nw *Network, x int32) map[int64]olsr.Route {
@@ -46,61 +29,6 @@ func routeMap(r *olsr.Routes) map[int64]olsr.Route {
 	return out
 }
 
-// RebuildRoutes fanned across eight workers must produce exactly the tables
-// the serial path produces, node for node, and agree on how many tables
-// were actually rebuilt. This is the test CI runs under the race detector:
-// the parallel path touches every node's scratch state concurrently and
-// must stay free of shared mutable state. It runs on the classic control
-// plane and on the optimized one (delta TCs, the fish-eye schedule and
-// min-cover flood relays), whose delta chains, TTL scoping and second relay
-// set must add no state the workers share.
-func TestRebuildRoutesWorkersAgree(t *testing.T) {
-	optimized := olsr.DefaultConfig(metric.Bandwidth())
-	optimized.DeltaTC = true
-	optimized.FisheyeTTLs = olsr.DefaultFisheyeTTLs()
-	optimized.FloodRelay = mpr.MinCover
-	t.Run("classic", func(t *testing.T) { checkWorkersAgree(t, olsr.DefaultConfig(metric.Bandwidth())) })
-	t.Run("optimized", func(t *testing.T) { checkWorkersAgree(t, optimized) })
-}
-
-func checkWorkersAgree(t *testing.T, cfg olsr.Config) {
-	serial, parallel := convergedPair(t, cfg)
-
-	n1, err := serial.RebuildRoutes(nil, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n8, err := parallel.RebuildRoutes(nil, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n1 != n8 {
-		t.Fatalf("rebuilt %d tables serially vs %d with 8 workers", n1, n8)
-	}
-	if n1 == 0 {
-		t.Fatal("nothing was dirty; the fixture exercised no rebuild")
-	}
-	for x := int32(0); int(x) < serial.Phys.N(); x++ {
-		ts, tp := tableOf(t, serial, x), tableOf(t, parallel, x)
-		if len(ts) != len(tp) {
-			t.Fatalf("node %d: table sizes %d vs %d", x, len(ts), len(tp))
-		}
-		for dst, rs := range ts {
-			if rp, ok := tp[dst]; !ok || rp != rs {
-				t.Fatalf("node %d route to %d: %+v serial vs %+v parallel", x, dst, rs, tp[dst])
-			}
-		}
-	}
-	if serial.RebuildTotals() != parallel.RebuildTotals() {
-		t.Fatalf("rebuild totals diverge: %+v vs %+v", serial.RebuildTotals(), parallel.RebuildTotals())
-	}
-
-	// A second barrier with everything clean must be a no-op either way.
-	if n, err := parallel.RebuildRoutes(nil, 8); err != nil || n != 0 {
-		t.Fatalf("clean barrier rebuilt %d tables (err %v), want 0", n, err)
-	}
-}
-
 // A subset barrier must only touch the named nodes' tables.
 func TestRebuildRoutesSubset(t *testing.T) {
 	nw := testNetwork(t, smallWorld(t, 23, 9), metric.Bandwidth())
@@ -108,7 +36,7 @@ func TestRebuildRoutesSubset(t *testing.T) {
 	nw.Run(20 * time.Second)
 
 	subset := []int32{0, 2}
-	if _, err := nw.RebuildRoutes(subset, 4); err != nil {
+	if _, err := nw.RebuildRoutes(subset, 1); err != nil {
 		t.Fatal(err)
 	}
 	now := nw.Engine.Now()
@@ -127,8 +55,7 @@ func TestRebuildRoutesSubset(t *testing.T) {
 // and the rebuild barrier: HELLO rounds keep the neighbourhoods alive, the
 // even origins' TCs are ingested at 1 s and the odd ones' at 11 s, every
 // table is built once at 12 s, and the clock then stands at 16.5 s — half of
-// every node's topology rows (deadline 16 s) expire inside the barrier, in
-// whichever goroutine rebuilds that node.
+// every node's topology rows (deadline 16 s) expire inside the barrier.
 func handDriven(t *testing.T) *Network {
 	t.Helper()
 	nw := testNetwork(t, mediumWorld(t, 23), metric.Bandwidth())
@@ -185,46 +112,49 @@ func handDriven(t *testing.T) *Network {
 }
 
 // The barrier is where soft state expires for nodes nobody has touched
-// since: workers then clear rows of the shared topology store concurrently,
-// each its own member's. Run under the race detector; the outcome must
-// equal the serial barrier's node for node.
+// since: each rebuild clears its own member's rows of the shared topology
+// store, which the members rebuilt after it read. The outcome must equal a
+// twin field's whose nodes are queried one by one in reverse order, and
+// SPFFull must rise by exactly the number of tables rebuilt.
 func TestRebuildRoutesExpiringAtBarrier(t *testing.T) {
-	serial, parallel := handDriven(t), handDriven(t)
-	before := parallel.RebuildTotals()
+	nw, twin := handDriven(t), handDriven(t)
+	before := nw.RebuildTotals()
 	rowsBefore := 0
-	for _, nd := range parallel.Nodes {
+	for _, nd := range nw.Nodes {
 		rowsBefore += nd.StateSize().TopologyRows
 	}
 
-	n1, err := serial.RebuildRoutes(nil, 1)
+	rebuilt, err := nw.RebuildRoutes(nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	n8, err := parallel.RebuildRoutes(nil, 8)
-	if err != nil {
-		t.Fatal(err)
+	if rebuilt == 0 {
+		t.Fatal("nothing was dirty; the fixture exercised no rebuild")
 	}
-	if n1 != n8 || n1 == 0 {
-		t.Fatalf("rebuilt %d tables serially vs %d with 8 workers, want equal and non-zero", n1, n8)
+	for x := len(twin.Nodes) - 1; x >= 0; x-- {
+		tableOf(t, twin, int32(x))
 	}
 	rowsAfter := 0
-	for x := int32(0); int(x) < serial.Phys.N(); x++ {
-		ss, sp := serial.Nodes[x].StateSize(), parallel.Nodes[x].StateSize()
-		if ss != sp {
-			t.Fatalf("node %d: state %+v serial vs %+v parallel", x, ss, sp)
+	for x := int32(0); int(x) < nw.Phys.N(); x++ {
+		sb, st := nw.Nodes[x].StateSize(), twin.Nodes[x].StateSize()
+		if sb != st {
+			t.Fatalf("node %d: state %+v at the barrier vs %+v queried alone", x, sb, st)
 		}
-		rowsAfter += sp.TopologyRows
-		if ts, tp := tableOf(t, serial, x), tableOf(t, parallel, x); !reflect.DeepEqual(ts, tp) {
-			t.Fatalf("node %d: tables differ:\nserial:   %v\nparallel: %v", x, ts, tp)
+		rowsAfter += sb.TopologyRows
+		if tb, tt := tableOf(t, nw, x), tableOf(t, twin, x); !reflect.DeepEqual(tb, tt) {
+			t.Fatalf("node %d: tables differ:\nbarrier: %v\nalone:   %v", x, tb, tt)
 		}
 	}
 	if rowsAfter == 0 || rowsAfter >= rowsBefore {
 		t.Fatalf("%d topology rows before the barrier, %d after: want some, not all, to expire in it", rowsBefore, rowsAfter)
 	}
-	if serial.RebuildTotals() != parallel.RebuildTotals() {
-		t.Fatalf("rebuild totals diverge: %+v vs %+v", serial.RebuildTotals(), parallel.RebuildTotals())
+	if nw.RebuildTotals() != twin.RebuildTotals() {
+		t.Fatalf("rebuild totals diverge: %+v vs %+v", nw.RebuildTotals(), twin.RebuildTotals())
 	}
-	if s := parallel.RebuildTotals(); s.SPFFull != before.SPFFull+uint64(n8) {
-		t.Fatalf("%d tables rebuilt at the barrier, but SPFFull went from %d to %d", n8, before.SPFFull, s.SPFFull)
+	if s := nw.RebuildTotals(); s.SPFFull != before.SPFFull+uint64(rebuilt) {
+		t.Fatalf("%d tables rebuilt at the barrier, but SPFFull went from %d to %d", rebuilt, before.SPFFull, s.SPFFull)
+	}
+	if n, err := nw.RebuildRoutes(nil, 1); err != nil || n != 0 {
+		t.Fatalf("clean barrier rebuilt %d tables (err %v), want 0", n, err)
 	}
 }
