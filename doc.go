@@ -95,7 +95,9 @@
 // Replicate runs share the Runner's worker budget on the cell loop the
 // sweeps run on, with the same determinism guarantee: every run's RNG
 // streams derive from (seed, run), so results are bit-identical for any
-// WithWorkers value. Each replicate simulates on one goroutine.
+// WithWorkers value. Each replicate simulates on one goroutine; a
+// replicate with traffic flows adds the traffic engine's fold worker when
+// GOMAXPROCS ≥ 2, which folds deliveries in delivery order.
 //
 // # Radio medium
 //

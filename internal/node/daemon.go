@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -141,6 +142,8 @@ type Daemon struct {
 	timer             *time.Timer
 	// scratch is the one buffer originated and control frames encode into.
 	scratch []byte
+	// dups is the flood duplicate set HandleTC leaves to its host.
+	dups dupWindow
 	// metrics is the authoritative traffic accounting: registry cells the
 	// run loop increments and the /metrics scrape reads concurrently. The
 	// status report's Stats is derived from it.
@@ -196,6 +199,7 @@ func New(cfg Config) (*Daemon, error) {
 		peers:   make(map[int64]*peerState, len(cfg.Peers)),
 		start:   time.Now(),
 		scratch: make([]byte, frameHeaderLen, 512),
+		dups:    dupWindow{hold: ocfg.TopologyHoldTime, until: make(map[dupKey]time.Duration)},
 		wake:    make(chan struct{}, 1),
 	}
 	for _, p := range cfg.Peers {
@@ -458,10 +462,12 @@ func (d *Daemon) handleControl(p *peerState, payload []byte, now time.Duration) 
 			return
 		}
 		d.metrics.tcsIn.Inc()
+		if d.dups.seen(tc.Origin, tc.Seq, now) {
+			return
+		}
 		if d.node.HandleTC(tc, p.id, now) {
 			// RFC 3626 forwarding: the sender selected us as MPR —
-			// re-flood the TC to our whole neighborhood. Duplicate
-			// suppression in HandleTC bounds the storm.
+			// re-flood the TC to our whole neighborhood, once.
 			d.metrics.tcsForwarded.Inc()
 			d.broadcast(payload)
 		}
@@ -471,6 +477,36 @@ func (d *Daemon) handleControl(p *peerState, payload []byte, now time.Duration) 
 		// counted: a peer speaking it is a misconfiguration worth seeing.
 		d.metrics.unsupported.Inc()
 	}
+}
+
+// dupWindow is the daemon's flood duplicate set (RFC 3626 §3.4): until
+// when each (origin, seq) TC handed to the node counts as a duplicate.
+// Expired keys are swept at most once per hold, so the set holds the
+// sightings of the last two holds.
+type dupWindow struct {
+	hold, sweepAt time.Duration
+	until         map[dupKey]time.Duration
+}
+
+type dupKey struct {
+	origin int64
+	seq    uint16
+}
+
+// seen reports whether (origin, seq) was handed over within the hold time,
+// and records it when it was not. A node's own TC looping back is handed
+// over once, like any other.
+func (w *dupWindow) seen(origin int64, seq uint16, now time.Duration) bool {
+	if now >= w.sweepAt {
+		maps.DeleteFunc(w.until, func(_ dupKey, t time.Duration) bool { return t <= now })
+		w.sweepAt = now + w.hold
+	}
+	k := dupKey{origin, seq}
+	if w.until[k] > now {
+		return true
+	}
+	w.until[k] = now + w.hold
+	return false
 }
 
 // handleData delivers one received data frame or forwards it in place: the

@@ -311,6 +311,79 @@ func TestDaemonIgnoresHostileInput(t *testing.T) {
 	}
 }
 
+// TestDaemonDupWindow: the middle of a three-chain is both ends' MPR. A TC
+// reaching it from both reaches HandleTC and is re-flooded once, and the
+// same (origin, seq) a hold time later is ingested as new, also when a
+// sweep in between kept its key.
+func TestDaemonDupWindow(t *testing.T) {
+	c := newChain(t, 3, nil)
+	mid := c.daemons[1]
+	deliver := func(from int64, tc *olsr.TC, at time.Time) {
+		t.Helper()
+		frame, err := MarshalFrame(&Frame{Kind: KindControl, Sender: from, TxTime: 1, Payload: olsr.MarshalTC(tc)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		mid.handleFrame(Inbound{From: fmt.Sprintf("n%d", from), Data: frame, At: at})
+	}
+	ingested := func() uint64 {
+		s := mid.node.RebuildStats()
+		return s.AdvRefresh + s.AdvChange
+	}
+	links := []olsr.LinkInfo{{Neighbor: 1, Weight: 2}}
+	tc := &olsr.TC{Origin: 7, Seq: 40, ANSN: 1, Links: links}
+	in0, fwd0, ing0 := mid.metrics.tcsIn.Value(), mid.metrics.tcsForwarded.Value(), ingested()
+	deliver(1, tc, time.Now())
+	first := mid.last
+	deliver(3, tc, time.Now())
+	if in, fwd, ing := mid.metrics.tcsIn.Value()-in0, mid.metrics.tcsForwarded.Value()-fwd0, ingested()-ing0; in != 2 || fwd != 1 || ing != 1 {
+		t.Fatalf("two copies: %d received, %d forwarded, %d ingested; want 2, 1, 1", in, fwd, ing)
+	}
+	for _, tr := range []*MemTransport{c.trs[0], c.trs[2]} {
+		if len(tr.in) != 1 {
+			t.Fatalf("%s got %d re-flooded frames, want 1", tr.addr, len(tr.in))
+		}
+		freeFrame((<-tr.in).Data)
+	}
+	if mid.dups.sweepAt >= first+mid.dups.hold {
+		t.Fatal("no sweep falls due before the key expires")
+	}
+	deliver(1, &olsr.TC{Origin: 8, Seq: 1, ANSN: 1, Links: links}, mid.start.Add(mid.dups.sweepAt))
+	deliver(1, tc, mid.start.Add(first+mid.dups.hold))
+	if ing := ingested() - ing0; ing != 3 {
+		t.Fatalf("after the hold time: %d ingested, want 3", ing)
+	}
+}
+
+// TestDupWindowBounded feeds the window TCs from ever-new origins: it holds
+// the sightings of the last two holds, not of every origin ever heard, and
+// drains to the one fresh key after silence.
+func TestDupWindowBounded(t *testing.T) {
+	const (
+		hold      = 3 * time.Second
+		perSecond = 1000
+		window    = perSecond * int(hold/time.Second)
+	)
+	w := dupWindow{hold: hold, until: make(map[dupKey]time.Duration)}
+	now := time.Duration(0)
+	for i := 0; i < 100_000; i++ {
+		if i%perSecond == 0 {
+			now += time.Second
+		}
+		if w.seen(int64(1_000_000+i), uint16(i), now) {
+			t.Fatalf("origin %d: first sighting reported as a duplicate", i)
+		}
+		if len(w.until) > 2*window+perSecond {
+			t.Fatalf("after %d origins: %d keys, live window %d", i+1, len(w.until), window)
+		}
+	}
+	now += hold
+	w.seen(5, 1, now)
+	if len(w.until) != 1 {
+		t.Fatalf("after silence: %d keys, want the one fresh origin", len(w.until))
+	}
+}
+
 // TestStatusEndpoint serves the HTTP status handler and decodes the JSON.
 func TestStatusEndpoint(t *testing.T) {
 	m := startMesh(t, NewMemNetwork(), line(2), true, nil)

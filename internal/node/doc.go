@@ -24,7 +24,9 @@
 //     FIFO delivery, optional loss injection), and the one free list of
 //     receive buffers both copy into.
 //   - daemon.go, peers.go — the Daemon event loop: a static peer table
-//     (node ID → address) standing in for radio range, and link sensing.
+//     (node ID → address) standing in for radio range, the flood duplicate
+//     window that hands each (origin, seq) TC to the node once, and link
+//     sensing.
 //     In measured mode (Config.Measured) every round trip the frame echoes
 //     close goes to olsr.Node.ObserveRTT, and olsr prices the link under
 //     SenseRTT: both ends advertise their windowed-minimum RTT as a ladder

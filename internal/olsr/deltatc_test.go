@@ -237,19 +237,37 @@ func TestHandleTCDeltaResyncOnGap(t *testing.T) {
 	}
 }
 
-func TestHandleTCDeltaSharesDupWindow(t *testing.T) {
+// TestTCUpdateSeqsDistinct: full and delta emissions, and plain GenerateTC,
+// draw Seq from the origin's one counter, so no two emissions share the
+// (origin, seq) key the hosts' duplicate suppression drops repeats by.
+func TestTCUpdateSeqsDistinct(t *testing.T) {
 	cfg := testConfig()
 	cfg.DeltaTC = true
-	a, r, now := deltaPair(t, cfg)
-	full, _, _ := a.GenerateTCUpdate(now)
-	r.HandleTC(full, 1, now)
-	_, d, _ := a.GenerateTCUpdate(now)
-	r.HandleTCDelta(d, 1, now)
-	if r.HandleTCDelta(d, 2, now) {
-		t.Error("duplicate delta forwarded")
+	a, _, now := deltaPair(t, cfg)
+	var first uint16
+	fulls, deltas := 0, 0
+	for i := 0; i < 3*tcFullPeriod; i++ {
+		now += 100 * time.Millisecond
+		var seq uint16
+		if i%7 == 6 {
+			seq = a.GenerateTC(now).Seq
+			fulls++
+		} else if full, d, _ := a.GenerateTCUpdate(now); full != nil {
+			seq = full.Seq
+			fulls++
+		} else {
+			seq = d.Seq
+			deltas++
+		}
+		if i == 0 {
+			first = seq
+		}
+		if want := first + uint16(i); seq != want {
+			t.Fatalf("emission %d: seq %d, want %d", i, seq, want)
+		}
 	}
-	if rowOf(r, 1).chain != 1 {
-		t.Error("duplicate delta re-applied")
+	if fulls == 0 || deltas == 0 {
+		t.Fatalf("%d fulls, %d deltas: want both kinds", fulls, deltas)
 	}
 }
 

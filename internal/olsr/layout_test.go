@@ -32,7 +32,6 @@ func routeTables(t *testing.T, rng *rand.Rand, order []int64) *Node {
 	t.Helper()
 	cfg := DefaultConfig(metric.Delay())
 	cfg.LinkSensing = SenseHost
-	cfg.ExternalDupSuppression = true
 	cfg.DenseIDs = layoutWindow
 	n, err := NewNode(int64(layoutLo+rng.Intn(layoutHi-layoutLo)), cfg)
 	if err != nil {
@@ -283,7 +282,6 @@ func TestRouteLayoutMatchesOracle(t *testing.T) {
 func TestRouteLayoutSmallerContributorWins(t *testing.T) {
 	cfg := DefaultConfig(metric.Delay())
 	cfg.LinkSensing = SenseHost
-	cfg.ExternalDupSuppression = true
 	cfg.DenseIDs = layoutWindow
 	n, err := NewNode(0, cfg)
 	if err != nil {
@@ -312,7 +310,6 @@ func layoutFixture(tb testing.TB, origins int, dense bool) *Node {
 	tb.Helper()
 	cfg := testConfig()
 	cfg.LinkSensing = SenseHost
-	cfg.ExternalDupSuppression = true
 	if dense {
 		cfg.DenseIDs = 11 + origins
 	}
@@ -404,7 +401,6 @@ func BenchmarkRouteLayout(b *testing.B) {
 // expiry: origins 4-6 fall silent halfway and their rows expire.
 func TestTopoLinksCounted(t *testing.T) {
 	cfg := testConfig()
-	cfg.ExternalDupSuppression = true
 	n, err := NewNode(0, cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -2,8 +2,8 @@
 // selection algorithms live in: HELLO messages that piggyback the sender's
 // neighborhood table with QoS link weights (building each node's two-hop
 // view G_u), TC messages that flood the advertised neighbor sets through the
-// MPR backbone, duplicate suppression, topology and neighbor state with
-// expiry, and QoS routing-table computation.
+// MPR backbone (the flooding host suppresses duplicates), topology and
+// neighbor state with expiry, and QoS routing-table computation.
 //
 // The implementation follows RFC 3626's structure simplified to the paper's
 // assumptions: symmetric links (no asymmetric sensing phase), uniform

@@ -34,10 +34,10 @@ type Config struct {
 	// whose HELLOs carry the LQ block so both link ends converge on the
 	// same weight (see linkquality.go).
 	LinkSensing LinkSensing
-	// ExternalDupSuppression disables the node's own duplicate-suppression
-	// window for flooded TC-family messages: the embedding host guarantees
-	// each flooded (origin, seq) message is handed to the node at most
-	// once, as the simulator's per-flood visited set does.
+	// Deprecated: ExternalDupSuppression is read by nothing. Flood
+	// duplicate suppression belongs to the host (see HandleTC); the field
+	// stays only because the benchmark harness (cmd/qolsr-bench, frozen)
+	// sets it, and goes when it stops doing so (ROADMAP 14(b)).
 	ExternalDupSuppression bool
 	// DeltaTC enables delta-encoded topology control (GenerateTCUpdate):
 	// between periodic full TCs the node floods only the changes against
@@ -116,16 +116,6 @@ type neighborTable struct {
 	expires time.Duration
 }
 
-// dupSeq is one duplicate-suppression entry: a TC sequence number seen from
-// an origin, live until expires. Liveness is checked lazily at probe time —
-// under the node's monotone event clock that is exactly the eager-drain
-// semantics (an entry is a duplicate iff expires > now), with no expiry
-// bookkeeping on the flooding hot path.
-type dupSeq struct {
-	seq     uint16
-	expires time.Duration
-}
-
 // RebuildStats counts the node's routing-compute activity: how often
 // advertised content was re-announced unchanged (the interning fast paths)
 // versus actually changed, how often selection ran, and how many routing
@@ -154,10 +144,6 @@ type RebuildStats struct {
 	// SPFFull counts the routing tables computed: each is a fresh layout
 	// of the routing graph plus one Dijkstra (see Routes).
 	SPFFull uint64
-	// DupHits counts flooded TC-family messages dropped by the node's own
-	// duplicate-suppression window (0 under ExternalDupSuppression — the
-	// simulator counts its flood-level equivalent itself).
-	DupHits uint64
 	// DeltaResyncs counts delta-TC chain breaks that desynchronised an
 	// origin's topology entry, forcing the next full TC to re-anchor it.
 	DeltaResyncs uint64
@@ -210,14 +196,6 @@ type Node struct {
 	store               *topoStore
 	member              int32
 	topoRows, topoLinks int
-	// dups suppresses re-flooding (origin, seq) pairs, held per origin: a
-	// probe is one small-int-keyed map access plus a scan of the origin's
-	// few live entries (about hold-time/TC-interval of them), and expired
-	// slots are recycled in place during that same scan. Dup entries are
-	// the one soft-state category whose deadlines are all distinct (every
-	// flooded message makes one), so the topology watermark covers only
-	// each origin's *latest* entry — the row is dropped once that expired.
-	dups map[int64][]dupSeq
 	// lq holds the per-neighbor link estimators: HELLO delivery under
 	// SenseDelivery, round trips wherever the host feeds ObserveRTT.
 	lq smallTable[lqEstimator]
@@ -260,10 +238,10 @@ type Node struct {
 	topoVersion uint64
 	// nextExpiry is the earliest deadline across the neighbour-keyed soft
 	// state (links, neighbor tables, selectors, link estimators) and
-	// topoExpiry the earliest across the origin-keyed state (topology rows,
-	// dup rows): expire is a no-op while now is before both, and past one
-	// only that one's tables are scanned — the O(origins) column walk does
-	// not run on every neighbour-hold tick. Each new deadline lowers its
+	// topoExpiry the earliest across the topology rows: expire is a no-op
+	// while now is before both, and past one only that one's tables are
+	// scanned — the O(origins) column walk does not run on every
+	// neighbour-hold tick. Each new deadline lowers its
 	// watermark; an overwritten entry's earlier deadline may linger until
 	// the next scan, which costs an empty scan, never a missed expiry.
 	nextExpiry time.Duration
@@ -291,9 +269,8 @@ type StateSize struct {
 	// Links, Neighbors and Selectors count the neighbour-keyed tables: own
 	// links, neighbours' HELLO tables, MPR-selector deadlines.
 	Links, Neighbors, Selectors int
-	// TopologyRows counts the origins the node holds a TC-learned row about;
-	// DupRows the origins with a duplicate-suppression row.
-	TopologyRows, DupRows int
+	// TopologyRows counts the origins the node holds a TC-learned row about.
+	TopologyRows int
 	// Advertised is the size of the ANS the node holds: the set its latest
 	// TC emission (or ANS call) selected, 0 before any or when it was empty.
 	Advertised int
@@ -307,7 +284,6 @@ func (n *Node) StateSize() StateSize {
 		Neighbors:    n.neighbors.len(),
 		Selectors:    n.selectors.len(),
 		TopologyRows: n.topoRows,
-		DupRows:      len(n.dups),
 		Advertised:   len(n.ansSet),
 	}
 }
@@ -387,7 +363,6 @@ func NewNodes(ids []int64, cfg Config) ([]*Node, error) {
 			cfg:        cfg,
 			store:      store,
 			member:     int32(i),
-			dups:       make(map[int64][]dupSeq),
 			nextExpiry: noExpiry,
 			topoExpiry: noExpiry,
 		}
@@ -497,8 +472,7 @@ func (n *Node) expireNeighborhood(now time.Duration) {
 }
 
 // expireTopology drops this node's stale topology rows — its own column of
-// the shared store — and the duplicate-suppression rows whose every entry
-// has expired. Individual dup entries still expire lazily at probe time.
+// the shared store.
 func (n *Node) expireTopology(now time.Duration) {
 	next := noExpiry
 	if n.topoRows > 0 {
@@ -511,17 +485,6 @@ func (n *Node) expireTopology(now time.Duration) {
 				next = t.expires
 			}
 		})
-	}
-	for origin, row := range n.dups {
-		var last time.Duration
-		for _, d := range row {
-			last = max(last, d.expires)
-		}
-		if last <= now {
-			delete(n.dups, origin)
-		} else if last < next {
-			next = last
-		}
 	}
 	n.topoExpiry = next
 }
@@ -662,8 +625,8 @@ func (n *Node) currentTCAdv() []LinkInfo {
 // so they must be self-contained). Every other emission carries the delta
 // against the previously flooded content; in the converged steady state
 // that is an empty header-sized keepalive. Full and delta emissions share
-// the origin's flooding sequence space, so duplicate suppression and the
-// delta chain anchor (FullSeq) both work off the same counter.
+// the origin's flooding sequence space, so the hosts' duplicate suppression
+// and the delta chain anchor (FullSeq) both work off the same counter.
 func (n *Node) GenerateTCUpdate(now time.Duration) (full *TC, delta *TCDelta, ttl int) {
 	return n.fillTCUpdate(new(TC), now)
 }
@@ -751,19 +714,16 @@ func diffAdv(old, cur []LinkInfo) (add []LinkInfo, del []int64) {
 
 // HandleTCDelta ingests a flooded delta TC received from the direct
 // neighbor sender and reports whether this node must re-broadcast it (same
-// forwarding rule and duplicate-suppression window as HandleTC — full and
-// delta share the origin's sequence space). The content applies only when
-// this node is synchronised on the origin's chain, holding the state at
-// exactly (FullSeq, Index-1); on any gap the message still floods, but the
-// receiver marks the origin desynchronised and waits for the next full TC
-// to rebase. The stale entry is kept meanwhile — it remains the best known
+// forwarding rule and host duplicate-suppression contract as HandleTC —
+// full and delta draw Seq from the origin's one counter). The content
+// applies only when this node is synchronised on the origin's chain,
+// holding the state at exactly (FullSeq, Index-1); on any gap the message
+// still floods, but the receiver marks the origin desynchronised and waits
+// for the next full TC to rebase. The stale entry is kept meanwhile — it remains the best known
 // state until rebased or expired.
 func (n *Node) HandleTCDelta(d *TCDelta, sender int64, now time.Duration) (forward bool) {
 	n.expire(now)
 	n.store.tick(now)
-	if !n.cfg.ExternalDupSuppression && n.dupSeen(d.Origin, d.Seq, now) {
-		return false
-	}
 	if d.Origin != n.ID {
 		n.applyTCDelta(d, now)
 	}
@@ -806,14 +766,16 @@ func (n *Node) refreshRow(r *topoRow, now time.Duration) {
 
 // HandleTC ingests a flooded TC received from the direct neighbor sender
 // and reports whether this node must re-broadcast it (RFC 3626 forwarding
-// rule: forward once, and only if the sender selected us as MPR). A TC that
-// re-advertises an origin's known link set only refreshes its deadline.
+// rule: only if the sender selected us as MPR). A TC that re-advertises an
+// origin's known link set only refreshes its deadline.
+//
+// Duplicate suppression is the host's: it hands each flooded (origin, seq)
+// message to a node at most once per topology hold time, so a message is
+// forwarded at most once. The simulator keeps a visited set per flood, the
+// daemon an (origin, seq) window.
 func (n *Node) HandleTC(t *TC, sender int64, now time.Duration) (forward bool) {
 	n.expire(now)
 	n.store.tick(now)
-	if !n.cfg.ExternalDupSuppression && n.dupSeen(t.Origin, t.Seq, now) {
-		return false
-	}
 	if t.Origin == n.ID {
 		return n.selectors.has(sender)
 	}
@@ -853,35 +815,6 @@ func (n *Node) setTopo(b *topoBlock, r *topoRow, old, adv []LinkInfo) {
 	}
 	n.stats.AdvChange++
 	n.topoVersion++ // the routing table is stale, the selection is not
-}
-
-// dupSeen probes (and on a first sighting, records) the (origin, seq)
-// duplicate-suppression window shared by every flooded TC-family message:
-// one scan of the origin's few live entries, recycling the first expired
-// slot for the new entry.
-func (n *Node) dupSeen(origin int64, seq uint16, now time.Duration) bool {
-	row := n.dups[origin]
-	slot := -1
-	for i := range row {
-		if row[i].expires <= now {
-			if slot < 0 {
-				slot = i
-			}
-			continue
-		}
-		if row[i].seq == seq {
-			n.stats.DupHits++
-			return true
-		}
-	}
-	e := dupSeq{seq: seq, expires: now + n.cfg.TopologyHoldTime}
-	n.topoExpiry = min(n.topoExpiry, e.expires)
-	if slot >= 0 {
-		row[slot] = e
-	} else {
-		n.dups[origin] = append(row, e)
-	}
-	return false
 }
 
 // ansnNewer reports whether current is strictly newer than candidate under

@@ -144,10 +144,6 @@ func TestThreeNodeANSAndTC(t *testing.T) {
 	if !forward {
 		t.Error("b must forward TC from its selector a")
 	}
-	// Duplicate suppression.
-	if b.HandleTC(tc, 1, now) {
-		t.Error("duplicate TC forwarded")
-	}
 }
 
 func TestGenerateTCNilWhenEmpty(t *testing.T) {

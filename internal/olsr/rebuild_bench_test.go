@@ -16,10 +16,6 @@ func benchTopoNode(b *testing.B, n int, deg float64, seed int64) (*Node, [][]Lin
 	b.Helper()
 	cfg := testConfig()
 	cfg.DenseIDs = n
-	// The simulator owns duplicate suppression at the flood layer; without
-	// this the never-advancing clock would grow the dup window without
-	// bound as the benchmark re-sends the same origin.
-	cfg.ExternalDupSuppression = true
 	nd, err := NewNode(0, cfg)
 	if err != nil {
 		b.Fatal(err)

@@ -172,11 +172,10 @@ func TestFieldMatchesStandaloneNodes(t *testing.T) {
 // TestOriginChurnLeavesBoundedState: a node fed TCs from ever-new origins
 // (a daemon on a network with churning membership, or under attack) holds
 // state for the origins of the last few hold times, not for every origin it
-// ever heard: topology rows, store slots, overflow-map keys and duplicate-
-// suppression rows all stay bounded by the live window and drain to nothing
-// once the stream stops.
+// ever heard: topology rows, store slots and overflow-map keys all stay
+// bounded by the live window and drain to nothing once the stream stops.
 func TestOriginChurnLeavesBoundedState(t *testing.T) {
-	cfg := testConfig() // own duplicate suppression: dups is part of the check
+	cfg := testConfig()
 	n, err := NewNode(0, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -206,7 +205,7 @@ func TestOriginChurnLeavesBoundedState(t *testing.T) {
 			continue
 		}
 		size := n.StateSize()
-		if size.TopologyRows > window+perSecond || size.DupRows > window+perSecond {
+		if size.TopologyRows > window+perSecond {
 			t.Fatalf("after %d origins: %+v, live window %d", i+1, size, window)
 		}
 		if len(s.blocks) > bound || len(s.overflow) > bound {
@@ -219,7 +218,7 @@ func TestOriginChurnLeavesBoundedState(t *testing.T) {
 	// Silence: everything expires, and the next TC's sweep reclaims it.
 	now += 3 * hold
 	n.HandleTC(&TC{Origin: 5, Seq: 1, ANSN: 1, Links: adv}, 1, now)
-	if size := n.StateSize(); size.TopologyRows != 1 || size.DupRows != 1 {
+	if size := n.StateSize(); size.TopologyRows != 1 {
 		t.Fatalf("after silence: %+v, want the one fresh origin", size)
 	}
 	if len(s.overflow) != 1 {

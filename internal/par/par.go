@@ -1,7 +1,9 @@
 // Package par runs indexed jobs on a bounded set of goroutines. It is the
 // one parallel loop below the public API, and it has one fan-out: the
 // sweeps' cell loop (every paper figure, live-stack ablation and scenario
-// replicate set runs on it). Each simulation inside a cell is serial.
+// replicate set runs on it). Each simulation inside a cell runs on one
+// goroutine, except that a traffic engine folds its delivery statistics on
+// a worker of its own when GOMAXPROCS ≥ 2 (internal/traffic/fold.go).
 package par
 
 import (

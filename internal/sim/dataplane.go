@@ -147,7 +147,7 @@ func (nw *Network) stepData(p *dataPacket) {
 	if fe.serial != routes.Serial() || fe.gen != nw.linkGen {
 		fe.serial = routes.Serial()
 		fe.gen = nw.linkGen
-		fe.next, fe.ok = nw.resolveNext(p.at, p.dst, routes)
+		fe.next, _, fe.ok = nw.NextHop(p.at, p.dst, routes)
 	}
 	if !fe.ok {
 		nw.dropData(p, &nw.Data.NoRoute, "no-route")
@@ -157,8 +157,10 @@ func (nw *Network) stepData(p *dataPacket) {
 	// The medium plans the unicast like any other frame: a lossy radio may
 	// drop it in flight or delay it behind the sender's transmit queue.
 	// The ideal medium's plan is a constant (deliver after its propagation
-	// delay, no medium state), so it skips the call.
+	// delay), so it is inlined, counted as IdealMedium.PlanFrame counts it.
 	if m := nw.ideal; m != nil {
+		m.stats.FramesPlanned++
+		m.stats.Receptions++
 		if p.pt != nil {
 			p.pt.Hop(next, nw.Engine.Now()+m.prop, 0)
 		}
@@ -181,27 +183,28 @@ func (nw *Network) stepData(p *dataPacket) {
 	nw.Engine.After(plan[0].Delay, p)
 }
 
-// resolveNext resolves the next hop for traffic at node `at` addressed to
-// `dst` under the given table snapshot: table lookup, next-hop index
-// resolution, and the physical-link check. False means the packet has no
-// usable route at this hop.
-func (nw *Network) resolveNext(at, dst int32, routes *olsr.Routes) (int32, bool) {
+// NextHop is the data plane's per-hop rule: the next hop for traffic at
+// node `at` addressed to `dst` under the given table snapshot, and the
+// physical edge it crosses — table lookup, next-hop index resolution, and
+// the physical-link check. False means the packet has no usable route at
+// this hop. Admission control walks paths with it too.
+func (nw *Network) NextHop(at, dst int32, routes *olsr.Routes) (next int32, edge int, ok bool) {
 	route, ok := routes.Lookup(int64(nw.Phys.ID(dst)))
 	if !ok {
-		return 0, false
+		return 0, 0, false
 	}
-	next, ok := nw.indexOf[route.NextHop]
+	next, ok = nw.indexOf[route.NextHop]
 	if !ok {
 		// A next hop outside the network's index (stale state naming a
 		// node that never existed here) is a routing failure, not an
 		// accidental alias of index 0.
-		return 0, false
+		return 0, 0, false
 	}
 	// The unicast hop uses the physical link; if it is gone (united with
 	// mobility/churn) the packet is lost at this hop unless the next table
 	// refresh learns better.
-	if _, exists := nw.Phys.EdgeBetween(at, next); !exists || !nw.LinkUp(at, next) {
-		return 0, false
+	if edge, ok = nw.Phys.EdgeBetween(at, next); !ok || !nw.LinkUp(at, next) {
+		return 0, 0, false
 	}
-	return next, true
+	return next, edge, true
 }

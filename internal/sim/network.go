@@ -38,10 +38,9 @@ type TrafficStats struct {
 	TCForwarded      uint64
 	TCForwardedBytes uint64
 	// DupSuppressed counts TC-family receptions dropped by the simulator's
-	// flood duplicate suppression (the external form of the nodes' dup
-	// windows — see floodState). On the ideal medium a receiver is filtered
-	// when the frame is sent, on every other when it lands; either way the
-	// count lands with the frame.
+	// flood duplicate suppression (see floodState). On the ideal medium a
+	// receiver is filtered when the frame is sent, on every other when it
+	// lands; either way the count lands with the frame.
 	DupSuppressed uint64
 }
 
@@ -136,11 +135,6 @@ func NewNetwork(phys *graph.Graph, cfg olsr.Config, opts NetworkOptions) (*Netwo
 	if medium == nil {
 		medium = NewIdealMedium(0)
 	}
-	// The simulator owns flood duplicate suppression (one pooled visited
-	// bitset per flood, shared along the relay chain — see floodState), so
-	// the nodes skip their own per-origin windows. Observably identical,
-	// and one bit probe replaces a map access per TC delivery.
-	cfg.ExternalDupSuppression = true
 	nw := &Network{
 		Engine:  &des.Queue{},
 		Phys:    phys,
@@ -344,9 +338,9 @@ type frameHead struct {
 // over receiver indices recording who has already been handed this (origin,
 // seq) message. The simulator owns exactly one per flood, shared by every
 // relayed frame of that flood and released to the pool when the last frame
-// drains — replacing N per-node duplicate tables (one map probe plus a
-// window scan per delivery) with a single bit probe. The protocol nodes run
-// with Config.ExternalDupSuppression and skip their own window entirely.
+// drains: this is how it keeps olsr.Node's contract that the host hands
+// each flooded message to a node at most once, at one bit probe per
+// delivery.
 //
 // On a medium of variable latency a frame sent later can land first, so a
 // receiver's bit is set when a frame lands there. On the ideal medium every
@@ -357,13 +351,12 @@ type frameHead struct {
 // filtered count as DupSuppressed when it fires, and it stays one event even
 // when it carries none, so events and counters agree at every event boundary.
 //
-// The replacement is observably identical to the per-node windows: a
-// suppressed delivery used to return before touching any state a later
-// handler could see, a flood's frames outlive every in-flight duplicate of
-// it (frames hold the state refcounted), and an (origin, seq) pair never
-// recurs within a duplicate window's lifetime (sequence wrap takes orders of
-// magnitude longer than the hold time). The origin's own bit starts unset,
-// exactly like its duplicate window before its own message loops back.
+// One set per flood suppresses what an (origin, seq) window would: a
+// flood's frames outlive every in-flight duplicate of it (frames hold the
+// state refcounted), and an (origin, seq) pair never recurs within a hold
+// time (sequence wrap takes orders of magnitude longer). The origin's own
+// bit starts unset, so its own message looping back is handed to it once,
+// as the daemon's window hands it.
 type floodState struct {
 	visited []uint64
 	refs    int32

@@ -62,7 +62,6 @@ func (nw *Network) Instrument(reg *obs.Registry) {
 	reg.CounterFunc("qolsr_olsr_adv_shared_total", "advertised-set builds served from the shared-topology intern table", func() uint64 { return nw.RebuildTotals().AdvShared })
 	reg.CounterFunc("qolsr_olsr_selections_total", "MPR/ANS selection runs on a rebuilt local view", func() uint64 { return nw.RebuildTotals().Selections })
 	reg.CounterFunc("qolsr_olsr_spf_total", "routing tables computed, one full shortest-path solve each", func() uint64 { return nw.RebuildTotals().SPFFull }, obs.Label{Key: "kind", Value: "full"})
-	reg.CounterFunc("qolsr_olsr_dup_hits_total", "duplicate-window hits inside the protocol nodes", func() uint64 { return nw.RebuildTotals().DupHits })
 	reg.CounterFunc("qolsr_olsr_delta_resyncs_total", "delta-TC chain breaks forcing a full-TC resync", func() uint64 { return nw.RebuildTotals().DeltaResyncs })
 	reg.GaugeFunc("qolsr_olsr_intern_hit_rate", "shared-topology intern hit rate", func() float64 { return nw.RebuildTotals().EpochHitRate() })
 

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"qolsr/internal/graph"
 	"qolsr/internal/metric"
 	"qolsr/internal/obs"
 	"qolsr/internal/olsr"
@@ -91,6 +92,42 @@ func TestTracedPacketOverLossyMedium(t *testing.T) {
 		if e.Phase != "X" {
 			t.Errorf("hop event phase %q, want X", e.Phase)
 		}
+	}
+}
+
+// TestMediumCountsDataHops: on either medium a data packet's every hop is
+// one planned frame with one reception, the ideal medium's inline plan
+// included. The packet flies between control emissions, which the window
+// check makes sure of.
+func TestMediumCountsDataHops(t *testing.T) {
+	for _, m := range []Medium{NewIdealMedium(0), NewLossyMedium(LossyConfig{Seed: 1})} {
+		t.Run(m.Name(), func(t *testing.T) {
+			g := graph.New(4)
+			for i := int32(0); i < 3; i++ {
+				if err := g.SetWeight("bandwidth", mustAddEdge(g, i, i+1), 5); err != nil {
+					t.Fatal(err)
+				}
+			}
+			nw, err := NewNetwork(g, olsr.DefaultConfig(metric.Bandwidth()), NetworkOptions{Seed: 3, Medium: m})
+			if err != nil {
+				t.Fatal(err)
+			}
+			nw.Start()
+			nw.Run(20 * time.Second)
+			ctrl := func() uint64 { return nw.Stats.HelloMessages + nw.Stats.TCMessages }
+			c0, s0 := ctrl(), m.(mediumStats).Stats()
+			hops := 0
+			nw.sendData(0, 3, func(_ bool, h int, _ time.Duration) { hops = h })
+			nw.Run(nw.Engine.Now() + 4*nw.HopDelayBound())
+			s := m.(mediumStats).Stats()
+			if ctrl() != c0 {
+				t.Fatal("a control frame fell into the packet's window")
+			}
+			if hops != 3 || s.FramesPlanned-s0.FramesPlanned != 3 || s.Receptions-s0.Receptions != 3 {
+				t.Fatalf("%d hops: %d frames planned, %d receptions; want 3 each",
+					hops, s.FramesPlanned-s0.FramesPlanned, s.Receptions-s0.Receptions)
+			}
+		})
 	}
 }
 

@@ -44,7 +44,6 @@ func (nw *Network) RebuildTotals() olsr.RebuildStats {
 		t.AdvChange += s.AdvChange
 		t.Selections += s.Selections
 		t.SPFFull += s.SPFFull
-		t.DupHits += s.DupHits
 		t.DeltaResyncs += s.DeltaResyncs
 	}
 	return t

@@ -4,7 +4,6 @@ import (
 	"math"
 	"time"
 
-	"qolsr/internal/graph"
 	"qolsr/internal/metric"
 	"qolsr/internal/olsr"
 	"qolsr/internal/sim"
@@ -79,9 +78,8 @@ func (g *Gate) Decide(src, dst int32, req Requirements) Decision {
 
 	oracleBW, _ := nw.Phys.Weights(bandwidthChannel)
 
-	// Walk the forwarding path. Mirrors the data plane's per-hop checks
-	// (sim.Network.SendDataTraced): a next hop must exist in the table, be a live
-	// physical link, and make progress within the TTL.
+	// Walk the forwarding path by the data plane's per-hop rule
+	// (sim.Network.NextHop), within the TTL.
 	at := src
 	reached := false
 	for ttl := sim.DefaultDataTTL; ttl > 0 && !reached; ttl-- {
@@ -89,19 +87,13 @@ func (g *Gate) Decide(src, dst int32, req Requirements) Decision {
 		if err != nil {
 			break
 		}
-		entry, ok := routes.Lookup(int64(nw.Phys.ID(dst)))
-		if !ok {
-			break
-		}
 		if at == src {
-			dec.PathValue = entry.Value
+			if entry, ok := routes.Lookup(int64(nw.Phys.ID(dst))); ok {
+				dec.PathValue = entry.Value
+			}
 		}
-		next := nw.Phys.IndexOf(graph.NodeID(entry.NextHop))
-		if next < 0 {
-			break
-		}
-		e, exists := nw.Phys.EdgeBetween(at, next)
-		if !exists || !nw.LinkUp(at, next) {
+		next, e, ok := nw.NextHop(at, dst, routes)
+		if !ok {
 			break
 		}
 		if oracleBW != nil && oracleBW[e] < dec.PathBandwidth {

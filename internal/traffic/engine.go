@@ -8,6 +8,7 @@ import (
 	"qolsr/internal/obs"
 	"qolsr/internal/rng"
 	"qolsr/internal/sim"
+	"qolsr/internal/stats"
 )
 
 // Counters are the engine's cumulative packet totals, cheap to snapshot —
@@ -71,8 +72,8 @@ func (fs *flowState) Fire(now time.Duration) {
 // per-flow accounting. The engine schedules everything on the network's
 // own event engine; the caller advances virtual time with Network.Run.
 //
-// The packet counters are current after every event. The delay, hop and
-// jitter distributions are folded in batches of delivered packets, on a
+// The packet counters are current after every event. The delay and jitter
+// distributions are folded in batches of delivered packets, on a
 // worker goroutine when a second P can run one; Report and the lazy
 // violation collectors flush the fold before they read them.
 type Engine struct {
@@ -133,6 +134,7 @@ func (e *Engine) Add(f Flow) error {
 		return fmt.Errorf("traffic: flow %d needs positive rate and packet size >= %d", f.ID, MinPacketBytes)
 	}
 	fs := &flowState{Flow: f, eng: e, accum: newAccum()}
+	fs.d.p50 = stats.NewQuantile(0.50)
 	fs.src = newSource(e.base, f)
 	e.flows = append(e.flows, fs)
 	if _, ok := e.classAcc[f.Class]; !ok {
@@ -243,8 +245,9 @@ func (e *Engine) emit(fs *flowState) {
 
 // PacketDone implements sim.DataSink: one packet of the cookie's flow
 // finished (delivered or dropped). The counters take it at once; a
-// delivery joins the batch that the fold applies to the distributions.
-func (e *Engine) PacketDone(cookie uint64, delivered bool, hops int, latency time.Duration) {
+// delivery joins the batch that the fold applies to the distributions. The
+// hop count is not kept: no report carries it.
+func (e *Engine) PacketDone(cookie uint64, delivered bool, _ int, latency time.Duration) {
 	fs := e.flows[cookie>>32]
 	size := uint64(uint32(cookie))
 	cls := fs.cls
@@ -260,7 +263,7 @@ func (e *Engine) PacketDone(cookie uint64, delivered bool, hops int, latency tim
 	cls.bytesDelivered += size
 	e.counters.Delivered++
 	e.counters.BytesDelivered += size
-	e.batch = append(e.batch, delivery{flow: fs.d, cls: cls.d, latency: latency, hops: hops})
+	e.batch = append(e.batch, delivery{flow: fs.d, cls: cls.d, latency: latency})
 	if len(e.batch) == foldBatch {
 		e.handOff()
 	}

@@ -62,9 +62,6 @@ func TestEngineDeliversCBROnIdealMedium(t *testing.T) {
 	if fr.Jitter != 0 {
 		t.Errorf("jitter = %v on the ideal medium", fr.Jitter)
 	}
-	if fr.HopsMean != 3 {
-		t.Errorf("hops mean = %g, want 3", fr.HopsMean)
-	}
 	if fr.Verdict != VerdictSatisfied {
 		t.Errorf("verdict = %s, want satisfied", fr.Verdict)
 	}
@@ -160,8 +157,8 @@ func TestEngineMixedClassesOnLossyMedium(t *testing.T) {
 		t.Errorf("grand total disagrees: %+v", rep.Total)
 	}
 	// On a queued lossy radio the delay distribution must be spread out.
-	if rep.Total.DelayP99 < rep.Total.DelayP50 {
-		t.Errorf("p99 %v below p50 %v", rep.Total.DelayP99, rep.Total.DelayP50)
+	if rep.Total.DelayP99 <= rep.Total.DelayMean {
+		t.Errorf("p99 %v not above the mean %v", rep.Total.DelayP99, rep.Total.DelayMean)
 	}
 	if rep.Total.Jitter <= 0 {
 		t.Errorf("zero jitter on a jittery medium")

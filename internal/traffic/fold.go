@@ -12,8 +12,8 @@ import (
 // workload (2.46 M deliveries a rep, 2-vCPU Xeon): at 256 and 1,024 every
 // wake-up of the worker costs CPU on both cores, and 1,024 took 0.14 s more
 // wall and 0.13 s more CPU a rep than 4,096; 8,192 measured as 4,096 does,
-// and 16,384 bought nothing for 1.5 MB more peak RSS. Two batches of 32-byte
-// deliveries are 256 KiB an engine.
+// and 16,384 bought nothing for 1.5 MB more peak RSS. Two batches of 24-byte
+// deliveries are 192 KiB an engine.
 const foldBatch = 4096
 
 // dist is one traffic population's delivered-packet distribution — the
@@ -22,9 +22,11 @@ const foldBatch = 4096
 // apart from the producer's counters (accum), so the two cores never write
 // the same cache lines.
 type dist struct {
-	hops          stats.Accumulator
-	delay         stats.Accumulator
-	p50, p95, p99 *stats.Quantile
+	delay    stats.Accumulator
+	p95, p99 *stats.Quantile
+	// p50 is kept for flows only (nil in class and total distributions):
+	// the flow records are the only reports that carry a median.
+	p50 *stats.Quantile
 	// jitter is the inter-packet delay variation. A flow measures it
 	// against its own previous delivery (lastDelay); its class and the
 	// total fold the flow's differences.
@@ -35,17 +37,14 @@ type dist struct {
 
 func newDist() *dist {
 	return &dist{
-		p50: stats.NewQuantile(0.50),
 		p95: stats.NewQuantile(0.95),
 		p99: stats.NewQuantile(0.99),
 	}
 }
 
-// add folds one delivered packet's hop count and delay.
-func (d *dist) add(hops, secs float64) {
-	d.hops.Add(hops)
+// add folds one delivered packet's delay.
+func (d *dist) add(secs float64) {
 	d.delay.Add(secs)
-	d.p50.Add(secs)
 	d.p95.Add(secs)
 	d.p99.Add(secs)
 }
@@ -54,7 +53,6 @@ func (d *dist) add(hops, secs float64) {
 type delivery struct {
 	flow, cls *dist
 	latency   time.Duration
-	hops      int
 }
 
 // fold applies a batch of deliveries in order to the flow, class and total
@@ -64,10 +62,11 @@ type delivery struct {
 func fold(total *dist, batch []delivery) {
 	for i := range batch {
 		p := &batch[i]
-		hops, secs := float64(p.hops), p.latency.Seconds()
-		p.flow.add(hops, secs)
-		p.cls.add(hops, secs)
-		total.add(hops, secs)
+		secs := p.latency.Seconds()
+		p.flow.add(secs)
+		p.flow.p50.Add(secs)
+		p.cls.add(secs)
+		total.add(secs)
 		if fl := p.flow; fl.hasLast {
 			diff := p.latency - fl.lastDelay
 			if diff < 0 {

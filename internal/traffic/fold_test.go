@@ -77,7 +77,7 @@ func (fx *foldFixture) drive(n int) {
 		hops := 1 + fx.rng.Intn(6)
 		latency := fx.slow + time.Duration(k)*4*time.Millisecond + time.Duration(fx.rng.Int63n(int64(40*time.Millisecond)))
 		fx.eng.PacketDone(cookie, true, hops, latency)
-		fx.ref.deliver(k, size, hops, latency)
+		fx.ref.deliver(k, size, latency)
 		n--
 	}
 }
@@ -106,8 +106,8 @@ func (fx *foldFixture) check(t *testing.T, when string) {
 
 // refDist is one population's distribution on plain stats types.
 type refDist struct {
-	hops, delay, jitter stats.Accumulator
-	p50, p95, p99       *stats.Quantile
+	delay, jitter stats.Accumulator
+	p50, p95, p99 *stats.Quantile
 }
 
 func newRefDist() *refDist {
@@ -144,13 +144,12 @@ func newRefAccounting(e *Engine) *refAccounting {
 	return r
 }
 
-func (r *refAccounting) deliver(k int, size uint64, hops int, latency time.Duration) {
+func (r *refAccounting) deliver(k int, size uint64, latency time.Duration) {
 	f := r.flows[k]
 	f.delivered++
 	f.bytes += size
 	pops := []*refDist{f.d, r.byClass[f.Class], r.total}
 	for _, d := range pops {
-		d.hops.Add(float64(hops))
 		d.delay.Add(latency.Seconds())
 		d.p50.Add(latency.Seconds())
 		d.p95.Add(latency.Seconds())
@@ -200,13 +199,9 @@ func fillRef(c *ClassReport, d *refDist) {
 		c.Delivery = float64(c.Delivered) / float64(c.Sent)
 	}
 	c.DelayMean = secsDur(d.delay.Mean())
-	c.DelayP50 = secsDur(d.p50.Value())
 	c.DelayP95 = secsDur(d.p95.Value())
 	c.DelayP99 = secsDur(d.p99.Value())
 	c.Jitter = secsDur(d.jitter.Mean())
-	if d.hops.N() > 0 {
-		c.HopsMean = d.hops.Mean()
-	}
 }
 
 // report is the Report every flow being admitted implies.
@@ -231,9 +226,6 @@ func (r *refAccounting) report() *Report {
 		fr.DelayP95 = secsDur(f.d.p95.Value())
 		fr.DelayP99 = secsDur(f.d.p99.Value())
 		fr.Jitter = secsDur(f.d.jitter.Mean())
-		if f.d.hops.N() > 0 {
-			fr.HopsMean = f.d.hops.Mean()
-		}
 		violated := f.violated()
 		if violated {
 			fr.Verdict = VerdictViolated

@@ -51,7 +51,6 @@ type FlowReport struct {
 	DelayP95   time.Duration
 	DelayP99   time.Duration
 	Jitter     time.Duration // mean inter-packet delay variation
-	HopsMean   float64
 }
 
 // ClassReport aggregates one flow class (or the whole mix, Class "all").
@@ -65,11 +64,11 @@ type ClassReport struct {
 	// Throughput is the class's aggregate delivered rate (sum over
 	// flows), in bytes per virtual second.
 	Throughput float64
-	// Delay quantiles over every delivered packet of the class.
-	DelayMean, DelayP50, DelayP95, DelayP99 time.Duration
+	// Delay mean and tail quantiles over every delivered packet of the
+	// class.
+	DelayMean, DelayP95, DelayP99 time.Duration
 	// Jitter is the mean inter-packet delay variation over the class.
-	Jitter   time.Duration
-	HopsMean float64
+	Jitter time.Duration
 }
 
 // ViolationRatio is violated / admitted — the fraction of admitted flows
@@ -163,9 +162,6 @@ func (e *Engine) Report() *Report {
 		fr.DelayP95 = secsDur(fs.d.p95.Value())
 		fr.DelayP99 = secsDur(fs.d.p99.Value())
 		fr.Jitter = secsDur(fs.d.jitter.Mean())
-		if fs.d.hops.N() > 0 {
-			fr.HopsMean = fs.d.hops.Mean()
-		}
 
 		cls := classOf[fs.Class]
 		cls.Flows++
@@ -225,11 +221,7 @@ func fillClassStats(cls *ClassReport, d *dist) {
 		cls.Delivery = float64(cls.Delivered) / float64(cls.Sent)
 	}
 	cls.DelayMean = secsDur(d.delay.Mean())
-	cls.DelayP50 = secsDur(d.p50.Value())
 	cls.DelayP95 = secsDur(d.p95.Value())
 	cls.DelayP99 = secsDur(d.p99.Value())
 	cls.Jitter = secsDur(d.jitter.Mean())
-	if d.hops.N() > 0 {
-		cls.HopsMean = d.hops.Mean()
-	}
 }

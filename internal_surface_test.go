@@ -33,7 +33,7 @@ func TestInternalSurface(t *testing.T) {
 		"rng":      8,
 		"route":    15,
 		"scenario": 52,
-		"sim":      58,
+		"sim":      59,
 		"stats":    17,
 		"traffic":  43,
 	}
