@@ -456,15 +456,20 @@ func (d *Daemon) handleControl(p *peerState, payload []byte, now time.Duration) 
 		}
 		d.node.HandleHello(h, now)
 	case olsr.MsgTC:
+		// A duplicate is counted and dropped undecoded. A key is recorded only
+		// once its copy decodes: a malformed copy cannot shadow a valid one.
+		origin, seq, err := olsr.PeekTC(payload)
+		if err == nil && d.dups.seen(origin, seq, now) {
+			d.metrics.tcsIn.Inc()
+			return
+		}
 		tc, err := olsr.UnmarshalTC(payload)
 		if err != nil {
 			d.metrics.decodeErrors.Inc()
 			return
 		}
 		d.metrics.tcsIn.Inc()
-		if d.dups.seen(tc.Origin, tc.Seq, now) {
-			return
-		}
+		d.dups.until[dupKey{origin, seq}] = now + d.dups.hold
 		if d.node.HandleTC(tc, p.id, now) {
 			// RFC 3626 forwarding: the sender selected us as MPR —
 			// re-flood the TC to our whole neighborhood, once.
@@ -493,20 +498,15 @@ type dupKey struct {
 	seq    uint16
 }
 
-// seen reports whether (origin, seq) was handed over within the hold time,
-// and records it when it was not. A node's own TC looping back is handed
-// over once, like any other.
+// seen reports whether (origin, seq) was handed over within the hold time;
+// the host records a key it hands over. A node's own TC looping back is
+// handed over once, like any other.
 func (w *dupWindow) seen(origin int64, seq uint16, now time.Duration) bool {
 	if now >= w.sweepAt {
 		maps.DeleteFunc(w.until, func(_ dupKey, t time.Duration) bool { return t <= now })
 		w.sweepAt = now + w.hold
 	}
-	k := dupKey{origin, seq}
-	if w.until[k] > now {
-		return true
-	}
-	w.until[k] = now + w.hold
-	return false
+	return w.until[dupKey{origin, seq}] > now
 }
 
 // handleData delivers one received data frame or forwards it in place: the

@@ -355,6 +355,46 @@ func TestDaemonDupWindow(t *testing.T) {
 	}
 }
 
+// TestDuplicateTCSkipsDecode: a TC the daemon already handed its node is
+// counted and dropped off its fixed header, so taking the copy again
+// allocates nothing.
+func TestDuplicateTCSkipsDecode(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector adds allocations")
+	}
+	mid := newChain(t, 3, nil).daemons[1]
+	payload := olsr.MarshalTC(&olsr.TC{Origin: 7, Seq: 40, ANSN: 1, Links: []olsr.LinkInfo{{Neighbor: 1, Weight: 2}}})
+	now := mid.now()
+	mid.handleControl(mid.peers[1], payload, now)
+	in0 := mid.metrics.tcsIn.Value()
+	if allocs := testing.AllocsPerRun(100, func() { mid.handleControl(mid.peers[3], payload, now) }); allocs != 0 {
+		t.Errorf("a duplicate TC allocates %v times, want 0", allocs)
+	}
+	if in := mid.metrics.tcsIn.Value() - in0; in < 100 {
+		t.Errorf("%d duplicates counted in tcs_in, want every one", in)
+	}
+}
+
+// TestMalformedTCCannotShadow: a copy whose fixed header names (origin, seq)
+// but whose body does not decode records no key, so the valid copy after it
+// is ingested, once.
+func TestMalformedTCCannotShadow(t *testing.T) {
+	mid := newChain(t, 3, nil).daemons[1]
+	ingested := func() uint64 {
+		s := mid.node.RebuildStats()
+		return s.AdvRefresh + s.AdvChange
+	}
+	payload := olsr.MarshalTC(&olsr.TC{Origin: 7, Seq: 40, ANSN: 1, Links: []olsr.LinkInfo{{Neighbor: 1, Weight: 2}}})
+	now, ing0, bad0 := mid.now(), ingested(), mid.metrics.decodeErrors.Value()
+	mid.handleControl(mid.peers[1], payload[:len(payload)-1], now)
+	for _, from := range []int64{1, 3} {
+		mid.handleControl(mid.peers[from], payload, now)
+	}
+	if ing, bad := ingested()-ing0, mid.metrics.decodeErrors.Value()-bad0; ing != 1 || bad != 1 {
+		t.Fatalf("a truncated copy, then two valid ones: %d ingested, %d decode errors; want 1, 1", ing, bad)
+	}
+}
+
 // TestDupWindowBounded feeds the window TCs from ever-new origins: it holds
 // the sightings of the last two holds, not of every origin ever heard, and
 // drains to the one fresh key after silence.
@@ -366,11 +406,17 @@ func TestDupWindowBounded(t *testing.T) {
 	)
 	w := dupWindow{hold: hold, until: make(map[dupKey]time.Duration)}
 	now := time.Duration(0)
+	// handOver is what handleControl does with a copy that decodes.
+	handOver := func(origin int64, seq uint16) bool {
+		dup := w.seen(origin, seq, now)
+		w.until[dupKey{origin, seq}] = now + hold
+		return dup
+	}
 	for i := 0; i < 100_000; i++ {
 		if i%perSecond == 0 {
 			now += time.Second
 		}
-		if w.seen(int64(1_000_000+i), uint16(i), now) {
+		if handOver(int64(1_000_000+i), uint16(i)) {
 			t.Fatalf("origin %d: first sighting reported as a duplicate", i)
 		}
 		if len(w.until) > 2*window+perSecond {
@@ -378,7 +424,7 @@ func TestDupWindowBounded(t *testing.T) {
 		}
 	}
 	now += hold
-	w.seen(5, 1, now)
+	handOver(5, 1)
 	if len(w.until) != 1 {
 		t.Fatalf("after silence: %d keys, want the one fresh origin", len(w.until))
 	}

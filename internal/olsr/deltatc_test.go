@@ -75,7 +75,7 @@ func TestGenerateTCUpdateDeltaChain(t *testing.T) {
 	if got, _ := advWeight(linksOf(r, 1), 2); got != 6 {
 		t.Fatalf("receiver link weight = %v after delta, want 6", got)
 	}
-	if !rowOf(r, 1).synced() || rowOf(r, 1).chain != 2 {
+	if !rowOf(r, 1).synced || rowOf(r, 1).chain != 2 {
 		t.Fatalf("receiver chain state = %+v", rowOf(r, 1))
 	}
 
@@ -122,7 +122,7 @@ func TestGenerateTCReanchorsDeltaChain(t *testing.T) {
 	if got := r.RebuildStats().DeltaResyncs; got != 0 {
 		t.Fatalf("receiver desynchronised %d times on the delta after a forced full", got)
 	}
-	if row := rowOf(r, 1); !row.synced() || row.chain != 1 {
+	if row := rowOf(r, 1); !row.synced || row.chain != 1 {
 		t.Fatalf("receiver chain state = %+v, want synced at index 1", row)
 	}
 }
@@ -174,16 +174,19 @@ func TestClassicEmissionIsUpdateEmission(t *testing.T) {
 	}
 }
 
-// rowOf returns the topology row n holds about origin (nil when none).
-func rowOf(n *Node, origin int64) *topoRow {
-	_, r := n.store.row(n.member, origin)
-	return r
+// rowOf returns the state n's topology row about origin holds (nil when
+// there is no row).
+func rowOf(n *Node, origin int64) *topoState {
+	if b, r := n.store.row(n.member, origin); r != nil {
+		return b.state(*r)
+	}
+	return nil
 }
 
 // linksOf returns the advertised set n holds about origin (nil when none).
 func linksOf(n *Node, origin int64) []LinkInfo {
-	if b, r := n.store.row(n.member, origin); r != nil {
-		return b.links(r)
+	if row := rowOf(n, origin); row != nil {
+		return row.adv
 	}
 	return nil
 }
@@ -211,7 +214,7 @@ func TestHandleTCDeltaResyncOnGap(t *testing.T) {
 	}
 	r.HandleTCDelta(d2, 1, now)
 	cur := rowOf(r, 1)
-	if cur.synced() {
+	if cur.synced {
 		t.Fatal("receiver still synced across a chain gap")
 	}
 	if w, _ := advWeight(linksOf(r, 1), 2); w != 5 {
@@ -222,7 +225,7 @@ func TestHandleTCDeltaResyncOnGap(t *testing.T) {
 	now += 100 * time.Millisecond
 	_, d3, _ := a.GenerateTCUpdate(now)
 	r.HandleTCDelta(d3, 1, now)
-	if rowOf(r, 1).synced() {
+	if rowOf(r, 1).synced {
 		t.Fatal("delta applied while desynchronised")
 	}
 	now += 100 * time.Millisecond
@@ -232,7 +235,7 @@ func TestHandleTCDeltaResyncOnGap(t *testing.T) {
 	}
 	r.HandleTC(f, 1, now)
 	cur = rowOf(r, 1)
-	if w, _ := advWeight(linksOf(r, 1), 2); !cur.synced() || w != 7 {
+	if w, _ := advWeight(linksOf(r, 1), 2); !cur.synced || w != 7 {
 		t.Fatalf("full did not resync: %+v", cur)
 	}
 }

@@ -428,7 +428,7 @@ func TestTopoLinksCounted(t *testing.T) {
 		}
 		n.expire(now)
 		held := 0
-		n.store.each(n.member, func(_ int64, _ *topoRow, adv []LinkInfo) { held += len(adv) })
+		n.store.each(n.member, func(_ int64, b *topoBlock, r *topoRow) { held += len(b.state(*r).adv) })
 		if n.topoLinks != held {
 			t.Fatalf("step %d: topoLinks %d, rows hold %d links", step, n.topoLinks, held)
 		}

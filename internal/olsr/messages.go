@@ -145,6 +145,19 @@ func readLinks(buf []byte, what string) (links []LinkInfo, rest []byte, err erro
 	return links, buf, nil
 }
 
+// readHeader checks that buf holds at least size bytes of a message of type t
+// (named what in errors) and returns the origin and seq every message opens
+// with.
+func readHeader(buf []byte, t MsgType, size int, what string) (origin int64, seq uint16, err error) {
+	if len(buf) < size {
+		return 0, 0, fmt.Errorf("olsr: %s too short (%d bytes)", what, len(buf))
+	}
+	if MsgType(buf[0]) != t {
+		return 0, 0, fmt.Errorf("olsr: not a %s (type %d)", what, buf[0])
+	}
+	return int64(binary.BigEndian.Uint64(buf[1:9])), binary.BigEndian.Uint16(buf[9:11]), nil
+}
+
 // appendIDs encodes a counted identifier list: count(2), then 8 bytes each.
 func appendIDs(buf []byte, ids []int64) []byte {
 	buf = binary.BigEndian.AppendUint16(buf, uint16(len(ids)))
@@ -200,17 +213,11 @@ func MarshalHello(h *Hello) []byte {
 
 // UnmarshalHello decodes a HELLO produced by MarshalHello.
 func UnmarshalHello(buf []byte) (*Hello, error) {
-	if len(buf) < headerLen {
-		return nil, fmt.Errorf("olsr: hello too short (%d bytes)", len(buf))
+	origin, seq, err := readHeader(buf, MsgHello, headerLen, "hello")
+	if err != nil {
+		return nil, err
 	}
-	if MsgType(buf[0]) != MsgHello {
-		return nil, fmt.Errorf("olsr: not a hello (type %d)", buf[0])
-	}
-	h := &Hello{
-		Origin: int64(binary.BigEndian.Uint64(buf[1:9])),
-		Seq:    binary.BigEndian.Uint16(buf[9:11]),
-	}
-	var err error
+	h := &Hello{Origin: origin, Seq: seq}
 	if h.Links, buf, err = readLinks(buf[11:], "hello link"); err != nil {
 		return nil, err
 	}
@@ -248,20 +255,19 @@ func MarshalTC(t *TC) []byte {
 	return appendLinks(buf, t.Links)
 }
 
+// PeekTC reads an encoded TC's origin and flooding sequence number off its
+// fixed header, decoding nothing else.
+func PeekTC(buf []byte) (origin int64, seq uint16, err error) {
+	return readHeader(buf, MsgTC, headerLen+2, "tc")
+}
+
 // UnmarshalTC decodes a TC produced by MarshalTC.
 func UnmarshalTC(buf []byte) (*TC, error) {
-	if len(buf) < headerLen+2 {
-		return nil, fmt.Errorf("olsr: tc too short (%d bytes)", len(buf))
+	origin, seq, err := PeekTC(buf)
+	if err != nil {
+		return nil, err
 	}
-	if MsgType(buf[0]) != MsgTC {
-		return nil, fmt.Errorf("olsr: not a tc (type %d)", buf[0])
-	}
-	t := &TC{
-		Origin: int64(binary.BigEndian.Uint64(buf[1:9])),
-		Seq:    binary.BigEndian.Uint16(buf[9:11]),
-		ANSN:   binary.BigEndian.Uint16(buf[11:13]),
-	}
-	var err error
+	t := &TC{Origin: origin, Seq: seq, ANSN: binary.BigEndian.Uint16(buf[11:13])}
 	if t.Links, buf, err = readLinks(buf[13:], "tc link"); err != nil {
 		return nil, err
 	}
@@ -323,15 +329,13 @@ func MarshalTCDelta(d *TCDelta) []byte {
 // UnmarshalTCDelta decodes a TC delta produced by MarshalTCDelta.
 func UnmarshalTCDelta(buf []byte) (*TCDelta, error) {
 	const fixed = 1 + 8 + 2 + 2 + 2 + 2 // type origin seq ansn fullseq index
-	if len(buf) < fixed+2+2 {
-		return nil, fmt.Errorf("olsr: tc delta too short (%d bytes)", len(buf))
-	}
-	if MsgType(buf[0]) != MsgTCDelta {
-		return nil, fmt.Errorf("olsr: not a tc delta (type %d)", buf[0])
+	origin, seq, err := readHeader(buf, MsgTCDelta, fixed+2+2, "tc delta")
+	if err != nil {
+		return nil, err
 	}
 	d := &TCDelta{
-		Origin:  int64(binary.BigEndian.Uint64(buf[1:9])),
-		Seq:     binary.BigEndian.Uint16(buf[9:11]),
+		Origin:  origin,
+		Seq:     seq,
 		ANSN:    binary.BigEndian.Uint16(buf[11:13]),
 		FullSeq: binary.BigEndian.Uint16(buf[13:15]),
 		Index:   binary.BigEndian.Uint16(buf[15:17]),
@@ -342,7 +346,6 @@ func UnmarshalTCDelta(buf []byte) (*TCDelta, error) {
 		// chain base instead).
 		return nil, fmt.Errorf("olsr: tc delta with zero chain index")
 	}
-	var err error
 	if d.Add, buf, err = readLinks(buf[fixed:], "tc delta add"); err != nil {
 		return nil, err
 	}

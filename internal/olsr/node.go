@@ -476,13 +476,13 @@ func (n *Node) expireNeighborhood(now time.Duration) {
 func (n *Node) expireTopology(now time.Duration) {
 	next := noExpiry
 	if n.topoRows > 0 {
-		n.store.each(n.member, func(_ int64, t *topoRow, adv []LinkInfo) {
-			if t.expires <= now {
-				n.topoRows, n.topoLinks = n.topoRows-1, n.topoLinks-len(adv)
-				t.expires = 0
+		n.store.each(n.member, func(_ int64, b *topoBlock, r *topoRow) {
+			if d := b.deadline(*r); d <= now {
+				n.topoRows, n.topoLinks = n.topoRows-1, n.topoLinks-len(b.state(*r).adv)
+				b.release(r)
 				n.topoVersion++
-			} else if t.expires < next {
-				next = t.expires
+			} else if d < next {
+				next = d
 			}
 		})
 	}
@@ -718,50 +718,39 @@ func diffAdv(old, cur []LinkInfo) (add []LinkInfo, del []int64) {
 // full and delta draw Seq from the origin's one counter). The content
 // applies only when this node is synchronised on the origin's chain,
 // holding the state at exactly (FullSeq, Index-1); on any gap the message
-// still floods, but the receiver marks the origin desynchronised and waits
-// for the next full TC to rebase. The stale entry is kept meanwhile — it remains the best known
-// state until rebased or expired.
+// still floods, but the receiver marks the origin desynchronised and keeps
+// its state, the best known, until the next full TC rebases it or it expires.
 func (n *Node) HandleTCDelta(d *TCDelta, sender int64, now time.Duration) (forward bool) {
 	n.expire(now)
 	n.store.tick(now)
-	if d.Origin != n.ID {
-		n.applyTCDelta(d, now)
+	// A node holds no row about itself, so its own deltas find none.
+	b, r := n.store.row(n.member, d.Origin)
+	if r == nil || !b.state(*r).synced {
+		return n.selectors.has(sender)
+	}
+	if st := *b.state(*r); st.fullSeq == d.FullSeq && d.Index == st.chain+1 {
+		st.chain, st.ansn = d.Index, d.ANSN
+		if len(d.Add) != 0 || len(d.Del) != 0 { // the steady-state keepalive only refreshes
+			old := st.adv
+			st.adv = b.applyDelta(old, d)
+			n.account(old, st.adv)
+		}
+		n.refreshRow(b, r, &st, now)
+	} else if st.fullSeq != d.FullSeq || d.Index > st.chain {
+		// A gap desynchronises the row, its deadline kept; a delta at or
+		// below the applied chain position is a stale reordering.
+		st.synced = false
+		b.put(r, &st, b.deadline(*r))
+		n.stats.DeltaResyncs++
 	}
 	return n.selectors.has(sender)
 }
 
-// applyTCDelta merges an in-chain delta into the origin's topology row, or
-// flags the row desynchronised on a chain gap.
-func (n *Node) applyTCDelta(d *TCDelta, now time.Duration) {
-	b, cur := n.store.row(n.member, d.Origin)
-	if cur == nil || !cur.synced() {
-		return
-	}
-	if cur.fullSeq != d.FullSeq || d.Index != cur.chain+1 {
-		// A gap desynchronises the row; a delta at or below the applied
-		// chain position is a stale reordering, not a desync.
-		if cur.fullSeq != d.FullSeq || d.Index > cur.chain {
-			cur.ver &^= syncedBit
-			n.stats.DeltaResyncs++
-		}
-		return
-	}
-	cur.chain, cur.ansn = d.Index, d.ANSN
-	n.refreshRow(cur, now)
-	if len(d.Add) == 0 && len(d.Del) == 0 {
-		// The steady-state keepalive: refresh in place, no rebuild and no
-		// cache invalidation.
-		return
-	}
-	old := b.links(cur)
-	n.setTopo(b, cur, old, b.applyDelta(old, d))
-}
-
-// refreshRow extends a topology row's validity by the hold time, keeping the
+// refreshRow makes row r of block b hold st for the hold time, keeping the
 // node's watermark covering it.
-func (n *Node) refreshRow(r *topoRow, now time.Duration) {
-	r.expires = now + n.cfg.TopologyHoldTime
-	n.topoExpiry = min(n.topoExpiry, r.expires)
+func (n *Node) refreshRow(b *topoBlock, r *topoRow, st *topoState, now time.Duration) {
+	b.put(r, st, now+n.cfg.TopologyHoldTime)
+	n.topoExpiry = min(n.topoExpiry, now+n.cfg.TopologyHoldTime)
 }
 
 // HandleTC ingests a flooded TC received from the direct neighbor sender
@@ -779,35 +768,37 @@ func (n *Node) HandleTC(t *TC, sender int64, now time.Duration) (forward bool) {
 	if t.Origin == n.ID {
 		return n.selectors.has(sender)
 	}
-	b, cur := n.store.row(n.member, t.Origin)
+	// A full TC is always a valid chain anchor.
+	st := topoState{ansn: t.ANSN, fullSeq: t.Seq, synced: true}
+	b, r := n.store.row(n.member, t.Origin)
 	switch {
-	case cur == nil:
-		b, cur = n.store.claim(n.member, t.Origin)
+	case r == nil:
+		b, r = n.store.claim(n.member, t.Origin)
 		n.topoRows++
-		n.setTopo(b, cur, nil, normalizeAdv(t.Links))
-	case ansnNewer(cur.ansn, t.ANSN):
+		st.adv = normalizeAdv(t.Links)
+		n.account(nil, st.adv)
+	case ansnNewer(b.state(*r).ansn, t.ANSN):
 		// Stale (an ANSN regression within the validity window): ignore.
 		return n.selectors.has(sender)
-	case sameAdv(b.links(cur), t.Links):
+	case sameAdv(b.state(*r).adv, t.Links):
 		// The steady-state TC re-advertises an unchanged link block —
-		// usually the very shared slice the previous flood carried:
-		// refresh the row in place, no rebuild and no cache invalidation.
-		if sharedAdv(b.links(cur), t.Links) {
+		// usually the very shared slice the previous flood carried: the
+		// row keeps its set, with no rebuild and no cache invalidation.
+		st.adv = b.state(*r).adv
+		if sharedAdv(st.adv, t.Links) {
 			n.stats.AdvShared++
 		}
 		n.stats.AdvRefresh++
 	default:
-		n.setTopo(b, cur, b.links(cur), normalizeAdv(t.Links))
+		st.adv = normalizeAdv(t.Links)
+		n.account(b.state(*r).adv, st.adv)
 	}
-	// A full TC is always a valid chain anchor.
-	cur.ansn, cur.fullSeq, cur.chain, cur.ver = t.ANSN, t.Seq, 0, cur.ver|syncedBit
-	n.refreshRow(cur, now)
+	n.refreshRow(b, r, &st, now)
 	return n.selectors.has(sender)
 }
 
-// setTopo makes row r of block b name adv, accounting the change from old.
-func (n *Node) setTopo(b *topoBlock, r *topoRow, old, adv []LinkInfo) {
-	b.set(r, adv)
+// account records a row's set moving from old to adv.
+func (n *Node) account(old, adv []LinkInfo) {
 	n.topoLinks += len(adv) - len(old)
 	if slices.Equal(old, adv) {
 		n.stats.AdvRefresh++

@@ -162,8 +162,8 @@ func (n *Node) layoutRoutes(s *routeScratch) *graph.Graph {
 			}
 		}
 	}
-	n.store.each(n.member, func(origin int64, _ *topoRow, adv []LinkInfo) {
-		for _, l := range adv {
+	n.store.each(n.member, func(origin int64, b *topoBlock, r *topoRow) {
+		for _, l := range b.state(*r).adv {
 			stage(2, origin, l.Neighbor, l.Weight)
 		}
 	})

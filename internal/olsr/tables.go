@@ -1,5 +1,7 @@
 package olsr
 
+import "slices"
+
 // Neighbour-keyed soft state.
 //
 // Three of a node's tables are keyed by a direct neighbour: its own links,
@@ -61,19 +63,12 @@ func (t *smallTable[T]) put(id int64, v T) *T {
 	return &t.vals[i]
 }
 
-// del drops the entry for id.
+// del drops the entry for id; slices.Delete zeroes the vacated tail slot,
+// releasing what it referenced.
 func (t *smallTable[T]) del(id int64) {
-	i, ok := t.find(id)
-	if !ok {
-		return
+	if i, ok := t.find(id); ok {
+		t.keys, t.vals = slices.Delete(t.keys, i, i+1), slices.Delete(t.vals, i, i+1)
 	}
-	last := len(t.keys) - 1
-	copy(t.keys[i:], t.keys[i+1:])
-	copy(t.vals[i:], t.vals[i+1:])
-	var zero T
-	t.vals[last] = zero // release what the vacated tail slot referenced
-	t.keys = t.keys[:last]
-	t.vals = t.vals[:last]
 }
 
 // len returns the entry count.

@@ -14,11 +14,14 @@ import (
 // origins — a flood touches N scattered tables and the field holds N² small
 // heap objects. The store turns that around: the nodes of one field (NewNodes;
 // NewNode is a field of one) share a store holding one block per *origin*,
-// with one by-value row per member. A flood to N receivers walks one
-// contiguous block, a row costs 16 bytes, no heap object of its own and no
-// GC marking (the advertised sets live in a small per-block table), and a
-// block is allocated only once its origin is first heard — a node's share
-// is proportional to the origins it has actually heard from.
+// allocated once the origin is first heard, with one by-value row per member,
+// so a flood to N receivers walks one contiguous block.
+//
+// A row is one 8-byte word with no pointer, so the store's N² part is memory
+// the GC never scans: an index into its block's state table, whose entries
+// hold once what the rows that took one message would each repeat (see
+// topoState), and the row's deadline as an exact offset from the entry's
+// base. A row releases its entry when it moves to another or expires.
 //
 // Origin→slot is the identity for identifiers inside the store's dense
 // window (Config.DenseIDs, at least the field size) and one overflow map per
@@ -31,86 +34,96 @@ import (
 // that call. Its one routing scratch (routes) serves Routes the same way.
 // The host serialises every call on a field's members.
 
-// topoRow is what one member holds about one origin: the TC bookkeeping and
-// the name of the origin's advertised set in its block's table — 16 bytes
-// and no pointer, so the store's N² part is memory the GC never scans. A row
-// is present iff expires != 0; deadlines are always positive.
-type topoRow struct {
-	expires time.Duration
-	// ver is the set's name (0: the empty set) under the sync flag.
-	ver  uint16
+// topoRow is what one member holds about one origin: its entry's index in the
+// top 16 bits (0: no row) and its deadline's offset from the entry's base in
+// the low 48.
+type topoRow uint64
+
+// A block's table holds one entry per member at most, plus the reserved 0.
+const offsetBits, maxMembers = 48, 1<<15 - 1
+
+// topoState is one entry of a block's state table: what the rows naming it
+// say about the origin besides their deadlines, the instant their offsets
+// count from and how many rows name it. An entry no row names is zero and
+// reused.
+type topoState struct {
+	adv  []LinkInfo // held by identity: a row reads back the very slice it was given
 	ansn uint16
-	// Delta-chain position (DeltaTC receivers): the row holds the origin's
-	// state as of full TC fullSeq plus the first chain deltas. The sync flag
-	// is clear when a chain gap was detected — the links stay the best known
-	// state, but no further delta may apply until the next full TC rebases
-	// the chain.
-	fullSeq uint16
-	chain   uint16
+	// Delta-chain position (DeltaTC receivers): the origin's state as of
+	// full TC fullSeq plus the first chain deltas. synced is false after a
+	// chain gap: the links stay the best known state, but no delta applies
+	// until the next full TC rebases the chain.
+	fullSeq, chain uint16
+	synced         bool
+	base           time.Duration
+	refs           int32
 }
 
-// The chain index needs all 16 bits, so the sync flag takes ver's top bit.
-// A set name is then 15 bits, and a table holds one name per member at most.
-const syncedBit, maxMembers = 1 << 15, 1<<15 - 1
+// same reports whether s and o say the same, the sets by identity.
+func (s *topoState) same(o *topoState) bool {
+	return s.ansn == o.ansn && s.fullSeq == o.fullSeq && s.chain == o.chain && s.synced == o.synced &&
+		len(s.adv) == len(o.adv) && (len(s.adv) == 0 || &s.adv[0] == &o.adv[0])
+}
 
-func (r *topoRow) synced() bool { return r.ver&syncedBit != 0 }
-
-// topoBlock is one origin's rows, one per member, and the table of the sets
-// they name, deduplicated by slice identity (data pointer and length), never
-// by content: a row reads back the very slice it was given. Only handler
-// context writes the table. A member expiring its row clears the deadline
-// and leaves the name to the row's next write or the block's release.
+// topoBlock is one origin's rows, one per member, and the table of the states
+// they name. Only handler context writes either.
 type topoBlock struct {
-	rows []topoRow
-	// advs[v] is the set named v (advs[0] the empty set) and the number of
-	// rows naming it; an entry no row names is nil and reused.
-	advs []advEntry
+	rows   []topoRow
+	states []topoState // states[0] is reserved: index 0 names no row
 	// The last delta applied (held, so its address cannot name another
 	// delta), the set it was applied to and the result.
 	memo              *TCDelta
 	memoBase, memoRes []LinkInfo
 }
 
-type advEntry struct {
-	adv  []LinkInfo
-	refs int32
+// state returns the entry present row r names.
+func (b *topoBlock) state(r topoRow) *topoState { return &b.states[r>>offsetBits] }
+
+// deadline returns present row r's deadline.
+func (b *topoBlock) deadline(r topoRow) time.Duration {
+	return b.state(r).base + time.Duration(r&(1<<offsetBits-1))
 }
 
-// links returns row r's advertised set.
-func (b *topoBlock) links(r *topoRow) []LinkInfo { return b.advs[r.ver&^syncedBit].adv }
-
-// set makes r name adv — the entry holding the same slice, else the first
-// free one — and gives back the set it named.
-func (b *topoBlock) set(r *topoRow, adv []LinkInfo) {
-	if v := r.ver &^ syncedBit; v != 0 {
-		if b.advs[v].refs--; b.advs[v].refs == 0 {
-			b.advs[v].adv = nil
+// release clears row r, freeing its entry when no other row names it.
+func (b *topoBlock) release(r *topoRow) {
+	if e := b.state(*r); *r != 0 {
+		if e.refs--; e.refs == 0 {
+			*e = topoState{}
 		}
 	}
-	r.ver &= syncedBit
-	if len(adv) == 0 {
-		return
-	}
-	v := len(b.advs)
-	for i := v - 1; i > 0; i-- {
-		if sharedAdv(b.advs[i].adv, adv) {
+	*r = 0
+}
+
+// put makes row r say what s says until deadline: r joins an entry that says
+// the same when base <= deadline < base+2^48, else takes the first free
+// entry, based at deadline, so every deadline is exact.
+func (b *topoBlock) put(r *topoRow, s *topoState, deadline time.Duration) {
+	b.release(r)
+	v := len(b.states)
+	for i := 1; i < len(b.states); i++ {
+		e := &b.states[i]
+		if e.refs != 0 && e.same(s) && e.base <= deadline && deadline-e.base < 1<<offsetBits {
 			v = i
 			break
-		} else if b.advs[i].refs == 0 {
+		} else if e.refs == 0 && v == len(b.states) {
 			v = i
 		}
 	}
-	if v == len(b.advs) {
-		b.advs = append(b.advs, advEntry{})
+	if v == len(b.states) {
+		b.states = append(b.states, topoState{})
 	}
-	b.advs[v].adv = adv
-	b.advs[v].refs++
-	r.ver |= uint16(v)
+	e := &b.states[v]
+	if e.refs == 0 {
+		*e = *s
+		e.base, e.refs = deadline, 0
+	}
+	e.refs++
+	*r = topoRow(v)<<offsetBits | topoRow(deadline-e.base)
 }
 
 // applyDelta returns d applied to old. Receivers starting from equal content
-// share the memo's result slice, so a delta costs one table entry, not one
-// per member.
+// share the memo's result slice, so the receivers of one delta can share one
+// entry.
 func (b *topoBlock) applyDelta(old []LinkInfo, d *TCDelta) []LinkInfo {
 	if b.memo != d || !sameAdv(b.memoBase, old) {
 		b.memo, b.memoBase = d, old
@@ -176,7 +189,7 @@ func (s *topoStore) origin(slot int) int64 {
 // row returns the member's row about origin and its block, nils when it
 // holds none.
 func (s *topoStore) row(member int32, origin int64) (*topoBlock, *topoRow) {
-	if i := s.slot(origin); i >= 0 && s.blocks[i].rows != nil && s.blocks[i].rows[member].expires != 0 {
+	if i := s.slot(origin); i >= 0 && s.blocks[i].rows != nil && s.blocks[i].rows[member] != 0 {
 		return &s.blocks[i], &s.blocks[i].rows[member]
 	}
 	return nil, nil
@@ -201,18 +214,18 @@ func (s *topoStore) claim(member int32, origin int64) (*topoBlock, *topoRow) {
 	b := &s.blocks[i]
 	if b.rows == nil {
 		// A table never outgrows members+1 entries; 8 holds what floods leave.
-		b.rows, b.advs = make([]topoRow, s.members), make([]advEntry, 1, min(s.members+1, 8))
+		b.rows, b.states = make([]topoRow, s.members), make([]topoState, 1, min(s.members+1, 8))
 	}
 	return b, &b.rows[member]
 }
 
-// each visits the member's present rows and their sets in slot order —
-// callers must be order-independent. The callback may clear the visited
-// row's deadline.
-func (s *topoStore) each(member int32, f func(origin int64, r *topoRow, adv []LinkInfo)) {
+// each visits the member's present rows and their blocks in slot order —
+// callers must be order-independent. The callback may release the visited
+// row.
+func (s *topoStore) each(member int32, f func(origin int64, b *topoBlock, r *topoRow)) {
 	for i := range s.blocks {
-		if b := &s.blocks[i]; b.rows != nil && b.rows[member].expires != 0 {
-			f(s.origin(i), &b.rows[member], b.links(&b.rows[member]))
+		if b := &s.blocks[i]; b.rows != nil && b.rows[member] != 0 {
+			f(s.origin(i), b, &b.rows[member])
 		}
 	}
 }
@@ -225,15 +238,15 @@ func (s *topoStore) tick(now time.Duration) {
 }
 
 // sweep reclaims the slots no member holds a row in any more: the block and
-// its table are released and an overflow slot, with its map key, returns to the free list.
-// A row past its deadline that its member has not expired yet (expiry is
-// each member's own business) still holds the slot. A block is scanned only
-// up to its first held row, so the sweep costs one probe per slot in a field
-// where every origin reaches every member.
+// its table are released and an overflow slot, with its map key, returns to
+// the free list. A row past its deadline that its member has not expired yet
+// (expiry is each member's own business) still holds the slot. A block holds
+// a row iff an entry of its state table is named, so the sweep reads the
+// tables, never the rows.
 func (s *topoStore) sweep(now time.Duration) {
 	s.nextSweep = now + s.hold
 	for i, b := range s.blocks {
-		if b.rows == nil || slices.ContainsFunc(b.rows, func(r topoRow) bool { return r.expires != 0 }) {
+		if b.rows == nil || slices.ContainsFunc(b.states, func(e topoState) bool { return e.refs != 0 }) {
 			continue
 		}
 		s.blocks[i] = topoBlock{}

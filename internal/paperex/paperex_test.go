@@ -1,10 +1,13 @@
 package paperex
 
 import (
+	"fmt"
 	"testing"
 
+	"qolsr/internal/core"
 	"qolsr/internal/graph"
 	"qolsr/internal/metric"
+	"qolsr/internal/route"
 )
 
 func weightsOf(t *testing.T, f *Fixture) []float64 {
@@ -215,5 +218,110 @@ func TestFigure4Facts(t *testing.T) {
 	// E's only neighbor is D.
 	if f.G.Degree(E) != 1 {
 		t.Error("E must have D as its only access")
+	}
+}
+
+// fnbpSets runs FNBP at every node of f under loopFix and returns each
+// node's advertised set.
+func fnbpSets(t *testing.T, f *Fixture, loopFix core.LoopFixMode) ([][]int32, []core.Stats) {
+	t.Helper()
+	sets, stats := make([][]int32, f.G.N()), make([]core.Stats, f.G.N())
+	for u := range sets {
+		sel, err := core.FNBP{LoopFix: loopFix}.SelectFull(graph.NewLocalView(f.G, int32(u)), metric.Bandwidth(), weightsOf(t, f))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sets[u], stats[u] = sel.ANS, sel.Stats
+	}
+	return sets, stats
+}
+
+// reaches reports whether src reaches dst in g under bandwidth.
+func reaches(t *testing.T, g *graph.Graph, src, dst int32) bool {
+	t.Helper()
+	w, err := g.Weights(Channel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return graph.Dijkstra(g, metric.Bandwidth(), w, src, nil, -1).Reachable(dst)
+}
+
+// withLinks returns adv plus every physical link of the given nodes.
+func withLinks(t *testing.T, adv *graph.Graph, f *Fixture, nodes ...int32) *graph.Graph {
+	t.Helper()
+	for _, x := range nodes {
+		var err error
+		if adv, err = route.WithLocalLinks(adv, f.G, Channel, x); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return adv
+}
+
+// FNBP's tie gap, witnessed: the path 4–0–1 plus the triangle 1–2–3, width
+// 2 on 2–3 and 1 on every other link. Step 1 skips a 1-hop target whose
+// direct link is among its optimal paths, ties included: node 1 skips 2 and
+// 3 (each also reached at width 1 through the other), and 2 and 3 skip 1
+// (reached at width 1 through the other end). So no node advertises 1–2 or
+// 1–3, and node 4, whose live view is its own links, its neighbour's HELLO
+// links and the advertised links, reaches neither 2 nor 3. The Fig. 4 rule
+// is a step-2 rule, and here it only re-selects what step 2 chose, so every
+// LoopFix mode selects the same sets.
+func TestFNBPTieGapTriangle(t *testing.T) {
+	f := build([]string{"0", "1", "2", "3", "4"}, []edgeSpec{
+		{"4", "0", 1}, {"0", "1", 1}, {"1", "2", 1}, {"1", "3", 1}, {"2", "3", 2},
+	})
+	want := [][]int32{{1}, {0}, {3}, {2}, {0}}
+	for _, fix := range []core.LoopFixMode{core.LoopFixLiteral, core.LoopFixAdjacent, core.LoopFixOff} {
+		sets, stats := fnbpSets(t, f, fix)
+		if fmt.Sprint(sets) != fmt.Sprint(want) {
+			t.Fatalf("LoopFix %d: sets %v, want %v", fix, sets, want)
+		}
+		// Node 1's direct links are all optimal, 1–2 and 1–3 on a tie;
+		// 2 and 3 each keep their direct link to 1 on a tie too.
+		for u, n := range map[int32]int{1: 3, 2: 2, 3: 2} {
+			if stats[u].Step1DirectOptimal != n || stats[u].Step1Selected != 0 {
+				t.Errorf("LoopFix %d node %d: step 1 %+v, want %d direct-optimal skips and no selection", fix, u, stats[u], n)
+			}
+		}
+		adv, err := route.BuildAdvertised(f.G, sets, Channel)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, l := range [][2]int32{{1, 2}, {1, 3}} {
+			if _, ok := adv.EdgeBetween(l[0], l[1]); ok {
+				t.Errorf("LoopFix %d: link %d–%d is advertised", fix, l[0], l[1])
+			}
+		}
+		live := withLinks(t, adv, f, 4, 0)
+		for _, dst := range []int32{2, 3} {
+			if reaches(t, live, 4, dst) {
+				t.Errorf("LoopFix %d: node 4's live view reaches %d", fix, dst)
+			}
+		}
+	}
+}
+
+// The same gap on fig 8's 4-node star: centre 0 linked to 1, 2 and 3, width
+// 2 on 1–2 and 1 elsewhere. The centre's links all tie, so it advertises
+// nothing, and 1→3 has no path under fig 8's pair rule (the advertised graph
+// plus the destination's links). With the source's own links added the pair
+// is delivered.
+func TestFNBPTieGapFig8Star(t *testing.T) {
+	f := build([]string{"0", "1", "2", "3"}, []edgeSpec{{"0", "1", 1}, {"0", "2", 1}, {"0", "3", 1}, {"1", "2", 2}})
+	sets, _ := fnbpSets(t, f, core.LoopFixLiteral)
+	if want := [][]int32{{}, {2}, {1}, {0}}; fmt.Sprint(sets) != fmt.Sprint(want) {
+		t.Fatalf("sets %v, want %v", sets, want)
+	}
+	adv, err := route.BuildAdvertised(f.G, sets, Channel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pair := withLinks(t, adv, f, 3)
+	if reaches(t, pair, 1, 3) {
+		t.Error("1→3 has a path over the advertised graph plus the destination's links")
+	}
+	if !reaches(t, withLinks(t, pair, f, 1), 1, 3) {
+		t.Error("1→3 is not delivered with the source's links added")
 	}
 }

@@ -74,9 +74,12 @@ type FailLink struct{ A, B int32 }
 // Describe implements Action.
 func (f FailLink) Describe() string { return fmt.Sprintf("fail-link %d-%d", f.A, f.B) }
 
-func (f FailLink) validate() error {
-	if f.A == f.B || f.A < 0 || f.B < 0 {
-		return fmt.Errorf("fail-link needs two distinct node indices, got %d-%d", f.A, f.B)
+func (f FailLink) validate() error { return validPair("fail-link", f.A, f.B) }
+
+// validPair checks that the action named what names two distinct nodes.
+func validPair(what string, a, b int32) error {
+	if a == b || a < 0 || b < 0 {
+		return fmt.Errorf("%s needs two distinct node indices, got %d-%d", what, a, b)
 	}
 	return nil
 }
@@ -89,12 +92,7 @@ type RestoreLink struct{ A, B int32 }
 // Describe implements Action.
 func (r RestoreLink) Describe() string { return fmt.Sprintf("restore-link %d-%d", r.A, r.B) }
 
-func (r RestoreLink) validate() error {
-	if r.A == r.B || r.A < 0 || r.B < 0 {
-		return fmt.Errorf("restore-link needs two distinct node indices, got %d-%d", r.A, r.B)
-	}
-	return nil
-}
+func (r RestoreLink) validate() error { return validPair("restore-link", r.A, r.B) }
 
 func (r RestoreLink) apply(env *actionEnv) error { return env.nw.RestoreLink(r.A, r.B) }
 
@@ -227,8 +225,8 @@ func (d DegradeLink) Describe() string {
 }
 
 func (d DegradeLink) validate() error {
-	if d.A == d.B || d.A < 0 || d.B < 0 {
-		return fmt.Errorf("degrade-link needs two distinct node indices, got %d-%d", d.A, d.B)
+	if err := validPair("degrade-link", d.A, d.B); err != nil {
+		return err
 	}
 	if d.Loss >= 1 {
 		return fmt.Errorf("degrade-link loss %g outside [0,1) (negative clears)", d.Loss)

@@ -27,7 +27,7 @@ func TestInternalSurface(t *testing.T) {
 		"netgen":   3,
 		"node":     46,
 		"obs":      45,
-		"olsr":     57,
+		"olsr":     58,
 		"paperex":  7,
 		"par":      1,
 		"rng":      8,
