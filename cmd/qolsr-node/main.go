@@ -49,8 +49,8 @@ func run() error {
 		listen     = flag.String("listen", "127.0.0.1:0", "UDP address to bind")
 		peersFlag  = flag.String("peers", "", `static peer list: "id@host:port" entries, comma-separated, optional "#weight" suffix`)
 		peersFile  = flag.String("peers-file", "", `JSON peer table: [{"id":2,"addr":"127.0.0.1:9002","weight":1}, ...]`)
-		hello      = flag.Duration("hello", 2*time.Second, "HELLO emission interval")
-		tc         = flag.Duration("tc", 5*time.Second, "TC emission interval")
+		hello      = flag.Duration("hello", 2*time.Second, "HELLO emission interval; a neighbourhood change sends one early, but never within a quarter interval of the last")
+		tc         = flag.Duration("tc", 5*time.Second, "TC emission interval; a neighbourhood change sends one early, but never within a quarter interval of the last")
 		measured   = flag.Bool("measured", true, "measure link delay from HELLO round trips (false: use declared peer weights)")
 		metricName = flag.String("metric", "delay", "QoS metric: bandwidth, delay, hop or energy")
 		selName    = flag.String("selector", "fnbp", "advertised-set selector: fnbp, topofilter, qolsr, full")

@@ -137,9 +137,11 @@ type Daemon struct {
 	// last is the newest protocol time the loop has used: arrival stamps of
 	// different senders may interleave, the olsr clock must not run back.
 	last time.Duration
-	// timer fires at the earlier of the two emission deadlines.
-	nextHello, nextTC time.Duration
-	timer             *time.Timer
+	// timer fires at the earlier of the two emission deadlines. A triggered
+	// emission may not come before its floor: a quarter interval after the
+	// last emission of its kind, 0 before the first.
+	nextHello, nextTC, helloFloor, tcFloor time.Duration
+	timer                                  *time.Timer
 	// scratch is the one buffer originated and control frames encode into.
 	scratch []byte
 	// dups is the flood duplicate set HandleTC leaves to its host.
@@ -169,12 +171,10 @@ func New(cfg Config) (*Daemon, error) {
 	}
 	ocfg := olsr.DefaultConfig(cfg.Metric)
 	if cfg.HelloInterval > 0 {
-		ocfg.HelloInterval = cfg.HelloInterval
-		ocfg.NeighborHoldTime = 3 * cfg.HelloInterval
+		ocfg.HelloInterval, ocfg.NeighborHoldTime = cfg.HelloInterval, 3*cfg.HelloInterval
 	}
 	if cfg.TCInterval > 0 {
-		ocfg.TCInterval = cfg.TCInterval
-		ocfg.TopologyHoldTime = 3 * cfg.TCInterval
+		ocfg.TCInterval, ocfg.TopologyHoldTime = cfg.TCInterval, 3*cfg.TCInterval
 	}
 	cfg.HelloInterval = ocfg.HelloInterval
 	cfg.TCInterval = ocfg.TCInterval
@@ -257,8 +257,8 @@ func (d *Daemon) Run(ctx context.Context) error {
 	defer d.tr.Close()
 	stop := context.AfterFunc(ctx, func() { d.poke(wakeStop) })
 	defer stop()
-	// An immediate HELLO bootstraps the echo exchange a full interval
-	// early; cold-start convergence is bounded by round trips, not timers.
+	// An immediate HELLO bootstraps the echo exchange and the changes it sets
+	// off trigger the next emissions: cold start takes round trips, not periods.
 	d.nextHello = d.now()
 	d.nextTC = d.nextHello + d.cfg.TCInterval
 	d.timer = time.AfterFunc(time.Hour, func() { d.poke(wakeTick) })
@@ -313,15 +313,28 @@ func (d *Daemon) tick() {
 		// The HELLO tick doubles as the gauge refresh cadence.
 		d.broadcast(olsr.MarshalHello(d.node.GenerateHello(now)))
 		d.refreshGauges(now)
+		d.helloFloor = now + d.cfg.HelloInterval/4
 		d.nextHello += ((now-d.nextHello)/d.cfg.HelloInterval + 1) * d.cfg.HelloInterval
 	}
 	if now >= d.nextTC {
 		if t := d.node.GenerateTC(now); t != nil { // silent without an advertised set
 			d.broadcast(olsr.MarshalTC(t))
+			d.tcFloor = now + d.cfg.TCInterval/4
 		}
 		d.nextTC += ((now-d.nextTC)/d.cfg.TCInterval + 1) * d.cfg.TCInterval
 	}
 	d.timer.Reset(min(d.nextHello, d.nextTC) - now)
+}
+
+// trigger pulls both emission deadlines forward to now, but not before their
+// floors, after a change of the neighbourhood's shape (doc.go has the rule).
+// Before Run arms the timer it moves only the deadlines.
+func (d *Daemon) trigger(now time.Duration) {
+	d.nextHello = min(d.nextHello, max(now, d.helloFloor))
+	d.nextTC = min(d.nextTC, max(now, d.tcFloor))
+	if d.timer != nil {
+		d.timer.Reset(min(d.nextHello, d.nextTC) - now)
+	}
 }
 
 // serveRequests answers every queued Send and Status under one clock read.
@@ -454,7 +467,9 @@ func (d *Daemon) handleControl(p *peerState, payload []byte, now time.Duration) 
 			// Declared weights: the HELLO proves the link alive.
 			d.node.UpdateLink(p.id, p.weight, now)
 		}
-		d.node.HandleHello(h, now)
+		if d.node.HandleHello(h, now) {
+			d.trigger(now)
+		}
 	case olsr.MsgTC:
 		// A duplicate is counted and dropped undecoded. A key is recorded only
 		// once its copy decodes: a malformed copy cannot shadow a valid one.

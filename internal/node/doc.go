@@ -56,6 +56,15 @@
 // arrived meanwhile refresh their neighbours before a tick or a Send judges
 // them expired.
 //
+// The HELLO and TC deadlines move early when the neighbourhood changes shape:
+// a link, neighbour or MPR selector came or went, or a neighbour's advertised
+// neighbour set changed (olsr.Node.HandleHello reports it, an expiry at the
+// next HELLO; a weight alone does not count). trigger then pulls both to now,
+// but each no earlier than a quarter interval after the last emission of its
+// kind, the RFC 6130/7181 minimum intervals (a first emission has no floor),
+// and re-arms the timer; tick re-anchors the cadence on the early emission.
+// A converged mesh emits only periodically.
+//
 // # Buffer ownership
 //
 // A transport copies each datagram into a buffer from the package's free

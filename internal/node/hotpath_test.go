@@ -40,7 +40,8 @@ func newMeasuredChain(tb testing.TB, n int, delay func(from, to int64) time.Dura
 
 // convergeChain builds and converges the line by hand: HELLO and TC rounds
 // are emitted directly and every queued frame is pumped into its daemon.
-// The intervals are a minute, so nothing expires under the test.
+// The intervals are a minute unless cfg sets them, so nothing expires under
+// the test.
 func convergeChain(tb testing.TB, c *chain, n int, cfg Config) *chain {
 	tb.Helper()
 	mn := NewMemNetwork()
@@ -54,7 +55,9 @@ func convergeChain(tb testing.TB, c *chain, n int, cfg Config) *chain {
 			ps = append(ps, Peer{ID: p, Addr: fmt.Sprintf("n%d", p)})
 		}
 		cfg.ID, cfg.Transport, cfg.Peers = id, tr, ps
-		cfg.HelloInterval, cfg.TCInterval = time.Minute, time.Minute
+		if cfg.HelloInterval == 0 {
+			cfg.HelloInterval, cfg.TCInterval = time.Minute, time.Minute
+		}
 		d, err := New(cfg)
 		if err != nil {
 			tb.Fatal(err)

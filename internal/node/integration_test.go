@@ -150,14 +150,16 @@ func TestLoopbackMesh(t *testing.T) {
 	// The mesh must be forwarding, not short-circuiting: with diameter 5,
 	// a large share of pairs are multi-hop, so intermediate daemons must
 	// show forwarded traffic.
-	var forwarded uint64
+	var forwarded, looped uint64
 	for _, d := range daemons {
 		st, err := d.Status()
 		if err != nil {
 			t.Fatal(err)
 		}
 		forwarded += st.Stats.DataForwarded
+		looped += st.Stats.DataLooped
 	}
+	t.Logf("%d data packets died of TTL across the mesh", looped)
 	if forwarded == 0 {
 		t.Fatal("no daemon forwarded data; traffic did not ride the mesh")
 	}

@@ -1,7 +1,6 @@
 package node
 
 import (
-	"net/http"
 	"time"
 
 	"qolsr/internal/obs"
@@ -102,17 +101,6 @@ func (m *daemonMetrics) stats(tr Transport) Stats {
 		s.TransportDrops = td.Drops()
 	}
 	return s
-}
-
-// MetricsHandler serves the daemon's registry in Prometheus text exposition
-// format. The registry cells are atomics and the lazy collectors read only
-// scrape-safe sources, so the handler never touches the event loop — a
-// scrape succeeds even while the daemon is saturated or stopped.
-func (d *Daemon) MetricsHandler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		w.Header().Set("Content-Type", obs.PrometheusContentType)
-		d.metrics.reg.WritePrometheus(w)
-	})
 }
 
 // refreshGauges mirrors event-loop-owned state sizes into the registry's

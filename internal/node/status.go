@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"net/http"
 	"time"
+
+	"qolsr/internal/obs"
 )
 
 // NeighborStatus is one configured peer in a status report.
@@ -97,7 +99,10 @@ func (d *Daemon) Status() (StatusReport, error) {
 // StatusHandler returns an HTTP handler serving the daemon's StatusReport
 // as JSON on "/" and "/status", and its metrics registry in Prometheus text
 // format on "/metrics". Bind it to a loopback listener: the report is
-// operator introspection, not a public API.
+// operator introspection, not a public API. The registry cells are atomics
+// and its lazy collectors read only scrape-safe sources, so a scrape never
+// touches the event loop: it succeeds while the daemon is saturated or
+// stopped.
 func (d *Daemon) StatusHandler() http.Handler {
 	mux := http.NewServeMux()
 	serve := func(w http.ResponseWriter, req *http.Request) {
@@ -113,6 +118,9 @@ func (d *Daemon) StatusHandler() http.Handler {
 	}
 	mux.HandleFunc("/", serve)
 	mux.HandleFunc("/status", serve)
-	mux.Handle("/metrics", d.MetricsHandler())
+	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
+		w.Header().Set("Content-Type", obs.PrometheusContentType)
+		d.metrics.reg.WritePrometheus(w)
+	})
 	return mux
 }

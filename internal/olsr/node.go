@@ -236,6 +236,9 @@ type Node struct {
 	// the current one instead of recomputing per call.
 	nhVersion   uint64
 	topoVersion uint64
+	// reshaped: a link, neighbour table or MPR selector came or went, or a
+	// neighbour's advertised neighbour set changed (a weight alone does not).
+	reshaped bool
 	// nextExpiry is the earliest deadline across the neighbour-keyed soft
 	// state (links, neighbor tables, selectors, link estimators) and
 	// topoExpiry the earliest across the topology rows: expire is a no-op
@@ -373,10 +376,12 @@ func NewNodes(ids []int64, cfg Config) ([]*Node, error) {
 
 // touchNeighborhood records a content change to links or neighbor tables,
 // invalidating every derived cache (the routing graph includes the
-// neighborhood, so the topology version moves too).
-func (n *Node) touchNeighborhood() {
+// neighborhood, so the topology version moves too); reshaped says whether it
+// changed the neighbourhood's shape, not only a weight.
+func (n *Node) touchNeighborhood(reshaped bool) {
 	n.nhVersion++
 	n.topoVersion++
+	n.reshaped = n.reshaped || reshaped
 }
 
 // UpdateLink records (or refreshes) this node's own link to a neighbor with
@@ -395,7 +400,7 @@ func (n *Node) UpdateLink(neighbor int64, weight float64, now time.Duration) {
 		return
 	}
 	n.links.put(neighbor, linkEntry{weight: weight, expires: expires})
-	n.touchNeighborhood()
+	n.touchNeighborhood(true)
 }
 
 // reweigh sets a held link's weight, leaving its deadline alone; only an
@@ -403,7 +408,7 @@ func (n *Node) UpdateLink(neighbor int64, weight float64, now time.Duration) {
 func (n *Node) reweigh(neighbor int64, l *linkEntry, weight float64) {
 	if l.weight != weight {
 		l.weight = weight
-		n.touchNeighborhood()
+		n.touchNeighborhood(false)
 	}
 }
 
@@ -438,7 +443,7 @@ func (n *Node) expireNeighborhood(now time.Duration) {
 	n.links.each(func(id int64, l *linkEntry) {
 		if l.expires <= now {
 			n.links.del(id)
-			n.touchNeighborhood()
+			n.touchNeighborhood(true)
 		} else if l.expires < next {
 			next = l.expires
 		}
@@ -446,7 +451,7 @@ func (n *Node) expireNeighborhood(now time.Duration) {
 	n.neighbors.each(func(id int64, t *neighborTable) {
 		if t.expires <= now {
 			n.neighbors.del(id)
-			n.touchNeighborhood()
+			n.touchNeighborhood(true)
 		} else if t.expires < next {
 			next = t.expires
 		}
@@ -454,6 +459,7 @@ func (n *Node) expireNeighborhood(now time.Duration) {
 	n.selectors.each(func(id int64, e *time.Duration) {
 		if *e <= now {
 			n.selectors.del(id)
+			n.reshaped = true
 		} else if *e < next {
 			next = *e
 		}
@@ -523,10 +529,12 @@ func (n *Node) fillHello(h *Hello, now time.Duration) {
 
 // HandleHello ingests a neighbor's HELLO. A HELLO that re-announces the
 // neighbor's known link set only refreshes deadlines; one that changes it
-// invalidates the cached derivations.
-func (n *Node) HandleHello(h *Hello, now time.Duration) {
+// invalidates the cached derivations. It reports whether the neighbourhood
+// changed shape (see Node.reshaped) since it last returned, by this HELLO or
+// before it: a host that emits on change (the daemon) emits early then.
+func (n *Node) HandleHello(h *Hello, now time.Duration) (reshaped bool) {
 	if h.Origin == n.ID {
-		return // discard own messages (RFC 3626 looped-back traffic)
+		return false // discard own messages (RFC 3626 looped-back traffic)
 	}
 	n.expire(now)
 	switch n.cfg.LinkSensing {
@@ -548,6 +556,7 @@ func (n *Node) HandleHello(h *Hello, now time.Duration) {
 	// feeds the neighborhood tables below.
 	for _, m := range h.MPRs {
 		if m == n.ID {
+			n.reshaped = n.reshaped || !n.selectors.has(h.Origin)
 			deadline := now + n.cfg.NeighborHoldTime
 			n.selectors.put(h.Origin, deadline)
 			n.nextExpiry = min(n.nextExpiry, deadline)
@@ -556,6 +565,7 @@ func (n *Node) HandleHello(h *Hello, now time.Duration) {
 	tbl := n.neighbors.get(h.Origin)
 	if tbl == nil {
 		tbl = n.neighbors.put(h.Origin, neighborTable{})
+		n.reshaped = true
 	}
 	tbl.expires = now + n.cfg.NeighborHoldTime
 	n.nextExpiry = min(n.nextExpiry, tbl.expires)
@@ -571,16 +581,16 @@ func (n *Node) HandleHello(h *Hello, now time.Duration) {
 			n.stats.AdvShared++
 		}
 		n.stats.AdvRefresh++
-		return
-	}
-	old, adv := tbl.adv, normalizeAdv(h.Links)
-	tbl.adv = adv
-	if !slices.Equal(old, adv) {
+	} else if old, adv := tbl.adv, normalizeAdv(h.Links); !slices.Equal(old, adv) {
+		tbl.adv = adv
 		n.stats.AdvChange++
-		n.touchNeighborhood()
+		n.touchNeighborhood(!slices.EqualFunc(old, adv, func(a, b LinkInfo) bool { return a.Neighbor == b.Neighbor }))
 	} else {
+		tbl.adv = adv
 		n.stats.AdvRefresh++
 	}
+	reshaped, n.reshaped = n.reshaped, false
+	return reshaped
 }
 
 // GenerateTC produces this node's periodic TC advertising its ANS, or nil

@@ -425,10 +425,14 @@ func (r *Result) EncodeCSV(w io.Writer) error {
 		return err
 	}
 	// row writes one line, or nothing once a write failed; err is returned.
+	// A float64 value prints rounded to six decimals, anything else as is.
 	var err error
-	row := func(run int, t, quantity, value string) {
+	row := func(run int, t, quantity string, value any) {
+		if f, ok := value.(float64); ok {
+			value = fmt.Sprintf("%.6f", r6(f))
+		}
 		if err == nil {
-			_, err = fmt.Fprintf(w, "%s,%s,%d,%s,%s,%s\n", sc.Name, sc.Protocol.Selector, run, t, quantity, value)
+			_, err = fmt.Fprintf(w, "%s,%s,%d,%s,%s,%v\n", sc.Name, sc.Protocol.Selector, run, t, quantity, value)
 		}
 	}
 	for _, run := range r.Runs {
@@ -437,32 +441,23 @@ func (r *Result) EncodeCSV(w io.Writer) error {
 		}
 		for _, s := range run.Samples {
 			t := fmt.Sprintf("%g", secs(s.Time))
-			cells := []struct {
-				q, v string
-			}{
-				{"nodes", fmt.Sprintf("%d", s.Nodes)},
-				{"links", fmt.Sprintf("%d", s.Links)},
-				{"connected", fmt.Sprintf("%d", s.Connected)},
-				{"delivered", fmt.Sprintf("%d", s.Delivered)},
-				{"delivery", fmt.Sprintf("%.6f", r6(s.Delivery))},
-				{"hop_stretch", fmt.Sprintf("%.6f", r6(s.HopStretch))},
-				{"overhead", fmt.Sprintf("%.6f", r6(s.Overhead))},
-				{"overhead_flows", fmt.Sprintf("%d", s.OverheadFlows)},
-				{"control_bps", fmt.Sprintf("%.6f", r6(s.ControlBPS))},
-				{"tc_fwd_bps", fmt.Sprintf("%.6f", r6(s.TCFwdBPS))},
-				{"set_size", fmt.Sprintf("%.6f", r6(s.SetSize))},
-				{"spf_full", fmt.Sprintf("%d", s.SPFFull)},
-				{"shared_adv_rate", fmt.Sprintf("%.6f", r6(s.SharedAdvRate))},
-			}
+			row(run.Run, t, "nodes", s.Nodes)
+			row(run.Run, t, "links", s.Links)
+			row(run.Run, t, "connected", s.Connected)
+			row(run.Run, t, "delivered", s.Delivered)
+			row(run.Run, t, "delivery", s.Delivery)
+			row(run.Run, t, "hop_stretch", s.HopStretch)
+			row(run.Run, t, "overhead", s.Overhead)
+			row(run.Run, t, "overhead_flows", s.OverheadFlows)
+			row(run.Run, t, "control_bps", s.ControlBPS)
+			row(run.Run, t, "tc_fwd_bps", s.TCFwdBPS)
+			row(run.Run, t, "set_size", s.SetSize)
+			row(run.Run, t, "spf_full", s.SPFFull)
+			row(run.Run, t, "shared_adv_rate", s.SharedAdvRate)
 			if run.Traffic != nil {
-				cells = append(cells,
-					struct{ q, v string }{"traffic_sent", fmt.Sprintf("%d", s.TrafficSent)},
-					struct{ q, v string }{"traffic_delivered", fmt.Sprintf("%d", s.TrafficDelivered)},
-					struct{ q, v string }{"traffic_throughput_bps", fmt.Sprintf("%.6f", r6(s.TrafficThroughputBps))},
-				)
-			}
-			for _, c := range cells {
-				row(run.Run, t, c.q, c.v)
+				row(run.Run, t, "traffic_sent", s.TrafficSent)
+				row(run.Run, t, "traffic_delivered", s.TrafficDelivered)
+				row(run.Run, t, "traffic_throughput_bps", s.TrafficThroughputBps)
 			}
 		}
 		if run.Traffic != nil {
@@ -471,19 +466,14 @@ func (r *Result) EncodeCSV(w io.Writer) error {
 			end := fmt.Sprintf("%g", secs(sc.Duration))
 			emit := func(c jsonClass) {
 				prefix := "traffic_" + c.Class + "_"
-				cells := []struct{ q, v string }{
-					{prefix + "admitted", fmt.Sprintf("%d", c.Admitted)},
-					{prefix + "violated", fmt.Sprintf("%d", c.Violated)},
-					{prefix + "correct_reject", fmt.Sprintf("%d", c.CorrectReject)},
-					{prefix + "false_reject", fmt.Sprintf("%d", c.FalseReject)},
-					{prefix + "violation_ratio", fmt.Sprintf("%.6f", c.ViolationRatio)},
-					{prefix + "delivery", fmt.Sprintf("%.6f", c.Delivery)},
-					{prefix + "throughput_bps", fmt.Sprintf("%.6f", c.ThroughputBps)},
-					{prefix + "delay_p95_s", fmt.Sprintf("%.6f", c.DelayP95S)},
-				}
-				for _, cell := range cells {
-					row(run.Run, end, cell.q, cell.v)
-				}
+				row(run.Run, end, prefix+"admitted", c.Admitted)
+				row(run.Run, end, prefix+"violated", c.Violated)
+				row(run.Run, end, prefix+"correct_reject", c.CorrectReject)
+				row(run.Run, end, prefix+"false_reject", c.FalseReject)
+				row(run.Run, end, prefix+"violation_ratio", c.ViolationRatio)
+				row(run.Run, end, prefix+"delivery", c.Delivery)
+				row(run.Run, end, prefix+"throughput_bps", c.ThroughputBps)
+				row(run.Run, end, prefix+"delay_p95_s", c.DelayP95S)
 			}
 			for _, c := range run.Traffic.Classes {
 				emit(classJSON(c))
@@ -491,9 +481,9 @@ func (r *Result) EncodeCSV(w io.Writer) error {
 			emit(classJSON(run.Traffic.Total))
 		}
 		for _, rc := range run.Reconvergence {
-			v := "-1"
+			var v any = "-1"
 			if rc.Recovered {
-				v = fmt.Sprintf("%.6f", secs(rc.Duration()))
+				v = secs(rc.Duration())
 			}
 			row(run.Run, fmt.Sprintf("%g", secs(rc.EventTime)), "reconverge_s", v)
 		}
@@ -515,12 +505,11 @@ func (r *Result) WriteTable(w io.Writer) error {
 		sc.Name, sc.Protocol.Selector, len(r.Runs), nodes.Mean()); err != nil {
 		return err
 	}
-	header := []string{"t_s", "delivery", "±95%", "stretch", "overhead", "ctrlB/s", "set"}
-	if _, err := fmt.Fprintln(w, strings.Join(padCells(header), "  ")); err != nil {
+	if err := writeRow(w, "t_s", "delivery", "±95%", "stretch", "overhead", "ctrlB/s", "set"); err != nil {
 		return err
 	}
 	for _, agg := range r.Aggregate() {
-		cells := []string{
+		if err := writeRow(w,
 			fmt.Sprintf("%g", secs(agg.Time)),
 			fmt.Sprintf("%.4f", agg.Delivery.Mean()),
 			fmt.Sprintf("%.4f", agg.Delivery.CI95()),
@@ -528,8 +517,7 @@ func (r *Result) WriteTable(w io.Writer) error {
 			fmt.Sprintf("%.4f", agg.Overhead.Mean()),
 			fmt.Sprintf("%.0f", agg.ControlBPS.Mean()),
 			fmt.Sprintf("%.2f", agg.SetSize.Mean()),
-		}
-		if _, err := fmt.Fprintln(w, strings.Join(padCells(cells), "  ")); err != nil {
+		); err != nil {
 			return err
 		}
 	}
@@ -550,12 +538,11 @@ func (r *Result) writeTraffic(w io.Writer) error {
 	if _, err := fmt.Fprintln(w, "# traffic (summed across runs; rates/delays are per-run means)"); err != nil {
 		return err
 	}
-	header := []string{"class", "flows", "admit", "viol", "c-rej", "f-rej", "violratio", "delivery", "thru_B/s", "p95_ms", "jit_ms"}
-	if _, err := fmt.Fprintln(w, strings.Join(padCells(header), "  ")); err != nil {
+	if err := writeRow(w, "class", "flows", "admit", "viol", "c-rej", "f-rej", "violratio", "delivery", "thru_B/s", "p95_ms", "jit_ms"); err != nil {
 		return err
 	}
 	for _, agg := range aggs {
-		cells := []string{
+		if err := writeRow(w,
 			agg.Class,
 			fmt.Sprintf("%d", agg.Flows),
 			fmt.Sprintf("%d", agg.Admitted),
@@ -567,8 +554,7 @@ func (r *Result) writeTraffic(w io.Writer) error {
 			fmt.Sprintf("%.0f", agg.Throughput.Mean()),
 			fmt.Sprintf("%.2f", agg.DelayP95.Mean()*1e3),
 			fmt.Sprintf("%.2f", agg.Jitter.Mean()*1e3),
-		}
-		if _, err := fmt.Fprintln(w, strings.Join(padCells(cells), "  ")); err != nil {
+		); err != nil {
 			return err
 		}
 	}
@@ -621,14 +607,11 @@ func (r *Result) writeReconvergence(w io.Writer) error {
 	return nil
 }
 
-func padCells(cells []string) []string {
-	const width = 10
-	out := make([]string, len(cells))
+// writeRow writes one table row, each cell padded to ten bytes.
+func writeRow(w io.Writer, cells ...string) error {
 	for i, c := range cells {
-		if len(c) < width {
-			c = c + strings.Repeat(" ", width-len(c))
-		}
-		out[i] = c
+		cells[i] = c + strings.Repeat(" ", max(10-len(c), 0))
 	}
-	return out
+	_, err := fmt.Fprintln(w, strings.Join(cells, "  "))
+	return err
 }

@@ -265,10 +265,7 @@ func (sc Scenario) WithDefaults() Scenario {
 		sc.Duration = 60 * time.Second
 	}
 	if sc.Warmup <= 0 {
-		sc.Warmup = sc.Duration / 3
-		if sc.Warmup > 20*time.Second {
-			sc.Warmup = 20 * time.Second
-		}
+		sc.Warmup = min(sc.Duration/3, 20*time.Second)
 	}
 	if sc.SampleEvery <= 0 {
 		sc.SampleEvery = 2 * time.Second

@@ -63,9 +63,4 @@ func (nw *Network) LinkUp(a, b int32) bool {
 	return !nw.down[linkKey(a, b)]
 }
 
-func linkKey(a, b int32) [2]int32 {
-	if a > b {
-		a, b = b, a
-	}
-	return [2]int32{a, b}
-}
+func linkKey(a, b int32) [2]int32 { return [2]int32{min(a, b), max(a, b)} }

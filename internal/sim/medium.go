@@ -298,10 +298,7 @@ func (m *LossyMedium) PlanFrame(src int32, dsts []int32, size int, now time.Dura
 	seq := m.seq[src]
 	m.seq[src]++
 
-	start := now
-	if m.busy[src] > start {
-		start = m.busy[src]
-	}
+	start := max(now, m.busy[src])
 	queue := start - now
 	m.stats.FramesPlanned++
 	if queue > 0 {

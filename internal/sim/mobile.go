@@ -37,10 +37,8 @@ func (nw *Network) SetTopology(phys *graph.Graph) error {
 // so a link that breaks and re-forms under mobility keeps its QoS value.
 // The value lies in {1..10}, matching the paper's weight law.
 func PairWeight(seed int64, a, b int32) float64 {
-	if a > b {
-		a, b = b, a
-	}
-	h := uint64(seed)*0x9e3779b97f4a7c15 ^ uint64(uint32(a))<<32 ^ uint64(uint32(b))
+	k := linkKey(a, b)
+	h := uint64(seed)*0x9e3779b97f4a7c15 ^ uint64(uint32(k[0]))<<32 ^ uint64(uint32(k[1]))
 	h ^= h >> 33
 	h *= 0xff51afd7ed558ccd
 	h ^= h >> 33

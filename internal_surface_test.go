@@ -25,7 +25,7 @@ func TestInternalSurface(t *testing.T) {
 		"metric":   21,
 		"mpr":      8,
 		"netgen":   3,
-		"node":     46,
+		"node":     45,
 		"obs":      45,
 		"olsr":     58,
 		"paperex":  7,
