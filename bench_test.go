@@ -31,7 +31,7 @@ func benchFigure(b *testing.B, id string) {
 	// Reduced axis: first, middle, last density.
 	degrees := []float64{fig.Degrees[0], fig.Degrees[2], fig.Degrees[len(fig.Degrees)-1]}
 	exp := qolsr.NewExperiment(fig)
-	var res *qolsr.FigureResult
+	var res *qolsr.Sweep
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		out, err := qolsr.NewRunner(qolsr.WithRuns(3), qolsr.WithSeed(int64(i)+1), qolsr.WithDegrees(degrees...)).
@@ -39,13 +39,13 @@ func benchFigure(b *testing.B, id string) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		res = out.Figures[0]
+		res = out.Sweeps[0]
 	}
 	b.StopTimer()
 	for pi, deg := range degrees {
-		for _, name := range res.ProtocolNames() {
+		for _, name := range res.Columns {
 			metricName := fmt.Sprintf("%s_d%g", name, deg)
-			b.ReportMetric(res.Value(pi, name), metricName)
+			b.ReportMetric(res.Cell(pi, name, fig.Quantity).Mean(), metricName)
 		}
 	}
 }
@@ -72,8 +72,8 @@ func BenchmarkSweep(b *testing.B) {
 			b.Fatal(err)
 		}
 		points = 0
-		for _, fr := range res.Figures {
-			points += len(fr.Points)
+		for _, s := range res.Sweeps {
+			points += len(s.Points)
 		}
 	}
 	b.StopTimer()
@@ -183,8 +183,8 @@ func BenchmarkAblationLocalLinks(b *testing.B) {
 		}
 	}
 	b.StopTimer()
-	for name, pp := range res.Figures[0].Points[0].Protocols {
-		b.ReportMetric(pp.Overhead.Mean(), "overhead_"+name)
+	for _, name := range res.Sweeps[0].Columns {
+		b.ReportMetric(res.Sweeps[0].Cell(0, name, qolsr.QuantityOverhead).Mean(), "overhead_"+name)
 	}
 }
 

@@ -9,6 +9,7 @@
 //	qolsr-sim -figure fig8,ablation-mprs    # compose sweeps by name
 //	qolsr-sim -figure fig6 -json -          # machine-readable results
 //	qolsr-sim -ablation control             # A4 on the live protocol stack
+//	qolsr-sim -ablation control -csv -      # any sweep as long-form CSV
 //
 // Dynamic-network scenarios run on the live protocol stack through the
 // scenario subcommand:
@@ -130,17 +131,17 @@ func run(args []string) error {
 	}
 	r := qolsr.NewRunner(opts...)
 
-	// The live-stack ablations are scenario grids, outside the figure
-	// harness.
-	if slices.Contains(qolsr.LiveGridNames(), *ablation) {
-		scale := qolsr.ScaleAxis{Min: *scaleMin, Max: *scaleMax, Optimize: *scaleOpt}
-		return runLiveGrid(*ablation, func() (*qolsr.GridResult, error) {
-			return r.LiveGrid(ctx, *ablation, scale)
-		}, *jsonPath, *csvPath)
-	}
-
 	if *jsonPath == "-" && *csvPath == "-" {
 		return fmt.Errorf("-json - and -csv - cannot share stdout")
+	}
+	// The live-stack ablations are scenario grids, outside the figure
+	// harness; their tables end without the figures' blank line.
+	if slices.Contains(qolsr.LiveGridNames(), *ablation) {
+		res, err := r.LiveGrid(ctx, *ablation, qolsr.ScaleAxis{Min: *scaleMin, Max: *scaleMax, Optimize: *scaleOpt})
+		if err != nil {
+			return err
+		}
+		return writeResult(res, *jsonPath, *csvPath, "")
 	}
 
 	exp, err := composeExperiment(*figureID, *ablation)
@@ -154,56 +155,29 @@ func run(args []string) error {
 		}
 		return err
 	}
+	return writeResult(res, *jsonPath, *csvPath, "\n")
+}
 
-	// An encoder targeting "-" owns stdout: suppress the human tables so
-	// the stream stays machine-parseable.
-	if *jsonPath != "-" && *csvPath != "-" {
+// writeResult prints the result's tables, then trailer, and writes its CSV
+// and JSON forms where -csv and -json name a path. An encoder targeting
+// "-" owns stdout: the human tables are suppressed so the stream stays
+// machine-parseable.
+func writeResult(res *qolsr.Results, jsonPath, csvPath, trailer string) error {
+	if jsonPath != "-" && csvPath != "-" {
 		if err := res.WriteTables(os.Stdout); err != nil {
 			return err
 		}
-		fmt.Println()
-		for _, fr := range res.Figures {
-			if fr.Figure.ID == "ablation-loopfix" {
-				if err := fr.WriteDeliveryTable(os.Stdout); err != nil {
-					return err
-				}
-				fmt.Println()
-			}
-		}
+		fmt.Print(trailer)
 	}
-	if *csvPath != "" {
-		if err := writeOut(*csvPath, res.EncodeCSV); err != nil {
+	if csvPath != "" {
+		if err := writeOut(csvPath, res.EncodeCSV); err != nil {
 			return err
 		}
 	}
-	if *jsonPath != "" {
-		if err := writeOut(*jsonPath, res.EncodeJSON); err != nil {
-			return err
-		}
+	if jsonPath != "" {
+		return writeOut(jsonPath, res.EncodeJSON)
 	}
 	return nil
-}
-
-// runLiveGrid runs a live-stack grid and prints its table, plus its JSON
-// form when -json names a path; an encoder targeting "-" owns stdout. The
-// grids have no CSV form, so -csv is rejected before anything runs.
-func runLiveGrid(name string, run func() (*qolsr.GridResult, error), jsonPath, csvPath string) error {
-	if csvPath != "" {
-		return fmt.Errorf("-ablation %s has table and JSON output only; -csv is not supported", name)
-	}
-	res, err := run()
-	if err != nil {
-		return err
-	}
-	if jsonPath != "-" {
-		if err := res.WriteTable(os.Stdout); err != nil {
-			return err
-		}
-	}
-	if jsonPath == "" {
-		return nil
-	}
-	return writeOut(jsonPath, res.EncodeJSON)
 }
 
 // registryListing renders every composable registry: sweeps (figures and

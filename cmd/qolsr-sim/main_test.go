@@ -2,7 +2,6 @@ package main
 
 import (
 	"encoding/json"
-	"errors"
 	"os"
 	"path/filepath"
 	"slices"
@@ -30,51 +29,85 @@ func TestParseDegrees(t *testing.T) {
 	}
 }
 
+// stdout runs f with os.Stdout captured and returns what it printed.
+func stdout(t *testing.T, f func() error) string {
+	t.Helper()
+	out, err := os.Create(filepath.Join(t.TempDir(), "stdout"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer out.Close()
+	saved := os.Stdout
+	os.Stdout = out
+	err = f()
+	os.Stdout = saved
+	if err != nil {
+		t.Fatal(err)
+	}
+	printed, err := os.ReadFile(out.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(printed)
+}
+
 // TestLiveSweepOutputForms: the five live-stack ablations are the live
-// grids, each with a table and a JSON form, and -csv, which none has, is
-// rejected before the grid runs.
+// grids, and each run here at one run a point writes the forms every sweep
+// has: its table, a qolsr-sweep/v2 JSON document and long-form CSV, one row
+// per (point, column, quantity). A8 (load) is left out: the CLI cannot cut
+// its five loads × four columns, which take 4 s (48 s under -race);
+// internal/eval's TestLiveSweepsWorkerDeterminism renders its three forms
+// at a test's size.
 func TestLiveSweepOutputForms(t *testing.T) {
 	if got, want := qolsr.LiveGridNames(), []string{"control", "loss", "load", "overhead", "scale"}; !slices.Equal(got, want) {
 		t.Fatalf("live grids = %v, want %v", got, want)
 	}
-	for _, name := range qolsr.LiveGridNames() {
-		ran := false
-		spy := func() (*qolsr.GridResult, error) {
-			ran = true
-			return nil, errors.New("ran")
-		}
-		if err := runLiveGrid(name, spy, "", "out.csv"); err == nil || ran {
-			t.Errorf("%s -csv out.csv: err = %v, ran = %v", name, err, ran)
-		}
-		if err := runLiveGrid(name, spy, "-", ""); err == nil || !ran {
-			t.Errorf("%s -json -: err = %v, ran = %v", name, err, ran)
-		}
-	}
 	if slices.Contains(qolsr.LiveGridNames(), "mprs") {
 		t.Error("a figure-harness ablation is listed as a live grid")
+	}
+	if err := run([]string{"-ablation", "control", "-json", "-", "-csv", "-"}); err == nil {
+		t.Error("-json - and -csv - shared stdout")
+	}
+	for _, name := range []string{"control", "loss", "overhead", "scale"} {
+		dir := t.TempDir()
+		jsonPath, csvPath := filepath.Join(dir, "out.json"), filepath.Join(dir, "out.csv")
+		table := stdout(t, func() error {
+			return run([]string{"-ablation", name, "-runs", "20", "-degrees", "5", "-scale-max", "50", "-quiet", "-json", jsonPath, "-csv", csvPath})
+		})
+		if !strings.HasPrefix(table, "# ") || !strings.Contains(table, "(1 runs/point)") {
+			t.Errorf("%s table:\n%s", name, table)
+		}
+		var doc struct {
+			Schema string
+			Sweeps []struct {
+				ID                  string
+				Columns, Quantities []string
+				Points              []struct{ X float64 }
+			}
+		}
+		data, err := os.ReadFile(jsonPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := json.Unmarshal(data, &doc); err != nil || doc.Schema != "qolsr-sweep/v2" || len(doc.Sweeps) != 1 || doc.Sweeps[0].ID != name {
+			t.Fatalf("%s JSON (%v):\n%s", name, err, data)
+		}
+		sw := doc.Sweeps[0]
+		rows, err := os.ReadFile(csvPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := strings.Count(string(rows), "\n"), 1+len(sw.Points)*len(sw.Columns)*len(sw.Quantities); got != want || !strings.HasPrefix(string(rows), "sweep,axis,x,column,quantity,") {
+			t.Errorf("%s CSV has %d lines, want %d:\n%s", name, got, want, rows)
+		}
 	}
 }
 
 // TestLiveGridDefaultRuns: without -runs a live grid runs its own default
 // of 3 runs a point, not a share of the figures' 100.
 func TestLiveGridDefaultRuns(t *testing.T) {
-	out, err := os.Create(filepath.Join(t.TempDir(), "stdout"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer out.Close()
-	stdout := os.Stdout
-	os.Stdout = out
-	err = run([]string{"-ablation", "control", "-degrees", "5", "-quiet"})
-	os.Stdout = stdout
-	if err != nil {
-		t.Fatal(err)
-	}
-	table, err := os.ReadFile(out.Name())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if title, _, _ := strings.Cut(string(table), "\n"); !strings.HasSuffix(title, "(3 runs/point)") {
+	table := stdout(t, func() error { return run([]string{"-ablation", "control", "-degrees", "5", "-quiet"}) })
+	if title, _, _ := strings.Cut(table, "\n"); !strings.HasSuffix(title, "(3 runs/point)") {
 		t.Errorf("table title %q, want 3 runs a point", title)
 	}
 }

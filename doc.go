@@ -44,17 +44,27 @@
 // link sensing, metric × sensing or control plane), and quantities read
 // off each cell's scenario run. Every cell executes under the grid's seed
 // and its run index, so the columns of a (point, run) share one drawn
-// field, and the tables and "qolsr-grid/v1" JSON are identical at every
-// worker count. Their delivery column (A4, A7, O1) is the scenario's probe
-// delivery: probes delivered over probes between connected ends, pooled
-// over every sample from the warmup on.
+// field, and the tables, JSON and CSV are identical at every worker count.
+// Their delivery column (A4, A7, O1) is the scenario's probe delivery:
+// probes delivered over probes between connected ends, pooled over every
+// sample from the warmup on.
+//
+// Figures, static ablations and live grids land in one result type: a
+// Results holds one Sweep per request — its identity, axis points, columns
+// and quantities, and one accumulator per (point, column, quantity) — with
+// one table writer, one JSON encoder ("qolsr-sweep/v2": mean, ci95, std
+// and n per cell) and one long-form CSV encoder. A figure's sweep carries
+// every series its runs measure: set size, overhead, delivery, hops
+// (directed delivery where measured), realised node count and skipped
+// runs. Overhead averages over delivered pairs only, so every overhead
+// table prints each protocol's delivery beside it.
 //
 //	exp, err := qolsr.ExperimentByID("fig6", "fig8")
 //	r := qolsr.NewRunner(qolsr.WithRuns(100), qolsr.WithSeed(1),
 //		qolsr.WithWorkers(8), qolsr.WithProgress(log.Printf))
 //	res, err := r.Run(ctx, exp)
 //	res.WriteTables(os.Stdout)   // the paper's tables
-//	res.EncodeJSON(os.Stdout)    // machine-readable ("qolsr-sweep/v1")
+//	res.EncodeJSON(os.Stdout)    // machine-readable ("qolsr-sweep/v2")
 //	res.EncodeCSV(os.Stdout)     // long-form rows for plotting tools
 //
 // Results are deterministic: every run's RNG stream is derived by a
@@ -63,12 +73,14 @@
 // stops dispatching work promptly and returns ctx.Err().
 //
 // For incremental consumption (live plotting, partial saves), Stream
-// delivers each completed density point as it lands:
+// delivers each completed density point as it lands; until the figure's
+// EventFigure, read only the event's point of its sweep:
 //
 //	events, wait := r.Stream(ctx, exp)
 //	for ev := range events {
 //		if ev.Kind == qolsr.EventPoint {
-//			plot(ev.FigureID, ev.Degree, ev.Point)
+//			s, i := ev.Sweep, ev.PointIndex
+//			plot(s.ID, s.Points[i], s.Cell(i, "fnbp", qolsr.QuantityOverhead))
 //		}
 //	}
 //	res, err := wait()
@@ -300,7 +312,8 @@
 // flooding cost from the QoS-driven advertised set, which stays intact for
 // routing. The O1 grid (-ablation overhead) measures each
 // optimisation against the original QOLSR plane on identical fields;
-// BENCH_overhead.json records the result.
+// BENCH_overhead.json records its five-run result, regenerated by
+// `qolsr-sim -ablation overhead -runs 100 -json BENCH_overhead.json`.
 //
 // # Observability
 //

@@ -85,9 +85,9 @@ func main() {
 	events, wait := r.Stream(context.Background(), qolsr.NewExperiment(fig))
 	for ev := range events {
 		if ev.Kind == qolsr.EventPoint {
-			pp := ev.Point.Protocols["fnbp"]
+			s, pi := ev.Sweep, ev.PointIndex
 			fmt.Printf("density %g: fnbp advertises %.2f neighbors/node\n",
-				ev.Degree, pp.SetSize.Mean())
+				s.Points[pi], s.Cell(pi, "fnbp", qolsr.QuantitySetSize).Mean())
 		}
 	}
 	if _, err := wait(); err != nil {

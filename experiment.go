@@ -12,12 +12,12 @@ package qolsr
 //	res.EncodeJSON(os.Stdout)
 //
 // For incremental consumption, Stream delivers every completed density
-// point (and every assembled figure) on a channel while the sweep is still
+// point (and every completed figure) on a channel while the sweep is still
 // running:
 //
 //	events, wait := r.Stream(ctx, exp)
 //	for ev := range events {
-//		if ev.Kind == qolsr.EventPoint { plot(ev.Degree, ev.Point) }
+//		if ev.Kind == qolsr.EventPoint { plot(ev.Sweep, ev.PointIndex) }
 //	}
 //	res, err := wait()
 //
@@ -36,19 +36,15 @@ type (
 	Figure = eval.Figure
 	// Quantity selects which measured series a figure reports.
 	Quantity = eval.Quantity
-	// PointResult is one density point's outcome.
-	PointResult = eval.PointResult
-	// ProtocolPoint aggregates one protocol's behaviour at one density.
-	ProtocolPoint = eval.ProtocolPoint
-	// FigureResult is an assembled figure: one PointResult per density.
-	FigureResult = eval.FigureResult
 	// ProtocolSpec binds a selector to a routing policy.
 	ProtocolSpec = eval.ProtocolSpec
-	// GridResult is a completed live-stack ablation (Runner.LiveGrid).
-	GridResult = eval.GridResult
 	// ScaleAxis cuts S1's node-count axis and picks its control plane.
 	ScaleAxis = eval.ScaleAxis
-	// Results is a completed sweep with table/CSV/JSON encoders.
+	// Sweep is one completed figure, static ablation or live grid: one
+	// accumulator per (axis point, column, quantity).
+	Sweep = eval.Sweep
+	// Results is a completed run, one Sweep per request, with table, CSV
+	// and JSON ("qolsr-sweep/v2") encoders.
 	Results = eval.Result
 	// Event is one incremental sweep outcome (see Stream).
 	Event = eval.Event
@@ -68,7 +64,7 @@ const (
 const (
 	// EventPoint reports one completed density point.
 	EventPoint = eval.EventPoint
-	// EventFigure reports a fully assembled figure.
+	// EventFigure reports a figure whose every point has landed.
 	EventFigure = eval.EventFigure
 )
 
@@ -217,7 +213,8 @@ func (r *Runner) Stream(ctx context.Context, e *Experiment) (<-chan Event, func(
 // grid, honouring ctx and the runner's seed, worker budget and density axis
 // (A4 and O1). A live run costs about twenty offline ones, so a runner run
 // count of n gives each grid n/20 runs a point (at least 1), and none gives
-// its own default of 3; S1 always runs one. scale applies to S1 only.
-func (r *Runner) LiveGrid(ctx context.Context, name string, scale ScaleAxis) (*GridResult, error) {
+// its own default of 3; S1 always runs one. scale applies to S1 only. The
+// result holds the grid's one sweep.
+func (r *Runner) LiveGrid(ctx context.Context, name string, scale ScaleAxis) (*Results, error) {
 	return eval.RunLiveGrid(ctx, name, scale, r.opts)
 }

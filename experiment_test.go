@@ -45,15 +45,15 @@ func TestExperimentRunAndEncoders(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Figures) != 1 || len(res.Figures[0].Points) != 2 {
-		t.Fatalf("result shape wrong: %+v", res.Figures)
+	if len(res.Sweeps) != 1 || len(res.Sweeps[0].Points) != 2 {
+		t.Fatalf("result shape wrong: %+v", res.Sweeps)
 	}
 
 	var jsonBuf bytes.Buffer
 	if err := res.EncodeJSON(&jsonBuf); err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{`"schema": "qolsr-sweep/v1"`, `"id": "fig6"`, `"set-size"`, `"fnbp"`} {
+	for _, want := range []string{`"schema": "qolsr-sweep/v2"`, `"id": "fig6"`, `"set-size"`, `"delivery"`, `"fnbp"`} {
 		if !strings.Contains(jsonBuf.String(), want) {
 			t.Errorf("JSON missing %q:\n%s", want, jsonBuf.String())
 		}
@@ -63,9 +63,10 @@ func TestExperimentRunAndEncoders(t *testing.T) {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(csvBuf.String()), "\n")
-	// Header + 2 densities × 3 protocols × 1 quantity.
-	if len(lines) != 7 {
-		t.Errorf("CSV lines = %d, want 7:\n%s", len(lines), csvBuf.String())
+	// Header + 2 densities × 3 protocols × 6 quantities (set size,
+	// overhead, delivery, hops, nodes, skipped).
+	if len(lines) != 37 {
+		t.Errorf("CSV lines = %d, want 37:\n%s", len(lines), csvBuf.String())
 	}
 }
 
@@ -77,8 +78,8 @@ func TestExperimentStreamDeliversIncrementally(t *testing.T) {
 		switch ev.Kind {
 		case qolsr.EventPoint:
 			points++
-			if ev.Point == nil {
-				t.Error("point event without point")
+			if ev.Sweep == nil || ev.Sweep.Cell(ev.PointIndex, "fnbp", qolsr.QuantitySetSize).N() == 0 {
+				t.Error("point event without its point")
 			}
 		case qolsr.EventFigure:
 			figures++
@@ -91,8 +92,8 @@ func TestExperimentStreamDeliversIncrementally(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, p := range res.Figures[0].Points {
-		if p == nil {
+	for i := range res.Sweeps[0].Points {
+		if res.Sweeps[0].Cell(i, "fnbp", qolsr.QuantitySetSize).N() == 0 {
 			t.Errorf("point %d missing from final result", i)
 		}
 	}
@@ -156,7 +157,7 @@ func TestRunnerControlSweep(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, sel := range []string{"fnbp", "topofilter", "qolsr"} {
-		if tc := res.Cell(0, sel, "tcB/s"); tc == nil || tc.N() != 1 || tc.Mean() <= 0 {
+		if tc := res.Sweeps[0].Cell(0, sel, "tcB/s"); tc == nil || tc.N() != 1 || tc.Mean() <= 0 {
 			t.Errorf("%s: no single-run TC rate at density 6", sel)
 		}
 	}

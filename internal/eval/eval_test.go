@@ -2,12 +2,15 @@ package eval
 
 import (
 	"context"
+	"math"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
 
 	"qolsr/internal/geom"
 	"qolsr/internal/metric"
+	"qolsr/internal/stats"
 )
 
 // smallPoint keeps tests fast: a low-density point on a small field.
@@ -21,14 +24,20 @@ func smallPoint(m metric.Metric, degree float64, protocols []ProtocolSpec) point
 }
 
 // runPoint evaluates one density point at runs topologies on the cell loop
-// runFigures runs every figure's points on; tests use it for deployments
-// off the paper's field.
-func runPoint(ctx context.Context, sc pointSpec, runs, workers int) (*PointResult, error) {
+// runFigures runs every figure's points on, as a one-point sweep; tests use
+// it for deployments off the paper's field.
+func runPoint(ctx context.Context, sc pointSpec, runs, workers int) (*Sweep, error) {
 	rows, err := pointSweep([]pointSpec{sc}, runs, workers, nil).run(ctx)
 	if err != nil {
 		return nil, err
 	}
-	return rows[0][0], nil
+	fig := Figure{ID: "point", Metric: sc.metric, Degrees: []float64{sc.deployment.Degree}, Quantity: QuantitySetSize, Protocols: sc.protocols}
+	if sc.directed {
+		fig.Quantity = QuantityDirectedDelivery
+	}
+	s := fig.sweep(runs, sc.seed)
+	s.cells[0] = rows[0][0]
+	return s, nil
 }
 
 func TestRunPointBasics(t *testing.T) {
@@ -36,25 +45,26 @@ func TestRunPointBasics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Degree != 10 {
-		t.Errorf("Degree = %v", res.Degree)
-	}
-	if res.Nodes.N() != 4 {
-		t.Errorf("node samples = %d, want 4", res.Nodes.N())
+	if res.Points[0] != 10 {
+		t.Errorf("point = %v", res.Points[0])
 	}
 	for _, name := range []string{"qolsr", "topofilter", "fnbp"} {
-		pp := res.Protocols[name]
-		if pp == nil {
+		size := res.Cell(0, name, QuantitySetSize)
+		if size == nil {
 			t.Fatalf("missing protocol %s", name)
 		}
-		if pp.SetSize.N() == 0 {
+		if size.N() == 0 {
 			t.Errorf("%s: no set-size samples", name)
 		}
-		if pp.SetSize.Mean() < 0 {
+		if size.Mean() < 0 {
 			t.Errorf("%s: negative set size", name)
 		}
-		if pp.Delivery.N()+res.SkippedRuns < 4 {
-			t.Errorf("%s: delivery samples %d + skipped %d < runs", name, pp.Delivery.N(), res.SkippedRuns)
+		if n := res.Cell(0, name, quantityNodes).N(); n != 4 {
+			t.Errorf("%s: node samples = %d, want 4", name, n)
+		}
+		skipped := res.Cell(0, name, quantitySkipped)
+		if dlv, skip := res.Cell(0, name, QuantityDelivery).N(), int(math.Round(skipped.Mean()*float64(skipped.N()))); skipped.N() != 4 || dlv+skip != 4 {
+			t.Errorf("%s: delivery samples %d + skipped %d over %d runs, want 4", name, dlv, skip, skipped.N())
 		}
 	}
 }
@@ -71,14 +81,8 @@ func TestRunPointDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, pa := range a.Protocols {
-		pb := b.Protocols[name]
-		if pa.SetSize.Mean() != pb.SetSize.Mean() || pa.SetSize.N() != pb.SetSize.N() {
-			t.Errorf("%s: set size differs across worker counts", name)
-		}
-		if pa.Overhead.Mean() != pb.Overhead.Mean() {
-			t.Errorf("%s: overhead differs across worker counts", name)
-		}
+	if !reflect.DeepEqual(a.cells, b.cells) {
+		t.Error("accumulators differ across worker counts")
 	}
 }
 
@@ -107,9 +111,9 @@ func TestSizeOrderingAtMidDensity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fnbp := res.Protocols["fnbp"].SetSize.Mean()
-	tf := res.Protocols["topofilter"].SetSize.Mean()
-	qolsr := res.Protocols["qolsr"].SetSize.Mean()
+	fnbp := res.Cell(0, "fnbp", QuantitySetSize).Mean()
+	tf := res.Cell(0, "topofilter", QuantitySetSize).Mean()
+	qolsr := res.Cell(0, "qolsr", QuantitySetSize).Mean()
 	if !(fnbp < tf && tf < qolsr) {
 		t.Errorf("size ordering violated: fnbp=%.2f topofilter=%.2f qolsr=%.2f", fnbp, tf, qolsr)
 	}
@@ -124,8 +128,8 @@ func TestOverheadOrderingAtMidDensity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fnbp := res.Protocols["fnbp"].Overhead.Mean()
-	qolsr := res.Protocols["qolsr"].Overhead.Mean()
+	fnbp := res.Cell(0, "fnbp", QuantityOverhead).Mean()
+	qolsr := res.Cell(0, "qolsr", QuantityOverhead).Mean()
 	if fnbp >= qolsr {
 		t.Errorf("overhead ordering violated: fnbp=%.4f qolsr=%.4f", fnbp, qolsr)
 	}
@@ -159,12 +163,12 @@ func TestPaperFiguresDefinitions(t *testing.T) {
 	}
 }
 
-// runFigureSerial assembles a FigureResult point by point, as runFigures
-// does, on a field small enough for a unit test.
-func runFigureSerial(t *testing.T, fig Figure, runs int, seed int64) *FigureResult {
+// runFigureSerial assembles a figure's sweep point by point, as
+// runFigures does, on a field small enough for a unit test.
+func runFigureSerial(t *testing.T, fig Figure, runs int, seed int64) *Sweep {
 	t.Helper()
-	res := &FigureResult{Figure: fig, Runs: runs}
-	for _, deg := range fig.Degrees {
+	res := fig.sweep(runs, seed)
+	for pi, deg := range fig.Degrees {
 		sc := fig.point(deg, seed)
 		// Tests sweep sub-paper densities on a small field for speed.
 		sc.deployment = geom.Deployment{Field: geom.Field{Width: 400, Height: 400}, Radius: 100, Degree: deg}
@@ -172,43 +176,43 @@ func runFigureSerial(t *testing.T, fig Figure, runs int, seed int64) *FigureResu
 		if err != nil {
 			t.Fatal(err)
 		}
-		res.Points = append(res.Points, point)
+		res.cells[pi] = point.cells[0]
 	}
 	return res
 }
 
+// TestFigureWriters: a figure's table heads each protocol's headline
+// quantity by the protocol's name with its ±95% beside it, and an overhead
+// or directed-delivery table adds the protocol's delivery.
 func TestFigureWriters(t *testing.T) {
 	fig := Figure{
 		ID:        "figtest",
 		Title:     "tiny smoke figure",
 		Metric:    metric.Bandwidth(),
 		Degrees:   []float64{8, 12},
-		Quantity:  QuantitySetSize,
 		Protocols: PaperProtocols(),
 	}
-	res := runFigureSerial(t, fig, 2, 7)
-	if len(res.Points) != 2 {
-		t.Fatalf("points = %d", len(res.Points))
-	}
-
-	var tbl strings.Builder
-	if err := res.WriteTable(&tbl); err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{"figtest", "density", "qolsr", "fnbp"} {
-		if !strings.Contains(tbl.String(), want) {
-			t.Errorf("table missing %q:\n%s", want, tbl.String())
+	for _, q := range QuantityNames() {
+		fig.Quantity = Quantity(q)
+		var tbl strings.Builder
+		if err := (&Result{Sweeps: []*Sweep{runFigureSerial(t, fig, 2, 7)}}).WriteTables(&tbl); err != nil {
+			t.Fatal(err)
 		}
-	}
-	var del strings.Builder
-	if err := res.WriteDeliveryTable(&del); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(del.String(), "delivery ratio") {
-		t.Error("delivery table header missing")
-	}
-	if v := res.Value(0, "fnbp"); v < 0 {
-		t.Errorf("Value = %v", v)
+		lines := strings.Split(strings.TrimSuffix(tbl.String(), "\n"), "\n")
+		want := []string{"density"}
+		for _, p := range fig.Protocols {
+			want = append(want, p.Name, "±95%")
+			if fig.Quantity == QuantityOverhead || fig.Quantity == QuantityDirectedDelivery {
+				want = append(want, p.Name+"_delivery")
+			}
+		}
+		if len(lines) != 4 || lines[0] != "# figtest — tiny smoke figure (2 runs/point)" || !slices.Equal(strings.Fields(lines[1]), want) {
+			t.Errorf("%s table:\n%s\nwant header %q", q, tbl.String(), want)
+			continue
+		}
+		if row := strings.Fields(lines[2]); len(row) != len(want) || row[0] != "8" {
+			t.Errorf("%s: first row %q", q, row)
+		}
 	}
 }
 
@@ -243,8 +247,8 @@ func TestDirectedDeliveryAblation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	withFix := res.Protocols["fnbp"].DirectedDelivery
-	without := res.Protocols["fnbp-nofix"].DirectedDelivery
+	withFix := res.Cell(0, "fnbp", QuantityDirectedDelivery)
+	without := res.Cell(0, "fnbp-nofix", QuantityDirectedDelivery)
 	if withFix.N() == 0 {
 		t.Fatal("no directed delivery samples")
 	}
@@ -295,27 +299,32 @@ func TestSweepRegistry(t *testing.T) {
 	}
 }
 
-// Every listed quantity is a series a point measures, so -list names only
-// quantities a figure can report.
+// Every listed quantity is a series a figure run measures, so -list names
+// only quantities a figure can headline, and a figure headlining any other
+// is rejected, naming it, before any topology is drawn.
 func TestQuantityNames(t *testing.T) {
 	want := []string{"set-size", "overhead", "delivery", "directed-delivery"}
 	if got := QuantityNames(); !slices.Equal(got, want) {
 		t.Errorf("QuantityNames() = %v, want %v", got, want)
 	}
-	var pp ProtocolPoint
 	for _, name := range QuantityNames() {
-		if pp.Series(Quantity(name)) == nil {
+		if !slices.Contains(figureSeries(true), Quantity(name)) {
 			t.Errorf("%s has no series", name)
 		}
 	}
-	if pp.Series("bogus") != nil {
-		t.Error("unknown quantity has a series")
+	fig := tinyFigure("bad", 3)
+	fig.Quantity = "bogus"
+	_, err := runFigures(context.Background(), []Figure{fig}, Options{Runs: 1, Seed: 1, Workers: 1}, func(*Sweep, int, int) {
+		t.Error("a point ran")
+	})
+	if err == nil || !strings.Contains(err.Error(), "bogus") {
+		t.Errorf("err = %v, want one naming the unknown quantity", err)
 	}
 }
 
 // TestRunFiguresSharesPoints: figures that agree on metric, protocols and
-// directed delivery get one *PointResult per density, and any difference
-// keeps points apart. The hook sees every (figure, point) once, after the
+// directed delivery share one row of accumulators per density, and any
+// difference keeps points apart. The hook sees every (figure, point) once, after the
 // point is stored.
 func TestRunFiguresSharesPoints(t *testing.T) {
 	var figs []Figure
@@ -328,8 +337,8 @@ func TestRunFiguresSharesPoints(t *testing.T) {
 		figs = append(figs, f)
 	}
 	seen := map[[2]int]int{}
-	res, err := runFigures(context.Background(), figs, Options{Runs: 1, Seed: 3, Workers: 2}, func(fr *FigureResult, fi, pi int) {
-		if fr.Figure.ID != figs[fi].ID || fr.Points[pi] == nil {
+	res, err := runFigures(context.Background(), figs, Options{Runs: 1, Seed: 3, Workers: 2}, func(s *Sweep, fi, pi int) {
+		if s.ID != figs[fi].ID || s.cells[pi] == nil {
 			t.Errorf("%s point %d handed over unset", figs[fi].ID, pi)
 		}
 		seen[[2]int{fi, pi}]++
@@ -345,7 +354,7 @@ func TestRunFiguresSharesPoints(t *testing.T) {
 			t.Errorf("hook saw %v %d times", k, n)
 		}
 	}
-	p := func(i int) *PointResult { return res[i].Points[0] }
+	p := func(i int) *stats.Accumulator { return &res[i].cells[0][0][0] }
 	if p(0) != p(2) || p(1) != p(3) {
 		t.Error("fig6/fig8 or fig7/fig9 simulated twice")
 	}
@@ -354,23 +363,29 @@ func TestRunFiguresSharesPoints(t *testing.T) {
 	}
 }
 
-// A figure without density points is rejected before any topology is
-// drawn, naming it.
+// A figure without density points or without protocols is rejected before
+// any topology is drawn, naming it.
 func TestRunFiguresRejectsEmptyFigure(t *testing.T) {
-	fig6, fig7 := PaperFigures()[0], PaperFigures()[1]
-	fig6.Degrees = nil
-	_, err := runFigures(context.Background(), []Figure{fig7, fig6}, Options{Runs: 1, Seed: 1, Workers: 1}, func(*FigureResult, int, int) {
-		t.Error("a point ran")
-	})
-	if err == nil || !strings.Contains(err.Error(), "fig6") {
-		t.Errorf("err = %v, want one naming fig6", err)
+	for _, empty := range []func(*Figure){func(f *Figure) { f.Degrees = nil }, func(f *Figure) { f.Protocols = nil }} {
+		fig6, fig7 := PaperFigures()[0], PaperFigures()[1]
+		empty(&fig6)
+		_, err := runFigures(context.Background(), []Figure{fig7, fig6}, Options{Runs: 1, Seed: 1, Workers: 1}, func(*Sweep, int, int) {
+			t.Error("a point ran")
+		})
+		if err == nil || !strings.Contains(err.Error(), "fig6") {
+			t.Errorf("err = %v, want one naming fig6", err)
+		}
 	}
 }
 
 // The paper's orderings at every density of Figs. 6-9, from the two sweeps
 // runFigures shares between them: set size fnbp < topofilter < qolsr (at
 // delay δ=5 only fnbp below both; topofilter advertises more than QOLSR
-// there, see README), overhead fnbp < qolsr.
+// there, see README), overhead fnbp < qolsr. Overhead averages over
+// delivered pairs only, so the delivery beside it is pinned too:
+// topofilter and qolsr deliver every pair, and FNBP loses fig 8's pair in
+// one of the four runs at δ = 30 and 35 (ROADMAP item 2) but none of
+// fig 9's.
 func TestPaperOrderingsAtEveryDensity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-run evaluation")
@@ -379,22 +394,35 @@ func TestPaperOrderingsAtEveryDensity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	fnbpDelivery := map[string][]float64{
+		"fig8": {1, 1, 1, 1, 0.75, 0.75},
+		"fig9": {1, 1, 1, 1, 1, 1},
+	}
 	for _, pair := range [][2]int{{0, 2}, {1, 3}} {
 		size, over := res[pair[0]], res[pair[1]]
-		for i, deg := range size.Figure.Degrees {
-			if size.Points[i] != over.Points[i] {
-				t.Errorf("%s and %s simulated density %g twice", size.Figure.ID, over.Figure.ID, deg)
+		for i, deg := range size.Points {
+			if &size.cells[i][0][0] != &over.cells[i][0][0] {
+				t.Errorf("%s and %s simulated density %g twice", size.ID, over.ID, deg)
 			}
-			fnbp, tf, qolsr := size.Value(i, "fnbp"), size.Value(i, "topofilter"), size.Value(i, "qolsr")
-			if size.Figure.ID == "fig7" && deg == 5 {
+			v := func(s *Sweep, name string, q Quantity) float64 { return s.Cell(i, name, q).Mean() }
+			fnbp, tf, qolsr := v(size, "fnbp", QuantitySetSize), v(size, "topofilter", QuantitySetSize), v(size, "qolsr", QuantitySetSize)
+			if size.ID == "fig7" && deg == 5 {
 				if !(fnbp < tf && fnbp < qolsr) {
 					t.Errorf("fig7 δ=5: fnbp=%.2f not below topofilter=%.2f and qolsr=%.2f", fnbp, tf, qolsr)
 				}
 			} else if !(fnbp < tf && tf < qolsr) {
-				t.Errorf("%s δ=%g: size ordering violated: fnbp=%.2f topofilter=%.2f qolsr=%.2f", size.Figure.ID, deg, fnbp, tf, qolsr)
+				t.Errorf("%s δ=%g: size ordering violated: fnbp=%.2f topofilter=%.2f qolsr=%.2f", size.ID, deg, fnbp, tf, qolsr)
 			}
-			if f, q := over.Value(i, "fnbp"), over.Value(i, "qolsr"); f >= q {
-				t.Errorf("%s δ=%g: overhead ordering violated: fnbp=%.4f qolsr=%.4f", over.Figure.ID, deg, f, q)
+			if f, q := v(over, "fnbp", QuantityOverhead), v(over, "qolsr", QuantityOverhead); f >= q {
+				t.Errorf("%s δ=%g: overhead ordering violated: fnbp=%.4f qolsr=%.4f", over.ID, deg, f, q)
+			}
+			for _, name := range []string{"topofilter", "qolsr"} {
+				if d := v(over, name, QuantityDelivery); d != 1 {
+					t.Errorf("%s δ=%g: %s delivers %.4f, want 1", over.ID, deg, name, d)
+				}
+			}
+			if d, want := v(over, "fnbp", QuantityDelivery), fnbpDelivery[over.ID][i]; d != want {
+				t.Errorf("%s δ=%g: fnbp delivers %.4f, want %.4f", over.ID, deg, d, want)
 			}
 		}
 	}

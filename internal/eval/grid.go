@@ -2,13 +2,10 @@ package eval
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
-	"io"
 	"math"
 	"math/rand"
 	"slices"
-	"strings"
 	"time"
 
 	"qolsr/internal/geom"
@@ -29,28 +26,19 @@ import (
 
 // liveGrid is one live-stack ablation.
 type liveGrid struct {
-	name, title, axisName string
-	axis                  []float64
+	// Sweep is the grid's identity, axis, columns and quantities (each
+	// with its read); run fills in the runs, the seed and the cells.
+	Sweep
 	// runs is the run count when the caller names none.
 	runs int
 	base scenario.Scenario
 	// at edits a cell's scenario for axis value x; seed and run are the
 	// cell's, which S1 draws its node positions from.
-	at   func(sc *scenario.Scenario, x float64, seed int64, run int)
-	cols []string
-	col  func(sc *scenario.Scenario, col int)
-	// reads are the measured quantities, per column in this order.
-	reads []quantity
+	at  func(sc *scenario.Scenario, x float64, seed int64, run int)
+	col func(sc *scenario.Scenario, col int)
 	// serial runs one cell at a time (liveSweep.serial); RunLiveGrid gives
 	// it one run a point (S1: the axis is engine cost, not statistics).
 	serial bool
-}
-
-// quantity is one measured column of a grid. An empty format keeps it out
-// of the table (JSON carries every quantity); a NaN reading adds no sample.
-type quantity struct {
-	name, format string
-	read         func(c cellResult) float64
 }
 
 // cellResult is what one cell's quantities read: the scenario run, its
@@ -137,17 +125,18 @@ func atDensity(sc *scenario.Scenario, x float64, _ int64, _ int) {
 func controlGrid() liveGrid {
 	selectors := []string{"fnbp", "topofilter", "qolsr"}
 	return liveGrid{
-		name: "control", title: "A4 — control traffic on the live stack, 60s per run",
-		axisName: "density", axis: []float64{5, 10, 15, 20}, runs: 3,
-		base: probeBase(10), at: atDensity,
-		cols: selectors,
-		col:  func(sc *scenario.Scenario, col int) { sc.Protocol.Selector = selectors[col] },
-		reads: []quantity{
-			{"tcB/s", "%.0f", func(c cellResult) float64 { return float64(c.Control.TCBytes) / c.secs }},
-			{"helloB/s", "", func(c cellResult) float64 { return float64(c.Control.HelloBytes) / c.secs }},
-			{"set", "%.2f", func(c cellResult) float64 { return c.Samples[len(c.Samples)-1].SetSize }},
-			{"dlv", "%.2f", probeDelivery},
+		Sweep: Sweep{
+			ID: "control", Title: "A4 — control traffic on the live stack, 60s per run",
+			Axis: "density", Points: []float64{5, 10, 15, 20}, Columns: selectors,
+			quantities: []quantity{
+				{name: "tcB/s", format: "%.0f", read: func(c cellResult) float64 { return float64(c.Control.TCBytes) / c.secs }},
+				{name: "helloB/s", read: func(c cellResult) float64 { return float64(c.Control.HelloBytes) / c.secs }},
+				{name: "set", format: "%.2f", read: func(c cellResult) float64 { return c.Samples[len(c.Samples)-1].SetSize }},
+				{name: "dlv", format: "%.2f", read: probeDelivery},
+			},
 		},
+		runs: 3, base: probeBase(10), at: atDensity,
+		col: func(sc *scenario.Scenario, col int) { sc.Protocol.Selector = selectors[col] },
 	}
 }
 
@@ -159,21 +148,23 @@ func lossGrid() liveGrid {
 	base := probeBase(10)
 	base.Medium.Kind = "lossy"
 	return liveGrid{
-		name: "loss", title: "A7 — delivery vs. medium loss on the live stack, degree 10, 60s per run",
-		axisName: "loss", axis: []float64{0, 0.1, 0.2, 0.3, 0.4}, runs: 3, base: base,
-		at:   func(sc *scenario.Scenario, x float64, _ int64, _ int) { sc.Medium.Loss = x },
-		cols: []string{"oracle", "measured"},
-		col:  func(sc *scenario.Scenario, col int) { sc.Protocol.LinkSensing = sensing[col] },
-		reads: []quantity{
-			{"dlv", "%.3f", probeDelivery},
-			{"ctlB/s", "%.0f", controlRate},
-			{"lost", "%.3f", func(c cellResult) float64 {
-				if c.Data.Sent == 0 {
-					return math.NaN()
-				}
-				return float64(c.Data.Lost) / float64(c.Data.Sent)
-			}},
+		Sweep: Sweep{
+			ID: "loss", Title: "A7 — delivery vs. medium loss on the live stack, degree 10, 60s per run",
+			Axis: "loss", Points: []float64{0, 0.1, 0.2, 0.3, 0.4}, Columns: []string{"oracle", "measured"},
+			quantities: []quantity{
+				{name: "dlv", format: "%.3f", read: probeDelivery},
+				{name: "ctlB/s", format: "%.0f", read: controlRate},
+				{name: "lost", format: "%.3f", read: func(c cellResult) float64 {
+					if c.Data.Sent == 0 {
+						return math.NaN()
+					}
+					return float64(c.Data.Lost) / float64(c.Data.Sent)
+				}},
+			},
 		},
+		runs: 3, base: base,
+		at:  func(sc *scenario.Scenario, x float64, _ int64, _ int) { sc.Medium.Loss = x },
+		col: func(sc *scenario.Scenario, col int) { sc.Protocol.LinkSensing = sensing[col] },
 	}
 }
 
@@ -201,24 +192,26 @@ func loadGrid() liveGrid {
 		Duration: 55 * time.Second,
 	}
 	return liveGrid{
-		name: "load", title: fmt.Sprintf("A8 — QoS satisfaction vs offered load (16 flows, 60ms ceiling, loss %g, 25s warmup + 30s traffic)", loadLoss),
-		axisName: "load", axis: []float64{0.5, 1, 2, 4, 8}, runs: 3, base: base,
+		Sweep: Sweep{
+			ID: "load", Title: fmt.Sprintf("A8 — QoS satisfaction vs offered load (16 flows, 60ms ceiling, loss %g, 25s warmup + 30s traffic)", loadLoss),
+			Axis: "load", Points: []float64{0.5, 1, 2, 4, 8}, Columns: []string{"qos/oracle", "qos/measured", "hop/oracle", "hop/measured"},
+			quantities: []quantity{
+				{name: "viol", format: "%.3f", read: func(c cellResult) float64 { return c.Traffic.Total.ViolationRatio() }},
+				{name: "dlv", format: "%.3f", read: func(c cellResult) float64 { return c.Traffic.Total.Delivery }},
+				{name: "p95ms", format: "%.1f", read: func(c cellResult) float64 { return c.Traffic.Total.DelayP95.Seconds() * 1e3 }},
+				{name: "admitted", read: func(c cellResult) float64 { return float64(c.Traffic.Total.Admitted) }},
+			},
+		},
+		runs: 3, base: base,
 		at: func(sc *scenario.Scenario, x float64, _ int64, _ int) {
 			sc.Traffic.Mix = slices.Clone(sc.Traffic.Mix)
 			sc.Traffic.Mix[0].RateBps = loadBaseRateBps * x
 		},
-		cols: []string{"qos/oracle", "qos/measured", "hop/oracle", "hop/measured"},
 		col: func(sc *scenario.Scenario, col int) {
 			if col >= 2 {
 				sc.Protocol.Metric = "hop"
 			}
 			sc.Protocol.LinkSensing = sensing[col%2]
-		},
-		reads: []quantity{
-			{"viol", "%.3f", func(c cellResult) float64 { return c.Traffic.Total.ViolationRatio() }},
-			{"dlv", "%.3f", func(c cellResult) float64 { return c.Traffic.Total.Delivery }},
-			{"p95ms", "%.1f", func(c cellResult) float64 { return c.Traffic.Total.DelayP95.Seconds() * 1e3 }},
-			{"admitted", "", func(c cellResult) float64 { return float64(c.Traffic.Total.Admitted) }},
 		},
 	}
 }
@@ -233,27 +226,28 @@ func overheadGrid() liveGrid {
 	base.Protocol.Selector = "qolsr"
 	planes := []string{"mpr2", "mpr2+delta", "mpr2+fisheye", "mpr2+minrelay", "mpr2+delta+fisheye+minrelay"}
 	return liveGrid{
-		name: "overhead", title: "O1 — control overhead vs density per control plane, 60s per run",
-		axisName: "density", axis: []float64{5, 10, 15, 20, 30}, runs: 3,
-		base: base, at: atDensity,
-		cols: []string{"baseline", "delta", "fisheye", "minrelay", "all"},
-		col:  func(sc *scenario.Scenario, col int) { sc.Protocol.Plane = planes[col] },
-		reads: []quantity{
-			{"ctlB/s", "%.0f", controlRate},
-			{"origB/s", "", func(c cellResult) float64 { return float64(c.Control.TCOriginatedBytes) / c.secs }},
-			{"fwdB/s", "", func(c cellResult) float64 { return float64(c.Control.TCForwardedBytes) / c.secs }},
-			{"fwd", "%.0f", func(c cellResult) float64 { return float64(c.Control.TCForwarded) }},
-			{"dlv", "%.3f", probeDelivery},
-			{"stretch", "", func(c cellResult) float64 {
-				var a stats.Accumulator
-				for _, s := range c.Samples {
-					if s.HopStretch > 0 {
-						a.Add(s.HopStretch)
+		Sweep: Sweep{
+			ID: "overhead", Title: "O1 — control overhead vs density per control plane, 60s per run",
+			Axis: "density", Points: []float64{5, 10, 15, 20, 30}, Columns: []string{"baseline", "delta", "fisheye", "minrelay", "all"},
+			quantities: []quantity{
+				{name: "ctlB/s", format: "%.0f", read: controlRate},
+				{name: "origB/s", read: func(c cellResult) float64 { return float64(c.Control.TCOriginatedBytes) / c.secs }},
+				{name: "fwdB/s", read: func(c cellResult) float64 { return float64(c.Control.TCForwardedBytes) / c.secs }},
+				{name: "fwd", format: "%.0f", read: func(c cellResult) float64 { return float64(c.Control.TCForwarded) }},
+				{name: "dlv", format: "%.3f", read: probeDelivery},
+				{name: "stretch", read: func(c cellResult) float64 {
+					var a stats.Accumulator
+					for _, s := range c.Samples {
+						if s.HopStretch > 0 {
+							a.Add(s.HopStretch)
+						}
 					}
-				}
-				return a.Mean()
-			}},
+					return a.Mean()
+				}},
+			},
 		},
+		runs: 3, base: base, at: atDensity,
+		col: func(sc *scenario.Scenario, col int) { sc.Protocol.Plane = planes[col] },
 	}
 }
 
@@ -286,8 +280,19 @@ func scaleGrid(axis ScaleAxis) liveGrid {
 	}
 	events := registryValue("qolsr_des_events_executed_total")
 	return liveGrid{
-		name: "scale", title: fmt.Sprintf("S1 — simulator scaling vs node count (degree %d, 32 flows, 10s warmup + 10s traffic)", scaleDegree),
-		axisName: "nodes", axis: nodes, runs: 1, serial: true, base: base,
+		Sweep: Sweep{
+			ID: "scale", Title: fmt.Sprintf("S1 — simulator scaling vs node count (degree %d, 32 flows, 10s warmup + 10s traffic)", scaleDegree),
+			Axis: "nodes", Points: nodes, Columns: []string{""},
+			quantities: []quantity{
+				{name: "edges", format: "%.0f", read: func(c cellResult) float64 { return float64(c.Samples[0].Links) }},
+				{name: "wall_s", format: "%.2f", read: func(c cellResult) float64 { return c.wall }},
+				{name: "events", format: "%.0f", read: events},
+				{name: "Mev/s", format: "%.2f", read: func(c cellResult) float64 { return events(c) / c.wall / 1e6 }},
+				{name: "heap_hw", format: "%.0f", read: registryValue("qolsr_des_heap_high_water")},
+				{name: "dlv", format: "%.3f", read: func(c cellResult) float64 { return c.Traffic.Total.Delivery }},
+			},
+		},
+		runs: 1, serial: true, base: base,
 		at: func(sc *scenario.Scenario, x float64, seed int64, run int) {
 			// degree ≈ λπR² with λ = n/side², so side = R·sqrt(πn/degree).
 			r := rand.New(rand.NewSource(RunSeed(seed, x, run)))
@@ -298,16 +303,7 @@ func scaleGrid(axis ScaleAxis) liveGrid {
 			}
 			sc.Topology = scenario.Topology{Points: pts, Field: geom.Field{Width: side, Height: side}, Radius: gridRadius}
 		},
-		cols: []string{""},
-		col:  func(*scenario.Scenario, int) {},
-		reads: []quantity{
-			{"edges", "%.0f", func(c cellResult) float64 { return float64(c.Samples[0].Links) }},
-			{"wall_s", "%.2f", func(c cellResult) float64 { return c.wall }},
-			{"events", "%.0f", events},
-			{"Mev/s", "%.2f", func(c cellResult) float64 { return events(c) / c.wall / 1e6 }},
-			{"heap_hw", "%.0f", registryValue("qolsr_des_heap_high_water")},
-			{"dlv", "%.3f", func(c cellResult) float64 { return c.Traffic.Total.Delivery }},
-		},
+		col: func(*scenario.Scenario, int) {},
 	}
 }
 
@@ -346,15 +342,16 @@ func registryValue(name string) func(c cellResult) float64 {
 // Degrees. A live run costs about twenty offline ones, so o.Runs = n gives
 // the grid n/20 runs a point (at least 1), and none gives the grid's own;
 // S1 always runs its own one. o.Progress gets a line per completed axis
-// point. The result is bit-identical at every worker count, wall times
-// aside. Cancelling ctx stops between simulations and returns ctx.Err().
-func RunLiveGrid(ctx context.Context, name string, scale ScaleAxis, o Options) (*GridResult, error) {
+// point. The result, one sweep, is bit-identical at every worker count,
+// wall times aside. Cancelling ctx stops between simulations and returns
+// ctx.Err().
+func RunLiveGrid(ctx context.Context, name string, scale ScaleAxis, o Options) (*Result, error) {
 	g, err := liveGridByName(name, scale)
 	if err != nil {
 		return nil, err
 	}
-	if len(o.Degrees) > 0 && g.axisName == "density" {
-		g.axis = o.Degrees
+	if len(o.Degrees) > 0 && g.Axis == "density" {
+		g.Points = o.Degrees
 	}
 	switch {
 	case g.serial:
@@ -362,27 +359,31 @@ func RunLiveGrid(ctx context.Context, name string, scale ScaleAxis, o Options) (
 	case o.Runs > 0:
 		o.Runs = max(1, o.Runs/20)
 	}
-	return g.run(ctx, o.withDefaults(g.runs))
+	s, err := g.run(ctx, o.withDefaults(g.runs))
+	if err != nil {
+		return nil, err
+	}
+	return &Result{Sweeps: []*Sweep{s}}, nil
 }
 
 // run executes the grid on the cell loop. Each cell applies the axis edit,
 // then the column edit, to the base and executes it under (seed, run).
-func (g liveGrid) run(ctx context.Context, o Options) (*GridResult, error) {
+func (g liveGrid) run(ctx context.Context, o Options) (*Sweep, error) {
 	cells, err := liveSweep[[]stats.Accumulator]{
-		points: len(g.axis), runs: o.Runs, cols: len(g.cols), workers: o.Workers, serial: g.serial,
-		point: func(int, int) []stats.Accumulator { return make([]stats.Accumulator, len(g.reads)) },
+		points: len(g.Points), runs: o.Runs, cols: len(g.Columns), workers: o.Workers, serial: g.serial,
+		point: func(int, int) []stats.Accumulator { return make([]stats.Accumulator, len(g.quantities)) },
 		cell: func(pt, run, col int) (func([]stats.Accumulator), error) {
 			sc := g.base
-			g.at(&sc, g.axis[pt], o.Seed, run)
+			g.at(&sc, g.Points[pt], o.Seed, run)
 			g.col(&sc, col)
 			start := time.Now()
 			rr, err := scenario.Execute(ctx, sc, o.Seed, run, nil)
 			if err != nil {
-				return nil, fmt.Errorf("eval: %s %s %g column %q run %d: %w", g.name, g.axisName, g.axis[pt], g.cols[col], run, err)
+				return nil, fmt.Errorf("eval: %s %s %g column %q run %d: %w", g.ID, g.Axis, g.Points[pt], g.Columns[col], run, err)
 			}
 			c := cellResult{RunResult: rr, secs: sc.Duration.Seconds(), wall: time.Since(start).Seconds()}
-			vals := make([]float64, len(g.reads))
-			for i, q := range g.reads {
+			vals := make([]float64, len(g.quantities))
+			for i, q := range g.quantities {
 				vals[i] = q.read(c)
 			}
 			return func(acc []stats.Accumulator) {
@@ -395,106 +396,14 @@ func (g liveGrid) run(ctx context.Context, o Options) (*GridResult, error) {
 		},
 		done: func(pt int, _ [][]stats.Accumulator) {
 			if o.Progress != nil {
-				o.Progress("%s %s %g done (%d runs)", g.name, g.axisName, g.axis[pt], o.Runs)
+				o.Progress("%s %s %g done (%d runs)", g.ID, g.Axis, g.Points[pt], o.Runs)
 			}
 		},
 	}.run(ctx)
 	if err != nil {
 		return nil, err
 	}
-	return &GridResult{grid: g, seed: o.Seed, runs: o.Runs, cells: cells}, nil
-}
-
-// GridResult is a completed live grid: per (axis point, column), one
-// accumulator per quantity, folded in run order.
-type GridResult struct {
-	grid  liveGrid
-	seed  int64
-	runs  int
-	cells [][][]stats.Accumulator
-}
-
-// Cell returns quantity q's accumulator in column col at axis point pt, or
-// nil when the grid has no such column or quantity.
-func (r *GridResult) Cell(pt int, col, q string) *stats.Accumulator {
-	c := slices.Index(r.grid.cols, col)
-	i := slices.IndexFunc(r.grid.reads, func(x quantity) bool { return x.name == q })
-	if c < 0 || i < 0 {
-		return nil
-	}
-	return &r.cells[pt][c][i]
-}
-
-// WriteTable renders the grid: a "# title" line, a header of the axis name
-// and every column's tabled quantities (column_quantity, or the quantity
-// alone for S1's one unnamed column), and one row of means per axis point.
-func (r *GridResult) WriteTable(w io.Writer) error {
-	g := r.grid
-	header := []string{g.axisName}
-	for _, col := range g.cols {
-		for _, q := range g.reads {
-			if q.format != "" {
-				header = append(header, strings.TrimPrefix(col+"_"+q.name, "_"))
-			}
-		}
-	}
-	rows := make([][]string, len(g.axis))
-	for pt, x := range g.axis {
-		rows[pt] = []string{fmt.Sprint(x)}
-		for c := range g.cols {
-			for i, q := range g.reads {
-				if q.format != "" {
-					rows[pt] = append(rows[pt], fmt.Sprintf(q.format, r.cells[pt][c][i].Mean()))
-				}
-			}
-		}
-	}
-	return writeTable(w, fmt.Sprintf("%s (%d runs/point)", g.title, r.runs), header, rows)
-}
-
-// EncodeJSON writes the grid as one "qolsr-grid/v1" document: its name,
-// title, axis, columns, seed and runs, then one entry per (axis point,
-// column) with every quantity's mean, standard deviation and sample count.
-// JSON has no NaN, so an empty mean or a one-sample deviation encodes as 0.
-func (r *GridResult) EncodeJSON(w io.Writer) error {
-	type stat struct {
-		Mean float64 `json:"mean"`
-		Std  float64 `json:"std"`
-		N    int     `json:"n"`
-	}
-	type point struct {
-		X      float64         `json:"x"`
-		Column string          `json:"column"`
-		Values map[string]stat `json:"values"`
-	}
-	g := r.grid
-	doc := struct {
-		Schema  string   `json:"schema"`
-		Grid    string   `json:"grid"`
-		Title   string   `json:"title"`
-		Axis    string   `json:"axis"`
-		Columns []string `json:"columns"`
-		Seed    int64    `json:"seed"`
-		Runs    int      `json:"runs"`
-		Points  []point  `json:"points"`
-	}{Schema: "qolsr-grid/v1", Grid: g.name, Title: g.title, Axis: g.axisName, Columns: g.cols, Seed: r.seed, Runs: r.runs}
-	fin := func(x float64) float64 {
-		if math.IsNaN(x) || math.IsInf(x, 0) {
-			return 0
-		}
-		return x
-	}
-	for pt, x := range g.axis {
-		for c, col := range g.cols {
-			p := point{X: x, Column: col, Values: map[string]stat{}}
-			for i, q := range g.reads {
-				a := &r.cells[pt][c][i]
-				p.Values[q.name] = stat{fin(a.Mean()), fin(a.Std()), a.N()}
-			}
-			doc.Points = append(doc.Points, p)
-		}
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(doc)
+	s := g.Sweep
+	s.Runs, s.Seed, s.cells = o.Runs, o.Seed, cells
+	return &s, nil
 }

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"slices"
 	"strings"
@@ -23,7 +24,7 @@ func smallGrid(t *testing.T, name string, axis []float64, after time.Duration, s
 	if err != nil {
 		t.Fatal(err)
 	}
-	g.axis = axis
+	g.Points = axis
 	g.base.Duration = g.base.Warmup + after
 	if d := g.base.Topology.Deployment; d != nil {
 		dep := *d
@@ -42,24 +43,24 @@ func withFlows(g liveGrid, flows int) liveGrid {
 }
 
 // runGrid runs a test grid and fails the test on error.
-func runGrid(t *testing.T, g liveGrid, seed int64, runs, workers int) *GridResult {
+func runGrid(t *testing.T, g liveGrid, seed int64, runs, workers int) *Sweep {
 	t.Helper()
 	res, err := g.run(context.Background(), Options{Seed: seed, Runs: runs, Workers: workers})
 	if err != nil {
-		t.Fatalf("%s: %v", g.name, err)
+		t.Fatalf("%s: %v", g.ID, err)
 	}
 	return res
 }
 
-// render is a grid's table followed by its JSON document.
-func render(t *testing.T, res *GridResult) string {
+// render is a sweep's table followed by its JSON and CSV forms.
+func render(t *testing.T, s *Sweep) string {
 	t.Helper()
 	var b bytes.Buffer
-	if err := res.WriteTable(&b); err != nil {
-		t.Fatal(err)
-	}
-	if err := res.EncodeJSON(&b); err != nil {
-		t.Fatal(err)
+	res := &Result{Sweeps: []*Sweep{s}}
+	for _, encode := range []func(io.Writer) error{res.WriteTables, res.EncodeJSON, res.EncodeCSV} {
+		if err := encode(&b); err != nil {
+			t.Fatal(err)
+		}
 	}
 	return b.String()
 }
@@ -76,7 +77,7 @@ func scaleTestGrid(t *testing.T) liveGrid {
 // and FNBP's small advertised sets cost fewer TC bytes than QOLSR's.
 func TestControlSweep(t *testing.T) {
 	res := runGrid(t, smallGrid(t, "control", []float64{8}, 5*time.Second, 300, 0), 3, 1, 1)
-	for _, sel := range res.grid.cols {
+	for _, sel := range res.Columns {
 		if res.Cell(0, sel, "tcB/s").Mean() <= 0 {
 			t.Errorf("%s: no TC traffic", sel)
 		}
@@ -111,8 +112,8 @@ func TestLiveGridProgress(t *testing.T) {
 // sensing mode.
 func TestRunLossSweep(t *testing.T) {
 	res := runGrid(t, smallGrid(t, "loss", []float64{0, 0.3}, 10*time.Second, 300, 8), 1, 2, 1)
-	for pt, loss := range res.grid.axis {
-		for _, mode := range res.grid.cols {
+	for pt, loss := range res.Points {
+		for _, mode := range res.Columns {
 			dlv := res.Cell(pt, mode, "dlv")
 			if d := dlv.Mean(); dlv.N() == 0 || d < 0 || d > 1 {
 				t.Errorf("loss %g mode %s: delivery %g over %d runs", loss, mode, d, dlv.N())
@@ -126,7 +127,7 @@ func TestRunLossSweep(t *testing.T) {
 			}
 		}
 	}
-	for _, mode := range res.grid.cols {
+	for _, mode := range res.Columns {
 		if hi, lo := res.Cell(1, mode, "dlv").Mean(), res.Cell(0, mode, "dlv").Mean(); hi > lo {
 			t.Errorf("mode %s: delivery rose with loss (%g > %g)", mode, hi, lo)
 		}
@@ -158,8 +159,8 @@ func loadTestGrid(t *testing.T) liveGrid {
 // more than it at every load and strictly less at the top one.
 func TestLoadSweepViolationWorsensAndQoSWins(t *testing.T) {
 	res := runGrid(t, loadTestGrid(t), 1, 1, 1)
-	for pt, load := range res.grid.axis {
-		for _, col := range res.grid.cols {
+	for pt, load := range res.Points {
+		for _, col := range res.Columns {
 			if res.Cell(pt, col, "admitted").Mean() == 0 {
 				t.Errorf("load %g %s admitted nothing", load, col)
 			}
@@ -239,9 +240,9 @@ func TestOverheadSweepDeterministic(t *testing.T) {
 func TestOverheadSweepEncoders(t *testing.T) {
 	g := overheadTestGrid(t)
 	g.base.Duration -= 5 * time.Second
-	res := runGrid(t, g, 1, 1, 1)
+	res := &Result{Sweeps: []*Sweep{runGrid(t, g, 1, 1, 1)}}
 	var tab bytes.Buffer
-	if err := res.WriteTable(&tab); err != nil {
+	if err := res.WriteTables(&tab); err != nil {
 		t.Fatal(err)
 	}
 	for _, want := range []string{"# O1", "baseline_ctlB/s", "all_dlv"} {
@@ -254,25 +255,30 @@ func TestOverheadSweepEncoders(t *testing.T) {
 		t.Fatal(err)
 	}
 	var doc struct {
-		Schema, Grid string
-		Columns      []string
-		Points       []struct {
-			Values map[string]struct{ N int }
+		Schema string
+		Sweeps []struct {
+			ID      string
+			Columns []string
+			Points  []struct {
+				Columns map[string]map[string]struct{ N int }
+			}
 		}
 	}
 	if err := json.Unmarshal(js.Bytes(), &doc); err != nil {
 		t.Fatal(err)
 	}
-	if doc.Schema != "qolsr-grid/v1" || doc.Grid != "overhead" {
-		t.Errorf("schema %q grid %q", doc.Schema, doc.Grid)
+	if doc.Schema != "qolsr-sweep/v2" || len(doc.Sweeps) != 1 || doc.Sweeps[0].ID != "overhead" {
+		t.Fatalf("schema %q sweeps %+v", doc.Schema, doc.Sweeps)
 	}
-	if want := len(g.axis) * len(g.cols); len(doc.Points) != want {
-		t.Errorf("points = %d, want %d", len(doc.Points), want)
+	if sw := doc.Sweeps[0]; len(sw.Points) != len(g.Points) || !slices.Equal(sw.Columns, g.Columns) {
+		t.Errorf("points = %d, columns %v; want %d, %v", len(sw.Points), sw.Columns, len(g.Points), g.Columns)
 	}
-	for _, p := range doc.Points {
-		for _, q := range []string{"ctlB/s", "origB/s", "fwdB/s", "fwd", "dlv", "stretch"} {
-			if p.Values[q].N != 1 {
-				t.Fatalf("point missing %q: %v", q, p.Values)
+	for _, p := range doc.Sweeps[0].Points {
+		for _, col := range g.Columns {
+			for _, q := range []string{"ctlB/s", "origB/s", "fwdB/s", "fwd", "dlv", "stretch"} {
+				if p.Columns[col][q].N != 1 {
+					t.Fatalf("column %s missing %q: %v", col, q, p.Columns[col])
+				}
 			}
 		}
 	}
@@ -292,26 +298,23 @@ func TestOverheadSweepCancellation(t *testing.T) {
 // only nondeterministic column.
 func TestRunScaleSweep(t *testing.T) {
 	first, second := runGrid(t, scaleTestGrid(t), 7, 1, 1), runGrid(t, scaleTestGrid(t), 7, 1, 1)
-	for pt, n := range first.grid.axis {
+	for pt, n := range first.Points {
 		if first.Cell(pt, "", "events").Mean() <= 0 {
 			t.Errorf("%g nodes: no events executed", n)
 		}
 		if first.Cell(pt, "", "dlv").Mean() <= 0 {
 			t.Errorf("%g nodes: zero delivery", n)
 		}
-		for _, q := range []string{"edges", "events", "heap_hw", "dlv"} {
+		for _, q := range []Quantity{"edges", "events", "heap_hw", "dlv"} {
 			if a, b := first.Cell(pt, "", q).Mean(), second.Cell(pt, "", q).Mean(); a != b {
 				t.Errorf("%g nodes: %s differs across runs: %g vs %g", n, q, a, b)
 			}
 		}
 	}
-	var sb strings.Builder
-	if err := first.WriteTable(&sb); err != nil {
-		t.Fatal(err)
-	}
+	out := render(t, first)
 	for _, want := range []string{"nodes", "Mev/s", "30", "60"} {
-		if !strings.Contains(sb.String(), want) {
-			t.Errorf("table missing %q:\n%s", want, sb.String())
+		if !strings.Contains(out, want) {
+			t.Errorf("table missing %q:\n%s", want, out)
 		}
 	}
 }
@@ -337,12 +340,12 @@ func TestLiveSweepsWorkerDeterminism(t *testing.T) {
 	}
 	for _, g := range grids {
 		if serial, parallel := render(t, runGrid(t, g, 1, 2, 1)), render(t, runGrid(t, g, 1, 2, 4)); serial != parallel {
-			t.Errorf("%s differs between 1 and 4 workers:\n%s\nvs\n%s", g.name, serial, parallel)
+			t.Errorf("%s differs between 1 and 4 workers:\n%s\nvs\n%s", g.ID, serial, parallel)
 		}
 	}
 	serial, parallel := runGrid(t, scaleTestGrid(t), 1, 1, 1), runGrid(t, scaleTestGrid(t), 1, 1, 4)
-	for pt := range serial.grid.axis {
-		for _, q := range []string{"edges", "events", "heap_hw", "dlv"} {
+	for pt := range serial.Points {
+		for _, q := range []Quantity{"edges", "events", "heap_hw", "dlv"} {
 			if a, b := serial.Cell(pt, "", q).Mean(), parallel.Cell(pt, "", q).Mean(); a != b {
 				t.Errorf("scale point %d: %s %g at 1 worker, %g at 4", pt, q, a, b)
 			}
@@ -360,28 +363,28 @@ func TestLiveGridsPairColumns(t *testing.T) {
 		g := smallGrid(t, name, []float64{8, 10}, 4*time.Second, 300, 8)
 		switch name {
 		case "loss":
-			g.axis = []float64{0, 0.2}
+			g.Points = []float64{0, 0.2}
 		case "load":
 			g = withFlows(g, 4)
-			g.axis = []float64{1, 4}
+			g.Points = []float64{1, 4}
 		case "scale":
 			g = scaleTestGrid(t)
 		}
-		g.reads = []quantity{{"pair", "%.0f", func(c cellResult) float64 {
+		g.quantities = []quantity{{name: "pair", format: "%.0f", read: func(c cellResult) float64 {
 			return float64(c.Run)*1e10 + float64(c.Nodes)*1e5 + float64(c.Samples[0].Links)
 		}}}
 		for _, workers := range []int{1, 4} {
 			res := runGrid(t, g, 5, 2, workers)
-			for pt := range g.axis {
+			for pt := range g.Points {
 				ref := &res.cells[pt][0][0]
-				if ref.N() != res.runs {
-					t.Fatalf("%s point %d: %d runs folded, want %d", name, pt, ref.N(), res.runs)
+				if ref.N() != res.Runs {
+					t.Fatalf("%s point %d: %d runs folded, want %d", name, pt, ref.N(), res.Runs)
 				}
-				for col := range g.cols {
+				for col := range g.Columns {
 					a := &res.cells[pt][col][0]
 					if a.Min() != ref.Min() || a.Max() != ref.Max() {
 						t.Errorf("%s workers %d point %d: column %q read %.0f..%.0f, column %q %.0f..%.0f",
-							name, workers, pt, g.cols[col], a.Min(), a.Max(), g.cols[0], ref.Min(), ref.Max())
+							name, workers, pt, g.Columns[col], a.Min(), a.Max(), g.Columns[0], ref.Min(), ref.Max())
 					}
 				}
 			}

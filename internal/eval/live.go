@@ -2,10 +2,7 @@ package eval
 
 import (
 	"context"
-	"fmt"
-	"io"
 	"runtime"
-	"strings"
 	"sync"
 
 	"qolsr/internal/par"
@@ -15,7 +12,8 @@ import (
 // The paper figures and their ablations (Stream), the live-stack grids —
 // A4 (control), A7 (loss), A8 (load), O1 (overhead) and S1 (scale),
 // grid.go — and a scenario's replicate runs (StreamScenario) all run on the
-// one cell loop below. This file holds that loop and the table writer.
+// one cell loop below. The figures, ablations and grids land in one result
+// shape (Sweep, result.go).
 
 // liveSweep is the one cell loop of every sweep. P is the sweep's
 // per-cell point, whose accumulators the folds feed.
@@ -117,17 +115,4 @@ func (s liveSweep[P]) cells(ctx context.Context, pt, run int) ([]func(P), error)
 		}
 	}
 	return fs, nil
-}
-
-// writeTable writes a "# title" line and space-aligned rows under a header.
-func writeTable(w io.Writer, title string, header []string, rows [][]string) error {
-	if _, err := fmt.Fprintf(w, "# %s\n", title); err != nil {
-		return err
-	}
-	for _, cells := range append([][]string{header}, rows...) {
-		if _, err := fmt.Fprintln(w, strings.Join(pad(cells), "  ")); err != nil {
-			return err
-		}
-	}
-	return nil
 }

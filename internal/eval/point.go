@@ -3,6 +3,7 @@ package eval
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"qolsr/internal/geom"
 	"qolsr/internal/graph"
@@ -11,49 +12,6 @@ import (
 	"qolsr/internal/route"
 	"qolsr/internal/stats"
 )
-
-// ProtocolPoint aggregates one protocol's behaviour at one density.
-type ProtocolPoint struct {
-	// SetSize is the per-node advertised-set size (Figs. 6-7 quantity).
-	SetSize stats.Accumulator
-	// Overhead is the per-pair relative regret vs the centralized
-	// optimum, over delivered pairs (Figs. 8-9 quantity).
-	Overhead stats.Accumulator
-	// Delivery is the per-pair delivery indicator (1 delivered, 0 not).
-	Delivery stats.Accumulator
-	// Hops is the used path length over delivered pairs.
-	Hops stats.Accumulator
-	// DirectedDelivery is the all-pairs delivery ratio under the
-	// directed-advertisement model (only populated for a figure whose
-	// quantity it is).
-	DirectedDelivery stats.Accumulator
-}
-
-// Series returns the accumulator of quantity q, or nil for a quantity the
-// point does not measure.
-func (pp *ProtocolPoint) Series(q Quantity) *stats.Accumulator {
-	switch q {
-	case QuantitySetSize:
-		return &pp.SetSize
-	case QuantityOverhead:
-		return &pp.Overhead
-	case QuantityDelivery:
-		return &pp.Delivery
-	case QuantityDirectedDelivery:
-		return &pp.DirectedDelivery
-	}
-	return nil
-}
-
-// PointResult is the outcome of one density point for every protocol.
-type PointResult struct {
-	Degree    float64
-	Nodes     stats.Accumulator // realised node counts per run
-	Protocols map[string]*ProtocolPoint
-	// SkippedRuns counts runs without a usable connected pair (sparse
-	// densities); their topologies still contribute set sizes.
-	SkippedRuns int
-}
 
 // pointSpec is one density point of the figure grid: the deployment, the
 // metric, the base seed and the compared protocols. Two figures whose specs
@@ -74,70 +32,65 @@ type pointSpec struct {
 }
 
 // pointSweep lays density points out on the cell loop: one column per
-// point, whose cell is one evalRun, folded into the point in run order.
-// Every run draws its RNG stream from RunSeed and runs fold in run order, so
-// a point is bit-identical at every worker count. All protocols within a
-// run share the topology, the link weights and the (source, destination)
-// pair, mirroring the paper's "each approach is run on the same topology
-// with the same source and destination".
-func pointSweep(specs []pointSpec, runs, workers int, done func(pt int, row []*PointResult)) liveSweep[*PointResult] {
-	return liveSweep[*PointResult]{
+// point, whose cell is one evalRun, merged into the point's row — one
+// accumulator per (protocol, figureSeries quantity) — in run order. Every
+// run draws its RNG stream from RunSeed and runs fold in run order, so a
+// point is bit-identical at every worker count. All protocols within a run
+// share the topology, the link weights and the (source, destination) pair,
+// mirroring the paper's "each approach is run on the same topology with
+// the same source and destination".
+func pointSweep(specs []pointSpec, runs, workers int, done func(pt int, row [][][]stats.Accumulator)) liveSweep[[][]stats.Accumulator] {
+	return liveSweep[[][]stats.Accumulator]{
 		points: len(specs), runs: runs, cols: 1, workers: workers,
-		point: func(pt, _ int) *PointResult {
-			res := &PointResult{Degree: specs[pt].deployment.Degree, Protocols: map[string]*ProtocolPoint{}}
-			for _, p := range specs[pt].protocols {
-				res.Protocols[p.Name] = &ProtocolPoint{}
-			}
-			return res
-		},
-		cell: func(pt, run, _ int) (func(*PointResult), error) {
+		point: func(pt, _ int) [][]stats.Accumulator { return newRow(specs[pt]) },
+		cell: func(pt, run, _ int) (func([][]stats.Accumulator), error) {
 			s, err := evalRun(specs[pt], run)
 			if err != nil {
 				return nil, fmt.Errorf("eval: density %g run %d: %w", specs[pt].deployment.Degree, run, err)
 			}
-			return func(res *PointResult) { s.mergeInto(res, specs[pt].protocols) }, nil
+			return func(row [][]stats.Accumulator) {
+				for i := range row {
+					for q := range row[i] {
+						row[i][q].Merge(&s[i][q])
+					}
+				}
+			}, nil
 		},
 		done: done,
 	}
 }
 
-// runSample is one run's contribution, merged deterministically.
-type runSample struct {
-	nodes     float64
-	skipped   bool
-	protocols []ProtocolPoint
-}
-
-// mergeInto folds the run into the point, one accumulator Merge per series.
-func (s *runSample) mergeInto(res *PointResult, protocols []ProtocolSpec) {
-	res.Nodes.Add(s.nodes)
-	if s.skipped {
-		res.SkippedRuns++
+// newRow returns empty accumulators for every (protocol, series) of the
+// point.
+func newRow(spec pointSpec) [][]stats.Accumulator {
+	row := make([][]stats.Accumulator, len(spec.protocols))
+	for i := range row {
+		row[i] = make([]stats.Accumulator, len(figureSeries(spec.directed)))
 	}
-	for i, p := range protocols {
-		pp, r := res.Protocols[p.Name], &s.protocols[i]
-		pp.SetSize.Merge(&r.SetSize)
-		pp.Overhead.Merge(&r.Overhead)
-		pp.Delivery.Merge(&r.Delivery)
-		pp.Hops.Merge(&r.Hops)
-		pp.DirectedDelivery.Merge(&r.DirectedDelivery)
-	}
+	return row
 }
 
 // pairTries bounds source resampling when hunting for a connected pair.
 const pairTries = 64
 
-// evalRun evaluates every protocol on one topology of the point.
-func evalRun(spec pointSpec, run int) (*runSample, error) {
-	protocols := spec.protocols
-	s := &runSample{protocols: make([]ProtocolPoint, len(protocols))}
+// evalRun evaluates every protocol on one topology of the point: per
+// protocol, one accumulator per figureSeries quantity.
+func evalRun(spec pointSpec, run int) ([][]stats.Accumulator, error) {
+	protocols, series := spec.protocols, figureSeries(spec.directed)
+	s := newRow(spec)
+	at := func(q Quantity) int { return slices.Index(series, q) }
+	addAll := func(q Quantity, v float64) {
+		for i := range s {
+			s[i][at(q)].Add(v)
+		}
+	}
 	rng := rand.New(rand.NewSource(RunSeed(spec.seed, spec.deployment.Degree, run)))
 	channel := spec.metric.Name()
 	g, err := netgen.Build(spec.deployment, channel, metric.DefaultInterval(), rng)
 	if err != nil {
 		return nil, err
 	}
-	s.nodes = float64(g.N())
+	addAll(quantityNodes, float64(g.N()))
 	w, err := g.Weights(channel)
 	if err != nil {
 		return nil, err
@@ -156,7 +109,7 @@ func evalRun(spec pointSpec, run int) (*runSample, error) {
 				return nil, fmt.Errorf("%s at node %d: %w", p.Name, u, err)
 			}
 			sets[i][u] = set
-			s.protocols[i].SetSize.Add(float64(len(set)))
+			s[i][at(QuantitySetSize)].Add(float64(len(set)))
 		}
 	}
 
@@ -166,7 +119,7 @@ func evalRun(spec pointSpec, run int) (*runSample, error) {
 			if err != nil {
 				return nil, fmt.Errorf("%s: %w", protocols[i].Name, err)
 			}
-			s.protocols[i].DirectedDelivery.Add(d.DeliveryRatio())
+			s[i][at(QuantityDirectedDelivery)].Add(d.DeliveryRatio())
 		}
 	}
 
@@ -174,9 +127,10 @@ func evalRun(spec pointSpec, run int) (*runSample, error) {
 	if err != nil {
 		// Sparse run without a usable pair: keep the set sizes, skip
 		// the routing measurement.
-		s.skipped = true
+		addAll(quantitySkipped, 1)
 		return s, nil
 	}
+	addAll(quantitySkipped, 0)
 
 	for i, p := range protocols {
 		adv, err := route.BuildAdvertised(g, sets[i], channel)
@@ -205,11 +159,11 @@ func evalRun(spec pointSpec, run int) (*runSample, error) {
 			return nil, fmt.Errorf("%s: %w", p.Name, err)
 		}
 		if ev.Delivered {
-			s.protocols[i].Delivery.Add(1)
-			s.protocols[i].Overhead.Add(ev.Overhead)
-			s.protocols[i].Hops.Add(float64(ev.Hops))
+			s[i][at(QuantityDelivery)].Add(1)
+			s[i][at(QuantityOverhead)].Add(ev.Overhead)
+			s[i][at(quantityHops)].Add(float64(ev.Hops))
 		} else {
-			s.protocols[i].Delivery.Add(0)
+			s[i][at(QuantityDelivery)].Add(0)
 		}
 	}
 	return s, nil

@@ -55,24 +55,22 @@ type EventKind int
 const (
 	// EventPoint reports one completed density point.
 	EventPoint EventKind = iota + 1
-	// EventFigure reports a fully assembled figure.
+	// EventFigure reports a figure whose every point has landed.
 	EventFigure
 )
 
 // Event is one incremental sweep outcome. Point events may arrive out of
-// density order (points run in parallel); FigureIndex/PointIndex locate the
-// result.
+// density order (points run in parallel); FigureIndex and PointIndex
+// locate the result.
 type Event struct {
 	Kind        EventKind
-	FigureID    string
 	FigureIndex int
-	// PointIndex and Degree identify the density point (EventPoint only).
+	// PointIndex is the completed density point (EventPoint only). Until
+	// the figure's EventFigure, read only that point of Sweep: the others
+	// may still be landing.
 	PointIndex int
-	Degree     float64
-	// Point is the completed density point (EventPoint only).
-	Point *PointResult
-	// Figure is the assembled figure (EventFigure only).
-	Figure *FigureResult
+	// Sweep is the figure's result.
+	Sweep *Sweep
 }
 
 // Stream starts the figure sweep and returns the event channel plus a wait
@@ -83,7 +81,8 @@ type Event struct {
 // EventPoint. Cancelling ctx stops outstanding work promptly; wait then
 // returns ctx.Err(). A failing point stops the points not yet started, and
 // wait returns the error of the first failing point in figure and density
-// order. A figure without density points fails the sweep before it starts.
+// order. A figure without density points or protocols, or with an unknown
+// quantity, fails the sweep before it starts.
 func Stream(ctx context.Context, figs []Figure, o Options) (<-chan Event, func() (*Result, error)) {
 	o = o.withDefaults(100)
 	figs = cloneFigures(figs, o.Degrees)
@@ -96,17 +95,16 @@ func Stream(ctx context.Context, figs []Figure, o Options) (<-chan Event, func()
 		sends += len(f.Degrees)
 	}
 	ch := make(chan Event, sends)
-	var figures []*FigureResult
+	var sweeps []*Sweep
 	wait := goRun(func() (err error) {
-		figures, err = runFigures(ctx, figs, o, func(fr *FigureResult, fi, pi int) {
-			deg, point := fr.Figure.Degrees[pi], fr.Points[pi]
-			ch <- Event{Kind: EventPoint, FigureID: fr.Figure.ID, FigureIndex: fi, PointIndex: pi, Degree: deg, Point: point}
+		sweeps, err = runFigures(ctx, figs, o, func(s *Sweep, fi, pi int) {
+			ch <- Event{Kind: EventPoint, FigureIndex: fi, PointIndex: pi, Sweep: s}
 			if o.Progress != nil {
 				o.Progress("%s density %g done (%d runs, %.0f nodes avg)",
-					fr.Figure.ID, deg, o.Runs, point.Nodes.Mean())
+					s.ID, s.Points[pi], o.Runs, s.Cell(pi, s.Columns[0], quantityNodes).Mean())
 			}
 			if remaining[fi]--; remaining[fi] == 0 {
-				ch <- Event{Kind: EventFigure, FigureID: fr.Figure.ID, FigureIndex: fi, Figure: fr}
+				ch <- Event{Kind: EventFigure, FigureIndex: fi, Sweep: s}
 			}
 		})
 		return err
@@ -115,7 +113,7 @@ func Stream(ctx context.Context, figs []Figure, o Options) (<-chan Event, func()
 		if err := wait(); err != nil {
 			return nil, err
 		}
-		return &Result{Figures: figures}, nil
+		return &Result{Sweeps: sweeps}, nil
 	}
 }
 

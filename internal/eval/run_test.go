@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"qolsr/internal/metric"
+	"qolsr/internal/stats"
 )
 
 // tinyFigure keeps engine tests fast: low density (≈ 95 nodes on the paper
@@ -30,19 +32,16 @@ func TestRunAssemblesAllPoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Figures) != 2 {
-		t.Fatalf("figures = %d", len(res.Figures))
+	if len(res.Sweeps) != 2 {
+		t.Fatalf("sweeps = %d", len(res.Sweeps))
 	}
-	for fi, fr := range res.Figures {
-		if len(fr.Points) != len(figs[fi].Degrees) {
-			t.Fatalf("figure %d points = %d, want %d", fi, len(fr.Points), len(figs[fi].Degrees))
+	for fi, s := range res.Sweeps {
+		if !slices.Equal(s.Points, figs[fi].Degrees) || len(s.cells) != len(figs[fi].Degrees) {
+			t.Fatalf("figure %d points = %v (%d landed), want %v", fi, s.Points, len(s.cells), figs[fi].Degrees)
 		}
-		for pi, p := range fr.Points {
-			if p == nil {
+		for pi := range s.Points {
+			if s.cells[pi] == nil || s.Cell(pi, "fnbp", QuantitySetSize).N() == 0 {
 				t.Fatalf("figure %d point %d missing", fi, pi)
-			}
-			if p.Degree != figs[fi].Degrees[pi] {
-				t.Errorf("figure %d point %d degree = %g, want %g", fi, pi, p.Degree, figs[fi].Degrees[pi])
 			}
 		}
 	}
@@ -57,7 +56,7 @@ func TestStreamEmitsEveryEvent(t *testing.T) {
 		switch ev.Kind {
 		case EventPoint:
 			points++
-			if ev.Point == nil || ev.FigureID != "s1" {
+			if ev.Sweep == nil || ev.Sweep.ID != "s1" || ev.Sweep.cells[ev.PointIndex] == nil {
 				t.Errorf("bad point event %+v", ev)
 			}
 			if seen[ev.PointIndex] {
@@ -66,7 +65,7 @@ func TestStreamEmitsEveryEvent(t *testing.T) {
 			seen[ev.PointIndex] = true
 		case EventFigure:
 			figures++
-			if ev.Figure == nil || len(ev.Figure.Points) != 3 {
+			if ev.Sweep == nil || len(ev.Sweep.Points) != 3 || slices.ContainsFunc(ev.Sweep.cells, func(row [][]stats.Accumulator) bool { return row == nil }) {
 				t.Errorf("bad figure event %+v", ev)
 			}
 		}
@@ -87,15 +86,15 @@ func TestStreamSharedPoints(t *testing.T) {
 	size, over := tinyFigure("size", 3, 4), tinyFigure("over", 4, 5)
 	over.Quantity = QuantityOverhead
 	events, wait := Stream(context.Background(), []Figure{size, over}, Options{Runs: 1, Seed: 7, Workers: 2})
-	points := map[[2]int]*PointResult{}
+	points := map[[2]int]*stats.Accumulator{}
 	figures := map[int]int{}
 	for ev := range events {
 		switch ev.Kind {
 		case EventPoint:
 			if _, dup := points[[2]int{ev.FigureIndex, ev.PointIndex}]; dup {
-				t.Errorf("duplicate point event %s/%d", ev.FigureID, ev.PointIndex)
+				t.Errorf("duplicate point event %s/%d", ev.Sweep.ID, ev.PointIndex)
 			}
-			points[[2]int{ev.FigureIndex, ev.PointIndex}] = ev.Point
+			points[[2]int{ev.FigureIndex, ev.PointIndex}] = &ev.Sweep.cells[ev.PointIndex][0][0]
 		case EventFigure:
 			figures[ev.FigureIndex]++
 		}
@@ -117,7 +116,7 @@ func TestStreamRejectsFigureWithoutPoints(t *testing.T) {
 	empty := tinyFigure("empty")
 	events, wait := Stream(context.Background(), []Figure{empty, tinyFigure("one", 3)}, Options{Runs: 1})
 	for ev := range events {
-		t.Errorf("event %v %s before the sweep was rejected", ev.Kind, ev.FigureID)
+		t.Errorf("event %v %s before the sweep was rejected", ev.Kind, ev.Sweep.ID)
 	}
 	if _, err := wait(); err == nil || !strings.Contains(err.Error(), "empty") {
 		t.Errorf("err = %v, want one naming figure empty", err)
@@ -184,8 +183,8 @@ func TestDegreeOverrideDoesNotMutateInput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Figures[0].Points) != 1 {
-		t.Errorf("override ignored: %d points", len(res.Figures[0].Points))
+	if len(res.Sweeps[0].Points) != 1 {
+		t.Errorf("override ignored: %d points", len(res.Sweeps[0].Points))
 	}
 	if len(fig.Degrees) != 3 {
 		t.Errorf("caller's figure mutated: %v", fig.Degrees)

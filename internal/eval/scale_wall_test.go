@@ -22,10 +22,10 @@ func TestScaleWallCeiling1000(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if wall := res.Cell(0, "", "wall_s").Mean(); wall > ceiling.Seconds() {
+	if wall := res.Sweeps[0].Cell(0, "", "wall_s").Mean(); wall > ceiling.Seconds() {
 		t.Fatalf("1000-node point took %.1fs wall, ceiling %v", wall, ceiling)
 	}
-	if dlv := res.Cell(0, "", "dlv").Mean(); dlv < 0.95 {
+	if dlv := res.Sweeps[0].Cell(0, "", "dlv").Mean(); dlv < 0.95 {
 		t.Fatalf("1000-node delivery %.3f, want >= 0.95", dlv)
 	}
 }

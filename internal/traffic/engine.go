@@ -24,19 +24,12 @@ type Counters struct {
 	BytesDelivered uint64
 }
 
-// accum is one traffic population's producer-side tallies: packet and byte
-// counts the event loop keeps current on every packet. Its delivered-packet
-// distribution, d, is folded off the event loop (see fold.go).
-type accum struct {
-	sent, completed, delivered uint64
-	bytesSent, bytesDelivered  uint64
-	// admitted / rejected count admission-gate decisions (class and total
-	// accumulators only; flows carry the Decision itself).
+// classAcc is one flow class's admission decisions and delivered-packet
+// distribution. Its packet counts are its flows', summed on read.
+type classAcc struct {
 	admitted, rejected uint64
 	d                  *dist
 }
-
-func newAccum() accum { return accum{d: newDist()} }
 
 // flowState is one flow's live state inside the engine. It is also the
 // flow's departure event: once admitted, the flowState reschedules itself
@@ -45,13 +38,18 @@ func newAccum() accum { return accum{d: newDist()} }
 type flowState struct {
 	Flow
 	eng      *Engine
-	cls      *accum // the flow's class accumulator
+	cls      *classAcc
 	src      source
 	decision Decision
 	decided  bool
 	seq      uint64 // emitted-packet sequence
 
-	accum
+	// The flow's packet tallies are the engine's only per-packet
+	// counters: Counters and the class collectors sum them on read.
+	sent, completed, delivered, bytesDelivered uint64
+	// d is the flow's delivered-packet distribution, folded off the event
+	// loop (see fold.go).
+	d *dist
 }
 
 // Fire implements des.Event: emit the flow's next packet and book the one
@@ -85,9 +83,9 @@ type Engine struct {
 
 	flows    []*flowState
 	classes  []string
-	classAcc map[string]*accum
-	totalAcc accum
-	counters Counters
+	classAcc map[string]*classAcc
+	// total is the whole mix's delivered-packet distribution.
+	total *dist
 
 	// batch holds the deliveries not yet handed to the fold; spare is the
 	// batch in flight (inFlight) or the next free buffer. w is the running
@@ -106,8 +104,8 @@ func NewEngine(nw *sim.Network, seed int64) *Engine {
 		nw:       nw,
 		gate:     Gate{NW: nw},
 		base:     rng.Mix(uint64(seed), 0x7F10), // domain-separate the flow draws
-		classAcc: make(map[string]*accum),
-		totalAcc: newAccum(),
+		classAcc: make(map[string]*classAcc),
+		total:    newDist(),
 		batch:    make([]delivery, 0, foldBatch),
 	}
 }
@@ -133,14 +131,13 @@ func (e *Engine) Add(f Flow) error {
 	if f.RateBps <= 0 || f.PacketBytes < MinPacketBytes {
 		return fmt.Errorf("traffic: flow %d needs positive rate and packet size >= %d", f.ID, MinPacketBytes)
 	}
-	fs := &flowState{Flow: f, eng: e, accum: newAccum()}
+	fs := &flowState{Flow: f, eng: e, d: newDist()}
 	fs.d.p50 = stats.NewQuantile(0.50)
 	fs.src = newSource(e.base, f)
 	e.flows = append(e.flows, fs)
 	if _, ok := e.classAcc[f.Class]; !ok {
 		e.classes = append(e.classes, f.Class)
-		a := newAccum()
-		e.classAcc[f.Class] = &a
+		e.classAcc[f.Class] = &classAcc{d: newDist()}
 	}
 	fs.cls = e.classAcc[f.Class]
 	return nil
@@ -211,11 +208,9 @@ func (e *Engine) admit(fs *flowState) {
 	fs.decided = true
 	if !fs.decision.Admitted {
 		fs.cls.rejected++
-		e.totalAcc.rejected++
 		return
 	}
 	fs.cls.admitted++
-	e.totalAcc.admitted++
 	if first := fs.src.first(e.nw.Engine.Now()); first <= e.stop {
 		e.nw.Engine.At(first, fs)
 	}
@@ -227,12 +222,7 @@ func (e *Engine) emit(fs *flowState) {
 	seq := fs.seq
 	fs.seq++
 	size := fs.src.size(seq)
-
 	fs.sent++
-	fs.bytesSent += uint64(size)
-	fs.cls.sent++
-	fs.cls.bytesSent += uint64(size)
-	e.counters.Sent++
 
 	// Path tracing samples by packet identity (flow, seq) — the keyed draw
 	// lives in the tracer; with tracing off this is one nil compare.
@@ -244,30 +234,37 @@ func (e *Engine) emit(fs *flowState) {
 }
 
 // PacketDone implements sim.DataSink: one packet of the cookie's flow
-// finished (delivered or dropped). The counters take it at once; a
+// finished (delivered or dropped). The flow's counters take it at once; a
 // delivery joins the batch that the fold applies to the distributions. The
 // hop count is not kept: no report carries it.
 func (e *Engine) PacketDone(cookie uint64, delivered bool, _ int, latency time.Duration) {
 	fs := e.flows[cookie>>32]
-	size := uint64(uint32(cookie))
-	cls := fs.cls
 	fs.completed++
-	cls.completed++
-	e.counters.Completed++
 	if !delivered {
 		return
 	}
 	fs.delivered++
-	fs.bytesDelivered += size
-	cls.delivered++
-	cls.bytesDelivered += size
-	e.counters.Delivered++
-	e.counters.BytesDelivered += size
-	e.batch = append(e.batch, delivery{flow: fs.d, cls: cls.d, latency: latency})
+	fs.bytesDelivered += uint64(uint32(cookie))
+	e.batch = append(e.batch, delivery{flow: fs.d, cls: fs.cls.d, latency: latency})
 	if len(e.batch) == foldBatch {
 		e.handOff()
 	}
 }
 
 // Counters snapshots the engine's cumulative packet totals.
-func (e *Engine) Counters() Counters { return e.counters }
+func (e *Engine) Counters() Counters { return e.counters("") }
+
+// counters sums the packet totals of the class's flows, or of every flow
+// for class "".
+func (e *Engine) counters(class string) Counters {
+	var c Counters
+	for _, fs := range e.flows {
+		if class == "" || fs.Class == class {
+			c.Sent += fs.sent
+			c.Completed += fs.completed
+			c.Delivered += fs.delivered
+			c.BytesDelivered += fs.bytesDelivered
+		}
+	}
+	return c
+}

@@ -19,8 +19,8 @@ const foldBatch = 4096
 // dist is one traffic population's delivered-packet distribution — the
 // fold's state. Only the goroutine that folds writes it: the worker while a
 // batch is in flight, the event loop at a flush. It is its own allocation,
-// apart from the producer's counters (accum), so the two cores never write
-// the same cache lines.
+// apart from the producer's counters (flowState, classAcc), so the two
+// cores never write the same cache lines.
 type dist struct {
 	delay    stats.Accumulator
 	p95, p99 *stats.Quantile
@@ -113,7 +113,7 @@ func (e *Engine) startFold() {
 		return
 	}
 	w := &folder{work: make(chan []delivery, 1), done: make(chan struct{}, 1)}
-	go w.run(e.totalAcc.d)
+	go w.run(e.total)
 	w.cleanup = runtime.AddCleanup(e, func(work chan []delivery) { close(work) }, w.work)
 	e.w = w
 }
@@ -148,7 +148,7 @@ func (e *Engine) wait() {
 // calls it first.
 func (e *Engine) flush() {
 	e.wait()
-	fold(e.totalAcc.d, e.batch)
+	fold(e.total, e.batch)
 	e.batch = e.batch[:0]
 }
 

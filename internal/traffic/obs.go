@@ -4,18 +4,18 @@ import "qolsr/internal/obs"
 
 // Instrument registers the engine's packet totals and per-class admission/
 // violation accounting on reg as lazy collectors — evaluated at snapshot
-// time only, nothing on the emit/completion hot path. Call it after every
+// time only, summing the flows' counters, nothing on the emit/completion
+// hot path. Call it after every
 // Add (class collectors are registered per known class). A nil registry is
 // a no-op.
 func (e *Engine) Instrument(reg *obs.Registry) {
 	if reg == nil {
 		return
 	}
-	c := &e.counters
-	reg.CounterFunc("qolsr_traffic_packets_total", "flow packets by outcome", func() uint64 { return c.Sent }, obs.Label{Key: "outcome", Value: "sent"})
-	reg.CounterFunc("qolsr_traffic_packets_total", "flow packets by outcome", func() uint64 { return c.Completed }, obs.Label{Key: "outcome", Value: "completed"})
-	reg.CounterFunc("qolsr_traffic_packets_total", "flow packets by outcome", func() uint64 { return c.Delivered }, obs.Label{Key: "outcome", Value: "delivered"})
-	reg.CounterFunc("qolsr_traffic_bytes_delivered_total", "payload bytes delivered", func() uint64 { return c.BytesDelivered })
+	reg.CounterFunc("qolsr_traffic_packets_total", "flow packets by outcome", func() uint64 { return e.counters("").Sent }, obs.Label{Key: "outcome", Value: "sent"})
+	reg.CounterFunc("qolsr_traffic_packets_total", "flow packets by outcome", func() uint64 { return e.counters("").Completed }, obs.Label{Key: "outcome", Value: "completed"})
+	reg.CounterFunc("qolsr_traffic_packets_total", "flow packets by outcome", func() uint64 { return e.counters("").Delivered }, obs.Label{Key: "outcome", Value: "delivered"})
+	reg.CounterFunc("qolsr_traffic_bytes_delivered_total", "payload bytes delivered", func() uint64 { return e.counters("").BytesDelivered })
 
 	for _, name := range e.classes {
 		name := name
@@ -23,8 +23,8 @@ func (e *Engine) Instrument(reg *obs.Registry) {
 		cls := obs.Label{Key: "class", Value: name}
 		reg.CounterFunc("qolsr_traffic_flows_total", "admission decisions by class", func() uint64 { return a.admitted }, cls, obs.Label{Key: "decision", Value: "admitted"})
 		reg.CounterFunc("qolsr_traffic_flows_total", "admission decisions by class", func() uint64 { return a.rejected }, cls, obs.Label{Key: "decision", Value: "rejected"})
-		reg.CounterFunc("qolsr_traffic_class_packets_total", "class packets by outcome", func() uint64 { return a.sent }, cls, obs.Label{Key: "outcome", Value: "sent"})
-		reg.CounterFunc("qolsr_traffic_class_packets_total", "class packets by outcome", func() uint64 { return a.delivered }, cls, obs.Label{Key: "outcome", Value: "delivered"})
+		reg.CounterFunc("qolsr_traffic_class_packets_total", "class packets by outcome", func() uint64 { return e.counters(name).Sent }, cls, obs.Label{Key: "outcome", Value: "sent"})
+		reg.CounterFunc("qolsr_traffic_class_packets_total", "class packets by outcome", func() uint64 { return e.counters(name).Delivered }, cls, obs.Label{Key: "outcome", Value: "delivered"})
 		reg.CounterFunc("qolsr_traffic_class_violations_total", "admitted flows measured in violation of their QoS requirements", func() uint64 {
 			return e.classViolations(name)
 		}, cls)

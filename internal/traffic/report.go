@@ -211,7 +211,7 @@ func (e *Engine) Report() *Report {
 		cls := &rep.Classes[i]
 		fillClassStats(cls, e.classAcc[cls.Class].d)
 	}
-	fillClassStats(total, e.totalAcc.d)
+	fillClassStats(total, e.total)
 	return rep
 }
 

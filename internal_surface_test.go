@@ -19,7 +19,7 @@ func TestInternalSurface(t *testing.T) {
 	pins := map[string]int{
 		"core":     24,
 		"des":      11,
-		"eval":     52,
+		"eval":     42,
 		"geom":     28,
 		"graph":    79,
 		"metric":   21,
