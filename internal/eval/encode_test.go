@@ -137,6 +137,41 @@ func TestEncodeCSVGolden(t *testing.T) {
 	checkGoldens(t, "csv", func(r *Result) func(io.Writer) error { return r.EncodeCSV })
 }
 
+// TestEncodeUnknownQuantity: the encoders walk each sweep's own quantity
+// list, so a figure headlining a quantity no run measures never reaches
+// them — Run rejects it, naming it, and returns no result to encode — while
+// a live grid's own series, outside QuantityNames, encode under their names.
+func TestEncodeUnknownQuantity(t *testing.T) {
+	bad := tinyFigure("bad", 3)
+	bad.Quantity = "bogus"
+	res, err := Run(context.Background(), []Figure{tinyFigure("good", 3), bad}, Options{Runs: 1, Seed: 1, Workers: 1})
+	if err == nil || !bytes.Contains([]byte(err.Error()), []byte("bogus")) {
+		t.Errorf("err = %v, want one naming the unknown quantity", err)
+	}
+	if res != nil {
+		t.Errorf("result %v returned beside the error", res)
+	}
+
+	grids := syntheticGrids()
+	var js, cs bytes.Buffer
+	if err := grids.EncodeJSON(&js); err != nil {
+		t.Fatal(err)
+	}
+	if err := grids.EncodeCSV(&cs); err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range grids.Sweeps {
+		for _, q := range s.quantities {
+			if !bytes.Contains(js.Bytes(), []byte(`"`+string(q.name)+`"`)) {
+				t.Errorf("JSON lacks %s's quantity %q", s.ID, q.name)
+			}
+			if !bytes.Contains(cs.Bytes(), []byte(","+string(q.name)+",")) {
+				t.Errorf("CSV lacks %s's quantity %q", s.ID, q.name)
+			}
+		}
+	}
+}
+
 func TestWriteTablesGolden(t *testing.T) {
 	checkGoldens(t, "txt", func(r *Result) func(io.Writer) error { return r.WriteTables })
 }
