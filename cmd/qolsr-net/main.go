@@ -137,8 +137,11 @@ func run() error {
 		return err
 	}
 	fmt.Printf("node %d routing table: %d destinations", nw.Nodes[0].ID, routes.Len())
-	for i := 0; i < routes.Len() && i < 5; i++ {
-		dst, r := routes.At(i)
+	shown := 0
+	for dst, r := range routes.All() {
+		if shown++; shown > 5 {
+			break
+		}
 		fmt.Printf("\n  -> %d via %d (%s %.2f, %d hops)", dst, r.NextHop, m.Name(), r.Value, r.Hops)
 	}
 	fmt.Println()

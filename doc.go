@@ -185,11 +185,14 @@
 // min-expiry watermark keeps the expiry check O(1) while nothing can be
 // stale, so a converged network serves lookups from cache indefinitely.
 // Node.Routes returns a read-only Routes snapshot with an allocation-free
-// Lookup, the only thing a rebuild allocates: one pointer-free 24-byte entry
-// per destination, which names its next hop by index into the snapshot's
-// short list of distinct next hops, and a serial number no other table of the
-// node carries. Successive calls between state changes return the same
-// snapshot, and a retained snapshot stays consistent after the node rebuilds.
+// Lookup, the only thing a rebuild allocates: one pointer-free 16-byte entry
+// per position of an ascending destination column, which names its next hop
+// by column position, and a serial number no other table of the node
+// carries. The column is the field's routing scratch's, shared by every
+// table laid out over the same ids and never written, so a converged field
+// keeps one copy of its ids instead of one per table. Successive calls
+// between state changes return the same snapshot, and a retained snapshot
+// stays consistent after its node or any other member rebuilds.
 // The simulator's forwarding cache keys on that serial instead of holding the
 // snapshot, so a superseded table is garbage as soon as its node rebuilds.
 // Caching never changes which table a data packet sees at a given virtual
@@ -254,7 +257,7 @@
 // Per-node state is proportional to what the node has heard, laid out the
 // way a flood walks it. The TC-learned rows of a whole field (olsr.NewNodes;
 // olsr.NewNode is a field of one) live in one origin-major store: one block
-// per origin, allocated when that origin is first heard, holding a 16-byte
+// per origin, allocated when that origin is first heard, holding an 8-byte
 // by-value row per member — so a flood to N receivers walks one contiguous
 // block instead of N scattered tables, and the field holds N blocks instead
 // of N² heap objects. A row holds no pointer: it names its advertised set in
@@ -277,7 +280,10 @@
 // precedence, so the tables may be walked in any order. The graph lives
 // only as long as the Dijkstra over it: its buffers are the one scratch the
 // field's members share, and a node keeps nothing of a computation but the
-// routing-table snapshot.
+// routing-table snapshot. At the end of scale-1500's timed region (seed 1,
+// exact heap profile) the store holds 18.1 MiB and the routing tables 9.9
+// MiB of 33.6 MiB live; while each table repeated its destination ids in
+// 24-byte entries, the tables held 16.6 of 40.2 MiB.
 //
 // Route tables are rebuilt serially, on the goroutine that owns the
 // network: Network.RebuildRoutes brings the named nodes' tables up to date

@@ -189,9 +189,6 @@ func (q *Queue) Scheduled() uint64 { return q.seq }
 // Now returns the current virtual time.
 func (q *Queue) Now() time.Duration { return q.now }
 
-// Pending returns the number of queued events.
-func (q *Queue) Pending() int { return q.timed + len(q.fifo) - q.fifoHead }
-
 // At books ev at absolute virtual time t (clamped to now for past times).
 func (q *Queue) At(t time.Duration, ev Event) {
 	if t < q.now {

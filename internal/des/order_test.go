@@ -176,8 +176,8 @@ func (d *orderDriver) run() {
 			d.t.Fatalf("Run(%v) left %+v pending", until, k)
 		}
 	}
-	if d.q.Pending() != len(d.pending) {
-		d.t.Fatalf("Pending() = %d, model holds %d", d.q.Pending(), len(d.pending))
+	if pending := d.q.Scheduled() - d.q.Executed; pending != uint64(len(d.pending)) {
+		d.t.Fatalf("%d events pending, model holds %d", pending, len(d.pending))
 	}
 }
 
@@ -192,8 +192,8 @@ func driveOrder(t *testing.T, ops []byte) {
 		}
 	}
 	d.q.Run(d.q.Now() + 100*orderHorizon)
-	if len(d.pending) != 0 || d.q.Pending() != 0 {
-		t.Fatalf("drain left %d pending (model %d)", d.q.Pending(), len(d.pending))
+	if pending := d.q.Scheduled() - d.q.Executed; len(d.pending) != 0 || pending != 0 {
+		t.Fatalf("drain left %d pending (model %d)", pending, len(d.pending))
 	}
 	if d.fired != d.booked || d.q.Executed != d.booked {
 		t.Fatalf("fired %d, Executed %d, booked %d", d.fired, d.q.Executed, d.booked)

@@ -9,6 +9,7 @@ import (
 	"slices"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 
 	"qolsr/internal/stats"
 )
@@ -160,25 +161,21 @@ func (r *Result) EncodeCSV(w io.Writer) error {
 // WriteTables renders every sweep as an aligned text table, separated by
 // blank lines.
 func (r *Result) WriteTables(w io.Writer) error {
+	tables := make([]string, len(r.Sweeps))
 	for i, s := range r.Sweeps {
-		if i > 0 {
-			if _, err := fmt.Fprintln(w); err != nil {
-				return err
-			}
-		}
-		if err := s.writeTable(w); err != nil {
-			return err
-		}
+		tables[i] = s.table()
 	}
-	return nil
+	_, err := io.WriteString(w, strings.Join(tables, "\n"))
+	return err
 }
 
-// writeTable renders the sweep: a "# title (runs/point)" line, a header of
-// the axis name and every column's tabled quantities, and one row of means
-// per axis point. A quantity with its ±95% is headed by the column's name,
-// its interval by "±95%"; any other by column_quantity (the quantity alone
-// for S1's one unnamed column).
-func (s *Sweep) writeTable(w io.Writer) error {
+// table renders the sweep: a "# title (runs/point)" line, a header of the
+// axis name and every column's tabled quantities, and one row of means per
+// axis point. A quantity with its ±95% is headed by the column's name, its
+// interval by "±95%"; any other by column_quantity (the quantity alone for
+// S1's one unnamed column). Every cell is padded to its column's widest
+// cell, at least 12 runes.
+func (s *Sweep) table() string {
 	header := []string{s.Axis}
 	for _, col := range s.Columns {
 		for _, q := range s.quantities {
@@ -205,16 +202,19 @@ func (s *Sweep) writeTable(w io.Writer) error {
 		}
 		lines = append(lines, row)
 	}
-	if _, err := fmt.Fprintf(w, "# %s (%d runs/point)\n", s.Title, s.Runs); err != nil {
-		return err
-	}
+	width := make([]int, len(header))
 	for _, cells := range lines {
 		for i, c := range cells {
-			cells[i] = c + strings.Repeat(" ", max(0, 12-len(c)))
-		}
-		if _, err := fmt.Fprintln(w, strings.Join(cells, "  ")); err != nil {
-			return err
+			width[i] = max(width[i], 12, utf8.RuneCountInString(c))
 		}
 	}
-	return nil
+	var b strings.Builder
+	fmt.Fprintf(&b, "# %s (%d runs/point)\n", s.Title, s.Runs)
+	for _, cells := range lines {
+		for i, c := range cells {
+			cells[i] = c + strings.Repeat(" ", width[i]-utf8.RuneCountInString(c))
+		}
+		b.WriteString(strings.Join(cells, "  ") + "\n")
+	}
+	return b.String()
 }

@@ -77,12 +77,8 @@ func (d *Daemon) buildStatus(now time.Duration) StatusReport {
 	r.MPRs = d.node.MPRSet(now)
 	r.Selectors = d.node.Selectors(now)
 	if routes, err := d.node.Routes(now); err == nil {
-		for i := 0; i < routes.Len(); i++ {
-			dst, rt := routes.At(i)
-			r.Routes = append(r.Routes, RouteStatus{
-				Dst: dst, NextHop: rt.NextHop,
-				Value: rt.Value, Hops: rt.Hops,
-			})
+		for dst, rt := range routes.All() {
+			r.Routes = append(r.Routes, RouteStatus{Dst: dst, NextHop: rt.NextHop, Value: rt.Value, Hops: rt.Hops})
 		}
 	}
 	return r

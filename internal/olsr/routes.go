@@ -2,53 +2,63 @@ package olsr
 
 import (
 	"cmp"
+	"iter"
 	"slices"
 
 	"qolsr/internal/graph"
 )
 
-// Routes is a node's routing table as a compact, read-only snapshot: one
-// pointer-free entry per destination in ascending identifier order, naming its
-// next hop by index into the snapshot's list of distinct next hops. It is
-// built once per topology change and shared by every caller until the node's
-// state moves, so a lookup is one binary search with no allocation. It must
-// not be modified, and stays valid after the owning node rebuilds its table.
+// Routes is a node's routing table as a compact, read-only snapshot: an
+// ascending column of destination ids and one pointer-free entry per column
+// position, naming its next hop by column position. The column belongs to
+// the field's routing scratch and is shared by every table laid out over the
+// same ids; it is never written, so a table is immutable and stays valid
+// after any member rebuilds. A lookup is one binary search, allocation-free.
 type Routes struct {
-	entries []routeEntry
-	via     []int64 // distinct next hops, in order of first use
+	dst     []graph.NodeID // the shared column, ascending
+	entries []routeEntry   // per column position
+	reached int
 	serial  uint64
 }
 
-// routeEntry is one destination's route: 24 bytes with no pointer in it.
+// routeEntry is the route to one column position, 16 bytes with no pointer:
+// next is the first hop's position, -1 where there is no route.
 type routeEntry struct {
-	dst   int64
 	value float64
 	hops  int32
-	via   int32 // index into Routes.via
+	next  int32
 }
 
 // Len returns the number of destinations with a route.
-func (r *Routes) Len() int { return len(r.entries) }
+func (r *Routes) Len() int { return r.reached }
 
-// Serial returns the snapshot's serial number: never 0, and different for
-// every table its node computes, so a cache can key on it without holding
-// the snapshot.
+// Serial returns the snapshot's serial: never 0 and different for every table
+// its node computes, so a cache can key on it without holding the snapshot.
 func (r *Routes) Serial() uint64 { return r.serial }
 
 // Lookup returns the route to dst, if one exists.
 func (r *Routes) Lookup(dst int64) (Route, bool) {
-	i, ok := slices.BinarySearchFunc(r.entries, dst, func(e routeEntry, dst int64) int { return cmp.Compare(e.dst, dst) })
-	if !ok {
-		return Route{}, false
+	if i, ok := slices.BinarySearch(r.dst, graph.NodeID(dst)); ok && r.entries[i].next >= 0 {
+		return r.route(i), true
 	}
-	_, route := r.At(i)
-	return route, true
+	return Route{}, false
 }
 
-// At returns the i-th entry in ascending destination order, 0 <= i < Len().
-func (r *Routes) At(i int) (dst int64, route Route) {
+// All yields every destination with a route, and the route, ascending.
+func (r *Routes) All() iter.Seq2[int64, Route] {
+	return func(yield func(int64, Route) bool) {
+		for i := range r.entries {
+			if r.entries[i].next >= 0 && !yield(int64(r.dst[i]), r.route(i)) {
+				return
+			}
+		}
+	}
+}
+
+// route returns the route at column position i, which must have one.
+func (r *Routes) route(i int) Route {
 	e := &r.entries[i]
-	return e.dst, Route{NextHop: r.via[e.via], Value: e.value, Hops: int(e.hops)}
+	return Route{NextHop: int64(r.dst[e.next]), Value: e.value, Hops: int(e.hops)}
 }
 
 // stagedLink is one link a layout stages, with its precedence rank.
@@ -65,15 +75,17 @@ type bucketLink struct {
 	w   float64
 }
 
-// routeScratch is the working storage of one routing-table computation:
-// the layout's buffers and the graph.Layout it fills, the Dijkstra, first-hop
-// and hop buffers and the next-hop numbering. Nothing in it outlives the
-// computation, so a field keeps one (topoStore.routes) rather than one per
-// node: a node that kept its scratch would hold a graph's worth of memory
-// between queries.
+// routeScratch is the working storage of one routing-table computation: the
+// layout's buffers and the graph.Layout it fills, and the Dijkstra, first-hop
+// and hop buffers. A field keeps one (topoStore.routes), not one per node,
+// which would hold a graph's worth of memory between queries. Only dst, the
+// last layout's ids, outlives a computation: tables take it as their column,
+// so a converged field's tables share one instead of N copies, and a layout
+// over other ids replaces it rather than writing it.
 type routeScratch struct {
 	staged      []stagedLink
 	ids         graph.IDIndex
+	dst         []graph.NodeID
 	off         []int32
 	bk          []bucketLink
 	ends        [][2]int32
@@ -81,8 +93,6 @@ type routeScratch struct {
 	lay         graph.Layout
 	sp          graph.Scratch
 	first, hops []int32
-	viaAt       []int32 // per node index: its position in via plus one, 0 if none
-	via         []int64
 }
 
 // resized returns buf with length n, reusing its storage when possible.
@@ -97,30 +107,21 @@ func resized[T any](buf []T, n int) []T {
 // computeRoutes computes the routing table from the state tables: a fresh
 // layout of the routing graph, one canonical Dijkstra over it (its
 // predecessor tree, and so every next hop, is a pure function of the edge
-// set, the weights and the ids), and the table copied out into a snapshot,
-// the only thing it allocates. Callers must have run expire(now) first.
+// set, the weights and the ids), and the entries of a snapshot over the
+// layout's column, all it allocates while the ids stay. Callers must have
+// run expire(now) first.
 func (n *Node) computeRoutes() *Routes {
 	s := &n.store.routes
 	g := n.layoutRoutes(s)
 	sp := s.sp.Dijkstra(g, n.cfg.Metric, s.w, g.IndexOf(graph.NodeID(n.ID)), nil, -1)
 	s.first, s.hops = sp.FirstHops(s.first, s.hops)
 	n.stats.SPFFull++
-	// Every reached node but the source has a first hop; index order is
-	// ascending ID order, the order Lookup binary-searches. The count of
-	// tables computed, this one included, is the serial.
-	r := &Routes{entries: make([]routeEntry, 0, len(sp.Reached)-1), serial: n.stats.SPFFull}
-	s.viaAt, s.via = append(s.viaAt[:0], make([]int32, g.N())...), s.via[:0]
+	// Every reached node but the source has a first hop, the others -1. The
+	// count of tables computed, this one included, is the serial.
+	r := &Routes{dst: s.dst, entries: make([]routeEntry, g.N()), reached: len(sp.Reached) - 1, serial: n.stats.SPFFull}
 	for x, f := range s.first {
-		if f < 0 {
-			continue
-		}
-		if s.viaAt[f] == 0 {
-			s.via = append(s.via, int64(g.ID(f)))
-			s.viaAt[f] = int32(len(s.via))
-		}
-		r.entries = append(r.entries, routeEntry{int64(g.ID(int32(x))), sp.Dist[x], s.hops[x], s.viaAt[f] - 1})
+		r.entries[x] = routeEntry{sp.Dist[x], s.hops[x], f}
 	}
-	r.via = slices.Clone(s.via)
 	return r
 }
 
@@ -175,7 +176,10 @@ func (n *Node) layoutRoutes(s *routeScratch) *graph.Graph {
 		x.Note(graph.NodeID(e.lo))
 		x.Note(graph.NodeID(e.hi))
 	}
-	ids := x.Seal()
+	if ids := x.Seal(); !slices.Equal(s.dst, ids) {
+		s.dst = slices.Clone(ids)
+	}
+	ids := s.dst
 	// Counting pass: off[lo+1] starts at bucket lo's first slot and ends, once
 	// the links are placed, past its last, so bucket lo is off[lo]:off[lo+1].
 	off := resized(s.off, len(ids)+2)

@@ -136,3 +136,85 @@ func TestRoutesAcrossExpiryAndRelearn(t *testing.T) {
 		t.Fatalf("two-hop route next hop = %d, want 2", route.NextHop)
 	}
 }
+
+// A table is immutable: held while its own node rebuilds, and while other
+// members rebuild on changed id sets — a set of the same size with another
+// id, a new origin heard, a row expired — it reads back identically, bit for
+// bit. Members laid out over one id set share one destination column, the
+// same backing array; a member whose set differs gets its own.
+func TestRoutesSharedColumn(t *testing.T) {
+	cfg := testConfig()
+	cfg.LinkSensing = SenseHost
+	field, err := NewNodes([]int64{0, 1, 2, 3}, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Members 0, 1 and 3 link to every other member; member 2 to 0, 1 and 7,
+	// so its id set has the others' size but not their ids. Link weights
+	// move with time, so every call on a later instant rebuilds.
+	peers := [][]int64{{1, 2, 3}, {0, 2, 3}, {0, 1, 7}, {0, 1, 2}}
+	routes := func(m int, now time.Duration) *Routes {
+		t.Helper()
+		for _, p := range peers[m] {
+			field[m].UpdateLink(p, float64(1+m)+float64(p)/4+now.Seconds(), now)
+		}
+		r, err := field[m].Routes(now)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	shared := func(a, b *Routes) bool { return len(a.dst) == len(b.dst) && &a.dst[0] == &b.dst[0] }
+	type heldTable struct {
+		name string
+		r    *Routes
+		rows []routeRow
+	}
+	var held []heldTable
+	hold := func(name string, r *Routes) {
+		if r.Len() == 0 {
+			t.Fatalf("%s: empty table", name)
+		}
+		held = append(held, heldTable{name, r, routeRows(r)})
+	}
+	check := func(when string) {
+		t.Helper()
+		for _, h := range held {
+			if got := routeRows(h.r); !rowsIdentical(got, h.rows) {
+				t.Fatalf("after %s: %s reads %v, held %v", when, h.name, got, h.rows)
+			}
+		}
+	}
+
+	r0, r1, r3 := routes(0, 0), routes(1, 0), routes(3, 0)
+	if !shared(r0, r1) || !shared(r0, r3) {
+		t.Fatal("members over one id set do not share one column")
+	}
+	hold("member 0's first table", r0)
+	hold("member 1's first table", r1)
+	if r2 := routes(2, 0); shared(r2, r0) {
+		t.Fatal("a member over another id set shares the column")
+	}
+	check("a member rebuilt over another set of the same size")
+
+	if r := routes(0, time.Second); r == r0 || r.Serial() == r0.Serial() {
+		t.Fatal("member 0 did not rebuild")
+	}
+	check("member 0 rebuilt")
+
+	field[1].HandleTC(&TC{Origin: 3, ANSN: 1, Links: []LinkInfo{{9, 2}}}, 3, 2*time.Second)
+	if _, ok := routes(1, 2*time.Second).Lookup(9); !ok {
+		t.Fatal("member 1 has no route to the origin's new link")
+	}
+	check("member 1 heard a new origin")
+
+	r1 = routes(1, 20*time.Second) // the TC row expired
+	if _, ok := r1.Lookup(9); ok {
+		t.Fatal("member 1 kept the expired row")
+	}
+	hold("member 1's table after expiry", r1)
+	if r3 := routes(3, 20*time.Second); !shared(r1, r3) {
+		t.Fatal("members over one id set do not share one column after expiry")
+	}
+	check("a row expired")
+}

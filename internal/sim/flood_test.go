@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
 	"slices"
 	"testing"
@@ -59,7 +60,7 @@ func (p *floodPair) perturb(start, end, period time.Duration, fn func(nw *Networ
 			if nw.Engine.Now() > end {
 				return
 			}
-			if nw.Engine.Pending() <= 2*len(nw.Nodes) {
+			if nw.Engine.Scheduled()-nw.Engine.Executed <= uint64(2*len(nw.Nodes)) {
 				nw.Engine.After(100*time.Microsecond, step)
 				return
 			}
@@ -116,12 +117,8 @@ func (p *floodPair) check(t time.Duration, withMedium bool) bool {
 		if ra.Len() != rb.Len() {
 			return fail(fmt.Sprintf("route count of node %d", i), ra.Len(), rb.Len())
 		}
-		for j := 0; j < ra.Len(); j++ {
-			da, xa := ra.At(j)
-			db, xb := rb.At(j)
-			if da != db || xa != xb {
-				return fail(fmt.Sprintf("route of node %d", i), xa, xb)
-			}
+		if xa, xb := maps.Collect(ra.All()), maps.Collect(rb.All()); !maps.Equal(xa, xb) {
+			return fail(fmt.Sprintf("routes of node %d", i), xa, xb)
 		}
 		if x, y := a.Nodes[i].MPRSet(t), b.Nodes[i].MPRSet(t); !slices.Equal(x, y) {
 			return fail(fmt.Sprintf("MPR set of node %d", i), x, y)

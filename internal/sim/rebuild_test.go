@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"maps"
 	"reflect"
 	"testing"
 	"time"
@@ -21,12 +22,7 @@ func tableOf(t *testing.T, nw *Network, x int32) map[int64]olsr.Route {
 
 // routeMap materialises a routing table as a map.
 func routeMap(r *olsr.Routes) map[int64]olsr.Route {
-	out := make(map[int64]olsr.Route, r.Len())
-	for i := range r.Len() {
-		dst, route := r.At(i)
-		out[dst] = route
-	}
-	return out
+	return maps.Collect(r.All())
 }
 
 // A subset barrier must only touch the named nodes' tables.

@@ -18,7 +18,7 @@ import (
 func TestInternalSurface(t *testing.T) {
 	pins := map[string]int{
 		"core":     24,
-		"des":      11,
+		"des":      10,
 		"eval":     42,
 		"geom":     28,
 		"graph":    79,
