@@ -299,10 +299,10 @@
 //
 // # Control-plane scaling
 //
-// Three opt-in optimisations make control overhead sublinear in density at
-// equal delivery, all off by default and independently toggled through
-// olsr.Config, and by name in a scenario's ScenarioProtocol.Plane (the O1
-// and S1 grids set it; the default is the RFC 3626 plane). Delta-encoded
+// Three opt-in optimisations make control overhead sublinear in density,
+// all off by default and independently toggled through olsr.Config, and by
+// name in a scenario's ScenarioProtocol.Plane (the O1 and S1 grids set it;
+// the default is the RFC 3626 plane). Delta-encoded
 // TCs (Config.DeltaTC) anchor a chain of incremental TC-DELTA messages —
 // each carrying only the links added, reweighted or removed since the last
 // advertisement — on a periodically refreshed full TC; a receiver applies a
@@ -319,7 +319,10 @@
 // routing. The O1 grid (-ablation overhead) measures each
 // optimisation against the original QOLSR plane on identical fields;
 // BENCH_overhead.json records its five-run result, regenerated by
-// `qolsr-sim -ablation overhead -runs 100 -json BENCH_overhead.json`.
+// `qolsr-sim -ablation overhead -runs 100 -json BENCH_overhead.json`. Every
+// plane delivers the same probes only because all of them route through the
+// same kernel, and on O1's static fields at δ = 15 that kernel loses 7.5 % of
+// probes to TTL, so equal delivery there is not full delivery.
 //
 // # Observability
 //

@@ -216,11 +216,11 @@ func loadGrid() liveGrid {
 	}
 }
 
-// overheadGrid is O1: the original QOLSR control plane (QOLSR MPR-2 for the
-// advertised set and the flooding relays) against each control-plane
-// optimisation and all three together. The claim under test: the optimised
-// plane's control bytes grow sublinearly with density where the baseline's
-// grow superlinearly, at equal delivery.
+// overheadGrid is O1: the original QOLSR plane (MPR-2 advertised sets and
+// flooding relays) against each control-plane optimisation and all three.
+// Claim: the optimised planes' control bytes grow sublinearly with density,
+// the baseline's superlinearly. Delivery is equal only because every plane
+// routes through one kernel, which loses 7.5 % of probes to TTL at δ = 15.
 func overheadGrid() liveGrid {
 	base := probeBase(10)
 	base.Protocol.Selector = "qolsr"

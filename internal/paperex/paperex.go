@@ -153,8 +153,8 @@ func Figure4() *Fixture {
 }
 
 // Figure5 is a ten-node sample network in the spirit of the paper's Fig. 5,
-// used by cmd/qolsr-graph and the paperfigures example to render the MPR
-// set, the topology-filtered ANS and the FNBP ANS side by side.
+// used by cmd/qolsr-graph to render the MPR set, the topology-filtered ANS
+// and the FNBP ANS side by side.
 func Figure5() *Fixture {
 	names := []string{"u", "a", "b", "c", "d", "e", "f", "g", "h", "i"}
 	return build(names, []edgeSpec{

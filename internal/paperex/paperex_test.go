@@ -7,6 +7,7 @@ import (
 	"qolsr/internal/core"
 	"qolsr/internal/graph"
 	"qolsr/internal/metric"
+	"qolsr/internal/mpr"
 	"qolsr/internal/route"
 )
 
@@ -218,6 +219,44 @@ func TestFigure4Facts(t *testing.T) {
 	// E's only neighbor is D.
 	if f.G.Degree(E) != 1 {
 		t.Error("E must have D as its only access")
+	}
+}
+
+// Figure 5's three sets at u, smallest last: the QoS-blind MPR set, the
+// topology-filtered ANS and the FNBP ANS.
+func TestFigure5Facts(t *testing.T) {
+	f := Figure5()
+	m := metric.Bandwidth()
+	w := weightsOf(t, f)
+	view := graph.NewLocalView(f.G, f.Node("u"))
+	mprs, err := mpr.Select(view, mpr.Greedy, m, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tf, err := core.TopologyFilter{}.Select(view, m, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fnbp, err := core.FNBP{}.Select(view, m, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		got  []int32
+		want string
+	}{
+		{"MPR set", mprs, "[a b d]"},
+		{"topology-filtered ANS", tf, "[a d]"},
+		{"FNBP ANS", fnbp, "[d]"},
+	} {
+		labels := make([]string, len(c.got))
+		for i, x := range c.got {
+			labels[i] = f.G.Label(x)
+		}
+		if got := fmt.Sprint(labels); got != c.want {
+			t.Errorf("%s of u = %s, want %s", c.name, got, c.want)
+		}
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"io"
 	"math"
 	"strings"
+	"text/tabwriter"
 	"time"
 
 	"qolsr/internal/stats"
@@ -505,11 +506,9 @@ func (r *Result) WriteTable(w io.Writer) error {
 		sc.Name, sc.Protocol.Selector, len(r.Runs), nodes.Mean()); err != nil {
 		return err
 	}
-	if err := writeRow(w, "t_s", "delivery", "±95%", "stretch", "overhead", "ctrlB/s", "set"); err != nil {
-		return err
-	}
+	rows := [][]string{{"t_s", "delivery", "±95%", "stretch", "overhead", "ctrlB/s", "set"}}
 	for _, agg := range r.Aggregate() {
-		if err := writeRow(w,
+		rows = append(rows, []string{
 			fmt.Sprintf("%g", secs(agg.Time)),
 			fmt.Sprintf("%.4f", agg.Delivery.Mean()),
 			fmt.Sprintf("%.4f", agg.Delivery.CI95()),
@@ -517,9 +516,10 @@ func (r *Result) WriteTable(w io.Writer) error {
 			fmt.Sprintf("%.4f", agg.Overhead.Mean()),
 			fmt.Sprintf("%.0f", agg.ControlBPS.Mean()),
 			fmt.Sprintf("%.2f", agg.SetSize.Mean()),
-		); err != nil {
-			return err
-		}
+		})
+	}
+	if err := writeRows(w, rows); err != nil {
+		return err
 	}
 	if err := r.writeTraffic(w); err != nil {
 		return err
@@ -538,11 +538,9 @@ func (r *Result) writeTraffic(w io.Writer) error {
 	if _, err := fmt.Fprintln(w, "# traffic (summed across runs; rates/delays are per-run means)"); err != nil {
 		return err
 	}
-	if err := writeRow(w, "class", "flows", "admit", "viol", "c-rej", "f-rej", "violratio", "delivery", "thru_B/s", "p95_ms", "jit_ms"); err != nil {
-		return err
-	}
+	rows := [][]string{{"class", "flows", "admit", "viol", "c-rej", "f-rej", "violratio", "delivery", "thru_B/s", "p95_ms", "jit_ms"}}
 	for _, agg := range aggs {
-		if err := writeRow(w,
+		rows = append(rows, []string{
 			agg.Class,
 			fmt.Sprintf("%d", agg.Flows),
 			fmt.Sprintf("%d", agg.Admitted),
@@ -554,11 +552,9 @@ func (r *Result) writeTraffic(w io.Writer) error {
 			fmt.Sprintf("%.0f", agg.Throughput.Mean()),
 			fmt.Sprintf("%.2f", agg.DelayP95.Mean()*1e3),
 			fmt.Sprintf("%.2f", agg.Jitter.Mean()*1e3),
-		); err != nil {
-			return err
-		}
+		})
 	}
-	return nil
+	return writeRows(w, rows)
 }
 
 // writeReconvergence summarises recovery per disruptive phase across runs.
@@ -607,11 +603,14 @@ func (r *Result) writeReconvergence(w io.Writer) error {
 	return nil
 }
 
-// writeRow writes one table row, each cell padded to ten bytes.
-func writeRow(w io.Writer, cells ...string) error {
-	for i, c := range cells {
-		cells[i] = c + strings.Repeat(" ", max(10-len(c), 0))
+// writeRows writes an aligned table: each column but the last is padded to
+// its widest cell counted in runes, at least ten, plus two spaces.
+func writeRows(w io.Writer, rows [][]string) error {
+	tw := tabwriter.NewWriter(w, 12, 0, 2, ' ', 0)
+	for _, cells := range rows {
+		if _, err := fmt.Fprintln(tw, strings.Join(cells, "\t")); err != nil {
+			return err
+		}
 	}
-	_, err := fmt.Fprintln(w, strings.Join(cells, "  "))
-	return err
+	return tw.Flush()
 }

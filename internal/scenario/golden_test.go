@@ -8,6 +8,8 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 )
@@ -88,6 +90,49 @@ func TestGoldenCSV(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkGolden(t, "ladder.csv.golden", buf.Bytes())
+}
+
+// The text table has no golden file; its columns must line up under their
+// headers, including "±95%", which is five bytes but four runes.
+func TestWriteTableAligns(t *testing.T) {
+	var buf bytes.Buffer
+	if err := goldenResult(t).WriteTable(&buf); err != nil {
+		t.Fatal(err)
+	}
+	checkColumnsAlign(t, buf.String())
+}
+
+// checkColumnsAlign checks that in every table of a WriteTable output (each
+// "#" line but "# reconvergence" opens one) every cell starts at the rune
+// column of its header.
+func checkColumnsAlign(t *testing.T, out string) {
+	t.Helper()
+	var header []int
+	for _, line := range strings.Split(strings.TrimSuffix(out, "\n"), "\n") {
+		if strings.HasPrefix(line, "#") {
+			header = nil
+			if !strings.HasPrefix(line, "# reconvergence") {
+				header = []int{}
+			}
+			continue
+		}
+		var starts []int
+		prev := ' '
+		for i, r := range []rune(line) {
+			if r != ' ' && prev == ' ' {
+				starts = append(starts, i)
+			}
+			prev = r
+		}
+		switch {
+		case header == nil:
+		case len(header) == 0:
+			header = starts
+		case !slices.Equal(starts, header):
+			t.Errorf("cells start at runes %v, headers at %v:\n%s", starts, header, out)
+			return
+		}
+	}
 }
 
 func TestGoldenMobileJSON(t *testing.T) {

@@ -158,6 +158,7 @@ func TestExecuteMixScenario(t *testing.T) {
 	if !strings.Contains(tbl.String(), "# traffic") {
 		t.Error("table missing traffic section")
 	}
+	checkColumnsAlign(t, tbl.String())
 }
 
 func TestExecuteMixDeterministic(t *testing.T) {

@@ -52,37 +52,55 @@ func mediumWorld(t *testing.T, seed int64) *graph.Graph {
 }
 
 // The central integration test: after enough protocol rounds, every node's
-// distributed ANS equals the offline FNBP selection on the true topology.
+// distributed ANS equals the offline selection on the true topology, for
+// every selector under both metrics, on a field of 123 nodes.
 func TestProtocolConvergesToOfflineSelection(t *testing.T) {
-	m := metric.Bandwidth()
-	g := smallWorld(t, 11, 8)
-	nw := testNetwork(t, g, m)
-	nw.Start()
-	nw.Run(30 * time.Second)
-
-	w, err := g.Weights(m.Name())
-	if err != nil {
-		t.Fatal(err)
-	}
-	sets, err := nw.ANSSets()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for u := int32(0); int(u) < g.N(); u++ {
-		view := graph.NewLocalView(g, u)
-		want, err := core.FNBP{}.Select(view, m, w)
+	for _, m := range []metric.Metric{metric.Bandwidth(), metric.Delay()} {
+		rng := rand.New(rand.NewSource(1))
+		dep := geom.Deployment{Field: geom.Field{Width: 600, Height: 600}, Radius: 100, Degree: 12}
+		g, err := netgen.Build(dep, m.Name(), metric.DefaultInterval(), rng)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want == nil {
-			want = []int32{}
+		w, err := g.Weights(m.Name())
+		if err != nil {
+			t.Fatal(err)
 		}
-		got := sets[u]
-		if got == nil {
-			got = []int32{}
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("node %d: distributed ANS %v != offline %v", u, got, want)
+		for _, name := range []string{"fnbp", "topofilter", "qolsr", "full"} {
+			t.Run(m.Name()+"/"+name, func(t *testing.T) {
+				sel, err := core.ByName(name)
+				if err != nil {
+					t.Fatal(err)
+				}
+				cfg := olsr.DefaultConfig(m)
+				cfg.Selector = sel
+				nw, err := NewNetwork(g, cfg, NetworkOptions{Seed: 1})
+				if err != nil {
+					t.Fatal(err)
+				}
+				nw.Start()
+				nw.Run(30 * time.Second)
+				sets, err := nw.ANSSets()
+				if err != nil {
+					t.Fatal(err)
+				}
+				for u := int32(0); int(u) < g.N(); u++ {
+					want, err := sel.Select(graph.NewLocalView(g, u), m, w)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if want == nil {
+						want = []int32{}
+					}
+					got := sets[u]
+					if got == nil {
+						got = []int32{}
+					}
+					if !reflect.DeepEqual(got, want) {
+						t.Errorf("node %d: distributed ANS %v != offline %v", u, got, want)
+					}
+				}
+			})
 		}
 	}
 }

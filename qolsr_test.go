@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"qolsr"
+	"qolsr/internal/paperex"
 )
 
 func TestPublicEndToEnd(t *testing.T) {
@@ -95,6 +96,53 @@ func TestPublicMPRSelection(t *testing.T) {
 	}
 	if len(set) != 2 {
 		t.Errorf("MPR set = %v, want both relays", set)
+	}
+}
+
+// The paper's two pathologies through the public names: on Fig. 1, with
+// every link advertised, min-hop routing takes bandwidth 6 where 10 is
+// possible, and on Fig. 4 FNBP without the loop-fix rule has A and B
+// forward for E through each other.
+func TestPublicPaperPathologies(t *testing.T) {
+	m := qolsr.Bandwidth()
+	f1 := paperex.Figure1()
+	sets := make([][]int32, f1.G.N())
+	for x := range sets {
+		for _, arc := range f1.G.Arcs(int32(x)) {
+			sets[x] = append(sets[x], arc.To)
+		}
+	}
+	adv, err := qolsr.BuildAdvertised(f1.G, sets, paperex.Channel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ev, err := qolsr.EvaluatePair(f1.G, adv, m, paperex.Channel, f1.Node("v1"), f1.Node("v3"), qolsr.MinHopThenQoS)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ev.Achieved != 6 || ev.Hops != 2 || ev.Optimal != 10 {
+		t.Errorf("fig 1 min-hop v1->v3: %v over %d hops, optimum %v; want 6 over 2, optimum 10", ev.Achieved, ev.Hops, ev.Optimal)
+	}
+
+	f4 := paperex.Figure4()
+	w, err := f4.G.Weights(paperex.Channel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	A, B, D, E := f4.Node("A"), f4.Node("B"), f4.Node("D"), f4.Node("E")
+	cover := func(fn qolsr.FNBP, x int32) int32 {
+		sel, err := fn.SelectFull(qolsr.NewLocalView(f4.G, x), m, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sel.Cover[E]
+	}
+	off := qolsr.FNBP{LoopFix: qolsr.LoopFixOff}
+	if cover(off, A) != B || cover(off, B) != A {
+		t.Error("fig 4 without the rule: A and B do not forward for E through each other")
+	}
+	if cover(qolsr.FNBP{}, A) != D {
+		t.Error("fig 4 with the rule: A does not forward for E through D")
 	}
 }
 
