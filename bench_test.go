@@ -30,12 +30,11 @@ func benchFigure(b *testing.B, id string) {
 	}
 	// Reduced axis: first, middle, last density.
 	degrees := []float64{fig.Degrees[0], fig.Degrees[2], fig.Degrees[len(fig.Degrees)-1]}
-	exp := qolsr.NewExperiment(fig)
 	var res *qolsr.Sweep
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		out, err := qolsr.NewRunner(qolsr.WithRuns(3), qolsr.WithSeed(int64(i)+1), qolsr.WithDegrees(degrees...)).
-			Run(context.Background(), exp)
+			Run(context.Background(), fig)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -62,12 +61,11 @@ func BenchmarkSweep(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	exp := qolsr.NewExperiment(fig6, fig8)
 	r := qolsr.NewRunner(qolsr.WithRuns(3), qolsr.WithSeed(1), qolsr.WithDegrees(10, 15, 20))
 	var points int
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := r.Run(context.Background(), exp)
+		res, err := r.Run(context.Background(), fig6, fig8)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -170,7 +168,7 @@ func BenchmarkAblationLoopFix(b *testing.B) {
 // the source's local links (ablation A2): ablation-locallinks at degree 15,
 // 3 runs, seed 9, one density point on a Runner.
 func BenchmarkAblationLocalLinks(b *testing.B) {
-	exp, err := qolsr.ExperimentByID("locallinks")
+	fig, err := qolsr.SweepByID("locallinks")
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -178,7 +176,7 @@ func BenchmarkAblationLocalLinks(b *testing.B) {
 	var res *qolsr.Results
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if res, err = r.Run(context.Background(), exp); err != nil {
+		if res, err = r.Run(context.Background(), fig); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,6 +1,6 @@
 // Command qolsr-sim regenerates the paper's evaluation figures and the
 // repository's ablations from the command line, on the parallel streaming
-// Experiment API.
+// Runner API.
 //
 // Usage:
 //
@@ -144,11 +144,11 @@ func run(args []string) error {
 		return writeResult(res, *jsonPath, *csvPath, "")
 	}
 
-	exp, err := composeExperiment(*figureID, *ablation)
+	figs, err := resolveSweeps(*figureID, *ablation)
 	if err != nil {
 		return err
 	}
-	res, err := r.Run(ctx, exp)
+	res, err := r.Run(ctx, figs...)
 	if err != nil {
 		if errors.Is(err, context.Canceled) {
 			return fmt.Errorf("sweep canceled")
@@ -212,22 +212,25 @@ func registryListing() string {
 	return b.String()
 }
 
-// composeExperiment builds the experiment from the -figure / -ablation
-// flags: a comma-separated ID list, "all"/empty for the paper figures, or
-// an ablation short form.
-func composeExperiment(figureID, ablation string) (*qolsr.Experiment, error) {
+// resolveSweeps resolves the -figure / -ablation flags: a comma-separated
+// ID list, "all"/empty for the paper figures, or an ablation short form.
+func resolveSweeps(figureID, ablation string) ([]qolsr.Figure, error) {
+	ids := strings.Split(figureID, ",")
 	switch {
 	case ablation != "":
-		return qolsr.ExperimentByID(ablation)
+		ids = []string{ablation}
 	case figureID == "all" || figureID == "":
-		return qolsr.PaperExperiment(), nil
-	default:
-		var ids []string
-		for _, id := range strings.Split(figureID, ",") {
-			ids = append(ids, strings.TrimSpace(id))
-		}
-		return qolsr.ExperimentByID(ids...)
+		return qolsr.PaperFigures(), nil
 	}
+	figs := make([]qolsr.Figure, len(ids))
+	for i, id := range ids {
+		fig, err := qolsr.SweepByID(strings.TrimSpace(id))
+		if err != nil {
+			return nil, err
+		}
+		figs[i] = fig
+	}
+	return figs, nil
 }
 
 // writeOut encodes to path, with "-" meaning stdout.

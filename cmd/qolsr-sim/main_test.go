@@ -112,39 +112,37 @@ func TestLiveGridDefaultRuns(t *testing.T) {
 	}
 }
 
-func TestComposeExperiment(t *testing.T) {
-	exp, err := composeExperiment("all", "")
+func TestResolveSweeps(t *testing.T) {
+	figs, err := resolveSweeps("all", "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(exp.Figures()) != 4 {
-		t.Errorf("all figures = %d, want 4", len(exp.Figures()))
+	if len(figs) != 4 {
+		t.Errorf("all figures = %d, want 4", len(figs))
 	}
 
-	exp, err = composeExperiment("fig8, ablation-mprs", "")
+	figs, err = resolveSweeps("fig8, ablation-mprs", "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	figs := exp.Figures()
 	if len(figs) != 2 || figs[0].ID != "fig8" || figs[1].ID != "ablation-mprs" {
-		t.Errorf("composed IDs wrong: %+v", figs)
+		t.Errorf("resolved IDs wrong: %+v", figs)
 	}
 
 	// Ablation short forms resolve too.
 	for _, name := range []string{"loopfix", "loopfix-size", "locallinks", "mprs", "policy", "upper"} {
-		exp, err := composeExperiment("", name)
+		figs, err := resolveSweeps("", name)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		figs := exp.Figures()
 		if len(figs) != 1 || figs[0].ID == "" || len(figs[0].Protocols) < 2 || len(figs[0].Degrees) == 0 {
 			t.Errorf("%s: incomplete figure %+v", name, figs)
 		}
 	}
-	if _, err := composeExperiment("", "nope"); err == nil {
+	if _, err := resolveSweeps("", "nope"); err == nil {
 		t.Error("unknown ablation accepted")
 	}
-	if _, err := composeExperiment("fig99", ""); err == nil {
+	if _, err := resolveSweeps("fig99", ""); err == nil {
 		t.Error("unknown figure accepted")
 	}
 }
@@ -190,47 +188,48 @@ func TestParseFlows(t *testing.T) {
 	if tr, err = parseFlows("poisson:3"); err != nil || tr.Mix[0].RateBps != 0 {
 		t.Errorf("rateless spec: %+v, %v", tr, err)
 	}
-	for _, bad := range []string{"0", "-3", "cbr", "cbr:zero", "cbr:0", "cbr:2@-5", "warez:3"} {
+	for _, bad := range []string{"0", "-3", "cbr", "cbr:zero", "cbr:0", "cbr:2@-5"} {
 		if _, err := parseFlows(bad); err == nil {
 			t.Errorf("bad -flows %q accepted", bad)
 		}
 	}
-	// Unknown class errors must list the valid names.
-	_, err = parseFlows("warez:3")
-	for _, class := range qolsr.FlowClassNames() {
-		if !strings.Contains(err.Error(), class) {
-			t.Errorf("flow-class error %q does not list %q", err, class)
-		}
-	}
 }
 
-func TestCheckNameListsValid(t *testing.T) {
-	if err := checkName("ideal", qolsr.MediumNames(), "medium"); err != nil {
-		t.Fatal(err)
-	}
-	err := checkName("fso", qolsr.MediumNames(), "medium")
-	if err == nil {
-		t.Fatal("unknown medium accepted")
+// An unknown -medium fails in Scenario.Validate before any run starts,
+// naming the value and listing the valid media; -loss on a scenario whose
+// medium is not lossy is a flag combination the CLI rejects itself.
+func TestScenarioRunUnknownMedium(t *testing.T) {
+	err := runScenario([]string{"-name", "static-baseline", "-medium", "fso", "-quiet"})
+	if err == nil || !strings.Contains(err.Error(), `"fso"`) {
+		t.Fatalf("-medium fso: err = %v, want it named", err)
 	}
 	for _, m := range qolsr.MediumNames() {
 		if !strings.Contains(err.Error(), m) {
 			t.Errorf("medium error %q does not list %q", err, m)
 		}
 	}
-	// The scenario run path routes -medium through the same check.
-	if err := runScenario([]string{"-name", "static-baseline", "-medium", "fso"}); err == nil ||
-		!strings.Contains(err.Error(), "ideal") {
-		t.Errorf("-medium error does not list names: %v", err)
+	err = runScenario([]string{"-name", "static-baseline", "-loss", "0.1", "-quiet"})
+	if err == nil || !strings.Contains(err.Error(), "-medium lossy") {
+		t.Errorf("-loss without -medium lossy: err = %v", err)
 	}
 	// Unknown -name lists the scenarios.
 	err = runScenario([]string{"-name", "nope"})
 	if err == nil || !strings.Contains(err.Error(), "static-baseline") {
 		t.Errorf("-name error does not list scenarios: %v", err)
 	}
-	// Unknown -flows class lists the classes.
-	if err := runScenario([]string{"-name", "static-baseline", "-flows", "warez:3"}); err == nil ||
-		!strings.Contains(err.Error(), "cbr") {
-		t.Errorf("-flows error does not list classes: %v", err)
+}
+
+// An unknown -flows class fails in Scenario.Validate before any run
+// starts, naming the class and listing the valid ones.
+func TestScenarioRunUnknownFlowClass(t *testing.T) {
+	err := runScenario([]string{"-name", "static-baseline", "-flows", "warp:4", "-quiet"})
+	if err == nil || !strings.Contains(err.Error(), `"warp"`) {
+		t.Fatalf("-flows warp:4: err = %v, want the class named", err)
+	}
+	for _, class := range qolsr.FlowClassNames() {
+		if !strings.Contains(err.Error(), class) {
+			t.Errorf("flow-class error %q does not list %q", err, class)
+		}
 	}
 }
 

@@ -39,7 +39,7 @@ func runScenarioCmd(args []string) error {
 // listScenarios prints the built-in registry with descriptions.
 func listScenarios(w *os.File) error {
 	for _, def := range qolsr.BuiltInScenarios() {
-		if _, err := fmt.Fprintf(w, "%-24s %s\n", def.Name, def.Description); err != nil {
+		if _, err := fmt.Fprintf(w, "%-24s %s\n", def.Scenario.Name, def.Description); err != nil {
 			return err
 		}
 	}
@@ -110,9 +110,6 @@ func runScenario(args []string) error {
 		sc.Traffic = tr
 	}
 	if *medium != "" {
-		if err := checkName(*medium, qolsr.MediumNames(), "medium"); err != nil {
-			return err
-		}
 		sc.Medium.Kind = *medium
 	}
 	if *loss >= 0 {
@@ -184,20 +181,10 @@ func runScenario(args []string) error {
 	return nil
 }
 
-// checkName rejects a value absent from a registry with an error listing
-// every valid name — the one error shape all name-taking flags share.
-func checkName(value string, valid []string, what string) error {
-	for _, v := range valid {
-		if v == value {
-			return nil
-		}
-	}
-	return fmt.Errorf("unknown %s %q (have %s)", what, value, strings.Join(valid, ", "))
-}
-
 // parseFlows interprets the -flows override: a bare integer keeps the
 // legacy probe workload at that count; a comma-separated list of
-// "class:count@rateBps" entries installs a sustained flow-class mix.
+// "class:count@rateBps" entries installs a sustained flow-class mix, whose
+// class names Scenario.Validate checks.
 func parseFlows(spec string) (qolsr.ScenarioTraffic, error) {
 	if n, err := strconv.Atoi(spec); err == nil {
 		if n < 1 {
@@ -211,9 +198,6 @@ func parseFlows(spec string) (qolsr.ScenarioTraffic, error) {
 		class, rest, ok := strings.Cut(part, ":")
 		if !ok {
 			return qolsr.ScenarioTraffic{}, fmt.Errorf("bad -flows entry %q, want class:count@rateBps", part)
-		}
-		if err := qolsr.CheckFlowClass(class); err != nil {
-			return qolsr.ScenarioTraffic{}, err
 		}
 		countStr, rateStr, hasRate := strings.Cut(rest, "@")
 		count, err := strconv.Atoi(countStr)

@@ -23,18 +23,18 @@
 //   - protocol.go — routing over advertised topologies and the full
 //     OLSR/QOLSR protocol stack (HELLO/TC, MPR flooding, QoS routing
 //     tables) over a discrete-event simulator, with mobility;
-//   - experiment.go — the Experiment/Runner API regenerating the paper's
-//     evaluation (Figs. 6-9) and the repository's ablations;
+//   - experiment.go — the Runner API regenerating the paper's evaluation
+//     (Figs. 6-9) and the repository's ablations;
 //   - scenario.go — the Scenario API: declarative dynamic-network programs
 //     on the live protocol stack.
 //
-// # Experiments
+// # Sweeps
 //
-// Experiments are composed from figures — by value or by registry name —
-// and executed by a Runner as a cancellable parallel pipeline on the one
-// cell loop every sweep shares: each (density point, run) is one job on the
-// worker budget, runs fold into their point in run order, and completed
-// points stream out while the sweep is in flight. Figures that share a
+// A Runner executes figures — by value or by registry name — as a
+// cancellable parallel pipeline on the one cell loop every sweep shares:
+// each (density point, run) is one job on the worker budget, runs fold into
+// their point in run order, and completed points stream out while the
+// sweep is in flight. Figures that share a
 // sweep — Figs. 6 and 8 read one bandwidth sweep, Figs. 7 and 9 one delay
 // sweep — simulate each of its points once. The ablations on the live
 // protocol stack — A4 control, A7 loss, A8 load, O1 overhead and S1 scale,
@@ -59,10 +59,11 @@
 // runs. Overhead averages over delivered pairs only, so every overhead
 // table prints each protocol's delivery beside it.
 //
-//	exp, err := qolsr.ExperimentByID("fig6", "fig8")
+//	fig6, err := qolsr.SweepByID("fig6")
+//	fig8, err := qolsr.SweepByID("fig8")
 //	r := qolsr.NewRunner(qolsr.WithRuns(100), qolsr.WithSeed(1),
 //		qolsr.WithWorkers(8), qolsr.WithProgress(log.Printf))
-//	res, err := r.Run(ctx, exp)
+//	res, err := r.Run(ctx, fig6, fig8)
 //	res.WriteTables(os.Stdout)   // the paper's tables
 //	res.EncodeJSON(os.Stdout)    // machine-readable ("qolsr-sweep/v2")
 //	res.EncodeCSV(os.Stdout)     // long-form rows for plotting tools
@@ -76,7 +77,7 @@
 // delivers each completed density point as it lands; until the figure's
 // EventFigure, read only the event's point of its sweep:
 //
-//	events, wait := r.Stream(ctx, exp)
+//	events, wait := r.Stream(ctx, fig6)
 //	for ev := range events {
 //		if ev.Kind == qolsr.EventPoint {
 //			s, i := ev.Sweep, ev.PointIndex

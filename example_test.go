@@ -68,7 +68,9 @@ func ExampleComputeFirstHops() {
 		log.Fatal(err)
 	}
 	fmt.Println("value:", fh.Dist[3])
-	fmt.Println("first hops:", fh.Members(3))
+	var hops []int32
+	fh.ForEach(3, func(i int32) { hops = append(hops, view.N1[i]) })
+	fmt.Println("first hops:", hops)
 	// Output:
 	// value: 7
 	// first hops: [1 2]

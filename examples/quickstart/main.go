@@ -82,7 +82,7 @@ func main() {
 		log.Fatal(err)
 	}
 	r := qolsr.NewRunner(qolsr.WithRuns(3), qolsr.WithSeed(7), qolsr.WithDegrees(8, 12))
-	events, wait := r.Stream(context.Background(), qolsr.NewExperiment(fig))
+	events, wait := r.Stream(context.Background(), fig)
 	for ev := range events {
 		if ev.Kind == qolsr.EventPoint {
 			s, pi := ev.Sweep, ev.PointIndex

@@ -1,13 +1,12 @@
 package qolsr
 
-// The Experiment/Runner API: compose density sweeps from figures (by value
-// or by name), run them on a Runner as cancellable parallel pipelines,
-// stream results point by point, and encode them as tables, CSV or JSON.
+// The Runner API: run density sweeps — figures and ablations, by value or
+// by name — on a Runner as cancellable parallel pipelines, stream results
+// point by point, and encode them as tables, CSV or JSON.
 //
-//	exp := qolsr.PaperExperiment()
 //	r := qolsr.NewRunner(qolsr.WithRuns(100), qolsr.WithWorkers(8),
 //		qolsr.WithProgress(log.Printf))
-//	res, err := r.Run(ctx, exp)
+//	res, err := r.Run(ctx, qolsr.PaperFigures()...)
 //	...
 //	res.EncodeJSON(os.Stdout)
 //
@@ -15,7 +14,7 @@ package qolsr
 // point (and every completed figure) on a channel while the sweep is still
 // running:
 //
-//	events, wait := r.Stream(ctx, exp)
+//	events, wait := r.Stream(ctx, fig)
 //	for ev := range events {
 //		if ev.Kind == qolsr.EventPoint { plot(ev.Sweep, ev.PointIndex) }
 //	}
@@ -29,7 +28,7 @@ import (
 	"qolsr/internal/eval"
 )
 
-// Experiment definitions.
+// Sweep definitions.
 type (
 	// Figure describes one density sweep: metric, axis, quantity and the
 	// compared protocols.
@@ -68,8 +67,8 @@ const (
 	EventFigure = eval.EventFigure
 )
 
-// Figure and protocol registries: everything an experiment is composed
-// from resolves by name, so CLI and config-file users never touch code.
+// Figure and protocol registries: every sweep resolves by name, so CLI and
+// config-file users never touch code.
 var (
 	// PaperFigures returns Figs. 6-9 with the paper's parameters.
 	PaperFigures = eval.PaperFigures
@@ -100,7 +99,7 @@ var (
 	MPRHeuristicAblation = eval.MPRHeuristicAblation
 )
 
-// Option tunes how a Runner executes an experiment.
+// Option tunes how a Runner runs.
 type Option func(*eval.Options)
 
 // WithWorkers sets the worker budget (default GOMAXPROCS): how many cells
@@ -134,48 +133,6 @@ func WithDegrees(degrees ...float64) Option {
 	return func(o *eval.Options) { o.Degrees = append([]float64(nil), degrees...) }
 }
 
-// Experiment is a composed set of figures to sweep; a Runner runs it. The
-// zero value is empty; compose with NewExperiment, PaperExperiment or
-// ExperimentByID.
-type Experiment struct {
-	figures []Figure
-}
-
-// NewExperiment composes an experiment from figure definitions.
-func NewExperiment(figs ...Figure) *Experiment {
-	return (&Experiment{}).Add(figs...)
-}
-
-// PaperExperiment returns the paper's full evaluation: Figs. 6-9.
-func PaperExperiment() *Experiment {
-	return NewExperiment(PaperFigures()...)
-}
-
-// ExperimentByID composes an experiment from sweep IDs ("fig6".."fig9",
-// ablation IDs, or ablation short forms).
-func ExperimentByID(ids ...string) (*Experiment, error) {
-	e := &Experiment{}
-	for _, id := range ids {
-		fig, err := SweepByID(id)
-		if err != nil {
-			return nil, err
-		}
-		e.Add(fig)
-	}
-	return e, nil
-}
-
-// Add appends figures and returns the experiment for chaining.
-func (e *Experiment) Add(figs ...Figure) *Experiment {
-	e.figures = append(e.figures, figs...)
-	return e
-}
-
-// Figures returns the composed figure definitions.
-func (e *Experiment) Figures() []Figure {
-	return append([]Figure(nil), e.figures...)
-}
-
 // Runner is the one way to run anything: figure sweeps (Run, Stream), the
 // live-stack ablations (LiveGrid) and scenario programs (RunScenario,
 // StreamScenario), under a fixed option set, so one configuration
@@ -193,19 +150,19 @@ func NewRunner(opts ...Option) *Runner {
 	return r
 }
 
-// Run executes the experiment to completion. Cancelling ctx stops
-// outstanding work promptly and returns ctx.Err(). For a fixed seed the
-// result is bit-identical regardless of WithWorkers.
-func (r *Runner) Run(ctx context.Context, e *Experiment) (*Results, error) {
-	return eval.Run(ctx, e.figures, r.opts)
+// Run sweeps the figures to completion, one Sweep each in order.
+// Cancelling ctx stops outstanding work promptly and returns ctx.Err(). For
+// a fixed seed the result is bit-identical regardless of WithWorkers.
+func (r *Runner) Run(ctx context.Context, figs ...Figure) (*Results, error) {
+	return eval.Run(ctx, figs, r.opts)
 }
 
-// Stream starts the experiment and returns the event channel plus a wait
+// Stream starts sweeping the figures and returns the event channel plus a wait
 // function that blocks until completion and yields the final result. The
 // channel is buffered for the whole sweep and closed when done. Point
 // events may arrive out of density order; their indexes locate them.
-func (r *Runner) Stream(ctx context.Context, e *Experiment) (<-chan Event, func() (*Results, error)) {
-	return eval.Stream(ctx, e.figures, r.opts)
+func (r *Runner) Stream(ctx context.Context, figs ...Figure) (<-chan Event, func() (*Results, error)) {
+	return eval.Stream(ctx, figs, r.opts)
 }
 
 // LiveGrid runs the live-stack ablation named name — "control" (A4),

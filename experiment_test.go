@@ -1,7 +1,7 @@
 package qolsr_test
 
-// Tests of the Experiment/Runner API: composition by name, streaming,
-// context cancellation, and bit-identical results across worker budgets.
+// Tests of the Runner API: sweeps by name, streaming, context
+// cancellation, and bit-identical results across worker budgets.
 
 import (
 	"bytes"
@@ -14,34 +14,47 @@ import (
 	"qolsr"
 )
 
-// tinyExperiment sweeps two low densities of a reduced Fig. 6 — small
-// enough for unit tests, real enough to exercise the parallel pipeline.
-func tinyExperiment(t *testing.T) *qolsr.Experiment {
+// tinyFigure is Fig. 6, which the tests sweep over a few low
+// densities — small enough for unit tests, real enough to exercise the
+// parallel pipeline.
+func tinyFigure(t *testing.T) qolsr.Figure {
 	t.Helper()
 	fig, err := qolsr.FigureByID("fig6")
 	if err != nil {
 		t.Fatal(err)
 	}
-	return qolsr.NewExperiment(fig)
+	return fig
 }
 
-func TestExperimentByID(t *testing.T) {
-	exp, err := qolsr.ExperimentByID("fig6", "ablation-mprs", "policy")
+// Sweeps resolve by ID, short form included, and a Runner sweeps several
+// in the order given.
+func TestSweepByID(t *testing.T) {
+	var figs []qolsr.Figure
+	for _, id := range []string{"fig6", "ablation-mprs", "policy"} {
+		fig, err := qolsr.SweepByID(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		figs = append(figs, fig)
+	}
+	if figs[0].ID != "fig6" || figs[1].ID != "ablation-mprs" || figs[2].ID != "ablation-policy" {
+		t.Errorf("resolved figures = %+v", figs)
+	}
+	if _, err := qolsr.SweepByID("nope"); err == nil {
+		t.Error("unknown sweep ID accepted")
+	}
+	res, err := qolsr.NewRunner(qolsr.WithRuns(1), qolsr.WithDegrees(4)).Run(context.Background(), figs[:2]...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	figs := exp.Figures()
-	if len(figs) != 3 || figs[0].ID != "fig6" || figs[1].ID != "ablation-mprs" || figs[2].ID != "ablation-policy" {
-		t.Errorf("composed figures = %+v", figs)
-	}
-	if _, err := qolsr.ExperimentByID("fig6", "nope"); err == nil {
-		t.Error("unknown sweep ID accepted")
+	if len(res.Sweeps) != 2 || res.Sweeps[0].ID != "fig6" || res.Sweeps[1].ID != "ablation-mprs" {
+		t.Errorf("swept %d figures, want fig6 then ablation-mprs", len(res.Sweeps))
 	}
 }
 
 func TestExperimentRunAndEncoders(t *testing.T) {
 	res, err := qolsr.NewRunner(qolsr.WithRuns(2), qolsr.WithSeed(9), qolsr.WithDegrees(3, 4)).
-		Run(context.Background(), tinyExperiment(t))
+		Run(context.Background(), tinyFigure(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +85,7 @@ func TestExperimentRunAndEncoders(t *testing.T) {
 
 func TestExperimentStreamDeliversIncrementally(t *testing.T) {
 	events, wait := qolsr.NewRunner(qolsr.WithRuns(1), qolsr.WithSeed(4), qolsr.WithDegrees(3, 4, 5), qolsr.WithWorkers(3)).
-		Stream(context.Background(), tinyExperiment(t))
+		Stream(context.Background(), tinyFigure(t))
 	points, figures := 0, 0
 	for ev := range events {
 		switch ev.Kind {
@@ -102,14 +115,14 @@ func TestExperimentStreamDeliversIncrementally(t *testing.T) {
 // Cancelling mid-sweep must return promptly with ctx.Err().
 func TestExperimentCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
-	exp := tinyExperiment(t)
+	fig := tinyFigure(t)
 	start := time.Now()
 	errCh := make(chan error, 1)
 	go func() {
 		// Enough work (8 points × 200 runs) to be mid-flight when the
 		// cancel lands.
 		_, err := qolsr.NewRunner(qolsr.WithRuns(200), qolsr.WithWorkers(2),
-			qolsr.WithDegrees(5, 6, 7, 8, 9, 10, 11, 12)).Run(ctx, exp)
+			qolsr.WithDegrees(5, 6, 7, 8, 9, 10, 11, 12)).Run(ctx, fig)
 		errCh <- err
 	}()
 	time.Sleep(30 * time.Millisecond)
@@ -132,7 +145,7 @@ func TestExperimentCancellation(t *testing.T) {
 func TestExperimentDeterministicAcrossWorkers(t *testing.T) {
 	encode := func(workers int) []byte {
 		res, err := qolsr.NewRunner(qolsr.WithRuns(3), qolsr.WithSeed(6), qolsr.WithDegrees(3, 4), qolsr.WithWorkers(workers)).
-			Run(context.Background(), tinyExperiment(t))
+			Run(context.Background(), tinyFigure(t))
 		if err != nil {
 			t.Fatal(err)
 		}

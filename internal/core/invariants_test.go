@@ -43,8 +43,8 @@ func TestFNBPCoveringInvariant(t *testing.T) {
 						}
 					})
 					if !served {
-						t.Fatalf("trial %d %s u=%d: target %d unserved by ANS %v (fP=%v)",
-							trial, m.Name(), u, v, ans, fh.Members(v))
+						t.Fatalf("trial %d %s u=%d: target %d unserved by ANS %v (|fP|=%d)",
+							trial, m.Name(), u, v, ans, fh.Count(v))
 					}
 				}
 			}

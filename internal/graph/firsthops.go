@@ -66,15 +66,6 @@ func (fh *FirstHops) ForEach(v int32, fn func(i int32)) {
 	}
 }
 
-// Members returns fP(u,v) as global node indices in ascending ID order.
-func (fh *FirstHops) Members(v int32) []int32 {
-	var out []int32
-	fh.ForEach(v, func(i int32) {
-		out = append(out, fh.View.N1[i])
-	})
-	return out
-}
-
 func (fh *FirstHops) setBit(v int32, i int32) {
 	fh.set(v)[i/64] |= 1 << (uint(i) % 64)
 }

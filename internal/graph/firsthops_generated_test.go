@@ -53,9 +53,10 @@ func checkFirstHops(t *testing.T, what string, lv *graph.LocalView, m metric.Met
 	if g.N() <= 9 {
 		for _, v := range lv.Targets() {
 			brute := graph.BruteFirstHops(lv, m, w, v)
-			got := fast.Members(v)
-			if len(got) != len(brute) || slices.ContainsFunc(got, func(x int32) bool { return !brute[x] }) {
-				t.Fatalf("%s %s: fP(u,%d) = %v, path enumeration %v", what, m.Name(), v, got, brute)
+			spurious := false
+			fast.ForEach(v, func(i int32) { spurious = spurious || !brute[lv.N1[i]] })
+			if fast.Count(v) != len(brute) || spurious {
+				t.Fatalf("%s %s: |fP(u,%d)| = %d, path enumeration %v", what, m.Name(), v, fast.Count(v), brute)
 			}
 		}
 	}

@@ -20,6 +20,19 @@ func firstHopImplementations(view *LocalView, m metric.Metric, w []float64, t *t
 	return map[string]*FirstHops{"fast": fast, "reference": ref}
 }
 
+// firstHopsAre reports whether fP(u,v) is exactly the 1-hop neighbors want.
+func firstHopsAre(fh *FirstHops, v int32, want ...int32) bool {
+	if fh.Count(v) != len(want) {
+		return false
+	}
+	for _, x := range want {
+		if i := fh.View.N1Index(x); i < 0 || !fh.Contains(v, i) {
+			return false
+		}
+	}
+	return true
+}
+
 func TestFirstHopsDirectLinkOptimal(t *testing.T) {
 	// u(0)-v(1) direct link 10, alternative u-w(2)-v of bottleneck 5:
 	// fP(u,v) = {v} (direct optimal).
@@ -38,9 +51,8 @@ func TestFirstHopsDirectLinkOptimal(t *testing.T) {
 	m := metric.Bandwidth()
 	w := metricWeights(g, m)
 	for name, fh := range firstHopImplementations(lv, m, w, t) {
-		members := fh.Members(1)
-		if len(members) != 1 || members[0] != 1 {
-			t.Errorf("%s: fP(u,v) = %v, want {v}", name, members)
+		if !firstHopsAre(fh, 1, 1) {
+			t.Errorf("%s: |fP(u,v)| = %d, want {v}", name, fh.Count(1))
 		}
 		if fh.Dist[1] != 10 {
 			t.Errorf("%s: value = %v, want 10", name, fh.Dist[1])
@@ -66,9 +78,8 @@ func TestFirstHopsIndirectBetter(t *testing.T) {
 	m := metric.Bandwidth()
 	w := metricWeights(g, m)
 	for name, fh := range firstHopImplementations(lv, m, w, t) {
-		members := fh.Members(3)
-		if len(members) != 1 || members[0] != 1 {
-			t.Errorf("%s: fP(u,v4) = %v, want {v1}", name, members)
+		if !firstHopsAre(fh, 3, 1) {
+			t.Errorf("%s: |fP(u,v4)| = %d, want {v1}", name, fh.Count(3))
 		}
 		if fh.Dist[3] != 5 {
 			t.Errorf("%s: B̃W(u,v4) = %v, want 5", name, fh.Dist[3])
@@ -98,12 +109,8 @@ func TestFirstHopsTiedPaths(t *testing.T) {
 	m := metric.Bandwidth()
 	w := metricWeights(g, m)
 	for name, fh := range firstHopImplementations(lv, m, w, t) {
-		members := fh.Members(3)
-		if len(members) != 2 || members[0] != 1 || members[1] != 2 {
-			t.Errorf("%s: fP(u,v3) = %v, want {v1,v2}", name, members)
-		}
-		if fh.Count(3) != 2 {
-			t.Errorf("%s: Count = %d", name, fh.Count(3))
+		if !firstHopsAre(fh, 3, 1, 2) {
+			t.Errorf("%s: |fP(u,v3)| = %d, want {v1,v2}", name, fh.Count(3))
 		}
 	}
 }
@@ -126,11 +133,11 @@ func TestFirstHopsDelayLine(t *testing.T) {
 	m := metric.Delay()
 	w := metricWeights(g, m)
 	for name, fh := range firstHopImplementations(lv, m, w, t) {
-		if got := fh.Members(2); len(got) != 1 || got[0] != 1 {
-			t.Errorf("%s: fP(u,b) = %v, want {a}", name, got)
+		if !firstHopsAre(fh, 2, 1) {
+			t.Errorf("%s: |fP(u,b)| = %d, want {a}", name, fh.Count(2))
 		}
-		if got := fh.Members(1); len(got) != 1 || got[0] != 1 {
-			t.Errorf("%s: fP(u,a) = %v, want {a}", name, got)
+		if !firstHopsAre(fh, 1, 1) {
+			t.Errorf("%s: |fP(u,a)| = %d, want {a}", name, fh.Count(1))
 		}
 		if fh.Dist[2] != 2 {
 			t.Errorf("%s: D̃(u,b) = %v, want 2", name, fh.Dist[2])
@@ -161,16 +168,15 @@ func TestFirstHopsPathThroughTwoHopNode(t *testing.T) {
 	for name, fh := range firstHopImplementations(lv, m, w, t) {
 		// Widest u->y: u-a-x-b-y bottleneck 1 vs u-b-y bottleneck 1:
 		// tie at 1 (last link limits). Both a and b are first hops.
-		members := fh.Members(4)
-		if len(members) != 2 {
-			t.Errorf("%s: fP(u,y) = %v, want {a,b}", name, members)
+		if !firstHopsAre(fh, 4, 1, 3) {
+			t.Errorf("%s: |fP(u,y)| = %d, want {a,b}", name, fh.Count(4))
 		}
 		// Widest u->b must be 5 through a,x.
 		if fh.Dist[3] != 5 {
 			t.Errorf("%s: B̃W(u,b) = %v, want 5", name, fh.Dist[3])
 		}
-		if got := fh.Members(3); len(got) != 1 || got[0] != 1 {
-			t.Errorf("%s: fP(u,b) = %v, want {a}", name, got)
+		if !firstHopsAre(fh, 3, 1) {
+			t.Errorf("%s: |fP(u,b)| = %d, want {a}", name, fh.Count(3))
 		}
 	}
 }
@@ -193,10 +199,10 @@ func TestFirstHopsFastMatchesReferenceRandom(t *testing.T) {
 			for _, v := range lv.Targets() {
 				for i := int32(0); int(i) < len(lv.N1); i++ {
 					if fast.Contains(v, i) != ref.Contains(v, i) {
-						t.Fatalf("trial %d %s: fP(u=%d,v=%d) disagreement on hop %d: fast=%v ref=%v (fast=%v ref=%v)",
+						t.Fatalf("trial %d %s: fP(u=%d,v=%d) disagreement on hop %d: fast=%v ref=%v (|fast|=%d |ref|=%d)",
 							trial, m.Name(), u, v, lv.N1[i],
 							fast.Contains(v, i), ref.Contains(v, i),
-							fast.Members(v), ref.Members(v))
+							fast.Count(v), ref.Count(v))
 					}
 				}
 			}
@@ -220,17 +226,16 @@ func TestFirstHopsFastMatchesBruteForceRandom(t *testing.T) {
 			}
 			for _, v := range lv.Targets() {
 				want := BruteFirstHops(lv, m, w, v)
-				got := fast.Members(v)
-				if len(got) != len(want) {
-					t.Fatalf("trial %d %s: fP(u=%d,v=%d) = %v, brute = %v",
-						trial, m.Name(), u, v, got, want)
+				if fast.Count(v) != len(want) {
+					t.Fatalf("trial %d %s: |fP(u=%d,v=%d)| = %d, brute = %v",
+						trial, m.Name(), u, v, fast.Count(v), want)
 				}
-				for _, x := range got {
-					if !want[x] {
+				fast.ForEach(v, func(i int32) {
+					if !want[lv.N1[i]] {
 						t.Fatalf("trial %d %s: spurious first hop %d for v=%d",
-							trial, m.Name(), x, v)
+							trial, m.Name(), lv.N1[i], v)
 					}
-				}
+				})
 			}
 		}
 	}

@@ -76,7 +76,9 @@ func TestFirstHopsMultiBlockBitsets(t *testing.T) {
 	}
 }
 
-// FNBP-style consumers use Members; verify it matches ForEach on wide views.
+// FNBP-style consumers walk fP with ForEach; on wide views (positions past
+// the first 64-bit word) it must visit exactly Count members, ascending,
+// each Contained.
 func TestFirstHopsMembersWide(t *testing.T) {
 	rng := rand.New(rand.NewSource(73))
 	g := wideStar(70, 12, rng)
@@ -88,14 +90,15 @@ func TestFirstHopsMembersWide(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, v := range lv.Targets() {
-		members := fh.Members(v)
-		if len(members) != fh.Count(v) {
-			t.Fatalf("target %d: |Members| %d != Count %d", v, len(members), fh.Count(v))
-		}
-		for _, x := range members {
-			if !fh.Contains(v, lv.N1Index(x)) {
-				t.Fatalf("target %d: member %d not Contained", v, x)
+		visited, prev := 0, int32(-1)
+		fh.ForEach(v, func(i int32) {
+			if i <= prev || !fh.Contains(v, i) {
+				t.Fatalf("target %d: position %d after %d, Contained %v", v, i, prev, fh.Contains(v, i))
 			}
+			visited, prev = visited+1, i
+		})
+		if visited != fh.Count(v) {
+			t.Fatalf("target %d: ForEach visited %d != Count %d", v, visited, fh.Count(v))
 		}
 	}
 }

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math/rand"
+	"slices"
 
 	"qolsr/internal/metric"
 )
@@ -32,7 +33,7 @@ func randomGraph(rng *rand.Rand, n int, p float64) *Graph {
 func randomConnectedGraph(rng *rand.Rand, n int, p float64) *Graph {
 	for {
 		g := randomGraph(rng, n, p)
-		if Connected(g) {
+		if !slices.Contains(Reachable(g, 0), false) {
 			return g
 		}
 	}

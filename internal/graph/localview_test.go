@@ -3,6 +3,8 @@ package graph
 import (
 	"math/rand"
 	"testing"
+
+	"qolsr/internal/metric"
 )
 
 func TestLocalViewSmall(t *testing.T) {
@@ -85,7 +87,7 @@ func TestLocalViewMatchesBruteForceOnRandomGraphs(t *testing.T) {
 		g := randomGraph(rng, 30, 0.12)
 		u := int32(rng.Intn(30))
 		lv := NewLocalView(g, u)
-		hops := HopDistances(g, u)
+		hops := Dijkstra(g, metric.Hop(), make([]float64, g.M()), u, nil, -1).Dist
 		for x := int32(0); int(x) < g.N(); x++ {
 			var want Role
 			switch {

@@ -157,7 +157,7 @@ func snapshot(t *testing.T, lv *LocalView, w []float64) viewSnapshot {
 		}
 		sets := make([][]NodeID, g.N())
 		for x := int32(0); int(x) < g.N(); x++ {
-			sets[x] = idsOf(fast.Members(x))
+			fast.ForEach(x, func(i int32) { sets[x] = append(sets[x], g.ID(lv.N1[i])) })
 		}
 		s.fp[m.Name()] = sets
 		s.dist[m.Name()] = slices.Clone(fast.Dist)
@@ -166,8 +166,8 @@ func snapshot(t *testing.T, lv *LocalView, w []float64) viewSnapshot {
 			t.Fatalf("%s: Dist fast %v, reference %v", m.Name(), fast.Dist, ref.Dist)
 		}
 		for x := int32(0); int(x) < g.N(); x++ {
-			if !slices.Equal(fast.Members(x), ref.Members(x)) {
-				t.Fatalf("%s: fP(%d) fast %v, reference %v", m.Name(), g.ID(x), fast.Members(x), ref.Members(x))
+			if !slices.Equal(fast.set(x), ref.set(x)) {
+				t.Fatalf("%s: fP(%d) fast %b, reference %b", m.Name(), g.ID(x), fast.set(x), ref.set(x))
 			}
 		}
 	}

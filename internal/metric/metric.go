@@ -168,13 +168,3 @@ func ByName(name string) (Metric, error) {
 		return nil, fmt.Errorf("metric: unknown metric %q", name)
 	}
 }
-
-// PathValue folds a sequence of link values with m, starting from the
-// identity. An empty sequence yields m.Identity().
-func PathValue(m Metric, linkValues []float64) float64 {
-	v := m.Identity()
-	for _, lv := range linkValues {
-		v = m.Combine(v, lv)
-	}
-	return v
-}

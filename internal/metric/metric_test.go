@@ -71,8 +71,12 @@ func TestHopMetricIgnoresWeight(t *testing.T) {
 	if got := m.Combine(2, 99); got != 3 {
 		t.Errorf("Combine(2, 99) = %v, want 3", got)
 	}
-	if got := PathValue(m, []float64{5, 5, 5, 5}); got != 4 {
-		t.Errorf("PathValue over 4 links = %v, want 4", got)
+	v := m.Identity()
+	for range 4 {
+		v = m.Combine(v, 5)
+	}
+	if v != 4 {
+		t.Errorf("value over 4 links = %v, want 4", v)
 	}
 }
 
@@ -81,8 +85,8 @@ func TestEnergyIsAdditive(t *testing.T) {
 	if m.Kind() != Additive {
 		t.Fatalf("Kind() = %v, want Additive", m.Kind())
 	}
-	if got := PathValue(m, []float64{1.5, 2.5}); got != 4 {
-		t.Errorf("PathValue = %v, want 4", got)
+	if got := m.Combine(m.Combine(m.Identity(), 1.5), 2.5); got != 4 {
+		t.Errorf("path value = %v, want 4", got)
 	}
 }
 
@@ -133,15 +137,6 @@ func TestMetricOrderMatchesKind(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-func TestPathValueEmpty(t *testing.T) {
-	if got := PathValue(Delay(), nil); got != 0 {
-		t.Errorf("empty delay path = %v, want 0", got)
-	}
-	if got := PathValue(Bandwidth(), nil); !math.IsInf(got, 1) {
-		t.Errorf("empty bandwidth path = %v, want +Inf", got)
 	}
 }
 

@@ -128,8 +128,10 @@ func compareViews(t *testing.T, n *Node) {
 	}
 	oracle := graph.FirstHopsReference(ref, m, rw)
 	for x := int32(0); int(x) < g.N(); x++ {
-		if !slices.Equal(fast.Members(x), oracle.Members(x)) {
-			t.Fatalf("fP(%d): fast on scratch %v, reference %v", g.ID(x), fast.Members(x), oracle.Members(x))
+		same := fast.Count(x) == oracle.Count(x)
+		fast.ForEach(x, func(i int32) { same = same && oracle.Contains(x, i) })
+		if !same {
+			t.Fatalf("fP(%d): fast on scratch (%d members) differs from reference (%d)", g.ID(x), fast.Count(x), oracle.Count(x))
 		}
 	}
 	selectors := []core.Selector{

@@ -510,12 +510,12 @@ func (r *Result) WriteTable(w io.Writer) error {
 	for _, agg := range r.Aggregate() {
 		rows = append(rows, []string{
 			fmt.Sprintf("%g", secs(agg.Time)),
-			fmt.Sprintf("%.4f", agg.Delivery.Mean()),
-			fmt.Sprintf("%.4f", agg.Delivery.CI95()),
-			fmt.Sprintf("%.3f", agg.HopStretch.Mean()),
-			fmt.Sprintf("%.4f", agg.Overhead.Mean()),
-			fmt.Sprintf("%.0f", agg.ControlBPS.Mean()),
-			fmt.Sprintf("%.2f", agg.SetSize.Mean()),
+			cell(&agg.Delivery, "%.4f", agg.Delivery.Mean()),
+			cell(&agg.Delivery, "%.4f", agg.Delivery.CI95()),
+			cell(&agg.HopStretch, "%.3f", agg.HopStretch.Mean()),
+			cell(&agg.Overhead, "%.4f", agg.Overhead.Mean()),
+			cell(&agg.ControlBPS, "%.0f", agg.ControlBPS.Mean()),
+			cell(&agg.SetSize, "%.2f", agg.SetSize.Mean()),
 		})
 	}
 	if err := writeRows(w, rows); err != nil {
@@ -547,11 +547,11 @@ func (r *Result) writeTraffic(w io.Writer) error {
 			fmt.Sprintf("%d", agg.Violated),
 			fmt.Sprintf("%d", agg.CorrectReject),
 			fmt.Sprintf("%d", agg.FalseReject),
-			fmt.Sprintf("%.3f", agg.Violation.Mean()),
-			fmt.Sprintf("%.3f", agg.Delivery.Mean()),
-			fmt.Sprintf("%.0f", agg.Throughput.Mean()),
-			fmt.Sprintf("%.2f", agg.DelayP95.Mean()*1e3),
-			fmt.Sprintf("%.2f", agg.Jitter.Mean()*1e3),
+			cell(&agg.Violation, "%.3f", agg.Violation.Mean()),
+			cell(&agg.Delivery, "%.3f", agg.Delivery.Mean()),
+			cell(&agg.Throughput, "%.0f", agg.Throughput.Mean()),
+			cell(&agg.DelayP95, "%.2f", agg.DelayP95.Mean()*1e3),
+			cell(&agg.Jitter, "%.2f", agg.Jitter.Mean()*1e3),
 		})
 	}
 	return writeRows(w, rows)
@@ -564,9 +564,8 @@ func (r *Result) writeReconvergence(w io.Writer) error {
 		eventS float64
 	}
 	var order []key
-	recovered := make(map[key]int)
 	total := make(map[key]int)
-	durations := make(map[key]*stats.Accumulator)
+	recovered := make(map[key]*stats.Accumulator) // recovery times
 	for _, run := range r.Runs {
 		if run == nil {
 			continue
@@ -575,12 +574,11 @@ func (r *Result) writeReconvergence(w io.Writer) error {
 			k := key{phase: rc.Phase, eventS: secs(rc.EventTime)}
 			if total[k] == 0 {
 				order = append(order, k)
-				durations[k] = &stats.Accumulator{}
+				recovered[k] = &stats.Accumulator{}
 			}
 			total[k]++
 			if rc.Recovered {
-				recovered[k]++
-				durations[k].Add(rc.Duration().Seconds())
+				recovered[k].Add(rc.Duration().Seconds())
 			}
 		}
 	}
@@ -592,15 +590,24 @@ func (r *Result) writeReconvergence(w io.Writer) error {
 	}
 	for _, k := range order {
 		mean := "n/a"
-		if recovered[k] > 0 {
-			mean = fmt.Sprintf("%.1fs", durations[k].Mean())
+		if recovered[k].N() > 0 {
+			mean = fmt.Sprintf("%.1fs", recovered[k].Mean())
 		}
 		if _, err := fmt.Fprintf(w, "%s @%gs: mean %s (%d/%d runs recovered)\n",
-			k.phase, k.eventS, mean, recovered[k], total[k]); err != nil {
+			k.phase, k.eventS, mean, recovered[k].N(), total[k]); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// cell formats v, a statistic of a, or "-" when a holds no sample (hop
+// stretch, measured on probes only, has none in a traffic-mix run).
+func cell(a *stats.Accumulator, format string, v float64) string {
+	if a.N() == 0 {
+		return "-"
+	}
+	return fmt.Sprintf(format, v)
 }
 
 // writeRows writes an aligned table: each column but the last is padded to

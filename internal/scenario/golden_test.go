@@ -102,6 +102,40 @@ func TestWriteTableAligns(t *testing.T) {
 	checkColumnsAlign(t, buf.String())
 }
 
+// A table cell whose accumulator holds no sample prints "-", not NaN or a
+// made-up 0: a traffic-mix run measures no probe hop stretch, while its
+// overhead, read off the routing tables, is measured in both modes.
+func TestWriteTableMarksEmptyCells(t *testing.T) {
+	sc := mixScenario().WithDefaults()
+	rr, err := Execute(context.Background(), sc, 1, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := (&Result{Scenario: sc, Seed: 1, Runs: []*RunResult{rr}}).WriteTable(&buf); err != nil {
+		t.Fatal(err)
+	}
+	out := buf.String()
+	if strings.Contains(out, "NaN") {
+		t.Errorf("table prints NaN:\n%s", out)
+	}
+	rows := 0
+	for _, line := range strings.Split(out, "\n")[2:] {
+		f := strings.Fields(line)
+		if len(f) != 7 {
+			break // the traffic section
+		}
+		rows++
+		if f[3] != "-" || f[4] == "-" {
+			t.Errorf("stretch %q, overhead %q: want \"-\" and a value", f[3], f[4])
+		}
+	}
+	if rows != len(sc.SampleTimes()) {
+		t.Errorf("%d sample rows, want %d:\n%s", rows, len(sc.SampleTimes()), out)
+	}
+	checkColumnsAlign(t, out)
+}
+
 // checkColumnsAlign checks that in every table of a WriteTable output (each
 // "#" line but "# reconvergence" opens one) every cell starts at the rune
 // column of its header.

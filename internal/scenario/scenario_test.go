@@ -181,6 +181,13 @@ func TestBuiltinRegistry(t *testing.T) {
 	if _, err := ByName("static-baseline", "nope"); err == nil {
 		t.Error("unknown selector accepted")
 	}
+	// Built-ins are values built fresh per call: editing one result leaves
+	// the next one intact.
+	a, _ := ByName("churn-storm", "")
+	a.Phases[0].At, a.Topology.Deployment.Degree = 0, 1
+	if b, _ := ByName("churn-storm", ""); b.Phases[0].At == 0 || b.Topology.Deployment.Degree == 1 {
+		t.Error("an edit to one ByName result reached the next")
+	}
 }
 
 func TestValidateRejects(t *testing.T) {

@@ -1,10 +1,12 @@
 package sim
 
 import (
+	"math"
 	"math/rand"
 	"time"
 
 	"qolsr/internal/graph"
+	"qolsr/internal/metric"
 )
 
 // newTestRand provides seeded randomness for test scaffolding.
@@ -34,15 +36,15 @@ func (f sinkFunc) PacketDone(_ uint64, delivered bool, hops int, latency time.Du
 // none) and the mean hop stretch of the delivered packets: hops taken over
 // the hop-optimal distance on the physical topology (0 when none arrived).
 func (nw *Network) DeliverySweep(dst int32) (delivery, stretch float64) {
-	opt := graph.HopDistances(nw.Phys, dst)
+	opt := graph.Dijkstra(nw.Phys, metric.Hop(), make([]float64, nw.Phys.M()), dst, nil, -1).Dist
 	var delivered, total int
 	var stretchSum float64
 	for s := int32(0); int(s) < nw.Phys.N(); s++ {
-		if s == dst || opt[s] < 0 {
+		if s == dst || math.IsInf(opt[s], 1) {
 			continue
 		}
 		total++
-		hopsOpt := float64(opt[s])
+		hopsOpt := opt[s]
 		nw.sendData(s, dst, func(ok bool, hops int, _ time.Duration) {
 			if ok {
 				delivered++

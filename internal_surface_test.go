@@ -21,8 +21,8 @@ func TestInternalSurface(t *testing.T) {
 		"des":      10,
 		"eval":     42,
 		"geom":     28,
-		"graph":    79,
-		"metric":   21,
+		"graph":    76,
+		"metric":   20,
 		"mpr":      8,
 		"netgen":   3,
 		"node":     45,

@@ -182,12 +182,12 @@ func TestPublicFigureDefinitions(t *testing.T) {
 	if len(figs) != 4 {
 		t.Fatalf("figures = %d", len(figs))
 	}
-	exp := qolsr.NewExperiment(qolsr.Figure{
+	smoke := qolsr.Figure{
 		ID: "smoke", Title: "smoke", Metric: qolsr.Bandwidth(),
 		Degrees: []float64{8}, Quantity: "set-size",
 		Protocols: qolsr.PaperProtocols(),
-	})
-	res, err := qolsr.NewRunner(qolsr.WithRuns(1), qolsr.WithSeed(3)).Run(context.Background(), exp)
+	}
+	res, err := qolsr.NewRunner(qolsr.WithRuns(1), qolsr.WithSeed(3)).Run(context.Background(), smoke)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,8 +6,9 @@ package qolsr
 // stack with measurements sampled at a fixed virtual-time cadence.
 //
 //	sc, err := qolsr.ScenarioByName("single-link-flap", "fnbp")
+//	sc.Duration = 100 * time.Second // a built-in is a plain value to edit
 //	r := qolsr.NewRunner(qolsr.WithRuns(5), qolsr.WithSeed(1))
-//	res, err := r.RunScenario(ctx, sc)
+//	res, err := r.RunScenario(ctx, sc) // validates sc before any run starts
 //	...
 //	res.WriteTable(os.Stdout)
 //	res.EncodeJSON(os.Stdout)   // machine-readable ("qolsr-scenario/v2")
@@ -46,7 +47,7 @@ type (
 	ScenarioPhase = scenario.Phase
 	// ScenarioAction is one timeline effect on the running network.
 	ScenarioAction = scenario.Action
-	// ScenarioDefinition is one named built-in scenario.
+	// ScenarioDefinition is one built-in scenario and its listing summary.
 	ScenarioDefinition = scenario.Definition
 )
 

@@ -14,6 +14,9 @@ package qolsr
 //	res, _ := qolsr.NewRunner(qolsr.WithRuns(3)).RunScenario(ctx, sc)
 //	res.WriteTable(os.Stdout) // includes the per-class traffic section
 //
+// A mix entry naming no class of FlowClassNames fails the scenario's
+// Validate, which RunScenario calls before any run starts.
+//
 // The satisfaction-vs-offered-load grid (A8) compares the paper's
 // QoS-based selection against hop-count selection under growing load:
 //
@@ -85,9 +88,6 @@ var (
 	FlowClasses = traffic.Classes
 	// FlowClassNames lists the built-in flow-class names.
 	FlowClassNames = traffic.ClassNames
-	// CheckFlowClass validates a flow-class name, listing the valid names
-	// on error.
-	CheckFlowClass = traffic.CheckClass
 	// NewTrafficEngine builds a traffic engine over a network.
 	NewTrafficEngine = traffic.NewEngine
 	// FlowsFromSpecs expands a mix of specs over endpoint pairs.
