@@ -276,9 +276,11 @@
 // selecting nothing; the registry sums its topology rows
 // (qolsr_olsr_topology_rows) and the scenario sampler its advertised-set
 // sizes. A routing
-// graph is laid out in linear time with ascending ids: its links are
-// bucketed by their smaller end and each pair keeps the link of highest
-// precedence, so the tables may be walked in any order. The graph lives
+// graph is laid out in linear time with ascending ids, by the one function
+// that also lays out the two-hop view (olsr's Node.layout, where the rule
+// for which report of a link wins lives): its links are bucketed by their
+// smaller end and each pair keeps its first report in precedence order, so
+// the tables may be walked in any order. The graph lives
 // only as long as the Dijkstra over it: its buffers are the one scratch the
 // field's members share, and a node keeps nothing of a computation but the
 // routing-table snapshot. At the end of scale-1500's timed region (seed 1,
@@ -310,11 +312,11 @@
 // delta only when its (full sequence, chain index) extends the chain it is
 // synced to, and a gap desynchronises it until the next full rebases the
 // chain, so loss degrades to classic full-TC behaviour rather than stale
-// topology. Fish-eye scoping (Config.FisheyeTTLs) cycles TC emissions
-// through a TTL schedule — scoped emissions refresh nearby topology cheaply
-// while periodic unlimited ones (TTL 0) reach the whole network; combined
+// topology. Fish-eye scoping (Config.Fisheye) alternates TC emissions
+// between TTL 2 and unlimited — scoped emissions refresh nearby topology
+// cheaply while the unlimited ones (TTL 0) reach the whole network; combined
 // with DeltaTC, full TCs ride exactly the unlimited emissions. Min-cover
-// flood relays (Config.FloodRelay) select a second, coverage-minimal relay
+// flood relays (Config.MinCoverRelays) select a second, coverage-minimal relay
 // set for flooding — RFC 3626 greedy plus redundancy pruning — decoupling
 // flooding cost from the QoS-driven advertised set, which stays intact for
 // routing. The O1 grid (-ablation overhead) measures each

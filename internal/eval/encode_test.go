@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -185,6 +186,42 @@ func TestWriteTables(t *testing.T) {
 		if !bytes.Contains(buf.Bytes(), []byte(want)) {
 			t.Errorf("tables missing %q:\n%s", want, buf.String())
 		}
+	}
+}
+
+// A figure table whose cells hold one sample each prints "-" for every ±95%
+// cell, where 0.0000 would claim perfect confidence; its JSON keeps ci95 0
+// beside n 1.
+func TestTableMarksSingleSampleCI(t *testing.T) {
+	protocols := []ProtocolSpec{{Name: "alpha"}, {Name: "beta"}}
+	fig := Figure{ID: "fig-1", Title: "one run", Metric: metric.Bandwidth(), Degrees: []float64{10, 20}, Quantity: QuantityOverhead, Protocols: protocols}
+	s := fig.sweep(1, 1)
+	s.cells = emptyCells(s)
+	for pi := range fig.Degrees {
+		for _, p := range protocols {
+			for _, q := range []Quantity{quantityNodes, QuantitySetSize, QuantityOverhead, QuantityDelivery} {
+				s.Cell(pi, p.Name, q).Add(float64(pi + 1))
+			}
+		}
+	}
+	lines := strings.Split(s.table(), "\n")
+	header := strings.Fields(lines[1])
+	cis := 0
+	for _, line := range lines[2:4] {
+		for i, c := range strings.Fields(line) {
+			if header[i] == "±95%" {
+				cis++
+				if c != "-" {
+					t.Errorf("±95%% cell %q at one run in %q", c, line)
+				}
+			}
+		}
+	}
+	if cis != 4 {
+		t.Errorf("%d ±95%% cells, want 4:\n%s", cis, s.table())
+	}
+	if st := statOf(s.Cell(0, "alpha", QuantityOverhead)); st.CI95 != 0 || st.N != 1 {
+		t.Errorf("one run encodes as %+v, want ci95 0 and n 1", st)
 	}
 }
 

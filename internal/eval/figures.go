@@ -188,10 +188,7 @@ func SweepByID(id string) (Figure, error) {
 // the ablations.
 func SweepIDs() []string {
 	var ids []string
-	for _, f := range PaperFigures() {
-		ids = append(ids, f.ID)
-	}
-	for _, f := range Ablations() {
+	for _, f := range append(PaperFigures(), Ablations()...) {
 		ids = append(ids, f.ID)
 	}
 	return ids

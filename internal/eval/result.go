@@ -172,9 +172,9 @@ func (r *Result) WriteTables(w io.Writer) error {
 // table renders the sweep: a "# title (runs/point)" line, a header of the
 // axis name and every column's tabled quantities, and one row of means per
 // axis point. A quantity with its ±95% is headed by the column's name, its
-// interval by "±95%"; any other by column_quantity (the quantity alone for
-// S1's one unnamed column). Every cell is padded to its column's widest
-// cell, at least 12 runes.
+// interval ("-" below two samples) by "±95%"; any other by column_quantity (the
+// quantity alone for S1's one unnamed column). Every cell is padded to its
+// column's widest cell, at least 12 runes.
 func (s *Sweep) table() string {
 	header := []string{s.Axis}
 	for _, col := range s.Columns {
@@ -194,8 +194,11 @@ func (s *Sweep) table() string {
 			for i, q := range s.quantities {
 				if a := &s.cells[pt][c][i]; q.format != "" {
 					row = append(row, fmt.Sprintf(q.format, a.Mean()))
-					if q.ci {
-						row = append(row, fmt.Sprintf(q.format, a.CI95()))
+					if ci := "-"; q.ci {
+						if a.N() > 1 { // one sample has no interval: 0 would claim perfect confidence
+							ci = fmt.Sprintf(q.format, a.CI95())
+						}
+						row = append(row, ci)
 					}
 				}
 			}

@@ -40,10 +40,9 @@ func (l *Layout) Lay(ids []NodeID, ends [][2]int32, channel string, w []float64)
 }
 
 // IDIndex numbers a set of node ids in ascending order, the order FromEdges
-// and ViewScratch.Begin take them in. Ids inside [0, window) go through a
-// bitset and a position table, so numbering costs O(ids + window/64) and a
-// lookup is one array read; the others go through a sorted list and a binary
-// search. A round is Reset, Note for every id (repeats allowed), Seal, then At
+// takes them in. Ids inside [0, window) go through a bitset and a position
+// table, so numbering costs O(ids + window/64) and a lookup is one array
+// read; the others go through a sorted list and a binary search. A round is Reset, Note for every id (repeats allowed), Seal, then At
 // for any noted id. The zero value is ready; an IDIndex is not safe for
 // concurrent use.
 type IDIndex struct {
@@ -92,11 +91,18 @@ func (x *IDIndex) Seal() []NodeID {
 	return x.ids
 }
 
-// At returns the position of a noted id in the sealed order.
+// At returns the position of a noted id in the sealed order. It inlines.
 func (x *IDIndex) At(id NodeID) int32 {
 	if uint64(id) < uint64(len(x.index)) {
 		return x.index[id]
 	}
+	return x.search(id)
+}
+
+// search is At outside the window, kept out of line so that At inlines.
+//
+//go:noinline
+func (x *IDIndex) search(id NodeID) int32 {
 	i, _ := slices.BinarySearch(x.ids, id)
 	return int32(i)
 }
@@ -134,27 +140,15 @@ func (g *Graph) layout(arena []Arc, off []int32) []Arc {
 	return arena
 }
 
-// ViewScratch is the reusable storage a two-hop view is built and selected on:
-// the Graph and LocalView that View returns live in it, and so do the working
-// buffers of the kernels run on that view (ComputeFirstHops, ReduceRNG, and
-// through LocalView.Int32Scratch the MPR heuristics and topology filtering),
-// so a warm scratch rebuilds a view and re-runs selection without
-// allocating. It holds one view at a time: everything handed out is valid
-// until the next Begin. The zero value is ready; a ViewScratch is not safe
-// for concurrent use.
-//
-// A build is Begin with the view's node ids, which must be ascending and
-// unique, then Edge for the links by node index (an id's position in that
-// list), then View. The first writer of a pair wins and self-loops are
-// dropped. The pair dedup is an n×n bit-matrix, sized for a two-hop view, not
-// for a node's whole routing graph.
+// ViewScratch is the reusable storage a two-hop view is selected on: the
+// LocalView that View returns lives in it, and so do the working buffers of
+// the kernels run on that view (ComputeFirstHops, ReduceRNG, and through
+// LocalView.Int32Scratch the MPR heuristics and topology filtering), so a
+// warm scratch re-runs selection without allocating. It holds one view at a
+// time: everything handed out is valid until the next View. The zero value
+// is ready; a ViewScratch is not safe for concurrent use.
 type ViewScratch struct {
-	lay  Layout
-	lv   LocalView
-	ids  []NodeID
-	ends [][2]int32
-	w    []float64 // weight per staged edge, the built graph's only channel
-	seen []uint64  // n×n pair bit-matrix: first-writer-wins dedup
+	lv LocalView
 
 	// Working storage of the selection kernels (firsthops.go, Int32Scratch).
 	sp   Scratch // additive kernel's Dijkstra
@@ -178,39 +172,11 @@ type ViewScratch struct {
 	rngW               []float64
 }
 
-// Begin starts a new build on the nodes with the given ids, ascending and
-// unique, and invalidates the previous view. The view's graph takes the ids
-// over, as FromEdges does: they must not change while it is in use.
-func (s *ViewScratch) Begin(ids []NodeID) {
-	n := len(ids)
-	s.ids = ids
-	s.seen = append(s.seen[:0], make([]uint64, (n*n+63)/64)...)
-	s.ends, s.w = s.ends[:0], s.w[:0]
-}
-
-// Edge stages the undirected edge joining the nodes at indices a and b.
-func (s *ViewScratch) Edge(a, b int32, w float64) {
-	if a == b {
-		return
-	}
-	if a > b {
-		a, b = b, a
-	}
-	bit := int(a)*len(s.ids) + int(b)
-	if s.seen[bit/64]&(1<<(bit%64)) != 0 {
-		return
-	}
-	s.seen[bit/64] |= 1 << (bit % 64)
-	s.ends = append(s.ends, [2]int32{a, b})
-	s.w = append(s.w, w)
-}
-
-// View lays the staged edges out as adjacency lists (in staging order, as
-// AddEdge would have) with their weights on the named channel, and returns
-// the local view of the node at index center with that channel's weight
-// slice.
-func (s *ViewScratch) View(center int32, channel string) (*LocalView, []float64) {
-	s.lv.init(s.lay.Lay(s.ids, s.ends, channel, s.w), center)
+// View returns the local view of the node at index center in g, a graph laid
+// out beforehand (a protocol node lays out what it knows itself), whose
+// selection kernels take their working storage from s.
+func (s *ViewScratch) View(g *Graph, center int32) *LocalView {
+	s.lv.init(g, center)
 	s.lv.scratch = s
-	return &s.lv, s.w
+	return &s.lv
 }

@@ -55,29 +55,6 @@ func GenerateConcaveView(rng *rand.Rand) (g *Graph, center int32) {
 	return g, center
 }
 
-// ReplayInScratch lays g out again in s the way a protocol node builds its
-// view — every node numbered by an IDIndex over g's index range, every row
-// walked, each link offered from both ends — and returns the view of center
-// with its weights. Indices equal g's, whose ids New makes ascending.
-func ReplayInScratch(s *ViewScratch, g *Graph, center int32, channel string) (*LocalView, []float64) {
-	w, err := g.Weights(channel)
-	if err != nil && g.M() > 0 {
-		panic(err)
-	}
-	var ix IDIndex
-	ix.Reset(g.N())
-	for _, id := range g.ids {
-		ix.Note(id)
-	}
-	s.Begin(ix.Seal())
-	for x := int32(0); int(x) < g.N(); x++ {
-		for _, arc := range g.Arcs(x) {
-			s.Edge(ix.At(g.ID(x)), ix.At(g.ID(arc.To)), w[arc.Edge])
-		}
-	}
-	return s.View(ix.At(g.ID(center)), channel)
-}
-
 // ConcaveKeyOrders builds the concave sweep's sort keys for edges of weights
 // w, as firstHopsConcave does, and returns them in radixSortKeys' order and
 // in slices.Sort's.

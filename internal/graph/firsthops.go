@@ -18,8 +18,8 @@ import (
 // observation, v ∈ fP(u,v) exactly when the direct link (u,v) is itself
 // optimal.
 //
-// Computed on a view built in a ViewScratch, a FirstHops lives in that
-// scratch and is valid until the scratch's next ComputeFirstHops or Begin.
+// Computed on a view taken from a ViewScratch, a FirstHops lives in that
+// scratch and is valid until the scratch's next ComputeFirstHops or View.
 type FirstHops struct {
 	View *LocalView
 	// Dist maps each global node to its optimal path value from the

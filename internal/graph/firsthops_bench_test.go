@@ -3,10 +3,47 @@ package graph
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"qolsr/internal/metric"
 )
+
+// linkRow is one source's link table: who it is and what it says about whom.
+type linkRow struct {
+	from NodeID
+	to   []NodeID
+	w    []float64
+}
+
+// rowsView assembles rows into a graph, a pair keeping its first row's
+// weight on the named channel, and returns the local view of center with
+// its weights taken from s.
+func rowsView(s *ViewScratch, center NodeID, rows []linkRow, ch string) (*LocalView, []float64) {
+	var ids []NodeID
+	for _, r := range rows {
+		ids = append(append(ids, r.from), r.to...)
+	}
+	slices.Sort(ids)
+	g, err := NewWithIDs(slices.Compact(ids))
+	if err != nil {
+		panic(err)
+	}
+	for _, r := range rows {
+		for i, to := range r.to {
+			if _, ok := g.EdgeBetween(g.IndexOf(r.from), g.IndexOf(to)); !ok {
+				if err := g.SetWeight(ch, g.MustAddEdge(g.IndexOf(r.from), g.IndexOf(to)), r.w[i]); err != nil {
+					panic(err)
+				}
+			}
+		}
+	}
+	w, err := g.Weights(ch)
+	if err != nil {
+		panic(err)
+	}
+	return s.View(g, g.IndexOf(center)), w
+}
 
 // unitDiskRows draws the link tables a node in the middle of a unit-disk
 // field of the given mean degree holds: its own row and one per neighbour,
@@ -46,12 +83,12 @@ func unitDiskRows(rng *rand.Rand, nodes int, degree float64, levels int) (center
 }
 
 // The concave kernel alone, as olsr.recompute runs it: on a degree-14 two-hop
-// view laid out in a warm ViewScratch, ten-level weights. The root
+// view taken from a warm ViewScratch, ten-level weights. The root
 // BenchmarkFirstHops times NewLocalView views instead, a scratch per call.
 func BenchmarkFirstHopsConcave(b *testing.B) {
 	center, rows := unitDiskRows(rand.New(rand.NewSource(22)), 400, 14, 10)
 	var s ViewScratch
-	lv, w := scratchView(&s, center, nil, rows, "bandwidth")
+	lv, w := rowsView(&s, center, rows, "bandwidth")
 	m := metric.Bandwidth()
 	if _, err := ComputeFirstHops(lv, m, w); err != nil { // warm the scratch
 		b.Fatal(err)

@@ -85,23 +85,24 @@ func checkFNBP(t *testing.T, what string, lv *graph.LocalView, m metric.Metric, 
 	}
 }
 
-// check runs both checks on the view of u in g, built by NewLocalView and
-// replayed into s, under m on the named channel.
+// check runs both checks on the view of u in g, from NewLocalView and from
+// s, under m on the named channel.
 func check(t *testing.T, s *graph.ViewScratch, g *graph.Graph, u int32, m metric.Metric, channel string) {
 	t.Helper()
 	w, _ := g.Weights(channel)
 	lv := graph.NewLocalView(g, u)
 	checkFirstHops(t, "NewLocalView", lv, m, w)
 	checkFNBP(t, "NewLocalView", lv, m, channel)
-	slv, sw := graph.ReplayInScratch(s, g, u, channel)
-	checkFirstHops(t, "ViewScratch", slv, m, sw)
+	slv := s.View(g, u)
+	checkFirstHops(t, "ViewScratch", slv, m, w)
 	checkFNBP(t, "ViewScratch", slv, m, channel)
 }
 
 // The concave kernel against the reference on generated tie-heavy views, each
-// built both ways; the draw must keep reaching the shapes that break sweeps.
-// The integer-level draws run under delay too, their weights copied to a
-// "delay" channel: equal sums of integer levels are the additive kernel's ties.
+// taken both ways (fresh, and from one reused scratch); the draw must keep
+// reaching the shapes that break sweeps. The integer-level draws run under
+// delay too, their weights copied to a "delay" channel: equal sums of integer
+// levels are the additive kernel's ties.
 func TestFirstHopsConcaveGenerated(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	var s graph.ViewScratch
@@ -241,7 +242,7 @@ func concaveFuzzView(data []byte) (g *graph.Graph, center int32) {
 }
 
 // FuzzFirstHopsConcave hands the view to the fuzzer: whatever graph the bytes
-// spell, the sweep equals the reference on sets and Dist, on both builders,
+// spell, the sweep equals the reference on sets and Dist, on fresh and scratch views,
 // without panicking. testdata/fuzz holds the four corner views as seeds, and
 // one view under each of the other weight laws.
 func FuzzFirstHopsConcave(f *testing.F) {
@@ -253,7 +254,6 @@ func FuzzFirstHopsConcave(f *testing.F) {
 		}
 		w, _ := g.Weights("bandwidth")
 		checkFirstHops(t, "NewLocalView", graph.NewLocalView(g, u), metric.Bandwidth(), w)
-		lv, sw := graph.ReplayInScratch(&s, g, u, "bandwidth")
-		checkFirstHops(t, "ViewScratch", lv, metric.Bandwidth(), sw)
+		checkFirstHops(t, "ViewScratch", s.View(g, u), metric.Bandwidth(), w)
 	})
 }

@@ -2,8 +2,10 @@
 // undirected weighted graph, the two-hop local views G_u the paper's
 // algorithms operate on, generalized Dijkstra searches for additive and
 // concave metrics, exact first-hop-set (fP) computation and relative
-// neighborhood graph reduction. The brute-force path oracles the tests hold
-// these to live in the package's test files.
+// neighborhood graph reduction. It lays graphs out (Layout, IDIndex) but
+// decides nothing about what a protocol node knows: which report of a link
+// wins is the olsr package's rule (its Node.layout). The brute-force path
+// oracles the tests hold these to live in the package's test files.
 package graph
 
 import (
@@ -40,7 +42,7 @@ type Graph struct {
 	// identity is set while every node's ID equals its index (graph.New,
 	// and FromEdges on ids 0..n-1): IndexOf is then a bounds check, no
 	// storage. Otherwise a NewWithIDs graph carries its id→index map in
-	// index; a laid-out graph (FromEdges, ViewScratch) has neither, keeps
+	// index; a laid-out graph (FromEdges, Layout) has neither, keeps
 	// its ids strictly ascending and IndexOf binary-searches them. The node
 	// set is fixed at construction, so the map is never written afterwards.
 	identity bool
@@ -122,7 +124,7 @@ func (g *Graph) ID(x int32) NodeID { return g.ids[x] }
 
 // IndexOf returns the node index carrying id, or -1. Identity graphs answer
 // with a bounds check and other NewWithIDs graphs through their id map, both
-// O(1); any other laid-out graph (FromEdges, ViewScratch) keeps no map and
+// O(1); any other laid-out graph (FromEdges, Layout) keeps no map and
 // binary-searches its ascending ids in O(log N).
 func (g *Graph) IndexOf(id NodeID) int32 {
 	switch {

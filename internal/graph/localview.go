@@ -39,7 +39,7 @@ type LocalView struct {
 	pos    []int32 // global node -> position in N1 or N2, meaningful for those roles only
 	direct []int32 // N1 position -> edge index of the link from the center
 
-	// scratch is the ViewScratch the view was built in, nil for NewLocalView
+	// scratch is the ViewScratch the view was taken from, nil for NewLocalView
 	// views: the selection kernels take their working storage from it.
 	scratch *ViewScratch
 }
@@ -71,7 +71,11 @@ func (lv *LocalView) init(g *Graph, u int32) {
 		}
 	}
 	for _, s := range [2][]int32{lv.N1, lv.N2} {
-		slices.SortFunc(s, func(a, b int32) int { return cmp.Compare(g.ids[a], g.ids[b]) })
+		if g.index == nil {
+			slices.Sort(s) // the ids ascend with the index
+		} else {
+			slices.SortFunc(s, func(a, b int32) int { return cmp.Compare(g.ids[a], g.ids[b]) })
+		}
 		for i, x := range s {
 			lv.pos[x] = int32(i)
 		}
@@ -111,7 +115,7 @@ func (lv *LocalView) N2Index(x int32) int32 {
 func (lv *LocalView) DirectEdge(i int) int32 { return lv.direct[i] }
 
 // Int32Scratch returns n zeroed int32s of working storage for an algorithm
-// running on the view: the ViewScratch's when the view was built in one
+// running on the view: the ViewScratch's when the view was taken from one
 // (valid until the next call on that scratch), freshly allocated otherwise.
 func (lv *LocalView) Int32Scratch(n int) []int32 {
 	if lv.scratch == nil {

@@ -24,8 +24,8 @@ type ReducedView struct {
 // it preserves connectivity and, in particular, widest-path/least-delay
 // reachability inside the view.
 //
-// A view built in a ViewScratch lends the working storage and Keep, valid
-// until its next build; any other view allocates them.
+// A view taken from a ViewScratch lends the working storage and Keep, valid
+// until its next View; any other view allocates them.
 func ReduceRNG(view *LocalView, m metric.Metric, w []float64) ReducedView {
 	g := view.G
 	s := view.scratch

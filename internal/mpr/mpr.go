@@ -38,7 +38,7 @@ const (
 	// heuristic followed by the RFC 3626 §8.3.1 optional optimisation — a
 	// pruning pass that drops every selected relay whose covered 2-hop
 	// neighbors are all covered by other selected relays. It exists for the
-	// two-relay-set model (Config.FloodRelay): QoS-driven selection is what
+	// two-relay-set model (Config.MinCoverRelays): QoS-driven selection is what
 	// the paper wants advertised, but floods only need coverage, and the
 	// smallest covering set is what bounds TC forwards in dense fields.
 	MinCover

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"qolsr/internal/metric"
-	"qolsr/internal/mpr"
 )
 
 // deltaPair wires emitter a (ID 1) to neighbor b (ID 2) with a settled
@@ -277,7 +276,7 @@ func TestTCUpdateSeqsDistinct(t *testing.T) {
 func TestGenerateTCUpdateFisheyeSchedule(t *testing.T) {
 	cfg := testConfig()
 	cfg.DeltaTC = true
-	cfg.FisheyeTTLs = DefaultFisheyeTTLs() // {2, 0}
+	cfg.Fisheye = true
 	a, _, now := deltaPair(t, cfg)
 
 	// Emission 0 is scoped (TTL 2) but still a full: nothing was flooded
@@ -306,28 +305,10 @@ func TestGenerateTCUpdateSilentWhenEmpty(t *testing.T) {
 	}
 }
 
-func TestDeltaConfigValidation(t *testing.T) {
-	cfg := testConfig()
-	cfg.FisheyeTTLs = []int{-1}
-	if _, err := NewNode(1, cfg); err == nil {
-		t.Error("negative fish-eye TTL accepted")
-	}
-	cfg = testConfig()
-	cfg.DeltaTC = true
-	cfg.FisheyeTTLs = []int{2, 3} // no unlimited slot: deltas could never resync far nodes
-	if _, err := NewNode(1, cfg); err == nil {
-		t.Error("DeltaTC with all-scoped fish-eye schedule accepted")
-	}
-	cfg.FisheyeTTLs = []int{2, 0}
-	if _, err := NewNode(1, cfg); err != nil {
-		t.Errorf("valid fish-eye config rejected: %v", err)
-	}
-}
-
 func TestFloodRelayAnnouncedInHello(t *testing.T) {
 	cfg := DefaultConfig(metric.Bandwidth())
 	cfg.Selector = testConfig().Selector
-	cfg.FloodRelay = mpr.MinCover
+	cfg.MinCoverRelays = true
 	a, _, now := deltaPair(t, cfg)
 	h := a.GenerateHello(now)
 	rel := a.relaySet

@@ -7,6 +7,7 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -312,6 +313,122 @@ func TestRouteLayoutSmallerContributorWins(t *testing.T) {
 	}
 	checkLayout(t, "smaller contributor", n, []graph.NodeID{-2, 0, 5, 20, 21, 30, 31},
 		map[[2]graph.NodeID]float64{{0, 20}: 1, {0, 21}: 1, {20, 21}: 2, {30, 31}: 1, {-2, 5}: 1})
+}
+
+// Degenerate reports: a HELLO and a TC row each naming their own sender (a
+// self-loop, dropped), pairs offered twice in one tier (the smaller
+// contributor's report kept, though the larger one's arrived first), and a
+// laid-out graph that then gains an edge like any other.
+func TestLayoutEdgeCases(t *testing.T) {
+	cfg := DefaultConfig(metric.Delay())
+	cfg.LinkSensing = SenseHost
+	n, err := NewNode(1, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n.UpdateLink(2, 4, 0)
+	n.UpdateLink(3, 2, 0)
+	n.HandleHello(&Hello{Origin: 3, Links: []LinkInfo{{2, 9}}}, 0)
+	n.HandleHello(&Hello{Origin: 2, Links: []LinkInfo{{2, 1}, {3, 7}}}, 0)
+	n.HandleTC(&TC{Origin: 6, ANSN: 1, Links: []LinkInfo{{5, 8}}}, 6, 0)
+	n.HandleTC(&TC{Origin: 5, ANSN: 1, Links: []LinkInfo{{5, 1}, {6, 3}}}, 5, 0)
+	view, _ := n.buildLocalView()
+	checkLayout(t, "edge cases", n, []graph.NodeID{1, 2, 3, 5, 6},
+		map[[2]graph.NodeID]float64{{1, 2}: 4, {1, 3}: 2, {2, 3}: 7, {5, 6}: 3})
+	var s layoutScratch
+	g := n.layout(&s, false)
+	if g.N() != 3 || g.M() != 3 || view.G.N() != 3 {
+		t.Fatalf("view: %d nodes, %d edges, want 1, 2, 3 and their three links", g.N(), g.M())
+	}
+	if e, ok := g.EdgeBetween(g.IndexOf(2), g.IndexOf(3)); !ok || s.w[e] != 7 {
+		t.Errorf("view edge 2-3: %v weight %v, want the smaller contributor's 7", ok, s.w)
+	}
+	// An edge added to the laid-out arena must not corrupt its neighbours'
+	// lists.
+	g = n.layout(&s, true)
+	if _, err := g.AddEdge(g.IndexOf(3), g.IndexOf(5)); err != nil {
+		t.Fatal(err)
+	}
+	if err := g.Validate(); err != nil {
+		t.Error(err)
+	}
+
+	// A node that knows nothing: its routing graph is itself alone.
+	alone, err := NewNode(7, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g := alone.layout(&s, true); g.N() != 1 || g.M() != 0 || g.IndexOf(7) != 0 {
+		t.Errorf("lonely layout: %d nodes, %d edges", g.N(), g.M())
+	}
+}
+
+// layoutDump renders everything a layout of n's knowledge in s determines —
+// its ids, its edges by id in edge order with their weights and, for a view
+// taken from vs, the neighbour sets and the first-hop sets under both kernels
+// — detached from the storage it was read from.
+func layoutDump(n *Node, s *layoutScratch, vs *graph.ViewScratch, tc bool) string {
+	g := n.layout(s, tc)
+	var b strings.Builder
+	for x := range g.N() {
+		fmt.Fprint(&b, g.ID(int32(x)), " ")
+	}
+	for e := range g.M() {
+		x, y := g.EdgeEndpoints(e)
+		fmt.Fprintf(&b, "\n%d-%d %v", g.ID(x), g.ID(y), s.w[e])
+	}
+	if tc {
+		return b.String()
+	}
+	lv := vs.View(g, g.IndexOf(graph.NodeID(n.ID)))
+	fmt.Fprintf(&b, "\nN1 %v N2 %v", idsOfNodes(g, lv.N1), idsOfNodes(g, lv.N2))
+	for _, m := range []metric.Metric{metric.Delay(), metric.Bandwidth()} {
+		fh, err := graph.ComputeFirstHops(lv, m, s.w)
+		if err != nil {
+			panic(err)
+		}
+		for x := range int32(g.N()) {
+			fmt.Fprintf(&b, "\n%s fP(%d):", m.Name(), g.ID(x))
+			fh.ForEach(x, func(i int32) { fmt.Fprint(&b, " ", g.ID(lv.N1[i])) })
+		}
+	}
+	return b.String()
+}
+
+// A large node, a small one, a wide one (|N1| > 64: the kernels' per-component
+// hop bitsets and first-hop sets change stride) and the small and large ones
+// again through one layout scratch and one view scratch lay out exactly what
+// fresh scratches do, views and routing graphs alike: nothing of a layout
+// leaks into the next. Every view runs the additive kernel and then the
+// concave sweep, which share the scratch's FirstHops, so the two interleave
+// across builds.
+func TestLayoutReuseHygiene(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	big := routeTables(t, rng, nil)
+	for big.links.len() < 6 {
+		big = routeTables(t, rng, nil)
+	}
+	small := nodeFor(t, neighborhood{self: 5, links: []LinkInfo{{6, 1}}, adv: map[int64][]LinkInfo{6: {{5, 1}, {7, 2}}}}, metric.Delay())
+	wide := nodeFor(t, neighborhood{self: 1000, adv: map[int64][]LinkInfo{}}, metric.Delay())
+	for nb := int64(0); nb < 80; nb++ {
+		wide.UpdateLink(nb, float64(1+rng.Intn(3)), 0)
+		wide.HandleHello(&Hello{Origin: nb, Links: normalizeAdv([]LinkInfo{
+			{(nb + 1) % 80, float64(1 + rng.Intn(3))}, {2000 + nb/2, float64(1 + rng.Intn(3))},
+		})}, 0)
+	}
+	var s layoutScratch
+	var vs graph.ViewScratch
+	for _, n := range []*Node{big, small, wide, small, big} {
+		for _, tc := range []bool{false, true} {
+			got := layoutDump(n, &s, &vs, tc)
+			if want := layoutDump(n, new(layoutScratch), new(graph.ViewScratch), tc); got != want {
+				t.Fatalf("node %d (tc %v) in a reused scratch:\n%s\nfresh:\n%s", n.ID, tc, got, want)
+			}
+		}
+	}
+	if lv, _ := wide.buildLocalView(); len(lv.N1) <= 64 {
+		t.Fatalf("wide view has %d neighbours, want more than 64", len(lv.N1))
+	}
 }
 
 // layoutFixture is one node with 10 neighbours — own links, and HELLOs each

@@ -3,7 +3,10 @@
 // neighborhood table with QoS link weights (building each node's two-hop
 // view G_u), TC messages that flood the advertised neighbor sets through the
 // MPR backbone (the flooding host suppresses duplicates), topology and
-// neighbor state with expiry, and QoS routing-table computation.
+// neighbor state with expiry, and QoS routing-table computation. The
+// two-hop view selection runs on and the routing graph are laid out by one
+// function, Node.layout, the one place the rule for which report of a link
+// wins is stated.
 //
 // The implementation follows RFC 3626's structure simplified to the paper's
 // assumptions: symmetric links (no asymmetric sensing phase), uniform

@@ -47,15 +47,12 @@ type Config struct {
 	// any gap, so the full-TC cadence (tcFullPeriod) bounds the staleness a
 	// lost delta can cause.
 	DeltaTC bool
-	// FisheyeTTLs is the fish-eye scoping schedule (GenerateTCUpdate):
-	// emission k floods with TTL FisheyeTTLs[k mod len], where 0 means
-	// unlimited. Near neighbors then see every topology update while
-	// distant ones see only the unlimited emissions — frequent updates
-	// near, rare far — so per-TC flooding cost stops scaling with the
-	// whole field. The unlimited period times TCInterval must stay under
-	// TopologyHoldTime or distant state thrashes between refresh and
-	// expiry.
-	FisheyeTTLs []int
+	// Fisheye enables fish-eye TC scoping (GenerateTCUpdate): emissions
+	// alternate between TTL fisheyeScope and unlimited, starting scoped.
+	// Near neighbors then see every topology update while distant ones see
+	// only the unlimited emissions — frequent updates near, rare far — so
+	// per-TC flooding cost stops scaling with the whole field.
+	Fisheye bool
 	// DenseIDs is a sizing hint for the topology store's dense window:
 	// origins in [0, DenseIDs) map to their store slot by identity instead
 	// of through the store's overflow map (see topostore.go). It selects no
@@ -63,28 +60,26 @@ type Config struct {
 	// and a field's window is never smaller than its member count, so the
 	// simulator's index-valued identifiers are dense without setting it.
 	DenseIDs int
-	// FloodRelay selects a second relay set computed alongside the
-	// MPRHeuristic one, announced to neighbors as this node's relay choice
-	// and therefore gating TC forwarding (zero: the MPRHeuristic set
+	// MinCoverRelays selects a second relay set, by mpr.MinCover, alongside
+	// the MPRHeuristic one, announced to neighbors as this node's relay
+	// choice and therefore gating TC forwarding (off: the MPRHeuristic set
 	// serves both roles, the classic single-set behaviour). The paper's
-	// QoS-driven selection deliberately over-selects for QoS coverage;
-	// mpr.MinCover here keeps routing advertising the QoS set while floods
-	// traverse a coverage-minimal set.
-	FloodRelay mpr.Heuristic
+	// QoS-driven selection deliberately over-selects for QoS coverage; this
+	// keeps routing advertising the QoS set while floods traverse a
+	// coverage-minimal set.
+	MinCoverRelays bool
 }
 
 // tcFullPeriod is the full-TC refresh period in TC emissions under DeltaTC:
-// every 4th emission re-floods the whole advertised set. When FisheyeTTLs is
-// also set the unlimited-scope emissions carry the full TC instead — they are
-// the only ones distant receivers get, and a delta would be unappliable
-// there.
+// every 4th emission re-floods the whole advertised set. Under Fisheye the
+// unlimited-scope emissions carry the full TC instead — they are the only
+// ones distant receivers get, and a delta would be unappliable there.
 const tcFullPeriod = 4
 
-// DefaultFisheyeTTLs returns the default fish-eye schedule: alternate
-// 2-hop-scoped and unlimited emissions. With RFC timers that gives near
-// nodes the full TC rate and distant nodes half of it (10s period, safely
-// under the 15s topology hold time).
-func DefaultFisheyeTTLs() []int { return []int{2, 0} }
+// fisheyeScope is the TTL of the scoped half of the fish-eye schedule. With
+// RFC timers the schedule gives near nodes the full TC rate and distant
+// nodes half of it (a 10s period, safely under the 15s topology hold time).
+const fisheyeScope = 2
 
 // DefaultConfig returns RFC-style timers with FNBP selection under the given
 // metric.
@@ -216,7 +211,7 @@ type Node struct {
 
 	mprSet    []int64
 	ansSet    []int64
-	relaySet  []int64                   // flooding relay set announced in HELLOs (== mprSet unless Config.FloodRelay)
+	relaySet  []int64                   // flooding relay set announced in HELLOs (== mprSet unless Config.MinCoverRelays)
 	selectors smallTable[time.Duration] // nodes that chose us as MPR, by selection deadline
 
 	// Delta-TC emission state (GenerateTCUpdate): the emission counter
@@ -330,26 +325,14 @@ func NewNodes(ids []int64, cfg Config) ([]*Node, error) {
 	if cfg.MPRHeuristic == 0 {
 		cfg.MPRHeuristic = mpr.Greedy
 	}
-	for _, h := range []mpr.Heuristic{cfg.MPRHeuristic, cfg.FloodRelay} {
-		if h != 0 && (h < mpr.Greedy || h > mpr.MinCover) {
-			return nil, fmt.Errorf("olsr: unknown MPR heuristic %v", h)
-		}
+	if h := cfg.MPRHeuristic; h < mpr.Greedy || h > mpr.MinCover {
+		return nil, fmt.Errorf("olsr: unknown MPR heuristic %v", h)
 	}
 	if cfg.NeighborHoldTime <= 0 {
 		cfg.NeighborHoldTime = 3 * cfg.HelloInterval
 	}
 	if cfg.TopologyHoldTime <= 0 {
 		cfg.TopologyHoldTime = 3 * cfg.TCInterval
-	}
-	for _, ttl := range cfg.FisheyeTTLs {
-		if ttl < 0 {
-			return nil, fmt.Errorf("olsr: negative TTL %d in fish-eye schedule", ttl)
-		}
-	}
-	if cfg.DeltaTC && len(cfg.FisheyeTTLs) > 0 && !slices.Contains(cfg.FisheyeTTLs, 0) {
-		// Scoped emissions only: distant nodes would never hear a full TC
-		// and could never apply a delta — the combination cannot converge.
-		return nil, fmt.Errorf("olsr: DeltaTC with fish-eye scoping needs an unlimited (0) schedule entry")
 	}
 	if cfg.DenseIDs < 0 {
 		return nil, fmt.Errorf("olsr: negative DenseIDs %d", cfg.DenseIDs)
@@ -520,7 +503,7 @@ func (n *Node) fillHello(h *Hello, now time.Duration) {
 	}
 	// The link block and relay set are shared read-only (both replaced,
 	// never mutated, on content change). The announced MPRs field is the
-	// flooding relay set — the mprSet itself unless Config.FloodRelay
+	// flooding relay set — the mprSet itself unless Config.MinCoverRelays
 	// splits the roles — because selector state is what gates TC
 	// forwarding at the listed neighbors.
 	*h = Hello{Origin: n.ID, Seq: n.helloSeq, Links: n.helloAdv, MPRs: n.relaySet, LQs: n.lqBlock()}
@@ -649,8 +632,8 @@ func (n *Node) fillTCUpdate(full *TC, now time.Duration) (*TC, *TCDelta, int) {
 	n.recompute(true)
 	emit := n.tcEmit
 	n.tcEmit++
-	if s := n.cfg.FisheyeTTLs; len(s) > 0 {
-		ttl = s[emit%uint64(len(s))]
+	if n.cfg.Fisheye && emit%2 == 0 {
+		ttl = fisheyeScope
 	}
 	if len(n.ansSet) == 0 {
 		// Nothing to advertise: stay silent (RFC behaviour). Receivers
@@ -662,7 +645,7 @@ func (n *Node) fillTCUpdate(full *TC, now time.Duration) (*TC, *TCDelta, int) {
 	adv := n.currentTCAdv()
 	wantFull := !n.cfg.DeltaTC || !n.haveFull || n.chainIdx == math.MaxUint16
 	if !wantFull {
-		if len(n.cfg.FisheyeTTLs) > 0 {
+		if n.cfg.Fisheye {
 			wantFull = ttl == 0
 		} else {
 			wantFull = emit%tcFullPeriod == 0
@@ -846,8 +829,8 @@ func (n *Node) recompute(withANS bool) {
 			// A selector error leaves the set empty.
 			sel, _ := mpr.Select(view, n.cfg.MPRHeuristic, n.cfg.Metric, w)
 			n.mprSet, _ = idsOf(n.mprSet, view.G, sel)
-			if fr := n.cfg.FloodRelay; fr != 0 && fr != n.cfg.MPRHeuristic {
-				rel, _ := mpr.Select(view, fr, n.cfg.Metric, w)
+			if n.cfg.MinCoverRelays && n.cfg.MPRHeuristic != mpr.MinCover {
+				rel, _ := mpr.Select(view, mpr.MinCover, n.cfg.Metric, w)
 				n.relaySet, _ = idsOf(n.relaySet, view.G, rel)
 			} else {
 				n.relaySet = n.mprSet
@@ -886,45 +869,17 @@ func idsOf(prev []int64, g *graph.Graph, idx []int32) ([]int64, bool) {
 	return out, true
 }
 
-// buildLocalView lays the node's current knowledge of G_u out in the field's
-// shared scratch and returns the local view centered at this node with its
-// edge weights, or nil when the node has no links. The view's nodes are this
-// node, its direct neighbors and everything the neighbors advertise, numbered
-// in ascending order by the store's viewIDs, and the scratch applies the
-// routing graph's first-writer-wins rule to the first two tiers (own links,
-// then adverts in ascending neighbor order; an advert naming this node meets
-// the own link first). The view is valid until the next member builds its
-// own.
+// buildLocalView lays the node's two-hop view G_u out in the field's shared
+// scratch (see Node.layout) and returns the local view centered at this node
+// with its edge weights, or nil when the node has no links. The view is valid
+// until the next member builds its own.
 func (n *Node) buildLocalView() (*graph.LocalView, []float64) {
 	if n.links.len() == 0 {
 		return nil, nil
 	}
-	x := &n.store.viewIDs
-	x.Reset(n.store.window)
-	x.Note(graph.NodeID(n.ID))
-	for _, id := range n.links.keys {
-		x.Note(graph.NodeID(id))
-	}
-	for _, t := range n.neighbors.vals {
-		for _, l := range t.adv {
-			x.Note(graph.NodeID(l.Neighbor))
-		}
-	}
-	b := &n.store.view
-	b.Begin(x.Seal())
-	self := x.At(graph.NodeID(n.ID))
-	for i, id := range n.links.keys {
-		b.Edge(self, x.At(graph.NodeID(id)), n.links.vals[i].weight)
-	}
-	for i, nb := range n.neighbors.keys {
-		if n.links.has(nb) {
-			from := x.At(graph.NodeID(nb))
-			for _, l := range n.neighbors.vals[i].adv {
-				b.Edge(from, x.At(graph.NodeID(l.Neighbor)), l.Weight)
-			}
-		}
-	}
-	return b.View(self, n.cfg.Metric.Name())
+	s := &n.store.viewLay
+	g := n.layout(s, false)
+	return n.store.view.View(g, g.IndexOf(graph.NodeID(n.ID))), s.w
 }
 
 // MPRSet returns the current multipoint relay set (flooding).

@@ -26,17 +26,15 @@ func TestNewNodeValidation(t *testing.T) {
 	for _, set := range []func(*Config){
 		func(c *Config) { c.MPRHeuristic = mpr.Heuristic(9) },
 		func(c *Config) { c.MPRHeuristic = mpr.Heuristic(-1) },
-		func(c *Config) { c.FloodRelay = mpr.Heuristic(-1) },
-		func(c *Config) { c.FloodRelay = mpr.MinCover + 1 },
 	} {
 		cfg := testConfig()
 		set(&cfg)
 		if _, err := NewNodes([]int64{1, 2}, cfg); err == nil {
-			t.Errorf("heuristics %v / flood relay %v accepted", cfg.MPRHeuristic, cfg.FloodRelay)
+			t.Errorf("heuristic %v accepted", cfg.MPRHeuristic)
 		}
 	}
 	cfg = testConfig()
-	cfg.FloodRelay = mpr.MinCover
+	cfg.MinCoverRelays = true
 	if _, err := NewNode(1, cfg); err != nil {
 		t.Errorf("min-cover flood relays rejected: %v", err)
 	}

@@ -148,10 +148,10 @@ type topoStore struct {
 	// The reclaim sweep runs once per hold (the topology hold time).
 	hold      time.Duration
 	nextSweep time.Duration
-	// view is the selection scratch the members share (see above), viewIDs
-	// the numbering of its nodes.
+	// view is the selection scratch the members share (see above), and
+	// viewLay the storage their views are laid out in.
 	view    graph.ViewScratch
-	viewIDs graph.IDIndex
+	viewLay layoutScratch
 	// routes is the members' routing scratch.
 	routes routeScratch
 }

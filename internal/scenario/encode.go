@@ -511,7 +511,7 @@ func (r *Result) WriteTable(w io.Writer) error {
 		rows = append(rows, []string{
 			fmt.Sprintf("%g", secs(agg.Time)),
 			cell(&agg.Delivery, "%.4f", agg.Delivery.Mean()),
-			cell(&agg.Delivery, "%.4f", agg.Delivery.CI95()),
+			ciCell(&agg.Delivery, "%.4f"),
 			cell(&agg.HopStretch, "%.3f", agg.HopStretch.Mean()),
 			cell(&agg.Overhead, "%.4f", agg.Overhead.Mean()),
 			cell(&agg.ControlBPS, "%.0f", agg.ControlBPS.Mean()),
@@ -608,6 +608,15 @@ func cell(a *stats.Accumulator, format string, v float64) string {
 		return "-"
 	}
 	return fmt.Sprintf(format, v)
+}
+
+// ciCell renders a's ±95% half-width, or "-" under two samples: one run has
+// no interval, and a 0 would read as perfect confidence.
+func ciCell(a *stats.Accumulator, format string) string {
+	if a.N() < 2 {
+		return "-"
+	}
+	return fmt.Sprintf(format, a.CI95())
 }
 
 // writeRows writes an aligned table: each column but the last is padded to

@@ -576,9 +576,9 @@ func protocolConfig(p Protocol) (olsr.Config, error) {
 		case "delta":
 			cfg.DeltaTC = true
 		case "fisheye":
-			cfg.FisheyeTTLs = olsr.DefaultFisheyeTTLs()
+			cfg.Fisheye = true
 		case "minrelay":
-			cfg.FloodRelay = mpr.MinCover
+			cfg.MinCoverRelays = true
 		default:
 			return olsr.Config{}, fmt.Errorf("scenario: unknown control-plane part %q (have mpr2, delta, fisheye, minrelay)", part)
 		}

@@ -136,6 +136,41 @@ func TestWriteTableMarksEmptyCells(t *testing.T) {
 	checkColumnsAlign(t, out)
 }
 
+// One run has no confidence interval: the ±95% column reads "-", where
+// 0.0000 would claim perfect confidence, and the JSON keeps ci95 0 beside
+// n 1. Two runs print the interval.
+func TestWriteTableMarksSingleRunCI(t *testing.T) {
+	sc := ladderScenario().WithDefaults()
+	var runs []*RunResult
+	for run := range 2 {
+		rr, err := Execute(context.Background(), sc, 1, run, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runs = append(runs, rr)
+	}
+	for n := 1; n <= 2; n++ {
+		res := &Result{Scenario: sc, Seed: 1, Runs: runs[:n]}
+		var buf bytes.Buffer
+		if err := res.WriteTable(&buf); err != nil {
+			t.Fatal(err)
+		}
+		lines := strings.Split(buf.String(), "\n")
+		if f := strings.Fields(lines[1]); len(f) != 7 || f[2] != "±95%" {
+			t.Fatalf("header %q: want ±95%% third", lines[1])
+		}
+		for _, line := range lines[2 : 2+len(sc.SampleTimes())] {
+			ci := strings.Fields(line)[2]
+			if single := ci == "-"; single != (n == 1) {
+				t.Errorf("%d runs: ±95%% cell %q in %q", n, ci, line)
+			}
+		}
+		if st := statOf(&res.Aggregate()[0].Delivery); n == 1 && (st.CI95 != 0 || st.N != 1) {
+			t.Errorf("one run: delivery encodes as %+v, want ci95 0 and n 1", st)
+		}
+	}
+}
+
 // checkColumnsAlign checks that in every table of a WriteTable output (each
 // "#" line but "# reconvergence" opens one) every cell starts at the rune
 // column of its header.

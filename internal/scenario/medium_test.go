@@ -10,7 +10,27 @@ import (
 
 	"qolsr/internal/geom"
 	"qolsr/internal/olsr"
+	"qolsr/internal/sim"
 )
+
+// Validate reads the simulator's medium registry: every name in it is a
+// valid kind, lossy or not, and an unknown one is rejected naming them all.
+func TestMediumKindsAreTheRegistry(t *testing.T) {
+	for _, name := range sim.MediumNames() {
+		if err := (Medium{Kind: name}).Validate(); err != nil {
+			t.Errorf("medium %q rejected: %v", name, err)
+		}
+	}
+	err := Medium{Kind: "fso"}.Validate()
+	if err == nil || !strings.Contains(err.Error(), `"fso"`) {
+		t.Fatalf("medium fso: err = %v, want it named", err)
+	}
+	for _, name := range sim.MediumNames() {
+		if !strings.Contains(err.Error(), name) {
+			t.Errorf("unknown-medium error %q does not list %q", err, name)
+		}
+	}
+}
 
 func TestMediumValidation(t *testing.T) {
 	sc := ladderScenario()

@@ -20,6 +20,7 @@ import (
 
 	"qolsr/internal/geom"
 	"qolsr/internal/olsr"
+	"qolsr/internal/sim"
 	"qolsr/internal/traffic"
 )
 
@@ -106,7 +107,8 @@ type Protocol struct {
 // Medium selects the radio model a scenario runs on. The zero value is the
 // ideal MAC the paper assumes.
 type Medium struct {
-	// Kind is "ideal" (default) or "lossy".
+	// Kind names a medium of sim.MediumNames: "ideal" (the default) or
+	// "lossy".
 	Kind string
 	// Loss is the lossy medium's base per-link packet-error rate, in
 	// [0, 1).
@@ -118,19 +120,18 @@ type Medium struct {
 	DistanceLoss float64
 }
 
-// Validate checks the medium spec.
+// Validate checks the medium spec. The kind resolves through
+// sim.MediumByName, the registry qolsr-sim -list prints.
 func (m Medium) Validate() error {
-	switch m.Kind {
-	case "", "ideal":
-		// Lossy-only knobs on the ideal medium would be silently ignored
-		// — reject them so a forgotten Kind can't simulate a perfect
-		// radio while the user believes they configured loss.
-		if m.Loss != 0 || m.DistanceLoss != 0 {
-			return fmt.Errorf("scenario: medium knobs (loss/distance loss) require Kind \"lossy\", got %q", m.Kind)
-		}
-	case "lossy":
-	default:
-		return fmt.Errorf("scenario: unknown medium %q (have ideal, lossy)", m.Kind)
+	med, err := sim.MediumByName(m.Kind, sim.LossyConfig{})
+	if err != nil {
+		return fmt.Errorf("scenario: %w", err)
+	}
+	// Lossy-only knobs on the ideal medium would be silently ignored —
+	// reject them so a forgotten Kind can't simulate a perfect radio while
+	// the user believes they configured loss.
+	if _, lossy := med.(*sim.LossyMedium); !lossy && (m.Loss != 0 || m.DistanceLoss != 0) {
+		return fmt.Errorf("scenario: medium knobs (loss/distance loss) require Kind \"lossy\", got %q", m.Kind)
 	}
 	if m.Loss < 0 || m.Loss >= 1 {
 		return fmt.Errorf("scenario: medium loss %g outside [0,1)", m.Loss)

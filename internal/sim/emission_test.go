@@ -42,7 +42,7 @@ func TestGeneratedMessagesRoundTrip(t *testing.T) {
 			if delta {
 				plane = "delta+fisheye"
 				cfg.DeltaTC = true
-				cfg.FisheyeTTLs = olsr.DefaultFisheyeTTLs()
+				cfg.Fisheye = true
 			}
 			t.Run(sensing.name+"/"+plane, func(t *testing.T) {
 				nw, err := NewNetwork(g, cfg, NetworkOptions{Seed: 5, Medium: sensing.medium()})

@@ -12,7 +12,6 @@ import (
 	"qolsr/internal/geom"
 	"qolsr/internal/graph"
 	"qolsr/internal/metric"
-	"qolsr/internal/mpr"
 	"qolsr/internal/olsr"
 )
 
@@ -185,8 +184,8 @@ func TestIdealFloodMatchesPerDelivery(t *testing.T) {
 	t.Run("delta-fisheye-mincover", func(t *testing.T) {
 		cfg := classic
 		cfg.DeltaTC = true
-		cfg.FisheyeTTLs = []int{2, 0}
-		cfg.FloodRelay = mpr.MinCover
+		cfg.Fisheye = true
+		cfg.MinCoverRelays = true
 		newFloodPair(t, g, cfg).run(10*time.Second, 30*time.Second)
 	})
 	t.Run("fail-restore-mid-flood", func(t *testing.T) {

@@ -9,7 +9,6 @@ import (
 	"qolsr/internal/core"
 	"qolsr/internal/graph"
 	"qolsr/internal/metric"
-	"qolsr/internal/mpr"
 	"qolsr/internal/netgen"
 	"qolsr/internal/olsr"
 	"qolsr/internal/route"
@@ -333,8 +332,8 @@ func TestDeltaTCNetworkConverges(t *testing.T) {
 	g := smallWorld(t, 11, 8)
 	cfg := olsr.DefaultConfig(m)
 	cfg.DeltaTC = true
-	cfg.FisheyeTTLs = olsr.DefaultFisheyeTTLs()
-	cfg.FloodRelay = mpr.MinCover
+	cfg.Fisheye = true
+	cfg.MinCoverRelays = true
 	nw, err := NewNetwork(g, cfg, NetworkOptions{Seed: 5})
 	if err != nil {
 		t.Fatal(err)

@@ -21,13 +21,13 @@ func TestInternalSurface(t *testing.T) {
 		"des":      10,
 		"eval":     42,
 		"geom":     28,
-		"graph":    76,
+		"graph":    74,
 		"metric":   20,
 		"mpr":      8,
 		"netgen":   3,
 		"node":     45,
 		"obs":      45,
-		"olsr":     58,
+		"olsr":     57,
 		"paperex":  7,
 		"par":      1,
 		"rng":      8,
