@@ -8,18 +8,11 @@ import (
 	"qolsr/internal/metric"
 )
 
-// linkRow is one source's link table: who it is and what it says about whom,
-// in ascending to order.
-type linkRow struct {
-	from NodeID
-	to   []NodeID
-	w    []float64
-}
-
-// randomRows draws a centre's worth of link tables over sparse ids: the
-// centre's own row first, then some neighbours' rows in ascending id order.
-// Rows disagree freely — a may list b at one weight while b lists a at
-// another, or not at all — and a row may name ids no other row mentions.
+// randomRows draws a centre's worth of link tables over sparse ids, some
+// negative and some past 40: the centre's own row first, then some
+// neighbours' rows in ascending id order. Rows disagree freely — a may list b
+// at one weight while b lists a at another, or not at all — and a row may
+// name ids no other row mentions.
 func randomRows(rng *rand.Rand, nodes int) (center NodeID, ids []NodeID, rows []linkRow) {
 	pool := rng.Perm(4 * nodes)[:nodes]
 	slices.Sort(pool)
@@ -76,10 +69,11 @@ func referenceView(t *testing.T, center NodeID, ids []NodeID, rows []linkRow, ch
 }
 
 // scratchView builds the view the way a protocol node does: the ids are
-// numbered by an IDIndex whose window holds some of them (randomRows draws
-// negative ids and ids past 40 too), handed over unsorted and with repeats
-// as a caller walking its tables would, and every edge is staged by index.
-func scratchView(s *ViewScratch, center NodeID, ids []NodeID, rows []linkRow, ch string) (*LocalView, []float64) {
+// numbered by an IDIndex whose window holds some of them, handed over
+// unsorted and with repeats as a caller walking its tables would; each pair's
+// first report is staged by index, the graph is laid out in l and its view
+// taken from s.
+func scratchView(l *Layout, s *ViewScratch, center NodeID, ids []NodeID, rows []linkRow, ch string) (*LocalView, []float64) {
 	var ix IDIndex
 	ix.Reset(40)
 	for i := len(ids) - 1; i >= 0; i-- {
@@ -91,13 +85,23 @@ func scratchView(s *ViewScratch, center NodeID, ids []NodeID, rows []linkRow, ch
 			ix.Note(to)
 		}
 	}
-	s.Begin(ix.Seal())
+	sealed := ix.Seal()
+	var ends [][2]int32
+	var w []float64
+	seen := map[[2]int32]bool{}
 	for _, r := range rows {
 		for i, to := range r.to {
-			s.Edge(ix.At(r.from), ix.At(to), r.w[i])
+			a, b := ix.At(r.from), ix.At(to)
+			pair := [2]int32{min(a, b), max(a, b)}
+			if a == b || seen[pair] {
+				continue
+			}
+			seen[pair] = true
+			ends, w = append(ends, pair), append(w, r.w[i])
 		}
 	}
-	return s.View(ix.At(center), ch)
+	g := l.Lay(sealed, ends, ch, w)
+	return s.View(g, ix.At(center)), w
 }
 
 // viewSnapshot is everything a view determines, by NodeID, detached from the
@@ -200,129 +204,21 @@ func (a viewSnapshot) diff(t *testing.T, b viewSnapshot) {
 	}
 }
 
-// The scratch-built view equals the reference construction on seeded random
-// link tables, one scratch serving every build.
+// A view taken from a ViewScratch on a graph laid out by IDIndex and Layout
+// equals the reference construction on seeded random link tables, one
+// Layout and one scratch serving every build.
 func TestViewScratchMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
+	var l Layout
 	var s ViewScratch
 	for trial := 0; trial < 300; trial++ {
 		center, ids, rows := randomRows(rng, 2+rng.Intn(40))
 		ch := "delay"
 		ref, rw := referenceView(t, center, ids, rows, ch)
-		lv, w := scratchView(&s, center, ids, rows, ch)
-		if lv == nil {
-			t.Fatalf("trial %d: no view for a known center", trial)
-		}
+		lv, w := scratchView(&l, &s, center, ids, rows, ch)
 		if got, err := lv.G.Weights(ch); err != nil || (len(w) > 0 && &got[0] != &w[0]) {
-			t.Fatalf("trial %d: channel %q is not the returned weights (%v)", trial, ch, err)
+			t.Fatalf("trial %d: channel %q is not the staged weights (%v)", trial, ch, err)
 		}
 		snapshot(t, lv, w).diff(t, snapshot(t, ref, rw))
-	}
-}
-
-// A large view, a small one, a wide one (|N1| > 64: the per-component hop
-// bitsets and the first-hop sets change stride) and the small one again
-// through one scratch equal fresh builds: nothing of a view leaks into the
-// next. Every snapshot runs the additive kernel and then the concave sweep,
-// which share the scratch's FirstHops, so the two interleave across builds.
-func TestViewScratchReuseHygiene(t *testing.T) {
-	rng := rand.New(rand.NewSource(14))
-	type build struct {
-		center NodeID
-		ids    []NodeID
-		rows   []linkRow
-	}
-	var big, small, wide build
-	big.center, big.ids, big.rows = randomRows(rng, 90)
-	small.center, small.ids, small.rows = randomRows(rng, 4)
-	star := linkRow{from: 1000}
-	for i := 0; i < 80; i++ {
-		nb := NodeID(i)
-		star.to, star.w = append(star.to, nb), append(star.w, float64(1+rng.Intn(3)))
-		wide.rows = append(wide.rows, linkRow{
-			from: nb,
-			to:   []NodeID{(nb + 1) % 80, 2000 + nb/2},
-			w:    []float64{float64(1 + rng.Intn(3)), float64(1 + rng.Intn(3))},
-		})
-	}
-	wide.center, wide.rows = star.from, append([]linkRow{star}, wide.rows...)
-
-	var shared ViewScratch
-	for _, c := range []build{big, small, wide, small, big} {
-		lv, w := scratchView(&shared, c.center, c.ids, c.rows, "delay")
-		fresh, fw := scratchView(new(ViewScratch), c.center, c.ids, c.rows, "delay")
-		if c.center == wide.center && len(lv.N1) <= 64 {
-			t.Fatalf("wide view has %d neighbours, want more than 64", len(lv.N1))
-		}
-		snapshot(t, lv, w).diff(t, snapshot(t, fresh, fw))
-	}
-}
-
-// Degenerate inputs: self-loops, a pair offered twice, and a built graph that
-// then gains an edge like any other.
-func TestViewScratchEdgeCases(t *testing.T) {
-	var s ViewScratch
-	s.Begin([]NodeID{1, 5, 9}) // indices 0, 1, 2
-	s.Edge(1, 1, 1)            // self-loop
-	s.Edge(1, 2, 4)
-	s.Edge(1, 0, 2)
-	s.Edge(2, 1, 8) // second writer: dropped
-	lv, w := s.View(1, "delay")
-	if lv.G.N() != 3 || lv.G.M() != 2 || lv.G.ID(lv.U) != 5 {
-		t.Fatalf("view = %+v", lv)
-	}
-	if e, ok := lv.G.EdgeBetween(lv.G.IndexOf(5), lv.G.IndexOf(9)); !ok || w[e] != 4 {
-		t.Errorf("edge 5-9: %v weight %v, want the first writer's 4", ok, w)
-	}
-	// An edge added to the laid-out arena must not corrupt its neighbours'
-	// lists.
-	g := lv.G
-	if _, err := g.AddEdge(g.IndexOf(1), g.IndexOf(9)); err != nil {
-		t.Fatal(err)
-	}
-	if err := g.Validate(); err != nil {
-		t.Error(err)
-	}
-
-	// An empty build: a center with no links at all.
-	s.Begin([]NodeID{2})
-	lv, _ = s.View(0, "delay")
-	if len(lv.N1) != 0 || len(lv.N2) != 0 || lv.G.IndexOf(2) != 0 || lv.G.IndexOf(3) != -1 {
-		t.Fatalf("lonely view = %+v", lv)
-	}
-	if fh, err := ComputeFirstHops(lv, metric.Bandwidth(), nil); err != nil || fh.Count(0) != 0 {
-		t.Errorf("first hops of a lonely view: %v", err)
-	}
-}
-
-// An IDIndex numbers any mix of ids — negative, inside its window, past it,
-// repeated, in any order — in ascending order, and a reused one forgets the
-// previous round, whatever its window was.
-func TestIDIndex(t *testing.T) {
-	rng := rand.New(rand.NewSource(15))
-	var ix IDIndex
-	for round := 0; round < 200; round++ {
-		window := rng.Intn(150)
-		var noted []NodeID
-		for i := rng.Intn(60); i >= 0; i-- {
-			noted = append(noted, NodeID(rng.Intn(300)-100))
-			if rng.Intn(4) == 0 {
-				noted = append(noted, noted[rng.Intn(len(noted))]) // a repeat
-			}
-		}
-		ix.Reset(window)
-		for _, id := range noted {
-			ix.Note(id)
-		}
-		got := ix.Seal()
-		want := slices.Compact(slices.Sorted(slices.Values(noted)))
-		if !slices.Equal(got, want) {
-			t.Fatalf("round %d window %d: sealed %v, want %v", round, window, got, want)
-		}
-		for i, id := range want {
-			if x := ix.At(id); x != int32(i) {
-				t.Fatalf("round %d window %d: At(%d) = %d, want %d", round, window, id, x, i)
-			}
-		}
 	}
 }
