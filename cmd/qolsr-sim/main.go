@@ -39,6 +39,11 @@ import (
 	"qolsr"
 )
 
+// flagsHook, when set, takes each command's flag set and arguments in
+// place of parsing and running them: the commands in the README and the
+// usage comments are checked against the real flags without simulating.
+var flagsHook func(fs *flag.FlagSet, args []string) error
+
 func main() {
 	var err error
 	if len(os.Args) > 1 && os.Args[1] == "scenario" {
@@ -71,6 +76,9 @@ func run(args []string) error {
 		cpuProfile = fs.String("cpuprofile", "", "write a CPU profile to this file")
 		memProfile = fs.String("memprofile", "", "write a heap profile to this file on exit")
 	)
+	if flagsHook != nil {
+		return flagsHook(fs, args)
+	}
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -185,25 +193,17 @@ func writeResult(res *qolsr.Results, jsonPath, csvPath, trailer string) error {
 // scenarios with their run verb.
 func registryListing() string {
 	var b strings.Builder
-	b.WriteString("sweeps (-figure / -ablation):\n")
-	for _, id := range qolsr.SweepIDs() {
-		fmt.Fprintf(&b, "  %s\n", id)
-	}
-	b.WriteString("quantities:\n")
-	for _, q := range qolsr.QuantityNames() {
-		fmt.Fprintf(&b, "  %s\n", q)
-	}
-	b.WriteString("routing policies:\n")
-	for _, p := range qolsr.RoutePolicyNames() {
-		fmt.Fprintf(&b, "  %s\n", p)
-	}
-	b.WriteString("scenarios (scenario run -name):\n")
-	for _, s := range qolsr.ScenarioNames() {
-		fmt.Fprintf(&b, "  %s\n", s)
-	}
-	b.WriteString("mediums (scenario run -medium):\n")
-	for _, m := range qolsr.MediumNames() {
-		fmt.Fprintf(&b, "  %s\n", m)
+	for _, reg := range []struct {
+		head  string
+		names []string
+	}{
+		{"sweeps (-figure / -ablation)", qolsr.SweepIDs()},
+		{"quantities", qolsr.QuantityNames()},
+		{"routing policies", qolsr.RoutePolicyNames()},
+		{"scenarios (scenario run -name)", qolsr.ScenarioNames()},
+		{"mediums (scenario run -medium)", qolsr.MediumNames()},
+	} {
+		fmt.Fprintf(&b, "%s:\n  %s\n", reg.head, strings.Join(reg.names, "\n  "))
 	}
 	b.WriteString("flow classes (scenario run -flows class:count@rateBps):\n")
 	for _, c := range qolsr.FlowClasses() {

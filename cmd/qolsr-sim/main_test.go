@@ -212,6 +212,11 @@ func TestScenarioRunUnknownMedium(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "-medium lossy") {
 		t.Errorf("-loss without -medium lossy: err = %v", err)
 	}
+	// A zero loss is a loss setting too, which Scenario.Validate cannot see.
+	err = runScenario([]string{"-name", "static-baseline", "-loss", "0", "-medium", "ideal", "-quiet"})
+	if err == nil || !strings.Contains(err.Error(), "-medium lossy") {
+		t.Errorf("-loss 0 -medium ideal: err = %v", err)
+	}
 	// Unknown -name lists the scenarios.
 	err = runScenario([]string{"-name", "nope"})
 	if err == nil || !strings.Contains(err.Error(), "static-baseline") {

@@ -12,6 +12,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"strconv"
@@ -19,6 +20,7 @@ import (
 	"syscall"
 
 	"qolsr"
+	"qolsr/internal/sim"
 )
 
 // runScenarioCmd dispatches "qolsr-sim scenario <verb>".
@@ -69,6 +71,9 @@ func runScenario(args []string) error {
 		tracePath  = fs.String("trace", "", "sample data-packet path traces and write them as Chrome trace-event JSON to this file (\"-\" for stdout; open in Perfetto)")
 		traceEvery = fs.Int("trace-every", 64, "with -trace, sample 1 in N data packets (1 = trace everything)")
 	)
+	if flagsHook != nil {
+		return flagsHook(fs, args)
+	}
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -114,7 +119,9 @@ func runScenario(args []string) error {
 	}
 	if *loss >= 0 {
 		sc.Medium.Loss = *loss
-		if sc.Medium.Kind == "" || sc.Medium.Kind == "ideal" {
+		// An unknown kind is left for Scenario.Validate to name.
+		med, err := sim.MediumByName(sc.Medium.Kind, sim.LossyConfig{})
+		if _, lossy := med.(*sim.LossyMedium); err == nil && !lossy {
 			return fmt.Errorf("-loss requires the lossy medium (add -medium lossy)")
 		}
 	}
@@ -158,24 +165,14 @@ func runScenario(args []string) error {
 			return err
 		}
 	}
-	if *csvPath != "" {
-		if err := writeOut(*csvPath, res.EncodeCSV); err != nil {
-			return err
-		}
-	}
-	if *jsonPath != "" {
-		if err := writeOut(*jsonPath, res.EncodeJSON); err != nil {
-			return err
-		}
-	}
-	if *metricsOut != "" {
-		if err := writeOut(*metricsOut, res.EncodeMetrics); err != nil {
-			return err
-		}
-	}
-	if *tracePath != "" {
-		if err := writeOut(*tracePath, res.EncodeTrace); err != nil {
-			return err
+	for _, out := range []struct {
+		path   string
+		encode func(io.Writer) error
+	}{{*csvPath, res.EncodeCSV}, {*jsonPath, res.EncodeJSON}, {*metricsOut, res.EncodeMetrics}, {*tracePath, res.EncodeTrace}} {
+		if out.path != "" {
+			if err := writeOut(out.path, out.encode); err != nil {
+				return err
+			}
 		}
 	}
 	return nil

@@ -244,7 +244,7 @@
 // stack is a first-class experiment (the S1 grid, -ablation scale);
 // cmd/qolsr-bench/baseline.json records the headline numbers.
 //
-// # Shared topology & parallel rebuilds
+// # Shared topology & serial rebuilds
 //
 // Big fields spend their time ingesting what they already know: in steady
 // state every flooded TC re-announces an unchanged link set to N-1
@@ -283,10 +283,7 @@
 // the tables may be walked in any order. The graph lives
 // only as long as the Dijkstra over it: its buffers are the one scratch the
 // field's members share, and a node keeps nothing of a computation but the
-// routing-table snapshot. At the end of scale-1500's timed region (seed 1,
-// exact heap profile) the store holds 18.1 MiB and the routing tables 9.9
-// MiB of 33.6 MiB live; while each table repeated its destination ids in
-// 24-byte entries, the tables held 16.6 of 40.2 MiB.
+// routing-table snapshot.
 //
 // Route tables are rebuilt serially, on the goroutine that owns the
 // network: Network.RebuildRoutes brings the named nodes' tables up to date
@@ -324,8 +321,9 @@
 // BENCH_overhead.json records its five-run result, regenerated by
 // `qolsr-sim -ablation overhead -runs 100 -json BENCH_overhead.json`. Every
 // plane delivers the same probes only because all of them route through the
-// same kernel, and on O1's static fields at δ = 15 that kernel loses 7.5 % of
-// probes to TTL, so equal delivery there is not full delivery.
+// same kernel, and on O1's static fields at δ = 15 that kernel's loops hold
+// every plane to the same delivery below 1 (the file's dlv column), so equal
+// delivery there is not full delivery.
 //
 // # Observability
 //

@@ -220,7 +220,7 @@ func loadGrid() liveGrid {
 // flooding relays) against each control-plane optimisation and all three.
 // Claim: the optimised planes' control bytes grow sublinearly with density,
 // the baseline's superlinearly. Delivery is equal only because every plane
-// routes through one kernel, which loses 7.5 % of probes to TTL at δ = 15.
+// routes through one kernel, whose loops cost probes at δ = 15.
 func overheadGrid() liveGrid {
 	base := probeBase(10)
 	base.Protocol.Selector = "qolsr"

@@ -30,8 +30,8 @@ import (
 // concave primary (bandwidth) it does not: a wider, longer path to an
 // intermediate node wins its label, and a destination behind a narrower
 // link inherits that longer hop count (or costlier secondary) though a
-// shorter path of the same width exists. ROADMAP item 2 tracks the exact
-// order; hop-by-hop forwarding on this one can loop on width ties.
+// shorter path of the same width exists. ROADMAP items 1 and 23 track the
+// exact order; hop-by-hop forwarding on this one can loop on width ties.
 type ShortestPaths struct {
 	// Source is the search origin.
 	Source int32

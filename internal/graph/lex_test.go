@@ -235,14 +235,14 @@ func TestDijkstraLexBandwidthThenEnergy(t *testing.T) {
 	}
 }
 
-// TestDijkstraLexNotIsotone pins the Sec. V counterexample (ROADMAP item 2):
+// TestDijkstraLexNotIsotone pins the Sec. V counterexample (ROADMAP item 23):
 // s–a (bw 10, en 10), s–b (5, 1), b–a (5, 1), a–t (5, 1). Under
 // Lexicographic{Bandwidth, Energy} the search settles a at {10, 10} over the
 // wide direct link and extends only that label, so t gets {5, 11} over
 // s–a–t. The optimum, which a brute force over every simple path finds, is
 // {5, 3} over s–b–a–t: a (width, energy) order is not isotone, because the
 // best value at a need not extend into the best value at t. The test pins
-// what the search returns today beside the optimum, so item 2's exact
+// what the search returns today beside the optimum, so item 23's exact
 // kernel changes one expected value.
 func TestDijkstraLexNotIsotone(t *testing.T) {
 	const s, a, b, dst = 0, 1, 2, 3

@@ -77,7 +77,7 @@ func bfsAtLeast(g *Graph, w []float64, src int32, width float64) []int32 {
 }
 
 // TestWidestRoutingLoops is the graph-level check of the routing-order
-// defect (ROADMAP item 2),
+// defect (ROADMAP item 1),
 // pinned at what the current search order does rather than fixed: ten
 // seeded 450 × 450 unit-disk fields, R = 100, 129 nodes each (mean degree
 // about 20), integer bandwidth weights in 1..10. Even with every node

@@ -15,10 +15,33 @@ import (
 
 // Validate reads the simulator's medium registry: every name in it is a
 // valid kind, lossy or not, and an unknown one is rejected naming them all.
+// Whether a kind takes loss settings — the loss knobs and the set-loss and
+// degrade-link phases — is asked of the medium the registry builds, so both
+// checks follow the registry too.
 func TestMediumKindsAreTheRegistry(t *testing.T) {
 	for _, name := range sim.MediumNames() {
 		if err := (Medium{Kind: name}).Validate(); err != nil {
 			t.Errorf("medium %q rejected: %v", name, err)
+		}
+		med, err := sim.MediumByName(name, sim.LossyConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, takesLoss := med.(*sim.LossyMedium)
+		if err := (Medium{Kind: name, Loss: 0.1}).Validate(); (err == nil) != takesLoss {
+			t.Errorf("medium %q with loss 0.1: err = %v, takes loss settings = %v", name, err, takesLoss)
+		}
+		sc := ladderScenario()
+		sc.Medium = Medium{Kind: name}
+		for _, action := range []Action{SetLoss{Loss: 0.3}, DegradeLink{A: 0, B: 1, Loss: 0.5}} {
+			sc.Phases = []Phase{{At: 20 * time.Second, Action: action}}
+			err := sc.WithDefaults().Validate()
+			if (err == nil) != takesLoss {
+				t.Errorf("medium %q, phase %s: err = %v, takes loss settings = %v", name, action.Describe(), err, takesLoss)
+			}
+			if err != nil && !strings.Contains(err.Error(), "requires the lossy medium") {
+				t.Errorf("medium %q, phase %s: err = %v, want the phase message", name, action.Describe(), err)
+			}
 		}
 	}
 	err := Medium{Kind: "fso"}.Validate()

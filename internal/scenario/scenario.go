@@ -107,8 +107,7 @@ type Protocol struct {
 // Medium selects the radio model a scenario runs on. The zero value is the
 // ideal MAC the paper assumes.
 type Medium struct {
-	// Kind names a medium of sim.MediumNames: "ideal" (the default) or
-	// "lossy".
+	// Kind names a medium of sim.MediumNames; empty is the ideal one.
 	Kind string
 	// Loss is the lossy medium's base per-link packet-error rate, in
 	// [0, 1).
@@ -342,9 +341,10 @@ func (sc Scenario) Validate() error {
 		if err := ph.Action.validate(); err != nil {
 			return fmt.Errorf("scenario: phase %d: %w", i, err)
 		}
-		if sc.Medium.Kind != "lossy" {
-			switch ph.Action.(type) {
-			case SetLoss, DegradeLink:
+		switch ph.Action.(type) {
+		case SetLoss, DegradeLink:
+			med, _ := sim.MediumByName(sc.Medium.Kind, sim.LossyConfig{})
+			if _, lossy := med.(*sim.LossyMedium); !lossy {
 				return fmt.Errorf("scenario: phase %d (%s) requires the lossy medium", i, ph.Action.Describe())
 			}
 		}

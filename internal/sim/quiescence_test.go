@@ -34,12 +34,12 @@ type quiescenceOutcome struct{ Delivered, NoRoute, Expired uint64 }
 // quiescencePins holds the outcome of every (δ, selector, weight law) cell,
 // one entry per field in field order, exactly as measured. An exact pin,
 // not a bound: a move in either direction shows in review. The TTL deaths
-// under the integer law are ROADMAP item 2's defect (hop-by-hop forwarding
-// on a (width, hops) order that is not isotone loops on width ties). FNBP's
-// no-route and death counts are item 3's (its selection gap). qolsr's TTL
-// deaths under continuous weights are pinned too; the landing claim that
+// are ROADMAP item 1's two defects: hop-by-hop forwarding on a (width, hops)
+// order that is not isotone loops on width ties, and routes use neighbours'
+// HELLO links beyond hop 2 (all of qolsr's deaths under continuous weights).
+// FNBP's no-route counts are item 2's (its tie gap). The landing claim that
 // continuous weights deliver everything holds for fnbp, topofilter and full
-// only, and item 2(c) attributes the rest.
+// only.
 var quiescencePins = map[string][]quiescenceOutcome{
 	"10/fnbp/integer":          {{4208, 82, 0}, {2437, 215, 0}, {3920, 502, 0}},
 	"10/fnbp/continuous":       {{4290, 0, 0}, {2652, 0, 0}, {4422, 0, 0}},

@@ -56,7 +56,7 @@ func TestInternalSurface(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			n += exportedNames(f)
+			n += len(exportedNames(f))
 		}
 		if n == 0 {
 			continue
@@ -75,34 +75,39 @@ func TestInternalSurface(t *testing.T) {
 	t.Logf("%d exported identifiers across internal/", total)
 }
 
-// exportedNames counts a file's exported top-level names and the exported
-// methods of its exported types.
-func exportedNames(f *ast.File) int {
-	n := 0
+// exportedNames lists a file's exported top-level names and, as T.M, the
+// exported methods of its exported types.
+func exportedNames(f *ast.File) []string {
+	var names []string
 	for _, decl := range f.Decls {
 		switch d := decl.(type) {
 		case *ast.FuncDecl:
-			if d.Name.IsExported() && (d.Recv == nil || ast.IsExported(receiverType(d.Recv.List[0].Type))) {
-				n++
+			if !d.Name.IsExported() {
+				continue
+			}
+			if d.Recv == nil {
+				names = append(names, d.Name.Name)
+			} else if recv := receiverType(d.Recv.List[0].Type); ast.IsExported(recv) {
+				names = append(names, recv+"."+d.Name.Name)
 			}
 		case *ast.GenDecl:
 			for _, spec := range d.Specs {
 				switch s := spec.(type) {
 				case *ast.TypeSpec:
 					if s.Name.IsExported() {
-						n++
+						names = append(names, s.Name.Name)
 					}
 				case *ast.ValueSpec:
 					for _, name := range s.Names {
 						if name.IsExported() {
-							n++
+							names = append(names, name.Name)
 						}
 					}
 				}
 			}
 		}
 	}
-	return n
+	return names
 }
 
 // receiverType names a method receiver's base type: T, *T, T[P] or *T[P].
